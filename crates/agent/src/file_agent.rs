@@ -14,8 +14,8 @@ use rhodos_buf::BlockBuf;
 use rhodos_cluster::SharedDirectory;
 use rhodos_disk_service::{SchedulerStats, BLOCK_SIZE};
 use rhodos_file_service::{
-    BlockCache, CacheStats, FileAttributes, FileId, FileServiceError, LeaseMode, LeaseToken,
-    ParityStats, ScrubStats, ServiceType,
+    CacheStats, FileAttributes, FileId, FileServiceError, LeaseMode, LeaseToken, ParityStats,
+    ScrubStats, ServiceType,
 };
 use rhodos_naming::{AttributedName, NamingError, NamingService, SystemName};
 use rhodos_net::{NetConfig, NetStats, SimNetwork};
@@ -157,23 +157,24 @@ pub struct FileAgent {
     net: SimNetwork,
     open: HashMap<ObjectDescriptor, OpenFile>,
     next_od: ObjectDescriptor,
-    /// One client block pool per server (file ids are per-server).
-    /// Used by the [`LeaseConfig::Trusting`] mode only.
-    caches: Vec<BlockCache>,
     round_trips: u64,
     /// Server that receives `create` calls (round-robin).
     next_create: usize,
     /// Cache-coherence policy.
     lease_config: LeaseConfig,
-    /// One lease station per server ([`LeaseConfig::Auto`] only; empty
-    /// otherwise). Shared with the servers' recall endpoints.
+    /// One station per server (file ids are per-server): the client
+    /// block cache, plus the leases protecting it under
+    /// [`LeaseConfig::Auto`], when it is shared with the server's recall
+    /// endpoint.
     stations: Vec<Arc<Mutex<Station>>>,
+    /// Lane behaviour of the recall endpoints ([`LeaseConfig::Auto`]).
+    station_net: NetConfig,
     /// Reads served from the lease-protected cache without an RPC.
     rpcs_avoided: u64,
     /// Lease renewals issued.
     lease_renewals: u64,
-    /// Client block-cache capacity (per server pool); remembered so
-    /// pools can be added when the cluster scales out.
+    /// Client block-cache capacity (per station); remembered so
+    /// stations can be added when the cluster scales out.
     cache_blocks: usize,
     /// The cluster's published placement directory, when attached.
     placement: Option<SharedDirectory>,
@@ -196,7 +197,8 @@ impl FileAgent {
         Self::with_servers(machine, vec![server], naming, net, cache_blocks)
     }
 
-    /// Creates the agent for `machine` talking to several file servers.
+    /// Creates the agent for `machine` talking to several file servers,
+    /// under the default [`LeaseConfig::Trusting`] policy.
     ///
     /// # Panics
     ///
@@ -208,42 +210,28 @@ impl FileAgent {
         net: SimNetwork,
         cache_blocks: usize,
     ) -> Self {
-        assert!(!servers.is_empty(), "agent needs at least one file server");
-        let caches = servers
-            .iter()
-            .map(|_| BlockCache::new(cache_blocks.max(1)))
-            .collect();
-        Self {
+        Self::with_lease_config(
             machine,
             servers,
             naming,
             net,
-            open: HashMap::new(),
-            next_od: FILE_OD_BASE,
-            caches,
-            round_trips: 0,
-            next_create: 0,
-            lease_config: LeaseConfig::Trusting,
-            stations: Vec::new(),
-            rpcs_avoided: 0,
-            lease_renewals: 0,
-            cache_blocks: cache_blocks.max(1),
-            placement: None,
-            placement_epoch_seen: 0,
-            placement_refreshes: 0,
-        }
+            cache_blocks,
+            LeaseConfig::default(),
+            NetConfig::reliable(),
+        )
     }
 
     /// Creates the agent with an explicit cache-coherence policy.
     ///
-    /// Under [`LeaseConfig::Auto`] each server gets a *lease station*
-    /// (client-side lease table + lease-protected block cache + HLC
-    /// lane) and a recall endpoint over its own `station_net` lane is
-    /// registered with that server, so the server can call delegations
-    /// back. Under [`LeaseConfig::Never`] nothing is cached (every read
-    /// is an RPC, every write is pushed write-through) — the coherent
-    /// leaseless ablation. [`LeaseConfig::Trusting`] is the legacy
-    /// blind-trust cache (the behaviour of [`Self::with_servers`]).
+    /// Every server gets a *station* holding the client block cache for
+    /// its files. Under [`LeaseConfig::Auto`] the station also keeps the
+    /// leases that protect the cache, and a recall endpoint over its own
+    /// `station_net` lane is registered with the server so it can call
+    /// delegations back. [`LeaseConfig::Trusting`] runs the same cached
+    /// paths with blind trust in place of leases. Under
+    /// [`LeaseConfig::Never`] nothing is cached (every read is an RPC,
+    /// every write is pushed write-through) — the coherent leaseless
+    /// ablation.
     ///
     /// # Panics
     ///
@@ -257,30 +245,28 @@ impl FileAgent {
         lease_config: LeaseConfig,
         station_net: NetConfig,
     ) -> Self {
-        let mut agent = Self::with_servers(machine, servers, naming, net, cache_blocks);
-        agent.lease_config = lease_config;
-        if lease_config == LeaseConfig::Auto {
-            let clock = agent.net.clock();
-            for (i, server) in agent.servers.iter().enumerate() {
-                let hlc = HlcClock::new(clock.clone(), 1000 + machine);
-                let station = Arc::new(Mutex::new(Station::new(machine as u64, hlc, cache_blocks)));
-                // Decorrelate each station's recall lane from the
-                // agent's request lane and from other stations.
-                let cfg = NetConfig {
-                    seed: station_net
-                        .seed
-                        .wrapping_add(machine as u64 * 104_729)
-                        .wrapping_add(i as u64 * 7919),
-                    ..station_net
-                };
-                let endpoint =
-                    StationEndpoint::new(station.clone(), SimNetwork::new(clock.clone(), cfg));
-                server
-                    .lock()
-                    .file_service_mut()
-                    .lease_attach(Box::new(endpoint));
-                agent.stations.push(station);
-            }
+        assert!(!servers.is_empty(), "agent needs at least one file server");
+        let mut agent = Self {
+            machine,
+            servers: Vec::new(),
+            naming,
+            net,
+            open: HashMap::new(),
+            next_od: FILE_OD_BASE,
+            round_trips: 0,
+            next_create: 0,
+            lease_config,
+            stations: Vec::new(),
+            station_net,
+            rpcs_avoided: 0,
+            lease_renewals: 0,
+            cache_blocks: cache_blocks.max(1),
+            placement: None,
+            placement_epoch_seen: 0,
+            placement_refreshes: 0,
+        };
+        for server in servers {
+            agent.add_server_handle(server);
         }
         agent
     }
@@ -328,13 +314,10 @@ impl FileAgent {
         self.machine
     }
 
-    /// Statistics so far (cache counters merged over all servers' pools,
+    /// Statistics so far (cache counters merged over all stations,
     /// scheduler counters merged over all servers' spindles).
     pub fn stats(&self) -> AgentStats {
         let mut cache = CacheStats::default();
-        for c in &self.caches {
-            cache.merge(&c.stats());
-        }
         let mut recalls = 0;
         for st in &self.stations {
             let st = st.lock();
@@ -476,6 +459,23 @@ impl FileAgent {
             fs.open(fid)?;
             fs.get_attribute(fid)?.size
         };
+        Ok(self.bind(server, fid, size, None))
+    }
+
+    /// Allocates a descriptor for `(server, fid)` and tells the station
+    /// the file's size, which trims pushed tail blocks.
+    fn bind(
+        &mut self,
+        server: usize,
+        fid: FileId,
+        size: u64,
+        gid: Option<u64>,
+    ) -> ObjectDescriptor {
+        self.stations[server]
+            .lock()
+            .sizes
+            .entry(fid)
+            .or_insert(size);
         let od = self.next_od;
         self.next_od += 1;
         self.open.insert(
@@ -485,10 +485,10 @@ impl FileAgent {
                 fid,
                 pos: 0,
                 size,
-                gid: None,
+                gid,
             },
         );
-        Ok(od)
+        od
     }
 
     /// Attaches a cluster's published placement directory. From here on
@@ -504,9 +504,34 @@ impl FileAgent {
     /// per `Cluster::add_server` so re-pointed placements resolve) and
     /// returns its index.
     pub fn add_server_handle(&mut self, server: ServerHandle) -> usize {
+        let i = self.servers.len();
+        let clock = self.net.clock();
+        let hlc = HlcClock::new(clock.clone(), 1000 + self.machine);
+        let station = Arc::new(Mutex::new(Station::new(
+            self.machine as u64,
+            hlc,
+            self.cache_blocks,
+        )));
+        if self.lease_config == LeaseConfig::Auto {
+            // Decorrelate each station's recall lane from the agent's
+            // request lane and from other stations.
+            let cfg = NetConfig {
+                seed: self
+                    .station_net
+                    .seed
+                    .wrapping_add(self.machine as u64 * 104_729)
+                    .wrapping_add(i as u64 * 7919),
+                ..self.station_net
+            };
+            let endpoint = StationEndpoint::new(station.clone(), SimNetwork::new(clock, cfg));
+            server
+                .lock()
+                .file_service_mut()
+                .lease_attach(Box::new(endpoint));
+        }
+        self.stations.push(station);
         self.servers.push(server);
-        self.caches.push(BlockCache::new(self.cache_blocks));
-        self.servers.len() - 1
+        i
     }
 
     /// Opens a cluster file by its cluster-wide id, resolving its home
@@ -517,7 +542,7 @@ impl FileAgent {
     /// id), so background migration can move the file between this
     /// agent's operations; the agent only tracks the descriptor locally
     /// and re-points it when the placement epoch moves. Delayed writes
-    /// buffered in the trusting cache are stranded if the file migrates
+    /// buffered in the client cache are stranded if the file migrates
     /// before a flush — callers in cluster mode should flush after
     /// writes (or run [`LeaseConfig::Never`]) when rebalancing is live.
     ///
@@ -537,19 +562,7 @@ impl FileAgent {
             .file_service_mut()
             .get_attribute(fid)?
             .size;
-        let od = self.next_od;
-        self.next_od += 1;
-        self.open.insert(
-            od,
-            OpenFile {
-                server,
-                fid,
-                pos: 0,
-                size,
-                gid: Some(gid),
-            },
-        );
-        Ok(od)
+        Ok(self.bind(server, fid, size, Some(gid)))
     }
 
     /// Revalidates every cluster descriptor against the placement
@@ -577,7 +590,7 @@ impl FileAgent {
                 continue;
             };
             if (server, fid) != (e.server, e.fid) && server < self.servers.len() {
-                self.caches[e.server].invalidate_file(e.fid);
+                self.stations[e.server].lock().cache.invalidate_file(e.fid);
                 e.server = server;
                 e.fid = fid;
             }
@@ -637,9 +650,8 @@ impl FileAgent {
     ) -> Result<Vec<u8>, AgentError> {
         self.sync_placement();
         match self.lease_config {
-            LeaseConfig::Trusting => self.pread_trusting(od, offset, len),
             LeaseConfig::Never => self.pread_never(od, offset, len),
-            LeaseConfig::Auto => self.pread_leased(od, offset, len),
+            LeaseConfig::Auto | LeaseConfig::Trusting => self.pread_cached(od, offset, len),
         }
     }
 
@@ -667,16 +679,21 @@ impl FileAgent {
         }
     }
 
-    /// Lease-protected read: under a live lease, cached blocks are
-    /// served with **no RPC at all**; misses fetch from the server and
-    /// populate the station cache under the lease's protection.
-    fn pread_leased(
+    /// Cached read. Blocks resident in the station cache are served with
+    /// **no RPC at all** — under [`LeaseConfig::Auto`] only while a live
+    /// lease protects them; misses fetch the whole block from the server
+    /// and populate the cache. A hit is a shared handle: the only memcpy
+    /// on this path is into the caller's result buffer.
+    fn pread_cached(
         &mut self,
         od: ObjectDescriptor,
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>, AgentError> {
-        self.ensure_lease(od, LeaseMode::Read)?;
+        let leased = self.lease_config == LeaseConfig::Auto;
+        if leased {
+            self.ensure_lease(od, LeaseMode::Read)?;
+        }
         let (server, fid, size) = {
             let e = self.entry(od)?;
             (e.server, e.fid, e.size)
@@ -696,7 +713,7 @@ impl FileAgent {
             let now = self.net.clock().now_us();
             let cached = {
                 let mut st = self.stations[server].lock();
-                if st.authorized(fid, LeaseMode::Read, now) {
+                if !leased || st.authorized(fid, LeaseMode::Read, now) {
                     st.cache.get(&(fid, idx))
                 } else {
                     None
@@ -704,10 +721,12 @@ impl FileAgent {
             };
             let block: BlockBuf = match cached {
                 Some(b) => {
-                    self.rpcs_avoided += 1;
+                    self.rpcs_avoided += u64::from(leased);
                     b
                 }
                 None => {
+                    // A server-cache hit shares the server's allocation
+                    // all the way here.
                     self.round_trip();
                     let block = self.servers[server]
                         .lock()
@@ -717,59 +736,9 @@ impl FileAgent {
                         let mut st = self.stations[server].lock();
                         st.cache.insert((fid, idx), block.clone(), false)
                     };
+                    // Delayed writes evicted from the client cache are
+                    // pushed to the server.
                     for (k, v) in evictions {
-                        self.push_block_leased(server, k.0, k.1, v)?;
-                    }
-                    block
-                }
-            };
-            let block_start = idx * bs;
-            let lo = offset.max(block_start) - block_start;
-            let hi = (offset + len as u64).min(block_start + bs) - block_start;
-            out.extend_from_slice(&block[lo as usize..hi as usize]);
-        }
-        Ok(out)
-    }
-
-    /// The legacy blind-trust cached read.
-    fn pread_trusting(
-        &mut self,
-        od: ObjectDescriptor,
-        offset: u64,
-        len: usize,
-    ) -> Result<Vec<u8>, AgentError> {
-        let (server, fid, size) = {
-            let e = self.entry(od)?;
-            (e.server, e.fid, e.size)
-        };
-        if offset >= size {
-            return Ok(Vec::new());
-        }
-        let len = len.min((size - offset) as usize);
-        if len == 0 {
-            return Ok(Vec::new());
-        }
-        let bs = BLOCK_SIZE as u64;
-        let first = offset / bs;
-        let last = (offset + len as u64 - 1) / bs;
-        let mut out = Vec::with_capacity(len);
-        for idx in first..=last {
-            // A client-cache hit is a shared handle — the only memcpy on
-            // this path is into the caller's result buffer.
-            let block: BlockBuf = match self.caches[server].get(&(fid, idx)) {
-                Some(b) => b,
-                None => {
-                    // Fetch the whole block from the server (one round
-                    // trip) and cache the handle; a server-cache hit
-                    // shares the server's allocation all the way here.
-                    self.round_trip();
-                    let block = self.servers[server]
-                        .lock()
-                        .file_service_mut()
-                        .read_block(fid, idx)?;
-                    for (k, v) in self.caches[server].insert((fid, idx), block.clone(), false) {
-                        // Delayed writes evicted from the client cache are
-                        // pushed to the server.
                         self.push_block(server, k.0, k.1, v)?;
                     }
                     block
@@ -813,9 +782,8 @@ impl FileAgent {
         }
         self.sync_placement();
         match self.lease_config {
-            LeaseConfig::Trusting => self.pwrite_trusting(od, offset, data),
             LeaseConfig::Never => self.pwrite_never(od, offset, data),
-            LeaseConfig::Auto => self.pwrite_leased(od, offset, data),
+            LeaseConfig::Auto | LeaseConfig::Trusting => self.pwrite_cached(od, offset, data),
         }
     }
 
@@ -841,16 +809,19 @@ impl FileAgent {
         Ok(())
     }
 
-    /// Delegated write: buffered dirty in the station cache under an
-    /// exclusive write lease; data reaches the server on flush, close,
-    /// eviction — or when the server recalls the delegation.
-    fn pwrite_leased(
+    /// Delayed write: buffered dirty in the station cache — under
+    /// [`LeaseConfig::Auto`], beneath an exclusive write lease; data
+    /// reaches the server on flush, close, eviction — or when the server
+    /// recalls the delegation.
+    fn pwrite_cached(
         &mut self,
         od: ObjectDescriptor,
         offset: u64,
         data: &[u8],
     ) -> Result<(), AgentError> {
-        self.ensure_lease(od, LeaseMode::Write)?;
+        if self.lease_config == LeaseConfig::Auto {
+            self.ensure_lease(od, LeaseMode::Write)?;
+        }
         let (server, fid, size) = {
             let e = self.entry(od)?;
             (e.server, e.fid, e.size)
@@ -873,8 +844,9 @@ impl FileAgent {
             } else if let Some(b) = resident {
                 b
             } else if block_start < size {
-                // Read-modify-write: the exclusive delegation means the
-                // server copy cannot move under us.
+                // Read-modify-write (only if the block exists at the
+                // server). Under a lease the exclusive delegation means
+                // the server copy cannot move under us.
                 self.round_trip();
                 self.servers[server]
                     .lock()
@@ -883,6 +855,8 @@ impl FileAgent {
             } else {
                 BlockBuf::zeroed(BLOCK_SIZE)
             };
+            // Copy-on-write: detaches from the cached allocation only if
+            // the block is resident/shared.
             block.make_mut()[(lo - block_start) as usize..(hi - block_start) as usize]
                 .copy_from_slice(&data[(lo - offset) as usize..(hi - offset) as usize]);
             let evictions = {
@@ -890,7 +864,7 @@ impl FileAgent {
                 st.cache.insert((fid, idx), block, true)
             };
             for (k, v) in evictions {
-                self.push_block_leased(server, k.0, k.1, v)?;
+                self.push_block(server, k.0, k.1, v)?;
             }
         }
         let entry = self.open.get_mut(&od).expect("checked");
@@ -899,83 +873,6 @@ impl FileAgent {
         let mut st = self.stations[server].lock();
         let sz = st.sizes.entry(fid).or_insert(0);
         *sz = (*sz).max(new_size);
-        Ok(())
-    }
-
-    /// The legacy blind-trust delayed write.
-    fn pwrite_trusting(
-        &mut self,
-        od: ObjectDescriptor,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<(), AgentError> {
-        let (server, fid) = {
-            let e = self.entry(od)?;
-            (e.server, e.fid)
-        };
-        let bs = BLOCK_SIZE as u64;
-        let first = offset / bs;
-        let last = (offset + data.len() as u64 - 1) / bs;
-        for idx in first..=last {
-            let block_start = idx * bs;
-            let lo = offset.max(block_start);
-            let hi = (offset + data.len() as u64).min(block_start + bs);
-            let full = lo == block_start && hi == block_start + bs;
-            let mut block: BlockBuf = if full {
-                BlockBuf::zeroed(BLOCK_SIZE)
-            } else if let Some(b) = self.caches[server].get(&(fid, idx)) {
-                b
-            } else {
-                // Read-modify-write through pread's caching path (only if
-                // the block exists at the server).
-                let size = self.entry(od)?.size;
-                if block_start < size {
-                    let _ = self.pread(od, block_start, BLOCK_SIZE)?;
-                }
-                self.caches[server]
-                    .get(&(fid, idx))
-                    .unwrap_or_else(|| BlockBuf::zeroed(BLOCK_SIZE))
-            };
-            // Copy-on-write: detaches from the cached allocation only if
-            // the block is resident/shared.
-            block.make_mut()[(lo - block_start) as usize..(hi - block_start) as usize]
-                .copy_from_slice(&data[(lo - offset) as usize..(hi - offset) as usize]);
-            for (k, v) in self.caches[server].insert((fid, idx), block, true) {
-                self.push_block(server, k.0, k.1, v)?;
-            }
-        }
-        let entry = self.open.get_mut(&od).expect("checked");
-        entry.size = entry.size.max(offset + data.len() as u64);
-        Ok(())
-    }
-
-    fn push_block(
-        &mut self,
-        server: usize,
-        fid: FileId,
-        idx: u64,
-        data: BlockBuf,
-    ) -> Result<(), AgentError> {
-        // Trim the push to the file's logical size so a partial tail block
-        // does not inflate the file.
-        let size = self
-            .open
-            .values()
-            .find(|e| e.server == server && e.fid == fid)
-            .map(|e| e.size)
-            .unwrap_or((idx + 1) * BLOCK_SIZE as u64);
-        let start = idx * BLOCK_SIZE as u64;
-        let len = (BLOCK_SIZE as u64).min(size.saturating_sub(start)) as usize;
-        if len == 0 {
-            return Ok(());
-        }
-        self.round_trip();
-        // The pushed view shares the client cache's allocation — the
-        // server adopts it without a copy.
-        self.servers[server]
-            .lock()
-            .file_service_mut()
-            .write(fid, start, data.slice(0..len))?;
         Ok(())
     }
 
@@ -1087,8 +984,12 @@ impl FileAgent {
         Ok(())
     }
 
-    /// Pushes one delegated dirty block through the write-lease gate.
-    fn push_block_leased(
+    /// Pushes one dirty block to the server, trimmed to the file's
+    /// logical size so a partial tail block does not inflate the file:
+    /// through the write-lease gate under [`LeaseConfig::Auto`], as a
+    /// plain write otherwise. The pushed view shares the client cache's
+    /// allocation — the server adopts it without a copy.
+    fn push_block(
         &mut self,
         server: usize,
         fid: FileId,
@@ -1097,24 +998,26 @@ impl FileAgent {
     ) -> Result<(), AgentError> {
         let (token, len) = {
             let st = self.stations[server].lock();
-            match st.leases.get(&fid) {
-                Some(l) => (l.token, st.trim_len(fid, idx)),
-                // No lease to write under any more: the delegation was
-                // recalled or lapsed while this block sat buffered.
-                None => return Err(AgentError::File(FileServiceError::LeaseFenced(fid))),
-            }
+            (st.leases.get(&fid).map(|l| l.token), st.trim_len(fid, idx))
         };
+        if token.is_none() && self.lease_config == LeaseConfig::Auto {
+            // No lease to write under any more: the delegation was
+            // recalled or lapsed while this block sat buffered.
+            return Err(AgentError::File(FileServiceError::LeaseFenced(fid)));
+        }
         if len == 0 {
             return Ok(());
         }
         let start = idx * BLOCK_SIZE as u64;
         self.round_trip();
-        let pushed = self.servers[server].lock().file_service_mut().write_leased(
-            fid,
-            start,
-            data.slice(0..len),
-            &token,
-        );
+        let pushed = {
+            let mut srv = self.servers[server].lock();
+            let fs = srv.file_service_mut();
+            match token {
+                Some(token) => fs.write_leased(fid, start, data.slice(0..len), &token),
+                None => fs.write(fid, start, data.slice(0..len)),
+            }
+        };
         match pushed {
             Ok(()) => Ok(()),
             Err(FileServiceError::LeaseFenced(_)) => {
@@ -1201,24 +1104,10 @@ impl FileAgent {
             let e = self.entry(od)?;
             (e.server, e.fid)
         };
-        match self.lease_config {
-            LeaseConfig::Trusting => {
-                let dirty = self.caches[server].take_dirty_for(fid);
-                for ((f, idx), data) in dirty {
-                    self.push_block(server, f, idx, data)?;
-                }
-            }
-            // Write-through: nothing is ever buffered.
-            LeaseConfig::Never => {}
-            LeaseConfig::Auto => {
-                let dirty = {
-                    let mut st = self.stations[server].lock();
-                    st.cache.take_dirty_for(fid)
-                };
-                for ((f, idx), data) in dirty {
-                    self.push_block_leased(server, f, idx, data)?;
-                }
-            }
+        // (Write-through, `LeaseConfig::Never`, never buffers anything.)
+        let dirty = self.stations[server].lock().cache.take_dirty_for(fid);
+        for ((f, idx), data) in dirty {
+            self.push_block(server, f, idx, data)?;
         }
         Ok(())
     }
@@ -1235,37 +1124,29 @@ impl FileAgent {
             let e = self.entry(od)?;
             (e.server, e.fid, e.gid.is_some())
         };
+        {
+            let mut st = self.stations[server].lock();
+            st.sizes.remove(&fid);
+            st.cache.invalidate_file(fid);
+        }
         if cluster {
             // Thin-client descriptor: the master owns the server-side
             // open reference, so dropping it is purely local.
             self.open.remove(&od);
-            if self.lease_config == LeaseConfig::Trusting {
-                self.caches[server].invalidate_file(fid);
-            }
             return Ok(());
         }
-        let token = if self.lease_config == LeaseConfig::Auto {
-            let mut st = self.stations[server].lock();
-            st.sizes.remove(&fid);
-            st.cache.invalidate_file(fid);
-            st.leases.remove(&fid).map(|l| l.token)
-        } else {
-            None
-        };
+        let held = self.stations[server].lock().leases.remove(&fid);
         self.round_trip();
         {
             let mut srv = self.servers[server].lock();
             let fs = srv.file_service_mut();
             fs.close(fid)?;
             // The release piggybacks on the close round trip.
-            if let Some(token) = token {
-                fs.lease_release(&token);
+            if let Some(lease) = held {
+                fs.lease_release(&lease.token);
             }
         }
         self.open.remove(&od);
-        if self.lease_config == LeaseConfig::Trusting {
-            self.caches[server].invalidate_file(fid);
-        }
         Ok(())
     }
 

@@ -85,9 +85,11 @@ pub struct Station {
     /// Partition hook: an unresponsive station ignores recalls, forcing
     /// the server down the timeout-and-fence path.
     pub responsive: bool,
-    /// Replies to recalls already served, so a retried recall (first
-    /// reply lost) returns the same surrendered bytes instead of none.
-    served: HashMap<(FileId, u64), ServedRecall>,
+    /// The reply to each file's newest recall (by grant `seq`), so a
+    /// retried recall (first reply lost) returns the same surrendered
+    /// bytes instead of none. Grant sequence numbers only grow and a
+    /// retry is always for the newest recall, so older replies are dead.
+    served: HashMap<FileId, (u64, ServedRecall)>,
     /// Counters.
     pub stats: StationStats,
 }
@@ -119,7 +121,7 @@ impl Station {
     /// hands back the buffered delayed writes, and invalidates the
     /// file's cached blocks.
     pub fn serve_recall(&mut self, fid: FileId, seq: u64) -> RecallAck {
-        if let Some((dirty, size)) = self.served.get(&(fid, seq)) {
+        if let Some((_, (dirty, size))) = self.served.get(&fid).filter(|(s, _)| *s == seq) {
             // Retried recall (our earlier reply was lost): same answer.
             return RecallAck {
                 dirty: dirty.clone(),
@@ -144,7 +146,7 @@ impl Station {
             // surrender nothing.
             (Vec::new(), self.sizes.get(&fid).copied().unwrap_or(0))
         };
-        self.served.insert((fid, seq), (dirty.clone(), size));
+        self.served.insert(fid, (seq, (dirty.clone(), size)));
         self.stats.recalls_served += 1;
         RecallAck {
             dirty,
@@ -222,5 +224,57 @@ impl RecallTarget for StationEndpoint {
             }
         }
         None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rhodos_buf::BlockBuf;
+    use rhodos_simdisk::SimClock;
+
+    fn grant(st: &mut Station, fid: FileId, seq: u64) {
+        let token = LeaseToken {
+            client: st.client,
+            fid,
+            epoch: 0,
+            seq,
+        };
+        st.leases.insert(
+            fid,
+            ClientLease {
+                token,
+                mode: LeaseMode::Write,
+                expiry_us: u64::MAX,
+                stamp: st.hlc.tick(),
+                term_us: 2_000_000,
+            },
+        );
+    }
+
+    #[test]
+    fn served_replies_stay_bounded_by_the_file_count_and_retries_replay() {
+        let mut st = Station::new(1, HlcClock::new(SimClock::new(), 1001), 16);
+        // 10 000 write -> conflicting-open cycles over 4 files: each one
+        // is a fresh write grant, a buffered block, and its recall.
+        for seq in 1..=10_000u64 {
+            let fid = FileId(seq % 4);
+            grant(&mut st, fid, seq);
+            let mut block = BlockBuf::zeroed(BLOCK_SIZE);
+            block.make_mut()[0] = seq as u8;
+            let _ = st.cache.insert((fid, 0), block, true);
+            st.sizes.insert(fid, BLOCK_SIZE as u64);
+            let ack = st.serve_recall(fid, seq);
+            assert_eq!(ack.dirty.len(), 1);
+            assert_eq!(ack.dirty[0].1[0], seq as u8);
+            // The reply leg is lost: the retried recall must hand back
+            // the same surrendered bytes, not the (now empty) cache.
+            let retry = st.serve_recall(fid, seq);
+            assert_eq!(retry.size, ack.size);
+            assert_eq!(retry.dirty.len(), 1);
+            assert_eq!(retry.dirty[0].1[..], ack.dirty[0].1[..]);
+            assert!(st.served.len() <= 4, "served grew to {}", st.served.len());
+        }
+        assert_eq!(st.stats.recalls_served, 10_000, "retries are not recounted");
     }
 }

@@ -27,12 +27,12 @@
 //! content fingerprint that must match the single-shard ablation; see
 //! `rhodos_bench::experiments::e24_cross_shard::stat_records`).
 //!
-//! Every lane is *gated* against its committed `*.baseline.json`:
-//! the latency and leases lanes fail the run if a `p99_us` or
-//! `round_trips` row regresses by more than 10% (saturation rows
-//! likewise, in the other direction), and the purely deterministic
-//! counter lanes (replication, txn-commit, scrub) fail on any drift at
-//! all. A missing baseline (bootstrap) passes with a note.
+//! Every lane is *gated* against its committed `*.baseline.json`: the
+//! modelled lanes fail the run if a row named in the `GATES` table
+//! (`p99_us`, `round_trips`, saturation, ...) regresses by more than 10%,
+//! and the purely deterministic counter lanes (replication, txn-commit,
+//! scrub) fail on any drift at all. A missing baseline (bootstrap)
+//! passes with a note.
 //!
 //! `cargo run --release -p rhodos-bench --bin bench_json [-- <out-path>]`
 
@@ -94,11 +94,11 @@ fn main() {
     ok &= gate_exact("BENCH_replication.baseline.json", &rep_records);
     ok &= gate_exact("BENCH_txn_commit.baseline.json", &txn_records);
     ok &= gate_exact("BENCH_scrub.baseline.json", &scrub_records);
-    ok &= gate_latency(&lat_records);
-    ok &= gate_leases(&lease_records);
-    ok &= gate_cluster(&cluster_records);
-    ok &= gate_raid(&raid_records);
-    ok &= gate_2pc(&twopc_records);
+    ok &= gate("latency", &lat_records);
+    ok &= gate("leases", &lease_records);
+    ok &= gate("cluster", &cluster_records);
+    ok &= gate("raid", &raid_records);
+    ok &= gate("2pc", &twopc_records);
     if !ok {
         std::process::exit(1);
     }
@@ -133,171 +133,85 @@ fn parse_stat_rows(text: &str) -> Vec<(String, u64)> {
         .collect()
 }
 
-/// Diffs the fresh latency lane against the committed baseline: any
-/// `p99_us` more than 10% above baseline (with a 25 us absolute floor
-/// for tiny values), or any saturation more than 10% below, fails the
-/// run. Missing baseline (bootstrap) passes with a note.
-fn gate_latency(fresh: &[(String, u64)]) -> bool {
-    let base_path = "BENCH_latency.baseline.json";
-    let Ok(base_text) = std::fs::read_to_string(base_path) else {
-        println!("no {base_path}; skipping latency regression gate");
-        return true;
-    };
-    let baseline = parse_stat_rows(&base_text);
-    let mut ok = true;
+/// Which way a gated stat gets worse.
+enum Worse {
+    Higher,
+    Lower,
+}
+use Worse::{Higher, Lower};
+
+/// Every row may drift this far from its baseline before the run fails.
+const TOLERANCE_PCT: u64 = 10;
+
+/// The regression gates of the modelled lanes: a fresh row of `lane`
+/// whose stat ends in `suffix` fails the run when it is worse than the
+/// same row of `BENCH_<lane>.baseline.json` by more than `TOLERANCE_PCT`
+/// of the baseline value — or by more than `floor`, whichever is larger,
+/// so tiny values do not trip on rounding. Rows no rule matches
+/// (fingerprints, overhead percentages, technique counters) are
+/// informational: the committed-JSON diff still catches their drift.
+const GATES: &[(&str, &str, Worse, u64)] = &[
+    // (lane, stat suffix, worse direction, absolute floor)
+    ("latency", "p99_us", Higher, 25),
+    ("latency", "saturation_ops_ks", Lower, 0),
+    // The "zero-RPC hot reads" claim must not quietly erode.
+    ("leases", "read.p99_us", Higher, 25),
+    ("leases", "round_trips", Higher, 10),
+    // Nor the scale-out win.
+    ("cluster", "read.p99_us", Higher, 25),
+    ("cluster", "saturation_ops_ks", Lower, 0),
+    // Nor the full-stripe fast path and transparent degraded service.
+    ("raid", "kb_s", Lower, 0),
+    ("raid", "p99_us", Higher, 25),
+    // Nor cross-shard commit latency and the group-commit amortisation
+    // of 2PC forces.
+    ("2pc", "commit_p99_us", Higher, 25),
+    ("2pc", "flushes_per_commit_x100", Higher, 10),
+];
+
+/// The regressions of `fresh` against `baseline` under the [`GATES`]
+/// rows of `lane`, one message each.
+fn regressions(lane: &str, baseline: &[(String, u64)], fresh: &[(String, u64)]) -> Vec<String> {
+    let mut found = Vec::new();
     for (stat, value) in fresh {
         let Some((_, base)) = baseline.iter().find(|(s, _)| s == stat) else {
             continue;
         };
-        if stat.ends_with("p99_us") && *value > base + (base / 10).max(25) {
-            println!("LATENCY REGRESSION: {stat} = {value} us (baseline {base} us)");
-            ok = false;
-        }
-        if stat.ends_with("saturation_ops_ks") && *value < base - base / 10 {
-            println!("SATURATION REGRESSION: {stat} = {value} ops/s (baseline {base} ops/s)");
-            ok = false;
+        for (gated, suffix, worse, floor) in GATES {
+            if *gated != lane || !stat.ends_with(suffix) {
+                continue;
+            }
+            let slack = (base * TOLERANCE_PCT / 100).max(*floor);
+            let regressed = match worse {
+                Higher => *value > base + slack,
+                Lower => *value < base.saturating_sub(slack),
+            };
+            if regressed {
+                found.push(format!(
+                    "REGRESSION on the {lane} lane: {stat} = {value} (baseline {base})"
+                ));
+            }
         }
     }
-    if ok {
-        println!("latency lane within 10% of {base_path}");
-    }
-    ok
+    found
 }
 
-/// Diffs the fresh E22 lease lane against the committed baseline: a
-/// cached-read `p99_us` or a `round_trips` counter more than 10% above
-/// baseline (floors: 25 us / 10 trips for tiny values) fails the run —
-/// the "zero-RPC hot reads" claim must not quietly erode. Fingerprints
-/// are identity rows, not gated (any byte change legitimately moves
-/// them). Missing baseline (bootstrap) passes with a note.
-fn gate_leases(fresh: &[(String, u64)]) -> bool {
-    let base_path = "BENCH_leases.baseline.json";
+/// Diffs a fresh modelled lane against its committed baseline under the
+/// [`GATES`] table. Missing baseline (bootstrap) passes with a note.
+fn gate(lane: &str, fresh: &[(String, u64)]) -> bool {
+    let base_path = &format!("BENCH_{lane}.baseline.json");
     let Ok(base_text) = std::fs::read_to_string(base_path) else {
-        println!("no {base_path}; skipping lease regression gate");
+        println!("no {base_path}; skipping regression gate");
         return true;
     };
-    let baseline = parse_stat_rows(&base_text);
-    let mut ok = true;
-    for (stat, value) in fresh {
-        let Some((_, base)) = baseline.iter().find(|(s, _)| s == stat) else {
-            continue;
-        };
-        if stat.ends_with("read.p99_us") && *value > base + (base / 10).max(25) {
-            println!("LEASE READ-LATENCY REGRESSION: {stat} = {value} us (baseline {base} us)");
-            ok = false;
-        }
-        if stat.ends_with("round_trips") && *value > base + (base / 10).max(10) {
-            println!("LEASE ROUND-TRIP REGRESSION: {stat} = {value} (baseline {base})");
-            ok = false;
-        }
+    let found = regressions(lane, &parse_stat_rows(&base_text), fresh);
+    for line in &found {
+        println!("{line}");
     }
-    if ok {
-        println!("lease lane within 10% of {base_path}");
+    if found.is_empty() {
+        println!("lane within {TOLERANCE_PCT}% of {base_path}");
     }
-    ok
-}
-
-/// Diffs the fresh E23 scale-out lane against the committed baseline: a
-/// read `p99_us` more than 10% above baseline (25 us absolute floor),
-/// or a `saturation_ops_ks` more than 10% below, fails the run — the
-/// scale-out win must not quietly erode. Fingerprints are identity
-/// rows, not gated (any legitimate byte change moves them). Missing
-/// baseline (bootstrap) passes with a note.
-fn gate_cluster(fresh: &[(String, u64)]) -> bool {
-    let base_path = "BENCH_cluster.baseline.json";
-    let Ok(base_text) = std::fs::read_to_string(base_path) else {
-        println!("no {base_path}; skipping cluster regression gate");
-        return true;
-    };
-    let baseline = parse_stat_rows(&base_text);
-    let mut ok = true;
-    for (stat, value) in fresh {
-        let Some((_, base)) = baseline.iter().find(|(s, _)| s == stat) else {
-            continue;
-        };
-        if stat.ends_with("read.p99_us") && *value > base + (base / 10).max(25) {
-            println!("CLUSTER READ-LATENCY REGRESSION: {stat} = {value} us (baseline {base} us)");
-            ok = false;
-        }
-        if stat.ends_with("saturation_ops_ks") && *value < base - base / 10 {
-            println!(
-                "CLUSTER SATURATION REGRESSION: {stat} = {value} ops/ks (baseline {base} ops/ks)"
-            );
-            ok = false;
-        }
-    }
-    if ok {
-        println!("cluster lane within 10% of {base_path}");
-    }
-    ok
-}
-
-/// Diffs the fresh E21 erasure-coding lane against the committed
-/// baseline: full-stripe write throughput more than 10% below baseline,
-/// or a degraded-read `p99_us` more than 10% above (25 us absolute
-/// floor), fails the run — the full-stripe fast path and transparent
-/// degraded service must not quietly erode. Overhead percentages and
-/// technique counters are informational (the committed-JSON diff still
-/// catches drift). Missing baseline (bootstrap) passes with a note.
-fn gate_raid(fresh: &[(String, u64)]) -> bool {
-    let base_path = "BENCH_raid.baseline.json";
-    let Ok(base_text) = std::fs::read_to_string(base_path) else {
-        println!("no {base_path}; skipping raid regression gate");
-        return true;
-    };
-    let baseline = parse_stat_rows(&base_text);
-    let mut ok = true;
-    for (stat, value) in fresh {
-        let Some((_, base)) = baseline.iter().find(|(s, _)| s == stat) else {
-            continue;
-        };
-        if stat.ends_with("kb_s") && *value < base - base / 10 {
-            println!("RAID THROUGHPUT REGRESSION: {stat} = {value} KB/s (baseline {base} KB/s)");
-            ok = false;
-        }
-        if stat.ends_with("p99_us") && *value > base + (base / 10).max(25) {
-            println!("RAID DEGRADED-READ REGRESSION: {stat} = {value} us (baseline {base} us)");
-            ok = false;
-        }
-    }
-    if ok {
-        println!("raid lane within 10% of {base_path}");
-    }
-    ok
-}
-
-/// Diffs the fresh E24 cross-shard 2PC lane against the committed
-/// baseline: a commit `p99_us` more than 10% above baseline (25 us
-/// absolute floor), or a `flushes_per_commit_x100` more than 10% above
-/// (10-point floor), fails the run — neither cross-shard commit latency
-/// nor the group-commit amortisation of 2PC forces may quietly erode.
-/// Fingerprints are identity rows, not gated. Missing baseline
-/// (bootstrap) passes with a note.
-fn gate_2pc(fresh: &[(String, u64)]) -> bool {
-    let base_path = "BENCH_2pc.baseline.json";
-    let Ok(base_text) = std::fs::read_to_string(base_path) else {
-        println!("no {base_path}; skipping 2pc regression gate");
-        return true;
-    };
-    let baseline = parse_stat_rows(&base_text);
-    let mut ok = true;
-    for (stat, value) in fresh {
-        let Some((_, base)) = baseline.iter().find(|(s, _)| s == stat) else {
-            continue;
-        };
-        if stat.ends_with("commit_p99_us") && *value > base + (base / 10).max(25) {
-            println!("2PC COMMIT-LATENCY REGRESSION: {stat} = {value} us (baseline {base} us)");
-            ok = false;
-        }
-        if stat.ends_with("flushes_per_commit_x100") && *value > base + (base / 10).max(10) {
-            println!("2PC FLUSH-AMORTISATION REGRESSION: {stat} = {value} (baseline {base})");
-            ok = false;
-        }
-    }
-    if ok {
-        println!("2pc lane within 10% of {base_path}");
-    }
-    ok
+    found.is_empty()
 }
 
 /// Diffs a fully deterministic counter lane against its committed
@@ -335,4 +249,81 @@ fn gate_exact(base_path: &str, fresh: &[(String, u64)]) -> bool {
         println!("counters match {base_path}");
     }
     ok
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rows(pairs: &[(&str, u64)]) -> Vec<(String, u64)> {
+        pairs.iter().map(|(s, v)| (s.to_string(), *v)).collect()
+    }
+
+    /// Whether moving `stat` from `base` to `value` passes `lane`'s gates.
+    fn passes(lane: &str, stat: &str, base: u64, value: u64) -> bool {
+        regressions(lane, &rows(&[(stat, base)]), &rows(&[(stat, value)])).is_empty()
+    }
+
+    #[test]
+    fn every_old_gate_boundary_is_pinned() {
+        // Higher-is-worse rows: 10%, or the 25 us floor for tiny values.
+        for (lane, stat) in [
+            ("latency", "sharded.rate20.read.p99_us"),
+            ("leases", "private.auto.read.p99_us"),
+            ("cluster", "servers4.read.p99_us"),
+            ("raid", "degraded.read.p99_us"),
+            ("2pc", "wave8.commit_p99_us"),
+        ] {
+            assert!(passes(lane, stat, 200, 225), "{lane}: floor allows +25");
+            assert!(!passes(lane, stat, 200, 226), "{lane}: +26 regresses");
+            assert!(passes(lane, stat, 1000, 1100), "{lane}: 10% allowed");
+            assert!(!passes(lane, stat, 1000, 1101), "{lane}: >10% regresses");
+            assert!(passes(lane, stat, 1000, 1), "{lane}: better always passes");
+        }
+        // Lower-is-worse rows: 10% below, no floor.
+        for (lane, stat) in [
+            ("latency", "sharded.saturation_ops_ks"),
+            ("cluster", "servers4.saturation_ops_ks"),
+            ("raid", "full_stripe.write_kb_s"),
+        ] {
+            assert!(passes(lane, stat, 1000, 900), "{lane}");
+            assert!(!passes(lane, stat, 1000, 899), "{lane}");
+            assert!(passes(lane, stat, 5, 5), "{lane}: 10% of 5 rounds to 0");
+            assert!(!passes(lane, stat, 5, 4), "{lane}");
+            assert!(
+                passes(lane, stat, 1000, 5000),
+                "{lane}: better always passes"
+            );
+        }
+        // Counter rows with a 10-point floor.
+        for (lane, stat) in [
+            ("leases", "private.auto.round_trips"),
+            ("2pc", "wave8.flushes_per_commit_x100"),
+        ] {
+            assert!(passes(lane, stat, 50, 60), "{lane}: floor allows +10");
+            assert!(!passes(lane, stat, 50, 61), "{lane}");
+            assert!(passes(lane, stat, 1000, 1100), "{lane}");
+            assert!(!passes(lane, stat, 1000, 1101), "{lane}");
+        }
+    }
+
+    #[test]
+    fn rules_belong_to_their_lane_and_unmatched_rows_are_informational() {
+        // `round_trips` is gated on the lease lane only.
+        assert!(passes("latency", "x.round_trips", 50, 500));
+        // The latency lane gates every `p99_us`, the lease lane only reads.
+        assert!(!passes("latency", "x.write.p99_us", 200, 400));
+        assert!(passes("leases", "x.write.p99_us", 200, 400));
+        // Fingerprints move freely; rows absent from the baseline too.
+        assert!(passes("cluster", "content.fingerprint", 1, u64::MAX));
+        let none = regressions("2pc", &rows(&[]), &rows(&[("new.commit_p99_us", 9_999)]));
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn a_missing_baseline_passes() {
+        let fresh = rows(&[("x.read.p99_us", u64::MAX)]);
+        assert!(gate("no-such-lane", &fresh));
+        assert!(gate_exact("no/such/dir/BENCH_scrub.baseline.json", &fresh));
+    }
 }

@@ -9,7 +9,7 @@
 use crate::latency::LatencySummary;
 use crate::table::Table;
 use rhodos_agent::AgentLifecycleEvent;
-use rhodos_core::Cluster;
+use rhodos_core::Facility;
 use rhodos_file_service::LockLevel;
 
 /// Transactions in the timed burst appended after the lifecycle probe.
@@ -17,10 +17,10 @@ const TIMED_TXNS: usize = 40;
 
 /// Runs the experiment.
 pub fn run() -> String {
-    let mut cluster = Cluster::builder().machines(1).build().unwrap();
+    let mut cluster = Facility::builder().machines(1).build().unwrap();
     let mut t = Table::new(&["moment", "agent exists", "active txns"]);
 
-    let snap = |cluster: &mut Cluster, label: &str, t: &mut Table| {
+    let snap = |cluster: &mut Facility, label: &str, t: &mut Table| {
         let m = cluster.machine_mut(0);
         let exists = m.has_transaction_agent();
         let active = m.txn_agent_mut().map(|a| a.active_count()).unwrap_or(0);

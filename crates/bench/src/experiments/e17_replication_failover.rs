@@ -3,18 +3,18 @@
 //! (§3), with operations carried by the idempotent, nearly-stateless RPC
 //! layer. Two exhibits:
 //!
-//! 1. a torn write on one replica of three, with the write-path failover
-//!    fix against the pre-fix abort behaviour (the divergence bug this
-//!    PR removes): the fix masks the fault, keeps the live replicas in
-//!    agreement, and `resync` returns the victim byte-identical;
-//! 2. a lossy-network sweep over the RPC front-end, showing writes
-//!    survive message loss and duplication while each replica's replay
-//!    cache stays bounded by the in-flight window.
+//! 1. a torn write on one replica of three: the write path masks the
+//!    fault, keeps the live replicas in agreement, and `resync` returns
+//!    the victim byte-identical (regression test:
+//!    `tests/replication_chaos.rs::torn_write_fails_over_and_resync_restores_byte_identity`);
+//! 2. a lossy-network sweep over the networked deployment, showing
+//!    writes survive message loss and duplication while each replica's
+//!    replay cache stays bounded by the in-flight window.
 
 use crate::table::Table;
 use rhodos_file_service::{FileService, FileServiceConfig, ServiceType, WritePolicy};
 use rhodos_net::NetConfig;
-use rhodos_replication::{ReplicatedFiles, ReplicatedRpcFiles, ReplicationConfig};
+use rhodos_replication::ReplicatedFiles;
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 
 const OLD: &[u8] = b"committed before fault";
@@ -36,16 +36,9 @@ fn replica(clock: &SimClock) -> FileService {
     .expect("format replica")
 }
 
-fn cluster(write_failover: bool) -> ReplicatedFiles {
+fn cluster() -> ReplicatedFiles {
     let clock = SimClock::new();
-    let replicas = (0..3).map(|_| replica(&clock)).collect();
-    ReplicatedFiles::new(
-        replicas,
-        ReplicationConfig {
-            write_failover,
-            ..ReplicationConfig::default()
-        },
-    )
+    ReplicatedFiles::new((0..3).map(|_| replica(&clock)).collect())
 }
 
 fn fingerprints(fs: &mut FileService) -> Vec<u64> {
@@ -60,9 +53,9 @@ fn fingerprints(fs: &mut FileService) -> Vec<u64> {
     prints
 }
 
-/// One torn-write scenario; returns a report row.
-fn torn_write_case(write_failover: bool) -> Vec<String> {
-    let mut rf = cluster(write_failover);
+/// The torn-write scenario; returns a report row.
+fn torn_write_case() -> Vec<String> {
+    let mut rf = cluster();
     let fid = rf.create(ServiceType::Basic).unwrap();
     rf.open(fid).unwrap();
     rf.write(fid, 0, OLD).unwrap();
@@ -96,33 +89,21 @@ fn torn_write_case(write_failover: bool) -> Vec<String> {
     let live = rf.live_replicas();
     let diverged = live_new != 0 && live_new != live_total;
 
-    let repaired = if write_failover {
-        rf.resync(1).unwrap();
-        for i in 0..3 {
-            rf.replica_mut(i).flush_all().unwrap();
-        }
-        let reference = fingerprints(rf.replica_mut(0));
-        let identical = (1..3).all(|i| fingerprints(rf.replica_mut(i)) == reference);
-        let clean = (0..3).all(|i| rf.replica_mut(i).fsck().unwrap().is_clean());
-        if identical && clean {
-            "byte-identical, fsck clean".to_string()
-        } else {
-            "STILL DIVERGED".to_string()
-        }
+    rf.resync(1).unwrap();
+    for i in 0..3 {
+        rf.replica_mut(i).flush_all().unwrap();
+    }
+    let reference = fingerprints(rf.replica_mut(0));
+    let identical = (1..3).all(|i| fingerprints(rf.replica_mut(i)) == reference);
+    let clean = (0..3).all(|i| rf.replica_mut(i).fsck().unwrap().is_clean());
+    let repaired = if identical && clean {
+        "byte-identical, fsck clean"
     } else {
-        // The pre-fix bug: the fan-out aborted half-applied, so the
-        // surviving replicas themselves disagree — nothing is marked
-        // failed, so the failover machinery cannot even see it.
-        "n/a (live replicas disagree)".to_string()
+        "STILL DIVERGED"
     };
 
     vec![
-        if write_failover {
-            "fixed: fail over, keep writing"
-        } else {
-            "pre-fix: abort fan-out mid-write"
-        }
-        .to_string(),
+        "fail over, keep writing".to_string(),
         match outcome {
             Ok(()) => "ok".to_string(),
             Err(e) => format!("error: {e}"),
@@ -131,7 +112,7 @@ fn torn_write_case(write_failover: bool) -> Vec<String> {
         live.to_string(),
         format!("{live_new}/{live_total}"),
         if diverged { "DIVERGED" } else { "consistent" }.to_string(),
-        repaired,
+        repaired.to_string(),
     ]
 }
 
@@ -139,9 +120,8 @@ fn torn_write_case(write_failover: bool) -> Vec<String> {
 fn lossy_case(drop_pm: u16, dup_pm: u16) -> Vec<String> {
     let clock = SimClock::new();
     let replicas = (0..3).map(|_| replica(&clock)).collect();
-    let mut rf = ReplicatedRpcFiles::new(
+    let mut rf = ReplicatedFiles::over_network(
         replicas,
-        ReplicationConfig::default(),
         NetConfig::lossy(f64::from(drop_pm) / 1000.0, f64::from(dup_pm) / 1000.0, 17),
     );
     rf.set_max_attempts(64);
@@ -193,8 +173,7 @@ pub fn run() -> String {
         "live replicas",
         "after repair",
     ]);
-    a.row_owned(torn_write_case(true));
-    a.row_owned(torn_write_case(false));
+    a.row_owned(torn_write_case());
 
     let mut b = Table::new(&[
         "loss / dup",
@@ -217,7 +196,7 @@ pub fn run() -> String {
     out.push_str(&b.render());
     out.push_str(
         "\npaper: replica failure does not stop the system (S3) and servers stay\n\
-         nearly stateless (S4): the fixed write path masks the fault and resync\n\
+         nearly stateless (S4): the write path masks the fault and resync\n\
          returns the replica byte-identical, while under loss and duplication\n\
          every write commits exactly once and no server ever holds more than\n\
          the in-flight window of recorded replies.\n",
@@ -228,27 +207,19 @@ pub fn run() -> String {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn fixed_path_masks_faults_and_rpc_state_stays_bounded() {
+    fn write_path_masks_faults_and_rpc_state_stays_bounded() {
         let report = super::run();
-        let fixed_row = report
+        let torn_row = report
             .lines()
-            .find(|l| l.contains("fixed: fail over"))
-            .expect("fixed row present");
+            .find(|l| l.contains("fail over, keep writing"))
+            .expect("torn-write row present");
         assert!(
-            fixed_row.contains("ok"),
-            "fixed write must succeed:\n{report}"
+            torn_row.contains("ok"),
+            "the torn write must succeed:\n{report}"
         );
         assert!(
-            fixed_row.contains("consistent") && fixed_row.contains("byte-identical"),
-            "fixed path must keep replicas consistent:\n{report}"
-        );
-        let prefix_row = report
-            .lines()
-            .find(|l| l.contains("pre-fix"))
-            .expect("ablation row present");
-        assert!(
-            prefix_row.contains("DIVERGED"),
-            "the ablation must exhibit the divergence bug:\n{report}"
+            torn_row.contains("consistent") && torn_row.contains("byte-identical"),
+            "the write path must keep replicas consistent:\n{report}"
         );
         assert!(!report.contains("LOST"), "lossy sweep lost data:\n{report}");
         assert!(

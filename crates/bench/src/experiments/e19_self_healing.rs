@@ -20,7 +20,7 @@
 
 use crate::table::Table;
 use rhodos_file_service::{FileId, FileService, FileServiceConfig, ServiceType, WritePolicy};
-use rhodos_replication::{ReplicatedFiles, ReplicationConfig};
+use rhodos_replication::ReplicatedFiles;
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 
 const BLOCK: u64 = rhodos_disk_service::BLOCK_SIZE as u64;
@@ -63,7 +63,7 @@ fn replica(clock: &SimClock) -> FileService {
 fn cluster() -> (ReplicatedFiles, FileId) {
     let clock = SimClock::new();
     let replicas = (0..2).map(|_| replica(&clock)).collect();
-    let mut rf = ReplicatedFiles::new(replicas, ReplicationConfig::default());
+    let mut rf = ReplicatedFiles::new(replicas);
     let fid = rf.create(ServiceType::Basic).unwrap();
     rf.open(fid).unwrap();
     rf.write(fid, 0, &vec![FILL; (NBLOCKS * BLOCK) as usize])

@@ -37,7 +37,7 @@ use crate::table::Table;
 use rhodos_file_service::{
     FileId, FileService, FileServiceConfig, ParallelIo, Redundancy, ServiceType,
 };
-use rhodos_replication::{ReplicatedFiles, ReplicationConfig};
+use rhodos_replication::ReplicatedFiles;
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 
 const BLOCK: u64 = rhodos_disk_service::BLOCK_SIZE as u64;
@@ -100,7 +100,7 @@ fn mirror_with(bytes: &[u8]) -> (ReplicatedFiles, FileId, u64) {
             .expect("format mirror replica")
         })
         .collect();
-    let mut rf = ReplicatedFiles::new(replicas, ReplicationConfig::default());
+    let mut rf = ReplicatedFiles::new(replicas);
     let before: u64 = (0..rf.replica_count())
         .map(|i| used_fragments(rf.replica_mut(i)))
         .sum();

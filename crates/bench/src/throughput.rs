@@ -14,7 +14,7 @@
 use criterion::Criterion;
 use rhodos_file_service::{FileService, FileServiceConfig, ServiceType, WritePolicy};
 use rhodos_net::NetConfig;
-use rhodos_replication::{ReplicatedRpcFiles, ReplicationConfig};
+use rhodos_replication::ReplicatedFiles;
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 
 /// Bytes moved per measured operation, used to convert ns/op to MB/s.
@@ -168,11 +168,7 @@ pub fn replication_stat_records() -> Vec<(String, u64)> {
             .expect("format replica")
         })
         .collect();
-    let mut rf = ReplicatedRpcFiles::new(
-        replicas,
-        ReplicationConfig::default(),
-        NetConfig::lossy(0.1, 0.1, 17),
-    );
+    let mut rf = ReplicatedFiles::over_network(replicas, NetConfig::lossy(0.1, 0.1, 17));
     rf.set_max_attempts(64);
     let fid = rf.create(ServiceType::Basic).expect("create");
     rf.open(fid).expect("open");

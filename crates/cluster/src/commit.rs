@@ -329,7 +329,7 @@ impl Cluster {
                 }
                 self.stats.prepare_rpcs += 1;
                 let batch = [(gtid, server_ops.clone())];
-                let vote = match self.call_node_txn(server, &encode_txn_prepare(&batch)) {
+                let vote = match self.call_node(server, &encode_txn_prepare(&batch)) {
                     Ok(payload) => decode_votes(&payload).first().copied().unwrap_or(false),
                     Err(_) => false,
                 };
@@ -409,7 +409,7 @@ impl Cluster {
                     self.crash_server(server);
                     continue;
                 }
-                let _ = self.call_node_txn(server, &encode_txn_decide(gtid, true, false));
+                let _ = self.call_node(server, &encode_txn_decide(gtid, true, false));
             }
             self.stats.cross_commits += 1;
             self.note_cross_writes(ops);
@@ -460,7 +460,7 @@ impl Cluster {
         let mut votes: HashMap<(usize, u64), bool> = HashMap::new();
         for (&server, batch) in &by_server {
             self.stats.prepare_rpcs += 1;
-            match self.call_node_txn(server, &encode_txn_prepare(batch)) {
+            match self.call_node(server, &encode_txn_prepare(batch)) {
                 Ok(payload) => {
                     for ((gtid, _), vote) in batch.iter().zip(decode_votes(&payload)) {
                         votes.insert((server, *gtid), vote);
@@ -502,7 +502,7 @@ impl Cluster {
                 // A no-voter already rolled back locally; only prepared
                 // participants need the decision.
                 if votes.get(&(server, gtid)) == Some(&true) {
-                    let _ = self.call_node_txn(server, &encode_txn_decide(gtid, *commit, false));
+                    let _ = self.call_node(server, &encode_txn_decide(gtid, *commit, false));
                 }
             }
             if *commit {
@@ -529,14 +529,12 @@ impl Cluster {
         let mut commits = 0;
         let mut aborts = 0;
         for server in self.live_node_indices() {
-            let Ok(payload) = self.call_node_txn(server, &encode_txn_prepared_list()) else {
+            let Ok(payload) = self.call_node(server, &encode_txn_prepared_list()) else {
                 continue;
             };
             for gtid in decode_gtid_list(&payload) {
                 let commit = committed.contains(&gtid);
-                if let Ok(reply) =
-                    self.call_node_txn(server, &encode_txn_decide(gtid, commit, true))
-                {
+                if let Ok(reply) = self.call_node(server, &encode_txn_decide(gtid, commit, true)) {
                     if reply.first() == Some(&1) {
                         self.stats.orphan_resolutions += 1;
                         if commit {
@@ -557,7 +555,7 @@ impl Cluster {
     pub fn in_doubt_gtids(&mut self) -> Vec<u64> {
         let mut out: BTreeSet<u64> = BTreeSet::new();
         for server in self.live_node_indices() {
-            if let Ok(payload) = self.call_node_txn(server, &encode_txn_prepared_list()) {
+            if let Ok(payload) = self.call_node(server, &encode_txn_prepared_list()) {
                 out.extend(decode_gtid_list(&payload));
             }
         }
@@ -567,7 +565,7 @@ impl Cluster {
     /// Presumed abort to every participant that voted yes.
     fn decide_abort(&mut self, gtid: u64, prepared: &[usize]) {
         for &server in prepared {
-            let _ = self.call_node_txn(server, &encode_txn_decide(gtid, false, false));
+            let _ = self.call_node(server, &encode_txn_decide(gtid, false, false));
         }
     }
 }

@@ -6,7 +6,7 @@
 //! speaking the replication wire protocol — every data operation is
 //! encoded, retried with backoff, executed at most once per request id,
 //! and answered through the server's replay cache, exactly like a
-//! replica in `ReplicatedRpcFiles`.
+//! replica behind `ReplicatedFiles::over_network`.
 //!
 //! The master's own state is deliberately small, in the paper's
 //! "nearly stateless" spirit: the placement map (file → home server),
@@ -19,7 +19,7 @@ use rhodos_disk_service::codec::Decoder;
 use rhodos_file_service::{
     FileAttributes, FileId, FileService, FileServiceConfig, FileServiceError, ServiceType,
 };
-use rhodos_net::{Delivery, NetConfig, RpcClient, SimNetwork};
+use rhodos_net::{Delivery, NetConfig};
 use rhodos_replication::wire::{
     self, encode_fid_op, encode_read, encode_write, Channel, OP_CLOSE, OP_DELETE, OP_GET_ATTR,
     OP_OPEN,
@@ -312,15 +312,9 @@ impl Cluster {
         let handle: ServerHandle = Arc::new(Mutex::new(
             TransactionService::new(fs, self.cfg.txn).expect("transaction service starts"),
         ));
-        let mut net_cfg = self.cfg.data_net;
-        net_cfg.seed = self.cfg.data_net.seed.wrapping_add(i as u64 * 7919);
         self.nodes.push(DataNode {
             handle,
-            chan: Channel {
-                net: SimNetwork::new(self.clock.clone(), net_cfg),
-                client: RpcClient::new(i as u64 + 1),
-                cache: rhodos_net::ReplayCache::new(),
-            },
+            chan: Channel::new(self.clock.clone(), self.cfg.data_net, i),
             link_up: true,
             alive: true,
             missed: 0,
@@ -447,7 +441,11 @@ impl Cluster {
         self.directory.lock().publish(self.epoch, snapshot);
     }
 
-    fn call_node(&mut self, i: usize, req: &[u8]) -> Result<Vec<u8>, ClusterError> {
+    /// One request to data server `i` over its at-most-once channel. The
+    /// endpoint is transaction-aware: 2PC opcodes are dispatched against
+    /// the server's whole [`TransactionService`], plain file ops fall
+    /// through to the file-service loop.
+    pub(crate) fn call_node(&mut self, i: usize, req: &[u8]) -> Result<Vec<u8>, ClusterError> {
         let node = &mut self.nodes[i];
         if node.removed {
             return Err(ClusterError::Removed(i));
@@ -455,31 +453,6 @@ impl Cluster {
         if !node.link_up {
             // The client times out against a severed link; that timeout
             // is heartbeat evidence too.
-            node.missed = node.missed.saturating_add(1);
-            return Err(ClusterError::Unreachable(i));
-        }
-        let handle = node.handle.clone();
-        let mut guard = handle.lock();
-        match node.chan.call(guard.file_service_mut(), req) {
-            Ok(payload) => Ok(payload),
-            Err(None) => {
-                node.missed = node.missed.saturating_add(1);
-                Err(ClusterError::Unreachable(i))
-            }
-            Err(Some(e)) => Err(ClusterError::File(e)),
-        }
-    }
-
-    /// Like [`Self::call_node`], but serves the transaction-aware
-    /// endpoint: 2PC opcodes are dispatched against the server's whole
-    /// [`TransactionService`], plain file ops fall through to the
-    /// file-service loop — over the same at-most-once channel.
-    pub(crate) fn call_node_txn(&mut self, i: usize, req: &[u8]) -> Result<Vec<u8>, ClusterError> {
-        let node = &mut self.nodes[i];
-        if node.removed {
-            return Err(ClusterError::Removed(i));
-        }
-        if !node.link_up {
             node.missed = node.missed.saturating_add(1);
             return Err(ClusterError::Unreachable(i));
         }

@@ -14,7 +14,7 @@
 //!           BLOCK (DISK) SERVICE  +  stable storage mirrors
 //! ```
 //!
-//! A [`Cluster`] hosts one or more file/transaction servers (each over
+//! A [`Facility`] hosts one or more file/transaction servers (each over
 //! any number of simulated disks) and any number of client [`Machine`]s,
 //! each with its file agent, device agent, process table and — only while
 //! transactions are active — a transaction agent. All components share
@@ -24,10 +24,10 @@
 //! # Example
 //!
 //! ```
-//! use rhodos_core::Cluster;
+//! use rhodos_core::Facility;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let mut cluster = Cluster::builder().machines(2).build()?;
+//! let mut cluster = Facility::builder().machines(2).build()?;
 //! // Machine 0 writes a named file.
 //! let name = rhodos_naming::AttributedName::parse("name=shared")?;
 //! let m0 = cluster.machine_mut(0);
@@ -58,9 +58,9 @@ use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 use rhodos_txn::{TransactionService, TxnConfig, TxnError, TxnId};
 use std::sync::Arc;
 
-/// Builder for a [`Cluster`].
+/// Builder for a [`Facility`].
 #[derive(Debug, Clone)]
-pub struct ClusterBuilder {
+pub struct FacilityBuilder {
     machines: usize,
     file_servers: usize,
     disks: usize,
@@ -72,7 +72,7 @@ pub struct ClusterBuilder {
     client_cache_blocks: usize,
 }
 
-impl Default for ClusterBuilder {
+impl Default for FacilityBuilder {
     fn default() -> Self {
         Self {
             machines: 1,
@@ -88,7 +88,7 @@ impl Default for ClusterBuilder {
     }
 }
 
-impl ClusterBuilder {
+impl FacilityBuilder {
     /// Number of client machines.
     pub fn machines(mut self, n: usize) -> Self {
         self.machines = n.max(1);
@@ -146,12 +146,12 @@ impl ClusterBuilder {
         self
     }
 
-    /// Builds the cluster.
+    /// Builds the facility.
     ///
     /// # Errors
     ///
     /// Fails if the file or transaction service cannot be initialised.
-    pub fn build(self) -> Result<Cluster, TxnError> {
+    pub fn build(self) -> Result<Facility, TxnError> {
         let clock = SimClock::new();
         let mut servers: Vec<ServerHandle> = Vec::with_capacity(self.file_servers);
         for _ in 0..self.file_servers {
@@ -178,7 +178,7 @@ impl ClusterBuilder {
                 )
             })
             .collect();
-        Ok(Cluster {
+        Ok(Facility {
             clock,
             naming,
             servers,
@@ -390,17 +390,17 @@ impl Machine {
 /// The assembled facility: one or more file/transaction servers, shared
 /// naming, and client machines.
 #[derive(Debug)]
-pub struct Cluster {
+pub struct Facility {
     clock: SimClock,
     naming: Arc<Mutex<NamingService>>,
     servers: Vec<ServerHandle>,
     machines: Vec<Machine>,
 }
 
-impl Cluster {
-    /// Starts building a cluster.
-    pub fn builder() -> ClusterBuilder {
-        ClusterBuilder::default()
+impl Facility {
+    /// Starts building a facility.
+    pub fn builder() -> FacilityBuilder {
+        FacilityBuilder::default()
     }
 
     /// The shared virtual clock.
@@ -507,7 +507,7 @@ mod tests {
 
     #[test]
     fn cross_machine_file_sharing() {
-        let mut c = Cluster::builder().machines(2).build().unwrap();
+        let mut c = Facility::builder().machines(2).build().unwrap();
         let n = name("name=shared,owner=m0");
         c.machine_mut(0).file_agent_mut().create(&n).unwrap();
         let od = c.machine_mut(0).file_agent_mut().open(&n).unwrap();
@@ -526,7 +526,7 @@ mod tests {
 
     #[test]
     fn transaction_agent_is_event_driven() {
-        let mut c = Cluster::builder().machines(1).build().unwrap();
+        let mut c = Facility::builder().machines(1).build().unwrap();
         let m = c.machine_mut(0);
         assert!(!m.has_transaction_agent());
         let t1 = m.tbegin();
@@ -546,7 +546,7 @@ mod tests {
 
     #[test]
     fn transactional_update_via_machine() {
-        let mut c = Cluster::builder().machines(1).build().unwrap();
+        let mut c = Facility::builder().machines(1).build().unwrap();
         let fid = {
             let m = c.machine_mut(0);
             let t = m.tbegin();
@@ -569,7 +569,7 @@ mod tests {
 
     #[test]
     fn server_crash_and_recovery_end_to_end() {
-        let mut c = Cluster::builder().machines(1).build().unwrap();
+        let mut c = Facility::builder().machines(1).build().unwrap();
         let n = name("name=precious");
         let fid = c.machine_mut(0).file_agent_mut().create(&n).unwrap();
         let od = c.machine_mut(0).file_agent_mut().open(&n).unwrap();
@@ -598,7 +598,7 @@ mod tests {
 
     #[test]
     fn timeouts_flow_through_cluster_tick() {
-        let mut c = Cluster::builder().machines(2).build().unwrap();
+        let mut c = Facility::builder().machines(2).build().unwrap();
         let fid = {
             let m = c.machine_mut(0);
             let t = m.tbegin();
@@ -651,7 +651,7 @@ mod multi_server_tests {
 
     #[test]
     fn files_spread_over_servers_and_names_route() {
-        let mut c = Cluster::builder()
+        let mut c = Facility::builder()
             .machines(1)
             .file_servers(3)
             .build()
@@ -694,7 +694,7 @@ mod multi_server_tests {
 
     #[test]
     fn one_server_crash_leaves_the_others_serving() {
-        let mut c = Cluster::builder()
+        let mut c = Facility::builder()
             .machines(1)
             .file_servers(2)
             .build()
@@ -738,7 +738,7 @@ mod multi_server_tests {
     fn fids_collide_across_servers_without_confusion() {
         // Both servers allocate FileId(2) (1 is their txn log); the agent
         // must keep the caches and routing apart.
-        let mut c = Cluster::builder()
+        let mut c = Facility::builder()
             .machines(1)
             .file_servers(2)
             .build()
@@ -781,7 +781,7 @@ mod redirection_tests {
 
     #[test]
     fn stdout_routes_by_descriptor_value() {
-        let mut c = Cluster::builder().machines(1).build().unwrap();
+        let mut c = Facility::builder().machines(1).build().unwrap();
         let m = c.machine_mut(0);
         let pid = m.processes_mut().spawn();
         // Default: stdout goes to the monitor device.
@@ -811,7 +811,7 @@ mod redirection_tests {
 
     #[test]
     fn redirecting_to_a_closed_descriptor_is_refused() {
-        let mut c = Cluster::builder().machines(1).build().unwrap();
+        let mut c = Facility::builder().machines(1).build().unwrap();
         let m = c.machine_mut(0);
         let pid = m.processes_mut().spawn();
         assert!(m.redirect_stdout_to_file(pid, 999_999).is_err());

@@ -116,69 +116,6 @@ pub struct LeaseStats {
     pub epoch: u64,
 }
 
-/// One entry in the coherence event log — drained by tests to check
-/// that the lease protocol's view of history matches the model's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeaseEvent {
-    /// A lease was granted (or upgraded in place).
-    Granted {
-        /// Holder.
-        client: u64,
-        /// File covered.
-        fid: FileId,
-        /// Delegation mode.
-        mode: LeaseMode,
-        /// Grant sequence number.
-        seq: u64,
-        /// HLC stamp of the grant.
-        stamp: HlcStamp,
-    },
-    /// A lease was recalled and the holder acknowledged in time.
-    Recalled {
-        /// Former holder.
-        client: u64,
-        /// File covered.
-        fid: FileId,
-        /// Grant sequence number recalled.
-        seq: u64,
-        /// HLC stamp of the recall completion.
-        stamp: HlcStamp,
-    },
-    /// A recall timed out; the holder was waited out and fenced.
-    Fenced {
-        /// Fenced holder.
-        client: u64,
-        /// File covered.
-        fid: FileId,
-        /// Grant sequence number fenced.
-        seq: u64,
-        /// HLC stamp of the fencing decision.
-        stamp: HlcStamp,
-    },
-    /// A grant was reconstructed from a client's reattach claim.
-    Reattached {
-        /// Holder.
-        client: u64,
-        /// File covered.
-        fid: FileId,
-        /// Delegation mode.
-        mode: LeaseMode,
-        /// New grant sequence number.
-        seq: u64,
-        /// HLC stamp of the reattach.
-        stamp: HlcStamp,
-    },
-    /// A lease was released voluntarily.
-    Released {
-        /// Former holder.
-        client: u64,
-        /// File covered.
-        fid: FileId,
-        /// Grant sequence number released.
-        seq: u64,
-    },
-}
-
 /// What a recalled holder hands back: its buffered delayed writes (whole
 /// logical blocks), the file size its delegation grew the file to, and
 /// its HLC stamp of the surrender.
@@ -269,7 +206,6 @@ pub struct LeaseManager {
     grants: HashMap<FileId, Vec<GrantEntry>>,
     reattach_until: u64,
     stats: LeaseStats,
-    events: Vec<LeaseEvent>,
 }
 
 impl LeaseManager {
@@ -286,7 +222,6 @@ impl LeaseManager {
                 epoch: 0,
                 ..Default::default()
             },
-            events: Vec::new(),
         }
     }
 
@@ -308,11 +243,6 @@ impl LeaseManager {
     /// Counter snapshot.
     pub fn stats(&self) -> LeaseStats {
         self.stats
-    }
-
-    /// Drains the coherence event log.
-    pub fn drain_events(&mut self) -> Vec<LeaseEvent> {
-        std::mem::take(&mut self.events)
     }
 
     /// Stamps and merges an incoming client stamp into the server lane.
@@ -340,21 +270,16 @@ impl LeaseManager {
     /// Drops grants that lapsed before `now` (holders that neither
     /// renewed nor answered; their tokens die with the entries).
     fn purge_expired(&mut self, now: u64) {
-        let events = &mut self.events;
         let stats = &mut self.stats;
         let hlc = &mut self.hlc;
-        for (fid, entries) in self.grants.iter_mut() {
+        for entries in self.grants.values_mut() {
             entries.retain(|g| {
                 if g.expiry_us > now {
                     return true;
                 }
+                // Fencing a holder is an event on the server's HLC lane.
                 stats.recall_timeouts += 1;
-                events.push(LeaseEvent::Fenced {
-                    client: g.client,
-                    fid: *fid,
-                    seq: g.seq,
-                    stamp: hlc.tick(),
-                });
+                hlc.tick();
                 false
             });
         }
@@ -402,13 +327,6 @@ impl LeaseManager {
             stamp,
         });
         self.stats.granted += 1;
-        self.events.push(LeaseEvent::Granted {
-            client,
-            fid,
-            mode,
-            seq,
-            stamp,
-        });
         Ok(LeaseGrant {
             token: LeaseToken {
                 client,
@@ -443,17 +361,11 @@ impl LeaseManager {
 
     /// Removes the grant a recall target acknowledged surrendering.
     pub fn complete_recall(&mut self, fid: FileId, client: u64, seq: u64, remote: HlcStamp) {
-        let stamp = self.hlc.observe(remote);
+        self.hlc.observe(remote);
         if let Some(entries) = self.grants.get_mut(&fid) {
             entries.retain(|g| !(g.client == client && g.seq == seq));
         }
         self.stats.recall_acks += 1;
-        self.events.push(LeaseEvent::Recalled {
-            client,
-            fid,
-            seq,
-            stamp,
-        });
     }
 
     /// Fences a grant whose holder did not answer the recall: the entry
@@ -463,13 +375,8 @@ impl LeaseManager {
             entries.retain(|g| !(g.client == client && g.seq == seq));
         }
         self.stats.recall_timeouts += 1;
-        let stamp = self.hlc.tick();
-        self.events.push(LeaseEvent::Fenced {
-            client,
-            fid,
-            seq,
-            stamp,
-        });
+        // The fencing decision is an event on the server's HLC lane.
+        self.hlc.tick();
     }
 
     /// Counts a recall request issued.
@@ -506,11 +413,6 @@ impl LeaseManager {
             entries.retain(|g| !(g.client == token.client && g.seq == token.seq));
             if entries.len() < before {
                 self.stats.released += 1;
-                self.events.push(LeaseEvent::Released {
-                    client: token.client,
-                    fid: token.fid,
-                    seq: token.seq,
-                });
             }
         }
     }
@@ -570,24 +472,19 @@ impl LeaseManager {
                 return None;
             }
             for &i in rivals.iter().rev() {
-                let loser = entries.remove(i);
+                // The loser is fenced: an event on the server's HLC lane.
+                entries.remove(i);
                 self.stats.reattach_rejected += 1;
-                let stamp = self.hlc.tick();
-                self.events.push(LeaseEvent::Fenced {
-                    client: loser.client,
-                    fid: token.fid,
-                    seq: loser.seq,
-                    stamp,
-                });
+                self.hlc.tick();
             }
         }
         entries.retain(|g| g.client != token.client);
         self.next_seq += 1;
         let seq = self.next_seq;
         // The entry keeps the claim's *original* grant stamp — that is
-        // what competing claims are racing on; the merged stamp only
+        // what competing claims are racing on; observing it only
         // advances the server lane.
-        let merged = self.hlc.observe(grant_stamp);
+        self.hlc.observe(grant_stamp);
         let expiry_us = now + self.params.term_us;
         entries.push(GrantEntry {
             client: token.client,
@@ -597,13 +494,6 @@ impl LeaseManager {
             stamp: grant_stamp,
         });
         self.stats.reattaches += 1;
-        self.events.push(LeaseEvent::Reattached {
-            client: token.client,
-            fid: token.fid,
-            mode,
-            seq,
-            stamp: merged,
-        });
         Some(LeaseGrant {
             token: LeaseToken {
                 client: token.client,

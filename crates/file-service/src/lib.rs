@@ -71,8 +71,8 @@ pub use fit::{
 };
 pub use fsck::{FsckIssue, FsckRepairAction, FsckRepairReport, FsckReport};
 pub use lease::{
-    LeaseEvent, LeaseGrant, LeaseManager, LeaseMode, LeaseParams, LeaseStats, LeaseToken,
-    PendingRecall, RecallAck, RecallRegistry, RecallTarget,
+    LeaseGrant, LeaseManager, LeaseMode, LeaseParams, LeaseStats, LeaseToken, PendingRecall,
+    RecallAck, RecallRegistry, RecallTarget,
 };
 pub use parity::{ParityStats, RebuildReport, Redundancy};
 pub use scrub::{ScrubFinding, ScrubOwner, ScrubReport, ScrubStats};

@@ -1669,7 +1669,7 @@ impl FileService {
         &self.lease
     }
 
-    /// Mutable lease table access (tests drain events, tune params).
+    /// Mutable lease table access (tests tune params).
     pub fn lease_manager_mut(&mut self) -> &mut LeaseManager {
         &mut self.lease
     }

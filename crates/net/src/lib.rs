@@ -99,6 +99,16 @@ impl NetConfig {
         Self::default()
     }
 
+    /// A lane between two services in one address space: nothing is lost
+    /// or duplicated and a transmission costs zero virtual time.
+    pub fn in_process() -> Self {
+        Self {
+            delay_us: 0,
+            jitter_us: 0,
+            ..Self::default()
+        }
+    }
+
     /// A faulty network with the given loss and duplication probabilities.
     pub fn lossy(drop_prob: f64, duplicate_prob: f64, seed: u64) -> Self {
         Self {

@@ -15,13 +15,26 @@
 //! * **resynchronisation** — a repaired replica is rebuilt from the
 //!   primary before rejoining.
 //!
+//! There is one front-end, [`ReplicatedFiles`], and every operation
+//! reaches its replica as an encoded request over that replica's
+//! [`wire::Channel`]: retried with exponential backoff + jitter while the
+//! lane loses messages, executed at most once per request id on the
+//! server, its reply decoded back ("the RHODOS file service is 'nearly'
+//! stateless", §3). The two deployments differ only in the lane:
+//! [`ReplicatedFiles::new`] co-locates the replicas (an in-process lane
+//! that cannot lose and costs zero virtual time),
+//! [`ReplicatedFiles::over_network`] puts each replica behind a lossy
+//! link. A replica whose lane exhausts its retries is treated exactly
+//! like one whose disk faulted — masked out of the live set, to be
+//! brought back by [`ReplicatedFiles::resync`].
+//!
 //! File identifiers are allocated in lock-step on every replica, so one
 //! [`FileId`] is valid cluster-wide.
 //!
 //! # Example
 //!
 //! ```
-//! use rhodos_replication::{ReplicatedFiles, ReplicationConfig};
+//! use rhodos_replication::ReplicatedFiles;
 //! use rhodos_file_service::{FileService, FileServiceConfig, ServiceType};
 //! use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 //!
@@ -31,7 +44,7 @@
 //!     DiskGeometry::medium(), LatencyModel::default(), clock.clone(),
 //!     FileServiceConfig::default(),
 //! ).unwrap();
-//! let mut rf = ReplicatedFiles::new(vec![mk(), mk(), mk()], ReplicationConfig::default());
+//! let mut rf = ReplicatedFiles::new(vec![mk(), mk(), mk()]);
 //! let fid = rf.create(ServiceType::Basic)?;
 //! rf.open(fid)?;
 //! rf.write(fid, 0, b"three copies")?;
@@ -43,40 +56,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod rpc;
 pub mod wire;
 
+use rhodos_disk_service::codec::Decoder;
 use rhodos_file_service::{
-    FileAttributes, FileId, FileService, FileServiceError, ScrubFinding, ScrubOwner, ScrubReport,
-    ServiceType,
+    FileAttributes, FileId, FileService, FileServiceError, LeaseGrant, LeaseMode, LeaseToken,
+    ScrubFinding, ScrubOwner, ScrubReport, ServiceType,
 };
-use rhodos_simdisk::{SectorAddr, SimDisk};
-
-pub use rpc::{ReplicatedRpcFiles, RpcReplicationStats};
-
-/// Tunables of the replication service.
-#[derive(Debug, Clone, Copy)]
-pub struct ReplicationConfig {
-    /// Spread reads round-robin over live replicas (false: always the
-    /// lowest-numbered live replica).
-    pub read_round_robin: bool,
-    /// Mask device faults during write-all: the faulty replica is marked
-    /// failed and the mutation continues on the remaining live replicas,
-    /// exactly as the read path fails over. `false` reproduces the
-    /// pre-fix behaviour — the fan-out aborts at the first fault, after
-    /// earlier replicas already applied the mutation — kept only for the
-    /// E17 ablation.
-    pub write_failover: bool,
-}
-
-impl Default for ReplicationConfig {
-    fn default() -> Self {
-        Self {
-            read_round_robin: true,
-            write_failover: true,
-        }
-    }
-}
+use rhodos_net::{NetConfig, ReplayCache};
+use rhodos_simdisk::{HlcStamp, SectorAddr, SimDisk};
+use wire::{
+    decode_grant, decode_stamp, encode_create, encode_fid_op, encode_lease_acquire,
+    encode_lease_reattach, encode_read, encode_token_op, encode_write, encode_write_leased,
+    Channel, OP_CLOSE, OP_DELETE, OP_GET_ATTR, OP_LEASE_RELEASE, OP_LEASE_RENEW, OP_OPEN,
+};
 
 /// Counters of replication behaviour.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -95,6 +88,32 @@ pub struct ReplicationStats {
     /// Latent faults one replica's scrub could not repair locally that
     /// were healed from a live peer's copy by [`ReplicatedFiles::scrub`].
     pub peer_repairs: u64,
+}
+
+/// Aggregate RPC-layer statistics across all replica channels.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RpcReplicationStats {
+    /// Logical RPCs issued (all channels).
+    pub calls: u64,
+    /// Retries beyond the first attempt.
+    pub retries: u64,
+    /// Virtual time spent backing off between retries.
+    pub backoff_us: u64,
+    /// Operations the replica servers actually executed.
+    pub executed: u64,
+    /// Duplicate requests answered from replay caches.
+    pub replayed: u64,
+    /// Largest number of recorded replies any server held at once — the
+    /// "nearly stateless" bound.
+    pub peak_entries: u64,
+    /// Replicas masked out because their channel exhausted its retries.
+    pub unreachable: u64,
+    /// Messages transmitted (both legs, all channels).
+    pub net_sent: u64,
+    /// Messages lost in transit.
+    pub net_lost: u64,
+    /// Extra duplicate copies delivered.
+    pub net_duplicated: u64,
 }
 
 /// Errors returned by the replication service.
@@ -128,13 +147,6 @@ impl std::fmt::Display for ReplicationError {
     }
 }
 
-/// Whether `e` indicates a fault of the replica's machine or media (fail
-/// over to another replica) rather than a semantic error that every
-/// replica would return identically (propagate to the caller).
-pub(crate) fn is_device_fault(e: &FileServiceError) -> bool {
-    matches!(e, FileServiceError::Disk(_) | FileServiceError::Corrupt(_))
-}
-
 impl std::error::Error for ReplicationError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
@@ -150,44 +162,84 @@ impl From<FileServiceError> for ReplicationError {
     }
 }
 
+/// Why one replica call produced no payload.
+enum Miss {
+    /// The replica is faulty and was masked out of the live set: its lane
+    /// exhausted its retries (`None` — indistinguishable from a crashed
+    /// machine) or its device faulted. Fail over; resync brings it back.
+    Masked(Option<FileServiceError>),
+    /// A semantic error. Replicas run in lock-step, so every replica
+    /// would answer the same — propagate. (None has mutated: semantic
+    /// checks precede mutation.)
+    Semantic(FileServiceError),
+}
+
 /// Primary-copy replicated files over N file services.
 #[derive(Debug)]
 pub struct ReplicatedFiles {
-    pub(crate) replicas: Vec<FileService>,
-    pub(crate) failed: Vec<bool>,
+    replicas: Vec<FileService>,
+    /// One transport endpoint per replica; the server-side replay cache
+    /// in it lives and dies with the replica's machine.
+    channels: Vec<Channel>,
+    failed: Vec<bool>,
     /// Absolute index of the replica that served the last read. Stored as
     /// a *replica* index, not an index into the live subset: the live set
     /// shrinks and grows across failovers and resyncs, and an index into
     /// it would skew the rotation every time it changed.
-    pub(crate) last_read: usize,
-    pub(crate) config: ReplicationConfig,
-    pub(crate) stats: ReplicationStats,
+    last_read: usize,
+    stats: ReplicationStats,
+    /// Replicas masked out because their lane exhausted its retries.
+    unreachable: u64,
     /// Logical open counts, restored onto a replica after resync (a
     /// recovered replica loses its volatile reference counts).
-    pub(crate) open_counts: std::collections::HashMap<FileId, u32>,
+    open_counts: std::collections::HashMap<FileId, u32>,
 }
 
 impl ReplicatedFiles {
-    /// Creates the service over freshly formatted replicas.
+    /// Creates the service over freshly formatted, co-located replicas:
+    /// requests cross an in-process lane that cannot lose a message and
+    /// costs zero virtual time.
     ///
     /// # Panics
     ///
     /// Panics if `replicas` is empty.
-    pub fn new(replicas: Vec<FileService>, config: ReplicationConfig) -> Self {
+    pub fn new(replicas: Vec<FileService>) -> Self {
+        Self::over_network(replicas, NetConfig::in_process())
+    }
+
+    /// Creates the service over freshly formatted replicas on other
+    /// machines, one channel per replica behaving as `net_cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `replicas` is empty.
+    pub fn over_network(replicas: Vec<FileService>, net_cfg: NetConfig) -> Self {
         assert!(!replicas.is_empty(), "need at least one replica");
         let n = replicas.len();
+        let clock = replicas[0].clock();
         Self {
+            channels: (0..n)
+                .map(|i| Channel::new(clock.clone(), net_cfg, i))
+                .collect(),
             replicas,
             failed: vec![false; n],
             // One before replica 0 in the rotation, so the first
             // round-robin read lands on replica 0.
             last_read: n - 1,
-            config,
             stats: ReplicationStats {
                 reads_per_replica: vec![0; n],
                 ..Default::default()
             },
+            unreachable: 0,
             open_counts: std::collections::HashMap::new(),
+        }
+    }
+
+    /// Attempts per RPC before a replica is declared unreachable
+    /// (applies to every channel).
+    pub fn set_max_attempts(&mut self, attempts: u32) {
+        for ch in &mut self.channels {
+            ch.client.max_attempts = attempts;
         }
     }
 
@@ -213,6 +265,38 @@ impl ReplicatedFiles {
     /// Statistics so far.
     pub fn stats(&self) -> &ReplicationStats {
         &self.stats
+    }
+
+    /// RPC-layer statistics aggregated over all channels.
+    pub fn rpc_stats(&self) -> RpcReplicationStats {
+        let mut s = RpcReplicationStats {
+            unreachable: self.unreachable,
+            ..Default::default()
+        };
+        for ch in &self.channels {
+            let c = ch.client.stats();
+            s.calls += c.calls;
+            s.retries += c.retries;
+            s.backoff_us += c.backoff_us;
+            let r = ch.cache.stats();
+            s.executed += r.executed;
+            s.replayed += r.replayed;
+            s.peak_entries = s.peak_entries.max(r.peak_entries);
+            let n = ch.net.stats();
+            s.net_sent += n.sent;
+            s.net_lost += n.lost;
+            s.net_duplicated += n.duplicated;
+        }
+        s
+    }
+
+    /// Recorded replies currently held by replica `i`'s replay cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn replay_entries(&self, i: usize) -> usize {
+        self.channels[i].cache.len()
     }
 
     /// Direct access to replica `i` (fault injection).
@@ -244,62 +328,83 @@ impl ReplicatedFiles {
             .collect()
     }
 
-    fn first_live(&self) -> Option<usize> {
-        self.live_indices().into_iter().next()
+    /// One request to replica `i` over its channel, its outcome
+    /// classified here and nowhere else: a payload, a faulty replica
+    /// (masked out on the spot), or a semantic error.
+    fn call_replica(&mut self, i: usize, req: &[u8]) -> Result<Vec<u8>, Miss> {
+        let err = match self.channels[i].call(&mut self.replicas[i], req) {
+            Ok(payload) => return Ok(payload),
+            Err(e) => e,
+        };
+        match err {
+            // A machine or media fault, not an answer every replica
+            // would give identically.
+            None | Some(FileServiceError::Disk(_) | FileServiceError::Corrupt(_)) => {
+                self.failed[i] = true;
+                self.stats.failovers += 1;
+                self.unreachable += u64::from(err.is_none());
+                Err(Miss::Masked(err))
+            }
+            Some(e) => Err(Miss::Semantic(e)),
+        }
     }
 
     /// Applies a mutation to every live replica ("write-all").
     ///
-    /// A replica that faults on its device mid-fan-out is marked failed
-    /// and the mutation continues on the remaining live replicas — the
-    /// write-path mirror of the read path's failover. Aborting instead
-    /// (the pre-fix behaviour, `write_failover: false`) *creates*
-    /// divergence: earlier replicas have applied the mutation, the faulty
-    /// one has not, and nothing records that it is now stale. The call
-    /// errors only when **no** replica applied the mutation.
-    fn write_all<T: PartialEq + std::fmt::Debug>(
-        &mut self,
-        fid: Option<FileId>,
-        mut op: impl FnMut(&mut FileService) -> Result<T, FileServiceError>,
-    ) -> Result<T, ReplicationError> {
-        let mut result: Option<T> = None;
+    /// A replica that faults mid-fan-out is masked out and the mutation
+    /// continues on the remaining live replicas — the write-path mirror
+    /// of the read path's failover — so the live set always agrees. The
+    /// call errors only when **no** replica applied the mutation.
+    fn write_all(&mut self, fid: Option<FileId>, req: &[u8]) -> Result<Vec<u8>, ReplicationError> {
+        let mut result: Option<Vec<u8>> = None;
         let mut last_device_err: Option<FileServiceError> = None;
         for i in 0..self.replicas.len() {
             if self.failed[i] {
                 self.stats.writes_skipped += 1;
                 continue;
             }
-            match op(&mut self.replicas[i]) {
-                Ok(r) => {
-                    if let Some(prev) = &result {
-                        if *prev != r {
-                            return Err(ReplicationError::Diverged);
-                        }
-                    } else {
-                        result = Some(r);
-                    }
-                }
-                Err(e) if is_device_fault(&e) && self.config.write_failover => {
-                    // Device fault: mask the replica out and keep going —
-                    // it will be brought back by resync.
-                    self.failed[i] = true;
-                    self.stats.failovers += 1;
-                    last_device_err = Some(e);
-                }
-                // Semantic error: replicas are in lock-step, so every
-                // replica would answer the same — propagate. (None has
-                // mutated: semantic checks precede mutation.)
-                Err(e) => return Err(ReplicationError::File(e)),
+            match self.call_replica(i, req) {
+                Ok(payload) => match &result {
+                    Some(prev) if *prev != payload => return Err(ReplicationError::Diverged),
+                    Some(_) => {}
+                    None => result = Some(payload),
+                },
+                Err(Miss::Masked(e)) => last_device_err = e.or(last_device_err),
+                Err(Miss::Semantic(e)) => return Err(ReplicationError::File(e)),
             }
         }
-        match result {
-            Some(r) => Ok(r),
-            None => Err(match (last_device_err, fid) {
-                (Some(e), _) => ReplicationError::File(e),
-                (None, Some(fid)) => ReplicationError::AllReplicasFailed(fid),
-                (None, None) => ReplicationError::NoLiveReplicas,
-            }),
+        result.ok_or(match (last_device_err, fid) {
+            (Some(e), _) => ReplicationError::File(e),
+            (None, Some(fid)) => ReplicationError::AllReplicasFailed(fid),
+            (None, None) => ReplicationError::NoLiveReplicas,
+        })
+    }
+
+    /// One request to the first live replica in rotation order from
+    /// `start`, failing over to the next while replicas turn out faulty.
+    /// Returns the serving replica's index with its payload.
+    fn first_live(
+        &mut self,
+        fid: FileId,
+        start: usize,
+        req: &[u8],
+    ) -> Result<(usize, Vec<u8>), ReplicationError> {
+        let n = self.replicas.len();
+        let mut last_device_err: Option<FileServiceError> = None;
+        for i in (0..n).map(|k| (start + k) % n) {
+            if self.failed[i] {
+                continue;
+            }
+            match self.call_replica(i, req) {
+                Ok(payload) => return Ok((i, payload)),
+                Err(Miss::Masked(e)) => last_device_err = e.or(last_device_err),
+                Err(Miss::Semantic(e)) => return Err(ReplicationError::File(e)),
+            }
         }
+        Err(match last_device_err {
+            Some(e) => ReplicationError::File(e),
+            None => ReplicationError::AllReplicasFailed(fid),
+        })
     }
 
     /// `create` on every replica; identifiers are allocated in lock-step.
@@ -309,7 +414,8 @@ impl ReplicatedFiles {
     /// Propagates replica failures; [`ReplicationError::Diverged`] if the
     /// replicas returned different identifiers.
     pub fn create(&mut self, st: ServiceType) -> Result<FileId, ReplicationError> {
-        self.write_all(None, |fs| fs.create(st))
+        let payload = self.write_all(None, &encode_create(st))?;
+        Ok(FileId(Decoder::new(&payload).u64().expect("fid payload")))
     }
 
     /// Opens `fid` on every live replica.
@@ -318,7 +424,7 @@ impl ReplicatedFiles {
     ///
     /// Replica failures.
     pub fn open(&mut self, fid: FileId) -> Result<(), ReplicationError> {
-        self.write_all(Some(fid), |fs| fs.open(fid))?;
+        self.write_all(Some(fid), &encode_fid_op(OP_OPEN, fid))?;
         *self.open_counts.entry(fid).or_insert(0) += 1;
         Ok(())
     }
@@ -329,7 +435,7 @@ impl ReplicatedFiles {
     ///
     /// Replica failures.
     pub fn close(&mut self, fid: FileId) -> Result<(), ReplicationError> {
-        self.write_all(Some(fid), |fs| fs.close(fid))?;
+        self.write_all(Some(fid), &encode_fid_op(OP_CLOSE, fid))?;
         if let Some(c) = self.open_counts.get_mut(&fid) {
             *c = c.saturating_sub(1);
             if *c == 0 {
@@ -345,7 +451,8 @@ impl ReplicatedFiles {
     ///
     /// Replica failures.
     pub fn delete(&mut self, fid: FileId) -> Result<(), ReplicationError> {
-        self.write_all(Some(fid), |fs| fs.delete(fid))
+        self.write_all(Some(fid), &encode_fid_op(OP_DELETE, fid))?;
+        Ok(())
     }
 
     /// Writes through to every live replica ("write-all").
@@ -354,23 +461,24 @@ impl ReplicatedFiles {
     ///
     /// Replica failures.
     pub fn write(&mut self, fid: FileId, offset: u64, data: &[u8]) -> Result<(), ReplicationError> {
-        self.write_all(Some(fid), |fs| fs.write(fid, offset, data))
+        self.write_all(Some(fid), &encode_write(fid, offset, data))?;
+        Ok(())
     }
 
-    /// Attributes from one live replica.
+    /// Attributes from the first live replica.
     ///
     /// # Errors
     ///
     /// Replica failures.
     pub fn get_attribute(&mut self, fid: FileId) -> Result<FileAttributes, ReplicationError> {
-        let i = self
-            .first_live()
-            .ok_or(ReplicationError::AllReplicasFailed(fid))?;
-        Ok(self.replicas[i].get_attribute(fid)?)
+        let (_, payload) = self.first_live(fid, 0, &encode_fid_op(OP_GET_ATTR, fid))?;
+        Ok(FileAttributes::decode(&mut Decoder::new(&payload)).expect("attrs payload"))
     }
 
-    /// Reads from one replica ("read-one"), failing over to the next live
-    /// replica — and marking the faulty one failed — on device errors.
+    /// Reads from one replica ("read-one"), rotating round-robin from the
+    /// replica after the last one that served a read (absolute index, so
+    /// the rotation is even regardless of which replicas are currently
+    /// failed) and failing over past faulty ones.
     ///
     /// # Errors
     ///
@@ -382,44 +490,114 @@ impl ReplicatedFiles {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>, ReplicationError> {
-        let n = self.replicas.len();
-        // Rotate from the replica after the last one that served a read
-        // (absolute index, so the rotation is even regardless of which
-        // replicas are currently failed).
-        let start = if self.config.read_round_robin {
-            (self.last_read + 1) % n
-        } else {
-            0
-        };
-        let mut last_err: Option<FileServiceError> = None;
-        for k in 0..n {
-            let i = (start + k) % n;
+        let (i, data) = self.first_live(fid, self.last_read + 1, &encode_read(fid, offset, len))?;
+        self.stats.reads_per_replica[i] += 1;
+        self.last_read = i;
+        Ok(data)
+    }
+
+    // Lease operations go to the first live replica: lease state is
+    // coordination soft state, kept by the replica currently acting as
+    // the read/lease coordinator, not replicated (a failed-over
+    // coordinator starts with an empty lease table, which is exactly the
+    // post-crash epoch story).
+
+    /// Acquires a lease from the coordinator. Returns the grant plus the
+    /// file's size at grant time.
+    ///
+    /// # Errors
+    ///
+    /// Replica failures; lease rejections shipped back over the wire.
+    pub fn lease_acquire(
+        &mut self,
+        client: u64,
+        fid: FileId,
+        mode: LeaseMode,
+    ) -> Result<(LeaseGrant, u64), ReplicationError> {
+        let (_, payload) = self.first_live(fid, 0, &encode_lease_acquire(client, fid, mode))?;
+        let mut d = Decoder::new(&payload);
+        let grant = decode_grant(&mut d);
+        let size = d.u64().expect("size payload");
+        Ok((grant, size))
+    }
+
+    /// Releases a lease at the coordinator (idempotent server-side).
+    ///
+    /// # Errors
+    ///
+    /// Replica failures.
+    pub fn lease_release(&mut self, token: &LeaseToken) -> Result<(), ReplicationError> {
+        self.first_live(token.fid, 0, &encode_token_op(OP_LEASE_RELEASE, token))?;
+        Ok(())
+    }
+
+    /// Renews a lease at the coordinator.
+    ///
+    /// # Errors
+    ///
+    /// [`FileServiceError::LeaseRejected`] (over the wire) if the token
+    /// is dead; replica failures.
+    pub fn lease_renew(&mut self, token: &LeaseToken) -> Result<(u64, HlcStamp), ReplicationError> {
+        let (_, payload) =
+            self.first_live(token.fid, 0, &encode_token_op(OP_LEASE_RENEW, token))?;
+        let mut d = Decoder::new(&payload);
+        let expiry_us = d.u64().expect("expiry payload");
+        let stamp = decode_stamp(&mut d);
+        Ok((expiry_us, stamp))
+    }
+
+    /// Re-presents a pre-crash grant to the (restarted) coordinator.
+    ///
+    /// # Errors
+    ///
+    /// [`FileServiceError::LeaseRejected`] (over the wire) if the window
+    /// closed, the epoch is stale, or an HLC race was lost.
+    pub fn lease_reattach(
+        &mut self,
+        token: &LeaseToken,
+        mode: LeaseMode,
+        stamp: HlcStamp,
+    ) -> Result<LeaseGrant, ReplicationError> {
+        let (_, payload) =
+            self.first_live(token.fid, 0, &encode_lease_reattach(token, mode, stamp))?;
+        Ok(decode_grant(&mut Decoder::new(&payload)))
+    }
+
+    /// A delegated writeback, gated on a live write-lease token at the
+    /// coordinator. The mutation still fans out to every live replica —
+    /// the lease gate is checked first, so a fenced token rejects the
+    /// write before any replica applies it.
+    ///
+    /// # Errors
+    ///
+    /// [`FileServiceError::LeaseFenced`] (over the wire) if the token is
+    /// dead; replica failures.
+    pub fn write_leased(
+        &mut self,
+        fid: FileId,
+        offset: u64,
+        data: &[u8],
+        token: &LeaseToken,
+    ) -> Result<(), ReplicationError> {
+        let (coordinator, _) =
+            self.first_live(fid, 0, &encode_write_leased(fid, offset, data, token))?;
+        // Every replica before the coordinator is failed; fan the raw
+        // bytes out to the live ones after it so copies stay in lock-step.
+        let req = encode_write(fid, offset, data);
+        for i in coordinator + 1..self.replicas.len() {
             if self.failed[i] {
                 continue;
             }
-            match self.replicas[i].read(fid, offset, len) {
-                Ok(data) => {
-                    self.stats.reads_per_replica[i] += 1;
-                    self.last_read = i;
-                    return Ok(data);
-                }
-                Err(e) if is_device_fault(&e) => {
-                    // Device fault: fail over and remember the suspect.
-                    self.failed[i] = true;
-                    self.stats.failovers += 1;
-                    last_err = Some(e);
-                }
-                Err(e) => return Err(ReplicationError::File(e)), // semantic error: propagate
+            if let Err(Miss::Semantic(e)) = self.call_replica(i, &req) {
+                return Err(ReplicationError::File(e));
             }
         }
-        match last_err {
-            Some(e) => Err(ReplicationError::File(e)),
-            None => Err(ReplicationError::AllReplicasFailed(fid)),
-        }
+        Ok(())
     }
 
     /// Repairs and resynchronises replica `i` from the first other live
-    /// replica, then rejoins it to the write set.
+    /// replica, then rejoins it to the write set. The copy runs out of
+    /// band (a repair crew, not an RPC).
     ///
     /// The resync is **physical**: the source flushes its dirty state,
     /// every sector of the returning replica's disks (main storage and
@@ -493,6 +671,9 @@ impl ReplicatedFiles {
         for (fid, count) in &self.open_counts {
             self.replicas[i].restore_open_count(*fid, *count)?;
         }
+        // A restarted server forgets its volatile request history, which
+        // is safe precisely because the client never reuses request ids.
+        self.channels[i].cache = ReplayCache::new();
         self.failed[i] = false;
         self.stats.resyncs += 1;
         Ok(())
@@ -707,7 +888,7 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        ReplicatedFiles::new(replicas, ReplicationConfig::default())
+        ReplicatedFiles::new(replicas)
     }
 
     #[test]
@@ -837,25 +1018,7 @@ mod more_tests {
             )
             .unwrap()
         };
-        ReplicatedFiles::new(
-            vec![mk(), mk()],
-            ReplicationConfig {
-                read_round_robin: false,
-                ..ReplicationConfig::default()
-            },
-        )
-    }
-
-    #[test]
-    fn fixed_read_policy_prefers_the_first_live_replica() {
-        let mut rf = pair();
-        let fid = rf.create(ServiceType::Basic).unwrap();
-        rf.open(fid).unwrap();
-        rf.write(fid, 0, b"pinned").unwrap();
-        for _ in 0..5 {
-            rf.read(fid, 0, 6).unwrap();
-        }
-        assert_eq!(rf.stats().reads_per_replica, vec![5, 0]);
+        ReplicatedFiles::new(vec![mk(), mk()])
     }
 
     #[test]
@@ -921,7 +1084,7 @@ mod more_tests {
             )
             .unwrap()
         };
-        let mut rf = ReplicatedFiles::new(vec![mk(), mk(), mk()], ReplicationConfig::default());
+        let mut rf = ReplicatedFiles::new(vec![mk(), mk(), mk()]);
         let fid = rf.create(ServiceType::Basic).unwrap();
         rf.open(fid).unwrap();
         rf.write(fid, 0, b"spread").unwrap();
@@ -941,7 +1104,7 @@ mod more_tests {
     /// A pair with write-through caching: mutations reach the platters
     /// inside the `write` call, so injected device faults surface there
     /// (with the default delayed-write policy they surface at flush).
-    fn write_through_pair(write_failover: bool) -> ReplicatedFiles {
+    fn write_through_pair() -> ReplicatedFiles {
         let clock = SimClock::new();
         let mk = || {
             FileService::single_disk(
@@ -955,13 +1118,7 @@ mod more_tests {
             )
             .unwrap()
         };
-        ReplicatedFiles::new(
-            vec![mk(), mk()],
-            ReplicationConfig {
-                write_failover,
-                ..ReplicationConfig::default()
-            },
-        )
+        ReplicatedFiles::new(vec![mk(), mk()])
     }
 
     #[test]
@@ -969,7 +1126,7 @@ mod more_tests {
         // Replica 0's next sector write tears mid-write: with failover the
         // mutation still lands on replica 1, replica 0 is masked out, and
         // the caller sees success.
-        let mut rf = write_through_pair(true);
+        let mut rf = write_through_pair();
         let fid = rf.create(ServiceType::Basic).unwrap();
         rf.open(fid).unwrap();
         rf.write(fid, 0, b"seed data").unwrap();
@@ -982,24 +1139,6 @@ mod more_tests {
         assert_eq!(rf.stats().failovers, 1);
         assert_eq!(rf.live_replicas(), 1);
         assert_eq!(rf.read(fid, 0, 9).unwrap(), b"new value");
-    }
-
-    #[test]
-    fn without_write_failover_the_old_abort_behaviour_remains() {
-        // The E17 ablation switch: a device fault mid-fan-out aborts the
-        // write and leaves the faulty replica in the live set (the bug).
-        let mut rf = write_through_pair(false);
-        let fid = rf.create(ServiceType::Basic).unwrap();
-        rf.open(fid).unwrap();
-        rf.write(fid, 0, b"seed data").unwrap();
-        rf.replica_mut(0)
-            .disk_mut(0)
-            .disk_mut()
-            .faults_mut()
-            .crash_after_sector_writes(0);
-        assert!(rf.write(fid, 0, b"new value").is_err());
-        assert_eq!(rf.live_replicas(), 2, "faulty replica not masked");
-        assert_eq!(rf.stats().failovers, 0);
     }
 
     #[test]
@@ -1102,5 +1241,298 @@ mod more_tests {
         for i in 0..2 {
             assert!(!rf.replica_mut(i).exists(fid));
         }
+    }
+}
+
+#[cfg(test)]
+mod network_tests {
+    use super::*;
+    use rhodos_file_service::FileServiceConfig;
+    use rhodos_net::SimNetwork;
+    use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
+
+    fn rpc_cluster(n: usize, net_cfg: NetConfig) -> ReplicatedFiles {
+        let clock = SimClock::new();
+        let replicas = (0..n)
+            .map(|_| {
+                FileService::single_disk(
+                    DiskGeometry::medium(),
+                    LatencyModel::instant(),
+                    clock.clone(),
+                    FileServiceConfig::default(),
+                )
+                .unwrap()
+            })
+            .collect();
+        ReplicatedFiles::over_network(replicas, net_cfg)
+    }
+
+    #[test]
+    fn round_trip_over_a_reliable_network() {
+        let mut rf = rpc_cluster(3, NetConfig::reliable());
+        let fid = rf.create(ServiceType::Basic).unwrap();
+        rf.open(fid).unwrap();
+        rf.write(fid, 0, b"over the wire").unwrap();
+        assert_eq!(rf.read(fid, 0, 13).unwrap(), b"over the wire");
+        assert_eq!(rf.get_attribute(fid).unwrap().size, 13);
+        rf.close(fid).unwrap();
+        rf.delete(fid).unwrap();
+        let s = rf.rpc_stats();
+        assert!(s.calls > 0);
+        assert_eq!(s.retries, 0);
+        assert_eq!(s.net_lost, 0);
+    }
+
+    #[test]
+    fn lossy_channels_retry_but_execute_exactly_once() {
+        let mut rf = rpc_cluster(3, NetConfig::lossy(0.25, 0.25, 42));
+        rf.set_max_attempts(64);
+        let fid = rf.create(ServiceType::Basic).unwrap();
+        rf.open(fid).unwrap();
+        for round in 0..20u8 {
+            rf.write(fid, 0, &[round; 64]).unwrap();
+            assert_eq!(rf.read(fid, 0, 64).unwrap(), vec![round; 64]);
+        }
+        let s = rf.rpc_stats();
+        assert!(s.retries > 0, "seed 42 must lose messages");
+        assert!(s.replayed > 0, "seed 42 must duplicate messages");
+        assert!(s.backoff_us > 0, "retries must back off");
+        // Exactly-once despite duplication: replicas agree on contents.
+        for i in 0..3 {
+            rf.replica_mut(i).flush_all().unwrap();
+            assert!(rf.replica_mut(i).fsck().unwrap().is_clean());
+        }
+        // Bounded server state: one synchronous client per channel.
+        assert!(s.peak_entries <= 1, "peak {}", s.peak_entries);
+    }
+
+    #[test]
+    fn unreachable_replica_is_masked_like_a_crashed_one() {
+        let mut rf = rpc_cluster(2, NetConfig::reliable());
+        let fid = rf.create(ServiceType::Basic).unwrap();
+        rf.open(fid).unwrap();
+        rf.write(fid, 0, b"before").unwrap();
+        // Replica 1's link goes completely dark.
+        rf.channels[1].net =
+            SimNetwork::new(rf.channels[1].net.clock(), NetConfig::lossy(1.0, 0.0, 1));
+        rf.set_max_attempts(3);
+        rf.write(fid, 0, b"after!").unwrap();
+        assert_eq!(rf.live_replicas(), 1);
+        assert_eq!(rf.rpc_stats().unreachable, 1);
+        assert_eq!(rf.stats().failovers, 1);
+        assert_eq!(rf.read(fid, 0, 6).unwrap(), b"after!");
+        // Link restored; resync rejoins the replica and wipes its replay
+        // state.
+        rf.channels[1].net = SimNetwork::new(rf.channels[1].net.clock(), NetConfig::reliable());
+        rf.resync(1).unwrap();
+        assert_eq!(rf.live_replicas(), 2);
+        assert_eq!(rf.replay_entries(1), 0);
+        for _ in 0..2 {
+            assert_eq!(rf.read(fid, 0, 6).unwrap(), b"after!");
+        }
+    }
+
+    #[test]
+    fn semantic_errors_cross_the_wire_intact() {
+        let mut rf = rpc_cluster(2, NetConfig::reliable());
+        let fid = rf.create(ServiceType::Basic).unwrap();
+        assert!(matches!(
+            rf.read(fid, 0, 1),
+            Err(ReplicationError::File(FileServiceError::NotOpen(f))) if f == fid
+        ));
+        assert_eq!(rf.live_replicas(), 2, "semantic errors must not fail over");
+        rf.open(fid).unwrap();
+        rf.write(fid, 0, b"xyz").unwrap();
+        assert!(matches!(
+            rf.read(fid, 100, 1),
+            Err(ReplicationError::File(FileServiceError::BeyondEof {
+                offset: 100,
+                size: 3,
+                ..
+            }))
+        ));
+    }
+
+    #[test]
+    fn lease_ops_cross_the_wire() {
+        let mut rf = rpc_cluster(3, NetConfig::lossy(0.15, 0.1, 9));
+        rf.set_max_attempts(64);
+        let fid = rf.create(ServiceType::Basic).unwrap();
+        rf.open(fid).unwrap();
+        // Acquire a write lease at the coordinator and push a delegated
+        // writeback through it; the bytes must land on every replica.
+        let (grant, size) = rf.lease_acquire(7, fid, LeaseMode::Write).unwrap();
+        assert_eq!(size, 0);
+        assert_eq!(grant.token.client, 7);
+        rf.write_leased(fid, 0, b"delegated", &grant.token).unwrap();
+        assert_eq!(rf.read(fid, 0, 9).unwrap(), b"delegated");
+        // Renew extends the expiry; release kills the token.
+        let (expiry, _) = rf.lease_renew(&grant.token).unwrap();
+        assert!(expiry >= grant.expiry_us);
+        rf.lease_release(&grant.token).unwrap();
+        assert!(matches!(
+            rf.write_leased(fid, 0, b"too late", &grant.token),
+            Err(ReplicationError::File(FileServiceError::LeaseFenced(f))) if f == fid
+        ));
+        for i in 0..3 {
+            rf.replica_mut(i).flush_all().unwrap();
+            assert_eq!(rf.replica_mut(i).read(fid, 0, 9).unwrap(), b"delegated");
+        }
+    }
+
+    #[test]
+    fn resync_bumps_lease_epoch_and_honours_reattach() {
+        let mut rf = rpc_cluster(2, NetConfig::reliable());
+        let fid = rf.create(ServiceType::Basic).unwrap();
+        rf.open(fid).unwrap();
+        let (grant, _) = rf.lease_acquire(3, fid, LeaseMode::Write).unwrap();
+        // The coordinator goes down and is resynced: its lease table is
+        // soft state, so the epoch bumps and the old token is dead.
+        rf.mark_failed(0).unwrap();
+        rf.resync(0).unwrap();
+        assert!(matches!(
+            rf.write_leased(fid, 0, b"stale", &grant.token),
+            Err(ReplicationError::File(FileServiceError::LeaseFenced(_)))
+        ));
+        // But a reattach claim inside the window reconstructs the grant.
+        let g2 = rf
+            .lease_reattach(&grant.token, grant.mode, grant.stamp)
+            .unwrap();
+        assert_eq!(g2.token.epoch, grant.token.epoch + 1);
+        rf.write_leased(fid, 0, b"fresh", &g2.token).unwrap();
+        assert_eq!(rf.read(fid, 0, 5).unwrap(), b"fresh");
+    }
+
+    /// One scripted op + fault sequence (a torn write, a silently rotted
+    /// sector, two resyncs), run against either deployment.
+    /// Returns everything a caller could observe: every read's bytes,
+    /// each replica's final contents, and the replication counters.
+    fn scripted_run(
+        deploy: fn(Vec<FileService>) -> ReplicatedFiles,
+    ) -> (Vec<Vec<u8>>, ReplicationStats) {
+        let clock = SimClock::new();
+        let replicas = (0..3)
+            .map(|_| {
+                FileService::single_disk(
+                    DiskGeometry::medium(),
+                    LatencyModel::instant(),
+                    clock.clone(),
+                    FileServiceConfig {
+                        // Mutations reach the platter inside `write`, so
+                        // the injected tear surfaces there.
+                        write_policy: rhodos_file_service::WritePolicy::WriteThrough,
+                        ..FileServiceConfig::default()
+                    },
+                )
+                .unwrap()
+            })
+            .collect();
+        let mut rf = deploy(replicas);
+        let mut seen = Vec::new();
+        let a = rf.create(ServiceType::Basic).unwrap();
+        let b = rf.create(ServiceType::Basic).unwrap();
+        rf.open(a).unwrap();
+        rf.open(b).unwrap();
+        rf.write(a, 0, &[0xA1; 20_000]).unwrap();
+        rf.write(b, 0, b"second file").unwrap();
+        for _ in 0..4 {
+            seen.push(rf.read(a, 9_000, 64).unwrap());
+        }
+        // Replica 1's next sector write tears mid-write.
+        rf.replica_mut(1)
+            .disk_mut(0)
+            .disk_mut()
+            .faults_mut()
+            .crash_after_sector_writes(0);
+        rf.write(a, 8_000, &[0xB2; 5_000]).unwrap();
+        assert!(rf.is_failed(1), "the torn replica is masked out");
+        rf.write(b, 6, b" FILE").unwrap();
+        seen.push(rf.read(a, 7_990, 32).unwrap());
+        seen.push(rf.read(b, 0, 11).unwrap());
+        seen.push(rf.get_attribute(a).unwrap().size.to_le_bytes().to_vec());
+        rf.resync(1).unwrap();
+        rf.write(a, 19_990, b"after the resync").unwrap();
+        for _ in 0..3 {
+            seen.push(rf.read(a, 19_980, 26).unwrap());
+        }
+        // A sector of replica 0 rots silently. With every cache cold, the
+        // read that lands there fails its checksum: the replica is masked
+        // out and a peer serves the bytes.
+        let addr = rf.replica_mut(0).block_descriptors(a).unwrap()[0].addr;
+        rf.replica_mut(0)
+            .disk_mut(0)
+            .disk_mut()
+            .silently_corrupt_sector(addr)
+            .unwrap();
+        for i in 0..3 {
+            rf.replica_mut(i).evict_caches().unwrap();
+        }
+        for _ in 0..3 {
+            seen.push(rf.read(a, 0, 64).unwrap());
+        }
+        assert!(rf.is_failed(0), "the rotted replica is masked out");
+        rf.resync(0).unwrap();
+        rf.close(b).unwrap();
+        rf.delete(b).unwrap();
+        rf.close(a).unwrap();
+        for i in 0..3 {
+            let fs = rf.replica_mut(i);
+            assert!(!fs.exists(b));
+            fs.open(a).unwrap();
+            seen.push(fs.read(a, 0, 20_006).unwrap());
+        }
+        (seen, rf.stats().clone())
+    }
+
+    #[test]
+    fn both_deployments_run_the_same_script_identically() {
+        let co_located = scripted_run(ReplicatedFiles::new);
+        let networked = scripted_run(|r| ReplicatedFiles::over_network(r, NetConfig::reliable()));
+        assert_eq!(co_located.0, networked.0, "observed bytes differ");
+        // A real lane reaches each replica at a different virtual time,
+        // so the timestamps in their file index tables differ and resync
+        // has more sectors to copy; every other counter must agree.
+        assert!(co_located.1.resync_sectors_copied > 0);
+        assert!(networked.1.resync_sectors_copied >= co_located.1.resync_sectors_copied);
+        let timeless = |s: &ReplicationStats| ReplicationStats {
+            resync_sectors_copied: 0,
+            ..s.clone()
+        };
+        assert_eq!(
+            timeless(&co_located.1),
+            timeless(&networked.1),
+            "replication counters differ"
+        );
+        assert_eq!(co_located.1.failovers, 2);
+        assert_eq!(co_located.1.resyncs, 2);
+        // All three replicas end byte-identical.
+        let finals = &co_located.0[co_located.0.len() - 3..];
+        assert!(finals.iter().all(|f| f == &finals[0]));
+    }
+
+    #[test]
+    fn co_located_lane_costs_no_virtual_time_and_cannot_lose() {
+        let clock = SimClock::new();
+        let mk = || {
+            FileService::single_disk(
+                DiskGeometry::medium(),
+                LatencyModel::instant(),
+                clock.clone(),
+                FileServiceConfig::default(),
+            )
+            .unwrap()
+        };
+        let mut rf = ReplicatedFiles::new(vec![mk(), mk()]);
+        let t0 = clock.now_us();
+        let fid = rf.create(ServiceType::Basic).unwrap();
+        rf.open(fid).unwrap();
+        for round in 0..50u8 {
+            rf.write(fid, 0, &[round; 32]).unwrap();
+            assert_eq!(rf.read(fid, 0, 32).unwrap(), vec![round; 32]);
+        }
+        assert_eq!(clock.now_us(), t0, "instant disks + in-process lane");
+        let s = rf.rpc_stats();
+        assert_eq!((s.retries, s.net_lost, s.replayed), (0, 0, 0));
+        assert!(s.peak_entries <= 1);
     }
 }

@@ -1,8 +1,8 @@
-//! The file-service RPC wire protocol, shared by every networked
-//! front-end: [`crate::ReplicatedRpcFiles`] (replica fan-out) and the
-//! `rhodos-cluster` data-server channels both speak exactly this format,
-//! so a file migrated between a replica set and a cluster shard is served
-//! by the same `serve` loop either way.
+//! The file-service RPC wire protocol, shared by every front-end that
+//! reaches a file server: [`crate::ReplicatedFiles`] (replica fan-out)
+//! and the `rhodos-cluster` data-server channels both speak exactly this
+//! format, so a file migrated between a replica set and a cluster shard
+//! is served by the same `serve` loop either way.
 //!
 //! One request is `opcode · operands`, one reply is
 //! `REPLY_OK · payload` or `REPLY_ERR · encoded error`. Everything is
@@ -15,8 +15,8 @@ use rhodos_disk_service::DiskServiceError;
 use rhodos_file_service::{
     FileId, FileService, FileServiceError, LeaseGrant, LeaseMode, LeaseToken, ServiceType,
 };
-use rhodos_net::{ReplayCache, RpcClient, RpcExhausted, SimNetwork};
-use rhodos_simdisk::{DiskError, HlcStamp};
+use rhodos_net::{NetConfig, ReplayCache, RpcClient, RpcExhausted, SimNetwork};
+use rhodos_simdisk::{DiskError, HlcStamp, SimClock};
 
 /// Opcode: create a file of a given [`ServiceType`].
 pub const OP_CREATE: u8 = 1;
@@ -397,6 +397,11 @@ pub fn decode_reply(buf: &[u8]) -> Result<Vec<u8>, FileServiceError> {
 }
 
 /// Encodes a [`FileServiceError`] for a `REPLY_ERR` reply.
+///
+/// Every variant the three error enums have today has an arm; the
+/// wildcard arms exist only because the enums are `#[non_exhaustive]`
+/// in their own crates. A new variant needs a code here and a row in
+/// `error_codec_round_trips`.
 pub fn encode_error(e: &mut Encoder, err: &FileServiceError) {
     match err {
         FileServiceError::NotFound(fid) => {
@@ -429,6 +434,9 @@ pub fn encode_error(e: &mut Encoder, err: &FileServiceError) {
         }
         FileServiceError::LeaseRejected(fid) => {
             e.u8(10).u64(fid.0);
+        }
+        FileServiceError::ParityLost { fid, row } => {
+            e.u8(11).u64(fid.0).u64(*row);
         }
         other => unreachable!("unencodable file-service error: {other}"),
     }
@@ -474,6 +482,9 @@ fn encode_disk_error(e: &mut Encoder, err: &DiskServiceError) {
                 DiskError::StableLost(a) => {
                     e.u8(5).u64(*a);
                 }
+                DiskError::ChecksumMismatch(a) => {
+                    e.u8(6).u64(*a);
+                }
                 other => unreachable!("unencodable disk error: {other}"),
             }
         }
@@ -499,6 +510,10 @@ pub fn decode_error(d: &mut Decoder<'_>) -> FileServiceError {
         8 => FileServiceError::Disk(decode_disk_error(d)),
         9 => FileServiceError::LeaseFenced(fid(d)),
         10 => FileServiceError::LeaseRejected(fid(d)),
+        11 => FileServiceError::ParityLost {
+            fid: fid(d),
+            row: d.u64().expect("row"),
+        },
         other => unreachable!("unknown error code {other}"),
     }
 }
@@ -528,6 +543,7 @@ fn decode_disk_error(d: &mut Decoder<'_>) -> DiskServiceError {
                 len: d.u64().expect("len") as usize,
             },
             5 => DiskError::StableLost(d.u64().expect("addr")),
+            6 => DiskError::ChecksumMismatch(d.u64().expect("addr")),
             other => unreachable!("unknown device error code {other}"),
         }),
         other => unreachable!("unknown disk error code {other}"),
@@ -550,6 +566,22 @@ pub struct Channel {
 }
 
 impl Channel {
+    /// The endpoint of machine `index` behind a lane behaving as `cfg`.
+    /// Per-machine seeds are decorrelated so loss patterns differ across
+    /// machines, as they would across independent links; the client id
+    /// (`index + 1`) keeps request ids distinct across channels.
+    pub fn new(clock: SimClock, cfg: NetConfig, index: usize) -> Self {
+        let cfg = NetConfig {
+            seed: cfg.seed.wrapping_add(index as u64 * 7919),
+            ..cfg
+        };
+        Self {
+            net: SimNetwork::new(clock, cfg),
+            client: RpcClient::new(index as u64 + 1),
+            cache: ReplayCache::new(),
+        }
+    }
+
     /// Issues one encoded request against `fs` over this channel: retried
     /// with backoff while the link loses messages, executed at most once
     /// per request id, the reply decoded back.
@@ -630,5 +662,59 @@ mod tests {
             list[Decoder::new(&list).u8().map(|_| 0).unwrap()],
             OP_TXN_PREPARED_LIST
         );
+    }
+
+    #[test]
+    fn error_codec_round_trips() {
+        let errors = vec![
+            FileServiceError::NotFound(FileId(7)),
+            FileServiceError::NotOpen(FileId(8)),
+            FileServiceError::Busy(FileId(9)),
+            FileServiceError::BeyondEof {
+                fid: FileId(1),
+                offset: 10,
+                size: 5,
+            },
+            FileServiceError::FileTooLarge(FileId(2)),
+            FileServiceError::DirectoryFull,
+            FileServiceError::Corrupt(FileId(3)),
+            FileServiceError::Disk(DiskServiceError::NoSpace {
+                requested: 4,
+                largest_free: 2,
+                total_free: 3,
+            }),
+            FileServiceError::Disk(DiskServiceError::NoStableStorage),
+            FileServiceError::Disk(DiskServiceError::SizeMismatch {
+                expected: 512,
+                got: 100,
+            }),
+            FileServiceError::Disk(DiskServiceError::BadExtent),
+            FileServiceError::Disk(DiskServiceError::Disk(DiskError::OutOfRange {
+                start: 1,
+                count: 2,
+                total: 8,
+            })),
+            FileServiceError::Disk(DiskServiceError::Disk(DiskError::BadSector(77))),
+            FileServiceError::Disk(DiskServiceError::Disk(DiskError::Crashed)),
+            FileServiceError::Disk(DiskServiceError::Disk(DiskError::UnalignedBuffer {
+                len: 13,
+            })),
+            FileServiceError::Disk(DiskServiceError::Disk(DiskError::StableLost(5))),
+            FileServiceError::Disk(DiskServiceError::Disk(DiskError::ChecksumMismatch(21))),
+            FileServiceError::LeaseFenced(FileId(11)),
+            FileServiceError::LeaseRejected(FileId(12)),
+            FileServiceError::ParityLost {
+                fid: FileId(13),
+                row: 4,
+            },
+        ];
+        for err in errors {
+            let mut e = Encoder::new();
+            encode_error(&mut e, &err);
+            let buf = e.finish();
+            let mut d = Decoder::new(&buf);
+            assert_eq!(decode_error(&mut d), err);
+            assert!(d.is_empty(), "trailing bytes for {err:?}");
+        }
     }
 }

@@ -305,6 +305,37 @@ impl ActiveTxn {
     fn can_use(&self, fid: FileId) -> bool {
         self.open_files.contains(&fid) || self.inherited_files.contains(&fid)
     }
+
+    /// The intentions list and tentative sizes a commit or prepare
+    /// record carries. Both come out in a fixed order — pages by (file,
+    /// index) then records in write order, sizes by file — so the
+    /// record's bytes and the order `ensure_size` runs in do not depend
+    /// on `HashMap` iteration.
+    fn assemble_intentions(&self) -> (Vec<Intention>, Vec<(FileId, u64)>) {
+        let mut pages: Vec<(&(FileId, u64), &TentativePage)> =
+            self.tentative_pages.iter().collect();
+        pages.sort_by_key(|(k, _)| **k);
+        let mut intentions: Vec<Intention> = Vec::new();
+        for ((fid, idx), p) in pages {
+            intentions.push(Intention::Page {
+                fid: *fid,
+                index: *idx,
+                tentative_disk: p.disk,
+                tentative_addr: p.addr,
+            });
+        }
+        for (fid, off, bytes) in &self.tentative_records {
+            intentions.push(Intention::Record {
+                fid: *fid,
+                offset: *off,
+                data: bytes.clone(),
+            });
+        }
+        let mut sizes: Vec<(FileId, u64)> =
+            self.tentative_sizes.iter().map(|(f, s)| (*f, *s)).collect();
+        sizes.sort_unstable();
+        (intentions, sizes)
+    }
 }
 
 /// Index of the lock table for each granularity.
@@ -1174,27 +1205,8 @@ impl TransactionService {
             self.tend_nested(t)?;
             return Ok(Prepared::Merged);
         }
-        // Assemble the intentions list.
         let txn = self.active.get(&t).expect("checked");
-        let mut intentions: Vec<Intention> = Vec::new();
-        let mut pages: Vec<(&(FileId, u64), &TentativePage)> = txn.tentative_pages.iter().collect();
-        pages.sort_by_key(|(k, _)| **k);
-        for ((fid, idx), p) in pages {
-            intentions.push(Intention::Page {
-                fid: *fid,
-                index: *idx,
-                tentative_disk: p.disk,
-                tentative_addr: p.addr,
-            });
-        }
-        for (fid, off, bytes) in &txn.tentative_records {
-            intentions.push(Intention::Record {
-                fid: *fid,
-                offset: *off,
-                data: bytes.clone(),
-            });
-        }
-        let sizes: Vec<(FileId, u64)> = txn.tentative_sizes.iter().map(|(f, s)| (*f, *s)).collect();
+        let (intentions, sizes) = txn.assemble_intentions();
         let has_effects = !intentions.is_empty() || !txn.to_delete.is_empty();
         // Durable commit record (the intention flag moves to Commit) —
         // encoded straight from the borrowed intentions, no deep copy.
@@ -1289,25 +1301,7 @@ impl TransactionService {
             return Err(TxnError::ChildrenActive(t));
         }
         let txn = self.active.get(&t).expect("checked");
-        let mut intentions: Vec<Intention> = Vec::new();
-        let mut pages: Vec<(&(FileId, u64), &TentativePage)> = txn.tentative_pages.iter().collect();
-        pages.sort_by_key(|(k, _)| **k);
-        for ((fid, idx), p) in pages {
-            intentions.push(Intention::Page {
-                fid: *fid,
-                index: *idx,
-                tentative_disk: p.disk,
-                tentative_addr: p.addr,
-            });
-        }
-        for (fid, off, bytes) in &txn.tentative_records {
-            intentions.push(Intention::Record {
-                fid: *fid,
-                offset: *off,
-                data: bytes.clone(),
-            });
-        }
-        let sizes: Vec<(FileId, u64)> = txn.tentative_sizes.iter().map(|(f, s)| (*f, *s)).collect();
+        let (intentions, sizes) = txn.assemble_intentions();
         let has_effects = !intentions.is_empty();
         if has_effects {
             let bytes = LogRecord::encode_prepared(gtid, t, &intentions, &sizes);

@@ -12,11 +12,11 @@
 //! Run with: `cargo run --example devices_and_processes`
 
 use rhodos_agent::{Device, ProcessError};
-use rhodos_core::Cluster;
+use rhodos_core::Facility;
 use rhodos_naming::AttributedName;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut cluster = Cluster::builder().machines(1).build()?;
+    let mut cluster = Facility::builder().machines(1).build()?;
     let machine = cluster.machine_mut(0);
 
     // --- devices -----------------------------------------------------------

@@ -6,13 +6,13 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use rhodos_core::Cluster;
+use rhodos_core::Facility;
 use rhodos_naming::AttributedName;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One file server (one disk + stable-storage mirrors), two client
     // machines, all on a shared virtual clock.
-    let mut cluster = Cluster::builder().machines(2).disks(1).build()?;
+    let mut cluster = Facility::builder().machines(2).disks(1).build()?;
 
     // --- Basic file service through the file agent -----------------------
     let report = AttributedName::parse("name=report,owner=alice,type=text")?;

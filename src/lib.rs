@@ -6,6 +6,7 @@
 //! and `EXPERIMENTS.md` for the paper-claim experiment index.
 
 pub use rhodos_agent as agent;
+pub use rhodos_cluster as cluster;
 pub use rhodos_core as core;
 pub use rhodos_disk_service as disk_service;
 pub use rhodos_file_service as file_service;
@@ -17,6 +18,6 @@ pub use rhodos_txn as txn;
 
 /// Commonly used items, re-exported for `use rhodos::prelude::*`.
 pub mod prelude {
-    pub use rhodos_core::Cluster;
+    pub use rhodos_core::Facility;
     pub use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 }

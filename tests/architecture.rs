@@ -7,7 +7,7 @@ use rhodos_naming::AttributedName;
 
 #[test]
 fn all_layers_cooperate_with_caching_at_each_level() {
-    let mut cluster = Cluster::builder().machines(1).build().unwrap();
+    let mut cluster = Facility::builder().machines(1).build().unwrap();
     let name = AttributedName::parse("name=arch,type=probe").unwrap();
 
     // Through the whole stack: naming → file agent → file service → disk.
@@ -83,7 +83,7 @@ fn all_layers_cooperate_with_caching_at_each_level() {
 
 #[test]
 fn descriptor_spaces_follow_the_hundred_thousand_split() {
-    let mut cluster = Cluster::builder().machines(1).build().unwrap();
+    let mut cluster = Facility::builder().machines(1).build().unwrap();
     let name = AttributedName::parse("name=odsplit").unwrap();
     cluster
         .machine_mut(0)
@@ -109,7 +109,7 @@ fn descriptor_spaces_follow_the_hundred_thousand_split() {
 
 #[test]
 fn naming_service_resolves_and_caches() {
-    let mut cluster = Cluster::builder().machines(2).build().unwrap();
+    let mut cluster = Facility::builder().machines(2).build().unwrap();
     let full = AttributedName::parse("name=db,owner=ops,version=3").unwrap();
     cluster
         .machine_mut(0)
@@ -136,7 +136,7 @@ fn basic_and_transactional_semantics_coexist_per_file() {
     // "At any moment a file can be used either as a basic file ... or as a
     // transaction file" — the same facility serves both, through different
     // interfaces.
-    let mut cluster = Cluster::builder().machines(1).build().unwrap();
+    let mut cluster = Facility::builder().machines(1).build().unwrap();
     // Transactional file.
     let t = cluster.machine_mut(0).tbegin();
     let tfid = {

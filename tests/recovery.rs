@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use rhodos_file_service::{FileId, FileService, FileServiceConfig, LockLevel, ServiceType};
 use rhodos_net::{NetConfig, ReplayCache, RpcClient, SimNetwork};
-use rhodos_replication::{ReplicatedFiles, ReplicationConfig};
+use rhodos_replication::ReplicatedFiles;
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 use rhodos_txn::{TransactionService, TxnConfig};
 
@@ -74,7 +74,7 @@ fn replicated_store_survives_one_media_failure_per_round() {
         )
         .unwrap()
     };
-    let mut rf = ReplicatedFiles::new(vec![mk(), mk(), mk()], ReplicationConfig::default());
+    let mut rf = ReplicatedFiles::new(vec![mk(), mk(), mk()]);
     let fid = rf.create(ServiceType::Basic).unwrap();
     rf.open(fid).unwrap();
     for round in 0..3usize {

@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use rhodos_file_service::{FileService, FileServiceConfig, ServiceType, WritePolicy};
 use rhodos_net::NetConfig;
-use rhodos_replication::{ReplicatedFiles, ReplicatedRpcFiles, ReplicationConfig};
+use rhodos_replication::ReplicatedFiles;
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 
 /// A write-through replica: mutations reach the platters inside the call,
@@ -37,17 +37,13 @@ fn write_through_replica(clock: &SimClock) -> FileService {
 fn direct_cluster(n: usize) -> ReplicatedFiles {
     let clock = SimClock::new();
     let replicas = (0..n).map(|_| write_through_replica(&clock)).collect();
-    ReplicatedFiles::new(replicas, ReplicationConfig::default())
+    ReplicatedFiles::new(replicas)
 }
 
-fn rpc_cluster(n: usize, drop: f64, dup: f64, seed: u64) -> ReplicatedRpcFiles {
+fn rpc_cluster(n: usize, drop: f64, dup: f64, seed: u64) -> ReplicatedFiles {
     let clock = SimClock::new();
     let replicas = (0..n).map(|_| write_through_replica(&clock)).collect();
-    ReplicatedRpcFiles::new(
-        replicas,
-        ReplicationConfig::default(),
-        NetConfig::lossy(drop, dup, seed),
-    )
+    ReplicatedFiles::over_network(replicas, NetConfig::lossy(drop, dup, seed))
 }
 
 /// Fingerprints of every platter image a replica owns: its disks plus
@@ -135,7 +131,7 @@ fn chaos_case(ops: &[(u8, u16, u8)], drop: f64, dup: f64, seed: u64) -> Result<(
     let mut model: Vec<u8> = Vec::new();
     let mut victim: Option<usize> = None;
 
-    let repair = |rf: &mut ReplicatedRpcFiles, victim: &mut Option<usize>| {
+    let repair = |rf: &mut ReplicatedFiles, victim: &mut Option<usize>| {
         if let Some(v) = victim.take() {
             if rf.is_failed(v) {
                 rf.resync(v).unwrap();

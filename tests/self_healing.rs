@@ -23,7 +23,7 @@ use rhodos_disk_service::BLOCK_SIZE;
 use rhodos_file_service::{
     FileService, FileServiceConfig, Redundancy, ScrubOwner, ServiceType, WritePolicy,
 };
-use rhodos_replication::{ReplicatedFiles, ReplicationConfig};
+use rhodos_replication::ReplicatedFiles;
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 
 // ---------------------------------------------------------- single service --
@@ -354,7 +354,7 @@ fn replica(clock: &SimClock) -> FileService {
 fn replicated_case(rounds: Vec<Round>) -> Result<(), TestCaseError> {
     let clock = SimClock::new();
     let replicas = (0..2).map(|_| replica(&clock)).collect();
-    let mut rf = ReplicatedFiles::new(replicas, ReplicationConfig::default());
+    let mut rf = ReplicatedFiles::new(replicas);
     let fid = rf.create(ServiceType::Basic).unwrap();
     rf.open(fid).unwrap();
     let mut model: Vec<u8> = Vec::new();
@@ -501,7 +501,7 @@ fn parity_case(s: ParityScript) -> Result<(), TestCaseError> {
     .unwrap();
     let clock = SimClock::new();
     let replicas = (0..2).map(|_| replica(&clock)).collect();
-    let mut rf = ReplicatedFiles::new(replicas, ReplicationConfig::default());
+    let mut rf = ReplicatedFiles::new(replicas);
     let pfid = fs.create(ServiceType::Basic).unwrap();
     fs.open(pfid).unwrap();
     let mfid = rf.create(ServiceType::Basic).unwrap();

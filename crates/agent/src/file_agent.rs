@@ -826,13 +826,25 @@ impl FileAgent {
             let e = self.entry(od)?;
             (e.server, e.fid, e.size)
         };
+        let end = offset + data.len() as u64;
+        // The sizes rise before the loop: a write larger than the cache
+        // evicts its own early blocks mid-loop, and `push_block` trims
+        // what it pushes to the station's size. (`size` stays the
+        // pre-write one — it says which blocks exist at the server.)
+        {
+            let entry = self.open.get_mut(&od).expect("checked");
+            entry.size = entry.size.max(end);
+            let mut st = self.stations[server].lock();
+            let sz = st.sizes.entry(fid).or_insert(0);
+            *sz = (*sz).max(entry.size);
+        }
         let bs = BLOCK_SIZE as u64;
         let first = offset / bs;
-        let last = (offset + data.len() as u64 - 1) / bs;
+        let last = (end - 1) / bs;
         for idx in first..=last {
             let block_start = idx * bs;
             let lo = offset.max(block_start);
-            let hi = (offset + data.len() as u64).min(block_start + bs);
+            let hi = end.min(block_start + bs);
             let full = lo == block_start && hi == block_start + bs;
             let resident = if full {
                 None
@@ -867,12 +879,6 @@ impl FileAgent {
                 self.push_block(server, k.0, k.1, v)?;
             }
         }
-        let entry = self.open.get_mut(&od).expect("checked");
-        entry.size = entry.size.max(offset + data.len() as u64);
-        let new_size = entry.size;
-        let mut st = self.stations[server].lock();
-        let sz = st.sizes.entry(fid).or_insert(0);
-        *sz = (*sz).max(new_size);
         Ok(())
     }
 
@@ -1382,6 +1388,44 @@ mod tests {
             )
         };
         (mk(1, config_a), mk(2, config_b), server)
+    }
+
+    /// One `pwrite` larger than the client cache evicts its own early
+    /// blocks mid-loop; they must reach the server whole, not trimmed
+    /// against the pre-write size (zero bytes for a new file).
+    #[test]
+    fn pwrite_larger_than_the_client_cache_loses_nothing() {
+        for cfg in [LeaseConfig::Trusting, LeaseConfig::Auto] {
+            let (mut a, _, server) = lease_pair(cfg, LeaseConfig::Never);
+            {
+                // A term that outlives 72 pushes: the default one fences a
+                // long flush half-way, which is not this test's subject.
+                let mut srv = server.lock();
+                let leases = srv.file_service_mut().lease_manager_mut();
+                leases.set_params(rhodos_file_service::LeaseParams {
+                    term_us: 60_000_000,
+                    ..leases.params()
+                });
+            }
+            let fid = a.create(&name("name=big")).unwrap();
+            let od = a.open(&name("name=big")).unwrap();
+            // 72 blocks through a 64-block cache.
+            let data: Vec<u8> = (0..72 * BLOCK_SIZE)
+                .map(|i| (i / BLOCK_SIZE) as u8 + 1)
+                .collect();
+            a.pwrite(od, 0, &data).unwrap();
+            a.flush(od).unwrap();
+            let at_server = server
+                .lock()
+                .file_service_mut()
+                .read(fid, 0, data.len())
+                .unwrap();
+            let intact = |b: usize| {
+                at_server.get(b * BLOCK_SIZE..(b + 1) * BLOCK_SIZE)
+                    == Some(&data[b * BLOCK_SIZE..(b + 1) * BLOCK_SIZE])
+            };
+            assert_eq!((0..72).find(|&b| !intact(b)), None, "{cfg:?}: lost block");
+        }
     }
 
     #[test]

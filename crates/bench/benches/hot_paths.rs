@@ -240,10 +240,6 @@ fn bench_stable_storage(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_throughput(c: &mut Criterion) {
-    rhodos_bench::throughput::register(c);
-}
-
 criterion_group!(
     benches,
     bench_allocation,
@@ -253,7 +249,6 @@ criterion_group!(
     bench_commit,
     bench_commit_throughput,
     bench_fit_codec,
-    bench_stable_storage,
-    bench_throughput
+    bench_stable_storage
 );
 criterion_main!(benches);

@@ -1,9 +1,7 @@
-//! Emits `BENCH_hot_paths.json`: the throughput group's results as
-//! `{op, ns_per_op, mb_per_s}` records, giving future changes a perf
-//! baseline to diff against — `BENCH_replication.json`: the replication
-//! and RPC-replay counters of a fixed deterministic lossy run (see
-//! [`rhodos_bench::throughput::replication_stat_records`]), so
-//! failover/retry behaviour regressions show up as a diff too — and
+//! Emits `BENCH_replication.json`: the replication and RPC-replay
+//! counters of a fixed deterministic lossy run (see
+//! `rhodos_bench::experiments::e17_replication_failover::stat_records`),
+//! so failover/retry behaviour regressions show up as a diff — and
 //! `BENCH_txn_commit.json`: the group-commit pipeline's deterministic
 //! flush/batch counters against the serial ablation (see
 //! `rhodos_bench::experiments::e18_group_commit::stat_records`) — and
@@ -34,39 +32,10 @@
 //! scrub) fail on any drift at all. A missing baseline (bootstrap)
 //! passes with a note.
 //!
-//! `cargo run --release -p rhodos-bench --bin bench_json [-- <out-path>]`
-
-use criterion::Criterion;
+//! `cargo run --release -p rhodos-bench --bin bench_json`
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_hot_paths.json".to_string());
-
-    let mut c = Criterion::default();
-    rhodos_bench::throughput::register(&mut c);
-
-    let mut rows = Vec::new();
-    for m in c.measurements() {
-        let bytes = rhodos_bench::throughput::CASES
-            .iter()
-            .find(|(name, _)| *name == m.id)
-            .map(|(_, b)| *b);
-        let mb_per_s = bytes
-            .map(|b| b as f64 / 1e6 / (m.ns_per_iter / 1e9))
-            .unwrap_or(0.0);
-        rows.push(format!(
-            "  {{\"op\": \"{}\", \"ns_per_op\": {:.1}, \"mb_per_s\": {:.1}}}",
-            m.id, m.ns_per_iter, mb_per_s
-        ));
-    }
-
-    let json = format!("[\n{}\n]\n", rows.join(",\n"));
-    std::fs::write(&out_path, &json).expect("write bench json");
-    println!("wrote {out_path}");
-    print!("{json}");
-
-    let rep_records = rhodos_bench::throughput::replication_stat_records();
+    let rep_records = rhodos_bench::experiments::e17_replication_failover::stat_records();
     write_stat_lane("BENCH_replication.json", &rep_records);
 
     let txn_records = rhodos_bench::experiments::e18_group_commit::stat_records();

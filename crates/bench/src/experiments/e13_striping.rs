@@ -24,7 +24,8 @@ struct StripeOutcome {
     busiest_disk_us: u64,
     /// Host wall-clock for the same read. Read only by the tests: the
     /// printed table keeps it out so the output stays byte-deterministic
-    /// (the stable wall-clock signal is BENCH_hot_paths.json).
+    /// (the wall-clock measure of this path is `benchmark/`'s
+    /// `agent-stream`).
     #[cfg_attr(not(test), allow(dead_code))]
     wall_us: u64,
     disks_used: usize,
@@ -118,8 +119,8 @@ pub fn run() -> String {
          fetches, completion is the sum of operation costs); scheduler = per-spindle C-SCAN\n\
          batches (adjacent chunks merge into single references, completion is the busiest\n\
          spindle's makespan). Host wall-clock is measured by the harness too but is\n\
-         kept out of this table so the output stays byte-deterministic; the stable\n\
-         wall-clock signal is BENCH_hot_paths.json (throughput/striped_read_4m).\n\
+         kept out of this table so the output stays byte-deterministic; the wall-clock\n\
+         measure of this path is the agent-stream workload of benchmark/.\n\
          paper: file size is bounded only by total array space (demonstrated in\n\
          examples/striped_media_store.rs with a file larger than one disk).\n",
     ));

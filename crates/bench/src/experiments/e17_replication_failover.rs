@@ -204,6 +204,68 @@ pub fn run() -> String {
     out
 }
 
+/// The replication and RPC-replay counters emitted as
+/// `BENCH_replication.json`, from a fixed deterministic scenario — 3
+/// write-through replicas over lossy channels (10% loss, 10%
+/// duplication, seed 17), 200 mixed operations, one mid-run torn write
+/// on replica 1 followed by a resync. Deterministic by construction
+/// (simulated clock, seeded channels), so the emitted numbers are a
+/// diffable baseline: a behaviour change in failover, backoff, or replay
+/// pruning moves them.
+pub fn stat_records() -> Vec<(String, u64)> {
+    let clock = SimClock::new();
+    let replicas = (0..3).map(|_| replica(&clock)).collect();
+    let mut rf = ReplicatedFiles::over_network(replicas, NetConfig::lossy(0.1, 0.1, 17));
+    rf.set_max_attempts(64);
+    let fid = rf.create(ServiceType::Basic).expect("create");
+    rf.open(fid).expect("open");
+    for i in 0..200u64 {
+        if i == 100 {
+            rf.replica_mut(1)
+                .disk_mut(0)
+                .disk_mut()
+                .faults_mut()
+                .crash_after_sector_writes(0);
+        }
+        match i % 4 {
+            0..=2 => rf
+                .write(fid, (i % 48) * 8, &i.to_le_bytes())
+                .expect("write"),
+            _ => {
+                rf.read(fid, 0, 8).expect("read");
+            }
+        }
+        if rf.is_failed(1) {
+            rf.resync(1).expect("resync");
+        }
+    }
+    let rep = rf.stats().clone();
+    let rpc = rf.rpc_stats();
+    let mut rows = vec![
+        ("replication.failovers".to_string(), rep.failovers),
+        ("replication.resyncs".to_string(), rep.resyncs),
+        (
+            "replication.resync_sectors_copied".to_string(),
+            rep.resync_sectors_copied,
+        ),
+        ("replication.writes_skipped".to_string(), rep.writes_skipped),
+        ("rpc.calls".to_string(), rpc.calls),
+        ("rpc.retries".to_string(), rpc.retries),
+        ("rpc.backoff_us".to_string(), rpc.backoff_us),
+        ("rpc.executed".to_string(), rpc.executed),
+        ("rpc.replayed".to_string(), rpc.replayed),
+        ("rpc.peak_replay_entries".to_string(), rpc.peak_entries),
+        ("rpc.unreachable".to_string(), rpc.unreachable),
+        ("rpc.net_sent".to_string(), rpc.net_sent),
+        ("rpc.net_lost".to_string(), rpc.net_lost),
+        ("rpc.net_duplicated".to_string(), rpc.net_duplicated),
+    ];
+    for (i, reads) in rep.reads_per_replica.iter().enumerate() {
+        rows.push((format!("replication.reads_replica_{i}"), *reads));
+    }
+    rows
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

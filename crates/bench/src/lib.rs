@@ -12,7 +12,12 @@
 //! * `benches/paper_experiments.rs` — a `harness = false` bench target
 //!   that runs every experiment (so `cargo bench` regenerates the paper);
 //! * `benches/hot_paths.rs` — Criterion microbenchmarks of the allocator,
-//!   disk transfer, file operations, lock manager and commit paths.
+//!   disk transfer, file operations, lock manager and commit paths;
+//! * `src/bin/bench_json.rs` — the eight gated virtual-time `BENCH_*.json`
+//!   lanes.
+//!
+//! The wall-clock measure of the data path is the stand-alone
+//! `benchmark/` package (`agent-stream` and its per-layer ladder).
 //!
 //! Individual experiments are also runnable:
 //! `cargo run --release -p rhodos-bench --bin exp -- e03`.
@@ -24,7 +29,6 @@ pub mod latency;
 pub mod loadgen;
 pub mod setups;
 pub mod table;
-pub mod throughput;
 
 /// One experiment: `(id, title, runner)`.
 pub type Experiment = (&'static str, &'static str, fn() -> String);

@@ -112,6 +112,21 @@ impl BlockBuf {
         })
     }
 
+    /// Joins `parts` into one transfer buffer: the zero-copy view of
+    /// [`Self::try_concat`] when they are adjacent views of one
+    /// allocation, otherwise (mixed provenance) a gather-copy into a
+    /// fresh one. The flag reports whether the bytes had to be copied.
+    pub fn concat(parts: &[BlockBuf]) -> (BlockBuf, bool) {
+        if let Some(joined) = Self::try_concat(parts) {
+            return (joined, false);
+        }
+        let mut out = Vec::with_capacity(parts.iter().map(|p| p.len).sum());
+        for p in parts {
+            out.extend_from_slice(p);
+        }
+        (BlockBuf::from(out), true)
+    }
+
     /// Copies this view's bytes into `out`.
     ///
     /// # Panics
@@ -293,10 +308,17 @@ mod tests {
         let parts: Vec<_> = (0..4).map(|i| run.slice(i * 4..(i + 1) * 4)).collect();
         let joined = BlockBuf::try_concat(&parts).expect("adjacent views rejoin");
         assert_eq!(joined, run);
+        assert_eq!(BlockBuf::concat(&parts), (run.clone(), false));
 
-        // Views from different allocations do not concat.
+        // Views from different allocations do not concat — `concat`
+        // gathers them into a fresh buffer and says so.
         let foreign = BlockBuf::from(vec![0u8; 4]);
-        assert!(BlockBuf::try_concat(&[parts[0].clone(), foreign]).is_none());
+        let mixed = [parts[0].clone(), foreign];
+        assert!(BlockBuf::try_concat(&mixed).is_none());
+        assert_eq!(
+            BlockBuf::concat(&mixed),
+            (BlockBuf::from(vec![0u8, 1, 2, 3, 0, 0, 0, 0]), true)
+        );
 
         // Non-adjacent views of the same allocation do not concat.
         assert!(BlockBuf::try_concat(&[parts[0].clone(), parts[2].clone()]).is_none());

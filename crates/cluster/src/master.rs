@@ -59,21 +59,19 @@ pub struct ClusterConfig {
     /// Channel behaviour to each data server (per-server seeds are
     /// decorrelated, as across independent links).
     pub data_net: NetConfig,
-    /// Virtual time between heartbeat rounds.
-    pub heartbeat_interval_us: u64,
-    /// Consecutive missed heartbeats before a server is marked dead.
-    pub heartbeat_miss_limit: u32,
-    /// Bytes copied per migration RPC.
-    pub migrate_chunk: usize,
-    /// A rebalance round starts migrating when the hottest server holds
-    /// more than this percentage of the total load.
-    pub rebalance_trigger_pct: u64,
-    /// Upper bound on migrations per [`Cluster::rebalance`] call.
-    pub max_migrations_per_round: usize,
-    /// Re-read and fingerprint-check every migrated file on the target
-    /// before the source copy is deleted.
-    pub verify_migrations: bool,
 }
+
+/// Virtual time between heartbeat rounds.
+const HEARTBEAT_INTERVAL_US: u64 = 50_000;
+/// Consecutive missed heartbeats before a server is marked dead.
+const HEARTBEAT_MISS_LIMIT: u32 = 3;
+/// Bytes copied per migration RPC.
+const MIGRATE_CHUNK: usize = 8192;
+/// A rebalance round starts migrating when the hottest server holds more
+/// than this percentage of the total load.
+const REBALANCE_TRIGGER_PCT: u64 = 40;
+/// Upper bound on migrations per [`Cluster::rebalance`] call.
+const MAX_MIGRATIONS_PER_ROUND: usize = 8;
 
 impl Default for ClusterConfig {
     fn default() -> Self {
@@ -83,12 +81,6 @@ impl Default for ClusterConfig {
             fs: FileServiceConfig::default(),
             txn: TxnConfig::default(),
             data_net: NetConfig::reliable(),
-            heartbeat_interval_us: 50_000,
-            heartbeat_miss_limit: 3,
-            migrate_chunk: 8192,
-            rebalance_trigger_pct: 40,
-            max_migrations_per_round: 8,
-            verify_migrations: true,
         }
     }
 }
@@ -656,7 +648,7 @@ impl Cluster {
     /// synchronising its placement epoch and garbage-collecting any
     /// local files the placement map no longer assigns to it.
     pub fn heartbeat_pulse(&mut self) {
-        self.clock.advance(self.cfg.heartbeat_interval_us);
+        self.clock.advance(HEARTBEAT_INTERVAL_US);
         for i in 0..self.nodes.len() {
             if self.nodes[i].removed {
                 continue;
@@ -670,7 +662,7 @@ impl Cluster {
                 self.stats.heartbeat_misses += 1;
                 let node = &mut self.nodes[i];
                 node.missed = node.missed.saturating_add(1);
-                if node.alive && node.missed >= self.cfg.heartbeat_miss_limit {
+                if node.alive && node.missed >= HEARTBEAT_MISS_LIMIT {
                     node.alive = false;
                     self.stats.deaths += 1;
                 }
@@ -758,13 +750,13 @@ impl Cluster {
     // ---- rebalancing ---------------------------------------------------
 
     /// One background rebalance round: while the hottest live server
-    /// holds more than `rebalance_trigger_pct` percent of the total load
+    /// holds more than `REBALANCE_TRIGGER_PCT` percent of the total load
     /// and moving its hottest file strictly narrows the imbalance, that
     /// file is migrated to the coldest live server. Heat decays by half
     /// at the end of the round so old traffic stops driving placement.
     pub fn rebalance(&mut self) -> RebalanceReport {
         let mut report = RebalanceReport::default();
-        for _ in 0..self.cfg.max_migrations_per_round {
+        for _ in 0..MAX_MIGRATIONS_PER_ROUND {
             let live = self.live_node_indices();
             if live.len() < 2 {
                 break;
@@ -781,8 +773,7 @@ impl Cluster {
                 .iter()
                 .min_by_key(|&&i| (self.server_load(i), i))
                 .expect("non-empty");
-            if hot == cold || self.server_load(hot) * 100 <= total * self.cfg.rebalance_trigger_pct
-            {
+            if hot == cold || self.server_load(hot) * 100 <= total * REBALANCE_TRIGGER_PCT {
                 break;
             }
             // The hottest file on the hot server whose move narrows the
@@ -922,14 +913,13 @@ impl Cluster {
     ) -> Result<(), ClusterError> {
         self.call_node(p.server, &encode_fid_op(OP_OPEN, p.local))?;
         self.call_node(target, &encode_fid_op(OP_OPEN, new_local))?;
-        let chunk = self.cfg.migrate_chunk.max(1);
         let mut src_fp = FNV_OFFSET;
         let mut off = 0u64;
         let copy_result: Result<(), ClusterError> = loop {
             if off >= size {
                 break Ok(());
             }
-            let n = chunk.min((size - off) as usize);
+            let n = MIGRATE_CHUNK.min((size - off) as usize);
             let data = match self.call_node(p.server, &encode_read(p.local, off, n)) {
                 Ok(d) => d,
                 Err(e) => break Err(e),
@@ -944,22 +934,22 @@ impl Cluster {
         let _ = self.call_node(p.server, &encode_fid_op(OP_CLOSE, p.local));
         copy_result?;
 
-        if self.cfg.verify_migrations {
-            let mut dst_fp = FNV_OFFSET;
-            let mut off = 0u64;
-            while off < size {
-                let n = chunk.min((size - off) as usize);
-                let data = self.call_node(target, &encode_read(new_local, off, n))?;
-                fnv1a(&mut dst_fp, &data);
-                off += n as u64;
-            }
-            if dst_fp != src_fp {
-                return Err(ClusterError::MigrationCorrupt {
-                    gid,
-                    expected: src_fp,
-                    got: dst_fp,
-                });
-            }
+        // Re-read and fingerprint-check the copy on the target before
+        // the caller deletes the source.
+        let mut dst_fp = FNV_OFFSET;
+        let mut off = 0u64;
+        while off < size {
+            let n = MIGRATE_CHUNK.min((size - off) as usize);
+            let data = self.call_node(target, &encode_read(new_local, off, n))?;
+            fnv1a(&mut dst_fp, &data);
+            off += n as u64;
+        }
+        if dst_fp != src_fp {
+            return Err(ClusterError::MigrationCorrupt {
+                gid,
+                expected: src_fp,
+                got: dst_fp,
+            });
         }
         if !p.open {
             self.call_node(target, &encode_fid_op(OP_CLOSE, new_local))?;
@@ -1063,7 +1053,7 @@ mod tests {
         let mut c = cluster(2);
         let gids = seed_files(&mut c, 4, 2);
         c.set_link(1, false);
-        for _ in 0..c.cfg.heartbeat_miss_limit {
+        for _ in 0..HEARTBEAT_MISS_LIMIT {
             c.heartbeat_pulse();
         }
         assert!(!c.is_alive(1));

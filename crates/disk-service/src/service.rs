@@ -383,16 +383,11 @@ impl DiskService {
                 }
                 // Fragments cached from one run transfer share an
                 // allocation and reassemble without copying.
-                if let Some(joined) = BlockBuf::try_concat(&parts) {
-                    return Ok(joined);
+                let (joined, copied) = BlockBuf::concat(&parts);
+                if copied {
+                    cache.note_copied(joined.len() as u64);
                 }
-                // Mixed provenance: gather-copy into one buffer.
-                let mut out = Vec::with_capacity(extent.len_bytes());
-                for p in &parts {
-                    out.extend_from_slice(p);
-                }
-                cache.note_copied(out.len() as u64);
-                return Ok(BlockBuf::from(out));
+                return Ok(joined);
             }
             // Record misses for the fragments we must fetch.
             for f in extent.start..extent.end() {
@@ -546,8 +541,8 @@ impl DiskService {
     /// [`Self::end_batch`]. A coordinator batching several disk servers
     /// this way gets makespan (max-over-spindles) accounting, the way
     /// truly parallel hardware behaves. Batched operations never read the
-    /// shared clock, so worker threads driving different disk servers
-    /// remain deterministic.
+    /// shared clock, so the order in which the coordinator issues the
+    /// disk servers' batches does not matter.
     pub fn begin_batch(&mut self) {
         self.disk.begin_batch();
     }
@@ -591,7 +586,7 @@ impl DiskService {
     /// the per-spindle scheduler. Adjacent requests are merged into single
     /// disk references; when the buffers are views of one allocation (as
     /// coalesced flushes produce) the merged transfer is rejoined without
-    /// copying via [`BlockBuf::try_concat`].
+    /// copying via [`BlockBuf::concat`].
     ///
     /// Batched writes go to the main location only (the delayed-write
     /// flush path); use [`Self::put`] for stable-storage policies.
@@ -622,17 +617,7 @@ impl DiskService {
                 .iter()
                 .map(|&(i, _)| requests[i].1.clone())
                 .collect();
-            let joined = match BlockBuf::try_concat(&bufs) {
-                Some(j) => j,
-                None => {
-                    let mut data = Vec::with_capacity(run.extent.len_bytes());
-                    for b in &bufs {
-                        data.extend_from_slice(b);
-                    }
-                    BlockBuf::from(data)
-                }
-            };
-            self.put_main_buf(run.extent, joined)?;
+            self.put_main_buf(run.extent, BlockBuf::concat(&bufs).0)?;
         }
         Ok(())
     }
@@ -1144,7 +1129,7 @@ mod tests {
         let mut s = svc_nocache();
         let e = s.allocate_contiguous(8).unwrap();
         // One allocation sliced into two adjacent views — the coalesced
-        // flush shape. try_concat rejoins them without copying.
+        // flush shape. `BlockBuf::concat` rejoins them without copying.
         let whole = BlockBuf::from(
             (0..8 * FRAGMENT_SIZE)
                 .map(|i| (i % 83) as u8)

@@ -63,11 +63,11 @@ impl ScrubStats {
 /// What an allocated extent belongs to — determines the repair source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScrubOwner {
-    /// The reserved directory region (stable-backed when `fit_stable`).
+    /// The reserved directory region (stable-backed if the disks are).
     Directory,
-    /// A file index table fragment (stable-backed when `fit_stable`).
+    /// A file index table fragment (stable-backed if the disks are).
     Fit(FileId),
-    /// An indirect FIT block (stable-backed when `fit_stable`).
+    /// An indirect FIT block (stable-backed if the disks are).
     Indirect(FileId),
     /// A file data block — repairable from the block pool if resident,
     /// from its parity group when the service runs an erasure-coded

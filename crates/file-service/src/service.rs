@@ -18,7 +18,6 @@ use crate::lease::{
 use crate::parity::{self, ParityStats, RebuildReport, Redundancy};
 use crate::scrub::{ScrubFinding, ScrubOwner, ScrubReport, ScrubStats};
 use crate::stripe::StripePolicy;
-use parking_lot::Mutex;
 use rhodos_buf::BlockBuf;
 use rhodos_disk_service::codec::{Decoder, Encoder};
 use rhodos_disk_service::{
@@ -44,11 +43,6 @@ pub struct FileServiceConfig {
     pub write_policy: WritePolicy,
     /// Placement of blocks across disks.
     pub stripe: StripePolicy,
-    /// Fragments reserved for the file directory region on disk 0.
-    pub directory_fragments: u64,
-    /// Whether FITs and the directory are mirrored to stable storage
-    /// (requires disks configured with stable storage).
-    pub fit_stable: bool,
     /// Allocate the FIT contiguous with the first data block ("the file
     /// index table and at least the first data block are always
     /// contiguous thus eliminating the seek time to retrieve the first
@@ -75,10 +69,10 @@ pub struct FileServiceConfig {
 /// schedulers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParallelIo {
-    /// Batch per spindle through the schedulers, fanning the batches out
-    /// on scoped worker threads when the host has more than one CPU and
-    /// issuing them back-to-back otherwise (the elevator ordering, run
-    /// merging and makespan clock accounting apply either way).
+    /// One batch per spindle through the schedulers — elevator ordering
+    /// and run merging — issued back-to-back on the caller's thread. The
+    /// spindles' parallelism is virtual time: the batches run under
+    /// makespan clock accounting.
     #[default]
     Auto,
     /// The pre-scheduler baseline of experiments E13/E15: blocks are
@@ -86,9 +80,6 @@ pub enum ParallelIo {
     /// same-file consecutive runs grouped; the simulated clock advances by
     /// the *sum* of per-operation costs.
     Never,
-    /// Always fan out on scoped worker threads, even on one CPU — used by
-    /// the equivalence tests to exercise the threaded path determinately.
-    Always,
 }
 
 impl Default for FileServiceConfig {
@@ -98,8 +89,6 @@ impl Default for FileServiceConfig {
             cache_shards: 8,
             write_policy: WritePolicy::DelayedWrite,
             stripe: StripePolicy::SingleDisk,
-            directory_fragments: 16,
-            fit_stable: true,
             fit_adjacent_first_block: true,
             fit_pool_entries: 256,
             parallel_io: ParallelIo::Auto,
@@ -147,16 +136,16 @@ struct FitEntry {
     indirect_locs: Vec<(u16, FragmentAddr)>,
 }
 
+/// Fragments reserved for the file directory region on disk 0.
+const DIRECTORY_FRAGMENTS: u64 = 16;
+
 /// The RHODOS basic file service over a set of disk servers.
 ///
 /// See the [crate documentation](crate) for an example.
 #[derive(Debug)]
 pub struct FileService {
-    /// One disk server per spindle. Each sits behind its own mutex so the
-    /// stripe fan-out can drive several spindles from scoped worker
-    /// threads; every serial path goes through `Mutex::get_mut`, which is
-    /// a plain field access (no locking).
-    disks: Vec<Mutex<DiskService>>,
+    /// One disk server per spindle.
+    disks: Vec<DiskService>,
     clock: SimClock,
     config: FileServiceConfig,
     directory: HashMap<FileId, (u16, FragmentAddr)>,
@@ -180,12 +169,6 @@ pub struct FileService {
     lease: LeaseManager,
     /// Recall endpoints to client stations (wiring, survives crashes).
     recall_targets: RecallRegistry,
-    /// Resolved once at format time: whether batches fan out on scoped
-    /// worker threads ([`ParallelIo::Always`], or [`ParallelIo::Auto`] on
-    /// a multi-CPU host) or are issued back-to-back on the caller's
-    /// thread. On one CPU the fan-out buys no wall-clock and costs a
-    /// spawn/join per spindle, so `Auto` stays serial there.
-    fan_out: bool,
     /// Per-disk degraded flags (parity tier): a failed disk whose spare
     /// has been swapped in but not fully rebuilt. Reads of units homed
     /// there reconstruct from the parity group.
@@ -235,15 +218,9 @@ impl FileService {
             );
         }
         let clock = disks[0].clock();
-        let dir_extent = disks[0].allocate_contiguous(config.directory_fragments)?;
-        let disks: Vec<Mutex<DiskService>> = disks.into_iter().map(Mutex::new).collect();
+        let dir_extent = disks[0].allocate_contiguous(DIRECTORY_FRAGMENTS)?;
         let cache = (config.cache_blocks > 0)
             .then(|| BlockPool::new(config.cache_blocks, config.cache_shards));
-        let fan_out = match config.parallel_io {
-            ParallelIo::Always => true,
-            ParallelIo::Never => false,
-            ParallelIo::Auto => std::thread::available_parallelism().is_ok_and(|n| n.get() > 1),
-        };
         let ndisks = disks.len();
         let lease = LeaseManager::new(clock.clone(), config.lease);
         let mut svc = Self {
@@ -263,7 +240,6 @@ impl FileService {
             scrub_stats: ScrubStats::default(),
             lease,
             recall_targets: RecallRegistry::default(),
-            fan_out,
             degraded: vec![false; ndisks],
             uninit_rows: HashSet::new(),
             parity_stats: ParityStats::default(),
@@ -338,7 +314,7 @@ impl FileService {
     ///
     /// Panics if `i` is out of range.
     pub fn disk_mut(&mut self, i: usize) -> &mut DiskService {
-        self.disks[i].get_mut()
+        &mut self.disks[i]
     }
 
     /// Snapshot of all statistics.
@@ -354,7 +330,7 @@ impl FileService {
             fit_cache_hits: self.fit_hits,
             scrub: self.scrub_stats,
             parity: self.parity_stats,
-            disks: self.disks.iter().map(|d| d.lock().stats()).collect(),
+            disks: self.disks.iter().map(|d| d.stats()).collect(),
         }
     }
 
@@ -373,7 +349,7 @@ impl FileService {
     // ---- directory persistence ----------------------------------------
 
     fn stable_policy(&self) -> StablePolicy {
-        if self.config.fit_stable && self.disks[0].lock().has_stable() {
+        if self.disks[0].has_stable() {
             StablePolicy::OriginalAndStable(StableWriteMode::Sync)
         } else {
             StablePolicy::None
@@ -397,7 +373,7 @@ impl FileService {
         }
         buf.resize(self.dir_extent.len_bytes(), 0);
         let policy = self.stable_policy();
-        self.disks[0].get_mut().put(self.dir_extent, &buf, policy)?;
+        self.disks[0].put(self.dir_extent, &buf, policy)?;
         Ok(())
     }
 
@@ -473,7 +449,7 @@ impl FileService {
             .get(&fid)
             .ok_or(FileServiceError::NotFound(fid))?;
         let frag_extent = Extent::new(fit_frag, 1);
-        let disk = self.disks[home as usize].get_mut();
+        let disk = &mut self.disks[home as usize];
         let buf = match disk.get(frag_extent) {
             Ok(b) => b,
             Err(_) => disk.get_from(frag_extent, ReadSource::Stable)?,
@@ -481,9 +457,7 @@ impl FileService {
         let (mut fit, _total, indirect_locs) = FileIndexTable::decode_fit_fragment(&buf)
             .map_err(|e| FileServiceError::corrupt(fid, e))?;
         for &(idisk, iaddr) in &indirect_locs {
-            let chunk = self.disks[idisk as usize]
-                .get_mut()
-                .get(Extent::new(iaddr, FRAGS_PER_BLOCK))?;
+            let chunk = self.disks[idisk as usize].get(Extent::new(iaddr, FRAGS_PER_BLOCK))?;
             fit.extend_from_indirect_chunk(&chunk)
                 .map_err(|e| FileServiceError::corrupt(fid, e))?;
         }
@@ -542,15 +516,11 @@ impl FileService {
         let mut locs = entry.indirect_locs.clone();
         while locs.len() > needed {
             let (d, a) = locs.pop().expect("nonempty");
-            self.disks[d as usize]
-                .get_mut()
-                .free(Extent::new(a, FRAGS_PER_BLOCK))?;
+            self.disks[d as usize].free(Extent::new(a, FRAGS_PER_BLOCK))?;
         }
         while locs.len() < needed {
             // Indirect tables live in the top region, away from file data.
-            let e = self.disks[home as usize]
-                .get_mut()
-                .allocate_contiguous_top(FRAGS_PER_BLOCK)?;
+            let e = self.disks[home as usize].allocate_contiguous_top(FRAGS_PER_BLOCK)?;
             locs.push((home, e.start));
         }
         let entry = self.fits.get_mut(&fid).expect("FIT loaded");
@@ -560,15 +530,9 @@ impl FileService {
         let fit_frag = entry.fit_frag;
         debug_assert_eq!(chunks.len(), locs.len());
         for (chunk, (d, a)) in chunks.into_iter().zip(locs) {
-            self.disks[d as usize].get_mut().put(
-                Extent::new(a, FRAGS_PER_BLOCK),
-                &chunk,
-                policy,
-            )?;
+            self.disks[d as usize].put(Extent::new(a, FRAGS_PER_BLOCK), &chunk, policy)?;
         }
-        self.disks[home as usize]
-            .get_mut()
-            .put(Extent::new(fit_frag, 1), &frag, policy)?;
+        self.disks[home as usize].put(Extent::new(fit_frag, 1), &frag, policy)?;
         Ok(())
     }
 
@@ -592,14 +556,14 @@ impl FileService {
             .iter()
             .enumerate()
             .filter(|(i, _)| !self.degraded[*i])
-            .max_by_key(|(_, d)| d.lock().free_fragments())
+            .max_by_key(|(_, d)| d.free_fragments())
             .map(|(i, _)| i as u16)
             .expect("at least one healthy disk");
         // FIT contiguous with the first data block: allocate 1 + 4
         // fragments in one run when possible. The parity tier places
         // every data block by stripe geometry instead, so only the FIT
         // fragment is allocated here.
-        let disk = self.disks[home as usize].get_mut();
+        let disk = &mut self.disks[home as usize];
         let (fit_frag, first_block) = if self.config.redundancy.is_parity() {
             (disk.allocate_contiguous(1)?.start, None)
         } else if self.config.fit_adjacent_first_block {
@@ -679,24 +643,16 @@ impl FileService {
         self.fit_lru.retain(|f| *f != fid);
         let entry = self.fits.remove(&fid).expect("just loaded");
         for d in entry.fit.descriptors() {
-            self.disks[d.disk as usize]
-                .get_mut()
-                .free(d.block_extent())?;
+            self.disks[d.disk as usize].free(d.block_extent())?;
         }
         for d in entry.fit.parity_descriptors() {
-            self.disks[d.disk as usize]
-                .get_mut()
-                .free(d.block_extent())?;
+            self.disks[d.disk as usize].free(d.block_extent())?;
         }
         self.uninit_rows.retain(|(f, _)| *f != fid);
         for (d, a) in entry.indirect_locs {
-            self.disks[d as usize]
-                .get_mut()
-                .free(Extent::new(a, FRAGS_PER_BLOCK))?;
+            self.disks[d as usize].free(Extent::new(a, FRAGS_PER_BLOCK))?;
         }
-        self.disks[entry.home as usize]
-            .get_mut()
-            .free(Extent::new(entry.fit_frag, 1))?;
+        self.disks[entry.home as usize].free(Extent::new(entry.fit_frag, 1))?;
         self.directory.remove(&fid);
         self.persist_directory()
     }
@@ -796,7 +752,7 @@ impl FileService {
         // belongs to; cache every block of it.
         let run = Extent::new(d.addr, FRAGS_PER_BLOCK * d.contig as u64);
         let disk_no = d.disk as usize;
-        let data = self.disks[disk_no].get_mut().get(run)?;
+        let data = self.disks[disk_no].get(run)?;
         let nblocks = data.len() / BLOCK_SIZE;
         let wanted = data.slice(0..BLOCK_SIZE.min(data.len()));
         let mut evicted = Vec::new();
@@ -826,27 +782,29 @@ impl FileService {
         if self.config.redundancy.is_parity() {
             return self.write_back_parity(vec![(key, data)]);
         }
-        let (fid, idx) = key;
-        // The FIT may have been evicted from the fragment pool while the
-        // dirty block sat in the block pool — reload it; only a genuinely
-        // deleted file may drop the block.
+        if let Some(d) = self.dirty_home(key.0, key.1)? {
+            self.disks[d.disk as usize].put(d.block_extent(), &data, StablePolicy::None)?;
+        }
+        Ok(())
+    }
+
+    /// Where dirty block `idx` of `fid` is written back to. The FIT may
+    /// have been evicted from the fragment pool while the block sat in
+    /// the block pool — then it is reloaded; only the directory says a
+    /// file is gone. `None` means the block has no home any more and is
+    /// to be dropped: its file was deleted, or truncated below it.
+    fn dirty_home(
+        &mut self,
+        fid: FileId,
+        idx: u64,
+    ) -> Result<Option<BlockDescriptor>, FileServiceError> {
         if !self.fits.contains_key(&fid) {
             if !self.directory.contains_key(&fid) {
-                return Ok(()); // file deleted while dirty block lingered
+                return Ok(None);
             }
             self.load_fit(fid)?;
         }
-        let entry = match self.fits.get(&fid) {
-            Some(e) => e,
-            None => return Ok(()),
-        };
-        let Some(d) = entry.fit.descriptor(idx) else {
-            return Ok(()); // truncated away
-        };
-        self.disks[d.disk as usize]
-            .get_mut()
-            .put(d.block_extent(), &data, StablePolicy::None)?;
-        Ok(())
+        Ok(self.fits.get(&fid).and_then(|e| e.fit.descriptor(idx)))
     }
 
     /// `read`/`pread`: returns up to `len` bytes from `offset` (clamped at
@@ -916,12 +874,8 @@ impl FileService {
     }
 
     /// Fetches logical blocks `first..=last` of `fid`, returning one view
-    /// per block. Cache hits are refcount bumps; the misses are grouped by
-    /// home disk and submitted to each spindle's scheduler as one batch —
-    /// physically adjacent blocks merge into single disk references, and
-    /// when more than one spindle is involved the batches run under
-    /// makespan clock accounting — on scoped worker threads when fan-out
-    /// is enabled (see [`ParallelIo`]).
+    /// per block. Cache hits are refcount bumps; the misses go to the
+    /// spindles as one [`Self::read_batch`].
     fn fetch_window(
         &mut self,
         fid: FileId,
@@ -946,85 +900,41 @@ impl FileService {
                 }
             }
         }
-        // Group the misses into one batch per spindle. Misses homed on a
-        // degraded disk cannot be read there — they are filled afterwards
-        // by per-block parity reconstruction.
-        let mut per_disk: Vec<Vec<(usize, Extent)>> = vec![Vec::new(); self.disks.len()];
+        // Misses homed on a degraded disk cannot be read there — they are
+        // filled afterwards by per-block parity reconstruction.
+        let mut misses: Vec<(usize, u16, Extent)> = Vec::new();
         let mut needs_reconstruct: Vec<usize> = Vec::new();
-        {
-            let entry = self.fit(fid);
-            for (i, slot) in blocks.iter().enumerate() {
-                if slot.is_some() {
-                    continue;
-                }
-                let d = entry
-                    .fit
-                    .descriptor(first + i as u64)
-                    .ok_or(FileServiceError::Corrupt(fid))?;
-                if self.degraded[d.disk as usize] && self.config.redundancy.is_parity() {
-                    needs_reconstruct.push(i);
-                    continue;
-                }
-                per_disk[d.disk as usize].push((i, Extent::new(d.addr, FRAGS_PER_BLOCK)));
+        let entry = self.fit(fid);
+        for (i, slot) in blocks.iter().enumerate() {
+            if slot.is_some() {
+                continue;
+            }
+            let d = entry
+                .fit
+                .descriptor(first + i as u64)
+                .ok_or(FileServiceError::Corrupt(fid))?;
+            if self.degraded[d.disk as usize] && self.config.redundancy.is_parity() {
+                needs_reconstruct.push(i);
+            } else {
+                misses.push((i, d.disk, Extent::new(d.addr, FRAGS_PER_BLOCK)));
             }
         }
-        let involved: Vec<usize> = (0..per_disk.len())
-            .filter(|&d| !per_disk[d].is_empty())
-            .collect();
-        if involved.is_empty() && needs_reconstruct.is_empty() {
-            return Ok(blocks.into_iter().map(|b| b.expect("resident")).collect());
-        }
-        // All batches are issued at the same virtual instant; ending them
-        // advances the shared clock to the busiest spindle's finish time.
-        for &d in &involved {
-            self.disks[d].get_mut().begin_batch();
-        }
-        type Fetched = Vec<(usize, Result<Vec<BlockBuf>, DiskServiceError>)>;
-        let fetched: Fetched = if involved.len() > 1 && self.fan_out {
-            let disks = &self.disks;
-            let per_disk = &per_disk;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = involved
-                    .iter()
-                    .map(|&d| {
-                        s.spawn(move || {
-                            let extents: Vec<Extent> =
-                                per_disk[d].iter().map(|&(_, e)| e).collect();
-                            (d, disks[d].lock().get_batch(&extents))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("spindle worker panicked"))
-                    .collect()
-            })
-        } else {
-            involved
-                .iter()
-                .map(|&d| {
-                    let extents: Vec<Extent> = per_disk[d].iter().map(|&(_, e)| e).collect();
-                    (d, self.disks[d].get_mut().get_batch(&extents))
-                })
-                .collect()
-        };
-        for &d in &involved {
-            self.disks[d].get_mut().end_batch();
-        }
+        // Spindle-major: the pool's LRU — and so which dirty block a
+        // later insert evicts — follows the order of the inserts below.
+        misses.sort_by_key(|&(_, disk, _)| disk);
+        let reqs: Vec<(u16, Extent)> = misses.iter().map(|&(_, d, e)| (d, e)).collect();
+        let fetched = self.read_batch(&reqs)?;
         let mut evicted: Vec<((FileId, u64), BlockBuf)> = Vec::new();
-        for (d, res) in fetched {
-            let bufs = res.map_err(FileServiceError::Disk)?;
-            for (&(i, _), buf) in per_disk[d].iter().zip(bufs) {
-                if let Some(cache) = &mut self.cache {
-                    let key = (fid, first + i as u64);
-                    // Never clobber a resident block: a concurrent insert
-                    // may hold newer delayed-write data.
-                    if !cache.contains(&key) {
-                        evicted.extend(cache.insert(key, buf.clone(), false));
-                    }
+        for (&(i, ..), buf) in misses.iter().zip(fetched) {
+            if let Some(cache) = &mut self.cache {
+                let key = (fid, first + i as u64);
+                // Never clobber a resident block: a concurrent insert
+                // may hold newer delayed-write data.
+                if !cache.contains(&key) {
+                    evicted.extend(cache.insert(key, buf.clone(), false));
                 }
-                blocks[i] = Some(buf);
             }
+            blocks[i] = Some(buf);
         }
         for (k, v) in evicted {
             self.write_back(k, v)?;
@@ -1033,6 +943,90 @@ impl FileService {
             blocks[i] = Some(self.fetch_block(fid, first + i as u64)?);
         }
         Ok(blocks.into_iter().map(|b| b.expect("fetched")).collect())
+    }
+
+    /// The one read path from block pool to spindle: reads `reqs` —
+    /// `(disk, extent)` pairs — and returns the buffers in input order.
+    /// The requests are grouped by spindle and each group goes to its
+    /// scheduler as one elevator batch, so physically adjacent extents
+    /// merge into single disk references. The batches are issued
+    /// back-to-back on the caller's thread but all at the same virtual
+    /// instant; ending them advances the shared clock to the busiest
+    /// spindle's finish time, so the spindles work in parallel where it
+    /// is modelled — in virtual time. [`ParallelIo::Never`] pays one
+    /// reference per request instead.
+    fn read_batch(&mut self, reqs: &[(u16, Extent)]) -> Result<Vec<BlockBuf>, FileServiceError> {
+        if self.config.parallel_io == ParallelIo::Never {
+            return reqs
+                .iter()
+                .map(|&(d, e)| Ok(self.disks[d as usize].get(e)?))
+                .collect();
+        }
+        let mut per_disk: Vec<Vec<usize>> = vec![Vec::new(); self.disks.len()];
+        for (i, &(d, _)) in reqs.iter().enumerate() {
+            per_disk[d as usize].push(i);
+        }
+        let involved: Vec<usize> = (0..per_disk.len())
+            .filter(|&d| !per_disk[d].is_empty())
+            .collect();
+        for &d in &involved {
+            self.disks[d].begin_batch();
+        }
+        let fetched: Vec<_> = involved
+            .iter()
+            .map(|&d| {
+                let extents: Vec<Extent> = per_disk[d].iter().map(|&i| reqs[i].1).collect();
+                self.disks[d].get_batch(&extents)
+            })
+            .collect();
+        for &d in &involved {
+            self.disks[d].end_batch();
+        }
+        let mut out: Vec<Option<BlockBuf>> = vec![None; reqs.len()];
+        for (&d, bufs) in involved.iter().zip(fetched) {
+            for (&i, buf) in per_disk[d].iter().zip(bufs?) {
+                out[i] = Some(buf);
+            }
+        }
+        Ok(out.into_iter().map(|b| b.expect("fetched")).collect())
+    }
+
+    /// The write twin of [`Self::read_batch`], to main storage: one
+    /// elevator batch per spindle (adjacent extents — across files —
+    /// merge into single references), all under makespan accounting.
+    /// [`ParallelIo::Never`] makes every write its own reference — the
+    /// naive read-modify-write ablation of experiment E21.
+    fn write_batch(
+        &mut self,
+        writes: Vec<(u16, Extent, BlockBuf)>,
+    ) -> Result<(), FileServiceError> {
+        if self.config.parallel_io == ParallelIo::Never {
+            for (d, extent, buf) in writes {
+                self.disks[d as usize].put(extent, &buf, StablePolicy::None)?;
+            }
+            return Ok(());
+        }
+        let mut per_disk: Vec<Vec<(Extent, BlockBuf)>> = vec![Vec::new(); self.disks.len()];
+        for (d, extent, buf) in writes {
+            per_disk[d as usize].push((extent, buf));
+        }
+        let involved: Vec<usize> = (0..per_disk.len())
+            .filter(|&d| !per_disk[d].is_empty())
+            .collect();
+        for &d in &involved {
+            self.disks[d].begin_batch();
+        }
+        let results: Vec<_> = involved
+            .iter()
+            .map(|&d| self.disks[d].put_batch(&per_disk[d]))
+            .collect();
+        for &d in &involved {
+            self.disks[d].end_batch();
+        }
+        for r in results {
+            r?;
+        }
+        Ok(())
     }
 
     /// Appends enough blocks to make the file `nblocks` long, honouring
@@ -1060,10 +1054,7 @@ impl FileService {
             let mut allocated: Option<(u16, Extent, u64)> = None;
             let mut want = limit;
             while want >= 1 {
-                match self.disks[target]
-                    .get_mut()
-                    .allocate_contiguous(want * FRAGS_PER_BLOCK)
-                {
+                match self.disks[target].allocate_contiguous(want * FRAGS_PER_BLOCK) {
                     Ok(e) => {
                         allocated = Some((target as u16, e, want));
                         break;
@@ -1074,7 +1065,7 @@ impl FileService {
             if allocated.is_none() {
                 // Target disk exhausted: any disk with room for one block.
                 for i in 0..self.disks.len() {
-                    if let Ok(e) = self.disks[i].get_mut().allocate_contiguous(FRAGS_PER_BLOCK) {
+                    if let Ok(e) = self.disks[i].allocate_contiguous(FRAGS_PER_BLOCK) {
                         allocated = Some((i as u16, e, 1));
                         break;
                     }
@@ -1214,14 +1205,11 @@ impl FileService {
 
     /// Writes back a sorted list of dirty blocks.
     ///
-    /// Under the scheduler (`parallel_io` `Auto`/`Always`) every block is
-    /// resolved to its on-disk home and the whole set is handed to the
-    /// per-spindle schedulers as one batch per disk: each scheduler sorts its batch
-    /// into elevator order and merges physically adjacent blocks — across
-    /// files — into single disk references, and the per-disk batches run
-    /// concurrently under makespan clock accounting. Delayed-write
-    /// semantics are unchanged: the same bytes reach the same addresses,
-    /// only the order and grouping of the transfers differ.
+    /// Under the scheduler ([`ParallelIo::Auto`]) every block is resolved
+    /// to its on-disk home and the whole set goes out as one
+    /// [`Self::write_batch`]. Delayed-write semantics are unchanged: the
+    /// same bytes reach the same addresses, only the order and grouping
+    /// of the transfers differ.
     fn write_back_grouped(
         &mut self,
         dirty: Vec<((FileId, u64), BlockBuf)>,
@@ -1234,71 +1222,13 @@ impl FileService {
         if self.config.parallel_io == ParallelIo::Never {
             return self.write_back_serial(dirty);
         }
-        // Resolve each dirty block, reloading FITs evicted from the
-        // fragment pool; blocks of deleted or truncated files are dropped
-        // (exactly as the serial path does).
-        let mut per_disk: Vec<Vec<(Extent, BlockBuf)>> = vec![Vec::new(); self.disks.len()];
+        let mut writes = Vec::with_capacity(dirty.len());
         for ((fid, idx), buf) in dirty {
-            if !self.fits.contains_key(&fid) {
-                if !self.directory.contains_key(&fid) {
-                    continue;
-                }
-                self.load_fit(fid)?;
+            if let Some(d) = self.dirty_home(fid, idx)? {
+                writes.push((d.disk, d.block_extent(), buf));
             }
-            let Some(entry) = self.fits.get(&fid) else {
-                continue;
-            };
-            let Some(d) = entry.fit.descriptor(idx) else {
-                continue;
-            };
-            per_disk[d.disk as usize].push((d.block_extent(), buf));
         }
-        self.put_per_disk_batches(per_disk)
-    }
-
-    /// Hands one pre-resolved batch of writes per spindle to the
-    /// schedulers: each batch runs in elevator order with adjacent
-    /// extents merged, and the batches run concurrently under makespan
-    /// clock accounting (scoped fan-out when enabled).
-    fn put_per_disk_batches(
-        &mut self,
-        per_disk: Vec<Vec<(Extent, BlockBuf)>>,
-    ) -> Result<(), FileServiceError> {
-        let involved: Vec<usize> = (0..per_disk.len())
-            .filter(|&d| !per_disk[d].is_empty())
-            .collect();
-        if involved.is_empty() {
-            return Ok(());
-        }
-        for &d in &involved {
-            self.disks[d].get_mut().begin_batch();
-        }
-        let results: Vec<Result<(), DiskServiceError>> = if involved.len() > 1 && self.fan_out {
-            let disks = &self.disks;
-            let per_disk = &per_disk;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = involved
-                    .iter()
-                    .map(|&d| s.spawn(move || disks[d].lock().put_batch(&per_disk[d])))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("spindle worker panicked"))
-                    .collect()
-            })
-        } else {
-            involved
-                .iter()
-                .map(|&d| self.disks[d].get_mut().put_batch(&per_disk[d]))
-                .collect()
-        };
-        for &d in &involved {
-            self.disks[d].get_mut().end_batch();
-        }
-        for r in results {
-            r.map_err(FileServiceError::Disk)?;
-        }
-        Ok(())
+        self.write_batch(writes)
     }
 
     /// The pre-scheduler write-back: walks the sorted dirty list in order,
@@ -1312,24 +1242,13 @@ impl FileService {
         let mut i = 0;
         while i < dirty.len() {
             let ((fid, idx), _) = dirty[i];
-            // Reload evicted FITs (see write_back); skip deleted files.
-            if !self.fits.contains_key(&fid) {
-                if !self.directory.contains_key(&fid) {
-                    i += 1;
-                    continue;
-                }
-                self.load_fit(fid)?;
-            }
-            let Some(entry) = self.fits.get(&fid) else {
-                i += 1;
-                continue;
-            };
-            let Some(d0) = entry.fit.descriptor(idx) else {
+            let Some(d0) = self.dirty_home(fid, idx)? else {
                 i += 1;
                 continue;
             };
             // Extend the group while blocks are logically consecutive,
             // same file, and physically contiguous on the same disk.
+            let fit = &self.fits[&fid].fit;
             let mut j = i + 1;
             let mut blocks = 1u64;
             while j < dirty.len() {
@@ -1337,7 +1256,7 @@ impl FileService {
                 if fid2 != fid || idx2 != idx + blocks {
                     break;
                 }
-                match entry.fit.descriptor(idx2) {
+                match fit.descriptor(idx2) {
                     Some(d2)
                         if d2.disk == d0.disk && d2.addr == d0.addr + blocks * FRAGS_PER_BLOCK =>
                     {
@@ -1348,28 +1267,9 @@ impl FileService {
                 }
             }
             let extent = Extent::new(d0.addr, blocks * FRAGS_PER_BLOCK);
-            let group = &dirty[i..j];
-            if let [(_, only)] = group {
-                self.disks[d0.disk as usize]
-                    .get_mut()
-                    .put(extent, only, StablePolicy::None)?;
-            } else {
-                let parts: Vec<BlockBuf> = group.iter().map(|(_, b)| b.clone()).collect();
-                let joined = match BlockBuf::try_concat(&parts) {
-                    Some(joined) => joined,
-                    None => {
-                        // Mixed provenance: gather into one transfer buffer.
-                        let mut buf = Vec::with_capacity((blocks as usize) * BLOCK_SIZE);
-                        for (_, b) in group {
-                            buf.extend_from_slice(b);
-                        }
-                        BlockBuf::from(buf)
-                    }
-                };
-                self.disks[d0.disk as usize]
-                    .get_mut()
-                    .put(extent, &joined, StablePolicy::None)?;
-            }
+            let parts: Vec<BlockBuf> = dirty[i..j].iter().map(|(_, b)| b.clone()).collect();
+            let (joined, _) = BlockBuf::concat(&parts);
+            self.disks[d0.disk as usize].put(extent, &joined, StablePolicy::None)?;
             i = j;
         }
         Ok(())
@@ -1446,9 +1346,7 @@ impl FileService {
         let home = self.fit(fid).home;
         // Shadow pages come from the top of the disk so they never
         // fragment the low region where files grow contiguously.
-        let e = self.disks[home as usize]
-            .get_mut()
-            .allocate_contiguous_top(FRAGS_PER_BLOCK)?;
+        let e = self.disks[home as usize].allocate_contiguous_top(FRAGS_PER_BLOCK)?;
         Ok((home, e.start))
     }
 
@@ -1463,9 +1361,7 @@ impl FileService {
         disk: u16,
         addr: FragmentAddr,
     ) -> Result<(), FileServiceError> {
-        self.disks[disk as usize]
-            .get_mut()
-            .free(Extent::new(addr, FRAGS_PER_BLOCK))?;
+        self.disks[disk as usize].free(Extent::new(addr, FRAGS_PER_BLOCK))?;
         Ok(())
     }
 
@@ -1482,11 +1378,7 @@ impl FileService {
         data: &[u8],
         policy: StablePolicy,
     ) -> Result<(), FileServiceError> {
-        self.disks[disk as usize].get_mut().put(
-            Extent::new(addr, FRAGS_PER_BLOCK),
-            data,
-            policy,
-        )?;
+        self.disks[disk as usize].put(Extent::new(addr, FRAGS_PER_BLOCK), data, policy)?;
         Ok(())
     }
 
@@ -1501,18 +1393,14 @@ impl FileService {
         addr: FragmentAddr,
         source: ReadSource,
     ) -> Result<BlockBuf, FileServiceError> {
-        Ok(self.disks[disk as usize]
-            .get_mut()
-            .get_from(Extent::new(addr, FRAGS_PER_BLOCK), source)?)
+        Ok(self.disks[disk as usize].get_from(Extent::new(addr, FRAGS_PER_BLOCK), source)?)
     }
 
-    /// Reads many detached blocks in one scheduler pass: the locations
-    /// are grouped by spindle and each group is submitted to its
-    /// scheduler as one elevator batch under makespan clock accounting
-    /// (scoped fan-out when enabled, exactly like the read window path).
-    /// Results come back in input order. `ReadSource::Stable` falls back
-    /// to per-block reads — the stable path pays mirror round trips the
-    /// scheduler cannot merge.
+    /// Reads many detached blocks in one scheduler pass: one elevator
+    /// batch per spindle under makespan clock accounting, exactly like
+    /// the read window path. Results come back in input order.
+    /// `ReadSource::Stable` falls back to per-block reads — the stable
+    /// path pays mirror round trips the scheduler cannot merge.
     ///
     /// # Errors
     ///
@@ -1522,65 +1410,17 @@ impl FileService {
         locs: &[(u16, FragmentAddr)],
         source: ReadSource,
     ) -> Result<Vec<BlockBuf>, FileServiceError> {
-        if locs.len() <= 1
-            || source != ReadSource::Main
-            || self.config.parallel_io == ParallelIo::Never
-        {
+        if locs.len() <= 1 || source != ReadSource::Main {
             return locs
                 .iter()
                 .map(|&(d, a)| self.get_detached_block(d, a, source))
                 .collect();
         }
-        let mut per_disk: Vec<Vec<(usize, Extent)>> = vec![Vec::new(); self.disks.len()];
-        for (i, &(d, a)) in locs.iter().enumerate() {
-            per_disk[d as usize].push((i, Extent::new(a, FRAGS_PER_BLOCK)));
-        }
-        let involved: Vec<usize> = (0..per_disk.len())
-            .filter(|&d| !per_disk[d].is_empty())
+        let reqs: Vec<(u16, Extent)> = locs
+            .iter()
+            .map(|&(d, a)| (d, Extent::new(a, FRAGS_PER_BLOCK)))
             .collect();
-        for &d in &involved {
-            self.disks[d].get_mut().begin_batch();
-        }
-        type Fetched = Vec<(usize, Result<Vec<BlockBuf>, DiskServiceError>)>;
-        let fetched: Fetched = if involved.len() > 1 && self.fan_out {
-            let disks = &self.disks;
-            let per_disk = &per_disk;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = involved
-                    .iter()
-                    .map(|&d| {
-                        s.spawn(move || {
-                            let extents: Vec<Extent> =
-                                per_disk[d].iter().map(|&(_, e)| e).collect();
-                            (d, disks[d].lock().get_batch(&extents))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("spindle worker panicked"))
-                    .collect()
-            })
-        } else {
-            involved
-                .iter()
-                .map(|&d| {
-                    let extents: Vec<Extent> = per_disk[d].iter().map(|&(_, e)| e).collect();
-                    (d, self.disks[d].get_mut().get_batch(&extents))
-                })
-                .collect()
-        };
-        for &d in &involved {
-            self.disks[d].get_mut().end_batch();
-        }
-        let mut out: Vec<Option<BlockBuf>> = vec![None; locs.len()];
-        for (d, res) in fetched {
-            let bufs = res.map_err(FileServiceError::Disk)?;
-            for (&(i, _), buf) in per_disk[d].iter().zip(bufs) {
-                out[i] = Some(buf);
-            }
-        }
-        Ok(out.into_iter().map(|b| b.expect("fetched")).collect())
+        self.read_batch(&reqs)
     }
 
     /// Writes a set of whole logical blocks write-through in one
@@ -1894,7 +1734,7 @@ impl FileService {
         }
         for d in &mut self.disks {
             // Track caches only — no crash repair, no stable-storage scan.
-            d.get_mut().drop_caches();
+            d.drop_caches();
         }
         Ok(())
     }
@@ -1951,10 +1791,10 @@ impl FileService {
     /// Fails if the directory is unrecoverable from both copies.
     pub fn recover(&mut self) -> Result<(), FileServiceError> {
         for d in &mut self.disks {
-            d.get_mut().recover()?;
+            d.recover()?;
         }
         let (next_fid, system_fid, directory) =
-            Self::load_directory(self.disks[0].get_mut(), self.dir_extent)?;
+            Self::load_directory(&mut self.disks[0], self.dir_extent)?;
         self.next_fid = next_fid;
         self.system_fid = system_fid;
         self.directory = directory;
@@ -1982,7 +1822,7 @@ impl FileService {
             }
         }
         for (i, extents) in per_disk.into_iter().enumerate() {
-            self.disks[i].get_mut().rebuild_allocation(extents);
+            self.disks[i].rebuild_allocation(extents);
         }
         // The uninit-row set died with the crash, and delayed parity
         // updates for rows whose data writes landed may be lost — bring
@@ -2104,7 +1944,7 @@ impl FileService {
                 self.scrub_cursors[d] = list[start].0.start;
             }
             let extents: Vec<Extent> = picked.iter().map(|&i| list[i].0).collect();
-            let faults = self.disks[d].get_mut().verify_extents(&extents)?;
+            let faults = self.disks[d].verify_extents(&extents)?;
             report.stats.sectors_scanned += extents.iter().map(|e| e.len).sum::<u64>();
             for fault in faults {
                 // Map the faulty sector back to its owner.
@@ -2154,7 +1994,6 @@ impl FileService {
         match owner {
             ScrubOwner::Directory | ScrubOwner::Fit(_) | ScrubOwner::Indirect(_) => self.disks
                 [disk]
-                .get_mut()
                 .repair_fragment_from_stable(addr)
                 .unwrap_or(false),
             ScrubOwner::Data { fid, block } => {
@@ -2168,7 +2007,6 @@ impl FileService {
                     if let Ok(mut units) = self.load_row_reconstructed(fid, row, Some(slot)) {
                         let buf = std::mem::take(&mut units[slot]);
                         return self.disks[disk]
-                            .get_mut()
                             .put(extent, &buf, StablePolicy::None)
                             .is_ok();
                     }
@@ -2177,7 +2015,6 @@ impl FileService {
                     return false;
                 };
                 self.disks[disk]
-                    .get_mut()
                     .put(extent, &buf, StablePolicy::None)
                     .is_ok()
             }
@@ -2191,7 +2028,6 @@ impl FileService {
                     Ok(mut units) => {
                         let buf = std::mem::take(&mut units[k + j]);
                         self.disks[disk]
-                            .get_mut()
                             .put(extent, &buf, StablePolicy::None)
                             .is_ok()
                     }
@@ -2225,11 +2061,7 @@ impl FileService {
             .get(&fid)
             .and_then(|e| e.fit.descriptor(block))
             .ok_or(FileServiceError::NotFound(fid))?;
-        self.disks[desc.disk as usize].get_mut().put(
-            desc.block_extent(),
-            data,
-            StablePolicy::None,
-        )?;
+        self.disks[desc.disk as usize].put(desc.block_extent(), data, StablePolicy::None)?;
         if let Some(cache) = &mut self.cache {
             // The peer's copy is now the on-disk truth; a stale resident
             // block must not shadow it.
@@ -2257,10 +2089,7 @@ impl FileService {
                 self.parity_stats.degraded_reads += 1;
                 return Some(std::mem::take(&mut units[slot]));
             }
-            return match self.disks[desc.disk as usize]
-                .get_mut()
-                .get(desc.block_extent())
-            {
+            return match self.disks[desc.disk as usize].get(desc.block_extent()) {
                 Ok(b) => Some(b.to_vec()),
                 Err(_) => {
                     // Unreadable here: reconstruct it from the rest of
@@ -2271,7 +2100,6 @@ impl FileService {
             };
         }
         self.disks[desc.disk as usize]
-            .get_mut()
             .get(desc.block_extent())
             .ok()
             .map(|b| b.to_vec())
@@ -2284,9 +2112,7 @@ impl FileService {
 
     /// Total fragments on disk `i`, if it exists (fsck support).
     pub(crate) fn disk_total_fragments(&self, i: usize) -> Option<u64> {
-        self.disks
-            .get(i)
-            .map(|d| d.lock().geometry().total_sectors())
+        self.disks.get(i).map(|d| d.geometry().total_sectors())
     }
 
     /// Loads and exposes the pieces of a file's FIT entry (fsck support).
@@ -2406,7 +2232,7 @@ impl FileService {
                 if self.degraded[d] || (pass == 0 && used.contains(&(d as u16))) {
                     continue;
                 }
-                if let Ok(e) = self.disks[d].get_mut().allocate_contiguous(FRAGS_PER_BLOCK) {
+                if let Ok(e) = self.disks[d].allocate_contiguous(FRAGS_PER_BLOCK) {
                     return Ok((d as u16, e));
                 }
             }
@@ -2477,24 +2303,13 @@ impl FileService {
             read_len: usize,
         }
         let (k, m) = self.config.redundancy.params().expect("parity tier");
-        // Resolve each block (reloading FITs evicted from the fragment
-        // pool); blocks of deleted or truncated files are dropped, and
-        // the last write per block wins.
+        // Blocks of deleted or truncated files are dropped, and the
+        // last write per block wins.
         let mut resolved: BTreeMap<(FileId, u64), BlockBuf> = BTreeMap::new();
         for ((fid, idx), buf) in dirty {
-            if !self.fits.contains_key(&fid) {
-                if !self.directory.contains_key(&fid) {
-                    continue;
-                }
-                self.load_fit(fid)?;
+            if self.dirty_home(fid, idx)?.is_some() {
+                resolved.insert((fid, idx), buf);
             }
-            let Some(entry) = self.fits.get(&fid) else {
-                continue;
-            };
-            if entry.fit.descriptor(idx).is_none() {
-                continue;
-            }
-            resolved.insert((fid, idx), buf);
         }
         if resolved.is_empty() {
             return Ok(());
@@ -2650,20 +2465,7 @@ impl FileService {
             }
             self.uninit_rows.remove(&(plan.fid, plan.row));
         }
-        if self.config.parallel_io == ParallelIo::Never {
-            // Naive read-modify-write: every unit is its own reference.
-            for (disk, extent, buf) in writes {
-                self.disks[disk as usize]
-                    .get_mut()
-                    .put(extent, &buf, StablePolicy::None)?;
-            }
-            return Ok(());
-        }
-        let mut per_disk: Vec<Vec<(Extent, BlockBuf)>> = vec![Vec::new(); self.disks.len()];
-        for (disk, extent, buf) in writes {
-            per_disk[disk as usize].push((extent, buf));
-        }
-        self.put_per_disk_batches(per_disk)
+        self.write_batch(writes)
     }
 
     /// Loads every unit of `fid`'s stripe row `row` — `k` data then
@@ -2778,9 +2580,7 @@ impl FileService {
                 .collect()
         };
         for (d, p) in descs.iter().zip(par) {
-            self.disks[d.disk as usize]
-                .get_mut()
-                .put(d.block_extent(), &p, StablePolicy::None)?;
+            self.disks[d.disk as usize].put(d.block_extent(), &p, StablePolicy::None)?;
         }
         self.uninit_rows.remove(&(fid, row));
         Ok(())
@@ -2849,11 +2649,7 @@ impl FileService {
         let mut units = self.load_row_reconstructed(fid, row, Some(slot))?;
         units[slot].fill(0);
         units[slot][..data.len()].copy_from_slice(data);
-        self.disks[desc.disk as usize].get_mut().put(
-            desc.block_extent(),
-            data,
-            StablePolicy::None,
-        )?;
+        self.disks[desc.disk as usize].put(desc.block_extent(), data, StablePolicy::None)?;
         self.write_row_parity(fid, row, &units[..k])?;
         if let Some(cache) = &mut self.cache {
             // The peer's copy is now the on-disk truth; a stale
@@ -2906,7 +2702,7 @@ impl FileService {
             ));
         }
         let spare = {
-            let old = self.disks[disk].get_mut();
+            let old = &mut self.disks[disk];
             DiskService::with_stable(
                 old.geometry(),
                 old.disk_mut().model(),
@@ -2914,31 +2710,27 @@ impl FileService {
                 Default::default(),
             )
         };
-        self.disks[disk] = Mutex::new(spare);
+        self.disks[disk] = spare;
         self.degraded[disk] = true;
         self.rebuild_cursors[disk] = None;
         if disk == 0 {
-            self.disks[0].get_mut().repin_extent(self.dir_extent);
+            self.disks[0].repin_extent(self.dir_extent);
         }
         for (fid, fit, home, fit_frag, indirect_locs) in preserved {
             let mut homed_here = false;
             if home as usize == disk {
-                self.disks[disk]
-                    .get_mut()
-                    .repin_extent(Extent::new(fit_frag, 1));
+                self.disks[disk].repin_extent(Extent::new(fit_frag, 1));
                 homed_here = true;
             }
             for &(d2, a) in &indirect_locs {
                 if d2 as usize == disk {
-                    self.disks[disk]
-                        .get_mut()
-                        .repin_extent(Extent::new(a, FRAGS_PER_BLOCK));
+                    self.disks[disk].repin_extent(Extent::new(a, FRAGS_PER_BLOCK));
                     homed_here = true;
                 }
             }
             for d2 in fit.descriptors().iter().chain(fit.parity_descriptors()) {
                 if d2.disk as usize == disk {
-                    self.disks[disk].get_mut().repin_extent(d2.block_extent());
+                    self.disks[disk].repin_extent(d2.block_extent());
                 }
             }
             self.fits.insert(
@@ -3028,11 +2820,7 @@ impl FileService {
                     if desc.disk as usize == disk {
                         let mut units = self.load_row_reconstructed(fid, row, None)?;
                         let buf = std::mem::take(&mut units[slot]);
-                        self.disks[disk].get_mut().put(
-                            desc.block_extent(),
-                            &buf,
-                            StablePolicy::None,
-                        )?;
+                        self.disks[disk].put(desc.block_extent(), &buf, StablePolicy::None)?;
                         pages += 1;
                         self.parity_stats.rebuild_pages += 1;
                         remaining -= 1;
@@ -3373,46 +3161,79 @@ mod tests {
         assert!(f.stats().cache.hits > 0);
     }
 
+    /// The write-back resolver's three outcomes, through `flush_all` on
+    /// every flush path: a dirty block whose FIT was evicted from the
+    /// fragment pool is reloaded and written; one whose file was deleted,
+    /// or that lies past the file's last block, is dropped.
     #[test]
     fn fragment_pool_evicts_and_reloads_fits_safely() {
-        let mut f = FileService::single_disk(
-            DiskGeometry::medium(),
-            LatencyModel::instant(),
-            SimClock::new(),
-            FileServiceConfig {
-                fit_pool_entries: 2, // tiny fragment pool
-                cache_blocks: 64,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // More files than the pool holds, each with a dirty cached block.
-        let fids: Vec<FileId> = (0..6)
-            .map(|i| {
-                let fid = f.create(ServiceType::Basic).unwrap();
-                f.open(fid).unwrap();
-                f.write(fid, 0, &[i as u8 + 1; 100]).unwrap();
-                fid
-            })
-            .collect();
-        // Flush pushes dirty blocks of files whose FITs were evicted.
-        f.flush_all().unwrap();
-        for (i, fid) in fids.iter().enumerate() {
+        let auto = FileServiceConfig {
+            fit_pool_entries: 2, // tiny fragment pool
+            cache_blocks: 64,
+            ..Default::default()
+        };
+        let never = FileServiceConfig {
+            parallel_io: ParallelIo::Never,
+            ..auto
+        };
+        let parity = FileServiceConfig {
+            redundancy: Redundancy::Parity { k: 3, m: 1 },
+            ..auto
+        };
+        // (config, units written per flushed block: itself + its parity)
+        for (config, units) in [(auto, 1), (never, 1), (parity, 2)] {
+            let mut f = FileService::striped(
+                4,
+                DiskGeometry::medium(),
+                LatencyModel::instant(),
+                SimClock::new(),
+                config,
+            )
+            .unwrap();
+            // More files than the pool holds, each with a dirty cached block.
+            let fids: Vec<FileId> = (0..6)
+                .map(|i| {
+                    let fid = create_open(&mut f);
+                    f.write(fid, 0, &[i as u8 + 1; 100]).unwrap();
+                    fid
+                })
+                .collect();
+            let gone = create_open(&mut f);
+            f.close(gone).unwrap();
+            f.delete(gone).unwrap();
+            let pool = f.cache.as_mut().unwrap();
+            let stray = BlockBuf::from(vec![0xEE; BLOCK_SIZE]);
+            assert!(pool.insert((gone, 0), stray.clone(), true).is_empty());
+            assert!(pool.insert((fids[0], 9), stray, true).is_empty());
+            let written = |f: &FileService| -> u64 {
+                f.stats().disks.iter().map(|d| d.disk.sector_writes).sum()
+            };
+            let before = written(&f);
+            // Flush pushes dirty blocks of files whose FITs were evicted.
+            f.flush_all().unwrap();
             assert_eq!(
-                f.read(*fid, 0, 1).unwrap(),
-                vec![i as u8 + 1],
-                "file {i} lost its delayed write"
+                written(&f) - before,
+                6 * units * FRAGS_PER_BLOCK,
+                "{config:?}: the six live blocks and nothing else reach the disks"
             );
+            for (i, fid) in fids.iter().enumerate() {
+                assert_eq!(
+                    f.read(*fid, 0, 1).unwrap(),
+                    vec![i as u8 + 1],
+                    "{config:?}: file {i} lost its delayed write"
+                );
+            }
+            assert_eq!(f.block_descriptors(fids[0]).unwrap().len(), 1);
+            let stats = f.stats();
+            assert!(
+                stats.fit_loads > 6,
+                "evictions must force FIT reloads ({} loads)",
+                stats.fit_loads
+            );
+            // And everything stays structurally consistent.
+            let report = f.fsck().unwrap();
+            assert!(report.is_clean(), "{config:?}: {:?}", report.issues);
         }
-        let stats = f.stats();
-        assert!(
-            stats.fit_loads > 6,
-            "evictions must force FIT reloads ({} loads)",
-            stats.fit_loads
-        );
-        // And everything stays structurally consistent.
-        let report = f.fsck().unwrap();
-        assert!(report.is_clean(), "{:?}", report.issues);
     }
 
     #[test]

@@ -63,18 +63,7 @@ pub struct SimDisk {
     /// consuming host memory, so gigabyte geometries are cheap to model.
     /// Slots beyond the addressable geometry are the spare-sector pool
     /// that bad sectors are reassigned to.
-    data: Vec<Option<Box<[u8]>>>,
-    /// Out-of-band CRC32 checksum lane, one entry per storage slot (real
-    /// drives keep this in the sector trailer). `None` = never written.
-    checksums: Vec<Option<u32>>,
-    /// Per-slot verification memo: `true` while the slot's content is
-    /// known to match its checksum (set when we computed the checksum
-    /// from the very bytes stored, or after a verifying read). Real
-    /// drives check ECC in hardware at line speed; recomputing a CRC32
-    /// per sector on every simulated read would charge the model a cost
-    /// the modelled hardware doesn't pay. Every mutation that bypasses
-    /// the checksum lane (fault injection) clears the bit.
-    verified: Vec<bool>,
+    data: Vec<Option<Box<Stored>>>,
     /// Persistent sector reassignments: logical address → spare slot. A
     /// remapped sector's original location is quarantined; reads and
     /// writes at the logical address go to the spare transparently.
@@ -99,6 +88,50 @@ pub struct SimDisk {
 /// The content of a never-written sector.
 static ZERO_SECTOR: [u8; SECTOR_SIZE] = [0u8; SECTOR_SIZE];
 
+/// One written sector as the platter holds it: the bytes and, beside
+/// them, the sector's entry in the out-of-band CRC32 checksum lane (real
+/// drives keep this in the sector trailer). The lane lives with the
+/// bytes, not in tables of its own, so the slot table is the only
+/// memory a disk takes for its capacity rather than for what was
+/// written.
+#[derive(Debug)]
+struct Stored {
+    bytes: [u8; SECTOR_SIZE],
+    /// The checksum lane's entry. `None` only for a never-written sector
+    /// that fault injection materialised without one.
+    sum: Option<u32>,
+    /// Verification memo: `true` while the content is known to match its
+    /// checksum (set when we computed the checksum from the very bytes
+    /// stored, or after a verifying read). Real drives check ECC in
+    /// hardware at line speed; recomputing a CRC32 per sector on every
+    /// simulated read would charge the model a cost the modelled
+    /// hardware doesn't pay. Every mutation that bypasses the checksum
+    /// lane (fault injection) clears the bit.
+    verified: bool,
+}
+
+impl Stored {
+    /// A never-written sector made real for fault injection to damage.
+    fn zeroed() -> Box<Self> {
+        Box::new(Self {
+            bytes: ZERO_SECTOR,
+            sum: None,
+            verified: false,
+        })
+    }
+
+    /// Whether the content matches its checksum; a pass is memoised.
+    fn verify(&mut self) -> bool {
+        if !self.verified {
+            if self.sum.is_some_and(|sum| crc32(&self.bytes) != sum) {
+                return false;
+            }
+            self.verified = true;
+        }
+        true
+    }
+}
+
 impl SimDisk {
     /// Creates a zero-filled disk.
     pub fn new(geometry: DiskGeometry, model: LatencyModel, clock: SimClock) -> Self {
@@ -106,14 +139,15 @@ impl SimDisk {
         // Spare pool for sector reassignment: ~1.5% of capacity, the
         // ballpark real drives reserve for grown defects.
         let slots = total + (total / 64).max(8);
+        // Written slot by slot rather than asked for zeroed: a zeroed
+        // allocation is resident only where the allocator could hand out
+        // fresh pages, and peak memory would differ from run to run.
         let data = (0..slots).map(|_| None).collect();
         Self {
             geometry,
             model,
             clock,
             data,
-            checksums: vec![None; slots as usize],
-            verified: vec![false; slots as usize],
             remap: BTreeMap::new(),
             spare_next: total,
             head: 0,
@@ -129,6 +163,14 @@ impl SimDisk {
     /// `addr` itself unless the sector has been reassigned to a spare.
     fn resolve(&self, addr: SectorAddr) -> SectorAddr {
         self.remap.get(&addr).copied().unwrap_or(addr)
+    }
+
+    /// Whether the slot's content passes its checksum — a never-written
+    /// slot has nothing to fail.
+    fn verifies(&mut self, slot: usize) -> bool {
+        self.data[slot]
+            .as_mut()
+            .is_none_or(|sector| sector.verify())
     }
 
     /// Reassigns logical sector `logical` (whose current slot `bad_slot`
@@ -211,8 +253,8 @@ impl SimDisk {
     /// accounting — the clock moves to the *max* of the spindle timelines,
     /// not their sum — which is how truly parallel hardware behaves.
     ///
-    /// Calls never read the shared clock while batched, so worker threads
-    /// driving different spindles stay deterministic.
+    /// Calls never read the shared clock while batched, so the order in
+    /// which the coordinator issues the spindles' batches does not matter.
     pub fn begin_batch(&mut self) {
         if self.batch_depth == 0 {
             self.batch_start_us = self.clock.now_us();
@@ -280,22 +322,16 @@ impl SimDisk {
                 self.stats.media_errors += 1;
                 return Err(DiskError::BadSector(s));
             }
-            if self.verified[slot] {
-                continue;
+            if !self.verifies(slot) {
+                self.stats.checksum_mismatches += 1;
+                return Err(DiskError::ChecksumMismatch(s));
             }
-            if let (Some(sector), Some(sum)) = (&self.data[slot], self.checksums[slot]) {
-                if crc32(sector) != sum {
-                    self.stats.checksum_mismatches += 1;
-                    return Err(DiskError::ChecksumMismatch(s));
-                }
-            }
-            self.verified[slot] = true;
         }
         self.stats.sector_reads += count;
         let mut out = Vec::with_capacity(count as usize * SECTOR_SIZE);
         for s in start..start + count {
             match &self.data[self.resolve(s) as usize] {
-                Some(sector) => out.extend_from_slice(sector),
+                Some(sector) => out.extend_from_slice(&sector.bytes),
                 None => out.extend_from_slice(&ZERO_SECTOR),
             }
         }
@@ -339,20 +375,13 @@ impl SimDisk {
                 });
                 continue;
             }
-            if self.verified[slot] {
-                continue;
+            if !self.verifies(slot) {
+                self.stats.checksum_mismatches += 1;
+                out.push(SectorFault {
+                    addr: s,
+                    kind: SectorFaultKind::ChecksumMismatch,
+                });
             }
-            if let (Some(sector), Some(sum)) = (&self.data[slot], self.checksums[slot]) {
-                if crc32(sector) != sum {
-                    self.stats.checksum_mismatches += 1;
-                    out.push(SectorFault {
-                        addr: s,
-                        kind: SectorFaultKind::ChecksumMismatch,
-                    });
-                    continue;
-                }
-            }
-            self.verified[slot] = true;
         }
         Ok(out)
     }
@@ -400,9 +429,11 @@ impl SimDisk {
             if self.faults.is_bad(slot) {
                 slot = self.reassign(logical, slot);
             }
-            self.data[slot as usize] = Some(src.to_vec().into_boxed_slice());
-            self.checksums[slot as usize] = Some(crc32(src));
-            self.verified[slot as usize] = true;
+            self.data[slot as usize] = Some(Box::new(Stored {
+                bytes: src.try_into().expect("one sector"),
+                sum: Some(crc32(src)),
+                verified: true,
+            }));
         }
         if let WriteOutcome::Torn(_) = outcome {
             return Err(DiskError::Crashed);
@@ -419,12 +450,11 @@ impl SimDisk {
     pub fn corrupt_sector(&mut self, addr: SectorAddr) -> Result<(), DiskError> {
         self.check_range(addr, 1)?;
         let slot = self.resolve(addr);
-        let sector =
-            self.data[slot as usize].get_or_insert_with(|| ZERO_SECTOR.to_vec().into_boxed_slice());
-        for b in sector.iter_mut() {
+        let sector = self.data[slot as usize].get_or_insert_with(Stored::zeroed);
+        for b in sector.bytes.iter_mut() {
             *b ^= 0xFF;
         }
-        self.verified[slot as usize] = false;
+        sector.verified = false;
         self.faults.mark_bad_sector(slot);
         Ok(())
     }
@@ -440,17 +470,17 @@ impl SimDisk {
     pub fn silently_corrupt_sector(&mut self, addr: SectorAddr) -> Result<(), DiskError> {
         self.check_range(addr, 1)?;
         let slot = self.resolve(addr) as usize;
-        let sector = self.data[slot].get_or_insert_with(|| ZERO_SECTOR.to_vec().into_boxed_slice());
+        let sector = self.data[slot].get_or_insert_with(Stored::zeroed);
         // The checksum keeps describing the pre-corruption content; a
         // never-written sector gets the checksum of its zero content so
         // the flip is detectable there too.
-        if self.checksums[slot].is_none() {
-            self.checksums[slot] = Some(crc32(sector));
+        if sector.sum.is_none() {
+            sector.sum = Some(crc32(&sector.bytes));
         }
-        for b in sector.iter_mut() {
+        for b in sector.bytes.iter_mut() {
             *b ^= 0x55;
         }
-        self.verified[slot] = false;
+        sector.verified = false;
         Ok(())
     }
 
@@ -482,7 +512,7 @@ impl SimDisk {
     pub fn peek_sector(&self, addr: SectorAddr) -> Result<&[u8], DiskError> {
         self.check_range(addr, 1)?;
         Ok(match &self.data[self.resolve(addr) as usize] {
-            Some(sector) => sector,
+            Some(sector) => &sector.bytes,
             None => &ZERO_SECTOR,
         })
     }
@@ -511,7 +541,7 @@ impl SimDisk {
         };
         for addr in 0..self.geometry().total_sectors() {
             match &self.data[self.resolve(addr) as usize] {
-                Some(sector) => eat(sector),
+                Some(sector) => eat(&sector.bytes),
                 None => eat(&ZERO_SECTOR),
             }
         }

@@ -239,12 +239,23 @@ pub enum Prepared {
 /// many of these, makes them all durable with one
 /// [`TransactionService::flush_log`], and applies each with
 /// [`TransactionService::complete_commit`].
+///
+/// The same record is a participant's in-doubt half of a cross-shard
+/// transaction: the `Prepared` record is durable, the locks are held,
+/// and only the coordinator's decision (or the orphan sweep consulting
+/// the recovered decision log) may resolve it — local aborts and
+/// timeouts must not. And it is what recovery rebuilds from the log to
+/// redo.
 #[derive(Debug)]
 pub struct PreparedCommit {
     txn: TxnId,
     intentions: Vec<Intention>,
     sizes: Vec<(FileId, u64)>,
     has_effects: bool,
+    /// Deferred deletions (`tdelete`), performed between the apply and
+    /// the completion marker. They are in no durable record, so only a
+    /// live local commit carries any.
+    to_delete: Vec<FileId>,
 }
 
 impl PreparedCommit {
@@ -252,18 +263,6 @@ impl PreparedCommit {
     pub fn txn(&self) -> TxnId {
         self.txn
     }
-}
-
-/// A participant's in-doubt half of a cross-shard transaction: the
-/// `Prepared` record is durable, the locks are held, and only the
-/// coordinator's decision (or the orphan sweep consulting the recovered
-/// decision log) may resolve it — local aborts and timeouts must not.
-#[derive(Debug)]
-struct PreparedParticipant {
-    txn: TxnId,
-    intentions: Vec<Intention>,
-    sizes: Vec<(FileId, u64)>,
-    has_effects: bool,
 }
 
 #[derive(Debug)]
@@ -366,7 +365,7 @@ pub struct TransactionService {
     /// transaction id. Entries survive [`Self::recover`] (rebuilt from
     /// durable `Prepared` records) and leave only via
     /// [`Self::resolve_prepared`].
-    prepared: HashMap<u64, PreparedParticipant>,
+    prepared: HashMap<u64, PreparedCommit>,
     next_txn: u64,
     log_fid: FileId,
     log_tail: u64,
@@ -1207,7 +1206,8 @@ impl TransactionService {
         }
         let txn = self.active.get(&t).expect("checked");
         let (intentions, sizes) = txn.assemble_intentions();
-        let has_effects = !intentions.is_empty() || !txn.to_delete.is_empty();
+        let to_delete = txn.to_delete.clone();
+        let has_effects = !intentions.is_empty() || !to_delete.is_empty();
         // Durable commit record (the intention flag moves to Commit) —
         // encoded straight from the borrowed intentions, no deep copy.
         if has_effects {
@@ -1219,6 +1219,7 @@ impl TransactionService {
             intentions,
             sizes,
             has_effects,
+            to_delete,
         }))
     }
 
@@ -1237,31 +1238,38 @@ impl TransactionService {
         if !self.active.contains_key(&t) {
             return Err(TxnError::NotActive(t));
         }
-        // 1. Make the changes permanent.
-        for (fid, size) in &p.sizes {
-            self.fs.ensure_size(*fid, *size)?;
+        self.apply_committed(&p, false)?;
+        self.finish(t, true);
+        Ok(())
+    }
+
+    /// The one applier of a committed intentions list — a live commit, a
+    /// resolved participant and a recovery redo all end here: makes the
+    /// changes permanent, performs the deferred deletions and erases the
+    /// intentions by appending the `Completed` marker. `recovering`
+    /// selects the recovery-grade apply: serial, tolerant of deleted
+    /// files, FIT-aliasing guarded (the apply may already have run
+    /// before a crash ate the marker).
+    fn apply_committed(&mut self, p: &PreparedCommit, recovering: bool) -> Result<(), TxnError> {
+        // Logical sizes first: intentions are block-granular and alone
+        // would leave a size-extending commit short. (A redo may name a
+        // file its own commit went on to delete.)
+        for &(fid, size) in &p.sizes {
+            if self.fs.exists(fid) {
+                self.fs.ensure_size(fid, size)?;
+            }
         }
-        self.apply_intentions(&p.intentions, ReadSource::Main, false)?;
-        // 2. Deferred deletions.
-        let to_delete = self.active.get(&t).expect("checked").to_delete.clone();
-        for fid in to_delete {
+        self.apply_intentions(&p.intentions, ReadSource::Main, recovering)?;
+        for &fid in &p.to_delete {
             // Close our own handle if we had one, then delete.
-            if self
-                .active
-                .get(&t)
-                .expect("checked")
-                .open_files
-                .contains(&fid)
-            {
-                let _ = self.tclose(t, fid);
+            if self.txn(p.txn)?.open_files.contains(&fid) {
+                let _ = self.tclose(p.txn, fid);
             }
             self.fs.delete(fid)?;
         }
-        // 3. Erase the intentions (completion marker).
         if p.has_effects {
-            self.append_log(&LogRecord::Completed { txn: t })?;
+            self.append_log(&LogRecord::Completed { txn: p.txn })?;
         }
-        self.finish(t, true);
         Ok(())
     }
 
@@ -1316,11 +1324,12 @@ impl TransactionService {
         self.stats.prepares += 1;
         self.prepared.insert(
             gtid,
-            PreparedParticipant {
+            PreparedCommit {
                 txn: t,
                 intentions,
                 sizes,
                 has_effects,
+                to_delete: Vec::new(),
             },
         );
         Ok(())
@@ -1347,18 +1356,8 @@ impl TransactionService {
         let t = p.txn;
         let crash_free = self.active.contains_key(&t);
         if commit {
-            for (fid, size) in &p.sizes {
-                if self.fs.exists(*fid) {
-                    self.fs.ensure_size(*fid, *size)?;
-                }
-            }
-            // Post-crash resolves take the recovery-grade apply: serial,
-            // tolerant of deleted files, FIT-aliasing guarded (the apply
-            // may already have run before the crash ate the marker).
-            self.apply_intentions(&p.intentions, ReadSource::Main, !crash_free)?;
-            if p.has_effects {
-                self.append_log(&LogRecord::Completed { txn: t })?;
-            }
+            // Post-crash resolves take the recovery-grade apply.
+            self.apply_committed(&p, !crash_free)?;
             self.finish(t, true);
         } else {
             if p.has_effects {
@@ -1876,6 +1875,13 @@ impl TransactionService {
         // recovery instead of being marked done.
         self.log_tail = valid_len as u64;
         type CommitBody = (Vec<Intention>, Vec<(FileId, u64)>);
+        let record = |txn, (intentions, sizes): CommitBody| PreparedCommit {
+            txn,
+            intentions,
+            sizes,
+            has_effects: true,
+            to_delete: Vec::new(),
+        };
         let mut committed: HashMap<TxnId, CommitBody> = HashMap::new();
         let mut in_doubt: Vec<(u64, TxnId, CommitBody)> = Vec::new();
         for rec in records {
@@ -1911,44 +1917,27 @@ impl TransactionService {
         // transactions we are about to redo. Re-pin them before applying.
         // (Simplest correct order: re-mark, apply, then the apply frees
         // them again through the normal path.)
-        let mut to_apply: Vec<(TxnId, CommitBody)> = Vec::new();
+        let mut to_apply: Vec<PreparedCommit> = Vec::new();
         for t in &redone {
-            to_apply.push((*t, committed.remove(t).expect("present")));
+            to_apply.push(record(*t, committed.remove(t).expect("present")));
         }
-        for (_, (intentions, _)) in &to_apply {
-            self.repin_tentative_blocks(intentions)?;
+        for p in &to_apply {
+            self.repin_tentative_blocks(&p.intentions)?;
         }
-        for (t, (intentions, sizes)) in to_apply {
-            // Replay logical sizes first, exactly as `complete_commit`
-            // orders it — intentions are block-granular and alone would
-            // leave a size-extending redo short.
-            for (fid, size) in sizes {
-                if self.fs.exists(fid) {
-                    self.fs.ensure_size(fid, size)?;
-                }
-            }
-            self.apply_intentions(&intentions, ReadSource::Main, true)?;
-            self.append_log(&LogRecord::Completed { txn: t })?;
+        for p in &to_apply {
+            self.apply_committed(p, true)?;
         }
         // Rebuild the in-doubt participants: their tentative blocks were
         // also reclaimed by the allocation rebuild, and their locks died
         // with the tables — re-pin and re-acquire both, so the isolation
         // the vote promised holds until the decision arrives.
-        for (gtid, t, (intentions, sizes)) in in_doubt {
-            self.repin_tentative_blocks(&intentions)?;
-            self.reacquire_locks(t, &intentions)?;
+        for (gtid, t, body) in in_doubt {
+            self.repin_tentative_blocks(&body.0)?;
+            self.reacquire_locks(t, &body.0)?;
             if self.next_txn <= t.0 {
                 self.next_txn = t.0 + 1;
             }
-            self.prepared.insert(
-                gtid,
-                PreparedParticipant {
-                    txn: t,
-                    intentions,
-                    sizes,
-                    has_effects: true,
-                },
-            );
+            self.prepared.insert(gtid, record(t, body));
         }
         // One flush covers every redo's `Completed` marker (and leaves
         // nothing deferred from before the crash).

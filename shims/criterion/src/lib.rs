@@ -64,7 +64,7 @@ impl Criterion {
         self
     }
 
-    /// All measurements taken so far (used by `bench_json`).
+    /// All measurements taken so far.
     pub fn measurements(&self) -> &[Measurement] {
         &self.measurements
     }

@@ -1,11 +1,11 @@
 //! Equivalence tests for the per-spindle I/O scheduler.
 //!
 //! The scheduler changes *how* striped windows and coalesced flushes reach
-//! the disks — elevator ordering, cross-file merging, concurrent fan-out —
-//! but must never change *what* ends up on them. These tests pit the three
-//! [`ParallelIo`] modes against each other on identical workloads and
-//! require byte-identical disk images, identical read results, and clean
-//! fsck walks.
+//! the disks — elevator ordering, cross-file merging, per-spindle batches
+//! under makespan accounting — but must never change *what* ends up on
+//! them. These tests pit the two [`ParallelIo`] modes against each other
+//! on identical workloads and require byte-identical disk images,
+//! identical read results, and clean fsck walks.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -149,44 +149,37 @@ fn run_workload(w: &Workload, mode: ParallelIo) -> Outcome {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The coalesced, elevator-ordered, (optionally threaded) flush and
-    /// the windowed batch read leave every disk byte-identical to the
-    /// pre-scheduler serial paths, return identical read results, and
-    /// keep the file system fsck-clean.
+    /// The coalesced, elevator-ordered flush and the windowed batch read
+    /// leave every disk byte-identical to the pre-scheduler serial paths,
+    /// return identical read results, and keep the file system
+    /// fsck-clean.
     #[test]
     fn scheduler_modes_produce_identical_disks(w in workloads()) {
         let serial = run_workload(&w, ParallelIo::Never);
         let auto = run_workload(&w, ParallelIo::Auto);
-        let threaded = run_workload(&w, ParallelIo::Always);
         prop_assert!(serial.fsck_clean);
         prop_assert!(auto.fsck_clean);
-        prop_assert!(threaded.fsck_clean);
         prop_assert_eq!(&serial.reads, &auto.reads);
-        prop_assert_eq!(&serial.reads, &threaded.reads);
         for d in 0..w.ndisks {
             prop_assert_eq!(
                 &serial.images[d], &auto.images[d],
                 "disk {} differs between serial and auto issue", d
             );
-            prop_assert_eq!(
-                &serial.images[d], &threaded.images[d],
-                "disk {} differs between serial and threaded issue", d
-            );
         }
     }
 }
 
-/// Stress the threaded fan-out: many random windows read through the
-/// scoped-worker path (`ParallelIo::Always` forces threads even on one
-/// CPU) must match the serial baseline byte for byte, cold and warm.
+/// Stress the batched window read: many random windows read as one
+/// batch per spindle — the spindles concurrent in virtual time — must
+/// match the serial baseline byte for byte, cold and warm.
 #[test]
 fn concurrent_striped_reads_match_serial_reads() {
-    let mut threaded = build(4, 2, ParallelIo::Always);
+    let mut batched = build(4, 2, ParallelIo::Auto);
     let mut serial = build(4, 2, ParallelIo::Never);
     let len = 256 * BLOCK_SIZE; // 2 MiB over 4 spindles
     let data: Vec<u8> = (0..len).map(|i| (i / 7 % 251) as u8).collect();
     let mut fids = Vec::new();
-    for fs in [&mut threaded, &mut serial] {
+    for fs in [&mut batched, &mut serial] {
         let fid = fs.create(ServiceType::Basic).unwrap();
         fs.open(fid).unwrap();
         fs.write(fid, 0, data.clone()).unwrap();
@@ -196,12 +189,12 @@ fn concurrent_striped_reads_match_serial_reads() {
     let mut rng = StdRng::seed_from_u64(0xD15C);
     for round in 0..200 {
         if round % 16 == 0 {
-            threaded.evict_caches().unwrap();
+            batched.evict_caches().unwrap();
             serial.evict_caches().unwrap();
         }
         let off = rng.gen_range(0..len as u64 - 1);
         let n = rng.gen_range(1..=(len as u64 - off)) as usize;
-        let a = threaded.read(fids[0], off, n).unwrap();
+        let a = batched.read(fids[0], off, n).unwrap();
         let b = serial.read(fids[1], off, n).unwrap();
         assert_eq!(a, b, "window {off}+{n} diverged on round {round}");
         assert_eq!(&a[..], &data[off as usize..off as usize + n]);

@@ -14,8 +14,8 @@ use rhodos_buf::BlockBuf;
 use rhodos_cluster::SharedDirectory;
 use rhodos_disk_service::{SchedulerStats, BLOCK_SIZE};
 use rhodos_file_service::{
-    CacheStats, FileAttributes, FileId, FileServiceError, LeaseMode, LeaseToken, ParityStats,
-    ScrubStats, ServiceType,
+    BlockKey, CacheStats, FileAttributes, FileId, FileServiceError, LeaseMode, LeaseToken,
+    ParityStats, ScrubStats, ServiceType,
 };
 use rhodos_naming::{AttributedName, NamingError, NamingService, SystemName};
 use rhodos_net::{NetConfig, NetStats, SimNetwork};
@@ -95,7 +95,9 @@ impl From<TxnError> for AgentError {
 pub struct AgentStats {
     /// Client block-cache behaviour.
     pub cache: CacheStats,
-    /// Round trips charged to the server.
+    /// Round trips charged to the server: one per *exchange*, however
+    /// many blocks it carries — a `pread`'s misses, a `pwrite`'s
+    /// evictions and a `flush`'s dirty set each ride one per file.
     pub round_trips: u64,
     /// Per-spindle scheduler behaviour merged over every disk of every
     /// reachable server — how the striped fan-out batched, ordered and
@@ -110,12 +112,13 @@ pub struct AgentStats {
     /// reconstruction, and rebuild progress. All zero on servers
     /// running without `Redundancy::Parity`.
     pub parity: ParityStats,
-    /// RPCs issued to servers (request/reply exchanges — one per round
-    /// trip, including lease acquire/renew traffic).
+    /// RPCs issued to servers: request/reply exchanges, equal to
+    /// `round_trips` — lease acquire/renew traffic included, and a
+    /// vectored read or push counted once whatever its width.
     pub rpcs_sent: u64,
-    /// Reads served from the lease-protected client cache that would
-    /// otherwise have been server RPCs (one per block). Only counts
-    /// under [`LeaseConfig::Auto`].
+    /// Block reads served from the lease-protected client cache with no
+    /// exchange at all — counted per block, so it is not in the unit of
+    /// `rpcs_sent`. Only counts under [`LeaseConfig::Auto`].
     pub rpcs_avoided_by_lease: u64,
     /// Recall requests this agent's stations answered.
     pub recalls: u64,
@@ -681,9 +684,10 @@ impl FileAgent {
 
     /// Cached read. Blocks resident in the station cache are served with
     /// **no RPC at all** — under [`LeaseConfig::Auto`] only while a live
-    /// lease protects them; misses fetch the whole block from the server
-    /// and populate the cache. A hit is a shared handle: the only memcpy
-    /// on this path is into the caller's result buffer.
+    /// lease protects them; all the misses of the span are fetched as
+    /// whole blocks in **one exchange** and populate the cache. A hit is
+    /// a shared handle: the only memcpy on this path is into the caller's
+    /// result buffer.
     fn pread_cached(
         &mut self,
         od: ObjectDescriptor,
@@ -698,10 +702,7 @@ impl FileAgent {
             let e = self.entry(od)?;
             (e.server, e.fid, e.size)
         };
-        if offset >= size {
-            return Ok(Vec::new());
-        }
-        let len = len.min((size - offset) as usize);
+        let len = len.min(size.saturating_sub(offset) as usize);
         if len == 0 {
             return Ok(Vec::new());
         }
@@ -709,46 +710,71 @@ impl FileAgent {
         let first = offset / bs;
         let last = (offset + len as u64 - 1) / bs;
         let mut out = Vec::with_capacity(len);
-        for idx in first..=last {
-            let now = self.net.clock().now_us();
-            let cached = {
-                let mut st = self.stations[server].lock();
-                if !leased || st.authorized(fid, LeaseMode::Read, now) {
-                    st.cache.get(&(fid, idx))
-                } else {
-                    None
-                }
-            };
-            let block: BlockBuf = match cached {
-                Some(b) => {
-                    self.rpcs_avoided += u64::from(leased);
-                    b
-                }
-                None => {
-                    // A server-cache hit shares the server's allocation
-                    // all the way here.
-                    self.round_trip();
-                    let block = self.servers[server]
-                        .lock()
-                        .file_service_mut()
-                        .read_block(fid, idx)?;
-                    let evictions = {
-                        let mut st = self.stations[server].lock();
-                        st.cache.insert((fid, idx), block.clone(), false)
-                    };
-                    // Delayed writes evicted from the client cache are
-                    // pushed to the server.
-                    for (k, v) in evictions {
-                        self.push_block(server, k.0, k.1, v)?;
-                    }
-                    block
-                }
-            };
+        let mut copy_out = |idx: u64, block: &BlockBuf| {
             let block_start = idx * bs;
             let lo = offset.max(block_start) - block_start;
             let hi = (offset + len as u64).min(block_start + bs) - block_start;
             out.extend_from_slice(&block[lo as usize..hi as usize]);
+        };
+        // One pass for the hits. Leading hits go straight to the result;
+        // from the first miss on, blocks wait in `rest` (`None` = miss),
+        // so an all-hit read allocates nothing but its result.
+        let mut rest: Vec<Option<BlockBuf>> = Vec::new();
+        {
+            let now = self.net.clock().now_us();
+            let mut st = self.stations[server].lock();
+            let authorized = !leased || st.authorized(fid, LeaseMode::Read, now);
+            for idx in first..=last {
+                let cached = if authorized {
+                    st.cache.get(&(fid, idx))
+                } else {
+                    None
+                };
+                self.rpcs_avoided += u64::from(leased && cached.is_some());
+                match cached {
+                    Some(block) if rest.is_empty() => copy_out(idx, &block),
+                    cached => rest.push(cached),
+                }
+            }
         }
+        if rest.is_empty() {
+            return Ok(out);
+        }
+        // Every maximal run of misses is one window of the one exchange.
+        // A server-cache hit shares the server's allocation all the way
+        // here.
+        let rest_first = last + 1 - rest.len() as u64;
+        let mut fetched: Vec<(u64, BlockBuf)> = Vec::new();
+        self.round_trip();
+        {
+            let mut srv = self.servers[server].lock();
+            let fs = srv.file_service_mut();
+            let mut lo = rest_first;
+            for group in rest.chunk_by(|a, b| a.is_none() == b.is_none()) {
+                let next = lo + group.len() as u64;
+                if group[0].is_none() {
+                    fetched.extend((lo..).zip(fs.read_blocks(fid, lo, next - 1)?));
+                }
+                lo = next;
+            }
+        }
+        // A resident — possibly dirty — block is never overwritten.
+        let mut evicted = Vec::new();
+        {
+            let mut st = self.stations[server].lock();
+            for (idx, block) in fetched {
+                if !st.cache.contains(&(fid, idx)) {
+                    evicted.extend(st.cache.insert((fid, idx), block.clone(), false));
+                }
+                rest[(idx - rest_first) as usize] = Some(block);
+            }
+        }
+        for (idx, block) in (rest_first..).zip(&rest) {
+            copy_out(idx, block.as_ref().expect("hit or fetched"));
+        }
+        // Delayed writes evicted from the client cache are pushed to the
+        // server.
+        self.push_blocks(server, evicted)?;
         Ok(out)
     }
 
@@ -812,7 +838,8 @@ impl FileAgent {
     /// Delayed write: buffered dirty in the station cache — under
     /// [`LeaseConfig::Auto`], beneath an exclusive write lease; data
     /// reaches the server on flush, close, eviction — or when the server
-    /// recalls the delegation.
+    /// recalls the delegation. The caller's bytes are copied once; full
+    /// blocks enter the cache as views of that one copy.
     fn pwrite_cached(
         &mut self,
         od: ObjectDescriptor,
@@ -827,10 +854,10 @@ impl FileAgent {
             (e.server, e.fid, e.size)
         };
         let end = offset + data.len() as u64;
-        // The sizes rise before the loop: a write larger than the cache
-        // evicts its own early blocks mid-loop, and `push_block` trims
-        // what it pushes to the station's size. (`size` stays the
-        // pre-write one — it says which blocks exist at the server.)
+        // The sizes rise before the blocks go in: a write larger than the
+        // cache evicts its own early blocks, and `push_blocks` trims what
+        // it pushes to the station's size. (`size` stays the pre-write
+        // one — it says which blocks exist at the server.)
         {
             let entry = self.open.get_mut(&od).expect("checked");
             entry.size = entry.size.max(end);
@@ -841,45 +868,67 @@ impl FileAgent {
         let bs = BLOCK_SIZE as u64;
         let first = offset / bs;
         let last = (end - 1) / bs;
-        for idx in first..=last {
-            let block_start = idx * bs;
-            let lo = offset.max(block_start);
-            let hi = end.min(block_start + bs);
-            let full = lo == block_start && hi == block_start + bs;
-            let resident = if full {
-                None
-            } else {
-                self.stations[server].lock().cache.get(&(fid, idx))
-            };
-            let mut block: BlockBuf = if full {
-                BlockBuf::zeroed(BLOCK_SIZE)
-            } else if let Some(b) = resident {
-                b
-            } else if block_start < size {
-                // Read-modify-write (only if the block exists at the
-                // server). Under a lease the exclusive delegation means
-                // the server copy cannot move under us.
-                self.round_trip();
-                self.servers[server]
-                    .lock()
-                    .file_service_mut()
-                    .read_block(fid, idx)?
-            } else {
-                BlockBuf::zeroed(BLOCK_SIZE)
-            };
-            // Copy-on-write: detaches from the cached allocation only if
-            // the block is resident/shared.
-            block.make_mut()[(lo - block_start) as usize..(hi - block_start) as usize]
-                .copy_from_slice(&data[(lo - offset) as usize..(hi - offset) as usize]);
-            let evictions = {
-                let mut st = self.stations[server].lock();
-                st.cache.insert((fid, idx), block, true)
-            };
-            for (k, v) in evictions {
-                self.push_block(server, k.0, k.1, v)?;
+        // The wholly written blocks; what is left of `first..=last` is a
+        // partly written head and/or tail.
+        let full = offset.div_ceil(bs)..end / bs;
+        // The old contents of the partly written blocks are settled before
+        // anything is inserted — resident handle, else one exchange for the
+        // read-modify-write fetches, else zeros — so no fetch can race an
+        // eviction this write causes.
+        let mut edges: [Option<(u64, Option<BlockBuf>)>; 2] = [None, None];
+        {
+            let mut st = self.stations[server].lock();
+            for (slot, idx) in [first, last].into_iter().enumerate() {
+                if !full.contains(&idx) && (slot == 0 || last > first) {
+                    edges[slot] = Some((idx, st.cache.get(&(fid, idx))));
+                }
             }
         }
-        Ok(())
+        // (Only blocks that exist at the server are fetched. Under a lease
+        // the exclusive delegation means the server copy cannot move
+        // under us.)
+        let missing = |e: &(u64, Option<BlockBuf>)| e.1.is_none() && e.0 * bs < size;
+        if edges.iter().flatten().any(missing) {
+            self.round_trip();
+            let mut srv = self.servers[server].lock();
+            for e in edges.iter_mut().flatten().filter(|e| missing(e)) {
+                e.1 = Some(srv.file_service_mut().read_block(fid, e.0)?);
+            }
+        }
+        // The caller's bytes are copied once: the whole blocks into one
+        // buffer the cache holds views of, the edges into their blocks.
+        let body = (!full.is_empty()).then(|| {
+            BlockBuf::from(
+                &data[(full.start * bs - offset) as usize..(full.end * bs - offset) as usize],
+            )
+        });
+        let mut evicted = Vec::new();
+        {
+            let mut st = self.stations[server].lock();
+            for idx in first..=last {
+                let block_start = idx * bs;
+                let block = if full.contains(&idx) {
+                    let at = (block_start - full.start * bs) as usize;
+                    body.as_ref()
+                        .expect("has whole blocks")
+                        .slice(at..at + BLOCK_SIZE)
+                } else {
+                    let lo = offset.max(block_start);
+                    let hi = end.min(block_start + bs);
+                    let base = edges.iter_mut().flatten().find(|e| e.0 == idx);
+                    let mut block = base
+                        .and_then(|e| e.1.take())
+                        .unwrap_or_else(|| BlockBuf::zeroed(BLOCK_SIZE));
+                    // Copy-on-write: detaches from the cached allocation
+                    // only if the block is resident/shared.
+                    block.make_mut()[(lo - block_start) as usize..(hi - block_start) as usize]
+                        .copy_from_slice(&data[(lo - offset) as usize..(hi - offset) as usize]);
+                    block
+                };
+                evicted.extend(st.cache.insert((fid, idx), block, true));
+            }
+        }
+        self.push_blocks(server, evicted)
     }
 
     /// Ensures this station holds a live lease of at least `want` on the
@@ -990,54 +1039,73 @@ impl FileAgent {
         Ok(())
     }
 
-    /// Pushes one dirty block to the server, trimmed to the file's
-    /// logical size so a partial tail block does not inflate the file:
-    /// through the write-lease gate under [`LeaseConfig::Auto`], as a
-    /// plain write otherwise. The pushed view shares the client cache's
-    /// allocation — the server adopts it without a copy.
-    fn push_block(
+    /// Pushes dirty blocks to the server: **one exchange per file**
+    /// carrying all of that file's blocks, each trimmed to the file's
+    /// logical size so a partial tail block does not inflate the file —
+    /// through the write-lease gate under [`LeaseConfig::Auto`] (the token
+    /// is validated once per exchange), as a plain write otherwise. The
+    /// pushed views share the client cache's allocations — the server
+    /// adopts them without a copy. The versions of a block evicted twice
+    /// travel in eviction order, so the last one wins.
+    ///
+    /// Every file's exchange is attempted; the first error is returned. A
+    /// fenced exchange applies nothing and drops everything still
+    /// buffered for that file. After any other failure the file's blocks
+    /// are dirty in the cache again — evicted ones return to it, over
+    /// capacity until the next insert — so a retried `flush` pushes them.
+    fn push_blocks(
         &mut self,
         server: usize,
-        fid: FileId,
-        idx: u64,
-        data: BlockBuf,
+        mut blocks: Vec<(BlockKey, BlockBuf)>,
     ) -> Result<(), AgentError> {
-        let (token, len) = {
-            let st = self.stations[server].lock();
-            (st.leases.get(&fid).map(|l| l.token), st.trim_len(fid, idx))
-        };
-        if token.is_none() && self.lease_config == LeaseConfig::Auto {
-            // No lease to write under any more: the delegation was
-            // recalled or lapsed while this block sat buffered.
-            return Err(AgentError::File(FileServiceError::LeaseFenced(fid)));
-        }
-        if len == 0 {
-            return Ok(());
-        }
-        let start = idx * BLOCK_SIZE as u64;
-        self.round_trip();
-        let pushed = {
-            let mut srv = self.servers[server].lock();
-            let fs = srv.file_service_mut();
-            match token {
-                Some(token) => fs.write_leased(fid, start, data.slice(0..len), &token),
-                None => fs.write(fid, start, data.slice(0..len)),
-            }
-        };
-        match pushed {
-            Ok(()) => Ok(()),
-            Err(FileServiceError::LeaseFenced(_)) => {
-                // Fenced: the server granted the file away past our
-                // silence. Drop everything we still buffer for it.
+        blocks.sort_by_key(|&(k, _)| k);
+        let mut first_err = None;
+        for file in blocks.chunk_by(|a, b| a.0 .0 == b.0 .0) {
+            let fid = file[0].0 .0;
+            let (token, runs) = {
+                let st = self.stations[server].lock();
+                let runs: Vec<(u64, BlockBuf)> = file
+                    .iter()
+                    .map(|&((_, idx), ref b)| {
+                        (idx * BLOCK_SIZE as u64, b.slice(0..st.trim_len(fid, idx)))
+                    })
+                    .filter(|(_, b)| !b.is_empty())
+                    .collect();
+                (st.leases.get(&fid).map(|l| l.token), runs)
+            };
+            let pushed = if token.is_none() && self.lease_config == LeaseConfig::Auto {
+                // No lease to write under any more: the delegation was
+                // recalled or lapsed while these blocks sat buffered.
+                Err(FileServiceError::LeaseFenced(fid))
+            } else if runs.is_empty() {
+                Ok(())
+            } else {
+                self.round_trip();
+                self.servers[server]
+                    .lock()
+                    .file_service_mut()
+                    .write_vectored(fid, token.as_ref(), &runs)
+            };
+            if let Err(e) = pushed {
                 let mut st = self.stations[server].lock();
-                st.leases.remove(&fid);
-                let dropped = st.cache.take_dirty_for(fid);
-                st.stats.fenced_drops += 1 + dropped.len() as u64;
-                st.cache.invalidate_file(fid);
-                Err(AgentError::File(FileServiceError::LeaseFenced(fid)))
+                if let FileServiceError::LeaseFenced(_) = e {
+                    // Fenced: the server granted the file away past our
+                    // silence. Drop everything we still buffer for it.
+                    st.leases.remove(&fid);
+                    let dropped = st.cache.take_dirty_for(fid);
+                    st.stats.fenced_drops += (file.len() + dropped.len()) as u64;
+                    st.cache.invalidate_file(fid);
+                } else {
+                    // Newest version first: of a block evicted twice the
+                    // last one is kept, and a resident one outranks both.
+                    for (k, b) in file.iter().rev() {
+                        st.cache.restore_dirty(*k, b.clone());
+                    }
+                }
+                first_err.get_or_insert(e);
             }
-            Err(e) => Err(e.into()),
         }
+        first_err.map_or(Ok(()), |e| Err(e.into()))
     }
 
     /// Re-presents every held lease to its (rebooted) server so the
@@ -1099,11 +1167,14 @@ impl FileAgent {
         Ok(reattached)
     }
 
-    /// Flushes this descriptor's delayed writes to the server.
+    /// Flushes this descriptor's delayed writes to the server, in one
+    /// exchange.
     ///
     /// # Errors
     ///
-    /// [`AgentError::BadDescriptor`]; server failures.
+    /// [`AgentError::BadDescriptor`]; server failures. After a failure
+    /// other than a fence the blocks are still dirty: flush again once
+    /// the server is back.
     pub fn flush(&mut self, od: ObjectDescriptor) -> Result<(), AgentError> {
         self.sync_placement();
         let (server, fid) = {
@@ -1112,10 +1183,7 @@ impl FileAgent {
         };
         // (Write-through, `LeaseConfig::Never`, never buffers anything.)
         let dirty = self.stations[server].lock().cache.take_dirty_for(fid);
-        for ((f, idx), data) in dirty {
-            self.push_block(server, f, idx, data)?;
-        }
-        Ok(())
+        self.push_blocks(server, dirty)
     }
 
     /// `close`: flushes and closes at the server (releasing any lease on
@@ -1365,6 +1433,14 @@ mod tests {
         config_a: LeaseConfig,
         config_b: LeaseConfig,
     ) -> (FileAgent, FileAgent, ServerHandle) {
+        lease_pair_with_cache(64, config_a, config_b)
+    }
+
+    fn lease_pair_with_cache(
+        cache_blocks: usize,
+        config_a: LeaseConfig,
+        config_b: LeaseConfig,
+    ) -> (FileAgent, FileAgent, ServerHandle) {
         let clock = SimClock::new();
         let fs = FileService::single_disk(
             DiskGeometry::medium(),
@@ -1382,7 +1458,7 @@ mod tests {
                 vec![server.clone()],
                 naming.clone(),
                 SimNetwork::new(clock.clone(), NetConfig::reliable()),
-                64,
+                cache_blocks,
                 cfg,
                 NetConfig::reliable(),
             )
@@ -1426,6 +1502,187 @@ mod tests {
             };
             assert_eq!((0..72).find(|&b| !intact(b)), None, "{cfg:?}: lost block");
         }
+    }
+
+    /// A flush that fails on anything but a fence must leave its blocks
+    /// dirty: the retry after the repair pushes all of them.
+    #[test]
+    fn failed_flush_keeps_its_blocks_dirty_for_the_retry() {
+        let mut a = agent();
+        let fid = a.create(&name("name=retry")).unwrap();
+        let od = a.open(&name("name=retry")).unwrap();
+        let data: Vec<u8> = (0..4 * BLOCK_SIZE).map(|i| (i / 97) as u8).collect();
+        a.write(od, &data).unwrap();
+        let server = a.servers[0].clone();
+        let crash = |down: bool| {
+            let mut srv = server.lock();
+            let disk = srv.file_service_mut().disk_mut(0).disk_mut();
+            if down {
+                disk.faults_mut().crash_now();
+            } else {
+                disk.repair();
+            }
+        };
+        crash(true);
+        assert!(matches!(
+            a.flush(od),
+            Err(AgentError::File(FileServiceError::Disk(_)))
+        ));
+        crash(false);
+        a.flush(od).unwrap();
+        let at_server = server
+            .lock()
+            .file_service_mut()
+            .read(fid, 0, data.len())
+            .unwrap();
+        assert_eq!(at_server.len(), data.len(), "every block was pushed");
+        assert_eq!(at_server, data);
+    }
+
+    /// A fenced exchange is all-or-nothing: no block of it is visible at
+    /// the server, and the drop count covers the blocks it carried plus
+    /// what was still buffered for the file.
+    #[test]
+    fn fenced_push_applies_nothing_and_counts_pushed_plus_buffered() {
+        let (mut a, _, server) = lease_pair_with_cache(4, LeaseConfig::Auto, LeaseConfig::Never);
+        let clock = server.lock().file_service_mut().clock();
+        let x = a.create(&name("name=x")).unwrap();
+        let od_x = a.open(&name("name=x")).unwrap();
+        a.create(&name("name=y")).unwrap();
+        let od_y = a.open(&name("name=y")).unwrap();
+        a.pwrite(od_y, 0, &vec![2u8; 2 * BLOCK_SIZE]).unwrap();
+        a.flush(od_y).unwrap();
+        // Four delegated blocks of X fill the cache, unpushed.
+        a.pwrite(od_x, 0, &vec![1u8; 4 * BLOCK_SIZE]).unwrap();
+        // Both leases lapse. Reading Y re-acquires Y's, and the two
+        // fetched blocks evict two of X's: one exchange under X's dead
+        // token.
+        clock.advance(3_000_000);
+        assert!(matches!(
+            a.pread(od_y, 0, 2 * BLOCK_SIZE),
+            Err(AgentError::File(FileServiceError::LeaseFenced(f))) if f == x
+        ));
+        assert_eq!(
+            a.stations[0].lock().stats.fenced_drops,
+            4,
+            "2 blocks in the exchange + 2 still buffered"
+        );
+        let mut srv = server.lock();
+        assert_eq!(srv.file_service_mut().get_attribute(x).unwrap().size, 0);
+    }
+
+    /// One `pread` evicts the dirty blocks of two files; the lower-numbered
+    /// file's lease was fenced meanwhile. Its exchange fails alone: the
+    /// healthy file's evicted blocks still reach the server.
+    #[test]
+    fn a_fenced_file_does_not_take_a_healthy_files_evictions_with_it() {
+        let (mut a, mut b, server) = lease_pair_with_cache(4, LeaseConfig::Auto, LeaseConfig::Auto);
+        let clock = server.lock().file_service_mut().clock();
+        let x = a.create(&name("name=x")).unwrap();
+        let z = a.create(&name("name=z")).unwrap();
+        assert!(x < z, "X's exchange goes first");
+        a.create(&name("name=y")).unwrap();
+        let od_y = a.open(&name("name=y")).unwrap();
+        a.pwrite(od_y, 0, &vec![2u8; 4 * BLOCK_SIZE]).unwrap();
+        a.close(od_y).unwrap();
+        // Two delegated blocks each of X and Z fill the cache. Z's lease
+        // is 1.5 s younger than X's.
+        let od_x = a.open(&name("name=x")).unwrap();
+        let od_z = a.open(&name("name=z")).unwrap();
+        a.pwrite(od_x, 0, &vec![1u8; 2 * BLOCK_SIZE]).unwrap();
+        clock.advance(1_500_000);
+        let z_data: Vec<u8> = (0..2 * BLOCK_SIZE).map(|i| (i / 61) as u8).collect();
+        a.pwrite(od_z, 0, &z_data).unwrap();
+        // A goes silent; B takes X over once A's term on X has run out —
+        // Z's has not.
+        a.set_responsive(false);
+        let od_b = b.open_fid(x).unwrap();
+        b.pwrite(od_b, 0, b"new owner").unwrap();
+        b.flush(od_b).unwrap();
+        a.set_responsive(true);
+        // Reading Y evicts all four blocks: X's exchange is fenced, Z's
+        // is applied.
+        let od_y = a.open(&name("name=y")).unwrap();
+        assert!(matches!(
+            a.pread(od_y, 0, 4 * BLOCK_SIZE),
+            Err(AgentError::File(FileServiceError::LeaseFenced(f))) if f == x
+        ));
+        assert_eq!(a.stations[0].lock().stats.fenced_drops, 2, "X's two");
+        a.flush(od_z).unwrap();
+        let mut srv = server.lock();
+        let fs = srv.file_service_mut();
+        let z_at_server = fs.read(z, 0, z_data.len()).unwrap();
+        assert!(z_at_server == z_data, "Z's evicted blocks were applied");
+        assert_eq!(fs.read(x, 0, 9).unwrap(), b"new owner");
+    }
+
+    /// One `pwrite` evicts the dirty blocks of two files while the server
+    /// disk is down. Every exchange fails; every evicted block returns to
+    /// the cache dirty (over capacity) and is pushed after the repair.
+    #[test]
+    fn evictions_that_fail_to_push_return_to_the_cache_dirty() {
+        let (mut a, _, server) =
+            lease_pair_with_cache(4, LeaseConfig::Trusting, LeaseConfig::Never);
+        let data = |tag: u8, blocks: usize| -> Vec<u8> {
+            (0..blocks * BLOCK_SIZE)
+                .map(|i| tag ^ (i / 53) as u8)
+                .collect()
+        };
+        let mut files = Vec::new();
+        for (n, blocks) in [("name=x", 2), ("name=z", 2), ("name=y", 4)] {
+            let fid = a.create(&name(n)).unwrap();
+            let od = a.open(&name(n)).unwrap();
+            files.push((fid, od, data(fid.0 as u8, blocks)));
+        }
+        let crash = |down: bool| {
+            let mut srv = server.lock();
+            let disk = srv.file_service_mut().disk_mut(0).disk_mut();
+            if down {
+                disk.faults_mut().crash_now();
+            } else {
+                disk.repair();
+            }
+        };
+        a.pwrite(files[0].1, 0, &files[0].2).unwrap();
+        a.pwrite(files[1].1, 0, &files[1].2).unwrap();
+        crash(true);
+        // Four whole blocks of Y evict X's and Z's two each.
+        assert!(matches!(
+            a.pwrite(files[2].1, 0, &files[2].2),
+            Err(AgentError::File(FileServiceError::Disk(_)))
+        ));
+        assert_eq!(a.stations[0].lock().cache.dirty_blocks(), 8);
+        // The returned blocks serve reads while the server is down.
+        assert_eq!(a.pread(files[1].1, 0, 100).unwrap(), files[1].2[..100]);
+        crash(false);
+        for (fid, od, data) in &files {
+            a.flush(*od).unwrap();
+            let at_server = server.lock().file_service_mut().read(*fid, 0, data.len());
+            assert!(at_server.unwrap() == *data, "{fid:?} is whole");
+        }
+    }
+
+    /// Exchanges, not blocks, are what a transfer costs.
+    #[test]
+    fn one_exchange_per_transfer() {
+        let mut a = agent(); // 64-block cache, no lease traffic
+        a.create(&name("name=wide")).unwrap();
+        let od = a.open(&name("name=wide")).unwrap();
+        a.pwrite(od, 0, &vec![9u8; 64 * BLOCK_SIZE]).unwrap();
+        let trips = |a: &FileAgent| a.stats().round_trips;
+        let before = trips(&a);
+        a.flush(od).unwrap();
+        assert_eq!(trips(&a) - before, 1, "64 dirty blocks, one flush exchange");
+        a.close(od).unwrap(); // drops the cached blocks
+        let od = a.open(&name("name=wide")).unwrap();
+        let before = trips(&a);
+        assert_eq!(
+            a.pread(od, 100, 8 * BLOCK_SIZE - 100).unwrap().len(),
+            8 * BLOCK_SIZE - 100
+        );
+        assert_eq!(trips(&a) - before, 1, "8 cold blocks, one read exchange");
+        let _ = a.pread(od, 0, 8 * BLOCK_SIZE).unwrap();
+        assert_eq!(trips(&a) - before, 1, "warm re-read: no exchange");
     }
 
     #[test]

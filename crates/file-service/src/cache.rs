@@ -261,6 +261,25 @@ impl BlockCache {
         }
     }
 
+    /// Puts back, dirty, a block whose write-back failed. A resident
+    /// block is only marked dirty — it is that version or a newer one. An
+    /// evicted block returns without evicting anything: the pool stays
+    /// over capacity until the next [`Self::insert`] trims it, so a
+    /// failed write-back cannot cascade into further ones.
+    pub fn restore_dirty(&mut self, key: BlockKey, data: BlockBuf) {
+        if let Some(b) = self.blocks.get_mut(&key) {
+            b.dirty = true;
+            return;
+        }
+        let block = CachedBlock {
+            data,
+            dirty: true,
+            touched: 0,
+        };
+        self.blocks.insert(key, block);
+        self.touch(key);
+    }
+
     /// Mutable access to a resident block's bytes (counts as a hit).
     /// Copies-on-write only if the block is still shared with a reader or
     /// another cache level; exclusively-owned blocks mutate in place.
@@ -758,6 +777,24 @@ mod tests {
         assert_eq!(c.dirty_blocks(), 0);
         c.mark_dirty(&(FileId(1), 0));
         assert_eq!(c.dirty_blocks(), 1);
+    }
+
+    #[test]
+    fn restore_dirty_evicts_nothing_and_never_replaces_a_resident_block() {
+        let mut c = BlockCache::new(2);
+        let _ = c.insert((FileId(1), 0), blk(1), false);
+        let _ = c.insert((FileId(1), 1), blk(2), false);
+        // Resident: marked dirty, contents kept.
+        c.restore_dirty((FileId(1), 0), blk(9).into());
+        assert_eq!(c.peek(&(FileId(1), 0)).unwrap(), blk(1));
+        // Evicted: back in, over capacity, nothing pushed out.
+        c.restore_dirty((FileId(2), 0), blk(3).into());
+        assert_eq!((c.len(), c.dirty_blocks()), (3, 2));
+        // The next insert trims the pool to its capacity again, oldest
+        // first: both original blocks go, the dirty one to the caller.
+        let evicted = c.insert((FileId(3), 0), blk(4), false);
+        assert_eq!(c.len(), 2);
+        assert_eq!(evicted, vec![((FileId(1), 0), BlockBuf::from(blk(1)))]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! blocks.
 
 use crate::attrs::{FileAttributes, FileId, LockLevel, ServiceType};
-use crate::cache::{BlockPool, CacheStats, ShardedBlockCache, WritePolicy};
+use crate::cache::{BlockKey, BlockPool, CacheStats, ShardedBlockCache, WritePolicy};
 use crate::error::FileServiceError;
 use crate::fit::{BlockDescriptor, FileIndexTable};
 use crate::lease::{
@@ -772,10 +772,30 @@ impl FileService {
                 }
             }
         }
-        for (k, v) in evicted {
-            self.write_back(k, v)?;
-        }
+        self.write_back_evicted(evicted)?;
         Ok(wanted)
+    }
+
+    /// Writes back the dirty blocks the pool evicted while serving one
+    /// request — the last version of each key, in key order — as one
+    /// [`Self::write_back_grouped`] batch. Callers collect their evictions and hand them over once,
+    /// under three rules: the list reaches the platter before the same
+    /// request reads any block from it (the evicted block may be the one
+    /// fetched); a key evicted twice keeps only its last version (batch
+    /// extents must not overlap); and the request fails if the write-back
+    /// does, as it did when each eviction was written back on its own.
+    fn write_back_evicted(
+        &mut self,
+        evicted: Vec<(BlockKey, BlockBuf)>,
+    ) -> Result<(), FileServiceError> {
+        if evicted.is_empty() {
+            return Ok(());
+        }
+        let mut last = BTreeMap::new();
+        for (key, data) in evicted {
+            last.insert(key, data);
+        }
+        self.write_back_grouped(last.into_iter().collect())
     }
 
     fn write_back(&mut self, key: (FileId, u64), data: BlockBuf) -> Result<(), FileServiceError> {
@@ -936,9 +956,7 @@ impl FileService {
             }
             blocks[i] = Some(buf);
         }
-        for (k, v) in evicted {
-            self.write_back(k, v)?;
-        }
+        self.write_back_evicted(evicted)?;
         for i in needs_reconstruct {
             blocks[i] = Some(self.fetch_block(fid, first + i as u64)?);
         }
@@ -1103,74 +1121,124 @@ impl FileService {
         offset: u64,
         data: impl Into<BlockBuf>,
     ) -> Result<(), FileServiceError> {
-        let data: BlockBuf = data.into();
-        self.load_fit(fid)?;
-        self.require_open(fid)?;
-        if data.is_empty() {
-            return Ok(());
-        }
-        let new_size = self.fit(fid).fit.attrs.size.max(offset + data.len() as u64);
-        let nblocks = new_size.div_ceil(BLOCK_SIZE as u64);
-        let old_size = self.fit(fid).fit.attrs.size;
-        let old_blocks = self.fit(fid).fit.block_count();
-        self.grow_to_blocks(fid, nblocks)?;
-        let first = offset / BLOCK_SIZE as u64;
-        let last = (offset + data.len() as u64 - 1) / BLOCK_SIZE as u64;
-        for idx in first..=last {
-            let block_start = idx * BLOCK_SIZE as u64;
-            let lo = offset.max(block_start);
-            let hi = (offset + data.len() as u64).min(block_start + BLOCK_SIZE as u64);
-            let full_block = lo == block_start && hi == block_start + BLOCK_SIZE as u64;
-            let src_lo = (lo - offset) as usize;
-            let src_hi = (hi - offset) as usize;
-            // Blocks that existed before and are partially overwritten
-            // need their old contents (read-modify-write).
-            let block: BlockBuf = if full_block {
-                // Block-aligned span: adopt the caller's bytes as a view —
-                // consecutive blocks of one write share one allocation.
-                data.slice(src_lo..src_hi)
-            } else {
-                let mut block = if block_start < old_size {
-                    // Read-modify-write. If the old block is unreadable
-                    // (media fault) its remaining bytes are already lost —
-                    // proceed with zeros so the overwrite can repair it.
-                    match self.fetch_block(fid, idx) {
-                        Ok(b) => b,
-                        Err(FileServiceError::Disk(_)) => BlockBuf::zeroed(BLOCK_SIZE),
-                        Err(e) => return Err(e),
-                    }
-                } else {
-                    BlockBuf::zeroed(BLOCK_SIZE)
-                };
-                block.make_mut()[(lo - block_start) as usize..(hi - block_start) as usize]
-                    .copy_from_slice(&data[src_lo..src_hi]);
-                block
-            };
-            match (self.cache.as_mut(), self.config.write_policy) {
-                (Some(cache), WritePolicy::DelayedWrite) => {
-                    for (k, v) in cache.insert((fid, idx), block, true) {
-                        self.write_back(k, v)?;
-                    }
-                }
-                (Some(cache), WritePolicy::WriteThrough) => {
-                    // The clone is a refcount bump: cache and disk see the
-                    // same allocation.
-                    for (k, v) in cache.insert((fid, idx), block.clone(), false) {
-                        self.write_back(k, v)?;
-                    }
-                    self.write_back((fid, idx), block)?;
-                }
-                (None, _) => {
-                    self.write_back((fid, idx), block)?;
-                }
+        self.write_vectored(fid, None, &[(offset, data.into())])
+    }
+
+    /// The one write body: applies `runs` — `(offset, data)` pairs, in
+    /// order, so a later run overwrites an earlier one where they overlap
+    /// — as a single request. The file grows once to the furthest end,
+    /// the FIT is persisted once, and every dirty block the pool evicts
+    /// on the way goes to the spindles as one batch. With a `token` this
+    /// is a delegated writeback, gated on the write lease being live —
+    /// checked once, so a dead token rejects the whole request.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::write`]; [`FileServiceError::LeaseFenced`] if the token
+    /// is dead — the lease expired unanswered, was superseded, or belongs
+    /// to a pre-crash epoch. No run is applied then.
+    pub fn write_vectored(
+        &mut self,
+        fid: FileId,
+        token: Option<&LeaseToken>,
+        runs: &[(u64, BlockBuf)],
+    ) -> Result<(), FileServiceError> {
+        if let Some(token) = token {
+            if !self.lease.validate(token, self.clock.now_us(), true) {
+                self.lease.note_fenced_writeback();
+                return Err(FileServiceError::LeaseFenced(fid));
             }
         }
+        self.load_fit(fid)?;
+        self.require_open(fid)?;
+        let old_size = self.fit(fid).fit.attrs.size;
+        let new_size = runs
+            .iter()
+            .filter(|(_, data)| !data.is_empty())
+            .map(|(offset, data)| offset + data.len() as u64)
+            .fold(old_size, u64::max);
+        let old_blocks = self.fit(fid).fit.block_count();
+        self.grow_to_blocks(fid, new_size.div_ceil(BLOCK_SIZE as u64))?;
+        let mut evicted: Vec<(BlockKey, BlockBuf)> = Vec::new();
+        let applied = self.insert_runs(fid, runs, old_size, &mut evicted);
+        // What the pool evicted is written back even when a run failed.
+        let written_back = self.write_back_evicted(evicted);
+        applied.and(written_back)?;
         let entry = self.fits.get_mut(&fid).expect("loaded");
         entry.fit.attrs.size = new_size;
         // The FIT only needs re-persisting when the metadata changed —
         // overwrites in place leave it untouched.
         if new_size != old_size || entry.fit.block_count() != old_blocks {
             self.persist_fit(fid)?;
+        }
+        Ok(())
+    }
+
+    /// The per-block loop of [`Self::write_vectored`] over an already
+    /// grown file: every block of every run goes into the pool (or
+    /// through it), and the dirty blocks that displaces are left in
+    /// `evicted` for the caller to write back.
+    fn insert_runs(
+        &mut self,
+        fid: FileId,
+        runs: &[(u64, BlockBuf)],
+        old_size: u64,
+        evicted: &mut Vec<(BlockKey, BlockBuf)>,
+    ) -> Result<(), FileServiceError> {
+        // Bytes below `written_to` exist: on the platter, in the pool, or
+        // among this request's evictions.
+        let mut written_to = old_size;
+        for (offset, data) in runs.iter().filter(|(_, data)| !data.is_empty()) {
+            let (offset, end) = (*offset, offset + data.len() as u64);
+            for idx in offset / BLOCK_SIZE as u64..=(end - 1) / BLOCK_SIZE as u64 {
+                let block_start = idx * BLOCK_SIZE as u64;
+                let lo = offset.max(block_start);
+                let hi = end.min(block_start + BLOCK_SIZE as u64);
+                let full_block = lo == block_start && hi == block_start + BLOCK_SIZE as u64;
+                let src_lo = (lo - offset) as usize;
+                let src_hi = (hi - offset) as usize;
+                // Blocks that existed before and are partially overwritten
+                // need their old contents (read-modify-write).
+                let block: BlockBuf = if full_block {
+                    // Block-aligned span: adopt the caller's bytes as a view —
+                    // consecutive blocks of one write share one allocation.
+                    data.slice(src_lo..src_hi)
+                } else {
+                    let mut block = if block_start < written_to {
+                        // The fetch reads the platter, and the block may be
+                        // among the evictions still pending.
+                        self.write_back_evicted(std::mem::take(evicted))?;
+                        // Read-modify-write. If the old block is unreadable
+                        // (media fault) its remaining bytes are already lost —
+                        // proceed with zeros so the overwrite can repair it.
+                        match self.fetch_block(fid, idx) {
+                            Ok(b) => b,
+                            Err(FileServiceError::Disk(_)) => BlockBuf::zeroed(BLOCK_SIZE),
+                            Err(e) => return Err(e),
+                        }
+                    } else {
+                        BlockBuf::zeroed(BLOCK_SIZE)
+                    };
+                    block.make_mut()[(lo - block_start) as usize..(hi - block_start) as usize]
+                        .copy_from_slice(&data[src_lo..src_hi]);
+                    block
+                };
+                match (self.cache.as_mut(), self.config.write_policy) {
+                    (Some(cache), WritePolicy::DelayedWrite) => {
+                        evicted.extend(cache.insert((fid, idx), block, true));
+                    }
+                    (Some(cache), WritePolicy::WriteThrough) => {
+                        // The clone is a refcount bump: cache and disk see the
+                        // same allocation.
+                        evicted.extend(cache.insert((fid, idx), block.clone(), false));
+                        self.write_back((fid, idx), block)?;
+                    }
+                    (None, _) => {
+                        self.write_back((fid, idx), block)?;
+                    }
+                }
+            }
+            written_to = written_to.max(end);
         }
         Ok(())
     }
@@ -1309,6 +1377,26 @@ impl FileService {
         self.fetch_block(fid, idx)
     }
 
+    /// Reads whole logical blocks `first..=last` as shared handles, one
+    /// per block: pool hits are refcount bumps and the misses go to the
+    /// spindles as one batch — the window form of [`Self::read_block`].
+    ///
+    /// # Errors
+    ///
+    /// Fails if any block of the window does not exist or a disk fails.
+    pub fn read_blocks(
+        &mut self,
+        fid: FileId,
+        first: u64,
+        last: u64,
+    ) -> Result<Vec<BlockBuf>, FileServiceError> {
+        self.load_fit(fid)?;
+        if first > last || last >= self.fit(fid).fit.block_count() {
+            return Err(FileServiceError::Corrupt(fid));
+        }
+        self.fetch_window(fid, first, last)
+    }
+
     /// Overwrites one whole logical block, write-through (transactional
     /// traffic never sits in the delayed-write pool). The cache and the
     /// disk path share one allocation of the data.
@@ -1325,9 +1413,8 @@ impl FileService {
         let data: BlockBuf = data.into();
         self.load_fit(fid)?;
         if let Some(cache) = &mut self.cache {
-            for (k, v) in cache.insert((fid, idx), data.clone(), false) {
-                self.write_back(k, v)?;
-            }
+            let evicted = cache.insert((fid, idx), data.clone(), false);
+            self.write_back_evicted(evicted)?;
         }
         self.write_back((fid, idx), data)
     }
@@ -1443,15 +1530,16 @@ impl FileService {
         // Sorted order lets the serial fallback merge consecutive blocks.
         writes.sort_by_key(|&(fid, idx, _)| (fid, idx));
         let mut batch: Vec<((FileId, u64), BlockBuf)> = Vec::with_capacity(writes.len());
+        let mut evicted = Vec::new();
         for (fid, idx, data) in writes {
             self.load_fit(fid)?;
             if let Some(cache) = &mut self.cache {
-                for (k, v) in cache.insert((fid, idx), data.clone(), false) {
-                    self.write_back(k, v)?;
-                }
+                evicted.extend(cache.insert((fid, idx), data.clone(), false));
             }
             batch.push(((fid, idx), data));
         }
+        // Evictions first: an evicted key may be rewritten by the batch.
+        self.write_back_evicted(evicted)?;
         self.write_back_grouped(batch)
     }
 
@@ -1641,13 +1729,16 @@ impl FileService {
         if dirty.is_empty() {
             return Ok(());
         }
-        for (idx, block) in dirty {
-            let start = idx * BLOCK_SIZE as u64;
-            let len = (BLOCK_SIZE as u64).min(size.saturating_sub(start)) as usize;
-            if len == 0 {
-                continue;
-            }
-            self.write(fid, start, block.slice(0..len))?;
+        let runs: Vec<(u64, BlockBuf)> = dirty
+            .into_iter()
+            .filter_map(|(idx, block)| {
+                let start = idx * BLOCK_SIZE as u64;
+                let len = (BLOCK_SIZE as u64).min(size.saturating_sub(start)) as usize;
+                (len > 0).then(|| (start, block.slice(0..len)))
+            })
+            .collect();
+        if !runs.is_empty() {
+            self.write_vectored(fid, None, &runs)?;
         }
         self.flush_file(fid)
     }
@@ -1667,12 +1758,7 @@ impl FileService {
         data: impl Into<BlockBuf>,
         token: &LeaseToken,
     ) -> Result<(), FileServiceError> {
-        let now = self.clock.now_us();
-        if !self.lease.validate(token, now, true) {
-            self.lease.note_fenced_writeback();
-            return Err(FileServiceError::LeaseFenced(fid));
-        }
-        self.write(fid, offset, data)
+        self.write_vectored(fid, Some(token), &[(offset, data.into())])
     }
 
     /// Extends a live lease by one term.
@@ -2065,9 +2151,8 @@ impl FileService {
         if let Some(cache) = &mut self.cache {
             // The peer's copy is now the on-disk truth; a stale resident
             // block must not shadow it.
-            for (k, v) in cache.insert((fid, block), data.to_vec(), false) {
-                self.write_back(k, v)?;
-            }
+            let evicted = cache.insert((fid, block), data.to_vec(), false);
+            self.write_back_evicted(evicted)?;
         }
         Ok(())
     }
@@ -2556,9 +2641,7 @@ impl FileService {
                 evicted.extend(cache.insert((fid, idx), buf.clone(), false));
             }
         }
-        for (key, v) in evicted {
-            self.write_back(key, v)?;
-        }
+        self.write_back_evicted(evicted)?;
         Ok(buf)
     }
 
@@ -2654,9 +2737,8 @@ impl FileService {
         if let Some(cache) = &mut self.cache {
             // The peer's copy is now the on-disk truth; a stale
             // resident block must not shadow it.
-            for (key, v) in cache.insert((fid, block), data.to_vec(), false) {
-                self.write_back(key, v)?;
-            }
+            let evicted = cache.insert((fid, block), data.to_vec(), false);
+            self.write_back_evicted(evicted)?;
         }
         Ok(())
     }

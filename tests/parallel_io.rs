@@ -1,4 +1,5 @@
-//! Equivalence tests for the per-spindle I/O scheduler.
+//! Equivalence tests for the per-spindle I/O scheduler and for the
+//! vectored exchanges that feed it.
 //!
 //! The scheduler changes *how* striped windows and coalesced flushes reach
 //! the disks — elevator ordering, cross-file merging, per-spindle batches
@@ -6,13 +7,29 @@
 //! them. These tests pit the two [`ParallelIo`] modes against each other
 //! on identical workloads and require byte-identical disk images,
 //! identical read results, and clean fsck walks.
+//!
+//! The second half does the same one layer up: an agent transfer is one
+//! exchange carrying all of its blocks, and what the server's pool evicts
+//! while serving it is written back as one batch. Random scripts run
+//! against a byte model under every cache-coherence policy, with client
+//! caches and a server pool smaller than one request, and the hazards
+//! deferring a write-back opens are pinned one by one.
 
+use parking_lot::Mutex;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rhodos_agent::{FileAgent, LeaseConfig, ServerHandle};
 use rhodos_disk_service::{DiskService, DiskServiceConfig, BLOCK_SIZE};
-use rhodos_file_service::{FileService, FileServiceConfig, ParallelIo, ServiceType, StripePolicy};
+use rhodos_file_service::{
+    FileId, FileService, FileServiceConfig, LeaseParams, ParallelIo, Redundancy, ServiceType,
+    StripePolicy,
+};
+use rhodos_naming::{AttributedName, NamingService};
+use rhodos_net::{NetConfig, SimNetwork};
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
+use rhodos_txn::{TransactionService, TxnConfig};
+use std::sync::Arc;
 
 /// A striped service over small instant-latency disks. The instant model
 /// keeps the simulated clock at zero in every mode, so FIT timestamps —
@@ -199,4 +216,315 @@ fn concurrent_striped_reads_match_serial_reads() {
         assert_eq!(a, b, "window {off}+{n} diverged on round {round}");
         assert_eq!(&a[..], &data[off as usize..off as usize + n]);
     }
+}
+
+// ---- vectored exchanges ------------------------------------------------
+
+/// A server over four instant disks — striped, or one RAID-5 group —
+/// whose pool holds `pool_blocks` blocks in one LRU segment, with a
+/// lease term no script outlives.
+fn small_pool_server(redundancy: Redundancy, pool_blocks: usize) -> FileService {
+    FileService::striped(
+        4,
+        DiskGeometry::medium(),
+        LatencyModel::instant(),
+        SimClock::new(),
+        FileServiceConfig {
+            stripe: StripePolicy::RoundRobin { chunk_blocks: 2 },
+            cache_blocks: pool_blocks,
+            cache_shards: 1,
+            redundancy,
+            lease: LeaseParams {
+                term_us: u64::MAX / 4,
+                ..LeaseParams::default()
+            },
+            ..Default::default()
+        },
+    )
+    .expect("format")
+}
+
+fn agent_on(fs: FileService, lease: LeaseConfig, cache_blocks: usize) -> (FileAgent, ServerHandle) {
+    let clock = fs.clock();
+    let server: ServerHandle = Arc::new(Mutex::new(
+        TransactionService::new(fs, TxnConfig::default()).expect("transaction service"),
+    ));
+    let agent = FileAgent::with_lease_config(
+        0,
+        vec![server.clone()],
+        Arc::new(Mutex::new(NamingService::new())),
+        SimNetwork::new(clock, NetConfig::in_process()),
+        cache_blocks,
+        lease,
+        NetConfig::in_process(),
+    );
+    (agent, server)
+}
+
+/// What the server holds of `fid`, read at the server.
+fn at_server(server: &ServerHandle, fid: FileId) -> Vec<u8> {
+    let mut srv = server.lock();
+    let fs = srv.file_service_mut();
+    fs.open(fid).unwrap();
+    let size = fs.get_attribute(fid).unwrap().size;
+    let bytes = fs.read(fid, 0, size as usize).unwrap();
+    fs.close(fid).unwrap();
+    bytes
+}
+
+#[derive(Debug, Clone)]
+enum AgentOp {
+    Write {
+        file: usize,
+        off: usize,
+        len: usize,
+        fill: u8,
+    },
+    Read {
+        file: usize,
+        off: usize,
+        len: usize,
+    },
+    Flush {
+        file: usize,
+    },
+    /// Close and reopen: drops the file's client-cached blocks.
+    Reopen {
+        file: usize,
+    },
+}
+
+/// Unaligned offsets, lengths from one byte to 200 KiB (half of them at
+/// most a block and a bit), two files interleaved. A write's offset is
+/// folded into the file as it stands, so files grow from their end.
+fn agent_scripts() -> impl Strategy<Value = Vec<AgentOp>> {
+    let span = || {
+        (
+            0usize..2,
+            0usize..256 * 1024,
+            prop_oneof![1usize..=9_000, 1usize..=200 * 1024],
+        )
+    };
+    proptest::collection::vec(
+        prop_oneof![
+            4 => (span(), any::<u8>()).prop_map(|((file, off, len), fill)| AgentOp::Write {
+                file,
+                off,
+                len,
+                fill,
+            }),
+            4 => span().prop_map(|(file, off, len)| AgentOp::Read { file, off, len }),
+            1 => (0usize..2).prop_map(|file| AgentOp::Flush { file }),
+            1 => (0usize..2).prop_map(|file| AgentOp::Reopen { file }),
+        ],
+        1..20,
+    )
+}
+
+/// Runs `script` through one agent, checking every read against the
+/// byte model as it goes, and returns what the server ends up holding.
+fn run_script(
+    script: &[AgentOp],
+    redundancy: Redundancy,
+    lease: LeaseConfig,
+    cache_blocks: usize,
+) -> Vec<Vec<u8>> {
+    let (mut agent, server) = agent_on(small_pool_server(redundancy, 4), lease, cache_blocks);
+    let arm = format!("{redundancy:?} {lease:?} cache {cache_blocks}");
+    let names: Vec<AttributedName> = (0..2)
+        .map(|f| AttributedName::parse(&format!("name=vec-{f}")).unwrap())
+        .collect();
+    let fids: Vec<FileId> = names.iter().map(|n| agent.create(n).unwrap()).collect();
+    let mut ods: Vec<_> = names.iter().map(|n| agent.open(n).unwrap()).collect();
+    let mut model: Vec<Vec<u8>> = vec![Vec::new(); 2];
+    for (step, op) in script.iter().enumerate() {
+        match *op {
+            AgentOp::Write {
+                file,
+                off,
+                len,
+                fill,
+            } => {
+                // Growing and overwriting, never leaving a hole: a block
+                // that exists only as a gap below buffered writes is not
+                // readable through the agent (nor was it before).
+                let off = off % (model[file].len() + 1);
+                // Position-dependent bytes: a block that lands at the
+                // wrong index, or shifted, cannot pass for the right one.
+                let data: Vec<u8> = (off..off + len).map(|i| fill ^ (i / 7) as u8).collect();
+                agent.pwrite(ods[file], off as u64, &data).unwrap();
+                let m = &mut model[file];
+                m.resize(m.len().max(off + len), 0);
+                m[off..off + len].copy_from_slice(&data);
+            }
+            AgentOp::Read { file, off, len } => {
+                let got = agent.pread(ods[file], off as u64, len).unwrap();
+                let m = &model[file];
+                let want = &m[off.min(m.len())..(off + len).min(m.len())];
+                assert!(got == want, "{arm}: step {step} {op:?} read wrong bytes");
+            }
+            AgentOp::Flush { file } => agent.flush(ods[file]).unwrap(),
+            AgentOp::Reopen { file } => {
+                agent.close(ods[file]).unwrap();
+                ods[file] = agent.open(&names[file]).unwrap();
+            }
+        }
+    }
+    for od in ods {
+        agent.close(od).unwrap();
+    }
+    let held: Vec<Vec<u8>> = fids.iter().map(|&fid| at_server(&server, fid)).collect();
+    for (file, (h, m)) in held.iter().zip(&model).enumerate() {
+        assert_eq!(h.len(), m.len(), "{arm}: final size of file {file}");
+        assert!(h == m, "{arm}: final contents of file {file}");
+    }
+    held
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Whatever the client cache holds — one block, two, seven, or the
+    /// whole working set — and whichever policy moves the bytes, every
+    /// read returns the model's bytes and the server ends up holding the
+    /// model: the cached arms agree with `Never`, which sends each whole
+    /// span in one RPC and caches nothing.
+    #[test]
+    fn vectored_exchanges_match_the_byte_model(script in agent_scripts()) {
+        for redundancy in [Redundancy::None, Redundancy::Parity { k: 3, m: 1 }] {
+            let reference = run_script(&script, redundancy, LeaseConfig::Never, 1);
+            for lease in [LeaseConfig::Auto, LeaseConfig::Trusting] {
+                for cache_blocks in [1, 2, 7, 128] {
+                    let held = run_script(&script, redundancy, lease, cache_blocks);
+                    prop_assert!(held == reference, "{:?} {:?} {}", redundancy, lease, cache_blocks);
+                }
+            }
+        }
+    }
+}
+
+/// `len` bytes that differ at every offset and per `salt`.
+fn pattern(len: usize, salt: u8) -> Vec<u8> {
+    (0..len).map(|i| salt ^ (i % 251) as u8).collect()
+}
+
+/// Invariant 1, server tier: a dirty tail block evicted by the earlier
+/// blocks of the very write that then read-modify-writes it. A deferred
+/// write-back that has not reached the platter by then hands the fetch
+/// the stale block.
+#[test]
+fn server_rmw_sees_the_block_its_own_write_just_evicted() {
+    for redundancy in [Redundancy::None, Redundancy::Parity { k: 3, m: 1 }] {
+        let mut fs = small_pool_server(redundancy, 4);
+        let fid = fs.create(ServiceType::Basic).unwrap();
+        fs.open(fid).unwrap();
+        let mut model = pattern(6 * BLOCK_SIZE, 0x11);
+        fs.write(fid, 0, model.clone()).unwrap();
+        fs.evict_caches().unwrap();
+        // Block 5 becomes resident and dirty, alone in the pool.
+        let patch = pattern(1000, 0x22);
+        fs.write(fid, 5 * BLOCK_SIZE as u64 + 2000, patch.clone())
+            .unwrap();
+        model[5 * BLOCK_SIZE + 2000..][..1000].copy_from_slice(&patch);
+        // Blocks 1–4 fill the four-block pool and evict it; the 100-byte
+        // tail then needs its old contents back.
+        let wide = pattern(4 * BLOCK_SIZE + 100, 0x33);
+        fs.write(fid, BLOCK_SIZE as u64, wide.clone()).unwrap();
+        model[BLOCK_SIZE..][..wide.len()].copy_from_slice(&wide);
+        assert!(
+            fs.read(fid, 0, model.len()).unwrap() == model,
+            "{redundancy:?}: pooled view"
+        );
+        fs.evict_caches().unwrap();
+        assert!(
+            fs.read(fid, 0, model.len()).unwrap() == model,
+            "{redundancy:?}: platter"
+        );
+    }
+}
+
+/// Invariant 1, agent tier: the same shape against a four-block client
+/// cache — the old contents of the tail block must be the buffered
+/// ones, not the server's.
+#[test]
+fn agent_rmw_sees_the_block_its_own_write_just_evicted() {
+    for lease in [LeaseConfig::Auto, LeaseConfig::Trusting] {
+        let (mut a, server) = agent_on(small_pool_server(Redundancy::None, 4), lease, 4);
+        let name = AttributedName::parse("name=tail").unwrap();
+        let fid = a.create(&name).unwrap();
+        let od = a.open(&name).unwrap();
+        let mut model = pattern(6 * BLOCK_SIZE, 0x11);
+        a.pwrite(od, 0, &model).unwrap();
+        a.close(od).unwrap();
+        let od = a.open(&name).unwrap();
+        let patch = pattern(1000, 0x22);
+        a.pwrite(od, 5 * BLOCK_SIZE as u64 + 2000, &patch).unwrap();
+        model[5 * BLOCK_SIZE + 2000..][..1000].copy_from_slice(&patch);
+        let wide = pattern(4 * BLOCK_SIZE + 100, 0x33);
+        a.pwrite(od, BLOCK_SIZE as u64, &wide).unwrap();
+        model[BLOCK_SIZE..][..wide.len()].copy_from_slice(&wide);
+        assert!(a.pread(od, 0, model.len()).unwrap() == model, "{lease:?}");
+        a.close(od).unwrap();
+        assert!(at_server(&server, fid) == model, "{lease:?}: at the server");
+    }
+}
+
+/// Invariant 2, server tier: one request larger than the pool that
+/// carries block 0 twice evicts it twice; only the later version may
+/// reach the platter (and a batch must not carry overlapping extents).
+#[test]
+fn a_key_evicted_twice_in_one_request_keeps_its_last_version() {
+    for redundancy in [Redundancy::None, Redundancy::Parity { k: 3, m: 1 }] {
+        let mut fs = small_pool_server(redundancy, 4);
+        let fid = fs.create(ServiceType::Basic).unwrap();
+        fs.open(fid).unwrap();
+        let bs = BLOCK_SIZE as u64;
+        let (first, last) = (pattern(BLOCK_SIZE, 0x44), pattern(BLOCK_SIZE, 0x55));
+        let filler = |blocks: usize, salt: u8| pattern(blocks * BLOCK_SIZE, salt);
+        fs.write_vectored(
+            fid,
+            None,
+            &[
+                (0, first.into()),
+                (bs, filler(5, 0x66).into()),
+                (0, last.clone().into()),
+                (6 * bs, filler(5, 0x77).into()),
+            ],
+        )
+        .unwrap();
+        fs.evict_caches().unwrap();
+        assert!(
+            fs.read(fid, 0, BLOCK_SIZE).unwrap() == last,
+            "{redundancy:?}"
+        );
+        assert!(fs.read(fid, bs, 5 * BLOCK_SIZE).unwrap() == filler(5, 0x66));
+        assert!(fs.read(fid, 6 * bs, 5 * BLOCK_SIZE).unwrap() == filler(5, 0x77));
+    }
+}
+
+/// Invariant 2, agent tier: a `pwrite` through a two-block client cache
+/// evicts the buffered block 3, rewrites it, and evicts it again — both
+/// versions ride one exchange and the later one wins.
+#[test]
+fn a_pwrite_that_re_evicts_its_own_block_pushes_the_last_version() {
+    let (mut a, server) = agent_on(
+        small_pool_server(Redundancy::None, 4),
+        LeaseConfig::Trusting,
+        2,
+    );
+    let name = AttributedName::parse("name=twice").unwrap();
+    let fid = a.create(&name).unwrap();
+    let od = a.open(&name).unwrap();
+    a.pwrite(od, 3 * BLOCK_SIZE as u64, &pattern(BLOCK_SIZE, 0x44))
+        .unwrap();
+    let before = a.stats().round_trips;
+    let model = pattern(6 * BLOCK_SIZE, 0x55);
+    a.pwrite(od, 0, &model).unwrap();
+    assert_eq!(
+        a.stats().round_trips - before,
+        1,
+        "one exchange for all evictions"
+    );
+    a.close(od).unwrap();
+    assert!(at_server(&server, fid) == model);
 }

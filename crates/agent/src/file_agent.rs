@@ -20,12 +20,11 @@ use rhodos_file_service::{
 use rhodos_naming::{AttributedName, NamingError, NamingService, SystemName};
 use rhodos_net::{NetConfig, NetStats, SimNetwork};
 use rhodos_simdisk::HlcClock;
-use rhodos_txn::{TransactionService, TxnError};
+use rhodos_txn::TxnError;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Shared handle to the file/transaction server a machine talks to.
-pub type ServerHandle = Arc<Mutex<TransactionService>>;
+pub use rhodos_cluster::ServerHandle;
 
 /// Errors surfaced by the agents.
 #[derive(Debug)]
@@ -710,11 +709,15 @@ impl FileAgent {
         let first = offset / bs;
         let last = (offset + len as u64 - 1) / bs;
         let mut out = Vec::with_capacity(len);
-        let mut copy_out = |idx: u64, block: &BlockBuf| {
+        let mut copy_out = |idx: u64, block: Option<&BlockBuf>| {
             let block_start = idx * bs;
-            let lo = offset.max(block_start) - block_start;
-            let hi = (offset + len as u64).min(block_start + bs) - block_start;
-            out.extend_from_slice(&block[lo as usize..hi as usize]);
+            let lo = (offset.max(block_start) - block_start) as usize;
+            let hi = ((offset + len as u64).min(block_start + bs) - block_start) as usize;
+            match block {
+                Some(block) => out.extend_from_slice(&block[lo..hi]),
+                // A hole reads as zeros.
+                None => out.resize(out.len() + hi - lo, 0),
+            }
         };
         // One pass for the hits. Leading hits go straight to the result;
         // from the first miss on, blocks wait in `rest` (`None` = miss),
@@ -732,7 +735,7 @@ impl FileAgent {
                 };
                 self.rpcs_avoided += u64::from(leased && cached.is_some());
                 match cached {
-                    Some(block) if rest.is_empty() => copy_out(idx, &block),
+                    Some(block) if rest.is_empty() => copy_out(idx, Some(&block)),
                     cached => rest.push(cached),
                 }
             }
@@ -742,7 +745,9 @@ impl FileAgent {
         }
         // Every maximal run of misses is one window of the one exchange.
         // A server-cache hit shares the server's allocation all the way
-        // here.
+        // here. Our `size` counts buffered, unpushed writes, so a window
+        // may reach past the blocks the server has: it answers with those
+        // that exist and the rest is a hole.
         let rest_first = last + 1 - rest.len() as u64;
         let mut fetched: Vec<(u64, BlockBuf)> = Vec::new();
         self.round_trip();
@@ -770,7 +775,7 @@ impl FileAgent {
             }
         }
         for (idx, block) in (rest_first..).zip(&rest) {
-            copy_out(idx, block.as_ref().expect("hit or fetched"));
+            copy_out(idx, block.as_ref());
         }
         // Delayed writes evicted from the client cache are pushed to the
         // server.
@@ -857,7 +862,7 @@ impl FileAgent {
         // The sizes rise before the blocks go in: a write larger than the
         // cache evicts its own early blocks, and `push_blocks` trims what
         // it pushes to the station's size. (`size` stays the pre-write
-        // one — it says which blocks exist at the server.)
+        // one — no block at or past it can exist at the server.)
         {
             let entry = self.open.get_mut(&od).expect("checked");
             entry.size = entry.size.max(end);
@@ -884,15 +889,16 @@ impl FileAgent {
                 }
             }
         }
-        // (Only blocks that exist at the server are fetched. Under a lease
-        // the exclusive delegation means the server copy cannot move
-        // under us.)
+        // (`size` counts earlier buffered writes too, so a block below it
+        // may still be a hole at the server: that fetch comes back empty
+        // and the block starts as zeros. Under a lease the exclusive
+        // delegation means the server copy cannot move under us.)
         let missing = |e: &(u64, Option<BlockBuf>)| e.1.is_none() && e.0 * bs < size;
         if edges.iter().flatten().any(missing) {
             self.round_trip();
             let mut srv = self.servers[server].lock();
             for e in edges.iter_mut().flatten().filter(|e| missing(e)) {
-                e.1 = Some(srv.file_service_mut().read_block(fid, e.0)?);
+                e.1 = srv.file_service_mut().read_blocks(fid, e.0, e.0)?.pop();
             }
         }
         // The caller's bytes are copied once: the whole blocks into one
@@ -1267,7 +1273,7 @@ mod tests {
     use rhodos_file_service::{FileService, FileServiceConfig};
     use rhodos_net::NetConfig;
     use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
-    use rhodos_txn::TxnConfig;
+    use rhodos_txn::{TransactionService, TxnConfig};
 
     fn agent() -> FileAgent {
         let clock = SimClock::new();
@@ -1501,6 +1507,43 @@ mod tests {
                     == Some(&data[b * BLOCK_SIZE..(b + 1) * BLOCK_SIZE])
             };
             assert_eq!((0..72).find(|&b| !intact(b)), None, "{cfg:?}: lost block");
+        }
+    }
+
+    /// The agent's `size` covers buffered, unpushed writes of a growing
+    /// file, so a block below it may have no descriptor at the server
+    /// yet. Such a block is a hole: it reads as zeros, a partial write
+    /// into it starts from zeros, and a second agent sees the same bytes
+    /// once the flush lands.
+    #[test]
+    fn a_gap_below_buffered_writes_reads_as_zeros() {
+        let bs = BLOCK_SIZE as u64;
+        for cfg in [LeaseConfig::Trusting, LeaseConfig::Auto] {
+            let (mut a, mut b, _server) = lease_pair(cfg, LeaseConfig::Never);
+            a.create(&name("name=sparse")).unwrap();
+            let od = a.open(&name("name=sparse")).unwrap();
+            a.pwrite(od, 5 * bs, &vec![7u8; BLOCK_SIZE]).unwrap();
+            // No flush: the server still has an empty file.
+            let gap = a.pread(od, 2 * bs, BLOCK_SIZE).unwrap();
+            assert_eq!(gap, vec![0u8; BLOCK_SIZE], "{cfg:?}");
+            // A span running from the gap into the buffered block.
+            let mut span = vec![0u8; BLOCK_SIZE];
+            span.extend_from_slice(&[7u8; BLOCK_SIZE]);
+            assert_eq!(
+                a.pread(od, 4 * bs, 2 * BLOCK_SIZE).unwrap(),
+                span,
+                "{cfg:?}"
+            );
+            // A partial write into the gap reads the old block back first.
+            a.pwrite(od, 3 * bs + 10, b"mid").unwrap();
+            let mut block3 = vec![0u8; BLOCK_SIZE];
+            block3[10..13].copy_from_slice(b"mid");
+            assert_eq!(a.pread(od, 3 * bs, BLOCK_SIZE).unwrap(), block3, "{cfg:?}");
+            a.flush(od).unwrap();
+            let od_b = b.open(&name("name=sparse")).unwrap();
+            assert_eq!(b.pread(od_b, 2 * bs, BLOCK_SIZE).unwrap(), gap, "{cfg:?}");
+            assert_eq!(b.pread(od_b, 3 * bs, BLOCK_SIZE).unwrap(), block3);
+            assert_eq!(b.pread(od_b, 4 * bs, 2 * BLOCK_SIZE).unwrap(), span);
         }
     }
 

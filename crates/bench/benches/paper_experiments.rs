@@ -7,5 +7,5 @@
 
 fn main() {
     // `cargo bench` passes harness flags like `--bench`; ignore them.
-    println!("{}", rhodos_bench::run_all());
+    println!("{}", rhodos_bench::run_all(false));
 }

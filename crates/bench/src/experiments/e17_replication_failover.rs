@@ -11,11 +11,12 @@
 //!    writes survive message loss and duplication while each replica's
 //!    replay cache stays bounded by the in-flight window.
 
+use crate::setups::replica;
 use crate::table::Table;
-use rhodos_file_service::{FileService, FileServiceConfig, ServiceType, WritePolicy};
+use rhodos_file_service::{FileService, ServiceType};
 use rhodos_net::NetConfig;
 use rhodos_replication::ReplicatedFiles;
-use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
+use rhodos_simdisk::SimClock;
 
 const OLD: &[u8] = b"committed before fault";
 const NEW: &[u8] = b"committed during fault";
@@ -23,19 +24,6 @@ const NEW: &[u8] = b"committed during fault";
 /// Write-through replica so injected faults surface inside the faulting
 /// call; instant latency keeps timestamps identical across replicas, so
 /// platter images can be compared byte for byte.
-fn replica(clock: &SimClock) -> FileService {
-    FileService::single_disk(
-        DiskGeometry::medium(),
-        LatencyModel::instant(),
-        clock.clone(),
-        FileServiceConfig {
-            write_policy: WritePolicy::WriteThrough,
-            ..FileServiceConfig::default()
-        },
-    )
-    .expect("format replica")
-}
-
 fn cluster() -> ReplicatedFiles {
     let clock = SimClock::new();
     ReplicatedFiles::new((0..3).map(|_| replica(&clock)).collect())

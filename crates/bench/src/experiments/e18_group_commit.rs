@@ -14,8 +14,8 @@
 //! references, the busiest spindle's busy time, and simulated completion
 //! time. The batches are driven deterministically so the table is
 //! byte-stable; the real threaded leader/follower path is exercised by
-//! the `rhodos-txn` concurrency tests and the `commit_throughput`
-//! criterion group.
+//! the `rhodos-txn` concurrency tests and `benchmark/`'s `txn-contend`
+//! workload.
 
 use crate::latency::LatencySummary;
 use crate::table::{speedup, Table};

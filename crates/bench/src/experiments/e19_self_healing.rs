@@ -18,8 +18,9 @@
 //! 3. `fsck_repair` detecting and fixing bitmap/extent-map disagreement
 //!    (leaked and double-allocated extents).
 
+use crate::setups::replica;
 use crate::table::Table;
-use rhodos_file_service::{FileId, FileService, FileServiceConfig, ServiceType, WritePolicy};
+use rhodos_file_service::{FileId, FileService, FileServiceConfig, ServiceType};
 use rhodos_replication::ReplicatedFiles;
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 
@@ -46,19 +47,6 @@ fn populated() -> (FileService, FileId) {
 
 /// Write-through replica on a shared clock (as in E17) so cluster
 /// scrubbing can compare replicas deterministically.
-fn replica(clock: &SimClock) -> FileService {
-    FileService::single_disk(
-        DiskGeometry::medium(),
-        LatencyModel::instant(),
-        clock.clone(),
-        FileServiceConfig {
-            write_policy: WritePolicy::WriteThrough,
-            ..FileServiceConfig::default()
-        },
-    )
-    .expect("format replica")
-}
-
 /// A two-replica cluster holding one flushed 8-block file.
 fn cluster() -> (ReplicatedFiles, FileId) {
     let clock = SimClock::new();

@@ -4,10 +4,10 @@
 //! one mutex around the whole transaction service, one lock table per
 //! granularity, and one block pool. This experiment drives the E20
 //! open-loop generator (see [`crate::loadgen`]) over a Zipfian mix at
-//! rising skew and compares the sharded configuration
-//! ([`ShardConfig::default`]: striped lock tables + sharded block pool +
-//! the `tread_shared` fast path) against the unsharded ablation
-//! ([`ShardConfig::ablation`]: exactly the pre-E20 behaviour).
+//! rising skew and compares the sharded configuration (the default
+//! `lock_shards`/`cache_shards`: striped lock tables + sharded block
+//! pool + the `tread_shared` fast path) against the unsharded ablation
+//! (both 1: exactly the pre-E20 behaviour).
 //!
 //! Reported per cell: saturation throughput and p50/p99/p999 latency
 //! per op class at a common offered rate (90% of the ablation arm's
@@ -16,24 +16,20 @@
 //! lower read p99, because cached reads bypass the global critical
 //! section entirely.
 //!
-//! `RHODOS_BENCH_SMOKE=1` (or `exp e20 --smoke`) shrinks the cell for
+//! `exp e20 --smoke` (`run(true)`) shrinks the cell for
 //! CI; [`stat_records`] uses its own fixed mid-size cell for the
 //! committed `BENCH_latency.json` lane.
 
 use crate::loadgen::{self, LoadgenConfig, Replay, Trace};
 use crate::table::Table;
-use rhodos_txn::{FastPathStats, ShardConfig};
+use rhodos_txn::FastPathStats;
 
 const SKEWS: [f64; 3] = [0.0, 0.9, 1.2];
 
-fn smoke() -> bool {
-    std::env::var("RHODOS_BENCH_SMOKE").is_ok()
-}
-
-fn cell_config(skew: f64, shards: ShardConfig, ops: usize, agents: usize) -> LoadgenConfig {
+fn cell_config(skew: f64, sharded: bool, ops: usize, agents: usize) -> LoadgenConfig {
     LoadgenConfig {
         skew,
-        shards,
+        sharded,
         ops,
         agents,
         ..LoadgenConfig::default()
@@ -56,8 +52,8 @@ struct Pair {
 }
 
 fn measure(skew: f64, ops: usize, agents: usize) -> Pair {
-    let sharded_trace = loadgen::trace(&cell_config(skew, ShardConfig::default(), ops, agents));
-    let ablation_trace = loadgen::trace(&cell_config(skew, ShardConfig::ablation(), ops, agents));
+    let sharded_trace = loadgen::trace(&cell_config(skew, true, ops, agents));
+    let ablation_trace = loadgen::trace(&cell_config(skew, false, ops, agents));
     let sharded_sat = sharded_trace.saturation_per_ks();
     let ablation_sat = ablation_trace.saturation_per_ks();
     // Common offered rate: 90% of the ablation's saturation — the global
@@ -97,8 +93,8 @@ fn row(t: &mut Table, skew: f64, arm: &str, cell: &Cell, replay: &Replay) {
 }
 
 /// Runs the experiment.
-pub fn run() -> String {
-    let (ops, agents) = if smoke() { (600, 128) } else { (4000, 2048) };
+pub fn run(smoke: bool) -> String {
+    let (ops, agents) = if smoke { (600, 128) } else { (4000, 2048) };
     let mut t = Table::new(&[
         "skew",
         "arm",
@@ -152,8 +148,8 @@ pub fn run() -> String {
 /// The deterministic latency lane emitted as `BENCH_latency.json`: a
 /// fixed mid-size cell (independent of the smoke flag), both arms, all
 /// three skews. Values are integers (us and ops/s), byte-stable across
-/// runs; `bench_json` diffs them against the committed
-/// `BENCH_latency.baseline.json` with a 10% p99/saturation tolerance.
+/// runs; `bench_json` gates them against the committed
+/// `BENCH_latency.json` with a 10% p99/saturation tolerance.
 pub fn stat_records() -> Vec<(String, u64)> {
     let mut rows = Vec::new();
     for skew in SKEWS {
@@ -209,9 +205,7 @@ mod tests {
 
     #[test]
     fn smoke_report_renders() {
-        std::env::set_var("RHODOS_BENCH_SMOKE", "1");
-        let r = run();
-        std::env::remove_var("RHODOS_BENCH_SMOKE");
+        let r = run(true);
         assert!(r.contains("sharded (8x8)"));
         assert!(r.contains("global (1x1)"));
     }

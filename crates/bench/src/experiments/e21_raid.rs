@@ -26,7 +26,7 @@
 //!    spare while foreground reads keep flowing, and a 4+2 group
 //!    survives a double loss the same way.
 //!
-//! `RHODOS_BENCH_SMOKE=1` (or `exp e21 --smoke`) shrinks the cells for
+//! `exp e21 --smoke` (`run(true)`) shrinks the cells for
 //! CI; [`stat_records`] uses its own fixed mid-size cell for the
 //! committed `BENCH_raid.json` lane.
 
@@ -43,10 +43,6 @@ use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 const BLOCK: u64 = rhodos_disk_service::BLOCK_SIZE as u64;
 const K: usize = 4;
 
-fn smoke() -> bool {
-    std::env::var("RHODOS_BENCH_SMOKE").is_ok()
-}
-
 /// Deterministic test pattern: byte `i` of the file is a fixed mix of
 /// its offset, so any dropped/duplicated/zeroed unit shifts the
 /// fingerprint.
@@ -58,12 +54,7 @@ fn patterned(len: usize) -> Vec<u8> {
 
 /// FNV-1a over the file's bytes — the cross-arm identity check.
 fn fingerprint(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    crate::fnv1a(crate::FNV_OFFSET, bytes)
 }
 
 fn used_fragments(f: &FileService) -> u64 {
@@ -262,8 +253,8 @@ fn degraded_arm(m: usize, lose: &[usize], rows: u64) -> DegradedArm {
 }
 
 /// Runs the experiment.
-pub fn run() -> String {
-    let (rows, rewrites, degraded_rows) = if smoke() { (16, 12, 6) } else { (64, 48, 24) };
+pub fn run(smoke: bool) -> String {
+    let (rows, rewrites, degraded_rows) = if smoke { (16, 12, 6) } else { (64, 48, 24) };
     let mut out = String::new();
 
     // 1. Storage overhead.
@@ -367,7 +358,7 @@ pub fn run() -> String {
     let trace = loadgen::trace(&LoadgenConfig {
         agents: 64,
         files: 12,
-        ops: if smoke() { 300 } else { 1200 },
+        ops: if smoke { 300 } else { 1200 },
         disks: K + 1,
         redundancy: Redundancy::Parity { k: K, m: 1 },
         write_sizes: WriteSizeMix {
@@ -395,7 +386,7 @@ pub fn run() -> String {
 }
 
 /// Stat records for the committed `BENCH_raid.json` lane — a fixed
-/// mid-size cell, independent of `RHODOS_BENCH_SMOKE`.
+/// mid-size cell, independent of the smoke flag.
 pub fn stat_records() -> Vec<(String, u64)> {
     const ROWS: u64 = 32;
     let (_, overhead) = overhead_rows(ROWS);
@@ -493,9 +484,7 @@ mod tests {
 
     #[test]
     fn report_has_no_failures_and_lane_is_stable() {
-        std::env::set_var("RHODOS_BENCH_SMOKE", "1");
-        let report = run();
-        std::env::remove_var("RHODOS_BENCH_SMOKE");
+        let report = run(true);
         assert!(!report.contains(" NO"), "an arm failed:\n{report}");
         assert_eq!(stat_records(), stat_records());
     }

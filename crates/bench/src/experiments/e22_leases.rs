@@ -25,7 +25,7 @@
 //! and holds a lower cached-read p99; on the shared sweep the two arms'
 //! operation-stream fingerprints are identical (no stale bytes).
 //!
-//! `RHODOS_BENCH_SMOKE=1` (or `exp e22 --smoke`) shrinks the cells;
+//! `exp e22 --smoke` (`run(true)`) shrinks the cells;
 //! [`stat_records`] uses a fixed mid-size cell for the committed
 //! `BENCH_leases.json` lane.
 
@@ -42,10 +42,6 @@ use rhodos_txn::{TransactionService, TxnConfig};
 use std::sync::Arc;
 
 const BS: u64 = BLOCK_SIZE as u64;
-
-fn smoke() -> bool {
-    std::env::var("RHODOS_BENCH_SMOKE").is_ok()
-}
 
 /// One E22 cell.
 #[derive(Debug, Clone, Copy)]
@@ -76,15 +72,6 @@ struct Arm {
     /// FNV-1a over every operation's observed bytes plus the final file
     /// contents — two coherent arms must agree on the shared sweep.
     fingerprint: u64,
-}
-
-fn fnv(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 fn run_arm(cell: &Cell, sweep: Sweep, lease: LeaseConfig) -> Arm {
@@ -173,7 +160,7 @@ fn run_arm(cell: &Cell, sweep: Sweep, lease: LeaseConfig) -> Arm {
     let zipf = Zipf::new(cell.files, cell.skew);
     let mut rng = SplitMix64::new(cell.seed);
     let mut ops = Vec::with_capacity(cell.ops);
-    let mut fingerprint = 0xCBF2_9CE4_8422_2325u64;
+    let mut fingerprint = crate::FNV_OFFSET;
     for i in 0..cell.ops {
         let a = rng.below(cell.agents as u64) as usize;
         let f = match sweep {
@@ -193,8 +180,8 @@ fn run_arm(cell: &Cell, sweep: Sweep, lease: LeaseConfig) -> Arm {
         match class {
             OpClass::Read | OpClass::Update => {
                 let data = agents[a].pread(od, offset, 1024).expect("e22 read");
-                fingerprint = fnv(fingerprint, &(i as u64).to_le_bytes());
-                fingerprint = fnv(fingerprint, &data);
+                fingerprint = crate::fnv1a(fingerprint, &(i as u64).to_le_bytes());
+                fingerprint = crate::fnv1a(fingerprint, &data);
             }
             OpClass::Write => {
                 let payload = vec![i as u8; 1024];
@@ -234,7 +221,7 @@ fn run_arm(cell: &Cell, sweep: Sweep, lease: LeaseConfig) -> Arm {
             let fs = srv.file_service_mut();
             let size = fs.get_attribute(fid).expect("attrs").size as usize;
             let data = fs.read(fid, 0, size).expect("final read");
-            fingerprint = fnv(fingerprint, &data);
+            fingerprint = crate::fnv1a(fingerprint, &data);
         }
     }
 
@@ -298,8 +285,8 @@ fn row(t: &mut Table, sweep: &str, arm_name: &str, arm: &Arm, replay: &Replay, o
     ]);
 }
 
-fn cells() -> (Cell, Cell) {
-    let (agents, files, ops) = if smoke() { (4, 3, 300) } else { (16, 6, 2500) };
+fn cells(smoke: bool) -> (Cell, Cell) {
+    let (agents, files, ops) = if smoke { (4, 3, 300) } else { (16, 6, 2500) };
     let private = Cell {
         agents,
         files,
@@ -317,8 +304,8 @@ fn cells() -> (Cell, Cell) {
 }
 
 /// Runs the experiment.
-pub fn run() -> String {
-    let (private_cell, shared_cell) = cells();
+pub fn run(smoke: bool) -> String {
+    let (private_cell, shared_cell) = cells(smoke);
     let mut t = Table::new(&[
         "sweep",
         "arm",
@@ -377,7 +364,7 @@ pub fn run() -> String {
 /// The deterministic lane emitted as `BENCH_leases.json`: a fixed
 /// mid-size cell (independent of the smoke flag), both sweeps, both
 /// arms. `bench_json` diffs `read.p99_us` and `round_trips` against the
-/// committed `BENCH_leases.baseline.json` with a 10% tolerance.
+/// committed `BENCH_leases.json` with a 10% tolerance.
 pub fn stat_records() -> Vec<(String, u64)> {
     let private_cell = Cell {
         agents: 8,
@@ -475,9 +462,7 @@ mod tests {
 
     #[test]
     fn smoke_report_renders() {
-        std::env::set_var("RHODOS_BENCH_SMOKE", "1");
-        let r = run();
-        std::env::remove_var("RHODOS_BENCH_SMOKE");
+        let r = run(true);
         assert!(r.contains("leases (Auto)"));
         assert!(r.contains("ablation (Never)"));
     }

@@ -19,7 +19,7 @@
 //! bytes. A final 2-server cell runs greedy rebalance rounds after the
 //! trace and must preserve the fingerprint through its migrations.
 //!
-//! `RHODOS_BENCH_SMOKE=1` (or `exp e23 --smoke`) shrinks the cell for
+//! `exp e23 --smoke` (`run(true)`) shrinks the cell for
 //! CI; [`stat_records`] uses its own fixed mid-size cell for the
 //! committed `BENCH_cluster.json` lane.
 
@@ -27,10 +27,6 @@ use crate::loadgen::{self, ClusterLoadConfig, ClusterTrace, Replay};
 use crate::table::Table;
 
 const SERVERS: [usize; 4] = [1, 2, 4, 8];
-
-fn smoke() -> bool {
-    std::env::var("RHODOS_BENCH_SMOKE").is_ok()
-}
 
 fn cell_config(servers: usize, ops: usize, agents: usize) -> ClusterLoadConfig {
     ClusterLoadConfig {
@@ -70,8 +66,8 @@ fn row(t: &mut Table, servers: usize, cell: &Cell, baseline_sat: u64, replay: &R
 }
 
 /// Runs the experiment.
-pub fn run() -> String {
-    let (ops, agents) = if smoke() { (600, 128) } else { (4000, 2048) };
+pub fn run(smoke: bool) -> String {
+    let (ops, agents) = if smoke { (600, 128) } else { (4000, 2048) };
     let mut t = Table::new(&[
         "servers",
         "sat ops/s",
@@ -127,8 +123,8 @@ pub fn run() -> String {
 /// The deterministic scale-out lane emitted as `BENCH_cluster.json`: a
 /// fixed mid-size cell (independent of the smoke flag), all four server
 /// counts. Values are integers (us and ops/ks), byte-stable across
-/// runs; `bench_json` diffs them against the committed
-/// `BENCH_cluster.baseline.json` with a 10% p99/saturation tolerance
+/// runs; `bench_json` gates them against the committed
+/// `BENCH_cluster.json` with a 10% p99/saturation tolerance
 /// (fingerprints are identity rows, not gated).
 pub fn stat_records() -> Vec<(String, u64)> {
     let mut rows = Vec::new();
@@ -185,9 +181,7 @@ mod tests {
 
     #[test]
     fn smoke_report_renders() {
-        std::env::set_var("RHODOS_BENCH_SMOKE", "1");
-        let r = run();
-        std::env::remove_var("RHODOS_BENCH_SMOKE");
+        let r = run(true);
         assert!(r.contains("servers"));
         assert!(r.contains("speedup"));
     }

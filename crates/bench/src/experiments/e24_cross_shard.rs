@@ -16,7 +16,7 @@
 //! final content fingerprint must still equal the ablation's —
 //! atomicity and byte-identity survive the crash.
 //!
-//! `RHODOS_BENCH_SMOKE=1` (or `exp e24 --smoke`) shrinks the sequence
+//! `exp e24 --smoke` (`run(true)`) shrinks the sequence
 //! for CI; [`stat_records`] uses a fixed cell for the committed
 //! `BENCH_2pc.json` lane (commit p50/p99, flushes per commit,
 //! prepares, fingerprints), gated with a 10% latency/flush tolerance
@@ -28,10 +28,6 @@ use rhodos_cluster::{Cluster, ClusterConfig, CommitChaos, CommitOutcome, CrossOp
 const FILES: usize = 16;
 const FILE_BLOCKS: u64 = 4;
 const BS: u64 = 512;
-
-fn smoke() -> bool {
-    std::env::var("RHODOS_BENCH_SMOKE").is_ok()
-}
 
 /// Transaction `k` writes two files chosen so that any 8 consecutive
 /// transactions (one batch wave) touch disjoint pairs — wave members
@@ -171,8 +167,8 @@ fn row(t: &mut Table, name: &str, arm: &Arm) {
 }
 
 /// Runs the experiment.
-pub fn run() -> String {
-    let txns = if smoke() { 24 } else { 64 };
+pub fn run(smoke: bool) -> String {
+    let txns = if smoke { 24 } else { 64 };
     let mut t = Table::new(&[
         "arm",
         "commits",
@@ -223,8 +219,8 @@ pub fn run() -> String {
 /// The deterministic 2PC lane emitted as `BENCH_2pc.json`: a fixed
 /// 64-transaction cell (independent of the smoke flag) in the three
 /// clean arms. Latencies are virtual-time integers, byte-stable across
-/// runs; `bench_json` diffs them against the committed
-/// `BENCH_2pc.baseline.json` with a 10% commit-latency and
+/// runs; `bench_json` gates them against the committed
+/// `BENCH_2pc.json` with a 10% commit-latency and
 /// flushes-per-commit tolerance (fingerprints are identity rows, not
 /// gated).
 pub fn stat_records() -> Vec<(String, u64)> {
@@ -285,9 +281,7 @@ mod tests {
 
     #[test]
     fn smoke_report_renders() {
-        std::env::set_var("RHODOS_BENCH_SMOKE", "1");
-        let r = run();
-        std::env::remove_var("RHODOS_BENCH_SMOKE");
+        let r = run(true);
         assert!(r.contains("flushes/commit"));
         assert!(r.contains("ablation"));
     }

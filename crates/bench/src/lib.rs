@@ -11,10 +11,8 @@
 //!   and prints a paper-style table;
 //! * `benches/paper_experiments.rs` — a `harness = false` bench target
 //!   that runs every experiment (so `cargo bench` regenerates the paper);
-//! * `benches/hot_paths.rs` — Criterion microbenchmarks of the allocator,
-//!   disk transfer, file operations, lock manager and commit paths;
 //! * `src/bin/bench_json.rs` — the eight gated virtual-time `BENCH_*.json`
-//!   lanes.
+//!   lanes, one committed file each.
 //!
 //! The wall-clock measure of the data path is the stand-alone
 //! `benchmark/` package (`agent-stream` and its per-layer ladder).
@@ -30,94 +28,92 @@ pub mod loadgen;
 pub mod setups;
 pub mod table;
 
-/// One experiment: `(id, title, runner)`.
-pub type Experiment = (&'static str, &'static str, fn() -> String);
+/// FNV-1a offset basis: the `h` a content fingerprint starts from.
+pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a content fingerprint `h`.
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// One experiment: `(id, title, runner)`. The runner's argument is the
+/// `--smoke` flag: E20–E24 shrink their expensive cells under it, the
+/// paper experiments are small already and ignore it.
+pub type Experiment = (&'static str, &'static str, fn(bool) -> String);
 
 /// Every experiment in order.
 pub fn all_experiments() -> Vec<Experiment> {
     use experiments::*;
     vec![
-        (
-            "e01",
-            "Table 1: lock compatibility matrix",
-            e01_lock_table::run,
-        ),
+        ("e01", "Table 1: lock compatibility matrix", |_| {
+            e01_lock_table::run()
+        }),
         (
             "e03",
             "Files <= 512 KiB in at most two disk references",
-            e03_direct_access::run,
+            |_| e03_direct_access::run(),
         ),
         (
             "e04",
             "Contiguity counts collapse a run into one reference",
-            e04_contiguity::run,
+            |_| e04_contiguity::run(),
         ),
-        (
-            "e05",
-            "Fragments for metadata: utilisation vs I/O",
-            e05_fragments::run,
-        ),
-        (
-            "e06",
-            "64x64 free-extent array vs bitmap scan",
-            e06_freespace::run,
-        ),
-        ("e07", "Track read-ahead cache", e07_track_cache::run),
+        ("e05", "Fragments for metadata: utilisation vs I/O", |_| {
+            e05_fragments::run()
+        }),
+        ("e06", "64x64 free-extent array vs bitmap scan", |_| {
+            e06_freespace::run()
+        }),
+        ("e07", "Track read-ahead cache", |_| e07_track_cache::run()),
         (
             "e08",
             "Caching at every level vs a cache-less server",
-            e08_cache_levels::run,
+            |_| e08_cache_levels::run(),
         ),
         (
             "e09",
             "Idempotent operations under duplication and loss",
-            e09_idempotency::run,
+            |_| e09_idempotency::run(),
         ),
-        (
-            "e10",
-            "Lock granularity: concurrency vs overhead",
-            e10_granularity::run,
-        ),
-        (
-            "e11",
-            "Timeout deadlock resolution under load",
-            e11_deadlock::run,
-        ),
+        ("e10", "Lock granularity: concurrency vs overhead", |_| {
+            e10_granularity::run()
+        }),
+        ("e11", "Timeout deadlock resolution under load", |_| {
+            e11_deadlock::run()
+        }),
         (
             "e12",
             "WAL vs shadow page: commit cost and contiguity",
-            e12_wal_shadow::run,
+            |_| e12_wal_shadow::run(),
         ),
-        ("e13", "Striping across disks", e13_striping::run),
-        (
-            "e14",
-            "Stable storage and crash recovery",
-            e14_recovery::run,
-        ),
-        (
-            "e15",
-            "Delayed-write vs write-through",
-            e15_write_policy::run,
-        ),
-        (
-            "e16",
-            "Event-driven transaction agent lifecycle",
-            e16_agent_lifecycle::run,
-        ),
+        ("e13", "Striping across disks", |_| e13_striping::run()),
+        ("e14", "Stable storage and crash recovery", |_| {
+            e14_recovery::run()
+        }),
+        ("e15", "Delayed-write vs write-through", |_| {
+            e15_write_policy::run()
+        }),
+        ("e16", "Event-driven transaction agent lifecycle", |_| {
+            e16_agent_lifecycle::run()
+        }),
         (
             "e17",
             "Replica failover, resync, and lossy-RPC replication",
-            e17_replication_failover::run,
+            |_| e17_replication_failover::run(),
         ),
         (
             "e18",
             "Group commit: batched log flushes and coalesced apply",
-            e18_group_commit::run,
+            |_| e18_group_commit::run(),
         ),
         (
             "e19",
             "Self-healing: checksums, scrubbing, sector remap, fsck repair",
-            e19_self_healing::run,
+            |_| e19_self_healing::run(),
         ),
         (
             "e20",
@@ -148,7 +144,7 @@ pub fn all_experiments() -> Vec<Experiment> {
 }
 
 /// Runs every experiment and concatenates the reports.
-pub fn run_all() -> String {
+pub fn run_all(smoke: bool) -> String {
     let mut out = String::new();
     out.push_str("RHODOS distributed file facility — paper experiment suite\n");
     out.push_str("==========================================================\n");
@@ -156,7 +152,7 @@ pub fn run_all() -> String {
         out.push_str(&format!("\n[{id}] {title}\n"));
         out.push_str(&"-".repeat(title.len() + 7));
         out.push('\n');
-        out.push_str(&run());
+        out.push_str(&run(smoke));
     }
     out
 }

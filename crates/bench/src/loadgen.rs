@@ -33,7 +33,7 @@ use rhodos_disk_service::BLOCK_SIZE;
 use rhodos_file_service::{FileService, FileServiceConfig, LockLevel, ParityStats, Redundancy};
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 use rhodos_txn::{
-    DataItem, FastPathStats, ShardConfig, SharedTransactionService, TransactionService, TxnConfig,
+    DataItem, FastPathStats, SharedTransactionService, TransactionService, TxnConfig,
 };
 
 const BS: u64 = BLOCK_SIZE as u64;
@@ -181,8 +181,9 @@ pub struct LoadgenConfig {
     pub ops: usize,
     /// RNG seed for the whole pipeline.
     pub seed: u64,
-    /// Lock-table / block-pool sharding arm.
-    pub shards: ShardConfig,
+    /// The sharding arm: `true` keeps the default `lock_shards` and
+    /// `cache_shards`; `false` sets both to 1 — the pre-E20 behaviour.
+    pub sharded: bool,
     /// Payload-size mix of the write operations.
     pub write_sizes: WriteSizeMix,
     /// Disks behind the server: 1 is the classic single-disk E20 cell,
@@ -204,7 +205,7 @@ impl Default for LoadgenConfig {
             write_pct: 20,
             ops: 4000,
             seed: 42,
-            shards: ShardConfig::default(),
+            sharded: true,
             write_sizes: WriteSizeMix::default(),
             disks: 1,
             redundancy: Redundancy::None,
@@ -341,12 +342,16 @@ impl Trace {
 /// Executes the configured mix serially against a real service and
 /// measures each operation's service time and resource footprint.
 pub fn trace(cfg: &LoadgenConfig) -> Trace {
-    let fs_cfg = FileServiceConfig {
+    let mut fs_cfg = FileServiceConfig {
         cache_blocks: cfg.cache_blocks,
-        cache_shards: cfg.shards.cache_shards,
         redundancy: cfg.redundancy,
         ..FileServiceConfig::default()
     };
+    let mut txn_cfg = TxnConfig::default();
+    if !cfg.sharded {
+        fs_cfg.cache_shards = 1;
+        txn_cfg.lock_shards = 1;
+    }
     let fs = if cfg.disks > 1 {
         FileService::striped(
             cfg.disks,
@@ -364,14 +369,7 @@ pub fn trace(cfg: &LoadgenConfig) -> Trace {
         )
     }
     .expect("format loadgen file service");
-    let ts = TransactionService::new(
-        fs,
-        TxnConfig {
-            lock_shards: cfg.shards.lock_shards,
-            ..TxnConfig::default()
-        },
-    )
-    .expect("loadgen transaction service");
+    let ts = TransactionService::new(fs, txn_cfg).expect("loadgen transaction service");
     let s = SharedTransactionService::new(ts);
     let clock = s.lock().file_service().clock();
     let tables = s.lock().lock_tables();
@@ -677,14 +675,14 @@ pub fn trace_cluster(cfg: &ClusterLoadConfig) -> ClusterTrace {
 mod tests {
     use super::*;
 
-    fn tiny(shards: ShardConfig) -> LoadgenConfig {
+    fn tiny(sharded: bool) -> LoadgenConfig {
         LoadgenConfig {
             agents: 16,
             files: 6,
             file_blocks: 2,
             cache_blocks: 16,
             ops: 120,
-            shards,
+            sharded,
             ..LoadgenConfig::default()
         }
     }
@@ -715,7 +713,7 @@ mod tests {
 
     #[test]
     fn trace_is_deterministic_and_replay_repeats() {
-        let cfg = tiny(ShardConfig::default());
+        let cfg = tiny(true);
         let a = trace(&cfg);
         let b = trace(&cfg);
         assert_eq!(a.fast, b.fast);
@@ -730,8 +728,8 @@ mod tests {
 
     #[test]
     fn sharded_arm_bypasses_global_where_ablation_cannot() {
-        let sharded = trace(&tiny(ShardConfig::default()));
-        let ablation = trace(&tiny(ShardConfig::ablation()));
+        let sharded = trace(&tiny(true));
+        let ablation = trace(&tiny(false));
         assert!(
             sharded.fast.full_hits > 0,
             "sharded arm must serve fast-path hits: {:?}",

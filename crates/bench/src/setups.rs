@@ -28,62 +28,11 @@ pub fn file_service(config: FileServiceConfig) -> FileService {
     .expect("format file service")
 }
 
-/// A file service striped over `ndisks` disks.
-pub fn striped_file_service(ndisks: usize, chunk_blocks: u64) -> FileService {
-    FileService::striped(
-        ndisks,
-        DiskGeometry::large(),
-        LatencyModel::default(),
-        SimClock::new(),
-        FileServiceConfig {
-            stripe: StripePolicy::RoundRobin { chunk_blocks },
-            cache_blocks: 0,
-            ..Default::default()
-        },
-    )
-    .expect("format striped file service")
-}
-
-/// A single-disk file service with the disk-level track cache and
-/// read-ahead disabled — for experiments that count *demand* disk
-/// references. The file-service block pool stays on: it is the mechanism
-/// that lets one `get-block` of a contiguous run serve all its blocks
-/// ("cached using one single invocation of get-block", §5).
-pub fn file_service_raw() -> FileService {
-    let disk = DiskService::with_stable(
-        DiskGeometry::large(),
-        LatencyModel::default(),
-        SimClock::new(),
-        DiskServiceConfig {
-            track_readahead: false,
-            cache_tracks: 0,
-        },
-    );
-    FileService::format(
-        vec![disk],
-        FileServiceConfig {
-            cache_blocks: 512,
-            ..Default::default()
-        },
-    )
-    .expect("format raw file service")
-}
-
-/// A striped file service with raw (cache-less) disks.
-pub fn striped_file_service_raw(ndisks: usize, chunk_blocks: u64) -> FileService {
-    striped_file_service_raw_mode(ndisks, chunk_blocks, ParallelIo::Auto)
-}
-
-/// [`striped_file_service_raw`] with an explicit I/O issue mode — lets
-/// experiments compare the per-spindle schedulers against the
-/// pre-scheduler serial baseline ([`ParallelIo::Never`]).
-pub fn striped_file_service_raw_mode(
-    ndisks: usize,
-    chunk_blocks: u64,
-    parallel_io: ParallelIo,
-) -> FileService {
+/// `n` disk servers on one clock with the track cache and read-ahead
+/// disabled ("raw" disks).
+fn raw_disks(n: usize) -> Vec<DiskService> {
     let clock = SimClock::new();
-    let disks = (0..ndisks)
+    (0..n)
         .map(|_| {
             DiskService::with_stable(
                 DiskGeometry::large(),
@@ -95,9 +44,35 @@ pub fn striped_file_service_raw_mode(
                 },
             )
         })
-        .collect();
+        .collect()
+}
+
+/// A single-disk file service with the disk-level track cache and
+/// read-ahead disabled — for experiments that count *demand* disk
+/// references. The file-service block pool stays on: it is the mechanism
+/// that lets one `get-block` of a contiguous run serve all its blocks
+/// ("cached using one single invocation of get-block", §5).
+pub fn file_service_raw() -> FileService {
     FileService::format(
-        disks,
+        raw_disks(1),
+        FileServiceConfig {
+            cache_blocks: 512,
+            ..Default::default()
+        },
+    )
+    .expect("format raw file service")
+}
+
+/// A striped file service with raw (cache-less) disks and an explicit
+/// I/O issue mode — lets experiments compare the per-spindle schedulers
+/// against the pre-scheduler serial baseline ([`ParallelIo::Never`]).
+pub fn striped_file_service_raw_mode(
+    ndisks: usize,
+    chunk_blocks: u64,
+    parallel_io: ParallelIo,
+) -> FileService {
+    FileService::format(
+        raw_disks(ndisks),
         FileServiceConfig {
             stripe: StripePolicy::RoundRobin { chunk_blocks },
             cache_blocks: 2048,
@@ -119,22 +94,8 @@ pub fn parity_file_service_raw_mode(
     m: usize,
     parallel_io: ParallelIo,
 ) -> FileService {
-    let clock = SimClock::new();
-    let disks = (0..ndisks)
-        .map(|_| {
-            DiskService::with_stable(
-                DiskGeometry::large(),
-                LatencyModel::default(),
-                clock.clone(),
-                DiskServiceConfig {
-                    track_readahead: false,
-                    cache_tracks: 0,
-                },
-            )
-        })
-        .collect();
     FileService::format(
-        disks,
+        raw_disks(ndisks),
         FileServiceConfig {
             redundancy: Redundancy::Parity { k, m },
             cache_blocks: 2048,
@@ -143,6 +104,21 @@ pub fn parity_file_service_raw_mode(
         },
     )
     .expect("format parity file service")
+}
+
+/// One write-through replica of the replication experiments (E17, E19):
+/// a medium disk with no simulated latency, on the group's shared clock.
+pub fn replica(clock: &SimClock) -> FileService {
+    FileService::single_disk(
+        DiskGeometry::medium(),
+        LatencyModel::instant(),
+        clock.clone(),
+        FileServiceConfig {
+            write_policy: WritePolicy::WriteThrough,
+            ..FileServiceConfig::default()
+        },
+    )
+    .expect("format replica")
 }
 
 /// A transaction service over a default single-disk file service.
@@ -170,19 +146,13 @@ pub fn striped_transaction_service(
 /// A file service with every cache disabled (the "Bullet-server" baseline
 /// of E8) — or with defaults when `caches` is true.
 pub fn file_service_with_caches(caches: bool) -> FileService {
-    let geometry = DiskGeometry::large();
-    let clock = SimClock::new();
-    let disk_cfg = if caches {
-        DiskServiceConfig::default()
+    let disks = if caches {
+        vec![disk_service(DiskServiceConfig::default())]
     } else {
-        DiskServiceConfig {
-            track_readahead: false,
-            cache_tracks: 0,
-        }
+        raw_disks(1)
     };
-    let disk = DiskService::with_stable(geometry, LatencyModel::default(), clock, disk_cfg);
     FileService::format(
-        vec![disk],
+        disks,
         FileServiceConfig {
             cache_blocks: if caches { 256 } else { 0 },
             write_policy: WritePolicy::DelayedWrite,

@@ -34,8 +34,8 @@ use rhodos_replication::wire::{
     encode_txn_decide, encode_txn_prepare, encode_txn_prepared_list, encode_votes, PrepareTxn,
     OP_TXN_DECIDE, OP_TXN_PREPARE, OP_TXN_PREPARED_LIST, REPLY_ERR, REPLY_OK,
 };
-use rhodos_txn::{TransactionService, TxnError};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use rhodos_txn::{CommitReq, TransactionService, TxnError};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// One write of a cross-shard transaction: `(gid, offset, data)` in
 /// cluster ids (the coordinator resolves homes).
@@ -221,43 +221,23 @@ pub fn serve_txn(ts: &mut TransactionService, req: &[u8]) -> Vec<u8> {
     e.finish()
 }
 
-/// Phase one on the participant: each batched transaction runs under a
+/// Phase one on the participant: the whole batch is one
+/// [`TransactionService::commit_batch`] — each transaction runs under a
 /// fresh local transaction (any failure — missing file, lock conflict —
 /// is a *no* vote and an immediate local abort), then **one** log force
 /// makes every surviving `Prepared` record durable before any vote is
-/// reported. This is the group-commit amortisation applied to 2PC:
+/// reported, and a vote whose force failed is rolled back and reported
+/// *no*. This is the group-commit amortisation applied to 2PC:
 /// records-per-prepare-flush scales with the batch, not with 1.
 fn serve_prepare(ts: &mut TransactionService, batch: &[PrepareTxn]) -> Vec<u8> {
-    let mut votes = Vec::with_capacity(batch.len());
-    for (gtid, ops) in batch {
-        let t = ts.tbegin();
-        let mut opened: HashSet<FileId> = HashSet::new();
-        let mut ok = true;
-        for (fid, offset, data) in ops {
-            if opened.insert(*fid) && ts.topen(t, *fid).is_err() {
-                ok = false;
-                break;
-            }
-            if ts.twrite(t, *fid, *offset, data).is_err() {
-                ok = false;
-                break;
-            }
-        }
-        let ok = ok && ts.prepare_participant(t, *gtid).is_ok();
-        if !ok {
-            let _ = ts.tabort(t);
-        }
-        votes.push(ok);
-    }
-    if ts.flush_log().is_err() {
-        // Votes that never became durable must not be reported yes.
-        for ((gtid, _), vote) in batch.iter().zip(votes.iter_mut()) {
-            if *vote {
-                let _ = ts.resolve_prepared(*gtid, false);
-                *vote = false;
-            }
-        }
-    }
+    let reqs: Vec<CommitReq<'_>> = batch
+        .iter()
+        .map(|(gtid, writes)| CommitReq::Participant {
+            gtid: *gtid,
+            writes,
+        })
+        .collect();
+    let votes: Vec<bool> = ts.commit_batch(&reqs).iter().map(Result::is_ok).collect();
     encode_votes(&votes)
 }
 
@@ -919,5 +899,60 @@ mod tests {
         // Decision applied — the file is free to move again.
         assert!(c.migrate(gids[0], (home + 1) % 2).is_ok());
         assert_applied(&mut c, &gids);
+    }
+
+    /// The participant route of `TransactionService::commit_batch`: an
+    /// `OP_TXN_PREPARE` batch whose log force fails votes *no* on every
+    /// transaction and leaves nothing of them behind — no in-doubt entry,
+    /// no live transaction, no tentative block.
+    #[test]
+    fn a_prepare_whose_force_fails_votes_no_and_rolls_back() {
+        use rhodos_file_service::{FileService, FileServiceConfig, LockLevel};
+        use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
+
+        let server = || {
+            let fs = FileService::single_disk(
+                DiskGeometry::small(),
+                LatencyModel::instant(),
+                SimClock::new(),
+                FileServiceConfig::default(),
+            )
+            .unwrap();
+            let mut ts = TransactionService::new(fs, Default::default()).unwrap();
+            let fid = ts.tcreate(LockLevel::Page).unwrap();
+            (ts, fid)
+        };
+        let sector_writes =
+            |ts: &TransactionService| ts.file_service().stats().disks[0].disk.sector_writes;
+        // What the batch writes before its force, counted on a twin driven
+        // step by step: that many sector writes later the disk dies, which
+        // puts the failure on the force itself.
+        let (mut twin, fid) = server();
+        let batch: Vec<PrepareTxn> = vec![
+            (11, vec![(fid, 0, b"one".to_vec())]),
+            (12, vec![(fid, 8192, b"two".to_vec())]),
+        ];
+        let before = sector_writes(&twin);
+        for (gtid, writes) in &batch {
+            let t = twin.tbegin();
+            twin.topen(t, fid).unwrap();
+            twin.twrite(t, fid, writes[0].1, &writes[0].2).unwrap();
+            twin.prepare_participant(t, *gtid).unwrap();
+        }
+        let up_to_the_force = sector_writes(&twin) - before;
+
+        let (mut ts, same_fid) = server();
+        assert_eq!(same_fid, fid);
+        let free = ts.file_service_mut().disk_mut(0).free_fragments();
+        let disk = ts.file_service_mut().disk_mut(0).disk_mut();
+        disk.faults_mut().crash_after_sector_writes(up_to_the_force);
+        let reply = serve_txn(&mut ts, &encode_txn_prepare(&batch));
+        let mut d = Decoder::new(&reply);
+        assert_eq!(d.u8().unwrap(), REPLY_OK);
+        assert_eq!(decode_votes(d.bytes().unwrap()), vec![false, false]);
+        assert_eq!(ts.stats().prepares, 2, "both got as far as the force");
+        assert!(ts.prepared_gtids().is_empty());
+        assert!(ts.active_transactions().is_empty());
+        assert_eq!(ts.file_service_mut().disk_mut(0).free_fragments(), free);
     }
 }

@@ -28,7 +28,9 @@ use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock, StableWriteMode};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-/// Tunables for one file service.
+/// Tunables for one file service. The fragment pool's capacity is not
+/// among them: nothing ever set it, so it is the constant
+/// `FIT_POOL_ENTRIES`.
 #[derive(Debug, Clone, Copy)]
 pub struct FileServiceConfig {
     /// Capacity of the block pool (0 disables server-side data caching —
@@ -48,10 +50,6 @@ pub struct FileServiceConfig {
     /// contiguous thus eliminating the seek time to retrieve the first
     /// data block", §5). Disable only for the ablation experiment.
     pub fit_adjacent_first_block: bool,
-    /// Capacity of the *fragment pool* — the cache of file index tables —
-    /// in FITs ("the space for caching a fragment and block is acquired
-    /// from a fragment-pool and block-pool", §5). 0 = unbounded.
-    pub fit_pool_entries: usize,
     /// How striped windows and coalesced flushes reach the spindles (see
     /// [`ParallelIo`]).
     pub parallel_io: ParallelIo,
@@ -90,7 +88,6 @@ impl Default for FileServiceConfig {
             write_policy: WritePolicy::DelayedWrite,
             stripe: StripePolicy::SingleDisk,
             fit_adjacent_first_block: true,
-            fit_pool_entries: 256,
             parallel_io: ParallelIo::Auto,
             lease: LeaseParams::default(),
             redundancy: Redundancy::None,
@@ -138,6 +135,11 @@ struct FitEntry {
 
 /// Fragments reserved for the file directory region on disk 0.
 const DIRECTORY_FRAGMENTS: u64 = 16;
+
+/// Capacity of the *fragment pool* — the cache of file index tables — in
+/// FITs ("the space for caching a fragment and block is acquired from a
+/// fragment-pool and block-pool", §5).
+const FIT_POOL_ENTRIES: usize = 256;
 
 /// The RHODOS basic file service over a set of disk servers.
 ///
@@ -487,11 +489,7 @@ impl FileService {
     /// FITs are persisted eagerly — an evicted entry reloads from disk
     /// (or its stable copy) on next use.
     fn evict_cold_fits(&mut self) {
-        let cap = self.config.fit_pool_entries;
-        if cap == 0 {
-            return;
-        }
-        while self.fits.len() > cap {
+        while self.fits.len() > FIT_POOL_ENTRIES {
             let Some(victim) = self.fit_lru.first().copied() else {
                 break;
             };
@@ -1381,9 +1379,14 @@ impl FileService {
     /// per block: pool hits are refcount bumps and the misses go to the
     /// spindles as one batch — the window form of [`Self::read_block`].
     ///
+    /// A window that reaches past the file's last block returns only the
+    /// blocks that exist (possibly none): a client that buffers writes
+    /// knows a larger file than the server does, and what the server has
+    /// no descriptor for yet is a hole, not damage.
+    ///
     /// # Errors
     ///
-    /// Fails if any block of the window does not exist or a disk fails.
+    /// Fails on an empty window (`first > last`) or if a disk fails.
     pub fn read_blocks(
         &mut self,
         fid: FileId,
@@ -1391,10 +1394,14 @@ impl FileService {
         last: u64,
     ) -> Result<Vec<BlockBuf>, FileServiceError> {
         self.load_fit(fid)?;
-        if first > last || last >= self.fit(fid).fit.block_count() {
+        if first > last {
             return Err(FileServiceError::Corrupt(fid));
         }
-        self.fetch_window(fid, first, last)
+        let count = self.fit(fid).fit.block_count();
+        if first >= count {
+            return Ok(Vec::new());
+        }
+        self.fetch_window(fid, first, last.min(count - 1))
     }
 
     /// Overwrites one whole logical block, write-through (transactional
@@ -1478,16 +1485,13 @@ impl FileService {
         &mut self,
         disk: u16,
         addr: FragmentAddr,
-        source: ReadSource,
     ) -> Result<BlockBuf, FileServiceError> {
-        Ok(self.disks[disk as usize].get_from(Extent::new(addr, FRAGS_PER_BLOCK), source)?)
+        Ok(self.disks[disk as usize].get(Extent::new(addr, FRAGS_PER_BLOCK))?)
     }
 
     /// Reads many detached blocks in one scheduler pass: one elevator
     /// batch per spindle under makespan clock accounting, exactly like
     /// the read window path. Results come back in input order.
-    /// `ReadSource::Stable` falls back to per-block reads — the stable
-    /// path pays mirror round trips the scheduler cannot merge.
     ///
     /// # Errors
     ///
@@ -1495,12 +1499,11 @@ impl FileService {
     pub fn get_detached_blocks(
         &mut self,
         locs: &[(u16, FragmentAddr)],
-        source: ReadSource,
     ) -> Result<Vec<BlockBuf>, FileServiceError> {
-        if locs.len() <= 1 || source != ReadSource::Main {
+        if locs.len() <= 1 {
             return locs
                 .iter()
-                .map(|&(d, a)| self.get_detached_block(d, a, source))
+                .map(|&(d, a)| self.get_detached_block(d, a))
                 .collect();
         }
         let reqs: Vec<(u16, Extent)> = locs
@@ -1571,9 +1574,7 @@ impl FileService {
                 let row = idx / k as u64;
                 let slot = (idx % k as u64) as usize;
                 let mut units = self.load_row_reconstructed(fid, row, Some(slot))?;
-                units[slot] = self
-                    .get_detached_block(disk, addr, ReadSource::Main)?
-                    .to_vec();
+                units[slot] = self.get_detached_block(disk, addr)?.to_vec();
                 Some((row, units))
             } else {
                 None
@@ -2483,7 +2484,7 @@ impl FileService {
         let old = if reads.is_empty() {
             Vec::new()
         } else {
-            self.get_detached_blocks(&reads, ReadSource::Main)?
+            self.get_detached_blocks(&reads)?
         };
         // Parity math per row, then one write batch for everything.
         let zero = vec![0u8; BLOCK_SIZE];
@@ -2595,7 +2596,7 @@ impl FileService {
             }
         }
         let flat: Vec<(u16, FragmentAddr)> = locs.iter().map(|&(_, d, a)| (d, a)).collect();
-        match self.get_detached_blocks(&flat, ReadSource::Main) {
+        match self.get_detached_blocks(&flat) {
             Ok(bufs) => {
                 for (&(u, _, _), buf) in locs.iter().zip(bufs) {
                     units[u] = Some(buf.to_vec());
@@ -2605,10 +2606,7 @@ impl FileService {
                 // A media fault somewhere in the batch: fall back to
                 // per-unit reads so only the faulty unit is erased.
                 for &(u, d, a) in &locs {
-                    units[u] = self
-                        .get_detached_block(d, a, ReadSource::Main)
-                        .ok()
-                        .map(|b| b.to_vec());
+                    units[u] = self.get_detached_block(d, a).ok().map(|b| b.to_vec());
                 }
             }
         }
@@ -2682,7 +2680,7 @@ impl FileService {
                 .collect()
         };
         let units: Vec<Vec<u8>> = self
-            .get_detached_blocks(&locs, ReadSource::Main)?
+            .get_detached_blocks(&locs)?
             .iter()
             .map(|b| b.to_vec())
             .collect();
@@ -3249,9 +3247,11 @@ mod tests {
     /// or that lies past the file's last block, is dropped.
     #[test]
     fn fragment_pool_evicts_and_reloads_fits_safely() {
+        // More files than the fragment pool holds, each with a dirty
+        // block the block pool keeps until the flush.
+        let files = FIT_POOL_ENTRIES + 6;
         let auto = FileServiceConfig {
-            fit_pool_entries: 2, // tiny fragment pool
-            cache_blocks: 64,
+            cache_blocks: 2 * files,
             ..Default::default()
         };
         let never = FileServiceConfig {
@@ -3272,11 +3272,10 @@ mod tests {
                 config,
             )
             .unwrap();
-            // More files than the pool holds, each with a dirty cached block.
-            let fids: Vec<FileId> = (0..6)
+            let fids: Vec<FileId> = (0..files)
                 .map(|i| {
                     let fid = create_open(&mut f);
-                    f.write(fid, 0, &[i as u8 + 1; 100]).unwrap();
+                    f.write(fid, 0, &[(i % 251) as u8 + 1; 100]).unwrap();
                     fid
                 })
                 .collect();
@@ -3295,20 +3294,20 @@ mod tests {
             f.flush_all().unwrap();
             assert_eq!(
                 written(&f) - before,
-                6 * units * FRAGS_PER_BLOCK,
-                "{config:?}: the six live blocks and nothing else reach the disks"
+                files as u64 * units * FRAGS_PER_BLOCK,
+                "{config:?}: the live blocks and nothing else reach the disks"
             );
             for (i, fid) in fids.iter().enumerate() {
                 assert_eq!(
                     f.read(*fid, 0, 1).unwrap(),
-                    vec![i as u8 + 1],
+                    vec![(i % 251) as u8 + 1],
                     "{config:?}: file {i} lost its delayed write"
                 );
             }
             assert_eq!(f.block_descriptors(fids[0]).unwrap().len(), 1);
             let stats = f.stats();
             assert!(
-                stats.fit_loads > 6,
+                stats.fit_loads > files as u64,
                 "evictions must force FIT reloads ({} loads)",
                 stats.fit_loads
             );

@@ -15,7 +15,7 @@
 
 use crate::error::TxnError;
 use crate::lock::LockMode;
-use crate::service::{FastReadCheck, GroupCommit, Prepared, TransactionService, TxnId};
+use crate::service::{CommitReq, FastReadCheck, GroupCommit, TransactionService, TxnId};
 use crate::table::{LockOutcome, StripedLockTable};
 use parking_lot::Mutex;
 use rhodos_disk_service::BLOCK_SIZE;
@@ -25,28 +25,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
 
-/// One request queued on the group-commit pipeline: a local commit, or
-/// the prepare half of a cross-shard commit (whose durable `Prepared`
-/// vote rides the same shared log force as everyone else's records).
-#[derive(Debug, Clone, Copy)]
-enum PipeReq {
-    Commit(TxnId),
-    Prepare(TxnId, u64),
-}
-
-impl PipeReq {
-    fn txn(self) -> TxnId {
-        match self {
-            PipeReq::Commit(t) | PipeReq::Prepare(t, _) => t,
-        }
-    }
-}
-
 /// Shared state of the group-commit pipeline.
 #[derive(Debug, Default)]
 struct PipeState {
-    /// Requests waiting to be serviced by the current leader.
-    queue: Vec<PipeReq>,
+    /// Commits waiting to be serviced by the current leader.
+    queue: Vec<TxnId>,
     /// Whether some thread is currently acting as the leader.
     leader_active: bool,
     /// Outcomes published by the leader, keyed by transaction.
@@ -57,11 +40,11 @@ struct PipeState {
 /// lists may be written to the log in a single disk operation").
 ///
 /// Committers enqueue their transaction; the first arrival becomes the
-/// *leader*, drains the queue under the service lock, prepares every
-/// commit (appending each intentions-list record to the in-memory log
-/// tail), forces the log **once**, applies all the batched intentions,
-/// and finally publishes each transaction's outcome and wakes the
-/// followers, which were parked on the condvar the whole time.
+/// *leader*, drains the queue, hands the batch to
+/// [`TransactionService::commit_batch`] under the service lock (every
+/// intentions list appended, the log forced **once**, every commit
+/// applied), and finally publishes each transaction's outcome and wakes
+/// the followers, which were parked on the condvar the whole time.
 #[derive(Debug, Default)]
 struct CommitPipeline {
     state: StdMutex<PipeState>,
@@ -111,9 +94,9 @@ struct FastPath {
 
 impl FastPath {
     /// Builds the fast path if the configuration warrants it: at least
-    /// one layer actually sharded (the `ShardConfig::ablation()` arm
-    /// keeps the classic path exclusively, reproducing pre-E20 behaviour
-    /// exactly) and server-side caching enabled.
+    /// one layer actually sharded (the `lock_shards = cache_shards = 1`
+    /// ablation keeps the classic path exclusively, reproducing pre-E20
+    /// behaviour exactly) and server-side caching enabled.
     fn build(service: &mut TransactionService) -> Option<Arc<FastPath>> {
         let lock_shards = service.config().lock_shards;
         let cache_shards = service.file_service().config().cache_shards;
@@ -130,7 +113,10 @@ impl FastPath {
     }
 }
 
-/// A cloneable, thread-safe handle to one transaction service.
+/// A cloneable, thread-safe handle to one transaction service. Clones
+/// share the service *and* its group-commit pipeline; there is no other
+/// way to obtain a handle to the same service, so concurrent committers
+/// always batch together.
 ///
 /// # Example
 ///
@@ -178,35 +164,11 @@ impl SharedTransactionService {
         }
     }
 
-    /// Wraps an existing shared handle (e.g. the one agents hold).
-    ///
-    /// Note: handles built with `from_arc` over the same service get their
-    /// own pipeline; commits still serialise on the service lock, they just
-    /// don't batch *across* independently-constructed handles. Clone one
-    /// handle instead to share its pipeline.
-    pub fn from_arc(inner: Arc<Mutex<TransactionService>>) -> Self {
-        let (mode, fast) = {
-            let mut svc = inner.lock();
-            (svc.config().group_commit, FastPath::build(&mut svc))
-        };
-        Self {
-            inner,
-            pipeline: Arc::new(CommitPipeline::default()),
-            mode,
-            fast,
-        }
-    }
-
     /// Locks the underlying service for one operation (or for
     /// non-transactional administration: `tcreate`, statistics, recovery).
     /// Do **not** hold the guard across blocking work.
     pub fn lock(&self) -> parking_lot::MutexGuard<'_, TransactionService> {
         self.inner.lock()
-    }
-
-    /// The shared handle, for interoperating with the agents.
-    pub fn as_arc(&self) -> Arc<Mutex<TransactionService>> {
-        self.inner.clone()
     }
 
     /// Whether the lock-free read fast path is active (at least one layer
@@ -415,37 +377,15 @@ impl SharedTransactionService {
         if self.mode == GroupCommit::Never {
             return self.inner.lock().tend(t);
         }
-        self.submit(PipeReq::Commit(t))
+        self.submit(t)
     }
 
-    /// Prepares `t` as a cross-shard 2PC participant under global id
-    /// `gtid`, riding the group-commit pipeline: the durable `Prepared`
-    /// vote shares the leader's single log force with every other record
-    /// in the batch, so cross-shard prepares amortise exactly like local
-    /// commits. Returns once the vote is durable — only then may it be
-    /// reported to the coordinator. Under [`GroupCommit::Never`] the
-    /// prepare forces the log immediately (the serial ablation).
-    ///
-    /// # Errors
-    ///
-    /// As [`TransactionService::prepare_participant`], plus log-flush
-    /// failures.
-    pub fn prepare_cross_shard(&self, t: TxnId, gtid: u64) -> Result<(), TxnError> {
-        if self.mode == GroupCommit::Never {
-            let mut svc = self.inner.lock();
-            svc.prepare_participant(t, gtid)?;
-            return svc.flush_log();
-        }
-        self.submit(PipeReq::Prepare(t, gtid))
-    }
-
-    /// Queues `req` on the pipeline; the first arrival leads, everyone
+    /// Queues `t` on the pipeline; the first arrival leads, everyone
     /// else parks on the condvar until the leader publishes its outcome.
-    fn submit(&self, req: PipeReq) -> Result<(), TxnError> {
-        let t = req.txn();
+    fn submit(&self, t: TxnId) -> Result<(), TxnError> {
         {
             let mut st = self.pipeline.state();
-            st.queue.push(req);
+            st.queue.push(t);
             if st.leader_active {
                 // Follower: the leader will service us and publish.
                 loop {
@@ -472,7 +412,7 @@ impl SharedTransactionService {
             // Give concurrently-arriving committers a scheduling slice to
             // pile into the queue before we seal the batch.
             std::thread::yield_now();
-            let batch: Vec<PipeReq> = {
+            let batch: Vec<TxnId> = {
                 let mut st = self.pipeline.state();
                 if st.queue.is_empty() {
                     st.leader_active = false;
@@ -481,57 +421,10 @@ impl SharedTransactionService {
                 }
                 std::mem::take(&mut st.queue)
             };
-            let mut results: Vec<(TxnId, Result<(), TxnError>)> = Vec::with_capacity(batch.len());
-            {
-                let mut svc = self.inner.lock();
-                let mut pending = Vec::new();
-                // Cross-shard prepares whose vote awaits the shared force.
-                let mut voted: Vec<TxnId> = Vec::new();
-                for &req in &batch {
-                    match req {
-                        PipeReq::Commit(t) => match svc.prepare_commit(t) {
-                            Ok(Prepared::Merged) => results.push((t, Ok(()))),
-                            Ok(Prepared::Pending(p)) => pending.push(p),
-                            Err(e) => results.push((t, Err(e))),
-                        },
-                        PipeReq::Prepare(t, gtid) => match svc.prepare_participant(t, gtid) {
-                            Ok(()) => voted.push(t),
-                            Err(e) => results.push((t, Err(e))),
-                        },
-                    }
-                }
-                // One force covers every record the batch appended.
-                match svc.flush_log() {
-                    Ok(()) => {
-                        for t in voted {
-                            results.push((t, Ok(())));
-                        }
-                        for p in pending {
-                            let t = p.txn();
-                            results.push((t, svc.complete_commit(p)));
-                        }
-                        // §6.6 log compaction: the batch may have left the
-                        // log over threshold with no transaction active.
-                        if let Err(e) = svc.maybe_compact_log() {
-                            if let Some((_, first)) = results.iter_mut().find(|(_, r)| r.is_ok()) {
-                                *first = Err(e);
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        for t in voted {
-                            results.push((t, Err(e.clone())));
-                        }
-                        for p in pending {
-                            results.push((p.txn(), Err(e.clone())));
-                        }
-                    }
-                }
-            }
+            let reqs: Vec<CommitReq<'_>> = batch.iter().map(|&t| CommitReq::Local(t)).collect();
+            let results = self.inner.lock().commit_batch(&reqs);
             let mut st = self.pipeline.state();
-            for (t, r) in results {
-                st.outcomes.insert(t, r);
-            }
+            st.outcomes.extend(batch.into_iter().zip(results));
             self.pipeline.cv.notify_all();
         }
     }
@@ -801,54 +694,6 @@ mod tests {
         );
         let stats = s.lock().stats();
         assert_eq!(stats.begun, stats.committed + stats.aborted);
-    }
-
-    #[test]
-    fn cross_shard_prepares_ride_the_pipeline() {
-        // Concurrent preparers on disjoint files: every vote must be
-        // durable before `prepare_cross_shard` returns, and the prepares
-        // should share leader flushes like ordinary commits do.
-        let s = shared_mode(GroupCommit::Auto);
-        const THREADS: usize = 4;
-        const PER_THREAD: u64 = 10;
-        let fids: Vec<_> = (0..THREADS)
-            .map(|_| s.lock().tcreate(LockLevel::Page).unwrap())
-            .collect();
-        std::thread::scope(|scope| {
-            for (w, fid) in fids.clone().into_iter().enumerate() {
-                let s = s.clone();
-                scope.spawn(move || {
-                    for i in 0..PER_THREAD {
-                        let gtid = (w as u64) * PER_THREAD + i + 1;
-                        let t = s.lock().tbegin();
-                        s.lock().topen(t, fid).unwrap();
-                        s.lock().twrite(t, fid, 0, &gtid.to_le_bytes()).unwrap();
-                        s.prepare_cross_shard(t, gtid).unwrap();
-                        // Coordinator decides commit; resolution applies.
-                        assert!(s.lock().resolve_prepared(gtid, true).unwrap());
-                    }
-                });
-            }
-        });
-        let stats = s.lock().stats();
-        assert_eq!(stats.prepares, (THREADS as u64) * PER_THREAD);
-        assert_eq!(stats.prepare_records_flushed, stats.prepares);
-        assert!(
-            stats.prepare_flushes < stats.prepares,
-            "prepares must batch: {} flushes for {} prepares",
-            stats.prepare_flushes,
-            stats.prepares
-        );
-        for (w, fid) in fids.iter().enumerate() {
-            let raw = s
-                .run_txn(|s, t| {
-                    s.lock().topen(t, *fid)?;
-                    s.lock().tread(t, *fid, 0, 8)
-                })
-                .unwrap();
-            let got = u64::from_le_bytes(raw.try_into().unwrap());
-            assert_eq!(got, (w as u64) * PER_THREAD + PER_THREAD);
-        }
     }
 
     #[test]

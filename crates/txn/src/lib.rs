@@ -65,6 +65,7 @@ pub mod concurrent;
 mod error;
 pub mod intentions;
 pub mod lock;
+mod log;
 mod service;
 pub mod table;
 
@@ -72,7 +73,7 @@ pub use concurrent::{FastPathStats, SharedTransactionService};
 pub use error::TxnError;
 pub use lock::{DataItem, LockMode};
 pub use service::{
-    FastReadCheck, FastReadMeta, GroupCommit, Prepared, PreparedCommit, ShardConfig,
+    CommitReq, FastReadCheck, FastReadMeta, GroupCommit, Prepared, PreparedCommit,
     TransactionService, TxnConfig, TxnId, TxnStats,
 };
 pub use table::{LockOutcome, LockTable, LockTableStats, StripedLockTable};

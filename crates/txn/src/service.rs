@@ -4,12 +4,13 @@
 use crate::error::TxnError;
 use crate::intentions::{Intention, LogRecord, Technique};
 use crate::lock::{DataItem, LockMode};
+use crate::log::IntentionLog;
 use crate::table::{LockOutcome, StripedLockTable};
-use rhodos_disk_service::{ReadSource, StablePolicy, BLOCK_SIZE};
+use rhodos_disk_service::{StablePolicy, BLOCK_SIZE};
 use rhodos_file_service::{
-    FileId, FileService, FileServiceError, LeaseGrant, LeaseMode, LockLevel, RecallAck, ServiceType,
+    FileId, FileService, LeaseGrant, LeaseMode, LockLevel, RecallAck, ServiceType,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -39,7 +40,10 @@ pub enum GroupCommit {
     Never,
 }
 
-/// Tunables of the transaction service.
+/// Tunables of the transaction service: every field has two values in
+/// use (a default and an experiment's or ablation's). What has one —
+/// the log-compaction threshold — is a constant next to the code it
+/// governs (`LOG_COMPACT_THRESHOLD` in `log.rs`).
 #[derive(Debug, Clone, Copy)]
 pub struct TxnConfig {
     /// Lock lease period LT, virtual microseconds (§6.4).
@@ -53,10 +57,6 @@ pub struct TxnConfig {
     /// implements the relaxation: a lock request also conflicts with
     /// overlapping locks held in the *other* granularities' tables.
     pub cross_granularity: bool,
-    /// Compact the intention log automatically once it grows past this
-    /// many bytes (checked at quiescent moments — everything before the
-    /// tail has completed by then, so the log is pure garbage).
-    pub log_compact_threshold: u64,
     /// Group-commit policy (see [`GroupCommit`]).
     pub group_commit: GroupCommit,
     /// Shards each lock table is striped over (lock-contention isolation,
@@ -71,41 +71,8 @@ impl Default for TxnConfig {
             lt_us: 100_000,
             max_renewals: 3,
             cross_granularity: false,
-            log_compact_threshold: 4 * 1024 * 1024,
             group_commit: GroupCommit::Auto,
             lock_shards: 8,
-        }
-    }
-}
-
-/// Shard counts for the two contention-isolation layers of E20, applied
-/// to [`TxnConfig::lock_shards`] and `FileServiceConfig::cache_shards`.
-/// `ShardConfig::ablation()` — both 1 — reproduces the pre-sharding
-/// behaviour exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardConfig {
-    /// Shards per lock table (see [`TxnConfig::lock_shards`]).
-    pub lock_shards: usize,
-    /// Shards of the block pool (see `FileServiceConfig::cache_shards`).
-    pub cache_shards: usize,
-}
-
-impl Default for ShardConfig {
-    fn default() -> Self {
-        Self {
-            lock_shards: TxnConfig::default().lock_shards,
-            cache_shards: 8,
-        }
-    }
-}
-
-impl ShardConfig {
-    /// The unsharded arm: one lock table per granularity, one cache
-    /// segment — today's behaviour, kept as the E20 ablation.
-    pub fn ablation() -> Self {
-        Self {
-            lock_shards: 1,
-            cache_shards: 1,
         }
     }
 }
@@ -223,6 +190,23 @@ struct TentativePage {
     data: Vec<u8>,
 }
 
+/// One request of [`TransactionService::commit_batch`].
+#[derive(Debug, Clone, Copy)]
+pub enum CommitReq<'a> {
+    /// Commit this local transaction (`tend`).
+    Local(TxnId),
+    /// Phase one of a cross-shard commit on this participant: perform
+    /// `writes` — `(fid, offset, data)` runs — under a fresh local
+    /// transaction and vote under the coordinator's `gtid`. `Ok` is a
+    /// durable *yes*; `Err` is a *no*, already rolled back here.
+    Participant {
+        /// Coordinator-assigned global transaction id.
+        gtid: u64,
+        /// The transaction's writes on this server, in order.
+        writes: &'a [(FileId, u64, Vec<u8>)],
+    },
+}
+
 /// Outcome of [`TransactionService::prepare_commit`].
 #[derive(Debug)]
 pub enum Prepared {
@@ -258,13 +242,6 @@ pub struct PreparedCommit {
     to_delete: Vec<FileId>,
 }
 
-impl PreparedCommit {
-    /// The committing transaction.
-    pub fn txn(&self) -> TxnId {
-        self.txn
-    }
-}
-
 #[derive(Debug)]
 struct ActiveTxn {
     pid: u64,
@@ -272,10 +249,16 @@ struct ActiveTxn {
     /// transactions as a source of long-running work). `None` for
     /// top-level transactions.
     parent: Option<TxnId>,
-    open_files: HashSet<FileId>,
+    /// Files this transaction `topen`ed. Ordered: commit, abort and
+    /// nested adoption each close them one by one, every close persists
+    /// a FIT, and the order of those disk references must not depend on
+    /// a per-process hash seed.
+    open_files: BTreeSet<FileId>,
     /// Files visible through an ancestor's `topen` (no own reference).
-    inherited_files: HashSet<FileId>,
-    tentative_pages: HashMap<(FileId, u64), TentativePage>,
+    inherited_files: BTreeSet<FileId>,
+    /// Ordered for the same reason as `open_files`: abort and nested
+    /// merge free these blocks one by one.
+    tentative_pages: BTreeMap<(FileId, u64), TentativePage>,
     /// Record-mode tentative writes, in order.
     tentative_records: Vec<(FileId, u64, Vec<u8>)>,
     /// Tentative file sizes (writes past the current end).
@@ -291,9 +274,9 @@ impl ActiveTxn {
         Self {
             pid,
             parent: None,
-            open_files: HashSet::new(),
-            inherited_files: HashSet::new(),
-            tentative_pages: HashMap::new(),
+            open_files: BTreeSet::new(),
+            inherited_files: BTreeSet::new(),
+            tentative_pages: BTreeMap::new(),
             tentative_records: Vec::new(),
             tentative_sizes: HashMap::new(),
             created: Vec::new(),
@@ -311,11 +294,8 @@ impl ActiveTxn {
     /// record's bytes and the order `ensure_size` runs in do not depend
     /// on `HashMap` iteration.
     fn assemble_intentions(&self) -> (Vec<Intention>, Vec<(FileId, u64)>) {
-        let mut pages: Vec<(&(FileId, u64), &TentativePage)> =
-            self.tentative_pages.iter().collect();
-        pages.sort_by_key(|(k, _)| **k);
         let mut intentions: Vec<Intention> = Vec::new();
-        for ((fid, idx), p) in pages {
+        for ((fid, idx), p) in &self.tentative_pages {
             intentions.push(Intention::Page {
                 fid: *fid,
                 index: *idx,
@@ -367,22 +347,7 @@ pub struct TransactionService {
     /// [`Self::resolve_prepared`].
     prepared: HashMap<u64, PreparedCommit>,
     next_txn: u64,
-    log_fid: FileId,
-    log_tail: u64,
-    /// Log records appended since the last [`Self::flush_log`].
-    unflushed_records: u64,
-    /// `Prepared` records among [`Self::unflushed_records`].
-    unflushed_prepares: u64,
-    /// Tentative WAL blocks whose commits have applied but whose
-    /// `Completed` markers are not yet durable. They stay allocated until
-    /// the next flush: were they freed (and reused) earlier, a crash
-    /// would let redo follow the log's stale pointers into reused blocks.
-    deferred_frees: Vec<(u16, u64)>,
-    /// Total log bytes ever appended (monotonic across compactions —
-    /// a log sequence number).
-    appended_lsn: u64,
-    /// `appended_lsn` at the last durable flush.
-    durable_lsn: u64,
+    log: IntentionLog,
     stats: TxnStats,
 }
 
@@ -394,16 +359,7 @@ impl TransactionService {
     ///
     /// Fails if the log file cannot be created or opened.
     pub fn new(mut fs: FileService, config: TxnConfig) -> Result<Self, TxnError> {
-        let log_fid = match fs.system_file() {
-            Some(fid) => fid,
-            None => {
-                let fid = fs.create(ServiceType::Transaction)?;
-                fs.set_system_file(fid)?;
-                fid
-            }
-        };
-        fs.open(log_fid)?;
-        let log_tail = fs.get_attribute(log_fid)?.size;
+        let log = IntentionLog::open(&mut fs, config.group_commit == GroupCommit::Never)?;
         let mk = || {
             Arc::new(StripedLockTable::new(
                 config.lt_us,
@@ -418,13 +374,7 @@ impl TransactionService {
             active: HashMap::new(),
             prepared: HashMap::new(),
             next_txn: 1,
-            log_fid,
-            log_tail,
-            unflushed_records: 0,
-            unflushed_prepares: 0,
-            deferred_frees: Vec::new(),
-            appended_lsn: log_tail,
-            durable_lsn: log_tail,
+            log,
             stats: TxnStats::default(),
         })
     }
@@ -1096,92 +1046,138 @@ impl TransactionService {
 
     // ---- commit / abort ------------------------------------------------------
 
-    /// Appends encoded record bytes to the log *without* forcing them to
-    /// disk (under [`GroupCommit::Never`] the flush is immediate — the
-    /// per-record ablation). Durability is [`Self::flush_log`].
-    fn append_log_bytes(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
-        self.fs.write(self.log_fid, self.log_tail, bytes)?;
-        self.log_tail += bytes.len() as u64;
-        self.appended_lsn += bytes.len() as u64;
-        self.unflushed_records += 1;
-        if self.config.group_commit == GroupCommit::Never {
-            self.flush_log()?;
+    /// The one commit sequence — a local commit, a group-commit batch and
+    /// the participant half of a cross-shard commit are all this:
+    ///
+    /// 1. **Prepare** every request in order: [`Self::prepare_commit`]
+    ///    for a [`CommitReq::Local`]; for a [`CommitReq::Participant`],
+    ///    its writes under a fresh local transaction and then
+    ///    [`Self::prepare_participant`] — any failure on the way is a
+    ///    *no* vote and an immediate local abort.
+    /// 2. **Force** the log once ([`Self::flush_log`], §6.6) — unless no
+    ///    request got as far as waiting for it.
+    /// 3. **Complete** each local commit ([`Self::complete_commit`]) and
+    ///    acknowledge each now-durable vote. When the force failed, a
+    ///    local commit stays active and reports the error; a vote is
+    ///    rolled back locally and reports it — a vote that never became
+    ///    durable must not be reported yes.
+    /// 4. **Housekeeping**, once, after a successful force:
+    ///    [`Self::maybe_compact_log`]. The commits are durable whatever
+    ///    it returns, so its error replaces the batch's first `Ok` only.
+    ///
+    /// One result per request, in request order. The steps stay public
+    /// for code that measures or crashes *between* them (`benchmark/`'s
+    /// ladder, E18's wave model, the crash-point tests); everything that
+    /// just commits calls this. DESIGN.md §4 has the reasons.
+    pub fn commit_batch(&mut self, reqs: &[CommitReq<'_>]) -> Vec<Result<(), TxnError>> {
+        enum Step {
+            Done(Result<(), TxnError>),
+            Commit(PreparedCommit),
+            Vote(u64),
         }
-        Ok(())
+        let steps: Vec<Step> = reqs
+            .iter()
+            .map(|req| match *req {
+                CommitReq::Local(t) => match self.prepare_commit(t) {
+                    Ok(Prepared::Merged) => Step::Done(Ok(())),
+                    Ok(Prepared::Pending(p)) => Step::Commit(p),
+                    Err(e) => Step::Done(Err(e)),
+                },
+                CommitReq::Participant { gtid, writes } => {
+                    match self.prepare_writes(gtid, writes) {
+                        Ok(()) => Step::Vote(gtid),
+                        Err(e) => Step::Done(Err(e)),
+                    }
+                }
+            })
+            .collect();
+        let awaited = steps.iter().any(|s| !matches!(s, Step::Done(_)));
+        let forced = if awaited { self.flush_log() } else { Ok(()) };
+        let mut results: Vec<Result<(), TxnError>> = steps
+            .into_iter()
+            .map(|step| match (step, &forced) {
+                (Step::Done(r), _) => r,
+                (Step::Commit(p), Ok(())) => self.complete_commit(p),
+                (Step::Vote(_), Ok(())) => Ok(()),
+                (Step::Commit(_), Err(e)) => Err(e.clone()),
+                (Step::Vote(gtid), Err(e)) => {
+                    let _ = self.resolve_prepared(gtid, false);
+                    Err(e.clone())
+                }
+            })
+            .collect();
+        if awaited && forced.is_ok() {
+            if let Err(e) = self.maybe_compact_log() {
+                if let Some(first) = results.iter_mut().find(|r| r.is_ok()) {
+                    *first = Err(e);
+                }
+            }
+        }
+        results
     }
 
-    fn append_log(&mut self, record: &LogRecord) -> Result<(), TxnError> {
-        self.append_log_bytes(&record.encode())
+    /// The prepare step of a [`CommitReq::Participant`]: a fresh local
+    /// transaction performs `writes` and votes under `gtid`, or is
+    /// aborted at the first failure.
+    fn prepare_writes(
+        &mut self,
+        gtid: u64,
+        writes: &[(FileId, u64, Vec<u8>)],
+    ) -> Result<(), TxnError> {
+        let t = self.tbegin();
+        let voted = writes
+            .iter()
+            .try_for_each(|(fid, offset, data)| {
+                if !self.txn(t)?.open_files.contains(fid) {
+                    self.topen(t, *fid)?;
+                }
+                self.twrite(t, *fid, *offset, data)
+            })
+            .and_then(|()| self.prepare_participant(t, gtid));
+        if voted.is_err() {
+            let _ = self.tabort(t);
+        }
+        voted
     }
 
-    /// Makes every log record appended since the previous flush durable
-    /// with one `flush_file` — the group-commit durability point. A no-op
-    /// when nothing is pending.
+    /// Step 2 of [`Self::commit_batch`]: makes every log record appended
+    /// since the previous force durable with one `flush_file` — the
+    /// group-commit durability point. No I/O when nothing is pending.
     ///
     /// # Errors
     ///
     /// File-service failures.
     pub fn flush_log(&mut self) -> Result<(), TxnError> {
-        if self.unflushed_records > 0 {
-            self.fs.flush_file(self.log_fid)?;
-            self.stats.log_flushes += 1;
-            self.stats.records_flushed += self.unflushed_records;
-            if self.unflushed_records > 1 {
-                self.stats.group_commits += 1;
-            }
-            self.stats.records_per_flush_hwm =
-                self.stats.records_per_flush_hwm.max(self.unflushed_records);
-            if self.unflushed_prepares > 0 {
-                self.stats.prepare_flushes += 1;
-                self.stats.prepare_records_flushed += self.unflushed_prepares;
-            }
-            self.durable_lsn = self.appended_lsn;
-            self.unflushed_records = 0;
-            self.unflushed_prepares = 0;
-        }
-        // Tentative blocks of applied commits become reusable only now:
-        // their `Completed` markers are durable, so no redo can follow the
-        // log's stale pointers into reused blocks.
-        for (d, a) in std::mem::take(&mut self.deferred_frees) {
-            self.fs.free_detached_block(d, a)?;
-        }
-        Ok(())
+        self.log.force(&mut self.fs, &mut self.stats)
     }
 
     /// Log bytes made durable so far (monotonic across compactions).
     pub fn durable_lsn(&self) -> u64 {
-        self.durable_lsn
+        self.log.durable_lsn()
     }
 
     /// `tend`: commits the transaction — writes the intentions list to the
     /// durable log, makes the changes permanent (WAL when the file's data
     /// blocks are contiguous, shadow paging otherwise), erases the
-    /// intentions and releases every lock.
+    /// intentions and releases every lock. A [`Self::commit_batch`] of
+    /// one.
     ///
     /// # Errors
     ///
     /// [`TxnError::NotActive`]; file-service failures (the log record, if
     /// already durable, will be replayed by recovery).
     pub fn tend(&mut self, t: TxnId) -> Result<(), TxnError> {
-        match self.prepare_commit(t)? {
-            Prepared::Merged => Ok(()),
-            Prepared::Pending(p) => {
-                self.flush_log()?;
-                let res = self.complete_commit(p);
-                // Quiescent housekeeping: everything in the log has
-                // completed, so reclaim it once it outgrows the threshold.
-                self.maybe_compact_log()?;
-                res
-            }
-        }
+        self.commit_batch(&[CommitReq::Local(t)])
+            .pop()
+            .expect("one result per request")
     }
 
-    /// First half of a top-level commit: assembles the intentions list and
-    /// appends the `Commit` record to the log *without* forcing it to
-    /// disk. The caller makes the batch durable with [`Self::flush_log`]
-    /// (one flush can cover many prepared commits) and then applies each
-    /// with [`Self::complete_commit`]. The transaction stays active — and
-    /// keeps its locks — until then.
+    /// Step 1 of [`Self::commit_batch`] for a local commit: assembles the
+    /// intentions list and appends the `Commit` record to the log
+    /// *without* forcing it to disk. [`Self::flush_log`] makes the batch
+    /// durable (one flush can cover many prepared commits) and
+    /// [`Self::complete_commit`] applies each. The transaction stays
+    /// active — and keeps its locks — until then.
     ///
     /// Nested commits merge into the parent here and are already done
     /// ([`Prepared::Merged`]).
@@ -1204,30 +1200,48 @@ impl TransactionService {
             self.tend_nested(t)?;
             return Ok(Prepared::Merged);
         }
-        let txn = self.active.get(&t).expect("checked");
+        Ok(Prepared::Pending(self.log_intentions(t, None)?))
+    }
+
+    /// Assembles `t`'s intentions list and appends it to the log,
+    /// unforced: as its `Commit` record (the intention flag moves to
+    /// Commit) or, under a coordinator's `vote` id, as its `Prepared`
+    /// record.
+    fn log_intentions(&mut self, t: TxnId, vote: Option<u64>) -> Result<PreparedCommit, TxnError> {
+        let txn = self.active.get(&t).expect("caller checked");
         let (intentions, sizes) = txn.assemble_intentions();
-        let to_delete = txn.to_delete.clone();
+        // Deferred deletions are in no durable record, so only a local
+        // commit carries any.
+        let to_delete = match vote {
+            None => txn.to_delete.clone(),
+            Some(_) => Vec::new(),
+        };
         let has_effects = !intentions.is_empty() || !to_delete.is_empty();
-        // Durable commit record (the intention flag moves to Commit) —
-        // encoded straight from the borrowed intentions, no deep copy.
         if has_effects {
-            let bytes = LogRecord::encode_commit(t, &intentions, &sizes);
-            self.append_log_bytes(&bytes)?;
+            self.log.append_intentions(
+                &mut self.fs,
+                &mut self.stats,
+                vote,
+                t,
+                &intentions,
+                &sizes,
+            )?;
         }
-        Ok(Prepared::Pending(PreparedCommit {
+        Ok(PreparedCommit {
             txn: t,
             intentions,
             sizes,
             has_effects,
             to_delete,
-        }))
+        })
     }
 
-    /// Second half of a top-level commit: makes the prepared changes
-    /// permanent, performs deferred deletions, appends the `Completed`
-    /// marker (deferred into the *next* flush under [`GroupCommit::Auto`]
-    /// — redo is idempotent) and releases the locks. The `Commit` record
-    /// must already be durable ([`Self::flush_log`]).
+    /// Step 3 of [`Self::commit_batch`] for a local commit: makes the
+    /// prepared changes permanent, performs deferred deletions, appends
+    /// the `Completed` marker (deferred into the *next* flush under
+    /// [`GroupCommit::Auto`] — redo is idempotent) and releases the
+    /// locks. The `Commit` record must already be durable
+    /// ([`Self::flush_log`]).
     ///
     /// # Errors
     ///
@@ -1259,7 +1273,7 @@ impl TransactionService {
                 self.fs.ensure_size(fid, size)?;
             }
         }
-        self.apply_intentions(&p.intentions, ReadSource::Main, recovering)?;
+        self.apply_intentions(&p.intentions, recovering)?;
         for &fid in &p.to_delete {
             // Close our own handle if we had one, then delete.
             if self.txn(p.txn)?.open_files.contains(&fid) {
@@ -1268,7 +1282,8 @@ impl TransactionService {
             self.fs.delete(fid)?;
         }
         if p.has_effects {
-            self.append_log(&LogRecord::Completed { txn: p.txn })?;
+            self.log
+                .append_outcome(&mut self.fs, &mut self.stats, p.txn, true)?;
         }
         Ok(())
     }
@@ -1281,14 +1296,15 @@ impl TransactionService {
         self.prepared.values().any(|p| p.txn == t)
     }
 
-    /// Phase one of a cross-shard commit, participant side: assembles the
-    /// intentions list exactly as [`Self::prepare_commit`] would, appends
-    /// a durable `Prepared` record under the coordinator's global
-    /// transaction id, and parks the transaction *in doubt* — locks stay
-    /// held, timeouts no longer apply, and only
-    /// [`Self::resolve_prepared`] may finish it. The record is appended
-    /// unforced so a batch of prepares rides one [`Self::flush_log`]; the
-    /// vote must not be reported to the coordinator before that flush.
+    /// Step 1 of [`Self::commit_batch`] for a cross-shard participant
+    /// (phase one of 2PC): assembles the intentions list exactly as
+    /// [`Self::prepare_commit`] would, appends a durable `Prepared`
+    /// record under the coordinator's global transaction id, and parks
+    /// the transaction *in doubt* — locks stay held, timeouts no longer
+    /// apply, and only [`Self::resolve_prepared`] may finish it. The
+    /// record is appended unforced so a batch of prepares rides one
+    /// [`Self::flush_log`]; the vote must not be reported to the
+    /// coordinator before that flush.
     ///
     /// Deferred deletions (`tdelete`) are not part of the cross-shard
     /// protocol, mirroring the single-shard limitation that deletes are
@@ -1308,30 +1324,9 @@ impl TransactionService {
         if !self.children_of(t).is_empty() || self.txn(t)?.parent.is_some() {
             return Err(TxnError::ChildrenActive(t));
         }
-        let txn = self.active.get(&t).expect("checked");
-        let (intentions, sizes) = txn.assemble_intentions();
-        let has_effects = !intentions.is_empty();
-        if has_effects {
-            let bytes = LogRecord::encode_prepared(gtid, t, &intentions, &sizes);
-            // Count before the append: under `GroupCommit::Never` the
-            // append flushes immediately and must see this prepare.
-            self.unflushed_prepares += 1;
-            if let Err(e) = self.append_log_bytes(&bytes) {
-                self.unflushed_prepares = self.unflushed_prepares.saturating_sub(1);
-                return Err(e);
-            }
-        }
+        let vote = self.log_intentions(t, Some(gtid))?;
         self.stats.prepares += 1;
-        self.prepared.insert(
-            gtid,
-            PreparedCommit {
-                txn: t,
-                intentions,
-                sizes,
-                has_effects,
-                to_delete: Vec::new(),
-            },
-        );
+        self.prepared.insert(gtid, vote);
         Ok(())
     }
 
@@ -1360,9 +1355,16 @@ impl TransactionService {
             self.apply_committed(&p, !crash_free)?;
             self.finish(t, true);
         } else {
-            if p.has_effects {
-                self.append_log(&LogRecord::Aborted { txn: t })?;
-            }
+            // The rollback must not depend on the log taking one more
+            // record — a vote is rolled back precisely when its force
+            // failed — so a marker that cannot be appended is reported
+            // after the transaction is gone, not instead.
+            let marked = if p.has_effects {
+                self.log
+                    .append_outcome(&mut self.fs, &mut self.stats, t, false)
+            } else {
+                Ok(())
+            };
             if crash_free {
                 // The prepared entry is gone, so the normal abort path —
                 // which frees tentative blocks and deletes files created
@@ -1384,6 +1386,7 @@ impl TransactionService {
                 }
                 self.finish(t, false);
             }
+            marked?;
         }
         Ok(true)
     }
@@ -1430,18 +1433,16 @@ impl TransactionService {
         })
     }
 
-    /// Quiescent housekeeping: when nothing is active, everything in the
-    /// log has completed, so reclaim it once it outgrows the threshold.
-    /// Returns whether a compaction ran.
+    /// Step 4 of [`Self::commit_batch`], quiescent housekeeping: when
+    /// nothing is active, everything in the log has completed, so reclaim
+    /// it once it outgrows its threshold. Returns whether a compaction
+    /// ran.
     ///
     /// # Errors
     ///
     /// File-service failures recreating the log.
     pub fn maybe_compact_log(&mut self) -> Result<bool, TxnError> {
-        if self.active.is_empty()
-            && self.prepared.is_empty()
-            && self.log_tail > self.config.log_compact_threshold
-        {
+        if self.active.is_empty() && self.prepared.is_empty() && self.log.wants_compaction() {
             self.compact_log()?;
             return Ok(true);
         }
@@ -1455,7 +1456,6 @@ impl TransactionService {
     fn apply_intentions(
         &mut self,
         intentions: &[Intention],
-        source: ReadSource,
         recovering: bool,
     ) -> Result<(), TxnError> {
         let npages = intentions
@@ -1463,7 +1463,7 @@ impl TransactionService {
             .filter(|i| matches!(i, Intention::Page { .. }))
             .count();
         if self.config.group_commit == GroupCommit::Auto && !recovering && npages > 1 {
-            return self.apply_intentions_batched(intentions, source);
+            return self.apply_intentions_batched(intentions);
         }
         for intent in intentions {
             match intent {
@@ -1479,7 +1479,7 @@ impl TransactionService {
                         // marker): nothing to redo. Drop the repinned
                         // tentative block once the redo's `Completed` is
                         // durable.
-                        self.deferred_frees.push((*tentative_disk, *tentative_addr));
+                        self.log.defer_free(*tentative_disk, *tentative_addr);
                         continue;
                     }
                     // Grow first if recovery replays a size-extending write.
@@ -1514,17 +1514,17 @@ impl TransactionService {
                             continue;
                         }
                     }
-                    let data =
-                        self.fs
-                            .get_detached_block(*tentative_disk, *tentative_addr, source)?;
+                    let data = self
+                        .fs
+                        .get_detached_block(*tentative_disk, *tentative_addr)?;
                     match technique {
                         Technique::Wal => {
                             // In-place update preserves contiguity; the
                             // detached block was the log entry. Its free
                             // waits for the `Completed` marker to be
-                            // durable (see `deferred_frees`).
+                            // durable.
                             self.fs.write_block(*fid, *index, data)?;
-                            self.deferred_frees.push((*tentative_disk, *tentative_addr));
+                            self.log.defer_free(*tentative_disk, *tentative_addr);
                             self.stats.wal_pages += 1;
                         }
                         Technique::Shadow => {
@@ -1574,11 +1574,7 @@ impl TransactionService {
     /// (physically adjacent blocks merge into single disk references) and
     /// record flushes coalesce per file. Data and ordering are exactly the
     /// serial path's; only the grouping of the transfers differs.
-    fn apply_intentions_batched(
-        &mut self,
-        intentions: &[Intention],
-        source: ReadSource,
-    ) -> Result<(), TxnError> {
+    fn apply_intentions_batched(&mut self, intentions: &[Intention]) -> Result<(), TxnError> {
         // Pass 1: growth, in list order — growth can change a file's
         // layout, so finish all of it before snapshotting techniques.
         let mut pages: Vec<(FileId, u64, u16, u64)> = Vec::new();
@@ -1615,7 +1611,7 @@ impl TransactionService {
         }
         // Pass 2: one elevator batch reads every tentative block.
         let locs: Vec<(u16, u64)> = pages.iter().map(|&(_, _, d, a)| (d, a)).collect();
-        let bufs = self.fs.get_detached_blocks(&locs, source)?;
+        let bufs = self.fs.get_detached_blocks(&locs)?;
         self.stats.commit_batch_pages += pages.len() as u64;
         // Pass 3: WAL pages become one write batch; shadow swings are FIT
         // surgery (no data transfer) and stay serial.
@@ -1638,8 +1634,10 @@ impl TransactionService {
             }
         }
         self.fs.write_blocks(wal_writes)?;
-        // The frees wait for the `Completed` marker (see `deferred_frees`).
-        self.deferred_frees.extend(wal_frees);
+        // The frees wait for the `Completed` marker to be durable.
+        for (d, a) in wal_frees {
+            self.log.defer_free(d, a);
+        }
         // Pass 4: record intentions, in order, flushing each touched file
         // once at the end instead of once per record.
         let mut touched: Vec<FileId> = Vec::new();
@@ -1840,40 +1838,13 @@ impl TransactionService {
         // In-doubt state is rebuilt from the durable `Prepared` records
         // below; whatever was in memory is stale.
         self.prepared.clear();
-        // Pre-crash deferred frees are stale: the allocation rebuild
-        // below reclaims unreferenced blocks itself.
-        self.deferred_frees.clear();
         // Reset the lock tables *in place*: outstanding Arc handles (the
         // shared-service fast path) must keep seeing the live tables.
         for table in &self.tables {
             table.reset();
         }
         self.fs.recover()?;
-        self.log_fid = self
-            .fs
-            .system_file()
-            .ok_or(TxnError::File(FileServiceError::NotFound(FileId(0))))?;
-        self.fs.open(self.log_fid)?;
-        let size = self.fs.get_attribute(self.log_fid)?.size;
-        let image = if size > 0 {
-            self.fs.read(self.log_fid, 0, size as usize)?
-        } else {
-            Vec::new()
-        };
-        // Anything appended but unflushed before the crash is gone; the
-        // durable horizon restarts at the recovered tail.
-        self.unflushed_records = 0;
-        self.unflushed_prepares = 0;
-        self.durable_lsn = self.appended_lsn;
-        let (records, valid_len) = LogRecord::decode_log_prefix(&image);
-        // Resume appending at the end of the *valid* prefix, not the
-        // recorded file size: a crash inside the deferred-`Completed`
-        // window can leave the size covering a torn tail (the append grew
-        // the FIT durably but its bytes never flushed), and a record
-        // appended after that garbage would be unreachable — every future
-        // decode stops at the tear, so the redo would repeat on each
-        // recovery instead of being marked done.
-        self.log_tail = valid_len as u64;
+        let records = self.log.scan(&mut self.fs)?;
         type CommitBody = (Vec<Intention>, Vec<(FileId, u64)>);
         let record = |txn, (intentions, sizes): CommitBody| PreparedCommit {
             txn,
@@ -2015,23 +1986,7 @@ impl TransactionService {
             self.prepared.is_empty(),
             "compact_log must not discard in-doubt Prepared records"
         );
-        self.fs.close(self.log_fid)?;
-        self.fs.delete(self.log_fid)?;
-        let fid = self.fs.create(ServiceType::Transaction)?;
-        self.fs.set_system_file(fid)?;
-        self.fs.open(fid)?;
-        self.log_fid = fid;
-        self.log_tail = 0;
-        // Unflushed `Completed` markers died with the old log file —
-        // harmless, since the whole log they referred to is gone too, and
-        // with the `Commit` records gone no redo can chase freed blocks.
-        self.unflushed_records = 0;
-        self.durable_lsn = self.appended_lsn;
-        for (d, a) in std::mem::take(&mut self.deferred_frees) {
-            self.fs.free_detached_block(d, a)?;
-        }
-        self.stats.log_compactions += 1;
-        Ok(())
+        self.log.reset(&mut self.fs, &mut self.stats)
     }
 }
 
@@ -2307,33 +2262,12 @@ mod tests {
         ts.topen(t0, fid).unwrap();
         ts.twrite(t0, fid, 0, b"base").unwrap();
         ts.tend(t0).unwrap();
-        // Forge a crash between the commit record and its application:
-        // write the commit record by hand, then crash.
+        // Forge a crash between the commit record and its application.
         let t = ts.tbegin();
         ts.topen(t, fid).unwrap();
         ts.twrite(t, fid, 0, b"redo").unwrap();
-        // Extract what tend would log, write it, but skip application.
-        let txn = ts.active.get(&t).unwrap();
-        let intentions: Vec<Intention> = txn
-            .tentative_pages
-            .iter()
-            .map(|((f, i), p)| Intention::Page {
-                fid: *f,
-                index: *i,
-                tentative_disk: p.disk,
-                tentative_addr: p.addr,
-            })
-            .collect();
-        let sizes = {
-            let txn = ts.active.get(&t).unwrap();
-            txn.tentative_sizes.iter().map(|(f, s)| (*f, *s)).collect()
-        };
-        let rec = LogRecord::Commit {
-            txn: t,
-            intentions,
-            sizes,
-        };
-        ts.append_log(&rec).unwrap();
+        // Log what tend would, but skip the application.
+        let _unapplied = ts.prepare_commit(t).unwrap();
         // Make the forged record durable (this also flushes t0's deferred
         // `Completed` marker, as the next group flush would).
         ts.flush_log().unwrap();
@@ -2462,35 +2396,31 @@ mod tests {
         ts.tend(t2).unwrap();
     }
 
+    /// Bytes in the intention log, as the file service sees them.
+    fn log_bytes(ts: &mut TransactionService) -> u64 {
+        let log = ts.fs.system_file().unwrap();
+        ts.fs.get_attribute(log).unwrap().size
+    }
+
     #[test]
     fn log_auto_compacts_past_threshold() {
-        let fs = FileService::single_disk(
-            DiskGeometry::medium(),
-            LatencyModel::instant(),
-            SimClock::new(),
-            FileServiceConfig::default(),
-        )
-        .unwrap();
-        let mut ts = TransactionService::new(
-            fs,
-            TxnConfig {
-                log_compact_threshold: 2_000,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let fid = ts.tcreate(LockLevel::Page).unwrap();
+        use crate::log::LOG_COMPACT_THRESHOLD;
+        // Record-mode commits carry their data in the log: 60 of these
+        // are well over two thresholds' worth.
+        const RECORD: usize = 160 * 1024;
+        let (mut ts, fid) = setup(LockLevel::Record);
         for i in 0..60u8 {
             let t = ts.tbegin();
             ts.topen(t, fid).unwrap();
-            ts.twrite(t, fid, 0, &[i; 16]).unwrap();
+            ts.twrite(t, fid, 0, &vec![i; RECORD]).unwrap();
             ts.tend(t).unwrap();
+            let len = log_bytes(&mut ts);
             assert!(
-                ts.log_tail <= 2_000 + 200,
-                "log should stay near the threshold, is {}",
-                ts.log_tail
+                len <= LOG_COMPACT_THRESHOLD + 200,
+                "log should stay near the threshold, is {len}"
             );
         }
+        assert!(ts.stats().log_compactions >= 2);
         // Data is still intact after all the compactions.
         let t = ts.tbegin();
         ts.topen(t, fid).unwrap();
@@ -2507,9 +2437,9 @@ mod tests {
             ts.twrite(t, fid, 0, b"round").unwrap();
             ts.tend(t).unwrap();
         }
-        assert!(ts.log_tail > 0);
+        assert!(log_bytes(&mut ts) > 0);
         ts.compact_log().unwrap();
-        assert_eq!(ts.log_tail, 0);
+        assert_eq!(log_bytes(&mut ts), 0);
         // Service still works.
         let t = ts.tbegin();
         ts.topen(t, fid).unwrap();

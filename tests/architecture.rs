@@ -176,3 +176,50 @@ fn basic_and_transactional_semantics_coexist_per_file() {
     );
     assert_eq!(t_attrs.lock_level, rhodos_file_service::LockLevel::File);
 }
+
+/// The commit sequence is written once: outside tests, nothing under
+/// `crates/{txn,cluster,agent}/src` calls a commit step except
+/// `TransactionService::commit_batch` (with the private helper that
+/// follows it) — and `recover`, which forces the redo markers. A second
+/// caller is a second copy of the sequence.
+#[test]
+fn only_commit_batch_calls_the_commit_steps() {
+    let steps = [
+        ".prepare_commit(",
+        ".complete_commit(",
+        ".prepare_participant(",
+    ];
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut dirs: Vec<_> = ["txn", "cluster", "agent"]
+        .map(|c| root.join(c).join("src"))
+        .into();
+    let mut checked = 0;
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                dirs.push(path);
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let mut code = text.split("#[cfg(test)]").next().unwrap().to_string();
+            if path.ends_with("txn/src/service.rs") {
+                // `commit_batch` and its helper run up to the next public
+                // item; they must call every step, nothing else may.
+                let start = code
+                    .find("pub fn commit_batch")
+                    .expect("the sequence exists");
+                let end = start + code[start..].find("\n    pub fn flush_log").unwrap();
+                assert!(steps.iter().all(|s| code[start..end].contains(s)));
+                code.replace_range(start..end, "");
+            } else {
+                assert!(!code.contains(".flush_log("), "{path:?} forces the log");
+            }
+            for step in steps {
+                assert!(!code.contains(step), "{path:?} calls `{step}`");
+            }
+            checked += 1;
+        }
+    }
+    assert!(checked > 10, "found the sources");
+}

@@ -295,8 +295,8 @@ enum AgentOp {
 }
 
 /// Unaligned offsets, lengths from one byte to 200 KiB (half of them at
-/// most a block and a bit), two files interleaved. A write's offset is
-/// folded into the file as it stands, so files grow from their end.
+/// most a block and a bit), two files interleaved. A write lands where
+/// it was drawn, so files grow with gaps below buffered writes.
 fn agent_scripts() -> impl Strategy<Value = Vec<AgentOp>> {
     let span = || {
         (
@@ -345,10 +345,6 @@ fn run_script(
                 len,
                 fill,
             } => {
-                // Growing and overwriting, never leaving a hole: a block
-                // that exists only as a gap below buffered writes is not
-                // readable through the agent (nor was it before).
-                let off = off % (model[file].len() + 1);
                 // Position-dependent bytes: a block that lands at the
                 // wrong index, or shifted, cannot pass for the right one.
                 let data: Vec<u8> = (off..off + len).map(|i| fill ^ (i / 7) as u8).collect();

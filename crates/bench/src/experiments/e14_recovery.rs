@@ -263,4 +263,16 @@ mod tests {
             "a recoverable scenario lost data:\n{report}"
         );
     }
+
+    /// Recovery visits files in `FileId` order, so every row — the
+    /// catastrophe's fault counters included — repeats exactly. (Hash
+    /// order drew a fresh `RandomState` per service and flipped that row
+    /// between `3/0/0` and `2/0/0`.)
+    #[test]
+    fn every_row_repeats_exactly() {
+        let first = super::run();
+        for _ in 0..8 {
+            assert_eq!(super::run(), first);
+        }
+    }
 }

@@ -8,9 +8,10 @@
 //! recoveries.
 
 use crate::attrs::FileId;
+use crate::scrub::ScrubOwner;
 use crate::service::FileService;
 use rhodos_disk_service::{Extent, FRAGS_PER_BLOCK};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// One consistency violation found by [`FileService::fsck`].
@@ -133,49 +134,19 @@ impl FileService {
     /// problems are reported in the [`FsckReport`], not as errors.
     pub fn fsck(&mut self) -> Result<FsckReport, crate::FileServiceError> {
         let mut report = FsckReport::default();
-        // (disk -> [(owner, extent)]) of everything that must not overlap.
-        let mut extents: HashMap<u16, Vec<(String, Extent)>> = HashMap::new();
-        extents
-            .entry(0)
-            .or_default()
-            .push(("directory".into(), self.directory_extent()));
-        let fids = self.file_ids();
-        for fid in fids {
+        let disks = self.volume.disks().iter();
+        let totals: Vec<u64> = disks.map(|d| d.geometry().total_sectors()).collect();
+        let in_range = |disk: u16, extent: Extent| {
+            let total = totals.get(disk as usize);
+            total.is_some_and(|&t| extent.end() <= t)
+        };
+        let owned = self.store.walk(&mut self.volume, |fid, entry| {
             report.files_checked += 1;
-            let (fit, home, fit_frag, indirect) = match self.fit_parts(fid) {
-                Ok(parts) => parts,
-                Err(_) => {
-                    report.issues.push(FsckIssue::UnreadableFit { fid });
-                    continue;
-                }
+            let Ok(entry) = entry else {
+                report.issues.push(FsckIssue::UnreadableFit { fid });
+                return Ok(());
             };
-            extents
-                .entry(home)
-                .or_default()
-                .push((format!("{fid} FIT"), Extent::new(fit_frag, 1)));
-            for (d, a) in indirect {
-                extents
-                    .entry(d)
-                    .or_default()
-                    .push((format!("{fid} indirect"), Extent::new(a, FRAGS_PER_BLOCK)));
-            }
-            // Parity stripe units are metadata-referenced storage like any
-            // data block: unregistered they would read as leaks, and a
-            // bitmap that lost one is a double-allocation hazard.
-            for (i, d) in fit.parity_descriptors().iter().enumerate() {
-                let total = self.disk_total_fragments(d.disk as usize);
-                if total.is_none_or(|t| d.addr + FRAGS_PER_BLOCK > t) {
-                    report.issues.push(FsckIssue::DescriptorOutOfRange {
-                        fid,
-                        index: i as u64,
-                    });
-                    continue;
-                }
-                extents
-                    .entry(d.disk)
-                    .or_default()
-                    .push((format!("{fid} parity {i}"), d.block_extent()));
-            }
+            let fit = &entry.fit;
             let descs = fit.descriptors();
             let blocks = descs.len() as u64;
             report.blocks_checked += blocks;
@@ -186,48 +157,48 @@ impl FileService {
                     blocks,
                 });
             }
+            // Verify the contiguity counts against the physical layout.
             for (i, d) in descs.iter().enumerate() {
-                let total = self.disk_total_fragments(d.disk as usize);
-                if total.is_none_or(|t| d.addr + FRAGS_PER_BLOCK > t) {
-                    report.issues.push(FsckIssue::DescriptorOutOfRange {
-                        fid,
-                        index: i as u64,
-                    });
-                    continue;
-                }
-                extents
-                    .entry(d.disk)
-                    .or_default()
-                    .push((format!("{fid} block {i}"), d.block_extent()));
-                // Verify the contiguity count against physical layout.
                 let c = d.contig as usize;
-                if c == 0 || i + c > descs.len() {
+                // `None` when the count runs past the last block.
+                let adjacent = descs.get(i..i + c).is_some_and(|run| {
+                    let mut run = run.iter().zip(0..);
+                    run.all(|(n, j)| n.disk == d.disk && n.addr == d.addr + j * FRAGS_PER_BLOCK)
+                });
+                if in_range(d.disk, d.block_extent()) && (c == 0 || !adjacent) {
                     report.issues.push(FsckIssue::BadContiguityCount {
                         fid,
                         index: i as u64,
                     });
-                    continue;
                 }
-                for j in 1..c {
-                    let n = descs[i + j];
-                    if n.disk != d.disk || n.addr != d.addr + j as u64 * FRAGS_PER_BLOCK {
-                        report.issues.push(FsckIssue::BadContiguityCount {
-                            fid,
-                            index: i as u64,
-                        });
-                        break;
-                    }
+            }
+            Ok(())
+        })?;
+        // (disk -> [(owner, extent)]) of everything that must not overlap.
+        // Data and parity units are metadata-referenced storage alike:
+        // unregistered they would read as leaks, and a bitmap that lost
+        // one is a double-allocation hazard.
+        let mut extents: BTreeMap<u16, Vec<(String, Extent)>> = BTreeMap::new();
+        for (disk, extent, owner) in owned {
+            match owner {
+                ScrubOwner::Data { fid, block: index } | ScrubOwner::Parity { fid, index }
+                    if !in_range(disk, extent) =>
+                {
+                    report
+                        .issues
+                        .push(FsckIssue::DescriptorOutOfRange { fid, index });
                 }
+                _ => extents
+                    .entry(disk)
+                    .or_default()
+                    .push((owner.to_string(), extent)),
             }
         }
         // Cross-check the allocation bitmap against everything the
         // metadata references: allocated-but-unreferenced runs are leaks;
         // referenced-but-free runs are one allocation away from handing
         // the same storage to two owners.
-        for d in 0..self.disk_count() {
-            let Some(total) = self.disk_total_fragments(d) else {
-                continue;
-            };
+        for (d, &total) in totals.iter().enumerate() {
             let mut referenced = vec![false; total as usize];
             if let Some(list) = extents.get(&(d as u16)) {
                 for (_, e) in list {

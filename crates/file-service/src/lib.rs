@@ -53,6 +53,7 @@
 
 mod attrs;
 mod cache;
+mod config;
 mod error;
 mod fit;
 mod fsck;
@@ -60,10 +61,13 @@ mod lease;
 pub mod parity;
 mod scrub;
 mod service;
+mod store;
 mod stripe;
+mod volume;
 
 pub use attrs::{FileAttributes, FileId, LockLevel, ServiceType};
 pub use cache::{BlockCache, BlockKey, BlockPool, CacheStats, ShardedBlockCache, WritePolicy};
+pub use config::{FileServiceConfig, ParallelIo};
 pub use error::FileServiceError;
 pub use fit::{
     BlockDescriptor, FileIndexTable, DIRECT_BLOCKS, INDIRECT_CAP, MAX_DIRECT_BYTES,
@@ -76,5 +80,5 @@ pub use lease::{
 };
 pub use parity::{ParityStats, RebuildReport, Redundancy};
 pub use scrub::{ScrubFinding, ScrubOwner, ScrubReport, ScrubStats};
-pub use service::{FileService, FileServiceConfig, FileServiceStats, ParallelIo};
+pub use service::{FileService, FileServiceStats};
 pub use stripe::StripePolicy;

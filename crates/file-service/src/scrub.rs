@@ -17,7 +17,9 @@
 //! a peer's copy.
 
 use crate::attrs::FileId;
-use rhodos_disk_service::{Extent, FragmentAddr, SectorFaultKind};
+use crate::error::FileServiceError;
+use crate::service::FileService;
+use rhodos_disk_service::{Extent, FragmentAddr, SectorFaultKind, StablePolicy};
 use std::fmt;
 
 /// Cumulative counters for the background scrubber.
@@ -141,6 +143,139 @@ impl ScrubReport {
     /// Whether the scanned region is healthy (no faults at all).
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
+    }
+}
+
+impl FileService {
+    /// Walks the allocated extents of every disk verifying each sector
+    /// against its checksum lane (bypassing the caches — the platter is
+    /// what is being checked), and repairs latent faults from local
+    /// redundant copies: metadata fragments from their stable-storage
+    /// mirrors, data blocks from the block pool when resident. A repair
+    /// rewrites the owner's unit, which quarantines the bad sector and
+    /// remaps it to a spare. Faults with no local redundant copy are
+    /// reported with their owners — never silently dropped — so the
+    /// replication layer can fetch a peer's copy.
+    ///
+    /// `budget` caps the sectors scanned this call (`None` = full pass).
+    /// A budgeted scrub resumes where it left off via per-disk cursors,
+    /// so a periodic small-budget call amortises verification I/O across
+    /// idle time. The scan is issued in address-sorted runs through the
+    /// per-spindle schedulers, so contiguous extents coalesce into
+    /// single disk references.
+    ///
+    /// # Errors
+    ///
+    /// Fails only on non-media I/O errors (e.g. a crashed disk). Media
+    /// faults are findings, not errors.
+    pub fn scrub(&mut self, budget: Option<u64>) -> Result<ScrubReport, FileServiceError> {
+        // Every allocated extent on every disk with its owner, sorted by
+        // address — what the metadata claims to own. A file whose FIT
+        // copies are both unreadable (fsck's finding) still has its
+        // fragment scanned, so the fault is counted, not hidden.
+        let mut owned = vec![Vec::new(); self.volume.disks().len()];
+        for (d, extent, owner) in self.store.walk(&mut self.volume, |_, _| Ok(()))? {
+            owned[d as usize].push((extent, owner));
+        }
+        let mut report = ScrubReport::default();
+        let mut remaining = budget.unwrap_or(u64::MAX);
+        let mut complete = true;
+        for (d, list) in owned.iter_mut().enumerate() {
+            if list.is_empty() || self.volume.degraded()[d] {
+                // A degraded disk's platter is being rebuilt from its
+                // redundancy groups, not verified sector by sector.
+                continue;
+            }
+            list.sort_by_key(|(e, _)| e.start);
+            // Resume from this disk's cursor, wrapping around the sorted
+            // extent list so every extent is eventually visited.
+            let n = list.len();
+            let start = list.partition_point(|(e, _)| e.start < self.scrub_cursors[d]) % n;
+            let mut picked = Vec::new();
+            let mut next = start;
+            for step in 0..n {
+                if remaining == 0 {
+                    break;
+                }
+                let i = (start + step) % n;
+                let len = list[i].0.len;
+                if len > remaining && !picked.is_empty() {
+                    break; // never split an extent across calls
+                }
+                remaining = remaining.saturating_sub(len);
+                picked.push(i);
+                next = (i + 1) % n;
+            }
+            if picked.len() < n {
+                complete = false;
+                self.scrub_cursors[d] = list[next].0.start;
+            } else {
+                self.scrub_cursors[d] = list[start].0.start;
+            }
+            let extents: Vec<Extent> = picked.iter().map(|&i| list[i].0).collect();
+            let faults = self.volume.disk(d as u16).verify_extents(&extents)?;
+            report.stats.sectors_scanned += extents.iter().map(|e| e.len).sum::<u64>();
+            for fault in faults {
+                // Map the faulty sector back to its owner.
+                let at = list.partition_point(|(e, _)| e.start <= fault.addr);
+                let Some(&(extent, owner)) = at.checked_sub(1).map(|i| &list[i]) else {
+                    continue;
+                };
+                if fault.addr >= extent.end() {
+                    continue;
+                }
+                report.stats.faults_found += 1;
+                let repaired = self.repair_fault(d as u16, fault.addr, extent, owner);
+                if repaired {
+                    report.stats.faults_repaired += 1;
+                } else {
+                    report.stats.unrecoverable += 1;
+                }
+                report.findings.push(ScrubFinding {
+                    disk: d as u16,
+                    addr: fault.addr,
+                    kind: fault.kind,
+                    owner,
+                    extent,
+                    repaired,
+                });
+            }
+        }
+        report.complete = complete;
+        if complete {
+            report.stats.passes_completed = 1;
+        }
+        self.scrub_stats.merge(&report.stats);
+        Ok(report)
+    }
+
+    /// Attempts to repair one faulty sector from a local redundant copy.
+    /// Returns whether it succeeded; a failed repair (no redundant copy,
+    /// or the stable mirror is lost too) leaves the fault for a higher
+    /// layer and is never a scrub error.
+    fn repair_fault(
+        &mut self,
+        disk: u16,
+        addr: FragmentAddr,
+        extent: Extent,
+        owner: ScrubOwner,
+    ) -> bool {
+        // The repair-source ladder. Metadata has its stable mirror. A
+        // unit the volume can rebuild from its redundancy group comes
+        // back platter-consistent, so that is preferred over a
+        // possibly-dirty pool copy; the pool is the last local source.
+        if !matches!(owner, ScrubOwner::Data { .. } | ScrubOwner::Parity { .. }) {
+            let disk = self.volume.disk(disk);
+            return disk.repair_fragment_from_stable(addr).unwrap_or(false);
+        }
+        let mut copy = self.volume.reconstruct(&mut self.store, owner);
+        if let (None, ScrubOwner::Data { fid, block }) = (&copy, owner) {
+            copy = self.cache.as_mut().and_then(|c| c.peek(&(fid, block)));
+        }
+        copy.is_some_and(|buf| {
+            let disk = self.volume.disk(disk);
+            disk.put(extent, &buf, StablePolicy::None).is_ok()
+        })
     }
 }
 

@@ -6,94 +6,33 @@
 //! with the three-step data location procedure: find the file service →
 //! locate and cache the file index table → locate and cache the data
 //! blocks.
+//!
+//! The service is cut along data ownership. The [`FitStore`] owns the
+//! directory and the fragment pool (step two); the [`Volume`] owns the
+//! disks and everything about which spindle a block lives on; what is
+//! left here — the service core — owns the block pool (step three), the
+//! byte-granular data path, the file lifecycle and the leases, and holds
+//! no test of the redundancy class.
 
 use crate::attrs::{FileAttributes, FileId, LockLevel, ServiceType};
 use crate::cache::{BlockKey, BlockPool, CacheStats, ShardedBlockCache, WritePolicy};
+use crate::config::FileServiceConfig;
 use crate::error::FileServiceError;
 use crate::fit::{BlockDescriptor, FileIndexTable};
 use crate::lease::{
-    LeaseGrant, LeaseManager, LeaseMode, LeaseParams, LeaseToken, RecallAck, RecallRegistry,
-    RecallTarget,
+    LeaseGrant, LeaseManager, LeaseMode, LeaseToken, RecallAck, RecallRegistry, RecallTarget,
 };
-use crate::parity::{self, ParityStats, RebuildReport, Redundancy};
-use crate::scrub::{ScrubFinding, ScrubOwner, ScrubReport, ScrubStats};
-use crate::stripe::StripePolicy;
+use crate::parity::{ParityStats, RebuildReport};
+use crate::scrub::ScrubStats;
+use crate::store::FitStore;
+use crate::volume::Volume;
 use rhodos_buf::BlockBuf;
-use rhodos_disk_service::codec::{Decoder, Encoder};
 use rhodos_disk_service::{
-    DiskService, DiskServiceError, DiskServiceStats, Extent, FragmentAddr, ReadSource,
-    StablePolicy, BLOCK_SIZE, FRAGS_PER_BLOCK,
+    DiskService, DiskServiceStats, Extent, FragmentAddr, StablePolicy, BLOCK_SIZE, FRAGS_PER_BLOCK,
 };
-use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock, StableWriteMode};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
+use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Tunables for one file service. The fragment pool's capacity is not
-/// among them: nothing ever set it, so it is the constant
-/// `FIT_POOL_ENTRIES`.
-#[derive(Debug, Clone, Copy)]
-pub struct FileServiceConfig {
-    /// Capacity of the block pool (0 disables server-side data caching —
-    /// the Bullet-server baseline of experiment E8).
-    pub cache_blocks: usize,
-    /// Shards the block pool is striped over (lock-contention isolation,
-    /// E20). `1` reproduces the single-segment pool exactly — the E20
-    /// ablation arm. Clamped to `cache_blocks` so every shard holds at
-    /// least one block.
-    pub cache_shards: usize,
-    /// Modification policy for cached data.
-    pub write_policy: WritePolicy,
-    /// Placement of blocks across disks.
-    pub stripe: StripePolicy,
-    /// Allocate the FIT contiguous with the first data block ("the file
-    /// index table and at least the first data block are always
-    /// contiguous thus eliminating the seek time to retrieve the first
-    /// data block", §5). Disable only for the ablation experiment.
-    pub fit_adjacent_first_block: bool,
-    /// How striped windows and coalesced flushes reach the spindles (see
-    /// [`ParallelIo`]).
-    pub parallel_io: ParallelIo,
-    /// Lease terms, recall timeout and reattach window for client cache
-    /// delegations (see [`crate::lease`]).
-    pub lease: LeaseParams,
-    /// Intra-service redundancy: [`Redundancy::Parity`] turns the
-    /// stripe layer into k-data + m-parity erasure-coded rows (RAID-5
-    /// for `m = 1`, RAID-6 for `m = 2`) with rotating parity placement.
-    /// Overrides `stripe` for data placement. Requires `k + m` disks.
-    pub redundancy: Redundancy,
-}
-
-/// How striped windows and coalesced flushes are issued to the per-spindle
-/// schedulers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParallelIo {
-    /// One batch per spindle through the schedulers — elevator ordering
-    /// and run merging — issued back-to-back on the caller's thread. The
-    /// spindles' parallelism is virtual time: the batches run under
-    /// makespan clock accounting.
-    #[default]
-    Auto,
-    /// The pre-scheduler baseline of experiments E13/E15: blocks are
-    /// fetched one at a time and written back in sorted order with only
-    /// same-file consecutive runs grouped; the simulated clock advances by
-    /// the *sum* of per-operation costs.
-    Never,
-}
-
-impl Default for FileServiceConfig {
-    fn default() -> Self {
-        Self {
-            cache_blocks: 128,
-            cache_shards: 8,
-            write_policy: WritePolicy::DelayedWrite,
-            stripe: StripePolicy::SingleDisk,
-            fit_adjacent_first_block: true,
-            parallel_io: ParallelIo::Auto,
-            lease: LeaseParams::default(),
-            redundancy: Redundancy::None,
-        }
-    }
-}
 
 /// Aggregated observability for a file service.
 #[derive(Debug, Clone, Default)]
@@ -125,68 +64,28 @@ impl FileServiceStats {
     }
 }
 
-#[derive(Debug)]
-struct FitEntry {
-    fit: FileIndexTable,
-    home: u16,
-    fit_frag: FragmentAddr,
-    indirect_locs: Vec<(u16, FragmentAddr)>,
-}
-
-/// Fragments reserved for the file directory region on disk 0.
-const DIRECTORY_FRAGMENTS: u64 = 16;
-
-/// Capacity of the *fragment pool* — the cache of file index tables — in
-/// FITs ("the space for caching a fragment and block is acquired from a
-/// fragment-pool and block-pool", §5).
-const FIT_POOL_ENTRIES: usize = 256;
-
 /// The RHODOS basic file service over a set of disk servers.
 ///
 /// See the [crate documentation](crate) for an example.
 #[derive(Debug)]
 pub struct FileService {
-    /// One disk server per spindle.
-    disks: Vec<DiskService>,
+    /// The disks and the layout of files over them.
+    pub(crate) volume: Volume,
+    /// The directory and the fragment pool.
+    pub(crate) store: FitStore,
     clock: SimClock,
     config: FileServiceConfig,
-    directory: HashMap<FileId, (u16, FragmentAddr)>,
-    /// Well-known system file (the transaction service's intention log),
-    /// persisted in the directory header so recovery can find it.
-    system_fid: Option<FileId>,
-    next_fid: u64,
-    fits: HashMap<FileId, FitEntry>,
-    /// LRU order of the fragment pool (front = coldest).
-    fit_lru: Vec<FileId>,
-    fit_hits: u64,
-    cache: Option<BlockPool>,
-    dir_extent: Extent,
-    fit_loads: u64,
+    pub(crate) cache: Option<BlockPool>,
     /// Where the next budgeted scrub resumes on each disk (volatile;
     /// restarting from zero after a crash merely re-verifies).
-    scrub_cursors: Vec<FragmentAddr>,
+    pub(crate) scrub_cursors: Vec<FragmentAddr>,
     /// Cumulative scrub counters across every pass.
-    scrub_stats: ScrubStats,
+    pub(crate) scrub_stats: ScrubStats,
     /// Soft lease state: grants, epoch, HLC lane (lost on crash).
     lease: LeaseManager,
     /// Recall endpoints to client stations (wiring, survives crashes).
     recall_targets: RecallRegistry,
-    /// Per-disk degraded flags (parity tier): a failed disk whose spare
-    /// has been swapped in but not fully rebuilt. Reads of units homed
-    /// there reconstruct from the parity group.
-    degraded: Vec<bool>,
-    /// Stripe rows whose parity units have been allocated but never
-    /// written — the on-platter parity is garbage until the row's first
-    /// flush recomputes it. Volatile: recovery recomputes all parity.
-    uninit_rows: HashSet<(FileId, u64)>,
-    /// Cumulative parity-tier counters.
-    parity_stats: ParityStats,
-    /// Per-disk rebuild resume points: `(fid, unit)` of the next stripe
-    /// unit to reconstruct onto the spare.
-    rebuild_cursors: Vec<Option<(FileId, u64)>>,
 }
-
-const DIR_MAGIC: u32 = 0x52_48_44_46; // "RHDF"
 
 impl FileService {
     /// Creates a file service over freshly formatted `disks`.
@@ -201,54 +100,24 @@ impl FileService {
     /// does not fit the disk count (`k >= 1`, `1 <= m <= 2`, at least
     /// `k + m` disks).
     pub fn format(
-        mut disks: Vec<DiskService>,
+        disks: Vec<DiskService>,
         config: FileServiceConfig,
     ) -> Result<Self, FileServiceError> {
-        assert!(!disks.is_empty(), "file service needs at least one disk");
-        if let Redundancy::Parity { k, m } = config.redundancy {
-            assert!(k >= 1, "parity group needs at least one data unit");
-            assert!(
-                (1..=parity::MAX_PARITY).contains(&m),
-                "parity units per row must be 1 (RAID-5) or 2 (RAID-6)"
-            );
-            assert!(k + m <= 255, "GF(256) P+Q code caps the group width");
-            assert!(
-                disks.len() >= k + m,
-                "parity geometry {k}+{m} needs at least {} disks, have {}",
-                k + m,
-                disks.len()
-            );
-        }
-        let clock = disks[0].clock();
-        let dir_extent = disks[0].allocate_contiguous(DIRECTORY_FRAGMENTS)?;
-        let cache = (config.cache_blocks > 0)
-            .then(|| BlockPool::new(config.cache_blocks, config.cache_shards));
-        let ndisks = disks.len();
-        let lease = LeaseManager::new(clock.clone(), config.lease);
-        let mut svc = Self {
-            disks,
-            clock,
+        let mut volume = Volume::new(disks, &config);
+        let clock = volume.disk(0).clock();
+        let store = FitStore::format(&mut volume)?;
+        Ok(Self {
+            scrub_cursors: vec![0; volume.disks().len()],
+            volume,
+            store,
             config,
-            directory: HashMap::new(),
-            system_fid: None,
-            next_fid: 1,
-            fits: HashMap::new(),
-            fit_lru: Vec::new(),
-            cache,
-            dir_extent,
-            fit_loads: 0,
-            fit_hits: 0,
-            scrub_cursors: vec![0; ndisks],
+            cache: (config.cache_blocks > 0)
+                .then(|| BlockPool::new(config.cache_blocks, config.cache_shards)),
             scrub_stats: ScrubStats::default(),
-            lease,
+            lease: LeaseManager::new(clock.clone(), config.lease),
             recall_targets: RecallRegistry::default(),
-            degraded: vec![false; ndisks],
-            uninit_rows: HashSet::new(),
-            parity_stats: ParityStats::default(),
-            rebuild_cursors: vec![None; ndisks],
-        };
-        svc.persist_directory()?;
-        Ok(svc)
+            clock,
+        })
     }
 
     /// Convenience: a service over one disk (with stable storage) of the
@@ -263,8 +132,7 @@ impl FileService {
         clock: SimClock,
         config: FileServiceConfig,
     ) -> Result<Self, FileServiceError> {
-        let disk = DiskService::with_stable(geometry, model, clock, Default::default());
-        Self::format(vec![disk], config)
+        Self::striped(1, geometry, model, clock, config)
     }
 
     /// Convenience: a service striped over `ndisks` identical disks.
@@ -307,7 +175,7 @@ impl FileService {
 
     /// Number of disks behind this service.
     pub fn disk_count(&self) -> usize {
-        self.disks.len()
+        self.volume.disks().len()
     }
 
     /// Mutable access to disk `i` (fault injection in experiments).
@@ -316,11 +184,13 @@ impl FileService {
     ///
     /// Panics if `i` is out of range.
     pub fn disk_mut(&mut self, i: usize) -> &mut DiskService {
-        &mut self.disks[i]
+        self.volume
+            .disk(u16::try_from(i).expect("disk numbers fit a descriptor"))
     }
 
     /// Snapshot of all statistics.
     pub fn stats(&self) -> FileServiceStats {
+        let (fit_loads, fit_cache_hits) = self.store.counters();
         FileServiceStats {
             cache: self.cache.as_ref().map(|c| c.stats()).unwrap_or_default(),
             cache_shards: self
@@ -328,100 +198,28 @@ impl FileService {
                 .as_ref()
                 .map(|c| c.shard_stats())
                 .unwrap_or_default(),
-            fit_loads: self.fit_loads,
-            fit_cache_hits: self.fit_hits,
+            fit_loads,
+            fit_cache_hits,
             scrub: self.scrub_stats,
-            parity: self.parity_stats,
-            disks: self.disks.iter().map(|d| d.stats()).collect(),
+            parity: self.volume.parity_stats(),
+            disks: self.volume.disks().iter().map(|d| d.stats()).collect(),
         }
     }
 
-    /// System names of all existing files.
+    /// System names of all existing files, in order.
     pub fn file_ids(&self) -> Vec<FileId> {
-        let mut v: Vec<FileId> = self.directory.keys().copied().collect();
-        v.sort();
-        v
+        self.store.file_ids()
     }
 
     /// Whether `fid` exists.
     pub fn exists(&self, fid: FileId) -> bool {
-        self.directory.contains_key(&fid)
-    }
-
-    // ---- directory persistence ----------------------------------------
-
-    fn stable_policy(&self) -> StablePolicy {
-        if self.disks[0].has_stable() {
-            StablePolicy::OriginalAndStable(StableWriteMode::Sync)
-        } else {
-            StablePolicy::None
-        }
-    }
-
-    fn persist_directory(&mut self) -> Result<(), FileServiceError> {
-        let mut e = Encoder::new();
-        e.u32(DIR_MAGIC)
-            .u64(self.next_fid)
-            .u64(self.system_fid.map(|f| f.0).unwrap_or(0))
-            .u32(self.directory.len() as u32);
-        let mut entries: Vec<_> = self.directory.iter().collect();
-        entries.sort();
-        for (fid, (disk, frag)) in entries {
-            e.u64(fid.0).u16(*disk).u64(*frag);
-        }
-        let mut buf = e.finish();
-        if buf.len() > self.dir_extent.len_bytes() {
-            return Err(FileServiceError::DirectoryFull);
-        }
-        buf.resize(self.dir_extent.len_bytes(), 0);
-        let policy = self.stable_policy();
-        self.disks[0].put(self.dir_extent, &buf, policy)?;
-        Ok(())
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn load_directory(
-        disk: &mut DiskService,
-        dir_extent: Extent,
-    ) -> Result<(u64, Option<FileId>, HashMap<FileId, (u16, FragmentAddr)>), FileServiceError> {
-        let buf = match disk.get(dir_extent) {
-            Ok(b) => b,
-            Err(_) => disk.get_from(dir_extent, ReadSource::Stable)?,
-        };
-        let mut d = Decoder::new(&buf);
-        let magic = d
-            .u32()
-            .map_err(|e| FileServiceError::corrupt(FileId(0), e))?;
-        if magic != DIR_MAGIC {
-            return Err(FileServiceError::Corrupt(FileId(0)));
-        }
-        let next_fid = d
-            .u64()
-            .map_err(|e| FileServiceError::corrupt(FileId(0), e))?;
-        let system_raw = d
-            .u64()
-            .map_err(|e| FileServiceError::corrupt(FileId(0), e))?;
-        let system_fid = (system_raw != 0).then_some(FileId(system_raw));
-        let count = d
-            .u32()
-            .map_err(|e| FileServiceError::corrupt(FileId(0), e))?;
-        let mut map = HashMap::new();
-        for _ in 0..count {
-            let fid = FileId(
-                d.u64()
-                    .map_err(|e| FileServiceError::corrupt(FileId(0), e))?,
-            );
-            let disk_no = d.u16().map_err(|e| FileServiceError::corrupt(fid, e))?;
-            let frag = d.u64().map_err(|e| FileServiceError::corrupt(fid, e))?;
-            map.insert(fid, (disk_no, frag));
-        }
-        Ok((next_fid, system_fid, map))
+        self.store.exists(fid)
     }
 
     /// The well-known system file (the transaction service's intention
     /// log), if one has been designated.
     pub fn system_file(&self) -> Option<FileId> {
-        self.system_fid
+        self.store.system_file()
     }
 
     /// Designates `fid` as the system file, persisted in the directory so
@@ -431,107 +229,13 @@ impl FileService {
     ///
     /// [`FileServiceError::NotFound`] if `fid` does not exist.
     pub fn set_system_file(&mut self, fid: FileId) -> Result<(), FileServiceError> {
-        if !self.exists(fid) {
-            return Err(FileServiceError::NotFound(fid));
-        }
-        self.system_fid = Some(fid);
-        self.persist_directory()
+        self.store.set_system_file(&mut self.volume, fid)
     }
 
-    // ---- FIT management ------------------------------------------------
-
-    fn load_fit(&mut self, fid: FileId) -> Result<(), FileServiceError> {
-        if self.fits.contains_key(&fid) {
-            self.fit_hits += 1;
-            self.touch_fit(fid);
-            return Ok(());
-        }
-        let &(home, fit_frag) = self
-            .directory
-            .get(&fid)
-            .ok_or(FileServiceError::NotFound(fid))?;
-        let frag_extent = Extent::new(fit_frag, 1);
-        let disk = &mut self.disks[home as usize];
-        let buf = match disk.get(frag_extent) {
-            Ok(b) => b,
-            Err(_) => disk.get_from(frag_extent, ReadSource::Stable)?,
-        };
-        let (mut fit, _total, indirect_locs) = FileIndexTable::decode_fit_fragment(&buf)
-            .map_err(|e| FileServiceError::corrupt(fid, e))?;
-        for &(idisk, iaddr) in &indirect_locs {
-            let chunk = self.disks[idisk as usize].get(Extent::new(iaddr, FRAGS_PER_BLOCK))?;
-            fit.extend_from_indirect_chunk(&chunk)
-                .map_err(|e| FileServiceError::corrupt(fid, e))?;
-        }
-        fit.seal();
-        self.fit_loads += 1;
-        self.fits.insert(
-            fid,
-            FitEntry {
-                fit,
-                home,
-                fit_frag,
-                indirect_locs,
-            },
-        );
-        self.touch_fit(fid);
-        self.evict_cold_fits();
-        Ok(())
-    }
-
-    /// Moves `fid` to the hot end of the fragment pool's LRU order.
-    fn touch_fit(&mut self, fid: FileId) {
-        self.fit_lru.retain(|f| *f != fid);
-        self.fit_lru.push(fid);
-    }
-
-    /// Evicts cold FITs past the fragment pool's capacity. Safe because
-    /// FITs are persisted eagerly — an evicted entry reloads from disk
-    /// (or its stable copy) on next use.
-    fn evict_cold_fits(&mut self) {
-        while self.fits.len() > FIT_POOL_ENTRIES {
-            let Some(victim) = self.fit_lru.first().copied() else {
-                break;
-            };
-            self.fit_lru.remove(0);
-            self.fits.remove(&victim);
-        }
-    }
-
-    fn fit(&self, fid: FileId) -> &FitEntry {
-        self.fits.get(&fid).expect("FIT loaded by caller")
-    }
-
-    fn persist_fit(&mut self, fid: FileId) -> Result<(), FileServiceError> {
-        let policy = self.stable_policy();
-        let entry = self.fits.get(&fid).expect("FIT loaded by caller");
-        let needed = entry.fit.indirect_tables_required();
-        if needed > crate::fit::MAX_INDIRECT_TABLES {
-            return Err(FileServiceError::FileTooLarge(fid));
-        }
-        let home = entry.home;
-        // (Re)provision indirect block homes.
-        let mut locs = entry.indirect_locs.clone();
-        while locs.len() > needed {
-            let (d, a) = locs.pop().expect("nonempty");
-            self.disks[d as usize].free(Extent::new(a, FRAGS_PER_BLOCK))?;
-        }
-        while locs.len() < needed {
-            // Indirect tables live in the top region, away from file data.
-            let e = self.disks[home as usize].allocate_contiguous_top(FRAGS_PER_BLOCK)?;
-            locs.push((home, e.start));
-        }
-        let entry = self.fits.get_mut(&fid).expect("FIT loaded");
-        entry.indirect_locs = locs.clone();
-        let chunks = entry.fit.encode_indirect_chunks();
-        let frag = entry.fit.encode_fit_fragment(&locs);
-        let fit_frag = entry.fit_frag;
-        debug_assert_eq!(chunks.len(), locs.len());
-        for (chunk, (d, a)) in chunks.into_iter().zip(locs) {
-            self.disks[d as usize].put(Extent::new(a, FRAGS_PER_BLOCK), &chunk, policy)?;
-        }
-        self.disks[home as usize].put(Extent::new(fit_frag, 1), &frag, policy)?;
-        Ok(())
+    /// The attributes of `fid`, its FIT loaded into the fragment pool
+    /// (counting one use of it).
+    fn attrs(&mut self, fid: FileId) -> Result<&mut FileAttributes, FileServiceError> {
+        Ok(&mut self.store.entry(&mut self.volume, fid)?.fit.attrs)
     }
 
     // ---- lifecycle operations -------------------------------------------
@@ -545,55 +249,8 @@ impl FileService {
     /// Fails when the directory region is full or the disks are out of
     /// space.
     pub fn create(&mut self, service_type: ServiceType) -> Result<FileId, FileServiceError> {
-        let fid = FileId(self.next_fid);
-        self.next_fid += 1;
-        // Home disk: most free space (keeps files whole); striping spreads
-        // later blocks anyway. A degraded disk never hosts new metadata.
-        let home = self
-            .disks
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.degraded[*i])
-            .max_by_key(|(_, d)| d.free_fragments())
-            .map(|(i, _)| i as u16)
-            .expect("at least one healthy disk");
-        // FIT contiguous with the first data block: allocate 1 + 4
-        // fragments in one run when possible. The parity tier places
-        // every data block by stripe geometry instead, so only the FIT
-        // fragment is allocated here.
-        let disk = &mut self.disks[home as usize];
-        let (fit_frag, first_block) = if self.config.redundancy.is_parity() {
-            (disk.allocate_contiguous(1)?.start, None)
-        } else if self.config.fit_adjacent_first_block {
-            match disk.allocate_contiguous(1 + FRAGS_PER_BLOCK) {
-                Ok(run) => (run.start, Some(run.start + 1)),
-                Err(_) => (disk.allocate_contiguous(1)?.start, None),
-            }
-        } else {
-            // Ablation: FIT in the metadata (top) region, data elsewhere —
-            // the pre-RHODOS layout the paper argues against.
-            (disk.allocate_contiguous_top(1)?.start, None)
-        };
         let attrs = FileAttributes::new(self.clock.now_us(), service_type);
-        let mut fit = FileIndexTable::new(attrs);
-        if let Some(b) = first_block {
-            fit.append_run(home, b, 1);
-        }
-        self.fits.insert(
-            fid,
-            FitEntry {
-                fit,
-                home,
-                fit_frag,
-                indirect_locs: Vec::new(),
-            },
-        );
-        self.touch_fit(fid);
-        self.directory.insert(fid, (home, fit_frag));
-        self.persist_fit(fid)?;
-        self.persist_directory()?;
-        self.evict_cold_fits();
-        Ok(fid)
+        self.store.create(&mut self.volume, attrs)
     }
 
     /// `open`: bumps the reference count ("number of instances a file is
@@ -603,10 +260,8 @@ impl FileService {
     ///
     /// [`FileServiceError::NotFound`] if the file does not exist.
     pub fn open(&mut self, fid: FileId) -> Result<(), FileServiceError> {
-        self.load_fit(fid)?;
-        let entry = self.fits.get_mut(&fid).expect("just loaded");
-        entry.fit.attrs.ref_count += 1;
-        self.persist_fit(fid)
+        self.attrs(fid)?.ref_count += 1;
+        self.store.persist(&mut self.volume, fid)
     }
 
     /// `close`: drops one reference and flushes the file's dirty blocks.
@@ -615,14 +270,13 @@ impl FileService {
     ///
     /// [`FileServiceError::NotOpen`] if the file has no open instances.
     pub fn close(&mut self, fid: FileId) -> Result<(), FileServiceError> {
-        self.load_fit(fid)?;
-        let entry = self.fits.get_mut(&fid).expect("just loaded");
-        if entry.fit.attrs.ref_count == 0 {
+        let attrs = self.attrs(fid)?;
+        if attrs.ref_count == 0 {
             return Err(FileServiceError::NotOpen(fid));
         }
-        entry.fit.attrs.ref_count -= 1;
+        attrs.ref_count -= 1;
         self.flush_file(fid)?;
-        self.persist_fit(fid)
+        self.store.persist(&mut self.volume, fid)
     }
 
     /// `delete`: removes a closed file and frees all its storage.
@@ -631,28 +285,13 @@ impl FileService {
     ///
     /// [`FileServiceError::Busy`] while the file is open anywhere.
     pub fn delete(&mut self, fid: FileId) -> Result<(), FileServiceError> {
-        self.load_fit(fid)?;
-        if self.fit(fid).fit.attrs.ref_count > 0 {
+        if self.attrs(fid)?.ref_count > 0 {
             return Err(FileServiceError::Busy(fid));
         }
         if let Some(cache) = &mut self.cache {
             cache.invalidate_file(fid);
         }
-        self.fit_lru.retain(|f| *f != fid);
-        let entry = self.fits.remove(&fid).expect("just loaded");
-        for d in entry.fit.descriptors() {
-            self.disks[d.disk as usize].free(d.block_extent())?;
-        }
-        for d in entry.fit.parity_descriptors() {
-            self.disks[d.disk as usize].free(d.block_extent())?;
-        }
-        self.uninit_rows.retain(|(f, _)| *f != fid);
-        for (d, a) in entry.indirect_locs {
-            self.disks[d as usize].free(Extent::new(a, FRAGS_PER_BLOCK))?;
-        }
-        self.disks[entry.home as usize].free(Extent::new(entry.fit_frag, 1))?;
-        self.directory.remove(&fid);
-        self.persist_directory()
+        self.store.delete(&mut self.volume, fid)
     }
 
     /// `get-attribute`: the file-specific attributes from the FIT.
@@ -661,8 +300,7 @@ impl FileService {
     ///
     /// [`FileServiceError::NotFound`] if the file does not exist.
     pub fn get_attribute(&mut self, fid: FileId) -> Result<FileAttributes, FileServiceError> {
-        self.load_fit(fid)?;
-        Ok(self.fit(fid).fit.attrs)
+        Ok(*self.attrs(fid)?)
     }
 
     /// Sets the locking level recorded in the FIT (used by the transaction
@@ -676,34 +314,8 @@ impl FileService {
         fid: FileId,
         level: LockLevel,
     ) -> Result<(), FileServiceError> {
-        self.load_fit(fid)?;
-        self.fits
-            .get_mut(&fid)
-            .expect("loaded")
-            .fit
-            .attrs
-            .lock_level = level;
-        self.persist_fit(fid)
-    }
-
-    /// Sets the service type recorded in the FIT (basic vs transaction).
-    ///
-    /// # Errors
-    ///
-    /// [`FileServiceError::NotFound`] if the file does not exist.
-    pub fn set_service_type(
-        &mut self,
-        fid: FileId,
-        st: ServiceType,
-    ) -> Result<(), FileServiceError> {
-        self.load_fit(fid)?;
-        self.fits
-            .get_mut(&fid)
-            .expect("loaded")
-            .fit
-            .attrs
-            .service_type = st;
-        self.persist_fit(fid)
+        self.attrs(fid)?.lock_level = level;
+        self.store.persist(&mut self.volume, fid)
     }
 
     /// A snapshot of the file's index table (descriptor layout inspection
@@ -713,18 +325,18 @@ impl FileService {
     ///
     /// [`FileServiceError::NotFound`] if the file does not exist.
     pub fn fit_snapshot(&mut self, fid: FileId) -> Result<FileIndexTable, FileServiceError> {
-        self.load_fit(fid)?;
-        Ok(self.fit(fid).fit.clone())
+        Ok(self.store.entry(&mut self.volume, fid)?.fit.clone())
     }
 
     // ---- data path -------------------------------------------------------
 
-    fn require_open(&self, fid: FileId) -> Result<(), FileServiceError> {
-        match self.fits.get(&fid) {
-            Some(e) if e.fit.attrs.ref_count > 0 => Ok(()),
-            Some(_) => Err(FileServiceError::NotOpen(fid)),
-            None => Err(FileServiceError::NotOpen(fid)),
+    /// The size of `fid`, which must be open.
+    fn open_size(&mut self, fid: FileId) -> Result<u64, FileServiceError> {
+        let attrs = self.attrs(fid)?;
+        if attrs.ref_count == 0 {
+            return Err(FileServiceError::NotOpen(fid));
         }
+        Ok(attrs.size)
     }
 
     /// Loads logical block `idx` of `fid` into the cache (if enabled) and
@@ -738,45 +350,51 @@ impl FileService {
                 return Ok(b);
             }
         }
-        let entry = self.fit(fid);
-        let d = entry
-            .fit
-            .descriptor(idx)
-            .ok_or(FileServiceError::Corrupt(fid))?;
-        if self.degraded[d.disk as usize] && self.config.redundancy.is_parity() {
-            return self.fetch_block_degraded(fid, idx);
-        }
-        // One reference for the whole contiguous run the block starts or
-        // belongs to; cache every block of it.
-        let run = Extent::new(d.addr, FRAGS_PER_BLOCK * d.contig as u64);
-        let disk_no = d.disk as usize;
-        let data = self.disks[disk_no].get(run)?;
-        let nblocks = data.len() / BLOCK_SIZE;
-        let wanted = data.slice(0..BLOCK_SIZE.min(data.len()));
+        let data = self.volume.read_run(&mut self.store, fid, idx)?;
+        let block = |j: usize| data.slice(j * BLOCK_SIZE..(j + 1) * BLOCK_SIZE);
+        let blocks = (0..data.len() / BLOCK_SIZE).map(|j| (idx + j as u64, block(j)));
+        self.admit(fid, blocks)?;
+        Ok(data.slice(0..BLOCK_SIZE.min(data.len())))
+    }
+
+    /// Admits freshly fetched blocks of `fid` to the pool and writes back
+    /// what that evicted. A block that is already resident is never
+    /// clobbered — it may hold newer delayed-write data — and residency is
+    /// decided once, at transfer time: an insert below can evict a
+    /// still-dirty neighbour fetched in the same transfer (whose
+    /// write-back makes the platter newer than the transfer), and
+    /// re-checking at insert time would then re-admit the stale
+    /// pre-eviction bytes as clean.
+    fn admit(
+        &mut self,
+        fid: FileId,
+        fetched: impl IntoIterator<Item = (u64, BlockBuf)>,
+    ) -> Result<(), FileServiceError> {
+        let Some(cache) = &mut self.cache else {
+            return Ok(());
+        };
+        let absent = |(idx, _): &(u64, BlockBuf)| !cache.contains(&(fid, *idx));
+        let absent: Vec<_> = fetched.into_iter().filter(absent).collect();
         let mut evicted = Vec::new();
-        if let Some(cache) = &mut self.cache {
-            // Residency is decided once, at transfer time: an insert below
-            // can evict a still-dirty neighbour of this same run (whose
-            // write-back makes the platter newer than this transfer), and
-            // re-checking at insert time would then re-admit the stale
-            // pre-eviction bytes as clean.
-            let absent: Vec<bool> = (0..nblocks)
-                .map(|j| !cache.contains(&(fid, idx + j as u64)))
-                .collect();
-            for (j, absent) in absent.into_iter().enumerate() {
-                if absent {
-                    let view = data.slice(j * BLOCK_SIZE..(j + 1) * BLOCK_SIZE);
-                    evicted.extend(cache.insert((fid, idx + j as u64), view, false));
-                }
-            }
+        for (idx, block) in absent {
+            evicted.extend(cache.insert((fid, idx), block, false));
         }
-        self.write_back_evicted(evicted)?;
-        Ok(wanted)
+        self.write_back_evicted(evicted)
+    }
+
+    /// Puts a block that is on its way to the platter in the pool, clean,
+    /// over whatever version was resident.
+    fn admit_written(&mut self, key: BlockKey, data: BlockBuf) -> Result<(), FileServiceError> {
+        let Some(cache) = &mut self.cache else {
+            return Ok(());
+        };
+        let evicted = cache.insert(key, data, false);
+        self.write_back_evicted(evicted)
     }
 
     /// Writes back the dirty blocks the pool evicted while serving one
     /// request — the last version of each key, in key order — as one
-    /// [`Self::write_back_grouped`] batch. Callers collect their evictions and hand them over once,
+    /// batch. Callers collect their evictions and hand them over once,
     /// under three rules: the list reaches the platter before the same
     /// request reads any block from it (the evicted block may be the one
     /// fetched); a key evicted twice keeps only its last version (batch
@@ -789,40 +407,9 @@ impl FileService {
         if evicted.is_empty() {
             return Ok(());
         }
-        let mut last = BTreeMap::new();
-        for (key, data) in evicted {
-            last.insert(key, data);
-        }
-        self.write_back_grouped(last.into_iter().collect())
-    }
-
-    fn write_back(&mut self, key: (FileId, u64), data: BlockBuf) -> Result<(), FileServiceError> {
-        if self.config.redundancy.is_parity() {
-            return self.write_back_parity(vec![(key, data)]);
-        }
-        if let Some(d) = self.dirty_home(key.0, key.1)? {
-            self.disks[d.disk as usize].put(d.block_extent(), &data, StablePolicy::None)?;
-        }
-        Ok(())
-    }
-
-    /// Where dirty block `idx` of `fid` is written back to. The FIT may
-    /// have been evicted from the fragment pool while the block sat in
-    /// the block pool — then it is reloaded; only the directory says a
-    /// file is gone. `None` means the block has no home any more and is
-    /// to be dropped: its file was deleted, or truncated below it.
-    fn dirty_home(
-        &mut self,
-        fid: FileId,
-        idx: u64,
-    ) -> Result<Option<BlockDescriptor>, FileServiceError> {
-        if !self.fits.contains_key(&fid) {
-            if !self.directory.contains_key(&fid) {
-                return Ok(None);
-            }
-            self.load_fit(fid)?;
-        }
-        Ok(self.fits.get(&fid).and_then(|e| e.fit.descriptor(idx)))
+        let last: BTreeMap<BlockKey, BlockBuf> = evicted.into_iter().collect();
+        self.volume
+            .write_back(&mut self.store, last.into_iter().collect())
     }
 
     /// `read`/`pread`: returns up to `len` bytes from `offset` (clamped at
@@ -838,16 +425,10 @@ impl FileService {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>, FileServiceError> {
-        self.load_fit(fid)?;
-        self.require_open(fid)?;
-        let size = self.fit(fid).fit.attrs.size;
-        if offset > size {
-            return Err(FileServiceError::BeyondEof { fid, offset, size });
-        }
-        let len = len.min((size - offset) as usize);
-        let mut out = vec![0u8; len];
+        let size = self.open_size(fid)?;
+        let mut out = vec![0u8; len.min(size.saturating_sub(offset) as usize)];
         let n = self.read_into(fid, offset, &mut out)?;
-        debug_assert_eq!(n, len);
+        debug_assert_eq!(n, out.len());
         Ok(out)
     }
 
@@ -864,9 +445,7 @@ impl FileService {
         offset: u64,
         out: &mut [u8],
     ) -> Result<usize, FileServiceError> {
-        self.load_fit(fid)?;
-        self.require_open(fid)?;
-        let size = self.fit(fid).fit.attrs.size;
+        let size = self.open_size(fid)?;
         if offset > size {
             return Err(FileServiceError::BeyondEof { fid, offset, size });
         }
@@ -886,217 +465,44 @@ impl FileService {
             out[filled..filled + n].copy_from_slice(&block[lo as usize..hi as usize]);
             filled += n;
         }
-        let entry = self.fits.get_mut(&fid).expect("loaded");
-        entry.fit.attrs.last_read_us = self.clock.now_us();
+        self.store.loaded_mut(fid).fit.attrs.last_read_us = self.clock.now_us();
         Ok(filled)
     }
 
-    /// Fetches logical blocks `first..=last` of `fid`, returning one view
-    /// per block. Cache hits are refcount bumps; the misses go to the
-    /// spindles as one [`Self::read_batch`].
+    /// Fetches logical blocks `first..=last` of the resident file `fid`,
+    /// returning one view per block. Cache hits are refcount bumps; the
+    /// misses go to the volume as one window.
     fn fetch_window(
         &mut self,
         fid: FileId,
         first: u64,
         last: u64,
     ) -> Result<Vec<BlockBuf>, FileServiceError> {
-        let n = (last - first + 1) as usize;
-        if n == 1 || self.config.parallel_io == ParallelIo::Never {
+        if first == last || !self.volume.batches_windows() {
             // A single block goes through the run-fetching path, which
-            // also caches the rest of the block's contiguous run. The
-            // `Never` baseline fetches every block that way, one demand
-            // miss at a time.
+            // also caches the rest of the block's contiguous run — as
+            // does every block of a window the volume does not batch.
             return (first..=last)
                 .map(|idx| self.fetch_block(fid, idx))
                 .collect();
         }
-        let mut blocks: Vec<Option<BlockBuf>> = vec![None; n];
+        let mut blocks: BTreeMap<u64, BlockBuf> = BTreeMap::new();
         if let Some(cache) = &mut self.cache {
-            for (i, slot) in blocks.iter_mut().enumerate() {
-                if let Some(b) = cache.get(&(fid, first + i as u64)) {
-                    *slot = Some(b);
-                }
-            }
+            blocks.extend((first..=last).filter_map(|idx| Some((idx, cache.get(&(fid, idx))?))));
         }
-        // Misses homed on a degraded disk cannot be read there — they are
-        // filled afterwards by per-block parity reconstruction.
-        let mut misses: Vec<(usize, u16, Extent)> = Vec::new();
-        let mut needs_reconstruct: Vec<usize> = Vec::new();
-        let entry = self.fit(fid);
-        for (i, slot) in blocks.iter().enumerate() {
-            if slot.is_some() {
-                continue;
-            }
-            let d = entry
-                .fit
-                .descriptor(first + i as u64)
-                .ok_or(FileServiceError::Corrupt(fid))?;
-            if self.degraded[d.disk as usize] && self.config.redundancy.is_parity() {
-                needs_reconstruct.push(i);
-            } else {
-                misses.push((i, d.disk, Extent::new(d.addr, FRAGS_PER_BLOCK)));
-            }
-        }
-        // Spindle-major: the pool's LRU — and so which dirty block a
-        // later insert evicts — follows the order of the inserts below.
-        misses.sort_by_key(|&(_, disk, _)| disk);
-        let reqs: Vec<(u16, Extent)> = misses.iter().map(|&(_, d, e)| (d, e)).collect();
-        let fetched = self.read_batch(&reqs)?;
-        let mut evicted: Vec<((FileId, u64), BlockBuf)> = Vec::new();
-        for (&(i, ..), buf) in misses.iter().zip(fetched) {
-            if let Some(cache) = &mut self.cache {
-                let key = (fid, first + i as u64);
-                // Never clobber a resident block: a concurrent insert
-                // may hold newer delayed-write data.
-                if !cache.contains(&key) {
-                    evicted.extend(cache.insert(key, buf.clone(), false));
-                }
-            }
-            blocks[i] = Some(buf);
-        }
-        self.write_back_evicted(evicted)?;
-        for i in needs_reconstruct {
-            blocks[i] = Some(self.fetch_block(fid, first + i as u64)?);
-        }
-        Ok(blocks.into_iter().map(|b| b.expect("fetched")).collect())
-    }
-
-    /// The one read path from block pool to spindle: reads `reqs` —
-    /// `(disk, extent)` pairs — and returns the buffers in input order.
-    /// The requests are grouped by spindle and each group goes to its
-    /// scheduler as one elevator batch, so physically adjacent extents
-    /// merge into single disk references. The batches are issued
-    /// back-to-back on the caller's thread but all at the same virtual
-    /// instant; ending them advances the shared clock to the busiest
-    /// spindle's finish time, so the spindles work in parallel where it
-    /// is modelled — in virtual time. [`ParallelIo::Never`] pays one
-    /// reference per request instead.
-    fn read_batch(&mut self, reqs: &[(u16, Extent)]) -> Result<Vec<BlockBuf>, FileServiceError> {
-        if self.config.parallel_io == ParallelIo::Never {
-            return reqs
-                .iter()
-                .map(|&(d, e)| Ok(self.disks[d as usize].get(e)?))
-                .collect();
-        }
-        let mut per_disk: Vec<Vec<usize>> = vec![Vec::new(); self.disks.len()];
-        for (i, &(d, _)) in reqs.iter().enumerate() {
-            per_disk[d as usize].push(i);
-        }
-        let involved: Vec<usize> = (0..per_disk.len())
-            .filter(|&d| !per_disk[d].is_empty())
+        let misses: Vec<u64> = (first..=last)
+            .filter(|idx| !blocks.contains_key(idx))
             .collect();
-        for &d in &involved {
-            self.disks[d].begin_batch();
+        let fit = &self.store.loaded(fid).fit;
+        let (fetched, deferred) = self.volume.read_window(fit, fid, &misses)?;
+        blocks.extend(fetched.iter().cloned());
+        self.admit(fid, fetched)?;
+        // What the batch could not carry is fetched block by block, after
+        // the batch's evictions have reached the platter.
+        for idx in deferred {
+            blocks.insert(idx, self.fetch_block(fid, idx)?);
         }
-        let fetched: Vec<_> = involved
-            .iter()
-            .map(|&d| {
-                let extents: Vec<Extent> = per_disk[d].iter().map(|&i| reqs[i].1).collect();
-                self.disks[d].get_batch(&extents)
-            })
-            .collect();
-        for &d in &involved {
-            self.disks[d].end_batch();
-        }
-        let mut out: Vec<Option<BlockBuf>> = vec![None; reqs.len()];
-        for (&d, bufs) in involved.iter().zip(fetched) {
-            for (&i, buf) in per_disk[d].iter().zip(bufs?) {
-                out[i] = Some(buf);
-            }
-        }
-        Ok(out.into_iter().map(|b| b.expect("fetched")).collect())
-    }
-
-    /// The write twin of [`Self::read_batch`], to main storage: one
-    /// elevator batch per spindle (adjacent extents — across files —
-    /// merge into single references), all under makespan accounting.
-    /// [`ParallelIo::Never`] makes every write its own reference — the
-    /// naive read-modify-write ablation of experiment E21.
-    fn write_batch(
-        &mut self,
-        writes: Vec<(u16, Extent, BlockBuf)>,
-    ) -> Result<(), FileServiceError> {
-        if self.config.parallel_io == ParallelIo::Never {
-            for (d, extent, buf) in writes {
-                self.disks[d as usize].put(extent, &buf, StablePolicy::None)?;
-            }
-            return Ok(());
-        }
-        let mut per_disk: Vec<Vec<(Extent, BlockBuf)>> = vec![Vec::new(); self.disks.len()];
-        for (d, extent, buf) in writes {
-            per_disk[d as usize].push((extent, buf));
-        }
-        let involved: Vec<usize> = (0..per_disk.len())
-            .filter(|&d| !per_disk[d].is_empty())
-            .collect();
-        for &d in &involved {
-            self.disks[d].begin_batch();
-        }
-        let results: Vec<_> = involved
-            .iter()
-            .map(|&d| self.disks[d].put_batch(&per_disk[d]))
-            .collect();
-        for &d in &involved {
-            self.disks[d].end_batch();
-        }
-        for r in results {
-            r?;
-        }
-        Ok(())
-    }
-
-    /// Appends enough blocks to make the file `nblocks` long, honouring
-    /// the stripe policy and preferring contiguous allocation.
-    fn grow_to_blocks(&mut self, fid: FileId, nblocks: u64) -> Result<(), FileServiceError> {
-        if let Redundancy::Parity { k, m } = self.config.redundancy {
-            return self.grow_parity(fid, nblocks, k, m);
-        }
-        loop {
-            let (current, home) = {
-                let e = self.fit(fid);
-                (e.fit.block_count(), e.home as usize)
-            };
-            if current >= nblocks {
-                return Ok(());
-            }
-            let remaining = nblocks - current;
-            let limit = self.config.stripe.run_limit(current).min(remaining);
-            let target = self
-                .config
-                .stripe
-                .disk_for_block(current, self.disks.len(), home);
-            // Try the full run contiguously, then halve until it fits,
-            // then spill to other disks.
-            let mut allocated: Option<(u16, Extent, u64)> = None;
-            let mut want = limit;
-            while want >= 1 {
-                match self.disks[target].allocate_contiguous(want * FRAGS_PER_BLOCK) {
-                    Ok(e) => {
-                        allocated = Some((target as u16, e, want));
-                        break;
-                    }
-                    Err(_) => want /= 2,
-                }
-            }
-            if allocated.is_none() {
-                // Target disk exhausted: any disk with room for one block.
-                for i in 0..self.disks.len() {
-                    if let Ok(e) = self.disks[i].allocate_contiguous(FRAGS_PER_BLOCK) {
-                        allocated = Some((i as u16, e, 1));
-                        break;
-                    }
-                }
-            }
-            let Some((disk_no, extent, blocks)) = allocated else {
-                return Err(FileServiceError::Disk(DiskServiceError::NoSpace {
-                    requested: FRAGS_PER_BLOCK,
-                    largest_free: 0,
-                    total_free: 0,
-                }));
-            };
-            let entry = self.fits.get_mut(&fid).expect("loaded");
-            entry.fit.append_run(disk_no, extent.start, blocks);
-        }
+        Ok(blocks.into_values().collect())
     }
 
     /// `write`/`pwrite`: writes `data` at `offset`, growing the file as
@@ -1147,27 +553,27 @@ impl FileService {
                 return Err(FileServiceError::LeaseFenced(fid));
             }
         }
-        self.load_fit(fid)?;
-        self.require_open(fid)?;
-        let old_size = self.fit(fid).fit.attrs.size;
+        let old_size = self.open_size(fid)?;
         let new_size = runs
             .iter()
             .filter(|(_, data)| !data.is_empty())
             .map(|(offset, data)| offset + data.len() as u64)
             .fold(old_size, u64::max);
-        let old_blocks = self.fit(fid).fit.block_count();
-        self.grow_to_blocks(fid, new_size.div_ceil(BLOCK_SIZE as u64))?;
+        let entry = self.store.loaded_mut(fid);
+        let old_blocks = entry.fit.block_count();
+        self.volume
+            .grow(fid, entry, new_size.div_ceil(BLOCK_SIZE as u64))?;
         let mut evicted: Vec<(BlockKey, BlockBuf)> = Vec::new();
         let applied = self.insert_runs(fid, runs, old_size, &mut evicted);
         // What the pool evicted is written back even when a run failed.
         let written_back = self.write_back_evicted(evicted);
         applied.and(written_back)?;
-        let entry = self.fits.get_mut(&fid).expect("loaded");
-        entry.fit.attrs.size = new_size;
+        let fit = &mut self.store.loaded_mut(fid).fit;
+        fit.attrs.size = new_size;
         // The FIT only needs re-persisting when the metadata changed —
         // overwrites in place leave it untouched.
-        if new_size != old_size || entry.fit.block_count() != old_blocks {
-            self.persist_fit(fid)?;
+        if new_size != old_size || fit.block_count() != old_blocks {
+            self.store.persist(&mut self.volume, fid)?;
         }
         Ok(())
     }
@@ -1221,19 +627,17 @@ impl FileService {
                         .copy_from_slice(&data[src_lo..src_hi]);
                     block
                 };
-                match (self.cache.as_mut(), self.config.write_policy) {
-                    (Some(cache), WritePolicy::DelayedWrite) => {
-                        evicted.extend(cache.insert((fid, idx), block, true));
-                    }
-                    (Some(cache), WritePolicy::WriteThrough) => {
-                        // The clone is a refcount bump: cache and disk see the
-                        // same allocation.
-                        evicted.extend(cache.insert((fid, idx), block.clone(), false));
-                        self.write_back((fid, idx), block)?;
-                    }
-                    (None, _) => {
-                        self.write_back((fid, idx), block)?;
-                    }
+                // A delayed write stays in the pool, dirty; any other goes
+                // through it — the clone is a refcount bump, so cache and
+                // disk see the same allocation.
+                let delayed =
+                    self.cache.is_some() && self.config.write_policy == WritePolicy::DelayedWrite;
+                if let Some(cache) = &mut self.cache {
+                    evicted.extend(cache.insert((fid, idx), block.clone(), delayed));
+                }
+                if !delayed {
+                    self.volume
+                        .write_through(&mut self.store, (fid, idx), block)?;
                 }
             }
             written_to = written_to.max(end);
@@ -1253,7 +657,7 @@ impl FileService {
             Some(c) => c.take_dirty_for(fid),
             None => return Ok(()),
         };
-        self.write_back_grouped(dirty)
+        self.volume.write_back(&mut self.store, dirty)
     }
 
     /// Flushes every dirty block in the pool.
@@ -1266,79 +670,7 @@ impl FileService {
             Some(c) => c.take_dirty(),
             None => return Ok(()),
         };
-        self.write_back_grouped(dirty)
-    }
-
-    /// Writes back a sorted list of dirty blocks.
-    ///
-    /// Under the scheduler ([`ParallelIo::Auto`]) every block is resolved
-    /// to its on-disk home and the whole set goes out as one
-    /// [`Self::write_batch`]. Delayed-write semantics are unchanged: the
-    /// same bytes reach the same addresses, only the order and grouping
-    /// of the transfers differ.
-    fn write_back_grouped(
-        &mut self,
-        dirty: Vec<((FileId, u64), BlockBuf)>,
-    ) -> Result<(), FileServiceError> {
-        if self.config.redundancy.is_parity() {
-            // The parity tier owns its own batching: stripe rows shared
-            // by several dirty blocks fold into one parity update.
-            return self.write_back_parity(dirty);
-        }
-        if self.config.parallel_io == ParallelIo::Never {
-            return self.write_back_serial(dirty);
-        }
-        let mut writes = Vec::with_capacity(dirty.len());
-        for ((fid, idx), buf) in dirty {
-            if let Some(d) = self.dirty_home(fid, idx)? {
-                writes.push((d.disk, d.block_extent(), buf));
-            }
-        }
-        self.write_batch(writes)
-    }
-
-    /// The pre-scheduler write-back: walks the sorted dirty list in order,
-    /// merging only same-file, logically-consecutive, physically-contiguous
-    /// blocks into single `put` calls. Kept as the [`ParallelIo::Never`]
-    /// baseline (experiment E13/E15 comparisons).
-    fn write_back_serial(
-        &mut self,
-        dirty: Vec<((FileId, u64), BlockBuf)>,
-    ) -> Result<(), FileServiceError> {
-        let mut i = 0;
-        while i < dirty.len() {
-            let ((fid, idx), _) = dirty[i];
-            let Some(d0) = self.dirty_home(fid, idx)? else {
-                i += 1;
-                continue;
-            };
-            // Extend the group while blocks are logically consecutive,
-            // same file, and physically contiguous on the same disk.
-            let fit = &self.fits[&fid].fit;
-            let mut j = i + 1;
-            let mut blocks = 1u64;
-            while j < dirty.len() {
-                let ((fid2, idx2), _) = dirty[j];
-                if fid2 != fid || idx2 != idx + blocks {
-                    break;
-                }
-                match fit.descriptor(idx2) {
-                    Some(d2)
-                        if d2.disk == d0.disk && d2.addr == d0.addr + blocks * FRAGS_PER_BLOCK =>
-                    {
-                        blocks += 1;
-                        j += 1;
-                    }
-                    _ => break,
-                }
-            }
-            let extent = Extent::new(d0.addr, blocks * FRAGS_PER_BLOCK);
-            let parts: Vec<BlockBuf> = dirty[i..j].iter().map(|(_, b)| b.clone()).collect();
-            let (joined, _) = BlockBuf::concat(&parts);
-            self.disks[d0.disk as usize].put(extent, &joined, StablePolicy::None)?;
-            i = j;
-        }
-        Ok(())
+        self.volume.write_back(&mut self.store, dirty)
     }
 
     // ---- hooks for the transaction service -----------------------------
@@ -1352,13 +684,14 @@ impl FileService {
     ///
     /// Allocation or persistence failures.
     pub fn ensure_size(&mut self, fid: FileId, size: u64) -> Result<(), FileServiceError> {
-        self.load_fit(fid)?;
-        if self.fit(fid).fit.attrs.size >= size {
+        let entry = self.store.entry(&mut self.volume, fid)?;
+        if entry.fit.attrs.size >= size {
             return Ok(());
         }
-        self.grow_to_blocks(fid, size.div_ceil(BLOCK_SIZE as u64))?;
-        self.fits.get_mut(&fid).expect("loaded").fit.attrs.size = size;
-        self.persist_fit(fid)
+        self.volume
+            .grow(fid, entry, size.div_ceil(BLOCK_SIZE as u64))?;
+        entry.fit.attrs.size = size;
+        self.store.persist(&mut self.volume, fid)
     }
 
     /// Reads one whole logical block as a shared handle — a cache hit is
@@ -1368,8 +701,8 @@ impl FileService {
     ///
     /// Fails if the block does not exist or the disk fails.
     pub fn read_block(&mut self, fid: FileId, idx: u64) -> Result<BlockBuf, FileServiceError> {
-        self.load_fit(fid)?;
-        if self.fit(fid).fit.descriptor(idx).is_none() {
+        let entry = self.store.entry(&mut self.volume, fid)?;
+        if entry.fit.descriptor(idx).is_none() {
             return Err(FileServiceError::Corrupt(fid));
         }
         self.fetch_block(fid, idx)
@@ -1393,11 +726,10 @@ impl FileService {
         first: u64,
         last: u64,
     ) -> Result<Vec<BlockBuf>, FileServiceError> {
-        self.load_fit(fid)?;
+        let count = self.store.entry(&mut self.volume, fid)?.fit.block_count();
         if first > last {
             return Err(FileServiceError::Corrupt(fid));
         }
-        let count = self.fit(fid).fit.block_count();
         if first >= count {
             return Ok(Vec::new());
         }
@@ -1418,12 +750,9 @@ impl FileService {
         data: impl Into<BlockBuf>,
     ) -> Result<(), FileServiceError> {
         let data: BlockBuf = data.into();
-        self.load_fit(fid)?;
-        if let Some(cache) = &mut self.cache {
-            let evicted = cache.insert((fid, idx), data.clone(), false);
-            self.write_back_evicted(evicted)?;
-        }
-        self.write_back((fid, idx), data)
+        self.store.entry(&mut self.volume, fid)?;
+        self.admit_written((fid, idx), data.clone())?;
+        self.volume.write_through(&mut self.store, (fid, idx), data)
     }
 
     /// Allocates a detached block (shadow page home) on the file's home
@@ -1436,11 +765,13 @@ impl FileService {
         &mut self,
         fid: FileId,
     ) -> Result<(u16, FragmentAddr), FileServiceError> {
-        self.load_fit(fid)?;
-        let home = self.fit(fid).home;
+        let home = self.store.entry(&mut self.volume, fid)?.home;
         // Shadow pages come from the top of the disk so they never
         // fragment the low region where files grow contiguously.
-        let e = self.disks[home as usize].allocate_contiguous_top(FRAGS_PER_BLOCK)?;
+        let e = self
+            .volume
+            .disk(home)
+            .allocate_contiguous_top(FRAGS_PER_BLOCK)?;
         Ok((home, e.start))
     }
 
@@ -1455,8 +786,10 @@ impl FileService {
         disk: u16,
         addr: FragmentAddr,
     ) -> Result<(), FileServiceError> {
-        self.disks[disk as usize].free(Extent::new(addr, FRAGS_PER_BLOCK))?;
-        Ok(())
+        Ok(self
+            .volume
+            .disk(disk)
+            .free(Extent::new(addr, FRAGS_PER_BLOCK))?)
     }
 
     /// Writes raw data to a detached block, with the caller's stable
@@ -1472,8 +805,8 @@ impl FileService {
         data: &[u8],
         policy: StablePolicy,
     ) -> Result<(), FileServiceError> {
-        self.disks[disk as usize].put(Extent::new(addr, FRAGS_PER_BLOCK), data, policy)?;
-        Ok(())
+        let extent = Extent::new(addr, FRAGS_PER_BLOCK);
+        Ok(self.volume.disk(disk).put(extent, data, policy)?)
     }
 
     /// Reads raw data from a detached block.
@@ -1486,7 +819,7 @@ impl FileService {
         disk: u16,
         addr: FragmentAddr,
     ) -> Result<BlockBuf, FileServiceError> {
-        Ok(self.disks[disk as usize].get(Extent::new(addr, FRAGS_PER_BLOCK))?)
+        self.volume.get_block(disk, addr)
     }
 
     /// Reads many detached blocks in one scheduler pass: one elevator
@@ -1500,17 +833,7 @@ impl FileService {
         &mut self,
         locs: &[(u16, FragmentAddr)],
     ) -> Result<Vec<BlockBuf>, FileServiceError> {
-        if locs.len() <= 1 {
-            return locs
-                .iter()
-                .map(|&(d, a)| self.get_detached_block(d, a))
-                .collect();
-        }
-        let reqs: Vec<(u16, Extent)> = locs
-            .iter()
-            .map(|&(d, a)| (d, Extent::new(a, FRAGS_PER_BLOCK)))
-            .collect();
-        self.read_batch(&reqs)
+        self.volume.get_blocks(locs)
     }
 
     /// Writes a set of whole logical blocks write-through in one
@@ -1532,10 +855,10 @@ impl FileService {
         }
         // Sorted order lets the serial fallback merge consecutive blocks.
         writes.sort_by_key(|&(fid, idx, _)| (fid, idx));
-        let mut batch: Vec<((FileId, u64), BlockBuf)> = Vec::with_capacity(writes.len());
+        let mut batch: Vec<(BlockKey, BlockBuf)> = Vec::with_capacity(writes.len());
         let mut evicted = Vec::new();
         for (fid, idx, data) in writes {
-            self.load_fit(fid)?;
+            self.store.entry(&mut self.volume, fid)?;
             if let Some(cache) = &mut self.cache {
                 evicted.extend(cache.insert((fid, idx), data.clone(), false));
             }
@@ -1543,7 +866,7 @@ impl FileService {
         }
         // Evictions first: an evicted key may be rewritten by the batch.
         self.write_back_evicted(evicted)?;
-        self.write_back_grouped(batch)
+        self.volume.write_back(&mut self.store, batch)
     }
 
     /// Swings the descriptor of logical block `idx` to a new location
@@ -1560,34 +883,13 @@ impl FileService {
         disk: u16,
         addr: FragmentAddr,
     ) -> Result<(u16, FragmentAddr), FileServiceError> {
-        self.load_fit(fid)?;
-        let old = self
-            .fit(fid)
-            .fit
-            .descriptor(idx)
-            .ok_or(FileServiceError::Corrupt(fid))?;
-        // Parity tier: capture a consistent image of the row *before*
-        // the swing — afterwards the old parity no longer matches the
-        // platter, so the old values could not be reconstructed.
-        let parity_prep: Option<(u64, Vec<Vec<u8>>)> =
-            if let Some((k, _)) = self.config.redundancy.params() {
-                let row = idx / k as u64;
-                let slot = (idx % k as u64) as usize;
-                let mut units = self.load_row_reconstructed(fid, row, Some(slot))?;
-                units[slot] = self.get_detached_block(disk, addr)?.to_vec();
-                Some((row, units))
-            } else {
-                None
-            };
-        let entry = self.fits.get_mut(&fid).expect("loaded");
-        entry.fit.replace_block(idx, disk, addr);
+        let old = self.store.entry(&mut self.volume, fid)?.fit.descriptor(idx);
+        let old = old.ok_or(FileServiceError::Corrupt(fid))?;
         if let Some(cache) = &mut self.cache {
             cache.invalidate_file(fid); // conservative: drop stale blocks
         }
-        self.persist_fit(fid)?;
-        if let Some((row, units)) = parity_prep {
-            self.write_row_parity(fid, row, &units)?;
-        }
+        self.volume
+            .swing_descriptor(&mut self.store, fid, idx, disk, addr)?;
         Ok((old.disk, old.addr))
     }
 
@@ -1632,9 +934,7 @@ impl FileService {
         for ack in acks {
             self.lease_apply_recalled(fid, ack)?;
         }
-        self.load_fit(fid)?;
-        let size = self.fit(fid).fit.attrs.size;
-        Ok((grant, size))
+        Ok((grant, self.attrs(fid)?.size))
     }
 
     /// The recall half of [`Self::lease_acquire`]: performs the recall
@@ -1654,7 +954,7 @@ impl FileService {
         fid: FileId,
         mode: LeaseMode,
     ) -> Result<(LeaseGrant, Vec<RecallAck>), FileServiceError> {
-        self.load_fit(fid)?;
+        self.attrs(fid)?;
         // Post-crash grace period: new grants wait out the reattach
         // window. With the window at least one term long, every
         // pre-crash lease the rebooted server no longer remembers has
@@ -1814,15 +1114,11 @@ impl FileService {
     /// Propagates flush failures.
     pub fn evict_caches(&mut self) -> Result<(), FileServiceError> {
         self.flush_all()?;
-        self.fits.clear();
-        self.fit_lru.clear();
+        self.store.evict_all();
         if let Some(cache) = &mut self.cache {
             cache.clear();
         }
-        for d in &mut self.disks {
-            // Track caches only — no crash repair, no stable-storage scan.
-            d.drop_caches();
-        }
+        self.volume.drop_caches();
         Ok(())
     }
 
@@ -1838,13 +1134,7 @@ impl FileService {
     ///
     /// [`FileServiceError::NotFound`] if the file does not exist.
     pub fn restore_open_count(&mut self, fid: FileId, count: u32) -> Result<(), FileServiceError> {
-        self.load_fit(fid)?;
-        self.fits
-            .get_mut(&fid)
-            .expect("just loaded")
-            .fit
-            .attrs
-            .ref_count = count;
+        self.attrs(fid)?.ref_count = count;
         Ok(())
     }
 
@@ -1854,14 +1144,8 @@ impl FileService {
         if let Some(cache) = &mut self.cache {
             cache.clear();
         }
-        self.fits.clear();
-        self.fit_lru.clear();
-        self.directory.clear();
-        self.system_fid = None;
-        self.next_fid = 0;
-        // Which rows still carry garbage parity is volatile knowledge;
-        // recovery recomputes every row's parity instead.
-        self.uninit_rows.clear();
+        self.store.crash();
+        self.volume.crash();
         // Lease soft state dies with the server: epoch bump, reattach
         // window opens. Recall endpoints (wiring) survive.
         self.lease.server_crashed(self.clock.now_us());
@@ -1869,260 +1153,23 @@ impl FileService {
 
     /// Recovers after [`Self::simulate_crash`] (or injected disk faults):
     /// repairs the disks and stable mirrors, reloads the directory (from
-    /// main storage, falling back to the stable copy), reloads every FIT,
-    /// and rebuilds the allocation bitmaps by walking the metadata — the
-    /// fsck pass.
+    /// main storage, falling back to the stable copy), reloads every FIT
+    /// in `FileId` order, and rebuilds the allocation bitmaps from what
+    /// each of them owns — the fsck pass. It reads the platter and writes
+    /// only what the volume recomputes from it, so a recovery interrupted
+    /// by a second crash is simply run again.
     ///
     /// # Errors
     ///
-    /// Fails if the directory is unrecoverable from both copies.
+    /// Fails if the directory is unrecoverable from both copies, or a
+    /// file's index table from all of its.
     pub fn recover(&mut self) -> Result<(), FileServiceError> {
-        for d in &mut self.disks {
-            d.recover()?;
-        }
-        let (next_fid, system_fid, directory) =
-            Self::load_directory(&mut self.disks[0], self.dir_extent)?;
-        self.next_fid = next_fid;
-        self.system_fid = system_fid;
-        self.directory = directory;
-        self.fits.clear();
-        self.fit_lru.clear();
-        let fids: Vec<FileId> = self.directory.keys().copied().collect();
-        for fid in &fids {
-            self.load_fit(*fid)?;
-            // Open counts do not survive a crash.
-            self.fits.get_mut(fid).expect("loaded").fit.attrs.ref_count = 0;
-        }
-        // Rebuild per-disk allocation state.
-        let mut per_disk: Vec<Vec<Extent>> = vec![Vec::new(); self.disks.len()];
-        per_disk[0].push(self.dir_extent);
-        for entry in self.fits.values() {
-            per_disk[entry.home as usize].push(Extent::new(entry.fit_frag, 1));
-            for &(d, a) in &entry.indirect_locs {
-                per_disk[d as usize].push(Extent::new(a, FRAGS_PER_BLOCK));
-            }
-            for desc in entry.fit.descriptors() {
-                per_disk[desc.disk as usize].push(desc.block_extent());
-            }
-            for desc in entry.fit.parity_descriptors() {
-                per_disk[desc.disk as usize].push(desc.block_extent());
-            }
-        }
-        for (i, extents) in per_disk.into_iter().enumerate() {
-            self.disks[i].rebuild_allocation(extents);
-        }
-        // The uninit-row set died with the crash, and delayed parity
-        // updates for rows whose data writes landed may be lost — bring
-        // every row's parity back in line with the surviving platter
-        // data. Rows with units on a degraded disk are skipped: their
-        // parity is the only copy of the lost units.
-        self.uninit_rows.clear();
-        if self.config.redundancy.is_parity() {
-            self.recompute_all_parity()?;
-        }
-        Ok(())
+        self.volume.recover_disks()?;
+        let owned = self.store.recover(&mut self.volume)?;
+        self.volume.after_recover(&mut self.store, owned)
     }
 
-    // ---- background scrubbing (self-healing) --------------------------
-
-    /// Every allocated extent on every disk with its owner, sorted by
-    /// address — the scrubber's view of what the metadata claims to own.
-    fn owned_extents(&mut self) -> Result<Vec<Vec<(Extent, ScrubOwner)>>, FileServiceError> {
-        let mut per_disk: Vec<Vec<(Extent, ScrubOwner)>> = vec![Vec::new(); self.disks.len()];
-        per_disk[0].push((self.dir_extent, ScrubOwner::Directory));
-        for fid in self.file_ids() {
-            let (fit, home, fit_frag, indirect) = match self.fit_parts(fid) {
-                Ok(parts) => parts,
-                Err(_) => {
-                    // Both FIT copies are unreadable (fsck's finding) —
-                    // the fragment itself can still be scanned so the
-                    // fault is counted, not hidden.
-                    if let Some(&(home, frag)) = self.directory.get(&fid) {
-                        per_disk[home as usize].push((Extent::new(frag, 1), ScrubOwner::Fit(fid)));
-                    }
-                    continue;
-                }
-            };
-            per_disk[home as usize].push((Extent::new(fit_frag, 1), ScrubOwner::Fit(fid)));
-            for (d, a) in indirect {
-                per_disk[d as usize]
-                    .push((Extent::new(a, FRAGS_PER_BLOCK), ScrubOwner::Indirect(fid)));
-            }
-            for (i, desc) in fit.descriptors().iter().enumerate() {
-                per_disk[desc.disk as usize].push((
-                    desc.block_extent(),
-                    ScrubOwner::Data {
-                        fid,
-                        block: i as u64,
-                    },
-                ));
-            }
-            for (i, desc) in fit.parity_descriptors().iter().enumerate() {
-                per_disk[desc.disk as usize].push((
-                    desc.block_extent(),
-                    ScrubOwner::Parity {
-                        fid,
-                        index: i as u64,
-                    },
-                ));
-            }
-        }
-        for list in &mut per_disk {
-            list.sort_by_key(|(e, _)| e.start);
-        }
-        Ok(per_disk)
-    }
-
-    /// Walks the allocated extents of every disk verifying each sector
-    /// against its checksum lane (bypassing the caches — the platter is
-    /// what is being checked), and repairs latent faults from local
-    /// redundant copies: metadata fragments from their stable-storage
-    /// mirrors, data blocks from the block pool when resident. A repair
-    /// rewrites the owner's unit, which quarantines the bad sector and
-    /// remaps it to a spare. Faults with no local redundant copy are
-    /// reported with their owners — never silently dropped — so the
-    /// replication layer can fetch a peer's copy.
-    ///
-    /// `budget` caps the sectors scanned this call (`None` = full pass).
-    /// A budgeted scrub resumes where it left off via per-disk cursors,
-    /// so a periodic small-budget call amortises verification I/O across
-    /// idle time. The scan is issued in address-sorted runs through the
-    /// per-spindle schedulers, so contiguous extents coalesce into
-    /// single disk references.
-    ///
-    /// # Errors
-    ///
-    /// Fails only on non-media I/O errors (e.g. a crashed disk). Media
-    /// faults are findings, not errors.
-    pub fn scrub(&mut self, budget: Option<u64>) -> Result<ScrubReport, FileServiceError> {
-        let owned = self.owned_extents()?;
-        let mut report = ScrubReport::default();
-        let mut remaining = budget.unwrap_or(u64::MAX);
-        let mut complete = true;
-        for (d, list) in owned.iter().enumerate() {
-            if list.is_empty() || self.degraded[d] {
-                // A degraded disk's platter is being rebuilt from the
-                // parity groups, not verified sector by sector.
-                continue;
-            }
-            // Resume from this disk's cursor, wrapping around the sorted
-            // extent list so every extent is eventually visited.
-            let n = list.len();
-            let start = list.partition_point(|(e, _)| e.start < self.scrub_cursors[d]) % n;
-            let mut picked = Vec::new();
-            let mut next = start;
-            for step in 0..n {
-                if remaining == 0 {
-                    break;
-                }
-                let i = (start + step) % n;
-                let len = list[i].0.len;
-                if len > remaining && !picked.is_empty() {
-                    break; // never split an extent across calls
-                }
-                remaining = remaining.saturating_sub(len);
-                picked.push(i);
-                next = (i + 1) % n;
-            }
-            if picked.len() < n {
-                complete = false;
-                self.scrub_cursors[d] = list[next].0.start;
-            } else {
-                self.scrub_cursors[d] = list[start].0.start;
-            }
-            let extents: Vec<Extent> = picked.iter().map(|&i| list[i].0).collect();
-            let faults = self.disks[d].verify_extents(&extents)?;
-            report.stats.sectors_scanned += extents.iter().map(|e| e.len).sum::<u64>();
-            for fault in faults {
-                // Map the faulty sector back to its owner.
-                let at = list.partition_point(|(e, _)| e.start <= fault.addr);
-                let Some(&(extent, owner)) = at.checked_sub(1).map(|i| &list[i]) else {
-                    continue;
-                };
-                if fault.addr >= extent.end() {
-                    continue;
-                }
-                report.stats.faults_found += 1;
-                let repaired = self.repair_fault(d, fault.addr, extent, owner);
-                if repaired {
-                    report.stats.faults_repaired += 1;
-                } else {
-                    report.stats.unrecoverable += 1;
-                }
-                report.findings.push(ScrubFinding {
-                    disk: d as u16,
-                    addr: fault.addr,
-                    kind: fault.kind,
-                    owner,
-                    extent,
-                    repaired,
-                });
-            }
-        }
-        report.complete = complete;
-        if complete {
-            report.stats.passes_completed = 1;
-        }
-        self.scrub_stats.merge(&report.stats);
-        Ok(report)
-    }
-
-    /// Attempts to repair one faulty sector from a local redundant copy.
-    /// Returns whether it succeeded; a failed repair (no redundant copy,
-    /// or the stable mirror is lost too) leaves the fault for a higher
-    /// layer and is never a scrub error.
-    fn repair_fault(
-        &mut self,
-        disk: usize,
-        addr: FragmentAddr,
-        extent: Extent,
-        owner: ScrubOwner,
-    ) -> bool {
-        match owner {
-            ScrubOwner::Directory | ScrubOwner::Fit(_) | ScrubOwner::Indirect(_) => self.disks
-                [disk]
-                .repair_fragment_from_stable(addr)
-                .unwrap_or(false),
-            ScrubOwner::Data { fid, block } => {
-                // Fourth rung of the repair-source ladder: on the parity
-                // tier, reconstruct the unit from its parity group. That
-                // yields the platter-consistent value, so it is preferred
-                // over a possibly-dirty pool copy.
-                if let Some((k, _)) = self.config.redundancy.params() {
-                    let row = block / k as u64;
-                    let slot = (block % k as u64) as usize;
-                    if let Ok(mut units) = self.load_row_reconstructed(fid, row, Some(slot)) {
-                        let buf = std::mem::take(&mut units[slot]);
-                        return self.disks[disk]
-                            .put(extent, &buf, StablePolicy::None)
-                            .is_ok();
-                    }
-                }
-                let Some(buf) = self.cache.as_mut().and_then(|c| c.peek(&(fid, block))) else {
-                    return false;
-                };
-                self.disks[disk]
-                    .put(extent, &buf, StablePolicy::None)
-                    .is_ok()
-            }
-            ScrubOwner::Parity { fid, index } => {
-                let Some((k, m)) = self.config.redundancy.params() else {
-                    return false;
-                };
-                let row = index / m as u64;
-                let j = (index % m as u64) as usize;
-                match self.load_row_reconstructed(fid, row, Some(k + j)) {
-                    Ok(mut units) => {
-                        let buf = std::mem::take(&mut units[k + j]);
-                        self.disks[disk]
-                            .put(extent, &buf, StablePolicy::None)
-                            .is_ok()
-                    }
-                    Err(_) => false,
-                }
-            }
-        }
-    }
+    // ---- repair hooks (replication peers, fsck) --------------------------
 
     /// Rewrites data block `block` of `fid` from `data` (a replication
     /// peer's copy), healing a fault the local scrub could not repair.
@@ -2139,98 +1186,38 @@ impl FileService {
         block: u64,
         data: &[u8],
     ) -> Result<(), FileServiceError> {
-        self.load_fit(fid)?;
-        if self.config.redundancy.is_parity() {
-            return self.rewrite_block_parity(fid, block, data);
-        }
-        let desc = self
-            .fits
-            .get(&fid)
-            .and_then(|e| e.fit.descriptor(block))
-            .ok_or(FileServiceError::NotFound(fid))?;
-        self.disks[desc.disk as usize].put(desc.block_extent(), data, StablePolicy::None)?;
-        if let Some(cache) = &mut self.cache {
-            // The peer's copy is now the on-disk truth; a stale resident
-            // block must not shadow it.
-            let evicted = cache.insert((fid, block), data.to_vec(), false);
-            self.write_back_evicted(evicted)?;
-        }
-        Ok(())
+        self.volume
+            .rewrite_block(&mut self.store, fid, block, data)?;
+        // The peer's copy is now the on-disk truth; a stale resident
+        // block must not shadow it.
+        self.admit_written((fid, block), data.to_vec().into())
     }
 
     /// Reads data block `block` of `fid` directly (cache first, then
     /// disk), for replication peer-repair. Returns `None` when the block
     /// is unreadable here too.
     pub fn read_block_for_repair(&mut self, fid: FileId, block: u64) -> Option<Vec<u8>> {
-        self.load_fit(fid).ok()?;
+        self.attrs(fid).ok()?;
         if let Some(buf) = self.cache.as_mut().and_then(|c| c.peek(&(fid, block))) {
             return Some(buf.to_vec());
         }
-        let desc = self.fits.get(&fid).and_then(|e| e.fit.descriptor(block))?;
-        if let Some((k, _)) = self.config.redundancy.params() {
-            let row = block / k as u64;
-            let slot = (block % k as u64) as usize;
-            if self.degraded[desc.disk as usize] {
-                let mut units = self.load_row_reconstructed(fid, row, None).ok()?;
-                self.parity_stats.degraded_reads += 1;
-                return Some(std::mem::take(&mut units[slot]));
-            }
-            return match self.disks[desc.disk as usize].get(desc.block_extent()) {
-                Ok(b) => Some(b.to_vec()),
-                Err(_) => {
-                    // Unreadable here: reconstruct it from the rest of
-                    // its parity group.
-                    let mut units = self.load_row_reconstructed(fid, row, Some(slot)).ok()?;
-                    Some(std::mem::take(&mut units[slot]))
-                }
-            };
-        }
-        self.disks[desc.disk as usize]
-            .get(desc.block_extent())
-            .ok()
-            .map(|b| b.to_vec())
-    }
-
-    /// The reserved directory region (fsck support).
-    pub(crate) fn directory_extent(&self) -> Extent {
-        self.dir_extent
-    }
-
-    /// Total fragments on disk `i`, if it exists (fsck support).
-    pub(crate) fn disk_total_fragments(&self, i: usize) -> Option<u64> {
-        self.disks.get(i).map(|d| d.geometry().total_sectors())
-    }
-
-    /// Loads and exposes the pieces of a file's FIT entry (fsck support).
-    pub(crate) fn fit_parts(
-        &mut self,
-        fid: FileId,
-    ) -> Result<(FileIndexTable, u16, FragmentAddr, crate::fit::IndirectLocs), FileServiceError>
-    {
-        self.load_fit(fid)?;
-        let e = self.fit(fid);
-        Ok((e.fit.clone(), e.home, e.fit_frag, e.indirect_locs.clone()))
+        self.volume.read_for_repair(&mut self.store, fid, block)
     }
 
     /// Clamps `fid`'s recorded size to at most `to` bytes and persists
     /// the FIT (fsck repair of `SizeBeyondBlocks`).
     pub(crate) fn clamp_size(&mut self, fid: FileId, to: u64) -> Result<(), FileServiceError> {
-        self.load_fit(fid)?;
-        let entry = self.fits.get_mut(&fid).expect("just loaded");
-        entry.fit.attrs.size = entry.fit.attrs.size.min(to);
-        self.persist_fit(fid)
+        let attrs = self.attrs(fid)?;
+        attrs.size = attrs.size.min(to);
+        self.store.persist(&mut self.volume, fid)
     }
 
     /// Recomputes every contiguity count of `fid` from the physical
     /// layout and persists the FIT (fsck repair of `BadContiguityCount`).
     pub(crate) fn rebuild_contiguity(&mut self, fid: FileId) -> Result<(), FileServiceError> {
-        self.load_fit(fid)?;
-        self.fits
-            .get_mut(&fid)
-            .expect("just loaded")
-            .fit
-            .rebuild_contiguity();
-        self.persist_fit(fid)
+        let entry = self.store.entry(&mut self.volume, fid)?;
+        entry.fit.rebuild_contiguity();
+        self.store.persist(&mut self.volume, fid)
     }
 
     /// Descriptors of every block of `fid` (experiment support: layout
@@ -2243,503 +1230,11 @@ impl FileService {
         &mut self,
         fid: FileId,
     ) -> Result<Vec<BlockDescriptor>, FileServiceError> {
-        self.load_fit(fid)?;
-        Ok(self.fit(fid).fit.descriptors().to_vec())
+        let entry = self.store.entry(&mut self.volume, fid)?;
+        Ok(entry.fit.descriptors().to_vec())
     }
 
-    // ---- parity tier (RAID-5/6 erasure-coded striping) -----------------
-
-    /// Appends blocks under the parity geometry. Logical block `i` is
-    /// data slot `i % k` of stripe row `i / k`; a row's `m` parity
-    /// units are allocated before its first data unit so no flush can
-    /// find the parity homes missing. Placement prefers the rotating
-    /// targets — data slot `s` of row `r` on disk `(r + s) % D`,
-    /// parity `j` on disk `(r + k + j) % D` — so parity traffic
-    /// spreads across spindles instead of pinning one (the RAID-4
-    /// bottleneck), falling back to any disk with space; each unit of
-    /// a row lands on a distinct disk whenever possible so a one-disk
-    /// loss costs at most one erasure per row.
-    fn grow_parity(
-        &mut self,
-        fid: FileId,
-        nblocks: u64,
-        k: usize,
-        m: usize,
-    ) -> Result<(), FileServiceError> {
-        loop {
-            let current = self.fit(fid).fit.block_count();
-            if current >= nblocks {
-                return Ok(());
-            }
-            let row = current / k as u64;
-            while self.fit(fid).fit.parity_count() < (row + 1) * m as u64 {
-                let j = (self.fit(fid).fit.parity_count() % m as u64) as usize;
-                let preferred = (row as usize + k + j) % self.disks.len();
-                let (d, e) = self.allocate_unit(fid, row, k, m, preferred)?;
-                let entry = self.fits.get_mut(&fid).expect("loaded");
-                entry.fit.push_parity(d, e.start);
-                self.uninit_rows.insert((fid, row));
-            }
-            let slot = (current % k as u64) as usize;
-            let preferred = (row as usize + slot) % self.disks.len();
-            let (d, e) = self.allocate_unit(fid, row, k, m, preferred)?;
-            let entry = self.fits.get_mut(&fid).expect("loaded");
-            entry.fit.append_run(d, e.start, 1);
-            // A recycled extent may hold stale bytes, so the row's
-            // parity is stale until the next flush recomputes it.
-            self.uninit_rows.insert((fid, row));
-        }
-    }
-
-    /// One stripe unit on a healthy disk near `preferred`. The first
-    /// pass refuses disks already holding a unit of this row (the
-    /// fault-isolation invariant); a second pass lifts that constraint
-    /// when the disks are too full, favouring completion over layout.
-    fn allocate_unit(
-        &mut self,
-        fid: FileId,
-        row: u64,
-        k: usize,
-        m: usize,
-        preferred: usize,
-    ) -> Result<(u16, Extent), FileServiceError> {
-        let ndisks = self.disks.len();
-        let used: HashSet<u16> = {
-            let fit = &self.fit(fid).fit;
-            let data = (row * k as u64..((row + 1) * k as u64).min(fit.block_count()))
-                .filter_map(|i| fit.descriptor(i));
-            let par = (row * m as u64..((row + 1) * m as u64).min(fit.parity_count()))
-                .filter_map(|j| fit.parity_descriptor(j));
-            data.chain(par).map(|d| d.disk).collect()
-        };
-        for pass in 0..2 {
-            for off in 0..ndisks {
-                let d = (preferred + off) % ndisks;
-                if self.degraded[d] || (pass == 0 && used.contains(&(d as u16))) {
-                    continue;
-                }
-                if let Ok(e) = self.disks[d].allocate_contiguous(FRAGS_PER_BLOCK) {
-                    return Ok((d as u16, e));
-                }
-            }
-        }
-        Err(FileServiceError::Disk(DiskServiceError::NoSpace {
-            requested: FRAGS_PER_BLOCK,
-            largest_free: 0,
-            total_free: 0,
-        }))
-    }
-
-    /// Whether any unit of `fid`'s row `row` is homed on a degraded
-    /// disk.
-    fn row_touches_degraded(&self, fid: FileId, row: u64, k: usize, m: usize) -> bool {
-        if !self.degraded.iter().any(|&d| d) {
-            return false;
-        }
-        let fit = &self.fit(fid).fit;
-        (row * k as u64..((row + 1) * k as u64).min(fit.block_count()))
-            .filter_map(|i| fit.descriptor(i))
-            .chain(
-                (row * m as u64..((row + 1) * m as u64).min(fit.parity_count()))
-                    .filter_map(|j| fit.parity_descriptor(j)),
-            )
-            .any(|d| self.degraded[d.disk as usize])
-    }
-
-    /// The parity tier's write-back engine (the routed destination of
-    /// every flush and eviction when [`Redundancy::Parity`] is on).
-    ///
-    /// Dirty blocks are grouped by stripe row and each row picks the
-    /// cheapest correct technique for this request:
-    ///
-    /// * **full-stripe write** — every live unit of the row is dirty:
-    ///   parity is computed in memory and nothing is read;
-    /// * **parity-delta small write** — few dirty units: read the old
-    ///   data and old parity, fold the XOR delta into each parity unit
-    ///   (`P' = P ⊕ δ`, `Q' = Q ⊕ g^slot·δ`);
-    /// * **reconstruct-write** — mid-sized rows (or rows whose
-    ///   on-platter parity was never written): read the unchanged
-    ///   units and recompute parity whole.
-    ///
-    /// All old-unit reads across every row go out as one scheduler
-    /// pass, and all new data + parity units land as one coalesced
-    /// elevator batch per spindle. [`ParallelIo::Never`] issues every
-    /// read and write one at a time instead — the naive
-    /// read-modify-write ablation that experiment E21 compares
-    /// against.
-    fn write_back_parity(
-        &mut self,
-        dirty: Vec<((FileId, u64), BlockBuf)>,
-    ) -> Result<(), FileServiceError> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Technique {
-            Full,
-            Delta,
-            Reconstruct,
-            Degraded,
-        }
-        struct RowPlan {
-            fid: FileId,
-            row: u64,
-            dirty: Vec<(usize, BlockBuf)>,
-            data_descs: Vec<Option<BlockDescriptor>>,
-            parity_descs: Vec<BlockDescriptor>,
-            technique: Technique,
-            read_base: usize,
-            read_len: usize,
-        }
-        let (k, m) = self.config.redundancy.params().expect("parity tier");
-        // Blocks of deleted or truncated files are dropped, and the
-        // last write per block wins.
-        let mut resolved: BTreeMap<(FileId, u64), BlockBuf> = BTreeMap::new();
-        for ((fid, idx), buf) in dirty {
-            if self.dirty_home(fid, idx)?.is_some() {
-                resolved.insert((fid, idx), buf);
-            }
-        }
-        if resolved.is_empty() {
-            return Ok(());
-        }
-        // Group by stripe row: blocks sharing a row share one parity
-        // update, so a group-committed flush folds into shared stripe
-        // passes.
-        let mut rows: BTreeMap<(FileId, u64), Vec<(usize, BlockBuf)>> = BTreeMap::new();
-        for ((fid, idx), buf) in resolved {
-            rows.entry((fid, idx / k as u64))
-                .or_default()
-                .push(((idx % k as u64) as usize, buf));
-        }
-        // Classify each row and gather the old units it must read.
-        let mut plans: Vec<RowPlan> = Vec::with_capacity(rows.len());
-        let mut reads: Vec<(u16, FragmentAddr)> = Vec::new();
-        for ((fid, row), dirty_slots) in rows {
-            self.load_fit(fid)?;
-            let (data_descs, parity_descs) = {
-                let fit = &self.fit(fid).fit;
-                let data: Vec<Option<BlockDescriptor>> = (0..k as u64)
-                    .map(|s| fit.descriptor(row * k as u64 + s))
-                    .collect();
-                let par: Vec<BlockDescriptor> = (0..m as u64)
-                    .filter_map(|j| fit.parity_descriptor(row * m as u64 + j))
-                    .collect();
-                (data, par)
-            };
-            debug_assert_eq!(parity_descs.len(), m, "parity allocated with the row");
-            let unchanged: Vec<usize> = (0..k)
-                .filter(|&s| data_descs[s].is_some() && !dirty_slots.iter().any(|&(ds, _)| ds == s))
-                .collect();
-            let degraded_row = data_descs
-                .iter()
-                .flatten()
-                .chain(parity_descs.iter())
-                .any(|d| self.degraded[d.disk as usize]);
-            let uninit = self.uninit_rows.contains(&(fid, row));
-            let read_base = reads.len();
-            let technique = if unchanged.is_empty() {
-                // Every live unit of the row is being rewritten: parity
-                // comes straight from the new data, no reads at all.
-                Technique::Full
-            } else if degraded_row {
-                // Old values of unreadable units come back through
-                // reconstruction (per row, in the second pass).
-                Technique::Degraded
-            } else if !uninit && dirty_slots.len() + m <= unchanged.len() {
-                // Small write: one delta per dirty unit folds into the
-                // parity — fewer old units read than a reconstruction.
-                for &(s, _) in &dirty_slots {
-                    let d = data_descs[s].expect("dirty slot exists");
-                    reads.push((d.disk, d.addr));
-                }
-                for d in &parity_descs {
-                    reads.push((d.disk, d.addr));
-                }
-                Technique::Delta
-            } else {
-                for &s in &unchanged {
-                    let d = data_descs[s].expect("unchanged slot exists");
-                    reads.push((d.disk, d.addr));
-                }
-                Technique::Reconstruct
-            };
-            match technique {
-                Technique::Full => self.parity_stats.full_stripe_writes += 1,
-                Technique::Delta => self.parity_stats.parity_delta_writes += 1,
-                Technique::Reconstruct | Technique::Degraded => {
-                    self.parity_stats.reconstruct_writes += 1;
-                }
-            }
-            plans.push(RowPlan {
-                fid,
-                row,
-                dirty: dirty_slots,
-                data_descs,
-                parity_descs,
-                technique,
-                read_base,
-                read_len: reads.len() - read_base,
-            });
-        }
-        // One scheduler pass for every old unit the whole batch needs
-        // (the `Never` ablation reads them one at a time inside).
-        let old = if reads.is_empty() {
-            Vec::new()
-        } else {
-            self.get_detached_blocks(&reads)?
-        };
-        // Parity math per row, then one write batch for everything.
-        let zero = vec![0u8; BLOCK_SIZE];
-        let mut writes: Vec<(u16, Extent, BlockBuf)> = Vec::new();
-        for plan in plans {
-            let old_units = &old[plan.read_base..plan.read_base + plan.read_len];
-            let new_parity: Vec<Vec<u8>> = match plan.technique {
-                Technique::Full => {
-                    let mut refs: Vec<&[u8]> = vec![&zero; k];
-                    for (s, buf) in &plan.dirty {
-                        refs[*s] = buf;
-                    }
-                    parity::compute_parity(&refs, m, BLOCK_SIZE)
-                }
-                Technique::Delta => {
-                    let mut parity_units: Vec<Vec<u8>> = old_units[plan.dirty.len()..]
-                        .iter()
-                        .map(|b| b.to_vec())
-                        .collect();
-                    for ((s, newbuf), oldbuf) in plan.dirty.iter().zip(old_units) {
-                        // δ = old ⊕ new (new is zero-padded past its
-                        // length, so the tail of δ is the old bytes).
-                        let mut delta = oldbuf.to_vec();
-                        for (d, n) in delta.iter_mut().zip(newbuf.iter()) {
-                            *d ^= *n;
-                        }
-                        for (j, p) in parity_units.iter_mut().enumerate() {
-                            parity::mul_acc(p, parity::coef(j, *s), &delta);
-                        }
-                    }
-                    parity_units
-                }
-                Technique::Reconstruct => {
-                    let mut refs: Vec<&[u8]> = vec![&zero; k];
-                    for (s, buf) in &plan.dirty {
-                        refs[*s] = buf;
-                    }
-                    let mut next_old = old_units.iter();
-                    for (s, slot_ref) in refs.iter_mut().enumerate() {
-                        if plan.data_descs[s].is_some()
-                            && !plan.dirty.iter().any(|&(ds, _)| ds == s)
-                        {
-                            *slot_ref = next_old.next().expect("one read per unchanged unit");
-                        }
-                    }
-                    parity::compute_parity(&refs, m, BLOCK_SIZE)
-                }
-                Technique::Degraded => {
-                    let mut units = self.load_row_reconstructed(plan.fid, plan.row, None)?;
-                    for (s, buf) in &plan.dirty {
-                        units[*s].fill(0);
-                        units[*s][..buf.len()].copy_from_slice(buf);
-                    }
-                    let refs: Vec<&[u8]> = units[..k].iter().map(|u| u.as_slice()).collect();
-                    parity::compute_parity(&refs, m, BLOCK_SIZE)
-                }
-            };
-            for (s, buf) in plan.dirty {
-                let d = plan.data_descs[s].expect("dirty slot exists");
-                writes.push((d.disk, d.block_extent(), buf));
-            }
-            for (d, p) in plan.parity_descs.iter().zip(new_parity) {
-                writes.push((d.disk, d.block_extent(), BlockBuf::from(p)));
-            }
-            self.uninit_rows.remove(&(plan.fid, plan.row));
-        }
-        self.write_batch(writes)
-    }
-
-    /// Loads every unit of `fid`'s stripe row `row` — `k` data then
-    /// `m` parity — reconstructing the ones that cannot be read (units
-    /// homed on a degraded disk, `extra_erased`, and any unit whose
-    /// read fails) from the rest of the parity group. Data slots past
-    /// the end of the file are virtual zero units. Reads bypass the
-    /// block pool: parity coheres with the platter, not with dirty
-    /// cached data.
-    ///
-    /// # Errors
-    ///
-    /// [`FileServiceError::ParityLost`] when more than `m` units of
-    /// the row are gone.
-    fn load_row_reconstructed(
-        &mut self,
-        fid: FileId,
-        row: u64,
-        extra_erased: Option<usize>,
-    ) -> Result<Vec<Vec<u8>>, FileServiceError> {
-        let (k, m) = self.config.redundancy.params().expect("parity tier");
-        self.load_fit(fid)?;
-        let descs: Vec<Option<BlockDescriptor>> = {
-            let fit = &self.fit(fid).fit;
-            (0..k + m)
-                .map(|u| {
-                    if u < k {
-                        fit.descriptor(row * k as u64 + u as u64)
-                    } else {
-                        fit.parity_descriptor(row * m as u64 + (u - k) as u64)
-                    }
-                })
-                .collect()
-        };
-        let mut units: Vec<Option<Vec<u8>>> = vec![None; k + m];
-        let mut locs: Vec<(usize, u16, FragmentAddr)> = Vec::new();
-        for (u, d) in descs.iter().enumerate() {
-            match d {
-                None => units[u] = Some(vec![0u8; BLOCK_SIZE]), // virtual zero unit
-                Some(d) if self.degraded[d.disk as usize] || extra_erased == Some(u) => {}
-                Some(d) => locs.push((u, d.disk, d.addr)),
-            }
-        }
-        let flat: Vec<(u16, FragmentAddr)> = locs.iter().map(|&(_, d, a)| (d, a)).collect();
-        match self.get_detached_blocks(&flat) {
-            Ok(bufs) => {
-                for (&(u, _, _), buf) in locs.iter().zip(bufs) {
-                    units[u] = Some(buf.to_vec());
-                }
-            }
-            Err(_) => {
-                // A media fault somewhere in the batch: fall back to
-                // per-unit reads so only the faulty unit is erased.
-                for &(u, d, a) in &locs {
-                    units[u] = self.get_detached_block(d, a).ok().map(|b| b.to_vec());
-                }
-            }
-        }
-        parity::reconstruct(&mut units, k, BLOCK_SIZE)
-            .map_err(|_| FileServiceError::ParityLost { fid, row })?;
-        Ok(units
-            .into_iter()
-            .map(|u| u.expect("reconstructed"))
-            .collect())
-    }
-
-    /// Serves a read whose home unit sits on a degraded disk by
-    /// reconstructing it from the surviving units of its parity group —
-    /// typed accounting, never an error while at most `m` units are
-    /// lost.
-    fn fetch_block_degraded(
-        &mut self,
-        fid: FileId,
-        idx: u64,
-    ) -> Result<BlockBuf, FileServiceError> {
-        let (k, _) = self.config.redundancy.params().expect("parity tier");
-        let row = idx / k as u64;
-        let slot = (idx % k as u64) as usize;
-        let mut units = self.load_row_reconstructed(fid, row, None)?;
-        self.parity_stats.degraded_reads += 1;
-        let buf = BlockBuf::from(std::mem::take(&mut units[slot]));
-        let mut evicted = Vec::new();
-        if let Some(cache) = &mut self.cache {
-            if !cache.contains(&(fid, idx)) {
-                evicted.extend(cache.insert((fid, idx), buf.clone(), false));
-            }
-        }
-        self.write_back_evicted(evicted)?;
-        Ok(buf)
-    }
-
-    /// Computes and writes the parity units of `fid`'s row `row` from
-    /// a complete in-memory image of its data units.
-    fn write_row_parity(
-        &mut self,
-        fid: FileId,
-        row: u64,
-        units: &[Vec<u8>],
-    ) -> Result<(), FileServiceError> {
-        let (k, m) = self.config.redundancy.params().expect("parity tier");
-        let refs: Vec<&[u8]> = units.iter().take(k).map(|u| u.as_slice()).collect();
-        let par = parity::compute_parity(&refs, m, BLOCK_SIZE);
-        let descs: Vec<BlockDescriptor> = {
-            let fit = &self.fit(fid).fit;
-            (0..m as u64)
-                .filter_map(|j| fit.parity_descriptor(row * m as u64 + j))
-                .collect()
-        };
-        for (d, p) in descs.iter().zip(par) {
-            self.disks[d.disk as usize].put(d.block_extent(), &p, StablePolicy::None)?;
-        }
-        self.uninit_rows.remove(&(fid, row));
-        Ok(())
-    }
-
-    /// Recomputes `fid`'s row `row` parity from the data units on the
-    /// platter (the cache is bypassed: parity coheres with the disks).
-    fn recompute_row_parity(&mut self, fid: FileId, row: u64) -> Result<(), FileServiceError> {
-        let (k, _) = self.config.redundancy.params().expect("parity tier");
-        self.load_fit(fid)?;
-        let locs: Vec<(u16, FragmentAddr)> = {
-            let fit = &self.fit(fid).fit;
-            (row * k as u64..((row + 1) * k as u64).min(fit.block_count()))
-                .filter_map(|i| fit.descriptor(i))
-                .map(|d| (d.disk, d.addr))
-                .collect()
-        };
-        let units: Vec<Vec<u8>> = self
-            .get_detached_blocks(&locs)?
-            .iter()
-            .map(|b| b.to_vec())
-            .collect();
-        self.write_row_parity(fid, row, &units)
-    }
-
-    /// Brings every row's parity in line with the platter. Recovery
-    /// runs this: the uninit-row set is volatile, and a crash between
-    /// a row's data write-back and its parity update leaves the two
-    /// torn. Rows with units on a degraded disk are skipped — their
-    /// parity is the only copy of the lost units.
-    fn recompute_all_parity(&mut self) -> Result<(), FileServiceError> {
-        let Some((k, m)) = self.config.redundancy.params() else {
-            return Ok(());
-        };
-        for fid in self.file_ids() {
-            self.load_fit(fid)?;
-            let nrows = self.fit(fid).fit.block_count().div_ceil(k as u64);
-            for row in 0..nrows {
-                if self.row_touches_degraded(fid, row, k, m) {
-                    continue;
-                }
-                self.recompute_row_parity(fid, row)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Parity-tier peer repair: rebuilds a consistent image of the row
-    /// (the target treated as an erasure — its platter bytes are
-    /// suspect), overlays the peer's copy, and writes the data unit
-    /// plus fresh parity.
-    fn rewrite_block_parity(
-        &mut self,
-        fid: FileId,
-        block: u64,
-        data: &[u8],
-    ) -> Result<(), FileServiceError> {
-        let (k, _) = self.config.redundancy.params().expect("parity tier");
-        let desc = self
-            .fits
-            .get(&fid)
-            .and_then(|e| e.fit.descriptor(block))
-            .ok_or(FileServiceError::NotFound(fid))?;
-        let row = block / k as u64;
-        let slot = (block % k as u64) as usize;
-        let mut units = self.load_row_reconstructed(fid, row, Some(slot))?;
-        units[slot].fill(0);
-        units[slot][..data.len()].copy_from_slice(data);
-        self.disks[desc.disk as usize].put(desc.block_extent(), data, StablePolicy::None)?;
-        self.write_row_parity(fid, row, &units[..k])?;
-        if let Some(cache) = &mut self.cache {
-            // The peer's copy is now the on-disk truth; a stale
-            // resident block must not shadow it.
-            let evicted = cache.insert((fid, block), data.to_vec(), false);
-            self.write_back_evicted(evicted)?;
-        }
-        Ok(())
-    }
+    // ---- whole-disk loss (the volume's redundancy tier) -------------------
 
     /// Simulates the total loss of `disk` on the parity tier: a blank
     /// spare of the same geometry is swapped in, the disk is marked
@@ -2760,78 +1255,7 @@ impl FileService {
     /// Panics without a parity redundancy config, or when `disk` is
     /// out of range.
     pub fn fail_disk(&mut self, disk: usize) -> Result<(), FileServiceError> {
-        assert!(
-            self.config.redundancy.is_parity(),
-            "fail_disk needs the parity tier (mirroring lives in the replication layer)"
-        );
-        // Preserve every FIT in memory before touching anything: the
-        // platter copy of FITs homed on the lost disk is about to
-        // vanish, and the fragment pool must not fault them in
-        // mid-swap.
-        let fids = self.file_ids();
-        let mut preserved = Vec::with_capacity(fids.len());
-        for &fid in &fids {
-            self.load_fit(fid)?;
-            let e = self.fit(fid);
-            preserved.push((
-                fid,
-                e.fit.clone(),
-                e.home,
-                e.fit_frag,
-                e.indirect_locs.clone(),
-            ));
-        }
-        let spare = {
-            let old = &mut self.disks[disk];
-            DiskService::with_stable(
-                old.geometry(),
-                old.disk_mut().model(),
-                old.clock(),
-                Default::default(),
-            )
-        };
-        self.disks[disk] = spare;
-        self.degraded[disk] = true;
-        self.rebuild_cursors[disk] = None;
-        if disk == 0 {
-            self.disks[0].repin_extent(self.dir_extent);
-        }
-        for (fid, fit, home, fit_frag, indirect_locs) in preserved {
-            let mut homed_here = false;
-            if home as usize == disk {
-                self.disks[disk].repin_extent(Extent::new(fit_frag, 1));
-                homed_here = true;
-            }
-            for &(d2, a) in &indirect_locs {
-                if d2 as usize == disk {
-                    self.disks[disk].repin_extent(Extent::new(a, FRAGS_PER_BLOCK));
-                    homed_here = true;
-                }
-            }
-            for d2 in fit.descriptors().iter().chain(fit.parity_descriptors()) {
-                if d2.disk as usize == disk {
-                    self.disks[disk].repin_extent(d2.block_extent());
-                }
-            }
-            self.fits.insert(
-                fid,
-                FitEntry {
-                    fit,
-                    home,
-                    fit_frag,
-                    indirect_locs,
-                },
-            );
-            self.touch_fit(fid);
-            if homed_here {
-                self.persist_fit(fid)?;
-            }
-        }
-        if disk == 0 {
-            self.persist_directory()?;
-        }
-        self.evict_cold_fits();
-        Ok(())
+        self.volume.fail_disk(&mut self.store, disk)
     }
 
     /// Budgeted online rebuild: reconstructs the stripe units homed on
@@ -2846,89 +1270,21 @@ impl FileService {
     /// [`FileServiceError::ParityLost`] when a row has lost more units
     /// than its parity covers; disk failures.
     pub fn rebuild(&mut self, budget: Option<u64>) -> Result<RebuildReport, FileServiceError> {
-        let Some((k, m)) = self.config.redundancy.params() else {
-            return Ok(RebuildReport {
-                pages: 0,
-                complete: true,
-            });
-        };
-        let mut pages = 0u64;
-        let mut remaining = budget.unwrap_or(u64::MAX);
-        for disk in 0..self.disks.len() {
-            if !self.degraded[disk] {
-                continue;
-            }
-            let fids = self.file_ids();
-            let cursor = self.rebuild_cursors[disk];
-            let start_pos = cursor
-                .and_then(|(f, _)| fids.iter().position(|&x| x == f))
-                .unwrap_or(0);
-            let mut done = true;
-            'files: for (pos, &fid) in fids.iter().enumerate().skip(start_pos) {
-                self.load_fit(fid)?;
-                let (nblocks, nparity) = {
-                    let fit = &self.fit(fid).fit;
-                    (fit.block_count(), fit.parity_count())
-                };
-                let mut unit = match cursor {
-                    Some((f, u)) if pos == start_pos && f == fid => u,
-                    _ => 0,
-                };
-                while unit < nblocks + nparity {
-                    if remaining == 0 {
-                        self.rebuild_cursors[disk] = Some((fid, unit));
-                        done = false;
-                        break 'files;
-                    }
-                    let (desc, row, slot) = {
-                        let fit = &self.fit(fid).fit;
-                        if unit < nblocks {
-                            (
-                                fit.descriptor(unit).expect("in range"),
-                                unit / k as u64,
-                                (unit % k as u64) as usize,
-                            )
-                        } else {
-                            let p = unit - nblocks;
-                            (
-                                fit.parity_descriptor(p).expect("in range"),
-                                p / m as u64,
-                                k + (p % m as u64) as usize,
-                            )
-                        }
-                    };
-                    if desc.disk as usize == disk {
-                        let mut units = self.load_row_reconstructed(fid, row, None)?;
-                        let buf = std::mem::take(&mut units[slot]);
-                        self.disks[disk].put(desc.block_extent(), &buf, StablePolicy::None)?;
-                        pages += 1;
-                        self.parity_stats.rebuild_pages += 1;
-                        remaining -= 1;
-                    }
-                    unit += 1;
-                }
-            }
-            if done {
-                self.degraded[disk] = false;
-                self.rebuild_cursors[disk] = None;
-            }
-        }
-        Ok(RebuildReport {
-            pages,
-            complete: !self.degraded.iter().any(|&d| d),
-        })
+        self.volume.rebuild(&mut self.store, budget)
     }
 
     /// Per-disk degraded flags: `true` while a swapped-in spare is
     /// still being rebuilt from the parity groups.
     pub fn degraded_disks(&self) -> &[bool] {
-        &self.degraded
+        self.volume.degraded()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::FIT_POOL_ENTRIES;
+    use crate::{ParallelIo, Redundancy, StripePolicy};
 
     fn fs() -> FileService {
         FileService::single_disk(
@@ -3190,6 +1546,97 @@ mod tests {
         assert_eq!(f.read(fid, 0, 1).unwrap(), vec![5]);
     }
 
+    /// Recovery rebuilds the allocation maps from every file in the
+    /// directory, not from the FITs the fragment pool happens to hold
+    /// after loading them all: with more files than the pool has entries,
+    /// the evicted ones' extents must not come back as free space.
+    #[test]
+    fn recover_with_more_files_than_the_fit_pool() {
+        let mut f = fs();
+        let files = FIT_POOL_ENTRIES + 44;
+        let fids: Vec<FileId> = (0..files)
+            .map(|i| {
+                let fid = create_open(&mut f);
+                f.write(fid, 0, vec![(i % 251) as u8 + 1; BLOCK_SIZE])
+                    .unwrap();
+                fid
+            })
+            .collect();
+        f.flush_all().unwrap();
+        let free_before = f.disk_mut(0).free_fragments();
+        f.simulate_crash();
+        f.recover().unwrap();
+        assert_eq!(f.disk_mut(0).free_fragments(), free_before);
+        let report = f.fsck().unwrap();
+        assert!(report.is_clean(), "{:?}", report.issues);
+        // New files must not be handed the old files' storage.
+        for _ in 0..100 {
+            let fid = create_open(&mut f);
+            f.write(fid, 0, vec![0xEE; 4 * BLOCK_SIZE]).unwrap();
+        }
+        f.evict_caches().unwrap();
+        for (i, fid) in fids.iter().enumerate() {
+            f.open(*fid).unwrap();
+            assert_eq!(
+                f.read(*fid, 0, BLOCK_SIZE).unwrap(),
+                vec![(i % 251) as u8 + 1; BLOCK_SIZE],
+                "file {i} was overwritten after recovery"
+            );
+        }
+    }
+
+    /// `delete`, `recover`, the scrubber and `fsck` all see a file through
+    /// the same walk — FIT fragment, indirect tables, data units, parity
+    /// units — on every layout.
+    #[test]
+    fn everything_a_file_owns_is_walked_once() {
+        let parity = |k, m| Redundancy::Parity { k, m };
+        let round_robin = StripePolicy::RoundRobin { chunk_blocks: 2 };
+        for (ndisks, stripe, redundancy) in [
+            (1, StripePolicy::SingleDisk, Redundancy::None),
+            (4, round_robin, Redundancy::None),
+            (5, StripePolicy::SingleDisk, parity(4, 1)),
+            (6, StripePolicy::SingleDisk, parity(4, 2)),
+        ] {
+            let config = FileServiceConfig {
+                stripe,
+                redundancy,
+                ..FileServiceConfig::default()
+            };
+            let (geometry, model) = (DiskGeometry::medium(), LatencyModel::instant());
+            let mut f =
+                FileService::striped(ndisks, geometry, model, SimClock::new(), config).unwrap();
+            let free = |f: &mut FileService| -> Vec<u64> {
+                (0..ndisks)
+                    .map(|d| f.disk_mut(d).free_fragments())
+                    .collect()
+            };
+            let formatted = free(&mut f);
+            let small = create_open(&mut f);
+            f.write(small, 0, patterned(3 * BLOCK_SIZE, 5)).unwrap();
+            // Past the 64 direct descriptors: indirect tables in play.
+            let large = create_open(&mut f);
+            f.write(large, 0, patterned(70 * BLOCK_SIZE, 9)).unwrap();
+            f.flush_all().unwrap();
+            let report = f.fsck().unwrap();
+            assert!(report.is_clean(), "{config:?}: {:?}", report.issues);
+            let allocated: u64 = (0..ndisks)
+                .map(|d| geometry.total_sectors() - f.disk_mut(d).free_fragments())
+                .sum();
+            let scrub = f.scrub(None).unwrap();
+            assert!(scrub.complete && scrub.is_clean(), "{config:?}");
+            assert_eq!(scrub.stats.sectors_scanned, allocated, "{config:?}");
+            let before = free(&mut f);
+            f.simulate_crash();
+            f.recover().unwrap();
+            assert_eq!(free(&mut f), before, "{config:?}: recovery moved space");
+            for fid in [small, large] {
+                f.delete(fid).unwrap();
+            }
+            assert_eq!(free(&mut f), formatted, "{config:?}: delete left space");
+        }
+    }
+
     #[test]
     fn striped_file_spans_disks() {
         let mut f = FileService::striped(
@@ -3310,6 +1757,23 @@ mod tests {
                 stats.fit_loads > files as u64,
                 "evictions must force FIT reloads ({} loads)",
                 stats.fit_loads
+            );
+            // The pool evicts in least-recently-used order: of 257 FITs
+            // used in turn, the coldest — the first — is the one that
+            // made room, and the only one to be loaded again.
+            for fid in &fids[..=FIT_POOL_ENTRIES] {
+                f.get_attribute(*fid).unwrap();
+            }
+            let loads = f.stats().fit_loads;
+            for fid in &fids[1..=FIT_POOL_ENTRIES] {
+                f.get_attribute(*fid).unwrap();
+            }
+            assert_eq!(f.stats().fit_loads, loads, "{config:?}: a warm FIT went");
+            f.get_attribute(fids[0]).unwrap();
+            assert_eq!(
+                f.stats().fit_loads,
+                loads + 1,
+                "{config:?}: the coldest stayed"
             );
             // And everything stays structurally consistent.
             let report = f.fsck().unwrap();
@@ -3646,7 +2110,7 @@ mod tests {
         f.write(fid, 0, patterned(6 * BLOCK_SIZE, 47)).unwrap();
         f.flush_all().unwrap();
         f.evict_caches().unwrap();
-        let pd = f.fit_parts(fid).unwrap().0.parity_descriptors()[0];
+        let pd = f.fit_snapshot(fid).unwrap().parity_descriptors()[0];
         f.disk_mut(pd.disk as usize)
             .disk_mut()
             .silently_corrupt_sector(pd.addr)

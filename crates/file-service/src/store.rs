@@ -1,0 +1,406 @@
+//! The FIT store: the file directory, the *fragment pool* of cached file
+//! index tables, and the one walk over everything a file owns.
+//!
+//! Nothing outside this module names a directory slot, a pool entry's
+//! home fragment or its indirect tables. The store owns no disk — every
+//! transfer goes through the [`Volume`] it is handed.
+
+use crate::attrs::{FileAttributes, FileId};
+use crate::error::FileServiceError;
+use crate::fit::{BlockDescriptor, FileIndexTable, IndirectLocs, MAX_INDIRECT_TABLES};
+use crate::scrub::ScrubOwner;
+use crate::volume::Volume;
+use rhodos_disk_service::codec::{DecodeError, Decoder, Encoder};
+use rhodos_disk_service::{Extent, FragmentAddr, FRAGS_PER_BLOCK};
+use std::collections::BTreeMap;
+
+/// Fragments reserved for the file directory region on disk 0.
+const DIRECTORY_FRAGMENTS: u64 = 16;
+
+/// Capacity of the *fragment pool* — the cache of file index tables — in
+/// FITs ("the space for caching a fragment and block is acquired from a
+/// fragment-pool and block-pool", §5).
+pub(crate) const FIT_POOL_ENTRIES: usize = 256;
+
+const DIR_MAGIC: u32 = 0x52_48_44_46; // "RHDF"
+
+/// One extent the metadata owns: the disk it is on, and what it is.
+pub(crate) type Owned = (u16, Extent, ScrubOwner);
+
+/// A file index table resident in the fragment pool.
+#[derive(Debug, Clone)]
+pub(crate) struct FitEntry {
+    pub(crate) fit: FileIndexTable,
+    /// The disk holding the FIT fragment (and new indirect tables).
+    pub(crate) home: u16,
+    fit_frag: FragmentAddr,
+    indirect_locs: IndirectLocs,
+    /// The pool's clock reading at the entry's last use (LRU order).
+    last_use: u64,
+}
+
+impl FitEntry {
+    /// Everything the file owns — data units, parity units, indirect
+    /// tables, the FIT fragment — each with its owner tag. The order is
+    /// the order `delete` frees them in, which the free-extent index of
+    /// the disk service remembers.
+    pub(crate) fn owned_extents(&self, fid: FileId) -> impl Iterator<Item = Owned> + '_ {
+        let data = self
+            .fit
+            .descriptors()
+            .iter()
+            .zip(0..)
+            .map(move |(d, block)| {
+                let owner = ScrubOwner::Data { fid, block };
+                (d.disk, d.block_extent(), owner)
+            });
+        let parity = self.fit.parity_descriptors().iter().zip(0..);
+        let parity = parity.map(move |(d, index)| {
+            let owner = ScrubOwner::Parity { fid, index };
+            (d.disk, d.block_extent(), owner)
+        });
+        let indirect = self.indirect_locs.iter().map(move |&(d, a)| {
+            let extent = Extent::new(a, FRAGS_PER_BLOCK);
+            (d, extent, ScrubOwner::Indirect(fid))
+        });
+        let fit = (
+            self.home,
+            Extent::new(self.fit_frag, 1),
+            ScrubOwner::Fit(fid),
+        );
+        data.chain(parity).chain(indirect).chain([fit])
+    }
+}
+
+/// The directory and the fragment pool.
+#[derive(Debug)]
+pub(crate) struct FitStore {
+    /// Where every file's FIT fragment lives. Ordered: recovery, scrub,
+    /// fsck and rebuild visit files in `FileId` order, every run.
+    directory: BTreeMap<FileId, (u16, FragmentAddr)>,
+    /// Well-known system file (the transaction service's intention log),
+    /// persisted in the directory header so recovery can find it.
+    system_fid: Option<FileId>,
+    next_fid: u64,
+    fits: BTreeMap<FileId, FitEntry>,
+    /// Counts pool uses; an entry's `last_use` is its reading.
+    tick: u64,
+    dir_extent: Extent,
+    loads: u64,
+    hits: u64,
+}
+
+impl FitStore {
+    /// Reserves the directory region on disk 0 and writes an empty
+    /// directory into it.
+    pub(crate) fn format(vol: &mut Volume) -> Result<Self, FileServiceError> {
+        let mut store = Self {
+            directory: BTreeMap::new(),
+            system_fid: None,
+            next_fid: 1,
+            fits: BTreeMap::new(),
+            tick: 0,
+            dir_extent: vol.disk(0).allocate_contiguous(DIRECTORY_FRAGMENTS)?,
+            loads: 0,
+            hits: 0,
+        };
+        store.persist_directory(vol)?;
+        Ok(store)
+    }
+
+    /// `(FIT fragments loaded from disk, lookups served from the pool)`.
+    pub(crate) fn counters(&self) -> (u64, u64) {
+        (self.loads, self.hits)
+    }
+
+    pub(crate) fn file_ids(&self) -> Vec<FileId> {
+        self.directory.keys().copied().collect()
+    }
+
+    pub(crate) fn exists(&self, fid: FileId) -> bool {
+        self.directory.contains_key(&fid)
+    }
+
+    pub(crate) fn system_file(&self) -> Option<FileId> {
+        self.system_fid
+    }
+
+    pub(crate) fn set_system_file(
+        &mut self,
+        vol: &mut Volume,
+        fid: FileId,
+    ) -> Result<(), FileServiceError> {
+        if !self.exists(fid) {
+            return Err(FileServiceError::NotFound(fid));
+        }
+        self.system_fid = Some(fid);
+        self.persist_directory(vol)
+    }
+
+    // ---- directory persistence ----------------------------------------
+
+    pub(crate) fn persist_directory(&mut self, vol: &mut Volume) -> Result<(), FileServiceError> {
+        let mut e = Encoder::new();
+        e.u32(DIR_MAGIC)
+            .u64(self.next_fid)
+            .u64(self.system_fid.map(|f| f.0).unwrap_or(0))
+            .u32(self.directory.len() as u32);
+        for (fid, (disk, frag)) in &self.directory {
+            e.u64(fid.0).u16(*disk).u64(*frag);
+        }
+        let mut buf = e.finish();
+        if buf.len() > self.dir_extent.len_bytes() {
+            return Err(FileServiceError::DirectoryFull);
+        }
+        buf.resize(self.dir_extent.len_bytes(), 0);
+        vol.put_meta(0, self.dir_extent, &buf)
+    }
+
+    fn load_directory(&mut self, vol: &mut Volume) -> Result<(), FileServiceError> {
+        let corrupt = |fid: FileId| move |e: DecodeError| FileServiceError::corrupt(fid, e);
+        let buf = vol.get_meta(0, self.dir_extent)?;
+        let mut d = Decoder::new(&buf);
+        if d.u32().map_err(corrupt(FileId(0)))? != DIR_MAGIC {
+            return Err(FileServiceError::Corrupt(FileId(0)));
+        }
+        let next_fid = d.u64().map_err(corrupt(FileId(0)))?;
+        let system_raw = d.u64().map_err(corrupt(FileId(0)))?;
+        let mut directory = BTreeMap::new();
+        for _ in 0..d.u32().map_err(corrupt(FileId(0)))? {
+            let fid = FileId(d.u64().map_err(corrupt(FileId(0)))?);
+            let disk_no = d.u16().map_err(corrupt(fid))?;
+            let frag = d.u64().map_err(corrupt(fid))?;
+            directory.insert(fid, (disk_no, frag));
+        }
+        self.next_fid = next_fid;
+        self.system_fid = (system_raw != 0).then_some(FileId(system_raw));
+        self.directory = directory;
+        Ok(())
+    }
+
+    // ---- the fragment pool ----------------------------------------------
+
+    /// The pool entry of `fid`, loaded from its home fragment (or the
+    /// stable copy) and indirect tables when not resident — step two of
+    /// the location procedure. Counts as a use of the entry.
+    ///
+    /// # Errors
+    ///
+    /// [`FileServiceError::NotFound`] if the directory has no such file;
+    /// [`FileServiceError::Corrupt`] or a disk error if no copy decodes.
+    pub(crate) fn entry(
+        &mut self,
+        vol: &mut Volume,
+        fid: FileId,
+    ) -> Result<&mut FitEntry, FileServiceError> {
+        if self.fits.contains_key(&fid) {
+            self.hits += 1;
+        } else {
+            let loaded = self.load(vol, fid)?;
+            self.loads += 1;
+            self.insert(fid, loaded);
+        }
+        self.tick += 1;
+        let entry = self.fits.get_mut(&fid).expect("FIT loaded above");
+        entry.last_use = self.tick;
+        Ok(entry)
+    }
+
+    fn load(&self, vol: &mut Volume, fid: FileId) -> Result<FitEntry, FileServiceError> {
+        let &(home, fit_frag) = self
+            .directory
+            .get(&fid)
+            .ok_or(FileServiceError::NotFound(fid))?;
+        let buf = vol.get_meta(home, Extent::new(fit_frag, 1))?;
+        let (mut fit, _total, indirect_locs) = FileIndexTable::decode_fit_fragment(&buf)
+            .map_err(|e| FileServiceError::corrupt(fid, e))?;
+        for &(idisk, iaddr) in &indirect_locs {
+            let chunk = vol.get_block(idisk, iaddr)?;
+            fit.extend_from_indirect_chunk(&chunk)
+                .map_err(|e| FileServiceError::corrupt(fid, e))?;
+        }
+        fit.seal();
+        Ok(FitEntry {
+            fit,
+            home,
+            fit_frag,
+            indirect_locs,
+            last_use: 0,
+        })
+    }
+
+    /// Puts `entry` in the pool as the most recently used and evicts the
+    /// coldest entries past the pool's capacity. Safe because FITs are
+    /// persisted eagerly — an evicted entry reloads from disk (or its
+    /// stable copy) on next use.
+    pub(crate) fn insert(&mut self, fid: FileId, mut entry: FitEntry) {
+        self.tick += 1;
+        entry.last_use = self.tick;
+        self.fits.insert(fid, entry);
+        while self.fits.len() > FIT_POOL_ENTRIES {
+            let coldest = self.fits.iter().min_by_key(|(_, e)| e.last_use);
+            let Some(coldest) = coldest.map(|(fid, _)| *fid) else {
+                break;
+            };
+            self.fits.remove(&coldest);
+        }
+    }
+
+    /// The entry a caller's earlier [`Self::entry`] made resident.
+    pub(crate) fn loaded(&self, fid: FileId) -> &FitEntry {
+        self.fits.get(&fid).expect("FIT loaded by caller")
+    }
+
+    /// Mutable form of [`Self::loaded`].
+    pub(crate) fn loaded_mut(&mut self, fid: FileId) -> &mut FitEntry {
+        self.fits.get_mut(&fid).expect("FIT loaded by caller")
+    }
+
+    /// Where dirty block `idx` of `fid` is written back to. The FIT may
+    /// have been evicted from the fragment pool while the block sat in
+    /// the block pool — then it is reloaded; only the directory says a
+    /// file is gone. `None` means the block has no home any more and is
+    /// to be dropped: its file was deleted, or truncated below it.
+    pub(crate) fn home_of(
+        &mut self,
+        vol: &mut Volume,
+        fid: FileId,
+        idx: u64,
+    ) -> Result<Option<BlockDescriptor>, FileServiceError> {
+        if !self.fits.contains_key(&fid) {
+            if !self.directory.contains_key(&fid) {
+                return Ok(None);
+            }
+            self.entry(vol, fid)?;
+        }
+        Ok(self.fits.get(&fid).and_then(|e| e.fit.descriptor(idx)))
+    }
+
+    /// Writes the resident FIT of `fid` to its home fragment, after
+    /// provisioning (or releasing) the indirect tables it needs.
+    pub(crate) fn persist(
+        &mut self,
+        vol: &mut Volume,
+        fid: FileId,
+    ) -> Result<(), FileServiceError> {
+        let entry = self.loaded_mut(fid);
+        let needed = entry.fit.indirect_tables_required();
+        if needed > MAX_INDIRECT_TABLES {
+            return Err(FileServiceError::FileTooLarge(fid));
+        }
+        while entry.indirect_locs.len() > needed {
+            let (d, a) = entry.indirect_locs.pop().expect("nonempty");
+            vol.disk(d).free(Extent::new(a, FRAGS_PER_BLOCK))?;
+        }
+        while entry.indirect_locs.len() < needed {
+            // Indirect tables live in the top region, away from file data.
+            let e = vol
+                .disk(entry.home)
+                .allocate_contiguous_top(FRAGS_PER_BLOCK)?;
+            entry.indirect_locs.push((entry.home, e.start));
+        }
+        let chunks = entry.fit.encode_indirect_chunks();
+        debug_assert_eq!(chunks.len(), entry.indirect_locs.len());
+        for (chunk, &(d, a)) in chunks.iter().zip(&entry.indirect_locs) {
+            vol.put_meta(d, Extent::new(a, FRAGS_PER_BLOCK), chunk)?;
+        }
+        let frag = entry.fit.encode_fit_fragment(&entry.indirect_locs);
+        vol.put_meta(entry.home, Extent::new(entry.fit_frag, 1), &frag)
+    }
+
+    /// Drops every pool entry (they reload on next use).
+    pub(crate) fn evict_all(&mut self) {
+        self.fits.clear();
+    }
+
+    // ---- lifecycle ------------------------------------------------------
+
+    /// Makes a new file: the next system name, a FIT placed by the volume,
+    /// both persisted.
+    pub(crate) fn create(
+        &mut self,
+        vol: &mut Volume,
+        attrs: FileAttributes,
+    ) -> Result<FileId, FileServiceError> {
+        let fid = FileId(self.next_fid);
+        self.next_fid += 1;
+        let mut fit = FileIndexTable::new(attrs);
+        let (home, fit_frag) = vol.place_file(&mut fit)?;
+        let entry = FitEntry {
+            fit,
+            home,
+            fit_frag,
+            indirect_locs: Vec::new(),
+            last_use: 0,
+        };
+        self.insert(fid, entry);
+        self.directory.insert(fid, (home, fit_frag));
+        self.persist(vol, fid)?;
+        self.persist_directory(vol)?;
+        Ok(fid)
+    }
+
+    /// Frees everything the resident file `fid` owns and strikes it from
+    /// the directory.
+    pub(crate) fn delete(&mut self, vol: &mut Volume, fid: FileId) -> Result<(), FileServiceError> {
+        let entry = self
+            .fits
+            .remove(&fid)
+            .ok_or(FileServiceError::NotFound(fid))?;
+        vol.free_file(fid, entry.owned_extents(fid))?;
+        self.directory.remove(&fid);
+        self.persist_directory(vol)
+    }
+
+    // ---- the walk -------------------------------------------------------
+
+    /// Everything the metadata owns: the directory region, then every
+    /// file's [`FitEntry::owned_extents`], each FIT loaded in turn in
+    /// `FileId` order — so the walk sees every file, not the pool's
+    /// residents. `visit` gets each entry as it is loaded, or the reason
+    /// it cannot be; its error ends the walk. A file whose FIT copies are
+    /// all unreadable still owns the fragment the directory names.
+    pub(crate) fn walk(
+        &mut self,
+        vol: &mut Volume,
+        mut visit: impl FnMut(
+            FileId,
+            Result<&mut FitEntry, FileServiceError>,
+        ) -> Result<(), FileServiceError>,
+    ) -> Result<Vec<Owned>, FileServiceError> {
+        let mut owned = vec![(0, self.dir_extent, ScrubOwner::Directory)];
+        for (fid, (home, fit_frag)) in self.directory.clone() {
+            match self.entry(vol, fid) {
+                Ok(entry) => {
+                    visit(fid, Ok(&mut *entry))?;
+                    owned.extend(entry.owned_extents(fid));
+                }
+                Err(e) => {
+                    owned.push((home, Extent::new(fit_frag, 1), ScrubOwner::Fit(fid)));
+                    visit(fid, Err(e))?;
+                }
+            }
+        }
+        Ok(owned)
+    }
+
+    /// Forgets all volatile state, as a server crash does.
+    pub(crate) fn crash(&mut self) {
+        self.fits.clear();
+        self.directory.clear();
+        self.system_fid = None;
+        self.next_fid = 0;
+    }
+
+    /// Reloads the directory (main storage, then the stable copy) and
+    /// every FIT, and returns what they own. Open counts do not survive
+    /// a crash.
+    pub(crate) fn recover(&mut self, vol: &mut Volume) -> Result<Vec<Owned>, FileServiceError> {
+        self.load_directory(vol)?;
+        self.fits.clear();
+        self.walk(vol, |_, entry| {
+            entry?.fit.attrs.ref_count = 0;
+            Ok(())
+        })
+    }
+}

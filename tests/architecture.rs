@@ -223,3 +223,37 @@ fn only_commit_batch_calls_the_commit_steps() {
     }
     assert!(checked > 10, "found the sources");
 }
+
+/// The seam of the file service (DESIGN.md §3), kept by the source
+/// text: the volume (`volume.rs`) is the only code that knows the
+/// redundancy class, stripe rows, degraded state or how a batch reaches
+/// the spindles. The service core, the scrubber and fsck must name none
+/// of it — a new redundancy class is added in one module.
+#[test]
+fn only_the_volume_knows_the_layout() {
+    let layout = [
+        "is_parity",
+        "redundancy.params",
+        "Redundancy::",
+        "degraded[",
+        "uninit_rows",
+        "rebuild_cursors",
+        "ParallelIo::Never",
+        "begin_batch",
+        "end_batch",
+        // The FIT store's: where the parity units are is its walk's business.
+        "parity_descriptors",
+    ];
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/file-service/src");
+    for file in ["service.rs", "scrub.rs", "fsck.rs"] {
+        let text = std::fs::read_to_string(src.join(file)).unwrap();
+        let code = text.split("#[cfg(test)]").next().unwrap();
+        for name in layout {
+            assert!(!code.contains(name), "{file} names `{name}`");
+        }
+    }
+    // And it is the volume that does (all but the last, the store's).
+    let volume = std::fs::read_to_string(src.join("volume.rs")).unwrap();
+    let named = |name: &&str| volume.contains(*name);
+    assert!(layout[..layout.len() - 1].iter().all(named));
+}

@@ -20,7 +20,7 @@ fn fresh() -> (TransactionService, rhodos_file_service::FileId) {
     ts.topen(t, fid).unwrap();
     ts.twrite(t, fid, 0, b"vital committed data").unwrap();
     ts.tend(t).unwrap();
-    ts.file_service_mut().flush_all().unwrap();
+    ts.sync().unwrap();
     (ts, fid)
 }
 

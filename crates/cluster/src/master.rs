@@ -486,15 +486,15 @@ impl Cluster {
         }
     }
 
-    /// Flushes every data server's delayed-write cache to disk, making
-    /// plain (non-transactional) writes crash-durable — chaos tests and
+    /// Flushes every data server's delayed-write cache and its log's
+    /// unforced markers to disk, making plain (non-transactional) writes
+    /// crash-durable and resolved votes stay resolved — chaos tests and
     /// experiments call this after seeding baseline data, before any
     /// [`Self::crash_server`]. Transactional applies are write-through
     /// and never need it.
     pub fn sync_all(&mut self) {
         for n in &self.nodes {
-            let mut guard = n.handle.lock();
-            let _ = guard.file_service_mut().flush_all();
+            let _ = n.handle.lock().sync();
         }
     }
 

@@ -612,12 +612,16 @@ impl DiskService {
                 self.put_main_buf(run.extent, requests[idx].1.clone())?;
                 continue;
             }
-            let bufs: Vec<BlockBuf> = run
-                .parts
-                .iter()
-                .map(|&(i, _)| requests[i].1.clone())
-                .collect();
-            self.put_main_buf(run.extent, BlockBuf::concat(&bufs).0)?;
+            let parts = run.parts.iter().map(|&(i, _)| &requests[i]);
+            let bufs: Vec<BlockBuf> = parts.clone().map(|(_, d)| d.clone()).collect();
+            self.disk
+                .write_sectors(run.extent.start, &BlockBuf::concat(&bufs).0)?;
+            // One transfer, but the cache keeps views of the callers'
+            // buffers: a view of the joined copy would hold all of it for
+            // as long as one of its fragments stayed cached.
+            for (extent, data) in parts {
+                self.cache_written(*extent, data);
+            }
         }
         Ok(())
     }
@@ -626,6 +630,11 @@ impl DiskService {
     /// cached fragments become views of the caller's buffer.
     fn put_main_buf(&mut self, extent: Extent, data: BlockBuf) -> Result<(), DiskServiceError> {
         self.disk.write_sectors(extent.start, &data)?;
+        self.cache_written(extent, &data);
+        Ok(())
+    }
+
+    fn cache_written(&mut self, extent: Extent, data: &BlockBuf) {
         if let Some(cache) = &mut self.cache {
             let geom = self.disk.geometry();
             for (i, f) in (extent.start..extent.end()).enumerate() {
@@ -637,7 +646,6 @@ impl DiskService {
                 );
             }
         }
-        Ok(())
     }
 
     /// Discards cached state (the track cache) without running crash

@@ -48,9 +48,15 @@ pub struct FileAttributes {
     pub size: u64,
     /// Creation time, virtual microseconds.
     pub created_us: u64,
-    /// Last read access, virtual microseconds.
+    /// Last read access, virtual microseconds. Best-effort, like
+    /// `relatime`: a read stamps the resident FIT only, and the stamp
+    /// reaches the platter with the next write of the FIT that a
+    /// structural change (size, descriptors, lock level) causes. A crash
+    /// or an eviction before that loses it.
     pub last_read_us: u64,
-    /// "Number of instances a file is opened simultaneously."
+    /// "Number of instances a file is opened simultaneously." Soft state:
+    /// `get_attribute` fills it from the file service's open table; the
+    /// encoded form keeps the slot, written as zero and ignored on load.
     pub ref_count: u32,
     /// Basic or transaction semantics currently in force.
     pub service_type: ServiceType,
@@ -75,12 +81,12 @@ impl FileAttributes {
         }
     }
 
-    /// Serialises the attributes (fixed 38 bytes).
+    /// Serialises the attributes (fixed 34 bytes).
     pub fn encode(&self, e: &mut Encoder) {
         e.u64(self.size)
             .u64(self.created_us)
             .u64(self.last_read_us)
-            .u32(self.ref_count)
+            .u32(0) // the open count's slot
             .u8(match self.service_type {
                 ServiceType::Basic => 0,
                 ServiceType::Transaction => 1,
@@ -102,7 +108,7 @@ impl FileAttributes {
         let size = d.u64()?;
         let created_us = d.u64()?;
         let last_read_us = d.u64()?;
-        let ref_count = d.u32()?;
+        d.u32()?; // the open count's slot
         let service_type = match d.u8()? {
             0 => ServiceType::Basic,
             1 => ServiceType::Transaction,
@@ -119,7 +125,7 @@ impl FileAttributes {
             size,
             created_us,
             last_read_us,
-            ref_count,
+            ref_count: 0,
             service_type,
             lock_level,
             extra_space,
@@ -141,7 +147,10 @@ mod tests {
         let mut e = Encoder::new();
         a.encode(&mut e);
         let buf = e.finish();
+        assert_eq!(buf.len(), 34);
         let mut d = Decoder::new(&buf);
+        // Everything round-trips but the open count, which is not stored.
+        a.ref_count = 0;
         assert_eq!(FileAttributes::decode(&mut d).unwrap(), a);
         assert!(d.is_empty());
     }

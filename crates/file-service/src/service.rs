@@ -254,14 +254,14 @@ impl FileService {
     }
 
     /// `open`: bumps the reference count ("number of instances a file is
-    /// opened simultaneously").
+    /// opened simultaneously") in the store's open table and caches the
+    /// FIT. Nothing is written: the count is soft state.
     ///
     /// # Errors
     ///
     /// [`FileServiceError::NotFound`] if the file does not exist.
     pub fn open(&mut self, fid: FileId) -> Result<(), FileServiceError> {
-        self.attrs(fid)?.ref_count += 1;
-        self.store.persist(&mut self.volume, fid)
+        self.store.open(&mut self.volume, fid)
     }
 
     /// `close`: drops one reference and flushes the file's dirty blocks.
@@ -270,13 +270,8 @@ impl FileService {
     ///
     /// [`FileServiceError::NotOpen`] if the file has no open instances.
     pub fn close(&mut self, fid: FileId) -> Result<(), FileServiceError> {
-        let attrs = self.attrs(fid)?;
-        if attrs.ref_count == 0 {
-            return Err(FileServiceError::NotOpen(fid));
-        }
-        attrs.ref_count -= 1;
-        self.flush_file(fid)?;
-        self.store.persist(&mut self.volume, fid)
+        self.store.close(fid)?;
+        self.flush_file(fid)
     }
 
     /// `delete`: removes a closed file and frees all its storage.
@@ -285,7 +280,8 @@ impl FileService {
     ///
     /// [`FileServiceError::Busy`] while the file is open anywhere.
     pub fn delete(&mut self, fid: FileId) -> Result<(), FileServiceError> {
-        if self.attrs(fid)?.ref_count > 0 {
+        self.store.entry(&mut self.volume, fid)?;
+        if self.store.open_count(fid) > 0 {
             return Err(FileServiceError::Busy(fid));
         }
         if let Some(cache) = &mut self.cache {
@@ -294,13 +290,18 @@ impl FileService {
         self.store.delete(&mut self.volume, fid)
     }
 
-    /// `get-attribute`: the file-specific attributes from the FIT.
+    /// `get-attribute`: the file-specific attributes from the FIT, and
+    /// the reference count from the open table.
     ///
     /// # Errors
     ///
     /// [`FileServiceError::NotFound`] if the file does not exist.
     pub fn get_attribute(&mut self, fid: FileId) -> Result<FileAttributes, FileServiceError> {
-        Ok(*self.attrs(fid)?)
+        let ref_count = self.store.open_count(fid);
+        Ok(FileAttributes {
+            ref_count,
+            ..*self.attrs(fid)?
+        })
     }
 
     /// Sets the locking level recorded in the FIT (used by the transaction
@@ -332,11 +333,11 @@ impl FileService {
 
     /// The size of `fid`, which must be open.
     fn open_size(&mut self, fid: FileId) -> Result<u64, FileServiceError> {
-        let attrs = self.attrs(fid)?;
-        if attrs.ref_count == 0 {
+        let size = self.attrs(fid)?.size;
+        if self.store.open_count(fid) == 0 {
             return Err(FileServiceError::NotOpen(fid));
         }
-        Ok(attrs.size)
+        Ok(size)
     }
 
     /// Loads logical block `idx` of `fid` into the cache (if enabled) and
@@ -1105,8 +1106,8 @@ impl FileService {
     // ---- crash and recovery ---------------------------------------------
 
     /// Drops every cached file index table and cached block (losing
-    /// nothing — FITs are persisted eagerly; dirty blocks are flushed
-    /// first). Used by experiments that need to measure cold-start disk
+    /// nothing — a FIT is persisted whenever it changes; dirty blocks are
+    /// flushed first; open files stay open). Used by experiments that need to measure cold-start disk
     /// reference counts.
     ///
     /// # Errors
@@ -1119,22 +1120,6 @@ impl FileService {
             cache.clear();
         }
         self.volume.drop_caches();
-        Ok(())
-    }
-
-    /// Restores the in-memory open count of `fid` after recovery without
-    /// touching the on-disk FIT. Used by the replication service when a
-    /// resynchronised replica rejoins: the platter image copied from the
-    /// live source already carries the source's persisted attributes, so
-    /// re-`open`ing (which persists) would needlessly diverge the images;
-    /// only the volatile reference count — which [`Self::recover`] zeroes
-    /// — needs to be put back.
-    ///
-    /// # Errors
-    ///
-    /// [`FileServiceError::NotFound`] if the file does not exist.
-    pub fn restore_open_count(&mut self, fid: FileId, count: u32) -> Result<(), FileServiceError> {
-        self.attrs(fid)?.ref_count = count;
         Ok(())
     }
 

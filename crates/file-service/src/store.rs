@@ -1,5 +1,6 @@
 //! The FIT store: the file directory, the *fragment pool* of cached file
-//! index tables, and the one walk over everything a file owns.
+//! index tables, the table of open files, and the one walk over
+//! everything a file owns.
 //!
 //! Nothing outside this module names a directory slot, a pool entry's
 //! home fragment or its indirect tables. The store owns no disk — every
@@ -83,6 +84,11 @@ pub(crate) struct FitStore {
     system_fid: Option<FileId>,
     next_fid: u64,
     fits: BTreeMap<FileId, FitEntry>,
+    /// "Number of instances a file is opened simultaneously", for the
+    /// files that are open. Soft state beside the pool, never written to
+    /// the platter: evicting the FIT of an open file loses nothing, and a
+    /// crash closes every file.
+    open_counts: BTreeMap<FileId, u32>,
     /// Counts pool uses; an entry's `last_use` is its reading.
     tick: u64,
     dir_extent: Extent,
@@ -99,6 +105,7 @@ impl FitStore {
             system_fid: None,
             next_fid: 1,
             fits: BTreeMap::new(),
+            open_counts: BTreeMap::new(),
             tick: 0,
             dir_extent: vol.disk(0).allocate_contiguous(DIRECTORY_FRAGMENTS)?,
             loads: 0,
@@ -230,9 +237,11 @@ impl FitStore {
     }
 
     /// Puts `entry` in the pool as the most recently used and evicts the
-    /// coldest entries past the pool's capacity. Safe because FITs are
-    /// persisted eagerly — an evicted entry reloads from disk (or its
-    /// stable copy) on next use.
+    /// coldest entries past the pool's capacity. Safe because every
+    /// change to what a FIT says about the platter — size, descriptors,
+    /// lock level — is persisted by the operation that makes it, so an
+    /// evicted entry reloads from disk (or its stable copy) on next use;
+    /// what is not persisted (the open count) does not live in the entry.
     pub(crate) fn insert(&mut self, fid: FileId, mut entry: FitEntry) {
         self.tick += 1;
         entry.last_use = self.tick;
@@ -313,6 +322,34 @@ impl FitStore {
         self.fits.clear();
     }
 
+    // ---- the open table -------------------------------------------------
+
+    /// How many times `fid` is open right now.
+    pub(crate) fn open_count(&self, fid: FileId) -> u32 {
+        self.open_counts.get(&fid).copied().unwrap_or(0)
+    }
+
+    /// Counts one more open instance of `fid`, whose FIT is brought into
+    /// the pool. Writes nothing.
+    pub(crate) fn open(&mut self, vol: &mut Volume, fid: FileId) -> Result<(), FileServiceError> {
+        self.entry(vol, fid)?;
+        *self.open_counts.entry(fid).or_default() += 1;
+        Ok(())
+    }
+
+    /// Counts one open instance of `fid` fewer.
+    pub(crate) fn close(&mut self, fid: FileId) -> Result<(), FileServiceError> {
+        if !self.exists(fid) {
+            return Err(FileServiceError::NotFound(fid));
+        }
+        match self.open_counts.get_mut(&fid) {
+            None => return Err(FileServiceError::NotOpen(fid)),
+            Some(1) => drop(self.open_counts.remove(&fid)),
+            Some(n) => *n -= 1,
+        }
+        Ok(())
+    }
+
     // ---- lifecycle ------------------------------------------------------
 
     /// Makes a new file: the next system name, a FIT placed by the volume,
@@ -387,20 +424,19 @@ impl FitStore {
     /// Forgets all volatile state, as a server crash does.
     pub(crate) fn crash(&mut self) {
         self.fits.clear();
+        self.open_counts.clear();
         self.directory.clear();
         self.system_fid = None;
         self.next_fid = 0;
     }
 
     /// Reloads the directory (main storage, then the stable copy) and
-    /// every FIT, and returns what they own. Open counts do not survive
-    /// a crash.
+    /// every FIT, and returns what they own. No file is open afterwards:
+    /// the open table is soft state, like the lease grants.
     pub(crate) fn recover(&mut self, vol: &mut Volume) -> Result<Vec<Owned>, FileServiceError> {
         self.load_directory(vol)?;
         self.fits.clear();
-        self.walk(vol, |_, entry| {
-            entry?.fit.attrs.ref_count = 0;
-            Ok(())
-        })
+        self.open_counts.clear();
+        self.walk(vol, |_, entry| entry.map(drop))
     }
 }

@@ -665,11 +665,12 @@ impl ReplicatedFiles {
         self.replicas[i].simulate_crash();
         self.replicas[i].recover()?;
         // Restore the logical open state the recovered replica lost.
-        // In-memory only: the copied platters already hold the source's
-        // persisted attributes, and a re-`open` would stamp fresh stable
-        // sequence numbers, breaking byte-identity with the source.
+        // Opening writes nothing, so the copied platters stay
+        // byte-identical with the source.
         for (fid, count) in &self.open_counts {
-            self.replicas[i].restore_open_count(*fid, *count)?;
+            for _ in 0..*count {
+                self.replicas[i].open(*fid)?;
+            }
         }
         // A restarted server forgets its volatile request history, which
         // is safe precisely because the client never reuses request ids.

@@ -14,6 +14,7 @@
 use crate::service::TxnId;
 use rhodos_disk_service::codec::{DecodeError, Decoder, Encoder};
 use rhodos_file_service::FileId;
+use rhodos_simdisk::crc32;
 
 /// Status of a transaction as recorded by the *intention flag* (§6.7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,11 +161,44 @@ pub enum LogRecord {
     },
 }
 
+/// A transaction's intentions and the final sizes of the files it touched.
+type Effects = (Vec<Intention>, Vec<(FileId, u64)>);
+
 const LOG_MAGIC: u32 = 0x52_4C_4F_47; // "RLOG"
 
+/// Bytes of a log frame before its body: magic, checksum, incarnation,
+/// predecessor's checksum, body length.
+pub const FRAME_HEADER: usize = 24;
+
+/// What [`LogRecord::unframe`] finds at the front of a buffer.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Unframed<'a> {
+    /// No frame header: zeros, or bytes that never were one.
+    Nothing,
+    /// A frame header of `incarnation` announcing a frame of `len` bytes
+    /// that the buffer cuts short (`len` exceeds it) or whose bytes fail
+    /// the checksum — a half-written or damaged frame.
+    Broken {
+        /// The log incarnation the header claims.
+        incarnation: u64,
+        /// Length of the whole frame, header included.
+        len: usize,
+    },
+    /// A whole frame whose checksum holds.
+    Frame {
+        /// The log incarnation the frame was appended in.
+        incarnation: u64,
+        /// Checksum of the frame appended before it.
+        prev: u32,
+        /// This frame's checksum.
+        crc: u32,
+        /// The encoded record.
+        body: &'a [u8],
+    },
+}
+
 impl LogRecord {
-    /// Serialises the record, framed with a magic and a length so a
-    /// half-written tail is detected.
+    /// Serialises the record (unframed — see [`Self::frame_into`]).
     pub fn encode(&self) -> Vec<u8> {
         match self {
             LogRecord::Commit {
@@ -189,22 +223,16 @@ impl LogRecord {
     /// `LogRecord::Commit { .. }.encode()`.
     pub fn encode_commit(txn: TxnId, intentions: &[Intention], sizes: &[(FileId, u64)]) -> Vec<u8> {
         let mut body = Encoder::new();
-        body.u8(0).u64(txn.0).u32(intentions.len() as u32);
-        for i in intentions {
-            i.encode(&mut body);
-        }
-        body.u32(sizes.len() as u32);
-        for (fid, size) in sizes {
-            body.u64(fid.0).u64(*size);
-        }
-        Self::frame(body)
+        body.u8(0).u64(txn.0);
+        Self::encode_effects(&mut body, intentions, sizes);
+        body.finish()
     }
 
     /// Serialises a `Completed` marker.
     pub fn encode_completed(txn: TxnId) -> Vec<u8> {
         let mut body = Encoder::new();
         body.u8(1).u64(txn.0);
-        Self::frame(body)
+        body.finish()
     }
 
     /// Serialises a `Prepared` record directly from borrowed intentions
@@ -216,62 +244,47 @@ impl LogRecord {
         sizes: &[(FileId, u64)],
     ) -> Vec<u8> {
         let mut body = Encoder::new();
-        body.u8(2).u64(gtid).u64(txn.0).u32(intentions.len() as u32);
-        for i in intentions {
-            i.encode(&mut body);
-        }
-        body.u32(sizes.len() as u32);
-        for (fid, size) in sizes {
-            body.u64(fid.0).u64(*size);
-        }
-        Self::frame(body)
+        body.u8(2).u64(gtid).u64(txn.0);
+        Self::encode_effects(&mut body, intentions, sizes);
+        body.finish()
     }
 
     /// Serialises an `Aborted` marker.
     pub fn encode_aborted(txn: TxnId) -> Vec<u8> {
         let mut body = Encoder::new();
         body.u8(3).u64(txn.0);
-        Self::frame(body)
+        body.finish()
     }
 
-    fn frame(body: Encoder) -> Vec<u8> {
-        let body = body.finish();
-        let mut framed = Encoder::new();
-        framed.u32(LOG_MAGIC).bytes(&body);
-        framed.finish()
+    fn encode_effects(body: &mut Encoder, intentions: &[Intention], sizes: &[(FileId, u64)]) {
+        body.u32(intentions.len() as u32);
+        for i in intentions {
+            i.encode(body);
+        }
+        body.u32(sizes.len() as u32);
+        for (fid, size) in sizes {
+            body.u64(fid.0).u64(*size);
+        }
     }
 
-    /// Decodes one record from the front of `buf`, returning it and the
-    /// bytes consumed. Returns `Ok(None)` at a clean end of log (zero
-    /// padding).
+    fn decode_effects(d: &mut Decoder<'_>) -> Result<Effects, DecodeError> {
+        let intentions = (0..d.u32()?).map(|_| Intention::decode(d));
+        let intentions = intentions.collect::<Result<_, _>>()?;
+        let sizes = (0..d.u32()?).map(|_| Ok((FileId(d.u64()?), d.u64()?)));
+        Ok((intentions, sizes.collect::<Result<_, _>>()?))
+    }
+
+    /// Decodes a record serialised by [`Self::encode`].
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError`] on a torn or corrupt record.
-    pub fn decode_one(buf: &[u8]) -> Result<Option<(Self, usize)>, DecodeError> {
-        if buf.len() < 4 || buf[..4] == [0, 0, 0, 0] {
-            return Ok(None);
-        }
-        let mut d = Decoder::new(buf);
-        if d.u32()? != LOG_MAGIC {
-            return Err(DecodeError);
-        }
-        let body = d.bytes()?;
-        let consumed = buf.len() - d.remaining();
-        let mut bd = Decoder::new(body);
-        let rec = match bd.u8()? {
+    /// Returns [`DecodeError`] on a truncated or malformed record.
+    pub fn decode(body: &[u8]) -> Result<Self, DecodeError> {
+        let mut d = Decoder::new(body);
+        Ok(match d.u8()? {
             0 => {
-                let txn = TxnId(bd.u64()?);
-                let n = bd.u32()? as usize;
-                let mut intentions = Vec::with_capacity(n);
-                for _ in 0..n {
-                    intentions.push(Intention::decode(&mut bd)?);
-                }
-                let nsizes = bd.u32()? as usize;
-                let mut sizes = Vec::with_capacity(nsizes);
-                for _ in 0..nsizes {
-                    sizes.push((FileId(bd.u64()?), bd.u64()?));
-                }
+                let txn = TxnId(d.u64()?);
+                let (intentions, sizes) = Self::decode_effects(&mut d)?;
                 LogRecord::Commit {
                     txn,
                     intentions,
@@ -279,21 +292,12 @@ impl LogRecord {
                 }
             }
             1 => LogRecord::Completed {
-                txn: TxnId(bd.u64()?),
+                txn: TxnId(d.u64()?),
             },
             2 => {
-                let gtid = bd.u64()?;
-                let txn = TxnId(bd.u64()?);
-                let n = bd.u32()? as usize;
-                let mut intentions = Vec::with_capacity(n);
-                for _ in 0..n {
-                    intentions.push(Intention::decode(&mut bd)?);
-                }
-                let nsizes = bd.u32()? as usize;
-                let mut sizes = Vec::with_capacity(nsizes);
-                for _ in 0..nsizes {
-                    sizes.push((FileId(bd.u64()?), bd.u64()?));
-                }
+                let gtid = d.u64()?;
+                let txn = TxnId(d.u64()?);
+                let (intentions, sizes) = Self::decode_effects(&mut d)?;
                 LogRecord::Prepared {
                     gtid,
                     txn,
@@ -302,37 +306,51 @@ impl LogRecord {
                 }
             }
             3 => LogRecord::Aborted {
-                txn: TxnId(bd.u64()?),
+                txn: TxnId(d.u64()?),
             },
             _ => return Err(DecodeError),
+        })
+    }
+
+    /// Appends `body` to `log` as one self-validating frame and returns
+    /// the frame's checksum: a magic, a CRC32 over everything after it,
+    /// the log `incarnation` the frame belongs to, the checksum `prev` of
+    /// the frame before it, and a length — so a half-written tail, a
+    /// frame left behind by an earlier incarnation and a frame that does
+    /// not follow the one before it are each detected on their own.
+    pub fn frame_into(log: &mut Vec<u8>, body: &[u8], incarnation: u64, prev: u32) -> u32 {
+        let at = log.len();
+        let mut head = Encoder::new();
+        head.u32(LOG_MAGIC)
+            .u32(0)
+            .u64(incarnation)
+            .u32(prev)
+            .u32(body.len() as u32);
+        log.extend_from_slice(&head.finish());
+        log.extend_from_slice(body);
+        let crc = crc32(&log[at + 8..]);
+        log[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+        crc
+    }
+
+    /// Checks the frame at the front of `buf`.
+    pub fn unframe(buf: &[u8]) -> Unframed<'_> {
+        let mut d = Decoder::new(buf);
+        let header =
+            (|| Ok::<_, DecodeError>((d.u32()?, d.u32()?, d.u64()?, d.u32()?, d.u32()?)))();
+        let Ok((LOG_MAGIC, crc, incarnation, prev, body_len)) = header else {
+            return Unframed::Nothing;
         };
-        Ok(Some((rec, consumed)))
-    }
-
-    /// Decodes an entire log image into records, stopping at the first
-    /// clean end or torn tail (a torn tail is reported as end-of-log: the
-    /// record was never fully durable, so its transaction never committed).
-    pub fn decode_log(buf: &[u8]) -> Vec<LogRecord> {
-        Self::decode_log_prefix(buf).0
-    }
-
-    /// [`Self::decode_log`] plus the byte length of the valid prefix.
-    /// Recovery resumes appending at that offset, *overwriting* any torn
-    /// tail — appending after it would put the new records beyond the
-    /// point where every future decode stops.
-    pub fn decode_log_prefix(buf: &[u8]) -> (Vec<LogRecord>, usize) {
-        let mut out = Vec::new();
-        let mut pos = 0;
-        while pos < buf.len() {
-            match Self::decode_one(&buf[pos..]) {
-                Ok(Some((rec, used))) => {
-                    out.push(rec);
-                    pos += used;
-                }
-                Ok(None) | Err(_) => break,
-            }
+        let len = FRAME_HEADER + body_len as usize;
+        if buf.len() < len || crc32(&buf[8..len]) != crc {
+            return Unframed::Broken { incarnation, len };
         }
-        (out, pos)
+        Unframed::Frame {
+            incarnation,
+            prev,
+            crc,
+            body: &buf[FRAME_HEADER..len],
+        }
     }
 }
 
@@ -382,38 +400,86 @@ mod tests {
     #[test]
     fn record_round_trip() {
         let rec = sample_commit();
-        let bytes = rec.encode();
-        let (back, used) = LogRecord::decode_one(&bytes).unwrap().unwrap();
-        assert_eq!(back, rec);
-        assert_eq!(used, bytes.len());
+        assert_eq!(LogRecord::decode(&rec.encode()).unwrap(), rec);
+        let mut log = Vec::new();
+        let crc = LogRecord::frame_into(&mut log, &rec.encode(), 3, 77);
+        assert_eq!(log.len(), FRAME_HEADER + rec.encode().len());
+        assert_eq!(
+            LogRecord::unframe(&log),
+            Unframed::Frame {
+                incarnation: 3,
+                prev: 77,
+                crc,
+                body: &rec.encode(),
+            }
+        );
+    }
+
+    /// Decodes the chain of incarnation-1 frames at the front of `log`.
+    fn decode_log(log: &[u8]) -> Vec<LogRecord> {
+        let (mut out, mut pos, mut chain) = (Vec::new(), 0, 0);
+        while let Unframed::Frame {
+            incarnation: 1,
+            prev,
+            crc,
+            body,
+        } = LogRecord::unframe(&log[pos..])
+        {
+            if prev != chain {
+                break;
+            }
+            out.push(LogRecord::decode(body).unwrap());
+            pos += FRAME_HEADER + body.len();
+            chain = crc;
+        }
+        out
     }
 
     #[test]
     fn log_of_multiple_records() {
         let mut log = Vec::new();
-        log.extend(sample_commit().encode());
-        log.extend(LogRecord::Completed { txn: TxnId(7) }.encode());
+        let first = LogRecord::frame_into(&mut log, &sample_commit().encode(), 1, 0);
+        let done = LogRecord::Completed { txn: TxnId(7) };
+        LogRecord::frame_into(&mut log, &done.encode(), 1, first);
         log.extend([0u8; 64]); // clean padding tail
-        let records = LogRecord::decode_log(&log);
+        let records = decode_log(&log);
         assert_eq!(records.len(), 2);
-        assert_eq!(records[1], LogRecord::Completed { txn: TxnId(7) });
+        assert_eq!(records[1], done);
     }
 
     #[test]
     fn torn_tail_treated_as_uncommitted() {
         let mut log = Vec::new();
-        log.extend(LogRecord::Completed { txn: TxnId(1) }.encode());
-        let mut torn = sample_commit().encode();
-        torn.truncate(torn.len() / 2);
-        log.extend(torn);
-        let records = LogRecord::decode_log(&log);
+        let done = LogRecord::Completed { txn: TxnId(1) };
+        let first = LogRecord::frame_into(&mut log, &done.encode(), 1, 0);
+        let whole = log.len();
+        LogRecord::frame_into(&mut log, &sample_commit().encode(), 1, first);
+        let torn = whole + (log.len() - whole) / 2;
+        let records = decode_log(&log[..torn]);
         assert_eq!(records.len(), 1, "torn record must not surface");
+        assert_eq!(
+            LogRecord::unframe(&log[whole..torn]),
+            Unframed::Broken {
+                incarnation: 1,
+                len: log.len() - whole
+            }
+        );
+        // The same bytes at full length but with one flipped fail the
+        // checksum, wherever the flip is.
+        for at in whole + 8..log.len() {
+            log[at] ^= 0x10;
+            assert!(matches!(
+                LogRecord::unframe(&log[whole..]),
+                Unframed::Broken { .. } | Unframed::Nothing
+            ));
+            log[at] ^= 0x10;
+        }
     }
 
     #[test]
     fn empty_log_decodes_empty() {
-        assert!(LogRecord::decode_log(&[0u8; 128]).is_empty());
-        assert!(LogRecord::decode_log(&[]).is_empty());
+        assert_eq!(LogRecord::unframe(&[0u8; 128]), Unframed::Nothing);
+        assert_eq!(LogRecord::unframe(&[]), Unframed::Nothing);
     }
 
     #[test]
@@ -431,9 +497,7 @@ mod tests {
             sizes: vec![(FileId(1), 30_000)],
         };
         let bytes = prep.encode();
-        let (back, used) = LogRecord::decode_one(&bytes).unwrap().unwrap();
-        assert_eq!(back, prep);
-        assert_eq!(used, bytes.len());
+        assert_eq!(LogRecord::decode(&bytes).unwrap(), prep);
         if let LogRecord::Prepared {
             gtid,
             txn,
@@ -448,8 +512,7 @@ mod tests {
         }
         let ab = LogRecord::Aborted { txn: TxnId(7) };
         assert_eq!(LogRecord::encode_aborted(TxnId(7)), ab.encode());
-        let (back, _) = LogRecord::decode_one(&ab.encode()).unwrap().unwrap();
-        assert_eq!(back, ab);
+        assert_eq!(LogRecord::decode(&ab.encode()).unwrap(), ab);
     }
 
     #[test]

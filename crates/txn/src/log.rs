@@ -2,29 +2,70 @@
 //! how they are framed, and when they — and the tentative blocks they
 //! point at — count as durable.
 //!
-//! [`IntentionLog`] is the only code that knows the log is an ordinary
-//! file-service file registered as the system file, appended at a tail
-//! offset and made durable by `flush_file`; everything above it appends
-//! records, forces, scans after a crash and resets at a quiescent moment.
-//! Moving the log somewhere else (a preallocated ring extent, ROADMAP
-//! 1(a)) is a change to this file alone.
+//! [`IntentionLog`] is the only code that knows where the log lives and
+//! how its end is found; everything above it appends records, forces,
+//! scans after a crash and resets at a quiescent moment.
+//!
+//! The log is a file-service file, registered as the system file and
+//! never deleted, whose blocks are allocated *ahead of* the tail — so an
+//! append changes no metadata and a force is one write of whole blocks
+//! from the in-memory image of the tail. Its first sector is a header
+//! frame naming the current *incarnation*; the records follow as frames
+//! that each carry the incarnation and the checksum of the frame before
+//! (see [`LogRecord::frame_into`]). The tail is stored nowhere: a scan
+//! walks the chain from the header and stops at the first frame that is
+//! not the next one of this incarnation. Resetting the log is therefore
+//! one atomic sector write — a header of the next incarnation, which
+//! disowns every frame behind it — and a crash at any point of it leaves
+//! either the old log, whole, or an empty one.
 
 use crate::error::TxnError;
-use crate::intentions::{Intention, LogRecord};
+use crate::intentions::{Intention, LogRecord, Unframed, FRAME_HEADER};
 use crate::service::{TxnId, TxnStats};
+use rhodos_buf::BlockBuf;
+use rhodos_disk_service::{BLOCK_SIZE, FRAGMENT_SIZE};
 use rhodos_file_service::{FileId, FileService, FileServiceError, ServiceType};
 
-/// The log is compacted at the first quiescent moment after it grows
-/// past this many bytes (everything before the tail has completed by
-/// then, so the log is pure garbage).
+/// The log is reset at the first quiescent moment after its tail passes
+/// this many bytes (everything before the tail has completed by then, so
+/// the log is pure garbage).
 pub(crate) const LOG_COMPACT_THRESHOLD: u64 = 4 * 1024 * 1024;
+
+/// How far ahead of the tail the log's blocks are allocated whenever the
+/// tail reaches the end of them: a threshold's worth and the slack a
+/// busy service runs past it before it is quiescent, so a log that is
+/// reset in time is allocated once, contiguously. The log never takes
+/// more than an eighth of what is free this way; on disks too small for
+/// the whole of it the log is allocated in such eighths.
+const LOG_ALLOC_AHEAD: u64 = LOG_COMPACT_THRESHOLD + LOG_COMPACT_THRESHOLD / 8;
+
+/// The header frame's share of the log: one sector, which the disk
+/// replaces atomically.
+const HEADER_LEN: u64 = rhodos_simdisk::SECTOR_SIZE as u64;
+
+/// Bytes a scan reads at a time.
+const SCAN_WINDOW: usize = 8 * BLOCK_SIZE;
+
+const BLOCK: u64 = BLOCK_SIZE as u64;
 
 /// The durable intention log of one transaction service.
 #[derive(Debug)]
 pub(crate) struct IntentionLog {
     fid: FileId,
+    /// Which life of the log the frames being appended belong to.
+    incarnation: u64,
+    /// Checksum of the last frame appended (the header's in an empty
+    /// log) — what the next frame names as its predecessor.
+    chain: u32,
     /// Byte offset the next record is appended at.
     tail: u64,
+    /// The log's last bytes, from a block boundary to the tail: the
+    /// tail block and every block before it that holds unforced bytes.
+    /// A force writes it out as whole blocks, zero-padded, so the platter
+    /// is never read to append.
+    image: Vec<u8>,
+    /// Whether `image` holds bytes the platter does not.
+    dirty: bool,
     /// Total log bytes ever appended (monotonic across compactions — a
     /// log sequence number).
     appended_lsn: u64,
@@ -45,27 +86,33 @@ pub(crate) struct IntentionLog {
 
 impl IntentionLog {
     /// Creates, or re-attaches to, the log of `fs`.
-    pub(crate) fn open(fs: &mut FileService, force_each_record: bool) -> Result<Self, TxnError> {
-        let fid = match fs.system_file() {
-            Some(fid) => fid,
-            None => {
-                let fid = fs.create(ServiceType::Transaction)?;
-                fs.set_system_file(fid)?;
-                fid
-            }
-        };
-        fs.open(fid)?;
-        let tail = fs.get_attribute(fid)?.size;
-        Ok(Self {
-            fid,
-            tail,
-            appended_lsn: tail,
-            durable_lsn: tail,
+    pub(crate) fn open(
+        fs: &mut FileService,
+        stats: &mut TxnStats,
+        force_each_record: bool,
+    ) -> Result<Self, TxnError> {
+        if fs.system_file().is_none() {
+            let fid = fs.create(ServiceType::Transaction)?;
+            fs.set_system_file(fid)?;
+        }
+        let mut log = Self {
+            fid: FileId(0),
+            incarnation: 0,
+            chain: 0,
+            tail: 0,
+            image: Vec::new(),
+            dirty: false,
+            appended_lsn: 0,
+            durable_lsn: 0,
             unflushed_records: 0,
             unflushed_prepares: 0,
             deferred_frees: Vec::new(),
             force_each_record,
-        })
+        };
+        log.scan(fs, stats)?;
+        (log.appended_lsn, log.durable_lsn) = (log.tail, log.tail);
+        log.reserve(fs, log.tail)?;
+        Ok(log)
     }
 
     /// Whether the log has outgrown [`LOG_COMPACT_THRESHOLD`].
@@ -79,17 +126,21 @@ impl IntentionLog {
     }
 
     /// Appends one encoded record *without* forcing it (unless every
-    /// record forces itself). Durability is [`Self::force`].
+    /// record forces itself): the frame joins the image and touches no
+    /// disk. Durability is [`Self::force`].
     fn append(
         &mut self,
         fs: &mut FileService,
         stats: &mut TxnStats,
-        bytes: &[u8],
+        body: &[u8],
         is_prepare: bool,
     ) -> Result<(), TxnError> {
-        fs.write(self.fid, self.tail, bytes)?;
-        self.tail += bytes.len() as u64;
-        self.appended_lsn += bytes.len() as u64;
+        let before = self.image.len();
+        self.chain = LogRecord::frame_into(&mut self.image, body, self.incarnation, self.chain);
+        let framed = (self.image.len() - before) as u64;
+        self.tail += framed;
+        self.appended_lsn += framed;
+        self.dirty = true;
         self.unflushed_records += 1;
         self.unflushed_prepares += u64::from(is_prepare);
         if self.force_each_record {
@@ -135,7 +186,7 @@ impl IntentionLog {
     }
 
     /// Makes every record appended since the previous force durable with
-    /// one `flush_file` — the group-commit durability point — and
+    /// one write of the image — the group-commit durability point — and
     /// releases the tentative blocks whose `Completed` markers that made
     /// durable. No I/O when nothing is pending.
     pub(crate) fn force(
@@ -143,8 +194,10 @@ impl IntentionLog {
         fs: &mut FileService,
         stats: &mut TxnStats,
     ) -> Result<(), TxnError> {
+        if self.dirty {
+            self.write_image(fs)?;
+        }
         if self.unflushed_records > 0 {
-            fs.flush_file(self.fid)?;
             stats.log_flushes += 1;
             stats.records_flushed += self.unflushed_records;
             if self.unflushed_records > 1 {
@@ -162,6 +215,45 @@ impl IntentionLog {
         self.release_deferred(fs)
     }
 
+    /// Writes the image through to the platter as whole blocks and keeps
+    /// the tail block's share of it.
+    fn write_image(&mut self, fs: &mut FileService) -> Result<(), TxnError> {
+        self.reserve(fs, self.tail)?;
+        // A block to an allocation: the caches below keep views of what
+        // they are handed, and a finished block must not hold on to the
+        // tail block's many rewrites.
+        let first = (self.tail - self.image.len() as u64) / BLOCK;
+        let blocks = (self.image.chunks(BLOCK_SIZE).zip(first..))
+            .map(|(chunk, idx)| {
+                let mut block = Vec::with_capacity(BLOCK_SIZE);
+                block.extend_from_slice(chunk);
+                block.resize(BLOCK_SIZE, 0);
+                (self.fid, idx, BlockBuf::from(block))
+            })
+            .collect();
+        fs.write_blocks(blocks)?;
+        let whole_blocks = self.image.len() - (self.tail % BLOCK) as usize;
+        self.image.drain(..whole_blocks);
+        self.dirty = false;
+        Ok(())
+    }
+
+    /// Makes sure the log file has blocks for its first `upto` bytes,
+    /// allocating ahead of them when it has not — or, where even an
+    /// eighth of the free space cannot be had, just what was asked for.
+    fn reserve(&mut self, fs: &mut FileService, upto: u64) -> Result<(), TxnError> {
+        if upto > fs.get_attribute(self.fid)?.size {
+            let upto = upto.next_multiple_of(BLOCK);
+            let free = (0..fs.disk_count()).map(|d| fs.disk_mut(d).free_fragments());
+            let free = free.sum::<u64>() * FRAGMENT_SIZE as u64;
+            let ahead = LOG_ALLOC_AHEAD.min(free / 8) / BLOCK * BLOCK;
+            if fs.ensure_size(self.fid, upto + ahead).is_err() {
+                fs.ensure_size(self.fid, upto)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Keeps the tentative block `(disk, addr)` of an applied commit
     /// allocated until that commit's `Completed` marker is durable.
     pub(crate) fn defer_free(&mut self, disk: u16, addr: u64) {
@@ -175,60 +267,144 @@ impl IntentionLog {
         Ok(())
     }
 
-    /// After `fs.recover()`: re-attaches to the log and returns the
-    /// records of its valid prefix, in order. Whatever was appended but
-    /// unforced before the crash is gone, and so are the pre-crash
+    /// Stops counting the records appended since the last force: they
+    /// went with a crash or with the incarnation they were appended in.
+    fn forget_unforced(&mut self) {
+        self.unflushed_records = 0;
+        self.unflushed_prepares = 0;
+        self.durable_lsn = self.appended_lsn;
+    }
+
+    /// Starts the log over as `incarnation`: an image of nothing but the
+    /// header frame, not yet written.
+    fn begin_incarnation(&mut self, incarnation: u64) {
+        self.incarnation = incarnation;
+        self.image.clear();
+        self.chain = LogRecord::frame_into(&mut self.image, &[], incarnation, 0);
+        self.image.resize(HEADER_LEN as usize, 0);
+        self.tail = HEADER_LEN;
+        self.dirty = true;
+    }
+
+    /// After `fs.recover()`: re-attaches to the log, finds its tail and
+    /// returns the records before it, in order — the frames that chain
+    /// from the header, read a window at a time. Whatever was appended
+    /// but unforced before the crash is gone, and so are the pre-crash
     /// deferred frees (the allocation rebuild reclaims unreferenced
     /// blocks itself).
-    pub(crate) fn scan(&mut self, fs: &mut FileService) -> Result<Vec<LogRecord>, TxnError> {
+    ///
+    /// The scan ends at the first frame that is not the next one of this
+    /// incarnation, and appending resumes *there*, over whatever follows:
+    /// a record half-written when the crash came (say, the first of its
+    /// two blocks landed and the second did not) fails its checksum and
+    /// is dropped whole, and a record appended after such garbage rather
+    /// than over it would be unreachable by every future scan. When what
+    /// ends the scan starts like a frame but is not a whole one of an
+    /// earlier incarnation — it is torn, damaged, or out of sequence —
+    /// `stats.log_frames_rejected` counts it.
+    pub(crate) fn scan(
+        &mut self,
+        fs: &mut FileService,
+        stats: &mut TxnStats,
+    ) -> Result<Vec<LogRecord>, TxnError> {
         self.deferred_frees.clear();
+        self.forget_unforced();
         self.fid = fs
             .system_file()
             .ok_or(TxnError::File(FileServiceError::NotFound(FileId(0))))?;
         fs.open(self.fid)?;
-        let size = fs.get_attribute(self.fid)?.size;
-        let image = if size > 0 {
-            fs.read(self.fid, 0, size as usize)?
-        } else {
-            Vec::new()
-        };
-        self.unflushed_records = 0;
-        self.unflushed_prepares = 0;
-        self.durable_lsn = self.appended_lsn;
-        let (records, valid_len) = LogRecord::decode_log_prefix(&image);
-        // Resume appending at the end of the *valid* prefix, not the
-        // recorded file size: a crash inside the deferred-`Completed`
-        // window can leave the size covering a torn tail (the append grew
-        // the FIT durably but its bytes never flushed), and a record
-        // appended after that garbage would be unreachable — every future
-        // decode stops at the tear, so the redo would repeat on each
-        // recovery instead of being marked done.
-        self.tail = valid_len as u64;
+        let capacity = fs.get_attribute(self.fid)?.size;
+
+        // The log from its start, as far as it has been read.
+        let mut buf = fs.read(self.fid, 0, SCAN_WINDOW)?;
+        match LogRecord::unframe(&buf) {
+            Unframed::Frame {
+                incarnation,
+                prev: 0,
+                crc,
+                body: [],
+            } => (self.incarnation, self.chain) = (incarnation, crc),
+            // A log whose header never reached the platter has no records.
+            Unframed::Nothing => {
+                self.begin_incarnation(1);
+                return Ok(Vec::new());
+            }
+            _ => return Err(FileServiceError::Corrupt(self.fid).into()),
+        }
+        let mut records = Vec::new();
+        let (mut pos, mut want) = (HEADER_LEN, FRAME_HEADER as u64);
+        loop {
+            while (buf.len() as u64) < (pos + want).min(capacity) {
+                let more = fs.read(self.fid, buf.len() as u64, SCAN_WINDOW)?;
+                buf.extend_from_slice(&more);
+            }
+            let ours = match LogRecord::unframe(&buf[pos as usize..]) {
+                Unframed::Frame {
+                    incarnation,
+                    prev,
+                    crc,
+                    body,
+                } if (incarnation, prev) == (self.incarnation, self.chain) => {
+                    if let Ok(record) = LogRecord::decode(body) {
+                        records.push(record);
+                        self.chain = crc;
+                        pos += (FRAME_HEADER + body.len()) as u64;
+                        want = FRAME_HEADER as u64;
+                        continue;
+                    }
+                    true
+                }
+                // Cut short by the window, not by a crash: read on.
+                Unframed::Broken { len, .. }
+                    if want < len as u64 && pos + len as u64 <= capacity =>
+                {
+                    want = len as u64;
+                    continue;
+                }
+                // A whole frame some earlier incarnation left here is an
+                // end like any other; one of this incarnation that does
+                // not follow its predecessor is not.
+                Unframed::Frame { incarnation, .. } => incarnation == self.incarnation,
+                Unframed::Broken { .. } => true,
+                Unframed::Nothing => false,
+            };
+            stats.log_frames_rejected += u64::from(ours);
+            break;
+        }
+        self.image = buf[(pos / BLOCK * BLOCK) as usize..pos as usize].to_vec();
+        self.tail = pos;
+        self.dirty = false;
         Ok(records)
     }
 
     /// Discards the whole log — the caller guarantees everything in it
-    /// has completed — by deleting the file and recreating it empty.
+    /// has completed — by writing the header of the next incarnation over
+    /// the old one. Until that sector lands the old log stands, with the
+    /// tentative blocks it points at still allocated; once it has, no
+    /// frame of the old log is one of this log's, wherever the tail goes.
     pub(crate) fn reset(
         &mut self,
         fs: &mut FileService,
         stats: &mut TxnStats,
     ) -> Result<(), TxnError> {
-        fs.close(self.fid)?;
-        fs.delete(self.fid)?;
-        let fid = fs.create(ServiceType::Transaction)?;
-        fs.set_system_file(fid)?;
-        fs.open(fid)?;
-        self.fid = fid;
-        self.tail = 0;
-        // Unforced `Completed` markers died with the old log file —
-        // harmless, since the whole log they referred to is gone too, and
+        // Unforced `Completed` markers die with the old incarnation —
+        // harmless, since the whole log they referred to goes too, and
         // with the `Commit` records gone no redo can chase freed blocks.
-        self.unflushed_records = 0;
-        self.unflushed_prepares = 0;
-        self.durable_lsn = self.appended_lsn;
+        // Should the write fail, the header stays in the image, dirty,
+        // and the next force retries it before anything is released.
+        self.begin_incarnation(self.incarnation + 1);
+        self.forget_unforced();
+        self.write_image(fs)?;
         self.release_deferred(fs)?;
         stats.log_compactions += 1;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl IntentionLog {
+    /// Byte offset the next record is appended at.
+    pub(crate) fn tail(&self) -> u64 {
+        self.tail
     }
 }

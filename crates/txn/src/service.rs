@@ -34,7 +34,7 @@ pub enum GroupCommit {
     /// per-spindle schedulers as elevator-ordered batches.
     #[default]
     Auto,
-    /// Ablation: every log record forces its own `flush_file` and
+    /// Ablation: every log record forces its own log write and
     /// intentions apply one disk reference at a time — the
     /// pre-group-commit behaviour, kept for E18 comparisons.
     Never,
@@ -131,8 +131,8 @@ pub struct TxnStats {
     pub record_intentions: u64,
     /// Operations that returned `WouldBlock`.
     pub would_blocks: u64,
-    /// `flush_file` calls issued on the intention log — the durability
-    /// round trips group commit exists to amortise.
+    /// Forces of the intention log that made records durable — the
+    /// durability round trips group commit exists to amortise.
     pub log_flushes: u64,
     /// Flushes that made more than one log record durable at once.
     pub group_commits: u64,
@@ -146,6 +146,11 @@ pub struct TxnStats {
     pub commit_batch_pages: u64,
     /// Intention-log compactions performed.
     pub log_compactions: u64,
+    /// Log scans that ended at something that starts like a frame and
+    /// fails the checks — a record torn by the crash, damaged on the
+    /// platter, or out of sequence — and dropped it with everything
+    /// behind it.
+    pub log_frames_rejected: u64,
     /// Cross-shard `Prepared` votes logged (2PC phase one).
     pub prepares: u64,
     /// Prepared transactions rolled back by presumed abort — the
@@ -359,7 +364,12 @@ impl TransactionService {
     ///
     /// Fails if the log file cannot be created or opened.
     pub fn new(mut fs: FileService, config: TxnConfig) -> Result<Self, TxnError> {
-        let log = IntentionLog::open(&mut fs, config.group_commit == GroupCommit::Never)?;
+        let mut stats = TxnStats::default();
+        let log = IntentionLog::open(
+            &mut fs,
+            &mut stats,
+            config.group_commit == GroupCommit::Never,
+        )?;
         let mk = || {
             Arc::new(StripedLockTable::new(
                 config.lt_us,
@@ -375,7 +385,7 @@ impl TransactionService {
             prepared: HashMap::new(),
             next_txn: 1,
             log,
-            stats: TxnStats::default(),
+            stats,
         })
     }
 
@@ -1141,14 +1151,28 @@ impl TransactionService {
     }
 
     /// Step 2 of [`Self::commit_batch`]: makes every log record appended
-    /// since the previous force durable with one `flush_file` — the
-    /// group-commit durability point. No I/O when nothing is pending.
+    /// since the previous force durable with one write of the log's tail
+    /// — the group-commit durability point. No I/O when nothing is
+    /// pending.
     ///
     /// # Errors
     ///
     /// File-service failures.
     pub fn flush_log(&mut self) -> Result<(), TxnError> {
         self.log.force(&mut self.fs, &mut self.stats)
+    }
+
+    /// Makes everything the service still holds in memory durable: the
+    /// file service's delayed writes and the log's unforced markers
+    /// (`Completed`, `Aborted`). A server that crashes after this redoes
+    /// nothing and is in doubt about nothing it had resolved.
+    ///
+    /// # Errors
+    ///
+    /// File-service failures.
+    pub fn sync(&mut self) -> Result<(), TxnError> {
+        self.fs.flush_all()?;
+        self.flush_log()
     }
 
     /// Log bytes made durable so far (monotonic across compactions).
@@ -1440,7 +1464,7 @@ impl TransactionService {
     ///
     /// # Errors
     ///
-    /// File-service failures recreating the log.
+    /// File-service failures rewriting the log's header.
     pub fn maybe_compact_log(&mut self) -> Result<bool, TxnError> {
         if self.active.is_empty() && self.prepared.is_empty() && self.log.wants_compaction() {
             self.compact_log()?;
@@ -1844,7 +1868,7 @@ impl TransactionService {
             table.reset();
         }
         self.fs.recover()?;
-        let records = self.log.scan(&mut self.fs)?;
+        let records = self.log.scan(&mut self.fs, &mut self.stats)?;
         type CommitBody = (Vec<Intention>, Vec<(FileId, u64)>);
         let record = |txn, (intentions, sizes): CommitBody| PreparedCommit {
             txn,
@@ -1967,8 +1991,8 @@ impl TransactionService {
     }
 
     /// Compacts the intention log: everything in it has completed, so the
-    /// log file is deleted and recreated empty. Call in a quiescent state
-    /// (no active transactions).
+    /// log starts over, empty, under a new incarnation. Call in a
+    /// quiescent state (no active transactions).
     ///
     /// # Errors
     ///
@@ -2396,10 +2420,9 @@ mod tests {
         ts.tend(t2).unwrap();
     }
 
-    /// Bytes in the intention log, as the file service sees them.
+    /// Bytes in the intention log, by its own account of its tail.
     fn log_bytes(ts: &mut TransactionService) -> u64 {
-        let log = ts.fs.system_file().unwrap();
-        ts.fs.get_attribute(log).unwrap().size
+        ts.log.tail()
     }
 
     #[test]
@@ -2431,15 +2454,16 @@ mod tests {
     #[test]
     fn compact_log_resets_tail() {
         let (mut ts, fid) = setup(LockLevel::Page);
+        let empty = log_bytes(&mut ts);
         for _ in 0..5 {
             let t = ts.tbegin();
             ts.topen(t, fid).unwrap();
             ts.twrite(t, fid, 0, b"round").unwrap();
             ts.tend(t).unwrap();
         }
-        assert!(log_bytes(&mut ts) > 0);
+        assert!(log_bytes(&mut ts) > empty);
         ts.compact_log().unwrap();
-        assert_eq!(log_bytes(&mut ts), 0);
+        assert_eq!(log_bytes(&mut ts), empty);
         // Service still works.
         let t = ts.tbegin();
         ts.topen(t, fid).unwrap();

@@ -836,6 +836,52 @@ mod tests {
         assert!(ts.stats().records_per_prepare_flush() > 1.0);
     }
 
+    /// A server that is only ever a 2PC participant reaches a quiescent
+    /// moment after its decisions, not after its prepare batches — that
+    /// is where it compacts its log. Partial pages travel in the log as
+    /// bytes, so without it the log would grow for as long as the server
+    /// runs.
+    #[test]
+    fn participants_compact_their_logs_after_resolving() {
+        use rhodos_disk_service::BLOCK_SIZE;
+        const MIB: u64 = 1024 * 1024;
+        const TXNS: u64 = 8;
+        let (mut c, gids) = cluster_with_files(2, 2);
+        let wave = |round: u64| -> Vec<Vec<CrossOp>> {
+            (0..TXNS)
+                .map(|k| {
+                    let data = vec![(round + k) as u8; 4000];
+                    let offset = k * BLOCK_SIZE as u64 + 100;
+                    vec![(gids[0], offset, data.clone()), (gids[1], offset, data)]
+                })
+                .collect()
+        };
+        let log_len = |c: &Cluster, i: usize| c.server_handle(i).lock().log_len();
+        let before = [log_len(&c, 0), log_len(&c, 1)];
+        let outs = c.commit_batch(&wave(0)).unwrap();
+        assert!(outs.iter().all(|o| *o == CommitOutcome::Committed));
+        // What one wave adds to a participant's log.
+        let batch = (0..2).map(|i| log_len(&c, i) - before[i]).max().unwrap();
+        for round in 1..100 {
+            let outs = c.commit_batch(&wave(round)).unwrap();
+            assert!(outs.iter().all(|o| *o == CommitOutcome::Committed));
+            for i in 0..2 {
+                let len = log_len(&c, i);
+                assert!(len <= MIB + batch, "server {i}, round {round}: {len} bytes");
+            }
+        }
+        for i in 0..2 {
+            let compactions = c.server_handle(i).lock().stats().log_compactions;
+            assert!(compactions >= 2, "server {i}: {compactions} compactions");
+        }
+        let last = TXNS - 1;
+        let offset = last * BLOCK_SIZE as u64 + 100;
+        assert_eq!(
+            c.read(gids[1], offset, 4000).unwrap(),
+            vec![(99 + last) as u8; 4000]
+        );
+    }
+
     #[test]
     fn decision_log_recovery_scans_only_complete_records() {
         let mut log = DecisionLog::default();

@@ -54,9 +54,11 @@ pub enum Intention {
         /// Fragment address of the tentative block.
         tentative_addr: u64,
     },
-    /// A tentative byte range (record mode): the bytes live inline in the
-    /// log record ("there is no justification to tie up a complete block
-    /// or fragment" for record updates — WAL is always used).
+    /// A tentative byte range: the bytes live inline in the log record
+    /// ("there is no justification to tie up a complete block or
+    /// fragment" for record updates — WAL is always used). Record mode
+    /// writes these, and so does page mode for a page it wrote only part
+    /// of.
     Record {
         /// File modified.
         fid: FileId,

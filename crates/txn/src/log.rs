@@ -28,16 +28,24 @@ use rhodos_file_service::{FileId, FileService, FileServiceError, ServiceType};
 
 /// The log is reset at the first quiescent moment after its tail passes
 /// this many bytes (everything before the tail has completed by then, so
-/// the log is pure garbage).
-pub(crate) const LOG_COMPACT_THRESHOLD: u64 = 4 * 1024 * 1024;
+/// the log is pure garbage). Partial pages travel in the log as bytes,
+/// and a simulated platter holds every sector ever written in memory, so
+/// a log cycled through a small region keeps a server small.
+pub(crate) const LOG_COMPACT_THRESHOLD: u64 = 1024 * 1024;
 
 /// How far ahead of the tail the log's blocks are allocated whenever the
-/// tail reaches the end of them: a threshold's worth and the slack a
-/// busy service runs past it before it is quiescent, so a log that is
-/// reset in time is allocated once, contiguously. The log never takes
-/// more than an eighth of what is free this way; on disks too small for
-/// the whole of it the log is allocated in such eighths.
-const LOG_ALLOC_AHEAD: u64 = LOG_COMPACT_THRESHOLD + LOG_COMPACT_THRESHOLD / 8;
+/// tail reaches the end of them, so a log that is reset in time is
+/// allocated once, contiguously. The log never takes more than an eighth
+/// of what is free this way; on disks too small for the whole of it the
+/// log is allocated in such eighths.
+///
+/// This is placement as much as room: the 4.5 MiB extent sits at the
+/// front of the disk and sets where every file after it starts, and so
+/// how each one meets the track boundaries. It is deliberately not tied
+/// to [`LOG_COMPACT_THRESHOLD`]: shrinking it along with the threshold
+/// moves every file of a fresh volume, and striped sequential reads of
+/// those files got slower.
+const LOG_ALLOC_AHEAD: u64 = 4 * 1024 * 1024 + 512 * 1024;
 
 /// The header frame's share of the log: one sector, which the disk
 /// replaces atomically.
@@ -123,6 +131,11 @@ impl IntentionLog {
     /// Log bytes made durable so far (monotonic across compactions).
     pub(crate) fn durable_lsn(&self) -> u64 {
         self.durable_lsn
+    }
+
+    /// Byte offset the next record is appended at.
+    pub(crate) fn tail(&self) -> u64 {
+        self.tail
     }
 
     /// Appends one encoded record *without* forcing it (unless every
@@ -398,13 +411,5 @@ impl IntentionLog {
         self.release_deferred(fs)?;
         stats.log_compactions += 1;
         Ok(())
-    }
-}
-
-#[cfg(test)]
-impl IntentionLog {
-    /// Byte offset the next record is appended at.
-    pub(crate) fn tail(&self) -> u64 {
-        self.tail
     }
 }

@@ -188,11 +188,57 @@ impl TxnStats {
     }
 }
 
+/// A page-mode tentative page: the whole page as the transaction sees it,
+/// the range `[lo, hi)` of it that was written, and — only once that
+/// range covers the whole block — the detached block holding it. A
+/// commit logs a pointer to the block, or the dirty bytes themselves.
 #[derive(Debug, Clone)]
 struct TentativePage {
-    disk: u16,
-    addr: u64,
+    shadow: Option<(u16, u64)>,
+    lo: usize,
+    hi: usize,
     data: Vec<u8>,
+}
+
+impl TentativePage {
+    /// A page nothing has been written to yet.
+    fn clean(data: Vec<u8>) -> Self {
+        Self {
+            shadow: None,
+            lo: BLOCK_SIZE,
+            hi: 0,
+            data,
+        }
+    }
+
+    fn is_whole(&self) -> bool {
+        (self.lo, self.hi) == (0, BLOCK_SIZE)
+    }
+
+    /// Widens the dirty range to take in `[lo, hi)`.
+    fn cover(&mut self, lo: usize, hi: usize) {
+        self.lo = self.lo.min(lo);
+        self.hi = self.hi.max(hi);
+    }
+
+    /// What the commit record carries for logical block `index` of
+    /// `fid`: the detached block, or the dirty bytes inline — which are
+    /// recovered as a record update.
+    fn intention(&self, fid: FileId, index: u64) -> Intention {
+        match self.shadow {
+            Some((tentative_disk, tentative_addr)) => Intention::Page {
+                fid,
+                index,
+                tentative_disk,
+                tentative_addr,
+            },
+            None => Intention::Record {
+                fid,
+                offset: index * BLOCK_SIZE as u64 + self.lo as u64,
+                data: self.data[self.lo..self.hi].to_vec(),
+            },
+        }
+    }
 }
 
 /// One request of [`TransactionService::commit_batch`].
@@ -247,6 +293,15 @@ pub struct PreparedCommit {
     to_delete: Vec<FileId>,
 }
 
+impl PreparedCommit {
+    /// Whether the commit put a record in the log that its completion
+    /// must wait for. One without (a read-only transaction) completes
+    /// without a force.
+    pub fn has_effects(&self) -> bool {
+        self.has_effects
+    }
+}
+
 #[derive(Debug)]
 struct ActiveTxn {
     pid: u64,
@@ -299,15 +354,9 @@ impl ActiveTxn {
     /// record's bytes and the order `ensure_size` runs in do not depend
     /// on `HashMap` iteration.
     fn assemble_intentions(&self) -> (Vec<Intention>, Vec<(FileId, u64)>) {
-        let mut intentions: Vec<Intention> = Vec::new();
-        for ((fid, idx), p) in &self.tentative_pages {
-            intentions.push(Intention::Page {
-                fid: *fid,
-                index: *idx,
-                tentative_disk: p.disk,
-                tentative_addr: p.addr,
-            });
-        }
+        let mut intentions: Vec<Intention> = (self.tentative_pages.iter())
+            .map(|((fid, idx), p)| p.intention(*fid, *idx))
+            .collect();
         for (fid, off, bytes) in &self.tentative_records {
             intentions.push(Intention::Record {
                 fid: *fid,
@@ -1011,46 +1060,56 @@ impl TransactionService {
             let hi = (offset + data.len() as u64).min(block_start + bs);
             // Materialise the tentative page. A nested transaction's
             // first touch of a page copies the youngest ancestor version
-            // into its own detached block (copy-on-write down the chain).
-            let existing = self
-                .active
-                .get(&t)
-                .and_then(|x| x.tentative_pages.get(&(fid, idx)))
-                .cloned();
-            let (disk, addr, mut page) = match existing {
-                Some(p) => (p.disk, p.addr, p.data),
+            // and its dirty range (copy-on-write down the chain), but not
+            // its detached block.
+            let existing = self.txn_mut(t)?.tentative_pages.remove(&(fid, idx));
+            let mut page = match existing {
+                Some(p) => p,
                 None => {
                     let chain = self.chain(t);
                     let inherited = chain[..chain.len() - 1].iter().rev().find_map(|id| {
                         self.active
                             .get(id)
                             .and_then(|x| x.tentative_pages.get(&(fid, idx)))
-                            .map(|p| p.data.clone())
+                            .map(|p| TentativePage {
+                                shadow: None,
+                                ..p.clone()
+                            })
                     });
-                    let base = match inherited {
-                        Some(data) => data,
-                        None if idx < base_blocks => self.fs.read_block(fid, idx)?.to_vec(),
-                        None => vec![0u8; BLOCK_SIZE],
-                    };
-                    let (d, a) = self.fs.allocate_shadow_block(fid)?;
-                    (d, a, base)
+                    match inherited {
+                        Some(p) => p,
+                        None if idx < base_blocks => {
+                            TentativePage::clean(self.fs.read_block(fid, idx)?.to_vec())
+                        }
+                        None => TentativePage::clean(vec![0u8; BLOCK_SIZE]),
+                    }
                 }
             };
-            page[(lo - block_start) as usize..(hi - block_start) as usize]
-                .copy_from_slice(&data[(lo - offset) as usize..(hi - offset) as usize]);
-            // Persist the tentative page to its detached block now — this
-            // is the durable copy the commit record will point at.
-            self.fs
-                .put_detached_block(disk, addr, &page, StablePolicy::None)?;
-            self.txn_mut(t)?.tentative_pages.insert(
-                (fid, idx),
-                TentativePage {
-                    disk,
-                    addr,
-                    data: page,
-                },
-            );
+            let src = &data[(lo - offset) as usize..(hi - offset) as usize];
+            let (lo, hi) = ((lo - block_start) as usize, (hi - block_start) as usize);
+            page.data[lo..hi].copy_from_slice(src);
+            page.cover(lo, hi);
+            let persisted = self.persist_whole(fid, &mut page);
+            self.txn_mut(t)?.tentative_pages.insert((fid, idx), page);
+            persisted?;
         }
+        Ok(())
+    }
+
+    /// Writes a tentative page whose dirty range covers the whole block
+    /// to its detached block — allocated on the first such write — which
+    /// is the durable copy its commit record will point at. A partial
+    /// page stays in memory: its commit logs the dirty bytes instead.
+    fn persist_whole(&mut self, fid: FileId, page: &mut TentativePage) -> Result<(), TxnError> {
+        if !page.is_whole() {
+            return Ok(());
+        }
+        let (disk, addr) = match page.shadow {
+            Some(block) => block,
+            None => *page.shadow.insert(self.fs.allocate_shadow_block(fid)?),
+        };
+        self.fs
+            .put_detached_block(disk, addr, &page.data, StablePolicy::None)?;
         Ok(())
     }
 
@@ -1065,7 +1124,9 @@ impl TransactionService {
     ///    [`Self::prepare_participant`] — any failure on the way is a
     ///    *no* vote and an immediate local abort.
     /// 2. **Force** the log once ([`Self::flush_log`], §6.6) — unless no
-    ///    request got as far as waiting for it.
+    ///    request has anything to wait for: a commit with effects or a
+    ///    vote. Earlier `Completed` markers ride this force; nothing
+    ///    forces one of its own.
     /// 3. **Complete** each local commit ([`Self::complete_commit`]) and
     ///    acknowledge each now-durable vote. When the force failed, a
     ///    local commit stays active and reports the error; a vote is
@@ -1101,7 +1162,11 @@ impl TransactionService {
                 }
             })
             .collect();
-        let awaited = steps.iter().any(|s| !matches!(s, Step::Done(_)));
+        let awaited = steps.iter().any(|s| match s {
+            Step::Done(_) => false,
+            Step::Commit(p) => p.has_effects(),
+            Step::Vote(_) => true,
+        });
         let forced = if awaited { self.flush_log() } else { Ok(()) };
         let mut results: Vec<Result<(), TxnError>> = steps
             .into_iter()
@@ -1111,7 +1176,7 @@ impl TransactionService {
                 (Step::Vote(_), Ok(())) => Ok(()),
                 (Step::Commit(_), Err(e)) => Err(e.clone()),
                 (Step::Vote(gtid), Err(e)) => {
-                    let _ = self.resolve_prepared(gtid, false);
+                    let _ = self.decide(gtid, false);
                     Err(e.clone())
                 }
             })
@@ -1178,6 +1243,11 @@ impl TransactionService {
     /// Log bytes made durable so far (monotonic across compactions).
     pub fn durable_lsn(&self) -> u64 {
         self.log.durable_lsn()
+    }
+
+    /// Bytes in the log since its last compaction (its tail offset).
+    pub fn log_len(&self) -> u64 {
+        self.log.tail()
     }
 
     /// `tend`: commits the transaction — writes the intentions list to the
@@ -1365,10 +1435,23 @@ impl TransactionService {
     /// before it is durable merely re-enters the in-doubt state, and the
     /// orphan sweep re-delivers the same (idempotent) decision.
     ///
+    /// A participant's `commit_batch` always ends with its votes in
+    /// doubt, so a resolve is where it finds the log quiescent: each
+    /// one that resolves something ends with [`Self::maybe_compact_log`].
+    ///
     /// # Errors
     ///
     /// File-service failures applying intentions or writing the log.
     pub fn resolve_prepared(&mut self, gtid: u64, commit: bool) -> Result<bool, TxnError> {
+        let resolved = self.decide(gtid, commit)?;
+        if resolved {
+            self.maybe_compact_log()?;
+        }
+        Ok(resolved)
+    }
+
+    /// [`Self::resolve_prepared`] without the housekeeping.
+    fn decide(&mut self, gtid: u64, commit: bool) -> Result<bool, TxnError> {
         let Some(p) = self.prepared.remove(&gtid) else {
             return Ok(false);
         };
@@ -1424,12 +1507,13 @@ impl TransactionService {
     ///
     /// As [`Self::resolve_prepared`].
     pub fn resolve_orphan(&mut self, gtid: u64, commit: bool) -> Result<bool, TxnError> {
-        let resolved = self.resolve_prepared(gtid, commit)?;
+        let resolved = self.decide(gtid, commit)?;
         if resolved {
             self.stats.orphan_resolutions += 1;
             if !commit {
                 self.stats.presumed_aborts += 1;
             }
+            self.maybe_compact_log()?;
         }
         Ok(resolved)
     }
@@ -1450,10 +1534,7 @@ impl TransactionService {
     /// it.
     pub fn prepared_touches(&self, fid: FileId) -> bool {
         self.prepared.values().any(|p| {
-            p.sizes.iter().any(|(f, _)| *f == fid)
-                || p.intentions.iter().any(|i| match i {
-                    Intention::Page { fid: f, .. } | Intention::Record { fid: f, .. } => *f == fid,
-                })
+            p.sizes.iter().any(|(f, _)| *f == fid) || p.intentions.iter().any(|i| i.file() == fid)
         })
     }
 
@@ -1574,23 +1655,39 @@ impl TransactionService {
                     if recovering && !self.fs.exists(*fid) {
                         continue;
                     }
-                    // Records always use WAL: the log record *is* the log
-                    // entry; apply in place.
-                    self.fs.ensure_size(*fid, offset + data.len() as u64)?;
-                    let opened_here = self.fs.get_attribute(*fid)?.ref_count == 0;
-                    if opened_here {
-                        self.fs.open(*fid)?;
+                    if self.apply_record(*fid, *offset, data)? {
+                        self.fs.flush_file(*fid)?;
                     }
-                    self.fs.write(*fid, *offset, data)?;
-                    self.fs.flush_file(*fid)?;
-                    if opened_here {
-                        self.fs.close(*fid)?;
-                    }
-                    self.stats.record_intentions += 1;
                 }
             }
         }
         Ok(())
+    }
+
+    /// The record applier. Records always use WAL: the log record *is*
+    /// the log entry, applied in place. A file this opens is flushed and
+    /// closed again here; for one already open, returns `true` — the
+    /// caller flushes it (once per file, in the batched apply).
+    fn apply_record(&mut self, fid: FileId, offset: u64, data: &[u8]) -> Result<bool, TxnError> {
+        self.fs.ensure_size(fid, offset + data.len() as u64)?;
+        let attrs = self.fs.get_attribute(fid)?;
+        let opened_here = attrs.ref_count == 0;
+        if opened_here {
+            self.fs.open(fid)?;
+        }
+        self.fs.write(fid, offset, data)?;
+        if opened_here {
+            self.fs.flush_file(fid)?;
+            self.fs.close(fid)?;
+        }
+        // On a page- or file-level file a record is a partial page:
+        // page-mode WAL.
+        if attrs.lock_level == LockLevel::Record {
+            self.stats.record_intentions += 1;
+        } else {
+            self.stats.wal_pages += 1;
+        }
+        Ok(!opened_here)
     }
 
     /// The batched apply: every tentative page in the commit is fetched in
@@ -1667,20 +1764,9 @@ impl TransactionService {
         let mut touched: Vec<FileId> = Vec::new();
         for intent in intentions {
             if let Intention::Record { fid, offset, data } = intent {
-                self.fs.ensure_size(*fid, offset + data.len() as u64)?;
-                let opened_here = self.fs.get_attribute(*fid)?.ref_count == 0;
-                if opened_here {
-                    self.fs.open(*fid)?;
-                }
-                self.fs.write(*fid, *offset, data)?;
-                if opened_here {
-                    // Keep the file open until the coalesced flush below.
-                    self.fs.flush_file(*fid)?;
-                    self.fs.close(*fid)?;
-                } else if !touched.contains(fid) {
+                if self.apply_record(*fid, *offset, data)? && !touched.contains(fid) {
                     touched.push(*fid);
                 }
-                self.stats.record_intentions += 1;
             }
         }
         for fid in touched {
@@ -1691,22 +1777,23 @@ impl TransactionService {
 
     /// Merges a committed nested transaction's tentative state into its
     /// parent. The child's page versions shadow the parent's (whose
-    /// superseded tentative blocks are freed); records append in order;
-    /// opened files and deferred operations transfer.
+    /// superseded tentative blocks are freed) and keep the union of both
+    /// dirty ranges; records append in order; opened files and deferred
+    /// operations transfer.
     fn tend_nested(&mut self, t: TxnId) -> Result<(), TxnError> {
-        let child = self.active.remove(&t).expect("caller checked");
+        let mut child = self.active.remove(&t).expect("caller checked");
         let parent_id = child.parent.expect("nested");
-        // Free parent tentative blocks that the child's versions replace.
-        let superseded: Vec<(u16, u64)> = {
-            let parent = self.active.get(&parent_id).expect("parent is active");
-            child
-                .tentative_pages
-                .keys()
-                .filter_map(|k| parent.tentative_pages.get(k).map(|p| (p.disk, p.addr)))
-                .collect()
-        };
-        for (d, a) in superseded {
-            self.fs.free_detached_block(d, a)?;
+        for (&(fid, idx), page) in &mut child.tentative_pages {
+            let parent = self.active.get_mut(&parent_id).expect("parent is active");
+            if let Some(old) = parent.tentative_pages.remove(&(fid, idx)) {
+                page.cover(old.lo, old.hi);
+                if let Some((d, a)) = old.shadow {
+                    self.fs.free_detached_block(d, a)?;
+                }
+            }
+            if page.shadow.is_none() {
+                self.persist_whole(fid, page)?;
+            }
         }
         let parent = self.active.get_mut(&parent_id).expect("parent is active");
         parent.tentative_pages.extend(child.tentative_pages);
@@ -1751,7 +1838,7 @@ impl TransactionService {
         let tentative: Vec<(u16, u64)> = txn
             .tentative_pages
             .values()
-            .map(|p| (p.disk, p.addr))
+            .filter_map(|p| p.shadow)
             .collect();
         let created = txn.created.clone();
         for (d, a) in tentative {
@@ -1779,8 +1866,8 @@ impl TransactionService {
     /// family's locks, which are held in the root's name — survive.
     fn tabort_nested(&mut self, t: TxnId) -> Result<(), TxnError> {
         let child = self.active.remove(&t).expect("caller checked");
-        for p in child.tentative_pages.values() {
-            self.fs.free_detached_block(p.disk, p.addr)?;
+        for (d, a) in child.tentative_pages.values().filter_map(|p| p.shadow) {
+            self.fs.free_detached_block(d, a)?;
         }
         for fid in &child.created {
             if child.open_files.contains(fid) {
@@ -1941,29 +2028,26 @@ impl TransactionService {
     }
 
     /// Re-establishes the locks an in-doubt prepared participant held
-    /// before the crash, at the granularity its files are configured
-    /// for. In-doubt transactions never conflict with each other (their
-    /// grants predate the crash), so grant outcomes are not checked.
+    /// before the crash: the items covering each intention's bytes at
+    /// the granularity its file is configured for — so a partial page
+    /// logged as a record locks its page, not its file. In-doubt
+    /// transactions never conflict with each other (their grants predate
+    /// the crash), so grant outcomes are not checked.
     fn reacquire_locks(&mut self, t: TxnId, intentions: &[Intention]) -> Result<(), TxnError> {
         let now = self.fs.clock().now_us();
         for i in intentions {
-            let fid = match i {
-                Intention::Page { fid, .. } | Intention::Record { fid, .. } => *fid,
-            };
+            let fid = i.file();
             if !self.fs.exists(fid) {
                 continue;
             }
-            let level = self.lock_level_of(fid)?;
-            let item = match (level, i) {
-                (LockLevel::Page, Intention::Page { index, .. }) => DataItem::Page(fid, *index),
-                (LockLevel::Record, Intention::Record { offset, data, .. }) => {
-                    DataItem::Record(fid, *offset, *offset + data.len().max(1) as u64)
-                }
-                // File-level files, or a granularity change since the
-                // prepare: the whole-file item in the level's table.
-                _ => DataItem::File(fid),
+            let (offset, len) = match i {
+                Intention::Page { index, .. } => (index * BLOCK_SIZE as u64, BLOCK_SIZE as u64),
+                Intention::Record { offset, data, .. } => (*offset, data.len() as u64),
             };
-            self.tables[table_index(level)].set_lock(t.0, t.0, item, LockMode::Iwrite, now);
+            let (level, items) = self.items_for_range(fid, offset, len)?;
+            for item in items {
+                self.tables[table_index(level)].set_lock(t.0, t.0, item, LockMode::Iwrite, now);
+            }
         }
         Ok(())
     }
@@ -2241,8 +2325,8 @@ mod tests {
         ts.tend(t2).unwrap();
     }
 
-    #[test]
-    fn fragmented_file_commits_via_shadow_pages() {
+    /// A page-level file whose four blocks interleave with another's.
+    fn fragmented() -> (TransactionService, FileId) {
         let (mut ts, fid) = setup(LockLevel::Page);
         // Build a deliberately fragmented file: interleave with another
         // file's allocations.
@@ -2268,14 +2352,48 @@ mod tests {
             ratio < 1.0,
             "setup should fragment the file (ratio {ratio})"
         );
+        (ts, fid)
+    }
+
+    #[test]
+    fn fragmented_file_commits_via_shadow_pages() {
+        let (mut ts, fid) = fragmented();
+        let mut page = vec![3u8; BLOCK_SIZE];
+        page[..8].copy_from_slice(b"shadowed");
         let t = ts.tbegin();
         ts.topen(t, fid).unwrap();
-        ts.twrite(t, fid, 0, b"shadowed").unwrap();
+        ts.twrite(t, fid, 0, &page).unwrap();
         ts.tend(t).unwrap();
         assert!(ts.stats().shadow_pages > 0, "shadow technique expected");
         let t2 = ts.tbegin();
         ts.topen(t2, fid).unwrap();
-        assert_eq!(ts.tread(t2, fid, 0, 8).unwrap(), b"shadowed");
+        assert_eq!(ts.tread(t2, fid, 0, BLOCK_SIZE).unwrap(), page);
+        ts.tend(t2).unwrap();
+    }
+
+    #[test]
+    fn a_partial_page_of_a_fragmented_file_commits_in_place() {
+        let (mut ts, fid) = fragmented();
+        let before = ts.file_service_mut().block_descriptors(fid).unwrap();
+        let ratio = ts
+            .file_service_mut()
+            .fit_snapshot(fid)
+            .unwrap()
+            .contiguity_ratio();
+        let t = ts.tbegin();
+        ts.topen(t, fid).unwrap();
+        ts.twrite(t, fid, 100, b"in place").unwrap();
+        ts.tend(t).unwrap();
+        assert_eq!((ts.stats().wal_pages, ts.stats().shadow_pages), (1, 0));
+        let fs = ts.file_service_mut();
+        assert_eq!(fs.block_descriptors(fid).unwrap(), before, "no swing");
+        assert_eq!(fs.fit_snapshot(fid).unwrap().contiguity_ratio(), ratio);
+        let t2 = ts.tbegin();
+        ts.topen(t2, fid).unwrap();
+        assert_eq!(
+            ts.tread(t2, fid, 96, 16).unwrap(),
+            b"\x01\x01\x01\x01in place\x01\x01\x01\x01"
+        );
         ts.tend(t2).unwrap();
     }
 
@@ -2420,11 +2538,6 @@ mod tests {
         ts.tend(t2).unwrap();
     }
 
-    /// Bytes in the intention log, by its own account of its tail.
-    fn log_bytes(ts: &mut TransactionService) -> u64 {
-        ts.log.tail()
-    }
-
     #[test]
     fn log_auto_compacts_past_threshold() {
         use crate::log::LOG_COMPACT_THRESHOLD;
@@ -2437,7 +2550,7 @@ mod tests {
             ts.topen(t, fid).unwrap();
             ts.twrite(t, fid, 0, &vec![i; RECORD]).unwrap();
             ts.tend(t).unwrap();
-            let len = log_bytes(&mut ts);
+            let len = ts.log_len();
             assert!(
                 len <= LOG_COMPACT_THRESHOLD + 200,
                 "log should stay near the threshold, is {len}"
@@ -2454,16 +2567,16 @@ mod tests {
     #[test]
     fn compact_log_resets_tail() {
         let (mut ts, fid) = setup(LockLevel::Page);
-        let empty = log_bytes(&mut ts);
+        let empty = ts.log_len();
         for _ in 0..5 {
             let t = ts.tbegin();
             ts.topen(t, fid).unwrap();
             ts.twrite(t, fid, 0, b"round").unwrap();
             ts.tend(t).unwrap();
         }
-        assert!(log_bytes(&mut ts) > empty);
+        assert!(ts.log_len() > empty);
         ts.compact_log().unwrap();
-        assert_eq!(log_bytes(&mut ts), empty);
+        assert_eq!(ts.log_len(), empty);
         // Service still works.
         let t = ts.tbegin();
         ts.topen(t, fid).unwrap();
@@ -2559,6 +2672,32 @@ mod tests {
         ts.topen(t3, fid).unwrap();
         assert_eq!(ts.tread(t3, fid, 0, 4).unwrap(), b"vote");
         ts.tend(t3).unwrap();
+    }
+
+    #[test]
+    fn a_recovered_partial_page_vote_locks_its_page_not_its_file() {
+        let (mut ts, fid) = setup(LockLevel::Page);
+        prepared_write(&mut ts, fid, 43, b"vote");
+        ts.file_service_mut().simulate_crash();
+        ts.recover().unwrap();
+        assert_eq!(ts.prepared_gtids(), vec![43]);
+        let t = ts.tbegin();
+        ts.topen(t, fid).unwrap();
+        assert!(matches!(
+            ts.twrite(t, fid, 100, b"same page"),
+            Err(TxnError::WouldBlock { .. })
+        ));
+        ts.twrite(t, fid, BLOCK_SIZE as u64, b"next page").unwrap();
+        assert!(ts.resolve_prepared(43, true).unwrap());
+        ts.tend(t).unwrap();
+        let t = ts.tbegin();
+        ts.topen(t, fid).unwrap();
+        assert_eq!(ts.tread(t, fid, 0, 4).unwrap(), b"vote");
+        assert_eq!(
+            ts.tread(t, fid, BLOCK_SIZE as u64, 9).unwrap(),
+            b"next page"
+        );
+        ts.tend(t).unwrap();
     }
 
     #[test]

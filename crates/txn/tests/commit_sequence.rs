@@ -94,7 +94,7 @@ fn stage(ts: &mut TransactionService, fids: &[FileId], item: &Item) -> Vec<TxnId
     };
     let root = ts.tbegin();
     match kind % 10 {
-        // A read-only commit: nothing to log, still waits for the force.
+        // A read-only commit: nothing to log, nothing to wait for.
         3 => {
             let _ = ts
                 .topen(root, fid)
@@ -171,9 +171,9 @@ fn by_hand(ts: &mut TransactionService, reqs: &[CommitReq<'_>]) -> Vec<Result<()
         });
     }
     // Force and housekeeping only when something waits for the force: a
-    // pending commit or a yes vote (nothing was in doubt before).
+    // commit with effects or a yes vote (nothing was in doubt before).
     let voted = !ts.prepared_gtids().is_empty();
-    let awaited = voted || steps.iter().any(|s| matches!(s, Step::Commit(_)));
+    let awaited = voted || (steps.iter()).any(|s| matches!(s, Step::Commit(p) if p.has_effects()));
     if awaited {
         ts.flush_log().expect("the twins' disks do not fail");
     }

@@ -1,10 +1,11 @@
 //! Disk references of the commit path, pinned where two metadata writes
-//! used to be: the open count that `open`/`close` stored in the FIT, and
-//! the size of the intention log that every append changed.
+//! used to be — the open count that `open`/`close` stored in the FIT, and
+//! the size of the intention log that every append changed — and where a
+//! partial page used to take a detached block.
 
 use rhodos_disk_service::BLOCK_SIZE;
 use rhodos_file_service::{
-    FileService, FileServiceConfig, FileServiceError, LockLevel, ServiceType,
+    FileId, FileService, FileServiceConfig, FileServiceError, LockLevel, ServiceType,
 };
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 use rhodos_txn::{TransactionService, TxnConfig};
@@ -21,11 +22,88 @@ fn file_service() -> FileService {
 
 /// References to the main disk and to both stable mirrors.
 fn disk_refs(fs: &FileService) -> u64 {
+    let [main, stable] = split_refs(fs);
+    main + stable
+}
+
+/// References to the main disk, and to both stable mirrors.
+fn split_refs(fs: &FileService) -> [u64; 2] {
     let disks = fs.stats().disks;
-    disks
-        .iter()
-        .map(|d| d.disk.total_ops() + d.stable.total_ops())
-        .sum()
+    let main = disks.iter().map(|d| d.disk.total_ops()).sum();
+    [main, disks.iter().map(|d| d.stable.total_ops()).sum()]
+}
+
+/// A page-level file of two blocks, its first block warm in the pool, on
+/// a quiet service (the seeding commit's marker forced, its detached
+/// blocks freed).
+fn warm_page_file() -> (TransactionService, FileId) {
+    let mut ts = TransactionService::new(file_service(), TxnConfig::default()).unwrap();
+    let fid = ts.tcreate(LockLevel::Page).unwrap();
+    let t = ts.tbegin();
+    ts.topen(t, fid).unwrap();
+    ts.twrite(t, fid, 0, &vec![1; 2 * BLOCK_SIZE]).unwrap();
+    ts.tend(t).unwrap();
+    let t = ts.tbegin();
+    ts.topen(t, fid).unwrap();
+    ts.tread(t, fid, 0, 1024).unwrap();
+    ts.tend(t).unwrap();
+    ts.sync().unwrap();
+    (ts, fid)
+}
+
+/// A warm 1 KiB write to a page-level file commits its bytes inline in
+/// the log: one force of the log's tail and one write of the home block,
+/// no detached block and nothing on stable storage. A read-only
+/// transaction behind it forces nothing — the writer's `Completed`
+/// marker waits for the next force that has to happen anyway.
+#[test]
+fn a_warm_kilobyte_write_costs_the_force_and_the_home_write() {
+    let (mut ts, fid) = warm_page_file();
+    for round in 0..3u8 {
+        let before = split_refs(ts.file_service());
+        let t = ts.tbegin();
+        ts.topen(t, fid).unwrap();
+        ts.twrite(t, fid, 2048, &[round; 1024]).unwrap();
+        ts.tend(t).unwrap();
+        let [main, stable] = split_refs(ts.file_service());
+        assert_eq!(
+            [main - before[0], stable - before[1]],
+            [2, 0],
+            "round {round}"
+        );
+
+        let before = disk_refs(ts.file_service());
+        let flushes = ts.stats().log_flushes;
+        let t = ts.tbegin();
+        ts.topen(t, fid).unwrap();
+        assert_eq!(ts.tread(t, fid, 2048, 1024).unwrap(), vec![round; 1024]);
+        ts.tend(t).unwrap();
+        assert_eq!(disk_refs(ts.file_service()) - before, 0, "round {round}");
+        assert_eq!(ts.stats().log_flushes, flushes);
+    }
+}
+
+/// Aborting a partial-page write has nothing to give back: the page
+/// never owned a block.
+#[test]
+fn aborting_a_partial_write_frees_nothing_and_leaks_nothing() {
+    let (mut ts, fid) = warm_page_file();
+    let free = ts.file_service_mut().disk_mut(0).free_fragments();
+    let before = disk_refs(ts.file_service());
+    let t = ts.tbegin();
+    ts.topen(t, fid).unwrap();
+    ts.twrite(t, fid, 100, &[9; 1024]).unwrap();
+    ts.twrite(t, fid, BLOCK_SIZE as u64 + 5, &[9; 10]).unwrap();
+    assert_eq!(ts.file_service_mut().disk_mut(0).free_fragments(), free);
+    ts.tabort(t).unwrap();
+    assert_eq!(ts.file_service_mut().disk_mut(0).free_fragments(), free);
+    assert_eq!(disk_refs(ts.file_service()) - before, 0);
+    let t = ts.tbegin();
+    ts.topen(t, fid).unwrap();
+    assert_eq!(ts.tread(t, fid, 100, 1024).unwrap(), vec![1; 1024]);
+    ts.tend(t).unwrap();
+    let fsck = ts.file_service_mut().fsck().unwrap();
+    assert!(fsck.is_clean(), "{:?}", fsck.issues);
 }
 
 /// A read-only transaction on a cached block touches no disk: nothing it

@@ -751,6 +751,22 @@ mod tests {
         assert!(sharded.saturation_per_ks() >= ablation.saturation_per_ks());
     }
 
+    /// Both arms keep the same blocks resident — the pool is one LRU
+    /// whatever its shard count — and count each access once: a read the
+    /// fast path cannot serve is counted by the classic path it falls
+    /// back to, not by both.
+    #[test]
+    fn both_arms_report_the_same_pool_hit_rate() {
+        let small = |sharded| LoadgenConfig {
+            cache_blocks: 8,
+            ..tiny(sharded)
+        };
+        let (sharded, ablation) = (trace(&small(true)), trace(&small(false)));
+        assert!(sharded.fast.fallbacks > 0, "{:?}", sharded.fast);
+        assert!(ablation.pool_hit_rate < 100.0);
+        assert_eq!(sharded.pool_hit_rate, ablation.pool_hit_rate);
+    }
+
     fn tiny_cluster(servers: usize) -> ClusterLoadConfig {
         ClusterLoadConfig {
             servers,

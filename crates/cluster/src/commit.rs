@@ -836,6 +836,24 @@ mod tests {
         assert!(ts.stats().records_per_prepare_flush() > 1.0);
     }
 
+    /// A plain write lands after a cross-shard commit to the same block
+    /// and `sync_all` makes it durable. A sync is a checkpoint, so
+    /// crashing every server does not replay the older committed record
+    /// over it.
+    #[test]
+    fn a_synced_plain_write_outlives_an_older_cross_shard_commit() {
+        let (mut c, gids) = cluster_with_files(2, 2);
+        let out = c.commit_cross_shard(&two_shard_ops(&gids)).unwrap();
+        assert_eq!(out, CommitOutcome::Committed);
+        c.write(gids[0], 0, b"plain write").unwrap();
+        c.sync_all();
+        for i in 0..2 {
+            c.crash_server(i);
+        }
+        assert_eq!(c.read(gids[0], 0, 11).unwrap(), b"plain write");
+        assert_eq!(c.read(gids[1], 7, 5).unwrap(), b"beta!");
+    }
+
     /// A server that is only ever a 2PC participant reaches a quiescent
     /// moment after its decisions, not after its prepare batches — that
     /// is where it compacts its log. Partial pages travel in the log as

@@ -486,12 +486,15 @@ impl Cluster {
         }
     }
 
-    /// Flushes every data server's delayed-write cache and its log's
-    /// unforced markers to disk, making plain (non-transactional) writes
-    /// crash-durable and resolved votes stay resolved — chaos tests and
-    /// experiments call this after seeding baseline data, before any
-    /// [`Self::crash_server`]. Transactional applies are write-through
-    /// and never need it.
+    /// Checkpoints every data server ([`TransactionService::sync`]): its
+    /// pool's dirty blocks — plain (non-transactional) writes and the
+    /// committed records the log still covers alike — go to disk, and
+    /// so do its log's unforced markers, so plain writes are
+    /// crash-durable, no older committed record is replayed over them,
+    /// and resolved votes stay resolved. Chaos tests and experiments call
+    /// this after seeding baseline data, before any
+    /// [`Self::crash_server`]. A commit is durable without it: its log
+    /// record is forced before the acknowledgement.
     pub fn sync_all(&mut self) {
         for n in &self.nodes {
             let _ = n.handle.lock().sync();

@@ -4,10 +4,11 @@
 //! client and file service. The objective ... is to reduce the cost of
 //! accessing data by storing recently-used blocks in local memory ... and
 //! reusing them when they are valid." Space comes from a bounded *block
-//! pool*; the modification policy is *delayed-write* for basic-file
-//! traffic and *write-through* for transactional traffic ("the
-//! delayed-write together with write-through policies are adapted to save
-//! modifications made to data cached by the file service").
+//! pool*; the modification policy is *delayed-write* ("the delayed-write
+//! together with write-through policies are adapted to save modifications
+//! made to data cached by the file service"). A committed transactional
+//! record lands in the pool as a dirty block like any delayed write: the
+//! intention log, not the platter, is what makes it durable.
 //!
 //! Blocks are held as [`BlockBuf`] handles: a cache hit hands back a
 //! shared view (a refcount bump, no memcpy), and flushing a dirty block
@@ -19,7 +20,7 @@ use crate::attrs::FileId;
 use parking_lot::Mutex;
 use rhodos_buf::BlockBuf;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
 /// When modified blocks are pushed down to the disk service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -28,9 +29,7 @@ pub enum WritePolicy {
     /// Fewer disk references, wider loss window on a crash.
     #[default]
     DelayedWrite,
-    /// Propagate every modification immediately. Required for
-    /// transactional traffic, whose durability is managed by the
-    /// transaction service.
+    /// Propagate every modification immediately.
     WriteThrough,
 }
 
@@ -85,6 +84,209 @@ impl CacheStats {
 /// Key of a cached block: (file, logical block index).
 pub type BlockKey = (FileId, u64);
 
+/// Blocks, their LRU order and their counters, without a capacity: the
+/// owner — a [`BlockCache`], or a [`ShardedBlockCache`] running one LRU
+/// over many segments — keeps the capacity and the clock every touch is
+/// stamped with, so each method that touches a block takes its tick.
+#[derive(Debug, Default)]
+struct Segment {
+    blocks: HashMap<BlockKey, CachedBlock>,
+    /// Lazy LRU queue: every touch appends `(key, tick)`; an entry is
+    /// authoritative only if its tick matches the block's `touched`.
+    /// Stale entries are purged by periodic compaction, so a touch is
+    /// O(1) amortised instead of an O(pool) scan — cache hits are on the
+    /// zero-copy fast path. Ticks grow, so the queue is in tick order,
+    /// and the entry in front is always live: it is the least recently
+    /// used block.
+    lru: VecDeque<(BlockKey, u64)>,
+    stats: CacheStats,
+}
+
+#[derive(Debug)]
+struct CachedBlock {
+    data: BlockBuf,
+    dirty: bool,
+    /// Tick of this block's most recent touch (see `Segment::lru`).
+    touched: u64,
+}
+
+impl Segment {
+    fn touch(&mut self, key: BlockKey, tick: u64) {
+        if let Some(b) = self.blocks.get_mut(&key) {
+            b.touched = tick;
+        }
+        self.push_touch(key, tick);
+    }
+
+    /// Queues a touch. Bounds the queue: when stale entries dominate, they
+    /// all go at once. Amortised O(1) per touch.
+    fn push_touch(&mut self, key: BlockKey, tick: u64) {
+        self.lru.push_back((key, tick));
+        if self.lru.len() > (self.blocks.len() + 1) * 4 {
+            let blocks = &self.blocks;
+            self.lru
+                .retain(|(k, t)| blocks.get(k).is_some_and(|b| b.touched == *t));
+        } else if self.lru.front().is_some_and(|(k, _)| *k == key) {
+            // The least recently used block was touched: its entry in
+            // front went stale.
+            self.settle_front();
+        }
+    }
+
+    /// Drops the stale entries in front of the least recently used
+    /// block's.
+    fn settle_front(&mut self) {
+        while let Some((key, tick)) = self.lru.front() {
+            if self.blocks.get(key).is_some_and(|b| b.touched == *tick) {
+                return;
+            }
+            self.lru.pop_front();
+        }
+    }
+
+    /// The hit path folds the LRU touch into the single map lookup (one
+    /// hash of the key, not two) — this is the hottest operation in the
+    /// system.
+    #[inline]
+    fn get(&mut self, key: &BlockKey, tick: u64) -> Option<BlockBuf> {
+        let Some(b) = self.blocks.get_mut(key) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        b.touched = tick;
+        let data = b.data.clone();
+        self.stats.hits += 1;
+        self.stats.bytes_borrowed += data.len() as u64;
+        self.push_touch(*key, tick);
+        Some(data)
+    }
+
+    fn peek(&self, key: &BlockKey) -> Option<BlockBuf> {
+        self.blocks.get(key).map(|b| b.data.clone())
+    }
+
+    /// Inserts (or overwrites) a block; returns whether it is new.
+    fn insert(&mut self, key: BlockKey, data: BlockBuf, dirty: bool, tick: u64) -> bool {
+        let block = CachedBlock {
+            data,
+            dirty,
+            touched: 0,
+        };
+        let old = self.blocks.insert(key, block);
+        // Dirtiness is sticky: overwriting a dirty block with clean data
+        // still leaves un-persisted contents that need a write-back.
+        if old.as_ref().is_some_and(|b| b.dirty) {
+            self.mark_dirty(&key);
+        }
+        self.touch(key, tick);
+        old.is_none()
+    }
+
+    fn mark_dirty(&mut self, key: &BlockKey) {
+        if let Some(b) = self.blocks.get_mut(key) {
+            b.dirty = true;
+        }
+    }
+
+    /// See [`BlockCache::restore_dirty`].
+    fn restore_dirty(&mut self, key: BlockKey, data: BlockBuf, tick: u64) {
+        if let Some(b) = self.blocks.get_mut(&key) {
+            b.dirty = true;
+            return;
+        }
+        let block = CachedBlock {
+            data,
+            dirty: true,
+            touched: 0,
+        };
+        self.blocks.insert(key, block);
+        self.touch(key, tick);
+    }
+
+    fn get_mut(&mut self, key: &BlockKey, tick: u64) -> Option<&mut [u8]> {
+        if !self.blocks.contains_key(key) {
+            self.stats.misses += 1;
+            return None;
+        }
+        self.stats.hits += 1;
+        self.touch(*key, tick);
+        let b = self.blocks.get_mut(key).expect("checked resident");
+        if b.data.is_shared() {
+            self.stats.bytes_copied += b.data.len() as u64;
+        }
+        Some(b.data.make_mut())
+    }
+
+    /// Tick of the least recently used block; `u64::MAX` when nothing is
+    /// resident.
+    fn oldest(&self) -> u64 {
+        self.lru.front().map_or(u64::MAX, |&(_, tick)| tick)
+    }
+
+    /// Evicts the least recently used block, handing it to `out` if it is
+    /// dirty. Returns whether there was one.
+    fn evict_oldest(&mut self, out: &mut Vec<(BlockKey, BlockBuf)>) -> bool {
+        let Some((victim, _)) = self.lru.pop_front() else {
+            return false;
+        };
+        let block = self
+            .blocks
+            .remove(&victim)
+            .expect("the front entry is live");
+        if block.dirty {
+            self.stats.writebacks += 1;
+            out.push((victim, block.data));
+        } else {
+            self.stats.clean_evictions += 1;
+        }
+        self.settle_front();
+        true
+    }
+
+    /// The dirty blocks — of `fid` only, when given — in key order, now
+    /// clean in the pool; the handles share the pool's allocations.
+    fn take_dirty(&mut self, fid: Option<FileId>) -> Vec<(BlockKey, BlockBuf)> {
+        let mut out = Vec::new();
+        for (k, b) in self.blocks.iter_mut() {
+            if b.dirty && fid.is_none_or(|f| k.0 == f) {
+                b.dirty = false;
+                self.stats.writebacks += 1;
+                out.push((*k, b.data.clone()));
+            }
+        }
+        out.sort_by_key(|(k, _)| *k);
+        out
+    }
+
+    fn dirty_blocks(&self) -> usize {
+        self.blocks.values().filter(|b| b.dirty).count()
+    }
+
+    /// Drops one block; returns whether it was resident.
+    fn invalidate(&mut self, key: &BlockKey) -> bool {
+        let resident = self.blocks.remove(key).is_some();
+        self.settle_front();
+        resident
+    }
+
+    /// Drops every block of `fid`; returns how many there were.
+    fn invalidate_file(&mut self, fid: FileId) -> usize {
+        let before = self.blocks.len();
+        self.blocks.retain(|k, _| k.0 != fid);
+        self.lru.retain(|(k, _)| k.0 != fid);
+        self.settle_front();
+        before - self.blocks.len()
+    }
+
+    /// Drops everything; returns how many blocks there were.
+    fn clear(&mut self) -> usize {
+        let n = self.blocks.len();
+        self.blocks.clear();
+        self.lru.clear();
+        n
+    }
+}
+
 /// A bounded LRU pool of file blocks with dirty tracking.
 ///
 /// The pool does not perform I/O itself: [`BlockCache::insert`] hands
@@ -105,23 +307,8 @@ pub type BlockKey = (FileId, u64);
 #[derive(Debug)]
 pub struct BlockCache {
     capacity: usize,
-    blocks: HashMap<BlockKey, CachedBlock>,
-    /// Lazy LRU queue: every touch appends `(key, tick)`; an entry is
-    /// authoritative only if its tick matches the block's `touched`.
-    /// Stale entries are skipped at eviction and purged by periodic
-    /// compaction, so a touch is O(1) amortised instead of an O(pool)
-    /// scan — cache hits are on the zero-copy fast path.
-    lru: VecDeque<(BlockKey, u64)>,
     tick: u64,
-    stats: CacheStats,
-}
-
-#[derive(Debug)]
-struct CachedBlock {
-    data: BlockBuf,
-    dirty: bool,
-    /// Tick of this block's most recent touch (see `BlockCache::lru`).
-    touched: u64,
+    seg: Segment,
 }
 
 impl BlockCache {
@@ -135,81 +322,42 @@ impl BlockCache {
         assert!(capacity > 0, "block pool needs capacity for one block");
         Self {
             capacity,
-            blocks: HashMap::new(),
-            lru: VecDeque::new(),
             tick: 0,
-            stats: CacheStats::default(),
+            seg: Segment::default(),
         }
+    }
+
+    fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
     }
 
     /// Current statistics.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        self.seg.stats
     }
 
     /// Number of blocks resident.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.seg.blocks.len()
     }
 
     /// Whether the pool is empty.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
-
-    fn touch(&mut self, key: BlockKey) {
-        self.tick += 1;
-        if let Some(b) = self.blocks.get_mut(&key) {
-            b.touched = self.tick;
-        }
-        self.lru.push_back((key, self.tick));
-        // Bound the queue: when stale entries dominate, drop them all at
-        // once. Amortised O(1) per touch.
-        if self.lru.len() > (self.blocks.len() + 1) * 4 {
-            self.compact_lru();
-        }
-    }
-
-    /// Drops stale LRU entries (superseded by a later touch of the same
-    /// key, or evicted). Amortised O(1) per touch.
-    fn compact_lru(&mut self) {
-        let blocks = &self.blocks;
-        self.lru
-            .retain(|(k, t)| blocks.get(k).is_some_and(|b| b.touched == *t));
+        self.seg.blocks.is_empty()
     }
 
     /// Looks up a block, recording a hit or miss. A hit is a shared
     /// handle to the cached bytes — no copy.
-    ///
-    /// The hit path folds the LRU touch into the single map lookup (one
-    /// hash of the key, not two) — this is the hottest operation in the
-    /// system and `seq_reread_1m_cached` measures exactly it.
     #[inline]
     pub fn get(&mut self, key: &BlockKey) -> Option<BlockBuf> {
-        let tick = self.tick + 1;
-        match self.blocks.get_mut(key) {
-            Some(b) => {
-                self.tick = tick;
-                b.touched = tick;
-                let data = b.data.clone();
-                self.stats.hits += 1;
-                self.stats.bytes_borrowed += data.len() as u64;
-                self.lru.push_back((*key, tick));
-                if self.lru.len() > (self.blocks.len() + 1) * 4 {
-                    self.compact_lru();
-                }
-                Some(data)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        let tick = self.next_tick();
+        self.seg.get(key, tick)
     }
 
     /// Whether a block is resident, without recording a hit/miss.
     pub fn contains(&self, key: &BlockKey) -> bool {
-        self.blocks.contains_key(key)
+        self.seg.blocks.contains_key(key)
     }
 
     /// A shared handle to a resident block without recording a hit/miss
@@ -217,7 +365,7 @@ impl BlockCache {
     /// blocks from the pool through this, so background repair does not
     /// skew the cache-behaviour counters the experiments report.
     pub fn peek(&self, key: &BlockKey) -> Option<BlockBuf> {
-        self.blocks.get(key).map(|b| b.data.clone())
+        self.seg.peek(key)
     }
 
     /// Inserts (or overwrites) a block; storing a shared handle costs no
@@ -230,35 +378,17 @@ impl BlockCache {
         data: impl Into<BlockBuf>,
         dirty: bool,
     ) -> Vec<(BlockKey, BlockBuf)> {
-        // Dirtiness is sticky: overwriting a dirty block with clean data
-        // still leaves un-persisted contents that need a write-back.
-        let was_dirty = self
-            .blocks
-            .insert(
-                key,
-                CachedBlock {
-                    data: data.into(),
-                    dirty,
-                    touched: 0,
-                },
-            )
-            .map(|b| b.dirty)
-            .unwrap_or(false);
-        if was_dirty {
-            if let Some(b) = self.blocks.get_mut(&key) {
-                b.dirty = true;
-            }
-        }
-        self.touch(key);
-        self.evict_for_insert()
+        let tick = self.next_tick();
+        self.seg.insert(key, data.into(), dirty, tick);
+        let mut out = Vec::new();
+        while self.seg.blocks.len() > self.capacity && self.seg.evict_oldest(&mut out) {}
+        out
     }
 
     /// Marks a resident block dirty (after an in-place mutation via
     /// [`Self::get_mut`]).
     pub fn mark_dirty(&mut self, key: &BlockKey) {
-        if let Some(b) = self.blocks.get_mut(key) {
-            b.dirty = true;
-        }
+        self.seg.mark_dirty(key);
     }
 
     /// Puts back, dirty, a block whose write-back failed. A resident
@@ -267,56 +397,16 @@ impl BlockCache {
     /// over capacity until the next [`Self::insert`] trims it, so a
     /// failed write-back cannot cascade into further ones.
     pub fn restore_dirty(&mut self, key: BlockKey, data: BlockBuf) {
-        if let Some(b) = self.blocks.get_mut(&key) {
-            b.dirty = true;
-            return;
-        }
-        let block = CachedBlock {
-            data,
-            dirty: true,
-            touched: 0,
-        };
-        self.blocks.insert(key, block);
-        self.touch(key);
+        let tick = self.next_tick();
+        self.seg.restore_dirty(key, data, tick);
     }
 
     /// Mutable access to a resident block's bytes (counts as a hit).
     /// Copies-on-write only if the block is still shared with a reader or
     /// another cache level; exclusively-owned blocks mutate in place.
     pub fn get_mut(&mut self, key: &BlockKey) -> Option<&mut [u8]> {
-        if !self.blocks.contains_key(key) {
-            self.stats.misses += 1;
-            return None;
-        }
-        self.stats.hits += 1;
-        self.touch(*key);
-        let b = self.blocks.get_mut(key).expect("checked resident");
-        if b.data.is_shared() {
-            self.stats.bytes_copied += b.data.len() as u64;
-        }
-        Some(b.data.make_mut())
-    }
-
-    fn evict_for_insert(&mut self) -> Vec<(BlockKey, BlockBuf)> {
-        let mut out = Vec::new();
-        while self.blocks.len() > self.capacity {
-            let Some((victim, tick)) = self.lru.pop_front() else {
-                break;
-            };
-            // Skip entries superseded by a later touch of the same key.
-            if self.blocks.get(&victim).is_none_or(|b| b.touched != tick) {
-                continue;
-            }
-            if let Some(block) = self.blocks.remove(&victim) {
-                if block.dirty {
-                    self.stats.writebacks += 1;
-                    out.push((victim, block.data));
-                } else {
-                    self.stats.clean_evictions += 1;
-                }
-            }
-        }
-        out
+        let tick = self.next_tick();
+        self.seg.get_mut(key, tick)
     }
 
     /// Removes and returns all dirty blocks (flush); they become clean in
@@ -324,77 +414,75 @@ impl BlockCache {
     /// returned handles share the pool's allocations.
     #[must_use = "flushed dirty blocks must be written back"]
     pub fn take_dirty(&mut self) -> Vec<(BlockKey, BlockBuf)> {
-        let mut out = Vec::new();
-        for (k, b) in self.blocks.iter_mut() {
-            if b.dirty {
-                b.dirty = false;
-                self.stats.writebacks += 1;
-                out.push((*k, b.data.clone()));
-            }
-        }
-        out.sort_by_key(|(k, _)| *k);
-        out
+        self.seg.take_dirty(None)
     }
 
     /// Like [`Self::take_dirty`] but limited to one file.
     #[must_use = "flushed dirty blocks must be written back"]
     pub fn take_dirty_for(&mut self, fid: FileId) -> Vec<(BlockKey, BlockBuf)> {
-        let mut out = Vec::new();
-        for (k, b) in self.blocks.iter_mut() {
-            if k.0 == fid && b.dirty {
-                b.dirty = false;
-                self.stats.writebacks += 1;
-                out.push((*k, b.data.clone()));
-            }
-        }
-        out.sort_by_key(|(k, _)| *k);
-        out
+        self.seg.take_dirty(Some(fid))
     }
 
     /// Count of dirty blocks currently resident (the crash-loss window of
     /// experiment E15).
     pub fn dirty_blocks(&self) -> usize {
-        self.blocks.values().filter(|b| b.dirty).count()
+        self.seg.dirty_blocks()
     }
 
     /// Drops every block of `fid` (delete / truncate), discarding dirty
     /// data deliberately.
     pub fn invalidate_file(&mut self, fid: FileId) {
-        self.blocks.retain(|k, _| k.0 != fid);
-        self.lru.retain(|(k, _)| k.0 != fid);
+        self.seg.invalidate_file(fid);
     }
 
     /// Drops everything, discarding dirty data (crash simulation).
     pub fn clear(&mut self) {
-        self.blocks.clear();
-        self.lru.clear();
+        self.seg.clear();
     }
 }
 
-/// A block pool striped into independent LRU segments, each behind its
-/// own mutex, so concurrent lookups of different blocks never contend on
-/// a shared lock or a shared LRU word (E20).
+/// A block pool striped into segments, each behind its own mutex, so
+/// concurrent lookups of different blocks never contend on a shared lock
+/// (E20) — and still one LRU of `capacity` blocks.
 ///
 /// Each key maps to exactly one shard by hash, so the sharding is
 /// transparent to callers: a block is resident in at most one place and
-/// per-shard [`CacheStats`] merge losslessly into the totals an unsharded
-/// pool would report. The per-shard capacity is `capacity / shards`
-/// (rounded up), which makes `shards = 1` byte-for-byte identical to a
-/// plain [`BlockCache`] — the E20 ablation arm.
+/// per-shard [`CacheStats`] merge losslessly into the totals. Capacity,
+/// the resident count and the clock that stamps every touch belong to
+/// the pool, and an eviction takes the least recently used block of the
+/// whole pool — so the shard count changes locking only: which blocks
+/// are resident, what is evicted, and in what order, are those of a
+/// one-shard pool, and a skewed key distribution cannot fill one shard
+/// early. (Eight LRUs of twelve blocks miss about a sixth more than one
+/// of 96 under E20's Zipf load, and scatter `agent-stream`'s evictions
+/// over the platter.)
 ///
-/// Eviction is LRU *within a shard*. A skewed key distribution can
-/// therefore evict earlier than a global LRU would; with the default
-/// shard count and a hash-spread keyspace the difference is noise, and
-/// the equivalence proptest below pins the `shards = 1` case exactly.
+/// A lookup or an insert that leaves the pool within capacity locks one
+/// shard. So does an eviction: each shard publishes the tick of its
+/// least recently used block in a word of its own, and the eviction
+/// reads those words and locks the shard with the oldest. No visit holds
+/// two shard guards, so no lock-ordering deadlock is possible.
 #[derive(Debug)]
 pub struct ShardedBlockCache {
-    shards: Vec<Mutex<BlockCache>>,
+    capacity: usize,
+    shards: Vec<Mutex<Segment>>,
+    /// Per shard, the tick of its least recently used block (`u64::MAX`
+    /// for none), written under the shard's lock whenever that changes.
+    /// Read without the lock, as a hint the eviction checks under it.
+    heads: Vec<AtomicU64>,
+    /// The clock every touch is stamped with, read under the touched
+    /// shard's lock so each shard's queue stays in tick order.
+    tick: AtomicU64,
+    /// Blocks resident across all shards.
+    resident: AtomicUsize,
 }
 
+// Every atomic here is a counter or a hint that publishes no other data:
+// blocks are only ever reached through their shard's mutex. `Relaxed`
+// throughout.
 impl ShardedBlockCache {
     /// Creates a pool of `capacity` total blocks striped over `shards`
-    /// segments. `shards` is clamped to `[1, capacity]` so every shard
-    /// can hold at least one block.
+    /// segments. `shards` is clamped to `[1, capacity]`.
     ///
     /// # Panics
     ///
@@ -403,11 +491,12 @@ impl ShardedBlockCache {
     pub fn new(capacity: usize, shards: usize) -> Self {
         assert!(capacity > 0, "block pool needs capacity for one block");
         let shards = shards.clamp(1, capacity);
-        let per_shard = capacity.div_ceil(shards);
         Self {
-            shards: (0..shards)
-                .map(|_| Mutex::new(BlockCache::new(per_shard)))
-                .collect(),
+            capacity,
+            shards: (0..shards).map(|_| Mutex::default()).collect(),
+            heads: (0..shards).map(|_| AtomicU64::new(u64::MAX)).collect(),
+            tick: AtomicU64::new(0),
+            resident: AtomicUsize::new(0),
         }
     }
 
@@ -432,36 +521,42 @@ impl ShardedBlockCache {
         ((x as u128 * self.shards.len() as u128) >> 64) as usize
     }
 
+    /// Runs `op` on shard `i` under its lock and publishes the shard's
+    /// least recently used block if `op` changed it.
     #[inline]
-    fn shard(&self, key: &BlockKey) -> &Mutex<BlockCache> {
-        &self.shards[self.shard_of(key)]
+    fn on_shard<R>(&self, i: usize, op: impl FnOnce(&mut Segment) -> R) -> R {
+        let mut shard = self.shards[i].lock();
+        let oldest = shard.oldest();
+        let out = op(&mut shard);
+        if shard.oldest() != oldest {
+            self.heads[i].store(shard.oldest(), Relaxed);
+        }
+        out
     }
 
-    /// Lock-free access to a key's shard through exclusive ownership:
-    /// `&mut self` proves no lock-free reader holds a handle, so
-    /// `Mutex::get_mut` reaches the shard without a single atomic — the
-    /// [`BlockPool::Owned`] hot path.
-    #[inline]
-    pub fn shard_mut(&mut self, key: &BlockKey) -> &mut BlockCache {
-        let i = self.shard_of(key);
-        self.shards[i].get_mut()
+    /// The next tick, taken while the touched shard is locked.
+    fn next_tick(&self) -> u64 {
+        self.tick.fetch_add(1, Relaxed) + 1
     }
 
     /// Looks up a block, recording a hit or miss on its shard.
     #[inline]
     pub fn get(&self, key: &BlockKey) -> Option<BlockBuf> {
-        self.shard(key).lock().get(key)
+        self.on_shard(self.shard_of(key), |s| s.get(key, self.next_tick()))
     }
 
     /// Whether a block is resident, without recording a hit/miss.
     pub fn contains(&self, key: &BlockKey) -> bool {
-        self.shard(key).lock().contains(key)
+        self.shards[self.shard_of(key)]
+            .lock()
+            .blocks
+            .contains_key(key)
     }
 
     /// A shared handle to a resident block without touching stats or LRU
     /// state (see [`BlockCache::peek`]).
     pub fn peek(&self, key: &BlockKey) -> Option<BlockBuf> {
-        self.shard(key).lock().peek(key)
+        self.shards[self.shard_of(key)].lock().peek(key)
     }
 
     /// Inserts (or overwrites) a block in its shard. Returns the evicted
@@ -473,35 +568,64 @@ impl ShardedBlockCache {
         data: impl Into<BlockBuf>,
         dirty: bool,
     ) -> Vec<(BlockKey, BlockBuf)> {
-        self.shard(&key).lock().insert(key, data, dirty)
+        let data = data.into();
+        let i = self.shard_of(&key);
+        if self.on_shard(i, |s| s.insert(key, data, dirty, self.next_tick())) {
+            self.resident.fetch_add(1, Relaxed);
+        }
+        let mut out = Vec::new();
+        while self.resident.load(Relaxed) > self.capacity {
+            // The shard holding the oldest block, and the next oldest of
+            // the others: the hint holds if that shard's block is still
+            // the older one once its lock is held.
+            let (mut oldest, mut first, mut second) = (0, u64::MAX, u64::MAX);
+            for (j, head) in self.heads.iter().enumerate() {
+                let head = head.load(Relaxed);
+                if head < first {
+                    (oldest, first, second) = (j, head, first);
+                } else {
+                    second = second.min(head);
+                }
+            }
+            if first == u64::MAX {
+                break;
+            }
+            let evicted =
+                self.on_shard(oldest, |s| s.oldest() <= second && s.evict_oldest(&mut out));
+            if evicted {
+                self.resident.fetch_sub(1, Relaxed);
+            }
+        }
+        out
     }
 
     /// Marks a resident block dirty.
     pub fn mark_dirty(&self, key: &BlockKey) {
-        self.shard(key).lock().mark_dirty(key);
+        self.shards[self.shard_of(key)].lock().mark_dirty(key);
     }
 
-    /// Flushes every shard's dirty blocks; the union is sorted by key so
-    /// write-back batches stay elevator-ordered like the unsharded pool's.
-    #[must_use = "flushed dirty blocks must be written back"]
-    pub fn take_dirty(&self) -> Vec<(BlockKey, BlockBuf)> {
+    /// Flushes every shard's dirty blocks — of `fid` only, when given;
+    /// the union is sorted by key so write-back batches stay
+    /// elevator-ordered like a one-shard pool's.
+    fn take_dirty_of(&self, fid: Option<FileId>) -> Vec<(BlockKey, BlockBuf)> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            out.extend(shard.lock().take_dirty());
+            out.extend(shard.lock().take_dirty(fid));
         }
         out.sort_by_key(|(k, _)| *k);
         out
+    }
+
+    /// Flushes every shard's dirty blocks, sorted by key.
+    #[must_use = "flushed dirty blocks must be written back"]
+    pub fn take_dirty(&self) -> Vec<(BlockKey, BlockBuf)> {
+        self.take_dirty_of(None)
     }
 
     /// Like [`Self::take_dirty`] but limited to one file.
     #[must_use = "flushed dirty blocks must be written back"]
     pub fn take_dirty_for(&self, fid: FileId) -> Vec<(BlockKey, BlockBuf)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.lock().take_dirty_for(fid));
-        }
-        out.sort_by_key(|(k, _)| *k);
-        out
+        self.take_dirty_of(Some(fid))
     }
 
     /// Count of dirty blocks resident across all shards.
@@ -509,18 +633,28 @@ impl ShardedBlockCache {
         self.shards.iter().map(|s| s.lock().dirty_blocks()).sum()
     }
 
+    /// Drops one block, discarding dirty data deliberately: what replaced
+    /// it on the platter is newer.
+    pub fn invalidate(&self, key: &BlockKey) {
+        if self.on_shard(self.shard_of(key), |s| s.invalidate(key)) {
+            self.resident.fetch_sub(1, Relaxed);
+        }
+    }
+
     /// Drops every block of `fid` from every shard, discarding dirty
     /// data deliberately.
     pub fn invalidate_file(&self, fid: FileId) {
-        for shard in &self.shards {
-            shard.lock().invalidate_file(fid);
+        for i in 0..self.shards.len() {
+            let dropped = self.on_shard(i, |s| s.invalidate_file(fid));
+            self.resident.fetch_sub(dropped, Relaxed);
         }
     }
 
     /// Drops everything, discarding dirty data (crash simulation).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
+        for i in 0..self.shards.len() {
+            let dropped = self.on_shard(i, |s| s.clear());
+            self.resident.fetch_sub(dropped, Relaxed);
         }
     }
 
@@ -528,167 +662,24 @@ impl ShardedBlockCache {
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for shard in &self.shards {
-            total.merge(&shard.lock().stats());
+            total.merge(&shard.lock().stats);
         }
         total
     }
 
     /// Per-shard statistics, indexed by shard.
     pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.shards.iter().map(|s| s.lock().stats()).collect()
+        self.shards.iter().map(|s| s.lock().stats).collect()
     }
 
     /// Number of blocks resident across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.resident.load(Relaxed)
     }
 
     /// Whether every shard is empty.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().is_empty())
-    }
-}
-
-/// The file service's ownership of its block pool.
-///
-/// The pool starts [`BlockPool::Owned`]: the service is the only
-/// accessor, so every block operation reaches its shard through
-/// [`ShardedBlockCache::shard_mut`] — `Mutex::get_mut`, no atomics —
-/// matching the cost of the pre-sharding inline pool. The first
-/// [`BlockPool::share`] (a concurrent fast path attaching) moves the
-/// pool into an `Arc` and the service locks shards like every other
-/// accessor from then on. Behaviour is identical in both modes — same
-/// shards, same mapping, same LRU — only the synchronisation cost
-/// differs, so the deterministic experiment lanes cannot tell them
-/// apart.
-#[derive(Debug)]
-pub enum BlockPool {
-    /// Exclusively owned: shard access via `Mutex::get_mut`, no atomics.
-    Owned(ShardedBlockCache),
-    /// Shared with lock-free readers: shard access takes the shard lock.
-    Shared(Arc<ShardedBlockCache>),
-}
-
-impl BlockPool {
-    /// Creates an owned pool of `capacity` blocks over `shards` segments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero (see [`ShardedBlockCache::new`]).
-    pub fn new(capacity: usize, shards: usize) -> Self {
-        BlockPool::Owned(ShardedBlockCache::new(capacity, shards))
-    }
-
-    /// A shared handle to the pool, promoting `Owned` to `Shared` on
-    /// first use. The returned `Arc` stays valid for the service's
-    /// lifetime (the pool is cleared in place on crash, never replaced).
-    pub fn share(&mut self) -> Arc<ShardedBlockCache> {
-        if let BlockPool::Owned(_) = self {
-            // Move the owned pool into the Arc; the placeholder is
-            // immediately overwritten.
-            let placeholder = BlockPool::new(1, 1);
-            let BlockPool::Owned(pool) = std::mem::replace(self, placeholder) else {
-                unreachable!("checked Owned above");
-            };
-            *self = BlockPool::Shared(Arc::new(pool));
-        }
-        match self {
-            BlockPool::Shared(arc) => arc.clone(),
-            BlockPool::Owned(_) => unreachable!("promoted above"),
-        }
-    }
-
-    /// Looks up a block, recording a hit or miss on its shard.
-    #[inline]
-    pub fn get(&mut self, key: &BlockKey) -> Option<BlockBuf> {
-        match self {
-            BlockPool::Owned(c) => c.shard_mut(key).get(key),
-            BlockPool::Shared(c) => c.get(key),
-        }
-    }
-
-    /// Whether a block is resident, without recording a hit/miss.
-    #[inline]
-    pub fn contains(&mut self, key: &BlockKey) -> bool {
-        match self {
-            BlockPool::Owned(c) => c.shard_mut(key).contains(key),
-            BlockPool::Shared(c) => c.contains(key),
-        }
-    }
-
-    /// A shared handle to a resident block without touching stats or LRU
-    /// state (see [`BlockCache::peek`]).
-    #[inline]
-    pub fn peek(&mut self, key: &BlockKey) -> Option<BlockBuf> {
-        match self {
-            BlockPool::Owned(c) => c.shard_mut(key).peek(key),
-            BlockPool::Shared(c) => c.peek(key),
-        }
-    }
-
-    /// Inserts (or overwrites) a block in its shard. Returns the evicted
-    /// dirty blocks the caller must write back.
-    #[inline]
-    #[must_use = "evicted dirty blocks must be written back"]
-    pub fn insert(
-        &mut self,
-        key: BlockKey,
-        data: impl Into<BlockBuf>,
-        dirty: bool,
-    ) -> Vec<(BlockKey, BlockBuf)> {
-        match self {
-            BlockPool::Owned(c) => c.shard_mut(&key).insert(key, data, dirty),
-            BlockPool::Shared(c) => c.insert(key, data, dirty),
-        }
-    }
-
-    /// Flushes every shard's dirty blocks, sorted by key (see
-    /// [`ShardedBlockCache::take_dirty`]).
-    #[must_use = "flushed dirty blocks must be written back"]
-    pub fn take_dirty(&mut self) -> Vec<(BlockKey, BlockBuf)> {
-        self.as_shared_api().take_dirty()
-    }
-
-    /// Like [`Self::take_dirty`] but limited to one file.
-    #[must_use = "flushed dirty blocks must be written back"]
-    pub fn take_dirty_for(&mut self, fid: FileId) -> Vec<(BlockKey, BlockBuf)> {
-        self.as_shared_api().take_dirty_for(fid)
-    }
-
-    /// Drops every block of `fid`, discarding dirty data deliberately.
-    pub fn invalidate_file(&mut self, fid: FileId) {
-        self.as_shared_api().invalidate_file(fid);
-    }
-
-    /// Drops everything, discarding dirty data (crash simulation).
-    pub fn clear(&mut self) {
-        self.as_shared_api().clear();
-    }
-
-    /// Merged statistics across all shards.
-    pub fn stats(&self) -> CacheStats {
-        match self {
-            BlockPool::Owned(c) => c.stats(),
-            BlockPool::Shared(c) => c.stats(),
-        }
-    }
-
-    /// Per-shard statistics, indexed by shard.
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        match self {
-            BlockPool::Owned(c) => c.shard_stats(),
-            BlockPool::Shared(c) => c.shard_stats(),
-        }
-    }
-
-    /// The underlying pool for cold whole-pool operations, where the
-    /// `Owned` variant's per-shard locks are uncontended and cheap
-    /// relative to the work done per shard.
-    fn as_shared_api(&mut self) -> &ShardedBlockCache {
-        match self {
-            BlockPool::Owned(c) => c,
-            BlockPool::Shared(c) => c,
-        }
+        self.len() == 0
     }
 }
 
@@ -938,9 +929,11 @@ mod tests {
 
 #[cfg(test)]
 mod sharded_equivalence {
-    //! `ShardedBlockCache::new(cap, 1)` must be behaviourally identical to
-    //! a plain `BlockCache::new(cap)` — same hit set, same evictions, same
-    //! stats for the same trace. This is the E20 ablation arm's guarantee.
+    //! `ShardedBlockCache::new(cap, shards)` must be behaviourally
+    //! identical to a plain `BlockCache::new(cap)` — same hit set, same
+    //! evictions, same merged stats for the same trace — whatever the shard
+    //! count: one shard is the E20 ablation arm, and the default eight
+    //! change locking only.
 
     use super::*;
     use proptest::prelude::*;
@@ -970,8 +963,16 @@ mod sharded_equivalence {
     }
 
     fn check_trace(capacity: usize, ops: &[Op]) -> Result<(), TestCaseError> {
+        check_sharded_trace(capacity, 1, ops)
+    }
+
+    fn check_sharded_trace(
+        capacity: usize,
+        shards: usize,
+        ops: &[Op],
+    ) -> Result<(), TestCaseError> {
         let mut plain = BlockCache::new(capacity);
-        let sharded = ShardedBlockCache::new(capacity, 1);
+        let sharded = ShardedBlockCache::new(capacity, shards);
         for (n, op) in ops.iter().enumerate() {
             match *op {
                 Op::Get(f, i) => {
@@ -1019,6 +1020,14 @@ mod sharded_equivalence {
             ops in proptest::collection::vec(op_strategy(), 1..120),
         ) {
             check_trace(capacity, &ops)?;
+        }
+
+        #[test]
+        fn eight_shards_evict_like_one_lru(
+            capacity in 1..12usize,
+            ops in proptest::collection::vec(op_strategy(), 1..120),
+        ) {
+            check_sharded_trace(capacity, 8, &ops)?;
         }
     }
 }

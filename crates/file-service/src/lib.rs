@@ -20,8 +20,8 @@
 //!   created, contiguous with the first data block, and FITs are
 //!   distributed across the disk.
 //! * **Caching** — a block pool and fragment pool cache file data and FITs
-//!   with a *delayed-write* policy for basic-file traffic and
-//!   *write-through* for transactional traffic.
+//!   with a *delayed-write* policy; a committed transaction's records land
+//!   in the block pool too, made durable by the intention log.
 //! * **Striping** — a file "can be partitioned and therefore its contents
 //!   can reside on more than one disk" (§7); block descriptors carry a
 //!   disk number.
@@ -66,7 +66,7 @@ mod stripe;
 mod volume;
 
 pub use attrs::{FileAttributes, FileId, LockLevel, ServiceType};
-pub use cache::{BlockCache, BlockKey, BlockPool, CacheStats, ShardedBlockCache, WritePolicy};
+pub use cache::{BlockCache, BlockKey, CacheStats, ShardedBlockCache, WritePolicy};
 pub use config::{FileServiceConfig, ParallelIo};
 pub use error::FileServiceError;
 pub use fit::{

@@ -270,7 +270,7 @@ impl FileService {
         }
         let mut copy = self.volume.reconstruct(&mut self.store, owner);
         if let (None, ScrubOwner::Data { fid, block }) = (&copy, owner) {
-            copy = self.cache.as_mut().and_then(|c| c.peek(&(fid, block)));
+            copy = self.cache.as_ref().and_then(|c| c.peek(&(fid, block)));
         }
         copy.is_some_and(|buf| {
             let disk = self.volume.disk(disk);

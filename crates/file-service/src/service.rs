@@ -15,7 +15,7 @@
 //! no test of the redundancy class.
 
 use crate::attrs::{FileAttributes, FileId, LockLevel, ServiceType};
-use crate::cache::{BlockKey, BlockPool, CacheStats, ShardedBlockCache, WritePolicy};
+use crate::cache::{BlockKey, CacheStats, ShardedBlockCache, WritePolicy};
 use crate::config::FileServiceConfig;
 use crate::error::FileServiceError;
 use crate::fit::{BlockDescriptor, FileIndexTable};
@@ -75,7 +75,7 @@ pub struct FileService {
     pub(crate) store: FitStore,
     clock: SimClock,
     config: FileServiceConfig,
-    pub(crate) cache: Option<BlockPool>,
+    pub(crate) cache: Option<Arc<ShardedBlockCache>>,
     /// Where the next budgeted scrub resumes on each disk (volatile;
     /// restarting from zero after a crash merely re-verifies).
     pub(crate) scrub_cursors: Vec<FragmentAddr>,
@@ -111,8 +111,12 @@ impl FileService {
             volume,
             store,
             config,
-            cache: (config.cache_blocks > 0)
-                .then(|| BlockPool::new(config.cache_blocks, config.cache_shards)),
+            cache: (config.cache_blocks > 0).then(|| {
+                Arc::new(ShardedBlockCache::new(
+                    config.cache_blocks,
+                    config.cache_shards,
+                ))
+            }),
             scrub_stats: ScrubStats::default(),
             lease: LeaseManager::new(clock.clone(), config.lease),
             recall_targets: RecallRegistry::default(),
@@ -166,11 +170,9 @@ impl FileService {
     /// A handle to the sharded block pool, if caching is enabled. The
     /// handle stays valid across crash simulation and recovery (the pool
     /// is cleared in place, never replaced), so lock-free readers may
-    /// probe it without holding the service lock. The first call
-    /// promotes the pool from exclusively-owned (atomics-free shard
-    /// access) to shared (per-shard locking) — see [`BlockPool`].
-    pub fn cache_handle(&mut self) -> Option<Arc<ShardedBlockCache>> {
-        self.cache.as_mut().map(BlockPool::share)
+    /// probe it without holding the service lock.
+    pub fn cache_handle(&self) -> Option<Arc<ShardedBlockCache>> {
+        self.cache.clone()
     }
 
     /// Number of disks behind this service.
@@ -264,14 +266,26 @@ impl FileService {
         self.store.open(&mut self.volume, fid)
     }
 
-    /// `close`: drops one reference and flushes the file's dirty blocks.
+    /// `close`: [`Self::release`], then [`Self::flush_file`].
     ///
     /// # Errors
     ///
     /// [`FileServiceError::NotOpen`] if the file has no open instances.
     pub fn close(&mut self, fid: FileId) -> Result<(), FileServiceError> {
-        self.store.close(fid)?;
+        self.release(fid)?;
         self.flush_file(fid)
+    }
+
+    /// Drops one reference and writes nothing: the file's dirty blocks
+    /// stay in the pool. The transaction service closes this way — what
+    /// its commits left dirty is covered by its log until write-back or a
+    /// checkpoint takes it home.
+    ///
+    /// # Errors
+    ///
+    /// [`FileServiceError::NotOpen`] if the file has no open instances.
+    pub fn release(&mut self, fid: FileId) -> Result<(), FileServiceError> {
+        self.store.close(fid)
     }
 
     /// `delete`: removes a closed file and frees all its storage.
@@ -284,7 +298,7 @@ impl FileService {
         if self.store.open_count(fid) > 0 {
             return Err(FileServiceError::Busy(fid));
         }
-        if let Some(cache) = &mut self.cache {
+        if let Some(cache) = &self.cache {
             cache.invalidate_file(fid);
         }
         self.store.delete(&mut self.volume, fid)
@@ -346,7 +360,7 @@ impl FileService {
     /// the run (including the returned one) is a zero-copy view of the one
     /// transfer allocation.
     fn fetch_block(&mut self, fid: FileId, idx: u64) -> Result<BlockBuf, FileServiceError> {
-        if let Some(cache) = &mut self.cache {
+        if let Some(cache) = &self.cache {
             if let Some(b) = cache.get(&(fid, idx)) {
                 return Ok(b);
             }
@@ -371,7 +385,7 @@ impl FileService {
         fid: FileId,
         fetched: impl IntoIterator<Item = (u64, BlockBuf)>,
     ) -> Result<(), FileServiceError> {
-        let Some(cache) = &mut self.cache else {
+        let Some(cache) = &self.cache else {
             return Ok(());
         };
         let absent = |(idx, _): &(u64, BlockBuf)| !cache.contains(&(fid, *idx));
@@ -386,7 +400,7 @@ impl FileService {
     /// Puts a block that is on its way to the platter in the pool, clean,
     /// over whatever version was resident.
     fn admit_written(&mut self, key: BlockKey, data: BlockBuf) -> Result<(), FileServiceError> {
-        let Some(cache) = &mut self.cache else {
+        let Some(cache) = &self.cache else {
             return Ok(());
         };
         let evicted = cache.insert(key, data, false);
@@ -488,7 +502,7 @@ impl FileService {
                 .collect();
         }
         let mut blocks: BTreeMap<u64, BlockBuf> = BTreeMap::new();
-        if let Some(cache) = &mut self.cache {
+        if let Some(cache) = &self.cache {
             blocks.extend((first..=last).filter_map(|idx| Some((idx, cache.get(&(fid, idx))?))));
         }
         let misses: Vec<u64> = (first..=last)
@@ -633,7 +647,7 @@ impl FileService {
                 // disk see the same allocation.
                 let delayed =
                     self.cache.is_some() && self.config.write_policy == WritePolicy::DelayedWrite;
-                if let Some(cache) = &mut self.cache {
+                if let Some(cache) = &self.cache {
                     evicted.extend(cache.insert((fid, idx), block.clone(), delayed));
                 }
                 if !delayed {
@@ -654,7 +668,7 @@ impl FileService {
     /// Propagates disk failures; remaining dirty blocks are lost in that
     /// case (as they would be on a real device error).
     pub fn flush_file(&mut self, fid: FileId) -> Result<(), FileServiceError> {
-        let dirty = match &mut self.cache {
+        let dirty = match &self.cache {
             Some(c) => c.take_dirty_for(fid),
             None => return Ok(()),
         };
@@ -667,7 +681,7 @@ impl FileService {
     ///
     /// Propagates disk failures.
     pub fn flush_all(&mut self) -> Result<(), FileServiceError> {
-        let dirty = match &mut self.cache {
+        let dirty = match &self.cache {
             Some(c) => c.take_dirty(),
             None => return Ok(()),
         };
@@ -737,9 +751,9 @@ impl FileService {
         self.fetch_window(fid, first, last.min(count - 1))
     }
 
-    /// Overwrites one whole logical block, write-through (transactional
-    /// traffic never sits in the delayed-write pool). The cache and the
-    /// disk path share one allocation of the data.
+    /// Overwrites one whole logical block, write-through (a whole
+    /// committed page is made permanent at its commit, §6.7). The cache
+    /// and the disk path share one allocation of the data.
     ///
     /// # Errors
     ///
@@ -860,7 +874,7 @@ impl FileService {
         let mut evicted = Vec::new();
         for (fid, idx, data) in writes {
             self.store.entry(&mut self.volume, fid)?;
-            if let Some(cache) = &mut self.cache {
+            if let Some(cache) = &self.cache {
                 evicted.extend(cache.insert((fid, idx), data.clone(), false));
             }
             batch.push(((fid, idx), data));
@@ -872,7 +886,9 @@ impl FileService {
 
     /// Swings the descriptor of logical block `idx` to a new location
     /// (shadow-page commit) and returns the old one for the caller to
-    /// free. Persists the FIT and invalidates the cached block.
+    /// free. Persists the FIT and drops the cached copy of that block —
+    /// of that block only: the file's other dirty blocks may hold
+    /// committed records that have not reached the platter.
     ///
     /// # Errors
     ///
@@ -886,8 +902,8 @@ impl FileService {
     ) -> Result<(u16, FragmentAddr), FileServiceError> {
         let old = self.store.entry(&mut self.volume, fid)?.fit.descriptor(idx);
         let old = old.ok_or(FileServiceError::Corrupt(fid))?;
-        if let Some(cache) = &mut self.cache {
-            cache.invalidate_file(fid); // conservative: drop stale blocks
+        if let Some(cache) = &self.cache {
+            cache.invalidate(&(fid, idx));
         }
         self.volume
             .swing_descriptor(&mut self.store, fid, idx, disk, addr)?;
@@ -1116,7 +1132,7 @@ impl FileService {
     pub fn evict_caches(&mut self) -> Result<(), FileServiceError> {
         self.flush_all()?;
         self.store.evict_all();
-        if let Some(cache) = &mut self.cache {
+        if let Some(cache) = &self.cache {
             cache.clear();
         }
         self.volume.drop_caches();
@@ -1126,7 +1142,7 @@ impl FileService {
     /// Simulates a file-server crash: all volatile state (block pool,
     /// cached FITs, directory map) is lost; dirty cached data is gone.
     pub fn simulate_crash(&mut self) {
-        if let Some(cache) = &mut self.cache {
+        if let Some(cache) = &self.cache {
             cache.clear();
         }
         self.store.crash();
@@ -1183,7 +1199,7 @@ impl FileService {
     /// is unreadable here too.
     pub fn read_block_for_repair(&mut self, fid: FileId, block: u64) -> Option<Vec<u8>> {
         self.attrs(fid).ok()?;
-        if let Some(buf) = self.cache.as_mut().and_then(|c| c.peek(&(fid, block))) {
+        if let Some(buf) = self.cache.as_ref().and_then(|c| c.peek(&(fid, block))) {
             return Some(buf.to_vec());
         }
         self.volume.read_for_repair(&mut self.store, fid, block)

@@ -284,11 +284,17 @@ impl SharedTransactionService {
         if len == 0 {
             return Ok(Vec::new());
         }
-        // Step 4 — serve from the sharded pool. Any miss falls back to
-        // the classic path (re-acquiring the same locks is idempotent).
+        // Step 4 — serve from the sharded pool. A block that is not
+        // resident sends the read to the classic path (re-acquiring the
+        // same locks is idempotent), which fetches it — and is the one
+        // lookup that counts its miss.
         let bs = BLOCK_SIZE as u64;
         let first = offset / bs;
         let last = (offset + len as u64 - 1) / bs;
+        if !(first..=last).all(|idx| fast.cache.contains(&(fid, idx))) {
+            fast.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
+            return self.inner.lock().tread(t, fid, offset, len);
+        }
         let mut out = Vec::with_capacity(len);
         for idx in first..=last {
             let Some(block) = fast.cache.get(&(fid, idx)) else {

@@ -115,9 +115,9 @@ impl Intention {
     }
 }
 
-/// A durable log record: either a commit record carrying a transaction's
-/// full intentions list, or the completion marker written after the
-/// changes were made permanent.
+/// A durable log record: a commit or prepare record carrying a
+/// transaction's full intentions list, the marker that resolves one, or a
+/// checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogRecord {
     /// "This transaction commits with these intentions."
@@ -132,7 +132,11 @@ pub enum LogRecord {
         /// alone cannot reconstruct a byte-granular file length.
         sizes: Vec<(FileId, u64)>,
     },
-    /// "This transaction's intentions have all been applied."
+    /// "This transaction's intentions have all been applied" — whole
+    /// pages made permanent (their tentative blocks may be reused once
+    /// the marker is durable), records written into the block pool.
+    /// Recovery still redoes the records unless a later `Checkpoint`
+    /// took them home.
     Completed {
         /// The finished transaction.
         txn: TxnId,
@@ -161,6 +165,10 @@ pub enum LogRecord {
         /// The rolled-back transaction.
         txn: TxnId,
     },
+    /// "Every block a record completed before this point dirtied is on
+    /// the platter": recovery redoes no record whose `Completed` marker
+    /// precedes it.
+    Checkpoint,
 }
 
 /// A transaction's intentions and the final sizes of the files it touched.
@@ -216,6 +224,7 @@ impl LogRecord {
                 sizes,
             } => Self::encode_prepared(*gtid, *txn, intentions, sizes),
             LogRecord::Aborted { txn } => Self::encode_aborted(*txn),
+            LogRecord::Checkpoint => Self::encode_checkpoint(),
         }
     }
 
@@ -255,6 +264,13 @@ impl LogRecord {
     pub fn encode_aborted(txn: TxnId) -> Vec<u8> {
         let mut body = Encoder::new();
         body.u8(3).u64(txn.0);
+        body.finish()
+    }
+
+    /// Serialises a `Checkpoint` marker.
+    pub fn encode_checkpoint() -> Vec<u8> {
+        let mut body = Encoder::new();
+        body.u8(4);
         body.finish()
     }
 
@@ -310,6 +326,7 @@ impl LogRecord {
             3 => LogRecord::Aborted {
                 txn: TxnId(d.u64()?),
             },
+            4 => LogRecord::Checkpoint,
             _ => return Err(DecodeError),
         })
     }
@@ -515,6 +532,13 @@ mod tests {
         let ab = LogRecord::Aborted { txn: TxnId(7) };
         assert_eq!(LogRecord::encode_aborted(TxnId(7)), ab.encode());
         assert_eq!(LogRecord::decode(&ab.encode()).unwrap(), ab);
+    }
+
+    #[test]
+    fn checkpoint_round_trips() {
+        let bytes = LogRecord::encode_checkpoint();
+        assert_eq!(LogRecord::decode(&bytes).unwrap(), LogRecord::Checkpoint);
+        assert_eq!(LogRecord::Checkpoint.encode(), bytes);
     }
 
     #[test]

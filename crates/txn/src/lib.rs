@@ -66,6 +66,7 @@ mod error;
 pub mod intentions;
 pub mod lock;
 mod log;
+mod recovery;
 mod service;
 pub mod table;
 

@@ -4,7 +4,7 @@
 //!
 //! [`IntentionLog`] is the only code that knows where the log lives and
 //! how its end is found; everything above it appends records, forces,
-//! scans after a crash and resets at a quiescent moment.
+//! scans after a crash and resets at a quiescent checkpoint.
 //!
 //! The log is a file-service file, registered as the system file and
 //! never deleted, whose blocks are allocated *ahead of* the tail — so an
@@ -27,10 +27,11 @@ use rhodos_disk_service::{BLOCK_SIZE, FRAGMENT_SIZE};
 use rhodos_file_service::{FileId, FileService, FileServiceError, ServiceType};
 
 /// The log is reset at the first quiescent moment after its tail passes
-/// this many bytes (everything before the tail has completed by then, so
-/// the log is pure garbage). Partial pages travel in the log as bytes,
-/// and a simulated platter holds every sector ever written in memory, so
-/// a log cycled through a small region keeps a server small.
+/// this many bytes — a checkpoint first takes home every block its
+/// records dirtied, so the log is pure garbage by then. Partial pages
+/// travel in the log as bytes, and a simulated platter holds every
+/// sector ever written in memory, so a log cycled through a small region
+/// keeps a server small.
 pub(crate) const LOG_COMPACT_THRESHOLD: u64 = 1024 * 1024;
 
 /// How far ahead of the tail the log's blocks are allocated whenever the
@@ -182,7 +183,7 @@ impl IntentionLog {
     }
 
     /// Appends the `Completed` (`committed`) or `Aborted` marker that
-    /// erases `txn`'s intentions.
+    /// resolves `txn`'s intentions.
     pub(crate) fn append_outcome(
         &mut self,
         fs: &mut FileService,
@@ -196,6 +197,16 @@ impl IntentionLog {
             LogRecord::encode_aborted(txn)
         };
         self.append(fs, stats, &bytes, false)
+    }
+
+    /// Appends a `Checkpoint` marker: every record completed before it
+    /// is on the platter.
+    pub(crate) fn append_checkpoint(
+        &mut self,
+        fs: &mut FileService,
+        stats: &mut TxnStats,
+    ) -> Result<(), TxnError> {
+        self.append(fs, stats, &LogRecord::encode_checkpoint(), false)
     }
 
     /// Makes every record appended since the previous force durable with
@@ -391,7 +402,8 @@ impl IntentionLog {
     }
 
     /// Discards the whole log — the caller guarantees everything in it
-    /// has completed — by writing the header of the next incarnation over
+    /// has completed and is on the platter — by writing the header of the
+    /// next incarnation over
     /// the old one. Until that sector lands the old log stands, with the
     /// tentative blocks it points at still allocated; once it has, no
     /// frame of the old log is one of this log's, wherever the tail goes.

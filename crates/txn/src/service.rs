@@ -2,7 +2,7 @@
 //! and recovery.
 
 use crate::error::TxnError;
-use crate::intentions::{Intention, LogRecord, Technique};
+use crate::intentions::{Intention, Technique};
 use crate::lock::{DataItem, LockMode};
 use crate::log::IntentionLog;
 use crate::table::{LockOutcome, StripedLockTable};
@@ -283,14 +283,14 @@ pub enum Prepared {
 /// redo.
 #[derive(Debug)]
 pub struct PreparedCommit {
-    txn: TxnId,
-    intentions: Vec<Intention>,
-    sizes: Vec<(FileId, u64)>,
-    has_effects: bool,
+    pub(crate) txn: TxnId,
+    pub(crate) intentions: Vec<Intention>,
+    pub(crate) sizes: Vec<(FileId, u64)>,
+    pub(crate) has_effects: bool,
     /// Deferred deletions (`tdelete`), performed between the apply and
     /// the completion marker. They are in no durable record, so only a
     /// live local commit carries any.
-    to_delete: Vec<FileId>,
+    pub(crate) to_delete: Vec<FileId>,
 }
 
 impl PreparedCommit {
@@ -303,7 +303,7 @@ impl PreparedCommit {
 }
 
 #[derive(Debug)]
-struct ActiveTxn {
+pub(crate) struct ActiveTxn {
     pid: u64,
     /// Parent transaction for nested transactions (§6.4 mentions nested
     /// transactions as a source of long-running work). `None` for
@@ -372,7 +372,7 @@ impl ActiveTxn {
 }
 
 /// Index of the lock table for each granularity.
-fn table_index(level: LockLevel) -> usize {
+pub(crate) fn table_index(level: LockLevel) -> usize {
     match level {
         LockLevel::Record => 0,
         LockLevel::Page => 1,
@@ -387,22 +387,22 @@ fn table_index(level: LockLevel) -> usize {
 /// See the [crate documentation](crate) for an example.
 #[derive(Debug)]
 pub struct TransactionService {
-    fs: FileService,
+    pub(crate) fs: FileService,
     config: TxnConfig,
     /// One striped lock table per locking level (§6.5). Behind `Arc` so
     /// lock-free fast paths (see `SharedTransactionService::tread_shared`)
     /// can acquire shard locks without holding the whole-service mutex;
     /// recovery resets the shards in place to keep those handles valid.
-    tables: [Arc<StripedLockTable>; 3],
-    active: HashMap<TxnId, ActiveTxn>,
+    pub(crate) tables: [Arc<StripedLockTable>; 3],
+    pub(crate) active: HashMap<TxnId, ActiveTxn>,
     /// In-doubt cross-shard participants by coordinator-assigned global
     /// transaction id. Entries survive [`Self::recover`] (rebuilt from
     /// durable `Prepared` records) and leave only via
     /// [`Self::resolve_prepared`].
-    prepared: HashMap<u64, PreparedCommit>,
-    next_txn: u64,
-    log: IntentionLog,
-    stats: TxnStats,
+    pub(crate) prepared: HashMap<u64, PreparedCommit>,
+    pub(crate) next_txn: u64,
+    pub(crate) log: IntentionLog,
+    pub(crate) stats: TxnStats,
 }
 
 impl TransactionService {
@@ -691,7 +691,7 @@ impl TransactionService {
         if !txn.open_files.remove(&fid) {
             return Err(TxnError::FileNotOpen(t));
         }
-        self.fs.close(fid)?;
+        self.fs.release(fid)?;
         Ok(())
     }
 
@@ -773,7 +773,7 @@ impl TransactionService {
 
     /// The data items covering `[offset, offset+len)` at the file's lock
     /// level.
-    fn items_for_range(
+    pub(crate) fn items_for_range(
         &mut self,
         fid: FileId,
         offset: u64,
@@ -1227,17 +1227,36 @@ impl TransactionService {
         self.log.force(&mut self.fs, &mut self.stats)
     }
 
-    /// Makes everything the service still holds in memory durable: the
-    /// file service's delayed writes and the log's unforced markers
-    /// (`Completed`, `Aborted`). A server that crashes after this redoes
-    /// nothing and is in doubt about nothing it had resolved.
+    /// Makes everything the service still holds in memory durable — the
+    /// pool's dirty blocks, committed records and plain delayed writes
+    /// alike, and the log's unforced markers (`Completed`, `Aborted`) — by
+    /// a checkpoint ([`Self::compact_log`] when nothing is active or in
+    /// doubt). A server that crashes after this redoes nothing, so no
+    /// older committed record is replayed over a plain write the sync
+    /// made durable, and it is in doubt about nothing it had resolved.
     ///
     /// # Errors
     ///
     /// File-service failures.
     pub fn sync(&mut self) -> Result<(), TxnError> {
+        self.checkpoint()
+    }
+
+    /// A checkpoint, the one way log records are discarded: writes back
+    /// every dirty block of the pool — every block a completed record in
+    /// the log dirtied among them — as one grouped batch, then either
+    /// resets the log, when nothing is active or in doubt, or appends and
+    /// forces a `Checkpoint` marker, behind which recovery redoes no
+    /// completed record. A crash before the header or the marker lands
+    /// leaves the log standing, and redo rewrites the same bytes.
+    fn checkpoint(&mut self) -> Result<(), TxnError> {
         self.fs.flush_all()?;
-        self.flush_log()
+        if self.active.is_empty() && self.prepared.is_empty() {
+            self.log.reset(&mut self.fs, &mut self.stats)
+        } else {
+            self.log.append_checkpoint(&mut self.fs, &mut self.stats)?;
+            self.flush_log()
+        }
     }
 
     /// Log bytes made durable so far (monotonic across compactions).
@@ -1331,11 +1350,14 @@ impl TransactionService {
     }
 
     /// Step 3 of [`Self::commit_batch`] for a local commit: makes the
-    /// prepared changes permanent, performs deferred deletions, appends
-    /// the `Completed` marker (deferred into the *next* flush under
+    /// prepared changes permanent — whole pages by WAL or shadow swing,
+    /// records into the block pool, where write-back or a checkpoint
+    /// takes them home — performs deferred deletions, appends the
+    /// `Completed` marker (deferred into the *next* flush under
     /// [`GroupCommit::Auto`] — redo is idempotent) and releases the
-    /// locks. The `Commit` record must already be durable
-    /// ([`Self::flush_log`]).
+    /// locks. It writes no home block of a record: the `Commit` record,
+    /// which must already be durable ([`Self::flush_log`]), is what makes
+    /// it permanent.
     ///
     /// # Errors
     ///
@@ -1353,12 +1375,16 @@ impl TransactionService {
 
     /// The one applier of a committed intentions list — a live commit, a
     /// resolved participant and a recovery redo all end here: makes the
-    /// changes permanent, performs the deferred deletions and erases the
-    /// intentions by appending the `Completed` marker. `recovering`
+    /// changes permanent, performs the deferred deletions and marks the
+    /// intentions applied by appending the `Completed` marker. `recovering`
     /// selects the recovery-grade apply: serial, tolerant of deleted
     /// files, FIT-aliasing guarded (the apply may already have run
     /// before a crash ate the marker).
-    fn apply_committed(&mut self, p: &PreparedCommit, recovering: bool) -> Result<(), TxnError> {
+    pub(crate) fn apply_committed(
+        &mut self,
+        p: &PreparedCommit,
+        recovering: bool,
+    ) -> Result<(), TxnError> {
         // Logical sizes first: intentions are block-granular and alone
         // would leave a size-extending commit short. (A redo may name a
         // file its own commit went on to delete.)
@@ -1540,8 +1566,8 @@ impl TransactionService {
 
     /// Step 4 of [`Self::commit_batch`], quiescent housekeeping: when
     /// nothing is active, everything in the log has completed, so reclaim
-    /// it once it outgrows its threshold. Returns whether a compaction
-    /// ran.
+    /// it ([`Self::compact_log`]) once it outgrows its threshold. Returns
+    /// whether a compaction ran.
     ///
     /// # Errors
     ///
@@ -1655,9 +1681,7 @@ impl TransactionService {
                     if recovering && !self.fs.exists(*fid) {
                         continue;
                     }
-                    if self.apply_record(*fid, *offset, data)? {
-                        self.fs.flush_file(*fid)?;
-                    }
+                    self.apply_record(*fid, *offset, data)?;
                 }
             }
         }
@@ -1665,21 +1689,22 @@ impl TransactionService {
     }
 
     /// The record applier. Records always use WAL: the log record *is*
-    /// the log entry, applied in place. A file this opens is flushed and
-    /// closed again here; for one already open, returns `true` — the
-    /// caller flushes it (once per file, in the batched apply).
-    fn apply_record(&mut self, fid: FileId, offset: u64, data: &[u8]) -> Result<bool, TxnError> {
+    /// the log entry, applied in place — into the block pool, as a dirty
+    /// block the log covers until the pool's write-back or a checkpoint
+    /// takes it home. Nothing here writes the platter but the evictions
+    /// the insert causes.
+    fn apply_record(&mut self, fid: FileId, offset: u64, data: &[u8]) -> Result<(), TxnError> {
         self.fs.ensure_size(fid, offset + data.len() as u64)?;
         let attrs = self.fs.get_attribute(fid)?;
         let opened_here = attrs.ref_count == 0;
         if opened_here {
             self.fs.open(fid)?;
         }
-        self.fs.write(fid, offset, data)?;
+        let written = self.fs.write(fid, offset, data);
         if opened_here {
-            self.fs.flush_file(fid)?;
-            self.fs.close(fid)?;
+            self.fs.release(fid)?;
         }
+        written?;
         // On a page- or file-level file a record is a partial page:
         // page-mode WAL.
         if attrs.lock_level == LockLevel::Record {
@@ -1687,14 +1712,14 @@ impl TransactionService {
         } else {
             self.stats.wal_pages += 1;
         }
-        Ok(!opened_here)
+        Ok(())
     }
 
     /// The batched apply: every tentative page in the commit is fetched in
-    /// one per-spindle elevator pass, WAL pages land as one write batch
-    /// (physically adjacent blocks merge into single disk references) and
-    /// record flushes coalesce per file. Data and ordering are exactly the
-    /// serial path's; only the grouping of the transfers differs.
+    /// one per-spindle elevator pass and WAL pages land as one write batch
+    /// (physically adjacent blocks merge into single disk references).
+    /// Data and ordering are exactly the serial path's; only the grouping
+    /// of the transfers differs.
     fn apply_intentions_batched(&mut self, intentions: &[Intention]) -> Result<(), TxnError> {
         // Pass 1: growth, in list order — growth can change a file's
         // layout, so finish all of it before snapshotting techniques.
@@ -1759,18 +1784,11 @@ impl TransactionService {
         for (d, a) in wal_frees {
             self.log.defer_free(d, a);
         }
-        // Pass 4: record intentions, in order, flushing each touched file
-        // once at the end instead of once per record.
-        let mut touched: Vec<FileId> = Vec::new();
+        // Pass 4: record intentions, in order, into the pool.
         for intent in intentions {
             if let Intention::Record { fid, offset, data } = intent {
-                if self.apply_record(*fid, *offset, data)? && !touched.contains(fid) {
-                    touched.push(*fid);
-                }
+                self.apply_record(*fid, *offset, data)?;
             }
-        }
-        for fid in touched {
-            self.fs.flush_file(fid)?;
         }
         Ok(())
     }
@@ -1809,7 +1827,7 @@ impl TransactionService {
         for fid in child.open_files {
             if !parent.open_files.insert(fid) {
                 // Parent already held its own reference: drop the extra.
-                self.fs.close(fid)?;
+                self.fs.release(fid)?;
             }
         }
         self.stats.committed += 1;
@@ -1871,25 +1889,26 @@ impl TransactionService {
         }
         for fid in &child.created {
             if child.open_files.contains(fid) {
-                let _ = self.fs.close(*fid);
+                let _ = self.fs.release(*fid);
             }
             let _ = self.fs.delete(*fid);
         }
         for fid in child.open_files {
             if !child.created.contains(&fid) {
-                let _ = self.fs.close(fid);
+                let _ = self.fs.release(fid);
             }
         }
         self.stats.aborted += 1;
         Ok(())
     }
 
-    /// Completes a transaction: closes files, releases locks in every
-    /// table, wakes waiters.
+    /// Completes a transaction: releases its files — writing nothing: what
+    /// its commit left in the pool, the log covers — and its locks in
+    /// every table, and wakes waiters.
     fn finish(&mut self, t: TxnId, committed: bool) {
         if let Some(txn) = self.active.remove(&t) {
             for fid in txn.open_files {
-                let _ = self.fs.close(fid);
+                let _ = self.fs.release(fid);
             }
         }
         let now = self.fs.clock().now_us();
@@ -1932,150 +1951,9 @@ impl TransactionService {
         victims
     }
 
-    // ---- recovery ---------------------------------------------------------------
-
-    /// Crash-recovers the whole stack: file service first (directory,
-    /// FITs, allocation), then the transaction log — committed-but-
-    /// incomplete transactions are re-applied (redo), unfinished
-    /// transactions simply never happened (their tentative blocks are
-    /// reclaimed by the allocation rebuild). Returns the transactions that
-    /// were redone.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the log itself is unrecoverable.
-    pub fn recover(&mut self) -> Result<Vec<TxnId>, TxnError> {
-        self.active.clear();
-        // In-doubt state is rebuilt from the durable `Prepared` records
-        // below; whatever was in memory is stale.
-        self.prepared.clear();
-        // Reset the lock tables *in place*: outstanding Arc handles (the
-        // shared-service fast path) must keep seeing the live tables.
-        for table in &self.tables {
-            table.reset();
-        }
-        self.fs.recover()?;
-        let records = self.log.scan(&mut self.fs, &mut self.stats)?;
-        type CommitBody = (Vec<Intention>, Vec<(FileId, u64)>);
-        let record = |txn, (intentions, sizes): CommitBody| PreparedCommit {
-            txn,
-            intentions,
-            sizes,
-            has_effects: true,
-            to_delete: Vec::new(),
-        };
-        let mut committed: HashMap<TxnId, CommitBody> = HashMap::new();
-        let mut in_doubt: Vec<(u64, TxnId, CommitBody)> = Vec::new();
-        for rec in records {
-            match rec {
-                LogRecord::Commit {
-                    txn,
-                    intentions,
-                    sizes,
-                } => {
-                    committed.insert(txn, (intentions, sizes));
-                }
-                LogRecord::Completed { txn } => {
-                    committed.remove(&txn);
-                    in_doubt.retain(|(_, t, _)| *t != txn);
-                }
-                LogRecord::Prepared {
-                    gtid,
-                    txn,
-                    intentions,
-                    sizes,
-                } => {
-                    in_doubt.push((gtid, txn, (intentions, sizes)));
-                }
-                LogRecord::Aborted { txn } => {
-                    in_doubt.retain(|(_, t, _)| *t != txn);
-                }
-            }
-        }
-        let mut redone: Vec<TxnId> = committed.keys().copied().collect();
-        redone.sort();
-        // NOTE: the allocation rebuild in fs.recover() freed every block
-        // not referenced by a FIT — including the tentative blocks of the
-        // transactions we are about to redo. Re-pin them before applying.
-        // (Simplest correct order: re-mark, apply, then the apply frees
-        // them again through the normal path.)
-        let mut to_apply: Vec<PreparedCommit> = Vec::new();
-        for t in &redone {
-            to_apply.push(record(*t, committed.remove(t).expect("present")));
-        }
-        for p in &to_apply {
-            self.repin_tentative_blocks(&p.intentions)?;
-        }
-        for p in &to_apply {
-            self.apply_committed(p, true)?;
-        }
-        // Rebuild the in-doubt participants: their tentative blocks were
-        // also reclaimed by the allocation rebuild, and their locks died
-        // with the tables — re-pin and re-acquire both, so the isolation
-        // the vote promised holds until the decision arrives.
-        for (gtid, t, body) in in_doubt {
-            self.repin_tentative_blocks(&body.0)?;
-            self.reacquire_locks(t, &body.0)?;
-            if self.next_txn <= t.0 {
-                self.next_txn = t.0 + 1;
-            }
-            self.prepared.insert(gtid, record(t, body));
-        }
-        // One flush covers every redo's `Completed` marker (and leaves
-        // nothing deferred from before the crash).
-        self.flush_log()?;
-        Ok(redone)
-    }
-
-    /// Re-establishes the locks an in-doubt prepared participant held
-    /// before the crash: the items covering each intention's bytes at
-    /// the granularity its file is configured for — so a partial page
-    /// logged as a record locks its page, not its file. In-doubt
-    /// transactions never conflict with each other (their grants predate
-    /// the crash), so grant outcomes are not checked.
-    fn reacquire_locks(&mut self, t: TxnId, intentions: &[Intention]) -> Result<(), TxnError> {
-        let now = self.fs.clock().now_us();
-        for i in intentions {
-            let fid = i.file();
-            if !self.fs.exists(fid) {
-                continue;
-            }
-            let (offset, len) = match i {
-                Intention::Page { index, .. } => (index * BLOCK_SIZE as u64, BLOCK_SIZE as u64),
-                Intention::Record { offset, data, .. } => (*offset, data.len() as u64),
-            };
-            let (level, items) = self.items_for_range(fid, offset, len)?;
-            for item in items {
-                self.tables[table_index(level)].set_lock(t.0, t.0, item, LockMode::Iwrite, now);
-            }
-        }
-        Ok(())
-    }
-
-    /// After the allocation rebuild, tentative blocks named by redo
-    /// records are unallocated; reserve them again so redo can free or
-    /// adopt them safely.
-    fn repin_tentative_blocks(&mut self, intentions: &[Intention]) -> Result<(), TxnError> {
-        use rhodos_disk_service::Extent;
-        for i in intentions {
-            if let Intention::Page {
-                tentative_disk,
-                tentative_addr,
-                ..
-            } = i
-            {
-                let disk = self.fs.disk_mut(*tentative_disk as usize);
-                // The extent may already be allocated if another FIT
-                // adopted it; only pin when free.
-                let extent = Extent::new(*tentative_addr, rhodos_disk_service::FRAGS_PER_BLOCK);
-                disk.repin_extent(extent);
-            }
-        }
-        Ok(())
-    }
-
-    /// Compacts the intention log: everything in it has completed, so the
-    /// log starts over, empty, under a new incarnation. Call in a
+    /// Compacts the intention log by a checkpoint: everything in it has
+    /// completed, so once the blocks its records dirtied are written back
+    /// the log starts over, empty, under a new incarnation. Call in a
     /// quiescent state (no active transactions).
     ///
     /// # Errors
@@ -2094,7 +1972,7 @@ impl TransactionService {
             self.prepared.is_empty(),
             "compact_log must not discard in-doubt Prepared records"
         );
-        self.log.reset(&mut self.fs, &mut self.stats)
+        self.checkpoint()
     }
 }
 

@@ -1,6 +1,7 @@
 //! The intention log's tail is found, never trusted: crashes inside a
-//! compaction and inside a force, frames an earlier incarnation left on
-//! the log's blocks, and damage to a frame that was forced.
+//! checkpoint — a compaction, or a marker behind an active transaction —
+//! and inside a force, frames an earlier incarnation left on the log's
+//! blocks, and damage to a frame that was forced.
 //!
 //! Everything here goes through the public API — the commit steps
 //! (`prepare_commit`, `flush_log`, `complete_commit`), the disk's fault
@@ -97,7 +98,9 @@ fn free_fragments(ts: &mut TransactionService) -> u64 {
 }
 
 /// Crashes the disk after every number of sector writes a compaction
-/// makes. Whichever side of the one header write the crash falls on,
+/// makes: the write-back of the blocks the three commits left in the
+/// pool, then the header. Whichever side of the header write the crash
+/// falls on,
 /// recovery must succeed, the three commits must read back, the volume
 /// must be consistent and own exactly what an uninterrupted compaction
 /// leaves it — and the service must go on committing.
@@ -134,6 +137,57 @@ fn crash_at_every_sector_write_of_a_compaction() {
         if !crashed {
             // The compaction ran to its end: every point in it is covered.
             assert!(n > 0 && compacted.is_ok());
+            break;
+        }
+    }
+}
+
+/// A checkpoint while a transaction is still active: every dirty block
+/// goes home in one batch, then a `Checkpoint` marker is appended and
+/// forced where a compaction would reset the log. Crashes at every sector
+/// write of it — the write-back, then the marker — leave the three
+/// commits readable, the volume consistent and owning exactly what an
+/// uninterrupted checkpoint leaves it.
+#[test]
+fn crash_at_every_sector_write_of_a_checkpoint_behind_an_active_transaction() {
+    // A whole page past the end of the file: the active transaction holds
+    // a detached block the crash must give back.
+    let active = |ts: &mut TransactionService, fid| {
+        let t = ts.tbegin();
+        ts.topen(t, fid).unwrap();
+        ts.twrite(t, fid, 3 * PAGE, &[9; BLOCK_SIZE]).unwrap();
+    };
+    let (mut twin, fid) = three_commits();
+    active(&mut twin, fid);
+    twin.sync().unwrap();
+    assert_eq!(crash_and_recover(&mut twin), vec![], "nothing left to redo");
+    let free = free_fragments(&mut twin);
+
+    for n in 0.. {
+        let (mut ts, fid) = three_commits();
+        active(&mut ts, fid);
+        let compactions = ts.stats().log_compactions;
+        main_disk(&mut ts).faults_mut().crash_after_sector_writes(n);
+        let synced = ts.sync();
+        let crashed = main_disk(&mut ts).faults().is_crashed();
+        assert_eq!(ts.stats().log_compactions, compactions, "the log stays");
+        crash_and_recover(&mut ts);
+        let t = ts.tbegin();
+        ts.topen(t, fid).unwrap();
+        for i in 0..3u8 {
+            let got = ts.tread(t, fid, u64::from(i) * PAGE, 100).unwrap();
+            assert_eq!(got, vec![i + 1; 100], "commit {i}, crash point {n}");
+        }
+        ts.tend(t).unwrap();
+        let fsck = ts.file_service_mut().fsck().unwrap();
+        assert!(fsck.is_clean(), "crash point {n}: {:?}", fsck.issues);
+        assert_eq!(
+            free_fragments(&mut ts),
+            free,
+            "crash point {n} leaked an extent"
+        );
+        if !crashed {
+            assert!(n > 0 && synced.is_ok());
             break;
         }
     }

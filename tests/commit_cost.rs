@@ -1,13 +1,14 @@
 //! Disk references of the commit path, pinned where two metadata writes
 //! used to be — the open count that `open`/`close` stored in the FIT, and
-//! the size of the intention log that every append changed — and where a
-//! partial page used to take a detached block.
+//! the size of the intention log that every append changed — where a
+//! partial page used to take a detached block, and where a committed
+//! record used to be written home before the acknowledgement.
 
 use rhodos_disk_service::BLOCK_SIZE;
 use rhodos_file_service::{
     FileId, FileService, FileServiceConfig, FileServiceError, LockLevel, ServiceType,
 };
-use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
+use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock, SECTOR_SIZE};
 use rhodos_txn::{TransactionService, TxnConfig};
 
 fn file_service() -> FileService {
@@ -52,12 +53,14 @@ fn warm_page_file() -> (TransactionService, FileId) {
 }
 
 /// A warm 1 KiB write to a page-level file commits its bytes inline in
-/// the log: one force of the log's tail and one write of the home block,
-/// no detached block and nothing on stable storage. A read-only
-/// transaction behind it forces nothing — the writer's `Completed`
-/// marker waits for the next force that has to happen anyway.
+/// the log, and the force of the log's tail is its only disk reference:
+/// the home block waits in the pool, covered by the log. Nothing goes to
+/// stable storage. A read-only transaction behind it forces nothing — the
+/// writer's `Completed` marker waits for the next force that has to
+/// happen anyway. A `sync` then takes the home block to the platter, once,
+/// and discards the log.
 #[test]
-fn a_warm_kilobyte_write_costs_the_force_and_the_home_write() {
+fn a_warm_kilobyte_write_costs_only_the_force() {
     let (mut ts, fid) = warm_page_file();
     for round in 0..3u8 {
         let before = split_refs(ts.file_service());
@@ -68,7 +71,7 @@ fn a_warm_kilobyte_write_costs_the_force_and_the_home_write() {
         let [main, stable] = split_refs(ts.file_service());
         assert_eq!(
             [main - before[0], stable - before[1]],
-            [2, 0],
+            [1, 0],
             "round {round}"
         );
 
@@ -81,6 +84,25 @@ fn a_warm_kilobyte_write_costs_the_force_and_the_home_write() {
         assert_eq!(disk_refs(ts.file_service()) - before, 0, "round {round}");
         assert_eq!(ts.stats().log_flushes, flushes);
     }
+
+    let home = ts.file_service_mut().block_descriptors(fid).unwrap()[0];
+    let on_platter = |ts: &mut TransactionService| {
+        let disk = ts.file_service_mut().disk_mut(home.disk as usize);
+        let sector = home.addr + 2048 / SECTOR_SIZE as u64;
+        disk.disk_mut().peek_sector(sector).unwrap()[0]
+    };
+    assert_eq!(on_platter(&mut ts), 1, "the home block is not written yet");
+    let before = split_refs(ts.file_service());
+    let compactions = ts.stats().log_compactions;
+    ts.sync().unwrap();
+    let [main, stable] = split_refs(ts.file_service());
+    assert_eq!(
+        [main - before[0], stable - before[1]],
+        [2, 0],
+        "the home block, then the log's header"
+    );
+    assert_eq!(ts.stats().log_compactions, compactions + 1);
+    assert_eq!(on_platter(&mut ts), 2, "the last round's bytes are home");
 }
 
 /// Aborting a partial-page write has nothing to give back: the page

@@ -27,7 +27,7 @@ use rhodos_file_service::{
 };
 use rhodos_naming::{AttributedName, NamingService};
 use rhodos_net::{NetConfig, SimNetwork};
-use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
+use rhodos_simdisk::{DiskGeometry, DiskStats, LatencyModel, SimClock};
 use rhodos_txn::{TransactionService, TxnConfig};
 use std::sync::Arc;
 
@@ -35,6 +35,16 @@ use std::sync::Arc;
 /// keeps the simulated clock at zero in every mode, so FIT timestamps —
 /// which land on disk — cannot differ between serial and batched issue.
 fn build(ndisks: usize, chunk_blocks: u64, mode: ParallelIo) -> FileService {
+    build_with(ndisks, chunk_blocks, mode, 64, 8)
+}
+
+fn build_with(
+    ndisks: usize,
+    chunk_blocks: u64,
+    mode: ParallelIo,
+    cache_blocks: usize,
+    cache_shards: usize,
+) -> FileService {
     let clock = SimClock::new();
     let disks = (0..ndisks)
         .map(|_| {
@@ -50,7 +60,8 @@ fn build(ndisks: usize, chunk_blocks: u64, mode: ParallelIo) -> FileService {
         disks,
         FileServiceConfig {
             stripe: StripePolicy::RoundRobin { chunk_blocks },
-            cache_blocks: 64,
+            cache_blocks,
+            cache_shards,
             parallel_io: mode,
             ..Default::default()
         },
@@ -106,10 +117,15 @@ struct Outcome {
     /// Every byte returned by the workload's reads, in order.
     reads: Vec<Vec<u8>>,
     fsck_clean: bool,
+    /// Every disk's counters, main storage and stable mirrors.
+    stats: Vec<(DiskStats, DiskStats)>,
 }
 
 fn run_workload(w: &Workload, mode: ParallelIo) -> Outcome {
-    let mut fs = build(w.ndisks, w.chunk_blocks, mode);
+    run_on(build(w.ndisks, w.chunk_blocks, mode), w)
+}
+
+fn run_on(mut fs: FileService, w: &Workload) -> Outcome {
     let fids: Vec<_> = w
         .files
         .iter()
@@ -144,6 +160,9 @@ fn run_workload(w: &Workload, mode: ParallelIo) -> Outcome {
         }
     }
     fs.flush_all().unwrap();
+    let stats = (fs.stats().disks.iter())
+        .map(|d| (d.disk, d.stable))
+        .collect();
     let fsck_clean = fs.fsck().unwrap().is_clean();
     let geometry = fs.disk_mut(0).geometry();
     let images = (0..w.ndisks)
@@ -160,6 +179,7 @@ fn run_workload(w: &Workload, mode: ParallelIo) -> Outcome {
         images,
         reads,
         fsck_clean,
+        stats,
     }
 }
 
@@ -183,6 +203,25 @@ proptest! {
                 "disk {} differs between serial and auto issue", d
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The block pool is one LRU however many shards lock it: on a pool
+    /// far smaller than the files, eight shards and one evict the same
+    /// blocks in the same order, so the same requests leave the same
+    /// disks, count the same disk work and read the same bytes.
+    #[test]
+    fn a_sharded_pool_evicts_like_one_lru(w in workloads(), pool in 1usize..12) {
+        let build = |shards| build_with(w.ndisks, w.chunk_blocks, ParallelIo::Auto, pool, shards);
+        let one = run_on(build(1), &w);
+        let eight = run_on(build(8), &w);
+        prop_assert!(one.fsck_clean && eight.fsck_clean);
+        prop_assert_eq!(&one.reads, &eight.reads);
+        prop_assert!(one.stats == eight.stats, "disk counters differ");
+        prop_assert!(one.images == eight.images, "disk images differ");
     }
 }
 

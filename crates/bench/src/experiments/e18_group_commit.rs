@@ -6,21 +6,20 @@
 //! intentions through the per-spindle elevator schedulers and coalesces
 //! their `Completed` markers into the *next* force.
 //!
-//! This experiment sweeps the committer count and compares the pipeline
-//! ([`GroupCommit::Auto`], batches formed exactly as the leader forms
-//! them) against the serial ablation ([`GroupCommit::Never`], one forced
-//! log write per record — two per commit). Reported per cell: commits,
-//! log flushes, intention records per flush (avg/high-water), disk write
-//! references, the busiest spindle's busy time, and simulated completion
-//! time. The batches are driven deterministically so the table is
-//! byte-stable; the real threaded leader/follower path is exercised by
-//! the `rhodos-txn` concurrency tests and `benchmark/`'s `txn-contend`
-//! workload.
+//! This experiment sweeps the committer count: each wave of `committers`
+//! transactions is one [`TransactionService::commit_batch`], exactly as
+//! the leader forms it, and the one-committer wave — a force per commit —
+//! is the reference. Reported per cell: commits, log flushes, intention
+//! records per flush (avg/high-water), disk write references, the busiest
+//! spindle's busy time, and simulated completion time. The batches are
+//! driven deterministically so the table is byte-stable; the real
+//! threaded leader/follower path is exercised by the `rhodos-txn`
+//! concurrency tests and `benchmark/`'s `txn-contend` workload.
 
 use crate::latency::LatencySummary;
 use crate::table::{speedup, Table};
 use rhodos_file_service::LockLevel;
-use rhodos_txn::{GroupCommit, Prepared, TransactionService, TxnConfig, TxnStats};
+use rhodos_txn::{CommitReq, TransactionService, TxnStats};
 
 const NDISKS: usize = 4;
 const CHUNK_BLOCKS: u64 = 4;
@@ -32,29 +31,21 @@ struct Outcome {
     write_refs: u64,
     busiest_us: u64,
     sim_us: u64,
-    /// Per-commit virtual-time latency: `tend` for the serial ablation;
-    /// enqueue-to-batch-durable for the pipeline (followers wait for the
-    /// leader's force, so the whole wave shares its completion point).
+    /// Per-commit virtual-time latency, enqueue to batch durable
+    /// (followers wait for the leader's force, so the whole wave shares
+    /// its completion point).
     commit_lat: LatencySummary,
 }
 
-fn rig(mode: GroupCommit) -> TransactionService {
-    crate::setups::striped_transaction_service(
-        NDISKS,
-        CHUNK_BLOCKS,
-        TxnConfig {
-            group_commit: mode,
-            ..TxnConfig::default()
-        },
-    )
+fn rig() -> TransactionService {
+    crate::setups::striped_transaction_service(NDISKS, CHUNK_BLOCKS)
 }
 
 /// Runs `TOTAL_COMMITS` two-page update transactions, `committers` at a
-/// time. Under `Auto` each wave commits through one leader batch
-/// (prepare × n, force once, complete × n); under `Never` each commit
-/// forces its own records.
-fn measure(committers: usize, mode: GroupCommit) -> Outcome {
-    let mut ts = rig(mode);
+/// time; each wave commits as one batch (prepare × n, force once,
+/// complete × n).
+fn measure(committers: usize) -> Outcome {
+    let mut ts = rig();
     let fids: Vec<_> = (0..committers)
         .map(|_| ts.tcreate(LockLevel::Page).unwrap())
         .collect();
@@ -80,7 +71,7 @@ fn measure(committers: usize, mode: GroupCommit) -> Outcome {
     let mut commit_samples = Vec::with_capacity(TOTAL_COMMITS);
     let rounds = TOTAL_COMMITS / committers;
     for round in 0..rounds {
-        let mut pending = Vec::new();
+        let mut wave = Vec::with_capacity(committers);
         let mut enqueued_at = Vec::with_capacity(committers);
         for (i, &fid) in fids.iter().enumerate() {
             let t = ts.tbegin();
@@ -91,34 +82,18 @@ fn measure(committers: usize, mode: GroupCommit) -> Outcome {
             ts.twrite(t, fid, base, &vec![round as u8; 8192]).unwrap();
             ts.twrite(t, fid, base + 2 * 8192, &vec![i as u8; 8192])
                 .unwrap();
-            match mode {
-                GroupCommit::Never => {
-                    let start = clock.now_us();
-                    ts.tend(t).unwrap();
-                    commit_samples.push(clock.now_us() - start);
-                }
-                GroupCommit::Auto => {
-                    enqueued_at.push(clock.now_us());
-                    match ts.prepare_commit(t).unwrap() {
-                        Prepared::Pending(p) => pending.push(p),
-                        Prepared::Merged => unreachable!("top-level"),
-                    }
-                }
-            }
+            enqueued_at.push(clock.now_us());
+            wave.push(CommitReq::Local(t));
         }
-        if mode == GroupCommit::Auto {
-            // The leader: one force for the whole wave, then apply.
-            ts.flush_log().unwrap();
-            for p in pending {
-                ts.complete_commit(p).unwrap();
-            }
-            ts.maybe_compact_log().unwrap();
-            // Every commit in the wave becomes durable at the wave's end.
-            let wave_done = clock.now_us();
-            commit_samples.extend(enqueued_at.iter().map(|&at| wave_done - at));
+        // The leader: one force for the whole wave, then apply.
+        for result in ts.commit_batch(&wave) {
+            result.unwrap();
         }
+        // Every commit in the wave becomes durable at the wave's end.
+        let wave_done = clock.now_us();
+        commit_samples.extend(enqueued_at.iter().map(|&at| wave_done - at));
     }
-    // Force the tail `Completed` markers so both modes account the same
+    // Force the tail `Completed` markers so every cell accounts the same
     // durable end state.
     ts.flush_log().unwrap();
     let s1 = ts.stats();
@@ -163,7 +138,7 @@ fn measure(committers: usize, mode: GroupCommit) -> Outcome {
 /// `Prepared` records, so the table shows group commit amortising 2PC
 /// phase one the same way it amortises local `tend`.
 fn measure_cross(committers: usize) -> Outcome {
-    let mut ts = rig(GroupCommit::Auto);
+    let mut ts = rig();
     let fids: Vec<_> = (0..committers)
         .map(|_| ts.tcreate(LockLevel::Page).unwrap())
         .collect();
@@ -247,39 +222,25 @@ fn measure_cross(committers: usize) -> Outcome {
 }
 
 /// The deterministic commit counters emitted as `BENCH_txn_commit.json`
-/// (8 committers, both modes) — a diffable baseline: any change to the
-/// pipeline's batching, the elevator apply, or the flush accounting
-/// moves these numbers.
+/// (8 committers) — a diffable baseline: any change to the pipeline's
+/// batching, the elevator apply, or the flush accounting moves these
+/// numbers.
 pub fn stat_records() -> Vec<(String, u64)> {
-    let mut rows = Vec::new();
-    for (label, mode) in [("group", GroupCommit::Auto), ("serial", GroupCommit::Never)] {
-        let o = measure(8, mode);
-        let avg_x100 = (o.stats.records_flushed * 100)
-            .checked_div(o.stats.log_flushes)
-            .unwrap_or(0);
-        rows.extend([
-            (format!("txn_commit.{label}.committed"), o.stats.committed),
-            (
-                format!("txn_commit.{label}.log_flushes"),
-                o.stats.log_flushes,
-            ),
-            (
-                format!("txn_commit.{label}.records_per_flush_x100"),
-                avg_x100,
-            ),
-            (
-                format!("txn_commit.{label}.group_commits"),
-                o.stats.group_commits,
-            ),
-            (
-                format!("txn_commit.{label}.commit_batch_pages"),
-                o.stats.commit_batch_pages,
-            ),
-            (format!("txn_commit.{label}.write_refs"), o.write_refs),
-            (format!("txn_commit.{label}.busiest_us"), o.busiest_us),
-        ]);
-    }
-    rows
+    let o = measure(8);
+    let avg_x100 = (o.stats.records_flushed * 100)
+        .checked_div(o.stats.log_flushes)
+        .unwrap_or(0);
+    [
+        ("committed", o.stats.committed),
+        ("log_flushes", o.stats.log_flushes),
+        ("records_per_flush_x100", avg_x100),
+        ("group_commits", o.stats.group_commits),
+        ("commit_batch_pages", o.stats.commit_batch_pages),
+        ("write_refs", o.write_refs),
+        ("busiest_us", o.busiest_us),
+    ]
+    .map(|(name, v)| (format!("txn_commit.group.{name}"), v))
+    .into()
 }
 
 /// Runs the experiment.
@@ -297,19 +258,14 @@ pub fn run() -> String {
         "sim time (us)",
         "commit p50 (us)",
         "commit p99 (us)",
-        "flushes vs serial",
+        "flushes vs 1 committer",
     ]);
+    let cells = [1usize, 8, 32].map(|c| (c, measure(c), measure_cross(c)));
+    let single = &cells[0].1;
     let mut worst_flush_ratio = f64::MAX;
     let mut makespan_ok = true;
-    for committers in [1usize, 8, 32] {
-        let serial = measure(committers, GroupCommit::Never);
-        let group = measure(committers, GroupCommit::Auto);
-        let cross = measure_cross(committers);
-        for (is_serial, name, o) in [
-            (true, "serial ablation", &serial),
-            (false, "group commit", &group),
-            (false, "cross-shard prepare", &cross),
-        ] {
+    for (committers, group, cross) in &cells {
+        for (name, o) in [("group commit", group), ("cross-shard prepare", cross)] {
             let avg = if o.stats.log_flushes == 0 {
                 0.0
             } else {
@@ -328,29 +284,25 @@ pub fn run() -> String {
                 o.sim_us.to_string(),
                 o.commit_lat.p50.to_string(),
                 o.commit_lat.p99.to_string(),
-                if is_serial {
-                    "1.0x".to_string()
-                } else {
-                    speedup(serial.stats.log_flushes as f64, o.stats.log_flushes as f64)
-                },
+                speedup(single.stats.log_flushes as f64, o.stats.log_flushes as f64),
             ]);
         }
-        if committers > 1 {
+        if *committers > 1 {
             worst_flush_ratio = worst_flush_ratio
-                .min(serial.stats.log_flushes as f64 / group.stats.log_flushes.max(1) as f64);
-            makespan_ok &= group.busiest_us <= serial.busiest_us;
+                .min(single.stats.log_flushes as f64 / group.stats.log_flushes.max(1) as f64);
+            makespan_ok &= group.busiest_us <= single.busiest_us;
         }
     }
     let mut out = t.render();
     out.push_str(&format!(
         "\nSame {TOTAL_COMMITS} two-page commits per cell over {NDISKS} striped spindles.\n\
          Group commit forces the log once per wave and folds `Completed`\n\
-         markers into the next force; the ablation forces every record.\n\
+         markers into the next force; one committer forces once per commit.\n\
          The cross-shard row runs the wave as 2PC participants: its flush\n\
          columns count prepare forces and `Prepared` records per force —\n\
          phase one amortises exactly like local commit.\n\
          Concurrent-wave flush reduction >= 4x: {} (worst {:.1}x); busiest-spindle\n\
-         makespan never worse than serial: {}.\n",
+         makespan never worse than one committer: {}.\n",
         if worst_flush_ratio >= 4.0 {
             "yes"
         } else {
@@ -368,24 +320,24 @@ mod tests {
 
     #[test]
     fn group_commit_amortises_at_scale() {
-        let serial = measure(32, GroupCommit::Never);
-        let group = measure(32, GroupCommit::Auto);
-        assert_eq!(serial.stats.committed, group.stats.committed);
+        let single = measure(1);
+        let group = measure(32);
+        assert_eq!(single.stats.committed, group.stats.committed);
         assert!(
-            group.stats.log_flushes * 4 <= serial.stats.log_flushes,
-            "expected >=4x fewer flushes: group {} vs serial {}",
+            group.stats.log_flushes * 4 <= single.stats.log_flushes,
+            "expected >=4x fewer flushes: 32 committers {} vs one {}",
             group.stats.log_flushes,
-            serial.stats.log_flushes
+            single.stats.log_flushes
         );
         assert!(
-            group.busiest_us <= serial.busiest_us,
-            "busiest spindle must not regress: group {} vs serial {}",
+            group.busiest_us <= single.busiest_us,
+            "busiest spindle must not regress: 32 committers {} vs one {}",
             group.busiest_us,
-            serial.busiest_us
+            single.busiest_us
         );
         assert!(group.stats.group_commits > 0);
         assert!(group.stats.commit_batch_pages > 0, "batched apply unused");
-        assert_eq!(group.commit_lat.count, serial.commit_lat.count);
+        assert_eq!(group.commit_lat.count, single.commit_lat.count);
         assert!(group.commit_lat.p99 > 0, "commit latency must be sampled");
     }
 

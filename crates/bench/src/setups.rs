@@ -131,14 +131,10 @@ pub fn transaction_service(cfg: TxnConfig) -> TransactionService {
 /// wide — the group-commit rig of E18: log forces and intention applies
 /// hit the per-spindle schedulers directly, so flush batching and
 /// elevator coalescing show up in the disk counters.
-pub fn striped_transaction_service(
-    ndisks: usize,
-    chunk_blocks: u64,
-    cfg: TxnConfig,
-) -> TransactionService {
+pub fn striped_transaction_service(ndisks: usize, chunk_blocks: u64) -> TransactionService {
     TransactionService::new(
         striped_file_service_raw_mode(ndisks, chunk_blocks, ParallelIo::Auto),
-        cfg,
+        TxnConfig::default(),
     )
     .expect("striped transaction service")
 }

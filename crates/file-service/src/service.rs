@@ -751,25 +751,6 @@ impl FileService {
         self.fetch_window(fid, first, last.min(count - 1))
     }
 
-    /// Overwrites one whole logical block, write-through (a whole
-    /// committed page is made permanent at its commit, §6.7). The cache
-    /// and the disk path share one allocation of the data.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the block does not exist or the disk fails.
-    pub fn write_block(
-        &mut self,
-        fid: FileId,
-        idx: u64,
-        data: impl Into<BlockBuf>,
-    ) -> Result<(), FileServiceError> {
-        let data: BlockBuf = data.into();
-        self.store.entry(&mut self.volume, fid)?;
-        self.admit_written((fid, idx), data.clone())?;
-        self.volume.write_through(&mut self.store, (fid, idx), data)
-    }
-
     /// Allocates a detached block (shadow page home) on the file's home
     /// disk and returns its location.
     ///
@@ -824,19 +805,6 @@ impl FileService {
         Ok(self.volume.disk(disk).put(extent, data, policy)?)
     }
 
-    /// Reads raw data from a detached block.
-    ///
-    /// # Errors
-    ///
-    /// Disk failures.
-    pub fn get_detached_block(
-        &mut self,
-        disk: u16,
-        addr: FragmentAddr,
-    ) -> Result<BlockBuf, FileServiceError> {
-        self.volume.get_block(disk, addr)
-    }
-
     /// Reads many detached blocks in one scheduler pass: one elevator
     /// batch per spindle under makespan clock accounting, exactly like
     /// the read window path. Results come back in input order.
@@ -852,11 +820,11 @@ impl FileService {
     }
 
     /// Writes a set of whole logical blocks write-through in one
-    /// scheduler pass — the batched form of [`Self::write_block`]. The
-    /// blocks are inserted into the pool and the disk writes are
-    /// resolved and handed to the per-spindle schedulers as one batch
-    /// per disk, so physically adjacent blocks — across files — merge
-    /// into single disk references in elevator order.
+    /// scheduler pass (a whole committed page is made permanent at its
+    /// commit, §6.7). The blocks are inserted into the pool and the disk
+    /// writes are resolved and handed to the per-spindle schedulers as
+    /// one batch per disk, so physically adjacent blocks — across files —
+    /// merge into single disk references in elevator order.
     ///
     /// # Errors
     ///

@@ -15,7 +15,7 @@
 
 use crate::error::TxnError;
 use crate::lock::LockMode;
-use crate::service::{CommitReq, FastReadCheck, GroupCommit, TransactionService, TxnId};
+use crate::service::{CommitReq, FastReadCheck, TransactionService, TxnId};
 use crate::table::{LockOutcome, StripedLockTable};
 use parking_lot::Mutex;
 use rhodos_disk_service::BLOCK_SIZE;
@@ -143,8 +143,6 @@ impl FastPath {
 pub struct SharedTransactionService {
     inner: Arc<Mutex<TransactionService>>,
     pipeline: Arc<CommitPipeline>,
-    /// Cached `config().group_commit` — fixed at service construction.
-    mode: GroupCommit,
     /// Lock-free read fast path; `None` when the ablation configuration
     /// (`lock_shards = cache_shards = 1`) or a cacheless service makes it
     /// pointless.
@@ -154,12 +152,10 @@ pub struct SharedTransactionService {
 impl SharedTransactionService {
     /// Wraps a service for shared use.
     pub fn new(mut service: TransactionService) -> Self {
-        let mode = service.config().group_commit;
         let fast = FastPath::build(&mut service);
         Self {
             inner: Arc::new(Mutex::new(service)),
             pipeline: Arc::new(CommitPipeline::default()),
-            mode,
             fast,
         }
     }
@@ -366,12 +362,10 @@ impl SharedTransactionService {
 
     /// Commits transaction `t` through the group-commit pipeline.
     ///
-    /// Under [`GroupCommit::Auto`] concurrent committers share log
-    /// flushes: whichever thread finds the pipeline idle becomes the
-    /// leader and commits everyone queued behind it with a single
-    /// `flush_file`; the rest park on a condvar until their outcome is
-    /// published. Under [`GroupCommit::Never`] this is exactly
-    /// `self.lock().tend(t)` — the serial ablation.
+    /// Concurrent committers share log forces: whichever thread finds
+    /// the pipeline idle becomes the leader and commits everyone queued
+    /// behind it with a single force; the rest park on a condvar until
+    /// their outcome is published.
     ///
     /// # Errors
     ///
@@ -380,15 +374,6 @@ impl SharedTransactionService {
     /// transaction gets its own verdict; one aborting does not poison
     /// its batch-mates.
     pub fn commit(&self, t: TxnId) -> Result<(), TxnError> {
-        if self.mode == GroupCommit::Never {
-            return self.inner.lock().tend(t);
-        }
-        self.submit(t)
-    }
-
-    /// Queues `t` on the pipeline; the first arrival leads, everyone
-    /// else parks on the condvar until the leader publishes its outcome.
-    fn submit(&self, t: TxnId) -> Result<(), TxnError> {
         {
             let mut st = self.pipeline.state();
             st.queue.push(t);
@@ -578,7 +563,9 @@ mod tests {
         );
     }
 
-    fn shared_mode(mode: GroupCommit) -> SharedTransactionService {
+    /// Disjoint workload (one file per thread) so every commit succeeds
+    /// first try; returns the service for stats inspection.
+    fn disjoint_commits(threads: usize, per_thread: u64) -> TxnStats {
         let fs = FileService::single_disk(
             DiskGeometry::medium(),
             LatencyModel::instant(),
@@ -586,23 +573,12 @@ mod tests {
             FileServiceConfig::default(),
         )
         .unwrap();
-        let ts = TransactionService::new(
-            fs,
-            TxnConfig {
-                lt_us: 5_000,
-                max_renewals: 0,
-                group_commit: mode,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        SharedTransactionService::new(ts)
-    }
-
-    /// Disjoint workload (one file per thread) so every commit succeeds
-    /// first try; returns the service for stats inspection.
-    fn disjoint_commits(mode: GroupCommit, threads: usize, per_thread: u64) -> TxnStats {
-        let s = shared_mode(mode);
+        let config = TxnConfig {
+            lt_us: 5_000,
+            max_renewals: 0,
+            ..Default::default()
+        };
+        let s = SharedTransactionService::new(TransactionService::new(fs, config).unwrap());
         let fids: Vec<_> = (0..threads)
             .map(|_| s.lock().tcreate(LockLevel::Page).unwrap())
             .collect();
@@ -639,7 +615,7 @@ mod tests {
 
     #[test]
     fn group_commit_amortises_log_flushes() {
-        let stats = disjoint_commits(GroupCommit::Auto, 8, 25);
+        let stats = disjoint_commits(8, 25);
         assert!(stats.committed >= 8 * 25);
         assert!(
             stats.log_flushes < stats.committed,
@@ -649,19 +625,6 @@ mod tests {
         );
         assert!(stats.group_commits > 0, "no flush ever covered a batch");
         assert!(stats.records_per_flush_hwm >= 2);
-    }
-
-    #[test]
-    fn never_mode_flushes_per_commit() {
-        let stats = disjoint_commits(GroupCommit::Never, 4, 10);
-        assert!(stats.committed >= 4 * 10);
-        assert!(
-            stats.log_flushes >= stats.committed,
-            "the ablation must force the log for every commit: {} flushes, {} commits",
-            stats.log_flushes,
-            stats.committed
-        );
-        assert_eq!(stats.group_commits, 0, "Never must not batch");
     }
 
     #[test]

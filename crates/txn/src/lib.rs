@@ -74,7 +74,7 @@ pub use concurrent::{FastPathStats, SharedTransactionService};
 pub use error::TxnError;
 pub use lock::{DataItem, LockMode};
 pub use service::{
-    CommitReq, FastReadCheck, FastReadMeta, GroupCommit, Prepared, PreparedCommit,
-    TransactionService, TxnConfig, TxnId, TxnStats,
+    CommitReq, FastReadCheck, FastReadMeta, Prepared, PreparedCommit, TransactionService,
+    TxnConfig, TxnId, TxnStats,
 };
 pub use table::{LockOutcome, LockTable, LockTableStats, StripedLockTable};

@@ -89,17 +89,11 @@ pub(crate) struct IntentionLog {
     /// the next force: were they freed (and reused) earlier, a crash
     /// would let redo follow the log's stale pointers into reused blocks.
     deferred_frees: Vec<(u16, u64)>,
-    /// Every append forces itself (the `GroupCommit::Never` ablation).
-    force_each_record: bool,
 }
 
 impl IntentionLog {
     /// Creates, or re-attaches to, the log of `fs`.
-    pub(crate) fn open(
-        fs: &mut FileService,
-        stats: &mut TxnStats,
-        force_each_record: bool,
-    ) -> Result<Self, TxnError> {
+    pub(crate) fn open(fs: &mut FileService, stats: &mut TxnStats) -> Result<Self, TxnError> {
         if fs.system_file().is_none() {
             let fid = fs.create(ServiceType::Transaction)?;
             fs.set_system_file(fid)?;
@@ -116,7 +110,6 @@ impl IntentionLog {
             unflushed_records: 0,
             unflushed_prepares: 0,
             deferred_frees: Vec::new(),
-            force_each_record,
         };
         log.scan(fs, stats)?;
         (log.appended_lsn, log.durable_lsn) = (log.tail, log.tail);
@@ -139,16 +132,9 @@ impl IntentionLog {
         self.tail
     }
 
-    /// Appends one encoded record *without* forcing it (unless every
-    /// record forces itself): the frame joins the image and touches no
-    /// disk. Durability is [`Self::force`].
-    fn append(
-        &mut self,
-        fs: &mut FileService,
-        stats: &mut TxnStats,
-        body: &[u8],
-        is_prepare: bool,
-    ) -> Result<(), TxnError> {
+    /// Appends one encoded record *without* forcing it: the frame joins
+    /// the image and touches no disk. Durability is [`Self::force`].
+    fn append(&mut self, body: &[u8], is_prepare: bool) {
         let before = self.image.len();
         self.chain = LogRecord::frame_into(&mut self.image, body, self.incarnation, self.chain);
         let framed = (self.image.len() - before) as u64;
@@ -157,10 +143,6 @@ impl IntentionLog {
         self.dirty = true;
         self.unflushed_records += 1;
         self.unflushed_prepares += u64::from(is_prepare);
-        if self.force_each_record {
-            self.force(fs, stats)?;
-        }
-        Ok(())
     }
 
     /// Appends `txn`'s intentions list, encoded straight from the
@@ -168,45 +150,33 @@ impl IntentionLog {
     /// `vote` id, its `Prepared` record.
     pub(crate) fn append_intentions(
         &mut self,
-        fs: &mut FileService,
-        stats: &mut TxnStats,
         vote: Option<u64>,
         txn: TxnId,
         intentions: &[Intention],
         sizes: &[(FileId, u64)],
-    ) -> Result<(), TxnError> {
+    ) {
         let bytes = match vote {
             None => LogRecord::encode_commit(txn, intentions, sizes),
             Some(gtid) => LogRecord::encode_prepared(gtid, txn, intentions, sizes),
         };
-        self.append(fs, stats, &bytes, vote.is_some())
+        self.append(&bytes, vote.is_some());
     }
 
     /// Appends the `Completed` (`committed`) or `Aborted` marker that
     /// resolves `txn`'s intentions.
-    pub(crate) fn append_outcome(
-        &mut self,
-        fs: &mut FileService,
-        stats: &mut TxnStats,
-        txn: TxnId,
-        committed: bool,
-    ) -> Result<(), TxnError> {
+    pub(crate) fn append_outcome(&mut self, txn: TxnId, committed: bool) {
         let bytes = if committed {
             LogRecord::encode_completed(txn)
         } else {
             LogRecord::encode_aborted(txn)
         };
-        self.append(fs, stats, &bytes, false)
+        self.append(&bytes, false);
     }
 
     /// Appends a `Checkpoint` marker: every record completed before it
     /// is on the platter.
-    pub(crate) fn append_checkpoint(
-        &mut self,
-        fs: &mut FileService,
-        stats: &mut TxnStats,
-    ) -> Result<(), TxnError> {
-        self.append(fs, stats, &LogRecord::encode_checkpoint(), false)
+    pub(crate) fn append_checkpoint(&mut self) {
+        self.append(&LogRecord::encode_checkpoint(), false);
     }
 
     /// Makes every record appended since the previous force durable with

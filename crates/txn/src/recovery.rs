@@ -174,7 +174,7 @@ impl TransactionService {
         }
         let mut redone = Vec::new();
         for p in &redo {
-            self.apply_committed(p, true)?;
+            self.apply_committed(p)?;
             if p.has_effects {
                 redone.push(p.txn);
             }

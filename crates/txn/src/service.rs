@@ -8,8 +8,9 @@ use crate::log::IntentionLog;
 use crate::table::{LockOutcome, StripedLockTable};
 use rhodos_disk_service::{StablePolicy, BLOCK_SIZE};
 use rhodos_file_service::{
-    FileId, FileService, LeaseGrant, LeaseMode, LockLevel, RecallAck, ServiceType,
+    FileId, FileIndexTable, FileService, LeaseGrant, LeaseMode, LockLevel, RecallAck, ServiceType,
 };
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -22,22 +23,6 @@ impl fmt::Display for TxnId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "txn#{}", self.0)
     }
-}
-
-/// Group-commit policy: how aggressively commit I/O is batched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GroupCommit {
-    /// Batched commit I/O: a log flush covers every record appended
-    /// since the previous flush (the `Completed` marker rides in the
-    /// *next* flush instead of forcing its own — redo is idempotent, so
-    /// recovery is unchanged), and a commit's page intentions reach the
-    /// per-spindle schedulers as elevator-ordered batches.
-    #[default]
-    Auto,
-    /// Ablation: every log record forces its own log write and
-    /// intentions apply one disk reference at a time — the
-    /// pre-group-commit behaviour, kept for E18 comparisons.
-    Never,
 }
 
 /// Tunables of the transaction service: every field has two values in
@@ -57,8 +42,6 @@ pub struct TxnConfig {
     /// implements the relaxation: a lock request also conflicts with
     /// overlapping locks held in the *other* granularities' tables.
     pub cross_granularity: bool,
-    /// Group-commit policy (see [`GroupCommit`]).
-    pub group_commit: GroupCommit,
     /// Shards each lock table is striped over (lock-contention isolation,
     /// E20). `1` reproduces one unstriped table per granularity exactly —
     /// the E20 ablation arm.
@@ -71,7 +54,6 @@ impl Default for TxnConfig {
             lt_us: 100_000,
             max_renewals: 3,
             cross_granularity: false,
-            group_commit: GroupCommit::Auto,
             lock_shards: 8,
         }
     }
@@ -141,8 +123,7 @@ pub struct TxnStats {
     pub records_flushed: u64,
     /// Most log records made durable by a single flush (high-water mark).
     pub records_per_flush_hwm: u64,
-    /// Page intentions applied through the batched elevator path rather
-    /// than one disk reference at a time.
+    /// Page intentions applied.
     pub commit_batch_pages: u64,
     /// Intention-log compactions performed.
     pub log_compactions: u64,
@@ -414,11 +395,7 @@ impl TransactionService {
     /// Fails if the log file cannot be created or opened.
     pub fn new(mut fs: FileService, config: TxnConfig) -> Result<Self, TxnError> {
         let mut stats = TxnStats::default();
-        let log = IntentionLog::open(
-            &mut fs,
-            &mut stats,
-            config.group_commit == GroupCommit::Never,
-        )?;
+        let log = IntentionLog::open(&mut fs, &mut stats)?;
         let mk = || {
             Arc::new(StripedLockTable::new(
                 config.lt_us,
@@ -703,13 +680,7 @@ impl TransactionService {
     /// [`TxnError::WouldBlock`] while another transaction uses the file.
     pub fn tdelete(&mut self, t: TxnId, fid: FileId) -> Result<(), TxnError> {
         self.txn(t)?;
-        self.acquire(
-            t,
-            fid,
-            DataItem::File(fid),
-            LockMode::Iwrite,
-            LockLevel::File,
-        )?;
+        self.acquire(t, DataItem::File(fid), LockMode::Iwrite, LockLevel::File)?;
         self.txn_mut(t)?.to_delete.push(fid);
         Ok(())
     }
@@ -740,7 +711,6 @@ impl TransactionService {
     fn acquire(
         &mut self,
         t: TxnId,
-        _fid: FileId,
         item: DataItem,
         mode: LockMode,
         level: LockLevel,
@@ -924,7 +894,7 @@ impl TransactionService {
         }
         let (level, items) = self.items_for_range(fid, offset, len as u64)?;
         for item in items {
-            self.acquire(t, fid, item, mode, level)?;
+            self.acquire(t, item, mode, level)?;
         }
         let base_size = self.fs.get_attribute(fid)?.size;
         let size = self.effective_size(t, fid, base_size);
@@ -1023,7 +993,7 @@ impl TransactionService {
         }
         let (level, items) = self.items_for_range(fid, offset, data.len() as u64)?;
         for item in items {
-            self.acquire(t, fid, item, LockMode::Iwrite, level)?;
+            self.acquire(t, item, LockMode::Iwrite, level)?;
         }
         let base_size = self.fs.get_attribute(fid)?.size;
         match level {
@@ -1138,8 +1108,8 @@ impl TransactionService {
     ///
     /// One result per request, in request order. The steps stay public
     /// for code that measures or crashes *between* them (`benchmark/`'s
-    /// ladder, E18's wave model, the crash-point tests); everything that
-    /// just commits calls this. DESIGN.md §4 has the reasons.
+    /// ladder, the crash-point tests); everything that just commits calls
+    /// this. DESIGN.md §4 has the reasons.
     pub fn commit_batch(&mut self, reqs: &[CommitReq<'_>]) -> Vec<Result<(), TxnError>> {
         enum Step {
             Done(Result<(), TxnError>),
@@ -1254,7 +1224,7 @@ impl TransactionService {
         if self.active.is_empty() && self.prepared.is_empty() {
             self.log.reset(&mut self.fs, &mut self.stats)
         } else {
-            self.log.append_checkpoint(&mut self.fs, &mut self.stats)?;
+            self.log.append_checkpoint();
             self.flush_log()
         }
     }
@@ -1297,8 +1267,9 @@ impl TransactionService {
     ///
     /// # Errors
     ///
-    /// [`TxnError::NotActive`], [`TxnError::ChildrenActive`]; file-service
-    /// failures writing the log.
+    /// [`TxnError::NotActive`], [`TxnError::InDoubt`],
+    /// [`TxnError::ChildrenActive`]; file-service failures merging a
+    /// nested commit.
     pub fn prepare_commit(&mut self, t: TxnId) -> Result<Prepared, TxnError> {
         self.txn(t)?;
         if self.in_doubt(t) {
@@ -1313,14 +1284,14 @@ impl TransactionService {
             self.tend_nested(t)?;
             return Ok(Prepared::Merged);
         }
-        Ok(Prepared::Pending(self.log_intentions(t, None)?))
+        Ok(Prepared::Pending(self.log_intentions(t, None)))
     }
 
     /// Assembles `t`'s intentions list and appends it to the log,
     /// unforced: as its `Commit` record (the intention flag moves to
     /// Commit) or, under a coordinator's `vote` id, as its `Prepared`
     /// record.
-    fn log_intentions(&mut self, t: TxnId, vote: Option<u64>) -> Result<PreparedCommit, TxnError> {
+    fn log_intentions(&mut self, t: TxnId, vote: Option<u64>) -> PreparedCommit {
         let txn = self.active.get(&t).expect("caller checked");
         let (intentions, sizes) = txn.assemble_intentions();
         // Deferred deletions are in no durable record, so only a local
@@ -1331,33 +1302,25 @@ impl TransactionService {
         };
         let has_effects = !intentions.is_empty() || !to_delete.is_empty();
         if has_effects {
-            self.log.append_intentions(
-                &mut self.fs,
-                &mut self.stats,
-                vote,
-                t,
-                &intentions,
-                &sizes,
-            )?;
+            self.log.append_intentions(vote, t, &intentions, &sizes);
         }
-        Ok(PreparedCommit {
+        PreparedCommit {
             txn: t,
             intentions,
             sizes,
             has_effects,
             to_delete,
-        })
+        }
     }
 
     /// Step 3 of [`Self::commit_batch`] for a local commit: makes the
     /// prepared changes permanent — whole pages by WAL or shadow swing,
     /// records into the block pool, where write-back or a checkpoint
     /// takes them home — performs deferred deletions, appends the
-    /// `Completed` marker (deferred into the *next* flush under
-    /// [`GroupCommit::Auto`] — redo is idempotent) and releases the
-    /// locks. It writes no home block of a record: the `Commit` record,
-    /// which must already be durable ([`Self::flush_log`]), is what makes
-    /// it permanent.
+    /// `Completed` marker (deferred into the *next* flush — redo is
+    /// idempotent) and releases the locks. It writes no home block of a
+    /// record: the `Commit` record, which must already be durable
+    /// ([`Self::flush_log`]), is what makes it permanent.
     ///
     /// # Errors
     ///
@@ -1368,23 +1331,17 @@ impl TransactionService {
         if !self.active.contains_key(&t) {
             return Err(TxnError::NotActive(t));
         }
-        self.apply_committed(&p, false)?;
+        self.apply_committed(&p)?;
         self.finish(t, true);
         Ok(())
     }
 
     /// The one applier of a committed intentions list — a live commit, a
     /// resolved participant and a recovery redo all end here: makes the
-    /// changes permanent, performs the deferred deletions and marks the
-    /// intentions applied by appending the `Completed` marker. `recovering`
-    /// selects the recovery-grade apply: serial, tolerant of deleted
-    /// files, FIT-aliasing guarded (the apply may already have run
-    /// before a crash ate the marker).
-    pub(crate) fn apply_committed(
-        &mut self,
-        p: &PreparedCommit,
-        recovering: bool,
-    ) -> Result<(), TxnError> {
+    /// changes permanent ([`Self::apply_intentions`]), performs the
+    /// deferred deletions and marks the intentions applied by appending
+    /// the `Completed` marker.
+    pub(crate) fn apply_committed(&mut self, p: &PreparedCommit) -> Result<(), TxnError> {
         // Logical sizes first: intentions are block-granular and alone
         // would leave a size-extending commit short. (A redo may name a
         // file its own commit went on to delete.)
@@ -1393,7 +1350,7 @@ impl TransactionService {
                 self.fs.ensure_size(fid, size)?;
             }
         }
-        self.apply_intentions(&p.intentions, recovering)?;
+        self.apply_intentions(&p.intentions)?;
         for &fid in &p.to_delete {
             // Close our own handle if we had one, then delete.
             if self.txn(p.txn)?.open_files.contains(&fid) {
@@ -1402,8 +1359,7 @@ impl TransactionService {
             self.fs.delete(fid)?;
         }
         if p.has_effects {
-            self.log
-                .append_outcome(&mut self.fs, &mut self.stats, p.txn, true)?;
+            self.log.append_outcome(p.txn, true);
         }
         Ok(())
     }
@@ -1434,8 +1390,7 @@ impl TransactionService {
     ///
     /// [`TxnError::NotActive`], [`TxnError::InDoubt`],
     /// [`TxnError::ChildrenActive`] (also returned for a nested `t` —
-    /// only top-level transactions prepare); file-service failures
-    /// writing the log.
+    /// only top-level transactions prepare).
     pub fn prepare_participant(&mut self, t: TxnId, gtid: u64) -> Result<(), TxnError> {
         self.txn(t)?;
         if self.in_doubt(t) {
@@ -1444,7 +1399,7 @@ impl TransactionService {
         if !self.children_of(t).is_empty() || self.txn(t)?.parent.is_some() {
             return Err(TxnError::ChildrenActive(t));
         }
-        let vote = self.log_intentions(t, Some(gtid))?;
+        let vote = self.log_intentions(t, Some(gtid));
         self.stats.prepares += 1;
         self.prepared.insert(gtid, vote);
         Ok(())
@@ -1482,23 +1437,14 @@ impl TransactionService {
             return Ok(false);
         };
         let t = p.txn;
-        let crash_free = self.active.contains_key(&t);
         if commit {
-            // Post-crash resolves take the recovery-grade apply.
-            self.apply_committed(&p, !crash_free)?;
+            self.apply_committed(&p)?;
             self.finish(t, true);
         } else {
-            // The rollback must not depend on the log taking one more
-            // record — a vote is rolled back precisely when its force
-            // failed — so a marker that cannot be appended is reported
-            // after the transaction is gone, not instead.
-            let marked = if p.has_effects {
-                self.log
-                    .append_outcome(&mut self.fs, &mut self.stats, t, false)
-            } else {
-                Ok(())
-            };
-            if crash_free {
+            if p.has_effects {
+                self.log.append_outcome(t, false);
+            }
+            if self.active.contains_key(&t) {
                 // The prepared entry is gone, so the normal abort path —
                 // which frees tentative blocks and deletes files created
                 // inside the transaction — is permitted again.
@@ -1519,7 +1465,6 @@ impl TransactionService {
                 }
                 self.finish(t, false);
             }
-            marked?;
         }
         Ok(true)
     }
@@ -1580,114 +1525,6 @@ impl TransactionService {
         Ok(false)
     }
 
-    /// Applies intentions. `recovering` marks redo during
-    /// [`Self::recover`]: files deleted after the original apply are
-    /// tolerated (the redo of a completed-then-crashed commit must skip
-    /// them, not fail) and the serial path is always used.
-    fn apply_intentions(
-        &mut self,
-        intentions: &[Intention],
-        recovering: bool,
-    ) -> Result<(), TxnError> {
-        let npages = intentions
-            .iter()
-            .filter(|i| matches!(i, Intention::Page { .. }))
-            .count();
-        if self.config.group_commit == GroupCommit::Auto && !recovering && npages > 1 {
-            return self.apply_intentions_batched(intentions);
-        }
-        for intent in intentions {
-            match intent {
-                Intention::Page {
-                    fid,
-                    index,
-                    tentative_disk,
-                    tentative_addr,
-                } => {
-                    if recovering && !self.fs.exists(*fid) {
-                        // The committing transaction also deleted this file
-                        // (apply ran, then the crash ate the `Completed`
-                        // marker): nothing to redo. Drop the repinned
-                        // tentative block once the redo's `Completed` is
-                        // durable.
-                        self.log.defer_free(*tentative_disk, *tentative_addr);
-                        continue;
-                    }
-                    // Grow first if recovery replays a size-extending write.
-                    let nblocks = self
-                        .fs
-                        .get_attribute(*fid)?
-                        .size
-                        .div_ceil(BLOCK_SIZE as u64);
-                    if *index >= nblocks {
-                        self.fs
-                            .ensure_size(*fid, (*index + 1) * BLOCK_SIZE as u64)?;
-                    }
-                    let fit = self.fs.fit_snapshot(*fid)?;
-                    let technique = if fit.contiguity_ratio() >= 1.0 {
-                        Technique::Wal
-                    } else {
-                        Technique::Shadow
-                    };
-                    // Redo aliasing guard: if a pre-crash *shadow* apply
-                    // already swung the FIT to the tentative block (the
-                    // crash ate only the `Completed` marker) and the
-                    // technique recomputes as WAL now, the "tentative"
-                    // block IS the live block — copying it onto itself and
-                    // then freeing it would corrupt the file.
-                    if recovering {
-                        let descs = self.fs.block_descriptors(*fid)?;
-                        if descs
-                            .get(*index as usize)
-                            .is_some_and(|d| (d.disk, d.addr) == (*tentative_disk, *tentative_addr))
-                        {
-                            // Already applied — an idempotent no-op redo.
-                            continue;
-                        }
-                    }
-                    let data = self
-                        .fs
-                        .get_detached_block(*tentative_disk, *tentative_addr)?;
-                    match technique {
-                        Technique::Wal => {
-                            // In-place update preserves contiguity; the
-                            // detached block was the log entry. Its free
-                            // waits for the `Completed` marker to be
-                            // durable.
-                            self.fs.write_block(*fid, *index, data)?;
-                            self.log.defer_free(*tentative_disk, *tentative_addr);
-                            self.stats.wal_pages += 1;
-                        }
-                        Technique::Shadow => {
-                            // Swing the descriptor; free the old block —
-                            // unless this is a redo of an already-applied
-                            // intention, in which case the descriptor
-                            // already points at the tentative block and
-                            // freeing "old" would free live data.
-                            let (od, oa) = self.fs.replace_block_descriptor(
-                                *fid,
-                                *index,
-                                *tentative_disk,
-                                *tentative_addr,
-                            )?;
-                            if (od, oa) != (*tentative_disk, *tentative_addr) {
-                                self.fs.free_detached_block(od, oa)?;
-                            }
-                            self.stats.shadow_pages += 1;
-                        }
-                    }
-                }
-                Intention::Record { fid, offset, data } => {
-                    if recovering && !self.fs.exists(*fid) {
-                        continue;
-                    }
-                    self.apply_record(*fid, *offset, data)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// The record applier. Records always use WAL: the log record *is*
     /// the log entry, applied in place — into the block pool, as a dirty
     /// block the log covers until the pool's write-back or a checkpoint
@@ -1715,46 +1552,63 @@ impl TransactionService {
         Ok(())
     }
 
-    /// The batched apply: every tentative page in the commit is fetched in
-    /// one per-spindle elevator pass and WAL pages land as one write batch
-    /// (physically adjacent blocks merge into single disk references).
-    /// Data and ordering are exactly the serial path's; only the grouping
-    /// of the transfers differs.
-    fn apply_intentions_batched(&mut self, intentions: &[Intention]) -> Result<(), TxnError> {
+    /// Applies an intentions list — every commit's, vote's and redo's the
+    /// same way. The tentative blocks of its whole pages are fetched in one
+    /// per-spindle elevator pass; each page is made permanent by the
+    /// technique its file's layout picks (§6.7), WAL pages landing as one
+    /// write batch (physically adjacent blocks merge into single disk
+    /// references); then its records go, in order, into the pool.
+    ///
+    /// The apply may have run before a crash ate the `Completed` marker,
+    /// so two guards make a redo idempotent. Both read in-memory state
+    /// only:
+    ///
+    /// - an intention on a file its own commit went on to delete is
+    ///   skipped — a page's tentative block is freed after the next force;
+    /// - a page whose descriptor already names its tentative block is
+    ///   skipped: that swing landed. Applied again as WAL, the live block
+    ///   would be copied onto itself and then freed.
+    fn apply_intentions(&mut self, intentions: &[Intention]) -> Result<(), TxnError> {
         // Pass 1: growth, in list order — growth can change a file's
-        // layout, so finish all of it before snapshotting techniques.
+        // layout, so finish all of it before snapshotting the FITs.
         let mut pages: Vec<(FileId, u64, u16, u64)> = Vec::new();
         for intent in intentions {
-            if let Intention::Page {
+            let &Intention::Page {
                 fid,
                 index,
                 tentative_disk,
                 tentative_addr,
             } = intent
-            {
-                let nblocks = self
-                    .fs
-                    .get_attribute(*fid)?
-                    .size
-                    .div_ceil(BLOCK_SIZE as u64);
-                if *index >= nblocks {
-                    self.fs
-                        .ensure_size(*fid, (*index + 1) * BLOCK_SIZE as u64)?;
-                }
-                pages.push((*fid, *index, *tentative_disk, *tentative_addr));
+            else {
+                continue;
+            };
+            if !self.fs.exists(fid) {
+                self.log.defer_free(tentative_disk, tentative_addr);
+                continue;
             }
+            let nblocks = self.fs.get_attribute(fid)?.size.div_ceil(BLOCK_SIZE as u64);
+            if index >= nblocks {
+                self.fs.ensure_size(fid, (index + 1) * BLOCK_SIZE as u64)?;
+            }
+            pages.push((fid, index, tentative_disk, tentative_addr));
         }
-        let mut technique: HashMap<FileId, Technique> = HashMap::new();
+        // One FIT snapshot per file picks the technique and guards the redo.
+        let mut fits: HashMap<FileId, (FileIndexTable, Technique)> = HashMap::new();
         for &(fid, ..) in &pages {
-            if let std::collections::hash_map::Entry::Vacant(e) = technique.entry(fid) {
-                let t = if self.fs.fit_snapshot(fid)?.contiguity_ratio() >= 1.0 {
+            if let Entry::Vacant(e) = fits.entry(fid) {
+                let fit = self.fs.fit_snapshot(fid)?;
+                let technique = if fit.contiguity_ratio() >= 1.0 {
                     Technique::Wal
                 } else {
                     Technique::Shadow
                 };
-                e.insert(t);
+                e.insert((fit, technique));
             }
         }
+        pages.retain(|&(fid, index, td, ta)| {
+            let live = fits[&fid].0.descriptor(index).map(|d| (d.disk, d.addr));
+            live != Some((td, ta))
+        });
         // Pass 2: one elevator batch reads every tentative block.
         let locs: Vec<(u16, u64)> = pages.iter().map(|&(_, _, d, a)| (d, a)).collect();
         let bufs = self.fs.get_detached_blocks(&locs)?;
@@ -1764,7 +1618,7 @@ impl TransactionService {
         let mut wal_writes: Vec<(FileId, u64, rhodos_buf::BlockBuf)> = Vec::new();
         let mut wal_frees: Vec<(u16, u64)> = Vec::new();
         for (&(fid, index, td, ta), buf) in pages.iter().zip(bufs) {
-            match technique[&fid] {
+            match fits[&fid].1 {
                 Technique::Wal => {
                     wal_writes.push((fid, index, buf));
                     wal_frees.push((td, ta));
@@ -1772,9 +1626,7 @@ impl TransactionService {
                 }
                 Technique::Shadow => {
                     let (od, oa) = self.fs.replace_block_descriptor(fid, index, td, ta)?;
-                    if (od, oa) != (td, ta) {
-                        self.fs.free_detached_block(od, oa)?;
-                    }
+                    self.fs.free_detached_block(od, oa)?;
                     self.stats.shadow_pages += 1;
                 }
             }
@@ -1787,7 +1639,9 @@ impl TransactionService {
         // Pass 4: record intentions, in order, into the pool.
         for intent in intentions {
             if let Intention::Record { fid, offset, data } = intent {
-                self.apply_record(*fid, *offset, data)?;
+                if self.fs.exists(*fid) {
+                    self.apply_record(*fid, *offset, data)?;
+                }
             }
         }
         Ok(())

@@ -1,12 +1,11 @@
 //! Crash equivalence for the group-commit pipeline (§6.6–6.7).
 //!
-//! Property: for any workload, crashing a [`GroupCommit::Auto`] service —
-//! including mid-batch, with `Completed` markers and a prepared-but-
-//! unflushed commit record pending — and recovering must yield exactly
-//! the state of the transactions that were *acknowledged* committed,
-//! byte-for-byte identical to the [`GroupCommit::Never`] serial ablation
-//! crashed at the same point. An unacknowledged in-flight transaction may
-//! be redone or lost (either mode may legitimately differ here), but it
+//! Property: for any workload, crashing the service — including
+//! mid-batch, with `Completed` markers and a prepared-but-unflushed commit
+//! record pending — and recovering must yield exactly the state of the
+//! transactions that were *acknowledged* committed, byte-for-byte equal
+//! to a model that applies each acknowledged write in order. An
+//! unacknowledged in-flight transaction may be redone or lost, but it
 //! must be all-or-nothing.
 //!
 //! Cases are deterministic under the shimmed proptest runner; CI pins
@@ -16,14 +15,14 @@
 use proptest::prelude::*;
 use rhodos_file_service::{FileId, FileService, FileServiceConfig, LockLevel};
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
-use rhodos_txn::{GroupCommit, TransactionService, TxnConfig, TxnError};
+use rhodos_txn::{TransactionService, TxnConfig, TxnError};
 
 /// One single-write transaction in the generated workload.
 type Op = (usize, u64, u8, usize); // (file, raw offset, fill byte, length)
 
 const NFILES: usize = 3;
 
-fn service(mode: GroupCommit) -> TransactionService {
+fn service() -> TransactionService {
     let fs = FileService::single_disk(
         DiskGeometry::medium(),
         LatencyModel::instant(),
@@ -31,14 +30,7 @@ fn service(mode: GroupCommit) -> TransactionService {
         FileServiceConfig::default(),
     )
     .unwrap();
-    TransactionService::new(
-        fs,
-        TxnConfig {
-            group_commit: mode,
-            ..Default::default()
-        },
-    )
-    .unwrap()
+    TransactionService::new(fs, TxnConfig::default()).unwrap()
 }
 
 /// Creates the working files and commits one durable init byte in each,
@@ -98,113 +90,77 @@ fn matches_model(ts: &mut TransactionService, fid: FileId, model: &[u8]) -> bool
 fn check_case(ops: &[Op], crash_after: usize, inflight: bool) -> Result<(), TestCaseError> {
     let crash_after = crash_after.min(ops.len());
     let mut models: Vec<Vec<u8>> = vec![Vec::new(); NFILES];
-    let mut auto = service(GroupCommit::Auto);
-    let mut never = service(GroupCommit::Never);
-    let auto_fids = setup(&mut auto, &mut models);
-    let mut never_models: Vec<Vec<u8>> = vec![Vec::new(); NFILES];
-    let never_fids = setup(&mut never, &mut never_models);
+    let mut ts = service();
+    let fids = setup(&mut ts, &mut models);
 
-    // Acknowledged prefix of the workload, identically on both services.
+    // Acknowledged prefix of the workload.
     for op in &ops[..crash_after] {
-        run_op(&mut auto, &auto_fids, op, &models);
-        run_op(&mut never, &never_fids, op, &models);
+        run_op(&mut ts, &fids, op, &models);
         apply_to_model(&mut models, op);
     }
 
     // Optionally leave one transaction *inside* the batch: its commit
-    // record is appended (and under Never, already forced) but the
-    // pipeline never acknowledged it — commit()/flush_log never returned.
+    // record is appended but the pipeline never acknowledged it —
+    // commit()/flush_log never returned.
     let mut with_inflight = models.clone();
     if inflight {
         let marker = with_inflight[0][0] ^ 0xA5; // differs from current byte 0
         with_inflight[0][0] = marker;
-        for (ts, fid) in [(&mut auto, auto_fids[0]), (&mut never, never_fids[0])] {
-            let t = ts.tbegin();
-            ts.topen(t, fid).unwrap();
-            ts.twrite(t, fid, 0, &[marker]).unwrap();
-            match ts.prepare_commit(t) {
-                Ok(rhodos_txn::Prepared::Pending(_)) => {} // record appended, never flushed/applied
-                other => panic!("in-flight prepare should pend: {other:?}"),
-            }
+        let t = ts.tbegin();
+        ts.topen(t, fids[0]).unwrap();
+        ts.twrite(t, fids[0], 0, &[marker]).unwrap();
+        match ts.prepare_commit(t) {
+            Ok(rhodos_txn::Prepared::Pending(_)) => {} // record appended, never flushed/applied
+            other => panic!("in-flight prepare should pend: {other:?}"),
         }
     }
 
-    // Crash both mid-pipeline: deferred Completed markers (Auto) and any
-    // unforced commit record die with the delayed-write cache.
-    auto.file_service_mut().simulate_crash();
-    never.file_service_mut().simulate_crash();
-    auto.recover()
-        .map_err(|e| TestCaseError::fail(format!("auto recovery failed: {e}")))?;
-    never
-        .recover()
-        .map_err(|e| TestCaseError::fail(format!("never recovery failed: {e}")))?;
+    // Crash mid-pipeline: deferred Completed markers and any unforced
+    // commit record die with the delayed-write cache.
+    ts.file_service_mut().simulate_crash();
+    ts.recover()
+        .map_err(|e| TestCaseError::fail(format!("recovery failed: {e}")))?;
 
     // Recovery must be idempotent under repeated crashes: the first
     // pass's own `Completed` markers are appended over any torn tail (at
     // the valid log prefix) and forced, so a second crash straight after
     // leaves nothing to redo.
-    auto.file_service_mut().simulate_crash();
-    never.file_service_mut().simulate_crash();
-    let auto_redone2 = auto
+    ts.file_service_mut().simulate_crash();
+    let redone2 = ts
         .recover()
-        .map_err(|e| TestCaseError::fail(format!("auto re-recovery failed: {e}")))?;
-    let never_redone2 = never
-        .recover()
-        .map_err(|e| TestCaseError::fail(format!("never re-recovery failed: {e}")))?;
-    prop_assert!(
-        auto_redone2.is_empty(),
-        "auto: second recovery re-redid {auto_redone2:?}"
-    );
-    prop_assert!(
-        never_redone2.is_empty(),
-        "never: second recovery re-redid {never_redone2:?}"
-    );
+        .map_err(|e| TestCaseError::fail(format!("re-recovery failed: {e}")))?;
+    prop_assert!(redone2.is_empty(), "second recovery re-redid {redone2:?}");
 
     for f in 0..NFILES {
-        let auto_ok = matches_model(&mut auto, auto_fids[f], &models[f]);
-        let never_ok = matches_model(&mut never, never_fids[f], &models[f]);
+        let ok = matches_model(&mut ts, fids[f], &models[f]);
         if inflight && f == 0 {
             // Atomicity, not equality: the unacknowledged transaction may
             // be redone (record durable) or lost (record torn) — but
             // nothing in between.
-            let auto_with = matches_model(&mut auto, auto_fids[f], &with_inflight[f]);
-            let never_with = matches_model(&mut never, never_fids[f], &with_inflight[f]);
+            let with = matches_model(&mut ts, fids[f], &with_inflight[f]);
             prop_assert!(
-                auto_ok || auto_with,
-                "auto file {f}: recovered state is neither with nor without the in-flight txn"
-            );
-            prop_assert!(
-                never_ok || never_with,
-                "never file {f}: recovered state is neither with nor without the in-flight txn"
+                ok || with,
+                "file {f}: recovered state is neither with nor without the in-flight txn"
             );
         } else {
             prop_assert!(
-                auto_ok,
-                "auto file {f}: recovered bytes differ from acknowledged-commit model"
-            );
-            prop_assert!(
-                never_ok,
-                "never file {f}: recovered bytes differ from acknowledged-commit model"
+                ok,
+                "file {f}: recovered bytes differ from acknowledged-commit model"
             );
         }
     }
 
-    // Both recovered services must remain fully operational and converge
+    // The recovered service must remain fully operational and converge
     // when the rest of the workload is replayed.
     if !inflight {
         for op in &ops[crash_after..] {
-            run_op(&mut auto, &auto_fids, op, &models);
-            run_op(&mut never, &never_fids, op, &models);
+            run_op(&mut ts, &fids, op, &models);
             apply_to_model(&mut models, op);
         }
         for f in 0..NFILES {
             prop_assert!(
-                matches_model(&mut auto, auto_fids[f], &models[f]),
-                "auto file {f}: post-recovery replay diverged"
-            );
-            prop_assert!(
-                matches_model(&mut never, never_fids[f], &models[f]),
-                "never file {f}: post-recovery replay diverged"
+                matches_model(&mut ts, fids[f], &models[f]),
+                "file {f}: post-recovery replay diverged"
             );
         }
     }
@@ -253,40 +209,28 @@ proptest! {
     }
 }
 
-/// A torn crash point *between* prepare and flush under Auto must lose
-/// the transaction; the same point under Never (where append forces) must
-/// redo it — both all-or-nothing. Deterministic companion to the
-/// proptest, pinning the one asymmetric crash window.
+/// A torn crash point *between* prepare and flush must lose the
+/// transaction wholesale. Deterministic companion to the proptest,
+/// pinning the one asymmetric crash window.
 #[test]
 fn inflight_prepare_is_all_or_nothing() {
-    for mode in [GroupCommit::Auto, GroupCommit::Never] {
-        let mut ts = service(mode);
-        let mut models = vec![Vec::new(); NFILES];
-        let fids = setup(&mut ts, &mut models);
-        let t = ts.tbegin();
-        ts.topen(t, fids[0]).unwrap();
-        ts.twrite(t, fids[0], 0, b"torn").unwrap();
-        match ts.prepare_commit(t).unwrap() {
-            rhodos_txn::Prepared::Pending(_) => {}
-            other => panic!("expected pending, got {other:?}"),
-        }
-        ts.file_service_mut().simulate_crash();
-        let redone = ts.recover().unwrap();
-        match mode {
-            // Record never forced: the transaction vanishes wholesale.
-            // (The last init txn's *deferred* Completed marker also died,
-            // so that one is benignly redone — idempotent.)
-            GroupCommit::Auto => {
-                assert!(!redone.contains(&t), "unforced record must not redo");
-                assert!(matches_model(&mut ts, fids[0], &[7u8]));
-            }
-            // Never forces on append: recovery must redo it wholesale.
-            GroupCommit::Never => {
-                assert_eq!(redone, vec![t]);
-                assert!(matches_model(&mut ts, fids[0], b"torn"));
-            }
-        }
+    let mut ts = service();
+    let mut models = vec![Vec::new(); NFILES];
+    let fids = setup(&mut ts, &mut models);
+    let t = ts.tbegin();
+    ts.topen(t, fids[0]).unwrap();
+    ts.twrite(t, fids[0], 0, b"torn").unwrap();
+    match ts.prepare_commit(t).unwrap() {
+        rhodos_txn::Prepared::Pending(_) => {}
+        other => panic!("expected pending, got {other:?}"),
     }
+    ts.file_service_mut().simulate_crash();
+    let redone = ts.recover().unwrap();
+    // Record never forced: the transaction vanishes wholesale. (The last
+    // init txn's *deferred* Completed marker also died, so that one is
+    // benignly redone — idempotent.)
+    assert!(!redone.contains(&t), "unforced record must not redo");
+    assert!(matches_model(&mut ts, fids[0], &[7u8]));
 }
 
 /// Regression: a crash inside the deferred-`Completed` window leaves the
@@ -297,7 +241,7 @@ fn inflight_prepare_is_all_or_nothing() {
 /// recovery would redo the same commit again.
 #[test]
 fn repeated_crashes_converge_after_deferred_marker() {
-    let mut ts = service(GroupCommit::Auto);
+    let mut ts = service();
     let fid = ts.tcreate(LockLevel::Page).unwrap();
     let t = ts.tbegin();
     ts.topen(t, fid).unwrap();
@@ -321,7 +265,7 @@ fn repeated_crashes_converge_after_deferred_marker() {
 /// the root commits through prepare/complete with a deferred flush.
 #[test]
 fn nested_commit_accounting_survives_group_commit() {
-    let mut ts = service(GroupCommit::Auto);
+    let mut ts = service();
     let mut models = vec![Vec::new(); NFILES];
     let fids = setup(&mut ts, &mut models);
     let before = ts.stats();

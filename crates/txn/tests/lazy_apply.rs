@@ -157,6 +157,56 @@ fn a_shadow_swing_keeps_another_page_s_record_that_is_not_home_yet() {
     assert!(fsck_is_clean(&mut ts));
 }
 
+/// Free fragments of the disk once a checkpoint has released every
+/// deferred free.
+fn free_after_sync(ts: &mut TransactionService) -> u64 {
+    ts.sync().unwrap();
+    ts.file_service_mut().disk_mut(0).free_fragments()
+}
+
+/// A commit of two whole pages to a fragmented file swings both, and the
+/// crash takes only its `Completed` marker: recovery redoes a commit whose
+/// swings landed. Each page's descriptor already names its tentative
+/// block, so the redo leaves it be — swung again, it would free the live
+/// block as the "old" one.
+#[test]
+fn a_redo_leaves_a_swing_that_landed() {
+    let (mut ts, fid) = fragmented();
+    let (mut twin, twin_fid) = fragmented();
+    let mut model = vec![SEED; 4 * BLOCK_SIZE];
+    let swings = ts.stats().shadow_pages;
+    let t = commit(&mut ts, fid, BLOCK, &[0x99; 2 * BLOCK_SIZE]);
+    commit(&mut twin, twin_fid, BLOCK, &[0x99; 2 * BLOCK_SIZE]);
+    fill(&mut model, &(BLOCK..3 * BLOCK), 0x99);
+    assert_eq!(ts.stats().shadow_pages, swings + 2, "two shadow swings");
+    assert_eq!(crash_and_recover(&mut ts), vec![t], "redone");
+    assert_eq!(ts.stats().shadow_pages, swings + 2, "and swung no more");
+    assert_eq!(contents(&mut ts, fid), model);
+    assert!(fsck_is_clean(&mut ts));
+    assert_eq!(free_after_sync(&mut ts), free_after_sync(&mut twin));
+}
+
+/// A commit writes two whole pages of a file and deletes it, and the
+/// crash takes only its `Completed` marker: the redo finds no file, so
+/// it applies nothing and frees the pages' tentative blocks.
+#[test]
+fn a_redo_skips_the_pages_of_a_file_its_commit_deleted() {
+    let write_and_delete = |ts: &mut TransactionService, fid: FileId| {
+        let t = begin_write(ts, fid, 0, &[0x99; 2 * BLOCK_SIZE]);
+        ts.tdelete(t, fid).unwrap();
+        ts.tend(t).unwrap();
+        t
+    };
+    let (mut ts, fid) = two_blocks();
+    let (mut twin, twin_fid) = two_blocks();
+    let t = write_and_delete(&mut ts, fid);
+    write_and_delete(&mut twin, twin_fid);
+    assert_eq!(crash_and_recover(&mut ts), vec![t], "redone");
+    assert!(!ts.file_service().exists(fid), "the file stays deleted");
+    assert!(fsck_is_clean(&mut ts));
+    assert_eq!(free_after_sync(&mut ts), free_after_sync(&mut twin));
+}
+
 /// Commits that are durable but not yet home — records in the pool, one
 /// commit forced and never applied, whole pages among them — and a
 /// recovery cut short: once right before its own force, its redo on the

@@ -224,6 +224,27 @@ fn only_commit_batch_calls_the_commit_steps() {
     assert!(checked > 10, "found the sources");
 }
 
+/// A committed intentions list has one applier, whoever commits — `tend`,
+/// a resolved vote, a recovery redo: outside tests, `crates/txn/src`
+/// swings a descriptor in one place and fetches tentative blocks in one.
+/// A second call is a second applier.
+#[test]
+fn one_applier_makes_the_intentions_permanent() {
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/txn/src");
+    let mut calls = [
+        (".replace_block_descriptor(", 0),
+        (".get_detached_blocks(", 0),
+    ];
+    for entry in std::fs::read_dir(src).unwrap() {
+        let text = std::fs::read_to_string(entry.unwrap().path()).unwrap();
+        let code = text.split("#[cfg(test)]").next().unwrap();
+        for (call, n) in &mut calls {
+            *n += code.matches(*call).count();
+        }
+    }
+    assert_eq!(calls.map(|(_, n)| n), [1, 1], "{calls:?}");
+}
+
 /// The seam of the file service (DESIGN.md §3), kept by the source
 /// text: the volume (`volume.rs`) is the only code that knows the
 /// redundancy class, stripe rows, degraded state or how a batch reaches

@@ -102,13 +102,7 @@ fn forced_shadow_on_contiguous() -> (f64, f64) {
     let fs = ts.file_service_mut();
     for p in [1u64, 5, 9, 13] {
         let (d, a) = fs.allocate_shadow_block(fid).unwrap();
-        fs.put_detached_block(
-            d,
-            a,
-            &vec![7u8; 8192],
-            rhodos_disk_service::StablePolicy::None,
-        )
-        .unwrap();
+        fs.put_detached_block(d, a, &vec![7u8; 8192]).unwrap();
         let (od, oa) = fs.replace_block_descriptor(fid, p, d, a).unwrap();
         fs.free_detached_block(od, oa).unwrap();
     }

@@ -4,7 +4,8 @@
 //! **ablation** (both participants share a home — the protocol still
 //! runs full 2PC, so this is the byte-identity reference), a 4-server
 //! arm committing one transaction at a time, and a 4-server arm
-//! committing **waves of 8** through [`Cluster::commit_batch`] — one
+//! committing **waves of 8**. All three go through the one coordinator,
+//! [`Cluster::commit_batch`] (a single commit is a wave of one): one
 //! prepare RPC (and thus one participant log force) per server per
 //! wave, one decision-log force per wave. The batched arm's
 //! flushes-per-commit must fall the way E18's group commit does
@@ -97,11 +98,11 @@ fn run_arm(servers: usize, txns: usize, batch: usize, chaos_at: Option<usize>) -
             let ops = txn_ops(k);
             let t0 = clock.now_us();
             let out = if chaos_at == Some(k) {
-                let chaos = CommitChaos {
+                c.arm_chaos(CommitChaos {
                     crash_coordinator_after_decision: true,
                     ..CommitChaos::default()
-                };
-                let out = c.commit_cross_shard_chaos(&ops, &chaos).expect("commit");
+                });
+                let out = c.commit_cross_shard(&ops).expect("commit");
                 assert!(matches!(
                     out,
                     CommitOutcome::CoordinatorCrashed {

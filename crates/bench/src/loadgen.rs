@@ -250,7 +250,7 @@ pub struct Replay {
     pub offered_per_ks: u64,
     /// Completed-work throughput, ops/ks.
     pub achieved_per_ks: u64,
-    /// Per-class summaries, indexed like [`OpClass::index`].
+    /// Per-class summaries, one field per [`OpClass`].
     pub read: LatencySummary,
     pub write: LatencySummary,
     pub update: LatencySummary,

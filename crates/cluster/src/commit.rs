@@ -11,7 +11,10 @@
 //! abort** — no record, no commit, so the coordinator never logs aborts
 //! and a torn decision record simply reads as "abort".
 //!
-//! Two robustness properties are load-bearing here:
+//! There is one coordinator, [`Cluster::commit_batch`]: a wave of
+//! transactions shares one prepare per server and one decision force,
+//! and a single commit ([`Cluster::commit_cross_shard`]) is a wave of
+//! one. Two robustness properties are load-bearing here:
 //!
 //! * **Orphan resolution** — a prepared participant that loses its
 //!   coordinator holds locks but never blocks forever:
@@ -23,8 +26,8 @@
 //!   Transaction Commit*) — the coordinator snapshots the placement
 //!   epoch before phase one and re-checks it before deciding; a file
 //!   migrated or failed over mid-prepare aborts the attempt and
-//!   re-targets by the new placement, so the transaction still commits
-//!   or aborts atomically across the reconfiguration.
+//!   re-targets the whole wave by the new placement, so every member
+//!   still commits or aborts atomically across the reconfiguration.
 
 use crate::master::{Cluster, ClusterError};
 use rhodos_disk_service::codec::{Decoder, Encoder};
@@ -35,13 +38,13 @@ use rhodos_replication::wire::{
     OP_TXN_DECIDE, OP_TXN_PREPARE, OP_TXN_PREPARED_LIST, REPLY_ERR, REPLY_OK,
 };
 use rhodos_txn::{CommitReq, TransactionService, TxnError};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One write of a cross-shard transaction: `(gid, offset, data)` in
 /// cluster ids (the coordinator resolves homes).
 pub type CrossOp = (u64, u64, Vec<u8>);
 
-/// Bound on placement-change re-targets per transaction; each retry
+/// Bound on placement-change re-targets per wave; each retry
 /// re-resolves against the current epoch, so two is already enough for
 /// any single migration striking mid-prepare.
 const MAX_RETARGETS: usize = 4;
@@ -116,10 +119,12 @@ impl DecisionLog {
 
 // ---- deterministic crash points ----------------------------------------
 
-/// Deterministic fault schedule for one
-/// [`Cluster::commit_cross_shard_chaos`] call — every 2PC step has a
-/// crash point before/after its log force. Each armed fault fires at
-/// most once (so a re-targeted retry runs clean and the protocol's own
+/// Deterministic fault schedule for the next commit, armed with
+/// [`Cluster::arm_chaos`] — every 2PC step has a crash point
+/// before/after its log force. The next [`Cluster::commit_batch`] (or
+/// [`Cluster::commit_cross_shard`]) consumes the whole schedule, fired
+/// or not. Each armed fault fires at most once, at its first chance in
+/// the wave (so a re-targeted retry runs clean and the protocol's own
 /// recovery is what gets tested). Server-indexed faults name the
 /// participant by data-server index.
 #[derive(Debug, Default, Clone)]
@@ -131,9 +136,9 @@ pub struct CommitChaos {
     /// delivered); recovery must rebuild the in-doubt state before the
     /// decision arrives.
     pub crash_participant_after_prepare: Option<usize>,
-    /// This participant prepares durably but its vote is lost; the
-    /// coordinator presumes abort and never contacts it again — only
-    /// the orphan sweep can release it.
+    /// This participant prepares durably but its reply — every vote of
+    /// the wave it carried — is lost; the coordinator presumes abort and
+    /// never contacts it again — only the orphan sweep can release it.
     pub lose_prepare_ack: Option<usize>,
     /// Migrate `(gid, target)` after the coordinator snapshots
     /// placements but before the prepares go out: phase one runs
@@ -148,8 +153,8 @@ pub struct CommitChaos {
     /// Coordinator crashes after the decision is durable but before
     /// delivering it: recovery must commit the orphans.
     pub crash_coordinator_after_decision: bool,
-    /// This participant crashes before its decide is delivered (the
-    /// others get theirs); the sweep finishes it.
+    /// This participant crashes before its first decide is delivered
+    /// (the others get theirs); the sweep finishes it.
     pub crash_participant_before_decide: Option<usize>,
 }
 
@@ -176,37 +181,30 @@ pub enum CommitOutcome {
 /// The transaction-aware server loop: dispatches the 2PC opcodes
 /// against the server's [`TransactionService`] and everything else to
 /// the plain file-service [`wire::serve`] — one endpoint, both
-/// protocols, same at-most-once replay cache.
+/// protocols, same at-most-once replay cache. A 2PC frame that does not
+/// decode — truncated, or an opcode above the 2PC range — is answered
+/// with [`FileServiceError::BadRequest`].
 ///
 /// [`wire::serve`]: rhodos_replication::wire::serve
 pub fn serve_txn(ts: &mut TransactionService, req: &[u8]) -> Vec<u8> {
     let mut d = Decoder::new(req);
-    let op = d.u8().expect("self-generated request");
-    if op < OP_TXN_PREPARE {
-        return rhodos_replication::wire::serve(ts.file_service_mut(), req);
-    }
-    let result: Result<Vec<u8>, FileServiceError> = match op {
-        OP_TXN_PREPARE => {
-            let batch = decode_txn_prepare(&mut d);
-            Ok(serve_prepare(ts, &batch))
+    let result: Result<Vec<u8>, FileServiceError> = match d.u8() {
+        Ok(op) if op < OP_TXN_PREPARE => {
+            return rhodos_replication::wire::serve(ts.file_service_mut(), req);
         }
-        OP_TXN_DECIDE => {
-            let gtid = d.u64().expect("gtid");
-            let commit = d.u8().expect("verdict") != 0;
-            let orphan = d.u8().expect("origin") != 0;
-            let res = if orphan {
-                ts.resolve_orphan(gtid, commit)
-            } else {
-                ts.resolve_prepared(gtid, commit)
-            };
-            match res {
+        Ok(OP_TXN_PREPARE) => decode_txn_prepare(&mut d)
+            .map(|batch| serve_prepare(ts, &batch))
+            .map_err(|_| FileServiceError::BadRequest),
+        Ok(OP_TXN_DECIDE) => match (d.u64(), d.u8()) {
+            (Ok(gtid), Ok(verdict)) => match ts.resolve_prepared(gtid, verdict != 0) {
                 Ok(resolved) => Ok(vec![u8::from(resolved)]),
                 Err(TxnError::File(e)) => Err(e),
                 Err(e) => unreachable!("resolve failures are file-service failures: {e}"),
-            }
-        }
-        OP_TXN_PREPARED_LIST => Ok(encode_gtid_list(&ts.prepared_gtids())),
-        _ => unreachable!("unknown txn opcode {op}"),
+            },
+            _ => Err(FileServiceError::BadRequest),
+        },
+        Ok(OP_TXN_PREPARED_LIST) => Ok(encode_gtid_list(&ts.prepared_gtids())),
+        _ => Err(FileServiceError::BadRequest),
     };
     let mut e = Encoder::new();
     match result {
@@ -244,10 +242,16 @@ fn serve_prepare(ts: &mut TransactionService, batch: &[PrepareTxn]) -> Vec<u8> {
 // ---- the coordinator ---------------------------------------------------
 
 impl Cluster {
+    /// Arms `chaos` for the next commit, which consumes it whether or
+    /// not each fault fired.
+    pub fn arm_chaos(&mut self, chaos: CommitChaos) {
+        self.chaos = chaos;
+    }
+
     /// Atomically commits a multi-file transaction whose files may live
-    /// on different data servers: full two-phase commit, even when every
-    /// file happens to share a home (uniformity keeps the single-shard
-    /// ablation byte-identical).
+    /// on different data servers: a [`Self::commit_batch`] wave of one —
+    /// full two-phase commit, even when every file happens to share a
+    /// home (uniformity keeps the single-shard ablation byte-identical).
     ///
     /// # Errors
     ///
@@ -255,36 +259,52 @@ impl Cluster {
     /// vote failures are *not* errors — they surface as
     /// [`CommitOutcome::Aborted`].
     pub fn commit_cross_shard(&mut self, ops: &[CrossOp]) -> Result<CommitOutcome, ClusterError> {
-        self.commit_cross_shard_chaos(ops, &CommitChaos::default())
+        Ok(self.commit_batch(&[ops])?[0])
     }
 
-    /// [`Self::commit_cross_shard`] under a deterministic fault
-    /// schedule; each armed fault fires once.
+    /// The 2PC coordinator: commits a wave of cross-shard transactions
+    /// with one prepare RPC (and thus one participant log force) per
+    /// server for the whole wave, and one decision-log force for every
+    /// commit decision. This is E24's amortisation lever — flushes per
+    /// commit fall with the wave size exactly as E18's group commit does
+    /// locally. A placement change during phase one aborts the attempt
+    /// and re-targets the whole wave under fresh gtids; the armed
+    /// [`CommitChaos`] fires along the way. One outcome per transaction,
+    /// in wave order.
     ///
     /// # Errors
     ///
-    /// As [`Self::commit_cross_shard`].
-    pub fn commit_cross_shard_chaos(
+    /// [`ClusterError::UnknownFile`] for an unmapped gid.
+    pub fn commit_batch<T: AsRef<[CrossOp]>>(
         &mut self,
-        ops: &[CrossOp],
-        chaos: &CommitChaos,
-    ) -> Result<CommitOutcome, ClusterError> {
-        let mut chaos = chaos.clone();
+        txns: &[T],
+    ) -> Result<Vec<CommitOutcome>, ClusterError> {
+        let mut chaos = std::mem::take(&mut self.chaos);
         for _ in 0..MAX_RETARGETS {
-            let gtid = self.next_gtid;
-            self.next_gtid += 1;
             let epoch0 = self.epoch();
+            let gtids = self.next_gtid..self.next_gtid + txns.len() as u64;
+            self.next_gtid = gtids.end;
 
             // Resolve every op against the *current* placement. The
             // snapshot can go stale the moment it is taken — that is
             // what the epoch re-check below is for.
-            let mut by_server: BTreeMap<usize, Vec<(FileId, u64, Vec<u8>)>> = BTreeMap::new();
-            for (gid, offset, data) in ops {
-                let p = self.resolve(*gid)?;
-                by_server
-                    .entry(p.server)
-                    .or_default()
-                    .push((p.local, *offset, data.clone()));
+            let mut by_server: BTreeMap<usize, Vec<PrepareTxn>> = BTreeMap::new();
+            let mut participants: BTreeSet<(u64, usize)> = BTreeSet::new();
+            for (gtid, ops) in gtids.clone().zip(txns) {
+                let mut per: BTreeMap<usize, Vec<(FileId, u64, Vec<u8>)>> = BTreeMap::new();
+                for (gid, offset, data) in ops.as_ref() {
+                    let p = self.resolve(*gid)?;
+                    per.entry(p.server)
+                        .or_default()
+                        .push((p.local, *offset, data.clone()));
+                }
+                for (server, server_ops) in per {
+                    participants.insert((gtid, server));
+                    by_server
+                        .entry(server)
+                        .or_default()
+                        .push((gtid, server_ops));
+                }
             }
 
             // Mid-prepare reconfiguration: the file moves *after* the
@@ -293,44 +313,44 @@ impl Cluster {
                 let _ = self.migrate(gid, target);
             }
 
-            // Phase one: one prepare RPC per participant.
-            let mut prepared: Vec<usize> = Vec::new();
-            let mut orphaned: Vec<usize> = Vec::new();
-            let mut all_yes = true;
-            for (&server, server_ops) in &by_server {
+            // Phase one: one prepare RPC per server. `yes` holds the
+            // (gtid, server) votes the coordinator learned of.
+            let mut yes: BTreeSet<(u64, usize)> = BTreeSet::new();
+            for (&server, batch) in &by_server {
                 if chaos
                     .crash_participant_before_prepare
                     .take_if(|s| *s == server)
                     .is_some()
                 {
                     self.crash_server(server);
-                    all_yes = false;
                     continue;
                 }
                 self.stats.prepare_rpcs += 1;
-                let batch = [(gtid, server_ops.clone())];
-                let vote = match self.call_node(server, &encode_txn_prepare(&batch)) {
-                    Ok(payload) => decode_votes(&payload).first().copied().unwrap_or(false),
-                    Err(_) => false,
+                let votes = match self.call_node(server, &encode_txn_prepare(batch)) {
+                    Ok(payload) => decode_votes(&payload),
+                    Err(_) => Vec::new(),
                 };
-                if vote && chaos.lose_prepare_ack.take_if(|s| *s == server).is_some() {
-                    // Durably prepared, vote lost: the coordinator must
-                    // presume abort and never contact this orphan again.
-                    orphaned.push(server);
-                    all_yes = false;
+                let voted: Vec<(u64, usize)> = batch
+                    .iter()
+                    .zip(votes)
+                    .filter(|(_, vote)| *vote)
+                    .map(|((gtid, _), _)| (*gtid, server))
+                    .collect();
+                if voted.is_empty() {
                     continue;
                 }
-                if vote {
-                    prepared.push(server);
-                    if chaos
-                        .crash_participant_after_prepare
-                        .take_if(|s| *s == server)
-                        .is_some()
-                    {
-                        self.crash_server(server);
-                    }
-                } else {
-                    all_yes = false;
+                if chaos.lose_prepare_ack.take_if(|s| *s == server).is_some() {
+                    // Durably prepared, reply lost: the coordinator must
+                    // presume abort and never contact this orphan again.
+                    continue;
+                }
+                yes.extend(voted);
+                if chaos
+                    .crash_participant_after_prepare
+                    .take_if(|s| *s == server)
+                    .is_some()
+                {
+                    self.crash_server(server);
                 }
             }
 
@@ -339,162 +359,80 @@ impl Cluster {
             // transaction to a moved file. Abort the prepared votes and
             // re-target by the new epoch.
             if self.epoch() != epoch0 {
-                self.decide_abort(gtid, &prepared);
+                self.deliver(&yes, &BTreeSet::new(), &mut chaos);
                 self.stats.retargets += 1;
                 continue;
             }
-            if !all_yes {
-                self.decide_abort(gtid, &prepared);
-                self.stats.cross_aborts += 1;
-                debug_assert!(
-                    orphaned.iter().all(|s| !prepared.contains(s)),
-                    "orphans must not receive the abort"
-                );
-                return Ok(CommitOutcome::Aborted);
-            }
+            let missing: BTreeSet<u64> = participants.difference(&yes).map(|p| p.0).collect();
+            let committing: BTreeSet<u64> =
+                gtids.clone().filter(|g| !missing.contains(g)).collect();
 
-            // Phase two: the decision. Commit exists iff its record is
-            // durable in the decision log.
-            if chaos.crash_coordinator_before_decision {
-                return Ok(CommitOutcome::CoordinatorCrashed {
-                    gtid,
-                    decision_durable: false,
-                });
-            }
-            self.decision_log.append_commit(gtid);
-            if chaos.torn_decision {
-                self.decision_log.crash_torn();
-                return Ok(CommitOutcome::CoordinatorCrashed {
-                    gtid,
-                    decision_durable: false,
-                });
-            }
-            self.decision_log.force();
-            self.stats.decision_forces += 1;
-            if chaos.crash_coordinator_after_decision {
-                return Ok(CommitOutcome::CoordinatorCrashed {
-                    gtid,
-                    decision_durable: true,
-                });
-            }
-
-            // Completion: deliver the decision (idempotent; a missed
-            // participant is the orphan sweep's job).
-            for &server in &prepared {
-                if chaos
-                    .crash_participant_before_decide
-                    .take_if(|s| *s == server)
-                    .is_some()
-                {
-                    self.crash_server(server);
-                    continue;
+            // Phase two: the decision. A commit exists iff its record is
+            // durable in the decision log; one force covers the wave.
+            if !committing.is_empty() {
+                let crashed = |durable: bool| -> Vec<CommitOutcome> {
+                    gtids
+                        .clone()
+                        .map(|gtid| CommitOutcome::CoordinatorCrashed {
+                            gtid,
+                            decision_durable: durable && committing.contains(&gtid),
+                        })
+                        .collect()
+                };
+                if chaos.crash_coordinator_before_decision {
+                    return Ok(crashed(false));
                 }
-                let _ = self.call_node(server, &encode_txn_decide(gtid, true, false));
+                for &gtid in &committing {
+                    self.decision_log.append_commit(gtid);
+                }
+                if chaos.torn_decision {
+                    self.decision_log.crash_torn();
+                    return Ok(crashed(false));
+                }
+                self.decision_log.force();
+                self.stats.decision_forces += 1;
+                if chaos.crash_coordinator_after_decision {
+                    return Ok(crashed(true));
+                }
             }
-            self.stats.cross_commits += 1;
-            self.note_cross_writes(ops);
-            return Ok(CommitOutcome::Committed);
+
+            self.deliver(&yes, &committing, &mut chaos);
+            let outcomes = gtids.zip(txns).map(|(gtid, ops)| {
+                if committing.contains(&gtid) {
+                    self.stats.cross_commits += 1;
+                    self.note_cross_writes(ops.as_ref());
+                    CommitOutcome::Committed
+                } else {
+                    self.stats.cross_aborts += 1;
+                    CommitOutcome::Aborted
+                }
+            });
+            return Ok(outcomes.collect());
         }
-        self.stats.cross_aborts += 1;
-        Ok(CommitOutcome::Aborted)
+        self.stats.cross_aborts += txns.len() as u64;
+        Ok(vec![CommitOutcome::Aborted; txns.len()])
     }
 
-    /// Commits a wave of cross-shard transactions with 2PC batching:
-    /// one prepare RPC (and thus one participant log force) per server
-    /// for the whole wave, and one decision-log force for every commit
-    /// decision. This is E24's amortisation lever — flushes per commit
-    /// fall with the wave size exactly as E18's group commit does
-    /// locally.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::UnknownFile`] for an unmapped gid.
-    pub fn commit_batch(
+    /// Delivers each yes-vote its transaction's fate, transaction-major
+    /// (a no-voter already rolled back locally). Idempotent; a missed
+    /// participant is the orphan sweep's job.
+    fn deliver(
         &mut self,
-        txns: &[Vec<CrossOp>],
-    ) -> Result<Vec<CommitOutcome>, ClusterError> {
-        let epoch0 = self.epoch();
-        let first_gtid = self.next_gtid;
-        self.next_gtid += txns.len() as u64;
-
-        let mut by_server: BTreeMap<usize, Vec<PrepareTxn>> = BTreeMap::new();
-        let mut participants: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); txns.len()];
-        for (k, ops) in txns.iter().enumerate() {
-            let gtid = first_gtid + k as u64;
-            let mut per: BTreeMap<usize, Vec<(FileId, u64, Vec<u8>)>> = BTreeMap::new();
-            for (gid, offset, data) in ops {
-                let p = self.resolve(*gid)?;
-                per.entry(p.server)
-                    .or_default()
-                    .push((p.local, *offset, data.clone()));
-                participants[k].insert(p.server);
+        yes: &BTreeSet<(u64, usize)>,
+        committing: &BTreeSet<u64>,
+        chaos: &mut CommitChaos,
+    ) {
+        for &(gtid, server) in yes {
+            if chaos
+                .crash_participant_before_decide
+                .take_if(|s| *s == server)
+                .is_some()
+            {
+                self.crash_server(server);
+                continue;
             }
-            for (server, server_ops) in per {
-                by_server
-                    .entry(server)
-                    .or_default()
-                    .push((gtid, server_ops));
-            }
+            let _ = self.call_node(server, &encode_txn_decide(gtid, committing.contains(&gtid)));
         }
-
-        let mut votes: HashMap<(usize, u64), bool> = HashMap::new();
-        for (&server, batch) in &by_server {
-            self.stats.prepare_rpcs += 1;
-            match self.call_node(server, &encode_txn_prepare(batch)) {
-                Ok(payload) => {
-                    for ((gtid, _), vote) in batch.iter().zip(decode_votes(&payload)) {
-                        votes.insert((server, *gtid), vote);
-                    }
-                }
-                Err(_) => {
-                    for (gtid, _) in batch {
-                        votes.insert((server, *gtid), false);
-                    }
-                }
-            }
-        }
-
-        let epoch_ok = self.epoch() == epoch0;
-        let committing: Vec<bool> = (0..txns.len())
-            .map(|k| {
-                let gtid = first_gtid + k as u64;
-                epoch_ok
-                    && participants[k]
-                        .iter()
-                        .all(|s| votes.get(&(*s, gtid)) == Some(&true))
-            })
-            .collect();
-        if committing.iter().any(|c| *c) {
-            for (k, c) in committing.iter().enumerate() {
-                if *c {
-                    self.decision_log.append_commit(first_gtid + k as u64);
-                }
-            }
-            // One force covers the whole wave's decisions.
-            self.decision_log.force();
-            self.stats.decision_forces += 1;
-        }
-
-        let mut outcomes = Vec::with_capacity(txns.len());
-        for (k, commit) in committing.iter().enumerate() {
-            let gtid = first_gtid + k as u64;
-            for &server in &participants[k] {
-                // A no-voter already rolled back locally; only prepared
-                // participants need the decision.
-                if votes.get(&(server, gtid)) == Some(&true) {
-                    let _ = self.call_node(server, &encode_txn_decide(gtid, *commit, false));
-                }
-            }
-            if *commit {
-                self.stats.cross_commits += 1;
-                self.note_cross_writes(&txns[k]);
-                outcomes.push(CommitOutcome::Committed);
-            } else {
-                self.stats.cross_aborts += 1;
-                outcomes.push(CommitOutcome::Aborted);
-            }
-        }
-        Ok(outcomes)
     }
 
     /// Coordinator recovery: replays the durable decision log, then
@@ -514,7 +452,7 @@ impl Cluster {
             };
             for gtid in decode_gtid_list(&payload) {
                 let commit = committed.contains(&gtid);
-                if let Ok(reply) = self.call_node(server, &encode_txn_decide(gtid, commit, true)) {
+                if let Ok(reply) = self.call_node(server, &encode_txn_decide(gtid, commit)) {
                     if reply.first() == Some(&1) {
                         self.stats.orphan_resolutions += 1;
                         if commit {
@@ -540,13 +478,6 @@ impl Cluster {
             }
         }
         out.into_iter().collect()
-    }
-
-    /// Presumed abort to every participant that voted yes.
-    fn decide_abort(&mut self, gtid: u64, prepared: &[usize]) {
-        for &server in prepared {
-            let _ = self.call_node(server, &encode_txn_decide(gtid, false, false));
-        }
     }
 }
 
@@ -645,9 +576,8 @@ mod tests {
             crash_coordinator_before_decision: true,
             ..CommitChaos::default()
         };
-        let out = c
-            .commit_cross_shard_chaos(&two_shard_ops(&gids), &chaos)
-            .unwrap();
+        c.arm_chaos(chaos);
+        let out = c.commit_cross_shard(&two_shard_ops(&gids)).unwrap();
         assert!(matches!(
             out,
             CommitOutcome::CoordinatorCrashed {
@@ -671,9 +601,8 @@ mod tests {
             crash_coordinator_after_decision: true,
             ..CommitChaos::default()
         };
-        let out = c
-            .commit_cross_shard_chaos(&two_shard_ops(&gids), &chaos)
-            .unwrap();
+        c.arm_chaos(chaos);
+        let out = c.commit_cross_shard(&two_shard_ops(&gids)).unwrap();
         assert!(matches!(
             out,
             CommitOutcome::CoordinatorCrashed {
@@ -694,9 +623,8 @@ mod tests {
             torn_decision: true,
             ..CommitChaos::default()
         };
-        let out = c
-            .commit_cross_shard_chaos(&two_shard_ops(&gids), &chaos)
-            .unwrap();
+        c.arm_chaos(chaos);
+        let out = c.commit_cross_shard(&two_shard_ops(&gids)).unwrap();
         assert!(matches!(
             out,
             CommitOutcome::CoordinatorCrashed {
@@ -716,9 +644,8 @@ mod tests {
             crash_participant_after_prepare: Some(1),
             ..CommitChaos::default()
         };
-        let out = c
-            .commit_cross_shard_chaos(&two_shard_ops(&gids), &chaos)
-            .unwrap();
+        c.arm_chaos(chaos);
+        let out = c.commit_cross_shard(&two_shard_ops(&gids)).unwrap();
         // Server 1 crashed after its prepare force; recovery rebuilt the
         // in-doubt participant from the log and the decide landed on it.
         assert_eq!(out, CommitOutcome::Committed);
@@ -733,9 +660,8 @@ mod tests {
             crash_participant_before_decide: Some(1),
             ..CommitChaos::default()
         };
-        let out = c
-            .commit_cross_shard_chaos(&two_shard_ops(&gids), &chaos)
-            .unwrap();
+        c.arm_chaos(chaos);
+        let out = c.commit_cross_shard(&two_shard_ops(&gids)).unwrap();
         assert_eq!(out, CommitOutcome::Committed);
         // Server 0 applied; server 1 is an orphan until the sweep.
         assert_eq!(c.read(gids[0], 3, 5).unwrap(), b"alpha");
@@ -752,9 +678,8 @@ mod tests {
             lose_prepare_ack: Some(1),
             ..CommitChaos::default()
         };
-        let out = c
-            .commit_cross_shard_chaos(&two_shard_ops(&gids), &chaos)
-            .unwrap();
+        c.arm_chaos(chaos);
+        let out = c.commit_cross_shard(&two_shard_ops(&gids)).unwrap();
         assert_eq!(out, CommitOutcome::Aborted);
         // Server 1 prepared durably but the coordinator never learned;
         // presumed abort resolves it without any decision record.
@@ -772,9 +697,8 @@ mod tests {
             migrate_mid_prepare: Some((gids[1], 2)),
             ..CommitChaos::default()
         };
-        let out = c
-            .commit_cross_shard_chaos(&two_shard_ops(&gids), &chaos)
-            .unwrap();
+        c.arm_chaos(chaos);
+        let out = c.commit_cross_shard(&two_shard_ops(&gids)).unwrap();
         // First attempt ran against stale placement (or a moved epoch)
         // and re-targeted; the retry resolved server 2 as the new home.
         assert_eq!(out, CommitOutcome::Committed);
@@ -783,6 +707,35 @@ mod tests {
         assert!(c.stats().retargets >= 1);
         assert!(c.in_doubt_gtids().is_empty());
         assert_eq!(c.stats().cross_commits, 1);
+    }
+
+    /// A placement change under a wave re-targets the wave, it does not
+    /// abort it: the stale attempt's yes-votes are rolled back and the
+    /// retry commits every member under the new placement.
+    #[test]
+    fn a_wave_retargets_across_a_migration() {
+        let (mut c, gids) = cluster_with_files(4, 2);
+        let wave = vec![
+            two_shard_ops(&gids),
+            vec![
+                (gids[2], 3, b"gamma".to_vec()),
+                (gids[3], 7, b"delta".to_vec()),
+            ],
+        ];
+        c.arm_chaos(CommitChaos {
+            migrate_mid_prepare: Some((gids[1], 2)),
+            ..CommitChaos::default()
+        });
+        let outs = c.commit_batch(&wave).unwrap();
+        assert_eq!(outs, vec![CommitOutcome::Committed; 2]);
+        let s = c.stats();
+        assert_eq!((s.retargets, s.cross_commits, s.cross_aborts), (1, 2, 0));
+        assert_eq!(s.decision_forces, 1);
+        assert_eq!(c.placement_of(gids[1]).unwrap().0, 2);
+        assert_applied(&mut c, &gids);
+        assert_eq!(c.read(gids[2], 3, 5).unwrap(), b"gamma");
+        assert_eq!(c.read(gids[3], 7, 5).unwrap(), b"delta");
+        assert!(c.in_doubt_gtids().is_empty());
     }
 
     #[test]
@@ -941,9 +894,8 @@ mod tests {
             crash_coordinator_after_decision: true,
             ..CommitChaos::default()
         };
-        let out = c
-            .commit_cross_shard_chaos(&two_shard_ops(&gids), &chaos)
-            .unwrap();
+        c.arm_chaos(chaos);
+        let out = c.commit_cross_shard(&two_shard_ops(&gids)).unwrap();
         assert!(matches!(
             out,
             CommitOutcome::CoordinatorCrashed {
@@ -965,33 +917,69 @@ mod tests {
         assert_applied(&mut c, &gids);
     }
 
+    /// A lone participant, outside any cluster, holding one page-locked
+    /// file.
+    fn participant() -> (TransactionService, FileId) {
+        use rhodos_file_service::{FileService, FileServiceConfig, LockLevel};
+        use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
+
+        let fs = FileService::single_disk(
+            DiskGeometry::small(),
+            LatencyModel::instant(),
+            SimClock::new(),
+            FileServiceConfig::default(),
+        )
+        .unwrap();
+        let mut ts = TransactionService::new(fs, Default::default()).unwrap();
+        let fid = ts.tcreate(LockLevel::Page).unwrap();
+        (ts, fid)
+    }
+
+    /// A 2PC frame cut short anywhere, or an opcode past the 2PC range,
+    /// is answered with `BadRequest` — the server does not panic, and the
+    /// whole frames still work afterwards.
+    #[test]
+    fn a_malformed_txn_frame_gets_an_error_reply() {
+        use rhodos_replication::wire::decode_reply;
+
+        let (mut ts, fid) = participant();
+        let prepare = encode_txn_prepare(&[(11, vec![(fid, 0, b"one".to_vec())])]);
+        let decide = encode_txn_decide(11, true);
+        for frame in [&prepare, &decide] {
+            for len in 0..frame.len() {
+                let reply = serve_txn(&mut ts, &frame[..len]);
+                assert_eq!(
+                    decode_reply(&reply),
+                    Err(FileServiceError::BadRequest),
+                    "{len}-byte prefix of opcode {}",
+                    frame[0]
+                );
+            }
+            assert!(decode_reply(&serve_txn(&mut ts, frame)).is_ok());
+        }
+        for op in 16..=u8::MAX {
+            let reply = serve_txn(&mut ts, &[op]);
+            assert_eq!(
+                decode_reply(&reply),
+                Err(FileServiceError::BadRequest),
+                "opcode {op}"
+            );
+        }
+        assert!(ts.prepared_gtids().is_empty(), "the decide landed");
+    }
+
     /// The participant route of `TransactionService::commit_batch`: an
     /// `OP_TXN_PREPARE` batch whose log force fails votes *no* on every
     /// transaction and leaves nothing of them behind — no in-doubt entry,
     /// no live transaction, no tentative block.
     #[test]
     fn a_prepare_whose_force_fails_votes_no_and_rolls_back() {
-        use rhodos_file_service::{FileService, FileServiceConfig, LockLevel};
-        use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
-
-        let server = || {
-            let fs = FileService::single_disk(
-                DiskGeometry::small(),
-                LatencyModel::instant(),
-                SimClock::new(),
-                FileServiceConfig::default(),
-            )
-            .unwrap();
-            let mut ts = TransactionService::new(fs, Default::default()).unwrap();
-            let fid = ts.tcreate(LockLevel::Page).unwrap();
-            (ts, fid)
-        };
         let sector_writes =
             |ts: &TransactionService| ts.file_service().stats().disks[0].disk.sector_writes;
         // What the batch writes before its force, counted on a twin driven
         // step by step: that many sector writes later the disk dies, which
         // puts the failure on the force itself.
-        let (mut twin, fid) = server();
+        let (mut twin, fid) = participant();
         let batch: Vec<PrepareTxn> = vec![
             (11, vec![(fid, 0, b"one".to_vec())]),
             (12, vec![(fid, 8192, b"two".to_vec())]),
@@ -1005,7 +993,7 @@ mod tests {
         }
         let up_to_the_force = sector_writes(&twin) - before;
 
-        let (mut ts, same_fid) = server();
+        let (mut ts, same_fid) = participant();
         assert_eq!(same_fid, fid);
         let free = ts.file_service_mut().disk_mut(0).free_fragments();
         let disk = ts.file_service_mut().disk_mut(0).disk_mut();

@@ -259,6 +259,8 @@ pub struct Cluster {
     pub(crate) decision_log: crate::commit::DecisionLog,
     /// Next global (cross-shard) transaction id.
     pub(crate) next_gtid: u64,
+    /// Faults armed for the next commit.
+    pub(crate) chaos: crate::commit::CommitChaos,
     pub(crate) stats: ClusterStats,
 }
 
@@ -284,6 +286,7 @@ impl Cluster {
             directory: Arc::new(Mutex::new(PlacementDirectory::default())),
             decision_log: crate::commit::DecisionLog::default(),
             next_gtid: 1,
+            chaos: crate::commit::CommitChaos::default(),
             stats: ClusterStats::default(),
         };
         for _ in 0..n {

@@ -31,7 +31,7 @@ pub struct FileServiceConfig {
     /// [`ParallelIo`]).
     pub parallel_io: ParallelIo,
     /// Lease terms, recall timeout and reattach window for client cache
-    /// delegations (see [`crate::lease`]).
+    /// delegations (see [`LeaseManager`](crate::LeaseManager)).
     pub lease: LeaseParams,
     /// Intra-service redundancy: [`Redundancy::Parity`] turns the
     /// stripe layer into k-data + m-parity erasure-coded rows (RAID-5

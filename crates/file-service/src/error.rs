@@ -48,6 +48,9 @@ pub enum FileServiceError {
         /// Stripe row that cannot be reconstructed.
         row: u64,
     },
+    /// A request frame that does not decode: truncated, or an opcode
+    /// the server does not know.
+    BadRequest,
     /// Underlying disk service failure.
     Disk(DiskServiceError),
 }
@@ -81,6 +84,7 @@ impl fmt::Display for FileServiceError {
                     "stripe row {row} of {fid} lost more units than parity covers"
                 )
             }
+            FileServiceError::BadRequest => write!(f, "malformed request"),
             FileServiceError::Disk(e) => write!(f, "disk service failure: {e}"),
         }
     }

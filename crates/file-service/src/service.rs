@@ -788,8 +788,9 @@ impl FileService {
             .free(Extent::new(addr, FRAGS_PER_BLOCK))?)
     }
 
-    /// Writes raw data to a detached block, with the caller's stable
-    /// policy (shadow pages go `StableOnly`).
+    /// Writes raw data to a detached block. Nothing goes to stable
+    /// storage: the commit record that will point at the block is what
+    /// the log makes durable.
     ///
     /// # Errors
     ///
@@ -799,10 +800,12 @@ impl FileService {
         disk: u16,
         addr: FragmentAddr,
         data: &[u8],
-        policy: StablePolicy,
     ) -> Result<(), FileServiceError> {
         let extent = Extent::new(addr, FRAGS_PER_BLOCK);
-        Ok(self.volume.disk(disk).put(extent, data, policy)?)
+        Ok(self
+            .volume
+            .disk(disk)
+            .put(extent, data, StablePolicy::None)?)
     }
 
     /// Reads many detached blocks in one scheduler pass: one elevator
@@ -1635,7 +1638,7 @@ mod tests {
         f.write(fid, 0, vec![b'o'; BLOCK_SIZE]).unwrap();
         f.flush_all().unwrap();
         let (disk, addr) = f.allocate_shadow_block(fid).unwrap();
-        f.put_detached_block(disk, addr, &vec![b'n'; BLOCK_SIZE], StablePolicy::None)
+        f.put_detached_block(disk, addr, &vec![b'n'; BLOCK_SIZE])
             .unwrap();
         let (old_disk, old_addr) = f.replace_block_descriptor(fid, 0, disk, addr).unwrap();
         f.free_detached_block(old_disk, old_addr).unwrap();

@@ -10,7 +10,7 @@
 //! [`serve`] is the entire server: its only state besides the files
 //! themselves is the replay cache the caller wraps around it.
 
-use rhodos_disk_service::codec::{Decoder, Encoder};
+use rhodos_disk_service::codec::{DecodeError, Decoder, Encoder};
 use rhodos_disk_service::DiskServiceError;
 use rhodos_file_service::{
     FileId, FileService, FileServiceError, LeaseGrant, LeaseMode, LeaseToken, ServiceType,
@@ -216,23 +216,22 @@ pub fn encode_txn_prepare(batch: &[PrepareTxn]) -> Vec<u8> {
 }
 
 /// Decodes an [`OP_TXN_PREPARE`] body (the opcode byte already
-/// consumed).
-pub fn decode_txn_prepare(d: &mut Decoder<'_>) -> Vec<PrepareTxn> {
-    let n = d.u32().expect("prepare batch len");
-    let mut batch = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let gtid = d.u64().expect("gtid");
-        let nops = d.u32().expect("prepare op count");
-        let mut ops = Vec::with_capacity(nops as usize);
-        for _ in 0..nops {
-            let fid = FileId(d.u64().expect("fid"));
-            let offset = d.u64().expect("offset");
-            let data = d.bytes().expect("data").to_vec();
-            ops.push((fid, offset, data));
-        }
-        batch.push((gtid, ops));
-    }
-    batch
+/// consumed). The counts are not trusted for allocation: a frame that
+/// claims more than it carries fails when it runs out.
+///
+/// # Errors
+///
+/// [`DecodeError`] on a truncated body.
+pub fn decode_txn_prepare(d: &mut Decoder<'_>) -> Result<Vec<PrepareTxn>, DecodeError> {
+    (0..d.u32()?)
+        .map(|_| -> Result<PrepareTxn, DecodeError> {
+            let gtid = d.u64()?;
+            let ops = (0..d.u32()?)
+                .map(|_| Ok((FileId(d.u64()?), d.u64()?, d.bytes()?.to_vec())))
+                .collect::<Result<_, DecodeError>>()?;
+            Ok((gtid, ops))
+        })
+        .collect()
 }
 
 /// Encodes the [`OP_TXN_PREPARE`] reply payload: one vote per batched
@@ -253,15 +252,11 @@ pub fn decode_votes(payload: &[u8]) -> Vec<bool> {
     (0..n).map(|_| d.u8().expect("vote") != 0).collect()
 }
 
-/// Encodes an [`OP_TXN_DECIDE`] request. `orphan` marks a decision
-/// re-delivered by the recovering coordinator's sweep rather than the
-/// original commit path.
-pub fn encode_txn_decide(gtid: u64, commit: bool, orphan: bool) -> Vec<u8> {
+/// Encodes an [`OP_TXN_DECIDE`] request. The coordinator's delivery and
+/// its recovery sweep send the same frame.
+pub fn encode_txn_decide(gtid: u64, commit: bool) -> Vec<u8> {
     let mut e = Encoder::new();
-    e.u8(OP_TXN_DECIDE)
-        .u64(gtid)
-        .u8(u8::from(commit))
-        .u8(u8::from(orphan));
+    e.u8(OP_TXN_DECIDE).u64(gtid).u8(u8::from(commit));
     e.finish()
 }
 
@@ -438,6 +433,9 @@ pub fn encode_error(e: &mut Encoder, err: &FileServiceError) {
         FileServiceError::ParityLost { fid, row } => {
             e.u8(11).u64(fid.0).u64(*row);
         }
+        FileServiceError::BadRequest => {
+            e.u8(12);
+        }
         other => unreachable!("unencodable file-service error: {other}"),
     }
 }
@@ -514,6 +512,7 @@ pub fn decode_error(d: &mut Decoder<'_>) -> FileServiceError {
             fid: fid(d),
             row: d.u64().expect("row"),
         },
+        12 => FileServiceError::BadRequest,
         other => unreachable!("unknown error code {other}"),
     }
 }
@@ -637,7 +636,7 @@ mod tests {
         let req = encode_txn_prepare(&batch);
         let mut d = Decoder::new(&req);
         assert_eq!(d.u8().unwrap(), OP_TXN_PREPARE);
-        assert_eq!(decode_txn_prepare(&mut d), batch);
+        assert_eq!(decode_txn_prepare(&mut d), Ok(batch));
     }
 
     #[test]
@@ -651,12 +650,12 @@ mod tests {
 
     #[test]
     fn decide_wire_shape() {
-        let req = encode_txn_decide(42, true, false);
+        let req = encode_txn_decide(42, true);
         let mut d = Decoder::new(&req);
         assert_eq!(d.u8().unwrap(), OP_TXN_DECIDE);
         assert_eq!(d.u64().unwrap(), 42);
         assert_eq!(d.u8().unwrap(), 1);
-        assert_eq!(d.u8().unwrap(), 0);
+        assert!(d.is_empty());
         let list = encode_txn_prepared_list();
         assert_eq!(
             list[Decoder::new(&list).u8().map(|_| 0).unwrap()],
@@ -707,6 +706,7 @@ mod tests {
                 fid: FileId(13),
                 row: 4,
             },
+            FileServiceError::BadRequest,
         ];
         for err in errors {
             let mut e = Encoder::new();

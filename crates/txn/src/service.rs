@@ -6,7 +6,7 @@ use crate::intentions::{Intention, Technique};
 use crate::lock::{DataItem, LockMode};
 use crate::log::IntentionLog;
 use crate::table::{LockOutcome, StripedLockTable};
-use rhodos_disk_service::{StablePolicy, BLOCK_SIZE};
+use rhodos_disk_service::BLOCK_SIZE;
 use rhodos_file_service::{
     FileId, FileIndexTable, FileService, LeaseGrant, LeaseMode, LockLevel, RecallAck, ServiceType,
 };
@@ -134,12 +134,6 @@ pub struct TxnStats {
     pub log_frames_rejected: u64,
     /// Cross-shard `Prepared` votes logged (2PC phase one).
     pub prepares: u64,
-    /// Prepared transactions rolled back by presumed abort — the
-    /// coordinator's decision log had no commit record for them.
-    pub presumed_aborts: u64,
-    /// In-doubt transactions resolved by the orphan sweep (coordinator
-    /// lost, decision recovered from the master's decision log).
-    pub orphan_resolutions: u64,
     /// Log flushes that made at least one `Prepared` record durable.
     pub prepare_flushes: u64,
     /// `Prepared` records made durable, total (per-flush average is
@@ -1078,8 +1072,7 @@ impl TransactionService {
             Some(block) => block,
             None => *page.shadow.insert(self.fs.allocate_shadow_block(fid)?),
         };
-        self.fs
-            .put_detached_block(disk, addr, &page.data, StablePolicy::None)?;
+        self.fs.put_detached_block(disk, addr, &page.data)?;
         Ok(())
     }
 
@@ -1410,7 +1403,10 @@ impl TransactionService {
     /// an unknown `gtid` returns `Ok(false)` so at-most-once retries and
     /// duplicate decisions are harmless. Works both crash-free (the
     /// active transaction still holds its tentative state) and after
-    /// [`Self::recover`] rebuilt the in-doubt entry from the log.
+    /// [`Self::recover`] rebuilt the in-doubt entry from the log. The
+    /// coordinator's own delivery and its recovery sweep send the same
+    /// decision the same way; `commit == false` with no decision record
+    /// behind it is a presumed abort.
     ///
     /// The `Completed`/`Aborted` marker is appended unforced: a crash
     /// before it is durable merely re-enters the in-doubt state, and the
@@ -1467,26 +1463,6 @@ impl TransactionService {
             }
         }
         Ok(true)
-    }
-
-    /// [`Self::resolve_prepared`] arriving via the orphan sweep — the
-    /// participant lost its coordinator and the decision was recovered
-    /// from the master's decision log (`commit == false` is a presumed
-    /// abort: no durable decision record existed).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::resolve_prepared`].
-    pub fn resolve_orphan(&mut self, gtid: u64, commit: bool) -> Result<bool, TxnError> {
-        let resolved = self.decide(gtid, commit)?;
-        if resolved {
-            self.stats.orphan_resolutions += 1;
-            if !commit {
-                self.stats.presumed_aborts += 1;
-            }
-            self.maybe_compact_log()?;
-        }
-        Ok(resolved)
     }
 
     /// Global transaction ids of every in-doubt prepared participant,
@@ -2443,9 +2419,7 @@ mod tests {
         ts.file_service_mut().simulate_crash();
         ts.recover().unwrap();
         assert_eq!(ts.prepared_gtids(), vec![42]);
-        assert!(ts.resolve_orphan(42, false).unwrap());
-        assert_eq!(ts.stats().orphan_resolutions, 1);
-        assert_eq!(ts.stats().presumed_aborts, 1);
+        assert!(ts.resolve_prepared(42, false).unwrap());
         let t2 = ts.tbegin();
         ts.topen(t2, fid).unwrap();
         assert_eq!(ts.tread(t2, fid, 0, 4).unwrap(), b"keep");

@@ -245,6 +245,35 @@ fn one_applier_makes_the_intentions_permanent() {
     assert_eq!(calls.map(|(_, n)| n), [1, 1], "{calls:?}");
 }
 
+/// Cross-shard commit has one coordinator, `Cluster::commit_batch`: a
+/// single commit is a wave of one. Outside tests, `crates/cluster/src`
+/// forces the decision log in one place and builds a prepare frame in
+/// one, and no participant keeps a second resolve for orphans.
+#[test]
+fn one_coordinator_runs_two_phase_commit() {
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut calls = [(".decision_log.force()", 0), ("encode_txn_prepare(", 0)];
+    let mut dirs = vec![crates];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                dirs.push(path);
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert!(!text.contains("resolve_orphan"), "{path:?} names it");
+            if path.to_string_lossy().contains("crates/cluster/src/") {
+                let code = text.split("#[cfg(test)]").next().unwrap();
+                for (call, n) in &mut calls {
+                    *n += code.matches(*call).count();
+                }
+            }
+        }
+    }
+    assert_eq!(calls.map(|(_, n)| n), [1, 1], "{calls:?}");
+}
+
 /// The seam of the file service (DESIGN.md §3), kept by the source
 /// text: the volume (`volume.rs`) is the only code that knows the
 /// redundancy class, stripe rows, degraded state or how a batch reaches

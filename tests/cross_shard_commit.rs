@@ -1,6 +1,7 @@
 //! Chaos sweep for the cross-shard atomic-commit tentpole: scripted
-//! two-file transactions through the cluster's 2PC coordinator,
-//! interleaved with deterministic crashes at every protocol step —
+//! two-file transactions through the cluster's 2PC coordinator, one at a
+//! time and in `commit_batch` waves of 2–3, interleaved with
+//! deterministic crashes at every protocol step —
 //! participant before/after its prepare force, lost prepare acks,
 //! coordinator before/torn-during/after its decision force, participant
 //! before its decide — plus file migration striking mid-prepare and
@@ -11,8 +12,9 @@
 //!    (presumed abort everywhere else): no crash point leaves half a
 //!    transaction;
 //! 2. **byte-identity vs the single-shard ablation** — replaying
-//!    exactly the decided-commit sequence through the same 2PC path on
-//!    a 1-server cluster produces an identical content fingerprint;
+//!    exactly the decided-commit sequence (a wave's decided members in
+//!    wave order) through the same 2PC path on a 1-server cluster
+//!    produces an identical content fingerprint;
 //! 3. **no participant blocks forever** — the coordinator-recovery
 //!    orphan sweep resolves every in-doubt prepared transaction, and a
 //!    second sweep finds nothing.
@@ -69,6 +71,40 @@ fn apply_to_model(model: &mut HashMap<u64, Vec<u8>>, ops: &[CrossOp]) {
     }
 }
 
+/// One armed fault, chosen by `pick`, for transaction `ops`; the
+/// server-indexed faults strike the home of its first file.
+fn one_fault(c: &Cluster, ops: &[CrossOp], b: u8, pick: u16) -> CommitChaos {
+    let victim = c.placement_of(ops[0].0).expect("placed").0;
+    let mut chaos = CommitChaos::default();
+    match pick % 8 {
+        0 => chaos.crash_participant_before_prepare = Some(victim),
+        1 => chaos.crash_participant_after_prepare = Some(victim),
+        2 => chaos.lose_prepare_ack = Some(victim),
+        3 => chaos.migrate_mid_prepare = Some((ops[0].0, usize::from(b) % SERVERS)),
+        4 => chaos.crash_coordinator_before_decision = true,
+        5 => chaos.torn_decision = true,
+        6 => chaos.crash_coordinator_after_decision = true,
+        _ => chaos.crash_participant_before_decide = Some(victim),
+    }
+    chaos
+}
+
+/// Whether a transaction happened: its decision is durable —
+/// immediately (`Committed`) or at recovery (a crashed coordinator with
+/// a forced decision record). A crash leaves the coordinator down.
+fn decided(out: CommitOutcome, coordinator_down: &mut bool) -> bool {
+    match out {
+        CommitOutcome::Committed => true,
+        CommitOutcome::Aborted => false,
+        CommitOutcome::CoordinatorCrashed {
+            decision_durable, ..
+        } => {
+            *coordinator_down = true;
+            decision_durable
+        }
+    }
+}
+
 /// One scripted chaos case. Returns via `prop_assert!` failures.
 #[allow(clippy::too_many_lines)]
 fn chaos_case(script: &[(u8, u8, u8, u16)], seed: u64) -> Result<(), TestCaseError> {
@@ -83,7 +119,7 @@ fn chaos_case(script: &[(u8, u8, u8, u16)], seed: u64) -> Result<(), TestCaseErr
 
     for &(action, a, b, pick) in script {
         generation = generation.wrapping_add(1);
-        match action % 8 {
+        match action % 9 {
             // Clean transactions (three slots: the common case).
             0..=2 => {
                 if coordinator_down {
@@ -108,37 +144,9 @@ fn chaos_case(script: &[(u8, u8, u8, u16)], seed: u64) -> Result<(), TestCaseErr
                     coordinator_down = false;
                 }
                 let ops = txn_ops(a, b, pick, generation);
-                let victim = c.placement_of(ops[0].0).expect("placed").0;
-                let mut chaos = CommitChaos::default();
-                match pick % 8 {
-                    0 => chaos.crash_participant_before_prepare = Some(victim),
-                    1 => chaos.crash_participant_after_prepare = Some(victim),
-                    2 => chaos.lose_prepare_ack = Some(victim),
-                    3 => {
-                        chaos.migrate_mid_prepare = Some((ops[0].0, usize::from(b) % SERVERS));
-                    }
-                    4 => chaos.crash_coordinator_before_decision = true,
-                    5 => chaos.torn_decision = true,
-                    6 => chaos.crash_coordinator_after_decision = true,
-                    _ => chaos.crash_participant_before_decide = Some(victim),
-                }
-                let out = c
-                    .commit_cross_shard_chaos(&ops, &chaos)
-                    .expect("mapped gids");
-                // The transaction happened iff its decision is durable —
-                // immediately (Committed) or at recovery (crashed
-                // coordinator with a forced decision record).
-                let decided = match out {
-                    CommitOutcome::Committed => true,
-                    CommitOutcome::Aborted => false,
-                    CommitOutcome::CoordinatorCrashed {
-                        decision_durable, ..
-                    } => {
-                        coordinator_down = true;
-                        decision_durable
-                    }
-                };
-                if decided {
+                c.arm_chaos(one_fault(&c, &ops, b, pick));
+                let out = c.commit_cross_shard(&ops).expect("mapped gids");
+                if decided(out, &mut coordinator_down) {
                     apply_to_model(&mut model, &ops);
                     committed.push(ops);
                 }
@@ -160,12 +168,44 @@ fn chaos_case(script: &[(u8, u8, u8, u16)], seed: u64) -> Result<(), TestCaseErr
             6 => c.crash_server(usize::from(b) % SERVERS),
             // Byte check mid-script — only meaningful when no decided
             // commit is still waiting on the orphan sweep.
-            _ => {
+            7 => {
                 if !coordinator_down && c.in_doubt_gtids().is_empty() {
                     let gid = u64::from(a) % FILES as u64 + 1;
                     let want = &model[&gid];
                     let got = c.read(gid, 0, want.len()).expect("read");
                     prop_assert_eq!(&got, want, "file {} diverged mid-script", gid);
+                }
+            }
+            // A wave of 2–3 transactions through one `commit_batch`,
+            // every third one with an armed fault. Members whose writes
+            // overlap cannot both prepare, so the decided members commute
+            // and wave order is commit order.
+            _ => {
+                if coordinator_down {
+                    c.recover_coordinator();
+                    coordinator_down = false;
+                }
+                let wave: Vec<Vec<CrossOp>> = (0..2 + pick % 2)
+                    .map(|i| {
+                        generation = generation.wrapping_add(1);
+                        let (da, db) = (i as u8, 3 * i as u8);
+                        txn_ops(
+                            a.wrapping_add(da),
+                            b.wrapping_add(db),
+                            pick + 5 * i,
+                            generation,
+                        )
+                    })
+                    .collect();
+                if pick % 3 == 0 {
+                    c.arm_chaos(one_fault(&c, &wave[0], b, pick / 3));
+                }
+                let outs = c.commit_batch(&wave).expect("mapped gids");
+                for (ops, out) in wave.into_iter().zip(outs) {
+                    if decided(out, &mut coordinator_down) {
+                        apply_to_model(&mut model, &ops);
+                        committed.push(ops);
+                    }
                 }
             }
         }
@@ -208,7 +248,7 @@ proptest! {
     #[test]
     fn cross_shard_commit_is_atomic_under_chaos(
         script in proptest::collection::vec(
-            (0u8..16, 0u8..8, 0u8..8, 0u16..256), 8..24),
+            (0u8..18, 0u8..8, 0u8..8, 0u16..256), 8..24),
         seed: u64,
     ) {
         chaos_case(&script, seed)?;
@@ -224,7 +264,7 @@ proptest! {
     #[ignore = "full cross-shard chaos sweep; CI runs it with --ignored"]
     fn cross_shard_chaos_full_sweep(
         script in proptest::collection::vec(
-            (0u8..16, 0u8..8, 0u8..8, 0u16..256), 24..64),
+            (0u8..18, 0u8..8, 0u8..8, 0u16..256), 24..64),
         seed: u64,
     ) {
         chaos_case(&script, seed)?;
@@ -242,29 +282,21 @@ fn migration_mid_prepare_then_coordinator_crash_stays_atomic() {
 
     let ops1 = txn_ops(0, 3, 5, 1);
     let target = (c.placement_of(ops1[0].0).unwrap().0 + 1) % SERVERS;
-    let out1 = c
-        .commit_cross_shard_chaos(
-            &ops1,
-            &CommitChaos {
-                migrate_mid_prepare: Some((ops1[0].0, target)),
-                ..CommitChaos::default()
-            },
-        )
-        .unwrap();
+    c.arm_chaos(CommitChaos {
+        migrate_mid_prepare: Some((ops1[0].0, target)),
+        ..CommitChaos::default()
+    });
+    let out1 = c.commit_cross_shard(&ops1).unwrap();
     assert_eq!(out1, CommitOutcome::Committed, "re-target must commit");
     assert!(c.stats().retargets >= 1);
     apply_to_model(&mut model, &ops1);
 
     let ops2 = txn_ops(1, 4, 9, 2);
-    let out2 = c
-        .commit_cross_shard_chaos(
-            &ops2,
-            &CommitChaos {
-                crash_coordinator_after_decision: true,
-                ..CommitChaos::default()
-            },
-        )
-        .unwrap();
+    c.arm_chaos(CommitChaos {
+        crash_coordinator_after_decision: true,
+        ..CommitChaos::default()
+    });
+    let out2 = c.commit_cross_shard(&ops2).unwrap();
     assert!(matches!(
         out2,
         CommitOutcome::CoordinatorCrashed {

@@ -11,16 +11,21 @@
 //! conflict on data items, queue, deadlock and get broken by the §6.4
 //! timeouts, exactly like the paper's concurrent clients.
 //!
+//! Commits go through a group-commit pipeline, and reads may go through
+//! [`tread_shared`]: its locks are taken by the service's one lock step,
+//! under the service lock like every other lock, and only the copy out of
+//! the sharded block pool runs without it. This module takes no lock of
+//! its own on a data item.
+//!
 //! [`run_txn`]: SharedTransactionService::run_txn
+//! [`tread_shared`]: SharedTransactionService::tread_shared
 
+use crate::commit::CommitReq;
 use crate::error::TxnError;
-use crate::lock::LockMode;
-use crate::service::{CommitReq, FastReadCheck, TransactionService, TxnId};
-use crate::table::{LockOutcome, StripedLockTable};
+use crate::service::{TransactionService, TxnId};
 use parking_lot::Mutex;
 use rhodos_disk_service::BLOCK_SIZE;
 use rhodos_file_service::{FileId, ShardedBlockCache};
-use rhodos_simdisk::SimClock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
@@ -63,14 +68,15 @@ impl CommitPipeline {
 /// [`SharedTransactionService::tread_shared`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FastPathStats {
-    /// Reads served entirely from the sharded block pool, never holding
-    /// the whole-service lock across the data access.
+    /// Reads whose bytes were copied from the sharded block pool without
+    /// the whole-service lock.
     pub full_hits: u64,
-    /// Reads that fell back to the classic service-locked path (overlay
-    /// present, cross-granularity mode, cache miss, or state change
-    /// between validate and recheck).
+    /// Reads that fell back to the classic service-locked path: the
+    /// family had tentative state of the file, or a block was not
+    /// resident.
     pub fallbacks: u64,
-    /// Reads rejected with `WouldBlock` by a shard lock conflict.
+    /// Reads rejected with `WouldBlock` by a lock conflict. Each is also
+    /// counted in `TxnStats::would_blocks`, as every conflict is.
     pub conflicts: u64,
 }
 
@@ -81,14 +87,12 @@ struct FastPathCounters {
     conflicts: AtomicU64,
 }
 
-/// The lock-free half of the read path: handles to the striped lock
-/// tables and the sharded block pool, valid for the service's lifetime
-/// (both are reset in place on recovery, never replaced).
+/// The half of the read path that runs without the service lock: a
+/// handle to the sharded block pool, valid for the service's lifetime
+/// (reset in place on recovery, never replaced).
 #[derive(Debug)]
 struct FastPath {
-    tables: [Arc<StripedLockTable>; 3],
     cache: Arc<ShardedBlockCache>,
-    clock: SimClock,
     counters: FastPathCounters,
 }
 
@@ -105,9 +109,7 @@ impl FastPath {
         }
         let cache = service.file_service_mut().cache_handle()?;
         Some(Arc::new(FastPath {
-            tables: service.lock_tables(),
             cache,
-            clock: service.file_service().clock(),
             counters: FastPathCounters::default(),
         }))
     }
@@ -143,7 +145,7 @@ impl FastPath {
 pub struct SharedTransactionService {
     inner: Arc<Mutex<TransactionService>>,
     pipeline: Arc<CommitPipeline>,
-    /// Lock-free read fast path; `None` when the ablation configuration
+    /// The read fast path; `None` when the ablation configuration
     /// (`lock_shards = cache_shards = 1`) or a cacheless service makes it
     /// pointless.
     fast: Option<Arc<FastPath>>,
@@ -167,7 +169,7 @@ impl SharedTransactionService {
         self.inner.lock()
     }
 
-    /// Whether the lock-free read fast path is active (at least one layer
+    /// Whether the read fast path is active (at least one layer
     /// sharded and server-side caching enabled).
     pub fn fast_path_enabled(&self) -> bool {
         self.fast.is_some()
@@ -186,30 +188,29 @@ impl SharedTransactionService {
         }
     }
 
-    /// `tread` that shrinks the global critical section: when the read
-    /// needs no tentative overlay, the service lock is held only for two
-    /// brief validation steps — the read-only locks are acquired on the
-    /// striped lock-table shards and the data served from the sharded
-    /// block pool, so concurrent readers of unrelated items touch no
-    /// common lock word (E20). Any condition the fast path cannot serve
-    /// (cross-granularity mode, tentative state, a cache miss, a state
-    /// change between validate and recheck) falls back to the classic
-    /// service-locked [`TransactionService::tread`], which is always
-    /// correct; with the fast path disabled this *is* the classic path.
+    /// `tread` that copies its bytes without the service lock. Under the
+    /// lock, once, it takes its read-only locks through the same step as
+    /// [`TransactionService::tread`]
+    /// ([`TransactionService::lock_committed_read`]); then it drops the
+    /// lock and copies from the sharded block pool, so concurrent readers
+    /// of resident blocks share the service lock only for the lock step
+    /// (E20). A read that needs the transaction's tentative overlay runs
+    /// the classic `tread` under that same lock; a block that is not
+    /// resident sends the read there too. With the fast path disabled this
+    /// *is* the classic path.
     ///
-    /// Coherence: a committed overlapping write requires an `Iwrite` on
-    /// an item of the same granularity table, which the `ReadOnly` shard
-    /// locks held here exclude; tentative (uncommitted) data never enters
-    /// the block pool; and the pool is invalidated under `Iwrite` cover
-    /// (delete, descriptor replacement) or with the file closed.
+    /// Coherence: a committed overlapping write needs an `Iwrite` that the
+    /// read-only locks held here exclude — in every table in the relaxed
+    /// §6.1 mode; tentative (uncommitted) data never enters the block
+    /// pool; and the pool is invalidated under `Iwrite` cover (delete,
+    /// descriptor replacement) or with the file closed.
     ///
     /// # Errors
     ///
-    /// As [`TransactionService::tread`]. Shard-lock conflicts surface as
-    /// [`TxnError::WouldBlock`] (counted in [`FastPathStats::conflicts`],
-    /// not in `TxnStats::would_blocks`); the queued waiter record is
-    /// cleaned up by the retry loop's abort, exactly like a classic
-    /// queued request.
+    /// As [`TransactionService::tread`]. A lock conflict is
+    /// [`TxnError::WouldBlock`], counted in [`FastPathStats::conflicts`]
+    /// and in `TxnStats::would_blocks`; the queued waiter record is
+    /// cleaned up by the retry loop's abort, as any queued request is.
     pub fn tread_shared(
         &self,
         t: TxnId,
@@ -220,70 +221,28 @@ impl SharedTransactionService {
         let Some(fast) = &self.fast else {
             return self.inner.lock().tread(t, fid, offset, len);
         };
-        // Step 1 — validate and plan under a brief service lock.
-        let meta = {
+        let len = {
             let mut svc = self.inner.lock();
-            match svc.fast_read_meta(t, fid, offset, len)? {
-                Some(meta) => meta,
-                None => {
+            match svc.lock_committed_read(t, fid, offset, len) {
+                Ok(Some(len)) => len,
+                Ok(None) => {
                     fast.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
                     return svc.tread(t, fid, offset, len);
                 }
-            }
-        };
-        // Step 2 — acquire read-only locks on the striped shards, without
-        // the service lock. Each item touches exactly one shard mutex.
-        let table = &fast.tables[meta.table];
-        let now = fast.clock.now_us();
-        for item in &meta.items {
-            match table.set_lock(meta.pid, meta.owner, *item, LockMode::ReadOnly, now) {
-                LockOutcome::Granted => {}
-                LockOutcome::Queued => {
-                    fast.counters.conflicts.fetch_add(1, Ordering::Relaxed);
-                    return Err(TxnError::WouldBlock {
-                        txn: t,
-                        item: *item,
-                    });
-                }
-            }
-        }
-        // Step 3 — recheck under a brief service lock: a writer may have
-        // committed (or this transaction been timeout-aborted) between
-        // steps 1 and 2; the locks held since step 2 freeze things now.
-        let size = {
-            let mut svc = self.inner.lock();
-            match svc.fast_read_recheck(t, TxnId(meta.owner), fid) {
-                FastReadCheck::Proceed { size } => size,
-                FastReadCheck::UseClassic => {
-                    fast.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
-                    return svc.tread(t, fid, offset, len);
-                }
-                FastReadCheck::Dead { root_active } => {
-                    drop(svc);
-                    if !root_active {
-                        // The family is gone; its `finish` ran before our
-                        // step-2 acquisitions, so release the strays we
-                        // registered in the dead root's name. (Ids are
-                        // never reused, so this cannot hit a live txn.)
-                        for table in &fast.tables {
-                            table.release_all(meta.owner, fast.clock.now_us());
-                        }
+                Err(e) => {
+                    if matches!(e, TxnError::WouldBlock { .. }) {
+                        fast.counters.conflicts.fetch_add(1, Ordering::Relaxed);
                     }
-                    return Err(TxnError::NotActive(t));
+                    return Err(e);
                 }
             }
         };
-        if offset > size {
-            return Err(TxnError::BeyondEof { offset, size });
-        }
-        let len = (len as u64).min(size - offset) as usize;
         if len == 0 {
             return Ok(Vec::new());
         }
-        // Step 4 — serve from the sharded pool. A block that is not
-        // resident sends the read to the classic path (re-acquiring the
-        // same locks is idempotent), which fetches it — and is the one
-        // lookup that counts its miss.
+        // A block that is not resident sends the read to the classic path
+        // (re-acquiring the same locks is idempotent), which fetches it —
+        // and is the one lookup that counts its miss.
         let bs = BLOCK_SIZE as u64;
         let first = offset / bs;
         let last = (offset + len as u64 - 1) / bs;
@@ -723,6 +682,78 @@ mod tests {
         .unwrap();
         let fp = s.fast_stats();
         assert!(fp.fallbacks >= 1, "{fp:?}");
+    }
+
+    #[test]
+    fn a_fast_read_s_lock_holds_off_a_writer_until_its_transaction_ends() {
+        let (s, fid) = shared(LockLevel::Page);
+        let a = s.lock().tbegin();
+        s.lock().topen(a, fid).unwrap();
+        assert_eq!(s.tread_shared(a, fid, 0, 8).unwrap(), 0u64.to_le_bytes());
+        assert_eq!(s.fast_stats().full_hits, 1, "{:?}", s.fast_stats());
+        let b = s.lock().tbegin();
+        s.lock().topen(b, fid).unwrap();
+        let blocked = s.lock().stats().would_blocks;
+        let write = s.lock().twrite(b, fid, 0, b"writer");
+        assert!(
+            matches!(write, Err(TxnError::WouldBlock { .. })),
+            "{write:?}"
+        );
+        assert_eq!(s.lock().stats().would_blocks, blocked + 1);
+        s.commit(a).unwrap();
+        s.lock().twrite(b, fid, 0, b"writer").unwrap();
+        s.commit(b).unwrap();
+    }
+
+    #[test]
+    fn relaxed_mode_fast_reads_take_the_cross_table_probe() {
+        let fs = FileService::single_disk(
+            DiskGeometry::medium(),
+            LatencyModel::instant(),
+            SimClock::new(),
+            FileServiceConfig::default(),
+        )
+        .unwrap();
+        let config = TxnConfig {
+            cross_granularity: true,
+            ..Default::default()
+        };
+        let s = SharedTransactionService::new(TransactionService::new(fs, config).unwrap());
+        let fid = s.lock().tcreate(LockLevel::Page).unwrap();
+        s.run_txn(|s, t| {
+            s.lock().topen(t, fid)?;
+            s.lock().twrite(t, fid, 0, &vec![0u8; 8192])
+        })
+        .unwrap();
+        let read = s.run_txn(|s, t| {
+            s.lock().topen(t, fid)?;
+            s.tread_shared(t, fid, 0, 4)
+        });
+        assert_eq!(read.unwrap(), [0u8; 4]);
+        assert_eq!(s.fast_stats().full_hits, 1, "{:?}", s.fast_stats());
+        // T1 holds page 0 in the page table; T2 reads the same file at
+        // file level, so only the probe of the other tables sees T1.
+        let t1 = s.lock().tbegin();
+        s.lock().topen(t1, fid).unwrap();
+        s.lock().twrite(t1, fid, 0, b"page-level hold").unwrap();
+        s.lock()
+            .file_service_mut()
+            .set_lock_level(fid, LockLevel::File)
+            .unwrap();
+        let t2 = s.lock().tbegin();
+        s.lock().topen(t2, fid).unwrap();
+        let blocked = s.lock().stats().would_blocks;
+        let read = s.tread_shared(t2, fid, 0, 4);
+        assert!(matches!(read, Err(TxnError::WouldBlock { .. })), "{read:?}");
+        let expected = FastPathStats {
+            full_hits: 1,
+            fallbacks: 0,
+            conflicts: 1,
+        };
+        assert_eq!(s.fast_stats(), expected);
+        assert_eq!(s.lock().stats().would_blocks, blocked + 1);
+        s.lock().tabort(t1).unwrap();
+        s.lock().tabort(t2).unwrap();
     }
 
     #[test]

@@ -61,6 +61,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod apply;
+mod commit;
 pub mod concurrent;
 mod error;
 pub mod intentions;
@@ -69,12 +71,11 @@ mod log;
 mod recovery;
 mod service;
 pub mod table;
+mod tentative;
 
+pub use commit::{CommitReq, Prepared, PreparedCommit};
 pub use concurrent::{FastPathStats, SharedTransactionService};
 pub use error::TxnError;
 pub use lock::{DataItem, LockMode};
-pub use service::{
-    CommitReq, FastReadCheck, FastReadMeta, Prepared, PreparedCommit, TransactionService,
-    TxnConfig, TxnId, TxnStats,
-};
+pub use service::{TransactionService, TxnConfig, TxnId, TxnStats};
 pub use table::{LockOutcome, LockTable, LockTableStats, StripedLockTable};

@@ -22,10 +22,11 @@
 //! not redone over a later completed whole page of its block — the page,
 //! which is not redone, is the newer version.
 
+use crate::commit::PreparedCommit;
 use crate::error::TxnError;
 use crate::intentions::{Intention, LogRecord};
 use crate::lock::LockMode;
-use crate::service::{table_index, PreparedCommit, TransactionService, TxnId};
+use crate::service::{table_index, TransactionService, TxnId};
 use rhodos_disk_service::{Extent, BLOCK_SIZE, FRAGS_PER_BLOCK};
 use rhodos_file_service::FileId;
 use std::collections::HashMap;
@@ -59,8 +60,9 @@ impl TransactionService {
         // In-doubt state is rebuilt from the durable `Prepared` records
         // below; whatever was in memory is stale.
         self.prepared.clear();
-        // Reset the lock tables *in place*: outstanding Arc handles (the
-        // shared-service fast path) must keep seeing the live tables.
+        // Reset the lock tables *in place*: outstanding Arc handles
+        // (`lock_tables`, lent to E20's shard model) must keep seeing the
+        // live tables.
         for table in &self.tables {
             table.reset();
         }

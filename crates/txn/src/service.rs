@@ -1,17 +1,27 @@
-//! The transaction service: `t*` operations, two-phase locking, commit
-//! and recovery.
+//! The transaction service: its state, the `t*` operations, two-phase
+//! locking (§6.1–6.5), the §6.4 timeouts and the recall of leases.
+//!
+//! This module owns one decision — *which locks an operation takes, and
+//! when they go*. Every lock is taken here (`acquire`), under the
+//! service lock, in the name of the family's root — every read's through
+//! one step, `lock_read`, which the shared read fast path calls too — and
+//! held until the top-level transaction commits or aborts, or a timeout
+//! picks it as a victim. The rest of `TransactionService` is
+//! split by job: tentative state and abort (`tentative.rs`), the commit
+//! sequence and checkpoint (`commit.rs`), the applier (`apply.rs`) and
+//! crash recovery (`recovery.rs`).
 
+use crate::commit::{CommitReq, PreparedCommit};
 use crate::error::TxnError;
-use crate::intentions::{Intention, Technique};
 use crate::lock::{DataItem, LockMode};
 use crate::log::IntentionLog;
 use crate::table::{LockOutcome, StripedLockTable};
+use crate::tentative::ActiveTxn;
 use rhodos_disk_service::BLOCK_SIZE;
 use rhodos_file_service::{
-    FileId, FileIndexTable, FileService, LeaseGrant, LeaseMode, LockLevel, RecallAck, ServiceType,
+    FileId, FileService, LeaseGrant, LeaseMode, LockLevel, RecallAck, ServiceType,
 };
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -59,41 +69,6 @@ impl Default for TxnConfig {
     }
 }
 
-/// What the shared-service read fast path needs from the brief
-/// service-locked validation step (see
-/// [`TransactionService::fast_read_meta`]).
-#[derive(Debug, Clone)]
-pub struct FastReadMeta {
-    /// Requesting process id (recorded in lock records).
-    pub pid: u64,
-    /// Root of the transaction's family — locks are taken in its name.
-    pub owner: u64,
-    /// Index into [`TransactionService::lock_tables`] for the file's
-    /// granularity level.
-    pub table: usize,
-    /// The data items covering the requested range.
-    pub items: Vec<DataItem>,
-}
-
-/// Outcome of [`TransactionService::fast_read_recheck`].
-#[derive(Debug, Clone, Copy)]
-pub enum FastReadCheck {
-    /// Still valid; read up to `size` from the cache.
-    Proceed {
-        /// Committed file size at recheck time.
-        size: u64,
-    },
-    /// State changed in a way the fast path cannot serve (tentative
-    /// overlay appeared, file vanished); retry via the classic path.
-    UseClassic,
-    /// The transaction died (timeout abort) between meta and recheck.
-    Dead {
-        /// Whether the family root is still active — if not, the fast
-        /// path must release the shard locks it took in the root's name.
-        root_active: bool,
-    },
-}
-
 /// Counters of transaction-service behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TxnStats {
@@ -118,8 +93,7 @@ pub struct TxnStats {
     pub log_flushes: u64,
     /// Flushes that made more than one log record durable at once.
     pub group_commits: u64,
-    /// Log records made durable, total (the per-flush average is
-    /// [`TxnStats::records_per_flush_avg`]).
+    /// Log records made durable, total.
     pub records_flushed: u64,
     /// Most log records made durable by a single flush (high-water mark).
     pub records_per_flush_hwm: u64,
@@ -142,207 +116,14 @@ pub struct TxnStats {
 }
 
 impl TxnStats {
-    /// Average log records made durable per flush.
-    pub fn records_per_flush_avg(&self) -> f64 {
-        if self.log_flushes == 0 {
-            0.0
-        } else {
-            self.records_flushed as f64 / self.log_flushes as f64
-        }
-    }
-
-    /// Average `Prepared` records made durable per prepare-carrying flush
-    /// — the 2PC analogue of [`TxnStats::records_per_flush_avg`]: above
-    /// 1.0 means cross-shard prepares are riding shared log forces.
+    /// Average `Prepared` records made durable per prepare-carrying flush:
+    /// above 1.0 means cross-shard prepares are riding shared log forces.
     pub fn records_per_prepare_flush(&self) -> f64 {
         if self.prepare_flushes == 0 {
             0.0
         } else {
             self.prepare_records_flushed as f64 / self.prepare_flushes as f64
         }
-    }
-}
-
-/// A page-mode tentative page: the whole page as the transaction sees it,
-/// the range `[lo, hi)` of it that was written, and — only once that
-/// range covers the whole block — the detached block holding it. A
-/// commit logs a pointer to the block, or the dirty bytes themselves.
-#[derive(Debug, Clone)]
-struct TentativePage {
-    shadow: Option<(u16, u64)>,
-    lo: usize,
-    hi: usize,
-    data: Vec<u8>,
-}
-
-impl TentativePage {
-    /// A page nothing has been written to yet.
-    fn clean(data: Vec<u8>) -> Self {
-        Self {
-            shadow: None,
-            lo: BLOCK_SIZE,
-            hi: 0,
-            data,
-        }
-    }
-
-    fn is_whole(&self) -> bool {
-        (self.lo, self.hi) == (0, BLOCK_SIZE)
-    }
-
-    /// Widens the dirty range to take in `[lo, hi)`.
-    fn cover(&mut self, lo: usize, hi: usize) {
-        self.lo = self.lo.min(lo);
-        self.hi = self.hi.max(hi);
-    }
-
-    /// What the commit record carries for logical block `index` of
-    /// `fid`: the detached block, or the dirty bytes inline — which are
-    /// recovered as a record update.
-    fn intention(&self, fid: FileId, index: u64) -> Intention {
-        match self.shadow {
-            Some((tentative_disk, tentative_addr)) => Intention::Page {
-                fid,
-                index,
-                tentative_disk,
-                tentative_addr,
-            },
-            None => Intention::Record {
-                fid,
-                offset: index * BLOCK_SIZE as u64 + self.lo as u64,
-                data: self.data[self.lo..self.hi].to_vec(),
-            },
-        }
-    }
-}
-
-/// One request of [`TransactionService::commit_batch`].
-#[derive(Debug, Clone, Copy)]
-pub enum CommitReq<'a> {
-    /// Commit this local transaction (`tend`).
-    Local(TxnId),
-    /// Phase one of a cross-shard commit on this participant: perform
-    /// `writes` — `(fid, offset, data)` runs — under a fresh local
-    /// transaction and vote under the coordinator's `gtid`. `Ok` is a
-    /// durable *yes*; `Err` is a *no*, already rolled back here.
-    Participant {
-        /// Coordinator-assigned global transaction id.
-        gtid: u64,
-        /// The transaction's writes on this server, in order.
-        writes: &'a [(FileId, u64, Vec<u8>)],
-    },
-}
-
-/// Outcome of [`TransactionService::prepare_commit`].
-#[derive(Debug)]
-pub enum Prepared {
-    /// A nested commit — merged into its parent, nothing left to do.
-    Merged,
-    /// A top-level commit whose `Commit` record is in the log but not
-    /// necessarily durable yet: flush, then complete.
-    Pending(PreparedCommit),
-}
-
-/// A top-level commit between its two halves: the `Commit` record has
-/// been appended to the log ([`TransactionService::prepare_commit`]) but
-/// the changes are not yet permanent. A group-commit leader collects
-/// many of these, makes them all durable with one
-/// [`TransactionService::flush_log`], and applies each with
-/// [`TransactionService::complete_commit`].
-///
-/// The same record is a participant's in-doubt half of a cross-shard
-/// transaction: the `Prepared` record is durable, the locks are held,
-/// and only the coordinator's decision (or the orphan sweep consulting
-/// the recovered decision log) may resolve it — local aborts and
-/// timeouts must not. And it is what recovery rebuilds from the log to
-/// redo.
-#[derive(Debug)]
-pub struct PreparedCommit {
-    pub(crate) txn: TxnId,
-    pub(crate) intentions: Vec<Intention>,
-    pub(crate) sizes: Vec<(FileId, u64)>,
-    pub(crate) has_effects: bool,
-    /// Deferred deletions (`tdelete`), performed between the apply and
-    /// the completion marker. They are in no durable record, so only a
-    /// live local commit carries any.
-    pub(crate) to_delete: Vec<FileId>,
-}
-
-impl PreparedCommit {
-    /// Whether the commit put a record in the log that its completion
-    /// must wait for. One without (a read-only transaction) completes
-    /// without a force.
-    pub fn has_effects(&self) -> bool {
-        self.has_effects
-    }
-}
-
-#[derive(Debug)]
-pub(crate) struct ActiveTxn {
-    pid: u64,
-    /// Parent transaction for nested transactions (§6.4 mentions nested
-    /// transactions as a source of long-running work). `None` for
-    /// top-level transactions.
-    parent: Option<TxnId>,
-    /// Files this transaction `topen`ed. Ordered: commit, abort and
-    /// nested adoption each close them one by one, every close persists
-    /// a FIT, and the order of those disk references must not depend on
-    /// a per-process hash seed.
-    open_files: BTreeSet<FileId>,
-    /// Files visible through an ancestor's `topen` (no own reference).
-    inherited_files: BTreeSet<FileId>,
-    /// Ordered for the same reason as `open_files`: abort and nested
-    /// merge free these blocks one by one.
-    tentative_pages: BTreeMap<(FileId, u64), TentativePage>,
-    /// Record-mode tentative writes, in order.
-    tentative_records: Vec<(FileId, u64, Vec<u8>)>,
-    /// Tentative file sizes (writes past the current end).
-    tentative_sizes: HashMap<FileId, u64>,
-    /// Files created inside this transaction (deleted again on abort).
-    created: Vec<FileId>,
-    /// Files whose deletion is deferred to commit.
-    to_delete: Vec<FileId>,
-}
-
-impl ActiveTxn {
-    fn new(pid: u64) -> Self {
-        Self {
-            pid,
-            parent: None,
-            open_files: BTreeSet::new(),
-            inherited_files: BTreeSet::new(),
-            tentative_pages: BTreeMap::new(),
-            tentative_records: Vec::new(),
-            tentative_sizes: HashMap::new(),
-            created: Vec::new(),
-            to_delete: Vec::new(),
-        }
-    }
-
-    fn can_use(&self, fid: FileId) -> bool {
-        self.open_files.contains(&fid) || self.inherited_files.contains(&fid)
-    }
-
-    /// The intentions list and tentative sizes a commit or prepare
-    /// record carries. Both come out in a fixed order — pages by (file,
-    /// index) then records in write order, sizes by file — so the
-    /// record's bytes and the order `ensure_size` runs in do not depend
-    /// on `HashMap` iteration.
-    fn assemble_intentions(&self) -> (Vec<Intention>, Vec<(FileId, u64)>) {
-        let mut intentions: Vec<Intention> = (self.tentative_pages.iter())
-            .map(|((fid, idx), p)| p.intention(*fid, *idx))
-            .collect();
-        for (fid, off, bytes) in &self.tentative_records {
-            intentions.push(Intention::Record {
-                fid: *fid,
-                offset: *off,
-                data: bytes.clone(),
-            });
-        }
-        let mut sizes: Vec<(FileId, u64)> =
-            self.tentative_sizes.iter().map(|(f, s)| (*f, *s)).collect();
-        sizes.sort_unstable();
-        (intentions, sizes)
     }
 }
 
@@ -364,9 +145,9 @@ pub(crate) fn table_index(level: LockLevel) -> usize {
 pub struct TransactionService {
     pub(crate) fs: FileService,
     config: TxnConfig,
-    /// One striped lock table per locking level (§6.5). Behind `Arc` so
-    /// lock-free fast paths (see `SharedTransactionService::tread_shared`)
-    /// can acquire shard locks without holding the whole-service mutex;
+    /// One striped lock table per locking level (§6.5). Every lock is
+    /// taken and released under the service lock; the `Arc` serves only
+    /// the handles [`Self::lock_tables`] lends E20's shard model, and
     /// recovery resets the shards in place to keep those handles valid.
     pub(crate) tables: [Arc<StripedLockTable>; 3],
     pub(crate) active: HashMap<TxnId, ActiveTxn>,
@@ -435,15 +216,11 @@ impl TransactionService {
         self.tables[table_index(level)].stats()
     }
 
-    /// Per-shard statistics of the lock table for `level`.
-    pub fn lock_table_shard_stats(&self, level: LockLevel) -> Vec<crate::table::LockTableStats> {
-        self.tables[table_index(level)].shard_stats()
-    }
-
     /// Handles to the three striped lock tables, indexed Record, Page,
-    /// File. The handles stay valid across recovery (the shards are reset
-    /// in place), so lock-free fast paths may acquire shard locks through
-    /// them without holding the service lock.
+    /// File, for E20's shard model (`rhodos_bench::loadgen` reads their
+    /// shard counts). They stay valid across recovery, which resets the
+    /// shards in place; the service itself locks through them only under
+    /// its own lock.
     pub fn lock_tables(&self) -> [Arc<StripedLockTable>; 3] {
         [
             Arc::clone(&self.tables[0]),
@@ -503,44 +280,6 @@ impl TransactionService {
         self.active.insert(id, child);
         self.stats.begun += 1;
         Ok(id)
-    }
-
-    /// The chain of ancestors of `t`, root first, ending with `t`.
-    fn chain(&self, t: TxnId) -> Vec<TxnId> {
-        let mut chain = vec![t];
-        let mut cur = t;
-        while let Some(p) = self.active.get(&cur).and_then(|x| x.parent) {
-            chain.push(p);
-            cur = p;
-        }
-        chain.reverse();
-        chain
-    }
-
-    /// The top-level ancestor of `t` (itself, when not nested). Locks are
-    /// held in the root's name so a family never conflicts with itself.
-    fn root_of(&self, t: TxnId) -> TxnId {
-        *self.chain(t).first().expect("chain is never empty")
-    }
-
-    /// Direct children of `t` that are still active.
-    fn children_of(&self, t: TxnId) -> Vec<TxnId> {
-        let mut v: Vec<TxnId> = self
-            .active
-            .iter()
-            .filter(|(_, x)| x.parent == Some(t))
-            .map(|(id, _)| *id)
-            .collect();
-        v.sort();
-        v
-    }
-
-    fn txn(&self, t: TxnId) -> Result<&ActiveTxn, TxnError> {
-        self.active.get(&t).ok_or(TxnError::NotActive(t))
-    }
-
-    fn txn_mut(&mut self, t: TxnId) -> Result<&mut ActiveTxn, TxnError> {
-        self.active.get_mut(&t).ok_or(TxnError::NotActive(t))
     }
 
     /// `tcreate` outside any transaction: a transaction-typed file with
@@ -756,18 +495,6 @@ impl TransactionService {
         Ok((level, items))
     }
 
-    fn effective_size(&self, t: TxnId, fid: FileId, base: u64) -> u64 {
-        self.chain(t)
-            .iter()
-            .filter_map(|id| {
-                self.active
-                    .get(id)
-                    .and_then(|x| x.tentative_sizes.get(&fid))
-                    .copied()
-            })
-            .fold(base, u64::max)
-    }
-
     // ---- reads -----------------------------------------------------------
 
     /// `tread`/`tpread`: reads under a read-only lock ("if the data item is
@@ -802,76 +529,30 @@ impl TransactionService {
         self.tread_mode(t, fid, offset, len, LockMode::Iread)
     }
 
-    /// First half of the shared-service read fast path: under the (brief)
-    /// service lock, validates the transaction and computes everything the
-    /// lock-free half needs — or `None` when the read must take the
-    /// classic path (cross-granularity mode, or tentative state of `fid`
-    /// anywhere in the transaction's family would need overlaying).
+    /// The lock step of a read that needs no tentative overlay, for the
+    /// shared read fast path: `None` when some member of `t`'s family
+    /// holds tentative state of `fid` — the read then needs
+    /// [`Self::tread`] — or else the read-only locks covering the range,
+    /// held until `t`'s family ends, and the number of bytes from
+    /// `offset` the committed file has of the `len` asked for. While the
+    /// locks are held no commit can change those bytes, so the caller
+    /// may copy them from the block pool without the service lock.
     ///
     /// # Errors
     ///
-    /// [`TxnError::NotActive`] / [`TxnError::FileNotOpen`]; file-service
-    /// failures resolving the lock level.
-    pub fn fast_read_meta(
+    /// As [`Self::tread`].
+    pub fn lock_committed_read(
         &mut self,
         t: TxnId,
         fid: FileId,
         offset: u64,
         len: usize,
-    ) -> Result<Option<FastReadMeta>, TxnError> {
-        let txn = self.txn(t)?;
-        if !txn.can_use(fid) {
-            return Err(TxnError::FileNotOpen(t));
-        }
-        let pid = txn.pid;
-        // The relaxed §6.1 mode probes the *other* granularities' tables;
-        // keep that logic in one place (the classic path).
-        if self.config.cross_granularity {
-            return Ok(None);
-        }
+    ) -> Result<Option<usize>, TxnError> {
         if self.chain_has_overlay(t, fid) {
             return Ok(None);
         }
-        let (level, items) = self.items_for_range(fid, offset, len as u64)?;
-        let owner = self.root_of(t).0;
-        Ok(Some(FastReadMeta {
-            pid,
-            owner,
-            table: table_index(level),
-            items,
-        }))
-    }
-
-    /// Whether any member of `t`'s family holds tentative pages, records
-    /// or sizes for `fid` (in which case a read needs the overlay logic).
-    fn chain_has_overlay(&self, t: TxnId, fid: FileId) -> bool {
-        self.chain(t).iter().any(|id| {
-            self.active.get(id).is_some_and(|x| {
-                x.tentative_sizes.contains_key(&fid)
-                    || x.tentative_pages.keys().any(|(f, _)| *f == fid)
-                    || x.tentative_records.iter().any(|(f, _, _)| *f == fid)
-            })
-        })
-    }
-
-    /// Second half of the read fast path, after the shard locks are held:
-    /// re-validates under the (brief) service lock. A writer may have
-    /// committed — or this transaction been timeout-aborted — between
-    /// [`Self::fast_read_meta`] and the shard-lock acquisition, so the
-    /// base size is re-read and liveness re-checked here.
-    pub fn fast_read_recheck(&mut self, t: TxnId, root: TxnId, fid: FileId) -> FastReadCheck {
-        if !self.active.contains_key(&t) {
-            return FastReadCheck::Dead {
-                root_active: self.active.contains_key(&root),
-            };
-        }
-        if self.chain_has_overlay(t, fid) {
-            return FastReadCheck::UseClassic;
-        }
-        match self.fs.get_attribute(fid) {
-            Ok(attrs) => FastReadCheck::Proceed { size: attrs.size },
-            Err(_) => FastReadCheck::UseClassic,
-        }
+        let (_, len) = self.lock_read(t, fid, offset, len, LockMode::ReadOnly)?;
+        Ok(Some(len))
     }
 
     fn tread_mode(
@@ -882,7 +563,21 @@ impl TransactionService {
         len: usize,
         mode: LockMode,
     ) -> Result<Vec<u8>, TxnError> {
-        self.txn(t)?;
+        let (base_size, len) = self.lock_read(t, fid, offset, len, mode)?;
+        self.read_with_overlay(t, fid, offset, len, base_size)
+    }
+
+    /// The one lock step of every read: takes `mode` on each item
+    /// covering `[offset, offset+len)` and returns the committed size and
+    /// how many of the `len` bytes `t` sees before its end of file.
+    fn lock_read(
+        &mut self,
+        t: TxnId,
+        fid: FileId,
+        offset: u64,
+        len: usize,
+        mode: LockMode,
+    ) -> Result<(u64, usize), TxnError> {
         if !self.txn(t)?.can_use(fid) {
             return Err(TxnError::FileNotOpen(t));
         }
@@ -895,71 +590,7 @@ impl TransactionService {
         if offset > size {
             return Err(TxnError::BeyondEof { offset, size });
         }
-        let len = (len as u64).min(size - offset) as usize;
-        let mut out = self.read_with_overlay(t, fid, offset, len, base_size)?;
-        out.truncate(len);
-        Ok(out)
-    }
-
-    /// Reads `[offset, offset+len)` of the committed file, overlaying this
-    /// transaction's tentative pages and records.
-    fn read_with_overlay(
-        &mut self,
-        t: TxnId,
-        fid: FileId,
-        offset: u64,
-        len: usize,
-        base_size: u64,
-    ) -> Result<Vec<u8>, TxnError> {
-        if len == 0 {
-            return Ok(Vec::new());
-        }
-        let bs = BLOCK_SIZE as u64;
-        let first = offset / bs;
-        let last = (offset + len as u64 - 1) / bs;
-        let base_blocks = base_size.div_ceil(bs);
-        let chain = self.chain(t);
-        let mut out = Vec::with_capacity(len);
-        for idx in first..=last {
-            // Youngest tentative copy wins (child shadows parent).
-            let tentative = chain.iter().rev().find_map(|id| {
-                self.active
-                    .get(id)
-                    .and_then(|x| x.tentative_pages.get(&(fid, idx)))
-                    .map(|p| p.data.clone())
-            });
-            let block = match tentative {
-                Some(data) => data,
-                None if idx < base_blocks => self.fs.read_block(fid, idx)?.to_vec(),
-                None => vec![0u8; BLOCK_SIZE],
-            };
-            let block_start = idx * bs;
-            let lo = offset.max(block_start) - block_start;
-            let hi = (offset + len as u64).min(block_start + bs) - block_start;
-            out.extend_from_slice(&block[lo as usize..hi as usize]);
-        }
-        // Record-mode overlay: root first, then descendants, each in its
-        // own write order.
-        for id in &chain {
-            let Some(txn) = self.active.get(id) else {
-                continue;
-            };
-            for (rfid, roff, bytes) in &txn.tentative_records {
-                if *rfid != fid {
-                    continue;
-                }
-                let rlo = *roff;
-                let rhi = roff + bytes.len() as u64;
-                let wlo = offset.max(rlo);
-                let whi = (offset + len as u64).min(rhi);
-                if wlo < whi {
-                    let dst = (wlo - offset) as usize..(whi - offset) as usize;
-                    let src = (wlo - rlo) as usize..(whi - rlo) as usize;
-                    out[dst].copy_from_slice(&bytes[src]);
-                }
-            }
-        }
-        Ok(out)
+        Ok((base_size, (len as u64).min(size - offset) as usize))
     }
 
     // ---- writes ------------------------------------------------------------
@@ -978,7 +609,6 @@ impl TransactionService {
         offset: u64,
         data: &[u8],
     ) -> Result<(), TxnError> {
-        self.txn(t)?;
         if !self.txn(t)?.can_use(fid) {
             return Err(TxnError::FileNotOpen(t));
         }
@@ -1006,231 +636,7 @@ impl TransactionService {
         Ok(())
     }
 
-    fn twrite_pages(
-        &mut self,
-        t: TxnId,
-        fid: FileId,
-        offset: u64,
-        data: &[u8],
-        base_size: u64,
-    ) -> Result<(), TxnError> {
-        let bs = BLOCK_SIZE as u64;
-        let first = offset / bs;
-        let last = (offset + data.len() as u64 - 1) / bs;
-        let base_blocks = base_size.div_ceil(bs);
-        for idx in first..=last {
-            let block_start = idx * bs;
-            let lo = offset.max(block_start);
-            let hi = (offset + data.len() as u64).min(block_start + bs);
-            // Materialise the tentative page. A nested transaction's
-            // first touch of a page copies the youngest ancestor version
-            // and its dirty range (copy-on-write down the chain), but not
-            // its detached block.
-            let existing = self.txn_mut(t)?.tentative_pages.remove(&(fid, idx));
-            let mut page = match existing {
-                Some(p) => p,
-                None => {
-                    let chain = self.chain(t);
-                    let inherited = chain[..chain.len() - 1].iter().rev().find_map(|id| {
-                        self.active
-                            .get(id)
-                            .and_then(|x| x.tentative_pages.get(&(fid, idx)))
-                            .map(|p| TentativePage {
-                                shadow: None,
-                                ..p.clone()
-                            })
-                    });
-                    match inherited {
-                        Some(p) => p,
-                        None if idx < base_blocks => {
-                            TentativePage::clean(self.fs.read_block(fid, idx)?.to_vec())
-                        }
-                        None => TentativePage::clean(vec![0u8; BLOCK_SIZE]),
-                    }
-                }
-            };
-            let src = &data[(lo - offset) as usize..(hi - offset) as usize];
-            let (lo, hi) = ((lo - block_start) as usize, (hi - block_start) as usize);
-            page.data[lo..hi].copy_from_slice(src);
-            page.cover(lo, hi);
-            let persisted = self.persist_whole(fid, &mut page);
-            self.txn_mut(t)?.tentative_pages.insert((fid, idx), page);
-            persisted?;
-        }
-        Ok(())
-    }
-
-    /// Writes a tentative page whose dirty range covers the whole block
-    /// to its detached block — allocated on the first such write — which
-    /// is the durable copy its commit record will point at. A partial
-    /// page stays in memory: its commit logs the dirty bytes instead.
-    fn persist_whole(&mut self, fid: FileId, page: &mut TentativePage) -> Result<(), TxnError> {
-        if !page.is_whole() {
-            return Ok(());
-        }
-        let (disk, addr) = match page.shadow {
-            Some(block) => block,
-            None => *page.shadow.insert(self.fs.allocate_shadow_block(fid)?),
-        };
-        self.fs.put_detached_block(disk, addr, &page.data)?;
-        Ok(())
-    }
-
-    // ---- commit / abort ------------------------------------------------------
-
-    /// The one commit sequence — a local commit, a group-commit batch and
-    /// the participant half of a cross-shard commit are all this:
-    ///
-    /// 1. **Prepare** every request in order: [`Self::prepare_commit`]
-    ///    for a [`CommitReq::Local`]; for a [`CommitReq::Participant`],
-    ///    its writes under a fresh local transaction and then
-    ///    [`Self::prepare_participant`] — any failure on the way is a
-    ///    *no* vote and an immediate local abort.
-    /// 2. **Force** the log once ([`Self::flush_log`], §6.6) — unless no
-    ///    request has anything to wait for: a commit with effects or a
-    ///    vote. Earlier `Completed` markers ride this force; nothing
-    ///    forces one of its own.
-    /// 3. **Complete** each local commit ([`Self::complete_commit`]) and
-    ///    acknowledge each now-durable vote. When the force failed, a
-    ///    local commit stays active and reports the error; a vote is
-    ///    rolled back locally and reports it — a vote that never became
-    ///    durable must not be reported yes.
-    /// 4. **Housekeeping**, once, after a successful force:
-    ///    [`Self::maybe_compact_log`]. The commits are durable whatever
-    ///    it returns, so its error replaces the batch's first `Ok` only.
-    ///
-    /// One result per request, in request order. The steps stay public
-    /// for code that measures or crashes *between* them (`benchmark/`'s
-    /// ladder, the crash-point tests); everything that just commits calls
-    /// this. DESIGN.md §4 has the reasons.
-    pub fn commit_batch(&mut self, reqs: &[CommitReq<'_>]) -> Vec<Result<(), TxnError>> {
-        enum Step {
-            Done(Result<(), TxnError>),
-            Commit(PreparedCommit),
-            Vote(u64),
-        }
-        let steps: Vec<Step> = reqs
-            .iter()
-            .map(|req| match *req {
-                CommitReq::Local(t) => match self.prepare_commit(t) {
-                    Ok(Prepared::Merged) => Step::Done(Ok(())),
-                    Ok(Prepared::Pending(p)) => Step::Commit(p),
-                    Err(e) => Step::Done(Err(e)),
-                },
-                CommitReq::Participant { gtid, writes } => {
-                    match self.prepare_writes(gtid, writes) {
-                        Ok(()) => Step::Vote(gtid),
-                        Err(e) => Step::Done(Err(e)),
-                    }
-                }
-            })
-            .collect();
-        let awaited = steps.iter().any(|s| match s {
-            Step::Done(_) => false,
-            Step::Commit(p) => p.has_effects(),
-            Step::Vote(_) => true,
-        });
-        let forced = if awaited { self.flush_log() } else { Ok(()) };
-        let mut results: Vec<Result<(), TxnError>> = steps
-            .into_iter()
-            .map(|step| match (step, &forced) {
-                (Step::Done(r), _) => r,
-                (Step::Commit(p), Ok(())) => self.complete_commit(p),
-                (Step::Vote(_), Ok(())) => Ok(()),
-                (Step::Commit(_), Err(e)) => Err(e.clone()),
-                (Step::Vote(gtid), Err(e)) => {
-                    let _ = self.decide(gtid, false);
-                    Err(e.clone())
-                }
-            })
-            .collect();
-        if awaited && forced.is_ok() {
-            if let Err(e) = self.maybe_compact_log() {
-                if let Some(first) = results.iter_mut().find(|r| r.is_ok()) {
-                    *first = Err(e);
-                }
-            }
-        }
-        results
-    }
-
-    /// The prepare step of a [`CommitReq::Participant`]: a fresh local
-    /// transaction performs `writes` and votes under `gtid`, or is
-    /// aborted at the first failure.
-    fn prepare_writes(
-        &mut self,
-        gtid: u64,
-        writes: &[(FileId, u64, Vec<u8>)],
-    ) -> Result<(), TxnError> {
-        let t = self.tbegin();
-        let voted = writes
-            .iter()
-            .try_for_each(|(fid, offset, data)| {
-                if !self.txn(t)?.open_files.contains(fid) {
-                    self.topen(t, *fid)?;
-                }
-                self.twrite(t, *fid, *offset, data)
-            })
-            .and_then(|()| self.prepare_participant(t, gtid));
-        if voted.is_err() {
-            let _ = self.tabort(t);
-        }
-        voted
-    }
-
-    /// Step 2 of [`Self::commit_batch`]: makes every log record appended
-    /// since the previous force durable with one write of the log's tail
-    /// — the group-commit durability point. No I/O when nothing is
-    /// pending.
-    ///
-    /// # Errors
-    ///
-    /// File-service failures.
-    pub fn flush_log(&mut self) -> Result<(), TxnError> {
-        self.log.force(&mut self.fs, &mut self.stats)
-    }
-
-    /// Makes everything the service still holds in memory durable — the
-    /// pool's dirty blocks, committed records and plain delayed writes
-    /// alike, and the log's unforced markers (`Completed`, `Aborted`) — by
-    /// a checkpoint ([`Self::compact_log`] when nothing is active or in
-    /// doubt). A server that crashes after this redoes nothing, so no
-    /// older committed record is replayed over a plain write the sync
-    /// made durable, and it is in doubt about nothing it had resolved.
-    ///
-    /// # Errors
-    ///
-    /// File-service failures.
-    pub fn sync(&mut self) -> Result<(), TxnError> {
-        self.checkpoint()
-    }
-
-    /// A checkpoint, the one way log records are discarded: writes back
-    /// every dirty block of the pool — every block a completed record in
-    /// the log dirtied among them — as one grouped batch, then either
-    /// resets the log, when nothing is active or in doubt, or appends and
-    /// forces a `Checkpoint` marker, behind which recovery redoes no
-    /// completed record. A crash before the header or the marker lands
-    /// leaves the log standing, and redo rewrites the same bytes.
-    fn checkpoint(&mut self) -> Result<(), TxnError> {
-        self.fs.flush_all()?;
-        if self.active.is_empty() && self.prepared.is_empty() {
-            self.log.reset(&mut self.fs, &mut self.stats)
-        } else {
-            self.log.append_checkpoint();
-            self.flush_log()
-        }
-    }
-
-    /// Log bytes made durable so far (monotonic across compactions).
-    pub fn durable_lsn(&self) -> u64 {
-        self.log.durable_lsn()
-    }
-
-    /// Bytes in the log since its last compaction (its tail offset).
-    pub fn log_len(&self) -> u64 {
-        self.log.tail()
-    }
+    // ---- commit / abort --------------------------------------------------
 
     /// `tend`: commits the transaction — writes the intentions list to the
     /// durable log, makes the changes permanent (WAL when the file's data
@@ -1248,494 +654,10 @@ impl TransactionService {
             .expect("one result per request")
     }
 
-    /// Step 1 of [`Self::commit_batch`] for a local commit: assembles the
-    /// intentions list and appends the `Commit` record to the log
-    /// *without* forcing it to disk. [`Self::flush_log`] makes the batch
-    /// durable (one flush can cover many prepared commits) and
-    /// [`Self::complete_commit`] applies each. The transaction stays
-    /// active — and keeps its locks — until then.
-    ///
-    /// Nested commits merge into the parent here and are already done
-    /// ([`Prepared::Merged`]).
-    ///
-    /// # Errors
-    ///
-    /// [`TxnError::NotActive`], [`TxnError::InDoubt`],
-    /// [`TxnError::ChildrenActive`]; file-service failures merging a
-    /// nested commit.
-    pub fn prepare_commit(&mut self, t: TxnId) -> Result<Prepared, TxnError> {
-        self.txn(t)?;
-        if self.in_doubt(t) {
-            return Err(TxnError::InDoubt(t));
-        }
-        if !self.children_of(t).is_empty() {
-            return Err(TxnError::ChildrenActive(t));
-        }
-        // Nested commit: merge into the parent; durability waits for the
-        // top level.
-        if self.txn(t)?.parent.is_some() {
-            self.tend_nested(t)?;
-            return Ok(Prepared::Merged);
-        }
-        Ok(Prepared::Pending(self.log_intentions(t, None)))
-    }
-
-    /// Assembles `t`'s intentions list and appends it to the log,
-    /// unforced: as its `Commit` record (the intention flag moves to
-    /// Commit) or, under a coordinator's `vote` id, as its `Prepared`
-    /// record.
-    fn log_intentions(&mut self, t: TxnId, vote: Option<u64>) -> PreparedCommit {
-        let txn = self.active.get(&t).expect("caller checked");
-        let (intentions, sizes) = txn.assemble_intentions();
-        // Deferred deletions are in no durable record, so only a local
-        // commit carries any.
-        let to_delete = match vote {
-            None => txn.to_delete.clone(),
-            Some(_) => Vec::new(),
-        };
-        let has_effects = !intentions.is_empty() || !to_delete.is_empty();
-        if has_effects {
-            self.log.append_intentions(vote, t, &intentions, &sizes);
-        }
-        PreparedCommit {
-            txn: t,
-            intentions,
-            sizes,
-            has_effects,
-            to_delete,
-        }
-    }
-
-    /// Step 3 of [`Self::commit_batch`] for a local commit: makes the
-    /// prepared changes permanent — whole pages by WAL or shadow swing,
-    /// records into the block pool, where write-back or a checkpoint
-    /// takes them home — performs deferred deletions, appends the
-    /// `Completed` marker (deferred into the *next* flush — redo is
-    /// idempotent) and releases the locks. It writes no home block of a
-    /// record: the `Commit` record, which must already be durable
-    /// ([`Self::flush_log`]), is what makes it permanent.
-    ///
-    /// # Errors
-    ///
-    /// File-service failures; the transaction then stays active and its
-    /// durable commit record will be replayed by recovery.
-    pub fn complete_commit(&mut self, p: PreparedCommit) -> Result<(), TxnError> {
-        let t = p.txn;
-        if !self.active.contains_key(&t) {
-            return Err(TxnError::NotActive(t));
-        }
-        self.apply_committed(&p)?;
-        self.finish(t, true);
-        Ok(())
-    }
-
-    /// The one applier of a committed intentions list — a live commit, a
-    /// resolved participant and a recovery redo all end here: makes the
-    /// changes permanent ([`Self::apply_intentions`]), performs the
-    /// deferred deletions and marks the intentions applied by appending
-    /// the `Completed` marker.
-    pub(crate) fn apply_committed(&mut self, p: &PreparedCommit) -> Result<(), TxnError> {
-        // Logical sizes first: intentions are block-granular and alone
-        // would leave a size-extending commit short. (A redo may name a
-        // file its own commit went on to delete.)
-        for &(fid, size) in &p.sizes {
-            if self.fs.exists(fid) {
-                self.fs.ensure_size(fid, size)?;
-            }
-        }
-        self.apply_intentions(&p.intentions)?;
-        for &fid in &p.to_delete {
-            // Close our own handle if we had one, then delete.
-            if self.txn(p.txn)?.open_files.contains(&fid) {
-                let _ = self.tclose(p.txn, fid);
-            }
-            self.fs.delete(fid)?;
-        }
-        if p.has_effects {
-            self.log.append_outcome(p.txn, true);
-        }
-        Ok(())
-    }
-
-    // ---- cross-shard 2PC participant ------------------------------------
-
-    /// Whether `t` is the local half of an in-doubt cross-shard
-    /// transaction (a durable `Prepared` vote awaiting its decision).
-    fn in_doubt(&self, t: TxnId) -> bool {
-        self.prepared.values().any(|p| p.txn == t)
-    }
-
-    /// Step 1 of [`Self::commit_batch`] for a cross-shard participant
-    /// (phase one of 2PC): assembles the intentions list exactly as
-    /// [`Self::prepare_commit`] would, appends a durable `Prepared`
-    /// record under the coordinator's global transaction id, and parks
-    /// the transaction *in doubt* — locks stay held, timeouts no longer
-    /// apply, and only [`Self::resolve_prepared`] may finish it. The
-    /// record is appended unforced so a batch of prepares rides one
-    /// [`Self::flush_log`]; the vote must not be reported to the
-    /// coordinator before that flush.
-    ///
-    /// Deferred deletions (`tdelete`) are not part of the cross-shard
-    /// protocol, mirroring the single-shard limitation that deletes are
-    /// absent from durable records.
-    ///
-    /// # Errors
-    ///
-    /// [`TxnError::NotActive`], [`TxnError::InDoubt`],
-    /// [`TxnError::ChildrenActive`] (also returned for a nested `t` —
-    /// only top-level transactions prepare).
-    pub fn prepare_participant(&mut self, t: TxnId, gtid: u64) -> Result<(), TxnError> {
-        self.txn(t)?;
-        if self.in_doubt(t) {
-            return Err(TxnError::InDoubt(t));
-        }
-        if !self.children_of(t).is_empty() || self.txn(t)?.parent.is_some() {
-            return Err(TxnError::ChildrenActive(t));
-        }
-        let vote = self.log_intentions(t, Some(gtid));
-        self.stats.prepares += 1;
-        self.prepared.insert(gtid, vote);
-        Ok(())
-    }
-
-    /// Phase two of a cross-shard commit, participant side: applies or
-    /// rolls back the in-doubt transaction under `gtid`. Idempotent —
-    /// an unknown `gtid` returns `Ok(false)` so at-most-once retries and
-    /// duplicate decisions are harmless. Works both crash-free (the
-    /// active transaction still holds its tentative state) and after
-    /// [`Self::recover`] rebuilt the in-doubt entry from the log. The
-    /// coordinator's own delivery and its recovery sweep send the same
-    /// decision the same way; `commit == false` with no decision record
-    /// behind it is a presumed abort.
-    ///
-    /// The `Completed`/`Aborted` marker is appended unforced: a crash
-    /// before it is durable merely re-enters the in-doubt state, and the
-    /// orphan sweep re-delivers the same (idempotent) decision.
-    ///
-    /// A participant's `commit_batch` always ends with its votes in
-    /// doubt, so a resolve is where it finds the log quiescent: each
-    /// one that resolves something ends with [`Self::maybe_compact_log`].
-    ///
-    /// # Errors
-    ///
-    /// File-service failures applying intentions or writing the log.
-    pub fn resolve_prepared(&mut self, gtid: u64, commit: bool) -> Result<bool, TxnError> {
-        let resolved = self.decide(gtid, commit)?;
-        if resolved {
-            self.maybe_compact_log()?;
-        }
-        Ok(resolved)
-    }
-
-    /// [`Self::resolve_prepared`] without the housekeeping.
-    fn decide(&mut self, gtid: u64, commit: bool) -> Result<bool, TxnError> {
-        let Some(p) = self.prepared.remove(&gtid) else {
-            return Ok(false);
-        };
-        let t = p.txn;
-        if commit {
-            self.apply_committed(&p)?;
-            self.finish(t, true);
-        } else {
-            if p.has_effects {
-                self.log.append_outcome(t, false);
-            }
-            if self.active.contains_key(&t) {
-                // The prepared entry is gone, so the normal abort path —
-                // which frees tentative blocks and deletes files created
-                // inside the transaction — is permitted again.
-                self.tabort(t)?;
-            } else {
-                // After a crash only the intentions name the tentative
-                // blocks (re-pinned by recovery); free them directly.
-                for i in &p.intentions {
-                    if let Intention::Page {
-                        tentative_disk,
-                        tentative_addr,
-                        ..
-                    } = i
-                    {
-                        self.fs
-                            .free_detached_block(*tentative_disk, *tentative_addr)?;
-                    }
-                }
-                self.finish(t, false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Global transaction ids of every in-doubt prepared participant,
-    /// sorted — what an orphaned server reports to the recovering
-    /// coordinator.
-    pub fn prepared_gtids(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.prepared.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Whether any in-doubt prepared participant references `fid`.
-    /// Such a file must not be migrated or deleted out from under the
-    /// pending decision: the intentions name *this* replica, and after
-    /// a crash the transaction no longer holds an open count to protect
-    /// it.
-    pub fn prepared_touches(&self, fid: FileId) -> bool {
-        self.prepared.values().any(|p| {
-            p.sizes.iter().any(|(f, _)| *f == fid) || p.intentions.iter().any(|i| i.file() == fid)
-        })
-    }
-
-    /// Step 4 of [`Self::commit_batch`], quiescent housekeeping: when
-    /// nothing is active, everything in the log has completed, so reclaim
-    /// it ([`Self::compact_log`]) once it outgrows its threshold. Returns
-    /// whether a compaction ran.
-    ///
-    /// # Errors
-    ///
-    /// File-service failures rewriting the log's header.
-    pub fn maybe_compact_log(&mut self) -> Result<bool, TxnError> {
-        if self.active.is_empty() && self.prepared.is_empty() && self.log.wants_compaction() {
-            self.compact_log()?;
-            return Ok(true);
-        }
-        Ok(false)
-    }
-
-    /// The record applier. Records always use WAL: the log record *is*
-    /// the log entry, applied in place — into the block pool, as a dirty
-    /// block the log covers until the pool's write-back or a checkpoint
-    /// takes it home. Nothing here writes the platter but the evictions
-    /// the insert causes.
-    fn apply_record(&mut self, fid: FileId, offset: u64, data: &[u8]) -> Result<(), TxnError> {
-        self.fs.ensure_size(fid, offset + data.len() as u64)?;
-        let attrs = self.fs.get_attribute(fid)?;
-        let opened_here = attrs.ref_count == 0;
-        if opened_here {
-            self.fs.open(fid)?;
-        }
-        let written = self.fs.write(fid, offset, data);
-        if opened_here {
-            self.fs.release(fid)?;
-        }
-        written?;
-        // On a page- or file-level file a record is a partial page:
-        // page-mode WAL.
-        if attrs.lock_level == LockLevel::Record {
-            self.stats.record_intentions += 1;
-        } else {
-            self.stats.wal_pages += 1;
-        }
-        Ok(())
-    }
-
-    /// Applies an intentions list — every commit's, vote's and redo's the
-    /// same way. The tentative blocks of its whole pages are fetched in one
-    /// per-spindle elevator pass; each page is made permanent by the
-    /// technique its file's layout picks (§6.7), WAL pages landing as one
-    /// write batch (physically adjacent blocks merge into single disk
-    /// references); then its records go, in order, into the pool.
-    ///
-    /// The apply may have run before a crash ate the `Completed` marker,
-    /// so two guards make a redo idempotent. Both read in-memory state
-    /// only:
-    ///
-    /// - an intention on a file its own commit went on to delete is
-    ///   skipped — a page's tentative block is freed after the next force;
-    /// - a page whose descriptor already names its tentative block is
-    ///   skipped: that swing landed. Applied again as WAL, the live block
-    ///   would be copied onto itself and then freed.
-    fn apply_intentions(&mut self, intentions: &[Intention]) -> Result<(), TxnError> {
-        // Pass 1: growth, in list order — growth can change a file's
-        // layout, so finish all of it before snapshotting the FITs.
-        let mut pages: Vec<(FileId, u64, u16, u64)> = Vec::new();
-        for intent in intentions {
-            let &Intention::Page {
-                fid,
-                index,
-                tentative_disk,
-                tentative_addr,
-            } = intent
-            else {
-                continue;
-            };
-            if !self.fs.exists(fid) {
-                self.log.defer_free(tentative_disk, tentative_addr);
-                continue;
-            }
-            let nblocks = self.fs.get_attribute(fid)?.size.div_ceil(BLOCK_SIZE as u64);
-            if index >= nblocks {
-                self.fs.ensure_size(fid, (index + 1) * BLOCK_SIZE as u64)?;
-            }
-            pages.push((fid, index, tentative_disk, tentative_addr));
-        }
-        // One FIT snapshot per file picks the technique and guards the redo.
-        let mut fits: HashMap<FileId, (FileIndexTable, Technique)> = HashMap::new();
-        for &(fid, ..) in &pages {
-            if let Entry::Vacant(e) = fits.entry(fid) {
-                let fit = self.fs.fit_snapshot(fid)?;
-                let technique = if fit.contiguity_ratio() >= 1.0 {
-                    Technique::Wal
-                } else {
-                    Technique::Shadow
-                };
-                e.insert((fit, technique));
-            }
-        }
-        pages.retain(|&(fid, index, td, ta)| {
-            let live = fits[&fid].0.descriptor(index).map(|d| (d.disk, d.addr));
-            live != Some((td, ta))
-        });
-        // Pass 2: one elevator batch reads every tentative block.
-        let locs: Vec<(u16, u64)> = pages.iter().map(|&(_, _, d, a)| (d, a)).collect();
-        let bufs = self.fs.get_detached_blocks(&locs)?;
-        self.stats.commit_batch_pages += pages.len() as u64;
-        // Pass 3: WAL pages become one write batch; shadow swings are FIT
-        // surgery (no data transfer) and stay serial.
-        let mut wal_writes: Vec<(FileId, u64, rhodos_buf::BlockBuf)> = Vec::new();
-        let mut wal_frees: Vec<(u16, u64)> = Vec::new();
-        for (&(fid, index, td, ta), buf) in pages.iter().zip(bufs) {
-            match fits[&fid].1 {
-                Technique::Wal => {
-                    wal_writes.push((fid, index, buf));
-                    wal_frees.push((td, ta));
-                    self.stats.wal_pages += 1;
-                }
-                Technique::Shadow => {
-                    let (od, oa) = self.fs.replace_block_descriptor(fid, index, td, ta)?;
-                    self.fs.free_detached_block(od, oa)?;
-                    self.stats.shadow_pages += 1;
-                }
-            }
-        }
-        self.fs.write_blocks(wal_writes)?;
-        // The frees wait for the `Completed` marker to be durable.
-        for (d, a) in wal_frees {
-            self.log.defer_free(d, a);
-        }
-        // Pass 4: record intentions, in order, into the pool.
-        for intent in intentions {
-            if let Intention::Record { fid, offset, data } = intent {
-                if self.fs.exists(*fid) {
-                    self.apply_record(*fid, *offset, data)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Merges a committed nested transaction's tentative state into its
-    /// parent. The child's page versions shadow the parent's (whose
-    /// superseded tentative blocks are freed) and keep the union of both
-    /// dirty ranges; records append in order; opened files and deferred
-    /// operations transfer.
-    fn tend_nested(&mut self, t: TxnId) -> Result<(), TxnError> {
-        let mut child = self.active.remove(&t).expect("caller checked");
-        let parent_id = child.parent.expect("nested");
-        for (&(fid, idx), page) in &mut child.tentative_pages {
-            let parent = self.active.get_mut(&parent_id).expect("parent is active");
-            if let Some(old) = parent.tentative_pages.remove(&(fid, idx)) {
-                page.cover(old.lo, old.hi);
-                if let Some((d, a)) = old.shadow {
-                    self.fs.free_detached_block(d, a)?;
-                }
-            }
-            if page.shadow.is_none() {
-                self.persist_whole(fid, page)?;
-            }
-        }
-        let parent = self.active.get_mut(&parent_id).expect("parent is active");
-        parent.tentative_pages.extend(child.tentative_pages);
-        parent.tentative_records.extend(child.tentative_records);
-        for (fid, sz) in child.tentative_sizes {
-            let e = parent.tentative_sizes.entry(fid).or_insert(sz);
-            *e = (*e).max(sz);
-        }
-        parent.created.extend(child.created);
-        parent.to_delete.extend(child.to_delete);
-        // The parent adopts the child's file references (and their fs
-        // refcounts, released at top-level finish).
-        for fid in child.open_files {
-            if !parent.open_files.insert(fid) {
-                // Parent already held its own reference: drop the extra.
-                self.fs.release(fid)?;
-            }
-        }
-        self.stats.committed += 1;
-        Ok(())
-    }
-
-    /// `tabort`: discards every tentative effect and releases the locks.
-    /// Nested children are aborted first; aborting a nested transaction
-    /// discards only its own tentative state (the parent's survives).
-    ///
-    /// # Errors
-    ///
-    /// [`TxnError::NotActive`] if the transaction does not exist.
-    pub fn tabort(&mut self, t: TxnId) -> Result<(), TxnError> {
-        self.txn(t)?;
-        if self.in_doubt(t) {
-            return Err(TxnError::InDoubt(t));
-        }
-        for child in self.children_of(t) {
-            self.tabort(child)?;
-        }
-        if self.txn(t)?.parent.is_some() {
-            return self.tabort_nested(t);
-        }
-        let txn = self.active.get(&t).expect("checked");
-        let tentative: Vec<(u16, u64)> = txn
-            .tentative_pages
-            .values()
-            .filter_map(|p| p.shadow)
-            .collect();
-        let created = txn.created.clone();
-        for (d, a) in tentative {
-            self.fs.free_detached_block(d, a)?;
-        }
-        // Files created inside the transaction never existed.
-        for fid in created {
-            if self
-                .active
-                .get(&t)
-                .expect("checked")
-                .open_files
-                .contains(&fid)
-            {
-                let _ = self.tclose(t, fid);
-            }
-            let _ = self.fs.delete(fid);
-        }
-        self.finish(t, false);
-        Ok(())
-    }
-
-    /// Aborts a nested transaction: its own tentative blocks, created
-    /// files and file references go; the parent's state — and the
-    /// family's locks, which are held in the root's name — survive.
-    fn tabort_nested(&mut self, t: TxnId) -> Result<(), TxnError> {
-        let child = self.active.remove(&t).expect("caller checked");
-        for (d, a) in child.tentative_pages.values().filter_map(|p| p.shadow) {
-            self.fs.free_detached_block(d, a)?;
-        }
-        for fid in &child.created {
-            if child.open_files.contains(fid) {
-                let _ = self.fs.release(*fid);
-            }
-            let _ = self.fs.delete(*fid);
-        }
-        for fid in child.open_files {
-            if !child.created.contains(&fid) {
-                let _ = self.fs.release(fid);
-            }
-        }
-        self.stats.aborted += 1;
-        Ok(())
-    }
-
     /// Completes a transaction: releases its files — writing nothing: what
     /// its commit left in the pool, the log covers — and its locks in
     /// every table, and wakes waiters.
-    fn finish(&mut self, t: TxnId, committed: bool) {
+    pub(crate) fn finish(&mut self, t: TxnId, committed: bool) {
         if let Some(txn) = self.active.remove(&t) {
             for fid in txn.open_files {
                 let _ = self.fs.release(fid);
@@ -1780,39 +702,15 @@ impl TransactionService {
         }
         victims
     }
-
-    /// Compacts the intention log by a checkpoint: everything in it has
-    /// completed, so once the blocks its records dirtied are written back
-    /// the log starts over, empty, under a new incarnation. Call in a
-    /// quiescent state (no active transactions).
-    ///
-    /// # Errors
-    ///
-    /// File-service failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if transactions are still active.
-    pub fn compact_log(&mut self) -> Result<(), TxnError> {
-        assert!(
-            self.active.is_empty(),
-            "compact_log requires a quiescent service"
-        );
-        assert!(
-            self.prepared.is_empty(),
-            "compact_log must not discard in-doubt Prepared records"
-        );
-        self.checkpoint()
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rhodos_file_service::FileServiceConfig;
     use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 
-    fn service() -> TransactionService {
+    pub(crate) fn service() -> TransactionService {
         let fs = FileService::single_disk(
             DiskGeometry::medium(),
             LatencyModel::default(),
@@ -1823,7 +721,7 @@ mod tests {
         TransactionService::new(fs, TxnConfig::default()).unwrap()
     }
 
-    fn setup(level: LockLevel) -> (TransactionService, FileId) {
+    pub(crate) fn setup(level: LockLevel) -> (TransactionService, FileId) {
         let mut ts = service();
         let fid = ts.tcreate(level).unwrap();
         (ts, fid)
@@ -1858,36 +756,6 @@ mod tests {
         ts.topen(t3, fid).unwrap();
         assert_eq!(ts.tread(t3, fid, 0, 4).unwrap(), b"seed");
         ts.tend(t3).unwrap();
-    }
-
-    #[test]
-    fn tentative_writes_invisible_to_others_but_visible_to_self() {
-        let (mut ts, fid) = setup(LockLevel::Record);
-        let t0 = ts.tbegin();
-        ts.topen(t0, fid).unwrap();
-        ts.twrite(t0, fid, 0, b"AAAA").unwrap();
-        ts.tend(t0).unwrap();
-
-        let t1 = ts.tbegin();
-        ts.topen(t1, fid).unwrap();
-        ts.twrite(t1, fid, 0, b"BB").unwrap();
-        // Own read sees the overlay.
-        assert_eq!(ts.tread(t1, fid, 0, 4).unwrap(), b"BBAA");
-        // Another transaction is blocked from the overlapping range
-        // (Iwrite is exclusive)...
-        let t2 = ts.tbegin();
-        ts.topen(t2, fid).unwrap();
-        assert!(matches!(
-            ts.tread(t2, fid, 0, 2),
-            Err(TxnError::WouldBlock { .. })
-        ));
-        // ...but record locking lets it read a disjoint range and see only
-        // committed data there.
-        assert_eq!(ts.tread(t2, fid, 2, 2).unwrap(), b"AA");
-        ts.tend(t1).unwrap();
-        // After commit the waiter can read the new data.
-        assert_eq!(ts.tread(t2, fid, 0, 2).unwrap(), b"BB");
-        ts.tend(t2).unwrap();
     }
 
     #[test]
@@ -2002,171 +870,6 @@ mod tests {
     }
 
     #[test]
-    fn contiguous_file_commits_via_wal_and_stays_contiguous() {
-        let (mut ts, fid) = setup(LockLevel::Page);
-        let t0 = ts.tbegin();
-        ts.topen(t0, fid).unwrap();
-        ts.twrite(t0, fid, 0, &vec![9u8; 8 * BLOCK_SIZE]).unwrap();
-        ts.tend(t0).unwrap();
-        let before = ts.file_service_mut().fit_snapshot(fid).unwrap();
-        assert_eq!(before.contiguity_ratio(), 1.0);
-        let t = ts.tbegin();
-        ts.topen(t, fid).unwrap();
-        ts.twrite(t, fid, 3 * BLOCK_SIZE as u64, b"update in place")
-            .unwrap();
-        ts.tend(t).unwrap();
-        let after = ts.file_service_mut().fit_snapshot(fid).unwrap();
-        assert_eq!(
-            after.contiguity_ratio(),
-            1.0,
-            "WAL must preserve contiguity"
-        );
-        assert!(ts.stats().wal_pages > 0);
-        assert_eq!(ts.stats().shadow_pages, 0);
-        // And the data is there.
-        let t2 = ts.tbegin();
-        ts.topen(t2, fid).unwrap();
-        assert_eq!(
-            ts.tread(t2, fid, 3 * BLOCK_SIZE as u64, 15).unwrap(),
-            b"update in place"
-        );
-        ts.tend(t2).unwrap();
-    }
-
-    /// A page-level file whose four blocks interleave with another's.
-    fn fragmented() -> (TransactionService, FileId) {
-        let (mut ts, fid) = setup(LockLevel::Page);
-        // Build a deliberately fragmented file: interleave with another
-        // file's allocations.
-        let other = ts.tcreate(LockLevel::Page).unwrap();
-        let fs = ts.file_service_mut();
-        fs.open(fid).unwrap();
-        fs.open(other).unwrap();
-        for i in 0..4u64 {
-            fs.write(fid, i * BLOCK_SIZE as u64, vec![1u8; BLOCK_SIZE])
-                .unwrap();
-            fs.write(other, i * BLOCK_SIZE as u64, vec![2u8; BLOCK_SIZE])
-                .unwrap();
-        }
-        fs.flush_all().unwrap();
-        fs.close(fid).unwrap();
-        fs.close(other).unwrap();
-        let ratio = ts
-            .file_service_mut()
-            .fit_snapshot(fid)
-            .unwrap()
-            .contiguity_ratio();
-        assert!(
-            ratio < 1.0,
-            "setup should fragment the file (ratio {ratio})"
-        );
-        (ts, fid)
-    }
-
-    #[test]
-    fn fragmented_file_commits_via_shadow_pages() {
-        let (mut ts, fid) = fragmented();
-        let mut page = vec![3u8; BLOCK_SIZE];
-        page[..8].copy_from_slice(b"shadowed");
-        let t = ts.tbegin();
-        ts.topen(t, fid).unwrap();
-        ts.twrite(t, fid, 0, &page).unwrap();
-        ts.tend(t).unwrap();
-        assert!(ts.stats().shadow_pages > 0, "shadow technique expected");
-        let t2 = ts.tbegin();
-        ts.topen(t2, fid).unwrap();
-        assert_eq!(ts.tread(t2, fid, 0, BLOCK_SIZE).unwrap(), page);
-        ts.tend(t2).unwrap();
-    }
-
-    #[test]
-    fn a_partial_page_of_a_fragmented_file_commits_in_place() {
-        let (mut ts, fid) = fragmented();
-        let before = ts.file_service_mut().block_descriptors(fid).unwrap();
-        let ratio = ts
-            .file_service_mut()
-            .fit_snapshot(fid)
-            .unwrap()
-            .contiguity_ratio();
-        let t = ts.tbegin();
-        ts.topen(t, fid).unwrap();
-        ts.twrite(t, fid, 100, b"in place").unwrap();
-        ts.tend(t).unwrap();
-        assert_eq!((ts.stats().wal_pages, ts.stats().shadow_pages), (1, 0));
-        let fs = ts.file_service_mut();
-        assert_eq!(fs.block_descriptors(fid).unwrap(), before, "no swing");
-        assert_eq!(fs.fit_snapshot(fid).unwrap().contiguity_ratio(), ratio);
-        let t2 = ts.tbegin();
-        ts.topen(t2, fid).unwrap();
-        assert_eq!(
-            ts.tread(t2, fid, 96, 16).unwrap(),
-            b"\x01\x01\x01\x01in place\x01\x01\x01\x01"
-        );
-        ts.tend(t2).unwrap();
-    }
-
-    #[test]
-    fn committed_but_incomplete_transaction_redone_after_crash() {
-        let (mut ts, fid) = setup(LockLevel::Page);
-        let t0 = ts.tbegin();
-        ts.topen(t0, fid).unwrap();
-        ts.twrite(t0, fid, 0, b"base").unwrap();
-        ts.tend(t0).unwrap();
-        // Forge a crash between the commit record and its application.
-        let t = ts.tbegin();
-        ts.topen(t, fid).unwrap();
-        ts.twrite(t, fid, 0, b"redo").unwrap();
-        // Log what tend would, but skip the application.
-        let _unapplied = ts.prepare_commit(t).unwrap();
-        // Make the forged record durable (this also flushes t0's deferred
-        // `Completed` marker, as the next group flush would).
-        ts.flush_log().unwrap();
-        ts.file_service_mut().simulate_crash();
-        let redone = ts.recover().unwrap();
-        assert_eq!(redone, vec![t]);
-        // The redo applied the write.
-        let t2 = ts.tbegin();
-        ts.topen(t2, fid).unwrap();
-        assert_eq!(ts.tread(t2, fid, 0, 4).unwrap(), b"redo");
-        ts.tend(t2).unwrap();
-        // Recovery is idempotent: a second crash+recover redoes nothing.
-        ts.file_service_mut().simulate_crash();
-        assert!(ts.recover().unwrap().is_empty());
-    }
-
-    #[test]
-    fn uncommitted_transaction_vanishes_after_crash() {
-        let (mut ts, fid) = setup(LockLevel::Page);
-        let t0 = ts.tbegin();
-        ts.topen(t0, fid).unwrap();
-        ts.twrite(t0, fid, 0, b"durable").unwrap();
-        ts.tend(t0).unwrap();
-        let t = ts.tbegin();
-        ts.topen(t, fid).unwrap();
-        ts.twrite(t, fid, 0, b"ghost!!").unwrap();
-        // Crash with no commit record. t0's `Completed` marker was
-        // deferred into a flush that never happened, so recovery redoes
-        // t0 (harmless — redo is idempotent); the uncommitted t must not
-        // appear.
-        ts.file_service_mut().simulate_crash();
-        assert_eq!(ts.recover().unwrap(), vec![t0]);
-        let t2 = ts.tbegin();
-        ts.topen(t2, fid).unwrap();
-        assert_eq!(ts.tread(t2, fid, 0, 7).unwrap(), b"durable");
-        ts.tend(t2).unwrap();
-    }
-
-    #[test]
-    fn created_file_rolled_back_on_abort() {
-        let mut ts = service();
-        let t = ts.tbegin();
-        let fid = ts.tcreate_in(t, LockLevel::Page).unwrap();
-        ts.twrite(t, fid, 0, b"temp").unwrap();
-        ts.tabort(t).unwrap();
-        assert!(!ts.file_service_mut().exists(fid));
-    }
-
-    #[test]
     fn tdelete_applies_only_on_commit() {
         let (mut ts, fid) = setup(LockLevel::Page);
         let t = ts.tbegin();
@@ -2212,266 +915,6 @@ mod tests {
             Err(TxnError::FileNotOpen(_))
         ));
         ts.tabort(t).unwrap();
-    }
-
-    #[test]
-    fn tentative_size_growth_commits() {
-        let (mut ts, fid) = setup(LockLevel::Page);
-        let t = ts.tbegin();
-        ts.topen(t, fid).unwrap();
-        let far = 3 * BLOCK_SIZE as u64 + 17;
-        ts.twrite(t, fid, far, b"tail").unwrap();
-        assert_eq!(ts.tget_attribute(t, fid).unwrap().size, far + 4);
-        ts.tend(t).unwrap();
-        let t2 = ts.tbegin();
-        ts.topen(t2, fid).unwrap();
-        assert_eq!(ts.tread(t2, fid, far, 4).unwrap(), b"tail");
-        // The gap reads as zeros.
-        assert!(ts.tread(t2, fid, 10, 8).unwrap().iter().all(|&b| b == 0));
-        ts.tend(t2).unwrap();
-    }
-
-    #[test]
-    fn record_mode_log_carries_data_inline() {
-        let (mut ts, fid) = setup(LockLevel::Record);
-        let t = ts.tbegin();
-        ts.topen(t, fid).unwrap();
-        ts.twrite(t, fid, 5, b"record-mode payload").unwrap();
-        ts.tend(t).unwrap();
-        assert_eq!(ts.stats().record_intentions, 1);
-        assert_eq!(ts.stats().wal_pages + ts.stats().shadow_pages, 0);
-        let t2 = ts.tbegin();
-        ts.topen(t2, fid).unwrap();
-        assert_eq!(ts.tread(t2, fid, 5, 19).unwrap(), b"record-mode payload");
-        ts.tend(t2).unwrap();
-    }
-
-    #[test]
-    fn log_auto_compacts_past_threshold() {
-        use crate::log::LOG_COMPACT_THRESHOLD;
-        // Record-mode commits carry their data in the log: 60 of these
-        // are well over two thresholds' worth.
-        const RECORD: usize = 160 * 1024;
-        let (mut ts, fid) = setup(LockLevel::Record);
-        for i in 0..60u8 {
-            let t = ts.tbegin();
-            ts.topen(t, fid).unwrap();
-            ts.twrite(t, fid, 0, &vec![i; RECORD]).unwrap();
-            ts.tend(t).unwrap();
-            let len = ts.log_len();
-            assert!(
-                len <= LOG_COMPACT_THRESHOLD + 200,
-                "log should stay near the threshold, is {len}"
-            );
-        }
-        assert!(ts.stats().log_compactions >= 2);
-        // Data is still intact after all the compactions.
-        let t = ts.tbegin();
-        ts.topen(t, fid).unwrap();
-        assert_eq!(ts.tread(t, fid, 0, 16).unwrap(), vec![59u8; 16]);
-        ts.tend(t).unwrap();
-    }
-
-    #[test]
-    fn compact_log_resets_tail() {
-        let (mut ts, fid) = setup(LockLevel::Page);
-        let empty = ts.log_len();
-        for _ in 0..5 {
-            let t = ts.tbegin();
-            ts.topen(t, fid).unwrap();
-            ts.twrite(t, fid, 0, b"round").unwrap();
-            ts.tend(t).unwrap();
-        }
-        assert!(ts.log_len() > empty);
-        ts.compact_log().unwrap();
-        assert_eq!(ts.log_len(), empty);
-        // Service still works.
-        let t = ts.tbegin();
-        ts.topen(t, fid).unwrap();
-        ts.twrite(t, fid, 0, b"after").unwrap();
-        ts.tend(t).unwrap();
-    }
-
-    // ---- cross-shard 2PC participant ------------------------------------
-
-    fn prepared_write(ts: &mut TransactionService, fid: FileId, gtid: u64, data: &[u8]) -> TxnId {
-        let t = ts.tbegin();
-        ts.topen(t, fid).unwrap();
-        ts.twrite(t, fid, 0, data).unwrap();
-        ts.prepare_participant(t, gtid).unwrap();
-        ts.flush_log().unwrap();
-        t
-    }
-
-    #[test]
-    fn prepare_then_commit_applies_writes() {
-        let (mut ts, fid) = setup(LockLevel::Page);
-        prepared_write(&mut ts, fid, 77, b"cross");
-        assert_eq!(ts.prepared_gtids(), vec![77]);
-        assert!(ts.resolve_prepared(77, true).unwrap());
-        assert!(ts.prepared_gtids().is_empty());
-        let t2 = ts.tbegin();
-        ts.topen(t2, fid).unwrap();
-        assert_eq!(ts.tread(t2, fid, 0, 5).unwrap(), b"cross");
-        ts.tend(t2).unwrap();
-        assert_eq!(ts.stats().prepares, 1);
-        assert_eq!(ts.stats().committed, 2);
-    }
-
-    #[test]
-    fn prepare_then_abort_discards_writes() {
-        let (mut ts, fid) = setup(LockLevel::Page);
-        let t0 = ts.tbegin();
-        ts.topen(t0, fid).unwrap();
-        ts.twrite(t0, fid, 0, b"base").unwrap();
-        ts.tend(t0).unwrap();
-        prepared_write(&mut ts, fid, 5, b"gone");
-        assert!(ts.resolve_prepared(5, false).unwrap());
-        let t2 = ts.tbegin();
-        ts.topen(t2, fid).unwrap();
-        assert_eq!(ts.tread(t2, fid, 0, 4).unwrap(), b"base");
-        ts.tend(t2).unwrap();
-        // Unknown gtid: idempotent no-op.
-        assert!(!ts.resolve_prepared(5, false).unwrap());
-        assert!(!ts.resolve_prepared(999, true).unwrap());
-    }
-
-    #[test]
-    fn in_doubt_blocks_tend_tabort_and_timeout() {
-        let (mut ts, fid) = setup(LockLevel::Page);
-        let t = prepared_write(&mut ts, fid, 9, b"held");
-        assert_eq!(ts.tend(t), Err(TxnError::InDoubt(t)));
-        assert_eq!(ts.tabort(t), Err(TxnError::InDoubt(t)));
-        assert_eq!(ts.prepare_participant(t, 10), Err(TxnError::InDoubt(t)));
-        // The deadlock timeout must never pick an in-doubt victim.
-        let clock = ts.file_service_mut().clock();
-        clock.advance(10 * TxnConfig::default().lt_us);
-        assert!(ts.tick().is_empty());
-        // The lock is genuinely still held: another writer blocks.
-        let t2 = ts.tbegin();
-        ts.topen(t2, fid).unwrap();
-        assert!(matches!(
-            ts.twrite(t2, fid, 0, b"nope"),
-            Err(TxnError::WouldBlock { .. })
-        ));
-        ts.tabort(t2).unwrap();
-        assert!(ts.resolve_prepared(9, true).unwrap());
-    }
-
-    #[test]
-    fn prepared_state_survives_crash_and_commits() {
-        let (mut ts, fid) = setup(LockLevel::Page);
-        prepared_write(&mut ts, fid, 41, b"vote");
-        ts.file_service_mut().simulate_crash();
-        assert!(ts.recover().unwrap().is_empty());
-        // Still in doubt, and still isolated: the re-acquired lock blocks
-        // a new writer.
-        assert_eq!(ts.prepared_gtids(), vec![41]);
-        let t2 = ts.tbegin();
-        ts.topen(t2, fid).unwrap();
-        assert!(matches!(
-            ts.twrite(t2, fid, 0, b"nope"),
-            Err(TxnError::WouldBlock { .. })
-        ));
-        ts.tabort(t2).unwrap();
-        // Late decision commits byte-identically.
-        assert!(ts.resolve_prepared(41, true).unwrap());
-        let t3 = ts.tbegin();
-        ts.topen(t3, fid).unwrap();
-        assert_eq!(ts.tread(t3, fid, 0, 4).unwrap(), b"vote");
-        ts.tend(t3).unwrap();
-    }
-
-    #[test]
-    fn a_recovered_partial_page_vote_locks_its_page_not_its_file() {
-        let (mut ts, fid) = setup(LockLevel::Page);
-        prepared_write(&mut ts, fid, 43, b"vote");
-        ts.file_service_mut().simulate_crash();
-        ts.recover().unwrap();
-        assert_eq!(ts.prepared_gtids(), vec![43]);
-        let t = ts.tbegin();
-        ts.topen(t, fid).unwrap();
-        assert!(matches!(
-            ts.twrite(t, fid, 100, b"same page"),
-            Err(TxnError::WouldBlock { .. })
-        ));
-        ts.twrite(t, fid, BLOCK_SIZE as u64, b"next page").unwrap();
-        assert!(ts.resolve_prepared(43, true).unwrap());
-        ts.tend(t).unwrap();
-        let t = ts.tbegin();
-        ts.topen(t, fid).unwrap();
-        assert_eq!(ts.tread(t, fid, 0, 4).unwrap(), b"vote");
-        assert_eq!(
-            ts.tread(t, fid, BLOCK_SIZE as u64, 9).unwrap(),
-            b"next page"
-        );
-        ts.tend(t).unwrap();
-    }
-
-    #[test]
-    fn prepared_state_survives_crash_and_aborts() {
-        let (mut ts, fid) = setup(LockLevel::Page);
-        let t0 = ts.tbegin();
-        ts.topen(t0, fid).unwrap();
-        ts.twrite(t0, fid, 0, b"keep").unwrap();
-        ts.tend(t0).unwrap();
-        prepared_write(&mut ts, fid, 42, b"lose");
-        ts.file_service_mut().simulate_crash();
-        ts.recover().unwrap();
-        assert_eq!(ts.prepared_gtids(), vec![42]);
-        assert!(ts.resolve_prepared(42, false).unwrap());
-        let t2 = ts.tbegin();
-        ts.topen(t2, fid).unwrap();
-        assert_eq!(ts.tread(t2, fid, 0, 4).unwrap(), b"keep");
-        ts.tend(t2).unwrap();
-        // A second crash+recover finds nothing in doubt (the `Aborted`
-        // marker, flushed by resolve's next group flush, erased it) —
-        // or, if the marker was still unflushed, the prepare re-surfaces
-        // and the same presumed abort re-applies idempotently.
-        ts.flush_log().unwrap();
-        ts.file_service_mut().simulate_crash();
-        ts.recover().unwrap();
-        assert!(ts.prepared_gtids().is_empty());
-    }
-
-    #[test]
-    fn resolve_after_crash_is_idempotent_when_marker_was_torn() {
-        // Crash-after-apply-but-before-durable-marker: the decision is
-        // re-delivered and must not double-apply or corrupt.
-        let (mut ts, fid) = setup(LockLevel::Page);
-        prepared_write(&mut ts, fid, 8, b"once");
-        assert!(ts.resolve_prepared(8, true).unwrap());
-        // The `Completed` marker is unforced — crash before any flush.
-        ts.file_service_mut().simulate_crash();
-        ts.recover().unwrap();
-        // The prepare record is durable but the completion is gone: the
-        // participant is in doubt again.
-        assert_eq!(ts.prepared_gtids(), vec![8]);
-        assert!(ts.resolve_prepared(8, true).unwrap());
-        let t2 = ts.tbegin();
-        ts.topen(t2, fid).unwrap();
-        assert_eq!(ts.tread(t2, fid, 0, 4).unwrap(), b"once");
-        ts.tend(t2).unwrap();
-    }
-
-    #[test]
-    fn prepare_flush_accounting_batches() {
-        let (mut ts, fa) = setup(LockLevel::Page);
-        let fb = ts.tcreate(LockLevel::Page).unwrap();
-        let t1 = ts.tbegin();
-        ts.topen(t1, fa).unwrap();
-        ts.twrite(t1, fa, 0, b"one").unwrap();
-        let t2 = ts.tbegin();
-        ts.topen(t2, fb).unwrap();
-        ts.twrite(t2, fb, 0, b"two").unwrap();
-        ts.prepare_participant(t1, 1).unwrap();
-        ts.prepare_participant(t2, 2).unwrap();
-        ts.flush_log().unwrap();
-        assert_eq!(ts.stats().prepare_flushes, 1);
-        assert_eq!(ts.stats().prepare_records_flushed, 2);
-        assert!((ts.stats().records_per_prepare_flush() - 2.0).abs() < f64::EPSILON);
-        ts.resolve_prepared(1, true).unwrap();
-        ts.resolve_prepared(2, true).unwrap();
     }
 }
 
@@ -2583,188 +1026,5 @@ mod cross_granularity_tests {
             .unwrap();
         assert_eq!(ts.tread(t2, fid, 0, 4).unwrap(), vec![1u8; 4]);
         ts.tend(t2).unwrap();
-    }
-}
-
-#[cfg(test)]
-mod nested_tests {
-    use super::*;
-    use rhodos_file_service::FileServiceConfig;
-    use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
-
-    fn setup() -> (TransactionService, FileId) {
-        let fs = FileService::single_disk(
-            DiskGeometry::medium(),
-            LatencyModel::instant(),
-            SimClock::new(),
-            FileServiceConfig::default(),
-        )
-        .unwrap();
-        let mut ts = TransactionService::new(fs, TxnConfig::default()).unwrap();
-        let fid = ts.tcreate(LockLevel::Page).unwrap();
-        let t = ts.tbegin();
-        ts.topen(t, fid).unwrap();
-        ts.twrite(t, fid, 0, b"base state").unwrap();
-        ts.tend(t).unwrap();
-        (ts, fid)
-    }
-
-    #[test]
-    fn child_commit_merges_into_parent() {
-        let (mut ts, fid) = setup();
-        let parent = ts.tbegin();
-        ts.topen(parent, fid).unwrap();
-        ts.twrite(parent, fid, 0, b"parent").unwrap();
-        let child = ts.tbegin_nested(parent).unwrap();
-        // Child sees parent's tentative state without topen.
-        assert_eq!(ts.tread(child, fid, 0, 6).unwrap(), b"parent");
-        ts.twrite(child, fid, 0, b"child!").unwrap();
-        // Parent does not see it yet? (Flat model: parent read shows its
-        // own page version, not the child's.)
-        assert_eq!(ts.tread(parent, fid, 0, 6).unwrap(), b"parent");
-        ts.tend(child).unwrap();
-        // After the merge, the parent sees the child's update.
-        assert_eq!(ts.tread(parent, fid, 0, 6).unwrap(), b"child!");
-        ts.tend(parent).unwrap();
-        // And after top-level commit it is durable.
-        let t = ts.tbegin();
-        ts.topen(t, fid).unwrap();
-        assert_eq!(ts.tread(t, fid, 0, 6).unwrap(), b"child!");
-        ts.tend(t).unwrap();
-    }
-
-    #[test]
-    fn nested_commit_counted_exactly_once() {
-        // Regression: the child's commit is tallied in `tend_nested` (via
-        // the `Prepared::Merged` fast path) and the root's in `finish` —
-        // the prepare/complete split must not double-count either.
-        let (mut ts, fid) = setup();
-        let before = ts.stats();
-        let parent = ts.tbegin();
-        ts.topen(parent, fid).unwrap();
-        let child = ts.tbegin_nested(parent).unwrap();
-        ts.twrite(child, fid, 0, b"once").unwrap();
-        ts.tend(child).unwrap();
-        ts.tend(parent).unwrap();
-        let after = ts.stats();
-        assert_eq!(after.begun - before.begun, 2, "root + child begun");
-        assert_eq!(
-            after.committed - before.committed,
-            2,
-            "child counted at merge, root at finish — each exactly once"
-        );
-        assert_eq!(after.aborted, before.aborted);
-    }
-
-    #[test]
-    fn child_abort_discards_only_child_state() {
-        let (mut ts, fid) = setup();
-        let parent = ts.tbegin();
-        ts.topen(parent, fid).unwrap();
-        ts.twrite(parent, fid, 0, b"parent").unwrap();
-        let child = ts.tbegin_nested(parent).unwrap();
-        ts.twrite(child, fid, 0, b"doomed").unwrap();
-        ts.tabort(child).unwrap();
-        assert_eq!(ts.tread(parent, fid, 0, 6).unwrap(), b"parent");
-        ts.tend(parent).unwrap();
-        let t = ts.tbegin();
-        ts.topen(t, fid).unwrap();
-        assert_eq!(ts.tread(t, fid, 0, 6).unwrap(), b"parent");
-        ts.tend(t).unwrap();
-    }
-
-    #[test]
-    fn parent_abort_discards_committed_children_too() {
-        let (mut ts, fid) = setup();
-        let parent = ts.tbegin();
-        ts.topen(parent, fid).unwrap();
-        let child = ts.tbegin_nested(parent).unwrap();
-        ts.twrite(child, fid, 0, b"merged").unwrap();
-        ts.tend(child).unwrap(); // merged into parent
-        ts.tabort(parent).unwrap(); // discards everything
-        let t = ts.tbegin();
-        ts.topen(t, fid).unwrap();
-        assert_eq!(ts.tread(t, fid, 0, 10).unwrap(), b"base state");
-        ts.tend(t).unwrap();
-    }
-
-    #[test]
-    fn family_shares_locks_but_outsiders_conflict() {
-        let (mut ts, fid) = setup();
-        let parent = ts.tbegin();
-        ts.topen(parent, fid).unwrap();
-        ts.twrite(parent, fid, 0, b"held").unwrap();
-        let child = ts.tbegin_nested(parent).unwrap();
-        // Child writes the same page: no self-conflict.
-        ts.twrite(child, fid, 0, b"fine").unwrap();
-        // An outsider conflicts with the family's lock.
-        let outsider = ts.tbegin();
-        ts.topen(outsider, fid).unwrap();
-        assert!(matches!(
-            ts.twrite(outsider, fid, 0, b"nope"),
-            Err(TxnError::WouldBlock { .. })
-        ));
-        ts.tend(child).unwrap();
-        // Still held: locks release only at top-level commit (strict 2PL).
-        assert!(ts.twrite(outsider, fid, 0, b"nope").is_err());
-        ts.tend(parent).unwrap();
-        ts.twrite(outsider, fid, 0, b"mine").unwrap();
-        ts.tend(outsider).unwrap();
-    }
-
-    #[test]
-    fn tend_with_active_children_is_refused() {
-        let (mut ts, fid) = setup();
-        let parent = ts.tbegin();
-        ts.topen(parent, fid).unwrap();
-        let child = ts.tbegin_nested(parent).unwrap();
-        assert!(matches!(ts.tend(parent), Err(TxnError::ChildrenActive(_))));
-        ts.tabort(child).unwrap();
-        ts.tend(parent).unwrap();
-    }
-
-    #[test]
-    fn parent_abort_aborts_running_children_recursively() {
-        let (mut ts, fid) = setup();
-        let parent = ts.tbegin();
-        ts.topen(parent, fid).unwrap();
-        let child = ts.tbegin_nested(parent).unwrap();
-        let grandchild = ts.tbegin_nested(child).unwrap();
-        ts.twrite(grandchild, fid, 0, b"deep").unwrap();
-        ts.tabort(parent).unwrap();
-        assert!(ts.active_transactions().is_empty());
-        assert!(matches!(ts.tend(child), Err(TxnError::NotActive(_))));
-        assert!(matches!(ts.tend(grandchild), Err(TxnError::NotActive(_))));
-    }
-
-    #[test]
-    fn nested_file_creation_follows_the_family_outcome() {
-        let (mut ts, _fid) = setup();
-        let parent = ts.tbegin();
-        let child = ts.tbegin_nested(parent).unwrap();
-        let created = ts.tcreate_in(child, LockLevel::Page).unwrap();
-        ts.twrite(child, created, 0, b"new file").unwrap();
-        ts.tend(child).unwrap();
-        assert!(ts.file_service_mut().exists(created));
-        // Parent abort undoes the child's creation.
-        ts.tabort(parent).unwrap();
-        assert!(!ts.file_service_mut().exists(created));
-    }
-
-    #[test]
-    fn grandchild_sees_chain_overlay() {
-        let (mut ts, fid) = setup();
-        let parent = ts.tbegin();
-        ts.topen(parent, fid).unwrap();
-        ts.twrite(parent, fid, 0, b"p----").unwrap();
-        let child = ts.tbegin_nested(parent).unwrap();
-        ts.twrite(child, fid, 1, b"c").unwrap();
-        let grandchild = ts.tbegin_nested(child).unwrap();
-        ts.twrite(grandchild, fid, 2, b"g").unwrap();
-        assert_eq!(ts.tread(grandchild, fid, 0, 5).unwrap(), b"pcg--");
-        ts.tend(grandchild).unwrap();
-        ts.tend(child).unwrap();
-        assert_eq!(ts.tread(parent, fid, 0, 5).unwrap(), b"pcg--");
-        ts.tend(parent).unwrap();
     }
 }

@@ -548,11 +548,6 @@ impl StripedLockTable {
         total
     }
 
-    /// Per-shard statistics, indexed by shard.
-    pub fn shard_stats(&self) -> Vec<LockTableStats> {
-        self.shards.iter().map(|s| s.lock().stats()).collect()
-    }
-
     /// Total records (granted + waiting) across all shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()

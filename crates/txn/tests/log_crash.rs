@@ -107,14 +107,14 @@ fn free_fragments(ts: &mut TransactionService) -> u64 {
 #[test]
 fn crash_at_every_sector_write_of_a_compaction() {
     let (mut twin, _) = three_commits();
-    twin.compact_log().unwrap();
+    twin.sync().unwrap();
     crash_and_recover(&mut twin);
     let free = free_fragments(&mut twin);
 
     for n in 0.. {
         let (mut ts, fid) = three_commits();
         main_disk(&mut ts).faults_mut().crash_after_sector_writes(n);
-        let compacted = ts.compact_log();
+        let compacted = ts.sync();
         let crashed = main_disk(&mut ts).faults().is_crashed();
         ts.file_service_mut().simulate_crash();
         if let Err(e) = ts.recover() {
@@ -225,7 +225,7 @@ fn an_older_incarnation_s_frames_are_not_replayed() {
     // below disowns the log they would have gone to.
     ts.complete_commit(first).unwrap();
     ts.complete_commit(second).unwrap();
-    ts.compact_log().unwrap();
+    ts.sync().unwrap();
 
     let before = ts.durable_lsn();
     let (again, _) = logged(&mut ts, a, 0, fill);

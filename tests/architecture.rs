@@ -193,7 +193,7 @@ fn only_commit_batch_calls_the_commit_steps() {
     let mut dirs: Vec<_> = ["txn", "cluster", "agent"]
         .map(|c| root.join(c).join("src"))
         .into();
-    let mut checked = 0;
+    let (mut checked, mut sequences) = (0, 0);
     while let Some(dir) = dirs.pop() {
         for entry in std::fs::read_dir(dir).unwrap() {
             let path = entry.unwrap().path();
@@ -203,15 +203,14 @@ fn only_commit_batch_calls_the_commit_steps() {
             }
             let text = std::fs::read_to_string(&path).unwrap();
             let mut code = text.split("#[cfg(test)]").next().unwrap().to_string();
-            if path.ends_with("txn/src/service.rs") {
+            let txn = path.starts_with(root.join("txn"));
+            if let Some(start) = code.find("pub fn commit_batch(").filter(|_| txn) {
                 // `commit_batch` and its helper run up to the next public
                 // item; they must call every step, nothing else may.
-                let start = code
-                    .find("pub fn commit_batch")
-                    .expect("the sequence exists");
                 let end = start + code[start..].find("\n    pub fn flush_log").unwrap();
                 assert!(steps.iter().all(|s| code[start..end].contains(s)));
                 code.replace_range(start..end, "");
+                sequences += 1;
             } else {
                 assert!(!code.contains(".flush_log("), "{path:?} forces the log");
             }
@@ -222,6 +221,7 @@ fn only_commit_batch_calls_the_commit_steps() {
         }
     }
     assert!(checked > 10, "found the sources");
+    assert_eq!(sequences, 1, "one file defines the sequence");
 }
 
 /// A committed intentions list has one applier, whoever commits — `tend`,
@@ -243,6 +243,40 @@ fn one_applier_makes_the_intentions_permanent() {
         }
     }
     assert_eq!(calls.map(|(_, n)| n), [1, 1], "{calls:?}");
+}
+
+/// Every read takes its locks through the transaction service's one lock
+/// step, under the service lock: outside tests, the shared read fast path
+/// neither takes nor releases a lock itself.
+#[test]
+fn the_read_fast_path_takes_no_lock_of_its_own() {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/txn/src/concurrent.rs");
+    let text = std::fs::read_to_string(path).unwrap();
+    let code = text.split("#[cfg(test)]").next().unwrap();
+    for call in [".set_lock(", ".release_all("] {
+        assert!(!code.contains(call), "concurrent.rs calls `{call}`");
+    }
+}
+
+/// The fast path's own two-visit lock protocol — validate, lock the
+/// shards, validate again — is gone with its types.
+#[test]
+fn no_read_validates_twice() {
+    let mut dirs = vec![std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates")];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                dirs.push(path);
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            for name in ["FastReadMeta", "FastReadCheck", "fast_read_recheck"] {
+                assert!(!text.contains(name), "{path:?} names `{name}`");
+            }
+        }
+    }
 }
 
 /// Cross-shard commit has one coordinator, `Cluster::commit_batch`: a

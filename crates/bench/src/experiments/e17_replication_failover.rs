@@ -1,33 +1,26 @@
 //! E17 — replicated files: "the file may be replicated at several disk
 //! servers ... the failure of one such server does not stop the system"
 //! (§3), with operations carried by the idempotent, nearly-stateless RPC
-//! layer. Two exhibits:
+//! layer. A replicated file is a one-shard cluster whose shard is a
+//! lock-step set of r data servers. Two exhibits:
 //!
-//! 1. a torn write on one replica of three: the write path masks the
-//!    fault, keeps the live replicas in agreement, and `resync` returns
-//!    the victim byte-identical (regression test:
+//! 1. a torn write on one member of a set of two and of three: the write
+//!    path masks the fault, keeps the current members in agreement, and
+//!    `resync` returns the victim byte-identical (regression test:
 //!    `tests/replication_chaos.rs::torn_write_fails_over_and_resync_restores_byte_identity`);
-//! 2. a lossy-network sweep over the networked deployment, showing
-//!    writes survive message loss and duplication while each replica's
-//!    replay cache stays bounded by the in-flight window.
+//! 2. a lossy-network sweep over a set of three, showing writes survive
+//!    message loss and duplication while each member's replay cache
+//!    stays bounded by the in-flight window.
 
-use crate::setups::replica;
+use crate::setups::replica_set;
 use crate::table::Table;
-use rhodos_file_service::{FileService, ServiceType};
+use rhodos_cluster::Cluster;
+use rhodos_file_service::FileService;
 use rhodos_net::NetConfig;
-use rhodos_replication::ReplicatedFiles;
-use rhodos_simdisk::SimClock;
+use rhodos_replication::wire::Channel;
 
 const OLD: &[u8] = b"committed before fault";
 const NEW: &[u8] = b"committed during fault";
-
-/// Write-through replica so injected faults surface inside the faulting
-/// call; instant latency keeps timestamps identical across replicas, so
-/// platter images can be compared byte for byte.
-fn cluster() -> ReplicatedFiles {
-    let clock = SimClock::new();
-    ReplicatedFiles::new((0..3).map(|_| replica(&clock)).collect())
-}
 
 fn fingerprints(fs: &mut FileService) -> Vec<u64> {
     let mut prints = Vec::new();
@@ -41,49 +34,51 @@ fn fingerprints(fs: &mut FileService) -> Vec<u64> {
     prints
 }
 
-/// The torn-write scenario; returns a report row.
-fn torn_write_case() -> Vec<String> {
-    let mut rf = cluster();
-    let fid = rf.create(ServiceType::Basic).unwrap();
-    rf.open(fid).unwrap();
-    rf.write(fid, 0, OLD).unwrap();
+/// The torn-write scenario on a set of `r`; returns a report row. The
+/// in-process lane costs no virtual time, so platter timestamps agree
+/// across members and images compare byte for byte.
+fn torn_write_case(r: usize) -> Vec<String> {
+    let (mut c, gid) = replica_set(r, NetConfig::in_process());
+    let fid = c.placement_of(gid).unwrap().1;
+    c.write(gid, 0, OLD).unwrap();
 
-    // Replica 1's disk dies at its next sector write: the write-all
-    // fan-out tears on that replica only.
-    rf.replica_mut(1)
-        .disk_mut(0)
-        .disk_mut()
-        .faults_mut()
-        .crash_after_sector_writes(0);
-    let outcome = rf.write(fid, 0, NEW);
+    // Member 1's disk dies at its next sector write: the write-all
+    // fan-out tears on that member only.
+    c.with_server(1, |fs| {
+        fs.disk_mut(0)
+            .disk_mut()
+            .faults_mut()
+            .crash_after_sector_writes(0)
+    });
+    let outcome = c.write(gid, 0, NEW);
 
-    // How many of the replicas still trusted with the file — the live
-    // set — actually hold the mutation on their platters? Caches are
-    // evicted first: the torn replica's block cache still holds the new
+    // How many of the members still trusted with the file — the current
+    // ones — actually hold the mutation on their platters? Caches are
+    // evicted first: the torn member's block cache still holds the new
     // data its disk never accepted.
-    let mut live_total = 0;
-    let mut live_new = 0;
-    for i in 0..3 {
-        if rf.is_failed(i) {
-            continue;
-        }
-        live_total += 1;
-        let fs = rf.replica_mut(i);
-        let _ = fs.evict_caches();
-        if fs.read(fid, 0, NEW.len()).ok().as_deref() == Some(NEW) {
-            live_new += 1;
-        }
-    }
-    let live = rf.live_replicas();
-    let diverged = live_new != 0 && live_new != live_total;
+    let current: Vec<usize> = (0..r).filter(|&i| c.is_current(i)).collect();
+    let live_new = current
+        .iter()
+        .filter(|&&i| {
+            c.with_server(i, |fs| {
+                let _ = fs.evict_caches();
+                fs.read(fid, 0, NEW.len()).ok().as_deref() == Some(NEW)
+            })
+        })
+        .count();
+    let diverged = live_new != 0 && live_new != current.len();
 
-    rf.resync(1).unwrap();
-    for i in 0..3 {
-        rf.replica_mut(i).flush_all().unwrap();
-    }
-    let reference = fingerprints(rf.replica_mut(0));
-    let identical = (1..3).all(|i| fingerprints(rf.replica_mut(i)) == reference);
-    let clean = (0..3).all(|i| rf.replica_mut(i).fsck().unwrap().is_clean());
+    c.resync(1).unwrap();
+    let prints: Vec<Vec<u64>> = (0..r)
+        .map(|i| {
+            c.with_server(i, |fs| {
+                fs.flush_all().unwrap();
+                fingerprints(fs)
+            })
+        })
+        .collect();
+    let identical = prints.iter().all(|p| *p == prints[0]);
+    let clean = (0..r).all(|i| c.with_server(i, |fs| fs.fsck().unwrap().is_clean()));
     let repaired = if identical && clean {
         "byte-identical, fsck clean"
     } else {
@@ -91,57 +86,74 @@ fn torn_write_case() -> Vec<String> {
     };
 
     vec![
+        r.to_string(),
         "fail over, keep writing".to_string(),
         match outcome {
             Ok(()) => "ok".to_string(),
             Err(e) => format!("error: {e}"),
         },
-        rf.stats().failovers.to_string(),
-        live.to_string(),
-        format!("{live_new}/{live_total}"),
+        c.stats().failovers.to_string(),
+        current.len().to_string(),
+        format!("{live_new}/{}", current.len()),
         if diverged { "DIVERGED" } else { "consistent" }.to_string(),
         repaired.to_string(),
     ]
 }
 
+/// The RPC story over every member's channel, as named rows: sums of
+/// calls, retries, backoff, executed and replayed requests and messages
+/// sent, lost and duplicated, and the largest replay cache any member
+/// held.
+fn rpc_rows(c: &Cluster) -> Vec<(&'static str, u64)> {
+    let channels: Vec<&Channel> = (0..c.server_count()).map(|i| c.channel(i)).collect();
+    let sum = |f: fn(&Channel) -> u64| channels.iter().map(|ch| f(ch)).sum();
+    let peak = channels.iter().map(|ch| ch.cache.stats().peak_entries);
+    vec![
+        ("calls", sum(|ch| ch.client.stats().calls)),
+        ("retries", sum(|ch| ch.client.stats().retries)),
+        ("backoff_us", sum(|ch| ch.client.stats().backoff_us)),
+        ("executed", sum(|ch| ch.cache.stats().executed)),
+        ("replayed", sum(|ch| ch.cache.stats().replayed)),
+        ("peak_replay_entries", peak.max().unwrap_or(0)),
+        ("net_sent", sum(|ch| ch.net.stats().sent)),
+        ("net_lost", sum(|ch| ch.net.stats().lost)),
+        ("net_duplicated", sum(|ch| ch.net.stats().duplicated)),
+    ]
+}
+
 /// One lossy-RPC run; returns a report row.
 fn lossy_case(drop_pm: u16, dup_pm: u16) -> Vec<String> {
-    let clock = SimClock::new();
-    let replicas = (0..3).map(|_| replica(&clock)).collect();
-    let mut rf = ReplicatedFiles::over_network(
-        replicas,
-        NetConfig::lossy(f64::from(drop_pm) / 1000.0, f64::from(dup_pm) / 1000.0, 17),
-    );
-    rf.set_max_attempts(64);
-
-    let fid = rf.create(ServiceType::Basic).unwrap();
-    rf.open(fid).unwrap();
+    let net = NetConfig::lossy(f64::from(drop_pm) / 1000.0, f64::from(dup_pm) / 1000.0, 17);
+    let (mut c, gid) = replica_set(3, net);
     let mut intact = true;
     for i in 0..120u64 {
         let payload = i.to_le_bytes();
-        rf.write(fid, (i % 32) * 8, &payload).unwrap();
+        c.write(gid, (i % 32) * 8, &payload).unwrap();
         if i % 3 == 0 {
-            let got = rf.read(fid, (i % 32) * 8, 8).unwrap();
+            let got = c.read(gid, (i % 32) * 8, 8).unwrap();
             intact &= got == payload;
         }
     }
-    let s = rf.rpc_stats();
+    let rows = rpc_rows(&c);
+    let rpc = |name: &str| rows.iter().find(|(n, _)| *n == name).map_or(0, |r| r.1);
+    let (calls, retries) = (rpc("calls"), rpc("retries"));
+    let live = (0..3).filter(|&i| c.is_current(i)).count();
     vec![
         format!(
             "{:.1}% / {:.1}%",
             f64::from(drop_pm) / 10.0,
             f64::from(dup_pm) / 10.0
         ),
-        s.calls.to_string(),
+        calls.to_string(),
         // Request/reply exchanges actually put on the wire: every call
         // costs one round trip plus one per retry.
-        (s.calls + s.retries).to_string(),
-        s.retries.to_string(),
-        s.replayed.to_string(),
-        s.peak_entries.to_string(),
-        s.backoff_us.to_string(),
-        rf.live_replicas().to_string(),
-        if intact && rf.live_replicas() == 3 {
+        (calls + retries).to_string(),
+        retries.to_string(),
+        rpc("replayed").to_string(),
+        rpc("peak_replay_entries").to_string(),
+        rpc("backoff_us").to_string(),
+        live.to_string(),
+        if intact && live == 3 {
             "intact"
         } else {
             "LOST"
@@ -153,15 +165,18 @@ fn lossy_case(drop_pm: u16, dup_pm: u16) -> Vec<String> {
 /// Runs the experiment.
 pub fn run() -> String {
     let mut a = Table::new(&[
+        "r",
         "write path",
         "write outcome",
         "failovers",
-        "live",
-        "applied (live)",
-        "live replicas",
+        "current",
+        "applied (current)",
+        "current members",
         "after repair",
     ]);
-    a.row_owned(torn_write_case());
+    for r in [2, 3] {
+        a.row_owned(torn_write_case(r));
+    }
 
     let mut b = Table::new(&[
         "loss / dup",
@@ -178,14 +193,14 @@ pub fn run() -> String {
         b.row_owned(lossy_case(drop_pm, dup_pm));
     }
 
-    let mut out = String::from("torn write on replica 1 of 3 (write-through):\n");
+    let mut out = String::from("torn write on member 1 of a one-shard set (write-through):\n");
     out.push_str(&a.render());
-    out.push_str("\n120 replicated writes over lossy channels (3 replicas, seed 17):\n");
+    out.push_str("\n120 replicated writes over lossy channels (r = 3, seed 17):\n");
     out.push_str(&b.render());
     out.push_str(
         "\npaper: replica failure does not stop the system (S3) and servers stay\n\
          nearly stateless (S4): the write path masks the fault and resync\n\
-         returns the replica byte-identical, while under loss and duplication\n\
+         returns the member byte-identical, while under loss and duplication\n\
          every write commits exactly once and no server ever holds more than\n\
          the in-flight window of recorded replies.\n",
     );
@@ -193,63 +208,48 @@ pub fn run() -> String {
 }
 
 /// The replication and RPC-replay counters emitted as
-/// `BENCH_replication.json`, from a fixed deterministic scenario — 3
-/// write-through replicas over lossy channels (10% loss, 10%
-/// duplication, seed 17), 200 mixed operations, one mid-run torn write
-/// on replica 1 followed by a resync. Deterministic by construction
-/// (simulated clock, seeded channels), so the emitted numbers are a
-/// diffable baseline: a behaviour change in failover, backoff, or replay
-/// pruning moves them.
+/// `BENCH_replication.json`, from a fixed deterministic scenario — a
+/// one-shard set of 3 write-through members over lossy channels (10%
+/// loss, 10% duplication, seed 17), 200 mixed operations, one mid-run
+/// torn write on member 1 followed by a resync. Deterministic by
+/// construction (simulated clock, seeded channels), so the emitted
+/// numbers are a diffable baseline: a behaviour change in failover,
+/// backoff, or replay pruning moves them.
 pub fn stat_records() -> Vec<(String, u64)> {
-    let clock = SimClock::new();
-    let replicas = (0..3).map(|_| replica(&clock)).collect();
-    let mut rf = ReplicatedFiles::over_network(replicas, NetConfig::lossy(0.1, 0.1, 17));
-    rf.set_max_attempts(64);
-    let fid = rf.create(ServiceType::Basic).expect("create");
-    rf.open(fid).expect("open");
+    let (mut c, gid) = replica_set(3, NetConfig::lossy(0.1, 0.1, 17));
     for i in 0..200u64 {
         if i == 100 {
-            rf.replica_mut(1)
-                .disk_mut(0)
-                .disk_mut()
-                .faults_mut()
-                .crash_after_sector_writes(0);
+            c.with_server(1, |fs| {
+                fs.disk_mut(0)
+                    .disk_mut()
+                    .faults_mut()
+                    .crash_after_sector_writes(0)
+            });
         }
         match i % 4 {
-            0..=2 => rf
-                .write(fid, (i % 48) * 8, &i.to_le_bytes())
-                .expect("write"),
+            0..=2 => c.write(gid, (i % 48) * 8, &i.to_le_bytes()).expect("write"),
             _ => {
-                rf.read(fid, 0, 8).expect("read");
+                c.read(gid, 0, 8).expect("read");
             }
         }
-        if rf.is_failed(1) {
-            rf.resync(1).expect("resync");
+        if !c.is_current(1) {
+            c.resync(1).expect("resync");
         }
     }
-    let rep = rf.stats().clone();
-    let rpc = rf.rpc_stats();
+    let s = c.stats();
     let mut rows = vec![
-        ("replication.failovers".to_string(), rep.failovers),
-        ("replication.resyncs".to_string(), rep.resyncs),
+        ("replication.failovers".to_string(), s.failovers),
+        ("replication.resyncs".to_string(), s.resyncs),
         (
             "replication.resync_sectors_copied".to_string(),
-            rep.resync_sectors_copied,
+            s.resync_sectors_copied,
         ),
-        ("replication.writes_skipped".to_string(), rep.writes_skipped),
-        ("rpc.calls".to_string(), rpc.calls),
-        ("rpc.retries".to_string(), rpc.retries),
-        ("rpc.backoff_us".to_string(), rpc.backoff_us),
-        ("rpc.executed".to_string(), rpc.executed),
-        ("rpc.replayed".to_string(), rpc.replayed),
-        ("rpc.peak_replay_entries".to_string(), rpc.peak_entries),
-        ("rpc.unreachable".to_string(), rpc.unreachable),
-        ("rpc.net_sent".to_string(), rpc.net_sent),
-        ("rpc.net_lost".to_string(), rpc.net_lost),
-        ("rpc.net_duplicated".to_string(), rpc.net_duplicated),
     ];
-    for (i, reads) in rep.reads_per_replica.iter().enumerate() {
-        rows.push((format!("replication.reads_replica_{i}"), *reads));
+    for (name, v) in rpc_rows(&c) {
+        rows.push((format!("rpc.{name}"), v));
+    }
+    for i in 0..c.server_count() {
+        rows.push((format!("replication.reads_replica_{i}"), c.server_reads(i)));
     }
     rows
 }

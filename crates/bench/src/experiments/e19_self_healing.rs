@@ -18,10 +18,11 @@
 //! 3. `fsck_repair` detecting and fixing bitmap/extent-map disagreement
 //!    (leaked and double-allocated extents).
 
-use crate::setups::replica;
+use crate::setups::replica_set;
 use crate::table::Table;
+use rhodos_cluster::Cluster;
 use rhodos_file_service::{FileId, FileService, FileServiceConfig, ServiceType};
-use rhodos_replication::ReplicatedFiles;
+use rhodos_net::NetConfig;
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 
 const BLOCK: u64 = rhodos_disk_service::BLOCK_SIZE as u64;
@@ -45,21 +46,30 @@ fn populated() -> (FileService, FileId) {
     (f, fid)
 }
 
-/// Write-through replica on a shared clock (as in E17) so cluster
-/// scrubbing can compare replicas deterministically.
-/// A two-replica cluster holding one flushed 8-block file.
-fn cluster() -> (ReplicatedFiles, FileId) {
-    let clock = SimClock::new();
-    let replicas = (0..2).map(|_| replica(&clock)).collect();
-    let mut rf = ReplicatedFiles::new(replicas);
-    let fid = rf.create(ServiceType::Basic).unwrap();
-    rf.open(fid).unwrap();
-    rf.write(fid, 0, &vec![FILL; (NBLOCKS * BLOCK) as usize])
+/// A one-shard set of two write-through members (as in E17) holding one
+/// flushed 8-block file, and the file's id on the members.
+fn cluster() -> (Cluster, FileId) {
+    let (mut c, gid) = replica_set(2, NetConfig::in_process());
+    c.write(gid, 0, &vec![FILL; (NBLOCKS * BLOCK) as usize])
         .unwrap();
-    for i in 0..rf.replica_count() {
-        rf.replica_mut(i).flush_all().unwrap();
+    for i in 0..c.server_count() {
+        c.with_server(i, |fs| fs.flush_all().unwrap());
     }
-    (rf, fid)
+    let fid = c.placement_of(gid).unwrap().1;
+    (c, fid)
+}
+
+/// Silently rots block 1 of `fid` on member `i` and drops its caches, so
+/// only a peer still holds the bytes.
+fn rot_uncached(c: &Cluster, i: usize, fid: FileId) {
+    c.with_server(i, |fs| {
+        let addr = fs.block_descriptors(fid).unwrap()[1].addr;
+        fs.disk_mut(0)
+            .disk_mut()
+            .silently_corrupt_sector(addr)
+            .unwrap();
+        fs.evict_caches().unwrap();
+    });
 }
 
 /// Reads every block once; returns (clean reads, Some(faulted block)).
@@ -182,15 +192,9 @@ pub fn run() -> String {
 
     // 2c. Uncached silent data corruption: only a peer replica helps.
     {
-        let (mut rf, fid) = cluster();
-        let addr = rf.replica_mut(0).block_descriptors(fid).unwrap()[1].addr;
-        rf.replica_mut(0)
-            .disk_mut(0)
-            .disk_mut()
-            .silently_corrupt_sector(addr)
-            .unwrap();
-        rf.replica_mut(0).evict_caches().unwrap();
-        let r = rf.scrub(None).unwrap();
+        let (mut c, fid) = cluster();
+        rot_uncached(&c, 0, fid);
+        let r = c.scrub(None).unwrap();
         ladder.row_owned(vec![
             "silent corruption, uncached, one replica of two".into(),
             "peer replica (cluster scrub)".into(),
@@ -203,17 +207,11 @@ pub fn run() -> String {
 
     // 2d. Both replicas corrupted: reported, never hidden.
     {
-        let (mut rf, fid) = cluster();
-        for i in 0..rf.replica_count() {
-            let addr = rf.replica_mut(i).block_descriptors(fid).unwrap()[1].addr;
-            rf.replica_mut(i)
-                .disk_mut(0)
-                .disk_mut()
-                .silently_corrupt_sector(addr)
-                .unwrap();
-            rf.replica_mut(i).evict_caches().unwrap();
+        let (mut c, fid) = cluster();
+        for i in 0..c.server_count() {
+            rot_uncached(&c, i, fid);
         }
-        let r = rf.scrub(None).unwrap();
+        let r = c.scrub(None).unwrap();
         ladder.row_owned(vec![
             "silent corruption of the same block on BOTH replicas".into(),
             "none survives".into(),
@@ -310,31 +308,19 @@ pub fn stat_records() -> Vec<(String, u64)> {
     // Cluster: an uncached fault on one replica heals from its peer; the
     // same fault on both replicas is reported as unrecoverable.
     {
-        let (mut rf, fid) = cluster();
-        let addr = rf.replica_mut(0).block_descriptors(fid).unwrap()[1].addr;
-        rf.replica_mut(0)
-            .disk_mut(0)
-            .disk_mut()
-            .silently_corrupt_sector(addr)
-            .unwrap();
-        rf.replica_mut(0).evict_caches().unwrap();
-        let healed = rf.scrub(None).unwrap();
+        let (mut c, fid) = cluster();
+        rot_uncached(&c, 0, fid);
+        let healed = c.scrub(None).unwrap();
         rows.push((
             "scrub.cluster.peer_repairs".to_string(),
             healed.peer_repairs,
         ));
 
-        let (mut rf, fid) = cluster();
-        for i in 0..rf.replica_count() {
-            let addr = rf.replica_mut(i).block_descriptors(fid).unwrap()[1].addr;
-            rf.replica_mut(i)
-                .disk_mut(0)
-                .disk_mut()
-                .silently_corrupt_sector(addr)
-                .unwrap();
-            rf.replica_mut(i).evict_caches().unwrap();
+        let (mut c, fid) = cluster();
+        for i in 0..c.server_count() {
+            rot_uncached(&c, i, fid);
         }
-        let lost = rf.scrub(None).unwrap();
+        let lost = c.scrub(None).unwrap();
         rows.push((
             "scrub.cluster.still_unrecoverable".to_string(),
             lost.still_unrecoverable,

@@ -34,11 +34,10 @@ use crate::latency::LatencySummary;
 use crate::loadgen::{self, LoadgenConfig, WriteSizeMix};
 use crate::setups;
 use crate::table::Table;
-use rhodos_file_service::{
-    FileId, FileService, FileServiceConfig, ParallelIo, Redundancy, ServiceType,
-};
-use rhodos_replication::ReplicatedFiles;
-use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
+use rhodos_cluster::{Cluster, ClusterConfig};
+use rhodos_file_service::{FileId, FileService, ParallelIo, Redundancy, ServiceType};
+use rhodos_net::NetConfig;
+use rhodos_simdisk::{DiskGeometry, LatencyModel};
 
 const BLOCK: u64 = rhodos_disk_service::BLOCK_SIZE as u64;
 const K: usize = 4;
@@ -76,35 +75,45 @@ fn write_cost(f: &mut FileService, bytes: &[u8]) -> (FileId, u64) {
     (fid, used_fragments(f) - before)
 }
 
-/// A 2-replica lock-step mirror holding `bytes` — the E17 redundancy
-/// ablation every parity arm is fingerprint-checked against.
-fn mirror_with(bytes: &[u8]) -> (ReplicatedFiles, FileId, u64) {
-    let clock = SimClock::new();
-    let replicas = (0..2)
-        .map(|_| {
-            FileService::single_disk(
-                DiskGeometry::large(),
-                LatencyModel::default(),
-                clock.clone(),
-                FileServiceConfig::default(),
-            )
-            .expect("format mirror replica")
-        })
-        .collect();
-    let mut rf = ReplicatedFiles::new(replicas);
-    let before: u64 = (0..rf.replica_count())
-        .map(|i| used_fragments(rf.replica_mut(i)))
-        .sum();
-    let fid = rf.create(ServiceType::Basic).unwrap();
-    rf.open(fid).unwrap();
-    rf.write(fid, 0, bytes).unwrap();
-    for i in 0..rf.replica_count() {
-        rf.replica_mut(i).flush_all().unwrap();
+/// A 2-member lock-step replica set holding `bytes` — the E17
+/// redundancy ablation every parity arm is fingerprint-checked against.
+/// Returns the file's id on the members and the fragments its
+/// create+write+flush cost across the set.
+fn mirror_with(bytes: &[u8]) -> (Cluster, FileId, u64) {
+    let mut c = Cluster::new(
+        1,
+        ClusterConfig {
+            geometry: DiskGeometry::large(),
+            latency: LatencyModel::default(),
+            data_net: NetConfig::in_process(),
+            replicas: 2,
+            ..ClusterConfig::default()
+        },
+    );
+    let used = |c: &Cluster| -> u64 {
+        (0..c.server_count())
+            .map(|i| c.with_server(i, |fs| used_fragments(fs)))
+            .sum()
+    };
+    let before = used(&c);
+    let gid = c.create().unwrap();
+    c.open(gid).unwrap();
+    c.write(gid, 0, bytes).unwrap();
+    for i in 0..c.server_count() {
+        c.with_server(i, |fs| fs.flush_all().unwrap());
     }
-    let after: u64 = (0..rf.replica_count())
-        .map(|i| used_fragments(rf.replica_mut(i)))
-        .sum();
-    (rf, fid, after - before)
+    let after = used(&c);
+    let fid = c.placement_of(gid).unwrap().1;
+    (c, fid, after - before)
+}
+
+/// The bytes the surviving member 1 of the mirror serves cold, as a
+/// fingerprint.
+fn surviving_mirror_fp(c: &Cluster, fid: FileId, len: usize) -> u64 {
+    c.with_server(1, |fs| {
+        fs.evict_caches().unwrap();
+        fingerprint(&fs.read(fid, 0, len).unwrap())
+    })
 }
 
 /// Storage-overhead sweep: same payload, four redundancy tiers.
@@ -310,14 +319,10 @@ pub fn run(smoke: bool) -> String {
     // 4. Degraded service + online rebuild, fingerprinted against the
     // surviving half of the 2-way mirror ablation.
     let bytes = patterned((degraded_rows * K as u64 * BLOCK) as usize);
-    let (mut rf, mfid, _) = mirror_with(&bytes);
-    // The mirror ablation loses replica 0 outright; the surviving
-    // replica serves the reference bytes.
-    let mirror_fp = {
-        let surviving = rf.replica_mut(1);
-        surviving.evict_caches().unwrap();
-        fingerprint(&surviving.read(mfid, 0, bytes.len()).unwrap())
-    };
+    let (c, mfid, _) = mirror_with(&bytes);
+    // The mirror ablation loses member 0 outright; the surviving member
+    // serves the reference bytes.
+    let mirror_fp = surviving_mirror_fp(&c, mfid, bytes.len());
     let r5 = degraded_arm(1, &[2], degraded_rows);
     let r6 = degraded_arm(2, &[1, 4], degraded_rows);
     let mut t = Table::new(&[
@@ -465,12 +470,8 @@ mod tests {
     fn degraded_arms_match_the_mirror_fingerprint() {
         let rows = 6u64;
         let bytes = patterned((rows * K as u64 * BLOCK) as usize);
-        let (mut rf, mfid, _) = mirror_with(&bytes);
-        let mirror_fp = {
-            let surviving = rf.replica_mut(1);
-            surviving.evict_caches().unwrap();
-            fingerprint(&surviving.read(mfid, 0, bytes.len()).unwrap())
-        };
+        let (c, mfid, _) = mirror_with(&bytes);
+        let mirror_fp = surviving_mirror_fp(&c, mfid, bytes.len());
         for (m, lose) in [(1usize, vec![2usize]), (2, vec![1, 4])] {
             let arm = degraded_arm(m, &lose, rows);
             assert_eq!(arm.degraded_fp, mirror_fp, "degraded read diverged (m={m})");

@@ -1,9 +1,11 @@
 //! Standard service constructors shared by the experiments.
 
+use rhodos_cluster::{Cluster, ClusterConfig};
 use rhodos_disk_service::{DiskService, DiskServiceConfig};
 use rhodos_file_service::{
     FileService, FileServiceConfig, ParallelIo, Redundancy, StripePolicy, WritePolicy,
 };
+use rhodos_net::NetConfig;
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 use rhodos_txn::{TransactionService, TxnConfig};
 
@@ -106,19 +108,27 @@ pub fn parity_file_service_raw_mode(
     .expect("format parity file service")
 }
 
-/// One write-through replica of the replication experiments (E17, E19):
-/// a medium disk with no simulated latency, on the group's shared clock.
-pub fn replica(clock: &SimClock) -> FileService {
-    FileService::single_disk(
-        DiskGeometry::medium(),
-        LatencyModel::instant(),
-        clock.clone(),
-        FileServiceConfig {
-            write_policy: WritePolicy::WriteThrough,
-            ..FileServiceConfig::default()
+/// The replicated store of the replication experiments (E17, E19): one
+/// shard of `r` write-through members, each a medium disk with no
+/// simulated latency, reached over lanes behaving as `net`. Returns the
+/// cluster with one open file holding nothing yet, and its cluster id.
+pub fn replica_set(r: usize, net: NetConfig) -> (Cluster, u64) {
+    let mut c = Cluster::new(
+        1,
+        ClusterConfig {
+            fs: FileServiceConfig {
+                write_policy: WritePolicy::WriteThrough,
+                ..FileServiceConfig::default()
+            },
+            data_net: net,
+            replicas: r,
+            ..ClusterConfig::default()
         },
-    )
-    .expect("format replica")
+    );
+    c.set_max_attempts(64);
+    let gid = c.create().expect("create");
+    c.open(gid).expect("open");
+    (c, gid)
 }
 
 /// A transaction service over a default single-disk file service.

@@ -12,9 +12,12 @@
 //! and a torn decision record simply reads as "abort".
 //!
 //! There is one coordinator, [`Cluster::commit_batch`]: a wave of
-//! transactions shares one prepare per server and one decision force,
+//! transactions shares one prepare per shard and one decision force,
 //! and a single commit ([`Cluster::commit_cross_shard`]) is a wave of
-//! one. Two robustness properties are load-bearing here:
+//! one. A participant is a shard's whole replica set: its prepare is
+//! forced on every current member before its vote counts
+//! ([`Cluster::prepare`]). Two robustness properties are load-bearing
+//! here:
 //!
 //! * **Orphan resolution** — a prepared participant that loses its
 //!   coordinator holds locks but never blocks forever:
@@ -33,9 +36,9 @@ use crate::master::{Cluster, ClusterError};
 use rhodos_disk_service::codec::{Decoder, Encoder};
 use rhodos_file_service::{FileId, FileServiceError};
 use rhodos_replication::wire::{
-    decode_gtid_list, decode_txn_prepare, decode_votes, encode_error, encode_gtid_list,
-    encode_txn_decide, encode_txn_prepare, encode_txn_prepared_list, encode_votes, PrepareTxn,
-    OP_TXN_DECIDE, OP_TXN_PREPARE, OP_TXN_PREPARED_LIST, REPLY_ERR, REPLY_OK,
+    decode_gtid_list, decode_txn_prepare, encode_error, encode_gtid_list, encode_txn_decide,
+    encode_txn_prepare, encode_txn_prepared_list, encode_votes, PrepareTxn, OP_TXN_DECIDE,
+    OP_TXN_PREPARE, OP_TXN_PREPARED_LIST, REPLY_ERR, REPLY_OK,
 };
 use rhodos_txn::{CommitReq, TransactionService, TxnError};
 use std::collections::{BTreeMap, BTreeSet};
@@ -125,8 +128,8 @@ impl DecisionLog {
 /// [`Cluster::commit_cross_shard`]) consumes the whole schedule, fired
 /// or not. Each armed fault fires at most once, at its first chance in
 /// the wave (so a re-targeted retry runs clean and the protocol's own
-/// recovery is what gets tested). Server-indexed faults name the
-/// participant by data-server index.
+/// recovery is what gets tested). Participant faults name the shard,
+/// and a crash strikes every member of it.
 #[derive(Debug, Default, Clone)]
 pub struct CommitChaos {
     /// This participant never receives its prepare (crashed before the
@@ -294,7 +297,7 @@ impl Cluster {
                 let mut per: BTreeMap<usize, Vec<(FileId, u64, Vec<u8>)>> = BTreeMap::new();
                 for (gid, offset, data) in ops.as_ref() {
                     let p = self.resolve(*gid)?;
-                    per.entry(p.server)
+                    per.entry(p.shard)
                         .or_default()
                         .push((p.local, *offset, data.clone()));
                 }
@@ -313,8 +316,9 @@ impl Cluster {
                 let _ = self.migrate(gid, target);
             }
 
-            // Phase one: one prepare RPC per server. `yes` holds the
-            // (gtid, server) votes the coordinator learned of.
+            // Phase one: one prepare RPC per shard, fanned out to its
+            // members. `yes` holds the (gtid, shard) votes the
+            // coordinator learned of.
             let mut yes: BTreeSet<(u64, usize)> = BTreeSet::new();
             for (&server, batch) in &by_server {
                 if chaos
@@ -322,14 +326,11 @@ impl Cluster {
                     .take_if(|s| *s == server)
                     .is_some()
                 {
-                    self.crash_server(server);
+                    self.crash_shard(server);
                     continue;
                 }
                 self.stats.prepare_rpcs += 1;
-                let votes = match self.call_node(server, &encode_txn_prepare(batch)) {
-                    Ok(payload) => decode_votes(&payload),
-                    Err(_) => Vec::new(),
-                };
+                let votes = self.prepare(server, &encode_txn_prepare(batch));
                 let voted: Vec<(u64, usize)> = batch
                     .iter()
                     .zip(votes)
@@ -350,7 +351,7 @@ impl Cluster {
                     .take_if(|s| *s == server)
                     .is_some()
                 {
-                    self.crash_server(server);
+                    self.crash_shard(server);
                 }
             }
 
@@ -428,10 +429,11 @@ impl Cluster {
                 .take_if(|s| *s == server)
                 .is_some()
             {
-                self.crash_server(server);
+                self.crash_shard(server);
                 continue;
             }
-            let _ = self.call_node(server, &encode_txn_decide(gtid, committing.contains(&gtid)));
+            let decide = encode_txn_decide(gtid, committing.contains(&gtid));
+            let _ = self.call_2pc(server, &decide);
         }
     }
 
@@ -446,14 +448,14 @@ impl Cluster {
         let committed = self.decision_log.recover();
         let mut commits = 0;
         let mut aborts = 0;
-        for server in self.live_node_indices() {
-            let Ok(payload) = self.call_node(server, &encode_txn_prepared_list()) else {
+        for server in self.live_shards() {
+            let Ok((_, payload)) = self.call_one(server, &encode_txn_prepared_list()) else {
                 continue;
             };
             for gtid in decode_gtid_list(&payload) {
                 let commit = committed.contains(&gtid);
-                if let Ok(reply) = self.call_node(server, &encode_txn_decide(gtid, commit)) {
-                    if reply.first() == Some(&1) {
+                if let Ok(replies) = self.call_2pc(server, &encode_txn_decide(gtid, commit)) {
+                    if replies[0].1.first() == Some(&1) {
                         self.stats.orphan_resolutions += 1;
                         if commit {
                             commits += 1;
@@ -472,8 +474,8 @@ impl Cluster {
     /// liveness bound of the chaos tests).
     pub fn in_doubt_gtids(&mut self) -> Vec<u64> {
         let mut out: BTreeSet<u64> = BTreeSet::new();
-        for server in self.live_node_indices() {
-            if let Ok(payload) = self.call_node(server, &encode_txn_prepared_list()) {
+        for server in self.live_shards() {
+            if let Ok((_, payload)) = self.call_one(server, &encode_txn_prepared_list()) {
                 out.extend(decode_gtid_list(&payload));
             }
         }
@@ -974,6 +976,8 @@ mod tests {
     /// no live transaction, no tentative block.
     #[test]
     fn a_prepare_whose_force_fails_votes_no_and_rolls_back() {
+        use rhodos_replication::wire::decode_votes;
+
         let sector_writes =
             |ts: &TransactionService| ts.file_service().stats().disks[0].disk.sector_writes;
         // What the batch writes before its force, counted on a twin driven

@@ -1,15 +1,16 @@
 //! The placement/metadata master and its data servers.
 //!
-//! One [`Cluster`] owns N data servers. Each server is a full
-//! transaction-service stack (so the cross-shard 2PC of ROADMAP item 5
-//! can later coordinate them) reached through its own lossy channel
-//! speaking the replication wire protocol — every data operation is
-//! encoded, retried with backoff, executed at most once per request id,
-//! and answered through the server's replay cache, exactly like a
-//! replica behind `ReplicatedFiles::over_network`.
+//! One [`Cluster`] owns N shards, each a replica set of
+//! [`ClusterConfig::replicas`] data servers. Each server is a full
+//! transaction-service stack reached through its own lossy channel
+//! speaking the wire protocol — every data operation is encoded, retried
+//! with backoff, executed at most once per request id, and answered
+//! through the server's replay cache. How a request meets the members of
+//! a set (fan-out, rotation, masking, resync) is `replica_set.rs`'s
+//! decision; this file owns placement and liveness.
 //!
 //! The master's own state is deliberately small, in the paper's
-//! "nearly stateless" spirit: the placement map (file → home server),
+//! "nearly stateless" spirit: the placement map (file → home shard),
 //! the placement epoch, per-file heat counters, and the heartbeat
 //! bookkeeping. Everything else lives with the data servers.
 
@@ -59,6 +60,9 @@ pub struct ClusterConfig {
     /// Channel behaviour to each data server (per-server seeds are
     /// decorrelated, as across independent links).
     pub data_net: NetConfig,
+    /// Members per shard (r): each shard is r data servers kept in
+    /// lock-step. The default 1 makes a shard one server.
+    pub replicas: usize,
 }
 
 /// Virtual time between heartbeat rounds.
@@ -81,6 +85,7 @@ impl Default for ClusterConfig {
             fs: FileServiceConfig::default(),
             txn: TxnConfig::default(),
             data_net: NetConfig::reliable(),
+            replicas: 1,
         }
     }
 }
@@ -92,7 +97,7 @@ pub enum ClusterError {
     UnknownFile(u64),
     /// Every data server is dead, removed, or unreachable.
     NoLiveServers,
-    /// The file's home server is currently marked dead.
+    /// The data server is currently marked dead.
     ServerUnavailable(usize),
     /// The channel to the server exhausted its retries.
     Unreachable(usize),
@@ -170,9 +175,9 @@ pub struct ClusterStats {
     pub rejoins: u64,
     /// Orphaned local files garbage-collected on rejoin.
     pub orphans_collected: u64,
-    /// Servers added at runtime.
+    /// Shards added at runtime.
     pub servers_added: u64,
-    /// Servers decommissioned.
+    /// Shards decommissioned.
     pub servers_removed: u64,
     /// Cross-shard transactions committed by the 2PC coordinator.
     pub cross_commits: u64,
@@ -190,6 +195,16 @@ pub struct ClusterStats {
     pub coordinator_recoveries: u64,
     /// In-doubt participants resolved by the orphan sweep.
     pub orphan_resolutions: u64,
+    /// Set members masked out of step: a fault struck them mid-call, or
+    /// a mutation went on without them.
+    pub failovers: u64,
+    /// Members brought back in step by [`Cluster::resync`].
+    pub resyncs: u64,
+    /// Sectors copied onto returning members by [`Cluster::resync`].
+    pub resync_sectors_copied: u64,
+    /// Latent faults one member's scrub could not repair locally that
+    /// were healed from a set peer by [`Cluster::scrub`].
+    pub peer_repairs: u64,
     /// Current placement epoch.
     pub epoch: u64,
 }
@@ -205,27 +220,35 @@ pub struct RebalanceReport {
     pub aborted: u64,
 }
 
-/// Where a cluster file lives.
+/// Where a cluster file lives. Set members allocate file ids in
+/// lock-step, so one local id names the file on every member.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Placement {
-    pub(crate) server: usize,
+    pub(crate) shard: usize,
     pub(crate) local: FileId,
-    open: bool,
+    /// Opens issued through the master and not yet closed: a restarted
+    /// member gets this many back, so its count matches its peers'.
+    opens: u32,
 }
 
 /// One data server as the master sees it.
-struct DataNode {
-    handle: ServerHandle,
+pub(crate) struct DataNode {
+    pub(crate) handle: ServerHandle,
     chan: Channel,
     /// Fault injection: when false, nothing crosses this link.
     link_up: bool,
     /// Master's liveness verdict.
-    alive: bool,
+    pub(crate) alive: bool,
     missed: u32,
     /// Placement epoch last synchronised to this server (piggybacked on
     /// heartbeat replies).
     known_epoch: u64,
-    removed: bool,
+    pub(crate) removed: bool,
+    /// Out of step with its set: skipped by every request until
+    /// [`Cluster::resync`] copies it back.
+    pub(crate) stale: bool,
+    /// Reads this member served.
+    reads: u64,
 }
 
 impl fmt::Debug for DataNode {
@@ -236,6 +259,7 @@ impl fmt::Debug for DataNode {
             .field("missed", &self.missed)
             .field("known_epoch", &self.known_epoch)
             .field("removed", &self.removed)
+            .field("stale", &self.stale)
             .finish_non_exhaustive()
     }
 }
@@ -244,8 +268,13 @@ impl fmt::Debug for DataNode {
 #[derive(Debug)]
 pub struct Cluster {
     clock: SimClock,
-    cfg: ClusterConfig,
-    nodes: Vec<DataNode>,
+    pub(crate) cfg: ClusterConfig,
+    /// Every data server; shard `s` is `nodes[s * r..(s + 1) * r]`.
+    pub(crate) nodes: Vec<DataNode>,
+    /// Per shard, the member that served the last single-member request
+    /// (an absolute index, so the rotation stays even while the set of
+    /// serving members changes).
+    pub(crate) last_read: Vec<usize>,
     map: BTreeMap<u64, Placement>,
     next_gid: u64,
     epoch: u64,
@@ -265,19 +294,22 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Creates a cluster of `n` freshly formatted data servers sharing
-    /// one virtual clock.
+    /// Creates a cluster of `n` shards of `cfg.replicas` freshly
+    /// formatted data servers each, all sharing one virtual clock.
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero or a data server fails to format.
+    /// Panics if `n` or `cfg.replicas` is zero or a data server fails to
+    /// format.
     pub fn new(n: usize, cfg: ClusterConfig) -> Self {
-        assert!(n > 0, "need at least one data server");
+        assert!(n > 0, "need at least one shard");
+        assert!(cfg.replicas > 0, "a shard needs at least one member");
         let clock = SimClock::new();
         let mut cluster = Self {
             clock,
             cfg,
             nodes: Vec::new(),
+            last_read: Vec::new(),
             map: BTreeMap::new(),
             next_gid: 1,
             epoch: 0,
@@ -290,12 +322,22 @@ impl Cluster {
             stats: ClusterStats::default(),
         };
         for _ in 0..n {
-            cluster.push_node();
+            cluster.push_shard();
         }
         cluster
     }
 
-    fn push_node(&mut self) -> usize {
+    fn push_shard(&mut self) -> usize {
+        let s = self.last_read.len();
+        for _ in 0..self.cfg.replicas {
+            self.push_node();
+        }
+        // One before the first member, so the first read lands on it.
+        self.last_read.push(self.nodes.len() - 1);
+        s
+    }
+
+    fn push_node(&mut self) {
         let i = self.nodes.len();
         let fs = FileService::single_disk(
             self.cfg.geometry,
@@ -315,8 +357,9 @@ impl Cluster {
             missed: 0,
             known_epoch: self.epoch,
             removed: false,
+            stale: false,
+            reads: 0,
         });
-        i
     }
 
     // ---- accessors -----------------------------------------------------
@@ -343,18 +386,54 @@ impl Cluster {
         self.directory.clone()
     }
 
-    /// Handle to data server `i`, for co-located clients.
+    /// The data servers of shard `s`.
+    pub(crate) fn members(&self, s: usize) -> std::ops::Range<usize> {
+        let r = self.cfg.replicas;
+        s * r..(s + 1) * r
+    }
+
+    /// Number of shards, including removed ones.
+    pub(crate) fn shard_count(&self) -> usize {
+        self.last_read.len()
+    }
+
+    /// Handle to data server `i`, for co-located clients. A co-located
+    /// client writes to one server only and resolves files by shard, so
+    /// it is offered on one-member shards only, where server and shard
+    /// indices agree; inspect a member of a larger set with
+    /// [`Self::with_server`].
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of range.
+    /// Panics if `i` is out of range or shards have more than one
+    /// member.
     pub fn server_handle(&self, i: usize) -> ServerHandle {
+        self.assert_one_member_shards();
         self.nodes[i].handle.clone()
+    }
+
+    fn assert_one_member_shards(&self) {
+        assert_eq!(
+            self.cfg.replicas, 1,
+            "a co-located handle would reach one member of a replica set"
+        );
+    }
+
+    /// Runs `f` on data server `i`'s file service, out of band (fault
+    /// injection and inspection).
+    pub fn with_server<R>(&self, i: usize, f: impl FnOnce(&mut FileService) -> R) -> R {
+        f(self.nodes[i].handle.lock().file_service_mut())
     }
 
     /// Every data server handle in index order (the `FileAgent` server
     /// vector for cluster-aware clients).
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::server_handle`], when shards have more than one
+    /// member.
     pub fn server_handles(&self) -> Vec<ServerHandle> {
+        self.assert_one_member_shards();
         self.nodes.iter().map(|n| n.handle.clone()).collect()
     }
 
@@ -373,6 +452,23 @@ impl Cluster {
         self.nodes[i].alive && !self.nodes[i].removed
     }
 
+    /// Whether server `i` holds its set's current copy (false while it
+    /// waits for a [`Self::resync`]).
+    pub fn is_current(&self, i: usize) -> bool {
+        !self.nodes[i].stale
+    }
+
+    /// Reads server `i` served.
+    pub fn server_reads(&self, i: usize) -> u64 {
+        self.nodes[i].reads
+    }
+
+    /// The channel to server `i`, whose counters tell its RPC, replay
+    /// and network story.
+    pub fn channel(&self, i: usize) -> &Channel {
+        &self.nodes[i].chan
+    }
+
     /// The placement epoch server `i` last synchronised to.
     pub fn node_epoch(&self, i: usize) -> u64 {
         self.nodes[i].known_epoch
@@ -387,22 +483,22 @@ impl Cluster {
         self.nodes[i].link_up = up;
     }
 
-    /// Current home of a cluster file.
+    /// Current home shard of a cluster file, with its local id.
     pub fn placement_of(&self, gid: u64) -> Option<(usize, FileId)> {
-        self.map.get(&gid).map(|p| (p.server, p.local))
+        self.map.get(&gid).map(|p| (p.shard, p.local))
     }
 
-    /// Files currently placed on server `i`.
-    pub fn files_on(&self, i: usize) -> usize {
-        self.map.values().filter(|p| p.server == i).count()
+    /// Files currently placed on shard `s`.
+    pub fn files_on(&self, s: usize) -> usize {
+        self.map.values().filter(|p| p.shard == s).count()
     }
 
-    /// Accumulated heat (operation count) of server `i`: the sum over
+    /// Accumulated heat (operation count) of shard `s`: the sum over
     /// its files of `1 + per-file heat`.
-    pub fn server_load(&self, i: usize) -> u64 {
+    pub fn server_load(&self, s: usize) -> u64 {
         self.map
             .iter()
-            .filter(|(_, p)| p.server == i)
+            .filter(|(_, p)| p.shard == s)
             .map(|(gid, _)| 1 + self.heat.get(gid).copied().unwrap_or(0))
             .sum()
     }
@@ -431,7 +527,7 @@ impl Cluster {
         let snapshot: HashMap<u64, (usize, FileId)> = self
             .map
             .iter()
-            .map(|(gid, p)| (*gid, (p.server, p.local)))
+            .map(|(gid, p)| (*gid, (p.shard, p.local)))
             .collect();
         self.directory.lock().publish(self.epoch, snapshot);
     }
@@ -469,21 +565,40 @@ impl Cluster {
     /// Fault injection: crash data server `i` — volatile caches and the
     /// unflushed log tail vanish, then local recovery replays the
     /// durable log (rebuilding any in-doubt prepared participants). The
-    /// server's replay cache dies with the machine.
+    /// server's replay cache dies with the machine. A set member whose
+    /// peers still serve is masked, since they kept delayed writes it
+    /// lost: the next heartbeat it answers resyncs it from them.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range or local recovery fails.
     pub fn crash_server(&mut self, i: usize) {
+        self.restart(i);
+        if !self.nodes[i].stale && self.has_serving_peer(i) {
+            self.mask(i);
+        }
+    }
+
+    /// Fault injection: crash every member of shard `s` at once. They
+    /// lose the same volatile state, so the set stays in step.
+    pub(crate) fn crash_shard(&mut self, s: usize) {
+        for i in self.members(s) {
+            self.restart(i);
+        }
+    }
+
+    /// Crashes and recovers server `i` in place: what survives is its
+    /// platters, and every open the master issued comes back (open
+    /// counts are volatile server state).
+    pub(crate) fn restart(&mut self, i: usize) {
         let handle = self.nodes[i].handle.clone();
         let mut guard = handle.lock();
         guard.file_service_mut().simulate_crash();
         guard.recover().expect("data server recovers");
         self.nodes[i].chan.cache = rhodos_net::ReplayCache::new();
-        // Open counts are volatile server state; restore the master's
-        // view of which local files are open.
-        for p in self.map.values() {
-            if p.server == i && p.open {
+        let s = i / self.cfg.replicas;
+        for p in self.map.values().filter(|p| p.shard == s) {
+            for _ in 0..p.opens {
                 let _ = guard.file_service_mut().open(p.local);
             }
         }
@@ -513,14 +628,17 @@ impl Cluster {
         }
     }
 
-    fn require_live(&self, i: usize) -> Result<(), ClusterError> {
-        if self.nodes[i].removed {
-            return Err(ClusterError::Removed(i));
+    /// Fails unless shard `s` has a current, live member.
+    fn require_live(&self, s: usize) -> Result<(), ClusterError> {
+        let first = self.members(s).start;
+        if self.nodes[first].removed {
+            return Err(ClusterError::Removed(first));
         }
-        if !self.nodes[i].alive {
-            return Err(ClusterError::ServerUnavailable(i));
+        if self.members(s).any(|i| self.serves(i)) {
+            Ok(())
+        } else {
+            Err(ClusterError::ServerUnavailable(first))
         }
-        Ok(())
     }
 
     pub(crate) fn resolve(&self, gid: u64) -> Result<Placement, ClusterError> {
@@ -532,15 +650,15 @@ impl Cluster {
 
     // ---- namespace operations -----------------------------------------
 
-    /// Creates a file on the least-loaded live server and returns its
+    /// Creates a file on the least-loaded live shard and returns its
     /// cluster id.
     pub fn create(&mut self) -> Result<u64, ClusterError> {
         let target = self
-            .live_node_indices()
+            .live_shards()
             .into_iter()
-            .min_by_key(|&i| (self.files_on(i), i))
+            .min_by_key(|&s| (self.files_on(s), s))
             .ok_or(ClusterError::NoLiveServers)?;
-        let reply = self.call_node(target, &wire::encode_create(ServiceType::Basic))?;
+        let reply = self.call_all(target, &wire::encode_create(ServiceType::Basic))?;
         let mut d = Decoder::new(&reply);
         let local = FileId(d.u64().expect("create reply"));
         let gid = self.next_gid;
@@ -548,9 +666,9 @@ impl Cluster {
         self.map.insert(
             gid,
             Placement {
-                server: target,
+                shard: target,
                 local,
-                open: false,
+                opens: 0,
             },
         );
         self.stats.creates += 1;
@@ -558,46 +676,56 @@ impl Cluster {
         Ok(gid)
     }
 
-    /// Opens a cluster file on its home server.
+    /// Opens a cluster file on every member of its home shard.
     pub fn open(&mut self, gid: u64) -> Result<(), ClusterError> {
         let p = self.resolve(gid)?;
-        self.require_live(p.server)?;
-        self.call_node(p.server, &encode_fid_op(OP_OPEN, p.local))?;
-        self.map.get_mut(&gid).expect("resolved").open = true;
+        self.call_all(p.shard, &encode_fid_op(OP_OPEN, p.local))?;
+        self.map.get_mut(&gid).expect("resolved").opens += 1;
         Ok(())
     }
 
-    /// Closes a cluster file on its home server.
+    /// Closes a cluster file on every member of its home shard.
     pub fn close(&mut self, gid: u64) -> Result<(), ClusterError> {
         let p = self.resolve(gid)?;
-        self.require_live(p.server)?;
-        self.call_node(p.server, &encode_fid_op(OP_CLOSE, p.local))?;
-        self.map.get_mut(&gid).expect("resolved").open = false;
+        self.call_all(p.shard, &encode_fid_op(OP_CLOSE, p.local))?;
+        let p = self.map.get_mut(&gid).expect("resolved");
+        p.opens = p.opens.saturating_sub(1);
         Ok(())
     }
 
-    /// Deletes a cluster file. If its home server is dead or
+    /// Moves the open count of `local` on shard `s` from `from` to `to`,
+    /// one open or close per step.
+    fn step_opens(
+        &mut self,
+        s: usize,
+        local: FileId,
+        from: u32,
+        to: u32,
+    ) -> Result<(), ClusterError> {
+        let op = if to > from { OP_OPEN } else { OP_CLOSE };
+        for _ in 0..from.abs_diff(to) {
+            self.call_all(s, &encode_fid_op(op, local))?;
+        }
+        Ok(())
+    }
+
+    /// Deletes a cluster file. If its home shard is dead or
     /// unreachable, the mapping is removed immediately and the local
-    /// copy is garbage-collected when the server next answers a
+    /// copy is garbage-collected when a member next answers a
     /// heartbeat.
     pub fn delete(&mut self, gid: u64) -> Result<(), ClusterError> {
         let p = self.resolve(gid)?;
-        let reachable = self.nodes[p.server].alive
-            && self.nodes[p.server].link_up
-            && !self.nodes[p.server].removed;
-        if reachable {
-            if p.open {
-                self.call_node(p.server, &encode_fid_op(OP_CLOSE, p.local))?;
-            }
-            match self.call_node(p.server, &encode_fid_op(OP_DELETE, p.local)) {
+        if self.live_shards().contains(&p.shard) {
+            self.step_opens(p.shard, p.local, p.opens, 0)?;
+            match self.call_all(p.shard, &encode_fid_op(OP_DELETE, p.local)) {
                 Ok(_) => {}
                 Err(ClusterError::Unreachable(_)) => {
-                    self.pending_gc.push((p.server, p.local));
+                    self.pending_gc.push((p.shard, p.local));
                 }
                 Err(e) => return Err(e),
             }
         } else {
-            self.pending_gc.push((p.server, p.local));
+            self.pending_gc.push((p.shard, p.local));
         }
         self.map.remove(&gid);
         self.heat.remove(&gid);
@@ -606,44 +734,45 @@ impl Cluster {
         Ok(())
     }
 
-    /// Reads from a cluster file — one hop to its home server.
+    /// Reads from a cluster file — one hop to one member of its home
+    /// shard.
     pub fn read(&mut self, gid: u64, offset: u64, len: usize) -> Result<Vec<u8>, ClusterError> {
         let p = self.resolve(gid)?;
-        self.require_live(p.server)?;
-        let data = self.call_node(p.server, &encode_read(p.local, offset, len))?;
+        let (i, data) = self.call_one(p.shard, &encode_read(p.local, offset, len))?;
+        self.nodes[i].reads += 1;
         *self.heat.entry(gid).or_insert(0) += 1;
         self.stats.reads += 1;
         self.stats.bytes_read += data.len() as u64;
         Ok(data)
     }
 
-    /// Writes to a cluster file — one hop to its home server.
+    /// Writes to a cluster file — one hop to every member of its home
+    /// shard.
     pub fn write(&mut self, gid: u64, offset: u64, data: &[u8]) -> Result<(), ClusterError> {
         let p = self.resolve(gid)?;
-        self.require_live(p.server)?;
-        self.call_node(p.server, &encode_write(p.local, offset, data))?;
+        self.call_all(p.shard, &encode_write(p.local, offset, data))?;
         *self.heat.entry(gid).or_insert(0) += 1;
         self.stats.writes += 1;
         self.stats.bytes_written += data.len() as u64;
         Ok(())
     }
 
-    /// Attributes of a cluster file, from its home server.
+    /// Attributes of a cluster file, from one member of its home shard.
     pub fn get_attr(&mut self, gid: u64) -> Result<FileAttributes, ClusterError> {
         let p = self.resolve(gid)?;
-        self.require_live(p.server)?;
-        let reply = self.call_node(p.server, &encode_fid_op(OP_GET_ATTR, p.local))?;
+        let (_, reply) = self.call_one(p.shard, &encode_fid_op(OP_GET_ATTR, p.local))?;
         let mut d = Decoder::new(&reply);
         Ok(FileAttributes::decode(&mut d).expect("attr reply"))
     }
 
     // ---- liveness ------------------------------------------------------
 
-    pub(crate) fn live_node_indices(&self) -> Vec<usize> {
-        (0..self.nodes.len())
-            .filter(|&i| {
-                let n = &self.nodes[i];
-                n.alive && n.link_up && !n.removed
+    /// Shards with a current member the master can reach.
+    pub(crate) fn live_shards(&self) -> Vec<usize> {
+        (0..self.shard_count())
+            .filter(|&s| {
+                self.members(s)
+                    .any(|i| self.serves(i) && self.nodes[i].link_up)
             })
             .collect()
     }
@@ -652,7 +781,8 @@ impl Cluster {
     /// and probes every data server. Misses accumulate toward the death
     /// verdict; a probe answered by a dead server rejoins it —
     /// synchronising its placement epoch and garbage-collecting any
-    /// local files the placement map no longer assigns to it.
+    /// local files the placement map no longer assigns to it. A member
+    /// that answers while out of step is resynced from its set first.
     pub fn heartbeat_pulse(&mut self) {
         self.clock.advance(HEARTBEAT_INTERVAL_US);
         for i in 0..self.nodes.len() {
@@ -680,20 +810,24 @@ impl Cluster {
             if was_dead {
                 self.stats.rejoins += 1;
             }
+            if self.nodes[i].stale {
+                // No current peer to copy from: it stays masked.
+                let _ = self.resync(i);
+            }
             // Epoch sync and orphan GC ride on the heartbeat exchange.
-            self.collect_garbage(i);
+            self.collect_garbage(i / self.cfg.replicas);
             self.nodes[i].known_epoch = self.epoch;
         }
     }
 
-    /// Deletes local copies on server `i` that the placement map no
+    /// Deletes local copies on shard `s` that the placement map no
     /// longer assigns to it.
-    fn collect_garbage(&mut self, i: usize) {
+    fn collect_garbage(&mut self, s: usize) {
         let mine: Vec<(usize, FileId)> = self
             .pending_gc
             .iter()
             .copied()
-            .filter(|(s, _)| *s == i)
+            .filter(|(g, _)| *g == s)
             .collect();
         if mine.is_empty() {
             return;
@@ -702,8 +836,8 @@ impl Cluster {
         for (_, local) in &mine {
             // Close is best-effort (the copy may never have been opened);
             // delete must succeed or the entry stays queued.
-            let _ = self.call_node(i, &encode_fid_op(OP_CLOSE, *local));
-            match self.call_node(i, &encode_fid_op(OP_DELETE, *local)) {
+            let _ = self.call_all(s, &encode_fid_op(OP_CLOSE, *local));
+            match self.call_all(s, &encode_fid_op(OP_DELETE, *local)) {
                 Ok(_) | Err(ClusterError::File(_)) => {
                     done.push(*local);
                     self.stats.orphans_collected += 1;
@@ -712,43 +846,46 @@ impl Cluster {
             }
         }
         self.pending_gc
-            .retain(|(s, l)| !(*s == i && done.contains(l)));
+            .retain(|(g, l)| !(*g == s && done.contains(l)));
     }
 
     // ---- elasticity ----------------------------------------------------
 
-    /// Adds a fresh data server and returns its index. New placements
-    /// favour it immediately (it is the least-loaded server).
+    /// Adds a fresh shard of [`ClusterConfig::replicas`] data servers
+    /// and returns its index. New placements favour it immediately (it
+    /// is the least-loaded shard).
     pub fn add_server(&mut self) -> usize {
-        let i = self.push_node();
+        let s = self.push_shard();
         self.stats.servers_added += 1;
-        i
+        s
     }
 
-    /// Decommissions server `i`: migrates every file off it, then
-    /// removes it from the placement pool. Fails without side effects if
-    /// the server (or every possible target) is unavailable.
-    pub fn decommission(&mut self, i: usize) -> Result<(), ClusterError> {
-        self.require_live(i)?;
-        if !self.nodes[i].link_up {
-            return Err(ClusterError::Unreachable(i));
+    /// Decommissions shard `s`: migrates every file off it, then
+    /// removes its members from the placement pool. Fails without side
+    /// effects if the shard (or every possible target) is unavailable.
+    pub fn decommission(&mut self, s: usize) -> Result<(), ClusterError> {
+        self.require_live(s)?;
+        if !self.live_shards().contains(&s) {
+            return Err(ClusterError::Unreachable(self.members(s).start));
         }
         let victims: Vec<u64> = self
             .map
             .iter()
-            .filter(|(_, p)| p.server == i)
+            .filter(|(_, p)| p.shard == s)
             .map(|(gid, _)| *gid)
             .collect();
         for gid in victims {
             let target = self
-                .live_node_indices()
+                .live_shards()
                 .into_iter()
-                .filter(|&j| j != i)
-                .min_by_key(|&j| (self.server_load(j), j))
+                .filter(|&t| t != s)
+                .min_by_key(|&t| (self.server_load(t), t))
                 .ok_or(ClusterError::NoLiveServers)?;
             self.migrate(gid, target)?;
         }
-        self.nodes[i].removed = true;
+        for i in self.members(s) {
+            self.nodes[i].removed = true;
+        }
         self.stats.servers_removed += 1;
         Ok(())
     }
@@ -763,7 +900,7 @@ impl Cluster {
     pub fn rebalance(&mut self) -> RebalanceReport {
         let mut report = RebalanceReport::default();
         for _ in 0..MAX_MIGRATIONS_PER_ROUND {
-            let live = self.live_node_indices();
+            let live = self.live_shards();
             if live.len() < 2 {
                 break;
             }
@@ -788,7 +925,7 @@ impl Cluster {
             let candidate = self
                 .map
                 .iter()
-                .filter(|(_, p)| p.server == hot)
+                .filter(|(_, p)| p.shard == hot)
                 .map(|(gid, _)| (*gid, 1 + self.heat.get(gid).copied().unwrap_or(0)))
                 .filter(|(_, w)| 2 * *w < gap)
                 .max_by_key(|&(gid, w)| (w, std::cmp::Reverse(gid)));
@@ -819,32 +956,31 @@ impl Cluster {
     /// Returns the number of bytes moved.
     pub fn migrate(&mut self, gid: u64, target: usize) -> Result<u64, ClusterError> {
         let p = self.resolve(gid)?;
-        if p.server == target {
+        if p.shard == target {
             return Ok(0);
         }
-        self.require_live(p.server)?;
+        self.require_live(p.shard)?;
         self.require_live(target)?;
 
         // A file referenced by an in-doubt prepared transaction must
         // not move: the pending decision's intentions name *this*
-        // replica, and a crash-rebuilt participant holds no open count
-        // to make the delete below fail. Surfaces as `Busy`, like any
+        // copy, and a crash-rebuilt participant holds no open count to
+        // make the delete below fail. Surfaces as `Busy`, like any
         // other open conflict.
-        {
-            let handle = self.nodes[p.server].handle.clone();
-            let guard = handle.lock();
-            if guard.prepared_touches(p.local) {
-                return Err(ClusterError::File(FileServiceError::Busy(p.local)));
-            }
+        let in_doubt = self
+            .members(p.shard)
+            .any(|i| self.nodes[i].handle.lock().prepared_touches(p.local));
+        if in_doubt {
+            return Err(ClusterError::File(FileServiceError::Busy(p.local)));
         }
 
         // Size from the source, fresh file on the target.
-        let attr_reply = self.call_node(p.server, &encode_fid_op(OP_GET_ATTR, p.local))?;
+        let (_, attr_reply) = self.call_one(p.shard, &encode_fid_op(OP_GET_ATTR, p.local))?;
         let size = {
             let mut d = Decoder::new(&attr_reply);
             FileAttributes::decode(&mut d).expect("attr reply").size
         };
-        let reply = self.call_node(target, &wire::encode_create(ServiceType::Basic))?;
+        let reply = self.call_all(target, &wire::encode_create(ServiceType::Basic))?;
         let new_local = FileId(Decoder::new(&reply).u64().expect("create reply"));
 
         match self.copy_file(gid, p, target, new_local, size) {
@@ -858,36 +994,38 @@ impl Cluster {
         // The chunked copy travelled the plain (delayed-write) path;
         // force it to disk before the placement flips, or a target
         // crash right after migration would lose the only copy.
-        {
-            let handle = self.nodes[target].handle.clone();
-            let mut guard = handle.lock();
-            if let Err(e) = guard.file_service_mut().flush_file(new_local) {
-                self.abort_migration(target, new_local);
-                return Err(ClusterError::File(e));
-            }
+        let flushed: Result<(), FileServiceError> = self
+            .members(target)
+            .filter(|&i| !self.nodes[i].stale)
+            .try_for_each(|i| {
+                self.nodes[i]
+                    .handle
+                    .lock()
+                    .file_service_mut()
+                    .flush_file(new_local)
+            });
+        if let Err(e) = flushed {
+            self.abort_migration(target, new_local);
+            return Err(ClusterError::File(e));
         }
 
-        // Drop the tracked open on the source (migration holds none of
+        // Drop the tracked opens on the source (migration holds none of
         // its own by now) and delete it. `Busy` means a co-located
         // client still has it open outside the master's view — roll the
         // whole migration back rather than double-place the file.
-        if p.open {
-            self.call_node(p.server, &encode_fid_op(OP_CLOSE, p.local))?;
-        }
-        match self.call_node(p.server, &encode_fid_op(OP_DELETE, p.local)) {
+        self.step_opens(p.shard, p.local, p.opens, 0)?;
+        match self.call_all(p.shard, &encode_fid_op(OP_DELETE, p.local)) {
             Ok(_) => {}
             Err(ClusterError::File(FileServiceError::Busy(_))) => {
-                if p.open {
-                    // Restore the tracked open we just dropped.
-                    let _ = self.call_node(p.server, &encode_fid_op(OP_OPEN, p.local));
-                }
+                // Restore the tracked opens we just dropped.
+                let _ = self.step_opens(p.shard, p.local, 0, p.opens);
                 self.abort_migration(target, new_local);
                 return Err(ClusterError::File(FileServiceError::Busy(p.local)));
             }
             Err(ClusterError::Unreachable(_)) => {
                 // Copy is complete and verified; the stale source copy is
-                // garbage, collected when the server next answers.
-                self.pending_gc.push((p.server, p.local));
+                // garbage, collected when the shard next answers.
+                self.pending_gc.push((p.shard, p.local));
             }
             Err(e) => return Err(e),
         }
@@ -895,9 +1033,9 @@ impl Cluster {
         self.map.insert(
             gid,
             Placement {
-                server: target,
+                shard: target,
                 local: new_local,
-                open: p.open,
+                opens: p.opens,
             },
         );
         self.stats.migrations += 1;
@@ -907,8 +1045,9 @@ impl Cluster {
     }
 
     /// Chunked copy source → target, with optional read-back
-    /// verification. Leaves the target open iff the file was tracked
-    /// open (that reference carries the client's open across the move).
+    /// verification. Leaves the target open as often as the file was
+    /// tracked open (those references carry the clients' opens across
+    /// the move).
     fn copy_file(
         &mut self,
         gid: u64,
@@ -917,8 +1056,8 @@ impl Cluster {
         new_local: FileId,
         size: u64,
     ) -> Result<(), ClusterError> {
-        self.call_node(p.server, &encode_fid_op(OP_OPEN, p.local))?;
-        self.call_node(target, &encode_fid_op(OP_OPEN, new_local))?;
+        self.call_all(p.shard, &encode_fid_op(OP_OPEN, p.local))?;
+        self.call_all(target, &encode_fid_op(OP_OPEN, new_local))?;
         let mut src_fp = FNV_OFFSET;
         let mut off = 0u64;
         let copy_result: Result<(), ClusterError> = loop {
@@ -926,18 +1065,18 @@ impl Cluster {
                 break Ok(());
             }
             let n = MIGRATE_CHUNK.min((size - off) as usize);
-            let data = match self.call_node(p.server, &encode_read(p.local, off, n)) {
-                Ok(d) => d,
+            let data = match self.call_one(p.shard, &encode_read(p.local, off, n)) {
+                Ok((_, d)) => d,
                 Err(e) => break Err(e),
             };
             fnv1a(&mut src_fp, &data);
-            if let Err(e) = self.call_node(target, &encode_write(new_local, off, &data)) {
+            if let Err(e) = self.call_all(target, &encode_write(new_local, off, &data)) {
                 break Err(e);
             }
             off += n as u64;
         };
         // The migration's own source open is dropped whatever happened.
-        let _ = self.call_node(p.server, &encode_fid_op(OP_CLOSE, p.local));
+        let _ = self.call_all(p.shard, &encode_fid_op(OP_CLOSE, p.local));
         copy_result?;
 
         // Re-read and fingerprint-check the copy on the target before
@@ -946,7 +1085,7 @@ impl Cluster {
         let mut off = 0u64;
         while off < size {
             let n = MIGRATE_CHUNK.min((size - off) as usize);
-            let data = self.call_node(target, &encode_read(new_local, off, n))?;
+            let (_, data) = self.call_one(target, &encode_read(new_local, off, n))?;
             fnv1a(&mut dst_fp, &data);
             off += n as u64;
         }
@@ -957,18 +1096,15 @@ impl Cluster {
                 got: dst_fp,
             });
         }
-        if !p.open {
-            self.call_node(target, &encode_fid_op(OP_CLOSE, new_local))?;
-        }
-        Ok(())
+        self.step_opens(target, new_local, 1, p.opens)
     }
 
     /// Rolls back a failed migration: the partial target copy is deleted
     /// (or queued for GC if the target is unreachable).
     fn abort_migration(&mut self, target: usize, local: FileId) {
         self.stats.migrations_aborted += 1;
-        let _ = self.call_node(target, &encode_fid_op(OP_CLOSE, local));
-        match self.call_node(target, &encode_fid_op(OP_DELETE, local)) {
+        let _ = self.call_all(target, &encode_fid_op(OP_CLOSE, local));
+        match self.call_all(target, &encode_fid_op(OP_DELETE, local)) {
             Ok(_) | Err(ClusterError::File(_)) => {}
             Err(_) => self.pending_gc.push((target, local)),
         }
@@ -977,14 +1113,18 @@ impl Cluster {
     // ---- verification --------------------------------------------------
 
     /// FNV-1a fingerprint over the whole namespace: every cluster file's
-    /// id, size, and bytes, in cluster-id order. Reads the data servers
-    /// directly (out of band — no channel traffic, no heat), so two
-    /// clusters that executed the same logical operations fingerprint
-    /// identically regardless of server count or placement.
+    /// id, size, and bytes, in cluster-id order. Reads a current member
+    /// of each home shard directly (out of band — no channel traffic, no
+    /// heat), so two clusters that executed the same logical operations
+    /// fingerprint identically regardless of server count or placement.
     pub fn content_fingerprint(&self) -> u64 {
         let mut fp = FNV_OFFSET;
         for (gid, p) in &self.map {
-            let handle = self.nodes[p.server].handle.clone();
+            let home = self
+                .members(p.shard)
+                .find(|&i| !self.nodes[i].stale)
+                .expect("a current member");
+            let handle = self.nodes[home].handle.clone();
             let mut guard = handle.lock();
             let fs = guard.file_service_mut();
             let size = fs.get_attribute(p.local).expect("mapped file exists").size;

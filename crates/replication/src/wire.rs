@@ -1,8 +1,6 @@
-//! The file-service RPC wire protocol, shared by every front-end that
-//! reaches a file server: [`crate::ReplicatedFiles`] (replica fan-out)
-//! and the `rhodos-cluster` data-server channels both speak exactly this
-//! format, so a file migrated between a replica set and a cluster shard
-//! is served by the same `serve` loop either way.
+//! The file-service RPC wire protocol: every `rhodos-cluster` data
+//! server, whichever replica set it belongs to, is reached in exactly
+//! this format and served by the same `serve` loop.
 //!
 //! One request is `opcode · operands`, one reply is
 //! `REPLY_OK · payload` or `REPLY_ERR · encoded error`. Everything is
@@ -367,7 +365,7 @@ pub fn serve(fs: &mut FileService, req: &[u8]) -> Vec<u8> {
             fs.write_leased(fid, offset, data, &token)
                 .map(|()| Vec::new())
         }
-        _ => unreachable!("unknown opcode {op}"),
+        _ => Err(FileServiceError::BadRequest),
     };
     let mut e = Encoder::new();
     match result {

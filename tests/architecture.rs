@@ -341,3 +341,36 @@ fn only_the_volume_knows_the_layout() {
     let named = |name: &&str| volume.contains(*name);
     assert!(layout[..layout.len() - 1].iter().all(named));
 }
+
+/// Replication has one front-end: a cluster shard is a lock-step replica
+/// set. The standalone replicated-files manager and its RPC statistics
+/// are gone from every crate, and outside tests only the replica-set
+/// module (`cluster/src/replica_set.rs`) sends a request to one data
+/// server — placement, liveness and the 2PC coordinator reach a shard
+/// through its write-all or read-one step.
+#[test]
+fn one_redundancy_front_end_reaches_the_data_servers() {
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut dirs = vec![crates];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                dirs.push(path);
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            for name in ["ReplicatedFiles", "RpcReplicationStats"] {
+                assert!(!text.contains(name), "{path:?} names `{name}`");
+            }
+            let name = path.to_string_lossy();
+            if name.contains("crates/cluster/src/") && !name.ends_with("replica_set.rs") {
+                let code = text.split("#[cfg(test)]").next().unwrap();
+                assert!(
+                    !code.contains(".call_node("),
+                    "{path:?} calls one data server directly"
+                );
+            }
+        }
+    }
+}

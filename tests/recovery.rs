@@ -4,9 +4,9 @@
 //! correctness side).
 
 use proptest::prelude::*;
+use rhodos_cluster::{Cluster, ClusterConfig};
 use rhodos_file_service::{FileId, FileService, FileServiceConfig, LockLevel, ServiceType};
 use rhodos_net::{NetConfig, ReplayCache, RpcClient, SimNetwork};
-use rhodos_replication::ReplicatedFiles;
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 use rhodos_txn::{TransactionService, TxnConfig};
 
@@ -64,49 +64,45 @@ proptest! {
 
 #[test]
 fn replicated_store_survives_one_media_failure_per_round() {
-    let clock = SimClock::new();
-    let mk = || {
-        FileService::single_disk(
-            DiskGeometry::medium(),
-            LatencyModel::instant(),
-            clock.clone(),
-            FileServiceConfig::default(),
-        )
-        .unwrap()
-    };
-    let mut rf = ReplicatedFiles::new(vec![mk(), mk(), mk()]);
-    let fid = rf.create(ServiceType::Basic).unwrap();
-    rf.open(fid).unwrap();
+    let mut c = Cluster::new(
+        1,
+        ClusterConfig {
+            data_net: NetConfig::in_process(),
+            replicas: 3,
+            ..ClusterConfig::default()
+        },
+    );
+    let gid = c.create().unwrap();
+    c.open(gid).unwrap();
+    let fid = c.placement_of(gid).unwrap().1;
     for round in 0..3usize {
         let payload = format!("round {round} payload");
-        rf.write(fid, 0, payload.as_bytes()).unwrap();
+        c.write(gid, 0, payload.as_bytes()).unwrap();
         for i in 0..3 {
-            rf.replica_mut(i).flush_all().unwrap();
+            c.with_server(i, |fs| fs.flush_all().unwrap());
         }
-        // Kill one replica's data copy each round.
+        // Kill one member's data copy each round, then crash it.
         let victim = round % 3;
-        let descs = rf.replica_mut(victim).block_descriptors(fid).unwrap();
-        for d in descs {
-            rf.replica_mut(victim)
-                .disk_mut(d.disk as usize)
-                .disk_mut()
-                .corrupt_sector(d.addr)
-                .unwrap();
-        }
-        rf.replica_mut(victim).simulate_crash();
-        rf.replica_mut(victim).recover().unwrap();
-        rf.replica_mut(victim).open(fid).unwrap();
+        c.with_server(victim, |fs| {
+            for d in fs.block_descriptors(fid).unwrap() {
+                fs.disk_mut(d.disk as usize)
+                    .disk_mut()
+                    .corrupt_sector(d.addr)
+                    .unwrap();
+            }
+        });
+        c.crash_server(victim);
         // Reads still succeed via failover (enough reads that the
-        // round-robin is guaranteed to try the damaged replica).
+        // rotation is guaranteed to try the damaged member).
         for _ in 0..4 {
-            assert_eq!(rf.read(fid, 0, payload.len()).unwrap(), payload.as_bytes());
+            assert_eq!(c.read(gid, 0, payload.len()).unwrap(), payload.as_bytes());
         }
         // Repair and rejoin.
-        rf.resync(victim).unwrap();
-        assert_eq!(rf.live_replicas(), 3);
+        c.resync(victim).unwrap();
+        assert!((0..3).all(|i| c.is_current(i)));
     }
-    assert!(rf.stats().failovers >= 1);
-    assert_eq!(rf.stats().resyncs, 3);
+    assert!(c.stats().failovers >= 1);
+    assert_eq!(c.stats().resyncs, 3);
 }
 
 #[test]

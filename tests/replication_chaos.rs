@@ -1,49 +1,54 @@
-//! Deterministic chaos sweep for the replication tentpole: replica
-//! crashes mid-write, torn sectors, message loss/duplication, and
-//! crash-then-resync-then-rejoin cycles, with three invariants checked
+//! Deterministic chaos sweep for replicated shards: member crashes
+//! mid-write, torn sectors, message loss/duplication, and
+//! crash-then-resync-then-rejoin cycles on a one-shard cluster whose
+//! shard is a lock-step set of three, with three invariants checked
 //! throughout —
 //!
-//! 1. no committed write is ever lost while at least one replica lives;
-//! 2. live replicas never diverge (and a resynchronised replica comes
+//! 1. no committed write is ever lost while at least one member lives;
+//! 2. current members never diverge (and a resynchronised member comes
 //!    back byte-identical);
-//! 3. every replica's on-disk structures stay fsck-clean.
+//! 3. every member's on-disk structures stay fsck-clean.
 //!
 //! The fast subset runs in the normal test job; the full sweep is
 //! `#[ignore]`d and driven with `--ignored` (pinned `PROPTEST_BASE_SEED`
 //! matrix) in the CI bench-smoke step.
 
 use proptest::prelude::*;
-use rhodos_file_service::{FileService, FileServiceConfig, ServiceType, WritePolicy};
+use rhodos_cluster::{Cluster, ClusterConfig};
+use rhodos_file_service::{FileId, FileService, FileServiceConfig, WritePolicy};
 use rhodos_net::NetConfig;
-use rhodos_replication::ReplicatedFiles;
-use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 
-/// A write-through replica: mutations reach the platters inside the call,
-/// so injected device faults surface at the faulting operation instead of
-/// at some later flush.
-fn write_through_replica(clock: &SimClock) -> FileService {
-    FileService::single_disk(
-        DiskGeometry::medium(),
-        LatencyModel::instant(),
-        clock.clone(),
-        FileServiceConfig {
-            write_policy: WritePolicy::WriteThrough,
-            ..FileServiceConfig::default()
+/// A one-shard set of `r` write-through members behind lanes behaving as
+/// `net` — mutations reach the platters inside the call, so injected
+/// device faults surface at the faulting operation instead of at some
+/// later flush — with one open file: the cluster, the file's cluster id
+/// and its id on the members.
+fn replica_set(r: usize, net: NetConfig) -> (Cluster, u64, FileId) {
+    let mut c = Cluster::new(
+        1,
+        ClusterConfig {
+            fs: FileServiceConfig {
+                write_policy: WritePolicy::WriteThrough,
+                ..FileServiceConfig::default()
+            },
+            data_net: net,
+            replicas: r,
+            ..ClusterConfig::default()
         },
-    )
-    .unwrap()
+    );
+    c.set_max_attempts(64);
+    let gid = c.create().unwrap();
+    c.open(gid).unwrap();
+    let fid = c.placement_of(gid).unwrap().1;
+    (c, gid, fid)
 }
 
-fn direct_cluster(n: usize) -> ReplicatedFiles {
-    let clock = SimClock::new();
-    let replicas = (0..n).map(|_| write_through_replica(&clock)).collect();
-    ReplicatedFiles::new(replicas)
-}
-
-fn rpc_cluster(n: usize, drop: f64, dup: f64, seed: u64) -> ReplicatedFiles {
-    let clock = SimClock::new();
-    let replicas = (0..n).map(|_| write_through_replica(&clock)).collect();
-    ReplicatedFiles::over_network(replicas, NetConfig::lossy(drop, dup, seed))
+/// The largest number of replies any member's replay cache ever held.
+fn peak_replay_entries(c: &Cluster) -> u64 {
+    (0..c.server_count())
+        .map(|i| c.channel(i).cache.stats().peak_entries)
+        .max()
+        .unwrap_or(0)
 }
 
 /// Fingerprints of every platter image a replica owns: its disks plus
@@ -60,96 +65,93 @@ fn image_fingerprints(fs: &mut FileService) -> Vec<u64> {
     prints
 }
 
-/// The acceptance scenario from the issue: a disk fault on replica 1 of 3
-/// mid-`write` must not abort the fan-out (the pre-fix bug) — the write
-/// succeeds on the remaining replicas, the failover is counted, and a
-/// subsequent `resync(1)` makes all three replicas' disk images
+/// A disk fault on member 1 of 3 mid-`write` must not abort the
+/// fan-out: the write succeeds on the remaining members, the failover is
+/// counted, and `resync(1)` makes all three members' disk images
 /// byte-identical again, fsck-clean on each.
 #[test]
 fn torn_write_fails_over_and_resync_restores_byte_identity() {
-    let mut rf = direct_cluster(3);
-    let fid = rf.create(ServiceType::Basic).unwrap();
-    rf.open(fid).unwrap();
-    rf.write(fid, 0, b"committed before the fault").unwrap();
+    let (mut c, gid, _) = replica_set(3, NetConfig::in_process());
+    c.write(gid, 0, b"committed before the fault").unwrap();
 
-    // Replica 1's disk crashes at its next sector write: the write-all
-    // fan-out tears on that replica only, leaving it with the old data.
-    rf.replica_mut(1)
-        .disk_mut(0)
-        .disk_mut()
-        .faults_mut()
-        .crash_after_sector_writes(0);
-    rf.write(fid, 0, b"committed during the fault").unwrap();
-    assert_eq!(rf.stats().failovers, 1, "the fault must be a failover");
-    assert_eq!(rf.live_replicas(), 2);
+    // Member 1's disk crashes at its next sector write: the write-all
+    // fan-out tears on that member only, leaving it with the old data.
+    c.with_server(1, |fs| {
+        fs.disk_mut(0)
+            .disk_mut()
+            .faults_mut()
+            .crash_after_sector_writes(0)
+    });
+    c.write(gid, 0, b"committed during the fault").unwrap();
+    assert_eq!(c.stats().failovers, 1, "the fault must be a failover");
+    assert!(!c.is_current(1));
 
-    // The committed write survives on the live replicas.
-    assert_eq!(rf.read(fid, 0, 26).unwrap(), b"committed during the fault");
+    // The committed write survives on the current members.
+    assert_eq!(c.read(gid, 0, 26).unwrap(), b"committed during the fault");
 
-    // Repair crew: resync replica 1 from a live source.
-    rf.resync(1).unwrap();
-    assert_eq!(rf.live_replicas(), 3);
-    assert_eq!(rf.stats().resyncs, 1);
-    assert!(rf.stats().resync_sectors_copied > 0);
+    // Repair crew: resync member 1 from a current peer.
+    c.resync(1).unwrap();
+    assert!((0..3).all(|i| c.is_current(i)));
+    assert_eq!(c.stats().resyncs, 1);
+    assert!(c.stats().resync_sectors_copied > 0);
 
-    // All three replicas are byte-identical on every platter, and clean.
+    // All three members are byte-identical on every platter, and clean.
+    let prints: Vec<Vec<u64>> = (0..3)
+        .map(|i| {
+            c.with_server(i, |fs| {
+                fs.flush_all().unwrap();
+                image_fingerprints(fs)
+            })
+        })
+        .collect();
+    for (i, p) in prints.iter().enumerate().skip(1) {
+        assert_eq!(*p, prints[0], "member {i} diverges after resync");
+    }
     for i in 0..3 {
-        rf.replica_mut(i).flush_all().unwrap();
-    }
-    let reference = image_fingerprints(rf.replica_mut(0));
-    for i in 1..3 {
-        assert_eq!(
-            image_fingerprints(rf.replica_mut(i)),
-            reference,
-            "replica {i} diverges after resync"
-        );
-    }
-    for i in 0..3 {
-        let report = rf.replica_mut(i).fsck().unwrap();
-        assert!(report.is_clean(), "replica {i}: {:?}", report.issues);
+        let report = c.with_server(i, |fs| fs.fsck().unwrap());
+        assert!(report.is_clean(), "member {i}: {:?}", report.issues);
     }
 
-    // The rejoined replica serves reads again.
+    // The rejoined member serves reads again.
     for _ in 0..3 {
-        assert_eq!(rf.read(fid, 0, 26).unwrap(), b"committed during the fault");
+        assert_eq!(c.read(gid, 0, 26).unwrap(), b"committed during the fault");
     }
-    let spread = rf.stats().reads_per_replica.clone();
-    assert!(spread[1] > 0, "rejoined replica serves reads: {spread:?}");
+    assert!(c.server_reads(1) > 0, "rejoined member serves reads");
 }
 
-/// One chaos case: a scripted operation mix over a 3-replica RPC cluster
-/// with lossy, duplicating channels. At most one replica is "the victim"
-/// at any time; the repair crew (resync) brings it back before the next
+/// One chaos case: a scripted operation mix over a set of three behind
+/// lossy, duplicating channels. At most one member is "the victim" at
+/// any time; the repair crew (resync) brings it back before the next
 /// fault is injected, so the no-lost-writes invariant is always
-/// checkable against ≥ 1 live replica.
+/// checkable against ≥ 1 current member.
 fn chaos_case(ops: &[(u8, u16, u8)], drop: f64, dup: f64, seed: u64) -> Result<(), TestCaseError> {
-    let mut rf = rpc_cluster(3, drop, dup, seed);
-    rf.set_max_attempts(64);
-    let fid = rf.create(ServiceType::Basic).unwrap();
-    rf.open(fid).unwrap();
+    let (mut c, gid, fid) = replica_set(3, NetConfig::lossy(drop, dup, seed));
 
     let mut model: Vec<u8> = Vec::new();
-    let mut victim: Option<usize> = None;
+    // The victim, and whether its machine crashed (so it needs a resync
+    // whether or not a request found it out).
+    let mut victim: Option<(usize, bool)> = None;
 
-    let repair = |rf: &mut ReplicatedFiles, victim: &mut Option<usize>| {
-        if let Some(v) = victim.take() {
-            if rf.is_failed(v) {
-                rf.resync(v).unwrap();
+    let repair = |c: &mut Cluster, victim: &mut Option<(usize, bool)>| {
+        if let Some((v, crashed)) = victim.take() {
+            c.set_link(v, true);
+            if crashed || !c.is_current(v) {
+                c.resync(v).unwrap();
             } else {
                 // The pending fault never triggered; disarm it.
-                rf.replica_mut(v).disk_mut(0).disk_mut().repair();
+                c.with_server(v, |fs| fs.disk_mut(0).disk_mut().repair());
             }
         }
     };
 
     for &(action, off, byte) in ops {
         match action {
-            // Writes: must succeed (≥ 1 replica always lives) and enter
+            // Writes: must succeed (≥ 1 member always lives) and enter
             // the model of committed data.
             0..=4 => {
                 let data = vec![byte ^ action; 1 + (byte as usize % 48)];
                 let off = off as u64 % 1500;
-                rf.write(fid, off, &data).unwrap();
+                c.write(gid, off, &data).unwrap();
                 let end = off as usize + data.len();
                 if model.len() < end {
                     model.resize(end, 0);
@@ -157,11 +159,11 @@ fn chaos_case(ops: &[(u8, u16, u8)], drop: f64, dup: f64, seed: u64) -> Result<(
                 model[off as usize..end].copy_from_slice(&data);
             }
             // Reads: a committed prefix must come back intact whichever
-            // replica round-robin lands on.
+            // member the rotation lands on.
             5 | 6 => {
                 if !model.is_empty() {
                     let len = 1 + (off as usize) % model.len();
-                    let got = rf.read(fid, 0, len).unwrap();
+                    let got = c.read(gid, 0, len).unwrap();
                     prop_assert_eq!(&got[..], &model[..len], "lost committed data");
                 }
             }
@@ -170,58 +172,51 @@ fn chaos_case(ops: &[(u8, u16, u8)], drop: f64, dup: f64, seed: u64) -> Result<(
             7 => {
                 if victim.is_none() {
                     let v = byte as usize % 3;
-                    rf.replica_mut(v)
-                        .disk_mut(0)
-                        .disk_mut()
-                        .faults_mut()
-                        .crash_after_sector_writes(u64::from(byte) % 3);
-                    victim = Some(v);
+                    c.with_server(v, |fs| {
+                        fs.disk_mut(0)
+                            .disk_mut()
+                            .faults_mut()
+                            .crash_after_sector_writes(u64::from(byte) % 3)
+                    });
+                    victim = Some((v, false));
                 }
             }
-            // Machine crash: mask the replica, scar its platter, and drop
-            // its volatile state — resync must undo all of it.
+            // Machine crash: the member drops off the network, its
+            // platter is scarred and its volatile state lost — resync
+            // must undo all of it.
             8 => {
                 if victim.is_none() {
                     let v = byte as usize % 3;
-                    rf.mark_failed(v).unwrap();
-                    let total = rf
-                        .replica_mut(v)
-                        .disk_mut(0)
-                        .disk_mut()
-                        .geometry()
-                        .total_sectors();
-                    let addr = (u64::from(byte) * 37) % total;
-                    rf.replica_mut(v)
-                        .disk_mut(0)
-                        .disk_mut()
-                        .corrupt_sector(addr)
-                        .unwrap();
-                    rf.replica_mut(v).simulate_crash();
-                    victim = Some(v);
+                    c.set_link(v, false);
+                    c.with_server(v, |fs| {
+                        let disk = fs.disk_mut(0).disk_mut();
+                        let addr = (u64::from(byte) * 37) % disk.geometry().total_sectors();
+                        disk.corrupt_sector(addr).unwrap();
+                        fs.simulate_crash();
+                    });
+                    victim = Some((v, true));
                 }
             }
             // Repair crew arrives.
-            _ => repair(&mut rf, &mut victim),
+            _ => repair(&mut c, &mut victim),
         }
     }
-    repair(&mut rf, &mut victim);
+    repair(&mut c, &mut victim);
 
-    // Convergence: every replica is live again, serves the full committed
-    // contents, and is structurally clean.
-    prop_assert_eq!(rf.live_replicas(), 3);
+    // Convergence: every member is current again, serves the full
+    // committed contents, and is structurally clean.
+    prop_assert!((0..3).all(|i| c.is_current(i)));
     for i in 0..3 {
-        rf.replica_mut(i).flush_all().unwrap();
-        let got = rf.replica_mut(i).read(fid, 0, model.len()).unwrap();
-        prop_assert_eq!(&got[..], &model[..], "replica {} diverged", i);
-        let report = rf.replica_mut(i).fsck().unwrap();
-        prop_assert!(report.is_clean(), "replica {}: {:?}", i, report.issues);
+        let (got, report) = c.with_server(i, |fs| {
+            fs.flush_all().unwrap();
+            (fs.read(fid, 0, model.len()).unwrap(), fs.fsck().unwrap())
+        });
+        prop_assert_eq!(&got[..], &model[..], "member {} diverged", i);
+        prop_assert!(report.is_clean(), "member {}: {:?}", i, report.issues);
     }
     // Bounded server state: one synchronous client per channel.
-    prop_assert!(
-        rf.rpc_stats().peak_entries <= 1,
-        "replay state unbounded: {}",
-        rf.rpc_stats().peak_entries
-    );
+    let peak = peak_replay_entries(&c);
+    prop_assert!(peak <= 1, "replay state unbounded: {}", peak);
     Ok(())
 }
 
@@ -259,35 +254,38 @@ proptest! {
 }
 
 /// The "nearly stateless" acceptance bound: across a 1 000-operation run
-/// over lossy, duplicating channels, no replica's replay cache ever holds
+/// over lossy, duplicating channels, no member's replay cache ever holds
 /// more than the in-flight window (one synchronous request per client).
 #[test]
 fn replay_cache_stays_bounded_across_a_thousand_lossy_operations() {
-    let mut rf = rpc_cluster(3, 0.2, 0.2, 42);
-    rf.set_max_attempts(64);
-    let fid = rf.create(ServiceType::Basic).unwrap();
-    rf.open(fid).unwrap();
+    let (mut c, gid, _) = replica_set(3, NetConfig::lossy(0.2, 0.2, 42));
     for i in 0..1_000u64 {
         match i % 4 {
-            0 | 1 => rf.write(fid, (i % 64) * 8, &i.to_le_bytes()).unwrap(),
+            0 | 1 => c.write(gid, (i % 64) * 8, &i.to_le_bytes()).unwrap(),
             2 => {
-                let _ = rf.read(fid, 0, 8).unwrap();
+                let _ = c.read(gid, 0, 8).unwrap();
             }
             _ => {
-                let _ = rf.get_attribute(fid).unwrap();
+                let _ = c.get_attr(gid).unwrap();
             }
         }
         for r in 0..3 {
             assert!(
-                rf.replay_entries(r) <= 1,
-                "op {i}: replica {r} holds {} replies",
-                rf.replay_entries(r)
+                c.replay_entries(r) <= 1,
+                "op {i}: member {r} holds {} replies",
+                c.replay_entries(r)
             );
         }
     }
-    let s = rf.rpc_stats();
-    assert!(s.retries > 0, "seed 42 must lose messages");
-    assert!(s.replayed > 0, "seed 42 must duplicate messages");
-    assert!(s.peak_entries <= 1, "peak {}", s.peak_entries);
-    assert_eq!(rf.live_replicas(), 3, "no replica should be exhausted");
+    let (retries, replayed) = (0..3).fold((0, 0), |(t, p), i| {
+        let ch = c.channel(i);
+        (t + ch.client.stats().retries, p + ch.cache.stats().replayed)
+    });
+    assert!(retries > 0, "seed 42 must lose messages");
+    assert!(replayed > 0, "seed 42 must duplicate messages");
+    assert!(peak_replay_entries(&c) <= 1);
+    assert!(
+        (0..3).all(|i| c.is_current(i)),
+        "no member should be exhausted"
+    );
 }

@@ -19,11 +19,12 @@
 //! matrix) in the CI bench-smoke step.
 
 use proptest::prelude::*;
+use rhodos_cluster::{Cluster, ClusterConfig};
 use rhodos_disk_service::BLOCK_SIZE;
 use rhodos_file_service::{
-    FileService, FileServiceConfig, Redundancy, ScrubOwner, ServiceType, WritePolicy,
+    FileId, FileService, FileServiceConfig, Redundancy, ScrubOwner, ServiceType, WritePolicy,
 };
-use rhodos_replication::ReplicatedFiles;
+use rhodos_net::NetConfig;
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 
 // ---------------------------------------------------------- single service --
@@ -335,58 +336,67 @@ fn rounds(max: usize) -> impl Strategy<Value = Vec<Round>> {
     )
 }
 
-fn replica(clock: &SimClock) -> FileService {
-    FileService::single_disk(
-        DiskGeometry::medium(),
-        LatencyModel::instant(),
-        clock.clone(),
-        FileServiceConfig {
-            write_policy: WritePolicy::WriteThrough,
-            ..FileServiceConfig::default()
+/// A one-shard set of two write-through members, with one open file:
+/// the cluster, the file's cluster id and its id on the members.
+fn mirror() -> (Cluster, u64, FileId) {
+    let mut c = Cluster::new(
+        1,
+        ClusterConfig {
+            fs: FileServiceConfig {
+                write_policy: WritePolicy::WriteThrough,
+                ..FileServiceConfig::default()
+            },
+            data_net: NetConfig::in_process(),
+            replicas: 2,
+            ..ClusterConfig::default()
         },
-    )
-    .unwrap()
+    );
+    let gid = c.create().unwrap();
+    c.open(gid).unwrap();
+    let fid = c.placement_of(gid).unwrap().1;
+    (c, gid, fid)
 }
 
-/// Faults strike one replica per round and the cluster scrub runs before
+fn flush_members(c: &Cluster) {
+    for i in 0..c.server_count() {
+        c.with_server(i, |fs| fs.flush_all().unwrap());
+    }
+}
+
+/// Faults strike one member per round and the cluster scrub runs before
 /// the next round, so the peer always holds a good copy: zero data loss,
-/// byte-identical convergence, fsck-clean replicas.
+/// byte-identical convergence, fsck-clean members.
 fn replicated_case(rounds: Vec<Round>) -> Result<(), TestCaseError> {
-    let clock = SimClock::new();
-    let replicas = (0..2).map(|_| replica(&clock)).collect();
-    let mut rf = ReplicatedFiles::new(replicas);
-    let fid = rf.create(ServiceType::Basic).unwrap();
-    rf.open(fid).unwrap();
+    let (mut c, gid, fid) = mirror();
     let mut model: Vec<u8> = Vec::new();
 
     for round in rounds {
         for (offset, data) in &round.writes {
             let offset = *offset as usize;
-            rf.write(fid, offset as u64, data).unwrap();
+            c.write(gid, offset as u64, data).unwrap();
             if model.len() < offset + data.len() {
                 model.resize(offset + data.len(), 0);
             }
             model[offset..offset + data.len()].copy_from_slice(data);
         }
-        for i in 0..rf.replica_count() {
-            rf.replica_mut(i).flush_all().unwrap();
-        }
+        flush_members(&c);
 
-        let v = round.victim as usize % rf.replica_count();
-        for pick in &round.faults {
-            if let Some(addr) = fault_addr(rf.replica_mut(v), fid, *pick) {
-                rf.replica_mut(v)
-                    .disk_mut(0)
-                    .disk_mut()
-                    .silently_corrupt_sector(addr)
-                    .unwrap();
+        let v = round.victim as usize % c.server_count();
+        c.with_server(v, |fs| {
+            for pick in &round.faults {
+                if let Some(addr) = fault_addr(fs, fid, *pick) {
+                    fs.disk_mut(0)
+                        .disk_mut()
+                        .silently_corrupt_sector(addr)
+                        .unwrap();
+                }
             }
-        }
-        if round.evict {
-            rf.replica_mut(v).evict_caches().unwrap();
-        }
+            if round.evict {
+                fs.evict_caches().unwrap();
+            }
+        });
 
-        let report = rf.scrub(None).unwrap();
+        let report = c.scrub(None).unwrap();
         prop_assert_eq!(
             report.still_unrecoverable,
             0,
@@ -394,21 +404,23 @@ fn replicated_case(rounds: Vec<Round>) -> Result<(), TestCaseError> {
         );
 
         if !model.is_empty() {
-            prop_assert_eq!(&rf.read(fid, 0, model.len()).unwrap(), &model);
+            prop_assert_eq!(&c.read(gid, 0, model.len()).unwrap(), &model);
         }
     }
 
-    // Convergence: both replicas clean and byte-identical to the model,
+    // Convergence: both members clean and byte-identical to the model,
     // even reading cold from the platters.
-    prop_assert!(rf.scrub(None).unwrap().is_clean());
-    for i in 0..rf.replica_count() {
-        rf.replica_mut(i).evict_caches().unwrap();
-        if !model.is_empty() {
-            let got = rf.replica_mut(i).read(fid, 0, model.len()).unwrap();
-            prop_assert_eq!(&got, &model, "replica {} diverged", i);
+    prop_assert!(c.scrub(None).unwrap().is_clean());
+    for i in 0..c.server_count() {
+        let (got, report) = c.with_server(i, |fs| {
+            fs.evict_caches().unwrap();
+            let got = (!model.is_empty()).then(|| fs.read(fid, 0, model.len()).unwrap());
+            (got, fs.fsck().unwrap())
+        });
+        if let Some(got) = got {
+            prop_assert_eq!(&got, &model, "member {} diverged", i);
         }
-        let report = rf.replica_mut(i).fsck().unwrap();
-        prop_assert!(report.is_clean(), "replica {}: {:?}", i, report.issues);
+        prop_assert!(report.is_clean(), "member {}: {:?}", i, report.issues);
     }
     Ok(())
 }
@@ -499,25 +511,19 @@ fn parity_case(s: ParityScript) -> Result<(), TestCaseError> {
         },
     )
     .unwrap();
-    let clock = SimClock::new();
-    let replicas = (0..2).map(|_| replica(&clock)).collect();
-    let mut rf = ReplicatedFiles::new(replicas);
+    let (mut c, mgid, _) = mirror();
     let pfid = fs.create(ServiceType::Basic).unwrap();
     fs.open(pfid).unwrap();
-    let mfid = rf.create(ServiceType::Basic).unwrap();
-    rf.open(mfid).unwrap();
 
     let mut len = 0usize;
     for (offset, data) in &s.writes {
         let offset = *offset as u64;
         fs.write(pfid, offset, data).unwrap();
-        rf.write(mfid, offset, data).unwrap();
+        c.write(mgid, offset, data).unwrap();
         len = len.max(offset as usize + data.len());
     }
     fs.flush_all().unwrap();
-    for i in 0..rf.replica_count() {
-        rf.replica_mut(i).flush_all().unwrap();
-    }
+    flush_members(&c);
 
     // Lose up to m whole disks (duplicates in the picks collapse).
     let mut failed: Vec<usize> = Vec::new();
@@ -534,7 +540,7 @@ fn parity_case(s: ParityScript) -> Result<(), TestCaseError> {
     if len > 0 {
         prop_assert_eq!(
             fs.read(pfid, 0, len).unwrap(),
-            rf.read(mfid, 0, len).unwrap(),
+            c.read(mgid, 0, len).unwrap(),
             "degraded read diverged from the mirror"
         );
     }
@@ -543,13 +549,11 @@ fn parity_case(s: ParityScript) -> Result<(), TestCaseError> {
     for (offset, data) in &s.mid_writes {
         let offset = *offset as u64;
         fs.write(pfid, offset, data).unwrap();
-        rf.write(mfid, offset, data).unwrap();
+        c.write(mgid, offset, data).unwrap();
         len = len.max(offset as usize + data.len());
     }
     fs.flush_all().unwrap();
-    for i in 0..rf.replica_count() {
-        rf.replica_mut(i).flush_all().unwrap();
-    }
+    flush_members(&c);
 
     // Budgeted online rebuild under load; for RAID-6 with one disk down
     // a second loss may strike mid-rebuild and must still be absorbed.
@@ -569,7 +573,7 @@ fn parity_case(s: ParityScript) -> Result<(), TestCaseError> {
         if len > 0 {
             prop_assert_eq!(
                 fs.read(pfid, 0, len).unwrap(),
-                rf.read(mfid, 0, len).unwrap(),
+                c.read(mgid, 0, len).unwrap(),
                 "foreground read diverged during rebuild"
             );
         }
@@ -586,7 +590,7 @@ fn parity_case(s: ParityScript) -> Result<(), TestCaseError> {
     if len > 0 {
         prop_assert_eq!(
             fs.read(pfid, 0, len).unwrap(),
-            rf.read(mfid, 0, len).unwrap(),
+            c.read(mgid, 0, len).unwrap(),
             "post-rebuild read diverged from the mirror"
         );
     }

@@ -8,6 +8,12 @@
 //! read, so a flipped sector surfaces as a typed
 //! [`DiskError::ChecksumMismatch`](crate::DiskError::ChecksumMismatch)
 //! instead of being handed to a client as good data.
+//!
+//! Real drives compute that ECC in hardware at line speed, so the
+//! simulation computes a sector's CRC only when it has to: a write stores
+//! none, and fault injection seals the checksum of the content it is about
+//! to damage before touching it. Detection is the same as if every write
+//! had computed it; see `Stored` in `disk.rs`.
 
 /// CRC32 (IEEE 802.3, reflected) slice-by-8 lookup tables, built at
 /// compile time. Table 0 is the classic byte-at-a-time table; table `t`
@@ -44,10 +50,11 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// CRC32 (IEEE) of `data` — the per-sector checksum stored in the
-/// simulated drive's checksum lane. Slice-by-8: every platter read and
-/// write pays this per sector, so it must stay far below the rest of the
-/// simulated I/O path (E19 bounds it on the hot paths).
+/// CRC32 (IEEE) of `data`, slice-by-8 — the per-sector checksum of the
+/// simulated drive's checksum lane, and the frame checksum of the
+/// transaction service's intention log. The lane pays it only when fault
+/// injection damages a sector and when a damaged sector is read or
+/// scanned; the log pays it on every frame it writes and recovers.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     let mut chunks = data.chunks_exact(8);

@@ -94,41 +94,50 @@ static ZERO_SECTOR: [u8; SECTOR_SIZE] = [0u8; SECTOR_SIZE];
 /// bytes, not in tables of its own, so the slot table is the only
 /// memory a disk takes for its capacity rather than for what was
 /// written.
+///
+/// The lane is sealed lazily. While `verified` is true the entry *is*
+/// `crc32(bytes)`, stored in `sum` or, when `sum` is `None`, implied —
+/// a write stores no checksum, just as real drives do ECC in hardware at
+/// line speed. Only [`Stored::tamper`] changes bytes behind the lane's
+/// back, and it computes the implied entry first, so whatever it changes
+/// fails the check on the next read.
 #[derive(Debug)]
 struct Stored {
     bytes: [u8; SECTOR_SIZE],
-    /// The checksum lane's entry. `None` only for a never-written sector
-    /// that fault injection materialised without one.
+    /// The checksum lane's entry, once sealed; `None` means
+    /// `crc32(bytes)`, which only a verified sector can have.
     sum: Option<u32>,
     /// Verification memo: `true` while the content is known to match its
-    /// checksum (set when we computed the checksum from the very bytes
-    /// stored, or after a verifying read). Real drives check ECC in
-    /// hardware at line speed; recomputing a CRC32 per sector on every
-    /// simulated read would charge the model a cost the modelled
-    /// hardware doesn't pay. Every mutation that bypasses the checksum
-    /// lane (fault injection) clears the bit.
+    /// checksum (written through the lane, never tampered with, or passed
+    /// a verifying read), so reads and scrubs recompute nothing.
     verified: bool,
 }
 
 impl Stored {
-    /// A never-written sector made real for fault injection to damage.
-    fn zeroed() -> Box<Self> {
+    /// A sector as [`SimDisk::write_sectors`] lands it.
+    fn written(src: &[u8]) -> Box<Self> {
         Box::new(Self {
-            bytes: ZERO_SECTOR,
+            bytes: src.try_into().expect("one sector"),
             sum: None,
-            verified: false,
+            verified: true,
         })
+    }
+
+    /// The bytes, for a change that bypasses the checksum lane (fault
+    /// injection): seals the lane's entry for the content as it stands,
+    /// then clears the verification memo.
+    fn tamper(&mut self) -> &mut [u8; SECTOR_SIZE] {
+        if self.verified && self.sum.is_none() {
+            self.sum = Some(crc32(&self.bytes));
+        }
+        self.verified = false;
+        &mut self.bytes
     }
 
     /// Whether the content matches its checksum; a pass is memoised.
     fn verify(&mut self) -> bool {
-        if !self.verified {
-            if self.sum.is_some_and(|sum| crc32(&self.bytes) != sum) {
-                return false;
-            }
-            self.verified = true;
-        }
-        true
+        self.verified = self.verified || self.sum == Some(crc32(&self.bytes));
+        self.verified
     }
 }
 
@@ -171,6 +180,14 @@ impl SimDisk {
         self.data[slot]
             .as_mut()
             .is_none_or(|sector| sector.verify())
+    }
+
+    /// The slot's bytes for fault injection, through [`Stored::tamper`]; a
+    /// never-written slot is materialised as zeros first.
+    fn tamper(&mut self, slot: usize) -> &mut [u8; SECTOR_SIZE] {
+        self.data[slot]
+            .get_or_insert_with(|| Stored::written(&ZERO_SECTOR))
+            .tamper()
     }
 
     /// Reassigns logical sector `logical` (whose current slot `bad_slot`
@@ -429,11 +446,15 @@ impl SimDisk {
             if self.faults.is_bad(slot) {
                 slot = self.reassign(logical, slot);
             }
-            self.data[slot as usize] = Some(Box::new(Stored {
-                bytes: src.try_into().expect("one sector"),
-                sum: Some(crc32(src)),
-                verified: true,
-            }));
+            // A rewrite reuses its slot's allocation.
+            match &mut self.data[slot as usize] {
+                Some(sector) => {
+                    sector.bytes.copy_from_slice(src);
+                    sector.sum = None;
+                    sector.verified = true;
+                }
+                empty => *empty = Some(Stored::written(src)),
+            }
         }
         if let WriteOutcome::Torn(_) = outcome {
             return Err(DiskError::Crashed);
@@ -450,11 +471,9 @@ impl SimDisk {
     pub fn corrupt_sector(&mut self, addr: SectorAddr) -> Result<(), DiskError> {
         self.check_range(addr, 1)?;
         let slot = self.resolve(addr);
-        let sector = self.data[slot as usize].get_or_insert_with(Stored::zeroed);
-        for b in sector.bytes.iter_mut() {
+        for b in self.tamper(slot as usize) {
             *b ^= 0xFF;
         }
-        sector.verified = false;
         self.faults.mark_bad_sector(slot);
         Ok(())
     }
@@ -469,18 +488,11 @@ impl SimDisk {
     /// Returns [`DiskError::OutOfRange`] if `addr` is not on the disk.
     pub fn silently_corrupt_sector(&mut self, addr: SectorAddr) -> Result<(), DiskError> {
         self.check_range(addr, 1)?;
-        let slot = self.resolve(addr) as usize;
-        let sector = self.data[slot].get_or_insert_with(Stored::zeroed);
-        // The checksum keeps describing the pre-corruption content; a
-        // never-written sector gets the checksum of its zero content so
-        // the flip is detectable there too.
-        if sector.sum.is_none() {
-            sector.sum = Some(crc32(&sector.bytes));
-        }
-        for b in sector.bytes.iter_mut() {
+        // The checksum keeps describing the pre-corruption content (a
+        // never-written sector's, its zero content), so the flip is caught.
+        for b in self.tamper(self.resolve(addr) as usize) {
             *b ^= 0x55;
         }
-        sector.verified = false;
         Ok(())
     }
 
@@ -662,6 +674,42 @@ mod tests {
         d.silently_corrupt_sector(5).unwrap();
         d.write_sectors(5, &vec![4u8; SECTOR_SIZE]).unwrap();
         assert!(d.read_sectors(5, 1).unwrap().iter().all(|&b| b == 4));
+    }
+
+    #[test]
+    fn a_rewrite_in_place_leaves_no_stale_checksum() {
+        let mut d = disk();
+        d.write_sectors(5, &vec![0x11u8; SECTOR_SIZE]).unwrap();
+        // Seals crc32(0x11…) and leaves 0x44… on the platter.
+        d.silently_corrupt_sector(5).unwrap();
+        // The rewrite lands in the same slot and reads back clean.
+        d.write_sectors(5, &vec![0x44u8; SECTOR_SIZE]).unwrap();
+        assert!(!d.is_remapped(5));
+        assert!(d.read_sectors(5, 1).unwrap().iter().all(|&b| b == 0x44));
+        // Flipping the new content gives back the old bytes: only a
+        // checksum of the new content catches it; a stale one would not.
+        d.silently_corrupt_sector(5).unwrap();
+        assert_eq!(d.read_sectors(5, 1), Err(DiskError::ChecksumMismatch(5)));
+        assert_eq!(d.stats().checksum_mismatches, 1);
+    }
+
+    #[test]
+    fn a_second_corruption_keeps_the_first_sealed_checksum() {
+        let mut d = disk();
+        d.write_sectors(5, &vec![0x11u8; SECTOR_SIZE]).unwrap();
+        d.silently_corrupt_sector(5).unwrap();
+        d.corrupt_sector(5).unwrap();
+        // Once the bad mark is lifted the content (0x11 ^ 0x55 ^ 0xFF) is
+        // checked against the checksum of the written 0x11…, which it fails.
+        d.faults_mut().clear_bad_sector(5);
+        assert_eq!(d.read_sectors(5, 1), Err(DiskError::ChecksumMismatch(5)));
+        // Two silent flips cancel: the first seal still describes what is
+        // on the platter, so a reseal at the second flip would be a false
+        // alarm.
+        d.write_sectors(6, &vec![0x22u8; SECTOR_SIZE]).unwrap();
+        d.silently_corrupt_sector(6).unwrap();
+        d.silently_corrupt_sector(6).unwrap();
+        assert!(d.read_sectors(6, 1).unwrap().iter().all(|&b| b == 0x22));
     }
 
     #[test]

@@ -1,19 +1,21 @@
 //! E18 — group commit (§6.6): "the intentions list of the committing
 //! transaction is written to the log ... several intentions lists may be
 //! written to the log in a single disk operation". The pipeline decouples
-//! log durability from `tend`: a leader appends every queued commit
-//! record, forces the log **once**, then applies all the batched
-//! intentions through the per-spindle elevator schedulers and coalesces
-//! their `Completed` markers into the *next* force.
+//! log durability from `tend`: whoever holds the service lock commits
+//! everyone queued — it appends every queued commit record, forces the
+//! log **once**, then applies all the batched intentions through the
+//! per-spindle elevator schedulers and coalesces their `Completed`
+//! markers into the *next* force.
 //!
 //! This experiment sweeps the committer count: each wave of `committers`
 //! transactions is one [`TransactionService::commit_batch`], exactly as
-//! the leader forms it, and the one-committer wave — a force per commit —
-//! is the reference. Reported per cell: commits, log flushes, intention
-//! records per flush (avg/high-water), disk write references, the busiest
-//! spindle's busy time, and simulated completion time. The batches are
-//! driven deterministically so the table is byte-stable; the real
-//! threaded leader/follower path is exercised by the `rhodos-txn`
+//! the lock holder forms it from the queue, and the one-committer wave —
+//! a force per commit — is the reference. Reported per cell: commits, log
+//! flushes, intention records per flush (avg/high-water), disk write
+//! references, the busiest spindle's busy time, and simulated completion
+//! time. The batches are driven deterministically so the table is
+//! byte-stable; the real threaded path — a committer queued behind the
+//! holder of the service lock — is exercised by the `rhodos-txn`
 //! concurrency tests and `benchmark/`'s `txn-contend` workload.
 
 use crate::latency::LatencySummary;
@@ -32,8 +34,8 @@ struct Outcome {
     busiest_us: u64,
     sim_us: u64,
     /// Per-commit virtual-time latency, enqueue to batch durable
-    /// (followers wait for the leader's force, so the whole wave shares
-    /// its completion point).
+    /// (every queued committer waits for the holder's force, so the whole
+    /// wave shares its completion point).
     commit_lat: LatencySummary,
 }
 
@@ -85,7 +87,7 @@ fn measure(committers: usize) -> Outcome {
             enqueued_at.push(clock.now_us());
             wave.push(CommitReq::Local(t));
         }
-        // The leader: one force for the whole wave, then apply.
+        // The lock holder: one force for the whole wave, then apply.
         for result in ts.commit_batch(&wave) {
             result.unwrap();
         }

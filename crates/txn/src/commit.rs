@@ -43,8 +43,8 @@ pub enum Prepared {
 
 /// A top-level commit between its two halves: the `Commit` record has
 /// been appended to the log ([`TransactionService::prepare_commit`]) but
-/// the changes are not yet permanent. A group-commit leader collects
-/// many of these, makes them all durable with one
+/// the changes are not yet permanent. In group commit, whoever holds the
+/// service lock collects many of these, makes them all durable with one
 /// [`TransactionService::flush_log`], and applies each with
 /// [`TransactionService::complete_commit`].
 ///

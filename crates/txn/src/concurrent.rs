@@ -11,11 +11,12 @@
 //! conflict on data items, queue, deadlock and get broken by the §6.4
 //! timeouts, exactly like the paper's concurrent clients.
 //!
-//! Commits go through a group-commit pipeline, and reads may go through
-//! [`tread_shared`]: its locks are taken by the service's one lock step,
-//! under the service lock like every other lock, and only the copy out of
-//! the sharded block pool runs without it. This module takes no lock of
-//! its own on a data item.
+//! Commits go through a group-commit pipeline whose only hand-off is the
+//! service lock: whoever holds it commits everyone queued. Reads may go
+//! through [`tread_shared`]: its locks are taken by the service's one lock
+//! step, under the service lock like every other lock, and only the copy
+//! out of the sharded block pool runs without it. This module takes no
+//! lock of its own on a data item.
 //!
 //! [`run_txn`]: SharedTransactionService::run_txn
 //! [`tread_shared`]: SharedTransactionService::tread_shared
@@ -28,40 +29,26 @@ use rhodos_disk_service::BLOCK_SIZE;
 use rhodos_file_service::{FileId, ShardedBlockCache};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
+use std::sync::Arc;
 
-/// Shared state of the group-commit pipeline.
-#[derive(Debug, Default)]
-struct PipeState {
-    /// Commits waiting to be serviced by the current leader.
-    queue: Vec<TxnId>,
-    /// Whether some thread is currently acting as the leader.
-    leader_active: bool,
-    /// Outcomes published by the leader, keyed by transaction.
-    outcomes: HashMap<TxnId, Result<(), TxnError>>,
-}
-
-/// The leader/follower group-commit pipeline (§6.6: "several intention
-/// lists may be written to the log in a single disk operation").
+/// The group-commit pipeline (§6.6: "several intention lists may be
+/// written to the log in a single disk operation"), combined flat
+/// (Hendler et al., SPAA 2010): there is no leader. A committer queues its
+/// transaction and takes the service lock; whoever holds that lock drains
+/// the queue, hands the batch to [`TransactionService::commit_batch`]
+/// (every intentions list appended, the log forced **once**, every commit
+/// applied) and publishes each batch-mate's outcome. Whoever queued while
+/// the lock was held is committed by the next holder.
 ///
-/// Committers enqueue their transaction; the first arrival becomes the
-/// *leader*, drains the queue, hands the batch to
-/// [`TransactionService::commit_batch`] under the service lock (every
-/// intentions list appended, the log forced **once**, every commit
-/// applied), and finally publishes each transaction's outcome and wakes
-/// the followers, which were parked on the condvar the whole time.
+/// Invariant: a batch's outcomes are published before the service lock
+/// that committed them is released, so a committer that gets the lock
+/// finds its transaction either published or still queued.
 #[derive(Debug, Default)]
 struct CommitPipeline {
-    state: StdMutex<PipeState>,
-    cv: Condvar,
-}
-
-impl CommitPipeline {
-    /// Locks the pipeline state; a panicking leader must not poison
-    /// commit outcomes for everyone else.
-    fn state(&self) -> StdMutexGuard<'_, PipeState> {
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
-    }
+    /// Commits waiting for the next holder of the service lock.
+    queue: Vec<TxnId>,
+    /// Outcomes published by an earlier holder, keyed by transaction.
+    outcomes: HashMap<TxnId, Result<(), TxnError>>,
 }
 
 /// Counters of the shared-service read fast path (see
@@ -144,7 +131,7 @@ impl FastPath {
 #[derive(Debug, Clone)]
 pub struct SharedTransactionService {
     inner: Arc<Mutex<TransactionService>>,
-    pipeline: Arc<CommitPipeline>,
+    pipeline: Arc<Mutex<CommitPipeline>>,
     /// The read fast path; `None` when the ablation configuration
     /// (`lock_shards = cache_shards = 1`) or a cacheless service makes it
     /// pointless.
@@ -157,7 +144,7 @@ impl SharedTransactionService {
         let fast = FastPath::build(&mut service);
         Self {
             inner: Arc::new(Mutex::new(service)),
-            pipeline: Arc::new(CommitPipeline::default()),
+            pipeline: Arc::default(),
             fast,
         }
     }
@@ -321,62 +308,45 @@ impl SharedTransactionService {
 
     /// Commits transaction `t` through the group-commit pipeline.
     ///
-    /// Concurrent committers share log forces: whichever thread finds
-    /// the pipeline idle becomes the leader and commits everyone queued
-    /// behind it with a single force; the rest park on a condvar until
-    /// their outcome is published.
+    /// Concurrent committers share log forces: `t` is queued, then the
+    /// service lock is taken; if an earlier holder already committed `t`
+    /// its outcome is returned, otherwise this thread commits everyone
+    /// queued with a single force and publishes their outcomes before it
+    /// releases the lock.
     ///
     /// # Errors
     ///
     /// Whatever the underlying commit reports for `t` — conflicts
     /// ([`TxnError::WouldBlock`]), timeouts, I/O failures. Each queued
     /// transaction gets its own verdict; one aborting does not poison
-    /// its batch-mates.
+    /// its batch-mates. [`TxnError::CommitLost`] when a holder took `t`
+    /// off the queue and panicked before publishing its outcome.
     pub fn commit(&self, t: TxnId) -> Result<(), TxnError> {
-        {
-            let mut st = self.pipeline.state();
-            st.queue.push(t);
-            if st.leader_active {
-                // Follower: the leader will service us and publish.
-                loop {
-                    if let Some(res) = st.outcomes.remove(&t) {
-                        return res;
-                    }
-                    st = self.pipeline.cv.wait(st).unwrap_or_else(|p| p.into_inner());
-                }
+        self.pipeline.lock().queue.push(t);
+        let mut svc = self.inner.lock();
+        let batch = {
+            let mut pipe = self.pipeline.lock();
+            if let Some(res) = pipe.outcomes.remove(&t) {
+                return res;
             }
-            st.leader_active = true;
+            if !pipe.queue.contains(&t) {
+                return Err(TxnError::CommitLost(t));
+            }
+            std::mem::take(&mut pipe.queue)
+        };
+        let reqs: Vec<CommitReq<'_>> = batch.iter().map(|&id| CommitReq::Local(id)).collect();
+        let results = svc.commit_batch(&reqs);
+        let mut pipe = self.pipeline.lock();
+        let mut own = Err(TxnError::CommitLost(t));
+        for (id, res) in batch.into_iter().zip(results) {
+            if id == t {
+                own = res;
+            } else {
+                pipe.outcomes.insert(id, res);
+            }
         }
-        self.lead_commits();
-        self.pipeline
-            .state()
-            .outcomes
-            .remove(&t)
-            .expect("leader drained the queue, so its own outcome is published")
-    }
-
-    /// Leader loop: drain the queue, commit the batch with one log
-    /// flush, publish outcomes, repeat until the queue stays empty.
-    fn lead_commits(&self) {
-        loop {
-            // Give concurrently-arriving committers a scheduling slice to
-            // pile into the queue before we seal the batch.
-            std::thread::yield_now();
-            let batch: Vec<TxnId> = {
-                let mut st = self.pipeline.state();
-                if st.queue.is_empty() {
-                    st.leader_active = false;
-                    self.pipeline.cv.notify_all();
-                    return;
-                }
-                std::mem::take(&mut st.queue)
-            };
-            let reqs: Vec<CommitReq<'_>> = batch.iter().map(|&t| CommitReq::Local(t)).collect();
-            let results = self.inner.lock().commit_batch(&reqs);
-            let mut st = self.pipeline.state();
-            st.outcomes.extend(batch.into_iter().zip(results));
-            self.pipeline.cv.notify_all();
-        }
+        // `pipe` drops before `svc`: the outcomes are out before the lock.
+        own
     }
 
     /// Abandons attempt `t`, nudges virtual time forward so a genuinely
@@ -578,7 +548,7 @@ mod tests {
         assert!(stats.committed >= 8 * 25);
         assert!(
             stats.log_flushes < stats.committed,
-            "leader must batch: {} flushes for {} commits",
+            "the lock holder must batch: {} flushes for {} commits",
             stats.log_flushes,
             stats.committed
         );
@@ -586,10 +556,132 @@ mod tests {
         assert!(stats.records_per_flush_hwm >= 2);
     }
 
+    type Verdicts = Vec<(FileId, Result<(), TxnError>)>;
+
+    /// Four transactions, each with a tentative write to a file of its
+    /// own, committed from four threads while this thread holds the
+    /// service lock until all four are queued; returns each commit's
+    /// verdict and the service statistics before and after.
+    fn commit_four_queued(
+        abort_one: bool,
+    ) -> (SharedTransactionService, Verdicts, TxnStats, TxnStats) {
+        let (s, _) = shared(LockLevel::Page);
+        let mut pending = Vec::new();
+        for i in 0..4u64 {
+            let mut svc = s.lock();
+            let fid = svc.tcreate(LockLevel::Page).unwrap();
+            let t = svc.tbegin();
+            svc.topen(t, fid).unwrap();
+            svc.twrite(t, fid, 0, &(100 + i).to_le_bytes()).unwrap();
+            if abort_one && i == 2 {
+                svc.tabort(t).unwrap();
+            }
+            pending.push((fid, t));
+        }
+        let before = s.lock().stats();
+        let verdicts = std::thread::scope(|scope| {
+            let held = s.lock();
+            let committers: Vec<_> = pending
+                .iter()
+                .map(|&(_, t)| {
+                    let s = &s;
+                    scope.spawn(move || s.commit(t))
+                })
+                .collect();
+            while s.pipeline.lock().queue.len() < pending.len() {
+                std::thread::yield_now();
+            }
+            drop(held);
+            committers
+                .into_iter()
+                .map(|c| c.join().expect("committer does not panic"))
+                .collect::<Vec<_>>()
+        });
+        let after = s.lock().stats();
+        let fids = pending.iter().map(|&(fid, _)| fid);
+        (s, fids.zip(verdicts).collect(), before, after)
+    }
+
+    fn read_u64(s: &SharedTransactionService, fid: FileId) -> u64 {
+        let raw = s
+            .run_txn(|s, t| {
+                s.lock().topen(t, fid)?;
+                s.lock().tread(t, fid, 0, 8)
+            })
+            .unwrap();
+        u64::from_le_bytes(raw.try_into().unwrap())
+    }
+
+    #[test]
+    fn the_lock_holder_commits_everyone_queued_with_one_force() {
+        let (s, verdicts, before, after) = commit_four_queued(false);
+        assert_eq!(after.log_flushes, before.log_flushes + 1);
+        assert_eq!(after.group_commits, before.group_commits + 1);
+        assert_eq!(after.committed, before.committed + 4);
+        for (i, (fid, verdict)) in verdicts.into_iter().enumerate() {
+            assert_eq!(verdict, Ok(()));
+            assert_eq!(read_u64(&s, fid), 100 + i as u64);
+        }
+        assert!(s.pipeline.lock().outcomes.is_empty());
+    }
+
+    #[test]
+    fn a_failing_batch_mate_gets_its_own_verdict() {
+        let (s, verdicts, before, after) = commit_four_queued(true);
+        assert_eq!(after.log_flushes, before.log_flushes + 1);
+        assert_eq!(after.group_commits, before.group_commits + 1);
+        assert_eq!(after.committed, before.committed + 3);
+        for (i, (fid, verdict)) in verdicts.into_iter().enumerate() {
+            if i == 2 {
+                assert!(
+                    matches!(verdict, Err(TxnError::NotActive(_))),
+                    "{verdict:?}"
+                );
+                let read = s.run_txn(|s, t| {
+                    s.lock().topen(t, fid)?;
+                    s.lock().tread(t, fid, 0, 8)
+                });
+                assert_eq!(
+                    read,
+                    Ok(Vec::new()),
+                    "the aborted write left the file empty"
+                );
+            } else {
+                assert_eq!(verdict, Ok(()));
+                assert_eq!(read_u64(&s, fid), 100 + i as u64);
+            }
+        }
+        assert!(s.pipeline.lock().outcomes.is_empty());
+    }
+
+    #[test]
+    fn a_commit_a_panicking_holder_drained_is_lost_not_hung() {
+        let (s, _) = shared(LockLevel::Page);
+        let t = s.lock().tbegin();
+        let locked = std::sync::Barrier::new(2);
+        let verdict = std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _svc = s.lock();
+                locked.wait();
+                while !s.pipeline.lock().queue.contains(&t) {
+                    std::thread::yield_now();
+                }
+                // A holder's drain, then a panic before it publishes.
+                std::mem::take(&mut s.pipeline.lock().queue);
+                panic!("holder dies inside its batch");
+            });
+            locked.wait();
+            let committer = scope.spawn(|| s.commit(t));
+            assert!(holder.join().is_err());
+            committer.join().expect("committer does not panic")
+        });
+        assert_eq!(verdict, Err(TxnError::CommitLost(t)));
+    }
+
     #[test]
     fn group_commit_under_conflicts_stays_correct() {
         // Same contended counter as threads_increment_without_lost_updates,
-        // but run through the pipeline's leader/follower path with aborts
+        // but run through the pipeline's queue with aborts
         // and retries mixed into the batches.
         let (s, fid) = shared(LockLevel::Page);
         const THREADS: usize = 6;

@@ -44,6 +44,10 @@ pub enum TxnError {
     /// [`resolve_prepared`](crate::TransactionService::resolve_prepared)
     /// may finish it.
     InDoubt(TxnId),
+    /// A group commit took the transaction off the pipeline queue and
+    /// panicked before publishing its outcome; only recovery can tell
+    /// whether it took effect.
+    CommitLost(TxnId),
     /// Underlying file-service failure.
     File(FileServiceError),
 }
@@ -69,6 +73,13 @@ impl fmt::Display for TxnError {
                 write!(
                     f,
                     "transaction {} is prepared in-doubt and awaits its coordinator's decision",
+                    t.0
+                )
+            }
+            TxnError::CommitLost(t) => {
+                write!(
+                    f,
+                    "the commit of transaction {} was lost with its batch",
                     t.0
                 )
             }

@@ -94,10 +94,6 @@ impl From<TxnError> for AgentError {
 pub struct AgentStats {
     /// Client block-cache behaviour.
     pub cache: CacheStats,
-    /// Round trips charged to the server: one per *exchange*, however
-    /// many blocks it carries — a `pread`'s misses, a `pwrite`'s
-    /// evictions and a `flush`'s dirty set each ride one per file.
-    pub round_trips: u64,
     /// Per-spindle scheduler behaviour merged over every disk of every
     /// reachable server — how the striped fan-out batched, ordered and
     /// coalesced this agent's (and its co-clients') traffic.
@@ -111,9 +107,10 @@ pub struct AgentStats {
     /// reconstruction, and rebuild progress. All zero on servers
     /// running without `Redundancy::Parity`.
     pub parity: ParityStats,
-    /// RPCs issued to servers: request/reply exchanges, equal to
-    /// `round_trips` — lease acquire/renew traffic included, and a
-    /// vectored read or push counted once whatever its width.
+    /// RPCs issued to servers: one per request/reply *exchange*, however
+    /// many blocks it carries — a `pread`'s misses, a `pwrite`'s
+    /// evictions and a `flush`'s dirty set each ride one per file. Lease
+    /// acquire/renew traffic is included.
     pub rpcs_sent: u64,
     /// Block reads served from the lease-protected client cache with no
     /// exchange at all — counted per block, so it is not in the unit of
@@ -159,7 +156,7 @@ pub struct FileAgent {
     net: SimNetwork,
     open: HashMap<ObjectDescriptor, OpenFile>,
     next_od: ObjectDescriptor,
-    round_trips: u64,
+    rpcs_sent: u64,
     /// Server that receives `create` calls (round-robin).
     next_create: usize,
     /// Cache-coherence policy.
@@ -255,7 +252,7 @@ impl FileAgent {
             net,
             open: HashMap::new(),
             next_od: FILE_OD_BASE,
-            round_trips: 0,
+            rpcs_sent: 0,
             next_create: 0,
             lease_config,
             stations: Vec::new(),
@@ -340,11 +337,10 @@ impl FileAgent {
         }
         AgentStats {
             cache,
-            round_trips: self.round_trips,
             scheduler,
             scrub,
             parity,
-            rpcs_sent: self.round_trips,
+            rpcs_sent: self.rpcs_sent,
             rpcs_avoided_by_lease: self.rpcs_avoided,
             recalls,
             lease_renewals: self.lease_renewals,
@@ -379,7 +375,7 @@ impl FileAgent {
     fn round_trip(&mut self) {
         let _ = self.net.transmit();
         let _ = self.net.transmit();
-        self.round_trips += 1;
+        self.rpcs_sent += 1;
     }
 
     fn resolve_file(&mut self, name: &AttributedName) -> Result<(usize, FileId), AgentError> {
@@ -1383,11 +1379,11 @@ mod tests {
         a.write(od, &vec![7u8; 4 * BLOCK_SIZE]).unwrap();
         a.flush(od).unwrap();
         let _ = a.pread(od, 0, 4 * BLOCK_SIZE).unwrap(); // populate
-        let trips_before = a.stats().round_trips;
+        let trips_before = a.stats().rpcs_sent;
         for _ in 0..10 {
             let _ = a.pread(od, 0, 4 * BLOCK_SIZE).unwrap();
         }
-        assert_eq!(a.stats().round_trips, trips_before, "all from client cache");
+        assert_eq!(a.stats().rpcs_sent, trips_before, "all from client cache");
         assert!(a.stats().cache.hits >= 40);
     }
 
@@ -1486,7 +1482,6 @@ mod tests {
                 let leases = srv.file_service_mut().lease_manager_mut();
                 leases.set_params(rhodos_file_service::LeaseParams {
                     term_us: 60_000_000,
-                    ..leases.params()
                 });
             }
             let fid = a.create(&name("name=big")).unwrap();
@@ -1712,7 +1707,7 @@ mod tests {
         a.create(&name("name=wide")).unwrap();
         let od = a.open(&name("name=wide")).unwrap();
         a.pwrite(od, 0, &vec![9u8; 64 * BLOCK_SIZE]).unwrap();
-        let trips = |a: &FileAgent| a.stats().round_trips;
+        let trips = |a: &FileAgent| a.stats().rpcs_sent;
         let before = trips(&a);
         a.flush(od).unwrap();
         assert_eq!(trips(&a) - before, 1, "64 dirty blocks, one flush exchange");
@@ -1745,10 +1740,9 @@ mod tests {
         }
         let after = a.stats();
         assert_eq!(
-            after.round_trips, before.round_trips,
+            after.rpcs_sent, before.rpcs_sent,
             "hot re-reads under a live lease must issue no RPC at all"
         );
-        assert_eq!(after.rpcs_sent, before.rpcs_sent);
         assert_eq!(
             after.rpcs_avoided_by_lease - before.rpcs_avoided_by_lease,
             40,
@@ -1762,16 +1756,12 @@ mod tests {
         b.create(&name("name=ablate")).unwrap();
         let od = b.open(&name("name=ablate")).unwrap();
         b.pwrite(od, 0, &vec![9u8; 2 * BLOCK_SIZE]).unwrap();
-        let before = b.stats().round_trips;
+        let before = b.stats().rpcs_sent;
         for _ in 0..5 {
             let _ = b.pread(od, 0, 2 * BLOCK_SIZE).unwrap();
         }
         let s = b.stats();
-        assert_eq!(
-            s.round_trips - before,
-            5,
-            "one RPC per read, nothing cached"
-        );
+        assert_eq!(s.rpcs_sent - before, 5, "one RPC per read, nothing cached");
         assert_eq!(s.rpcs_avoided_by_lease, 0);
     }
 
@@ -1845,13 +1835,13 @@ mod tests {
             fs.open(a.fid_of(od).unwrap()).unwrap(); // crash wiped open state
         }
         assert_eq!(a.reattach_leases().unwrap(), 1);
-        let before = a.stats().round_trips;
+        let before = a.stats().rpcs_sent;
         assert_eq!(
             a.pread(od, 0, 2 * BLOCK_SIZE).unwrap(),
             vec![5u8; 2 * BLOCK_SIZE]
         );
         assert_eq!(
-            a.stats().round_trips,
+            a.stats().rpcs_sent,
             before,
             "reattached lease keeps the cache hot: still zero RPCs"
         );

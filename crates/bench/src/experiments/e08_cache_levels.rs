@@ -79,7 +79,7 @@ fn workload(server_caches: bool, client_blocks: usize) -> Measured {
     }
     let agent1 = agent.stats();
     let server1 = server.lock().file_service_mut().stats();
-    let trips = agent1.round_trips - agent0.round_trips;
+    let trips = agent1.rpcs_sent - agent0.rpcs_sent;
     let dt = clock.now_us() - t0;
     let refs = server1.total_disk_refs();
     // Copy traffic across the whole pipeline during the measured reads:

@@ -30,7 +30,6 @@ fn drive(level: LockLevel, small_updates: bool, seed: u64) -> Outcome {
     let mut ts = crate::setups::transaction_service(TxnConfig {
         lt_us: 20_000,
         max_renewals: 1,
-        cross_granularity: false,
         ..Default::default()
     });
     let fid = ts.tcreate(level).unwrap();

@@ -23,7 +23,6 @@ fn drive(clients: usize, seed: u64) -> LoadOutcome {
     let mut ts = crate::setups::transaction_service(TxnConfig {
         lt_us: 10_000,
         max_renewals: 1,
-        cross_granularity: false,
         ..Default::default()
     });
     let fid = ts.tcreate(LockLevel::Page).unwrap();
@@ -95,7 +94,6 @@ fn long_txn_penalty() -> (u64, u64) {
     let mut ts = crate::setups::transaction_service(TxnConfig {
         lt_us: 10_000,
         max_renewals: 1,
-        cross_granularity: false,
         ..Default::default()
     });
     let fid = ts.tcreate(LockLevel::Page).unwrap();

@@ -87,7 +87,6 @@ fn run_arm(cell: &Cell, sweep: Sweep, lease: LeaseConfig) -> Arm {
                 // expiry/fencing paths are exercised by
                 // tests/lease_coherence.rs).
                 term_us: 600_000_000,
-                ..LeaseParams::default()
             },
             ..FileServiceConfig::default()
         },
@@ -154,7 +153,7 @@ fn run_arm(cell: &Cell, sweep: Sweep, lease: LeaseConfig) -> Arm {
 
     let trips_at =
         |agents: &[FileAgent]| -> u64 { agents.iter().map(|a| a.net_stats().sent).sum() };
-    let base_round_trips: u64 = agents.iter().map(|a| a.stats().round_trips).sum();
+    let base_round_trips: u64 = agents.iter().map(|a| a.stats().rpcs_sent).sum();
 
     // The measured mix: open-loop sampled (agent, file, class, block).
     let zipf = Zipf::new(cell.files, cell.skew);
@@ -231,7 +230,7 @@ fn run_arm(cell: &Cell, sweep: Sweep, lease: LeaseConfig) -> Arm {
     let mut renewals = 0;
     for agent in &agents {
         let s = agent.stats();
-        round_trips += s.round_trips;
+        round_trips += s.rpcs_sent;
         rpcs_avoided += s.rpcs_avoided_by_lease;
         recalls += s.recalls;
         renewals += s.lease_renewals;

@@ -160,6 +160,9 @@ impl Default for WriteSizeMix {
     }
 }
 
+/// Percent of [`LoadgenConfig`] operations that are blind writes.
+const WRITE_PCT: u64 = 20;
+
 /// Workload shape. `Default` is the full E20 cell.
 #[derive(Debug, Clone)]
 pub struct LoadgenConfig {
@@ -173,10 +176,9 @@ pub struct LoadgenConfig {
     pub cache_blocks: usize,
     /// Zipf exponent of the file popularity distribution.
     pub skew: f64,
-    /// Percent of operations that are reads.
+    /// Percent of operations that are reads; `WRITE_PCT` (20) more are
+    /// blind writes and the rest are update transactions.
     pub read_pct: u64,
-    /// Percent that are blind writes (the rest are update txns).
-    pub write_pct: u64,
     /// Operations in the trace.
     pub ops: usize,
     /// RNG seed for the whole pipeline.
@@ -202,7 +204,6 @@ impl Default for LoadgenConfig {
             cache_blocks: 96,
             skew: 0.9,
             read_pct: 70,
-            write_pct: 20,
             ops: 4000,
             seed: 42,
             sharded: true,
@@ -409,7 +410,7 @@ pub fn trace(cfg: &LoadgenConfig) -> Trace {
     for i in 0..cfg.ops {
         let class = match rng.below(100) {
             p if p < cfg.read_pct => OpClass::Read,
-            p if p < cfg.read_pct + cfg.write_pct => OpClass::Write,
+            p if p < cfg.read_pct + WRITE_PCT => OpClass::Write,
             _ => OpClass::Update,
         };
         let fid = fids[zipf.sample(&mut rng)];
@@ -525,11 +526,6 @@ pub struct ClusterLoadConfig {
     /// accumulated by them), before the content fingerprint is taken —
     /// so the sweep also certifies that migration moves bytes intact.
     pub rebalance_rounds: usize,
-    /// Percent of operations issued as two-file transactions through
-    /// the cross-shard 2PC coordinator instead of a plain read/write.
-    /// 0 disables the path *and draws no extra randomness*, so the
-    /// default E20/E23 RNG streams stay byte-identical.
-    pub cross_txn_pct: u64,
 }
 
 impl Default for ClusterLoadConfig {
@@ -544,7 +540,6 @@ impl Default for ClusterLoadConfig {
             ops: 4000,
             seed: 42,
             rebalance_rounds: 0,
-            cross_txn_pct: 0,
         }
     }
 }
@@ -591,35 +586,6 @@ pub fn trace_cluster(cfg: &ClusterLoadConfig) -> ClusterTrace {
     let mut rng = SplitMix64::new(cfg.seed);
     let mut ops = Vec::with_capacity(cfg.ops);
     for i in 0..cfg.ops {
-        // Short-circuit keeps the draw count at zero when the knob is
-        // off — the read/write stream below is byte-identical to PR 8.
-        if cfg.cross_txn_pct > 0 && rng.below(100) < cfg.cross_txn_pct {
-            let gid_a = gids[zipf.sample(&mut rng)];
-            let gid_b = gids[zipf.sample(&mut rng)];
-            let block = rng.below(cfg.file_blocks);
-            let offset = block * BS;
-            let agent = rng.below(cfg.agents as u64) as usize;
-            let (home_a, _) = c.placement_of(gid_a).expect("placed file");
-            let (home_b, _) = c.placement_of(gid_b).expect("placed file");
-            let t0 = clock.now_us();
-            let payload = vec![i as u8 ^ 0x5A; 1024];
-            let txn = [(gid_a, offset, payload.clone()), (gid_b, offset, payload)];
-            c.commit_cross_shard(&txn).expect("cross-shard commit");
-            let service_us = (clock.now_us() - t0) + OpClass::Update.cpu_us();
-            // A 2PC op occupies the coordinator (resource 0) plus every
-            // participant home — the one mix that touches the master.
-            let mut resources = vec![0, 1 + home_a as u32];
-            if home_b != home_a {
-                resources.push(1 + home_b as u32);
-            }
-            ops.push(TraceOp {
-                class: OpClass::Update,
-                agent,
-                service_us,
-                resources,
-            });
-            continue;
-        }
         let class = if rng.below(100) < cfg.read_pct {
             OpClass::Read
         } else {
@@ -792,41 +758,6 @@ mod tests {
         assert_eq!(trace_cluster(&tiny_cluster(2)).fingerprint, two.fingerprint);
         // More servers mean more replay concurrency.
         assert!(four.trace.saturation_per_ks() >= one.trace.saturation_per_ks());
-    }
-
-    #[test]
-    fn cross_txn_mix_is_atomic_and_placement_independent() {
-        let cross = |servers| {
-            trace_cluster(&ClusterLoadConfig {
-                cross_txn_pct: 25,
-                ..tiny_cluster(servers)
-            })
-        };
-        let one = cross(1);
-        let four = cross(4);
-        // Same seed, same bytes: the 2PC mix commits identically whether
-        // the files share one home (the ablation) or four.
-        assert_eq!(one.fingerprint, four.fingerprint);
-        assert_ne!(
-            one.fingerprint,
-            trace_cluster(&tiny_cluster(1)).fingerprint,
-            "the mix really ran transactions"
-        );
-        let updates = four
-            .trace
-            .ops
-            .iter()
-            .filter(|o| o.class == OpClass::Update)
-            .count();
-        assert!(updates > 0, "25% mix must surface Update ops");
-        assert!(
-            four.trace
-                .ops
-                .iter()
-                .filter(|o| o.class == OpClass::Update)
-                .all(|o| o.resources[0] == 0),
-            "2PC ops visit the coordinator"
-        );
     }
 
     #[test]

@@ -240,12 +240,6 @@ impl Cluster {
                 rhodos_txn::TxnError::File(e) => ClusterError::File(e),
                 e => unreachable!("a checkpoint fails only in the file service: {e}"),
             })?;
-            let fs = ts.file_service_mut();
-            for d in 0..fs.disk_count() {
-                if let Some(stable) = fs.disk_mut(d).stable_mut() {
-                    stable.flush_deferred().map_err(disk_err)?;
-                }
-            }
         }
         let mut copied = 0;
         {

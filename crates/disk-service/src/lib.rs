@@ -14,10 +14,9 @@
 //! * **Track read-ahead cache** — after serving a read, the service caches
 //!   the rest of the same track to satisfy subsequent requests to nearby
 //!   fragments.
-//! * **Stable storage** — `put` can direct data exclusively to stable
-//!   storage (shadow pages) or to its original location *and* stable
-//!   storage (the file index table), returning before or after the stable
-//!   write completes.
+//! * **Stable storage** — `put` can direct data to its original location
+//!   *and* stable storage (the file index table), returning after both
+//!   stable mirrors are written.
 //! * **Single-reference transfers** — any operation on a set of contiguous
 //!   fragments is accomplished in one reference to the disk.
 //!

@@ -5,7 +5,8 @@
 //! "designed in such a way that any operation on a set of contiguous
 //! blocks/fragments can be accomplished in one single reference to the
 //! disk". This module implements those functions over one [`SimDisk`] plus
-//! an optional mirrored stable store.
+//! an optional mirrored stable store; `flush-block` has nothing to do,
+//! because a stable write is on both mirrors before `put` returns.
 
 use crate::bitmap::Bitmap;
 use crate::error::DiskServiceError;
@@ -16,7 +17,7 @@ use crate::units::{Extent, FragmentAddr, FRAGMENT_SIZE, FRAGS_PER_BLOCK};
 use rhodos_buf::BlockBuf;
 use rhodos_simdisk::{
     DiskGeometry, DiskStats, LatencyModel, SectorFault, SimClock, SimDisk, StableStore,
-    StableWriteMode,
+    STABLE_PAYLOAD,
 };
 
 /// Where `put` directs the data (§4's `put-block` stable-storage options).
@@ -24,11 +25,10 @@ use rhodos_simdisk::{
 pub enum StablePolicy {
     /// Ordinary write: original location only.
     None,
-    /// Exclusively to stable storage — "as in the case of a shadow page".
-    StableOnly(StableWriteMode),
     /// To the original location *and* stable storage — "as in the case of
-    /// the file index table".
-    OriginalAndStable(StableWriteMode),
+    /// the file index table". The call returns after both stable mirrors
+    /// are written.
+    OriginalAndStable,
 }
 
 /// Where `get_from` reads the data (§4's `get-block` source option).
@@ -492,43 +492,35 @@ impl DiskService {
                 got: data.len(),
             });
         }
-        let write_main = !matches!(policy, StablePolicy::StableOnly(_));
-        if write_main {
-            self.disk.write_sectors(extent.start, data)?;
-            // Write-update the cache so subsequent reads hit.
-            if let Some(cache) = &mut self.cache {
-                let geom = self.disk.geometry();
-                for (i, f) in (extent.start..extent.end()).enumerate() {
-                    let a = i * FRAGMENT_SIZE;
-                    cache.fill_fragment(
-                        geom.track_of(f),
-                        geom.sector_in_track(f),
-                        data[a..a + FRAGMENT_SIZE].to_vec(),
-                    );
-                }
+        self.disk.write_sectors(extent.start, data)?;
+        // Write-update the cache so subsequent reads hit.
+        if let Some(cache) = &mut self.cache {
+            let geom = self.disk.geometry();
+            for (i, f) in (extent.start..extent.end()).enumerate() {
+                let a = i * FRAGMENT_SIZE;
+                cache.fill_fragment(
+                    geom.track_of(f),
+                    geom.sector_in_track(f),
+                    data[a..a + FRAGMENT_SIZE].to_vec(),
+                );
             }
         }
-        match policy {
-            StablePolicy::None => {}
-            StablePolicy::StableOnly(mode) | StablePolicy::OriginalAndStable(mode) => {
-                let stable = self
-                    .stable
-                    .as_mut()
-                    .ok_or(DiskServiceError::NoStableStorage)?;
-                let half = rhodos_simdisk::SECTOR_SIZE - 20; // STABLE_PAYLOAD
-                                                             // Fragment f maps to slots 2f and 2f+1, so a contiguous
-                                                             // extent is a contiguous slot run: write it as one
-                                                             // coalesced A-pass / verify / B-pass instead of paying
-                                                             // per-slot mirror round trips.
-                let payloads: Vec<&[u8]> = (0..extent.len)
-                    .flat_map(|i| {
-                        let frag =
-                            &data[i as usize * FRAGMENT_SIZE..(i as usize + 1) * FRAGMENT_SIZE];
-                        [&frag[..half.min(frag.len())], &frag[half.min(frag.len())..]]
-                    })
-                    .collect();
-                stable.write_batch(2 * extent.start, &payloads, mode)?;
-            }
+        if policy == StablePolicy::OriginalAndStable {
+            let stable = self
+                .stable
+                .as_mut()
+                .ok_or(DiskServiceError::NoStableStorage)?;
+            // Fragment f maps to slots 2f and 2f+1, so a contiguous extent
+            // is a contiguous slot run: write it as one coalesced A-pass /
+            // verify / B-pass instead of paying per-slot mirror round trips.
+            let payloads: Vec<&[u8]> = data
+                .chunks(FRAGMENT_SIZE)
+                .flat_map(|frag| {
+                    let (head, tail) = frag.split_at(STABLE_PAYLOAD);
+                    [head, tail]
+                })
+                .collect();
+            stable.write_batch(2 * extent.start, &payloads)?;
         }
         Ok(())
     }
@@ -658,18 +650,6 @@ impl DiskService {
         }
     }
 
-    /// Flushes deferred stable writes (`flush-block`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates device failures from the stable mirrors.
-    pub fn flush(&mut self) -> Result<(), DiskServiceError> {
-        if let Some(stable) = &mut self.stable {
-            stable.flush_deferred()?;
-        }
-        Ok(())
-    }
-
     /// Resets the free-space state to "everything free" and re-marks the
     /// given extents as allocated, rebuilding the free-extent index.
     ///
@@ -791,7 +771,6 @@ impl DiskService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rhodos_simdisk::SECTOR_SIZE;
 
     fn svc() -> DiskService {
         DiskService::with_stable(
@@ -896,12 +875,7 @@ mod tests {
         let mut s = svc();
         let e = s.allocate_contiguous(1).unwrap();
         let data = vec![9u8; FRAGMENT_SIZE];
-        s.put(
-            e,
-            &data,
-            StablePolicy::OriginalAndStable(StableWriteMode::Sync),
-        )
-        .unwrap();
+        s.put(e, &data, StablePolicy::OriginalAndStable).unwrap();
         s.disk_mut().corrupt_sector(e.start).unwrap();
         assert!(s.repair_fragment_from_stable(e.start).unwrap());
         // The bad sector was reassigned to a spare; the fragment reads
@@ -947,31 +921,13 @@ mod tests {
     }
 
     #[test]
-    fn stable_only_put_leaves_main_untouched() {
-        let mut s = svc();
-        let e = s.allocate_contiguous(1).unwrap();
-        let original = vec![3u8; FRAGMENT_SIZE];
-        s.put(e, &original, StablePolicy::None).unwrap();
-        let shadow = vec![4u8; FRAGMENT_SIZE];
-        s.put(e, &shadow, StablePolicy::StableOnly(StableWriteMode::Sync))
-            .unwrap();
-        assert_eq!(s.get(e).unwrap(), original);
-        assert_eq!(s.get_from(e, ReadSource::Stable).unwrap(), shadow);
-    }
-
-    #[test]
     fn original_and_stable_writes_both() {
         let mut s = svc();
         let e = s.allocate_contiguous(2).unwrap();
         let data: Vec<u8> = (0..2 * FRAGMENT_SIZE)
             .map(|i| (i * 7 % 251) as u8)
             .collect();
-        s.put(
-            e,
-            &data,
-            StablePolicy::OriginalAndStable(StableWriteMode::Sync),
-        )
-        .unwrap();
+        s.put(e, &data, StablePolicy::OriginalAndStable).unwrap();
         assert_eq!(s.get(e).unwrap(), data);
         assert_eq!(s.get_from(e, ReadSource::Stable).unwrap(), data);
     }
@@ -984,25 +940,10 @@ mod tests {
             .put(
                 e,
                 &vec![0u8; FRAGMENT_SIZE],
-                StablePolicy::StableOnly(StableWriteMode::Sync),
+                StablePolicy::OriginalAndStable,
             )
             .unwrap_err();
         assert_eq!(err, DiskServiceError::NoStableStorage);
-    }
-
-    #[test]
-    fn deferred_stable_write_flushes() {
-        let mut s = svc();
-        let e = s.allocate_contiguous(1).unwrap();
-        s.put(
-            e,
-            &vec![9u8; FRAGMENT_SIZE],
-            StablePolicy::OriginalAndStable(StableWriteMode::Deferred),
-        )
-        .unwrap();
-        assert!(s.stable_mut().unwrap().pending_writes() > 0);
-        s.flush().unwrap();
-        assert_eq!(s.stable_mut().unwrap().pending_writes(), 0);
     }
 
     #[test]
@@ -1062,12 +1003,7 @@ mod tests {
         let mut s = svc();
         let e = s.allocate_contiguous(1).unwrap();
         let data = vec![0xCD; FRAGMENT_SIZE];
-        s.put(
-            e,
-            &data,
-            StablePolicy::OriginalAndStable(StableWriteMode::Sync),
-        )
-        .unwrap();
+        s.put(e, &data, StablePolicy::OriginalAndStable).unwrap();
         s.disk_mut().corrupt_sector(e.start).unwrap();
         s.recover().unwrap(); // drop the cached copy; bad sector persists
         assert!(matches!(s.get(e), Err(DiskServiceError::Disk(_))));
@@ -1166,12 +1102,5 @@ mod tests {
         assert!(s.stats().disk.read_ops > r0, "read went to disk");
         let stable_reads_after = s.stats().stable.read_ops + s.stats().stable.sector_reads;
         assert_eq!(stable_reads_before, stable_reads_after, "no stable scan");
-    }
-
-    #[test]
-    fn stable_payload_constant_matches() {
-        // The put() split assumes STABLE_PAYLOAD == SECTOR_SIZE - 20.
-        assert_eq!(rhodos_simdisk::SECTOR_SIZE - 20, SECTOR_SIZE - 20);
-        assert_eq!(rhodos_simdisk::SECTOR_SIZE - 20, 2028usize);
     }
 }

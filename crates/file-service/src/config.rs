@@ -30,8 +30,8 @@ pub struct FileServiceConfig {
     /// How striped windows and coalesced flushes reach the spindles (see
     /// [`ParallelIo`]).
     pub parallel_io: ParallelIo,
-    /// Lease terms, recall timeout and reattach window for client cache
-    /// delegations (see [`LeaseManager`](crate::LeaseManager)).
+    /// Lease term for client cache delegations (see
+    /// [`LeaseManager`](crate::LeaseManager)).
     pub lease: LeaseParams,
     /// Intra-service redundancy: [`Redundancy::Parity`] turns the
     /// stripe layer into k-data + m-parity erasure-coded rows (RAID-5

@@ -65,28 +65,27 @@ pub struct LeaseGrant {
     pub stamp: HlcStamp,
 }
 
+/// How long a recall waits for the holder before giving up and waiting
+/// the holder's lease out instead, virtual microseconds.
+pub(crate) const RECALL_TIMEOUT_US: u64 = 300_000;
+
+/// How long after a crash reattach claims are accepted, virtual
+/// microseconds.
+const REATTACH_WINDOW_US: u64 = 2_000_000;
+
+/// HLC node id of a server's stamp lane.
+const HLC_NODE: u32 = 0;
+
 /// Tunables for the lease subsystem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeaseParams {
     /// Lease term: a grant lapses this long after issue/renewal.
     pub term_us: u64,
-    /// How long a recall waits for the holder before giving up and
-    /// waiting the holder's lease out instead.
-    pub recall_timeout_us: u64,
-    /// How long after a crash reattach claims are accepted.
-    pub reattach_window_us: u64,
-    /// HLC node id of this server's stamp lane.
-    pub node: u32,
 }
 
 impl Default for LeaseParams {
     fn default() -> Self {
-        Self {
-            term_us: 2_000_000,
-            recall_timeout_us: 300_000,
-            reattach_window_us: 2_000_000,
-            node: 0,
-        }
+        Self { term_us: 2_000_000 }
     }
 }
 
@@ -209,10 +208,10 @@ pub struct LeaseManager {
 }
 
 impl LeaseManager {
-    /// Creates an empty lease table stamping with `params.node`.
+    /// Creates an empty lease table.
     pub fn new(clock: SimClock, params: LeaseParams) -> Self {
         Self {
-            hlc: HlcClock::new(clock, params.node),
+            hlc: HlcClock::new(clock, HLC_NODE),
             params,
             epoch: 0,
             next_seq: 0,
@@ -230,7 +229,7 @@ impl LeaseManager {
         self.params
     }
 
-    /// Replaces the tunables (tests shorten terms and windows).
+    /// Replaces the tunables (tests change the term).
     pub fn set_params(&mut self, params: LeaseParams) {
         self.params = params;
     }
@@ -423,7 +422,7 @@ impl LeaseManager {
         self.grants.clear();
         self.epoch += 1;
         self.stats.epoch = self.epoch;
-        self.reattach_until = now + self.params.reattach_window_us;
+        self.reattach_until = now + REATTACH_WINDOW_US;
     }
 
     /// End of the current reattach window (virtual us).
@@ -622,7 +621,7 @@ mod tests {
             .try_acquire(clock.now_us(), 1, f, LeaseMode::Read)
             .unwrap();
         m.server_crashed(clock.now_us());
-        clock.advance(m.params().reattach_window_us + 1);
+        clock.advance(REATTACH_WINDOW_US + 1);
         assert!(m
             .reattach(clock.now_us(), &g2.token, g2.mode, g2.stamp)
             .is_none());

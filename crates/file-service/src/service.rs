@@ -21,6 +21,7 @@ use crate::error::FileServiceError;
 use crate::fit::{BlockDescriptor, FileIndexTable};
 use crate::lease::{
     LeaseGrant, LeaseManager, LeaseMode, LeaseToken, RecallAck, RecallRegistry, RecallTarget,
+    RECALL_TIMEOUT_US,
 };
 use crate::parity::{ParityStats, RebuildReport};
 use crate::scrub::ScrubStats;
@@ -320,6 +321,12 @@ impl FileService {
 
     /// Sets the locking level recorded in the FIT (used by the transaction
     /// service).
+    ///
+    /// The caller sets the level on a file no transaction holds locks on:
+    /// the transaction service keeps one lock table per level and checks a
+    /// request against its own level's table only, so a file must not be
+    /// locked at two levels at once (the paper's §6.1 constraint). Its one
+    /// writer, `tcreate`, sets the level of a file it has just created.
     ///
     /// # Errors
     ///
@@ -994,7 +1001,7 @@ impl FileService {
             None => {
                 // Bounded recall timeout, then wait the lease out: past
                 // its expiry the holder's token validates nothing.
-                self.clock.advance(self.lease.params().recall_timeout_us);
+                self.clock.advance(RECALL_TIMEOUT_US);
                 self.clock.advance_to(pending.expiry_us);
                 self.lease.fence(fid, pending.client, pending.seq);
                 None

@@ -22,7 +22,6 @@ use rhodos_disk_service::{
     DiskService, DiskServiceError, Extent, FragmentAddr, ReadSource, StablePolicy, BLOCK_SIZE,
     FRAGS_PER_BLOCK,
 };
-use rhodos_simdisk::StableWriteMode;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The disks of one file service and the layout of files over them.
@@ -159,7 +158,7 @@ impl Volume {
         data: &[u8],
     ) -> Result<(), FileServiceError> {
         let policy = if self.disks[0].has_stable() {
-            StablePolicy::OriginalAndStable(StableWriteMode::Sync)
+            StablePolicy::OriginalAndStable
         } else {
             StablePolicy::None
         };

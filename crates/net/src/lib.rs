@@ -231,7 +231,13 @@ impl SimNetwork {
     }
 }
 
-/// Exponential-backoff policy applied between RPC retries.
+/// Nominal delay before the first RPC retry, virtual microseconds.
+const RETRY_BASE_US: u64 = 500;
+/// Ceiling on any single RPC retry delay, virtual microseconds.
+const RETRY_CAP_US: u64 = 64_000;
+
+/// The jittered delay of the `nth_retry`-th RPC retry (1-based), drawn
+/// from `rng`.
 ///
 /// A blind tight retry loop floods an already lossy channel; real RPC
 /// stacks (and the failover designs in the related literature) space
@@ -240,39 +246,16 @@ impl SimNetwork {
 /// the simulation's [`SimClock`], so retry cost shows up in virtual time
 /// exactly like disk seeks and message transit do.
 ///
-/// The `n`-th retry waits `min(cap_us, base_us * 2^(n-1))` microseconds,
-/// "equal-jitter" randomised into `[delay/2, delay]` with the client's
-/// own deterministic RNG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackoffConfig {
-    /// Nominal delay before the first retry, virtual microseconds.
-    pub base_us: u64,
-    /// Ceiling on any single retry delay.
-    pub cap_us: u64,
-}
-
-impl Default for BackoffConfig {
-    fn default() -> Self {
-        Self {
-            base_us: 500,
-            cap_us: 64_000,
-        }
-    }
-}
-
-impl BackoffConfig {
-    /// The jittered delay of the `nth_retry`-th retry (1-based), drawn
-    /// from `rng`.
-    fn delay_us(&self, nth_retry: u32, rng: &mut StdRng) -> u64 {
-        let shift = (nth_retry - 1).min(32);
-        let nominal = self
-            .base_us
-            .saturating_mul(1u64 << shift)
-            .min(self.cap_us)
-            .max(1);
-        let half = nominal / 2;
-        half + rng.gen_range(0..=nominal - half)
-    }
+/// The `n`-th retry waits `min(RETRY_CAP_US, RETRY_BASE_US * 2^(n-1))`
+/// microseconds, "equal-jitter" randomised into `[delay/2, delay]` with
+/// the client's own deterministic RNG.
+fn retry_delay_us(nth_retry: u32, rng: &mut StdRng) -> u64 {
+    let shift = (nth_retry - 1).min(32);
+    let nominal = RETRY_BASE_US
+        .saturating_mul(1u64 << shift)
+        .min(RETRY_CAP_US);
+    let half = nominal / 2;
+    half + rng.gen_range(0..=nominal - half)
 }
 
 /// Counters of one client's RPC behaviour.
@@ -311,15 +294,12 @@ pub struct RpcClient {
     stats: RpcClientStats,
     /// Attempts per call before giving up (original + retries).
     pub max_attempts: u32,
-    /// Retry spacing; `None` retries back-to-back (the pre-backoff
-    /// behaviour, kept for ablations).
-    pub backoff: Option<BackoffConfig>,
 }
 
 impl RpcClient {
     /// Creates a client with identity `client_id` (part of the request-id
     /// space so ids never collide across clients). Retries back off
-    /// exponentially by default.
+    /// exponentially (see `retry_delay_us`).
     pub fn new(client_id: u64) -> Self {
         Self {
             client_id,
@@ -327,7 +307,6 @@ impl RpcClient {
             rng: StdRng::seed_from_u64(client_id ^ 0x9E37_79B9_7F4A_7C15),
             stats: RpcClientStats::default(),
             max_attempts: 16,
-            backoff: Some(BackoffConfig::default()),
         }
     }
 
@@ -383,11 +362,9 @@ impl RpcClient {
                 // A lost leg means the channel (or server) is struggling:
                 // space the retry out instead of hammering.
                 self.stats.retries += 1;
-                if let Some(cfg) = self.backoff {
-                    let delay = cfg.delay_us(attempt - 1, &mut self.rng);
-                    net.clock().advance(delay);
-                    self.stats.backoff_us += delay;
-                }
+                let delay = retry_delay_us(attempt - 1, &mut self.rng);
+                net.clock().advance(delay);
+                self.stats.backoff_us += delay;
             }
             // Request leg.
             let copies = match net.transmit() {
@@ -653,57 +630,39 @@ mod more_tests {
 
     #[test]
     fn retries_back_off_on_the_sim_clock() {
-        // Same loss pattern with and without backoff: the backoff client
-        // must spend extra virtual time between attempts, and report it.
-        let clock_tight = SimClock::new();
-        let mut tight_net = SimNetwork::new(clock_tight.clone(), NetConfig::lossy(0.5, 0.0, 11));
-        let mut tight = RpcClient::new(4);
-        tight.backoff = None;
-
-        let clock_spaced = SimClock::new();
-        let mut spaced_net = SimNetwork::new(clock_spaced.clone(), NetConfig::lossy(0.5, 0.0, 11));
-        let mut spaced = RpcClient::new(4);
-        assert!(spaced.backoff.is_some(), "backoff is the default");
-
-        let mut cache_a = ReplayCache::new();
-        let mut cache_b = ReplayCache::new();
+        // Every virtual microsecond is either transit or backoff: the
+        // client spends extra time between attempts, and reports it.
+        let clock = SimClock::new();
+        let mut net = SimNetwork::new(clock.clone(), NetConfig::lossy(0.5, 0.0, 11));
+        let mut client = RpcClient::new(4);
+        let mut cache = ReplayCache::new();
         for _ in 0..30 {
-            tight
-                .call(&mut tight_net, |rid| cache_a.execute(rid, Vec::new))
-                .unwrap();
-            spaced
-                .call(&mut spaced_net, |rid| cache_b.execute(rid, Vec::new))
+            client
+                .call(&mut net, |rid| cache.execute(rid, Vec::new))
                 .unwrap();
         }
-        // Identical seeds → identical transmission fates → same retries.
-        assert_eq!(tight.stats().retries, spaced.stats().retries);
-        assert!(spaced.stats().retries > 0, "seed 11 must force retries");
-        assert_eq!(tight.stats().backoff_us, 0);
-        assert!(spaced.stats().backoff_us > 0);
+        assert!(client.stats().retries > 0, "seed 11 must force retries");
+        assert!(client.stats().backoff_us >= client.stats().retries * RETRY_BASE_US / 2);
         assert_eq!(
-            clock_spaced.now_us(),
-            clock_tight.now_us() + spaced.stats().backoff_us,
+            clock.now_us(),
+            net.stats().transit_us + client.stats().backoff_us,
             "backoff time is charged to the virtual clock"
         );
     }
 
     #[test]
     fn backoff_delays_grow_exponentially_and_cap() {
-        let cfg = BackoffConfig {
-            base_us: 100,
-            cap_us: 1_000,
-        };
         let mut rng = StdRng::seed_from_u64(1);
         let mut prev_nominal = 0;
-        for nth in 1..=8u32 {
-            let d = cfg.delay_us(nth, &mut rng);
-            let nominal = (100u64 << (nth - 1)).min(1_000);
+        for nth in 1..=10u32 {
+            let d = retry_delay_us(nth, &mut rng);
+            let nominal = (RETRY_BASE_US << (nth - 1)).min(RETRY_CAP_US);
             assert!(d >= nominal / 2 && d <= nominal, "retry {nth}: {d}");
             assert!(nominal >= prev_nominal);
             prev_nominal = nominal;
         }
         // Far past the cap the shift must not overflow.
-        assert!(cfg.delay_us(60, &mut rng) <= 1_000);
+        assert!(retry_delay_us(60, &mut rng) <= RETRY_CAP_US);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use fault::{FaultInjector, WriteOutcome};
 pub use geometry::{DiskGeometry, SectorAddr, TrackNo};
 pub use model::LatencyModel;
 pub use rhodos_buf::BlockBuf;
-pub use stable::{StableStore, StableWriteMode, STABLE_PAYLOAD};
+pub use stable::{StableStore, STABLE_PAYLOAD};
 pub use stats::DiskStats;
 
 /// Size of one disk sector in bytes. Equal to one RHODOS *fragment* (2 KiB).

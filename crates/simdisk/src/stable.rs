@@ -2,16 +2,15 @@
 //!
 //! The paper requires that "stable storage is provided" so that "all the
 //! important data structures used for file management ... are recoverable"
-//! (§7), and the disk service's `put-block` lets callers choose whether data
-//! goes to stable storage only (shadow pages) or to its original location
-//! *and* stable storage (the file index table), synchronously or
-//! asynchronously (§4). This module supplies the storage substrate those
-//! semantics are built on.
+//! (§7), and the disk service's `put-block` can send data to its original
+//! location *and* stable storage, as for the file index table (§4). This
+//! module supplies the storage substrate that option is built on.
 //!
 //! Each stable *record* occupies one sector on each of two mirrored disks
-//! and carries a header `(seq, len, checksum)`. Writes go to replica A,
-//! then replica B. After a crash, [`StableStore::recover`] restores the
-//! invariant that both replicas hold the same, valid record:
+//! and carries a header `(seq, len, checksum)`. A write goes to replica A,
+//! then replica B, before the call returns. After a crash,
+//! [`StableStore::recover`] restores the invariant that both replicas hold
+//! the same, valid record:
 //!
 //! * one replica invalid → copy from the valid one;
 //! * both valid but different sequence numbers → propagate the newer one;
@@ -27,21 +26,6 @@ const HEADER: usize = 20; // seq u64 | len u32 | checksum u64
 
 /// Maximum payload of one stable record.
 pub const STABLE_PAYLOAD: usize = SECTOR_SIZE - HEADER;
-
-/// Whether a stable write must reach both mirrors before the call returns.
-///
-/// Models the paper's `put-block` option of returning "before saving the
-/// data on stable storage or after" (§4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StableWriteMode {
-    /// Both replicas are written before the call returns.
-    Sync,
-    /// Replica A is written immediately; replica B is queued and written on
-    /// the next [`StableStore::flush_deferred`] call. A crash before the
-    /// flush leaves replica B stale — exactly the window `recover` must
-    /// close.
-    Deferred,
-}
 
 fn fnv1a(data: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
@@ -84,13 +68,13 @@ fn decode(sector: &[u8]) -> Option<(u64, Vec<u8>)> {
 ///
 /// ```
 /// use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock, SimDisk};
-/// use rhodos_simdisk::{StableStore, StableWriteMode};
+/// use rhodos_simdisk::StableStore;
 ///
 /// # fn main() -> Result<(), rhodos_simdisk::DiskError> {
 /// let clock = SimClock::new();
 /// let mk = || SimDisk::new(DiskGeometry::small(), LatencyModel::instant(), clock.clone());
 /// let mut stable = StableStore::new(mk(), mk());
-/// stable.write(3, b"file index table", StableWriteMode::Sync)?;
+/// stable.write(3, b"file index table")?;
 /// assert_eq!(stable.read(3)?.as_deref(), Some(&b"file index table"[..]));
 /// # Ok(())
 /// # }
@@ -99,8 +83,6 @@ fn decode(sector: &[u8]) -> Option<(u64, Vec<u8>)> {
 pub struct StableStore {
     a: SimDisk,
     b: SimDisk,
-    /// Slots whose replica-B write is still pending (`Deferred` mode).
-    pending_b: Vec<(SectorAddr, Vec<u8>)>,
     next_seq: u64,
 }
 
@@ -116,12 +98,7 @@ impl StableStore {
             b.geometry(),
             "stable storage mirrors must share a geometry"
         );
-        Self {
-            a,
-            b,
-            pending_b: Vec::new(),
-            next_seq: 1,
-        }
+        Self { a, b, next_seq: 1 }
     }
 
     /// Number of record slots available.
@@ -151,15 +128,9 @@ impl StableStore {
     /// # Errors
     ///
     /// Returns [`DiskError::UnalignedBuffer`] if the payload exceeds
-    /// [`STABLE_PAYLOAD`], or any underlying disk error. In `Sync` mode the
-    /// record is on both mirrors when this returns; in `Deferred` mode only
-    /// on mirror A.
-    pub fn write(
-        &mut self,
-        slot: SectorAddr,
-        payload: &[u8],
-        mode: StableWriteMode,
-    ) -> Result<(), DiskError> {
+    /// [`STABLE_PAYLOAD`], or any underlying disk error. The record is on
+    /// both mirrors when this returns `Ok`.
+    pub fn write(&mut self, slot: SectorAddr, payload: &[u8]) -> Result<(), DiskError> {
         if payload.len() > STABLE_PAYLOAD {
             return Err(DiskError::UnalignedBuffer { len: payload.len() });
         }
@@ -167,15 +138,7 @@ impl StableStore {
         self.next_seq += 1;
         let sector = encode(seq, payload);
         self.a.write_sectors(slot, &sector)?;
-        match mode {
-            StableWriteMode::Sync => {
-                self.b.write_sectors(slot, &sector)?;
-            }
-            StableWriteMode::Deferred => {
-                self.pending_b.retain(|(s, _)| *s != slot);
-                self.pending_b.push((slot, sector));
-            }
-        }
+        self.b.write_sectors(slot, &sector)?;
         Ok(())
     }
 
@@ -183,10 +146,9 @@ impl StableStore {
     /// `first_slot` as one coalesced run per mirror: one replica-A write
     /// covering every sector, a verify pass re-reading and decoding the
     /// run (Lampson's careful write — a record is only trusted on A
-    /// before B is allowed to be overwritten), then one replica-B write
-    /// (`Sync`) or per-slot deferral (`Deferred`). Semantically identical
-    /// to calling [`Self::write`] per slot; the per-slot mirror round
-    /// trips are what it removes.
+    /// before B is allowed to be overwritten), then one replica-B write.
+    /// Semantically identical to calling [`Self::write`] per slot; the
+    /// per-slot mirror round trips are what it removes.
     ///
     /// # Errors
     ///
@@ -197,13 +159,12 @@ impl StableStore {
         &mut self,
         first_slot: SectorAddr,
         payloads: &[&[u8]],
-        mode: StableWriteMode,
     ) -> Result<(), DiskError> {
         if payloads.is_empty() {
             return Ok(());
         }
         if let [payload] = payloads {
-            return self.write(first_slot, payload, mode);
+            return self.write(first_slot, payload);
         }
         let mut run = Vec::with_capacity(payloads.len() * SECTOR_SIZE);
         let mut seqs = Vec::with_capacity(payloads.len());
@@ -228,55 +189,9 @@ impl StableStore {
                 _ => return Err(DiskError::StableLost(first_slot + i as u64)),
             }
         }
-        // Coalesced B-pass (or deferral).
-        match mode {
-            StableWriteMode::Sync => {
-                self.b.write_sectors(first_slot, &run)?;
-            }
-            StableWriteMode::Deferred => {
-                for (i, chunk) in run.chunks(SECTOR_SIZE).enumerate() {
-                    let slot = first_slot + i as u64;
-                    self.pending_b.retain(|(s, _)| *s != slot);
-                    self.pending_b.push((slot, chunk.to_vec()));
-                }
-            }
-        }
+        // Coalesced B-pass.
+        self.b.write_sectors(first_slot, &run)?;
         Ok(())
-    }
-
-    /// Flushes all deferred replica-B writes, coalescing adjacent slots
-    /// into single mirror writes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first disk error; unwritten writes stay queued.
-    pub fn flush_deferred(&mut self) -> Result<(), DiskError> {
-        let mut pending = std::mem::take(&mut self.pending_b);
-        pending.sort_by_key(|&(slot, _)| slot);
-        let mut i = 0;
-        while i < pending.len() {
-            let first = pending[i].0;
-            let mut j = i + 1;
-            while j < pending.len() && pending[j].0 == first + (j - i) as u64 {
-                j += 1;
-            }
-            let run: Vec<u8> = pending[i..j]
-                .iter()
-                .flat_map(|(_, sector)| sector.iter().copied())
-                .collect();
-            if let Err(e) = self.b.write_sectors(first, &run) {
-                // Unwritten entries (including this run) stay queued.
-                self.pending_b.extend(pending.drain(i..));
-                return Err(e);
-            }
-            i = j;
-        }
-        Ok(())
-    }
-
-    /// Number of replica-B writes still pending.
-    pub fn pending_writes(&self) -> usize {
-        self.pending_b.len()
     }
 
     /// Reads the record at `slot`, preferring mirror A and falling back to
@@ -335,7 +250,6 @@ impl StableStore {
     pub fn recover(&mut self) -> Result<Vec<SectorAddr>, DiskError> {
         self.a.repair();
         self.b.repair();
-        self.pending_b.clear();
         let mut lost = Vec::new();
         let mut max_seq = 0u64;
         for slot in 0..self.slots() {
@@ -418,7 +332,7 @@ mod tests {
     #[test]
     fn write_read_round_trip() {
         let mut s = store();
-        s.write(0, b"hello", StableWriteMode::Sync).unwrap();
+        s.write(0, b"hello").unwrap();
         assert_eq!(s.read(0).unwrap().unwrap(), b"hello");
     }
 
@@ -432,13 +346,13 @@ mod tests {
     fn oversized_payload_rejected() {
         let mut s = store();
         let big = vec![0u8; STABLE_PAYLOAD + 1];
-        assert!(s.write(0, &big, StableWriteMode::Sync).is_err());
+        assert!(s.write(0, &big).is_err());
     }
 
     #[test]
     fn survives_primary_media_failure() {
         let mut s = store();
-        s.write(1, b"vital", StableWriteMode::Sync).unwrap();
+        s.write(1, b"vital").unwrap();
         s.mirror_a_mut().corrupt_sector(1).unwrap();
         assert_eq!(s.read(1).unwrap().unwrap(), b"vital");
         // Recovery repairs the damaged mirror.
@@ -450,7 +364,7 @@ mod tests {
     #[test]
     fn both_replicas_lost_is_reported() {
         let mut s = store();
-        s.write(1, b"vital", StableWriteMode::Sync).unwrap();
+        s.write(1, b"vital").unwrap();
         s.mirror_a_mut().corrupt_sector(1).unwrap();
         s.mirror_b_mut().corrupt_sector(1).unwrap();
         assert_eq!(s.read(1), Err(DiskError::StableLost(1)));
@@ -458,28 +372,24 @@ mod tests {
         assert_eq!(lost, vec![1]);
     }
 
-    #[test]
-    fn deferred_write_window_closed_by_recover() {
-        let mut s = store();
-        s.write(2, b"old", StableWriteMode::Sync).unwrap();
-        s.write(2, b"new", StableWriteMode::Deferred).unwrap();
-        assert_eq!(s.pending_writes(), 1);
-        // Crash before flush: replica B still has "old".
-        let lost = s.recover().unwrap();
-        assert!(lost.is_empty());
-        // The newer record (A) won.
-        assert_eq!(s.read(2).unwrap().unwrap(), b"new");
-        assert_eq!(s.pending_writes(), 0);
+    /// Arms mirror B to crash at its next sector write: a write then
+    /// lands on A only, the window between the two mirror writes.
+    fn crash_mirror_b_next(s: &mut StableStore) {
+        s.mirror_b_mut().faults_mut().crash_after_sector_writes(0);
     }
 
     #[test]
-    fn flush_deferred_completes_mirror() {
+    fn a_write_torn_between_mirrors_is_closed_by_recover() {
         let mut s = store();
-        s.write(3, b"x", StableWriteMode::Deferred).unwrap();
-        s.flush_deferred().unwrap();
-        assert_eq!(s.pending_writes(), 0);
-        s.mirror_a_mut().corrupt_sector(3).unwrap();
-        assert_eq!(s.read(3).unwrap().unwrap(), b"x");
+        s.write(2, b"old").unwrap();
+        crash_mirror_b_next(&mut s);
+        assert!(s.write(2, b"new").is_err());
+        // Crash between the mirrors: replica B still has "old".
+        let lost = s.recover().unwrap();
+        assert!(lost.is_empty());
+        // The newer record (A) won, on both mirrors.
+        s.mirror_a_mut().corrupt_sector(2).unwrap();
+        assert_eq!(s.read(2).unwrap().unwrap(), b"new");
     }
 
     #[test]
@@ -487,7 +397,7 @@ mod tests {
         let mut s = store();
         let payloads: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 5]).collect();
         let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
-        s.write_batch(2, &refs, StableWriteMode::Sync).unwrap();
+        s.write_batch(2, &refs).unwrap();
         for (i, p) in payloads.iter().enumerate() {
             assert_eq!(s.read(2 + i as u64).unwrap().unwrap(), *p);
         }
@@ -501,35 +411,15 @@ mod tests {
     }
 
     #[test]
-    fn write_batch_deferred_coalesces_flush() {
-        let mut s = store();
-        let payloads: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i + 10; 3]).collect();
-        let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
-        s.write_batch(4, &refs, StableWriteMode::Deferred).unwrap();
-        assert_eq!(s.pending_writes(), 3);
-        let b_writes_before = s.mirror_b_mut().stats().write_ops;
-        s.flush_deferred().unwrap();
-        assert_eq!(s.pending_writes(), 0);
-        let b_writes_after = s.mirror_b_mut().stats().write_ops;
-        assert_eq!(
-            b_writes_after - b_writes_before,
-            1,
-            "adjacent deferred slots must flush as one mirror write"
-        );
-        s.mirror_a_mut().corrupt_sector(5).unwrap();
-        assert_eq!(s.read(5).unwrap().unwrap(), payloads[1]);
-    }
-
-    #[test]
     fn torn_batch_a_pass_leaves_replica_b_recoverable() {
         let mut s = store();
-        s.write(1, b"precious", StableWriteMode::Sync).unwrap();
+        s.write(1, b"precious").unwrap();
         // The A-pass tears after one sector: slot 1's new A copy never
         // lands, and because B is only written after the A-pass verifies,
         // B still holds the old record.
         s.mirror_a_mut().faults_mut().crash_after_sector_writes(1);
         let payloads: Vec<&[u8]> = vec![b"x", b"y"];
-        assert!(s.write_batch(0, &payloads, StableWriteMode::Sync).is_err());
+        assert!(s.write_batch(0, &payloads).is_err());
         s.recover().unwrap();
         assert_eq!(s.read(1).unwrap().unwrap(), b"precious");
     }
@@ -537,8 +427,9 @@ mod tests {
     #[test]
     fn recover_is_idempotent() {
         let mut s = store();
-        s.write(0, b"a", StableWriteMode::Sync).unwrap();
-        s.write(1, b"b", StableWriteMode::Deferred).unwrap();
+        s.write(0, b"a").unwrap();
+        crash_mirror_b_next(&mut s);
+        assert!(s.write(1, b"b").is_err());
         s.recover().unwrap();
         s.recover().unwrap();
         assert_eq!(s.read(0).unwrap().unwrap(), b"a");
@@ -549,11 +440,12 @@ mod tests {
     fn seq_numbers_keep_newest_after_recovery() {
         let mut s = store();
         for i in 0..5u8 {
-            s.write(0, &[i], StableWriteMode::Sync).unwrap();
+            s.write(0, &[i]).unwrap();
         }
         s.recover().unwrap();
         // New write after recovery must still be the newest.
-        s.write(0, b"final", StableWriteMode::Deferred).unwrap();
+        crash_mirror_b_next(&mut s);
+        assert!(s.write(0, b"final").is_err());
         s.recover().unwrap();
         assert_eq!(s.read(0).unwrap().unwrap(), b"final");
     }

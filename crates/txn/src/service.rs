@@ -45,13 +45,6 @@ pub struct TxnConfig {
     pub lt_us: u64,
     /// Renewals N before an uncontested holder is presumed deadlocked.
     pub max_renewals: u32,
-    /// Cross-granularity conflict detection. The paper assumes "a file
-    /// cannot be subjected to more than one level of locking by
-    /// concurrent transactions" but notes "this constraint can be
-    /// relaxed, if required, at a later stage" (§6.1) — enabling this
-    /// implements the relaxation: a lock request also conflicts with
-    /// overlapping locks held in the *other* granularities' tables.
-    pub cross_granularity: bool,
     /// Shards each lock table is striped over (lock-contention isolation,
     /// E20). `1` reproduces one unstriped table per granularity exactly —
     /// the E20 ablation arm.
@@ -63,7 +56,6 @@ impl Default for TxnConfig {
         Self {
             lt_us: 100_000,
             max_renewals: 3,
-            cross_granularity: false,
             lock_shards: 8,
         }
     }
@@ -453,18 +445,6 @@ impl TransactionService {
         // Nested transactions lock in the root's name: the family shares
         // its locks and never conflicts with itself.
         let owner = self.root_of(t).0;
-        // Relaxed mode (§6.1): the same file may be locked at different
-        // levels by concurrent transactions, so a request must also be
-        // compatible with overlapping grants in the other tables.
-        if self.config.cross_granularity {
-            let idx = table_index(level);
-            for (i, other) in self.tables.iter().enumerate() {
-                if i != idx && other.would_conflict(owner, &item, mode) {
-                    self.stats.would_blocks += 1;
-                    return Err(TxnError::WouldBlock { txn: t, item });
-                }
-            }
-        }
         match self.tables[table_index(level)].set_lock(pid, owner, item, mode, now) {
             LockOutcome::Granted => Ok(()),
             LockOutcome::Queued => {
@@ -915,116 +895,5 @@ pub(crate) mod tests {
             Err(TxnError::FileNotOpen(_))
         ));
         ts.tabort(t).unwrap();
-    }
-}
-
-#[cfg(test)]
-mod cross_granularity_tests {
-    use super::*;
-    use rhodos_file_service::FileServiceConfig;
-    use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
-
-    fn service(cross: bool) -> TransactionService {
-        let fs = FileService::single_disk(
-            DiskGeometry::medium(),
-            LatencyModel::instant(),
-            SimClock::new(),
-            FileServiceConfig::default(),
-        )
-        .unwrap();
-        TransactionService::new(
-            fs,
-            TxnConfig {
-                cross_granularity: cross,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-    }
-
-    /// Two transactions lock the same file at different levels. Without
-    /// the relaxation the conflict is invisible (the paper's assumed
-    /// constraint must hold by convention); with it, it is detected.
-    fn mixed_level_conflict(cross: bool) -> Result<(), TxnError> {
-        let mut ts = service(cross);
-        let fid = ts.tcreate(LockLevel::Page).unwrap();
-        let t0 = ts.tbegin();
-        ts.topen(t0, fid).unwrap();
-        ts.twrite(t0, fid, 0, &vec![0u8; 8192]).unwrap();
-        ts.tend(t0).unwrap();
-        // T1 locks page 0 (page table).
-        let t1 = ts.tbegin();
-        ts.topen(t1, fid).unwrap();
-        ts.twrite(t1, fid, 0, b"page-level hold").unwrap();
-        // T2 arrives via file-level locking on the SAME file.
-        ts.file_service_mut()
-            .set_lock_level(fid, LockLevel::File)
-            .unwrap();
-        let t2 = ts.tbegin();
-        ts.topen(t2, fid).unwrap();
-        let r = ts.twrite(t2, fid, 0, b"file-level write");
-        ts.tabort(t1).unwrap();
-        let _ = ts.tabort(t2);
-        r
-    }
-
-    #[test]
-    fn relaxation_detects_mixed_level_conflicts() {
-        assert!(matches!(
-            mixed_level_conflict(true),
-            Err(TxnError::WouldBlock { .. })
-        ));
-    }
-
-    #[test]
-    fn default_mode_trusts_the_papers_assumption() {
-        // Without the relaxation the write is (unsafely but by the
-        // paper's stated assumption) granted — the tables are disjoint.
-        assert!(mixed_level_conflict(false).is_ok());
-    }
-
-    #[test]
-    fn relaxed_mode_still_allows_disjoint_items() {
-        let mut ts = service(true);
-        let fid = ts.tcreate(LockLevel::Page).unwrap();
-        let t0 = ts.tbegin();
-        ts.topen(t0, fid).unwrap();
-        ts.twrite(t0, fid, 0, &vec![0u8; 2 * 8192]).unwrap();
-        ts.tend(t0).unwrap();
-        let t1 = ts.tbegin();
-        let t2 = ts.tbegin();
-        ts.topen(t1, fid).unwrap();
-        ts.topen(t2, fid).unwrap();
-        ts.twrite(t1, fid, 0, b"p0").unwrap();
-        // Different page: no conflict even with cross checks on.
-        ts.twrite(t2, fid, 8192, b"p1").unwrap();
-        ts.tend(t1).unwrap();
-        ts.tend(t2).unwrap();
-    }
-
-    #[test]
-    fn relaxed_mode_unblocks_after_commit() {
-        let mut ts = service(true);
-        let fid = ts.tcreate(LockLevel::Page).unwrap();
-        let t0 = ts.tbegin();
-        ts.topen(t0, fid).unwrap();
-        ts.twrite(t0, fid, 0, &vec![1u8; 8192]).unwrap();
-        // File-level reader must wait while the page write is pending...
-        ts.file_service_mut()
-            .set_lock_level(fid, LockLevel::File)
-            .unwrap();
-        let t2 = ts.tbegin();
-        ts.topen(t2, fid).unwrap();
-        assert!(ts.tread(t2, fid, 0, 4).is_err());
-        // ...and proceed once it commits.
-        ts.file_service_mut()
-            .set_lock_level(fid, LockLevel::Page)
-            .unwrap();
-        ts.tend(t0).unwrap();
-        ts.file_service_mut()
-            .set_lock_level(fid, LockLevel::File)
-            .unwrap();
-        assert_eq!(ts.tread(t2, fid, 0, 4).unwrap(), vec![1u8; 4]);
-        ts.tend(t2).unwrap();
     }
 }

@@ -179,16 +179,6 @@ impl LockTable {
         })
     }
 
-    /// Read-only probe: would a request for `mode` on `item` by `txn`
-    /// conflict with this table's *granted* locks right now? Used for
-    /// cross-granularity conflict detection (the paper's relaxation of
-    /// the one-level-per-file assumption, §6.1).
-    pub fn would_conflict(&self, txn: TxnDescriptor, item: &DataItem, mode: LockMode) -> bool {
-        let others = self.others_holding(txn, item);
-        let own = self.own_mode(txn, item);
-        !may_grant(&others, own, mode)
-    }
-
     /// `set-lock`: requests `mode` on `item` for `txn` at virtual time
     /// `now_us`. Conversion requests (the transaction already holds a
     /// weaker lock on the item) upgrade in place when permitted.
@@ -483,20 +473,6 @@ impl StripedLockTable {
         self.shards[self.shard_of(&item)]
             .lock()
             .set_lock(pid, txn, item, mode, now_us)
-    }
-
-    /// Read-only conflict probe across all shards (ascending order, one
-    /// guard at a time; see [`LockTable::would_conflict`]).
-    ///
-    /// This must visit *every* shard, not just `shard_of(item)`: the
-    /// cross-granularity relaxation probes this table with an item from a
-    /// *different* granularity, and such an item overlaps grants that
-    /// live on other shards — e.g. `File(f)` overlaps every `Page(f, p)`,
-    /// which stripe across shards by page number.
-    pub fn would_conflict(&self, txn: TxnDescriptor, item: &DataItem, mode: LockMode) -> bool {
-        self.shards
-            .iter()
-            .any(|s| s.lock().would_conflict(txn, item, mode))
     }
 
     /// Releases every lock and pending request of `txn` across all
@@ -810,33 +786,6 @@ mod tests {
             t.set_lock(2, 20, page(3), LockMode::ReadOnly, 0),
             LockOutcome::Queued
         );
-        assert!(t.would_conflict(30, &page(3), LockMode::Iwrite));
-    }
-
-    #[test]
-    fn striped_would_conflict_sees_foreign_granularity_items_on_any_shard() {
-        // The cross-granularity relaxation probes a table with an item
-        // from a *different* level. `File(f)` hashes to the (f, MAX)
-        // shard, but page grants for f stripe by page number — the probe
-        // must still find one parked on another shard.
-        let t = StripedLockTable::new(LT, 3, 8);
-        let f = FileId(7);
-        for p in 0..8 {
-            let hot = DataItem::Page(f, p);
-            if t.shard_of(&hot) == t.shard_of(&DataItem::File(f)) {
-                continue; // want a grant the naive single-shard probe misses
-            }
-            assert_eq!(
-                t.set_lock(1, 10, hot, LockMode::Iwrite, 0),
-                LockOutcome::Granted
-            );
-            assert!(t.would_conflict(20, &DataItem::File(f), LockMode::Iwrite));
-            assert!(t.would_conflict(20, &DataItem::Record(f, 0, u64::MAX), LockMode::Iwrite));
-            // The holder itself is exempt, as on the unsharded table.
-            assert!(!t.would_conflict(10, &DataItem::File(f), LockMode::Iwrite));
-            return;
-        }
-        panic!("all of pages 0..8 landed on File(f)'s shard");
     }
 
     #[test]

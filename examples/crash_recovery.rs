@@ -11,7 +11,7 @@
 //! Run with: `cargo run --example crash_recovery`
 
 use rhodos_file_service::{FileService, FileServiceConfig, LockLevel};
-use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock, StableWriteMode};
+use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 use rhodos_txn::{TransactionService, TxnConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
     };
     let mut stable = rhodos_simdisk::StableStore::new(mk(), mk());
-    stable.write(5, b"file index table copy", StableWriteMode::Sync)?;
+    stable.write(5, b"file index table copy")?;
     stable.mirror_a_mut().corrupt_sector(5)?; // platter damage
     assert_eq!(stable.read(5)?.unwrap(), b"file index table copy");
     let lost = stable.recover()?;

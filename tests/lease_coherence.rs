@@ -289,10 +289,10 @@ proptest! {
             if a == 0 {
                 continue;
             }
-            let before = agents[a].stats().round_trips;
+            let before = agents[a].stats().rpcs_sent;
             let data = agents[a].pread(ods[a][f], 0, BLOCK_SIZE).unwrap();
             prop_assert_eq!(&data, &vec![0xA5u8; BLOCK_SIZE]);
-            prop_assert_eq!(agents[a].stats().round_trips, before);
+            prop_assert_eq!(agents[a].stats().rpcs_sent, before);
         }
         // The reconstructed grant set still drives recalls: a conflicting
         // write recalls the read holders and is visible everywhere.
@@ -364,7 +364,7 @@ fn hot_reread_is_zero_rpc_under_a_live_lease() {
     let _ = agents[1]
         .pread(ods[1][0], 0, FILE_BLOCKS * BLOCK_SIZE)
         .unwrap();
-    let trips = agents[1].stats().round_trips;
+    let trips = agents[1].stats().rpcs_sent;
     let sent = agents[1].net_stats().sent;
     for _ in 0..20 {
         let data = agents[1]
@@ -372,7 +372,7 @@ fn hot_reread_is_zero_rpc_under_a_live_lease() {
             .unwrap();
         assert_eq!(data, vec![0xA5u8; FILE_BLOCKS * BLOCK_SIZE]);
     }
-    assert_eq!(agents[1].stats().round_trips, trips, "zero round trips");
+    assert_eq!(agents[1].stats().rpcs_sent, trips, "zero round trips");
     assert_eq!(agents[1].net_stats().sent, sent, "zero packets");
     assert!(agents[1].stats().rpcs_avoided_by_lease >= 20);
 }

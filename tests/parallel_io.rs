@@ -275,7 +275,6 @@ fn small_pool_server(redundancy: Redundancy, pool_blocks: usize) -> FileService 
             redundancy,
             lease: LeaseParams {
                 term_us: u64::MAX / 4,
-                ..LeaseParams::default()
             },
             ..Default::default()
         },
@@ -552,11 +551,11 @@ fn a_pwrite_that_re_evicts_its_own_block_pushes_the_last_version() {
     let od = a.open(&name).unwrap();
     a.pwrite(od, 3 * BLOCK_SIZE as u64, &pattern(BLOCK_SIZE, 0x44))
         .unwrap();
-    let before = a.stats().round_trips;
+    let before = a.stats().rpcs_sent;
     let model = pattern(6 * BLOCK_SIZE, 0x55);
     a.pwrite(od, 0, &model).unwrap();
     assert_eq!(
-        a.stats().round_trips - before,
+        a.stats().rpcs_sent - before,
         1,
         "one exchange for all evictions"
     );

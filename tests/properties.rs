@@ -6,7 +6,7 @@ use rhodos_disk_service::{Bitmap, Extent, FreeExtentArray};
 use rhodos_file_service::{
     FileAttributes, FileId, FileIndexTable, FileService, FileServiceConfig, ServiceType,
 };
-use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock, SimDisk, StableStore, StableWriteMode};
+use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock, SimDisk, StableStore};
 use rhodos_txn::{DataItem, LockMode, LockTable};
 use std::collections::HashMap;
 
@@ -328,7 +328,7 @@ proptest! {
         let mut stable = StableStore::new(mk(), mk());
         let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
         for (slot, data) in writes {
-            stable.write(slot, &data, StableWriteMode::Sync).unwrap();
+            stable.write(slot, &data).unwrap();
             model.insert(slot, data);
         }
         for s in &corrupt_a {

@@ -25,7 +25,6 @@ fn run_counter_workload(level: LockLevel, seed: u64, n_txns: usize) -> u64 {
     let mut ts = service(TxnConfig {
         lt_us: 10_000,
         max_renewals: 1,
-        cross_granularity: false,
         ..Default::default()
     });
     let fid = ts.tcreate(level).unwrap();
@@ -176,7 +175,6 @@ fn timeout_guarantees_liveness_under_heavy_conflict() {
     let mut ts = service(TxnConfig {
         lt_us: 5_000,
         max_renewals: 0,
-        cross_granularity: false,
         ..Default::default()
     });
     let fid = ts.tcreate(LockLevel::Page).unwrap();

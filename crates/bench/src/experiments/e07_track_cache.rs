@@ -39,8 +39,9 @@ fn workload(svc: &mut DiskService, seed: u64) -> (u64, u64, f64, u64, u64) {
     let after = svc.stats();
     let refs = after.disk.read_ops - before.disk.read_ops;
     let dt = clock.now_us() - t0;
-    // Copy traffic on the serving path: platter → transfer buffer plus
-    // any gather-assembly, vs bytes handed out as shared cache views.
+    // Copy traffic on the serving path: gather-assembly of fragments
+    // that span allocations, by the platter or the cache, vs bytes handed
+    // out as shared cache views.
     let copied = (after.disk.bytes_copied - before.disk.bytes_copied)
         + (after.cache.bytes_copied - before.cache.bytes_copied);
     let borrowed = after.cache.bytes_borrowed - before.cache.bytes_borrowed;

@@ -83,7 +83,7 @@ fn workload(server_caches: bool, client_blocks: usize) -> Measured {
     let dt = clock.now_us() - t0;
     let refs = server1.total_disk_refs();
     // Copy traffic across the whole pipeline during the measured reads:
-    // platter transfers plus any cache-level memcpys, vs bytes served as
+    // gather-copies by the platter plus any cache-level memcpys, vs bytes served as
     // shared handles by the client pool, server pool and track caches.
     let disk_copied = |s: &rhodos_file_service::FileServiceStats| -> (u64, u64) {
         s.disks.iter().fold((0, 0), |(c, b), d| {

@@ -12,9 +12,10 @@
 //! * Mutation goes through [`BlockBuf::make_mut`], which is copy-on-write:
 //!   it copies only when the allocation is shared or the view is a
 //!   sub-slice. A uniquely-owned full-range buffer mutates in place.
-//! * A contiguous multi-block disk transfer is one allocation; per-block
-//!   views are made with [`BlockBuf::slice`]. [`BlockBuf::try_concat`]
-//!   reassembles adjacent views of one allocation without copying.
+//! * A buffer handed to the disk stays one allocation down to the
+//!   platter, which keeps per-sector views of it ([`BlockBuf::slice`]);
+//!   [`BlockBuf::join`] reassembles adjacent views of one allocation
+//!   without copying.
 
 use std::fmt;
 use std::ops::{Deref, Range};
@@ -112,19 +113,32 @@ impl BlockBuf {
         })
     }
 
-    /// Joins `parts` into one transfer buffer: the zero-copy view of
+    /// Joins `parts` into one buffer: the zero-copy view of
     /// [`Self::try_concat`] when they are adjacent views of one
     /// allocation, otherwise (mixed provenance) a gather-copy into a
     /// fresh one. The flag reports whether the bytes had to be copied.
-    pub fn concat(parts: &[BlockBuf]) -> (BlockBuf, bool) {
-        if let Some(joined) = Self::try_concat(parts) {
-            return (joined, false);
+    ///
+    /// The parts come from an iterator, so a caller that produces them
+    /// one by one needs no vector of them: they are extended as one view
+    /// while they stay adjacent in one allocation, and the first that is
+    /// not turns the rest into a gather-copy.
+    pub fn join(parts: impl IntoIterator<Item = BlockBuf>) -> (BlockBuf, bool) {
+        let mut parts = parts.into_iter();
+        let Some(mut run) = parts.next() else {
+            return (BlockBuf::new(), false);
+        };
+        while let Some(p) = parts.next() {
+            if Arc::ptr_eq(&p.data, &run.data) && p.off == run.off + run.len {
+                run.len += p.len;
+                continue;
+            }
+            let mut out = Vec::with_capacity(run.len + p.len * (1 + parts.size_hint().0));
+            out.extend_from_slice(&run);
+            out.extend_from_slice(&p);
+            parts.for_each(|p| out.extend_from_slice(&p));
+            return (BlockBuf::from(out), true);
         }
-        let mut out = Vec::with_capacity(parts.iter().map(|p| p.len).sum());
-        for p in parts {
-            out.extend_from_slice(p);
-        }
-        (BlockBuf::from(out), true)
+        (run, false)
     }
 
     /// Copies this view's bytes into `out`.
@@ -308,15 +322,15 @@ mod tests {
         let parts: Vec<_> = (0..4).map(|i| run.slice(i * 4..(i + 1) * 4)).collect();
         let joined = BlockBuf::try_concat(&parts).expect("adjacent views rejoin");
         assert_eq!(joined, run);
-        assert_eq!(BlockBuf::concat(&parts), (run.clone(), false));
+        assert_eq!(BlockBuf::join(parts.clone()), (run.clone(), false));
 
-        // Views from different allocations do not concat — `concat`
+        // Views from different allocations do not concat — `join`
         // gathers them into a fresh buffer and says so.
         let foreign = BlockBuf::from(vec![0u8; 4]);
         let mixed = [parts[0].clone(), foreign];
         assert!(BlockBuf::try_concat(&mixed).is_none());
         assert_eq!(
-            BlockBuf::concat(&mixed),
+            BlockBuf::join(mixed.clone()),
             (BlockBuf::from(vec![0u8, 1, 2, 3, 0, 0, 0, 0]), true)
         );
 

@@ -411,8 +411,7 @@ fn copy_divergent_sectors(src: &mut SimDisk, dst: &mut SimDisk) -> Result<u64, C
     let mut copied = 0;
     for (start, len) in runs {
         let data = src.read_sectors(start, len).map_err(disk_err)?;
-        dst.write_sectors(start, data.as_slice())
-            .map_err(disk_err)?;
+        dst.write_bufs(start, &[data]).map_err(disk_err)?;
         copied += len;
     }
     Ok(copied)

@@ -11,6 +11,7 @@
 //! within one.
 
 use crate::units::Extent;
+use std::ops::Range;
 
 /// Observability for one disk server's scheduler.
 #[derive(Debug, Clone, Copy, Default)]
@@ -37,15 +38,24 @@ impl SchedulerStats {
     }
 }
 
-/// One elevator-ordered, merged run, with back-references into the
-/// submitted batch.
+/// One elevator-ordered, merged run.
 #[derive(Debug)]
 pub struct MergedRun {
     /// The merged extent: one disk reference.
     pub extent: Extent,
-    /// `(input index, byte offset of that request inside the run)` for
-    /// every original request the run absorbed, in address order.
-    pub parts: Vec<(usize, usize)>,
+    /// The requests the run absorbed: a range of [`Schedule::order`],
+    /// so they are in address order and each starts where the one
+    /// before it ends.
+    pub parts: Range<usize>,
+}
+
+/// A batch in elevator order: two vectors however many runs it has.
+#[derive(Debug)]
+pub struct Schedule {
+    /// Input indices of the requests, in the order they are served.
+    pub order: Vec<usize>,
+    /// The merged runs, in the order they are served.
+    pub runs: Vec<MergedRun>,
 }
 
 /// Orders a batch of per-request extents into a C-SCAN sweep starting at
@@ -54,11 +64,7 @@ pub struct MergedRun {
 /// Requests must be pairwise non-overlapping (they may be duplicates of
 /// whole extents only if disjoint — overlapping extents are a caller bug
 /// and are left unmerged, each becoming its own run).
-pub fn order_and_merge(
-    head: u64,
-    requests: &[Extent],
-    stats: &mut SchedulerStats,
-) -> Vec<MergedRun> {
+pub fn order_and_merge(head: u64, requests: &[Extent], stats: &mut SchedulerStats) -> Schedule {
     stats.batches += 1;
     stats.queue_depth_hwm = stats.queue_depth_hwm.max(requests.len() as u64);
     let mut order: Vec<usize> = (0..requests.len()).collect();
@@ -72,11 +78,11 @@ pub fn order_and_merge(
     order.rotate_left(pivot);
 
     let mut runs: Vec<MergedRun> = Vec::new();
-    for &i in &order {
+    for (k, &i) in order.iter().enumerate() {
         let req = requests[i];
         if let Some(last) = runs.last_mut() {
             if last.extent.end() == req.start {
-                last.parts.push((i, last.extent.len_bytes()));
+                last.parts.end = k + 1;
                 last.extent.len += req.len;
                 stats.merged_requests += 1;
                 continue;
@@ -84,10 +90,10 @@ pub fn order_and_merge(
         }
         runs.push(MergedRun {
             extent: req,
-            parts: vec![(i, 0)],
+            parts: k..k + 1,
         });
     }
-    runs
+    Schedule { order, runs }
 }
 
 #[cfg(test)]
@@ -101,10 +107,10 @@ mod tests {
     #[test]
     fn adjacent_requests_merge_into_one_run() {
         let mut stats = SchedulerStats::default();
-        let runs = order_and_merge(0, &[e(4, 4), e(0, 4), e(8, 4)], &mut stats);
-        assert_eq!(runs.len(), 1);
-        assert_eq!(runs[0].extent, e(0, 12));
-        assert_eq!(runs[0].parts, vec![(1, 0), (0, 4 * 2048), (2, 8 * 2048)]);
+        let s = order_and_merge(0, &[e(4, 4), e(0, 4), e(8, 4)], &mut stats);
+        assert_eq!(s.runs.len(), 1);
+        assert_eq!(s.runs[0].extent, e(0, 12));
+        assert_eq!(s.order[s.runs[0].parts.clone()], [1, 0, 2]);
         assert_eq!(stats.merged_requests, 2);
         assert_eq!(stats.queue_depth_hwm, 3);
     }
@@ -112,7 +118,7 @@ mod tests {
     #[test]
     fn cscan_serves_ahead_of_head_first_then_wraps() {
         let mut stats = SchedulerStats::default();
-        let runs = order_and_merge(100, &[e(10, 2), e(200, 2), e(150, 2)], &mut stats);
+        let runs = order_and_merge(100, &[e(10, 2), e(200, 2), e(150, 2)], &mut stats).runs;
         let starts: Vec<u64> = runs.iter().map(|r| r.extent.start).collect();
         assert_eq!(starts, vec![150, 200, 10]);
         assert_eq!(stats.direction_switches, 1);
@@ -121,7 +127,7 @@ mod tests {
     #[test]
     fn no_wrap_when_all_requests_ahead() {
         let mut stats = SchedulerStats::default();
-        let runs = order_and_merge(0, &[e(50, 2), e(10, 2)], &mut stats);
+        let runs = order_and_merge(0, &[e(50, 2), e(10, 2)], &mut stats).runs;
         let starts: Vec<u64> = runs.iter().map(|r| r.extent.start).collect();
         assert_eq!(starts, vec![10, 50]);
         assert_eq!(stats.direction_switches, 0);
@@ -130,7 +136,7 @@ mod tests {
     #[test]
     fn non_adjacent_requests_stay_separate() {
         let mut stats = SchedulerStats::default();
-        let runs = order_and_merge(0, &[e(0, 4), e(8, 4)], &mut stats);
+        let runs = order_and_merge(0, &[e(0, 4), e(8, 4)], &mut stats).runs;
         assert_eq!(runs.len(), 2);
         assert_eq!(stats.merged_requests, 0);
     }
@@ -141,7 +147,7 @@ mod tests {
         // sweep starts at head 6, so [8,12) is served first and the wrapped
         // [0,8) must not merge backwards into it.
         let mut stats = SchedulerStats::default();
-        let runs = order_and_merge(6, &[e(8, 4), e(0, 8)], &mut stats);
+        let runs = order_and_merge(6, &[e(8, 4), e(0, 8)], &mut stats).runs;
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].extent, e(8, 4));
         assert_eq!(runs[1].extent, e(0, 8));

@@ -318,9 +318,10 @@ impl DiskService {
     /// source): one disk reference for the whole contiguous run, or zero
     /// if fully cached.
     ///
-    /// The result is a [`BlockBuf`]: a fully-cached extent whose fragments
-    /// share one allocation (the common case after a run transfer or
-    /// read-ahead) is served as a zero-copy view of the cache.
+    /// The result is a [`BlockBuf`]: an extent whose fragments are
+    /// adjacent views of one allocation — the buffer they were written
+    /// from — is served as a view of it, from the cache or the platter;
+    /// only fragments that span allocations are gather-copied.
     ///
     /// # Errors
     ///
@@ -330,7 +331,7 @@ impl DiskService {
     }
 
     /// Reads an extent into the caller's buffer with exactly one copy
-    /// (cache/transfer buffer → `out`).
+    /// (cached or platter view → `out`).
     ///
     /// # Errors
     ///
@@ -362,60 +363,76 @@ impl DiskService {
     ) -> Result<BlockBuf, DiskServiceError> {
         self.check_extent(extent)?;
         match source {
-            ReadSource::Main => self.get_main(extent),
+            ReadSource::Main => {
+                let mut out = None;
+                self.get_run(extent, [extent], |_, buf| out = Some(buf))?;
+                Ok(out.expect("a run serves its one part"))
+            }
             ReadSource::Stable => self.get_stable(extent),
         }
     }
 
-    fn get_main(&mut self, extent: Extent) -> Result<BlockBuf, DiskServiceError> {
+    /// Reads `run`, the concatenation of the adjacent extents `parts` in
+    /// address order, from main storage: one disk reference, or none when
+    /// the track cache holds all of it. Hands each part's buffer to `emit`
+    /// with its position in `parts`: a view of the cached or platter
+    /// fragments, copied only when they span allocations.
+    fn get_run(
+        &mut self,
+        run: Extent,
+        parts: impl IntoIterator<Item = Extent>,
+        mut emit: impl FnMut(usize, BlockBuf),
+    ) -> Result<(), DiskServiceError> {
         let geom = self.disk.geometry();
+        let at = |f: u64| (geom.track_of(f), geom.sector_in_track(f));
         // Serve fully from cache when possible.
         if let Some(cache) = &mut self.cache {
-            let all_resident = (extent.start..extent.end())
-                .all(|f| cache.peek_fragment(geom.track_of(f), geom.sector_in_track(f)));
-            if all_resident {
-                let mut parts = Vec::with_capacity(extent.len as usize);
-                for f in extent.start..extent.end() {
-                    let frag = cache
-                        .lookup_fragment(geom.track_of(f), geom.sector_in_track(f))
-                        .expect("peeked fragment must be resident");
-                    parts.push(frag);
+            if (run.start..run.end())
+                .map(at)
+                .all(|(t, s)| cache.peek_fragment(t, s))
+            {
+                for (i, part) in parts.into_iter().enumerate() {
+                    let frags = (part.start..part.end()).map(at).map(|(t, s)| {
+                        let frag = cache.lookup_fragment(t, s);
+                        frag.expect("peeked fragment must be resident")
+                    });
+                    let (joined, copied) = BlockBuf::join(frags);
+                    if copied {
+                        cache.note_copied(joined.len() as u64);
+                    }
+                    emit(i, joined);
                 }
-                // Fragments cached from one run transfer share an
-                // allocation and reassemble without copying.
-                let (joined, copied) = BlockBuf::concat(&parts);
-                if copied {
-                    cache.note_copied(joined.len() as u64);
-                }
-                return Ok(joined);
+                return Ok(());
             }
             // Record misses for the fragments we must fetch.
-            for f in extent.start..extent.end() {
-                if !cache.peek_fragment(geom.track_of(f), geom.sector_in_track(f)) {
-                    let _ = cache.lookup_fragment(geom.track_of(f), geom.sector_in_track(f));
+            for (track, slot) in (run.start..run.end()).map(at) {
+                if !cache.peek_fragment(track, slot) {
+                    let _ = cache.lookup_fragment(track, slot);
                 }
             }
         }
-        // One reference for the whole contiguous run.
-        let data = self.disk.read_sectors(extent.start, extent.len)?;
-        if let Some(cache) = &mut self.cache {
-            for (i, f) in (extent.start..extent.end()).enumerate() {
-                let a = i * FRAGMENT_SIZE;
-                // Each cached fragment is a view of the one transfer
-                // allocation — filling the cache copies nothing.
-                cache.fill_fragment(
-                    geom.track_of(f),
-                    geom.sector_in_track(f),
-                    data.slice(a..a + FRAGMENT_SIZE),
-                );
-            }
-            if self.config.track_readahead {
-                // Read-ahead is opportunistic: a media fault elsewhere on
-                // the track must not fail the demand read that succeeded.
-                let _ = self.read_ahead_track(geom.track_of(extent.start));
-            }
+        // One reference for the whole run; the cache keeps the platter's
+        // own views, so filling it copies nothing.
+        let mut views = self.disk.read_views(run.start, run.len)?;
+        let mut f = run.start;
+        for (i, part) in parts.into_iter().enumerate() {
+            emit(
+                i,
+                views.join(part.len, |view| {
+                    if let Some(cache) = &mut self.cache {
+                        let (t, s) = at(f);
+                        cache.fill_fragment(t, s, view.clone());
+                    }
+                    f += 1;
+                }),
+            );
         }
-        Ok(data)
+        if self.cache.is_some() && self.config.track_readahead {
+            // Read-ahead is opportunistic: a media fault elsewhere on
+            // the track must not fail the demand read that succeeded.
+            let _ = self.read_ahead_track(geom.track_of(run.start));
+        }
+        Ok(())
     }
 
     /// Caches the not-yet-resident remainder of `track` ("the disk service
@@ -424,21 +441,18 @@ impl DiskService {
         let geom = self.disk.geometry();
         let cache = self.cache.as_mut().expect("read-ahead requires a cache");
         let start = geom.track_start(track);
-        let spt = geom.sectors_per_track();
-        let missing: Vec<u64> = (0..spt)
-            .filter(|&s| !cache.peek_fragment(track, s))
-            .collect();
-        if missing.is_empty() {
+        let mut missing = (0..geom.sectors_per_track()).filter(|&s| !cache.peek_fragment(track, s));
+        let Some(lo) = missing.next() else {
             return Ok(());
-        }
-        // One sequential reference covering the span of missing sectors.
-        let lo = *missing.first().expect("nonempty");
-        let hi = *missing.last().expect("nonempty");
-        let data = self.disk.read_sectors(start + lo, hi - lo + 1)?;
-        for s in &missing {
-            let a = (s - lo) as usize * FRAGMENT_SIZE;
-            // Every read-ahead fragment is a view of the one track transfer.
-            cache.fill_fragment(track, *s, data.slice(a..a + FRAGMENT_SIZE));
+        };
+        let hi = missing.next_back().unwrap_or(lo);
+        // One sequential reference covering the span of missing sectors;
+        // every fragment cached is the platter's own view.
+        let views = self.disk.read_views(start + lo, hi - lo + 1)?;
+        for (s, view) in (lo..=hi).zip(views) {
+            if !cache.peek_fragment(track, s) {
+                cache.fill_fragment(track, s, view);
+            }
         }
         Ok(())
     }
@@ -492,19 +506,11 @@ impl DiskService {
                 got: data.len(),
             });
         }
-        self.disk.write_sectors(extent.start, data)?;
-        // Write-update the cache so subsequent reads hit.
-        if let Some(cache) = &mut self.cache {
-            let geom = self.disk.geometry();
-            for (i, f) in (extent.start..extent.end()).enumerate() {
-                let a = i * FRAGMENT_SIZE;
-                cache.fill_fragment(
-                    geom.track_of(f),
-                    geom.sector_in_track(f),
-                    data[a..a + FRAGMENT_SIZE].to_vec(),
-                );
-            }
-        }
+        // One copy of `data`, shared by the platter and the cache.
+        let buf = BlockBuf::from(data);
+        self.disk
+            .write_bufs(extent.start, std::slice::from_ref(&buf))?;
+        self.cache_written(extent, &buf);
         if policy == StablePolicy::OriginalAndStable {
             let stable = self
                 .stable
@@ -548,8 +554,8 @@ impl DiskService {
     /// requests are sorted into a C-SCAN elevator sweep from the current
     /// head position and physically adjacent requests are merged, so each
     /// merged run costs one disk reference (or zero when cached). Results
-    /// are returned in **input order** as zero-copy slices of the run
-    /// transfers.
+    /// are returned in **input order**, each joined from its own sectors'
+    /// views as [`Self::get`] joins an extent's.
     ///
     /// Requests must not overlap one another.
     ///
@@ -560,13 +566,12 @@ impl DiskService {
         for e in extents {
             self.check_extent(*e)?;
         }
-        let runs = order_and_merge(self.disk.head(), extents, &mut self.scheduler);
+        let schedule = order_and_merge(self.disk.head(), extents, &mut self.scheduler);
         let mut out: Vec<Option<BlockBuf>> = vec![None; extents.len()];
-        for run in runs {
-            let data = self.get_main(run.extent)?;
-            for (idx, off) in run.parts {
-                out[idx] = Some(data.slice(off..off + extents[idx].len_bytes()));
-            }
+        for run in &schedule.runs {
+            let order = &schedule.order[run.parts.clone()];
+            let parts = order.iter().map(|&i| extents[i]);
+            self.get_run(run.extent, parts, |k, buf| out[order[k]] = Some(buf))?;
         }
         Ok(out
             .into_iter()
@@ -576,9 +581,8 @@ impl DiskService {
 
     /// Writes a batch of `(extent, data)` pairs to main storage through
     /// the per-spindle scheduler. Adjacent requests are merged into single
-    /// disk references; when the buffers are views of one allocation (as
-    /// coalesced flushes produce) the merged transfer is rejoined without
-    /// copying via [`BlockBuf::concat`].
+    /// disk references; the platter and the cache adopt the callers'
+    /// buffers, so no byte is copied.
     ///
     /// Batched writes go to the main location only (the delayed-write
     /// flush path); use [`Self::put`] for stable-storage policies.
@@ -598,34 +602,24 @@ impl DiskService {
             }
         }
         let extents: Vec<Extent> = requests.iter().map(|(e, _)| *e).collect();
-        let runs = order_and_merge(self.disk.head(), &extents, &mut self.scheduler);
-        for run in runs {
-            if let [(idx, _)] = run.parts[..] {
-                self.put_main_buf(run.extent, requests[idx].1.clone())?;
-                continue;
-            }
-            let parts = run.parts.iter().map(|&(i, _)| &requests[i]);
-            let bufs: Vec<BlockBuf> = parts.clone().map(|(_, d)| d.clone()).collect();
+        let schedule = order_and_merge(self.disk.head(), &extents, &mut self.scheduler);
+        let bufs: Vec<BlockBuf> = schedule
+            .order
+            .iter()
+            .map(|&i| requests[i].1.clone())
+            .collect();
+        for run in &schedule.runs {
             self.disk
-                .write_sectors(run.extent.start, &BlockBuf::concat(&bufs).0)?;
-            // One transfer, but the cache keeps views of the callers'
-            // buffers: a view of the joined copy would hold all of it for
-            // as long as one of its fragments stayed cached.
-            for (extent, data) in parts {
-                self.cache_written(*extent, data);
+                .write_bufs(run.extent.start, &bufs[run.parts.clone()])?;
+            for &i in &schedule.order[run.parts.clone()] {
+                self.cache_written(requests[i].0, &requests[i].1);
             }
         }
         Ok(())
     }
 
-    /// Main-location write that keeps the cache write-update zero-copy:
-    /// cached fragments become views of the caller's buffer.
-    fn put_main_buf(&mut self, extent: Extent, data: BlockBuf) -> Result<(), DiskServiceError> {
-        self.disk.write_sectors(extent.start, &data)?;
-        self.cache_written(extent, &data);
-        Ok(())
-    }
-
+    /// Write-update of the cache: cached fragments become views of the
+    /// written buffer.
     fn cache_written(&mut self, extent: Extent, data: &BlockBuf) {
         if let Some(cache) = &mut self.cache {
             let geom = self.disk.geometry();
@@ -734,9 +728,9 @@ impl DiskService {
         for e in extents {
             self.check_extent(*e)?;
         }
-        let runs = order_and_merge(self.disk.head(), extents, &mut self.scheduler);
+        let schedule = order_and_merge(self.disk.head(), extents, &mut self.scheduler);
         let mut faults = Vec::new();
-        for run in runs {
+        for run in schedule.runs {
             faults.extend(self.disk.scan_sectors(run.extent.start, run.extent.len)?);
         }
         faults.sort_by_key(|f| f.addr);
@@ -1071,9 +1065,9 @@ mod tests {
     #[test]
     fn put_batch_concat_of_sliced_views_is_copy_free() {
         let mut s = svc_nocache();
-        let e = s.allocate_contiguous(8).unwrap();
+        let e = s.allocate_contiguous(12).unwrap();
         // One allocation sliced into two adjacent views — the coalesced
-        // flush shape. `BlockBuf::concat` rejoins them without copying.
+        // flush shape — and a third request from an allocation of its own.
         let whole = BlockBuf::from(
             (0..8 * FRAGMENT_SIZE)
                 .map(|i| (i % 83) as u8)
@@ -1081,12 +1075,27 @@ mod tests {
         );
         let a = whole.slice(0..4 * FRAGMENT_SIZE);
         let b = whole.slice(4 * FRAGMENT_SIZE..8 * FRAGMENT_SIZE);
+        let c = BlockBuf::from(vec![0xC0u8; 4 * FRAGMENT_SIZE]);
         s.put_batch(&[
             (Extent::new(e.start, 4), a),
             (Extent::new(e.start + 4, 4), b),
+            (Extent::new(e.start + 8, 4), c.clone()),
         ])
         .unwrap();
-        assert_eq!(s.get(e).unwrap(), whole);
+        assert_eq!(s.stats().disk.write_ops, 1, "one merged reference");
+        // The platter adopted the buffers: the reads are views of them.
+        let back = s.get(Extent::new(e.start, 8)).unwrap();
+        assert_eq!(back, whole);
+        assert_eq!(back.as_ptr(), whole.as_ptr());
+        let got = s
+            .get_batch(&[Extent::new(e.start + 8, 4), Extent::new(e.start, 8)])
+            .unwrap();
+        assert_eq!(got[0].as_ptr(), c.as_ptr());
+        assert_eq!(got[1].as_ptr(), whole.as_ptr());
+        assert_eq!(s.stats().disk.bytes_copied, 0);
+        // A read that spans the two allocations is the one gather-copy.
+        assert_eq!(s.get(e).unwrap().len(), 12 * FRAGMENT_SIZE);
+        assert_eq!(s.stats().disk.bytes_copied, 12 * FRAGMENT_SIZE as u64);
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! track ... in order to satisfy any subsequent requests to read data from
 //! blocks/fragments pertaining to the same track."
 //!
-//! Fragments are held as [`BlockBuf`] views, so a read-ahead of a whole
-//! track stores slices of the single transfer allocation, and a cache hit
-//! hands the same allocation back — no per-fragment memcpy in either
-//! direction.
+//! Fragments are held as [`BlockBuf`] views — the platter's own views of
+//! the buffers they were written from — and a cache hit hands the same
+//! allocation back: no per-fragment memcpy in either direction.
 
 use rhodos_buf::BlockBuf;
 use rhodos_simdisk::SECTOR_SIZE;
@@ -113,7 +112,13 @@ impl TrackCache {
         self.tracks.len()
     }
 
+    /// Makes `track` the most recent. A run of fragments on one track —
+    /// a read-ahead fills up to a track's worth — pays for the reorder
+    /// once, not per fragment.
     fn touch(&mut self, track: TrackNo) {
+        if self.lru.back() == Some(&track) {
+            return;
+        }
         self.lru.retain(|&t| t != track);
         self.lru.push_back(track);
     }

@@ -1264,6 +1264,7 @@ mod tests {
     use super::*;
     use crate::store::FIT_POOL_ENTRIES;
     use crate::{ParallelIo, Redundancy, StripePolicy};
+    use rhodos_simdisk::DiskError;
 
     fn fs() -> FileService {
         FileService::single_disk(
@@ -1811,10 +1812,10 @@ mod tests {
     }
 
     #[test]
-    fn fetch_block_copies_once_from_platter() {
-        // The old path copied a cold run twice (chunk → cache, chunk →
-        // caller). Now the only memcpy is the disk's platter → transfer
-        // buffer; cache and caller hold views of that allocation.
+    fn fetch_block_copies_nothing_from_platter() {
+        // The platter keeps views of the buffers it was written from, so
+        // a cold run read hands the pool and the caller views of the one
+        // written allocation: no byte is copied on the way up.
         let mut f = fs();
         let fid = create_open(&mut f);
         f.write(fid, 0, vec![3u8; 2 * BLOCK_SIZE]).unwrap();
@@ -1826,22 +1827,52 @@ mod tests {
         let b0 = f.read_block(fid, 0).unwrap();
         let after = f.stats();
         assert!(b0.iter().all(|&b| b == 3));
-        // One transfer of the 2-block run (plus opportunistic track
-        // read-ahead, also exactly one platter copy per byte), and no
-        // further copies in the block pool.
-        let copied = disk_copied(&after) - disk_copied(&before);
-        assert!(
-            copied >= 2 * BLOCK_SIZE as u64,
-            "run transfer should copy each platter byte once, got {copied}"
-        );
+        assert_eq!(disk_copied(&after), disk_copied(&before));
         assert_eq!(after.cache.bytes_copied, before.cache.bytes_copied);
-        // The sibling block of the run is now a cache hit sharing the
-        // same transfer allocation — no disk reference, no copy.
+        // The sibling block of the run is now a cache hit — no disk
+        // reference, no copy — and the two blocks are adjacent views of
+        // the written allocation.
         let refs_before = f.stats().total_disk_refs();
         let b1 = f.read_block(fid, 1).unwrap();
         assert!(b1.iter().all(|&b| b == 3));
         assert_eq!(f.stats().total_disk_refs(), refs_before);
         assert_eq!(f.stats().cache.bytes_copied, after.cache.bytes_copied);
+        assert!(BlockBuf::try_concat(&[b0, b1]).is_some());
+    }
+
+    /// Fault injection on a sector whose allocation the caller, the block
+    /// pool and the track cache all share damages the platter alone.
+    #[test]
+    fn corrupting_a_shared_sector_leaves_every_held_handle_intact() {
+        for loud in [false, true] {
+            let mut f = fs();
+            let fid = create_open(&mut f);
+            let written = BlockBuf::from(vec![0x5Au8; BLOCK_SIZE]);
+            f.write(fid, 0, written.clone()).unwrap();
+            f.flush_all().unwrap();
+            f.evict_caches().unwrap();
+            let held = f.read_block(fid, 0).unwrap();
+            let d = f.block_descriptors(fid).unwrap()[0];
+            let extent = d.block_extent();
+            let svc = f.disk_mut(d.disk as usize);
+            let disk = svc.disk_mut();
+            if loud {
+                disk.corrupt_sector(extent.start + 1).unwrap();
+            } else {
+                disk.silently_corrupt_sector(extent.start + 1).unwrap();
+            }
+            // The platter refuses the damaged sector...
+            assert!(matches!(
+                disk.read_sectors(extent.start, extent.len),
+                Err(DiskError::ChecksumMismatch(_) | DiskError::BadSector(_))
+            ));
+            // ...while the track cache, the pool, the caller's handle and
+            // the written buffer keep the bytes they had.
+            assert_eq!(svc.get(extent).unwrap(), written);
+            assert_eq!(f.read_block(fid, 0).unwrap(), written);
+            assert_eq!(held, written);
+            assert!(written.iter().all(|&b| b == 0x5A));
+        }
     }
 
     // ---- parity tier ---------------------------------------------------

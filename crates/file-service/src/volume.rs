@@ -498,11 +498,7 @@ impl Volume {
                 .take_while(|((key, _), next)| *key == (fid, *next))
                 .count();
             let extent = Extent::new(d0.addr, blocks as u64 * FRAGS_PER_BLOCK);
-            let parts: Vec<BlockBuf> = dirty[i..i + blocks]
-                .iter()
-                .map(|(_, b)| b.clone())
-                .collect();
-            let (joined, _) = BlockBuf::concat(&parts);
+            let (joined, _) = BlockBuf::join(dirty[i..i + blocks].iter().map(|(_, b)| b.clone()));
             self.disk(d0.disk)
                 .put(extent, &joined, StablePolicy::None)?;
             i += blocks;

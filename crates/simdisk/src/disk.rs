@@ -10,6 +10,7 @@ use crate::stats::DiskStats;
 use crate::SECTOR_SIZE;
 use rhodos_buf::BlockBuf;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Kind of media fault found on a sector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,6 +65,9 @@ pub struct SimDisk {
     /// Slots beyond the addressable geometry are the spare-sector pool
     /// that bad sectors are reassigned to.
     data: Vec<Option<Box<Stored>>>,
+    /// The content of every never-written sector: one shared zeroed
+    /// sector that reads hand out views of.
+    zero: BlockBuf,
     /// Persistent sector reassignments: logical address → spare slot. A
     /// remapped sector's original location is quarantined; reads and
     /// writes at the logical address go to the spare transparently.
@@ -85,15 +89,19 @@ pub struct SimDisk {
     batch_start_us: u64,
 }
 
-/// The content of a never-written sector.
-static ZERO_SECTOR: [u8; SECTOR_SIZE] = [0u8; SECTOR_SIZE];
-
 /// One written sector as the platter holds it: the bytes and, beside
 /// them, the sector's entry in the out-of-band CRC32 checksum lane (real
 /// drives keep this in the sector trailer). The lane lives with the
 /// bytes, not in tables of its own, so the slot table is the only
 /// memory a disk takes for its capacity rather than for what was
 /// written.
+///
+/// The bytes are a 2 KiB [`BlockBuf`] view of the buffer the sector was
+/// written from: a write adopts the caller's allocation and a read hands
+/// the view back, so the caller's handles, the caches above and the
+/// platter may all share one allocation. Nothing can change it through
+/// them — a `BlockBuf` is copy-on-write — and the one change the platter
+/// makes itself, [`Stored::tamper`], detaches a private copy first.
 ///
 /// The lane is sealed lazily. While `verified` is true the entry *is*
 /// `crc32(bytes)`, stored in `sum` or, when `sum` is `None`, implied —
@@ -103,7 +111,7 @@ static ZERO_SECTOR: [u8; SECTOR_SIZE] = [0u8; SECTOR_SIZE];
 /// fails the check on the next read.
 #[derive(Debug)]
 struct Stored {
-    bytes: [u8; SECTOR_SIZE],
+    bytes: BlockBuf,
     /// The checksum lane's entry, once sealed; `None` means
     /// `crc32(bytes)`, which only a verified sector can have.
     sum: Option<u32>,
@@ -114,10 +122,10 @@ struct Stored {
 }
 
 impl Stored {
-    /// A sector as [`SimDisk::write_sectors`] lands it.
-    fn written(src: &[u8]) -> Box<Self> {
+    /// A sector as [`SimDisk::write_bufs`] lands it.
+    fn written(bytes: BlockBuf) -> Box<Self> {
         Box::new(Self {
-            bytes: src.try_into().expect("one sector"),
+            bytes,
             sum: None,
             verified: true,
         })
@@ -125,13 +133,14 @@ impl Stored {
 
     /// The bytes, for a change that bypasses the checksum lane (fault
     /// injection): seals the lane's entry for the content as it stands,
-    /// then clears the verification memo.
-    fn tamper(&mut self) -> &mut [u8; SECTOR_SIZE] {
+    /// clears the verification memo, then detaches the sector from any
+    /// allocation it shares, so the damage stays on the platter.
+    fn tamper(&mut self) -> &mut [u8] {
         if self.verified && self.sum.is_none() {
             self.sum = Some(crc32(&self.bytes));
         }
         self.verified = false;
-        &mut self.bytes
+        self.bytes.make_mut()
     }
 
     /// Whether the content matches its checksum; a pass is memoised.
@@ -157,6 +166,7 @@ impl SimDisk {
             model,
             clock,
             data,
+            zero: BlockBuf::zeroed(SECTOR_SIZE),
             remap: BTreeMap::new(),
             spare_next: total,
             head: 0,
@@ -184,10 +194,18 @@ impl SimDisk {
 
     /// The slot's bytes for fault injection, through [`Stored::tamper`]; a
     /// never-written slot is materialised as zeros first.
-    fn tamper(&mut self, slot: usize) -> &mut [u8; SECTOR_SIZE] {
+    fn tamper(&mut self, slot: usize) -> &mut [u8] {
         self.data[slot]
-            .get_or_insert_with(|| Stored::written(&ZERO_SECTOR))
+            .get_or_insert_with(|| Stored::written(self.zero.clone()))
             .tamper()
+    }
+
+    /// The platter's view of logical sector `addr`.
+    fn view(&self, addr: SectorAddr) -> &BlockBuf {
+        match &self.data[self.resolve(addr) as usize] {
+            Some(sector) => &sector.bytes,
+            None => &self.zero,
+        }
     }
 
     /// Reassigns logical sector `logical` (whose current slot `bad_slot`
@@ -315,9 +333,23 @@ impl SimDisk {
 
     /// Reads `count` sectors starting at `start` in **one disk reference**.
     ///
-    /// The whole transfer lands in a single allocation, returned as a
-    /// [`BlockBuf`] so callers up the stack can slice it into fragment or
-    /// block views without further copies.
+    /// The result is [`SectorViews::join`] of the whole range: the view the
+    /// sectors were written from when they are adjacent views of one
+    /// allocation, otherwise a gather-copy into a fresh one (counted in
+    /// [`DiskStats::bytes_copied`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::read_views`].
+    pub fn read_sectors(&mut self, start: SectorAddr, count: u64) -> Result<BlockBuf, DiskError> {
+        Ok(self.read_views(start, count)?.join(count, |_| {}))
+    }
+
+    /// Reads `count` sectors starting at `start` in **one disk reference**
+    /// and hands out each sector as the platter holds it: a 2 KiB view of
+    /// the buffer it was written from (never-written sectors share one
+    /// zeroed sector). Charges, verifies and fails exactly like
+    /// [`Self::read_sectors`], before the first view is handed out.
     ///
     /// # Errors
     ///
@@ -326,7 +358,11 @@ impl SimDisk {
     /// [`DiskError::BadSector`] if any sector in the range has a media
     /// fault, and [`DiskError::ChecksumMismatch`] if any sector fails
     /// CRC32 verification (the error names the first such sector).
-    pub fn read_sectors(&mut self, start: SectorAddr, count: u64) -> Result<BlockBuf, DiskError> {
+    pub fn read_views(
+        &mut self,
+        start: SectorAddr,
+        count: u64,
+    ) -> Result<SectorViews<'_>, DiskError> {
         if self.faults.is_crashed() {
             return Err(DiskError::Crashed);
         }
@@ -345,16 +381,10 @@ impl SimDisk {
             }
         }
         self.stats.sector_reads += count;
-        let mut out = Vec::with_capacity(count as usize * SECTOR_SIZE);
-        for s in start..start + count {
-            match &self.data[self.resolve(s) as usize] {
-                Some(sector) => out.extend_from_slice(&sector.bytes),
-                None => out.extend_from_slice(&ZERO_SECTOR),
-            }
-        }
-        // The one unavoidable copy: platter to transfer buffer.
-        self.stats.bytes_copied += out.len() as u64;
-        Ok(BlockBuf::from(out))
+        Ok(SectorViews {
+            disk: self,
+            addrs: start..start + count,
+        })
     }
 
     /// Scrub scan: reads `count` sectors starting at `start` in one disk
@@ -404,7 +434,23 @@ impl SimDisk {
     }
 
     /// Writes `data` (a whole number of sectors) starting at `start` in one
-    /// disk reference.
+    /// disk reference: [`Self::write_bufs`] of one copy of `data`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::write_bufs`].
+    pub fn write_sectors(
+        &mut self,
+        start: SectorAddr,
+        data: &[u8],
+    ) -> Result<WriteOutcome, DiskError> {
+        self.write_bufs(start, &[BlockBuf::from(data)])
+    }
+
+    /// Writes the concatenation of `parts`, each a whole number of
+    /// sectors, starting at `start` in one disk reference. The platter
+    /// adopts the buffers: each sector stores a view of its part, and no
+    /// byte is copied.
     ///
     /// Returns the [`WriteOutcome`] — a crash injected mid-write leaves a
     /// *torn* write: only a prefix of the sectors lands on the platter.
@@ -412,17 +458,18 @@ impl SimDisk {
     /// # Errors
     ///
     /// Returns [`DiskError::Crashed`] if the disk was already crashed,
-    /// [`DiskError::UnalignedBuffer`] if `data.len()` is not a multiple of
-    /// [`SECTOR_SIZE`], and [`DiskError::OutOfRange`] for an invalid range.
-    pub fn write_sectors(
+    /// [`DiskError::UnalignedBuffer`] if a part's length is not a multiple
+    /// of [`SECTOR_SIZE`], and [`DiskError::OutOfRange`] for an invalid
+    /// range.
+    pub fn write_bufs(
         &mut self,
         start: SectorAddr,
-        data: &[u8],
+        parts: &[BlockBuf],
     ) -> Result<WriteOutcome, DiskError> {
-        if !data.len().is_multiple_of(SECTOR_SIZE) {
-            return Err(DiskError::UnalignedBuffer { len: data.len() });
+        if let Some(p) = parts.iter().find(|p| !p.len().is_multiple_of(SECTOR_SIZE)) {
+            return Err(DiskError::UnalignedBuffer { len: p.len() });
         }
-        let count = (data.len() / SECTOR_SIZE) as u64;
+        let count = parts.iter().map(|p| p.len() / SECTOR_SIZE).sum::<usize>() as u64;
         if self.faults.is_crashed() {
             return Err(DiskError::Crashed);
         }
@@ -436,9 +483,12 @@ impl SimDisk {
         self.stats.write_ops += 1;
         self.charge(start, landed.max(1));
         self.stats.sector_writes += landed;
-        for i in 0..landed as usize {
-            let logical = start + i as u64;
-            let src = &data[i * SECTOR_SIZE..(i + 1) * SECTOR_SIZE];
+        let sectors = parts.iter().flat_map(|p| {
+            (0..p.len())
+                .step_by(SECTOR_SIZE)
+                .map(|a| p.slice(a..a + SECTOR_SIZE))
+        });
+        for (logical, bytes) in (start..start + landed).zip(sectors) {
             // Writing a bad sector reassigns it to a spare (persistent
             // remap; the original is quarantined): the fresh copy is
             // readable again at the same logical address.
@@ -446,14 +496,14 @@ impl SimDisk {
             if self.faults.is_bad(slot) {
                 slot = self.reassign(logical, slot);
             }
-            // A rewrite reuses its slot's allocation.
+            // A rewrite reuses its slot's box and swaps the view.
             match &mut self.data[slot as usize] {
                 Some(sector) => {
-                    sector.bytes.copy_from_slice(src);
+                    sector.bytes = bytes;
                     sector.sum = None;
                     sector.verified = true;
                 }
-                empty => *empty = Some(Stored::written(src)),
+                empty => *empty = Some(Stored::written(bytes)),
             }
         }
         if let WriteOutcome::Torn(_) = outcome {
@@ -523,10 +573,7 @@ impl SimDisk {
     /// that model an offline fsck pass.
     pub fn peek_sector(&self, addr: SectorAddr) -> Result<&[u8], DiskError> {
         self.check_range(addr, 1)?;
-        Ok(match &self.data[self.resolve(addr) as usize] {
-            Some(sector) => &sector.bytes,
-            None => &ZERO_SECTOR,
-        })
+        Ok(self.view(addr))
     }
 
     /// Whether the sector has never been written (reads as zeros). O(1) —
@@ -552,10 +599,7 @@ impl SimDisk {
             }
         };
         for addr in 0..self.geometry().total_sectors() {
-            match &self.data[self.resolve(addr) as usize] {
-                Some(sector) => eat(&sector.bytes),
-                None => eat(&ZERO_SECTOR),
-            }
+            eat(self.view(addr));
         }
         h
     }
@@ -570,6 +614,42 @@ impl SimDisk {
         (0..self.geometry().total_sectors()).find(|&addr| {
             self.peek_sector(addr).expect("in range") != other.peek_sector(addr).expect("in range")
         })
+    }
+}
+
+/// The sector views of one verified read, in address order (see
+/// [`SimDisk::read_views`]). Each item is a refcount bump, not a copy.
+#[derive(Debug)]
+pub struct SectorViews<'a> {
+    disk: &'a mut SimDisk,
+    addrs: Range<SectorAddr>,
+}
+
+impl Iterator for SectorViews<'_> {
+    type Item = BlockBuf;
+
+    fn next(&mut self) -> Option<BlockBuf> {
+        let addr = self.addrs.next()?;
+        Some(self.disk.view(addr).clone())
+    }
+}
+
+impl SectorViews<'_> {
+    /// The next `count` sectors as one buffer, through
+    /// [`BlockBuf::join`]: a view when they are adjacent views of one
+    /// allocation (counted in [`DiskStats::bytes_borrowed`]), else a
+    /// gather-copy (counted in [`DiskStats::bytes_copied`]). `each` sees
+    /// every sector's view on the way.
+    pub fn join(&mut self, count: u64, mut each: impl FnMut(&BlockBuf)) -> BlockBuf {
+        let (joined, copied) = BlockBuf::join(self.take(count as usize).inspect(|v| each(v)));
+        let stats = &mut self.disk.stats;
+        let counter = if copied {
+            &mut stats.bytes_copied
+        } else {
+            &mut stats.bytes_borrowed
+        };
+        *counter += joined.len() as u64;
+        joined
     }
 }
 
@@ -627,6 +707,74 @@ mod tests {
             d.write_sectors(0, &[0u8; 100]),
             Err(DiskError::UnalignedBuffer { len: 100 })
         ));
+    }
+
+    #[test]
+    fn a_write_adopts_its_buffers_and_a_read_hands_them_back() {
+        let mut d = disk();
+        let whole = BlockBuf::from((0..4 * SECTOR_SIZE).map(|i| i as u8).collect::<Vec<_>>());
+        let parts = [
+            whole.slice(0..SECTOR_SIZE),
+            whole.slice(SECTOR_SIZE..4 * SECTOR_SIZE),
+        ];
+        d.write_bufs(8, &parts).unwrap();
+        assert_eq!(d.stats().write_ops, 1);
+        // Adjacent views of one allocation: the read is that allocation.
+        let back = d.read_sectors(8, 4).unwrap();
+        assert_eq!(back, whole);
+        assert_eq!(back.as_ptr(), whole.as_ptr());
+        assert_eq!(d.stats().bytes_copied, 0);
+        assert_eq!(d.stats().bytes_borrowed, 4 * SECTOR_SIZE as u64);
+        // Sectors from two allocations are gathered into a fresh one.
+        d.write_sectors(12, &[7u8; SECTOR_SIZE]).unwrap();
+        assert_eq!(d.read_sectors(11, 2).unwrap()[SECTOR_SIZE], 7);
+        assert_eq!(d.stats().bytes_copied, 2 * SECTOR_SIZE as u64);
+    }
+
+    #[test]
+    fn never_written_sectors_are_views_of_one_zero_sector() {
+        let mut d = disk();
+        let views: Vec<BlockBuf> = d.read_views(40, 3).unwrap().collect();
+        assert!(views.iter().all(|v| v.as_ptr() == views[0].as_ptr()));
+        assert!(views
+            .iter()
+            .all(|v| v.len() == SECTOR_SIZE && v.iter().all(|&b| b == 0)));
+        assert_eq!(d.stats().sector_reads, 3);
+    }
+
+    #[test]
+    fn a_part_that_is_not_whole_sectors_is_rejected() {
+        let mut d = disk();
+        let parts = [BlockBuf::zeroed(SECTOR_SIZE), BlockBuf::zeroed(100)];
+        assert_eq!(
+            d.write_bufs(0, &parts),
+            Err(DiskError::UnalignedBuffer { len: 100 })
+        );
+        assert_eq!(d.stats().write_ops, 0);
+    }
+
+    #[test]
+    fn fault_injection_detaches_a_shared_sector() {
+        for loud in [false, true] {
+            let mut d = disk();
+            let kept = BlockBuf::from(vec![0x3Cu8; 2 * SECTOR_SIZE]);
+            d.write_bufs(4, std::slice::from_ref(&kept)).unwrap();
+            let read = d.read_sectors(4, 2).unwrap();
+            let zeros = d.read_sectors(6, 1).unwrap();
+            if loud {
+                d.corrupt_sector(5).unwrap();
+                d.corrupt_sector(6).unwrap();
+            } else {
+                d.silently_corrupt_sector(5).unwrap();
+                d.silently_corrupt_sector(6).unwrap();
+            }
+            // The platter is damaged; no handle to what it shared is.
+            assert!(d.read_sectors(4, 2).is_err());
+            assert!(d.read_sectors(6, 1).is_err());
+            assert!(kept.iter().chain(read.iter()).all(|&b| b == 0x3C));
+            assert!(zeros.iter().all(|&b| b == 0));
+            assert!(d.read_sectors(7, 1).unwrap().iter().all(|&b| b == 0));
+        }
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //!   [`DiskStats`], [`FaultInjector`]-driven media failures and crashes, a
 //!   per-sector CRC32 checksum lane (silent corruption surfaces as a typed
 //!   [`DiskError::ChecksumMismatch`]), and persistent spare-sector
-//!   reassignment of bad sectors on write.
+//!   reassignment of bad sectors on write. The platter is a store of
+//!   [`BlockBuf`] views: [`SimDisk::write_bufs`] adopts the caller's
+//!   buffers and [`SimDisk::read_views`] hands them back, so no byte is
+//!   copied between a caller and the platter.
 //! * [`StableStore`] — Lampson-style stable storage built from a mirrored
 //!   pair of [`SimDisk`]s with checksum validation and a recovery scan.
 //!
@@ -54,7 +57,7 @@ mod stats;
 
 pub use checksum::crc32;
 pub use clock::{HlcClock, HlcStamp, SimClock};
-pub use disk::{SectorFault, SectorFaultKind, SimDisk};
+pub use disk::{SectorFault, SectorFaultKind, SectorViews, SimDisk};
 pub use error::DiskError;
 pub use fault::{FaultInjector, WriteOutcome};
 pub use geometry::{DiskGeometry, SectorAddr, TrackNo};

@@ -33,11 +33,12 @@ pub struct DiskStats {
     /// Sectors persistently reassigned to spare sectors (the original is
     /// quarantined).
     pub remapped_sectors: u64,
-    /// Bytes memcpy'd into freshly allocated transfer buffers (the cost
-    /// the zero-copy pipeline tracks; platter reads copy once here).
+    /// Bytes a read gather-copied into a fresh buffer because its sectors
+    /// were not adjacent views of one allocation (the cost the zero-copy
+    /// pipeline tracks).
     pub bytes_copied: u64,
-    /// Bytes handed out as shared [`BlockBuf`](rhodos_buf::BlockBuf)
-    /// views without copying.
+    /// Bytes a read handed out as one shared
+    /// [`BlockBuf`](rhodos_buf::BlockBuf) view, without copying.
     pub bytes_borrowed: u64,
 }
 

@@ -11,13 +11,19 @@
 //! twice on one sector too), reads and scrub scans run on a disk and on
 //! the model; every result and the fault counters must agree.
 //!
+//! The platter keeps views of the buffers it is written from and reads
+//! hand them back, so the script also holds on to buffers it shares with
+//! the platter: the allocations of `SharedWrite`s and every buffer a read
+//! returned. Corruption damages the platter only: after every `Silent`
+//! and `Loud`, each held buffer must still hold its bytes.
+//!
 //! Scripts come from the proptest shim (`PROPTEST_BASE_SEED`, swept over
 //! 1/7/42 in CI).
 
 use proptest::prelude::*;
 use rhodos_simdisk::{
-    DiskError, DiskGeometry, LatencyModel, SectorFault, SectorFaultKind, SimClock, SimDisk,
-    WriteOutcome, SECTOR_SIZE,
+    BlockBuf, DiskError, DiskGeometry, LatencyModel, SectorFault, SectorFaultKind, SimClock,
+    SimDisk, WriteOutcome, SECTOR_SIZE,
 };
 
 /// Sectors the scripts touch: few, so operations keep meeting.
@@ -32,6 +38,13 @@ enum Op {
     /// `count` sectors from `start`, sector `i` filled with `FILLS[fill]`
     /// rotated by `i`.
     Write {
+        start: u64,
+        count: u64,
+        fill: usize,
+    },
+    /// As `Write`, through `write_bufs` with two views of one allocation
+    /// the script keeps.
+    SharedWrite {
         start: u64,
         count: u64,
         fill: usize,
@@ -57,7 +70,8 @@ fn range() -> impl Strategy<Value = (u64, u64)> {
 
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        6 => (range(), 0..FILLS.len()).prop_map(|((start, count), fill)| Op::Write { start, count, fill }),
+        4 => (range(), 0..FILLS.len()).prop_map(|((start, count), fill)| Op::Write { start, count, fill }),
+        2 => (range(), 0..FILLS.len()).prop_map(|((start, count), fill)| Op::SharedWrite { start, count, fill }),
         3 => (0..WINDOW).prop_map(Op::Silent),
         2 => (0..WINDOW).prop_map(Op::Loud),
         4 => range().prop_map(|(start, count)| Op::Read { start, count }),
@@ -201,12 +215,23 @@ proptest! {
         }
         let mut model = Model::new(disk.spare_sectors_remaining());
         model.remapped_sectors = spent;
+        // Buffers the script shares with the platter, and their bytes.
+        let mut held: Vec<(BlockBuf, Vec<u8>)> = Vec::new();
         for (step, op) in script.iter().enumerate() {
             match *op {
                 Op::Write { start, count, fill } => {
                     let data: Vec<u8> = (0..count).flat_map(|i| sector(fill, i)).collect();
                     let (got, want) = (disk.write_sectors(start, &data), model.write(start, count, fill));
                     prop_assert!(got == want, "step {} {:?}: {:?}, model {:?}", step, op, got, want);
+                }
+                Op::SharedWrite { start, count, fill } => {
+                    let data: Vec<u8> = (0..count).flat_map(|i| sector(fill, i)).collect();
+                    let kept = BlockBuf::from(data.clone());
+                    let cut = (count / 2) as usize * SECTOR_SIZE;
+                    let parts = [kept.slice(0..cut), kept.slice(cut..data.len())];
+                    let (got, want) = (disk.write_bufs(start, &parts), model.write(start, count, fill));
+                    prop_assert!(got == want, "step {} {:?}: {:?}, model {:?}", step, op, got, want);
+                    held.push((kept, data));
                 }
                 Op::Silent(addr) => {
                     disk.silently_corrupt_sector(addr).unwrap();
@@ -219,8 +244,10 @@ proptest! {
                     sec.bad = true;
                 }
                 Op::Read { start, count } => {
-                    let (got, want) = (disk.read_sectors(start, count).map(|b| b.to_vec()), model.read(start, count));
-                    prop_assert!(got == want, "step {} {:?}: {:?}, model {:?}", step, op, got.map(|b| b[0]), want.map(|b| b[0]));
+                    let got = disk.read_sectors(start, count).map(|b| (b.clone(), b.to_vec()));
+                    let want = model.read(start, count);
+                    prop_assert!(got.as_ref().map(|(_, v)| v) == want.as_ref(), "step {} {:?}: {:?}, model {:?}", step, op, got.as_ref().map(|(_, v)| v[0]), want.map(|b| b[0]));
+                    held.extend(got);
                 }
                 Op::Scan { start, count } => {
                     let (got, want) = (disk.scan_sectors(start, count), model.scan(start, count));
@@ -234,6 +261,11 @@ proptest! {
                     disk.repair();
                     model.crashed = false;
                     model.crash_after = None;
+                }
+            }
+            if let Op::Silent(_) | Op::Loud(_) = op {
+                for (i, (buf, bytes)) in held.iter().enumerate() {
+                    prop_assert!(buf == bytes, "step {} {:?}: held buffer {} changed", step, op, i);
                 }
             }
             let stats = disk.stats();

@@ -266,7 +266,7 @@ impl TransactionService {
         if self.in_doubt(t) {
             return Err(TxnError::InDoubt(t));
         }
-        if !self.children_of(t).is_empty() {
+        if self.has_children(t) {
             return Err(TxnError::ChildrenActive(t));
         }
         // Nested commit: merge into the parent; durability waits for the
@@ -359,7 +359,7 @@ impl TransactionService {
         if self.in_doubt(t) {
             return Err(TxnError::InDoubt(t));
         }
-        if !self.children_of(t).is_empty() || self.txn(t)?.parent.is_some() {
+        if self.has_children(t) || self.txn(t)?.parent.is_some() {
             return Err(TxnError::ChildrenActive(t));
         }
         let vote = self.log_intentions(t, Some(gtid));

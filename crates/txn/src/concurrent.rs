@@ -47,6 +47,9 @@ use std::sync::Arc;
 struct CommitPipeline {
     /// Commits waiting for the next holder of the service lock.
     queue: Vec<TxnId>,
+    /// The last drained batch, emptied: the next holder swaps it in for
+    /// the queue, so neither `Vec` is allocated again.
+    spare: Vec<TxnId>,
     /// Outcomes published by an earlier holder, keyed by transaction.
     outcomes: HashMap<TxnId, Result<(), TxnError>>,
 }
@@ -325,7 +328,7 @@ impl SharedTransactionService {
     pub fn commit(&self, t: TxnId) -> Result<(), TxnError> {
         self.pipeline.lock().queue.push(t);
         let mut svc = self.inner.lock();
-        let batch = {
+        let mut batch = {
             let mut pipe = self.pipeline.lock();
             if let Some(res) = pipe.outcomes.remove(&t) {
                 return res;
@@ -333,19 +336,22 @@ impl SharedTransactionService {
             if !pipe.queue.contains(&t) {
                 return Err(TxnError::CommitLost(t));
             }
-            std::mem::take(&mut pipe.queue)
+            let spare = std::mem::take(&mut pipe.spare);
+            std::mem::replace(&mut pipe.queue, spare)
         };
         let reqs: Vec<CommitReq<'_>> = batch.iter().map(|&id| CommitReq::Local(id)).collect();
         let results = svc.commit_batch(&reqs);
         let mut pipe = self.pipeline.lock();
         let mut own = Err(TxnError::CommitLost(t));
-        for (id, res) in batch.into_iter().zip(results) {
+        for (&id, res) in batch.iter().zip(results) {
             if id == t {
                 own = res;
             } else {
                 pipe.outcomes.insert(id, res);
             }
         }
+        batch.clear();
+        pipe.spare = batch;
         // `pipe` drops before `svc`: the outcomes are out before the lock.
         own
     }

@@ -443,9 +443,15 @@ impl TransactionService {
         let pid = self.txn(t)?.pid;
         let now = self.fs.clock().now_us();
         // Nested transactions lock in the root's name: the family shares
-        // its locks and never conflicts with itself.
-        let owner = self.root_of(t).0;
-        match self.tables[table_index(level)].set_lock(pid, owner, item, mode, now) {
+        // its locks and never conflicts with itself. The root's shard
+        // mask takes the item's shard before the request, so a queued
+        // waiter record is released at the root's end too.
+        let owner = self.root_of(t);
+        let table = &self.tables[table_index(level)];
+        if let Some(root) = self.active.get_mut(&owner) {
+            root.lock_shards[table_index(level)] |= 1 << table.shard_of(&item);
+        }
+        match table.set_lock(pid, owner.0, item, mode, now) {
             LockOutcome::Granted => Ok(()),
             LockOutcome::Queued => {
                 self.stats.would_blocks += 1;
@@ -635,17 +641,30 @@ impl TransactionService {
     }
 
     /// Completes a transaction: releases its files — writing nothing: what
-    /// its commit left in the pool, the log covers — and its locks in
-    /// every table, and wakes waiters.
+    /// its commit left in the pool, the log covers — and [`Self::end`]s
+    /// it. A recovered in-doubt participant has no `ActiveTxn` to say
+    /// which shards its re-taken locks are in, so its end sweeps every
+    /// shard.
     pub(crate) fn finish(&mut self, t: TxnId, committed: bool) {
-        if let Some(txn) = self.active.remove(&t) {
-            for fid in txn.open_files {
-                let _ = self.fs.release(fid);
+        let shards = match self.active.remove(&t) {
+            Some(txn) => {
+                for fid in txn.open_files {
+                    let _ = self.fs.release(fid);
+                }
+                txn.lock_shards
             }
-        }
+            None => [u64::MAX; 3],
+        };
+        self.end(t, shards, committed);
+    }
+
+    /// Ends top-level `t`, whose `ActiveTxn` is gone: releases its locks
+    /// in the `shards` of each table (its `lock_shards`), wakes waiters
+    /// and counts the outcome.
+    pub(crate) fn end(&mut self, t: TxnId, shards: [u64; 3], committed: bool) {
         let now = self.fs.clock().now_us();
-        for table in &self.tables {
-            table.release_all(t.0, now);
+        for (table, mask) in self.tables.iter().zip(shards) {
+            table.release_all(t.0, mask, now);
         }
         if committed {
             self.stats.committed += 1;
@@ -880,6 +899,116 @@ pub(crate) mod tests {
         ));
         assert!(matches!(ts.tend(t), Err(TxnError::NotActive(_))));
         assert!(matches!(ts.tabort(t), Err(TxnError::NotActive(_))));
+    }
+
+    const BS: u64 = BLOCK_SIZE as u64;
+
+    /// The first pages of `fid` that map to `n` different shards of the
+    /// page table.
+    fn pages_in_distinct_shards(ts: &TransactionService, fid: FileId, n: usize) -> Vec<u64> {
+        let table = &ts.tables[table_index(LockLevel::Page)];
+        let mut shards = Vec::new();
+        let mut pages = Vec::new();
+        for p in 0.. {
+            let shard = table.shard_of(&DataItem::Page(fid, p));
+            if !shards.contains(&shard) {
+                shards.push(shard);
+                pages.push(p);
+                if pages.len() == n {
+                    return pages;
+                }
+            }
+        }
+        unreachable!()
+    }
+
+    fn tables_empty(ts: &TransactionService) -> bool {
+        ts.lock_tables().iter().all(|table| table.is_empty())
+    }
+
+    #[test]
+    fn an_end_releases_every_shard_it_locked_in() {
+        let mut ts = service();
+        let paged = ts.tcreate(LockLevel::Page).unwrap();
+        let recs = ts.tcreate(LockLevel::Record).unwrap();
+        let whole = ts.tcreate(LockLevel::File).unwrap();
+        let pages = pages_in_distinct_shards(&ts, paged, 3);
+        let holder = ts.tbegin();
+        let mut items: Vec<(FileId, u64)> = pages.iter().map(|&p| (paged, p * BS)).collect();
+        items.extend([(recs, 0), (whole, 0)]);
+        for &(fid, off) in &items {
+            ts.topen(holder, fid).unwrap();
+            ts.twrite(holder, fid, off, b"held").unwrap();
+        }
+        // A rival queued on every item, in all three tables.
+        let rivals: Vec<TxnId> = (items.iter())
+            .map(|&(fid, off)| {
+                let r = ts.tbegin();
+                ts.topen(r, fid).unwrap();
+                let res = ts.twrite(r, fid, off, b"mine");
+                assert!(matches!(res, Err(TxnError::WouldBlock { .. })));
+                r
+            })
+            .collect();
+        // One more gives up while queued: its end must take its waiter
+        // record, in a shard where it holds nothing, with it.
+        let quitter = ts.tbegin();
+        ts.topen(quitter, paged).unwrap();
+        assert!(ts.twrite(quitter, paged, pages[0] * BS, b"gone").is_err());
+        ts.tabort(quitter).unwrap();
+        ts.tend(holder).unwrap();
+        for (&r, &(fid, off)) in rivals.iter().zip(&items) {
+            ts.twrite(r, fid, off, b"mine").unwrap();
+            ts.tend(r).unwrap();
+        }
+        assert!(tables_empty(&ts));
+    }
+
+    #[test]
+    fn a_childs_locks_outlive_its_end_and_go_at_the_roots_commit() {
+        let (mut ts, fid) = setup(LockLevel::Page);
+        let pages = pages_in_distinct_shards(&ts, fid, 2);
+        let root = ts.tbegin();
+        ts.topen(root, fid).unwrap();
+        ts.twrite(root, fid, pages[0] * BS, b"root").unwrap();
+        // The child locks a page, in another shard, that the root never
+        // touched itself.
+        let child = ts.tbegin_nested(root).unwrap();
+        ts.twrite(child, fid, pages[1] * BS, b"child").unwrap();
+        let rival = ts.tbegin();
+        ts.topen(rival, fid).unwrap();
+        let blocked = |ts: &mut TransactionService| {
+            let res = ts.twrite(rival, fid, pages[1] * BS, b"rival");
+            matches!(res, Err(TxnError::WouldBlock { .. }))
+        };
+        assert!(blocked(&mut ts));
+        ts.tend(child).unwrap();
+        assert!(blocked(&mut ts), "held in the root's name");
+        ts.tend(root).unwrap();
+        assert!(!blocked(&mut ts));
+        ts.tend(rival).unwrap();
+        assert!(tables_empty(&ts));
+    }
+
+    #[test]
+    fn a_recovered_in_doubt_vote_releases_every_shard_at_its_resolve() {
+        for commit in [true, false] {
+            let (mut ts, fid) = setup(LockLevel::Page);
+            let pages = pages_in_distinct_shards(&ts, fid, 3);
+            let t = ts.tbegin();
+            ts.topen(t, fid).unwrap();
+            for &p in &pages {
+                ts.twrite(t, fid, p * BS, b"vote").unwrap();
+            }
+            ts.prepare_participant(t, 7).unwrap();
+            ts.flush_log().unwrap();
+            ts.file_service_mut().simulate_crash();
+            ts.recover().unwrap();
+            assert_eq!(ts.prepared_gtids(), vec![7]);
+            assert!(!tables_empty(&ts), "recovery re-took the vote's locks");
+            assert!(ts.resolve_prepared(7, commit).unwrap());
+            assert!(tables_empty(&ts), "commit = {commit}");
+        }
     }
 
     #[test]

@@ -403,10 +403,21 @@ impl LockTable {
 /// # Ordered acquisition invariant
 ///
 /// No operation ever holds two shard mutexes at once: single-item calls
-/// lock exactly one shard, and whole-table sweeps (`release_all`, `tick`,
-/// `stats`, …) visit shards in ascending index order taking one guard at
-/// a time. Lock-ordering deadlocks across shards are therefore impossible
-/// by construction, not by convention.
+/// lock exactly one shard, and multi-shard calls (`release_all` over its
+/// mask, and the whole-table sweeps `tick`, `stats`, …) visit shards in
+/// ascending index order taking one guard at a time. Lock-ordering
+/// deadlocks across shards are therefore impossible by construction, not
+/// by convention.
+///
+/// # Release by shard mask
+///
+/// A transaction's end visits only the shards that hold a record in its
+/// name: the caller keeps a `u64` mask with bit [`Self::shard_of`] set
+/// for every item it requested, and [`Self::release_all`] skips the
+/// rest. That loses nothing, because every grant condition reads only
+/// its own shard's records and `promote_waiters` runs to a fixpoint, so
+/// a shard the transaction never touched has no waiter its end could
+/// promote. A table has at most 64 shards, so a mask names every one.
 ///
 /// Two behavioural relaxations versus one big table, both invisible at
 /// `shards = 1` (the E20 ablation arm): FIFO arrival order is per shard,
@@ -422,7 +433,13 @@ pub struct StripedLockTable {
 impl StripedLockTable {
     /// Creates a table striped over `shards` shards (clamped to ≥ 1),
     /// each with lease period `lt_us` and `max_renewals`.
+    ///
+    /// # Panics
+    ///
+    /// If `shards` exceeds 64: a [`Self::release_all`] mask could not
+    /// name the shards beyond.
     pub fn new(lt_us: u64, max_renewals: u32, shards: usize) -> Self {
+        assert!(shards <= 64, "a shard mask names at most 64 shards");
         let shards = shards.max(1);
         Self {
             shards: (0..shards)
@@ -475,13 +492,22 @@ impl StripedLockTable {
             .set_lock(pid, txn, item, mode, now_us)
     }
 
-    /// Releases every lock and pending request of `txn` across all
-    /// shards (ascending order, one guard at a time); returns the
-    /// transactions whose queued requests became grantable.
-    pub fn release_all(&self, txn: TxnDescriptor, now_us: u64) -> Vec<TxnDescriptor> {
+    /// Releases every lock and pending request of `txn` in the shards
+    /// whose bit is set in `shard_mask` (ascending order, one guard at a
+    /// time); returns the transactions whose queued requests became
+    /// grantable. The mask must cover every shard `txn` has a record in
+    /// — `u64::MAX` visits them all.
+    pub fn release_all(
+        &self,
+        txn: TxnDescriptor,
+        shard_mask: u64,
+        now_us: u64,
+    ) -> Vec<TxnDescriptor> {
         let mut promoted = Vec::new();
-        for shard in &self.shards {
-            promoted.extend(shard.lock().release_all(txn, now_us));
+        for (i, shard) in self.shards.iter().enumerate() {
+            if shard_mask >> i & 1 == 1 {
+                promoted.extend(shard.lock().release_all(txn, now_us));
+            }
         }
         promoted
     }
@@ -803,7 +829,7 @@ mod tests {
                 LockOutcome::Queued
             );
         }
-        let mut promoted = t.release_all(10, 1);
+        let mut promoted = t.release_all(10, u64::MAX, 1);
         promoted.sort();
         assert_eq!(promoted, (20..36).collect::<Vec<_>>());
         assert_eq!(t.stats().promotions, 16);
@@ -835,7 +861,7 @@ mod tests {
             "exactly one victim across shards: {aborted:?}"
         );
         let survivor = if aborted[0] == 10 { 20 } else { 10 };
-        t.release_all(aborted[0], LT + 1);
+        t.release_all(aborted[0], u64::MAX, LT + 1);
         assert!(t
             .granted_items(survivor)
             .iter()

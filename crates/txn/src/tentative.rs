@@ -95,6 +95,11 @@ pub(crate) struct ActiveTxn {
     pub(crate) created: Vec<FileId>,
     /// Files whose deletion is deferred to commit.
     pub(crate) to_delete: Vec<FileId>,
+    /// Per lock table (Record, Page, File), a mask of the shards holding
+    /// a granted or queued record in this transaction's name. Only a
+    /// family's root has bits set — its members lock in its name — and
+    /// its end releases just those shards.
+    pub(crate) lock_shards: [u64; 3],
 }
 
 impl ActiveTxn {
@@ -109,6 +114,7 @@ impl ActiveTxn {
             tentative_sizes: HashMap::new(),
             created: Vec::new(),
             to_delete: Vec::new(),
+            lock_shards: [0; 3],
         }
     }
 
@@ -140,22 +146,23 @@ impl ActiveTxn {
 }
 
 impl TransactionService {
-    /// The chain of ancestors of `t`, root first, ending with `t`.
-    fn chain(&self, t: TxnId) -> Vec<TxnId> {
-        let mut chain = vec![t];
-        let mut cur = t;
-        while let Some(p) = self.active.get(&cur).and_then(|x| x.parent) {
-            chain.push(p);
-            cur = p;
-        }
-        chain.reverse();
-        chain
+    /// `t` and its active ancestors, youngest first.
+    fn family(&self, t: TxnId) -> impl Iterator<Item = (TxnId, &ActiveTxn)> + '_ {
+        std::iter::successors(self.active.get(&t).map(|x| (t, x)), |(_, x)| {
+            let p = x.parent?;
+            self.active.get(&p).map(|x| (p, x))
+        })
     }
 
     /// The top-level ancestor of `t` (itself, when not nested). Locks are
     /// held in the root's name so a family never conflicts with itself.
     pub(crate) fn root_of(&self, t: TxnId) -> TxnId {
-        *self.chain(t).first().expect("chain is never empty")
+        self.family(t).last().map_or(t, |(id, _)| id)
+    }
+
+    /// Whether `t` has an active child.
+    pub(crate) fn has_children(&self, t: TxnId) -> bool {
+        self.active.values().any(|x| x.parent == Some(t))
     }
 
     /// Direct children of `t` that are still active.
@@ -181,26 +188,18 @@ impl TransactionService {
     /// The size of `fid` as `t` sees it: the committed `base`, or the
     /// largest tentative size anywhere in its family chain.
     pub(crate) fn effective_size(&self, t: TxnId, fid: FileId, base: u64) -> u64 {
-        self.chain(t)
-            .iter()
-            .filter_map(|id| {
-                self.active
-                    .get(id)
-                    .and_then(|x| x.tentative_sizes.get(&fid))
-                    .copied()
-            })
+        self.family(t)
+            .filter_map(|(_, x)| x.tentative_sizes.get(&fid).copied())
             .fold(base, u64::max)
     }
 
     /// Whether any member of `t`'s family holds tentative pages, records
     /// or sizes for `fid` (in which case a read needs the overlay logic).
     pub(crate) fn chain_has_overlay(&self, t: TxnId, fid: FileId) -> bool {
-        self.chain(t).iter().any(|id| {
-            self.active.get(id).is_some_and(|x| {
-                x.tentative_sizes.contains_key(&fid)
-                    || x.tentative_pages.keys().any(|(f, _)| *f == fid)
-                    || x.tentative_records.iter().any(|(f, _, _)| *f == fid)
-            })
+        self.family(t).any(|(_, x)| {
+            x.tentative_sizes.contains_key(&fid)
+                || x.tentative_pages.keys().any(|(f, _)| *f == fid)
+                || x.tentative_records.iter().any(|(f, _, _)| *f == fid)
         })
     }
 
@@ -221,48 +220,51 @@ impl TransactionService {
         let first = offset / bs;
         let last = (offset + len as u64 - 1) / bs;
         let base_blocks = base_size.div_ceil(bs);
-        let chain = self.chain(t);
         let mut out = Vec::with_capacity(len);
         for idx in first..=last {
-            // Youngest tentative copy wins (child shadows parent).
-            let tentative = chain.iter().rev().find_map(|id| {
-                self.active
-                    .get(id)
-                    .and_then(|x| x.tentative_pages.get(&(fid, idx)))
-                    .map(|p| p.data.clone())
-            });
-            let block = match tentative {
-                Some(data) => data,
-                None if idx < base_blocks => self.fs.read_block(fid, idx)?.to_vec(),
-                None => vec![0u8; BLOCK_SIZE],
-            };
             let block_start = idx * bs;
-            let lo = offset.max(block_start) - block_start;
-            let hi = (offset + len as u64).min(block_start + bs) - block_start;
-            out.extend_from_slice(&block[lo as usize..hi as usize]);
-        }
-        // Record-mode overlay: root first, then descendants, each in its
-        // own write order.
-        for id in &chain {
-            let Some(txn) = self.active.get(id) else {
-                continue;
-            };
-            for (rfid, roff, bytes) in &txn.tentative_records {
-                if *rfid != fid {
-                    continue;
+            let lo = (offset.max(block_start) - block_start) as usize;
+            let hi = ((offset + len as u64).min(block_start + bs) - block_start) as usize;
+            // Youngest tentative copy wins (child shadows parent).
+            let tentative = self
+                .family(t)
+                .find_map(|(_, x)| x.tentative_pages.get(&(fid, idx)));
+            match tentative {
+                Some(page) => out.extend_from_slice(&page.data[lo..hi]),
+                None if idx < base_blocks => {
+                    out.extend_from_slice(&self.fs.read_block(fid, idx)?[lo..hi]);
                 }
-                let rlo = *roff;
-                let rhi = roff + bytes.len() as u64;
-                let wlo = offset.max(rlo);
-                let whi = (offset + len as u64).min(rhi);
-                if wlo < whi {
-                    let dst = (wlo - offset) as usize..(whi - offset) as usize;
-                    let src = (wlo - rlo) as usize..(whi - rlo) as usize;
-                    out[dst].copy_from_slice(&bytes[src]);
-                }
+                None => out.resize(out.len() + hi - lo, 0),
             }
         }
+        self.overlay_records(t, fid, offset, &mut out);
         Ok(out)
+    }
+
+    /// The record-mode overlay of a read of `out.len()` bytes at
+    /// `offset`: root first, then descendants, each in its own write
+    /// order, so the youngest write wins.
+    fn overlay_records(&self, t: TxnId, fid: FileId, offset: u64, out: &mut [u8]) {
+        let Some(txn) = self.active.get(&t) else {
+            return;
+        };
+        if let Some(parent) = txn.parent {
+            self.overlay_records(parent, fid, offset, out);
+        }
+        for (rfid, roff, bytes) in &txn.tentative_records {
+            if *rfid != fid {
+                continue;
+            }
+            let rlo = *roff;
+            let rhi = roff + bytes.len() as u64;
+            let wlo = offset.max(rlo);
+            let whi = (offset + out.len() as u64).min(rhi);
+            if wlo < whi {
+                let dst = (wlo - offset) as usize..(whi - offset) as usize;
+                let src = (wlo - rlo) as usize..(whi - rlo) as usize;
+                out[dst].copy_from_slice(&bytes[src]);
+            }
+        }
     }
 
     /// The page-mode half of `twrite`: copies `data` into `t`'s tentative
@@ -291,15 +293,11 @@ impl TransactionService {
             let mut page = match existing {
                 Some(p) => p,
                 None => {
-                    let chain = self.chain(t);
-                    let inherited = chain[..chain.len() - 1].iter().rev().find_map(|id| {
-                        self.active
-                            .get(id)
-                            .and_then(|x| x.tentative_pages.get(&(fid, idx)))
-                            .map(|p| TentativePage {
-                                shadow: None,
-                                ..p.clone()
-                            })
+                    let inherited = self.family(t).skip(1).find_map(|(_, x)| {
+                        x.tentative_pages.get(&(fid, idx)).map(|p| TentativePage {
+                            shadow: None,
+                            ..p.clone()
+                        })
                     });
                     match inherited {
                         Some(p) => p,
@@ -396,10 +394,10 @@ impl TransactionService {
             self.tabort(child)?;
         }
         let txn = self.active.remove(&t).expect("checked");
-        let root = txn.parent.is_none();
+        let (root, shards) = (txn.parent.is_none(), txn.lock_shards);
         let discarded = self.discard(txn);
         if root {
-            self.finish(t, false);
+            self.end(t, shards, false);
         } else {
             self.stats.aborted += 1;
         }

@@ -1,6 +1,6 @@
 //! Striped lock-table properties (E20).
 //!
-//! Two families of properties:
+//! Three families of properties:
 //!
 //! 1. **Cross-shard deadlock resolution**: two transactions locking the
 //!    same pair of pages in opposite orders deadlock; whether the pages
@@ -13,6 +13,11 @@
 //!    must behave identically to a plain `LockTable` for any request
 //!    trace — same outcomes, same promotions in the same order, same tick
 //!    victims, same stats. This is the E20 ablation arm's guarantee.
+//! 3. **Release-by-mask equivalence**: an 8-shard table whose
+//!    `release_all` visits only the shards a transaction's own
+//!    `set_lock`s mapped to behaves identically to one that visits every
+//!    shard — what lets a transaction's end skip the shards it never
+//!    touched.
 //!
 //! Cases are deterministic under the shimmed proptest runner; CI pins
 //! `PROPTEST_BASE_SEED` over the {1, 7, 42} matrix for the `--ignored`
@@ -65,7 +70,7 @@ fn check_deadlock_case(shards: usize, pa: u64, pb: u64, order: bool) -> Result<(
     );
     let victim = aborted[0];
     let survivor = if victim == 10 { 20 } else { 10 };
-    t.release_all(victim, LT + 1);
+    t.release_all(victim, u64::MAX, LT + 1);
     // The survivor's queued request was promoted by the release…
     let granted = t.granted_items(survivor);
     prop_assert!(
@@ -158,7 +163,7 @@ fn check_equivalence(ops: &[Op]) -> Result<(), TestCaseError> {
             Op::ReleaseAll(txn) => {
                 now += 1;
                 let a = plain.release_all(txn, now);
-                let b = striped.release_all(txn, now);
+                let b = striped.release_all(txn, u64::MAX, now);
                 prop_assert_eq!(a, b, "op {}: promotions diverged", n);
             }
             Op::Tick => {
@@ -210,6 +215,68 @@ proptest! {
     }
 }
 
+/// Replays one trace against two 8-shard tables: one releases every
+/// shard, the other only the shards the trace's own `set_lock`s gave the
+/// transaction (through `shard_of`). Every observable must agree at
+/// every step.
+fn check_mask_equivalence(ops: &[Op]) -> Result<(), TestCaseError> {
+    let full = StripedLockTable::new(LT, 3, 8);
+    let masked = StripedLockTable::new(LT, 3, 8);
+    let mut masks = [0u64; 16];
+    let mut now = 0u64;
+    for (n, op) in ops.iter().enumerate() {
+        match *op {
+            Op::SetLock(txn, p, mode) => {
+                now += 1;
+                masks[txn as usize] |= 1 << masked.shard_of(&page(p));
+                let a = full.set_lock(txn, txn, page(p), mode, now);
+                let b = masked.set_lock(txn, txn, page(p), mode, now);
+                prop_assert_eq!(a, b, "op {}: outcome diverged", n);
+            }
+            Op::ReleaseAll(txn) => {
+                now += 1;
+                let a = full.release_all(txn, u64::MAX, now);
+                let b = masked.release_all(txn, masks[txn as usize], now);
+                masks[txn as usize] = 0;
+                prop_assert_eq!(a, b, "op {}: promotions diverged", n);
+            }
+            Op::Tick => {
+                now += LT;
+                let a = full.tick(now);
+                let b = masked.tick(now);
+                prop_assert_eq!(a, b, "op {}: tick victims diverged", n);
+            }
+        }
+        prop_assert_eq!(full.stats(), masked.stats(), "op {}: stats diverged", n);
+        prop_assert_eq!(full.len(), masked.len(), "op {}: record counts diverged", n);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    /// Fast subset: runs in the default CI test pass.
+    #[test]
+    fn masked_release_matches_full_sweep_fast(
+        ops in proptest::collection::vec(op_strategy(), 1..60),
+    ) {
+        check_mask_equivalence(&ops)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+    /// Full sweep: CI runs this `--ignored` under the pinned
+    /// `PROPTEST_BASE_SEED` matrix.
+    #[test]
+    #[ignore = "long sweep; exercised by the CI seed matrix"]
+    fn masked_release_matches_full_sweep_full(
+        ops in proptest::collection::vec(op_strategy(), 1..200),
+    ) {
+        check_mask_equivalence(&ops)?;
+    }
+}
+
 /// Deterministic companion: FIFO ordering within one item is preserved
 /// through the striped API regardless of shard count.
 #[test]
@@ -219,7 +286,7 @@ fn fifo_preserved_per_item_across_shard_counts() {
         t.set_lock(1, 10, page(0), LockMode::Iwrite, 0);
         t.set_lock(2, 20, page(0), LockMode::Iwrite, 0);
         t.set_lock(3, 30, page(0), LockMode::Iwrite, 0);
-        assert_eq!(t.release_all(10, 1), vec![20], "shards={shards}");
-        assert_eq!(t.release_all(20, 2), vec![30], "shards={shards}");
+        assert_eq!(t.release_all(10, u64::MAX, 1), vec![20], "shards={shards}");
+        assert_eq!(t.release_all(20, u64::MAX, 2), vec![30], "shards={shards}");
     }
 }

@@ -43,7 +43,11 @@ pub enum ReadSource {
 /// Tunables for one disk server.
 #[derive(Debug, Clone, Copy)]
 pub struct DiskServiceConfig {
-    /// Whether to cache the remainder of a track after serving a read.
+    /// Whether reads cache more of the platter than they asked for: the
+    /// remainder of the track each run from the platter starts on
+    /// ([`DiskService::get`], [`DiskService::get_batch`]), and the track
+    /// a striped window's spindle reaches next
+    /// ([`DiskService::read_ahead_next`]). Needs `cache_tracks > 0`.
     pub track_readahead: bool,
     /// Capacity of the track cache, in tracks. Zero disables caching
     /// entirely (the "Bullet server" baseline of experiment E8).
@@ -376,13 +380,14 @@ impl DiskService {
     /// address order, from main storage: one disk reference, or none when
     /// the track cache holds all of it. Hands each part's buffer to `emit`
     /// with its position in `parts`: a view of the cached or platter
-    /// fragments, copied only when they span allocations.
+    /// fragments, copied only when they span allocations. Returns whether
+    /// the run went to the platter.
     fn get_run(
         &mut self,
         run: Extent,
         parts: impl IntoIterator<Item = Extent>,
         mut emit: impl FnMut(usize, BlockBuf),
-    ) -> Result<(), DiskServiceError> {
+    ) -> Result<bool, DiskServiceError> {
         let geom = self.disk.geometry();
         let at = |f: u64| (geom.track_of(f), geom.sector_in_track(f));
         // Serve fully from cache when possible.
@@ -402,7 +407,7 @@ impl DiskService {
                     }
                     emit(i, joined);
                 }
-                return Ok(());
+                return Ok(false);
             }
             // Record misses for the fragments we must fetch.
             for (track, slot) in (run.start..run.end()).map(at) {
@@ -430,9 +435,37 @@ impl DiskService {
         if self.cache.is_some() && self.config.track_readahead {
             // Read-ahead is opportunistic: a media fault elsewhere on
             // the track must not fail the demand read that succeeded.
+            // It takes the track the run *starts* on, deliberately: a
+            // file's FIT and first run share that track (E3's two
+            // references for half a megabyte), and a run that ends a
+            // file reads nothing past its last block (E08's server-only
+            // row). A striped window reads ahead where its runs end
+            // through `read_ahead_next`.
             let _ = self.read_ahead_track(geom.track_of(run.start));
         }
-        Ok(())
+        Ok(true)
+    }
+
+    /// Striped read-ahead: caches the track a sequential reader of this
+    /// spindle needs after `last`, the last extent of its part of a
+    /// window that sent some spindle to the platter. If this spindle
+    /// `went` to the platter, that is the rest of the track `last` ends
+    /// on; if its track cache served it, the whole track after that one.
+    /// Issued inside the window's batch, every spindle's read-ahead
+    /// shares the window's makespan.
+    ///
+    /// Opportunistic like the per-run read-ahead: an error is dropped and
+    /// the demand read stands. Does nothing without a track cache or with
+    /// [`DiskServiceConfig::track_readahead`] off.
+    pub fn read_ahead_next(&mut self, last: Extent, went: bool) {
+        if self.cache.is_none() || !self.config.track_readahead {
+            return;
+        }
+        let geom = self.disk.geometry();
+        let track = geom.track_of(last.end().saturating_sub(1)) + u64::from(!went);
+        if track < geom.tracks() {
+            let _ = self.read_ahead_track(track);
+        }
     }
 
     /// Caches the not-yet-resident remainder of `track` ("the disk service
@@ -555,28 +588,34 @@ impl DiskService {
     /// head position and physically adjacent requests are merged, so each
     /// merged run costs one disk reference (or zero when cached). Results
     /// are returned in **input order**, each joined from its own sectors'
-    /// views as [`Self::get`] joins an extent's.
+    /// views as [`Self::get`] joins an extent's, together with whether
+    /// any run went to the platter (`false` when the track cache served
+    /// the whole batch).
     ///
     /// Requests must not overlap one another.
     ///
     /// # Errors
     ///
     /// Propagates device failures; see [`DiskServiceError`].
-    pub fn get_batch(&mut self, extents: &[Extent]) -> Result<Vec<BlockBuf>, DiskServiceError> {
+    pub fn get_batch(
+        &mut self,
+        extents: &[Extent],
+    ) -> Result<(Vec<BlockBuf>, bool), DiskServiceError> {
         for e in extents {
             self.check_extent(*e)?;
         }
         let schedule = order_and_merge(self.disk.head(), extents, &mut self.scheduler);
         let mut out: Vec<Option<BlockBuf>> = vec![None; extents.len()];
+        let mut went = false;
         for run in &schedule.runs {
             let order = &schedule.order[run.parts.clone()];
             let parts = order.iter().map(|&i| extents[i]);
-            self.get_run(run.extent, parts, |k, buf| out[order[k]] = Some(buf))?;
+            went |= self.get_run(run.extent, parts, |k, buf| out[order[k]] = Some(buf))?;
         }
-        Ok(out
+        let bufs = out
             .into_iter()
-            .map(|b| b.expect("scheduler serves every request"))
-            .collect())
+            .map(|b| b.expect("scheduler serves every request"));
+        Ok((bufs.collect(), went))
     }
 
     /// Writes a batch of `(extent, data)` pairs to main storage through
@@ -1027,7 +1066,8 @@ mod tests {
             Extent::new(e.start + 4, 4),
         ];
         let before = s.stats().disk.read_ops;
-        let got = s.get_batch(&reqs).unwrap();
+        let (got, went) = s.get_batch(&reqs).unwrap();
+        assert!(went);
         assert_eq!(
             s.stats().disk.read_ops - before,
             1,
@@ -1087,7 +1127,7 @@ mod tests {
         let back = s.get(Extent::new(e.start, 8)).unwrap();
         assert_eq!(back, whole);
         assert_eq!(back.as_ptr(), whole.as_ptr());
-        let got = s
+        let (got, _) = s
             .get_batch(&[Extent::new(e.start + 8, 4), Extent::new(e.start, 8)])
             .unwrap();
         assert_eq!(got[0].as_ptr(), c.as_ptr());

@@ -195,7 +195,7 @@ impl Volume {
             .iter()
             .map(|&(d, a)| (d, Extent::new(a, FRAGS_PER_BLOCK)))
             .collect();
-        self.read_batch(&reqs)
+        self.read_batch(&reqs, false)
     }
 
     /// The one read path from block pool to spindle: reads `reqs` —
@@ -208,7 +208,18 @@ impl Volume {
     /// spindle's finish time, so the spindles work in parallel where it
     /// is modelled — in virtual time. [`ParallelIo::Never`] pays one
     /// reference per request instead.
-    fn read_batch(&mut self, reqs: &[(u16, Extent)]) -> Result<Vec<BlockBuf>, FileServiceError> {
+    ///
+    /// With `stripe_ahead`, a batch over two or more spindles that sent
+    /// any of them to the platter reads ahead on every one of them, each
+    /// past the last request of its share
+    /// ([`DiskService::read_ahead_next`]), before the batches end: the
+    /// spindles cross their track boundaries in the same makespan
+    /// instead of one request each.
+    fn read_batch(
+        &mut self,
+        reqs: &[(u16, Extent)],
+        stripe_ahead: bool,
+    ) -> Result<Vec<BlockBuf>, FileServiceError> {
         if self.parallel_io == ParallelIo::Never {
             return reqs
                 .iter()
@@ -219,13 +230,25 @@ impl Volume {
         for (i, &(d, extent)) in reqs.iter().enumerate() {
             per_disk[d as usize].push((i, extent));
         }
-        let fetched = self.batched(&per_disk, |disk, reqs| {
+        let issue = |disk: &mut DiskService, reqs: &[(usize, Extent)]| {
             let extents: Vec<Extent> = reqs.iter().map(|&(_, e)| e).collect();
             disk.get_batch(&extents)
-        });
+        };
+        let read_ahead = |disks: &mut [DiskService], fetched: &[(usize, Result<_, _>)]| {
+            let any_went = fetched.iter().any(|(_, r)| matches!(r, Ok((_, true))));
+            if stripe_ahead && any_went && fetched.len() >= 2 {
+                for (d, r) in fetched {
+                    if let Ok((_, went)) = r {
+                        let &(_, last) = per_disk[*d].last().expect("an involved spindle");
+                        disks[*d].read_ahead_next(last, *went);
+                    }
+                }
+            }
+        };
+        let fetched = self.batched(&per_disk, issue, read_ahead);
         let mut out: Vec<Option<BlockBuf>> = vec![None; reqs.len()];
-        for (d, bufs) in fetched {
-            for (&(i, _), buf) in per_disk[d].iter().zip(bufs?) {
+        for (d, r) in fetched {
+            for (&(i, _), buf) in per_disk[d].iter().zip(r?.0) {
                 out[i] = Some(buf);
             }
         }
@@ -251,17 +274,21 @@ impl Volume {
         for (d, extent, buf) in writes {
             per_disk[d as usize].push((extent, buf));
         }
-        let results = self.batched(&per_disk, |disk, writes| disk.put_batch(writes));
+        let issue = |disk: &mut DiskService, writes: &[_]| disk.put_batch(writes);
+        let results = self.batched(&per_disk, issue, |_, _| ());
         results.into_iter().try_for_each(|(_, r)| Ok(r?))
     }
 
     /// Hands every spindle with requests in `per_disk` its share as one
     /// batch, all begun at the same virtual instant and ended together,
-    /// and returns each involved disk's result.
+    /// and returns each involved disk's result. `then` sees every result
+    /// while the batches are still open, so what it issues shares their
+    /// makespan.
     fn batched<T, R>(
         &mut self,
         per_disk: &[Vec<T>],
         issue: impl Fn(&mut DiskService, &[T]) -> R,
+        then: impl FnOnce(&mut [DiskService], &[(usize, R)]),
     ) -> Vec<(usize, R)> {
         let involved = (0..per_disk.len()).filter(|&d| !per_disk[d].is_empty());
         let involved: Vec<usize> = involved.collect();
@@ -269,7 +296,8 @@ impl Volume {
             self.disks[d].begin_batch();
         }
         let issue = |&d: &usize| (d, issue(&mut self.disks[d], &per_disk[d]));
-        let results = involved.iter().map(issue).collect();
+        let results: Vec<(usize, R)> = involved.iter().map(issue).collect();
+        then(&mut self.disks, &results);
         for &d in &involved {
             self.disks[d].end_batch();
         }
@@ -400,6 +428,13 @@ impl Volume {
     /// degraded disk cannot be read there: they come back in the second
     /// list, for the caller to fetch one by one ([`Self::read_run`]) once
     /// it is done with the batch.
+    ///
+    /// A striped window reads ahead as one ([`Self::read_batch`]): if it
+    /// sends any spindle to the platter, every spindle it touches caches
+    /// the track its share of the file continues on, in the window's
+    /// makespan. A single-spindle window reads ahead only the track each
+    /// run starts on, and the parity tier never reads ahead across its
+    /// spindles.
     #[allow(clippy::type_complexity)]
     pub(crate) fn read_window(
         &mut self,
@@ -421,7 +456,7 @@ impl Volume {
         // later insert evicts — follows the order the caller admits in.
         misses.sort_by_key(|&(_, disk, _)| disk);
         let reqs: Vec<(u16, Extent)> = misses.iter().map(|&(_, d, e)| (d, e)).collect();
-        let fetched = self.read_batch(&reqs)?;
+        let fetched = self.read_batch(&reqs, !self.redundancy.is_parity())?;
         let fetched = misses.iter().map(|&(idx, ..)| idx).zip(fetched).collect();
         Ok((fetched, degraded))
     }

@@ -41,11 +41,13 @@ pub(crate) const LOG_COMPACT_THRESHOLD: u64 = 1024 * 1024;
 /// log is allocated in such eighths.
 ///
 /// This is placement as much as room: the 4.5 MiB extent sits at the
-/// front of the disk and sets where every file after it starts, and so
-/// how each one meets the track boundaries. It is deliberately not tied
-/// to [`LOG_COMPACT_THRESHOLD`]: shrinking it along with the threshold
-/// moves every file of a fresh volume, and striped sequential reads of
-/// those files got slower.
+/// front of the disk and sets where every file after it starts. It is
+/// deliberately not tied to [`LOG_COMPACT_THRESHOLD`]: shrinking it along
+/// with the threshold moves every file of a fresh volume, and with it
+/// every content fingerprint. Speed does not pin it: a striped window
+/// that sends one spindle to the platter reads ahead on all of them, so
+/// striped sequential reads do not depend on where files meet the track
+/// boundaries.
 const LOG_ALLOC_AHEAD: u64 = 4 * 1024 * 1024 + 512 * 1024;
 
 /// The header frame's share of the log: one sector, which the disk

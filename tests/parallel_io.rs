@@ -3,8 +3,9 @@
 //!
 //! The scheduler changes *how* striped windows and coalesced flushes reach
 //! the disks — elevator ordering, cross-file merging, per-spindle batches
-//! under makespan accounting — but must never change *what* ends up on
-//! them. These tests pit the two [`ParallelIo`] modes against each other
+//! under makespan accounting, the read-ahead a striped window issues on
+//! every spindle it touches — but must never change *what* ends up on
+//! them or what a read returns. These tests pit the two [`ParallelIo`] modes against each other
 //! on identical workloads and require byte-identical disk images,
 //! identical read results, and clean fsck walks.
 //!
@@ -75,6 +76,15 @@ enum Op {
     Write { file: usize, block: usize, fill: u8 },
     /// Read a whole file back (exercises the windowed fetch path).
     Read { file: usize },
+    /// Drop every track cache — and, if `cold`, flush and empty the pool
+    /// too — then read a whole file front to back, `step` blocks at a
+    /// time: a sequential scan whose windows read ahead on every spindle,
+    /// among the pool's dirty blocks unless `cold`.
+    Scan {
+        file: usize,
+        step: usize,
+        cold: bool,
+    },
     /// Flush all dirty blocks (exercises the coalesced write-back).
     Flush,
 }
@@ -98,6 +108,8 @@ fn workloads() -> impl Strategy<Value = Workload> {
                 (any::<usize>(), any::<usize>(), any::<u8>())
                     .prop_map(|(file, block, fill)| Op::Write { file, block, fill }),
                 any::<usize>().prop_map(|file| Op::Read { file }),
+                (any::<usize>(), 2usize..=8, any::<bool>())
+                    .prop_map(|(file, step, cold)| Op::Scan { file, step, cold }),
                 Just(Op::Flush),
             ],
             0..48,
@@ -155,6 +167,20 @@ fn run_on(mut fs: FileService, w: &Workload) -> Outcome {
             Op::Read { file } => {
                 let f = file % fids.len();
                 reads.push(fs.read(fids[f], 0, w.files[f] * BLOCK_SIZE).unwrap());
+            }
+            Op::Scan { file, step, cold } => {
+                let f = file % fids.len();
+                let len = w.files[f] * BLOCK_SIZE;
+                if cold {
+                    fs.evict_caches().unwrap();
+                }
+                for d in 0..w.ndisks {
+                    fs.disk_mut(d).drop_caches();
+                }
+                for at in (0..len).step_by(step * BLOCK_SIZE) {
+                    let n = (step * BLOCK_SIZE).min(len - at);
+                    reads.push(fs.read(fids[f], at as u64, n).unwrap());
+                }
             }
             Op::Flush => fs.flush_all().unwrap(),
         }

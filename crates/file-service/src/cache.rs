@@ -258,6 +258,34 @@ impl Segment {
         out
     }
 
+    /// The tick of the least recently used clean block, if it is below
+    /// `bound`; else `bound`. Walks the queue from the front, so it
+    /// visits only the entries older than the answer.
+    fn clean_bound(&self, bound: u64) -> u64 {
+        let blocks = &self.blocks;
+        for (k, t) in self.lru.iter().take_while(|(_, t)| *t < bound) {
+            if blocks.get(k).is_some_and(|b| b.touched == *t && !b.dirty) {
+                return *t;
+            }
+        }
+        bound
+    }
+
+    /// The dirty blocks of `fids` last touched below `bound`, in tick
+    /// order, now clean in the pool.
+    fn take_dirty_below(&mut self, fids: &[FileId], bound: u64) -> Vec<(BlockKey, BlockBuf)> {
+        let (blocks, mut out) = (&mut self.blocks, Vec::new());
+        for (k, t) in self.lru.iter().take_while(|(_, t)| *t < bound) {
+            let live = blocks.get_mut(k).filter(|b| b.touched == *t && b.dirty);
+            if let Some(b) = live.filter(|_| fids.contains(&k.0)) {
+                b.dirty = false;
+                self.stats.writebacks += 1;
+                out.push((*k, b.data.clone()));
+            }
+        }
+        out
+    }
+
     fn dirty_blocks(&self) -> usize {
         self.blocks.values().filter(|b| b.dirty).count()
     }
@@ -626,6 +654,36 @@ impl ShardedBlockCache {
     #[must_use = "flushed dirty blocks must be written back"]
     pub fn take_dirty_for(&self, fid: FileId) -> Vec<(BlockKey, BlockBuf)> {
         self.take_dirty_of(Some(fid))
+    }
+
+    /// The pool's clock: the tick of the latest touch. Every later touch
+    /// is stamped above it.
+    pub fn clock(&self) -> u64 {
+        self.tick.load(Relaxed)
+    }
+
+    /// Write-behind for a read that began at pool clock `began` and
+    /// evicted dirty blocks of `fids`: the dirty blocks of those files
+    /// that the LRU would write back before it next evicts a clean block
+    /// — last touched below the least recently used clean block — and
+    /// that the read itself did not touch (at or before `began`). They
+    /// stay resident, now clean, and are returned sorted by key.
+    ///
+    /// Two passes over each shard's queue, front first, one shard locked
+    /// at a time: the first finds the bound — global, so the shard count
+    /// does not change which blocks go — and the second takes the blocks
+    /// below it. No shard changes under the passes in a way that matters:
+    /// only the file service dirties, cleans or evicts a block, and it is
+    /// the caller; a concurrent hit stamps its block above `began`, so at
+    /// worst it takes that block out of the set.
+    #[must_use = "write-behind blocks must be written back"]
+    pub fn take_write_behind(&self, fids: &[FileId], began: u64) -> Vec<(BlockKey, BlockBuf)> {
+        let bound = (self.shards.iter()).fold(began + 1, |b, s| s.lock().clean_bound(b));
+        let mut out: Vec<_> = (self.shards.iter())
+            .flat_map(|s| s.lock().take_dirty_below(fids, bound))
+            .collect();
+        out.sort_by_key(|(k, _)| *k);
+        out
     }
 
     /// Count of dirty blocks resident across all shards.

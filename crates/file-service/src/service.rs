@@ -365,8 +365,14 @@ impl FileService {
     /// returns a shared handle to its bytes. Contiguous neighbours within
     /// the same run are fetched in the same disk reference; every block of
     /// the run (including the returned one) is a zero-copy view of the one
-    /// transfer allocation.
-    fn fetch_block(&mut self, fid: FileId, idx: u64) -> Result<BlockBuf, FileServiceError> {
+    /// transfer allocation. `began` is the pool clock when the read that
+    /// fetches began — `None` inside a write (see [`Self::admit`]).
+    fn fetch_block(
+        &mut self,
+        fid: FileId,
+        idx: u64,
+        began: Option<u64>,
+    ) -> Result<BlockBuf, FileServiceError> {
         if let Some(cache) = &self.cache {
             if let Some(b) = cache.get(&(fid, idx)) {
                 return Ok(b);
@@ -375,8 +381,13 @@ impl FileService {
         let data = self.volume.read_run(&mut self.store, fid, idx)?;
         let block = |j: usize| data.slice(j * BLOCK_SIZE..(j + 1) * BLOCK_SIZE);
         let blocks = (0..data.len() / BLOCK_SIZE).map(|j| (idx + j as u64, block(j)));
-        self.admit(fid, blocks)?;
+        self.admit(fid, blocks, began)?;
         Ok(data.slice(0..BLOCK_SIZE.min(data.len())))
+    }
+
+    /// The pool clock now, as a read's `began`.
+    fn read_began(&self) -> Option<u64> {
+        self.cache.as_ref().map(|c| c.clock())
     }
 
     /// Admits freshly fetched blocks of `fid` to the pool and writes back
@@ -386,11 +397,15 @@ impl FileService {
     /// still-dirty neighbour fetched in the same transfer (whose
     /// write-back makes the platter newer than the transfer), and
     /// re-checking at insert time would then re-admit the stale
-    /// pre-eviction bytes as clean.
+    /// pre-eviction bytes as clean. A fetch for a read (`began` is the
+    /// pool clock when it began) writes its files' dirty tails behind its
+    /// evictions; one inside a write (`None`) writes its evictions only
+    /// (see [`Self::write_back_evicted`]).
     fn admit(
         &mut self,
         fid: FileId,
         fetched: impl IntoIterator<Item = (u64, BlockBuf)>,
+        began: Option<u64>,
     ) -> Result<(), FileServiceError> {
         let Some(cache) = &self.cache else {
             return Ok(());
@@ -401,7 +416,7 @@ impl FileService {
         for (idx, block) in absent {
             evicted.extend(cache.insert((fid, idx), block, false));
         }
-        self.write_back_evicted(evicted)
+        self.write_back_evicted(evicted, began)
     }
 
     /// Puts a block that is on its way to the platter in the pool, clean,
@@ -411,7 +426,7 @@ impl FileService {
             return Ok(());
         };
         let evicted = cache.insert(key, data, false);
-        self.write_back_evicted(evicted)
+        self.write_back_evicted(evicted, None)
     }
 
     /// Writes back the dirty blocks the pool evicted while serving one
@@ -422,16 +437,39 @@ impl FileService {
     /// fetched); a key evicted twice keeps only its last version (batch
     /// extents must not overlap); and the request fails if the write-back
     /// does, as it did when each eviction was written back on its own.
+    ///
+    /// A read (`began` is the pool clock when it began) also writes
+    /// behind: the batch carries the dirty blocks of every file it
+    /// evicted a dirty block of that the pool would write back before it
+    /// next evicts a clean one ([`ShardedBlockCache::take_write_behind`]).
+    /// They stay resident, clean, so the reads after this one evict clean
+    /// blocks. If the batch fails they are dirty again. Write paths pass
+    /// `None` and write their evictions only: a writer's pool is mostly
+    /// dirty, so the search would walk far for few blocks.
     fn write_back_evicted(
         &mut self,
         evicted: Vec<(BlockKey, BlockBuf)>,
+        began: Option<u64>,
     ) -> Result<(), FileServiceError> {
         if evicted.is_empty() {
             return Ok(());
         }
-        let last: BTreeMap<BlockKey, BlockBuf> = evicted.into_iter().collect();
-        self.volume
-            .write_back(&mut self.store, last.into_iter().collect())
+        let mut behind = Vec::new();
+        if let (Some(cache), Some(began)) = (&self.cache, began) {
+            let mut fids: Vec<FileId> = evicted.iter().map(|((fid, _), _)| *fid).collect();
+            fids.sort_unstable();
+            fids.dedup();
+            behind = cache.take_write_behind(&fids, began);
+        }
+        let keys: Vec<BlockKey> = behind.iter().map(|(k, _)| *k).collect();
+        let last: BTreeMap<BlockKey, BlockBuf> = evicted.into_iter().chain(behind).collect();
+        let written = self
+            .volume
+            .write_back(&mut self.store, last.into_iter().collect());
+        if let (Err(_), Some(cache)) = (&written, &self.cache) {
+            keys.iter().for_each(|k| cache.mark_dirty(k));
+        }
+        written
     }
 
     /// `read`/`pread`: returns up to `len` bytes from `offset` (clamped at
@@ -493,19 +531,21 @@ impl FileService {
 
     /// Fetches logical blocks `first..=last` of the resident file `fid`,
     /// returning one view per block. Cache hits are refcount bumps; the
-    /// misses go to the volume as one window.
+    /// misses go to the volume as one window. Reached from reads only, so
+    /// its fetches write behind.
     fn fetch_window(
         &mut self,
         fid: FileId,
         first: u64,
         last: u64,
     ) -> Result<Vec<BlockBuf>, FileServiceError> {
+        let began = self.read_began();
         if first == last || !self.volume.batches_windows() {
             // A single block goes through the run-fetching path, which
             // also caches the rest of the block's contiguous run — as
             // does every block of a window the volume does not batch.
             return (first..=last)
-                .map(|idx| self.fetch_block(fid, idx))
+                .map(|idx| self.fetch_block(fid, idx, began))
                 .collect();
         }
         let mut blocks: BTreeMap<u64, BlockBuf> = BTreeMap::new();
@@ -518,11 +558,11 @@ impl FileService {
         let fit = &self.store.loaded(fid).fit;
         let (fetched, deferred) = self.volume.read_window(fit, fid, &misses)?;
         blocks.extend(fetched.iter().cloned());
-        self.admit(fid, fetched)?;
+        self.admit(fid, fetched, began)?;
         // What the batch could not carry is fetched block by block, after
         // the batch's evictions have reached the platter.
         for idx in deferred {
-            blocks.insert(idx, self.fetch_block(fid, idx)?);
+            blocks.insert(idx, self.fetch_block(fid, idx, began)?);
         }
         Ok(blocks.into_values().collect())
     }
@@ -588,7 +628,7 @@ impl FileService {
         let mut evicted: Vec<(BlockKey, BlockBuf)> = Vec::new();
         let applied = self.insert_runs(fid, runs, old_size, &mut evicted);
         // What the pool evicted is written back even when a run failed.
-        let written_back = self.write_back_evicted(evicted);
+        let written_back = self.write_back_evicted(evicted, None);
         applied.and(written_back)?;
         let fit = &mut self.store.loaded_mut(fid).fit;
         fit.attrs.size = new_size;
@@ -633,11 +673,11 @@ impl FileService {
                     let mut block = if block_start < written_to {
                         // The fetch reads the platter, and the block may be
                         // among the evictions still pending.
-                        self.write_back_evicted(std::mem::take(evicted))?;
+                        self.write_back_evicted(std::mem::take(evicted), None)?;
                         // Read-modify-write. If the old block is unreadable
                         // (media fault) its remaining bytes are already lost —
                         // proceed with zeros so the overwrite can repair it.
-                        match self.fetch_block(fid, idx) {
+                        match self.fetch_block(fid, idx, None) {
                             Ok(b) => b,
                             Err(FileServiceError::Disk(_)) => BlockBuf::zeroed(BLOCK_SIZE),
                             Err(e) => return Err(e),
@@ -727,7 +767,7 @@ impl FileService {
         if entry.fit.descriptor(idx).is_none() {
             return Err(FileServiceError::Corrupt(fid));
         }
-        self.fetch_block(fid, idx)
+        self.fetch_block(fid, idx, self.read_began())
     }
 
     /// Reads whole logical blocks `first..=last` as shared handles, one
@@ -858,7 +898,7 @@ impl FileService {
             batch.push(((fid, idx), data));
         }
         // Evictions first: an evicted key may be rewritten by the batch.
-        self.write_back_evicted(evicted)?;
+        self.write_back_evicted(evicted, None)?;
         self.volume.write_back(&mut self.store, batch)
     }
 

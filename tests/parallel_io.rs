@@ -7,7 +7,8 @@
 //! every spindle it touches — but must never change *what* ends up on
 //! them or what a read returns. These tests pit the two [`ParallelIo`] modes against each other
 //! on identical workloads and require byte-identical disk images,
-//! identical read results, and clean fsck walks.
+//! identical read results, and clean fsck walks; every read is also
+//! checked against a byte model of the files.
 //!
 //! The second half does the same one layer up: an agent transfer is one
 //! exchange carrying all of its blocks, and what the server's pool evicts
@@ -74,8 +75,21 @@ fn build_with(
 enum Op {
     /// Rewrite one whole block of one file with a fill byte.
     Write { file: usize, block: usize, fill: u8 },
+    /// Rewrite a whole file with a fill byte in one request: its blocks
+    /// go dirty together, so a later read that evicts one of them writes
+    /// the others behind.
+    Rewrite { file: usize, fill: u8 },
     /// Read a whole file back (exercises the windowed fetch path).
     Read { file: usize },
+    /// Read one to three blocks of a file from `block` (clamped to the
+    /// file): a read that evicts only the pool's oldest few blocks, so
+    /// what it writes behind depends on the clean and dirty blocks after
+    /// them.
+    Window {
+        file: usize,
+        block: usize,
+        blocks: usize,
+    },
     /// Drop every track cache — and, if `cold`, flush and empty the pool
     /// too — then read a whole file front to back, `step` blocks at a
     /// time: a sequential scan whose windows read ahead on every spindle,
@@ -105,12 +119,15 @@ fn workloads() -> impl Strategy<Value = Workload> {
         proptest::collection::vec(1usize..=10, 1..=4),
         proptest::collection::vec(
             prop_oneof![
-                (any::<usize>(), any::<usize>(), any::<u8>())
+                4 => (any::<usize>(), any::<usize>(), any::<u8>())
                     .prop_map(|(file, block, fill)| Op::Write { file, block, fill }),
-                any::<usize>().prop_map(|file| Op::Read { file }),
-                (any::<usize>(), 2usize..=8, any::<bool>())
+                1 => (any::<usize>(), any::<u8>()).prop_map(|(file, fill)| Op::Rewrite { file, fill }),
+                1 => any::<usize>().prop_map(|file| Op::Read { file }),
+                4 => (any::<usize>(), any::<usize>(), 1usize..=3)
+                    .prop_map(|(file, block, blocks)| Op::Window { file, block, blocks }),
+                1 => (any::<usize>(), 2usize..=8, any::<bool>())
                     .prop_map(|(file, step, cold)| Op::Scan { file, step, cold }),
-                Just(Op::Flush),
+                1 => Just(Op::Flush),
             ],
             0..48,
         ),
@@ -129,44 +146,67 @@ struct Outcome {
     /// Every byte returned by the workload's reads, in order.
     reads: Vec<Vec<u8>>,
     fsck_clean: bool,
-    /// Every disk's counters, main storage and stable mirrors.
-    stats: Vec<(DiskStats, DiskStats)>,
+    /// Every disk's counters, main storage and stable mirrors, after
+    /// each op and at the end.
+    stats: Vec<Vec<(DiskStats, DiskStats)>>,
 }
 
-fn run_workload(w: &Workload, mode: ParallelIo) -> Outcome {
-    run_on(build(w.ndisks, w.chunk_blocks, mode), w)
+fn disk_stats(fs: &FileService) -> Vec<(DiskStats, DiskStats)> {
+    (fs.stats().disks.iter())
+        .map(|d| (d.disk, d.stable))
+        .collect()
 }
 
+fn run_workload(w: &Workload, mode: ParallelIo, pool: usize) -> Outcome {
+    run_on(build_with(w.ndisks, w.chunk_blocks, mode, pool, 8), w)
+}
+
+/// Runs `w` and checks every read against a byte model of the files.
 fn run_on(mut fs: FileService, w: &Workload) -> Outcome {
-    let fids: Vec<_> = w
-        .files
+    let mut model: Vec<Vec<u8>> = (w.files.iter().enumerate())
+        .map(|(i, &blocks)| vec![(i as u8).wrapping_mul(17); blocks * BLOCK_SIZE])
+        .collect();
+    let fids: Vec<_> = model
         .iter()
-        .enumerate()
-        .map(|(i, &blocks)| {
+        .map(|bytes| {
             let fid = fs.create(ServiceType::Basic).unwrap();
             fs.open(fid).unwrap();
-            fs.write(
-                fid,
-                0,
-                vec![(i as u8).wrapping_mul(17); blocks * BLOCK_SIZE],
-            )
-            .unwrap();
+            fs.write(fid, 0, bytes.clone()).unwrap();
             fid
         })
         .collect();
     fs.flush_all().unwrap();
-    let mut reads = Vec::new();
+    let (mut reads, mut stats) = (Vec::new(), Vec::new());
     for op in &w.ops {
         match *op {
             Op::Write { file, block, fill } => {
                 let f = file % fids.len();
-                let b = (block % w.files[f]) as u64;
-                fs.write(fids[f], b * BLOCK_SIZE as u64, vec![fill; BLOCK_SIZE])
+                let b = block % w.files[f];
+                model[f][b * BLOCK_SIZE..][..BLOCK_SIZE].fill(fill);
+                fs.write(fids[f], (b * BLOCK_SIZE) as u64, vec![fill; BLOCK_SIZE])
                     .unwrap();
+            }
+            Op::Rewrite { file, fill } => {
+                let f = file % fids.len();
+                model[f].fill(fill);
+                fs.write(fids[f], 0, model[f].clone()).unwrap();
             }
             Op::Read { file } => {
                 let f = file % fids.len();
                 reads.push(fs.read(fids[f], 0, w.files[f] * BLOCK_SIZE).unwrap());
+                assert!(reads.last() == Some(&model[f]), "{op:?} read stale bytes");
+            }
+            Op::Window {
+                file,
+                block,
+                blocks,
+            } => {
+                let f = file % fids.len();
+                let first = block % w.files[f];
+                let n = blocks.min(w.files[f] - first) * BLOCK_SIZE;
+                let at = first * BLOCK_SIZE;
+                reads.push(fs.read(fids[f], at as u64, n).unwrap());
+                assert!(reads.last().unwrap()[..] == model[f][at..at + n], "{op:?}");
             }
             Op::Scan { file, step, cold } => {
                 let f = file % fids.len();
@@ -180,15 +220,15 @@ fn run_on(mut fs: FileService, w: &Workload) -> Outcome {
                 for at in (0..len).step_by(step * BLOCK_SIZE) {
                     let n = (step * BLOCK_SIZE).min(len - at);
                     reads.push(fs.read(fids[f], at as u64, n).unwrap());
+                    assert!(reads.last().unwrap()[..] == model[f][at..at + n], "{op:?}");
                 }
             }
             Op::Flush => fs.flush_all().unwrap(),
         }
+        stats.push(disk_stats(&fs));
     }
     fs.flush_all().unwrap();
-    let stats = (fs.stats().disks.iter())
-        .map(|d| (d.disk, d.stable))
-        .collect();
+    stats.push(disk_stats(&fs));
     let fsck_clean = fs.fsck().unwrap().is_clean();
     let geometry = fs.disk_mut(0).geometry();
     let images = (0..w.ndisks)
@@ -215,19 +255,23 @@ proptest! {
     /// The coalesced, elevator-ordered flush and the windowed batch read
     /// leave every disk byte-identical to the pre-scheduler serial paths,
     /// return identical read results, and keep the file system
-    /// fsck-clean.
+    /// fsck-clean — on a pool that holds every file, and on one far
+    /// smaller, where reads evict dirty blocks and write their files'
+    /// dirty tails behind.
     #[test]
-    fn scheduler_modes_produce_identical_disks(w in workloads()) {
-        let serial = run_workload(&w, ParallelIo::Never);
-        let auto = run_workload(&w, ParallelIo::Auto);
-        prop_assert!(serial.fsck_clean);
-        prop_assert!(auto.fsck_clean);
-        prop_assert_eq!(&serial.reads, &auto.reads);
-        for d in 0..w.ndisks {
-            prop_assert_eq!(
-                &serial.images[d], &auto.images[d],
-                "disk {} differs between serial and auto issue", d
-            );
+    fn scheduler_modes_produce_identical_disks(w in workloads(), small in 1usize..12) {
+        for pool in [64, small] {
+            let serial = run_workload(&w, ParallelIo::Never, pool);
+            let auto = run_workload(&w, ParallelIo::Auto, pool);
+            prop_assert!(serial.fsck_clean);
+            prop_assert!(auto.fsck_clean);
+            prop_assert_eq!(&serial.reads, &auto.reads);
+            for d in 0..w.ndisks {
+                prop_assert_eq!(
+                    &serial.images[d], &auto.images[d],
+                    "disk {} differs between serial and auto issue (pool {})", d, pool
+                );
+            }
         }
     }
 }
@@ -237,8 +281,9 @@ proptest! {
 
     /// The block pool is one LRU however many shards lock it: on a pool
     /// far smaller than the files, eight shards and one evict the same
-    /// blocks in the same order, so the same requests leave the same
-    /// disks, count the same disk work and read the same bytes.
+    /// blocks in the same order and write the same blocks behind, so
+    /// the same requests leave the same disks, count the same disk work
+    /// request by request and read the same bytes.
     #[test]
     fn a_sharded_pool_evicts_like_one_lru(w in workloads(), pool in 1usize..12) {
         let build = |shards| build_with(w.ndisks, w.chunk_blocks, ParallelIo::Auto, pool, shards);
@@ -246,7 +291,7 @@ proptest! {
         let eight = run_on(build(8), &w);
         prop_assert!(one.fsck_clean && eight.fsck_clean);
         prop_assert_eq!(&one.reads, &eight.reads);
-        prop_assert!(one.stats == eight.stats, "disk counters differ");
+        prop_assert!(one.stats == eight.stats, "disk counters differ after an op");
         prop_assert!(one.images == eight.images, "disk images differ");
     }
 }

@@ -155,19 +155,6 @@ impl Station {
         }
     }
 
-    /// Drops the file's clean cached blocks but keeps the dirty ones
-    /// resident (they are re-inserted dirty). Used when a lease lapses:
-    /// clean blocks may be stale, dirty blocks still need their fenced
-    /// writeback attempt.
-    pub fn invalidate_clean(&mut self, fid: FileId) {
-        let dirty = self.cache.take_dirty_for(fid);
-        self.cache.invalidate_file(fid);
-        for ((f, idx), b) in dirty {
-            // Re-inserting cannot evict: the cache just shrank.
-            let _ = self.cache.insert((f, idx), b, true);
-        }
-    }
-
     /// Trims a whole buffered block to the file's logical size.
     pub fn trim_len(&self, fid: FileId, idx: u64) -> usize {
         let size = self.sizes.get(&fid).copied().unwrap_or(0);

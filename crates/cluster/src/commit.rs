@@ -3,7 +3,7 @@
 //! The master doubles as the 2PC coordinator (ROADMAP item 4, closing
 //! the loop the paper's §6 transaction service left open once files got
 //! homes on different servers). Phase one ships each participant's
-//! writes in an [`OP_TXN_PREPARE`] batch — the participant runs them
+//! writes in a [`Request::TxnPrepare`] batch — the participant runs them
 //! under a fresh local transaction, appends a durable `Prepared` record,
 //! and votes only after one log force covers the whole batch. Phase two
 //! is governed by the coordinator's [`DecisionLog`]: a *commit* is
@@ -23,7 +23,7 @@
 //!   coordinator holds locks but never blocks forever:
 //!   [`Cluster::recover_coordinator`] replays the decision log and
 //!   sweeps every live server's in-doubt list
-//!   ([`OP_TXN_PREPARED_LIST`]), re-delivering the durable decision or
+//!   ([`Request::TxnPreparedList`]), re-delivering the durable decision or
 //!   the presumed abort.
 //! * **Reconfigurable commit** (after Bravo's *Reconfigurable Atomic
 //!   Transaction Commit*) — the coordinator snapshots the placement
@@ -33,12 +33,10 @@
 //!   still commits or aborts atomically across the reconfiguration.
 
 use crate::master::{Cluster, ClusterError};
-use rhodos_disk_service::codec::{Decoder, Encoder};
-use rhodos_file_service::{FileId, FileServiceError};
+use rhodos_file_service::FileServiceError;
 use rhodos_replication::wire::{
-    decode_gtid_list, decode_txn_prepare, encode_error, encode_gtid_list, encode_txn_decide,
-    encode_txn_prepare, encode_txn_prepared_list, encode_votes, PrepareTxn, OP_TXN_DECIDE,
-    OP_TXN_PREPARE, OP_TXN_PREPARED_LIST, REPLY_ERR, REPLY_OK,
+    self, decode_gtid_list, decode_resolved, encode_gtid_list, encode_resolved, encode_votes,
+    PrepareTxn, Request,
 };
 use rhodos_txn::{CommitReq, TransactionService, TxnError};
 use std::collections::{BTreeMap, BTreeSet};
@@ -181,45 +179,26 @@ pub enum CommitOutcome {
 
 // ---- the server side ---------------------------------------------------
 
-/// The transaction-aware server loop: dispatches the 2PC opcodes
-/// against the server's [`TransactionService`] and everything else to
-/// the plain file-service [`wire::serve`] — one endpoint, both
-/// protocols, same at-most-once replay cache. A 2PC frame that does not
-/// decode — truncated, or an opcode above the 2PC range — is answered
-/// with [`FileServiceError::BadRequest`].
-///
-/// [`wire::serve`]: rhodos_replication::wire::serve
+/// The transaction-aware server loop: decodes a frame once, serves the
+/// 2PC requests against the server's [`TransactionService`] and hands
+/// every other one to the plain file service's [`wire::dispatch`] — one
+/// endpoint, both protocols, same at-most-once replay cache. A frame
+/// that does not decode is answered [`FileServiceError::BadRequest`].
 pub fn serve_txn(ts: &mut TransactionService, req: &[u8]) -> Vec<u8> {
-    let mut d = Decoder::new(req);
-    let result: Result<Vec<u8>, FileServiceError> = match d.u8() {
-        Ok(op) if op < OP_TXN_PREPARE => {
-            return rhodos_replication::wire::serve(ts.file_service_mut(), req);
-        }
-        Ok(OP_TXN_PREPARE) => decode_txn_prepare(&mut d)
-            .map(|batch| serve_prepare(ts, &batch))
-            .map_err(|_| FileServiceError::BadRequest),
-        Ok(OP_TXN_DECIDE) => match (d.u64(), d.u8()) {
-            (Ok(gtid), Ok(verdict)) => match ts.resolve_prepared(gtid, verdict != 0) {
-                Ok(resolved) => Ok(vec![u8::from(resolved)]),
+    use Request::{TxnDecide, TxnPrepare, TxnPreparedList};
+    let result = Request::decode(req)
+        .map_err(|_| FileServiceError::BadRequest)
+        .and_then(|req| match req {
+            TxnPrepare(batch) => Ok(serve_prepare(ts, &batch)),
+            TxnDecide(gtid, commit) => match ts.resolve_prepared(gtid, commit) {
+                Ok(resolved) => Ok(encode_resolved(resolved)),
                 Err(TxnError::File(e)) => Err(e),
                 Err(e) => unreachable!("resolve failures are file-service failures: {e}"),
             },
-            _ => Err(FileServiceError::BadRequest),
-        },
-        Ok(OP_TXN_PREPARED_LIST) => Ok(encode_gtid_list(&ts.prepared_gtids())),
-        _ => Err(FileServiceError::BadRequest),
-    };
-    let mut e = Encoder::new();
-    match result {
-        Ok(payload) => {
-            e.u8(REPLY_OK).bytes(&payload);
-        }
-        Err(err) => {
-            e.u8(REPLY_ERR);
-            encode_error(&mut e, &err);
-        }
-    }
-    e.finish()
+            TxnPreparedList => Ok(encode_gtid_list(&ts.prepared_gtids())),
+            file_op => wire::dispatch(ts.file_service_mut(), file_op),
+        });
+    wire::encode_reply(result)
 }
 
 /// Phase one on the participant: the whole batch is one
@@ -230,8 +209,17 @@ pub fn serve_txn(ts: &mut TransactionService, req: &[u8]) -> Vec<u8> {
 /// reported, and a vote whose force failed is rolled back and reported
 /// *no*. This is the group-commit amortisation applied to 2PC:
 /// records-per-prepare-flush scales with the batch, not with 1.
-fn serve_prepare(ts: &mut TransactionService, batch: &[PrepareTxn]) -> Vec<u8> {
-    let reqs: Vec<CommitReq<'_>> = batch
+fn serve_prepare(ts: &mut TransactionService, batch: &[PrepareTxn<'_>]) -> Vec<u8> {
+    let owned: Vec<(u64, Vec<_>)> = batch
+        .iter()
+        .map(|(gtid, ops)| {
+            (
+                *gtid,
+                ops.iter().map(|&(f, o, d)| (f, o, d.to_vec())).collect(),
+            )
+        })
+        .collect();
+    let reqs: Vec<CommitReq<'_>> = owned
         .iter()
         .map(|(gtid, writes)| CommitReq::Participant {
             gtid: *gtid,
@@ -291,15 +279,15 @@ impl Cluster {
             // Resolve every op against the *current* placement. The
             // snapshot can go stale the moment it is taken — that is
             // what the epoch re-check below is for.
-            let mut by_server: BTreeMap<usize, Vec<PrepareTxn>> = BTreeMap::new();
+            let mut by_server: BTreeMap<usize, Vec<PrepareTxn<'_>>> = BTreeMap::new();
             let mut participants: BTreeSet<(u64, usize)> = BTreeSet::new();
             for (gtid, ops) in gtids.clone().zip(txns) {
-                let mut per: BTreeMap<usize, Vec<(FileId, u64, Vec<u8>)>> = BTreeMap::new();
+                let mut per: BTreeMap<usize, Vec<_>> = BTreeMap::new();
                 for (gid, offset, data) in ops.as_ref() {
                     let p = self.resolve(*gid)?;
                     per.entry(p.shard)
                         .or_default()
-                        .push((p.local, *offset, data.clone()));
+                        .push((p.local, *offset, data.as_slice()));
                 }
                 for (server, server_ops) in per {
                     participants.insert((gtid, server));
@@ -320,7 +308,7 @@ impl Cluster {
             // members. `yes` holds the (gtid, shard) votes the
             // coordinator learned of.
             let mut yes: BTreeSet<(u64, usize)> = BTreeSet::new();
-            for (&server, batch) in &by_server {
+            for (server, batch) in by_server {
                 if chaos
                     .crash_participant_before_prepare
                     .take_if(|s| *s == server)
@@ -330,12 +318,13 @@ impl Cluster {
                     continue;
                 }
                 self.stats.prepare_rpcs += 1;
-                let votes = self.prepare(server, &encode_txn_prepare(batch));
-                let voted: Vec<(u64, usize)> = batch
-                    .iter()
+                let batch_gtids: Vec<u64> = batch.iter().map(|(gtid, _)| *gtid).collect();
+                let votes = self.prepare(server, &Request::TxnPrepare(batch));
+                let voted: Vec<(u64, usize)> = batch_gtids
+                    .into_iter()
                     .zip(votes)
                     .filter(|(_, vote)| *vote)
-                    .map(|((gtid, _), _)| (*gtid, server))
+                    .map(|(gtid, _)| (gtid, server))
                     .collect();
                 if voted.is_empty() {
                     continue;
@@ -432,8 +421,8 @@ impl Cluster {
                 self.crash_shard(server);
                 continue;
             }
-            let decide = encode_txn_decide(gtid, committing.contains(&gtid));
-            let _ = self.call_2pc(server, &decide);
+            let commit = committing.contains(&gtid);
+            let _ = self.call_2pc(server, &Request::TxnDecide(gtid, commit));
         }
     }
 
@@ -449,13 +438,13 @@ impl Cluster {
         let mut commits = 0;
         let mut aborts = 0;
         for server in self.live_shards() {
-            let Ok((_, payload)) = self.call_one(server, &encode_txn_prepared_list()) else {
+            let Ok((_, payload)) = self.call_one(server, &Request::TxnPreparedList) else {
                 continue;
             };
-            for gtid in decode_gtid_list(&payload) {
+            for gtid in decode_gtid_list(&payload).unwrap_or_default() {
                 let commit = committed.contains(&gtid);
-                if let Ok(replies) = self.call_2pc(server, &encode_txn_decide(gtid, commit)) {
-                    if replies[0].1.first() == Some(&1) {
+                if let Ok(replies) = self.call_2pc(server, &Request::TxnDecide(gtid, commit)) {
+                    if decode_resolved(&replies[0].1) == Ok(true) {
                         self.stats.orphan_resolutions += 1;
                         if commit {
                             commits += 1;
@@ -475,8 +464,8 @@ impl Cluster {
     pub fn in_doubt_gtids(&mut self) -> Vec<u64> {
         let mut out: BTreeSet<u64> = BTreeSet::new();
         for server in self.live_shards() {
-            if let Ok((_, payload)) = self.call_one(server, &encode_txn_prepared_list()) {
-                out.extend(decode_gtid_list(&payload));
+            if let Ok((_, payload)) = self.call_one(server, &Request::TxnPreparedList) {
+                out.extend(decode_gtid_list(&payload).unwrap_or_default());
             }
         }
         out.into_iter().collect()
@@ -487,6 +476,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::master::ClusterConfig;
+    use rhodos_file_service::FileId;
 
     /// A cluster with one seeded, synced file per server; file `k` lives
     /// on server `k` (least-loaded placement round-robins an empty
@@ -945,8 +935,8 @@ mod tests {
         use rhodos_replication::wire::decode_reply;
 
         let (mut ts, fid) = participant();
-        let prepare = encode_txn_prepare(&[(11, vec![(fid, 0, b"one".to_vec())])]);
-        let decide = encode_txn_decide(11, true);
+        let prepare = Request::TxnPrepare(vec![(11, vec![(fid, 0, &b"one"[..])])]).encode();
+        let decide = Request::TxnDecide(11, true).encode();
         for frame in [&prepare, &decide] {
             for len in 0..frame.len() {
                 let reply = serve_txn(&mut ts, &frame[..len]);
@@ -970,13 +960,13 @@ mod tests {
         assert!(ts.prepared_gtids().is_empty(), "the decide landed");
     }
 
-    /// The participant route of `TransactionService::commit_batch`: an
-    /// `OP_TXN_PREPARE` batch whose log force fails votes *no* on every
-    /// transaction and leaves nothing of them behind — no in-doubt entry,
-    /// no live transaction, no tentative block.
+    /// The participant route of `TransactionService::commit_batch`: a
+    /// `Request::TxnPrepare` batch whose log force fails votes *no* on
+    /// every transaction and leaves nothing of them behind — no in-doubt
+    /// entry, no live transaction, no tentative block.
     #[test]
     fn a_prepare_whose_force_fails_votes_no_and_rolls_back() {
-        use rhodos_replication::wire::decode_votes;
+        use rhodos_replication::wire::{decode_reply, decode_votes};
 
         let sector_writes =
             |ts: &TransactionService| ts.file_service().stats().disks[0].disk.sector_writes;
@@ -985,14 +975,14 @@ mod tests {
         // puts the failure on the force itself.
         let (mut twin, fid) = participant();
         let batch: Vec<PrepareTxn> = vec![
-            (11, vec![(fid, 0, b"one".to_vec())]),
-            (12, vec![(fid, 8192, b"two".to_vec())]),
+            (11, vec![(fid, 0, &b"one"[..])]),
+            (12, vec![(fid, 8192, &b"two"[..])]),
         ];
         let before = sector_writes(&twin);
         for (gtid, writes) in &batch {
             let t = twin.tbegin();
             twin.topen(t, fid).unwrap();
-            twin.twrite(t, fid, writes[0].1, &writes[0].2).unwrap();
+            twin.twrite(t, fid, writes[0].1, writes[0].2).unwrap();
             twin.prepare_participant(t, *gtid).unwrap();
         }
         let up_to_the_force = sector_writes(&twin) - before;
@@ -1002,10 +992,9 @@ mod tests {
         let free = ts.file_service_mut().disk_mut(0).free_fragments();
         let disk = ts.file_service_mut().disk_mut(0).disk_mut();
         disk.faults_mut().crash_after_sector_writes(up_to_the_force);
-        let reply = serve_txn(&mut ts, &encode_txn_prepare(&batch));
-        let mut d = Decoder::new(&reply);
-        assert_eq!(d.u8().unwrap(), REPLY_OK);
-        assert_eq!(decode_votes(d.bytes().unwrap()), vec![false, false]);
+        let reply = serve_txn(&mut ts, &Request::TxnPrepare(batch).encode());
+        let votes = decode_reply(&reply).and_then(|payload| decode_votes(&payload));
+        assert_eq!(votes, Ok(vec![false, false]));
         assert_eq!(ts.stats().prepares, 2, "both got as far as the force");
         assert!(ts.prepared_gtids().is_empty());
         assert!(ts.active_transactions().is_empty());

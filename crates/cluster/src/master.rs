@@ -16,15 +16,11 @@
 
 use crate::placement::{PlacementDirectory, SharedDirectory};
 use parking_lot::Mutex;
-use rhodos_disk_service::codec::Decoder;
 use rhodos_file_service::{
     FileAttributes, FileId, FileService, FileServiceConfig, FileServiceError, ServiceType,
 };
 use rhodos_net::{Delivery, NetConfig};
-use rhodos_replication::wire::{
-    self, encode_fid_op, encode_read, encode_write, Channel, OP_CLOSE, OP_DELETE, OP_GET_ATTR,
-    OP_OPEN,
-};
+use rhodos_replication::wire::{decode_attributes, decode_created, Channel, Request};
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 use rhodos_txn::{TransactionService, TxnConfig};
 use std::collections::{BTreeMap, HashMap};
@@ -658,9 +654,8 @@ impl Cluster {
             .into_iter()
             .min_by_key(|&s| (self.files_on(s), s))
             .ok_or(ClusterError::NoLiveServers)?;
-        let reply = self.call_all(target, &wire::encode_create(ServiceType::Basic))?;
-        let mut d = Decoder::new(&reply);
-        let local = FileId(d.u64().expect("create reply"));
+        let reply = self.call_all(target, &Request::Create(ServiceType::Basic))?;
+        let local = decode_created(&reply)?;
         let gid = self.next_gid;
         self.next_gid += 1;
         self.map.insert(
@@ -679,7 +674,7 @@ impl Cluster {
     /// Opens a cluster file on every member of its home shard.
     pub fn open(&mut self, gid: u64) -> Result<(), ClusterError> {
         let p = self.resolve(gid)?;
-        self.call_all(p.shard, &encode_fid_op(OP_OPEN, p.local))?;
+        self.call_all(p.shard, &Request::Open(p.local))?;
         self.map.get_mut(&gid).expect("resolved").opens += 1;
         Ok(())
     }
@@ -687,7 +682,7 @@ impl Cluster {
     /// Closes a cluster file on every member of its home shard.
     pub fn close(&mut self, gid: u64) -> Result<(), ClusterError> {
         let p = self.resolve(gid)?;
-        self.call_all(p.shard, &encode_fid_op(OP_CLOSE, p.local))?;
+        self.call_all(p.shard, &Request::Close(p.local))?;
         let p = self.map.get_mut(&gid).expect("resolved");
         p.opens = p.opens.saturating_sub(1);
         Ok(())
@@ -702,9 +697,13 @@ impl Cluster {
         from: u32,
         to: u32,
     ) -> Result<(), ClusterError> {
-        let op = if to > from { OP_OPEN } else { OP_CLOSE };
+        let step = if to > from {
+            Request::Open(local)
+        } else {
+            Request::Close(local)
+        };
         for _ in 0..from.abs_diff(to) {
-            self.call_all(s, &encode_fid_op(op, local))?;
+            self.call_all(s, &step)?;
         }
         Ok(())
     }
@@ -717,7 +716,7 @@ impl Cluster {
         let p = self.resolve(gid)?;
         if self.live_shards().contains(&p.shard) {
             self.step_opens(p.shard, p.local, p.opens, 0)?;
-            match self.call_all(p.shard, &encode_fid_op(OP_DELETE, p.local)) {
+            match self.call_all(p.shard, &Request::Delete(p.local)) {
                 Ok(_) => {}
                 Err(ClusterError::Unreachable(_)) => {
                     self.pending_gc.push((p.shard, p.local));
@@ -738,7 +737,7 @@ impl Cluster {
     /// shard.
     pub fn read(&mut self, gid: u64, offset: u64, len: usize) -> Result<Vec<u8>, ClusterError> {
         let p = self.resolve(gid)?;
-        let (i, data) = self.call_one(p.shard, &encode_read(p.local, offset, len))?;
+        let (i, data) = self.call_one(p.shard, &Request::Read(p.local, offset, len))?;
         self.nodes[i].reads += 1;
         *self.heat.entry(gid).or_insert(0) += 1;
         self.stats.reads += 1;
@@ -750,7 +749,7 @@ impl Cluster {
     /// shard.
     pub fn write(&mut self, gid: u64, offset: u64, data: &[u8]) -> Result<(), ClusterError> {
         let p = self.resolve(gid)?;
-        self.call_all(p.shard, &encode_write(p.local, offset, data))?;
+        self.call_all(p.shard, &Request::Write(p.local, offset, data))?;
         *self.heat.entry(gid).or_insert(0) += 1;
         self.stats.writes += 1;
         self.stats.bytes_written += data.len() as u64;
@@ -760,9 +759,8 @@ impl Cluster {
     /// Attributes of a cluster file, from one member of its home shard.
     pub fn get_attr(&mut self, gid: u64) -> Result<FileAttributes, ClusterError> {
         let p = self.resolve(gid)?;
-        let (_, reply) = self.call_one(p.shard, &encode_fid_op(OP_GET_ATTR, p.local))?;
-        let mut d = Decoder::new(&reply);
-        Ok(FileAttributes::decode(&mut d).expect("attr reply"))
+        let (_, reply) = self.call_one(p.shard, &Request::GetAttr(p.local))?;
+        Ok(decode_attributes(&reply)?)
     }
 
     // ---- liveness ------------------------------------------------------
@@ -836,8 +834,8 @@ impl Cluster {
         for (_, local) in &mine {
             // Close is best-effort (the copy may never have been opened);
             // delete must succeed or the entry stays queued.
-            let _ = self.call_all(s, &encode_fid_op(OP_CLOSE, *local));
-            match self.call_all(s, &encode_fid_op(OP_DELETE, *local)) {
+            let _ = self.call_all(s, &Request::Close(*local));
+            match self.call_all(s, &Request::Delete(*local)) {
                 Ok(_) | Err(ClusterError::File(_)) => {
                     done.push(*local);
                     self.stats.orphans_collected += 1;
@@ -975,13 +973,10 @@ impl Cluster {
         }
 
         // Size from the source, fresh file on the target.
-        let (_, attr_reply) = self.call_one(p.shard, &encode_fid_op(OP_GET_ATTR, p.local))?;
-        let size = {
-            let mut d = Decoder::new(&attr_reply);
-            FileAttributes::decode(&mut d).expect("attr reply").size
-        };
-        let reply = self.call_all(target, &wire::encode_create(ServiceType::Basic))?;
-        let new_local = FileId(Decoder::new(&reply).u64().expect("create reply"));
+        let (_, attr_reply) = self.call_one(p.shard, &Request::GetAttr(p.local))?;
+        let size = decode_attributes(&attr_reply)?.size;
+        let reply = self.call_all(target, &Request::Create(ServiceType::Basic))?;
+        let new_local = decode_created(&reply)?;
 
         match self.copy_file(gid, p, target, new_local, size) {
             Ok(()) => {}
@@ -1014,7 +1009,7 @@ impl Cluster {
         // client still has it open outside the master's view — roll the
         // whole migration back rather than double-place the file.
         self.step_opens(p.shard, p.local, p.opens, 0)?;
-        match self.call_all(p.shard, &encode_fid_op(OP_DELETE, p.local)) {
+        match self.call_all(p.shard, &Request::Delete(p.local)) {
             Ok(_) => {}
             Err(ClusterError::File(FileServiceError::Busy(_))) => {
                 // Restore the tracked opens we just dropped.
@@ -1056,8 +1051,8 @@ impl Cluster {
         new_local: FileId,
         size: u64,
     ) -> Result<(), ClusterError> {
-        self.call_all(p.shard, &encode_fid_op(OP_OPEN, p.local))?;
-        self.call_all(target, &encode_fid_op(OP_OPEN, new_local))?;
+        self.call_all(p.shard, &Request::Open(p.local))?;
+        self.call_all(target, &Request::Open(new_local))?;
         let mut src_fp = FNV_OFFSET;
         let mut off = 0u64;
         let copy_result: Result<(), ClusterError> = loop {
@@ -1065,18 +1060,18 @@ impl Cluster {
                 break Ok(());
             }
             let n = MIGRATE_CHUNK.min((size - off) as usize);
-            let data = match self.call_one(p.shard, &encode_read(p.local, off, n)) {
+            let data = match self.call_one(p.shard, &Request::Read(p.local, off, n)) {
                 Ok((_, d)) => d,
                 Err(e) => break Err(e),
             };
             fnv1a(&mut src_fp, &data);
-            if let Err(e) = self.call_all(target, &encode_write(new_local, off, &data)) {
+            if let Err(e) = self.call_all(target, &Request::Write(new_local, off, &data)) {
                 break Err(e);
             }
             off += n as u64;
         };
         // The migration's own source open is dropped whatever happened.
-        let _ = self.call_all(p.shard, &encode_fid_op(OP_CLOSE, p.local));
+        let _ = self.call_all(p.shard, &Request::Close(p.local));
         copy_result?;
 
         // Re-read and fingerprint-check the copy on the target before
@@ -1085,7 +1080,7 @@ impl Cluster {
         let mut off = 0u64;
         while off < size {
             let n = MIGRATE_CHUNK.min((size - off) as usize);
-            let (_, data) = self.call_one(target, &encode_read(new_local, off, n))?;
+            let (_, data) = self.call_one(target, &Request::Read(new_local, off, n))?;
             fnv1a(&mut dst_fp, &data);
             off += n as u64;
         }
@@ -1103,8 +1098,8 @@ impl Cluster {
     /// (or queued for GC if the target is unreachable).
     fn abort_migration(&mut self, target: usize, local: FileId) {
         self.stats.migrations_aborted += 1;
-        let _ = self.call_all(target, &encode_fid_op(OP_CLOSE, local));
-        match self.call_all(target, &encode_fid_op(OP_DELETE, local)) {
+        let _ = self.call_all(target, &Request::Close(local));
+        match self.call_all(target, &Request::Delete(local)) {
             Ok(_) | Err(ClusterError::File(_)) => {}
             Err(_) => self.pending_gc.push((target, local)),
         }

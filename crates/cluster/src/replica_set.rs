@@ -32,7 +32,7 @@
 use crate::master::{Cluster, ClusterError};
 use rhodos_disk_service::{DiskServiceError, Extent, StablePolicy};
 use rhodos_file_service::{FileServiceError, ScrubFinding, ScrubOwner, ScrubReport};
-use rhodos_replication::wire::decode_votes;
+use rhodos_replication::wire::{decode_votes, Request};
 use rhodos_simdisk::{SectorAddr, SimDisk};
 
 /// Whether a failed call says the member is faulty rather than giving
@@ -69,7 +69,11 @@ impl Cluster {
 
     /// A mutation on every current member of shard `s` ("write-all")
     /// that the heartbeats hold live; returns one member's reply.
-    pub(crate) fn call_all(&mut self, s: usize, req: &[u8]) -> Result<Vec<u8>, ClusterError> {
+    pub(crate) fn call_all(
+        &mut self,
+        s: usize,
+        req: &Request<'_>,
+    ) -> Result<Vec<u8>, ClusterError> {
         self.fan_out(s, req, true)
             .map(|mut replies| replies.swap_remove(0).1)
     }
@@ -82,7 +86,7 @@ impl Cluster {
     pub(crate) fn call_2pc(
         &mut self,
         s: usize,
-        req: &[u8],
+        req: &Request<'_>,
     ) -> Result<Vec<(usize, Vec<u8>)>, ClusterError> {
         self.fan_out(s, req, false)
     }
@@ -100,9 +104,10 @@ impl Cluster {
     fn fan_out(
         &mut self,
         s: usize,
-        req: &[u8],
+        req: &Request<'_>,
         heed_heartbeats: bool,
     ) -> Result<Vec<(usize, Vec<u8>)>, ClusterError> {
+        let frame = req.encode();
         let mut replies = Vec::with_capacity(1);
         let mut missed = Vec::new();
         let mut err = ClusterError::NoLiveServers;
@@ -116,7 +121,7 @@ impl Cluster {
                 missed.push(i);
                 continue;
             }
-            match self.call_node(i, req) {
+            match self.call_node(i, &frame) {
                 Ok(payload) => replies.push((i, payload)),
                 Err(e) if is_fault(&e) => {
                     err = e;
@@ -140,12 +145,14 @@ impl Cluster {
     /// run the batch in lock-step and vote alike; a member that voted no
     /// where a peer forced a yes failed its own force and rolled back
     /// what its set prepared, so it is masked and the peers' yes stands.
-    pub(crate) fn prepare(&mut self, s: usize, req: &[u8]) -> Vec<bool> {
+    pub(crate) fn prepare(&mut self, s: usize, req: &Request<'_>) -> Vec<bool> {
         let Ok(replies) = self.call_2pc(s, req) else {
             return Vec::new();
         };
-        let ballots: Vec<(usize, Vec<bool>)> =
-            replies.iter().map(|(i, p)| (*i, decode_votes(p))).collect();
+        let ballots: Vec<(usize, Vec<bool>)> = replies
+            .iter()
+            .map(|(i, p)| (*i, decode_votes(p).unwrap_or_default()))
+            .collect();
         let mut votes = ballots[0].1.clone();
         for (_, ballot) in &ballots[1..] {
             for (vote, member) in votes.iter_mut().zip(ballot) {
@@ -172,8 +179,9 @@ impl Cluster {
     pub(crate) fn call_one(
         &mut self,
         s: usize,
-        req: &[u8],
+        req: &Request<'_>,
     ) -> Result<(usize, Vec<u8>), ClusterError> {
+        let frame = req.encode();
         let members = self.members(s);
         let r = members.len();
         let after = self.last_read[s] + 1 - members.start;
@@ -193,7 +201,7 @@ impl Cluster {
                 err = ClusterError::ServerUnavailable(i);
                 continue;
             }
-            match self.call_node(i, req) {
+            match self.call_node(i, &frame) {
                 Ok(payload) => {
                     for j in faulty {
                         self.mask(j);
@@ -429,10 +437,7 @@ mod tests {
     use rhodos_disk_service::codec::Decoder;
     use rhodos_file_service::{FileId, LeaseMode};
     use rhodos_net::NetConfig;
-    use rhodos_replication::wire::{
-        decode_grant, encode_lease_acquire, encode_lease_reattach, encode_token_op,
-        encode_write_leased, OP_LEASE_RELEASE, OP_LEASE_RENEW,
-    };
+    use rhodos_replication::wire::decode_grant;
 
     /// `shards` shards of `r` co-located members (an in-process lane that
     /// cannot lose and costs no virtual time).
@@ -591,24 +596,20 @@ mod tests {
         let gid = c.create().unwrap();
         c.open(gid).unwrap();
         let fid = c.placement_of(gid).unwrap().1;
-        let reply = c
-            .call_all(0, &encode_lease_acquire(7, fid, LeaseMode::Write))
-            .unwrap();
+        let acquire = Request::LeaseAcquire(7, fid, LeaseMode::Write);
+        let reply = c.call_all(0, &acquire).unwrap();
         let mut d = Decoder::new(&reply);
-        let grant = decode_grant(&mut d);
+        let grant = decode_grant(&mut d).unwrap();
         assert_eq!(d.u64().unwrap(), 0, "the file is empty");
         assert_eq!(grant.token.client, 7);
-        c.call_all(0, &encode_write_leased(fid, 0, b"delegated", &grant.token))
-            .unwrap();
+        let write = |data: &'static [u8], token| Request::WriteLeased(fid, 0, data, token);
+        c.call_all(0, &write(b"delegated", grant.token)).unwrap();
         assert_eq!(c.read(gid, 0, 9).unwrap(), b"delegated");
-        let renewed = c
-            .call_all(0, &encode_token_op(OP_LEASE_RENEW, &grant.token))
-            .unwrap();
+        let renewed = c.call_all(0, &Request::LeaseRenew(grant.token)).unwrap();
         assert!(Decoder::new(&renewed).u64().unwrap() >= grant.expiry_us);
-        c.call_all(0, &encode_token_op(OP_LEASE_RELEASE, &grant.token))
-            .unwrap();
+        c.call_all(0, &Request::LeaseRelease(grant.token)).unwrap();
         assert_eq!(
-            c.call_all(0, &encode_write_leased(fid, 0, b"too late", &grant.token)),
+            c.call_all(0, &write(b"too late", grant.token)),
             Err(ClusterError::File(FileServiceError::LeaseFenced(fid)))
         );
         assert!((0..3).all(|i| c.is_current(i)));
@@ -630,25 +631,20 @@ mod tests {
         let gid = c.create().unwrap();
         c.open(gid).unwrap();
         let fid = c.placement_of(gid).unwrap().1;
-        let reply = c
-            .call_all(0, &encode_lease_acquire(3, fid, LeaseMode::Write))
-            .unwrap();
-        let grant = decode_grant(&mut Decoder::new(&reply));
+        let acquire = Request::LeaseAcquire(3, fid, LeaseMode::Write);
+        let reply = c.call_all(0, &acquire).unwrap();
+        let grant = decode_grant(&mut Decoder::new(&reply)).unwrap();
         c.crash_shard(0);
+        let write = |data: &'static [u8], token| Request::WriteLeased(fid, 0, data, token);
         assert_eq!(
-            c.call_all(0, &encode_write_leased(fid, 0, b"stale", &grant.token)),
+            c.call_all(0, &write(b"stale", grant.token)),
             Err(ClusterError::File(FileServiceError::LeaseFenced(fid)))
         );
-        let reply = c
-            .call_all(
-                0,
-                &encode_lease_reattach(&grant.token, grant.mode, grant.stamp),
-            )
-            .unwrap();
-        let again = decode_grant(&mut Decoder::new(&reply));
+        let reattach = Request::LeaseReattach(grant.token, grant.mode, grant.stamp);
+        let reply = c.call_all(0, &reattach).unwrap();
+        let again = decode_grant(&mut Decoder::new(&reply)).unwrap();
         assert_eq!(again.token.epoch, grant.token.epoch + 1);
-        c.call_all(0, &encode_write_leased(fid, 0, b"fresh", &again.token))
-            .unwrap();
+        c.call_all(0, &write(b"fresh", again.token)).unwrap();
         assert!((0..2).all(|i| c.is_current(i)));
         for _ in 0..2 {
             assert_eq!(c.read(gid, 0, 5).unwrap(), b"fresh");

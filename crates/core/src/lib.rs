@@ -408,11 +408,6 @@ impl Facility {
         self.clock.clone()
     }
 
-    /// Number of client machines.
-    pub fn machine_count(&self) -> usize {
-        self.machines.len()
-    }
-
     /// Mutable access to machine `i`.
     ///
     /// # Panics

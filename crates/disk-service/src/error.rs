@@ -6,7 +6,6 @@ use std::fmt;
 
 /// Errors returned by [`DiskService`](crate::DiskService) operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum DiskServiceError {
     /// Not enough (contiguous) free space for the request.
     NoSpace {

@@ -91,11 +91,6 @@ impl FreeExtentArray {
         ((len - 1) as usize).min(ROWS - 1)
     }
 
-    /// Number of indexed references (for diagnostics).
-    pub fn indexed_runs(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum()
-    }
-
     /// Rebuilds the index by scanning the bitmap, as the paper prescribes
     /// for initialisation and updates.
     pub fn rebuild_from(&mut self, bitmap: &Bitmap) {

@@ -334,25 +334,6 @@ impl DiskService {
         self.get_from(extent, ReadSource::Main)
     }
 
-    /// Reads an extent into the caller's buffer with exactly one copy
-    /// (cached or platter view → `out`).
-    ///
-    /// # Errors
-    ///
-    /// [`DiskServiceError::SizeMismatch`] if `out` does not exactly fit
-    /// the extent; otherwise as [`Self::get`].
-    pub fn get_into(&mut self, extent: Extent, out: &mut [u8]) -> Result<(), DiskServiceError> {
-        if out.len() != extent.len_bytes() {
-            return Err(DiskServiceError::SizeMismatch {
-                expected: extent.len_bytes(),
-                got: out.len(),
-            });
-        }
-        let data = self.get(extent)?;
-        data.copy_to(out);
-        Ok(())
-    }
-
     /// Reads an extent from the chosen source (`get-block` with its
     /// stable-storage option).
     ///

@@ -107,11 +107,6 @@ impl TrackCache {
         self.stats
     }
 
-    /// Number of tracks currently resident.
-    pub fn resident_tracks(&self) -> usize {
-        self.tracks.len()
-    }
-
     /// Makes `track` the most recent. A run of fragments on one track —
     /// a read-ahead fills up to a track's worth — pays for the reorder
     /// once, not per fragment.

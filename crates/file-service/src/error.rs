@@ -8,7 +8,6 @@ use std::fmt;
 
 /// Errors returned by [`FileService`](crate::FileService) operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum FileServiceError {
     /// No file with this system name exists.
     NotFound(FileId),
@@ -48,8 +47,10 @@ pub enum FileServiceError {
         /// Stripe row that cannot be reconstructed.
         row: u64,
     },
-    /// A request frame that does not decode: truncated, or an opcode
-    /// the server does not know.
+    /// A wire frame that does not decode: a request cut short, running
+    /// on past its last operand, or carrying an opcode or code the server
+    /// does not know — or a reply or reply payload the client cannot
+    /// read.
     BadRequest,
     /// Underlying disk service failure.
     Disk(DiskServiceError),

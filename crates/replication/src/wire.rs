@@ -2,238 +2,388 @@
 //! server, whichever replica set it belongs to, is reached in exactly
 //! this format and served by the same `serve` loop.
 //!
-//! One request is `opcode · operands`, one reply is
-//! `REPLY_OK · payload` or `REPLY_ERR · encoded error`. Everything is
-//! length-prefixed little-endian via `rhodos-disk-service`'s codec, and
-//! [`serve`] is the entire server: its only state besides the files
-//! themselves is the replay cache the caller wraps around it.
+//! One request is `opcode · operands`, one [`Request`] variant per
+//! opcode: [`Request::encode`] writes a frame and [`Request::decode`]
+//! reads one back, so the layout of every message is written here once.
+//! One reply is `0 · payload` or `1 · encoded error`; each payload a
+//! caller reads has its own fallible reader below. Everything is
+//! length-prefixed little-endian via `rhodos-disk-service`'s codec.
+//! Nothing a peer sends can panic this module: a request that does not
+//! decode is answered [`FileServiceError::BadRequest`], and a reply or
+//! payload that does not decode reads as that error. [`serve`] is the
+//! entire server: its only state besides the files themselves is the
+//! replay cache the caller wraps around it.
 
 use rhodos_disk_service::codec::{DecodeError, Decoder, Encoder};
 use rhodos_disk_service::DiskServiceError;
 use rhodos_file_service::{
-    FileId, FileService, FileServiceError, LeaseGrant, LeaseMode, LeaseToken, ServiceType,
+    FileAttributes, FileId, FileService, FileServiceError, LeaseGrant, LeaseMode, LeaseToken,
+    ServiceType,
 };
 use rhodos_net::{NetConfig, ReplayCache, RpcClient, RpcExhausted, SimNetwork};
 use rhodos_simdisk::{DiskError, HlcStamp, SimClock};
 
-/// Opcode: create a file of a given [`ServiceType`].
-pub const OP_CREATE: u8 = 1;
-/// Opcode: open by fid.
-pub const OP_OPEN: u8 = 2;
-/// Opcode: close by fid.
-pub const OP_CLOSE: u8 = 3;
-/// Opcode: delete by fid.
-pub const OP_DELETE: u8 = 4;
-/// Opcode: positional write.
-pub const OP_WRITE: u8 = 5;
-/// Opcode: positional read.
-pub const OP_READ: u8 = 6;
-/// Opcode: fetch file attributes.
-pub const OP_GET_ATTR: u8 = 7;
-/// Opcode: acquire a lease.
-pub const OP_LEASE_ACQUIRE: u8 = 8;
-/// Opcode: release a lease.
-pub const OP_LEASE_RELEASE: u8 = 9;
-/// Opcode: renew a lease.
-pub const OP_LEASE_RENEW: u8 = 10;
-/// Opcode: reattach a previous-epoch lease after a server crash.
-pub const OP_LEASE_REATTACH: u8 = 11;
-/// Opcode: write under a held write lease (fencing enforced).
-pub const OP_WRITE_LEASED: u8 = 12;
-/// Opcode: 2PC phase one — a *batch* of cross-shard transactions to
-/// prepare on this participant (one RPC, one log force for the whole
-/// batch). Not handled by [`serve`]: transaction-aware servers dispatch
-/// it to their own handler via [`Channel::call_serve`].
-pub const OP_TXN_PREPARE: u8 = 13;
-/// Opcode: 2PC phase two — deliver the commit/abort decision for one
-/// global transaction id.
-pub const OP_TXN_DECIDE: u8 = 14;
-/// Opcode: list the global transaction ids this participant holds
-/// in doubt (a recovering coordinator's orphan sweep).
-pub const OP_TXN_PREPARED_LIST: u8 = 15;
-
 /// Reply tag: success, payload follows.
-pub const REPLY_OK: u8 = 0;
+const REPLY_OK: u8 = 0;
 /// Reply tag: failure, encoded error follows.
-pub const REPLY_ERR: u8 = 1;
+const REPLY_ERR: u8 = 1;
 
-/// Encodes an [`OP_CREATE`] request.
-pub fn encode_create(st: ServiceType) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.u8(OP_CREATE).u8(match st {
-        ServiceType::Basic => 0,
-        ServiceType::Transaction => 1,
-    });
-    e.finish()
+/// One transaction of a [`Request::TxnPrepare`] batch: its global id and
+/// the writes `(fid, offset, data)` it performs on this participant.
+pub type PrepareTxn<'a> = (u64, Vec<(FileId, u64, &'a [u8])>);
+
+/// One request frame. Each variant is one opcode (its number leads the
+/// variant's doc) with its operands in frame order; byte payloads borrow
+/// from the frame they were decoded from. The two-valued codes — service
+/// type, lease mode, verdict — are one byte each, `0` or `1`; any other
+/// value does not decode.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Request<'a> {
+    /// 1 — create a file of a given [`ServiceType`].
+    Create(ServiceType),
+    /// 2 — open by fid.
+    Open(FileId),
+    /// 3 — close by fid.
+    Close(FileId),
+    /// 4 — delete by fid.
+    Delete(FileId),
+    /// 5 — positional write: `(fid, offset, data)`.
+    Write(FileId, u64, &'a [u8]),
+    /// 6 — positional read: `(fid, offset, len)`, clamped at end of file.
+    Read(FileId, u64, usize),
+    /// 7 — fetch file attributes.
+    GetAttr(FileId),
+    /// 8 — acquire a lease: `(client, fid, mode)`.
+    LeaseAcquire(u64, FileId, LeaseMode),
+    /// 9 — release a lease.
+    LeaseRelease(LeaseToken),
+    /// 10 — renew a lease.
+    LeaseRenew(LeaseToken),
+    /// 11 — reattach a previous-epoch lease after a server crash:
+    /// `(token, mode, stamp)` of the pre-crash grant.
+    LeaseReattach(LeaseToken, LeaseMode, HlcStamp),
+    /// 12 — write under a held write lease, fencing enforced:
+    /// `(fid, offset, data, token)`.
+    WriteLeased(FileId, u64, &'a [u8], LeaseToken),
+    /// 13 — 2PC phase one: a *batch* of cross-shard transactions to
+    /// prepare on this participant (one RPC, one log force for the whole
+    /// batch). The plain [`serve`] answers it `BadRequest`:
+    /// transaction-aware servers dispatch it to their own handler via
+    /// [`Channel::call_serve`].
+    TxnPrepare(Vec<PrepareTxn<'a>>),
+    /// 14 — 2PC phase two: `(gtid, commit)`, the commit (`true`) or
+    /// abort decision for one global transaction id. The coordinator's
+    /// delivery and its recovery sweep send the same frame.
+    TxnDecide(u64, bool),
+    /// 15 — list the global transaction ids this participant holds in
+    /// doubt (a recovering coordinator's orphan sweep).
+    TxnPreparedList,
 }
 
-/// Encodes a fid-only request (`OP_OPEN`/`OP_CLOSE`/`OP_DELETE`/
-/// `OP_GET_ATTR`).
-pub fn encode_fid_op(op: u8, fid: FileId) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.u8(op).u64(fid.0);
-    e.finish()
+impl<'a> Request<'a> {
+    /// Encodes the request as one frame.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut e = Encoder::new();
+        match self {
+            Self::Create(st) => e.u8(1).u8(u8::from(*st == ServiceType::Transaction)),
+            Self::Open(fid) => e.u8(2).u64(fid.0),
+            Self::Close(fid) => e.u8(3).u64(fid.0),
+            Self::Delete(fid) => e.u8(4).u64(fid.0),
+            Self::Write(fid, offset, data) => e.u8(5).u64(fid.0).u64(*offset).bytes(data),
+            Self::Read(fid, offset, len) => e.u8(6).u64(fid.0).u64(*offset).u64(*len as u64),
+            Self::GetAttr(fid) => e.u8(7).u64(fid.0),
+            Self::LeaseAcquire(client, fid, mode) => {
+                e.u8(8).u64(*client).u64(fid.0).u8(mode_code(*mode))
+            }
+            Self::LeaseRelease(token) => put_token(e.u8(9), token),
+            Self::LeaseRenew(token) => put_token(e.u8(10), token),
+            Self::LeaseReattach(token, mode, stamp) => {
+                put_stamp(put_token(e.u8(11), token).u8(mode_code(*mode)), *stamp)
+            }
+            Self::WriteLeased(fid, offset, data, token) => {
+                put_token(e.u8(12).u64(fid.0).u64(*offset).bytes(data), token)
+            }
+            Self::TxnPrepare(batch) => {
+                e.u8(13).u32(batch.len() as u32);
+                for (gtid, ops) in batch {
+                    e.u64(*gtid).u32(ops.len() as u32);
+                    for (fid, offset, data) in ops {
+                        e.u64(fid.0).u64(*offset).bytes(data);
+                    }
+                }
+                &mut e
+            }
+            Self::TxnDecide(gtid, commit) => e.u8(14).u64(*gtid).u8(u8::from(*commit)),
+            Self::TxnPreparedList => e.u8(15),
+        };
+        e.finish()
+    }
+
+    /// Decodes one whole frame. The counts of a prepare batch are not
+    /// trusted for allocation: a frame that claims more than it carries
+    /// fails when it runs out.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError`] on a truncated operand, an unknown opcode, a
+    /// two-valued code other than `0` or `1`, or bytes after the last
+    /// operand.
+    pub fn decode(frame: &'a [u8]) -> Result<Self, DecodeError> {
+        let d = &mut Decoder::new(frame);
+        let req = match d.u8()? {
+            1 => Self::Create(service_type(d)?),
+            2 => Self::Open(fid(d)?),
+            3 => Self::Close(fid(d)?),
+            4 => Self::Delete(fid(d)?),
+            5 => Self::Write(fid(d)?, d.u64()?, d.bytes()?),
+            6 => Self::Read(fid(d)?, d.u64()?, size(d)?),
+            7 => Self::GetAttr(fid(d)?),
+            8 => Self::LeaseAcquire(d.u64()?, fid(d)?, mode(d)?),
+            9 => Self::LeaseRelease(token(d)?),
+            10 => Self::LeaseRenew(token(d)?),
+            11 => Self::LeaseReattach(token(d)?, mode(d)?, stamp(d)?),
+            12 => Self::WriteLeased(fid(d)?, d.u64()?, d.bytes()?, token(d)?),
+            13 => Self::TxnPrepare(
+                (0..d.u32()?)
+                    .map(|_| -> Result<PrepareTxn<'a>, DecodeError> {
+                        let gtid = d.u64()?;
+                        let ops = (0..d.u32()?)
+                            .map(|_| Ok((fid(d)?, d.u64()?, d.bytes()?)))
+                            .collect::<Result<_, DecodeError>>()?;
+                        Ok((gtid, ops))
+                    })
+                    .collect::<Result<_, DecodeError>>()?,
+            ),
+            14 => Self::TxnDecide(d.u64()?, flag(d)?),
+            15 => Self::TxnPreparedList,
+            _ => return Err(DecodeError),
+        };
+        d.is_empty().then_some(req).ok_or(DecodeError)
+    }
 }
 
-/// Encodes an [`OP_WRITE`] request.
+/// `Request::Write(fid, offset, data).encode()`.
 pub fn encode_write(fid: FileId, offset: u64, data: &[u8]) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.u8(OP_WRITE).u64(fid.0).u64(offset).bytes(data);
-    e.finish()
+    Request::Write(fid, offset, data).encode()
 }
 
-/// Encodes an [`OP_READ`] request.
+/// `Request::Read(fid, offset, len).encode()`.
 pub fn encode_read(fid: FileId, offset: u64, len: usize) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.u8(OP_READ).u64(fid.0).u64(offset).u64(len as u64);
-    e.finish()
+    Request::Read(fid, offset, len).encode()
 }
 
-// ---- lease wire format -------------------------------------------------
+/// The wire code of a [`LeaseMode`].
+fn mode_code(mode: LeaseMode) -> u8 {
+    u8::from(mode == LeaseMode::Write)
+}
 
-/// Wire code of a [`LeaseMode`].
-pub fn mode_code(mode: LeaseMode) -> u8 {
-    match mode {
-        LeaseMode::Read => 0,
-        LeaseMode::Write => 1,
+/// Reads a byte-wide two-valued code: `0` or `1`, nothing else.
+fn flag(d: &mut Decoder<'_>) -> Result<bool, DecodeError> {
+    match d.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(DecodeError),
     }
 }
 
-/// Decodes a [`LeaseMode`].
-pub fn decode_mode(d: &mut Decoder<'_>) -> LeaseMode {
-    match d.u8().expect("lease mode") {
-        0 => LeaseMode::Read,
-        _ => LeaseMode::Write,
-    }
+fn fid(d: &mut Decoder<'_>) -> Result<FileId, DecodeError> {
+    d.u64().map(FileId)
 }
 
-/// Encodes an [`HlcStamp`].
-pub fn encode_stamp(e: &mut Encoder, s: HlcStamp) {
-    e.u64(s.wall_us).u32(s.logical).u32(s.node);
+/// Reads a `u64` length that must fit this machine's `usize`.
+fn size(d: &mut Decoder<'_>) -> Result<usize, DecodeError> {
+    usize::try_from(d.u64()?).map_err(|_| DecodeError)
 }
 
-/// Decodes an [`HlcStamp`].
-pub fn decode_stamp(d: &mut Decoder<'_>) -> HlcStamp {
-    HlcStamp {
-        wall_us: d.u64().expect("stamp wall"),
-        logical: d.u32().expect("stamp logical"),
-        node: d.u32().expect("stamp node"),
-    }
+/// Reads a service type: `0` basic, `1` transaction.
+fn service_type(d: &mut Decoder<'_>) -> Result<ServiceType, DecodeError> {
+    Ok(if flag(d)? {
+        ServiceType::Transaction
+    } else {
+        ServiceType::Basic
+    })
 }
 
-/// Encodes a [`LeaseToken`].
-pub fn encode_token(e: &mut Encoder, t: &LeaseToken) {
-    e.u64(t.client).u64(t.fid.0).u64(t.epoch).u64(t.seq);
+/// Reads a lease mode: `0` read, `1` write.
+fn mode(d: &mut Decoder<'_>) -> Result<LeaseMode, DecodeError> {
+    Ok(if flag(d)? {
+        LeaseMode::Write
+    } else {
+        LeaseMode::Read
+    })
 }
 
-/// Decodes a [`LeaseToken`].
-pub fn decode_token(d: &mut Decoder<'_>) -> LeaseToken {
-    LeaseToken {
-        client: d.u64().expect("token client"),
-        fid: FileId(d.u64().expect("token fid")),
-        epoch: d.u64().expect("token epoch"),
-        seq: d.u64().expect("token seq"),
-    }
+fn put_stamp(e: &mut Encoder, s: HlcStamp) -> &mut Encoder {
+    e.u64(s.wall_us).u32(s.logical).u32(s.node)
 }
 
-/// Encodes a [`LeaseGrant`].
-pub fn encode_grant(e: &mut Encoder, g: &LeaseGrant) {
-    encode_token(e, &g.token);
-    e.u8(mode_code(g.mode)).u64(g.expiry_us);
-    encode_stamp(e, g.stamp);
+fn stamp(d: &mut Decoder<'_>) -> Result<HlcStamp, DecodeError> {
+    Ok(HlcStamp {
+        wall_us: d.u64()?,
+        logical: d.u32()?,
+        node: d.u32()?,
+    })
 }
 
-/// Decodes a [`LeaseGrant`].
-pub fn decode_grant(d: &mut Decoder<'_>) -> LeaseGrant {
-    let token = decode_token(d);
-    let mode = decode_mode(d);
-    let expiry_us = d.u64().expect("grant expiry");
-    let stamp = decode_stamp(d);
-    LeaseGrant {
-        token,
-        mode,
-        expiry_us,
-        stamp,
-    }
+fn put_token<'e>(e: &'e mut Encoder, t: &LeaseToken) -> &'e mut Encoder {
+    e.u64(t.client).u64(t.fid.0).u64(t.epoch).u64(t.seq)
 }
 
-/// Encodes an [`OP_LEASE_ACQUIRE`] request.
-pub fn encode_lease_acquire(client: u64, fid: FileId, mode: LeaseMode) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.u8(OP_LEASE_ACQUIRE)
-        .u64(client)
-        .u64(fid.0)
-        .u8(mode_code(mode));
-    e.finish()
+fn token(d: &mut Decoder<'_>) -> Result<LeaseToken, DecodeError> {
+    Ok(LeaseToken {
+        client: d.u64()?,
+        fid: fid(d)?,
+        epoch: d.u64()?,
+        seq: d.u64()?,
+    })
 }
 
-/// Encodes a token-only request (`OP_LEASE_RELEASE`/`OP_LEASE_RENEW`).
-pub fn encode_token_op(op: u8, token: &LeaseToken) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.u8(op);
-    encode_token(&mut e, token);
-    e.finish()
+fn put_grant<'e>(e: &'e mut Encoder, g: &LeaseGrant) -> &'e mut Encoder {
+    put_stamp(
+        put_token(e, &g.token)
+            .u8(mode_code(g.mode))
+            .u64(g.expiry_us),
+        g.stamp,
+    )
 }
 
-/// Encodes an [`OP_LEASE_REATTACH`] request.
-pub fn encode_lease_reattach(token: &LeaseToken, mode: LeaseMode, stamp: HlcStamp) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.u8(OP_LEASE_REATTACH);
-    encode_token(&mut e, token);
-    e.u8(mode_code(mode));
-    encode_stamp(&mut e, stamp);
-    e.finish()
-}
-
-/// Encodes an [`OP_WRITE_LEASED`] request.
-pub fn encode_write_leased(fid: FileId, offset: u64, data: &[u8], token: &LeaseToken) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.u8(OP_WRITE_LEASED).u64(fid.0).u64(offset).bytes(data);
-    encode_token(&mut e, token);
-    e.finish()
-}
-
-// ---- cross-shard 2PC wire format ---------------------------------------
-
-/// One transaction of an [`OP_TXN_PREPARE`] batch: its global id and the
-/// writes `(fid, offset, data)` it performs on this participant.
-pub type PrepareTxn = (u64, Vec<(FileId, u64, Vec<u8>)>);
-
-/// Encodes an [`OP_TXN_PREPARE`] request carrying a whole batch of
-/// transactions destined for one participant.
-pub fn encode_txn_prepare(batch: &[PrepareTxn]) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.u8(OP_TXN_PREPARE).u32(batch.len() as u32);
-    for (gtid, ops) in batch {
-        e.u64(*gtid).u32(ops.len() as u32);
-        for (fid, offset, data) in ops {
-            e.u64(fid.0).u64(*offset).bytes(data);
-        }
-    }
-    e.finish()
-}
-
-/// Decodes an [`OP_TXN_PREPARE`] body (the opcode byte already
-/// consumed). The counts are not trusted for allocation: a frame that
-/// claims more than it carries fails when it runs out.
+/// Decodes a [`LeaseGrant`] — the head of a [`Request::LeaseAcquire`]
+/// reply (the file size follows) and the whole of a
+/// [`Request::LeaseReattach`] one.
 ///
 /// # Errors
 ///
-/// [`DecodeError`] on a truncated body.
-pub fn decode_txn_prepare(d: &mut Decoder<'_>) -> Result<Vec<PrepareTxn>, DecodeError> {
-    (0..d.u32()?)
-        .map(|_| -> Result<PrepareTxn, DecodeError> {
-            let gtid = d.u64()?;
-            let ops = (0..d.u32()?)
-                .map(|_| Ok((FileId(d.u64()?), d.u64()?, d.bytes()?.to_vec())))
-                .collect::<Result<_, DecodeError>>()?;
-            Ok((gtid, ops))
-        })
-        .collect()
+/// [`DecodeError`] on a truncated grant or an unknown mode code.
+pub fn decode_grant(d: &mut Decoder<'_>) -> Result<LeaseGrant, DecodeError> {
+    Ok(LeaseGrant {
+        token: token(d)?,
+        mode: mode(d)?,
+        expiry_us: d.u64()?,
+        stamp: stamp(d)?,
+    })
 }
 
-/// Encodes the [`OP_TXN_PREPARE`] reply payload: one vote per batched
-/// transaction, in batch order.
+// ---- the server --------------------------------------------------------
+
+/// Executes one decoded file-service request and returns its reply
+/// payload: the one dispatcher behind both [`serve`] and the
+/// transaction-aware servers, which handle the 2PC requests themselves.
+///
+/// # Errors
+///
+/// The file service's error; [`FileServiceError::BadRequest`] for a 2PC
+/// request, which a plain file service does not serve.
+pub fn dispatch(fs: &mut FileService, req: Request<'_>) -> Result<Vec<u8>, FileServiceError> {
+    // Each arm leaves its reply payload in `e`; most have none.
+    let mut e = Encoder::new();
+    match req {
+        Request::Create(st) => e.u64(fs.create(st)?.0),
+        Request::Open(fid) => fs.open(fid).map(|()| &mut e)?,
+        Request::Close(fid) => fs.close(fid).map(|()| &mut e)?,
+        Request::Delete(fid) => fs.delete(fid).map(|()| &mut e)?,
+        Request::Write(fid, offset, data) => fs.write(fid, offset, data).map(|()| &mut e)?,
+        Request::Read(fid, offset, len) => return fs.read(fid, offset, len),
+        Request::GetAttr(fid) => {
+            fs.get_attribute(fid)?.encode(&mut e);
+            &mut e
+        }
+        Request::LeaseAcquire(client, fid, mode) => {
+            let (grant, size) = fs.lease_acquire(client, fid, mode)?;
+            put_grant(&mut e, &grant).u64(size)
+        }
+        Request::LeaseRelease(token) => {
+            fs.lease_release(&token);
+            &mut e
+        }
+        Request::LeaseRenew(token) => {
+            let (expiry_us, stamp) = fs.lease_renew(&token)?;
+            put_stamp(e.u64(expiry_us), stamp)
+        }
+        Request::LeaseReattach(token, mode, stamp) => {
+            put_grant(&mut e, &fs.lease_reattach(&token, mode, stamp)?)
+        }
+        Request::WriteLeased(fid, offset, data, token) => fs
+            .write_leased(fid, offset, data.to_vec(), &token)
+            .map(|()| &mut e)?,
+        Request::TxnPrepare(_) | Request::TxnDecide(..) | Request::TxnPreparedList => {
+            return Err(FileServiceError::BadRequest)
+        }
+    };
+    Ok(e.finish())
+}
+
+/// Decodes one request frame, executes it against a file service and
+/// encodes the reply; a frame that does not decode is answered
+/// [`FileServiceError::BadRequest`]. This is the entire server: its only
+/// state besides the files themselves is the replay cache the caller
+/// wraps around it.
+pub fn serve(fs: &mut FileService, req: &[u8]) -> Vec<u8> {
+    encode_reply(
+        Request::decode(req)
+            .map_err(|_| FileServiceError::BadRequest)
+            .and_then(|req| dispatch(fs, req)),
+    )
+}
+
+// ---- replies -----------------------------------------------------------
+
+/// Encodes a reply: the payload of a success, or the error.
+pub fn encode_reply(result: Result<Vec<u8>, FileServiceError>) -> Vec<u8> {
+    let mut e = Encoder::new();
+    match result {
+        Ok(payload) => e.u8(REPLY_OK).bytes(&payload),
+        Err(err) => encode_error(e.u8(REPLY_ERR), &err),
+    };
+    e.finish()
+}
+
+/// Splits a reply into its payload or its decoded error.
+///
+/// # Errors
+///
+/// The error the reply carries; [`FileServiceError::BadRequest`] when the
+/// reply itself does not decode.
+pub fn decode_reply(buf: &[u8]) -> Result<Vec<u8>, FileServiceError> {
+    whole(buf, |d| match d.u8()? {
+        REPLY_OK => Ok(Ok(d.bytes()?.to_vec())),
+        REPLY_ERR => decode_error(d).map(Err),
+        _ => Err(DecodeError),
+    })?
+}
+
+/// Reads all of `payload` with `read`: a payload that is cut short or
+/// runs on past what `read` takes is [`FileServiceError::BadRequest`].
+fn whole<T>(
+    payload: &[u8],
+    read: impl FnOnce(&mut Decoder<'_>) -> Result<T, DecodeError>,
+) -> Result<T, FileServiceError> {
+    let d = &mut Decoder::new(payload);
+    read(d)
+        .ok()
+        .filter(|_| d.is_empty())
+        .ok_or(FileServiceError::BadRequest)
+}
+
+/// The fid in a [`Request::Create`] reply payload.
+///
+/// # Errors
+///
+/// [`FileServiceError::BadRequest`] when the payload does not decode.
+pub fn decode_created(payload: &[u8]) -> Result<FileId, FileServiceError> {
+    whole(payload, fid)
+}
+
+/// The attributes in a [`Request::GetAttr`] reply payload.
+///
+/// # Errors
+///
+/// [`FileServiceError::BadRequest`] when the payload does not decode.
+pub fn decode_attributes(payload: &[u8]) -> Result<FileAttributes, FileServiceError> {
+    whole(payload, FileAttributes::decode)
+}
+
+/// Encodes the [`Request::TxnPrepare`] reply payload: one vote per
+/// batched transaction, in batch order.
 pub fn encode_votes(votes: &[bool]) -> Vec<u8> {
     let mut e = Encoder::new();
     e.u32(votes.len() as u32);
@@ -243,29 +393,33 @@ pub fn encode_votes(votes: &[bool]) -> Vec<u8> {
     e.finish()
 }
 
-/// Decodes an [`OP_TXN_PREPARE`] reply payload.
-pub fn decode_votes(payload: &[u8]) -> Vec<bool> {
-    let mut d = Decoder::new(payload);
-    let n = d.u32().expect("vote count");
-    (0..n).map(|_| d.u8().expect("vote") != 0).collect()
+/// Decodes a [`Request::TxnPrepare`] reply payload.
+///
+/// # Errors
+///
+/// [`FileServiceError::BadRequest`] when the payload does not decode or
+/// a vote is neither `0` nor `1`.
+pub fn decode_votes(payload: &[u8]) -> Result<Vec<bool>, FileServiceError> {
+    whole(payload, |d| (0..d.u32()?).map(|_| flag(d)).collect())
 }
 
-/// Encodes an [`OP_TXN_DECIDE`] request. The coordinator's delivery and
-/// its recovery sweep send the same frame.
-pub fn encode_txn_decide(gtid: u64, commit: bool) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.u8(OP_TXN_DECIDE).u64(gtid).u8(u8::from(commit));
-    e.finish()
+/// Encodes the [`Request::TxnDecide`] reply payload: whether this
+/// delivery resolved a transaction the participant held in doubt.
+pub fn encode_resolved(resolved: bool) -> Vec<u8> {
+    vec![u8::from(resolved)]
 }
 
-/// Encodes an [`OP_TXN_PREPARED_LIST`] request.
-pub fn encode_txn_prepared_list() -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.u8(OP_TXN_PREPARED_LIST);
-    e.finish()
+/// Decodes a [`Request::TxnDecide`] reply payload.
+///
+/// # Errors
+///
+/// [`FileServiceError::BadRequest`] when the payload is not one `0` or
+/// `1` byte.
+pub fn decode_resolved(payload: &[u8]) -> Result<bool, FileServiceError> {
+    whole(payload, flag)
 }
 
-/// Encodes a gtid-list reply payload ([`OP_TXN_PREPARED_LIST`]).
+/// Encodes a gtid-list reply payload ([`Request::TxnPreparedList`]).
 pub fn encode_gtid_list(gtids: &[u64]) -> Vec<u8> {
     let mut e = Encoder::new();
     e.u32(gtids.len() as u32);
@@ -276,275 +430,117 @@ pub fn encode_gtid_list(gtids: &[u64]) -> Vec<u8> {
 }
 
 /// Decodes a gtid-list reply payload.
-pub fn decode_gtid_list(payload: &[u8]) -> Vec<u64> {
-    let mut d = Decoder::new(payload);
-    let n = d.u32().expect("gtid count");
-    (0..n).map(|_| d.u64().expect("gtid")).collect()
-}
-
-/// Executes one decoded request against a file service and encodes the
-/// reply. This is the entire server: its only state besides the files
-/// themselves is the replay cache the caller wraps around it.
-pub fn serve(fs: &mut FileService, req: &[u8]) -> Vec<u8> {
-    let mut d = Decoder::new(req);
-    let op = d.u8().expect("self-generated request");
-    let result: Result<Vec<u8>, FileServiceError> = match op {
-        OP_CREATE => {
-            let st = match d.u8().expect("service type") {
-                0 => ServiceType::Basic,
-                _ => ServiceType::Transaction,
-            };
-            fs.create(st).map(|fid| {
-                let mut e = Encoder::new();
-                e.u64(fid.0);
-                e.finish()
-            })
-        }
-        OP_OPEN => fs.open(FileId(d.u64().expect("fid"))).map(|()| Vec::new()),
-        OP_CLOSE => fs.close(FileId(d.u64().expect("fid"))).map(|()| Vec::new()),
-        OP_DELETE => fs
-            .delete(FileId(d.u64().expect("fid")))
-            .map(|()| Vec::new()),
-        OP_WRITE => {
-            let fid = FileId(d.u64().expect("fid"));
-            let offset = d.u64().expect("offset");
-            let data = d.bytes().expect("data");
-            fs.write(fid, offset, data).map(|()| Vec::new())
-        }
-        OP_READ => {
-            let fid = FileId(d.u64().expect("fid"));
-            let offset = d.u64().expect("offset");
-            let len = d.u64().expect("len") as usize;
-            fs.read(fid, offset, len)
-        }
-        OP_GET_ATTR => fs.get_attribute(FileId(d.u64().expect("fid"))).map(|a| {
-            let mut e = Encoder::new();
-            a.encode(&mut e);
-            e.finish()
-        }),
-        OP_LEASE_ACQUIRE => {
-            let client = d.u64().expect("client");
-            let fid = FileId(d.u64().expect("fid"));
-            let mode = decode_mode(&mut d);
-            fs.lease_acquire(client, fid, mode).map(|(grant, size)| {
-                let mut e = Encoder::new();
-                encode_grant(&mut e, &grant);
-                e.u64(size);
-                e.finish()
-            })
-        }
-        OP_LEASE_RELEASE => {
-            let token = decode_token(&mut d);
-            fs.lease_release(&token);
-            Ok(Vec::new())
-        }
-        OP_LEASE_RENEW => {
-            let token = decode_token(&mut d);
-            fs.lease_renew(&token).map(|(expiry_us, stamp)| {
-                let mut e = Encoder::new();
-                e.u64(expiry_us);
-                encode_stamp(&mut e, stamp);
-                e.finish()
-            })
-        }
-        OP_LEASE_REATTACH => {
-            let token = decode_token(&mut d);
-            let mode = decode_mode(&mut d);
-            let stamp = decode_stamp(&mut d);
-            fs.lease_reattach(&token, mode, stamp).map(|grant| {
-                let mut e = Encoder::new();
-                encode_grant(&mut e, &grant);
-                e.finish()
-            })
-        }
-        OP_WRITE_LEASED => {
-            let fid = FileId(d.u64().expect("fid"));
-            let offset = d.u64().expect("offset");
-            let data = d.bytes().expect("data").to_vec();
-            let token = decode_token(&mut d);
-            fs.write_leased(fid, offset, data, &token)
-                .map(|()| Vec::new())
-        }
-        _ => Err(FileServiceError::BadRequest),
-    };
-    let mut e = Encoder::new();
-    match result {
-        Ok(payload) => {
-            e.u8(REPLY_OK).bytes(&payload);
-        }
-        Err(err) => {
-            e.u8(REPLY_ERR);
-            encode_error(&mut e, &err);
-        }
-    }
-    e.finish()
-}
-
-/// Splits a reply into its payload or its decoded error.
-pub fn decode_reply(buf: &[u8]) -> Result<Vec<u8>, FileServiceError> {
-    let mut d = Decoder::new(buf);
-    match d.u8().expect("reply tag") {
-        REPLY_OK => Ok(d.bytes().expect("payload").to_vec()),
-        _ => Err(decode_error(&mut d)),
-    }
-}
-
-/// Encodes a [`FileServiceError`] for a `REPLY_ERR` reply.
 ///
-/// Every variant the three error enums have today has an arm; the
-/// wildcard arms exist only because the enums are `#[non_exhaustive]`
-/// in their own crates. A new variant needs a code here and a row in
-/// `error_codec_round_trips`.
-pub fn encode_error(e: &mut Encoder, err: &FileServiceError) {
+/// # Errors
+///
+/// [`FileServiceError::BadRequest`] when the payload does not decode.
+pub fn decode_gtid_list(payload: &[u8]) -> Result<Vec<u64>, FileServiceError> {
+    whole(payload, |d| (0..d.u32()?).map(|_| d.u64()).collect())
+}
+
+/// Encodes a [`FileServiceError`] for an error reply. The matches are
+/// exhaustive: a new variant of any of the three error enums does not
+/// compile until it has a code here and in [`decode_error`].
+fn encode_error<'e>(e: &'e mut Encoder, err: &FileServiceError) -> &'e mut Encoder {
     match err {
-        FileServiceError::NotFound(fid) => {
-            e.u8(1).u64(fid.0);
-        }
-        FileServiceError::NotOpen(fid) => {
-            e.u8(2).u64(fid.0);
-        }
-        FileServiceError::Busy(fid) => {
-            e.u8(3).u64(fid.0);
-        }
+        FileServiceError::NotFound(fid) => e.u8(1).u64(fid.0),
+        FileServiceError::NotOpen(fid) => e.u8(2).u64(fid.0),
+        FileServiceError::Busy(fid) => e.u8(3).u64(fid.0),
         FileServiceError::BeyondEof { fid, offset, size } => {
-            e.u8(4).u64(fid.0).u64(*offset).u64(*size);
+            e.u8(4).u64(fid.0).u64(*offset).u64(*size)
         }
-        FileServiceError::FileTooLarge(fid) => {
-            e.u8(5).u64(fid.0);
-        }
-        FileServiceError::DirectoryFull => {
-            e.u8(6);
-        }
-        FileServiceError::Corrupt(fid) => {
-            e.u8(7).u64(fid.0);
-        }
-        FileServiceError::Disk(d) => {
-            e.u8(8);
-            encode_disk_error(e, d);
-        }
-        FileServiceError::LeaseFenced(fid) => {
-            e.u8(9).u64(fid.0);
-        }
-        FileServiceError::LeaseRejected(fid) => {
-            e.u8(10).u64(fid.0);
-        }
-        FileServiceError::ParityLost { fid, row } => {
-            e.u8(11).u64(fid.0).u64(*row);
-        }
-        FileServiceError::BadRequest => {
-            e.u8(12);
-        }
-        other => unreachable!("unencodable file-service error: {other}"),
+        FileServiceError::FileTooLarge(fid) => e.u8(5).u64(fid.0),
+        FileServiceError::DirectoryFull => e.u8(6),
+        FileServiceError::Corrupt(fid) => e.u8(7).u64(fid.0),
+        FileServiceError::Disk(d) => encode_disk_error(e.u8(8), d),
+        FileServiceError::LeaseFenced(fid) => e.u8(9).u64(fid.0),
+        FileServiceError::LeaseRejected(fid) => e.u8(10).u64(fid.0),
+        FileServiceError::ParityLost { fid, row } => e.u8(11).u64(fid.0).u64(*row),
+        FileServiceError::BadRequest => e.u8(12),
     }
 }
 
-fn encode_disk_error(e: &mut Encoder, err: &DiskServiceError) {
+fn encode_disk_error<'e>(e: &'e mut Encoder, err: &DiskServiceError) -> &'e mut Encoder {
     match err {
         DiskServiceError::NoSpace {
             requested,
             largest_free,
             total_free,
-        } => {
-            e.u8(1).u64(*requested).u64(*largest_free).u64(*total_free);
-        }
-        DiskServiceError::NoStableStorage => {
-            e.u8(2);
-        }
+        } => e.u8(1).u64(*requested).u64(*largest_free).u64(*total_free),
+        DiskServiceError::NoStableStorage => e.u8(2),
         DiskServiceError::SizeMismatch { expected, got } => {
-            e.u8(3).u64(*expected as u64).u64(*got as u64);
+            e.u8(3).u64(*expected as u64).u64(*got as u64)
         }
-        DiskServiceError::BadExtent => {
-            e.u8(4);
-        }
-        DiskServiceError::Disk(d) => {
-            e.u8(5);
-            match d {
-                DiskError::OutOfRange {
-                    start,
-                    count,
-                    total,
-                } => {
-                    e.u8(1).u64(*start).u64(*count).u64(*total);
-                }
-                DiskError::BadSector(a) => {
-                    e.u8(2).u64(*a);
-                }
-                DiskError::Crashed => {
-                    e.u8(3);
-                }
-                DiskError::UnalignedBuffer { len } => {
-                    e.u8(4).u64(*len as u64);
-                }
-                DiskError::StableLost(a) => {
-                    e.u8(5).u64(*a);
-                }
-                DiskError::ChecksumMismatch(a) => {
-                    e.u8(6).u64(*a);
-                }
-                other => unreachable!("unencodable disk error: {other}"),
-            }
-        }
-        other => unreachable!("unencodable disk-service error: {other}"),
+        DiskServiceError::BadExtent => e.u8(4),
+        DiskServiceError::Disk(d) => match d {
+            DiskError::OutOfRange {
+                start,
+                count,
+                total,
+            } => e.u8(5).u8(1).u64(*start).u64(*count).u64(*total),
+            DiskError::BadSector(a) => e.u8(5).u8(2).u64(*a),
+            DiskError::Crashed => e.u8(5).u8(3),
+            DiskError::UnalignedBuffer { len } => e.u8(5).u8(4).u64(*len as u64),
+            DiskError::StableLost(a) => e.u8(5).u8(5).u64(*a),
+            DiskError::ChecksumMismatch(a) => e.u8(5).u8(6).u64(*a),
+        },
     }
 }
 
-/// Decodes a `REPLY_ERR` body back into a [`FileServiceError`].
-pub fn decode_error(d: &mut Decoder<'_>) -> FileServiceError {
-    let fid = |d: &mut Decoder<'_>| FileId(d.u64().expect("fid"));
-    match d.u8().expect("error code") {
-        1 => FileServiceError::NotFound(fid(d)),
-        2 => FileServiceError::NotOpen(fid(d)),
-        3 => FileServiceError::Busy(fid(d)),
+/// Decodes the body of an error reply back into a [`FileServiceError`].
+fn decode_error(d: &mut Decoder<'_>) -> Result<FileServiceError, DecodeError> {
+    Ok(match d.u8()? {
+        1 => FileServiceError::NotFound(fid(d)?),
+        2 => FileServiceError::NotOpen(fid(d)?),
+        3 => FileServiceError::Busy(fid(d)?),
         4 => FileServiceError::BeyondEof {
-            fid: fid(d),
-            offset: d.u64().expect("offset"),
-            size: d.u64().expect("size"),
+            fid: fid(d)?,
+            offset: d.u64()?,
+            size: d.u64()?,
         },
-        5 => FileServiceError::FileTooLarge(fid(d)),
+        5 => FileServiceError::FileTooLarge(fid(d)?),
         6 => FileServiceError::DirectoryFull,
-        7 => FileServiceError::Corrupt(fid(d)),
-        8 => FileServiceError::Disk(decode_disk_error(d)),
-        9 => FileServiceError::LeaseFenced(fid(d)),
-        10 => FileServiceError::LeaseRejected(fid(d)),
+        7 => FileServiceError::Corrupt(fid(d)?),
+        8 => FileServiceError::Disk(decode_disk_error(d)?),
+        9 => FileServiceError::LeaseFenced(fid(d)?),
+        10 => FileServiceError::LeaseRejected(fid(d)?),
         11 => FileServiceError::ParityLost {
-            fid: fid(d),
-            row: d.u64().expect("row"),
+            fid: fid(d)?,
+            row: d.u64()?,
         },
         12 => FileServiceError::BadRequest,
-        other => unreachable!("unknown error code {other}"),
-    }
+        _ => return Err(DecodeError),
+    })
 }
 
-fn decode_disk_error(d: &mut Decoder<'_>) -> DiskServiceError {
-    match d.u8().expect("disk error code") {
+fn decode_disk_error(d: &mut Decoder<'_>) -> Result<DiskServiceError, DecodeError> {
+    Ok(match d.u8()? {
         1 => DiskServiceError::NoSpace {
-            requested: d.u64().expect("requested"),
-            largest_free: d.u64().expect("largest_free"),
-            total_free: d.u64().expect("total_free"),
+            requested: d.u64()?,
+            largest_free: d.u64()?,
+            total_free: d.u64()?,
         },
         2 => DiskServiceError::NoStableStorage,
         3 => DiskServiceError::SizeMismatch {
-            expected: d.u64().expect("expected") as usize,
-            got: d.u64().expect("got") as usize,
+            expected: size(d)?,
+            got: size(d)?,
         },
         4 => DiskServiceError::BadExtent,
-        5 => DiskServiceError::Disk(match d.u8().expect("device error code") {
+        5 => DiskServiceError::Disk(match d.u8()? {
             1 => DiskError::OutOfRange {
-                start: d.u64().expect("start"),
-                count: d.u64().expect("count"),
-                total: d.u64().expect("total"),
+                start: d.u64()?,
+                count: d.u64()?,
+                total: d.u64()?,
             },
-            2 => DiskError::BadSector(d.u64().expect("addr")),
+            2 => DiskError::BadSector(d.u64()?),
             3 => DiskError::Crashed,
-            4 => DiskError::UnalignedBuffer {
-                len: d.u64().expect("len") as usize,
-            },
-            5 => DiskError::StableLost(d.u64().expect("addr")),
-            6 => DiskError::ChecksumMismatch(d.u64().expect("addr")),
-            other => unreachable!("unknown device error code {other}"),
+            4 => DiskError::UnalignedBuffer { len: size(d)? },
+            5 => DiskError::StableLost(d.u64()?),
+            6 => DiskError::ChecksumMismatch(d.u64()?),
+            _ => return Err(DecodeError),
         }),
-        other => unreachable!("unknown disk error code {other}"),
-    }
+        _ => return Err(DecodeError),
+    })
 }
 
 // ---- the per-machine transport endpoint --------------------------------
@@ -597,8 +593,8 @@ impl Channel {
 
     /// [`Self::call`] with a caller-supplied server: the same at-most-once
     /// retry/replay machinery, but `server` produces the reply — used by
-    /// transaction-aware endpoints that dispatch the 2PC opcodes
-    /// ([`OP_TXN_PREPARE`]…) beside the plain file-service ones.
+    /// transaction-aware endpoints that serve the 2PC requests
+    /// ([`Request::TxnPrepare`]…) beside the plain file-service ones.
     ///
     /// # Errors
     ///
@@ -624,41 +620,43 @@ mod tests {
 
     #[test]
     fn txn_prepare_round_trip() {
-        let batch: Vec<PrepareTxn> = vec![
-            (7, vec![(FileId(3), 0, b"abc".to_vec())]),
+        let req = Request::TxnPrepare(vec![
+            (7, vec![(FileId(3), 0, &b"abc"[..])]),
             (
                 9,
-                vec![(FileId(4), 128, b"xy".to_vec()), (FileId(5), 0, Vec::new())],
+                vec![(FileId(4), 128, &b"xy"[..]), (FileId(5), 0, &[][..])],
             ),
-        ];
-        let req = encode_txn_prepare(&batch);
-        let mut d = Decoder::new(&req);
-        assert_eq!(d.u8().unwrap(), OP_TXN_PREPARE);
-        assert_eq!(decode_txn_prepare(&mut d), Ok(batch));
+        ]);
+        assert_eq!(Request::decode(&req.encode()), Ok(req));
+    }
+
+    /// A batch that claims more transactions or writes than it carries
+    /// runs out instead of allocating what it claims.
+    #[test]
+    fn a_prepare_claiming_more_than_it_carries_does_not_decode() {
+        let mut frame = vec![13];
+        frame.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(Request::decode(&frame), Err(DecodeError));
+        frame = Request::TxnPrepare(vec![(1, vec![])]).encode();
+        frame[13..17].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(Request::decode(&frame), Err(DecodeError));
     }
 
     #[test]
-    fn votes_and_gtid_lists_round_trip() {
+    fn votes_resolved_flags_and_gtid_lists_round_trip() {
         let votes = vec![true, false, true];
-        assert_eq!(decode_votes(&encode_votes(&votes)), votes);
+        assert_eq!(decode_votes(&encode_votes(&votes)), Ok(votes));
+        for resolved in [false, true] {
+            assert_eq!(decode_resolved(&encode_resolved(resolved)), Ok(resolved));
+        }
         let gtids = vec![1u64, 99, 12345];
-        assert_eq!(decode_gtid_list(&encode_gtid_list(&gtids)), gtids);
-        assert!(decode_gtid_list(&encode_gtid_list(&[])).is_empty());
-    }
-
-    #[test]
-    fn decide_wire_shape() {
-        let req = encode_txn_decide(42, true);
-        let mut d = Decoder::new(&req);
-        assert_eq!(d.u8().unwrap(), OP_TXN_DECIDE);
-        assert_eq!(d.u64().unwrap(), 42);
-        assert_eq!(d.u8().unwrap(), 1);
-        assert!(d.is_empty());
-        let list = encode_txn_prepared_list();
-        assert_eq!(
-            list[Decoder::new(&list).u8().map(|_| 0).unwrap()],
-            OP_TXN_PREPARED_LIST
-        );
+        assert_eq!(decode_gtid_list(&encode_gtid_list(&gtids)), Ok(gtids));
+        assert_eq!(decode_gtid_list(&encode_gtid_list(&[])), Ok(Vec::new()));
+        // Cut short, or running on: not a list.
+        let list = encode_gtid_list(&[5]);
+        for bad in [&list[..list.len() - 1], &[list.as_slice(), &[0]].concat()] {
+            assert_eq!(decode_gtid_list(bad), Err(FileServiceError::BadRequest));
+        }
     }
 
     #[test]
@@ -711,8 +709,26 @@ mod tests {
             encode_error(&mut e, &err);
             let buf = e.finish();
             let mut d = Decoder::new(&buf);
-            assert_eq!(decode_error(&mut d), err);
+            assert_eq!(decode_error(&mut d), Ok(err.clone()));
             assert!(d.is_empty(), "trailing bytes for {err:?}");
+            assert_eq!(decode_reply(&encode_reply(Err(err.clone()))), Err(err));
+        }
+    }
+
+    /// An error body whose code, or whose device code, is unknown does
+    /// not decode.
+    #[test]
+    fn unknown_error_codes_do_not_decode() {
+        for body in [
+            &[0][..],
+            &[13],
+            &[255],
+            &[8, 0],
+            &[8, 6],
+            &[8, 5, 7],
+            &[8, 5, 255],
+        ] {
+            assert_eq!(decode_error(&mut Decoder::new(body)), Err(DecodeError));
         }
     }
 }

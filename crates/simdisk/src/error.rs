@@ -7,7 +7,6 @@ use std::fmt;
 /// Errors returned by [`SimDisk`](crate::SimDisk) and
 /// [`StableStore`](crate::StableStore) operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum DiskError {
     /// The requested sector range lies outside the disk geometry.
     OutOfRange {

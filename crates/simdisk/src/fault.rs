@@ -67,11 +67,6 @@ impl FaultInjector {
         self.bad_sectors.contains(&addr)
     }
 
-    /// Number of bad sectors currently marked.
-    pub fn bad_sector_count(&self) -> usize {
-        self.bad_sectors.len()
-    }
-
     /// Schedules a crash after `n` further sector writes. The write that
     /// crosses the threshold is torn at the crash point.
     pub fn crash_after_sector_writes(&mut self, n: u64) {

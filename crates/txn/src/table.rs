@@ -521,15 +521,6 @@ impl StripedLockTable {
         out
     }
 
-    /// The granted mode `txn` holds on exactly `item`, if any.
-    pub fn granted_mode(&self, txn: TxnDescriptor, item: &DataItem) -> Option<LockMode> {
-        self.shards[self.shard_of(item)]
-            .lock()
-            .get_lock_record(txn, item)
-            .filter(|r| r.granted)
-            .map(|r| r.mode)
-    }
-
     /// Advances the timeout machinery shard by shard (ascending order),
     /// threading the victim set through so a deadlock cycle spanning
     /// shards still aborts exactly one side.

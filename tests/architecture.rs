@@ -281,12 +281,13 @@ fn no_read_validates_twice() {
 
 /// Cross-shard commit has one coordinator, `Cluster::commit_batch`: a
 /// single commit is a wave of one. Outside tests, `crates/cluster/src`
-/// forces the decision log in one place and builds a prepare frame in
-/// one, and no participant keeps a second resolve for orphans.
+/// forces the decision log in one place and builds a prepare request in
+/// one (the participant matches the variant by its bare name), and no
+/// participant keeps a second resolve for orphans.
 #[test]
 fn one_coordinator_runs_two_phase_commit() {
     let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
-    let mut calls = [(".decision_log.force()", 0), ("encode_txn_prepare(", 0)];
+    let mut calls = [(".decision_log.force()", 0), ("Request::TxnPrepare(", 0)];
     let mut dirs = vec![crates];
     while let Some(dir) = dirs.pop() {
         for entry in std::fs::read_dir(dir).unwrap() {
@@ -373,4 +374,57 @@ fn one_redundancy_front_end_reaches_the_data_servers() {
             }
         }
     }
+}
+
+/// Non-test source of every `.rs` file under `dir`, by path.
+fn non_test_sources(dir: &std::path::Path) -> Vec<(std::path::PathBuf, String)> {
+    let mut dirs = vec![dir.to_path_buf()];
+    let mut out = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                let code = text.split("#[cfg(test)]").next().unwrap().to_string();
+                out.push((path, code));
+            }
+        }
+    }
+    out
+}
+
+/// No frame can panic a server: outside tests, the wire protocol
+/// (`replication/src/wire.rs`) has no panic site — a request that does
+/// not decode is answered `BadRequest`, a reply that does not decode
+/// reads as it.
+#[test]
+fn the_wire_protocol_has_no_panic_site() {
+    let wire =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/replication/src/wire.rs");
+    let text = std::fs::read_to_string(wire).unwrap();
+    let code = text.split("#[cfg(test)]").next().unwrap();
+    assert!(code.contains("pub fn serve("), "found the server");
+    for site in ["expect(", "unwrap()", "unreachable!", "panic!"] {
+        assert!(!code.contains(site), "wire.rs names `{site}`");
+    }
+}
+
+/// `wire::Request` owns the frame format: outside tests, the cluster and
+/// the agent build and read no frame by hand — no codec of their own, no
+/// opcode or reply-tag constant.
+#[test]
+fn only_the_wire_protocol_builds_frames() {
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut checked = 0;
+    for krate in ["cluster", "agent"] {
+        for (path, code) in non_test_sources(&crates.join(krate).join("src")) {
+            for name in ["Decoder::new", "Encoder::new", "OP_", "REPLY_"] {
+                assert!(!code.contains(name), "{path:?} names `{name}`");
+            }
+            checked += 1;
+        }
+    }
+    assert!(checked > 5, "found the sources");
 }

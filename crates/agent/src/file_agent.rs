@@ -11,7 +11,6 @@ use crate::descriptor::{ObjectDescriptor, FILE_OD_BASE};
 use crate::lease_station::{ClientLease, LeaseConfig, Station, StationEndpoint};
 use parking_lot::Mutex;
 use rhodos_buf::BlockBuf;
-use rhodos_cluster::SharedDirectory;
 use rhodos_disk_service::{SchedulerStats, BLOCK_SIZE};
 use rhodos_file_service::{
     BlockKey, CacheStats, FileAttributes, FileId, FileServiceError, LeaseMode, LeaseToken,
@@ -40,9 +39,6 @@ pub enum AgentError {
     File(FileServiceError),
     /// Server-side transaction-service failure.
     Txn(TxnError),
-    /// A cluster file id could not be resolved: no placement directory
-    /// is attached, or the id is not in the published map.
-    UnplacedFile(u64),
 }
 
 impl std::fmt::Display for AgentError {
@@ -53,9 +49,6 @@ impl std::fmt::Display for AgentError {
             AgentError::NotAFile(s) => write!(f, "{s} is not a file"),
             AgentError::File(e) => write!(f, "file service failure: {e}"),
             AgentError::Txn(e) => write!(f, "transaction failure: {e}"),
-            AgentError::UnplacedFile(gid) => {
-                write!(f, "cluster file {gid} has no published placement")
-            }
         }
     }
 }
@@ -120,10 +113,6 @@ pub struct AgentStats {
     pub recalls: u64,
     /// Lease renewals issued.
     pub lease_renewals: u64,
-    /// Placement-map refreshes: master consultations forced by a moved
-    /// placement epoch. Zero in steady state — the cached map keeps the
-    /// cluster data path at one hop.
-    pub placement_refreshes: u64,
 }
 
 #[derive(Debug)]
@@ -138,11 +127,6 @@ struct OpenFile {
     /// may be stale w.r.t. other clients — the basic file service makes
     /// "no effort ... to check the consistency" of concurrent access).
     size: u64,
-    /// Cluster file id, when this descriptor was opened through
-    /// [`FileAgent::open_cluster`]. The `(server, fid)` binding of such
-    /// a descriptor is a *cached placement* — re-resolved whenever the
-    /// placement epoch moves (migration, rebalance, decommission).
-    gid: Option<u64>,
 }
 
 /// The per-machine file agent.
@@ -172,15 +156,6 @@ pub struct FileAgent {
     rpcs_avoided: u64,
     /// Lease renewals issued.
     lease_renewals: u64,
-    /// Client block-cache capacity (per station); remembered so
-    /// stations can be added when the cluster scales out.
-    cache_blocks: usize,
-    /// The cluster's published placement directory, when attached.
-    placement: Option<SharedDirectory>,
-    /// Last placement epoch this agent validated its bindings against.
-    placement_epoch_seen: u64,
-    /// Master consultations forced by a moved placement epoch.
-    placement_refreshes: u64,
 }
 
 impl FileAgent {
@@ -259,13 +234,9 @@ impl FileAgent {
             station_net,
             rpcs_avoided: 0,
             lease_renewals: 0,
-            cache_blocks: cache_blocks.max(1),
-            placement: None,
-            placement_epoch_seen: 0,
-            placement_refreshes: 0,
         };
         for server in servers {
-            agent.add_server_handle(server);
+            agent.add_server_handle(server, cache_blocks.max(1));
         }
         agent
     }
@@ -344,7 +315,6 @@ impl FileAgent {
             rpcs_avoided_by_lease: self.rpcs_avoided,
             recalls,
             lease_renewals: self.lease_renewals,
-            placement_refreshes: self.placement_refreshes,
         }
     }
 
@@ -457,18 +427,7 @@ impl FileAgent {
             fs.open(fid)?;
             fs.get_attribute(fid)?.size
         };
-        Ok(self.bind(server, fid, size, None))
-    }
-
-    /// Allocates a descriptor for `(server, fid)` and tells the station
-    /// the file's size, which trims pushed tail blocks.
-    fn bind(
-        &mut self,
-        server: usize,
-        fid: FileId,
-        size: u64,
-        gid: Option<u64>,
-    ) -> ObjectDescriptor {
+        // The station learns the size, which trims pushed tail blocks.
         self.stations[server]
             .lock()
             .sizes
@@ -476,39 +435,26 @@ impl FileAgent {
             .or_insert(size);
         let od = self.next_od;
         self.next_od += 1;
-        self.open.insert(
-            od,
-            OpenFile {
-                server,
-                fid,
-                pos: 0,
-                size,
-                gid,
-            },
-        );
-        od
+        let entry = OpenFile {
+            server,
+            fid,
+            pos: 0,
+            size,
+        };
+        self.open.insert(od, entry);
+        Ok(od)
     }
 
-    /// Attaches a cluster's published placement directory. From here on
-    /// the agent resolves [`Self::open_cluster`] descriptors through the
-    /// directory's snapshot and revalidates every cluster binding when
-    /// the placement epoch moves — the same cached-until-epoch-bump
-    /// contract the lease tables use.
-    pub fn attach_placement(&mut self, directory: SharedDirectory) {
-        self.placement = Some(directory);
-    }
-
-    /// Registers one more reachable file server (scale-out: call once
-    /// per `Cluster::add_server` so re-pointed placements resolve) and
-    /// returns its index.
-    pub fn add_server_handle(&mut self, server: ServerHandle) -> usize {
+    /// Registers one more reachable file server: its station, and under
+    /// [`LeaseConfig::Auto`] the recall endpoint the server calls it on.
+    fn add_server_handle(&mut self, server: ServerHandle, cache_blocks: usize) {
         let i = self.servers.len();
         let clock = self.net.clock();
         let hlc = HlcClock::new(clock.clone(), 1000 + self.machine);
         let station = Arc::new(Mutex::new(Station::new(
             self.machine as u64,
             hlc,
-            self.cache_blocks,
+            cache_blocks,
         )));
         if self.lease_config == LeaseConfig::Auto {
             // Decorrelate each station's recall lane from the agent's
@@ -529,72 +475,6 @@ impl FileAgent {
         }
         self.stations.push(station);
         self.servers.push(server);
-        i
-    }
-
-    /// Opens a cluster file by its cluster-wide id, resolving its home
-    /// server through the attached placement directory.
-    ///
-    /// Thin-client model: the cluster **master** owns the server-side
-    /// open reference (`Cluster::open` must have been called for this
-    /// id), so background migration can move the file between this
-    /// agent's operations; the agent only tracks the descriptor locally
-    /// and re-points it when the placement epoch moves. Delayed writes
-    /// buffered in the client cache are stranded if the file migrates
-    /// before a flush — callers in cluster mode should flush after
-    /// writes (or run [`LeaseConfig::Never`]) when rebalancing is live.
-    ///
-    /// # Errors
-    ///
-    /// [`AgentError::UnplacedFile`] when no directory is attached or
-    /// the id is not in the published map; server failures.
-    pub fn open_cluster(&mut self, gid: u64) -> Result<ObjectDescriptor, AgentError> {
-        self.sync_placement();
-        let resolved = self.placement.as_ref().and_then(|d| d.lock().resolve(gid));
-        let Some((server, fid)) = resolved else {
-            return Err(AgentError::UnplacedFile(gid));
-        };
-        self.round_trip();
-        let size = self.servers[server]
-            .lock()
-            .file_service_mut()
-            .get_attribute(fid)?
-            .size;
-        Ok(self.bind(server, fid, size, Some(gid)))
-    }
-
-    /// Revalidates every cluster descriptor against the placement
-    /// directory. An unchanged epoch costs nothing — the steady-state
-    /// data path stays one hop. A moved epoch costs one master round
-    /// trip and re-points each descriptor whose file migrated, dropping
-    /// client-cached blocks of the old `(server, fid)` binding (the new
-    /// home holds a verified physical copy under a *different* fid, so
-    /// the old cache entries can never match again).
-    fn sync_placement(&mut self) {
-        let Some(dir) = self.placement.clone() else {
-            return;
-        };
-        let epoch = dir.lock().epoch();
-        if epoch == self.placement_epoch_seen {
-            return;
-        }
-        self.round_trip(); // the refresh consults the master once
-        let dir = dir.lock();
-        for e in self.open.values_mut() {
-            let Some(gid) = e.gid else { continue };
-            let Some((server, fid)) = dir.resolve(gid) else {
-                // Deleted behind us: leave the binding; the next server
-                // visit reports the failure.
-                continue;
-            };
-            if (server, fid) != (e.server, e.fid) && server < self.servers.len() {
-                self.stations[e.server].lock().cache.invalidate_file(e.fid);
-                e.server = server;
-                e.fid = fid;
-            }
-        }
-        self.placement_epoch_seen = epoch;
-        self.placement_refreshes += 1;
     }
 
     /// `lseek`: moves the seek pointer. `whence` follows the classical
@@ -646,7 +526,6 @@ impl FileAgent {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>, AgentError> {
-        self.sync_placement();
         match self.lease_config {
             LeaseConfig::Never => self.pread_never(od, offset, len),
             LeaseConfig::Auto | LeaseConfig::Trusting => self.pread_cached(od, offset, len),
@@ -807,7 +686,6 @@ impl FileAgent {
         if data.is_empty() {
             return Ok(());
         }
-        self.sync_placement();
         match self.lease_config {
             LeaseConfig::Never => self.pwrite_never(od, offset, data),
             LeaseConfig::Auto | LeaseConfig::Trusting => self.pwrite_cached(od, offset, data),
@@ -1178,7 +1056,6 @@ impl FileAgent {
     /// other than a fence the blocks are still dirty: flush again once
     /// the server is back.
     pub fn flush(&mut self, od: ObjectDescriptor) -> Result<(), AgentError> {
-        self.sync_placement();
         let (server, fid) = {
             let e = self.entry(od)?;
             (e.server, e.fid)
@@ -1195,21 +1072,15 @@ impl FileAgent {
     ///
     /// [`AgentError::BadDescriptor`]; server failures.
     pub fn close(&mut self, od: ObjectDescriptor) -> Result<(), AgentError> {
-        self.flush(od)?; // flush revalidates placement first
-        let (server, fid, cluster) = {
+        self.flush(od)?;
+        let (server, fid) = {
             let e = self.entry(od)?;
-            (e.server, e.fid, e.gid.is_some())
+            (e.server, e.fid)
         };
         {
             let mut st = self.stations[server].lock();
             st.sizes.remove(&fid);
             st.cache.invalidate_file(fid);
-        }
-        if cluster {
-            // Thin-client descriptor: the master owns the server-side
-            // open reference, so dropping it is purely local.
-            self.open.remove(&od);
-            return Ok(());
         }
         let held = self.stations[server].lock().leases.remove(&fid);
         self.round_trip();
@@ -1245,7 +1116,6 @@ impl FileAgent {
     ///
     /// [`AgentError::BadDescriptor`]; server failures.
     pub fn get_attribute(&mut self, od: ObjectDescriptor) -> Result<FileAttributes, AgentError> {
-        self.sync_placement();
         let (server, fid) = {
             let e = self.entry(od)?;
             (e.server, e.fid)
@@ -1856,79 +1726,5 @@ mod tests {
         assert_eq!(a.pread(od, 1, 100).unwrap(), b"bc");
         assert_eq!(a.pread(od, 3, 100).unwrap(), b"");
         assert_eq!(a.pread(od, 50, 1).unwrap(), b"");
-    }
-
-    fn cluster_agent(c: &rhodos_cluster::Cluster) -> FileAgent {
-        let mut a = FileAgent::with_servers(
-            7,
-            c.server_handles(),
-            Arc::new(Mutex::new(NamingService::new())),
-            SimNetwork::new(c.clock(), NetConfig::reliable()),
-            16,
-        );
-        a.attach_placement(c.directory());
-        a
-    }
-
-    #[test]
-    fn cluster_descriptor_follows_migration() {
-        use rhodos_cluster::{Cluster, ClusterConfig};
-        let mut c = Cluster::new(2, ClusterConfig::default());
-        let gid = c.create().unwrap();
-        c.open(gid).unwrap();
-        c.write(gid, 0, b"cluster payload").unwrap();
-        let mut a = cluster_agent(&c);
-
-        // The open pays the initial refresh (epoch 0 -> current).
-        let od = a.open_cluster(gid).unwrap();
-        assert_eq!(a.pread(od, 0, 15).unwrap(), b"cluster payload");
-        let baseline = a.stats().placement_refreshes;
-        assert_eq!(baseline, 1, "one refresh to adopt the initial epoch");
-
-        // Steady state: epoch unmoved, resolution is free.
-        let _ = a.pread(od, 0, 5).unwrap();
-        let _ = a.get_attribute(od).unwrap();
-        assert_eq!(a.stats().placement_refreshes, baseline);
-
-        // Migrate to the other server; the next read must re-point the
-        // open descriptor and still return the same bytes.
-        let (home, old_fid) = c.placement_of(gid).unwrap();
-        c.migrate(gid, 1 - home).unwrap();
-        assert_eq!(a.pread(od, 0, 15).unwrap(), b"cluster payload");
-        assert_eq!(a.stats().placement_refreshes, baseline + 1);
-        let (new_home, new_fid) = c.placement_of(gid).unwrap();
-        assert_eq!(new_home, 1 - home);
-        assert!(
-            new_fid != old_fid || new_home != home,
-            "the binding must actually have moved"
-        );
-        a.close(od).unwrap();
-    }
-
-    #[test]
-    fn cluster_close_is_local_and_writes_flow_through() {
-        use rhodos_cluster::{Cluster, ClusterConfig};
-        let mut c = Cluster::new(2, ClusterConfig::default());
-        let gid = c.create().unwrap();
-        c.open(gid).unwrap();
-        let mut a = cluster_agent(&c);
-        let od = a.open_cluster(gid).unwrap();
-        a.pwrite(od, 0, b"written by the agent").unwrap();
-        a.flush(od).unwrap();
-        // Thin-client close: purely local — the master still holds the
-        // server-side open reference and can read the flushed bytes.
-        a.close(od).unwrap();
-        assert_eq!(c.read(gid, 0, 20).unwrap(), b"written by the agent");
-        c.close(gid).unwrap();
-        c.delete(gid).unwrap();
-    }
-
-    #[test]
-    fn open_cluster_without_placement_is_an_error() {
-        let mut a = agent();
-        match a.open_cluster(99) {
-            Err(AgentError::UnplacedFile(99)) => {}
-            other => panic!("expected UnplacedFile, got {other:?}"),
-        }
     }
 }

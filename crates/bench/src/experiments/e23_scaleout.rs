@@ -4,11 +4,13 @@
 //! independent servers for capacity. The E20 open-loop generator's
 //! multi-server mode ([`crate::loadgen::trace_cluster`]) executes one
 //! byte-identical Zipfian read/write sequence against 1, 2, 4 and 8
-//! data servers; every operation occupies exactly its home server
-//! (one hop — the placement map is client-cached and the master is
-//! never consulted in steady state), so replay concurrency, and with
-//! it saturation throughput, grows with the server count until the
-//! hottest server's popularity share becomes the ceiling.
+//! data servers; the model charges every operation to exactly its home
+//! server, so replay concurrency, and with it saturation throughput,
+//! grows with the server count until the hottest server's popularity
+//! share becomes the ceiling. That one hop is the model's charge: the
+//! operations themselves go through the master's `Cluster::read`/
+//! `write`, which holds the placement map alone. ROADMAP item 12's
+//! `ClusterClient`, reaching the home server directly, makes it real.
 //!
 //! Reported per arm: aggregate saturation throughput, read p50/p99 and
 //! write p99 at a common offered rate (90% of the single-server arm's

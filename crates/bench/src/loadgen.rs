@@ -549,7 +549,7 @@ impl Default for ClusterLoadConfig {
 pub struct ClusterTrace {
     /// The open-loop trace, ready for [`Trace::replay`] /
     /// [`Trace::saturation_per_ks`]. Resource 0 is the master (never
-    /// held in steady state — the placement map is client-cached);
+    /// held: the model charges no master hop);
     /// resource `1 + i` is data server `i`, held for an operation's
     /// whole service time, so replay concurrency scales with servers.
     pub trace: Trace,
@@ -608,9 +608,10 @@ pub fn trace_cluster(cfg: &ClusterLoadConfig) -> ClusterTrace {
             OpClass::Update => unreachable!("cluster mix is read/write only"),
         }
         let service_us = (clock.now_us() - t0) + class.cpu_us();
-        // One hop: the op occupied exactly its home data server. The
-        // master (resource 0) stays idle — placement resolution is a
-        // client-cached map hit.
+        // One hop: the model charges the op to its home data server
+        // alone and leaves the master (resource 0) idle, although
+        // `Cluster::read`/`write` resolved the placement in the master
+        // (ROADMAP item 12 moves that off the data path).
         ops.push(TraceOp {
             class,
             agent,

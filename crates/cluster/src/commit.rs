@@ -190,15 +190,25 @@ pub fn serve_txn(ts: &mut TransactionService, req: &[u8]) -> Vec<u8> {
         .map_err(|_| FileServiceError::BadRequest)
         .and_then(|req| match req {
             TxnPrepare(batch) => Ok(serve_prepare(ts, &batch)),
-            TxnDecide(gtid, commit) => match ts.resolve_prepared(gtid, commit) {
-                Ok(resolved) => Ok(encode_resolved(resolved)),
-                Err(TxnError::File(e)) => Err(e),
-                Err(e) => unreachable!("resolve failures are file-service failures: {e}"),
-            },
+            TxnDecide(gtid, commit) => ts
+                .resolve_prepared(gtid, commit)
+                .map(encode_resolved)
+                .map_err(file_failure),
             TxnPreparedList => Ok(encode_gtid_list(&ts.prepared_gtids())),
             file_op => wire::dispatch(ts.file_service_mut(), file_op),
         });
     wire::encode_reply(result)
+}
+
+/// A transaction-service failure as the file-service failure a reply
+/// carries. Every failure of a decide or a checkpoint is a file-service
+/// one today; any other is answered [`FileServiceError::BadRequest`] —
+/// the server cannot carry the request out — rather than panicking it.
+pub(crate) fn file_failure(e: TxnError) -> FileServiceError {
+    match e {
+        TxnError::File(e) => e,
+        _ => FileServiceError::BadRequest,
+    }
 }
 
 /// Phase one on the participant: the whole batch is one
@@ -210,16 +220,7 @@ pub fn serve_txn(ts: &mut TransactionService, req: &[u8]) -> Vec<u8> {
 /// *no*. This is the group-commit amortisation applied to 2PC:
 /// records-per-prepare-flush scales with the batch, not with 1.
 fn serve_prepare(ts: &mut TransactionService, batch: &[PrepareTxn<'_>]) -> Vec<u8> {
-    let owned: Vec<(u64, Vec<_>)> = batch
-        .iter()
-        .map(|(gtid, ops)| {
-            (
-                *gtid,
-                ops.iter().map(|&(f, o, d)| (f, o, d.to_vec())).collect(),
-            )
-        })
-        .collect();
-    let reqs: Vec<CommitReq<'_>> = owned
+    let reqs: Vec<CommitReq<'_>> = batch
         .iter()
         .map(|(gtid, writes)| CommitReq::Participant {
             gtid: *gtid,

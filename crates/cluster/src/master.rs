@@ -14,7 +14,6 @@
 //! the placement epoch, per-file heat counters, and the heartbeat
 //! bookkeeping. Everything else lives with the data servers.
 
-use crate::placement::{PlacementDirectory, SharedDirectory};
 use parking_lot::Mutex;
 use rhodos_file_service::{
     FileAttributes, FileId, FileService, FileServiceConfig, FileServiceError, ServiceType,
@@ -23,7 +22,7 @@ use rhodos_net::{Delivery, NetConfig};
 use rhodos_replication::wire::{decode_attributes, decode_created, Channel, Request};
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 use rhodos_txn::{TransactionService, TxnConfig};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -201,8 +200,6 @@ pub struct ClusterStats {
     /// Latent faults one member's scrub could not repair locally that
     /// were healed from a set peer by [`Cluster::scrub`].
     pub peer_repairs: u64,
-    /// Current placement epoch.
-    pub epoch: u64,
 }
 
 /// Outcome of one [`Cluster::rebalance`] round.
@@ -236,9 +233,6 @@ pub(crate) struct DataNode {
     /// Master's liveness verdict.
     pub(crate) alive: bool,
     missed: u32,
-    /// Placement epoch last synchronised to this server (piggybacked on
-    /// heartbeat replies).
-    known_epoch: u64,
     pub(crate) removed: bool,
     /// Out of step with its set: skipped by every request until
     /// [`Cluster::resync`] copies it back.
@@ -253,7 +247,6 @@ impl fmt::Debug for DataNode {
             .field("link_up", &self.link_up)
             .field("alive", &self.alive)
             .field("missed", &self.missed)
-            .field("known_epoch", &self.known_epoch)
             .field("removed", &self.removed)
             .field("stale", &self.stale)
             .finish_non_exhaustive()
@@ -278,7 +271,6 @@ pub struct Cluster {
     /// Local copies to delete once their server is reachable again
     /// (aborted migrations, deletes issued while the server was dead).
     pending_gc: Vec<(usize, FileId)>,
-    directory: SharedDirectory,
     /// The 2PC coordinator's durable commit-decision records (presumed
     /// abort: absence of a record is an abort).
     pub(crate) decision_log: crate::commit::DecisionLog,
@@ -311,7 +303,6 @@ impl Cluster {
             epoch: 0,
             heat: BTreeMap::new(),
             pending_gc: Vec::new(),
-            directory: Arc::new(Mutex::new(PlacementDirectory::default())),
             decision_log: crate::commit::DecisionLog::default(),
             next_gtid: 1,
             chaos: crate::commit::CommitChaos::default(),
@@ -351,7 +342,6 @@ impl Cluster {
             link_up: true,
             alive: true,
             missed: 0,
-            known_epoch: self.epoch,
             removed: false,
             stale: false,
             reads: 0,
@@ -365,21 +355,16 @@ impl Cluster {
         self.clock.clone()
     }
 
-    /// Counters so far (the `epoch` field tracks the placement epoch).
+    /// Counters so far.
     pub fn stats(&self) -> ClusterStats {
-        let mut s = self.stats;
-        s.epoch = self.epoch;
-        s
+        self.stats
     }
 
-    /// The current placement epoch.
+    /// The current placement epoch: bumped by every placement mutation
+    /// (create, delete, migration), and re-checked by the 2PC
+    /// coordinator before it decides.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The published placement directory clients resolve against.
-    pub fn directory(&self) -> SharedDirectory {
-        self.directory.clone()
     }
 
     /// The data servers of shard `s`.
@@ -465,11 +450,6 @@ impl Cluster {
         &self.nodes[i].chan
     }
 
-    /// The placement epoch server `i` last synchronised to.
-    pub fn node_epoch(&self, i: usize) -> u64 {
-        self.nodes[i].known_epoch
-    }
-
     /// Fault injection: sever or restore the link to server `i`.
     ///
     /// # Panics
@@ -517,16 +497,6 @@ impl Cluster {
     }
 
     // ---- the wire ------------------------------------------------------
-
-    fn publish(&mut self) {
-        self.epoch += 1;
-        let snapshot: HashMap<u64, (usize, FileId)> = self
-            .map
-            .iter()
-            .map(|(gid, p)| (*gid, (p.shard, p.local)))
-            .collect();
-        self.directory.lock().publish(self.epoch, snapshot);
-    }
 
     /// One request to data server `i` over its at-most-once channel. The
     /// endpoint is transaction-aware: 2PC opcodes are dispatched against
@@ -644,6 +614,10 @@ impl Cluster {
             .ok_or(ClusterError::UnknownFile(gid))
     }
 
+    fn resolve_mut(&mut self, gid: u64) -> Result<&mut Placement, ClusterError> {
+        self.map.get_mut(&gid).ok_or(ClusterError::UnknownFile(gid))
+    }
+
     // ---- namespace operations -----------------------------------------
 
     /// Creates a file on the least-loaded live shard and returns its
@@ -667,7 +641,7 @@ impl Cluster {
             },
         );
         self.stats.creates += 1;
-        self.publish();
+        self.epoch += 1;
         Ok(gid)
     }
 
@@ -675,7 +649,7 @@ impl Cluster {
     pub fn open(&mut self, gid: u64) -> Result<(), ClusterError> {
         let p = self.resolve(gid)?;
         self.call_all(p.shard, &Request::Open(p.local))?;
-        self.map.get_mut(&gid).expect("resolved").opens += 1;
+        self.resolve_mut(gid)?.opens += 1;
         Ok(())
     }
 
@@ -683,7 +657,7 @@ impl Cluster {
     pub fn close(&mut self, gid: u64) -> Result<(), ClusterError> {
         let p = self.resolve(gid)?;
         self.call_all(p.shard, &Request::Close(p.local))?;
-        let p = self.map.get_mut(&gid).expect("resolved");
+        let p = self.resolve_mut(gid)?;
         p.opens = p.opens.saturating_sub(1);
         Ok(())
     }
@@ -729,7 +703,7 @@ impl Cluster {
         self.map.remove(&gid);
         self.heat.remove(&gid);
         self.stats.deletes += 1;
-        self.publish();
+        self.epoch += 1;
         Ok(())
     }
 
@@ -777,9 +751,9 @@ impl Cluster {
 
     /// One heartbeat round: advances the clock by the heartbeat interval
     /// and probes every data server. Misses accumulate toward the death
-    /// verdict; a probe answered by a dead server rejoins it —
-    /// synchronising its placement epoch and garbage-collecting any
-    /// local files the placement map no longer assigns to it. A member
+    /// verdict; a probe answered by a dead server rejoins it and
+    /// garbage-collects any local files the placement map no longer
+    /// assigns to it. A member
     /// that answers while out of step is resynced from its set first.
     pub fn heartbeat_pulse(&mut self) {
         self.clock.advance(HEARTBEAT_INTERVAL_US);
@@ -812,9 +786,8 @@ impl Cluster {
                 // No current peer to copy from: it stays masked.
                 let _ = self.resync(i);
             }
-            // Epoch sync and orphan GC ride on the heartbeat exchange.
+            // Orphan GC rides on the heartbeat exchange.
             self.collect_garbage(i / self.cfg.replicas);
-            self.nodes[i].known_epoch = self.epoch;
         }
     }
 
@@ -899,21 +872,15 @@ impl Cluster {
         let mut report = RebalanceReport::default();
         for _ in 0..MAX_MIGRATIONS_PER_ROUND {
             let live = self.live_shards();
-            if live.len() < 2 {
-                break;
-            }
             let total: u64 = live.iter().map(|&i| self.server_load(i)).sum();
-            if total == 0 {
+            let hot = live
+                .iter()
+                .max_by_key(|&&i| (self.server_load(i), std::cmp::Reverse(i)));
+            let cold = live.iter().min_by_key(|&&i| (self.server_load(i), i));
+            // No live shard ends the round, and so does one (`hot == cold`).
+            let (Some(&hot), Some(&cold)) = (hot, cold) else {
                 break;
-            }
-            let &hot = live
-                .iter()
-                .max_by_key(|&&i| (self.server_load(i), std::cmp::Reverse(i)))
-                .expect("non-empty");
-            let &cold = live
-                .iter()
-                .min_by_key(|&&i| (self.server_load(i), i))
-                .expect("non-empty");
+            };
             if hot == cold || self.server_load(hot) * 100 <= total * REBALANCE_TRIGGER_PCT {
                 break;
             }
@@ -1035,7 +1002,7 @@ impl Cluster {
         );
         self.stats.migrations += 1;
         self.stats.migrated_bytes += size;
-        self.publish();
+        self.epoch += 1;
         Ok(size)
     }
 
@@ -1186,11 +1153,10 @@ mod tests {
         c.close(gid).unwrap();
         c.delete(gid).unwrap();
         assert_eq!(c.epoch(), e0 + 2);
-        assert_eq!(c.directory().lock().epoch(), c.epoch());
     }
 
     #[test]
-    fn heartbeat_death_and_rejoin_syncs_epoch() {
+    fn heartbeat_death_and_rejoin() {
         let mut c = cluster(2);
         let gids = seed_files(&mut c, 4, 2);
         c.set_link(1, false);
@@ -1211,12 +1177,11 @@ mod tests {
         // New placements avoid the dead server.
         let fresh = c.create().unwrap();
         assert_eq!(c.placement_of(fresh).unwrap().0, 0);
-        // Rejoin: one good heartbeat brings it back and syncs the epoch.
+        // Rejoin: one good heartbeat brings it back.
         c.set_link(1, true);
         c.heartbeat_pulse();
         assert!(c.is_alive(1));
         assert_eq!(c.stats().rejoins, 1);
-        assert_eq!(c.node_epoch(1), c.epoch());
         assert!(c.read(dead_gids[0], 0, 16).is_ok());
     }
 

@@ -244,10 +244,8 @@ impl Cluster {
         let &src = current.first().ok_or(ClusterError::NoLiveServers)?;
         for &j in &current {
             let mut ts = self.nodes[j].handle.lock();
-            ts.sync().map_err(|e| match e {
-                rhodos_txn::TxnError::File(e) => ClusterError::File(e),
-                e => unreachable!("a checkpoint fails only in the file service: {e}"),
-            })?;
+            ts.sync()
+                .map_err(|e| ClusterError::File(crate::commit::file_failure(e)))?;
         }
         let mut copied = 0;
         {

@@ -31,6 +31,14 @@ impl Encoder {
         Self::default()
     }
 
+    /// Creates an empty encoder whose buffer holds `capacity` bytes
+    /// before it grows.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Appends a `u8`.
     pub fn u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);

@@ -81,9 +81,19 @@ pub enum Request<'a> {
 }
 
 impl<'a> Request<'a> {
-    /// Encodes the request as one frame.
+    /// Encodes the request as one frame, allocated once: every frame's
+    /// fixed fields fit in 64 bytes, and a prepare batch adds 12 per
+    /// transaction and 20 per write.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+        let payload = match self {
+            Self::Write(_, _, data) | Self::WriteLeased(_, _, data, _) => data.len(),
+            Self::TxnPrepare(batch) => batch
+                .iter()
+                .map(|(_, ops)| 12 + ops.iter().map(|op| 20 + op.2.len()).sum::<usize>())
+                .sum(),
+            _ => 0,
+        };
+        let mut e = Encoder::with_capacity(64 + payload);
         match self {
             Self::Create(st) => e.u8(1).u8(u8::from(*st == ServiceType::Transaction)),
             Self::Open(fid) => e.u8(2).u64(fid.0),
@@ -329,7 +339,8 @@ pub fn serve(fs: &mut FileService, req: &[u8]) -> Vec<u8> {
 
 /// Encodes a reply: the payload of a success, or the error.
 pub fn encode_reply(result: Result<Vec<u8>, FileServiceError>) -> Vec<u8> {
-    let mut e = Encoder::new();
+    // A tag and a length before the payload; every error fits in 64.
+    let mut e = Encoder::with_capacity(result.as_ref().map_or(64, |p| 5 + p.len()));
     match result {
         Ok(payload) => e.u8(REPLY_OK).bytes(&payload),
         Err(err) => encode_error(e.u8(REPLY_ERR), &err),
@@ -628,6 +639,39 @@ mod tests {
             ),
         ]);
         assert_eq!(Request::decode(&req.encode()), Ok(req));
+    }
+
+    /// A frame or a reply is allocated once, at its final size: a buffer
+    /// that grew would hold more than was asked for.
+    #[test]
+    fn frames_and_replies_are_allocated_once() {
+        let data = [7u8; 1024];
+        let write = Request::Write(FileId(1), 0, &data).encode();
+        assert_eq!(write.capacity(), 64 + 1024);
+        let token = LeaseToken {
+            client: 1,
+            fid: FileId(2),
+            epoch: 3,
+            seq: 4,
+        };
+        let leased = Request::WriteLeased(FileId(2), 0, &data, token).encode();
+        assert_eq!(leased.capacity(), 64 + 1024);
+        let batch = vec![
+            (
+                1,
+                vec![(FileId(1), 0, &data[..]), (FileId(2), 9, &data[..5])],
+            ),
+            (2, vec![(FileId(3), 0, &data[..])]),
+        ];
+        let prepare = Request::TxnPrepare(batch).encode();
+        assert_eq!(prepare.capacity(), 64 + 2 * 12 + 3 * 20 + 2 * 1024 + 5);
+        assert_eq!(Request::Read(FileId(1), 0, 4096).encode().capacity(), 64);
+        let reply = encode_reply(Ok(vec![0; 1024]));
+        assert_eq!((reply.len(), reply.capacity()), (5 + 1024, 5 + 1024));
+        assert_eq!(
+            encode_reply(Err(FileServiceError::BadRequest)).capacity(),
+            64
+        );
     }
 
     /// A batch that claims more transactions or writes than it carries

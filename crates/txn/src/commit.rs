@@ -26,8 +26,9 @@ pub enum CommitReq<'a> {
     Participant {
         /// Coordinator-assigned global transaction id.
         gtid: u64,
-        /// The transaction's writes on this server, in order.
-        writes: &'a [(FileId, u64, Vec<u8>)],
+        /// The transaction's writes on this server, in order; the bytes
+        /// are borrowed from the request that carried them.
+        writes: &'a [(FileId, u64, &'a [u8])],
     },
 }
 
@@ -158,7 +159,7 @@ impl TransactionService {
     fn prepare_writes(
         &mut self,
         gtid: u64,
-        writes: &[(FileId, u64, Vec<u8>)],
+        writes: &[(FileId, u64, &[u8])],
     ) -> Result<(), TxnError> {
         let t = self.tbegin();
         let voted = writes

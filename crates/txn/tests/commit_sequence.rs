@@ -19,7 +19,7 @@ use rhodos_txn::{
 const NFILES: usize = 4;
 const PAGE: u64 = 8 * 1024;
 
-type Writes = Vec<(FileId, u64, Vec<u8>)>;
+type Writes<'a> = Vec<(FileId, u64, &'a [u8])>;
 
 fn service() -> TransactionService {
     let fs = FileService::single_disk(
@@ -57,11 +57,12 @@ fn setup(ts: &mut TransactionService) -> Vec<FileId> {
 /// One generated request: `(kind, file, page, offset in page, len, fill)`.
 type Item = (u8, usize, u64, u64, usize, u8);
 
-/// The write set of a participant item. Its writes run inside the batch
-/// and conflict with whatever the requests before it still hold; every
+/// The write set of a participant item, writing `bytes` (the item's
+/// `len` bytes of `fill`) twice. Its writes run inside the batch and
+/// conflict with whatever the requests before it still hold; every
 /// other one also names a file this server does not have.
-fn vote_of(fids: &[FileId], item: &Item) -> Option<Writes> {
-    let (kind, file, page, in_page, len, fill) = *item;
+fn vote_of<'a>(fids: &[FileId], item: &Item, bytes: &'a [u8]) -> Option<Writes<'a>> {
+    let (kind, file, page, in_page, _, _) = *item;
     let second = if kind % 2 == 0 {
         fids[0]
     } else {
@@ -69,8 +70,8 @@ fn vote_of(fids: &[FileId], item: &Item) -> Option<Writes> {
     };
     (kind % 10 >= 8).then(|| {
         vec![
-            (fids[file], page * PAGE + in_page, vec![fill; len]),
-            (second, in_page, vec![fill; len]),
+            (fids[file], page * PAGE + in_page, bytes),
+            (second, in_page, bytes),
         ]
     })
 }
@@ -226,7 +227,13 @@ fn check_case(items: &[Item]) -> Result<(), TestCaseError> {
     let mut hand = service();
     let fids = setup(&mut batch);
     prop_assert_eq!(&setup(&mut hand), &fids);
-    let votes: Vec<Option<Writes>> = items.iter().map(|item| vote_of(&fids, item)).collect();
+    let bytes: Vec<Vec<u8>> = items
+        .iter()
+        .map(|&(.., len, fill)| vec![fill; len])
+        .collect();
+    let votes: Vec<Option<Writes>> = (items.iter().zip(&bytes))
+        .map(|(item, bytes)| vote_of(&fids, item, bytes))
+        .collect();
     let mut reqs = Vec::new();
     for (i, item) in items.iter().enumerate() {
         match &votes[i] {
@@ -339,15 +346,15 @@ fn a_failed_force_leaves_local_commits_active() {
 fn a_failed_force_rolls_votes_back() {
     let writes = |fids: &[FileId]| -> Writes {
         vec![
-            (fids[0], 0, vec![0xAA; 100]),
-            (fids[1], PAGE, vec![0xBB; 2 * PAGE as usize]),
+            (fids[0], 0, &[0xAA; 100]),
+            (fids[1], PAGE, &[0xBB; 2 * PAGE as usize]),
         ]
     };
     let (mut ts, fids) = dies_after(|twin, fids| {
         let t = twin.tbegin();
         for (fid, off, data) in writes(fids) {
             twin.topen(t, fid).unwrap();
-            twin.twrite(t, fid, off, &data).unwrap();
+            twin.twrite(t, fid, off, data).unwrap();
         }
         twin.prepare_participant(t, 7).unwrap();
     });
@@ -392,8 +399,8 @@ fn one_force_covers_a_mixed_batch() {
         CommitReq::Local(t)
     };
     let votes: [Writes; 2] = [
-        vec![(fids[2], 0, b"vote one".to_vec())],
-        vec![(fids[2], PAGE, b"vote two".to_vec())],
+        vec![(fids[2], 0, b"vote one")],
+        vec![(fids[2], PAGE, b"vote two")],
     ];
     let vote = |k: usize| CommitReq::Participant {
         gtid: 41 + k as u64,

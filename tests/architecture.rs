@@ -428,3 +428,23 @@ fn only_the_wire_protocol_builds_frames() {
     }
     assert!(checked > 5, "found the sources");
 }
+
+/// No frame can panic the transaction-aware server: outside tests, the
+/// cluster (`serve_txn` in `commit.rs`, and the master around it) names
+/// no `unreachable!` or `panic!` — a decide or a checkpoint that fails
+/// is an error reply or a `ClusterError`.
+#[test]
+fn the_cluster_has_no_unreachable_or_panic_site() {
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/cluster/src");
+    let sources = non_test_sources(&src);
+    let commit = sources.iter().find(|(path, _)| path.ends_with("commit.rs"));
+    assert!(
+        commit.is_some_and(|(_, code)| code.contains("pub fn serve_txn(")),
+        "found the server"
+    );
+    for (path, code) in &sources {
+        for site in ["unreachable!", "panic!"] {
+            assert!(!code.contains(site), "{path:?} names `{site}`");
+        }
+    }
+}

@@ -115,7 +115,11 @@ pub struct AgentStats {
     pub lease_renewals: u64,
 }
 
-#[derive(Debug)]
+/// One descriptor: where its file lives and its seek pointer. What the
+/// agent knows of the file itself — its size, cached blocks and lease —
+/// is one record in the server's [`Station`], shared by every descriptor
+/// of the file.
+#[derive(Debug, Clone, Copy)]
 struct OpenFile {
     /// Index of the file server holding the file (attributed names
     /// resolve to `SystemName::File { server, fid }` — "these services can
@@ -123,10 +127,6 @@ struct OpenFile {
     server: usize,
     fid: FileId,
     pos: u64,
-    /// Locally tracked size (refreshed on open; advanced by local writes;
-    /// may be stale w.r.t. other clients — the basic file service makes
-    /// "no effort ... to check the consistency" of concurrent access).
-    size: u64,
 }
 
 /// The per-machine file agent.
@@ -268,7 +268,7 @@ impl FileAgent {
                 st.lock()
                     .leases
                     .values()
-                    .filter(|l| l.expiry_us > now)
+                    .filter(|l| l.covers(LeaseMode::Read, now))
                     .count()
             })
             .sum()
@@ -357,8 +357,11 @@ impl FileAgent {
         }
     }
 
-    fn entry(&self, od: ObjectDescriptor) -> Result<&OpenFile, AgentError> {
-        self.open.get(&od).ok_or(AgentError::BadDescriptor(od))
+    fn entry(&self, od: ObjectDescriptor) -> Result<OpenFile, AgentError> {
+        self.open
+            .get(&od)
+            .copied()
+            .ok_or(AgentError::BadDescriptor(od))
     }
 
     /// `create`: makes a file on the server and registers its attributed
@@ -427,21 +430,19 @@ impl FileAgent {
             fs.open(fid)?;
             fs.get_attribute(fid)?.size
         };
-        // The station learns the size, which trims pushed tail blocks.
-        self.stations[server]
-            .lock()
-            .sizes
-            .entry(fid)
-            .or_insert(size);
+        // A descriptor already open here may have buffered writes past
+        // the server's size; the file keeps the larger of the two.
+        self.stations[server].lock().grow(fid, size);
         let od = self.next_od;
         self.next_od += 1;
-        let entry = OpenFile {
-            server,
-            fid,
-            pos: 0,
-            size,
-        };
-        self.open.insert(od, entry);
+        self.open.insert(
+            od,
+            OpenFile {
+                server,
+                fid,
+                pos: 0,
+            },
+        );
         Ok(od)
     }
 
@@ -489,18 +490,15 @@ impl FileAgent {
         offset: i64,
         whence: u8,
     ) -> Result<u64, AgentError> {
-        let size = self.entry(od)?.size;
-        let entry = self
-            .open
-            .get_mut(&od)
-            .ok_or(AgentError::BadDescriptor(od))?;
+        let OpenFile { server, fid, pos } = self.entry(od)?;
         let base = match whence {
             0 => 0i64,
-            1 => entry.pos as i64,
-            _ => size as i64,
+            1 => pos as i64,
+            _ => self.stations[server].lock().size(fid) as i64,
         };
-        entry.pos = (base + offset).max(0) as u64;
-        Ok(entry.pos)
+        let pos = (base + offset).max(0) as u64;
+        self.open.get_mut(&od).expect("checked").pos = pos;
+        Ok(pos)
     }
 
     /// `read`: reads from the seek pointer and advances it.
@@ -540,10 +538,7 @@ impl FileAgent {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>, AgentError> {
-        let (server, fid) = {
-            let e = self.entry(od)?;
-            (e.server, e.fid)
-        };
+        let OpenFile { server, fid, .. } = self.entry(od)?;
         self.round_trip();
         match self.servers[server]
             .lock()
@@ -572,11 +567,10 @@ impl FileAgent {
         if leased {
             self.ensure_lease(od, LeaseMode::Read)?;
         }
-        let (server, fid, size) = {
-            let e = self.entry(od)?;
-            (e.server, e.fid, e.size)
-        };
-        let len = len.min(size.saturating_sub(offset) as usize);
+        let OpenFile { server, fid, .. } = self.entry(od)?;
+        let now = self.net.clock().now_us();
+        let mut st = self.stations[server].lock();
+        let len = len.min(st.size(fid).saturating_sub(offset) as usize);
         if len == 0 {
             return Ok(Vec::new());
         }
@@ -594,35 +588,33 @@ impl FileAgent {
                 None => out.resize(out.len() + hi - lo, 0),
             }
         };
-        // One pass for the hits. Leading hits go straight to the result;
-        // from the first miss on, blocks wait in `rest` (`None` = miss),
-        // so an all-hit read allocates nothing but its result.
+        // One pass for the hits, under the lock the size was read under.
+        // Leading hits go straight to the result; from the first miss on,
+        // blocks wait in `rest` (`None` = miss), so an all-hit read
+        // allocates nothing but its result.
         let mut rest: Vec<Option<BlockBuf>> = Vec::new();
-        {
-            let now = self.net.clock().now_us();
-            let mut st = self.stations[server].lock();
-            let authorized = !leased || st.authorized(fid, LeaseMode::Read, now);
-            for idx in first..=last {
-                let cached = if authorized {
-                    st.cache.get(&(fid, idx))
-                } else {
-                    None
-                };
-                self.rpcs_avoided += u64::from(leased && cached.is_some());
-                match cached {
-                    Some(block) if rest.is_empty() => copy_out(idx, Some(&block)),
-                    cached => rest.push(cached),
-                }
+        let authorized = !leased || st.authorized(fid, LeaseMode::Read, now);
+        for idx in first..=last {
+            let cached = if authorized {
+                st.cache.get(&(fid, idx))
+            } else {
+                None
+            };
+            self.rpcs_avoided += u64::from(leased && cached.is_some());
+            match cached {
+                Some(block) if rest.is_empty() => copy_out(idx, Some(&block)),
+                cached => rest.push(cached),
             }
         }
+        drop(st);
         if rest.is_empty() {
             return Ok(out);
         }
         // Every maximal run of misses is one window of the one exchange.
         // A server-cache hit shares the server's allocation all the way
-        // here. Our `size` counts buffered, unpushed writes, so a window
-        // may reach past the blocks the server has: it answers with those
-        // that exist and the rest is a hole.
+        // here. The station's size counts buffered, unpushed writes, so a
+        // window may reach past the blocks the server has: it answers with
+        // those that exist and the rest is a hole.
         let rest_first = last + 1 - rest.len() as u64;
         let mut fetched: Vec<(u64, BlockBuf)> = Vec::new();
         self.round_trip();
@@ -700,17 +692,15 @@ impl FileAgent {
         offset: u64,
         data: &[u8],
     ) -> Result<(), AgentError> {
-        let (server, fid) = {
-            let e = self.entry(od)?;
-            (e.server, e.fid)
-        };
+        let OpenFile { server, fid, .. } = self.entry(od)?;
         self.round_trip();
         self.servers[server]
             .lock()
             .file_service_mut()
             .write(fid, offset, data)?;
-        let entry = self.open.get_mut(&od).expect("checked");
-        entry.size = entry.size.max(offset + data.len() as u64);
+        self.stations[server]
+            .lock()
+            .grow(fid, offset + data.len() as u64);
         Ok(())
     }
 
@@ -728,22 +718,8 @@ impl FileAgent {
         if self.lease_config == LeaseConfig::Auto {
             self.ensure_lease(od, LeaseMode::Write)?;
         }
-        let (server, fid, size) = {
-            let e = self.entry(od)?;
-            (e.server, e.fid, e.size)
-        };
+        let OpenFile { server, fid, .. } = self.entry(od)?;
         let end = offset + data.len() as u64;
-        // The sizes rise before the blocks go in: a write larger than the
-        // cache evicts its own early blocks, and `push_blocks` trims what
-        // it pushes to the station's size. (`size` stays the pre-write
-        // one — no block at or past it can exist at the server.)
-        {
-            let entry = self.open.get_mut(&od).expect("checked");
-            entry.size = entry.size.max(end);
-            let mut st = self.stations[server].lock();
-            let sz = st.sizes.entry(fid).or_insert(0);
-            *sz = (*sz).max(entry.size);
-        }
         let bs = BLOCK_SIZE as u64;
         let first = offset / bs;
         let last = (end - 1) / bs;
@@ -753,20 +729,26 @@ impl FileAgent {
         // The old contents of the partly written blocks are settled before
         // anything is inserted — resident handle, else one exchange for the
         // read-modify-write fetches, else zeros — so no fetch can race an
-        // eviction this write causes.
+        // eviction this write causes. Under the same lock the file's size
+        // rises before the blocks go in: a write larger than the cache
+        // evicts its own early blocks, and `push_blocks` trims what it
+        // pushes to that size. (`size` is the pre-write one — no block at
+        // or past it can exist at the server.)
         let mut edges: [Option<(u64, Option<BlockBuf>)>; 2] = [None, None];
-        {
+        let size = {
             let mut st = self.stations[server].lock();
             for (slot, idx) in [first, last].into_iter().enumerate() {
                 if !full.contains(&idx) && (slot == 0 || last > first) {
                     edges[slot] = Some((idx, st.cache.get(&(fid, idx))));
                 }
             }
-        }
-        // (`size` counts earlier buffered writes too, so a block below it
-        // may still be a hole at the server: that fetch comes back empty
-        // and the block starts as zeros. Under a lease the exclusive
-        // delegation means the server copy cannot move under us.)
+            st.grow(fid, end)
+        };
+        // (`size` counts buffered writes through every descriptor of the
+        // file, so a block below it may still be a hole at the server:
+        // that fetch comes back empty and the block starts as zeros. Under
+        // a lease the exclusive delegation means the server copy cannot
+        // move under us.)
         let missing = |e: &(u64, Option<BlockBuf>)| e.1.is_none() && e.0 * bs < size;
         if edges.iter().flatten().any(missing) {
             self.round_trip();
@@ -820,18 +802,12 @@ impl FileAgent {
             Renew(LeaseToken),
             Acquire,
         }
-        let (server, fid) = {
-            let e = self.entry(od)?;
-            (e.server, e.fid)
-        };
+        let OpenFile { server, fid, .. } = self.entry(od)?;
         let now = self.net.clock().now_us();
         let action = {
             let st = self.stations[server].lock();
             match st.leases.get(&fid) {
-                Some(l)
-                    if l.expiry_us > now
-                        && (want == LeaseMode::Read || l.mode == LeaseMode::Write) =>
-                {
+                Some(l) if l.covers(want, now) => {
                     if now + l.term_us / 2 >= l.expiry_us {
                         Action::Renew(l.token)
                     } else {
@@ -862,12 +838,12 @@ impl FileAgent {
                     // Dead token (fenced, superseded, pre-crash epoch):
                     // fall back to a fresh acquisition.
                     Err(FileServiceError::LeaseRejected(_) | FileServiceError::LeaseFenced(_)) => {
-                        self.acquire_lease(od, server, fid, want)
+                        self.acquire_lease(server, fid, want)
                     }
                     Err(e) => Err(e.into()),
                 }
             }
-            Action::Acquire => self.acquire_lease(od, server, fid, want),
+            Action::Acquire => self.acquire_lease(server, fid, want),
         }
     }
 
@@ -877,7 +853,6 @@ impl FileAgent {
     /// granted the file away, so pushing could clobber a newer holder.
     fn acquire_lease(
         &mut self,
-        od: ObjectDescriptor,
         server: usize,
         fid: FileId,
         want: LeaseMode,
@@ -886,10 +861,8 @@ impl FileAgent {
         {
             let mut st = self.stations[server].lock();
             if st.leases.get(&fid).is_some_and(|l| l.expiry_us <= now) {
-                let dropped = st.cache.take_dirty_for(fid);
-                st.stats.fenced_drops += dropped.len() as u64;
-                st.cache.invalidate_file(fid);
-                st.leases.remove(&fid);
+                let dropped = st.surrender(fid).len() as u64;
+                st.stats.fenced_drops += dropped;
             }
         }
         self.round_trip();
@@ -897,25 +870,10 @@ impl FileAgent {
             self.servers[server]
                 .lock()
                 .lease_acquire(self.machine as u64, fid, want)?;
-        {
-            let mut st = self.stations[server].lock();
-            st.hlc.observe(grant.stamp);
-            let granted_at = self.net.clock().now_us();
-            st.leases.insert(
-                fid,
-                ClientLease {
-                    token: grant.token,
-                    mode: grant.mode,
-                    expiry_us: grant.expiry_us,
-                    stamp: grant.stamp,
-                    term_us: grant.expiry_us.saturating_sub(granted_at),
-                },
-            );
-            st.sizes.insert(fid, size);
-        }
-        if let Some(e) = self.open.get_mut(&od) {
-            e.size = size;
-        }
+        let now = self.net.clock().now_us();
+        let mut st = self.stations[server].lock();
+        st.hold(&grant, now);
+        st.sizes.insert(fid, size);
         Ok(())
     }
 
@@ -944,14 +902,7 @@ impl FileAgent {
             let fid = file[0].0 .0;
             let (token, runs) = {
                 let st = self.stations[server].lock();
-                let runs: Vec<(u64, BlockBuf)> = file
-                    .iter()
-                    .map(|&((_, idx), ref b)| {
-                        (idx * BLOCK_SIZE as u64, b.slice(0..st.trim_len(fid, idx)))
-                    })
-                    .filter(|(_, b)| !b.is_empty())
-                    .collect();
-                (st.leases.get(&fid).map(|l| l.token), runs)
+                (st.leases.get(&fid).map(|l| l.token), st.trim(fid, file))
             };
             let pushed = if token.is_none() && self.lease_config == LeaseConfig::Auto {
                 // No lease to write under any more: the delegation was
@@ -971,10 +922,8 @@ impl FileAgent {
                 if let FileServiceError::LeaseFenced(_) = e {
                     // Fenced: the server granted the file away past our
                     // silence. Drop everything we still buffer for it.
-                    st.leases.remove(&fid);
-                    let dropped = st.cache.take_dirty_for(fid);
-                    st.stats.fenced_drops += (file.len() + dropped.len()) as u64;
-                    st.cache.invalidate_file(fid);
+                    let dropped = st.surrender(fid).len();
+                    st.stats.fenced_drops += (file.len() + dropped) as u64;
                 } else {
                     // Newest version first: of a block evicted twice the
                     // last one is kept, and a resident one outranks both.
@@ -1016,29 +965,16 @@ impl FileAgent {
                     .lease_reattach(&lease.token, lease.mode, lease.stamp);
                 match claimed {
                     Ok(grant) => {
-                        let mut st = self.stations[server].lock();
-                        st.hlc.observe(grant.stamp);
                         let now = self.net.clock().now_us();
-                        st.leases.insert(
-                            grant.token.fid,
-                            ClientLease {
-                                token: grant.token,
-                                mode: grant.mode,
-                                expiry_us: grant.expiry_us,
-                                stamp: grant.stamp,
-                                term_us: grant.expiry_us.saturating_sub(now),
-                            },
-                        );
+                        self.stations[server].lock().hold(&grant, now);
                         reattached += 1;
                     }
                     Err(
                         FileServiceError::LeaseRejected(fid) | FileServiceError::LeaseFenced(fid),
                     ) => {
                         let mut st = self.stations[server].lock();
-                        let dropped = st.cache.take_dirty_for(fid);
-                        st.stats.fenced_drops += dropped.len() as u64;
-                        st.cache.invalidate_file(fid);
-                        st.leases.remove(&fid);
+                        let dropped = st.surrender(fid).len() as u64;
+                        st.stats.fenced_drops += dropped;
                     }
                     Err(e) => return Err(e.into()),
                 }
@@ -1056,33 +992,34 @@ impl FileAgent {
     /// other than a fence the blocks are still dirty: flush again once
     /// the server is back.
     pub fn flush(&mut self, od: ObjectDescriptor) -> Result<(), AgentError> {
-        let (server, fid) = {
-            let e = self.entry(od)?;
-            (e.server, e.fid)
-        };
+        let OpenFile { server, fid, .. } = self.entry(od)?;
         // (Write-through, `LeaseConfig::Never`, never buffers anything.)
         let dirty = self.stations[server].lock().cache.take_dirty_for(fid);
         self.push_blocks(server, dirty)
     }
 
-    /// `close`: flushes and closes at the server (releasing any lease on
-    /// the same exchange).
+    /// `close`: flushes and closes at the server. Closing the agent's
+    /// last descriptor of the file also drops the station's record of it
+    /// — size, cached blocks and lease, released on the same exchange.
     ///
     /// # Errors
     ///
     /// [`AgentError::BadDescriptor`]; server failures.
     pub fn close(&mut self, od: ObjectDescriptor) -> Result<(), AgentError> {
         self.flush(od)?;
-        let (server, fid) = {
-            let e = self.entry(od)?;
-            (e.server, e.fid)
-        };
-        {
+        let OpenFile { server, fid, .. } = self.entry(od)?;
+        let last = !self
+            .open
+            .iter()
+            .any(|(&o, e)| o != od && e.server == server && e.fid == fid);
+        let held = if last {
             let mut st = self.stations[server].lock();
             st.sizes.remove(&fid);
             st.cache.invalidate_file(fid);
-        }
-        let held = self.stations[server].lock().leases.remove(&fid);
+            st.leases.remove(&fid)
+        } else {
+            None
+        };
         self.round_trip();
         {
             let mut srv = self.servers[server].lock();
@@ -1116,10 +1053,7 @@ impl FileAgent {
     ///
     /// [`AgentError::BadDescriptor`]; server failures.
     pub fn get_attribute(&mut self, od: ObjectDescriptor) -> Result<FileAttributes, AgentError> {
-        let (server, fid) = {
-            let e = self.entry(od)?;
-            (e.server, e.fid)
-        };
+        let OpenFile { server, fid, .. } = self.entry(od)?;
         self.round_trip();
         Ok(self.servers[server]
             .lock()
@@ -1313,12 +1247,26 @@ mod tests {
         config_a: LeaseConfig,
         config_b: LeaseConfig,
     ) -> (FileAgent, FileAgent, ServerHandle) {
+        lease_pair_on(
+            FileServiceConfig::default(),
+            cache_blocks,
+            config_a,
+            config_b,
+        )
+    }
+
+    fn lease_pair_on(
+        server_config: FileServiceConfig,
+        cache_blocks: usize,
+        config_a: LeaseConfig,
+        config_b: LeaseConfig,
+    ) -> (FileAgent, FileAgent, ServerHandle) {
         let clock = SimClock::new();
         let fs = FileService::single_disk(
             DiskGeometry::medium(),
             LatencyModel::default(),
             clock.clone(),
-            FileServiceConfig::default(),
+            server_config,
         )
         .unwrap();
         let ts = TransactionService::new(fs, TxnConfig::default()).unwrap();
@@ -1343,17 +1291,16 @@ mod tests {
     /// against the pre-write size (zero bytes for a new file).
     #[test]
     fn pwrite_larger_than_the_client_cache_loses_nothing() {
+        // A term that outlives 72 pushes: the default one fences a long
+        // flush half-way, which is not this test's subject.
+        let server_config = FileServiceConfig {
+            lease: rhodos_file_service::LeaseParams {
+                term_us: 60_000_000,
+            },
+            ..FileServiceConfig::default()
+        };
         for cfg in [LeaseConfig::Trusting, LeaseConfig::Auto] {
-            let (mut a, _, server) = lease_pair(cfg, LeaseConfig::Never);
-            {
-                // A term that outlives 72 pushes: the default one fences a
-                // long flush half-way, which is not this test's subject.
-                let mut srv = server.lock();
-                let leases = srv.file_service_mut().lease_manager_mut();
-                leases.set_params(rhodos_file_service::LeaseParams {
-                    term_us: 60_000_000,
-                });
-            }
+            let (mut a, _, server) = lease_pair_on(server_config, 64, cfg, LeaseConfig::Never);
             let fid = a.create(&name("name=big")).unwrap();
             let od = a.open(&name("name=big")).unwrap();
             // 72 blocks through a 64-block cache.
@@ -1715,6 +1662,40 @@ mod tests {
             before,
             "reattached lease keeps the cache hot: still zero RPCs"
         );
+    }
+
+    /// Two descriptors of one file in one agent share one record of it:
+    /// the second builds on the first's pushed bytes instead of zeros,
+    /// reads its buffered bytes, seeks to its end, and keeps the record
+    /// when the first closes.
+    #[test]
+    fn two_descriptors_of_a_file_share_its_size_and_blocks() {
+        for cfg in [LeaseConfig::Trusting, LeaseConfig::Auto, LeaseConfig::Never] {
+            // One client block: a write to another file pushes `hello`.
+            let (mut a, _, server) = lease_pair_with_cache(1, cfg, LeaseConfig::Never);
+            let fid = a.create(&name("name=f")).unwrap();
+            a.create(&name("name=g")).unwrap();
+            let od1 = a.open(&name("name=f")).unwrap();
+            let od2 = a.open(&name("name=f")).unwrap();
+            let od_g = a.open(&name("name=g")).unwrap();
+            a.pwrite(od1, 0, b"hello").unwrap();
+            a.pwrite(od_g, 0, b"next").unwrap();
+            a.pwrite(od2, 5, b"world").unwrap();
+            a.flush(od1).unwrap();
+            a.flush(od2).unwrap();
+            let at_server = server.lock().file_service_mut().read(fid, 0, 64);
+            assert_eq!(at_server.unwrap(), b"helloworld", "{cfg:?}");
+
+            let (mut a, _, _) = lease_pair_with_cache(1, cfg, LeaseConfig::Never);
+            a.create(&name("name=f")).unwrap();
+            let od1 = a.open(&name("name=f")).unwrap();
+            let od2 = a.open(&name("name=f")).unwrap();
+            a.pwrite(od1, 0, b"hello").unwrap();
+            assert_eq!(a.pread(od2, 0, 64).unwrap(), b"hello", "{cfg:?}");
+            assert_eq!(a.lseek(od2, 0, 2).unwrap(), 5, "{cfg:?}");
+            a.close(od1).unwrap();
+            assert_eq!(a.pread(od2, 0, 64).unwrap(), b"hello", "{cfg:?}");
+        }
     }
 
     #[test]

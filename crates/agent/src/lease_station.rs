@@ -1,8 +1,12 @@
 //! Client-side lease state: the *station*.
 //!
-//! One station per reachable file server holds the agent's leases for
-//! that server, its lease-protected block cache, its HLC lane, and the
-//! recall endpoint the server calls back through. The station sits
+//! One station per reachable file server holds what the agent knows of
+//! that server's files — one record per file, whatever number of
+//! descriptors share it: the file's size, its blocks in the
+//! lease-protected block cache and its lease — plus the station's HLC
+//! lane and the recall endpoint the server calls back through. Each
+//! lease rule is one method here: [`Station::trim`], [`Station::surrender`],
+//! [`Station::hold`] and [`ClientLease::covers`]. The station sits
 //! behind an `Arc<Mutex<..>>` because recalls arrive "from the network"
 //! — i.e. from inside the server's `lease_acquire` — while the agent is
 //! blocked on that very call.
@@ -12,8 +16,11 @@
 //! the server while holding a station lock.
 
 use parking_lot::Mutex;
+use rhodos_buf::BlockBuf;
 use rhodos_disk_service::BLOCK_SIZE;
-use rhodos_file_service::{BlockCache, FileId, LeaseMode, LeaseToken, RecallAck, RecallTarget};
+use rhodos_file_service::{
+    BlockCache, BlockKey, FileId, LeaseGrant, LeaseMode, LeaseToken, RecallAck, RecallTarget,
+};
 use rhodos_net::{Delivery, SimNetwork};
 use rhodos_simdisk::{HlcClock, HlcStamp};
 use std::collections::HashMap;
@@ -54,9 +61,13 @@ pub struct ClientLease {
     pub term_us: u64,
 }
 
-/// Blocks surrendered by one recall, with the file size they were
-/// trimmed against — kept so a retried recall gets the same answer.
-type ServedRecall = (Vec<(u64, rhodos_buf::BlockBuf)>, u64);
+impl ClientLease {
+    /// Whether the lease is live at `now` and covers `want` (a write
+    /// lease covers reads).
+    pub fn covers(&self, want: LeaseMode, now: u64) -> bool {
+        self.expiry_us > now && (want == LeaseMode::Read || self.mode == LeaseMode::Write)
+    }
+}
 
 /// Per-station counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -79,8 +90,10 @@ pub struct Station {
     pub cache: BlockCache,
     /// Leases held, by file.
     pub leases: HashMap<FileId, ClientLease>,
-    /// Authoritative-as-of-grant file sizes (advanced by local writes
-    /// under a write delegation).
+    /// The size of each file the agent has open — one record however
+    /// many descriptors share the file: raised to the server's at every
+    /// open, advanced by local writes, replaced by a lease grant, and
+    /// dropped at the file's last close.
     pub sizes: HashMap<FileId, u64>,
     /// Partition hook: an unresponsive station ignores recalls, forcing
     /// the server down the timeout-and-fence path.
@@ -89,7 +102,7 @@ pub struct Station {
     /// retried recall (first reply lost) returns the same surrendered
     /// bytes instead of none. Grant sequence numbers only grow and a
     /// retry is always for the newest recall, so older replies are dead.
-    served: HashMap<FileId, (u64, ServedRecall)>,
+    served: HashMap<FileId, (u64, Vec<(u64, BlockBuf)>)>,
     /// Counters.
     pub stats: StationStats,
 }
@@ -112,54 +125,88 @@ impl Station {
     /// Whether the station holds a live lease of at least `want` on
     /// `fid` at `now`.
     pub fn authorized(&self, fid: FileId, want: LeaseMode, now: u64) -> bool {
-        self.leases.get(&fid).is_some_and(|l| {
-            l.expiry_us > now && (want == LeaseMode::Read || l.mode == LeaseMode::Write)
-        })
+        self.leases.get(&fid).is_some_and(|l| l.covers(want, now))
     }
 
-    /// Handles one recall request (idempotently): surrenders the lease,
-    /// hands back the buffered delayed writes, and invalidates the
-    /// file's cached blocks.
+    /// The file's size as the agent knows it.
+    pub fn size(&self, fid: FileId) -> u64 {
+        self.sizes.get(&fid).copied().unwrap_or(0)
+    }
+
+    /// Raises the file's size to `end`; returns the size before.
+    pub fn grow(&mut self, fid: FileId, end: u64) -> u64 {
+        let size = self.sizes.entry(fid).or_insert(0);
+        let before = *size;
+        *size = before.max(end);
+        before
+    }
+
+    /// Holds a grant: observes its stamp and records it, with the term
+    /// it runs for from `now`.
+    pub fn hold(&mut self, grant: &LeaseGrant, now: u64) {
+        self.hlc.observe(grant.stamp);
+        self.leases.insert(
+            grant.token.fid,
+            ClientLease {
+                token: grant.token,
+                mode: grant.mode,
+                expiry_us: grant.expiry_us,
+                stamp: grant.stamp,
+                term_us: grant.expiry_us.saturating_sub(now),
+            },
+        );
+    }
+
+    /// Gives up everything held for `fid` under a lease: the lease and
+    /// every cached block. Returns the dirty blocks among them.
+    pub fn surrender(&mut self, fid: FileId) -> Vec<(BlockKey, BlockBuf)> {
+        self.leases.remove(&fid);
+        let dirty = self.cache.take_dirty_for(fid);
+        self.cache.invalidate_file(fid);
+        dirty
+    }
+
+    /// Cuts buffered blocks of `fid` into the `(offset, bytes)` runs to
+    /// write: each ends at the file's size, so a partial tail block does
+    /// not inflate the file, and a block wholly past it is left out.
+    pub fn trim(&self, fid: FileId, blocks: &[(BlockKey, BlockBuf)]) -> Vec<(u64, BlockBuf)> {
+        let size = self.size(fid);
+        blocks
+            .iter()
+            .filter_map(|((_, idx), block)| {
+                let start = idx * BLOCK_SIZE as u64;
+                let len = (BLOCK_SIZE as u64).min(size.saturating_sub(start)) as usize;
+                (len > 0).then(|| (start, block.slice(0..len)))
+            })
+            .collect()
+    }
+
+    /// Handles one recall request (idempotently): surrenders the lease
+    /// and the file's cached blocks, handing back the buffered delayed
+    /// writes as runs cut at the file's size.
     pub fn serve_recall(&mut self, fid: FileId, seq: u64) -> RecallAck {
-        if let Some((_, (dirty, size))) = self.served.get(&fid).filter(|(s, _)| *s == seq) {
+        if let Some((_, runs)) = self.served.get(&fid).filter(|(s, _)| *s == seq) {
             // Retried recall (our earlier reply was lost): same answer.
             return RecallAck {
-                dirty: dirty.clone(),
-                size: *size,
+                runs: runs.clone(),
                 stamp: self.hlc.tick(),
             };
         }
+        // A recall for a grant we no longer (or never) hold surrenders
+        // nothing.
         let holds = self.leases.get(&fid).is_some_and(|l| l.token.seq == seq);
-        let (dirty, size) = if holds {
-            self.leases.remove(&fid);
-            let dirty: Vec<(u64, rhodos_buf::BlockBuf)> = self
-                .cache
-                .take_dirty_for(fid)
-                .into_iter()
-                .map(|((_, idx), b)| (idx, b))
-                .collect();
-            self.cache.invalidate_file(fid);
-            let size = self.sizes.get(&fid).copied().unwrap_or(0);
-            (dirty, size)
+        let runs = if holds {
+            let dirty = self.surrender(fid);
+            self.trim(fid, &dirty)
         } else {
-            // Recall for a grant we no longer (or never) hold:
-            // surrender nothing.
-            (Vec::new(), self.sizes.get(&fid).copied().unwrap_or(0))
+            Vec::new()
         };
-        self.served.insert(fid, (seq, (dirty.clone(), size)));
+        self.served.insert(fid, (seq, runs.clone()));
         self.stats.recalls_served += 1;
         RecallAck {
-            dirty,
-            size,
+            runs,
             stamp: self.hlc.tick(),
         }
-    }
-
-    /// Trims a whole buffered block to the file's logical size.
-    pub fn trim_len(&self, fid: FileId, idx: u64) -> usize {
-        let size = self.sizes.get(&fid).copied().unwrap_or(0);
-        let start = idx * BLOCK_SIZE as u64;
-        (BLOCK_SIZE as u64).min(size.saturating_sub(start)) as usize
     }
 }
 
@@ -217,7 +264,6 @@ impl RecallTarget for StationEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rhodos_buf::BlockBuf;
     use rhodos_simdisk::SimClock;
 
     fn grant(st: &mut Station, fid: FileId, seq: u64) {
@@ -252,14 +298,14 @@ mod tests {
             let _ = st.cache.insert((fid, 0), block, true);
             st.sizes.insert(fid, BLOCK_SIZE as u64);
             let ack = st.serve_recall(fid, seq);
-            assert_eq!(ack.dirty.len(), 1);
-            assert_eq!(ack.dirty[0].1[0], seq as u8);
+            assert_eq!(ack.runs.len(), 1);
+            assert_eq!(ack.runs[0].1[0], seq as u8);
             // The reply leg is lost: the retried recall must hand back
             // the same surrendered bytes, not the (now empty) cache.
             let retry = st.serve_recall(fid, seq);
-            assert_eq!(retry.size, ack.size);
-            assert_eq!(retry.dirty.len(), 1);
-            assert_eq!(retry.dirty[0].1[..], ack.dirty[0].1[..]);
+            assert_eq!(retry.runs.len(), 1);
+            assert_eq!(retry.runs[0].0, ack.runs[0].0);
+            assert_eq!(retry.runs[0].1[..], ack.runs[0].1[..]);
             assert!(st.served.len() <= 4, "served grew to {}", st.served.len());
         }
         assert_eq!(st.stats.recalls_served, 10_000, "retries are not recounted");

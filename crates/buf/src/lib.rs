@@ -140,15 +140,6 @@ impl BlockBuf {
         }
         (run, false)
     }
-
-    /// Copies this view's bytes into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != self.len()`.
-    pub fn copy_to(&self, out: &mut [u8]) {
-        out.copy_from_slice(self.as_slice());
-    }
 }
 
 impl Default for BlockBuf {

@@ -115,16 +115,14 @@ pub struct LeaseStats {
     pub epoch: u64,
 }
 
-/// What a recalled holder hands back: its buffered delayed writes (whole
-/// logical blocks), the file size its delegation grew the file to, and
-/// its HLC stamp of the surrender.
+/// What a recalled holder hands back: its buffered delayed writes, as
+/// byte runs already cut at the file size its delegation grew the file
+/// to, and its HLC stamp of the surrender.
 #[derive(Debug, Clone)]
 pub struct RecallAck {
-    /// Dirty whole blocks `(logical index, data)` buffered under the
-    /// write delegation. Empty for read leases.
-    pub dirty: Vec<(u64, BlockBuf)>,
-    /// File size as the holder last knew it (delegated extends).
-    pub size: u64,
+    /// `(byte offset, bytes)` runs buffered under the write delegation,
+    /// ready to write as they are. Empty for read leases.
+    pub runs: Vec<(u64, BlockBuf)>,
     /// The holder's HLC stamp of the surrender.
     pub stamp: HlcStamp,
 }
@@ -227,11 +225,6 @@ impl LeaseManager {
     /// The tunables in force.
     pub fn params(&self) -> LeaseParams {
         self.params
-    }
-
-    /// Replaces the tunables (tests change the term).
-    pub fn set_params(&mut self, params: LeaseParams) {
-        self.params = params;
     }
 
     /// Current server epoch.

@@ -935,11 +935,6 @@ impl FileService {
         &self.lease
     }
 
-    /// Mutable lease table access (tests tune params).
-    pub fn lease_manager_mut(&mut self) -> &mut LeaseManager {
-        &mut self.lease
-    }
-
     /// Registers the recall endpoint for a client station (replacing any
     /// previous endpoint for the same client id). Endpoints are wiring,
     /// not lease state: they survive a simulated crash.
@@ -1061,40 +1056,11 @@ impl FileService {
         fid: FileId,
         ack: RecallAck,
     ) -> Result<(), FileServiceError> {
-        let RecallAck { dirty, size, .. } = ack;
-        if dirty.is_empty() {
+        if ack.runs.is_empty() {
             return Ok(());
         }
-        let runs: Vec<(u64, BlockBuf)> = dirty
-            .into_iter()
-            .filter_map(|(idx, block)| {
-                let start = idx * BLOCK_SIZE as u64;
-                let len = (BLOCK_SIZE as u64).min(size.saturating_sub(start)) as usize;
-                (len > 0).then(|| (start, block.slice(0..len)))
-            })
-            .collect();
-        if !runs.is_empty() {
-            self.write_vectored(fid, None, &runs)?;
-        }
+        self.write_vectored(fid, None, &ack.runs)?;
         self.flush_file(fid)
-    }
-
-    /// A delegated writeback: like [`Self::write`], but gated on a live
-    /// write-lease token.
-    ///
-    /// # Errors
-    ///
-    /// [`FileServiceError::LeaseFenced`] if the token is dead — the
-    /// lease expired unanswered, was superseded, or belongs to a
-    /// pre-crash epoch. The write is *not* applied.
-    pub fn write_leased(
-        &mut self,
-        fid: FileId,
-        offset: u64,
-        data: impl Into<BlockBuf>,
-        token: &LeaseToken,
-    ) -> Result<(), FileServiceError> {
-        self.write_vectored(fid, Some(token), &[(offset, data.into())])
     }
 
     /// Extends a live lease by one term.

@@ -21,7 +21,7 @@ use rhodos_file_service::{
     ServiceType,
 };
 use rhodos_net::{NetConfig, ReplayCache, RpcClient, RpcExhausted, SimNetwork};
-use rhodos_simdisk::{DiskError, HlcStamp, SimClock};
+use rhodos_simdisk::{BlockBuf, DiskError, HlcStamp, SimClock};
 
 /// Reply tag: success, payload follows.
 const REPLY_OK: u8 = 0;
@@ -313,7 +313,7 @@ pub fn dispatch(fs: &mut FileService, req: Request<'_>) -> Result<Vec<u8>, FileS
             put_grant(&mut e, &fs.lease_reattach(&token, mode, stamp)?)
         }
         Request::WriteLeased(fid, offset, data, token) => fs
-            .write_leased(fid, offset, data.to_vec(), &token)
+            .write_vectored(fid, Some(&token), &[(offset, BlockBuf::from(data))])
             .map(|()| &mut e)?,
         Request::TxnPrepare(_) | Request::TxnDecide(..) | Request::TxnPreparedList => {
             return Err(FileServiceError::BadRequest)

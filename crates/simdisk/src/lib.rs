@@ -68,6 +68,3 @@ pub use stats::DiskStats;
 
 /// Size of one disk sector in bytes. Equal to one RHODOS *fragment* (2 KiB).
 pub const SECTOR_SIZE: usize = 2048;
-
-/// Sectors per RHODOS *block* (a block is 8 KiB = 4 fragments, §4 of the paper).
-pub const SECTORS_PER_BLOCK: usize = 4;

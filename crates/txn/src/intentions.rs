@@ -16,17 +16,6 @@ use rhodos_disk_service::codec::{DecodeError, Decoder, Encoder};
 use rhodos_file_service::FileId;
 use rhodos_simdisk::crc32;
 
-/// Status of a transaction as recorded by the *intention flag* (§6.7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IntentionStatus {
-    /// First phase: changes are tentative and invisible.
-    Tentative,
-    /// The transaction can be committed; changes are being made permanent.
-    Commit,
-    /// The transaction was aborted.
-    Abort,
-}
-
 /// How a tentative item will be made permanent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Technique {
@@ -208,30 +197,10 @@ pub enum Unframed<'a> {
 }
 
 impl LogRecord {
-    /// Serialises the record (unframed — see [`Self::frame_into`]).
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
-            LogRecord::Commit {
-                txn,
-                intentions,
-                sizes,
-            } => Self::encode_commit(*txn, intentions, sizes),
-            LogRecord::Completed { txn } => Self::encode_completed(*txn),
-            LogRecord::Prepared {
-                gtid,
-                txn,
-                intentions,
-                sizes,
-            } => Self::encode_prepared(*gtid, *txn, intentions, sizes),
-            LogRecord::Aborted { txn } => Self::encode_aborted(*txn),
-            LogRecord::Checkpoint => Self::encode_checkpoint(),
-        }
-    }
-
-    /// Serialises a `Commit` record directly from borrowed intentions, so
-    /// the commit hot path never deep-copies the tentative records just to
-    /// build an owned [`LogRecord`]. Byte-identical to
-    /// `LogRecord::Commit { .. }.encode()`.
+    /// Serialises a `Commit` record (unframed — see [`Self::frame_into`])
+    /// directly from borrowed intentions, so the commit hot path never
+    /// deep-copies the tentative records just to build an owned
+    /// [`LogRecord`].
     pub fn encode_commit(txn: TxnId, intentions: &[Intention], sizes: &[(FileId, u64)]) -> Vec<u8> {
         let mut body = Encoder::new();
         body.u8(0).u64(txn.0);
@@ -292,7 +261,7 @@ impl LogRecord {
         Ok((intentions, sizes.collect::<Result<_, _>>()?))
     }
 
-    /// Decodes a record serialised by [`Self::encode`].
+    /// Decodes a record serialised by one of the `encode_*` functions.
     ///
     /// # Errors
     ///
@@ -397,39 +366,40 @@ mod tests {
         }
     }
 
-    #[test]
-    fn borrowed_commit_encoding_is_byte_identical() {
-        let rec = sample_commit();
-        let LogRecord::Commit {
-            txn,
-            intentions,
-            sizes,
-        } = &rec
-        else {
-            unreachable!()
-        };
-        assert_eq!(
-            LogRecord::encode_commit(*txn, intentions, sizes),
-            rec.encode()
-        );
-        let done = LogRecord::Completed { txn: TxnId(7) };
-        assert_eq!(LogRecord::encode_completed(TxnId(7)), done.encode());
+    /// Serialises `rec` through the borrowed encoder of its kind.
+    fn encode(rec: &LogRecord) -> Vec<u8> {
+        match rec {
+            LogRecord::Commit {
+                txn,
+                intentions,
+                sizes,
+            } => LogRecord::encode_commit(*txn, intentions, sizes),
+            LogRecord::Completed { txn } => LogRecord::encode_completed(*txn),
+            LogRecord::Prepared {
+                gtid,
+                txn,
+                intentions,
+                sizes,
+            } => LogRecord::encode_prepared(*gtid, *txn, intentions, sizes),
+            LogRecord::Aborted { txn } => LogRecord::encode_aborted(*txn),
+            LogRecord::Checkpoint => LogRecord::encode_checkpoint(),
+        }
     }
 
     #[test]
     fn record_round_trip() {
         let rec = sample_commit();
-        assert_eq!(LogRecord::decode(&rec.encode()).unwrap(), rec);
+        assert_eq!(LogRecord::decode(&encode(&rec)).unwrap(), rec);
         let mut log = Vec::new();
-        let crc = LogRecord::frame_into(&mut log, &rec.encode(), 3, 77);
-        assert_eq!(log.len(), FRAME_HEADER + rec.encode().len());
+        let crc = LogRecord::frame_into(&mut log, &encode(&rec), 3, 77);
+        assert_eq!(log.len(), FRAME_HEADER + encode(&rec).len());
         assert_eq!(
             LogRecord::unframe(&log),
             Unframed::Frame {
                 incarnation: 3,
                 prev: 77,
                 crc,
-                body: &rec.encode(),
+                body: &encode(&rec),
             }
         );
     }
@@ -457,9 +427,9 @@ mod tests {
     #[test]
     fn log_of_multiple_records() {
         let mut log = Vec::new();
-        let first = LogRecord::frame_into(&mut log, &sample_commit().encode(), 1, 0);
+        let first = LogRecord::frame_into(&mut log, &encode(&sample_commit()), 1, 0);
         let done = LogRecord::Completed { txn: TxnId(7) };
-        LogRecord::frame_into(&mut log, &done.encode(), 1, first);
+        LogRecord::frame_into(&mut log, &encode(&done), 1, first);
         log.extend([0u8; 64]); // clean padding tail
         let records = decode_log(&log);
         assert_eq!(records.len(), 2);
@@ -470,9 +440,9 @@ mod tests {
     fn torn_tail_treated_as_uncommitted() {
         let mut log = Vec::new();
         let done = LogRecord::Completed { txn: TxnId(1) };
-        let first = LogRecord::frame_into(&mut log, &done.encode(), 1, 0);
+        let first = LogRecord::frame_into(&mut log, &encode(&done), 1, 0);
         let whole = log.len();
-        LogRecord::frame_into(&mut log, &sample_commit().encode(), 1, first);
+        LogRecord::frame_into(&mut log, &encode(&sample_commit()), 1, first);
         let torn = whole + (log.len() - whole) / 2;
         let records = decode_log(&log[..torn]);
         assert_eq!(records.len(), 1, "torn record must not surface");
@@ -515,30 +485,15 @@ mod tests {
             intentions,
             sizes: vec![(FileId(1), 30_000)],
         };
-        let bytes = prep.encode();
-        assert_eq!(LogRecord::decode(&bytes).unwrap(), prep);
-        if let LogRecord::Prepared {
-            gtid,
-            txn,
-            intentions,
-            sizes,
-        } = &prep
-        {
-            assert_eq!(
-                LogRecord::encode_prepared(*gtid, *txn, intentions, sizes),
-                bytes
-            );
-        }
+        assert_eq!(LogRecord::decode(&encode(&prep)).unwrap(), prep);
         let ab = LogRecord::Aborted { txn: TxnId(7) };
-        assert_eq!(LogRecord::encode_aborted(TxnId(7)), ab.encode());
-        assert_eq!(LogRecord::decode(&ab.encode()).unwrap(), ab);
+        assert_eq!(LogRecord::decode(&encode(&ab)).unwrap(), ab);
     }
 
     #[test]
     fn checkpoint_round_trips() {
         let bytes = LogRecord::encode_checkpoint();
         assert_eq!(LogRecord::decode(&bytes).unwrap(), LogRecord::Checkpoint);
-        assert_eq!(LogRecord::Checkpoint.encode(), bytes);
     }
 
     #[test]

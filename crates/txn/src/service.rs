@@ -308,7 +308,7 @@ impl TransactionService {
         let (grant, acks) = self.fs.lease_acquire_raw(client, fid, mode)?;
         for ack in acks {
             let st = self.fs.get_attribute(fid)?.service_type;
-            if st == ServiceType::Transaction && !ack.dirty.is_empty() {
+            if st == ServiceType::Transaction && !ack.runs.is_empty() {
                 match self.apply_recall_txn(fid, &ack) {
                     Ok(()) => continue,
                     // A live transaction holds conflicting locks: the
@@ -342,13 +342,8 @@ impl TransactionService {
         ack: &RecallAck,
     ) -> Result<(), TxnError> {
         self.topen(t, fid)?;
-        for (idx, block) in &ack.dirty {
-            let start = idx * BLOCK_SIZE as u64;
-            let len = (BLOCK_SIZE as u64).min(ack.size.saturating_sub(start)) as usize;
-            if len == 0 {
-                continue;
-            }
-            self.twrite(t, fid, start, &block[..len])?;
+        for (offset, run) in &ack.runs {
+            self.twrite(t, fid, *offset, run)?;
         }
         Ok(())
     }

@@ -21,15 +21,21 @@
 //!    holder's eventual stale write-back is rejected
 //!    ([`FileServiceError::LeaseFenced`]), its buffered data dropped.
 //!
+//! Every agent opens each file twice and each step writes or reads
+//! through one of the two descriptors, so a file's size and blocks must
+//! be one record per agent, whichever descriptor touched them last. Half
+//! the files are transaction-service files: a recalled delegation on one
+//! of them is applied as one transaction.
+//!
 //! The fast subset runs in the normal test job; the full sweeps are
 //! `#[ignore]`d and driven with `--ignored` under a pinned
 //! `PROPTEST_BASE_SEED` matrix ({1, 7, 42}) in CI's bench-smoke step.
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
-use rhodos_agent::{AgentError, FileAgent, LeaseConfig, ServerHandle};
+use rhodos_agent::{AgentError, FileAgent, LeaseConfig, ObjectDescriptor, ServerHandle};
 use rhodos_disk_service::BLOCK_SIZE;
-use rhodos_file_service::{FileService, FileServiceConfig, FileServiceError};
+use rhodos_file_service::{FileService, FileServiceConfig, FileServiceError, LockLevel};
 use rhodos_naming::{AttributedName, NamingService};
 use rhodos_net::{NetConfig, SimNetwork};
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
@@ -40,12 +46,17 @@ const AGENTS: usize = 3;
 const FILES: usize = 2;
 const FILE_BLOCKS: usize = 3;
 
-/// One scripted operation. `write: None` is a read; `flush` pushes the
-/// write in place (the write-through-equivalent shape loss tolerates).
+/// Each agent's two descriptors of each file.
+type Descriptors = Vec<Vec<[ObjectDescriptor; 2]>>;
+
+/// One scripted operation through descriptor `od` (0 or 1) of the
+/// agent's two. `write: None` is a read; `flush` pushes the write in
+/// place (the write-through-equivalent shape loss tolerates).
 #[derive(Debug, Clone, Copy)]
 struct Step {
     agent: usize,
     file: usize,
+    od: usize,
     off: usize,
     len: usize,
     write: Option<u8>,
@@ -55,16 +66,16 @@ struct Step {
 fn steps(max: usize, always_flush: bool) -> impl Strategy<Value = Vec<Step>> {
     proptest::collection::vec(
         (
-            0..AGENTS,
-            0..FILES,
+            (0..AGENTS, 0..FILES, 0..2usize),
             0..FILE_BLOCKS * BLOCK_SIZE - 1,
             1..=2 * BLOCK_SIZE,
             any::<u8>(),
             0u8..4,
         )
-            .prop_map(move |(agent, file, off, len, byte, kind)| Step {
+            .prop_map(move |((agent, file, od), off, len, byte, kind)| Step {
                 agent,
                 file,
+                od,
                 off,
                 len,
                 // kind 0–1: read; 2: buffered write; 3: write + flush.
@@ -76,11 +87,13 @@ fn steps(max: usize, always_flush: bool) -> impl Strategy<Value = Vec<Step>> {
 }
 
 /// A cluster of `AGENTS` agents on one server: agent 0 creates and seeds
-/// `FILES` files of `FILE_BLOCKS` blocks, the rest open them by fid.
+/// `FILES` files of `FILE_BLOCKS` blocks — the odd ones transaction-service
+/// files — and the rest open them; every agent opens each file twice, by
+/// fid.
 fn cluster(
     lease: LeaseConfig,
     station_net: NetConfig,
-) -> (Vec<FileAgent>, Vec<Vec<u64>>, ServerHandle) {
+) -> (Vec<FileAgent>, Descriptors, ServerHandle) {
     let clock = SimClock::new();
     let fs = FileService::single_disk(
         DiskGeometry::medium(),
@@ -106,24 +119,28 @@ fn cluster(
             )
         })
         .collect();
-    let mut ods = vec![Vec::new(); AGENTS];
-    let mut fids = Vec::new();
-    for f in 0..FILES {
-        let name = AttributedName::parse(&format!("name=lc-{f}")).unwrap();
-        let fid = agents[0].create(&name).unwrap();
-        let od = agents[0].open_fid(fid).unwrap();
+    let fids: Vec<_> = (0..FILES)
+        .map(|f| match f % 2 {
+            0 => {
+                let name = AttributedName::parse(&format!("name=lc-{f}")).unwrap();
+                agents[0].create(&name).unwrap()
+            }
+            _ => server.lock().tcreate(LockLevel::Page).unwrap(),
+        })
+        .collect();
+    let open_twice = |agent: &mut FileAgent| -> Vec<[ObjectDescriptor; 2]> {
+        fids.iter()
+            .map(|&fid| [0; 2].map(|_| agent.open_fid(fid).unwrap()))
+            .collect()
+    };
+    let mut ods = vec![open_twice(&mut agents[0])];
+    for f in &ods[0] {
         agents[0]
-            .pwrite(od, 0, &vec![0xA5u8; FILE_BLOCKS * BLOCK_SIZE])
+            .pwrite(f[0], 0, &vec![0xA5u8; FILE_BLOCKS * BLOCK_SIZE])
             .unwrap();
-        agents[0].flush(od).unwrap();
-        ods[0].push(od);
-        fids.push(fid);
+        agents[0].flush(f[0]).unwrap();
     }
-    for (a, agent) in agents.iter_mut().enumerate().skip(1) {
-        for &fid in &fids {
-            ods[a].push(agent.open_fid(fid).unwrap());
-        }
-    }
+    ods.extend(agents[1..].iter_mut().map(open_twice));
     (agents, ods, server)
 }
 
@@ -140,7 +157,7 @@ fn run_script(
     let (mut agents, ods, server) = cluster(lease, station_net);
     let mut reads = Vec::new();
     for s in script {
-        let od = ods[s.agent][s.file];
+        let od = ods[s.agent][s.file][s.od];
         match s.write {
             None => reads.push(agents[s.agent].pread(od, s.off as u64, s.len)?),
             Some(b) => {
@@ -152,15 +169,15 @@ fn run_script(
         }
     }
     for (a, agent_ods) in ods.iter().enumerate() {
-        for &od in agent_ods {
+        for &od in agent_ods.iter().flatten() {
             agents[a].flush(od)?;
         }
     }
     let mut images = Vec::new();
     let mut srv = server.lock();
     let fs = srv.file_service_mut();
-    for &od in &ods[0] {
-        let fid = agents[0].fid_of(od).unwrap();
+    for f in &ods[0] {
+        let fid = agents[0].fid_of(f[0]).unwrap();
         let size = fs.get_attribute(fid).unwrap().size as usize;
         images.push(fs.read(fid, 0, size).unwrap());
     }
@@ -255,7 +272,7 @@ proptest! {
         // count is the agent's own live-lease tally, not the touch list.
         let mut touched = vec![std::collections::BTreeSet::new(); AGENTS];
         for &(a, f) in &touches {
-            let _ = agents[a].pread(ods[a][f], 0, BLOCK_SIZE).unwrap();
+            let _ = agents[a].pread(ods[a][f][0], 0, BLOCK_SIZE).unwrap();
             touched[a].insert(f);
         }
         let held: Vec<usize> = agents.iter().map(FileAgent::held_leases).collect();
@@ -270,8 +287,8 @@ proptest! {
             fs.simulate_crash();
             fs.recover().unwrap();
             // The crash dropped server-side open state; reopen every fid.
-            for &od in &ods[0] {
-                fs.open(agents[0].fid_of(od).unwrap()).unwrap();
+            for f in &ods[0] {
+                fs.open(agents[0].fid_of(f[0]).unwrap()).unwrap();
             }
         }
         for (a, agent) in agents.iter_mut().enumerate() {
@@ -290,7 +307,7 @@ proptest! {
                 continue;
             }
             let before = agents[a].stats().rpcs_sent;
-            let data = agents[a].pread(ods[a][f], 0, BLOCK_SIZE).unwrap();
+            let data = agents[a].pread(ods[a][f][1], 0, BLOCK_SIZE).unwrap();
             prop_assert_eq!(&data, &vec![0xA5u8; BLOCK_SIZE]);
             prop_assert_eq!(agents[a].stats().rpcs_sent, before);
         }
@@ -298,10 +315,10 @@ proptest! {
         // write recalls the read holders and is visible everywhere.
         let recalls_before: u64 = agents.iter().map(|a| a.stats().recalls).sum();
         let foreign_readers = (1..AGENTS).filter(|a| touched[*a].contains(&0)).count();
-        agents[0].pwrite(ods[0][0], 0, b"post-crash write").unwrap();
-        agents[0].flush(ods[0][0]).unwrap();
+        agents[0].pwrite(ods[0][0][0], 0, b"post-crash write").unwrap();
+        agents[0].flush(ods[0][0][0]).unwrap();
         for a in 0..AGENTS {
-            prop_assert_eq!(agents[a].pread(ods[a][0], 0, 16).unwrap(), b"post-crash write");
+            prop_assert_eq!(agents[a].pread(ods[a][0][1], 0, 16).unwrap(), b"post-crash write");
         }
         let recalls_after: u64 = agents.iter().map(|a| a.stats().recalls).sum();
         if foreign_readers > 0 {
@@ -331,22 +348,22 @@ proptest! {
     ) {
         prop_assume!(doomed != 0xA5 && doomed != 0x42);
         let (mut agents, ods, _server) = cluster(LeaseConfig::Auto, NetConfig::reliable());
-        agents[1].pwrite(ods[1][f], off as u64, &vec![doomed; len]).unwrap();
+        agents[1].pwrite(ods[1][f][0], off as u64, &vec![doomed; len]).unwrap();
         agents[1].set_responsive(false);
         // Agent 2's conflicting read waits out the recall timeout plus
         // agent 1's term, then proceeds without the surrendered bytes.
-        let read = agents[2].pread(ods[2][f], off as u64, len).unwrap();
+        let read = agents[2].pread(ods[2][f][0], off as u64, len).unwrap();
         prop_assert_eq!(&read, &vec![0xA5u8; len], "fenced bytes must stay invisible");
-        agents[2].pwrite(ods[2][f], off as u64, &vec![0x42u8; len]).unwrap();
-        agents[2].flush(ods[2][f]).unwrap();
+        agents[2].pwrite(ods[2][f][0], off as u64, &vec![0x42u8; len]).unwrap();
+        agents[2].flush(ods[2][f][0]).unwrap();
         // The fenced holder comes back: its stale write-back is rejected.
         agents[1].set_responsive(true);
         prop_assert!(matches!(
-            agents[1].flush(ods[1][f]),
+            agents[1].flush(ods[1][f][0]),
             Err(AgentError::File(FileServiceError::LeaseFenced(_)))
         ));
         prop_assert_eq!(
-            agents[1].pread(ods[1][f], off as u64, len).unwrap(),
+            agents[1].pread(ods[1][f][0], off as u64, len).unwrap(),
             vec![0x42u8; len],
             "the fenced holder re-reads the new owner's bytes"
         );
@@ -362,13 +379,13 @@ proptest! {
 fn hot_reread_is_zero_rpc_under_a_live_lease() {
     let (mut agents, ods, _server) = cluster(LeaseConfig::Auto, NetConfig::reliable());
     let _ = agents[1]
-        .pread(ods[1][0], 0, FILE_BLOCKS * BLOCK_SIZE)
+        .pread(ods[1][0][0], 0, FILE_BLOCKS * BLOCK_SIZE)
         .unwrap();
     let trips = agents[1].stats().rpcs_sent;
     let sent = agents[1].net_stats().sent;
     for _ in 0..20 {
         let data = agents[1]
-            .pread(ods[1][0], 0, FILE_BLOCKS * BLOCK_SIZE)
+            .pread(ods[1][0][0], 0, FILE_BLOCKS * BLOCK_SIZE)
             .unwrap();
         assert_eq!(data, vec![0xA5u8; FILE_BLOCKS * BLOCK_SIZE]);
     }

@@ -8,13 +8,13 @@
 //! delayed-write policy the paper prescribes for agent caches.
 
 use crate::descriptor::{ObjectDescriptor, FILE_OD_BASE};
-use crate::lease_station::{ClientLease, LeaseConfig, Station, StationEndpoint};
+use crate::lease_station::{LeaseConfig, Station, StationEndpoint};
 use parking_lot::Mutex;
 use rhodos_buf::BlockBuf;
 use rhodos_disk_service::{SchedulerStats, BLOCK_SIZE};
 use rhodos_file_service::{
-    BlockKey, CacheStats, FileAttributes, FileId, FileServiceError, LeaseMode, LeaseToken,
-    ParityStats, ScrubStats, ServiceType,
+    BlockKey, CacheStats, FileAttributes, FileId, FileServiceError, LeaseMode, ParityStats,
+    ScrubStats, ServiceType,
 };
 use rhodos_naming::{AttributedName, NamingError, NamingService, SystemName};
 use rhodos_net::{NetConfig, NetStats, SimNetwork};
@@ -472,7 +472,8 @@ impl FileAgent {
             server
                 .lock()
                 .file_service_mut()
-                .lease_attach(Box::new(endpoint));
+                .lease_manager_mut()
+                .attach(Box::new(endpoint));
         }
         self.stations.push(station);
         self.servers.push(server);
@@ -794,75 +795,23 @@ impl FileAgent {
     }
 
     /// Ensures this station holds a live lease of at least `want` on the
-    /// descriptor's file, renewing at half-term and (re-)acquiring when
-    /// missing, lapsed, or too weak.
+    /// descriptor's file: the station decides ([`Station::lease_step`],
+    /// [`Station::renewed`]), the agent makes the server calls.
     fn ensure_lease(&mut self, od: ObjectDescriptor, want: LeaseMode) -> Result<(), AgentError> {
-        enum Action {
-            Keep,
-            Renew(LeaseToken),
-            Acquire,
-        }
         let OpenFile { server, fid, .. } = self.entry(od)?;
         let now = self.net.clock().now_us();
-        let action = {
-            let st = self.stations[server].lock();
-            match st.leases.get(&fid) {
-                Some(l) if l.covers(want, now) => {
-                    if now + l.term_us / 2 >= l.expiry_us {
-                        Action::Renew(l.token)
-                    } else {
-                        Action::Keep
-                    }
-                }
-                _ => Action::Acquire,
-            }
+        let Some(renew) = self.stations[server].lock().lease_step(fid, want, now) else {
+            return Ok(());
         };
-        match action {
-            Action::Keep => Ok(()),
-            Action::Renew(token) => {
-                self.round_trip();
-                let renewed = self.servers[server]
-                    .lock()
-                    .file_service_mut()
-                    .lease_renew(&token);
-                match renewed {
-                    Ok((expiry_us, stamp)) => {
-                        self.lease_renewals += 1;
-                        let mut st = self.stations[server].lock();
-                        st.hlc.observe(stamp);
-                        if let Some(l) = st.leases.get_mut(&fid) {
-                            l.expiry_us = expiry_us;
-                        }
-                        Ok(())
-                    }
-                    // Dead token (fenced, superseded, pre-crash epoch):
-                    // fall back to a fresh acquisition.
-                    Err(FileServiceError::LeaseRejected(_) | FileServiceError::LeaseFenced(_)) => {
-                        self.acquire_lease(server, fid, want)
-                    }
-                    Err(e) => Err(e.into()),
-                }
-            }
-            Action::Acquire => self.acquire_lease(server, fid, want),
-        }
-    }
-
-    /// One lease-acquire RPC (recalls and grant happen server-side). An
-    /// expired local lease is surrendered first: its buffered writes are
-    /// dropped, not pushed — the server may already have fenced us and
-    /// granted the file away, so pushing could clobber a newer holder.
-    fn acquire_lease(
-        &mut self,
-        server: usize,
-        fid: FileId,
-        want: LeaseMode,
-    ) -> Result<(), AgentError> {
-        let now = self.net.clock().now_us();
-        {
-            let mut st = self.stations[server].lock();
-            if st.leases.get(&fid).is_some_and(|l| l.expiry_us <= now) {
-                let dropped = st.surrender(fid).len() as u64;
-                st.stats.fenced_drops += dropped;
+        if let Some(token) = renew {
+            self.round_trip();
+            let reply = self.servers[server]
+                .lock()
+                .file_service_mut()
+                .lease_renew(&token);
+            if self.stations[server].lock().renewed(fid, reply)? {
+                self.lease_renewals += 1;
+                return Ok(());
             }
         }
         self.round_trip();
@@ -886,51 +835,37 @@ impl FileAgent {
     /// adopts them without a copy. The versions of a block evicted twice
     /// travel in eviction order, so the last one wins.
     ///
-    /// Every file's exchange is attempted; the first error is returned. A
-    /// fenced exchange applies nothing and drops everything still
-    /// buffered for that file. After any other failure the file's blocks
-    /// are dirty in the cache again — evicted ones return to it, over
-    /// capacity until the next insert — so a retried `flush` pushes them.
+    /// Every file's exchange is attempted; the first error is returned.
+    /// What a failed exchange leaves is the station's call
+    /// ([`Station::unpushed`]): a fence drops the file's buffered writes,
+    /// any other failure leaves them dirty for a retried `flush`.
     fn push_blocks(
         &mut self,
         server: usize,
         mut blocks: Vec<(BlockKey, BlockBuf)>,
     ) -> Result<(), AgentError> {
         blocks.sort_by_key(|&(k, _)| k);
+        let leased = self.lease_config == LeaseConfig::Auto;
         let mut first_err = None;
         for file in blocks.chunk_by(|a, b| a.0 .0 == b.0 .0) {
             let fid = file[0].0 .0;
-            let (token, runs) = {
+            let push = {
                 let st = self.stations[server].lock();
-                (st.leases.get(&fid).map(|l| l.token), st.trim(fid, file))
+                st.push(fid, leased)
+                    .map(|token| (token, st.trim(fid, file)))
             };
-            let pushed = if token.is_none() && self.lease_config == LeaseConfig::Auto {
-                // No lease to write under any more: the delegation was
-                // recalled or lapsed while these blocks sat buffered.
-                Err(FileServiceError::LeaseFenced(fid))
-            } else if runs.is_empty() {
-                Ok(())
-            } else {
+            let pushed = push.and_then(|(token, runs)| {
+                if runs.is_empty() {
+                    return Ok(());
+                }
                 self.round_trip();
                 self.servers[server]
                     .lock()
                     .file_service_mut()
                     .write_vectored(fid, token.as_ref(), &runs)
-            };
+            });
             if let Err(e) = pushed {
-                let mut st = self.stations[server].lock();
-                if let FileServiceError::LeaseFenced(_) = e {
-                    // Fenced: the server granted the file away past our
-                    // silence. Drop everything we still buffer for it.
-                    let dropped = st.surrender(fid).len();
-                    st.stats.fenced_drops += (file.len() + dropped) as u64;
-                } else {
-                    // Newest version first: of a block evicted twice the
-                    // last one is kept, and a resident one outranks both.
-                    for (k, b) in file.iter().rev() {
-                        st.cache.restore_dirty(*k, b.clone());
-                    }
-                }
+                self.stations[server].lock().unpushed(fid, file, &e);
                 first_err.get_or_insert(e);
             }
         }
@@ -938,11 +873,9 @@ impl FileAgent {
     }
 
     /// Re-presents every held lease to its (rebooted) server so the
-    /// nearly-stateless server can reconstruct its grant table. Accepted
-    /// claims keep their cached blocks — that is the point of
-    /// reattaching; rejected claims (window closed, HLC race lost) drop
-    /// lease, buffered writes and cached blocks. Returns how many leases
-    /// were reattached.
+    /// nearly-stateless server can reconstruct its grant table; the
+    /// station keeps or drops each claim ([`Station::reattached`]).
+    /// Returns how many leases were reattached.
     ///
     /// # Errors
     ///
@@ -953,31 +886,17 @@ impl FileAgent {
         }
         let mut reattached = 0;
         for server in 0..self.servers.len() {
-            let held: Vec<ClientLease> = {
-                let st = self.stations[server].lock();
-                st.leases.values().copied().collect()
-            };
-            for lease in held {
+            let now = self.net.clock().now_us();
+            let claims = self.stations[server].lock().reattach_claims(now);
+            for lease in claims {
                 self.round_trip();
-                let claimed = self.servers[server]
+                let claim = self.servers[server]
                     .lock()
                     .file_service_mut()
                     .lease_reattach(&lease.token, lease.mode, lease.stamp);
-                match claimed {
-                    Ok(grant) => {
-                        let now = self.net.clock().now_us();
-                        self.stations[server].lock().hold(&grant, now);
-                        reattached += 1;
-                    }
-                    Err(
-                        FileServiceError::LeaseRejected(fid) | FileServiceError::LeaseFenced(fid),
-                    ) => {
-                        let mut st = self.stations[server].lock();
-                        let dropped = st.surrender(fid).len() as u64;
-                        st.stats.fenced_drops += dropped;
-                    }
-                    Err(e) => return Err(e.into()),
-                }
+                let now = self.net.clock().now_us();
+                let mut st = self.stations[server].lock();
+                reattached += usize::from(st.reattached(lease.token.fid, claim, now)?);
             }
         }
         Ok(reattached)
@@ -1027,7 +946,7 @@ impl FileAgent {
             fs.close(fid)?;
             // The release piggybacks on the close round trip.
             if let Some(lease) = held {
-                fs.lease_release(&lease.token);
+                fs.lease_manager_mut().release(&lease.token);
             }
         }
         self.open.remove(&od);

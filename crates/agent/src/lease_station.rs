@@ -4,12 +4,32 @@
 //! that server's files — one record per file, whatever number of
 //! descriptors share it: the file's size, its blocks in the
 //! lease-protected block cache and its lease — plus the station's HLC
-//! lane and the recall endpoint the server calls back through. Each
-//! lease rule is one method here: [`Station::trim`], [`Station::surrender`],
-//! [`Station::hold`] and [`ClientLease::covers`]. The station sits
-//! behind an `Arc<Mutex<..>>` because recalls arrive "from the network"
-//! — i.e. from inside the server's `lease_acquire` — while the agent is
-//! blocked on that very call.
+//! lane and the recall endpoint the server calls back through.
+//!
+//! The station makes every client lease decision; the agent only makes
+//! the server calls they ask for:
+//!
+//! * keep, renew at half-term or acquire, dropping a lapsed lease first
+//!   ([`Station::lease_step`], [`Station::renewed`], [`Station::hold`]);
+//! * serve from the cache only under a live lease
+//!   ([`Station::authorized`], [`ClientLease::covers`]);
+//! * push under the lease's token, cut at the file's size, fence a push
+//!   no lease covers, and keep or drop what a failed push leaves
+//!   ([`Station::push`], [`Station::trim`], [`Station::unpushed`]);
+//! * surrender a recalled delegation's buffered writes, cut at the
+//!   file's size ([`Station::serve_recall`]), and drop them when the
+//!   server never heard the surrender ([`Station::surrender_lost`]);
+//! * claim only live leases after a server crash, and keep or drop each
+//!   claim by the answer ([`Station::reattach_claims`],
+//!   [`Station::reattached`]).
+//!
+//! A buffered write is lost in one place, which counts it in
+//! [`StationStats::fenced_drops`]. `tests/lease_model.rs` checks these
+//! rules with the server's [`rhodos_file_service::LeaseManager`]
+//! exhaustively on small configurations. The station sits behind an
+//! `Arc<Mutex<..>>` because recalls arrive "from the network" — i.e. from
+//! inside the server's `lease_acquire` — while the agent is blocked on
+//! that very call.
 //!
 //! Lock order: the server lock is always taken *before* a station lock
 //! (the server recalls into stations); the agent therefore never calls
@@ -19,7 +39,8 @@ use parking_lot::Mutex;
 use rhodos_buf::BlockBuf;
 use rhodos_disk_service::BLOCK_SIZE;
 use rhodos_file_service::{
-    BlockCache, BlockKey, FileId, LeaseGrant, LeaseMode, LeaseToken, RecallAck, RecallTarget,
+    BlockCache, BlockKey, FileId, FileServiceError, LeaseGrant, LeaseMode, LeaseToken, RecallAck,
+    RecallTarget,
 };
 use rhodos_net::{Delivery, SimNetwork};
 use rhodos_simdisk::{HlcClock, HlcStamp};
@@ -141,6 +162,69 @@ impl Station {
         before
     }
 
+    /// The lease step the agent takes before using `fid` for `want` at
+    /// `now`: `None` when the held lease covers `want` with more than half
+    /// its term left; `Some(Some(token))` to renew a covering lease that
+    /// is past half-term; `Some(None)` to acquire. A lapsed lease is
+    /// dropped as fenced before the acquire, with everything buffered
+    /// under it — not pushed: the server may already have fenced us and
+    /// granted the file away, so pushing could clobber a newer holder.
+    pub fn lease_step(
+        &mut self,
+        fid: FileId,
+        want: LeaseMode,
+        now: u64,
+    ) -> Option<Option<LeaseToken>> {
+        match self.leases.get(&fid) {
+            Some(l) if l.covers(want, now) => {
+                (now + l.term_us / 2 >= l.expiry_us).then_some(Some(l.token))
+            }
+            Some(l) if l.expiry_us <= now => {
+                self.drop_fenced(fid, 0);
+                Some(None)
+            }
+            _ => Some(None),
+        }
+    }
+
+    /// Takes the server's answer to a renewal of `fid`'s lease: `true`
+    /// when the lease runs on; `false` when the token was dead (fenced,
+    /// superseded, pre-crash epoch), which drops the lease as fenced with
+    /// everything buffered under it — a fresh grant must not carry writes
+    /// the dead one delegated — and the agent must acquire afresh.
+    ///
+    /// # Errors
+    ///
+    /// Any other server failure, as given.
+    pub fn renewed(
+        &mut self,
+        fid: FileId,
+        reply: Result<(u64, HlcStamp), FileServiceError>,
+    ) -> Result<bool, FileServiceError> {
+        let (expiry_us, stamp) = match reply {
+            Ok(renewal) => renewal,
+            Err(e) => return self.refused(fid, e),
+        };
+        self.hlc.observe(stamp);
+        if let Some(l) = self.leases.get_mut(&fid) {
+            l.expiry_us = expiry_us;
+        }
+        Ok(true)
+    }
+
+    /// A renewal or reattach claim of `fid`'s lease the server refused:
+    /// the lease is dead, dropped as fenced. Any other failure is given
+    /// back as it is.
+    fn refused(&mut self, fid: FileId, e: FileServiceError) -> Result<bool, FileServiceError> {
+        match e {
+            FileServiceError::LeaseRejected(_) | FileServiceError::LeaseFenced(_) => {
+                self.drop_fenced(fid, 0);
+                Ok(false)
+            }
+            e => Err(e),
+        }
+    }
+
     /// Holds a grant: observes its stamp and records it, with the term
     /// it runs for from `now`.
     pub fn hold(&mut self, grant: &LeaseGrant, now: u64) {
@@ -159,11 +243,105 @@ impl Station {
 
     /// Gives up everything held for `fid` under a lease: the lease and
     /// every cached block. Returns the dirty blocks among them.
-    pub fn surrender(&mut self, fid: FileId) -> Vec<(BlockKey, BlockBuf)> {
+    fn surrender(&mut self, fid: FileId) -> Vec<(BlockKey, BlockBuf)> {
         self.leases.remove(&fid);
         let dirty = self.cache.take_dirty_for(fid);
         self.cache.invalidate_file(fid);
         dirty
+    }
+
+    /// The one place buffered writes are lost: surrenders `fid` and
+    /// counts its dirty blocks, plus `pushed` blocks already taken out of
+    /// the cache for a push the lease no longer covers, as fenced drops.
+    fn drop_fenced(&mut self, fid: FileId, pushed: usize) {
+        let dropped = self.surrender(fid).len();
+        self.stats.fenced_drops += (pushed + dropped) as u64;
+    }
+
+    /// The server never heard this station's surrender of grant `seq` on
+    /// `fid` — every reply was lost — so it waits the grant out and fences
+    /// it: the surrendered writes are dropped with it.
+    pub fn surrender_lost(&mut self, fid: FileId, seq: u64) {
+        let lost = self.served.get(&fid).filter(|(s, _)| *s == seq);
+        if let Some(lost) = lost.map(|(_, runs)| runs.len()) {
+            self.drop_fenced(fid, lost);
+        }
+    }
+
+    /// The token a push of `fid`'s buffered blocks is written under.
+    /// Under a lease (`leased`) a push needs one — without, the
+    /// delegation was recalled or lapsed while the blocks sat buffered —
+    /// and is fenced.
+    ///
+    /// # Errors
+    ///
+    /// [`FileServiceError::LeaseFenced`]; the caller hands it to
+    /// [`Self::unpushed`].
+    pub fn push(&self, fid: FileId, leased: bool) -> Result<Option<LeaseToken>, FileServiceError> {
+        let token = self.leases.get(&fid).map(|l| l.token);
+        if token.is_none() && leased {
+            return Err(FileServiceError::LeaseFenced(fid));
+        }
+        Ok(token)
+    }
+
+    /// A push of `fid`'s `blocks` failed with `err`. Fenced: the server
+    /// granted the file away past our silence, so the blocks and
+    /// everything still buffered for the file are dropped. Otherwise the
+    /// blocks are dirty again — newest version first: of a block evicted
+    /// twice the last one is kept, and a resident one outranks both — so
+    /// a retried `flush` pushes them.
+    pub fn unpushed(
+        &mut self,
+        fid: FileId,
+        blocks: &[(BlockKey, BlockBuf)],
+        err: &FileServiceError,
+    ) {
+        if let FileServiceError::LeaseFenced(_) = err {
+            self.drop_fenced(fid, blocks.len());
+        } else {
+            for (k, b) in blocks.iter().rev() {
+                self.cache.restore_dirty(*k, b.clone());
+            }
+        }
+    }
+
+    /// The leases to re-present to a rebooted server at `now`, one per
+    /// file. A lapsed lease is not claimed but dropped as fenced, with
+    /// everything buffered under it: the server may have fenced it and
+    /// granted the file away before the crash, and a claim it no longer
+    /// has the rival grant to refuse would let stale bytes back in.
+    pub fn reattach_claims(&mut self, now: u64) -> Vec<ClientLease> {
+        let (live, lapsed): (Vec<ClientLease>, Vec<ClientLease>) = self
+            .leases
+            .values()
+            .partition(|l| l.covers(LeaseMode::Read, now));
+        lapsed.iter().for_each(|l| self.drop_fenced(l.token.fid, 0));
+        live
+    }
+
+    /// Takes the server's answer to a reattach claim on `fid`: `true` when
+    /// the grant was reconstructed (the cached blocks stay — that is the
+    /// point of reattaching); `false` when the claim was rejected (window
+    /// closed, HLC race lost), which drops the lease, buffered writes and
+    /// cached blocks as fenced.
+    ///
+    /// # Errors
+    ///
+    /// Any other server failure, as given.
+    pub fn reattached(
+        &mut self,
+        fid: FileId,
+        claim: Result<LeaseGrant, FileServiceError>,
+        now: u64,
+    ) -> Result<bool, FileServiceError> {
+        match claim {
+            Ok(grant) => {
+                self.hold(&grant, now);
+                Ok(true)
+            }
+            Err(e) => self.refused(fid, e),
+        }
     }
 
     /// Cuts buffered blocks of `fid` into the `(offset, bytes)` runs to
@@ -240,22 +418,29 @@ impl RecallTarget for StationEndpoint {
             // Partitioned client: the server pays the recall timeout.
             return None;
         }
+        let mut served = false;
         for _ in 0..self.max_attempts {
-            // Server → client leg.
-            if self.net.transmit() == Delivery::Lost {
+            // Server → client leg; each copy of a duplicated request is
+            // served.
+            let Delivery::Delivered { copies } = self.net.transmit() else {
                 continue;
-            }
+            };
+            served = true;
             let ack = {
                 let mut st = self.station.lock();
                 st.hlc.observe(stamp);
+                (1..copies).for_each(|_| drop(st.serve_recall(fid, seq)));
                 st.serve_recall(fid, seq)
             };
             // Client → server leg. A lost reply retries the whole
             // exchange; serve_recall is idempotent, so the retried
             // request returns the same surrendered bytes.
-            if self.net.transmit() != Delivery::Lost {
+            if self.net.transmit_reply() != Delivery::Lost {
                 return Some(ack);
             }
+        }
+        if served {
+            self.station.lock().surrender_lost(fid, seq);
         }
         None
     }

@@ -67,7 +67,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cross_shard;
 mod descriptor;
 mod device;
 mod file_agent;
@@ -75,7 +74,6 @@ mod lease_station;
 mod process;
 mod txn_agent;
 
-pub use cross_shard::CrossShardTxn;
 pub use descriptor::{
     is_device_descriptor, ObjectDescriptor, DEV_OD_LIMIT, FILE_OD_BASE, REDIR_STDERR, REDIR_STDIN,
     REDIR_STDOUT, STDERR, STDIN, STDOUT,

@@ -53,7 +53,7 @@ fn patterned(len: usize) -> Vec<u8> {
 
 /// FNV-1a over the file's bytes — the cross-arm identity check.
 fn fingerprint(bytes: &[u8]) -> u64 {
-    crate::fnv1a(crate::FNV_OFFSET, bytes)
+    rhodos_simdisk::fnv1a(rhodos_simdisk::FNV_OFFSET, bytes)
 }
 
 fn used_fragments(f: &FileService) -> u64 {

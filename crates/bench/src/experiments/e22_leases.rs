@@ -159,7 +159,7 @@ fn run_arm(cell: &Cell, sweep: Sweep, lease: LeaseConfig) -> Arm {
     let zipf = Zipf::new(cell.files, cell.skew);
     let mut rng = SplitMix64::new(cell.seed);
     let mut ops = Vec::with_capacity(cell.ops);
-    let mut fingerprint = crate::FNV_OFFSET;
+    let mut fingerprint = rhodos_simdisk::FNV_OFFSET;
     for i in 0..cell.ops {
         let a = rng.below(cell.agents as u64) as usize;
         let f = match sweep {
@@ -179,8 +179,8 @@ fn run_arm(cell: &Cell, sweep: Sweep, lease: LeaseConfig) -> Arm {
         match class {
             OpClass::Read | OpClass::Update => {
                 let data = agents[a].pread(od, offset, 1024).expect("e22 read");
-                fingerprint = crate::fnv1a(fingerprint, &(i as u64).to_le_bytes());
-                fingerprint = crate::fnv1a(fingerprint, &data);
+                fingerprint = rhodos_simdisk::fnv1a(fingerprint, &(i as u64).to_le_bytes());
+                fingerprint = rhodos_simdisk::fnv1a(fingerprint, &data);
             }
             OpClass::Write => {
                 let payload = vec![i as u8; 1024];
@@ -220,7 +220,7 @@ fn run_arm(cell: &Cell, sweep: Sweep, lease: LeaseConfig) -> Arm {
             let fs = srv.file_service_mut();
             let size = fs.get_attribute(fid).expect("attrs").size as usize;
             let data = fs.read(fid, 0, size).expect("final read");
-            fingerprint = crate::fnv1a(fingerprint, &data);
+            fingerprint = rhodos_simdisk::fnv1a(fingerprint, &data);
         }
     }
 

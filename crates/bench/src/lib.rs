@@ -28,18 +28,6 @@ pub mod loadgen;
 pub mod setups;
 pub mod table;
 
-/// FNV-1a offset basis: the `h` a content fingerprint starts from.
-pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
-/// Folds `bytes` into the FNV-1a content fingerprint `h`.
-pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// One experiment: `(id, title, runner)`. The runner's argument is the
 /// `--smoke` flag: E20–E24 shrink their expensive cells under it, the
 /// paper experiments are small already and ignore it.

@@ -180,16 +180,23 @@ pub enum CommitOutcome {
 // ---- the server side ---------------------------------------------------
 
 /// The transaction-aware server loop: decodes a frame once, serves the
-/// 2PC requests against the server's [`TransactionService`] and hands
-/// every other one to the plain file service's [`wire::dispatch`] — one
-/// endpoint, both protocols, same at-most-once replay cache. A frame
-/// that does not decode is answered [`FileServiceError::BadRequest`].
+/// 2PC requests and lease acquisition against the server's
+/// [`TransactionService`] — which applies a recalled delegation on a
+/// transaction-service file as one transaction, as it does for an agent
+/// in process — and hands every other one to the plain file service's
+/// [`wire::dispatch`]: one endpoint, both protocols, same at-most-once
+/// replay cache. A frame that does not decode is answered
+/// [`FileServiceError::BadRequest`].
 pub fn serve_txn(ts: &mut TransactionService, req: &[u8]) -> Vec<u8> {
-    use Request::{TxnDecide, TxnPrepare, TxnPreparedList};
+    use Request::{LeaseAcquire, TxnDecide, TxnPrepare, TxnPreparedList};
     let result = Request::decode(req)
         .map_err(|_| FileServiceError::BadRequest)
         .and_then(|req| match req {
             TxnPrepare(batch) => Ok(serve_prepare(ts, &batch)),
+            LeaseAcquire(client, fid, mode) => ts
+                .lease_acquire(client, fid, mode)
+                .map(|(grant, size)| wire::encode_granted(&grant, size))
+                .map_err(file_failure),
             TxnDecide(gtid, commit) => ts
                 .resolve_prepared(gtid, commit)
                 .map(encode_resolved)
@@ -202,8 +209,9 @@ pub fn serve_txn(ts: &mut TransactionService, req: &[u8]) -> Vec<u8> {
 
 /// A transaction-service failure as the file-service failure a reply
 /// carries. Every failure of a decide or a checkpoint is a file-service
-/// one today; any other is answered [`FileServiceError::BadRequest`] —
-/// the server cannot carry the request out — rather than panicking it.
+/// one today; any other — a recalled delegation whose transaction failed
+/// — is answered [`FileServiceError::BadRequest`]: the server cannot
+/// carry the request out, and it is not panicked.
 pub(crate) fn file_failure(e: TxnError) -> FileServiceError {
     match e {
         TxnError::File(e) => e,

@@ -20,7 +20,7 @@ use rhodos_file_service::{
 };
 use rhodos_net::{Delivery, NetConfig};
 use rhodos_replication::wire::{decode_attributes, decode_created, Channel, Request};
-use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
+use rhodos_simdisk::{fnv1a, DiskGeometry, LatencyModel, SimClock, FNV_OFFSET};
 use rhodos_txn::{TransactionService, TxnConfig};
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -30,16 +30,6 @@ use std::sync::Arc;
 /// A data server shared between the cluster master and any co-located
 /// clients (`FileAgent` uses the same handle type).
 pub type ServerHandle = Arc<Mutex<TransactionService>>;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
 
 /// Tunables of the cluster.
 #[derive(Debug, Clone, Copy)]
@@ -406,8 +396,8 @@ impl Cluster {
         f(self.nodes[i].handle.lock().file_service_mut())
     }
 
-    /// Every data server handle in index order (the `FileAgent` server
-    /// vector for cluster-aware clients).
+    /// Every data server handle in index order, for inspecting the
+    /// servers out of band (the counters of each server's file service).
     ///
     /// # Panics
     ///
@@ -1031,7 +1021,7 @@ impl Cluster {
                 Ok((_, d)) => d,
                 Err(e) => break Err(e),
             };
-            fnv1a(&mut src_fp, &data);
+            src_fp = fnv1a(src_fp, &data);
             if let Err(e) = self.call_all(target, &Request::Write(new_local, off, &data)) {
                 break Err(e);
             }
@@ -1048,7 +1038,7 @@ impl Cluster {
         while off < size {
             let n = MIGRATE_CHUNK.min((size - off) as usize);
             let (_, data) = self.call_one(target, &Request::Read(new_local, off, n))?;
-            fnv1a(&mut dst_fp, &data);
+            dst_fp = fnv1a(dst_fp, &data);
             off += n as u64;
         }
         if dst_fp != src_fp {
@@ -1090,15 +1080,15 @@ impl Cluster {
             let mut guard = handle.lock();
             let fs = guard.file_service_mut();
             let size = fs.get_attribute(p.local).expect("mapped file exists").size;
-            fnv1a(&mut fp, &gid.to_le_bytes());
-            fnv1a(&mut fp, &size.to_le_bytes());
+            fp = fnv1a(fp, &gid.to_le_bytes());
+            fp = fnv1a(fp, &size.to_le_bytes());
             if size > 0 {
                 fs.open(p.local).expect("fingerprint open");
                 let data = fs
                     .read(p.local, 0, size as usize)
                     .expect("fingerprint read");
                 fs.close(p.local).expect("fingerprint close");
-                fnv1a(&mut fp, &data);
+                fp = fnv1a(fp, &data);
             }
         }
         fp

@@ -21,6 +21,14 @@
 //!   **epoch**. Clients reconstruct the grant set by reattaching their
 //!   old grants during a bounded reattach window; conflicting write
 //!   reattach claims are resolved by HLC order (latest stamp wins).
+//!
+//! [`LeaseManager`] owns every server-side rule: the grant table, the
+//! recall endpoints and the whole recall round ([`LeaseManager::acquire`]:
+//! wait out the reattach window, recall each conflicting holder, wait out
+//! and fence a silent one). The file service applies the delayed writes a
+//! holder surrendered, directly or — on a transaction-service file — as
+//! one transaction; the client side is the agent's station.
+//! `tests/lease_model.rs` checks both sides together.
 
 use crate::attrs::FileId;
 use rhodos_buf::BlockBuf;
@@ -67,7 +75,7 @@ pub struct LeaseGrant {
 
 /// How long a recall waits for the holder before giving up and waiting
 /// the holder's lease out instead, virtual microseconds.
-pub(crate) const RECALL_TIMEOUT_US: u64 = 300_000;
+const RECALL_TIMEOUT_US: u64 = 300_000;
 
 /// How long after a crash reattach claims are accepted, virtual
 /// microseconds.
@@ -139,11 +147,11 @@ pub trait RecallTarget: Send {
     fn recall(&mut self, fid: FileId, seq: u64, stamp: HlcStamp) -> Option<RecallAck>;
 }
 
-/// Registered recall endpoints. Lives outside the lease table because
-/// endpoints are wiring, not lease state: they survive a server crash
-/// (clients reattach over the same channels).
+/// Registered recall endpoints, owned by the [`LeaseManager`] that runs
+/// the recall round. They are wiring, not lease state: a server crash
+/// leaves them (clients reattach over the same channels).
 #[derive(Default)]
-pub struct RecallRegistry {
+struct RecallRegistry {
     targets: Vec<Box<dyn RecallTarget>>,
 }
 
@@ -157,14 +165,14 @@ impl fmt::Debug for RecallRegistry {
 
 impl RecallRegistry {
     /// Registers an endpoint (replacing any previous one for the client).
-    pub fn attach(&mut self, target: Box<dyn RecallTarget>) {
+    fn attach(&mut self, target: Box<dyn RecallTarget>) {
         let id = target.client_id();
         self.targets.retain(|t| t.client_id() != id);
         self.targets.push(target);
     }
 
     /// The endpoint for `client`, if registered.
-    pub fn get_mut(&mut self, client: u64) -> Option<&mut (dyn RecallTarget + '_)> {
+    fn get_mut(&mut self, client: u64) -> Option<&mut (dyn RecallTarget + '_)> {
         self.targets
             .iter_mut()
             .find(|t| t.client_id() == client)
@@ -192,24 +200,32 @@ pub struct PendingRecall {
     pub expiry_us: u64,
 }
 
-/// The server-side lease table. Owned by the file service; all methods
-/// take the current virtual time so expiry is deterministic.
+/// The server side of the lease protocol: the grant table and the whole
+/// recall round ([`Self::acquire`]). Owned by the file service, which
+/// only applies the delayed writes a recalled holder surrenders. The
+/// table's methods take the current virtual time so expiry is
+/// deterministic; the round reads and advances the shared clock.
 #[derive(Debug)]
 pub struct LeaseManager {
     params: LeaseParams,
+    /// The shared virtual clock the recall round waits on.
+    clock: SimClock,
     hlc: HlcClock,
     epoch: u64,
     next_seq: u64,
     grants: HashMap<FileId, Vec<GrantEntry>>,
     reattach_until: u64,
     stats: LeaseStats,
+    /// Recall endpoints, one per client station.
+    targets: RecallRegistry,
 }
 
 impl LeaseManager {
     /// Creates an empty lease table.
     pub fn new(clock: SimClock, params: LeaseParams) -> Self {
         Self {
-            hlc: HlcClock::new(clock, HLC_NODE),
+            hlc: HlcClock::new(clock.clone(), HLC_NODE),
+            clock,
             params,
             epoch: 0,
             next_seq: 0,
@@ -219,6 +235,7 @@ impl LeaseManager {
                 epoch: 0,
                 ..Default::default()
             },
+            targets: RecallRegistry::default(),
         }
     }
 
@@ -242,9 +259,61 @@ impl LeaseManager {
         self.hlc.observe(remote)
     }
 
-    /// Stamps a local server event (e.g. an outgoing recall request).
-    pub fn stamp(&mut self) -> HlcStamp {
-        self.hlc.tick()
+    /// Registers the recall endpoint of a client station (replacing any
+    /// previous endpoint for the same client id).
+    pub fn attach(&mut self, target: Box<dyn RecallTarget>) {
+        self.targets.attach(target);
+    }
+
+    /// The recall round: grants `client` `mode` on `fid` once every
+    /// conflicting holder has surrendered or been fenced, and returns the
+    /// grant with the surrendered delayed writes, in recall order. The
+    /// caller applies them before the grantee uses the grant.
+    ///
+    /// A new grant first waits out the reattach window: with the window
+    /// at least one term long, every pre-crash lease the rebooted server
+    /// no longer remembers has expired by then. Each conflicting holder
+    /// is recalled through its endpoint; one that answers surrenders its
+    /// grant, one that is silent past the recall timeout is waited out to
+    /// its lease expiry and fenced — its token dies with the grant.
+    pub fn acquire(
+        &mut self,
+        client: u64,
+        fid: FileId,
+        mode: LeaseMode,
+    ) -> (LeaseGrant, Vec<RecallAck>) {
+        self.clock.advance_to(self.reattach_until);
+        let mut acks = Vec::new();
+        loop {
+            match self.try_acquire(self.clock.now_us(), client, fid, mode) {
+                Ok(grant) => return (grant, acks),
+                Err(conflicts) => {
+                    for c in conflicts {
+                        acks.extend(self.recall(fid, c));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Recalls one conflicting grant: its holder's surrender, or `None`
+    /// once a silent holder has been waited out and fenced.
+    fn recall(&mut self, fid: FileId, pending: PendingRecall) -> Option<RecallAck> {
+        self.stats.recalls += 1;
+        let stamp = self.hlc.tick();
+        let ack = self
+            .targets
+            .get_mut(pending.client)
+            .and_then(|t| t.recall(fid, pending.seq, stamp));
+        match &ack {
+            Some(ack) => self.complete_recall(fid, pending.client, pending.seq, ack.stamp),
+            None => {
+                self.clock.advance(RECALL_TIMEOUT_US);
+                self.clock.advance_to(pending.expiry_us);
+                self.fence(fid, pending.client, pending.seq);
+            }
+        }
+        ack
     }
 
     /// The grants currently outstanding, as `(client, mode, seq)` per
@@ -352,7 +421,7 @@ impl LeaseManager {
     }
 
     /// Removes the grant a recall target acknowledged surrendering.
-    pub fn complete_recall(&mut self, fid: FileId, client: u64, seq: u64, remote: HlcStamp) {
+    fn complete_recall(&mut self, fid: FileId, client: u64, seq: u64, remote: HlcStamp) {
         self.hlc.observe(remote);
         if let Some(entries) = self.grants.get_mut(&fid) {
             entries.retain(|g| !(g.client == client && g.seq == seq));
@@ -369,11 +438,6 @@ impl LeaseManager {
         self.stats.recall_timeouts += 1;
         // The fencing decision is an event on the server's HLC lane.
         self.hlc.tick();
-    }
-
-    /// Counts a recall request issued.
-    pub fn note_recall(&mut self) {
-        self.stats.recalls += 1;
     }
 
     /// Extends a live grant by one lease term.

@@ -76,7 +76,7 @@ pub use fit::{
 pub use fsck::{FsckIssue, FsckRepairAction, FsckRepairReport, FsckReport};
 pub use lease::{
     LeaseGrant, LeaseManager, LeaseMode, LeaseParams, LeaseStats, LeaseToken, PendingRecall,
-    RecallAck, RecallRegistry, RecallTarget,
+    RecallAck, RecallTarget,
 };
 pub use parity::{ParityStats, RebuildReport, Redundancy};
 pub use scrub::{ScrubFinding, ScrubOwner, ScrubReport, ScrubStats};

@@ -19,10 +19,7 @@ use crate::cache::{BlockKey, CacheStats, ShardedBlockCache, WritePolicy};
 use crate::config::FileServiceConfig;
 use crate::error::FileServiceError;
 use crate::fit::{BlockDescriptor, FileIndexTable};
-use crate::lease::{
-    LeaseGrant, LeaseManager, LeaseMode, LeaseToken, RecallAck, RecallRegistry, RecallTarget,
-    RECALL_TIMEOUT_US,
-};
+use crate::lease::{LeaseGrant, LeaseManager, LeaseMode, LeaseToken, RecallAck};
 use crate::parity::{ParityStats, RebuildReport};
 use crate::scrub::ScrubStats;
 use crate::store::FitStore;
@@ -82,10 +79,9 @@ pub struct FileService {
     pub(crate) scrub_cursors: Vec<FragmentAddr>,
     /// Cumulative scrub counters across every pass.
     pub(crate) scrub_stats: ScrubStats,
-    /// Soft lease state: grants, epoch, HLC lane (lost on crash).
+    /// The lease protocol's server side: soft grant state (lost on crash)
+    /// and the recall endpoints (kept).
     lease: LeaseManager,
-    /// Recall endpoints to client stations (wiring, survives crashes).
-    recall_targets: RecallRegistry,
 }
 
 impl FileService {
@@ -120,7 +116,6 @@ impl FileService {
             }),
             scrub_stats: ScrubStats::default(),
             lease: LeaseManager::new(clock.clone(), config.lease),
-            recall_targets: RecallRegistry::default(),
             clock,
         })
     }
@@ -935,20 +930,20 @@ impl FileService {
         &self.lease
     }
 
-    /// Registers the recall endpoint for a client station (replacing any
-    /// previous endpoint for the same client id). Endpoints are wiring,
-    /// not lease state: they survive a simulated crash.
-    pub fn lease_attach(&mut self, target: Box<dyn RecallTarget>) {
-        self.recall_targets.attach(target);
+    /// The server-side lease table, mutably: agents attach their recall
+    /// endpoints and release grants through it, and the transaction
+    /// service runs the recall round through it and applies what the
+    /// holders surrendered its own way.
+    pub fn lease_manager_mut(&mut self) -> &mut LeaseManager {
+        &mut self.lease
     }
 
-    /// Grants `client` a lease on `fid`, first recalling every
-    /// conflicting holder — waiting silent holders out to their lease
-    /// expiry and fencing them. Recalled delayed writes are applied and
-    /// flushed before the new grant is issued, so the grantee always
-    /// starts from the latest durable bytes. Returns the grant plus the
-    /// file's current size (delegated extends may have grown it since
-    /// the grantee's `open`).
+    /// Grants `client` a lease on `fid` through the lease manager's
+    /// recall round ([`LeaseManager::acquire`]) and applies and flushes
+    /// what the recalled holders surrendered before returning, so the
+    /// grantee always starts from the latest durable bytes. Returns the
+    /// grant plus the file's current size (delegated extends may have
+    /// grown it since the grantee's `open`).
     ///
     /// # Errors
     ///
@@ -960,88 +955,12 @@ impl FileService {
         fid: FileId,
         mode: LeaseMode,
     ) -> Result<(LeaseGrant, u64), FileServiceError> {
-        let (grant, acks) = self.lease_acquire_raw(client, fid, mode)?;
+        self.attrs(fid)?;
+        let (grant, acks) = self.lease.acquire(client, fid, mode);
         for ack in acks {
             self.lease_apply_recalled(fid, ack)?;
         }
         Ok((grant, self.attrs(fid)?.size))
-    }
-
-    /// The recall half of [`Self::lease_acquire`]: performs the recall
-    /// exchanges and fencing and issues the grant, but hands the
-    /// surrendered writebacks to the caller *unapplied*. The transaction
-    /// service uses this to flush recalled delegated writes through its
-    /// group-commit pipeline instead; everyone else should call
-    /// [`Self::lease_acquire`]. The caller must apply every returned ack
-    /// (see [`Self::lease_apply_recalled`]) before using the grant.
-    ///
-    /// # Errors
-    ///
-    /// [`FileServiceError::NotFound`] if the file does not exist.
-    pub fn lease_acquire_raw(
-        &mut self,
-        client: u64,
-        fid: FileId,
-        mode: LeaseMode,
-    ) -> Result<(LeaseGrant, Vec<RecallAck>), FileServiceError> {
-        self.attrs(fid)?;
-        // Post-crash grace period: new grants wait out the reattach
-        // window. With the window at least one term long, every
-        // pre-crash lease the rebooted server no longer remembers has
-        // expired by the time a fresh grant is issued, so no forgotten
-        // holder can still be serving cached bytes.
-        if self.clock.now_us() < self.lease.reattach_until() {
-            self.clock.advance_to(self.lease.reattach_until());
-        }
-        let mut acks = Vec::new();
-        loop {
-            let now = self.clock.now_us();
-            match self.lease.try_acquire(now, client, fid, mode) {
-                Ok(grant) => return Ok((grant, acks)),
-                Err(conflicts) => {
-                    for c in conflicts {
-                        if let Some(ack) = self.lease_recall_one(fid, c) {
-                            acks.push(ack);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Recalls one conflicting grant: asks the holder over its endpoint,
-    /// applies a surrendered holder's delayed writes, or — if the holder
-    /// is silent past the bounded recall timeout — waits its lease out
-    /// and fences it.
-    fn lease_recall_one(
-        &mut self,
-        fid: FileId,
-        pending: crate::lease::PendingRecall,
-    ) -> Option<RecallAck> {
-        self.lease.note_recall();
-        let stamp = self.lease.stamp();
-        // The registry is taken out for the duration of the exchange so
-        // the endpoint can be called while `self` stays borrowable.
-        let mut registry = std::mem::take(&mut self.recall_targets);
-        let ack = registry
-            .get_mut(pending.client)
-            .and_then(|t| t.recall(fid, pending.seq, stamp));
-        self.recall_targets = registry;
-        match ack {
-            Some(ack) => {
-                self.lease
-                    .complete_recall(fid, pending.client, pending.seq, ack.stamp);
-                Some(ack)
-            }
-            None => {
-                // Bounded recall timeout, then wait the lease out: past
-                // its expiry the holder's token validates nothing.
-                self.clock.advance(RECALL_TIMEOUT_US);
-                self.clock.advance_to(pending.expiry_us);
-                self.lease.fence(fid, pending.client, pending.seq);
-                None
-            }
-        }
     }
 
     /// Applies a recalled holder's buffered delayed writes and flushes
@@ -1077,11 +996,6 @@ impl FileService {
         self.lease
             .renew(token, now)
             .ok_or(FileServiceError::LeaseRejected(token.fid))
-    }
-
-    /// Releases a lease voluntarily (idempotent).
-    pub fn lease_release(&mut self, token: &LeaseToken) {
-        self.lease.release(token);
     }
 
     /// Reconstructs a grant from a client's reattach claim after a

@@ -257,6 +257,14 @@ fn put_grant<'e>(e: &'e mut Encoder, g: &LeaseGrant) -> &'e mut Encoder {
     )
 }
 
+/// Encodes the [`Request::LeaseAcquire`] reply payload: the grant, then
+/// the file's size.
+pub fn encode_granted(grant: &LeaseGrant, size: u64) -> Vec<u8> {
+    let mut e = Encoder::new();
+    put_grant(&mut e, grant).u64(size);
+    e.finish()
+}
+
 /// Decodes a [`LeaseGrant`] — the head of a [`Request::LeaseAcquire`]
 /// reply (the file size follows) and the whole of a
 /// [`Request::LeaseReattach`] one.
@@ -299,10 +307,10 @@ pub fn dispatch(fs: &mut FileService, req: Request<'_>) -> Result<Vec<u8>, FileS
         }
         Request::LeaseAcquire(client, fid, mode) => {
             let (grant, size) = fs.lease_acquire(client, fid, mode)?;
-            put_grant(&mut e, &grant).u64(size)
+            return Ok(encode_granted(&grant, size));
         }
         Request::LeaseRelease(token) => {
-            fs.lease_release(&token);
+            fs.lease_manager_mut().release(&token);
             &mut e
         }
         Request::LeaseRenew(token) => {

@@ -76,6 +76,20 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
+/// FNV-1a offset basis: the `h` a fingerprint starts from.
+pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a hash `h` — the stable-record checksum
+/// and every content fingerprint (platter images, cluster namespaces,
+/// the experiments' byte histories).
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

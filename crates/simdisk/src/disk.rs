@@ -1,6 +1,6 @@
 //! The simulated disk device.
 
-use crate::checksum::crc32;
+use crate::checksum::{crc32, fnv1a, FNV_OFFSET};
 use crate::clock::SimClock;
 use crate::error::DiskError;
 use crate::fault::{FaultInjector, WriteOutcome};
@@ -591,17 +591,7 @@ impl SimDisk {
     /// converged; use [`Self::first_image_divergence`] to locate a
     /// mismatch.
     pub fn image_fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        for addr in 0..self.geometry().total_sectors() {
-            eat(self.view(addr));
-        }
-        h
+        (0..self.geometry().total_sectors()).fold(FNV_OFFSET, |h, addr| fnv1a(h, self.view(addr)))
     }
 
     /// First sector whose bytes differ from `other`'s image, if any.

@@ -55,7 +55,7 @@ mod model;
 mod stable;
 mod stats;
 
-pub use checksum::crc32;
+pub use checksum::{crc32, fnv1a, FNV_OFFSET};
 pub use clock::{HlcClock, HlcStamp, SimClock};
 pub use disk::{SectorFault, SectorFaultKind, SectorViews, SimDisk};
 pub use error::DiskError;

@@ -16,6 +16,7 @@
 //! * both valid but different sequence numbers → propagate the newer one;
 //! * both invalid → the record is lost (reported, never silently ignored).
 
+use crate::checksum::{fnv1a, FNV_OFFSET};
 use crate::disk::SimDisk;
 use crate::error::DiskError;
 use crate::geometry::SectorAddr;
@@ -27,20 +28,11 @@ const HEADER: usize = 20; // seq u64 | len u32 | checksum u64
 /// Maximum payload of one stable record.
 pub const STABLE_PAYLOAD: usize = SECTOR_SIZE - HEADER;
 
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 fn encode(seq: u64, payload: &[u8]) -> Vec<u8> {
     let mut sector = vec![0u8; SECTOR_SIZE];
     sector[0..8].copy_from_slice(&seq.to_le_bytes());
     sector[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    sector[12..20].copy_from_slice(&fnv1a(payload).to_le_bytes());
+    sector[12..20].copy_from_slice(&fnv1a(FNV_OFFSET, payload).to_le_bytes());
     sector[HEADER..HEADER + payload.len()].copy_from_slice(payload);
     sector
 }
@@ -53,7 +45,7 @@ fn decode(sector: &[u8]) -> Option<(u64, Vec<u8>)> {
         return None;
     }
     let payload = &sector[HEADER..HEADER + len];
-    if fnv1a(payload) != sum {
+    if fnv1a(FNV_OFFSET, payload) != sum {
         return None;
     }
     Some((seq, payload.to_vec()))

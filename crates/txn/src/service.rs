@@ -286,14 +286,15 @@ impl TransactionService {
         Ok(fid)
     }
 
-    /// Lease acquisition whose recalled writebacks stay crash-atomic:
-    /// like [`FileService::lease_acquire`], but a surrendered write
-    /// delegation on a *transaction-service* file is applied as one
-    /// transaction — intention-logged, group-commit flushed, batch
-    /// applied — so a crash mid-recall replays all of the holder's
-    /// delegated writes or none of them. Basic-service files (and the
-    /// rare recall that races an in-flight transaction's locks) fall
-    /// back to the direct apply-and-flush path.
+    /// Lease acquisition whose recalled writebacks stay crash-atomic: the
+    /// lease manager's recall round, as in [`FileService::lease_acquire`],
+    /// but a surrendered write delegation on a *transaction-service* file
+    /// is applied as one transaction — intention-logged, group-commit
+    /// flushed, batch applied — so a crash mid-recall replays all of the
+    /// holder's delegated writes or none of them. Basic-service files (and
+    /// the rare recall that races an in-flight transaction's locks) take
+    /// the file service's direct apply-and-flush. Every agent and the
+    /// transaction-aware server's lease-acquire frame come here.
     ///
     /// # Errors
     ///
@@ -305,9 +306,9 @@ impl TransactionService {
         fid: FileId,
         mode: LeaseMode,
     ) -> Result<(LeaseGrant, u64), TxnError> {
-        let (grant, acks) = self.fs.lease_acquire_raw(client, fid, mode)?;
+        let st = self.fs.get_attribute(fid)?.service_type;
+        let (grant, acks) = self.fs.lease_manager_mut().acquire(client, fid, mode);
         for ack in acks {
-            let st = self.fs.get_attribute(fid)?.service_type;
             if st == ServiceType::Transaction && !ack.runs.is_empty() {
                 match self.apply_recall_txn(fid, &ack) {
                     Ok(()) => continue,

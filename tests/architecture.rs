@@ -448,3 +448,33 @@ fn the_cluster_has_no_unreachable_or_panic_site() {
         }
     }
 }
+
+/// The lease protocol has one owner per side: outside tests, only the
+/// lease manager (`file-service/src/lease.rs`) grants, completes a recall
+/// or fences — the recall round is its own — and only the client station
+/// (`agent/src/lease_station.rs`) counts a buffered write as dropped.
+#[test]
+fn the_lease_rules_have_one_owner_per_side() {
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let (mut server, mut client) = (0, 0);
+    for (path, code) in non_test_sources(&crates) {
+        let calls = [".try_acquire(", ".complete_recall(", ".fence("]
+            .iter()
+            .filter(|call| code.contains(*call))
+            .count();
+        if path.ends_with("file-service/src/lease.rs") {
+            server += calls;
+        } else {
+            assert_eq!(calls, 0, "{path:?} runs a step of the recall round");
+        }
+        let counts = ["fenced_drops +=", "fenced_drops ="]
+            .iter()
+            .any(|write| code.contains(*write));
+        if path.ends_with("agent/src/lease_station.rs") {
+            client += usize::from(counts);
+        } else {
+            assert!(!counts, "{path:?} counts fenced drops");
+        }
+    }
+    assert_eq!((server, client), (3, 1), "found the owners");
+}

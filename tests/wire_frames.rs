@@ -10,12 +10,12 @@ use proptest::prelude::*;
 use rhodos_cluster::serve_txn;
 use rhodos_file_service::{
     FileId, FileService, FileServiceConfig, FileServiceError, LeaseMode, LeaseToken, LockLevel,
-    ServiceType,
+    RecallAck, RecallTarget, ServiceType,
 };
 use rhodos_replication::wire::{
     decode_reply, decode_resolved, decode_votes, encode_reply, serve, Request,
 };
-use rhodos_simdisk::{DiskGeometry, HlcStamp, LatencyModel, SimClock};
+use rhodos_simdisk::{BlockBuf, DiskGeometry, HlcStamp, LatencyModel, SimClock};
 use rhodos_txn::TransactionService;
 
 const TOKEN: LeaseToken = LeaseToken {
@@ -260,6 +260,40 @@ fn unknown_codes_are_rejected_not_read_as_the_last_option() {
         decode_reply(&[&[1, 1][..], &7u64.to_le_bytes()].concat()),
         Err(FileServiceError::NotFound(FileId(7)))
     );
+}
+
+/// A lease-acquire frame to the transaction-aware server applies a
+/// recalled write delegation on a transaction-service file as one
+/// transaction, as `TransactionService::lease_acquire` does for an agent
+/// in process — not as a plain write straight to the file.
+#[test]
+fn a_lease_acquire_frame_commits_a_recalled_delegation_as_a_transaction() {
+    /// Client 1's station, holding `hello` under its write delegation.
+    struct Holder;
+    impl RecallTarget for Holder {
+        fn client_id(&self) -> u64 {
+            1
+        }
+        fn recall(&mut self, _: FileId, _: u64, stamp: HlcStamp) -> Option<RecallAck> {
+            let runs = vec![(0, BlockBuf::from(&b"hello"[..]))];
+            Some(RecallAck { runs, stamp })
+        }
+    }
+    let mut servers = Servers::new();
+    let fid = servers.fid;
+    let ts = &mut servers.ts;
+    ts.file_service_mut()
+        .lease_manager_mut()
+        .attach(Box::new(Holder));
+    let mut acquire = |client, mode| {
+        let frame = Request::LeaseAcquire(client, fid, mode).encode();
+        decode_reply(&serve_txn(ts, &frame)).expect("granted");
+        ts.stats().committed
+    };
+    let before = acquire(1, LeaseMode::Write);
+    assert_eq!(acquire(2, LeaseMode::Read), before + 1, "one transaction");
+    let fs = servers.ts.file_service_mut();
+    assert_eq!(fs.read(fid, 0, 5).unwrap(), b"hello");
 }
 
 proptest! {

@@ -3,7 +3,7 @@
 use rhodos_cluster::{Cluster, ClusterConfig};
 use rhodos_disk_service::{DiskService, DiskServiceConfig};
 use rhodos_file_service::{
-    FileService, FileServiceConfig, ParallelIo, Redundancy, StripePolicy, WritePolicy,
+    FileService, FileServiceConfig, LeaseParams, ParallelIo, Redundancy, StripePolicy, WritePolicy,
 };
 use rhodos_net::NetConfig;
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
@@ -150,7 +150,10 @@ pub fn striped_transaction_service(ndisks: usize, chunk_blocks: u64) -> Transact
 }
 
 /// A file service with every cache disabled (the "Bullet-server" baseline
-/// of E8) — or with defaults when `caches` is true.
+/// of E8) — or with defaults when `caches` is true. Its lease term
+/// outlives the run, as E22's does: E8 measures cache levels, and a
+/// half-term renewal riding on simulated time would count round trips
+/// that differ between the arms.
 pub fn file_service_with_caches(caches: bool) -> FileService {
     let disks = if caches {
         vec![disk_service(DiskServiceConfig::default())]
@@ -162,6 +165,9 @@ pub fn file_service_with_caches(caches: bool) -> FileService {
         FileServiceConfig {
             cache_blocks: if caches { 256 } else { 0 },
             write_policy: WritePolicy::DelayedWrite,
+            lease: LeaseParams {
+                term_us: 600_000_000,
+            },
             ..Default::default()
         },
     )

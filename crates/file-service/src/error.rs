@@ -32,9 +32,9 @@ pub enum FileServiceError {
     DirectoryFull,
     /// An on-disk structure failed to decode (corruption).
     Corrupt(FileId),
-    /// A writeback presented a dead lease token: the lease expired
-    /// unanswered (the client was fenced) or was superseded. The client
-    /// must drop its delegated state and re-read.
+    /// A writeback presented a dead lease token: a recall the client
+    /// did not answer fenced it, or it was superseded. The client must
+    /// drop its delegated state and re-read.
     LeaseFenced(FileId),
     /// A lease request could not be honoured (stale epoch, closed
     /// reattach window, or lost an HLC race to a competing claim).

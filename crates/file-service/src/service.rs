@@ -596,8 +596,8 @@ impl FileService {
     /// # Errors
     ///
     /// As [`Self::write`]; [`FileServiceError::LeaseFenced`] if the token
-    /// is dead — the lease expired unanswered, was superseded, or belongs
-    /// to a pre-crash epoch. No run is applied then.
+    /// is dead — a recall fenced it, it was superseded, or it belongs to
+    /// a pre-crash epoch. No run is applied then.
     pub fn write_vectored(
         &mut self,
         fid: FileId,
@@ -605,7 +605,7 @@ impl FileService {
         runs: &[(u64, BlockBuf)],
     ) -> Result<(), FileServiceError> {
         if let Some(token) = token {
-            if !self.lease.validate(token, self.clock.now_us(), true) {
+            if !self.lease.validate(token, true) {
                 self.lease.note_fenced_writeback();
                 return Err(FileServiceError::LeaseFenced(fid));
             }
@@ -982,7 +982,7 @@ impl FileService {
         self.flush_file(fid)
     }
 
-    /// Extends a live lease by one term.
+    /// Extends a lease the server still holds, lapsed or not, by one term.
     ///
     /// # Errors
     ///

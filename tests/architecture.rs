@@ -478,3 +478,23 @@ fn the_lease_rules_have_one_owner_per_side() {
     }
     assert_eq!((server, client), (3, 1), "found the owners");
 }
+
+/// One client cache policy: leases are the default, so every `Facility`
+/// machine caches under a lease, and a second machine reads the bytes a
+/// first one still buffers — its read recalls them.
+#[test]
+fn every_facility_machine_caches_under_a_lease() {
+    use rhodos_agent::LeaseConfig;
+    assert_eq!(LeaseConfig::default(), LeaseConfig::Auto);
+    let mut facility = Facility::builder().machines(2).build().unwrap();
+    let name = AttributedName::parse("name=shared,type=probe").unwrap();
+    let writer = facility.machine_mut(0).file_agent_mut();
+    writer.create(&name).unwrap();
+    let od = writer.open(&name).unwrap();
+    writer.write(od, b"buffered at machine 0").unwrap();
+    let reader = facility.machine_mut(1).file_agent_mut();
+    let od = reader.open(&name).unwrap();
+    assert_eq!(reader.pread(od, 0, 64).unwrap(), b"buffered at machine 0");
+    assert!(reader.held_leases() > 0, "the read is served under a lease");
+    assert_eq!(facility.machine_mut(0).file_agent_mut().stats().recalls, 1);
+}

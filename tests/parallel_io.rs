@@ -490,19 +490,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Whatever the client cache holds — one block, two, seven, or the
-    /// whole working set — and whichever policy moves the bytes, every
-    /// read returns the model's bytes and the server ends up holding the
-    /// model: the cached arms agree with `Never`, which sends each whole
-    /// span in one RPC and caches nothing.
+    /// whole working set — every read returns the model's bytes and the
+    /// server ends up holding the model: the leased cache agrees with
+    /// `Never`, which sends each whole span in one RPC and caches nothing.
     #[test]
     fn vectored_exchanges_match_the_byte_model(script in agent_scripts()) {
         for redundancy in [Redundancy::None, Redundancy::Parity { k: 3, m: 1 }] {
             let reference = run_script(&script, redundancy, LeaseConfig::Never, 1);
-            for lease in [LeaseConfig::Auto, LeaseConfig::Trusting] {
-                for cache_blocks in [1, 2, 7, 128] {
-                    let held = run_script(&script, redundancy, lease, cache_blocks);
-                    prop_assert!(held == reference, "{:?} {:?} {}", redundancy, lease, cache_blocks);
-                }
+            for cache_blocks in [1, 2, 7, 128] {
+                let held = run_script(&script, redundancy, LeaseConfig::Auto, cache_blocks);
+                prop_assert!(held == reference, "{:?} {}", redundancy, cache_blocks);
             }
         }
     }
@@ -553,25 +550,23 @@ fn server_rmw_sees_the_block_its_own_write_just_evicted() {
 /// ones, not the server's.
 #[test]
 fn agent_rmw_sees_the_block_its_own_write_just_evicted() {
-    for lease in [LeaseConfig::Auto, LeaseConfig::Trusting] {
-        let (mut a, server) = agent_on(small_pool_server(Redundancy::None, 4), lease, 4);
-        let name = AttributedName::parse("name=tail").unwrap();
-        let fid = a.create(&name).unwrap();
-        let od = a.open(&name).unwrap();
-        let mut model = pattern(6 * BLOCK_SIZE, 0x11);
-        a.pwrite(od, 0, &model).unwrap();
-        a.close(od).unwrap();
-        let od = a.open(&name).unwrap();
-        let patch = pattern(1000, 0x22);
-        a.pwrite(od, 5 * BLOCK_SIZE as u64 + 2000, &patch).unwrap();
-        model[5 * BLOCK_SIZE + 2000..][..1000].copy_from_slice(&patch);
-        let wide = pattern(4 * BLOCK_SIZE + 100, 0x33);
-        a.pwrite(od, BLOCK_SIZE as u64, &wide).unwrap();
-        model[BLOCK_SIZE..][..wide.len()].copy_from_slice(&wide);
-        assert!(a.pread(od, 0, model.len()).unwrap() == model, "{lease:?}");
-        a.close(od).unwrap();
-        assert!(at_server(&server, fid) == model, "{lease:?}: at the server");
-    }
+    let (mut a, server) = agent_on(small_pool_server(Redundancy::None, 4), LeaseConfig::Auto, 4);
+    let name = AttributedName::parse("name=tail").unwrap();
+    let fid = a.create(&name).unwrap();
+    let od = a.open(&name).unwrap();
+    let mut model = pattern(6 * BLOCK_SIZE, 0x11);
+    a.pwrite(od, 0, &model).unwrap();
+    a.close(od).unwrap();
+    let od = a.open(&name).unwrap();
+    let patch = pattern(1000, 0x22);
+    a.pwrite(od, 5 * BLOCK_SIZE as u64 + 2000, &patch).unwrap();
+    model[5 * BLOCK_SIZE + 2000..][..1000].copy_from_slice(&patch);
+    let wide = pattern(4 * BLOCK_SIZE + 100, 0x33);
+    a.pwrite(od, BLOCK_SIZE as u64, &wide).unwrap();
+    model[BLOCK_SIZE..][..wide.len()].copy_from_slice(&wide);
+    assert!(a.pread(od, 0, model.len()).unwrap() == model);
+    a.close(od).unwrap();
+    assert!(at_server(&server, fid) == model, "at the server");
 }
 
 /// Invariant 2, server tier: one request larger than the pool that
@@ -612,11 +607,7 @@ fn a_key_evicted_twice_in_one_request_keeps_its_last_version() {
 /// versions ride one exchange and the later one wins.
 #[test]
 fn a_pwrite_that_re_evicts_its_own_block_pushes_the_last_version() {
-    let (mut a, server) = agent_on(
-        small_pool_server(Redundancy::None, 4),
-        LeaseConfig::Trusting,
-        2,
-    );
+    let (mut a, server) = agent_on(small_pool_server(Redundancy::None, 4), LeaseConfig::Auto, 2);
     let name = AttributedName::parse("name=twice").unwrap();
     let fid = a.create(&name).unwrap();
     let od = a.open(&name).unwrap();

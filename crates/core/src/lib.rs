@@ -467,18 +467,25 @@ impl Facility {
         self.crash_server_at(0);
     }
 
-    /// Recovers file server `i` after a crash. Returns the redone
-    /// transactions.
+    /// Recovers file server `i` after a crash, then has every machine's
+    /// file agent re-tell it what it forgot — the machine's open files
+    /// and leases ([`FileAgent::reattach_leases`]) — so writes the
+    /// machines still buffer reach it. Returns the redone transactions.
     ///
     /// # Errors
     ///
-    /// Fails if the on-disk state is unrecoverable.
+    /// Fails if the on-disk state is unrecoverable, or a machine's open
+    /// file is gone from it.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn recover_server_at(&mut self, i: usize) -> Result<Vec<TxnId>, TxnError> {
-        self.servers[i].lock().recover()
+    pub fn recover_server_at(&mut self, i: usize) -> Result<Vec<TxnId>, AgentError> {
+        let redone = self.servers[i].lock().recover()?;
+        for m in &mut self.machines {
+            m.file_agent.reattach_leases(i)?;
+        }
+        Ok(redone)
     }
 
     /// Recovers the first file server (single-server convenience).
@@ -486,7 +493,7 @@ impl Facility {
     /// # Errors
     ///
     /// See [`Self::recover_server_at`].
-    pub fn recover_server(&mut self) -> Result<Vec<TxnId>, TxnError> {
+    pub fn recover_server(&mut self) -> Result<Vec<TxnId>, AgentError> {
         self.recover_server_at(0)
     }
 }
@@ -589,6 +596,33 @@ mod tests {
             b"survives crashes"
         );
         m.file_agent_mut().close(od).unwrap();
+    }
+
+    /// A write a machine still buffers under its lease survives a server
+    /// crash, whether its lease was live, past half its term or lapsed
+    /// when the server went down: recovery has every machine re-present
+    /// its leases, and the write reaches the server at close.
+    #[test]
+    fn a_buffered_write_survives_a_server_crash() {
+        for idle_us in [0, 1_500_000, 3_000_000] {
+            let mut c = Facility::builder().machines(2).build().unwrap();
+            let n = name("name=buffered");
+            c.machine_mut(0).file_agent_mut().create(&n).unwrap();
+            let od = c.machine_mut(0).file_agent_mut().open(&n).unwrap();
+            let agent = c.machine_mut(0).file_agent_mut();
+            agent.write(od, b"not yet pushed").unwrap();
+            c.clock().advance(idle_us);
+            c.crash_server();
+            c.recover_server().unwrap();
+            c.clock().advance(1_500_000); // past half the term
+            let agent = c.machine_mut(0).file_agent_mut();
+            agent.lseek(od, 0, 0).unwrap();
+            assert_eq!(agent.read(od, 14).unwrap(), b"not yet pushed", "{idle_us}");
+            agent.close(od).unwrap();
+            let agent = c.machine_mut(1).file_agent_mut();
+            let od = agent.open(&n).unwrap();
+            assert_eq!(agent.read(od, 14).unwrap(), b"not yet pushed", "{idle_us}");
+        }
     }
 
     #[test]

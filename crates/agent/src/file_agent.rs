@@ -18,7 +18,6 @@ use rhodos_file_service::{
 };
 use rhodos_naming::{AttributedName, NamingError, NamingService, SystemName};
 use rhodos_net::{NetConfig, NetStats, SimNetwork};
-use rhodos_simdisk::HlcClock;
 use rhodos_txn::TxnError;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -450,12 +449,7 @@ impl FileAgent {
     fn add_server_handle(&mut self, server: ServerHandle, cache_blocks: usize) {
         let i = self.servers.len();
         let clock = self.net.clock();
-        let hlc = HlcClock::new(clock.clone(), 1000 + self.machine);
-        let station = Arc::new(Mutex::new(Station::new(
-            self.machine as u64,
-            hlc,
-            cache_blocks,
-        )));
+        let station = Arc::new(Mutex::new(Station::new(self.machine as u64, cache_blocks)));
         // Decorrelate each station's recall lane from the agent's request
         // lane and from other stations.
         let cfg = NetConfig {
@@ -899,7 +893,7 @@ impl FileAgent {
             let claim = self.servers[server]
                 .lock()
                 .file_service_mut()
-                .lease_reattach(&lease.token, lease.mode, lease.stamp);
+                .lease_reattach(&lease.token, lease.mode);
             let now = self.net.clock().now_us();
             let mut st = self.stations[server].lock();
             reattached += usize::from(st.reattached(lease.token.fid, claim, now)?);

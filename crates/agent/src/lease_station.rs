@@ -3,8 +3,10 @@
 //! One station per reachable file server holds what the agent knows of
 //! that server's files — one record per file, whatever number of
 //! descriptors share it: the file's size, its blocks in the
-//! lease-protected block cache and its lease — plus the station's HLC
-//! lane and the recall endpoint the server calls back through.
+//! lease-protected block cache and its lease — plus the recall endpoint
+//! the server calls back through. A lease is known by its token; the
+//! token's grant `seq`, issued by the server and kept by a reattached
+//! grant, is all the order a claim or a recall needs.
 //!
 //! The station makes every client lease decision; the agent only makes
 //! the server calls they ask for:
@@ -44,7 +46,6 @@ use rhodos_file_service::{
     RecallTarget,
 };
 use rhodos_net::{Delivery, SimNetwork};
-use rhodos_simdisk::{HlcClock, HlcStamp};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -72,8 +73,6 @@ pub struct ClientLease {
     pub mode: LeaseMode,
     /// When the delegation lapses (shared virtual clock).
     pub expiry_us: u64,
-    /// The grant's HLC stamp (identity for reattach races).
-    pub stamp: HlcStamp,
     /// Grant term, for the renew-at-half-term heuristic.
     pub term_us: u64,
 }
@@ -101,8 +100,6 @@ pub struct StationStats {
 pub struct Station {
     /// This station's client id (the agent's machine number).
     pub client: u64,
-    /// The station's HLC lane.
-    pub hlc: HlcClock,
     /// Lease-protected block cache.
     pub cache: BlockCache,
     /// Leases held, by file.
@@ -125,11 +122,10 @@ pub struct Station {
 }
 
 impl Station {
-    /// A fresh station for `client` stamping on `hlc`.
-    pub fn new(client: u64, hlc: HlcClock, cache_blocks: usize) -> Self {
+    /// A fresh station for `client`.
+    pub fn new(client: u64, cache_blocks: usize) -> Self {
         Self {
             client,
-            hlc,
             cache: BlockCache::new(cache_blocks.max(1)),
             leases: HashMap::new(),
             sizes: HashMap::new(),
@@ -190,13 +186,12 @@ impl Station {
     pub fn renewed(
         &mut self,
         fid: FileId,
-        reply: Result<(u64, HlcStamp), FileServiceError>,
+        reply: Result<u64, FileServiceError>,
     ) -> Result<bool, FileServiceError> {
-        let (expiry_us, stamp) = match reply {
-            Ok(renewal) => renewal,
+        let expiry_us = match reply {
+            Ok(expiry_us) => expiry_us,
             Err(e) => return self.refused(fid, e),
         };
-        self.hlc.observe(stamp);
         if let Some(l) = self.leases.get_mut(&fid) {
             l.expiry_us = expiry_us;
         }
@@ -216,17 +211,14 @@ impl Station {
         }
     }
 
-    /// Holds a grant: observes its stamp and records it, with the term
-    /// it runs for from `now`.
+    /// Holds a grant: records it, with the term it runs for from `now`.
     pub fn hold(&mut self, grant: &LeaseGrant, now: u64) {
-        self.hlc.observe(grant.stamp);
         self.leases.insert(
             grant.token.fid,
             ClientLease {
                 token: grant.token,
                 mode: grant.mode,
                 expiry_us: grant.expiry_us,
-                stamp: grant.stamp,
                 term_us: grant.expiry_us.saturating_sub(now),
             },
         );
@@ -305,8 +297,8 @@ impl Station {
     /// Takes the server's answer to a reattach claim on `fid`: `true` when
     /// the grant was reconstructed (the cached blocks stay — that is the
     /// point of reattaching); `false` when the claim was rejected (window
-    /// closed, HLC race lost), which drops the lease, buffered writes and
-    /// cached blocks as fenced.
+    /// closed, fenced before the crash, a rival granted later), which
+    /// drops the lease, buffered writes and cached blocks as fenced.
     ///
     /// # Errors
     ///
@@ -347,10 +339,7 @@ impl Station {
     pub fn serve_recall(&mut self, fid: FileId, seq: u64) -> RecallAck {
         if let Some((_, runs)) = self.served.get(&fid).filter(|(s, _)| *s == seq) {
             // Retried recall (our earlier reply was lost): same answer.
-            return RecallAck {
-                runs: runs.clone(),
-                stamp: self.hlc.tick(),
-            };
+            return RecallAck { runs: runs.clone() };
         }
         // A recall for a grant we no longer (or never) hold surrenders
         // nothing.
@@ -363,10 +352,7 @@ impl Station {
         };
         self.served.insert(fid, (seq, runs.clone()));
         self.stats.recalls_served += 1;
-        RecallAck {
-            runs,
-            stamp: self.hlc.tick(),
-        }
+        RecallAck { runs }
     }
 }
 
@@ -395,7 +381,7 @@ impl RecallTarget for StationEndpoint {
         self.station.lock().client
     }
 
-    fn recall(&mut self, fid: FileId, seq: u64, stamp: HlcStamp) -> Option<RecallAck> {
+    fn recall(&mut self, fid: FileId, seq: u64) -> Option<RecallAck> {
         if !self.station.lock().responsive {
             // Partitioned client: the server pays the recall timeout.
             return None;
@@ -410,7 +396,6 @@ impl RecallTarget for StationEndpoint {
             served = true;
             let ack = {
                 let mut st = self.station.lock();
-                st.hlc.observe(stamp);
                 (1..copies).for_each(|_| drop(st.serve_recall(fid, seq)));
                 st.serve_recall(fid, seq)
             };
@@ -431,6 +416,8 @@ impl RecallTarget for StationEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rhodos_file_service::{LeaseManager, LeaseParams};
+    use rhodos_net::NetConfig;
     use rhodos_simdisk::SimClock;
 
     fn grant(st: &mut Station, fid: FileId, seq: u64) {
@@ -446,23 +433,26 @@ mod tests {
                 token,
                 mode: LeaseMode::Write,
                 expiry_us: u64::MAX,
-                stamp: st.hlc.tick(),
                 term_us: 2_000_000,
             },
         );
     }
 
+    fn block(value: u8) -> BlockBuf {
+        let mut block = BlockBuf::zeroed(BLOCK_SIZE);
+        block.make_mut()[0] = value;
+        block
+    }
+
     #[test]
     fn served_replies_stay_bounded_by_the_file_count_and_retries_replay() {
-        let mut st = Station::new(1, HlcClock::new(SimClock::new(), 1001), 16);
+        let mut st = Station::new(1, 16);
         // 10 000 write -> conflicting-open cycles over 4 files: each one
         // is a fresh write grant, a buffered block, and its recall.
         for seq in 1..=10_000u64 {
             let fid = FileId(seq % 4);
             grant(&mut st, fid, seq);
-            let mut block = BlockBuf::zeroed(BLOCK_SIZE);
-            block.make_mut()[0] = seq as u8;
-            let _ = st.cache.insert((fid, 0), block, true);
+            let _ = st.cache.insert((fid, 0), block(seq as u8), true);
             st.sizes.insert(fid, BLOCK_SIZE as u64);
             let ack = st.serve_recall(fid, seq);
             assert_eq!(ack.runs.len(), 1);
@@ -476,5 +466,70 @@ mod tests {
             assert!(st.served.len() <= 4, "served grew to {}", st.served.len());
         }
         assert_eq!(st.stats.recalls_served, 10_000, "retries are not recounted");
+    }
+
+    /// A push no lease covers is fenced: the blocks taken out for it and
+    /// everything the file still buffers are dropped and counted, and
+    /// another file's buffer is left alone.
+    #[test]
+    fn a_push_with_no_lease_is_fenced_and_drops_the_files_whole_buffer() {
+        let mut st = Station::new(1, 16);
+        let (fid, other) = (FileId(5), FileId(6));
+        // Two blocks taken out for a push; one more still buffered.
+        let pushed = [((fid, 0), block(1)), ((fid, 1), block(2))];
+        let _ = st.cache.insert((fid, 2), block(3), true);
+        let _ = st.cache.insert((other, 0), block(4), true);
+        let err = st.push(fid).unwrap_err();
+        assert!(matches!(err, FileServiceError::LeaseFenced(f) if f == fid));
+        st.unpushed(fid, &pushed, &err);
+        assert_eq!(st.stats.fenced_drops, 3);
+        assert!(st.cache.peek(&(fid, 2)).is_none());
+        assert_eq!(st.cache.dirty_blocks(), 1, "the other file keeps its block");
+    }
+
+    /// A write lease reattached after a crash keeps its grant `seq`, which
+    /// no grant before it had: a rival's recall of it surrenders the bytes
+    /// buffered under it, not a replay of the reply the station gave an
+    /// earlier recall of the file.
+    #[test]
+    fn a_recall_of_a_reattached_lease_surrenders_its_buffered_bytes() {
+        let clock = SimClock::new();
+        let mut mgr = LeaseManager::new(clock.clone(), LeaseParams::default());
+        let station = Arc::new(Mutex::new(Station::new(1, 16)));
+        let net = SimNetwork::new(clock.clone(), NetConfig::in_process());
+        mgr.attach(Box::new(StationEndpoint::new(station.clone(), net)));
+        let fid = FileId(5);
+        let write_under = |grant: &LeaseGrant, value: u8| {
+            let mut st = station.lock();
+            st.hold(grant, clock.now_us());
+            st.grow(fid, BLOCK_SIZE as u64);
+            let _ = st.cache.insert((fid, 0), block(value), true);
+        };
+        // A first delegation, recalled by client 2: the station keeps the
+        // reply for a retry.
+        let (first, _) = mgr.acquire(1, fid, LeaseMode::Write);
+        write_under(&first, 1);
+        let (rival, acks) = mgr.acquire(2, fid, LeaseMode::Write);
+        assert_eq!(acks[0].runs[0].1[0], 1);
+        mgr.release(&rival.token);
+        // A crash, then a second delegation that buffers newer bytes
+        // across another crash.
+        mgr.server_crashed(clock.now_us());
+        let (second, _) = mgr.acquire(1, fid, LeaseMode::Write);
+        write_under(&second, 2);
+        mgr.server_crashed(clock.now_us());
+        let claims = station.lock().reattach_claims();
+        let claim = mgr.reattach(clock.now_us(), &claims[0].token, claims[0].mode);
+        let claim = claim.ok_or(FileServiceError::LeaseRejected(fid));
+        assert!(station
+            .lock()
+            .reattached(fid, claim, clock.now_us())
+            .unwrap());
+        assert_eq!(station.lock().leases[&fid].token.seq, second.token.seq);
+        let (_, acks) = mgr.acquire(2, fid, LeaseMode::Write);
+        assert_eq!(acks.len(), 1);
+        assert_eq!(acks[0].runs.len(), 1);
+        assert_eq!(acks[0].runs[0].1[0], 2, "the bytes buffered now");
+        assert_eq!(station.lock().stats.fenced_drops, 0);
     }
 }

@@ -5,7 +5,7 @@
 //! seed reproduction's client cache was blind trust: safe only while one
 //! process owned a file. The lease subsystem (PR 7) makes that caching
 //! coherent: time-bounded read/write delegations, recall on conflicting
-//! open, HLC-stamped grant ordering, fencing of silent holders.
+//! open, grant-sequence ordering, fencing of silent holders.
 //!
 //! This experiment drives real [`FileAgent`]s over one shared server
 //! under two working sets:

@@ -101,10 +101,11 @@ impl DecisionLog {
     pub fn recover(&mut self) -> BTreeSet<u64> {
         let mut out = BTreeSet::new();
         let mut i = 0;
-        while i + 9 <= self.durable && self.buf[i] == DECISION_MAGIC {
-            out.insert(u64::from_le_bytes(
-                self.buf[i + 1..i + 9].try_into().expect("8 bytes"),
-            ));
+        while i + 9 <= self.durable {
+            let Some(&[DECISION_MAGIC, a, b, c, d, e, f, g, h]) = self.buf.get(i..i + 9) else {
+                break;
+            };
+            out.insert(u64::from_le_bytes([a, b, c, d, e, f, g, h]));
             i += 9;
         }
         self.buf.truncate(i);

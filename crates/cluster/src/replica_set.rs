@@ -406,7 +406,7 @@ fn copy_divergent_sectors(src: &mut SimDisk, dst: &mut SimDisk) -> Result<u64, C
         // `sector_faulty` resolves the target's spare-sector remap, so a
         // re-failed spare is recognised as divergent too.
         let needs_copy = dst.sector_faulty(s)
-            || src.peek_sector(s).expect("in range") != dst.peek_sector(s).expect("in range");
+            || src.peek_sector(s).map_err(disk_err)? != dst.peek_sector(s).map_err(disk_err)?;
         if needs_copy {
             match runs.last_mut() {
                 Some((start, len)) if *start + *len == s => *len += 1,
@@ -638,7 +638,7 @@ mod tests {
             c.call_all(0, &write(b"stale", grant.token)),
             Err(ClusterError::File(FileServiceError::LeaseFenced(fid)))
         );
-        let reattach = Request::LeaseReattach(grant.token, grant.mode, grant.stamp);
+        let reattach = Request::LeaseReattach(grant.token, grant.mode);
         let reply = c.call_all(0, &reattach).unwrap();
         let again = decode_grant(&mut Decoder::new(&reply)).unwrap();
         assert_eq!(again.token.epoch, grant.token.epoch + 1);

@@ -20,16 +20,17 @@
 //!   a recall waits for a silent holder (Gray & Cheriton, SOSP 1989);
 //!   a lapsed grant no rival has fenced still validates and renews, so
 //!   an idle holder keeps its buffered writes.
-//! * Grants, recalls and renewals are stamped by a hybrid logical
-//!   clock ([`HlcClock`]), so races under lossy delivery resolve the
-//!   same way on every node that ever learns of both stamps.
+//! * A grant's place in time is its sequence number `seq`: only the
+//!   server issues one, never twice, and a reattached grant keeps it. All
+//!   the grants a server judges are its own, so their order needs no
+//!   clock.
 //! * Lease state is *soft*: a server crash wipes the table and bumps the
 //!   **epoch**. Clients reconstruct the grant set by reattaching their
 //!   old grants, lapsed ones too, during a reattach window one term long;
-//!   conflicting write reattach claims are resolved by HLC order (latest
-//!   stamp wins). The one record a crash keeps is the stamp of each
-//!   file's newest dead grant, so a claim the server fenced before the
-//!   crash is refused after it.
+//!   conflicting write reattach claims are resolved by grant order (the
+//!   later `seq` wins). What a crash keeps is the epoch, the sequence
+//!   counter and the `seq` of each file's newest dead grant, so a claim
+//!   the server fenced before the crash is refused after it.
 //!
 //! [`LeaseManager`] owns every server-side rule: the grant table, the
 //! recall endpoints and the whole recall round ([`LeaseManager::acquire`]:
@@ -41,7 +42,7 @@
 
 use crate::attrs::FileId;
 use rhodos_buf::BlockBuf;
-use rhodos_simdisk::{HlcClock, HlcStamp, SimClock};
+use rhodos_simdisk::SimClock;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -65,7 +66,8 @@ pub struct LeaseToken {
     pub fid: FileId,
     /// The server epoch the grant belongs to.
     pub epoch: u64,
-    /// Grant sequence number, unique within the epoch.
+    /// Grant sequence number, in grant order: never reused; kept by a
+    /// reattached grant.
     pub seq: u64,
 }
 
@@ -78,16 +80,11 @@ pub struct LeaseGrant {
     pub mode: LeaseMode,
     /// Virtual time at which the delegation lapses unless renewed.
     pub expiry_us: u64,
-    /// HLC stamp of the grant event.
-    pub stamp: HlcStamp,
 }
 
 /// How long a recall waits for the holder before giving up and waiting
 /// the holder's lease out instead, virtual microseconds.
 const RECALL_TIMEOUT_US: u64 = 300_000;
-
-/// HLC node id of a server's stamp lane.
-const HLC_NODE: u32 = 0;
 
 /// Tunables for the lease subsystem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,8 +119,8 @@ pub struct LeaseStats {
     /// Grants reconstructed from client reattach after a crash.
     pub reattaches: u64,
     /// Reattach claims rejected (window closed, stale epoch, fenced
-    /// before the crash, no longer held, or lost an HLC race against a
-    /// competing claim).
+    /// before the crash, no longer held, or lost to a competing claim
+    /// granted later).
     pub reattach_rejected: u64,
     /// Current server epoch (bumped by every crash).
     pub epoch: u64,
@@ -131,14 +128,12 @@ pub struct LeaseStats {
 
 /// What a recalled holder hands back: its buffered delayed writes, as
 /// byte runs already cut at the file size its delegation grew the file
-/// to, and its HLC stamp of the surrender.
+/// to.
 #[derive(Debug, Clone)]
 pub struct RecallAck {
     /// `(byte offset, bytes)` runs buffered under the write delegation,
     /// ready to write as they are. Empty for read leases.
     pub runs: Vec<(u64, BlockBuf)>,
-    /// The holder's HLC stamp of the surrender.
-    pub stamp: HlcStamp,
 }
 
 /// A recall endpoint: how the server reaches one client station.
@@ -150,7 +145,7 @@ pub trait RecallTarget: Send {
     /// The client id this endpoint serves.
     fn client_id(&self) -> u64;
     /// Asks the holder to surrender its grant `seq` on `fid`.
-    fn recall(&mut self, fid: FileId, seq: u64, stamp: HlcStamp) -> Option<RecallAck>;
+    fn recall(&mut self, fid: FileId, seq: u64) -> Option<RecallAck>;
 }
 
 /// Registered recall endpoints, owned by the [`LeaseManager`] that runs
@@ -192,7 +187,6 @@ struct GrantEntry {
     seq: u64,
     mode: LeaseMode,
     expiry_us: u64,
-    stamp: HlcStamp,
 }
 
 /// A grant that must be surrendered before a new acquire can proceed.
@@ -216,16 +210,15 @@ pub struct LeaseManager {
     params: LeaseParams,
     /// The shared virtual clock the recall round waits on.
     clock: SimClock,
-    hlc: HlcClock,
     epoch: u64,
     next_seq: u64,
     grants: HashMap<FileId, Vec<GrantEntry>>,
     reattach_until: u64,
-    /// The stamp of each file's newest grant that was fenced, or lost a
-    /// reattach race: a claim stamped no later is dead. The one lease
-    /// record a crash keeps — a server writes it to stable storage, and
-    /// only a silent holder or a claim race costs that write.
-    dead: HashMap<FileId, HlcStamp>,
+    /// The `seq` of each file's newest grant that was fenced, or lost a
+    /// reattach race: a claim granted no later is dead. Kept across a
+    /// crash with the epoch and `next_seq` — a server writes it to stable
+    /// storage, and only a silent holder or a claim race costs that write.
+    dead: HashMap<FileId, u64>,
     stats: LeaseStats,
     /// Recall endpoints, one per client station.
     targets: RecallRegistry,
@@ -235,7 +228,6 @@ impl LeaseManager {
     /// Creates an empty lease table.
     pub fn new(clock: SimClock, params: LeaseParams) -> Self {
         Self {
-            hlc: HlcClock::new(clock.clone(), HLC_NODE),
             clock,
             params,
             epoch: 0,
@@ -264,11 +256,6 @@ impl LeaseManager {
     /// Counter snapshot.
     pub fn stats(&self) -> LeaseStats {
         self.stats
-    }
-
-    /// Stamps and merges an incoming client stamp into the server lane.
-    pub fn observe(&mut self, remote: HlcStamp) -> HlcStamp {
-        self.hlc.observe(remote)
     }
 
     /// Registers the recall endpoint of a client station (replacing any
@@ -314,12 +301,11 @@ impl LeaseManager {
     /// out.
     fn recall(&mut self, fid: FileId, pending: PendingRecall) -> Option<RecallAck> {
         self.stats.recalls += 1;
-        let stamp = self.hlc.tick();
         let target = self.targets.get_mut(pending.client);
         let reachable = target.is_some();
-        let ack = target.and_then(|t| t.recall(fid, pending.seq, stamp));
+        let ack = target.and_then(|t| t.recall(fid, pending.seq));
         match &ack {
-            Some(ack) => self.complete_recall(fid, pending.client, pending.seq, ack.stamp),
+            Some(_) => self.complete_recall(fid, pending.client, pending.seq),
             None => {
                 if reachable {
                     self.clock.advance(RECALL_TIMEOUT_US);
@@ -374,14 +360,12 @@ impl LeaseManager {
         entries.retain(|g| g.client != client);
         self.next_seq += 1;
         let seq = self.next_seq;
-        let stamp = self.hlc.tick();
         let expiry_us = now + self.params.term_us;
         entries.push(GrantEntry {
             client,
             seq,
             mode,
             expiry_us,
-            stamp,
         });
         self.stats.granted += 1;
         Ok(LeaseGrant {
@@ -393,7 +377,6 @@ impl LeaseManager {
             },
             mode,
             expiry_us,
-            stamp,
         })
     }
 
@@ -417,8 +400,7 @@ impl LeaseManager {
     }
 
     /// Removes the grant a recall target acknowledged surrendering.
-    fn complete_recall(&mut self, fid: FileId, client: u64, seq: u64, remote: HlcStamp) {
-        self.hlc.observe(remote);
+    fn complete_recall(&mut self, fid: FileId, client: u64, seq: u64) {
         if let Some(entries) = self.grants.get_mut(&fid) {
             entries.retain(|g| !(g.client == client && g.seq == seq));
         }
@@ -427,24 +409,22 @@ impl LeaseManager {
 
     /// Fences a grant whose holder did not answer the recall: the entry
     /// is dropped once its expiry has passed, killing the token, and its
-    /// stamp is kept as the file's newest dead grant.
+    /// `seq` is kept as the file's newest dead grant.
     pub fn fence(&mut self, fid: FileId, client: u64, seq: u64) {
         if let Some(entries) = self.grants.get_mut(&fid) {
             if let Some(i) = entries
                 .iter()
                 .position(|g| g.client == client && g.seq == seq)
             {
-                bury(&mut self.dead, fid, entries.remove(i).stamp);
+                bury(&mut self.dead, fid, entries.remove(i).seq);
             }
         }
         self.stats.recall_timeouts += 1;
-        // The fencing decision is an event on the server's HLC lane.
-        self.hlc.tick();
     }
 
-    /// The stamp of `fid`'s newest dead grant — fenced, or the loser of
-    /// a reattach race — if any: no claim stamped no later is taken.
-    pub fn dead_stamp(&self, fid: FileId) -> Option<HlcStamp> {
+    /// The `seq` of `fid`'s newest dead grant — fenced, or the loser of
+    /// a reattach race — if any: no claim granted no later is taken.
+    pub fn dead_seq(&self, fid: FileId) -> Option<u64> {
         self.dead.get(&fid).copied()
     }
 
@@ -453,7 +433,7 @@ impl LeaseManager {
     ///
     /// Returns the new expiry, or `None` if the token is dead (the
     /// client must re-acquire).
-    pub fn renew(&mut self, token: &LeaseToken, now: u64) -> Option<(u64, HlcStamp)> {
+    pub fn renew(&mut self, token: &LeaseToken, now: u64) -> Option<u64> {
         if !self.validate(token, false) {
             return None;
         }
@@ -465,7 +445,7 @@ impl LeaseManager {
             .expect("validated");
         g.expiry_us = expiry_us;
         self.stats.renewals += 1;
-        Some((expiry_us, self.hlc.tick()))
+        Some(expiry_us)
     }
 
     /// Releases a grant. Idempotent: releasing a dead token is a no-op.
@@ -483,7 +463,10 @@ impl LeaseManager {
     }
 
     /// A server crash: every grant is forgotten, the epoch is bumped and
-    /// a reattach window one term long opens at `now`.
+    /// a reattach window one term long opens at `now`. The epoch, the
+    /// sequence counter and each file's newest dead grant are kept, as a
+    /// server keeps them on stable storage: a grant issued after the crash
+    /// is ordered after every grant issued before it.
     pub fn server_crashed(&mut self, now: u64) {
         self.grants.clear();
         self.epoch += 1;
@@ -504,21 +487,22 @@ impl LeaseManager {
     /// A claim of the current epoch (the server did not crash) is
     /// confirmed as a renewal while the server still holds the grant.
     /// Otherwise it is accepted iff it is from exactly the previous
-    /// epoch, the window is still open, and it is stamped later than the
-    /// file's newest dead grant ([`Self::dead_stamp`]): a grant the server
-    /// fenced before the crash stays dead. Competing *write* claims on the
+    /// epoch, the window is still open, its `seq` is one the server has
+    /// issued, and it was granted later than the file's newest dead grant
+    /// ([`Self::dead_seq`]): a grant the server fenced before the crash
+    /// stays dead. Competing *write* claims on the
     /// same file (two clients both believe they held the write lease —
-    /// possible when a recall exchange raced the crash) resolve by HLC
-    /// order: the latest grant stamp wins, the earlier claim is rejected.
+    /// possible when a recall exchange raced the crash) resolve by grant
+    /// order: the later `seq` wins, the earlier claim is rejected. The
+    /// reconstructed grant keeps the claim's `seq` under the new epoch.
     pub fn reattach(
         &mut self,
         now: u64,
         token: &LeaseToken,
         mode: LeaseMode,
-        grant_stamp: HlcStamp,
     ) -> Option<LeaseGrant> {
         if token.epoch == self.epoch {
-            let Some((expiry_us, _)) = self.renew(token, now) else {
+            let Some(expiry_us) = self.renew(token, now) else {
                 self.stats.reattach_rejected += 1;
                 return None;
             };
@@ -526,24 +510,24 @@ impl LeaseManager {
                 token: *token,
                 mode,
                 expiry_us,
-                stamp: grant_stamp,
             });
         }
         if token.epoch + 1 != self.epoch
             || now >= self.reattach_until
-            || self.dead_stamp(token.fid) >= Some(grant_stamp)
+            || token.seq > self.next_seq
+            || self.dead_seq(token.fid) >= Some(token.seq)
         {
             self.stats.reattach_rejected += 1;
             return None;
         }
         let entries = self.grants.entry(token.fid).or_default();
         if mode == LeaseMode::Write || entries.iter().any(|g| g.mode == LeaseMode::Write) {
-            // Cross-client conflict: keep whichever claim carries the
-            // later HLC grant stamp. Every conflicting entry is a rival —
-            // a write claim conflicts with *all* other holders, not just
-            // the first one found (stopping at the first rival let a
-            // write reattach land alongside surviving read grants,
-            // breaking single-writer across a crash).
+            // Cross-client conflict: keep whichever claim was granted
+            // later. Every conflicting entry is a rival — a write claim
+            // conflicts with *all* other holders, not just the first one
+            // found (stopping at the first rival let a write reattach
+            // land alongside surviving read grants, breaking single-writer
+            // across a crash).
             let rivals: Vec<usize> = entries
                 .iter()
                 .enumerate()
@@ -553,51 +537,39 @@ impl LeaseManager {
                 })
                 .map(|(i, _)| i)
                 .collect();
-            if rivals.iter().any(|&i| entries[i].stamp > grant_stamp) {
+            if rivals.iter().any(|&i| entries[i].seq > token.seq) {
                 self.stats.reattach_rejected += 1;
                 return None;
             }
             for &i in rivals.iter().rev() {
-                // The loser is fenced: an event on the server's HLC lane.
-                bury(&mut self.dead, token.fid, entries.remove(i).stamp);
+                bury(&mut self.dead, token.fid, entries.remove(i).seq);
                 self.stats.reattach_rejected += 1;
-                self.hlc.tick();
             }
         }
         entries.retain(|g| g.client != token.client);
-        self.next_seq += 1;
-        let seq = self.next_seq;
-        // The entry keeps the claim's *original* grant stamp — that is
-        // what competing claims are racing on; observing it only
-        // advances the server lane.
-        self.hlc.observe(grant_stamp);
         let expiry_us = now + self.params.term_us;
         entries.push(GrantEntry {
             client: token.client,
-            seq,
+            seq: token.seq,
             mode,
             expiry_us,
-            stamp: grant_stamp,
         });
         self.stats.reattaches += 1;
         Some(LeaseGrant {
             token: LeaseToken {
-                client: token.client,
-                fid: token.fid,
                 epoch: self.epoch,
-                seq,
+                ..*token
             },
             mode,
             expiry_us,
-            stamp: grant_stamp,
         })
     }
 }
 
-/// Keeps `stamp` as `fid`'s newest dead grant in `dead`, if it is newer.
-fn bury(dead: &mut HashMap<FileId, HlcStamp>, fid: FileId, stamp: HlcStamp) {
-    let newest = dead.entry(fid).or_insert(stamp);
-    *newest = (*newest).max(stamp);
+/// Keeps `seq` as `fid`'s newest dead grant in `dead`, if it is newer.
+fn bury(dead: &mut HashMap<FileId, u64>, fid: FileId, seq: u64) {
+    let newest = dead.entry(fid).or_insert(seq);
+    *newest = (*newest).max(seq);
 }
 
 #[cfg(test)]
@@ -684,14 +656,43 @@ mod tests {
         let (rival, _) = m.acquire(2, fenced, LeaseMode::Write);
         m.release(&rival.token);
         m.server_crashed(clock.now_us());
-        assert!(m
-            .reattach(clock.now_us(), &a.token, a.mode, a.stamp)
-            .is_some());
-        assert!(m
-            .reattach(clock.now_us(), &b.token, b.mode, b.stamp)
-            .is_none());
+        assert!(m.reattach(clock.now_us(), &a.token, a.mode).is_some());
+        assert!(m.reattach(clock.now_us(), &b.token, b.mode).is_none());
         assert_eq!(m.grant_set().len(), 1);
         assert_eq!(m.stats().reattach_rejected, 1);
+    }
+
+    /// A reattached grant keeps its `seq` under the new epoch, and a claim
+    /// of a `seq` the server never issued is refused: a grant issued after
+    /// the window is ordered after every claim taken. Once a rival's
+    /// recall has fenced the reattached grant, its claim after a second
+    /// crash is refused.
+    #[test]
+    fn a_reattached_grant_keeps_its_place_in_grant_order() {
+        let (clock, mut m) = mgr();
+        let f = FileId(4);
+        let g = m.try_acquire(clock.now_us(), 1, f, LeaseMode::Write);
+        let g = g.unwrap();
+        m.server_crashed(clock.now_us());
+        let forged = LeaseToken {
+            seq: g.token.seq + 1,
+            ..g.token
+        };
+        assert!(m.reattach(clock.now_us(), &forged, g.mode).is_none());
+        let kept = m.reattach(clock.now_us(), &g.token, g.mode);
+        let kept = kept.expect("inside the window");
+        assert_eq!(kept.token.seq, g.token.seq);
+        assert_eq!(kept.token.epoch, g.token.epoch + 1);
+        // Client 1 has no recall endpoint: the rival's round waits out
+        // the window and the term, then fences the reattached grant.
+        let (rival, _) = m.acquire(2, f, LeaseMode::Write);
+        assert!(clock.now_us() >= m.reattach_until());
+        assert!(rival.token.seq > kept.token.seq);
+        assert_eq!(m.dead_seq(f), Some(kept.token.seq));
+        m.release(&rival.token);
+        m.server_crashed(clock.now_us());
+        assert!(m.reattach(clock.now_us(), &kept.token, kept.mode).is_none());
+        assert!(m.grant_set().is_empty());
     }
 
     /// A claim on a server that did not crash renews the grant it still
@@ -703,14 +704,12 @@ mod tests {
         let g = m.try_acquire(clock.now_us(), 1, f, LeaseMode::Write);
         let g = g.unwrap();
         clock.advance(m.params().term_us);
-        let confirmed = m.reattach(clock.now_us(), &g.token, g.mode, g.stamp);
+        let confirmed = m.reattach(clock.now_us(), &g.token, g.mode);
         let confirmed = confirmed.expect("still held");
         assert_eq!(confirmed.token, g.token);
         assert_eq!(confirmed.expiry_us, clock.now_us() + m.params().term_us);
         m.release(&g.token);
-        assert!(m
-            .reattach(clock.now_us(), &g.token, g.mode, g.stamp)
-            .is_none());
+        assert!(m.reattach(clock.now_us(), &g.token, g.mode).is_none());
     }
 
     #[test]
@@ -721,7 +720,7 @@ mod tests {
             .try_acquire(clock.now_us(), 1, f, LeaseMode::Read)
             .unwrap();
         clock.advance(m.params().term_us / 2);
-        let (new_expiry, _) = m.renew(&g.token, clock.now_us()).unwrap();
+        let new_expiry = m.renew(&g.token, clock.now_us()).unwrap();
         assert!(new_expiry > g.expiry_us);
         clock.advance_to(g.expiry_us + 1);
         assert!(m.validate(&g.token, false));
@@ -739,7 +738,7 @@ mod tests {
         assert!(m.grant_set().is_empty());
         assert!(!m.validate(&g.token, true));
         let g2 = m
-            .reattach(clock.now_us(), &g.token, g.mode, g.stamp)
+            .reattach(clock.now_us(), &g.token, g.mode)
             .expect("inside window, previous epoch");
         assert_eq!(g2.token.epoch, 1);
         let after = m.grant_set();
@@ -764,22 +763,18 @@ mod tests {
             .unwrap();
         m.server_crashed(clock.now_us());
         m.server_crashed(clock.now_us()); // two crashes: token now two epochs old
-        assert!(m
-            .reattach(clock.now_us(), &g.token, g.mode, g.stamp)
-            .is_none());
+        assert!(m.reattach(clock.now_us(), &g.token, g.mode).is_none());
         let g2 = m
             .try_acquire(clock.now_us(), 1, f, LeaseMode::Read)
             .unwrap();
         m.server_crashed(clock.now_us());
         clock.advance(m.params().term_us + 1);
-        assert!(m
-            .reattach(clock.now_us(), &g2.token, g2.mode, g2.stamp)
-            .is_none());
+        assert!(m.reattach(clock.now_us(), &g2.token, g2.mode).is_none());
         assert_eq!(m.stats().reattach_rejected, 2);
     }
 
     #[test]
-    fn competing_write_reattach_resolves_by_hlc() {
+    fn competing_write_reattach_resolves_by_grant_order() {
         let (clock, mut m) = mgr();
         let f = FileId(3);
         let early = m
@@ -792,14 +787,14 @@ mod tests {
         let late = m
             .try_acquire(clock.now_us(), 2, f, LeaseMode::Write)
             .unwrap();
-        assert!(late.stamp > early.stamp);
+        assert!(late.token.seq > early.token.seq);
         m.server_crashed(clock.now_us());
         // The stale claim lands first; the later claim still wins.
-        m.reattach(clock.now_us(), &early.token, early.mode, early.stamp)
+        m.reattach(clock.now_us(), &early.token, early.mode)
             .expect("provisionally accepted");
         let winner = m
-            .reattach(clock.now_us(), &late.token, late.mode, late.stamp)
-            .expect("later HLC stamp wins");
+            .reattach(clock.now_us(), &late.token, late.mode)
+            .expect("later grant wins");
         assert_eq!(winner.token.client, 2);
         let set = m.grant_set();
         assert_eq!(set.len(), 1);
@@ -822,12 +817,12 @@ mod tests {
             .try_acquire(clock.now_us(), 2, f, LeaseMode::Write)
             .unwrap();
         m.server_crashed(clock.now_us());
-        // Reversed arrival order: the later-stamped claim lands first and
+        // Reversed arrival order: the later-granted claim lands first and
         // the stale claim is rejected outright.
-        m.reattach(clock.now_us(), &late.token, late.mode, late.stamp)
+        m.reattach(clock.now_us(), &late.token, late.mode)
             .expect("later claim accepted");
         assert!(m
-            .reattach(clock.now_us(), &early.token, early.mode, early.stamp)
+            .reattach(clock.now_us(), &early.token, early.mode)
             .is_none());
         assert_eq!(m.grant_set()[0].1, 2);
     }
@@ -835,7 +830,7 @@ mod tests {
     #[test]
     fn write_reattach_fences_every_rival_read() {
         // Regression: two readers reattach first, then a write claim with
-        // a later grant stamp arrives. The write must fence BOTH reads —
+        // a later grant arrives. The write must fence BOTH reads —
         // the original code stopped at the first rival, leaving a live
         // read grant alongside the exclusive write.
         let (clock, mut m) = mgr();
@@ -855,17 +850,17 @@ mod tests {
         let w = m
             .try_acquire(clock.now_us(), 1, f, LeaseMode::Write)
             .unwrap();
-        assert!(w.stamp > r2.stamp && w.stamp > r3.stamp);
+        assert!(w.token.seq > r2.token.seq && w.token.seq > r3.token.seq);
         m.server_crashed(clock.now_us());
         // Stale read claims land first and are provisionally accepted.
-        m.reattach(clock.now_us(), &r2.token, r2.mode, r2.stamp)
+        m.reattach(clock.now_us(), &r2.token, r2.mode)
             .expect("read reattach accepted");
-        m.reattach(clock.now_us(), &r3.token, r3.mode, r3.stamp)
+        m.reattach(clock.now_us(), &r3.token, r3.mode)
             .expect("read reattach accepted");
-        // The later-stamped write claim fences both.
+        // The later-granted write claim fences both.
         let winner = m
-            .reattach(clock.now_us(), &w.token, w.mode, w.stamp)
-            .expect("later HLC stamp wins");
+            .reattach(clock.now_us(), &w.token, w.mode)
+            .expect("later grant wins");
         assert_eq!(winner.mode, LeaseMode::Write);
         let set = m.grant_set();
         assert_eq!(set.len(), 1, "write lease must be exclusive: {set:?}");
@@ -874,14 +869,14 @@ mod tests {
 
     #[test]
     fn write_reattach_rejected_when_any_rival_is_later() {
-        // Mirror case: if even one surviving rival carries a later stamp,
+        // Mirror case: if even one surviving rival was granted later,
         // the write claim must be rejected and every rival kept.
         let (clock, mut m) = mgr();
         let f = FileId(9);
         let w = m
             .try_acquire(clock.now_us(), 1, f, LeaseMode::Write)
             .unwrap();
-        // Readers acquired after the write was recalled: later stamps.
+        // Readers acquired after the write was recalled: later grants.
         clock.advance(10);
         for c in m
             .try_acquire(clock.now_us(), 2, f, LeaseMode::Read)
@@ -895,15 +890,13 @@ mod tests {
         let r3 = m
             .try_acquire(clock.now_us(), 3, f, LeaseMode::Read)
             .unwrap();
-        assert!(r2.stamp > w.stamp && r3.stamp > w.stamp);
+        assert!(r2.token.seq > w.token.seq && r3.token.seq > w.token.seq);
         m.server_crashed(clock.now_us());
-        m.reattach(clock.now_us(), &r2.token, r2.mode, r2.stamp)
+        m.reattach(clock.now_us(), &r2.token, r2.mode)
             .expect("read reattach accepted");
-        m.reattach(clock.now_us(), &r3.token, r3.mode, r3.stamp)
+        m.reattach(clock.now_us(), &r3.token, r3.mode)
             .expect("read reattach accepted");
-        assert!(m
-            .reattach(clock.now_us(), &w.token, w.mode, w.stamp)
-            .is_none());
+        assert!(m.reattach(clock.now_us(), &w.token, w.mode).is_none());
         let set = m.grant_set();
         assert_eq!(set.len(), 2, "both later reads survive: {set:?}");
     }

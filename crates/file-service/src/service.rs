@@ -988,10 +988,7 @@ impl FileService {
     ///
     /// [`FileServiceError::LeaseRejected`] if the token is dead; the
     /// client must re-acquire.
-    pub fn lease_renew(
-        &mut self,
-        token: &LeaseToken,
-    ) -> Result<(u64, rhodos_simdisk::HlcStamp), FileServiceError> {
+    pub fn lease_renew(&mut self, token: &LeaseToken) -> Result<u64, FileServiceError> {
         let now = self.clock.now_us();
         self.lease
             .renew(token, now)
@@ -1004,16 +1001,15 @@ impl FileService {
     /// # Errors
     ///
     /// [`FileServiceError::LeaseRejected`] if the window has closed, the
-    /// claim's epoch is stale, or it lost an HLC race to a competitor.
+    /// claim's epoch is stale, or a competing claim was granted later.
     pub fn lease_reattach(
         &mut self,
         token: &LeaseToken,
         mode: LeaseMode,
-        grant_stamp: rhodos_simdisk::HlcStamp,
     ) -> Result<LeaseGrant, FileServiceError> {
         let now = self.clock.now_us();
         self.lease
-            .reattach(now, token, mode, grant_stamp)
+            .reattach(now, token, mode)
             .ok_or(FileServiceError::LeaseRejected(token.fid))
     }
 

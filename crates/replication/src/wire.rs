@@ -21,7 +21,7 @@ use rhodos_file_service::{
     ServiceType,
 };
 use rhodos_net::{NetConfig, ReplayCache, RpcClient, RpcExhausted, SimNetwork};
-use rhodos_simdisk::{BlockBuf, DiskError, HlcStamp, SimClock};
+use rhodos_simdisk::{BlockBuf, DiskError, SimClock};
 
 /// Reply tag: success, payload follows.
 const REPLY_OK: u8 = 0;
@@ -60,8 +60,8 @@ pub enum Request<'a> {
     /// 10 — renew a lease.
     LeaseRenew(LeaseToken),
     /// 11 — reattach a previous-epoch lease after a server crash:
-    /// `(token, mode, stamp)` of the pre-crash grant.
-    LeaseReattach(LeaseToken, LeaseMode, HlcStamp),
+    /// `(token, mode)` of the pre-crash grant.
+    LeaseReattach(LeaseToken, LeaseMode),
     /// 12 — write under a held write lease, fencing enforced:
     /// `(fid, offset, data, token)`.
     WriteLeased(FileId, u64, &'a [u8], LeaseToken),
@@ -107,9 +107,7 @@ impl<'a> Request<'a> {
             }
             Self::LeaseRelease(token) => put_token(e.u8(9), token),
             Self::LeaseRenew(token) => put_token(e.u8(10), token),
-            Self::LeaseReattach(token, mode, stamp) => {
-                put_stamp(put_token(e.u8(11), token).u8(mode_code(*mode)), *stamp)
-            }
+            Self::LeaseReattach(token, mode) => put_token(e.u8(11), token).u8(mode_code(*mode)),
             Self::WriteLeased(fid, offset, data, token) => {
                 put_token(e.u8(12).u64(fid.0).u64(*offset).bytes(data), token)
             }
@@ -151,7 +149,7 @@ impl<'a> Request<'a> {
             8 => Self::LeaseAcquire(d.u64()?, fid(d)?, mode(d)?),
             9 => Self::LeaseRelease(token(d)?),
             10 => Self::LeaseRenew(token(d)?),
-            11 => Self::LeaseReattach(token(d)?, mode(d)?, stamp(d)?),
+            11 => Self::LeaseReattach(token(d)?, mode(d)?),
             12 => Self::WriteLeased(fid(d)?, d.u64()?, d.bytes()?, token(d)?),
             13 => Self::TxnPrepare(
                 (0..d.u32()?)
@@ -223,18 +221,6 @@ fn mode(d: &mut Decoder<'_>) -> Result<LeaseMode, DecodeError> {
     })
 }
 
-fn put_stamp(e: &mut Encoder, s: HlcStamp) -> &mut Encoder {
-    e.u64(s.wall_us).u32(s.logical).u32(s.node)
-}
-
-fn stamp(d: &mut Decoder<'_>) -> Result<HlcStamp, DecodeError> {
-    Ok(HlcStamp {
-        wall_us: d.u64()?,
-        logical: d.u32()?,
-        node: d.u32()?,
-    })
-}
-
 fn put_token<'e>(e: &'e mut Encoder, t: &LeaseToken) -> &'e mut Encoder {
     e.u64(t.client).u64(t.fid.0).u64(t.epoch).u64(t.seq)
 }
@@ -249,12 +235,9 @@ fn token(d: &mut Decoder<'_>) -> Result<LeaseToken, DecodeError> {
 }
 
 fn put_grant<'e>(e: &'e mut Encoder, g: &LeaseGrant) -> &'e mut Encoder {
-    put_stamp(
-        put_token(e, &g.token)
-            .u8(mode_code(g.mode))
-            .u64(g.expiry_us),
-        g.stamp,
-    )
+    put_token(e, &g.token)
+        .u8(mode_code(g.mode))
+        .u64(g.expiry_us)
 }
 
 /// Encodes the [`Request::LeaseAcquire`] reply payload: the grant, then
@@ -277,7 +260,6 @@ pub fn decode_grant(d: &mut Decoder<'_>) -> Result<LeaseGrant, DecodeError> {
         token: token(d)?,
         mode: mode(d)?,
         expiry_us: d.u64()?,
-        stamp: stamp(d)?,
     })
 }
 
@@ -313,13 +295,8 @@ pub fn dispatch(fs: &mut FileService, req: Request<'_>) -> Result<Vec<u8>, FileS
             fs.lease_manager_mut().release(&token);
             &mut e
         }
-        Request::LeaseRenew(token) => {
-            let (expiry_us, stamp) = fs.lease_renew(&token)?;
-            put_stamp(e.u64(expiry_us), stamp)
-        }
-        Request::LeaseReattach(token, mode, stamp) => {
-            put_grant(&mut e, &fs.lease_reattach(&token, mode, stamp)?)
-        }
+        Request::LeaseRenew(token) => e.u64(fs.lease_renew(&token)?),
+        Request::LeaseReattach(token, mode) => put_grant(&mut e, &fs.lease_reattach(&token, mode)?),
         Request::WriteLeased(fid, offset, data, token) => fs
             .write_vectored(fid, Some(&token), &[(offset, BlockBuf::from(data))])
             .map(|()| &mut e)?,

@@ -52,122 +52,6 @@ impl SimClock {
     }
 }
 
-/// A hybrid-logical-clock stamp: virtual wall time plus a logical
-/// counter that breaks ties between events in the same microsecond.
-///
-/// Stamps order totally by `(wall_us, logical, node)`, so two racing
-/// lease grants — or a grant and the recall that revokes it — compare
-/// the same way on every replica regardless of message delivery order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct HlcStamp {
-    /// Virtual wall-clock component, microseconds on the shared [`SimClock`].
-    pub wall_us: u64,
-    /// Logical counter; increments when events share a microsecond.
-    pub logical: u32,
-    /// Node id of the stamping clock; final tie-breaker.
-    pub node: u32,
-}
-
-/// A hybrid logical clock lane layered over a shared [`SimClock`].
-///
-/// Each node (file server, client station) owns one `HlcClock`. Local
-/// events and message sends call [`HlcClock::tick`]; message receives
-/// call [`HlcClock::observe`] with the sender's stamp. The resulting
-/// stamps are totally ordered and consistent with causality, so
-/// grant/recall/renew races under lossy delivery resolve
-/// deterministically: whichever event carries the larger stamp wins,
-/// on every node that ever learns of both.
-///
-/// # Example
-///
-/// ```
-/// use rhodos_simdisk::{HlcClock, SimClock};
-///
-/// let clock = SimClock::new();
-/// let mut server = HlcClock::new(clock.clone(), 0);
-/// let mut client = HlcClock::new(clock.clone(), 1);
-/// let grant = server.tick();
-/// let ack = client.observe(grant);
-/// assert!(ack > grant); // receive is causally after send
-/// ```
-#[derive(Debug, Clone)]
-pub struct HlcClock {
-    clock: SimClock,
-    node: u32,
-    last: HlcStamp,
-}
-
-impl HlcClock {
-    /// Creates an HLC lane for `node` over the shared virtual clock.
-    pub fn new(clock: SimClock, node: u32) -> Self {
-        let last = HlcStamp {
-            wall_us: 0,
-            logical: 0,
-            node,
-        };
-        Self { clock, node, last }
-    }
-
-    /// The node id this lane stamps with.
-    pub fn node(&self) -> u32 {
-        self.node
-    }
-
-    /// The most recent stamp issued or observed by this lane.
-    pub fn last(&self) -> HlcStamp {
-        self.last
-    }
-
-    /// Stamps a local event or outgoing message.
-    ///
-    /// The wall component never regresses below previously seen stamps;
-    /// if virtual time has not advanced past them, the logical counter
-    /// increments instead.
-    pub fn tick(&mut self) -> HlcStamp {
-        let now = self.clock.now_us();
-        let next = if now > self.last.wall_us {
-            HlcStamp {
-                wall_us: now,
-                logical: 0,
-                node: self.node,
-            }
-        } else {
-            HlcStamp {
-                wall_us: self.last.wall_us,
-                logical: self.last.logical + 1,
-                node: self.node,
-            }
-        };
-        self.last = next;
-        next
-    }
-
-    /// Merges an incoming message's stamp and stamps the receive event.
-    ///
-    /// The result is strictly greater than both the remote stamp and
-    /// every stamp this lane issued before, preserving causal order.
-    pub fn observe(&mut self, remote: HlcStamp) -> HlcStamp {
-        let now = self.clock.now_us();
-        let wall = now.max(self.last.wall_us).max(remote.wall_us);
-        let logical = if wall == self.last.wall_us && wall == remote.wall_us {
-            self.last.logical.max(remote.logical) + 1
-        } else if wall == self.last.wall_us {
-            self.last.logical + 1
-        } else if wall == remote.wall_us {
-            remote.logical + 1
-        } else {
-            0
-        };
-        let next = HlcStamp {
-            wall_us: wall,
-            logical,
-            node: self.node,
-        };
-        self.last = next;
-        next
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,68 +85,5 @@ mod tests {
         assert_eq!(c.now_us(), 100);
         c.advance_to(200);
         assert_eq!(c.now_us(), 200);
-    }
-
-    #[test]
-    fn hlc_ticks_are_strictly_increasing_at_frozen_time() {
-        let clock = SimClock::new();
-        let mut h = HlcClock::new(clock, 3);
-        let a = h.tick();
-        let b = h.tick();
-        let c = h.tick();
-        assert!(a < b && b < c);
-        assert_eq!((b.wall_us, b.logical), (a.wall_us, a.logical + 1));
-        assert_eq!(a.node, 3);
-    }
-
-    #[test]
-    fn hlc_wall_advance_resets_logical() {
-        let clock = SimClock::new();
-        let mut h = HlcClock::new(clock.clone(), 0);
-        let a = h.tick();
-        clock.advance(10);
-        let b = h.tick();
-        assert!(b > a);
-        assert_eq!(b.wall_us, 10);
-        assert_eq!(b.logical, 0);
-    }
-
-    #[test]
-    fn hlc_observe_dominates_remote_and_local() {
-        let clock = SimClock::new();
-        let mut a = HlcClock::new(clock.clone(), 0);
-        let mut b = HlcClock::new(clock.clone(), 1);
-        let s1 = a.tick();
-        let r1 = b.observe(s1);
-        assert!(r1 > s1);
-        // A message from a node whose wall is ahead of ours drags us forward.
-        let remote = HlcStamp {
-            wall_us: 500,
-            logical: 7,
-            node: 9,
-        };
-        let r2 = b.observe(remote);
-        assert!(r2 > remote && r2 > r1);
-        assert_eq!(r2.wall_us, 500);
-        assert_eq!(r2.logical, 8);
-        // Local ticks after the merge stay ahead of the observed stamp.
-        assert!(b.tick() > remote);
-        // The other lane never saw that message, so it stays behind until told.
-        assert!(a.tick() < remote);
-    }
-
-    #[test]
-    fn hlc_node_breaks_exact_ties() {
-        let x = HlcStamp {
-            wall_us: 5,
-            logical: 2,
-            node: 1,
-        };
-        let y = HlcStamp {
-            wall_us: 5,
-            logical: 2,
-            node: 2,
-        };
-        assert!(x < y);
     }
 }

@@ -432,7 +432,9 @@ fn only_the_wire_protocol_builds_frames() {
 /// No frame can panic the transaction-aware server: outside tests, the
 /// cluster (`serve_txn` in `commit.rs`, and the master around it) names
 /// no `unreachable!` or `panic!` — a decide or a checkpoint that fails
-/// is an error reply or a `ClusterError`.
+/// is an error reply or a `ClusterError` — and neither `commit.rs` nor
+/// `replica_set.rs` names `.expect(`: a torn decision record ends the
+/// log scan, a sector out of range is a disk error.
 #[test]
 fn the_cluster_has_no_unreachable_or_panic_site() {
     let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/cluster/src");
@@ -446,6 +448,26 @@ fn the_cluster_has_no_unreachable_or_panic_site() {
         for site in ["unreachable!", "panic!"] {
             assert!(!code.contains(site), "{path:?} names `{site}`");
         }
+        if path.ends_with("commit.rs") || path.ends_with("replica_set.rs") {
+            assert!(!code.contains(".expect("), "{path:?} names `.expect(`");
+        }
+    }
+}
+
+/// A lease's place in time is the grant `seq` its server issued: outside
+/// tests, no source under `crates/` names a hybrid logical clock.
+#[test]
+fn leases_are_ordered_by_grant_sequence_alone() {
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let sources = non_test_sources(&crates);
+    assert!(
+        sources
+            .iter()
+            .any(|(path, code)| path.ends_with("lease.rs") && code.contains("pub seq: u64")),
+        "found the grant sequence"
+    );
+    for (path, code) in &sources {
+        assert!(!code.contains("Hlc"), "{path:?} names `Hlc`");
     }
 }
 

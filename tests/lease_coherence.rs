@@ -408,7 +408,7 @@ fn hot_reread_is_zero_rpc_under_a_live_lease() {
 
 /// Pinned regression for the PR 8 reattach audit: after a crash, stale
 /// claims from the previous epoch arrive in arbitrary order, and a write
-/// reattach whose grant stamp post-dates several already-reattached read
+/// reattach whose grant `seq` post-dates several already-reattached read
 /// claims must fence *all* of them. The original `LeaseManager::reattach`
 /// stopped at the first rival it found, so a second reattached reader
 /// survived alongside the freshly accepted exclusive write — two live
@@ -437,20 +437,21 @@ fn write_reattach_cannot_coexist_with_any_prior_regrant() {
     let w = m
         .try_acquire(clock.now_us(), 1, f, LeaseMode::Write)
         .unwrap();
+    assert!(w.token.seq > r2.token.seq && w.token.seq > r3.token.seq);
     m.server_crashed(clock.now_us());
     // The stale read claims land first and are (provisionally) regranted
     // in the new epoch.
     let g2 = m
-        .reattach(clock.now_us(), &r2.token, r2.mode, r2.stamp)
+        .reattach(clock.now_us(), &r2.token, r2.mode)
         .expect("read regrant");
     let g3 = m
-        .reattach(clock.now_us(), &r3.token, r3.mode, r3.stamp)
+        .reattach(clock.now_us(), &r3.token, r3.mode)
         .expect("read regrant");
-    // The write claim carries the latest HLC stamp: it must win, and it
+    // The write claim was granted last: it must win, and it
     // must fence BOTH regranted readers, not just the first.
     let winner = m
-        .reattach(clock.now_us(), &w.token, w.mode, w.stamp)
-        .expect("latest-stamped write claim wins the reattach race");
+        .reattach(clock.now_us(), &w.token, w.mode)
+        .expect("the latest-granted write claim wins the reattach race");
     assert_eq!(winner.mode, LeaseMode::Write);
     let live = m.grant_set();
     assert_eq!(

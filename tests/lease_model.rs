@@ -13,7 +13,7 @@
 //! was not seen before, up to each configuration's depth. A violation
 //! prints the shortest trace that reaches it, since breadth-first search
 //! meets short traces first. A state is fingerprinted up to renaming: write
-//! values, grant sequence numbers and HLC stamps by rank, times relative to
+//! values and grant sequence numbers by rank, times relative to
 //! the clock (every past instant alike), epochs relative to the server's.
 //!
 //! Actions: read, write (a whole block), flush and close (then reopen) at
@@ -50,7 +50,7 @@ use rhodos_file_service::{
     FileId, FileServiceError, LeaseManager, LeaseMode, LeaseParams, RecallAck, RecallTarget,
 };
 use rhodos_net::{NetConfig, SimNetwork};
-use rhodos_simdisk::{BlockBuf, HlcClock, HlcStamp, SimClock};
+use rhodos_simdisk::{BlockBuf, SimClock};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -203,14 +203,14 @@ impl RecallTarget for ModelLane {
         self.station.lock().client
     }
 
-    fn recall(&mut self, fid: FileId, seq: u64, stamp: HlcStamp) -> Option<RecallAck> {
+    fn recall(&mut self, fid: FileId, seq: u64) -> Option<RecallAck> {
         let fate = {
             let mut fates = self.fates.lock();
             fates.1 += 1;
             fates.0.pop_front().unwrap_or(Fate::Deliver)
         };
         let net = SimNetwork::new(self.clock.clone(), fate.lane());
-        StationEndpoint::new(self.station.clone(), net).recall(fid, seq, stamp)
+        StationEndpoint::new(self.station.clone(), net).recall(fid, seq)
     }
 }
 
@@ -269,8 +269,7 @@ impl World {
         let fates = Arc::new(Mutex::new((VecDeque::new(), 0)));
         let mut stations = Vec::new();
         for c in 0..cfg.clients {
-            let hlc = HlcClock::new(clock.clone(), 1000 + c as u32);
-            let mut st = Station::new(c as u64, hlc, cfg.files * cfg.blocks as usize);
+            let mut st = Station::new(c as u64, cfg.files * cfg.blocks as usize);
             for f in 0..cfg.files {
                 st.grow(fid(f), cfg.blocks * BLOCK_SIZE as u64);
             }
@@ -421,7 +420,7 @@ impl World {
                 .mgr
                 .renew(&token, now)
                 .ok_or(FileServiceError::LeaseRejected(fid(f)));
-            if let Ok((expiry, _)) = reply {
+            if let Ok(expiry) = reply {
                 self.grant_expiry.insert(token.seq, expiry);
                 self.expiry[c][f] = expiry;
             }
@@ -576,7 +575,7 @@ impl World {
             let f = lease.token.fid.0 as usize - 1;
             let claim = self
                 .mgr
-                .reattach(now, &lease.token, lease.mode, lease.stamp)
+                .reattach(now, &lease.token, lease.mode)
                 .ok_or(FileServiceError::LeaseRejected(lease.token.fid));
             if let Ok(grant) = &claim {
                 self.grant_expiry.insert(grant.token.seq, grant.expiry_us);
@@ -664,24 +663,21 @@ impl World {
             })
             .collect();
         let mut seqs: Vec<u64> = grants.iter().map(|g| g.3).collect();
-        let mut stamps = Vec::new();
         for st in &stations {
             seqs.extend(st.leases.values().map(|l| l.token.seq));
-            stamps.extend(st.leases.values().map(|l| l.stamp));
         }
         let mut values: Vec<u8> = cached.iter().flatten().flatten().copied().collect();
         values.extend(self.store.iter().flatten());
         seqs.sort_unstable();
         seqs.dedup();
-        stamps.sort_unstable();
         values.sort_unstable();
         values.dedup();
         let seq = |x: u64| seqs.partition_point(|&s| s < x) as u64;
         let value = |v: u8| values.partition_point(|&w| w < v) as u64;
         let mut head = vec![rel(self.mgr.reattach_until())];
         head.extend((0..self.cfg.files).map(|f| {
-            let dead = self.mgr.dead_stamp(fid(f));
-            dead.map_or(0, |d| stamps.partition_point(|&s| s <= d) as u64)
+            let dead = self.mgr.dead_seq(fid(f));
+            dead.map_or(0, |d| seqs.partition_point(|&s| s <= d) as u64)
         }));
         head.extend(self.store.iter().flatten().map(|&v| value(v)));
         let records: Vec<Vec<u64>> = stations
@@ -697,7 +693,6 @@ impl World {
                             l.mode as u64,
                             rel(l.expiry_us),
                             l.term_us,
-                            stamps.partition_point(|&s| s < l.stamp) as u64,
                         ]),
                         None => out.push(0),
                     }

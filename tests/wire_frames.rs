@@ -15,7 +15,7 @@ use rhodos_file_service::{
 use rhodos_replication::wire::{
     decode_reply, decode_resolved, decode_votes, encode_reply, serve, Request,
 };
-use rhodos_simdisk::{BlockBuf, DiskGeometry, HlcStamp, LatencyModel, SimClock};
+use rhodos_simdisk::{BlockBuf, DiskGeometry, LatencyModel, SimClock};
 use rhodos_txn::TransactionService;
 
 const TOKEN: LeaseToken = LeaseToken {
@@ -28,11 +28,6 @@ const TOKEN: LeaseToken = LeaseToken {
 /// One request of each variant (and both values of each two-valued
 /// code) with the bytes it must encode to, in hex.
 fn golden() -> Vec<(Request<'static>, &'static str)> {
-    let stamp = HlcStamp {
-        wall_us: 15,
-        logical: 16,
-        node: 17,
-    };
     let batch = vec![
         (
             20,
@@ -68,9 +63,8 @@ fn golden() -> Vec<(Request<'static>, &'static str)> {
             "0a0b000000000000000c000000000000000d000000000000000e00000000000000",
         ),
         (
-            Request::LeaseReattach(TOKEN, LeaseMode::Read, stamp),
-            "0b0b000000000000000c000000000000000d000000000000000e00000000000000\
-             000f000000000000001000000011000000",
+            Request::LeaseReattach(TOKEN, LeaseMode::Read),
+            "0b0b000000000000000c000000000000000d000000000000000e0000000000000000",
         ),
         (
             Request::WriteLeased(FileId(18), 19, b"lease", TOKEN),
@@ -149,7 +143,6 @@ impl Servers {
     fn frames(&self) -> Vec<Vec<u8>> {
         let fid = self.fid;
         let token = LeaseToken { fid, ..TOKEN };
-        let stamp = HlcStamp::default();
         let prepare = vec![(31, vec![(fid, 100, &b"xyz"[..])]), (32, vec![])];
         [
             Request::Create(ServiceType::Basic),
@@ -162,7 +155,7 @@ impl Servers {
             Request::LeaseAcquire(5, fid, LeaseMode::Read),
             Request::LeaseRelease(token),
             Request::LeaseRenew(token),
-            Request::LeaseReattach(token, LeaseMode::Write, stamp),
+            Request::LeaseReattach(token, LeaseMode::Write),
             Request::WriteLeased(fid, 8, b"lease", token),
             Request::TxnPrepare(prepare),
             Request::TxnDecide(31, false),
@@ -274,9 +267,9 @@ fn a_lease_acquire_frame_commits_a_recalled_delegation_as_a_transaction() {
         fn client_id(&self) -> u64 {
             1
         }
-        fn recall(&mut self, _: FileId, _: u64, stamp: HlcStamp) -> Option<RecallAck> {
+        fn recall(&mut self, _: FileId, _: u64) -> Option<RecallAck> {
             let runs = vec![(0, BlockBuf::from(&b"hello"[..]))];
-            Some(RecallAck { runs, stamp })
+            Some(RecallAck { runs })
         }
     }
     let mut servers = Servers::new();
@@ -324,7 +317,7 @@ proptest! {
             Request::LeaseAcquire(a, fid, mode),
             Request::LeaseRelease(token),
             Request::LeaseRenew(token),
-            Request::LeaseReattach(token, mode, HlcStamp { wall_us: b, logical: 1, node: 2 }),
+            Request::LeaseReattach(token, mode),
             Request::WriteLeased(fid, offset, &data, token),
             Request::TxnPrepare(vec![(a, vec![(fid, offset, &data[..])]), (b, vec![])]),
             Request::TxnDecide(a, b % 2 == 0),

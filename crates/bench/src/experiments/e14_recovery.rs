@@ -136,7 +136,9 @@ pub fn run() -> String {
         ]);
     }
 
-    // 4. Torn commit record (crash mid log write): rolled back.
+    // 4. Torn commit record (crash mid log write): rolled back. A force
+    // writes only the sectors it changes, so the record carries enough
+    // bytes to span two of them, and the crash lands between the two.
     {
         let (mut ts, fid) = fresh();
         ts.file_service_mut()
@@ -147,7 +149,7 @@ pub fn run() -> String {
         let t2 = ts.tbegin();
         ts.topen(t2, fid).unwrap();
         let r = ts
-            .twrite(t2, fid, 0, b"TORN TORN TORN TORN!")
+            .twrite(t2, fid, 0, &b"TORN TORN TORN TORN!".repeat(150))
             .and_then(|_| ts.tend(t2));
         let crashed = r.is_err();
         ts.file_service_mut().simulate_crash();

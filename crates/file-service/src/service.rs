@@ -26,7 +26,8 @@ use crate::store::FitStore;
 use crate::volume::Volume;
 use rhodos_buf::BlockBuf;
 use rhodos_disk_service::{
-    DiskService, DiskServiceStats, Extent, FragmentAddr, StablePolicy, BLOCK_SIZE, FRAGS_PER_BLOCK,
+    DiskService, DiskServiceError, DiskServiceStats, Extent, FragmentAddr, StablePolicy,
+    BLOCK_SIZE, FRAGMENT_SIZE, FRAGS_PER_BLOCK,
 };
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 use std::collections::BTreeMap;
@@ -895,6 +896,41 @@ impl FileService {
         // Evictions first: an evicted key may be rewritten by the batch.
         self.write_back_evicted(evicted, None)?;
         self.volume.write_back(&mut self.store, batch)
+    }
+
+    /// Writes whole sectors of `fid` write-through, from the file's
+    /// sector `first` on, in one scheduler pass: adjacent sectors merge
+    /// into one disk reference, and the disks keep each buffer as that
+    /// sector's copy, so each should be an allocation of its own. The
+    /// pool drops every block this touches, dirty or not, and admits none:
+    /// a file written this way lives on the platter, and a later read
+    /// fetches it from there. On the parity tier each touched block is
+    /// written whole, its other sectors read from the platter first.
+    ///
+    /// # Errors
+    ///
+    /// [`FileServiceError::Corrupt`] for a sector past the file's blocks;
+    /// [`DiskServiceError::SizeMismatch`] for a buffer that is not one
+    /// sector; disk failures.
+    pub fn write_sectors(
+        &mut self,
+        fid: FileId,
+        first: u64,
+        sectors: Vec<BlockBuf>,
+    ) -> Result<(), FileServiceError> {
+        if let Some(bad) = sectors.iter().find(|s| s.len() != FRAGMENT_SIZE) {
+            let (expected, got) = (FRAGMENT_SIZE, bad.len());
+            return Err(DiskServiceError::SizeMismatch { expected, got }.into());
+        }
+        self.store.entry(&mut self.volume, fid)?;
+        if let Some(cache) = &self.cache {
+            let end = first + sectors.len() as u64;
+            for idx in first / FRAGS_PER_BLOCK..end.div_ceil(FRAGS_PER_BLOCK) {
+                cache.invalidate(&(fid, idx));
+            }
+        }
+        self.volume
+            .write_sectors(&mut self.store, fid, first, sectors)
     }
 
     /// Swings the descriptor of logical block `idx` to a new location

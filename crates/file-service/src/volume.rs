@@ -20,7 +20,7 @@ use crate::stripe::StripePolicy;
 use rhodos_buf::BlockBuf;
 use rhodos_disk_service::{
     DiskService, DiskServiceError, Extent, FragmentAddr, ReadSource, StablePolicy, BLOCK_SIZE,
-    FRAGS_PER_BLOCK,
+    FRAGMENT_SIZE, FRAGS_PER_BLOCK,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -537,6 +537,67 @@ impl Volume {
             self.disk(d0.disk)
                 .put(extent, &joined, StablePolicy::None)?;
             i += blocks;
+        }
+        Ok(())
+    }
+
+    /// Writes whole sectors of the resident file `fid`, from its sector
+    /// `first` on, through to their homes as one [`Self::write_batch`]:
+    /// adjacent sectors merge into one reference, and
+    /// [`ParallelIo::Never`] joins each physically contiguous run into
+    /// one `put`. The parity tier needs whole units, so it writes each
+    /// touched block whole, its other sectors read from the platter (or
+    /// reconstructed, on a degraded disk) first.
+    pub(crate) fn write_sectors(
+        &mut self,
+        store: &mut FitStore,
+        fid: FileId,
+        first: u64,
+        sectors: Vec<BlockBuf>,
+    ) -> Result<(), FileServiceError> {
+        let end = first + sectors.len() as u64;
+        if self.redundancy.is_parity() {
+            let mut sectors = sectors.into_iter();
+            let mut dirty = Vec::new();
+            for idx in first / FRAGS_PER_BLOCK..end.div_ceil(FRAGS_PER_BLOCK) {
+                let d = store.home_of(self, fid, idx)?;
+                let d = d.ok_or(FileServiceError::Corrupt(fid))?;
+                let (lo, hi) = (idx * FRAGS_PER_BLOCK, (idx + 1) * FRAGS_PER_BLOCK);
+                let mut block = if first <= lo && hi <= end {
+                    vec![0; BLOCK_SIZE]
+                } else if self.lost(&d) {
+                    self.read_degraded(store, fid, idx)?
+                } else {
+                    self.get_block(d.disk, d.addr)?.to_vec()
+                };
+                for s in lo.max(first)..hi.min(end) {
+                    let at = (s - lo) as usize * FRAGMENT_SIZE;
+                    let sector = sectors.next().expect("a buffer per sector");
+                    block[at..at + FRAGMENT_SIZE].copy_from_slice(&sector);
+                }
+                dirty.push(((fid, idx), BlockBuf::from(block)));
+            }
+            return self.write_back_parity(store, dirty);
+        }
+        let mut writes: Vec<(u16, Extent, BlockBuf)> = Vec::with_capacity(sectors.len());
+        for (s, buf) in (first..end).zip(sectors) {
+            let d = store.home_of(self, fid, s / FRAGS_PER_BLOCK)?;
+            let d = d.ok_or(FileServiceError::Corrupt(fid))?;
+            writes.push((d.disk, Extent::new(d.addr + s % FRAGS_PER_BLOCK, 1), buf));
+        }
+        if self.parallel_io != ParallelIo::Never {
+            return self.write_batch(writes);
+        }
+        let mut rest = &writes[..];
+        while let Some(&(d, head, _)) = rest.first() {
+            let run = rest.iter().zip(head.start..);
+            let n = run
+                .take_while(|((e_d, e, _), at)| (*e_d, e.start) == (d, *at))
+                .count();
+            let (joined, _) = BlockBuf::join(rest[..n].iter().map(|(_, _, b)| b.clone()));
+            let extent = Extent::new(head.start, n as u64);
+            self.disk(d).put(extent, &joined, StablePolicy::None)?;
+            rest = &rest[n..];
         }
         Ok(())
     }

@@ -178,9 +178,10 @@ impl TransactionService {
     }
 
     /// Step 2 of [`Self::commit_batch`]: makes every log record appended
-    /// since the previous force durable with one write of the log's tail
-    /// — the group-commit durability point. No I/O when nothing is
-    /// pending.
+    /// since the previous force durable with one write-through of the
+    /// log's changed sectors — from the one the durable tail is in to the
+    /// one the new tail is in — the group-commit durability point. No
+    /// I/O when nothing is pending.
     ///
     /// # Errors
     ///

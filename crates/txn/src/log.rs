@@ -8,8 +8,11 @@
 //!
 //! The log is a file-service file, registered as the system file and
 //! never deleted, whose blocks are allocated *ahead of* the tail — so an
-//! append changes no metadata and a force is one write of whole blocks
-//! from the in-memory image of the tail. Its first sector is a header
+//! append changes no metadata and a force is one write-through of whole
+//! sectors from the in-memory image of the tail: those from the one the
+//! durable tail is in to the one the new tail is in, a small commit's
+//! force one sector. The log's blocks stay out of the block pool: nothing
+//! reads them back while the server runs. Its first sector is a header
 //! frame naming the current *incarnation*; the records follow as frames
 //! that each carry the incarnation and the checksum of the frame before
 //! (see [`LogRecord::frame_into`]). The tail is stored nowhere: a scan
@@ -25,6 +28,7 @@ use crate::service::{TxnId, TxnStats};
 use rhodos_buf::BlockBuf;
 use rhodos_disk_service::{BLOCK_SIZE, FRAGMENT_SIZE};
 use rhodos_file_service::{FileId, FileService, FileServiceError, ServiceType};
+use rhodos_simdisk::SECTOR_SIZE;
 
 /// The log is reset at the first quiescent moment after its tail passes
 /// this many bytes — a checkpoint first takes home every block its
@@ -52,12 +56,13 @@ const LOG_ALLOC_AHEAD: u64 = 4 * 1024 * 1024 + 512 * 1024;
 
 /// The header frame's share of the log: one sector, which the disk
 /// replaces atomically.
-const HEADER_LEN: u64 = rhodos_simdisk::SECTOR_SIZE as u64;
+const HEADER_LEN: u64 = SECTOR;
 
 /// Bytes a scan reads at a time.
 const SCAN_WINDOW: usize = 8 * BLOCK_SIZE;
 
 const BLOCK: u64 = BLOCK_SIZE as u64;
+const SECTOR: u64 = SECTOR_SIZE as u64;
 
 /// The durable intention log of one transaction service.
 #[derive(Debug)]
@@ -70,10 +75,10 @@ pub(crate) struct IntentionLog {
     chain: u32,
     /// Byte offset the next record is appended at.
     tail: u64,
-    /// The log's last bytes, from a block boundary to the tail: the
-    /// tail block and every block before it that holds unforced bytes.
-    /// A force writes it out as whole blocks, zero-padded, so the platter
-    /// is never read to append.
+    /// The log's last bytes, from a sector boundary to the tail: the
+    /// sector the durable tail is in and every sector after it. A force
+    /// writes it out as whole sectors, zero-padded, so the platter is
+    /// never read to append.
     image: Vec<u8>,
     /// Whether `image` holds bytes the platter does not.
     dirty: bool,
@@ -211,25 +216,29 @@ impl IntentionLog {
         self.release_deferred(fs)
     }
 
-    /// Writes the image through to the platter as whole blocks and keeps
-    /// the tail block's share of it.
+    /// Writes the image through to the platter as whole sectors and
+    /// keeps the tail sector's share of it. Outside the parity tier,
+    /// which writes whole blocks, no sector before the one the durable
+    /// tail is in is rewritten, so a torn force can reach durable frames
+    /// in that one sector only. A failed force leaves the image whole,
+    /// and the retry rewrites the same sectors.
     fn write_image(&mut self, fs: &mut FileService) -> Result<(), TxnError> {
         self.reserve(fs, self.tail)?;
-        // A block to an allocation: the caches below keep views of what
-        // they are handed, and a finished block must not hold on to the
-        // tail block's many rewrites.
-        let first = (self.tail - self.image.len() as u64) / BLOCK;
-        let blocks = (self.image.chunks(BLOCK_SIZE).zip(first..))
-            .map(|(chunk, idx)| {
-                let mut block = Vec::with_capacity(BLOCK_SIZE);
-                block.extend_from_slice(chunk);
-                block.resize(BLOCK_SIZE, 0);
-                (self.fid, idx, BlockBuf::from(block))
+        // A sector to an allocation: the disks keep views of what they are
+        // handed, and a finished sector must not hold on to a buffer the
+        // tail sector's later rewrites share.
+        let first = (self.tail - self.image.len() as u64) / SECTOR;
+        let sectors = (self.image.chunks(SECTOR_SIZE))
+            .map(|chunk| {
+                let mut sector = Vec::with_capacity(SECTOR_SIZE);
+                sector.extend_from_slice(chunk);
+                sector.resize(SECTOR_SIZE, 0);
+                BlockBuf::from(sector)
             })
             .collect();
-        fs.write_blocks(blocks)?;
-        let whole_blocks = self.image.len() - (self.tail % BLOCK) as usize;
-        self.image.drain(..whole_blocks);
+        fs.write_sectors(self.fid, first, sectors)?;
+        let whole_sectors = self.image.len() - (self.tail % SECTOR) as usize;
+        self.image.drain(..whole_sectors);
         self.dirty = false;
         Ok(())
     }
@@ -292,7 +301,7 @@ impl IntentionLog {
     /// The scan ends at the first frame that is not the next one of this
     /// incarnation, and appending resumes *there*, over whatever follows:
     /// a record half-written when the crash came (say, the first of its
-    /// two blocks landed and the second did not) fails its checksum and
+    /// two sectors landed and the second did not) fails its checksum and
     /// is dropped whole, and a record appended after such garbage rather
     /// than over it would be unreachable by every future scan. When what
     /// ends the scan starts like a frame but is not a whole one of an
@@ -367,7 +376,7 @@ impl IntentionLog {
             stats.log_frames_rejected += u64::from(ours);
             break;
         }
-        self.image = buf[(pos / BLOCK * BLOCK) as usize..pos as usize].to_vec();
+        self.image = buf[(pos / SECTOR * SECTOR) as usize..pos as usize].to_vec();
         self.tail = pos;
         self.dirty = false;
         Ok(records)

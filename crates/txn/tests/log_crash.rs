@@ -238,9 +238,11 @@ fn an_older_incarnation_s_frames_are_not_replayed() {
 }
 
 /// A force of two records — one ending exactly on a block boundary, one
-/// starting there — that the elevator serves last block first: the crash
-/// leaves the second record whole on the platter and the first without
-/// its head. Recovery drops both; when a record of the first one's
+/// starting there — that the elevator serves first sector last: a read
+/// left the disk head past the old tail's sector, so its rewrite waits
+/// for the sweep to wrap, and a crash after every other sector leaves
+/// the second record whole on the platter and the first without its
+/// head. Recovery drops both; when a record of the first one's
 /// length is then logged in its place, the orphan sits exactly where the
 /// next frame would, valid and of this incarnation — and must still not
 /// be replayed, because it does not follow the frame before it.
@@ -276,18 +278,24 @@ fn a_frame_that_does_not_follow_its_predecessor_is_rejected() {
         log_sectors(&mut ts)
     };
 
+    // The force writes the head's sector through the one the small record
+    // is in, at the block boundary: a crash after all but one of them,
+    // with the disk head at the log's second block.
     let (mut ts, a, b) = build();
-    let per_block = (BLOCK / SECTOR) as usize;
+    let head_sector = (head / SECTOR) as usize;
+    let fs = ts.file_service_mut();
+    let second = fs.block_descriptors(fs.system_file().unwrap()).unwrap()[1];
+    main_disk(&mut ts).read_sectors(second.addr, 1).unwrap();
     main_disk(&mut ts)
         .faults_mut()
-        .crash_after_sector_writes(2 * BLOCK / SECTOR);
+        .crash_after_sector_writes(2 * BLOCK / SECTOR - head / SECTOR);
     logged(&mut ts, a, 0, fill);
     logged(&mut ts, b, 0, 10);
     ts.flush_log().unwrap_err();
     let landed = log_sectors(&mut ts);
-    assert_eq!(landed[per_block..], written[per_block..], "blocks 1 and 2");
-    let head_sector = (head / SECTOR) as usize;
-    assert_ne!(landed[head_sector], written[head_sector], "not block 0");
+    let after_head = head_sector + 1;
+    assert_eq!(landed[after_head..], written[after_head..], "the rest");
+    assert_ne!(landed[head_sector], written[head_sector], "not the head's");
     assert_eq!(crash_and_recover(&mut ts), vec![]);
     assert_eq!(ts.stats().log_frames_rejected, 0);
 
@@ -297,6 +305,163 @@ fn a_frame_that_does_not_follow_its_predecessor_is_rejected() {
     assert_eq!(ts.durable_lsn() - before, 2 * BLOCK - head, "same length");
     assert_eq!(crash_and_recover(&mut ts), vec![again]);
     assert_eq!(ts.stats().log_frames_rejected, 1, "the orphan was met");
+}
+
+// ---- what a force writes -------------------------------------------------
+
+fn sector_writes(ts: &mut TransactionService) -> u64 {
+    main_disk(ts).stats().sector_writes
+}
+
+/// A force must write every sector that holds a byte it makes durable —
+/// those from the durable tail's to the new tail's — so a count of
+/// exactly that many leaves room for no other: no sector wholly before
+/// the durable tail's is rewritten. A small commit's force is one
+/// sector, a record across a sector boundary two, and a reset writes the
+/// header's sector alone, leaving the rest of the first block as it was.
+#[test]
+fn a_force_writes_only_the_sectors_its_bytes_are_in() {
+    let mut ts = service();
+    let fid = ts.tcreate(LockLevel::Record).unwrap();
+    ts.file_service_mut().ensure_size(fid, BLOCK).unwrap();
+    // Sectors written, and sectors the forced bytes are in (in its first
+    // incarnation the log's offsets are its LSNs).
+    let force = |ts: &mut TransactionService, len: usize| {
+        let (from, before) = (ts.durable_lsn(), sector_writes(ts));
+        let (_, commit) = logged(ts, fid, 0, len);
+        ts.flush_log().unwrap();
+        ts.complete_commit(commit).unwrap();
+        let spanned = (ts.durable_lsn() - 1) / SECTOR - from / SECTOR + 1;
+        (sector_writes(ts) - before, spanned)
+    };
+    // The header of a new log goes out with its first force.
+    ts.flush_log().unwrap();
+    assert_eq!(force(&mut ts, 100), (1, 1), "a small commit");
+    assert_eq!(force(&mut ts, 100), (1, 1), "one more in the same sector");
+    let from = ts.durable_lsn();
+    let crossing = SECTOR_SIZE - (from % SECTOR) as usize;
+    assert_eq!(force(&mut ts, crossing), (2, 2), "across a sector boundary");
+    for len in [10, 700, 3000, 5000, 8000, 50] {
+        let (written, spanned) = force(&mut ts, len);
+        assert_eq!(written, spanned, "a {len}-byte record");
+    }
+
+    ts.sync().unwrap();
+    let (before, writes) = (log_sectors(&mut ts), sector_writes(&mut ts));
+    ts.sync().unwrap();
+    assert_eq!(
+        sector_writes(&mut ts) - writes,
+        1,
+        "a reset of a clean pool"
+    );
+    let after = log_sectors(&mut ts);
+    assert_ne!(after[0], before[0], "the next incarnation's header");
+    assert_eq!(after[1..], before[1..]);
+}
+
+/// A force that starts mid-sector rewrites the sector the durable tail is
+/// in. A crash at any of its sector writes — served in address order,
+/// and with a read having left the disk head past that sector, so that
+/// it is written last — loses no commit acknowledged before the force,
+/// redoes the new record only if all of it landed, and leaves a log the
+/// next record is appended to and found in.
+#[test]
+fn crash_at_every_sector_write_of_a_force_that_starts_mid_sector() {
+    // Three acknowledged commits that never complete, so that recovery
+    // redoes each, and a durable tail inside the log's second sector.
+    let build = || {
+        let mut ts = service();
+        let fid = ts.tcreate(LockLevel::Record).unwrap();
+        ts.file_service_mut().ensure_size(fid, 2 * BLOCK).unwrap();
+        let mut acked = Vec::new();
+        for i in 0..3 {
+            acked.push(logged(&mut ts, fid, i * 1000, 300).0);
+            ts.flush_log().unwrap();
+        }
+        (ts, fid, acked)
+    };
+    for head_past in [false, true] {
+        for n in 0.. {
+            let (mut ts, fid, mut acked) = build();
+            let mid = ts.durable_lsn();
+            assert!(mid % SECTOR != 0 && mid / SECTOR == 1, "mid-sector");
+            let fs = ts.file_service_mut();
+            let old_tail =
+                fs.block_descriptors(fs.system_file().unwrap()).unwrap()[0].addr + mid / SECTOR;
+            if head_past {
+                main_disk(&mut ts).read_sectors(old_tail + 1, 1).unwrap();
+            }
+            let durable = main_disk(&mut ts).peek_sector(old_tail).unwrap().to_vec();
+            main_disk(&mut ts).faults_mut().crash_after_sector_writes(n);
+            let (torn, _) = logged(&mut ts, fid, 4000, 5000);
+            let forced = ts.flush_log();
+            let crashed = main_disk(&mut ts).faults().is_crashed();
+            if n == 1 {
+                let first = main_disk(&mut ts).peek_sector(old_tail).unwrap() != durable;
+                assert_eq!(first, !head_past, "the old tail's sector served first");
+            }
+            if forced.is_ok() {
+                acked.push(torn);
+            }
+            let at = format!("crash after {n} sectors, head past: {head_past}");
+            assert_eq!(crash_and_recover(&mut ts), acked, "{at}");
+            let (next, _) = logged(&mut ts, fid, 12_000, 50);
+            ts.flush_log().unwrap();
+            assert_eq!(crash_and_recover(&mut ts), vec![next], "{at}");
+            if !crashed {
+                assert!(n > 1, "the force wrote several sectors");
+                break;
+            }
+        }
+    }
+}
+
+/// The log's blocks stay out of the block pool: no force puts one there.
+/// The recovery scan reads the log through the pool, so a force after it
+/// drops the pooled copy of every block it rewrites, and no pooled log
+/// block differs from the platter.
+#[test]
+fn the_log_stays_out_of_the_pool() {
+    let mut ts = service();
+    let fid = ts.tcreate(LockLevel::Record).unwrap();
+    ts.file_service_mut().ensure_size(fid, BLOCK).unwrap();
+    let log = ts.file_service().system_file().unwrap();
+    let commit = |ts: &mut TransactionService, len: usize| {
+        let (_, commit) = logged(ts, fid, 0, len);
+        ts.flush_log().unwrap();
+        ts.complete_commit(commit).unwrap();
+    };
+    for len in [6000, 6000, 100] {
+        commit(&mut ts, len);
+    }
+    let pool = ts.file_service().cache_handle().unwrap();
+    let forced = ts.durable_lsn().div_ceil(BLOCK);
+    assert!(forced >= 2);
+    for idx in 0..forced {
+        assert!(!pool.contains(&(log, idx)), "a force pooled block {idx}");
+    }
+
+    crash_and_recover(&mut ts);
+    commit(&mut ts, 3000);
+    let pool = ts.file_service().cache_handle().unwrap();
+    let homes = ts.file_service_mut().block_descriptors(log).unwrap();
+    let mut pooled = 0;
+    for (idx, home) in (0..).zip(&homes) {
+        let Some(block) = pool.get(&(log, idx)) else {
+            continue;
+        };
+        pooled += 1;
+        let disk = ts
+            .file_service_mut()
+            .disk_mut(home.disk as usize)
+            .disk_mut();
+        let sectors = (0..BLOCK / SECTOR).map(|s| disk.peek_sector(home.addr + s).unwrap());
+        let platter: Vec<u8> = sectors.flat_map(<[u8]>::to_vec).collect();
+        assert!(block[..] == platter[..], "pooled log block {idx} is stale");
+    }
+    assert!(pooled > 0, "the scan pooled the log");
+    let tail_block = (ts.log_len() - 1) / BLOCK;
+    assert!(!pool.contains(&(log, tail_block)), "the forced block");
 }
 
 // ---- torn and damaged frames ---------------------------------------------

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rhodos_cluster::{Cluster, ClusterConfig};
 use rhodos_file_service::{FileId, FileService, FileServiceConfig, LockLevel, ServiceType};
 use rhodos_net::{NetConfig, ReplayCache, RpcClient, SimNetwork};
-use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
+use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock, SECTOR_SIZE};
 use rhodos_txn::{TransactionService, TxnConfig};
 
 fn service() -> TransactionService {
@@ -159,7 +159,8 @@ fn torn_log_tail_never_redoes_a_partial_commit() {
     ts.twrite(t0, fid, 0, b"stable base").unwrap();
     ts.tend(t0).unwrap();
     // Arrange a crash after 1 more sector write on disk 0 — the next
-    // commit record write will tear.
+    // commit record write will tear: a force writes only the sectors it
+    // changes, so the record carries enough bytes to span two of them.
     ts.file_service_mut()
         .disk_mut(0)
         .disk_mut()
@@ -167,9 +168,9 @@ fn torn_log_tail_never_redoes_a_partial_commit() {
         .crash_after_sector_writes(1);
     let t1 = ts.tbegin();
     ts.topen(t1, fid).unwrap();
-    let r = ts
-        .twrite(t1, fid, 0, b"torn commit")
-        .and_then(|_| ts.tend(t1));
+    let torn = b"torn commit".repeat(300);
+    assert!(torn.len() > SECTOR_SIZE, "the record spans two sectors");
+    let r = ts.twrite(t1, fid, 0, &torn).and_then(|_| ts.tend(t1));
     assert!(r.is_err(), "the injected crash must surface");
     ts.file_service_mut().simulate_crash();
     ts.recover().unwrap();

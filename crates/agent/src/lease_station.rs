@@ -496,8 +496,18 @@ mod tests {
         let clock = SimClock::new();
         let mut mgr = LeaseManager::new(clock.clone(), LeaseParams::default());
         let station = Arc::new(Mutex::new(Station::new(1, 16)));
-        let net = SimNetwork::new(clock.clone(), NetConfig::in_process());
-        mgr.attach(Box::new(StationEndpoint::new(station.clone(), net)));
+        let attach = |mgr: &mut LeaseManager| {
+            let net = SimNetwork::new(clock.clone(), NetConfig::in_process());
+            mgr.attach(Box::new(StationEndpoint::new(station.clone(), net)));
+        };
+        // A crash and a mount: the manager rebuilt from its record, the
+        // endpoint (wiring) attached again.
+        let crash = |mgr: &mut LeaseManager| {
+            let now = clock.now_us();
+            *mgr = LeaseManager::from_record(clock.clone(), mgr.params(), &mgr.record(), now);
+            attach(mgr);
+        };
+        attach(&mut mgr);
         let fid = FileId(5);
         let write_under = |grant: &LeaseGrant, value: u8| {
             let mut st = station.lock();
@@ -514,10 +524,10 @@ mod tests {
         mgr.release(&rival.token);
         // A crash, then a second delegation that buffers newer bytes
         // across another crash.
-        mgr.server_crashed(clock.now_us());
+        crash(&mut mgr);
         let (second, _) = mgr.acquire(1, fid, LeaseMode::Write);
         write_under(&second, 2);
-        mgr.server_crashed(clock.now_us());
+        crash(&mut mgr);
         let claims = station.lock().reattach_claims();
         let claim = mgr.reattach(clock.now_us(), &claims[0].token, claims[0].mode);
         let claim = claim.ok_or(FileServiceError::LeaseRejected(fid));

@@ -51,14 +51,16 @@ struct Pair {
     ablation_replay: Replay,
 }
 
-fn measure(skew: f64, ops: usize, agents: usize) -> Pair {
+/// `at` is the offered rate, ops per kilosecond, or `None` for 90% of
+/// the global arm's saturation.
+fn measure(skew: f64, ops: usize, agents: usize, at: Option<u64>) -> Pair {
     let sharded_trace = loadgen::trace(&cell_config(skew, true, ops, agents));
     let ablation_trace = loadgen::trace(&cell_config(skew, false, ops, agents));
     let sharded_sat = sharded_trace.saturation_per_ks();
     let ablation_sat = ablation_trace.saturation_per_ks();
     // Common offered rate: 90% of the ablation's saturation — the global
     // mutex is near collapse there, while the sharded arm has headroom.
-    let offered = (ablation_sat * 9 / 10).max(1);
+    let offered = at.unwrap_or((ablation_sat * 9 / 10).max(1));
     Pair {
         sharded_replay: sharded_trace.replay(offered),
         ablation_replay: ablation_trace.replay(offered),
@@ -112,7 +114,7 @@ pub fn run(smoke: bool) -> String {
     let mut claim_sat = true;
     let mut claim_p99 = true;
     for skew in SKEWS {
-        let pair = measure(skew, ops, agents);
+        let pair = measure(skew, ops, agents, None);
         row(
             &mut t,
             skew,
@@ -150,11 +152,18 @@ pub fn run(smoke: bool) -> String {
 /// three skews. Values are integers (us and ops/s), byte-stable across
 /// runs; `bench_json` gates them against the committed
 /// `BENCH_latency.json` with a 10% p99/saturation tolerance.
-pub fn stat_records() -> Vec<(String, u64)> {
+///
+/// Each skew's load is offered at the `offered_ops_ks` that `baseline`
+/// — the rows of a committed `BENCH_latency.json` — records for it, where
+/// it records one, else at 90% of the global arm's saturation: a p99 is
+/// compared only with one taken at the same offered rate.
+pub fn stat_records(baseline: &[(String, u64)]) -> Vec<(String, u64)> {
     let mut rows = Vec::new();
     for skew in SKEWS {
-        let pair = measure(skew, 2000, 512);
         let tag = format!("s{:02}", (skew * 10.0).round() as u64);
+        let offered = format!("latency.{tag}.sharded.offered_ops_ks");
+        let at = baseline.iter().find(|(stat, _)| *stat == offered);
+        let pair = measure(skew, 2000, 512, at.map(|&(_, rate)| rate));
         for (arm, cell, replay) in [
             ("sharded", &pair.sharded, &pair.sharded_replay),
             ("global", &pair.ablation, &pair.ablation_replay),
@@ -181,7 +190,7 @@ mod tests {
 
     #[test]
     fn sharding_beats_the_global_mutex_at_high_skew() {
-        let pair = measure(0.9, 1200, 256);
+        let pair = measure(0.9, 1200, 256, None);
         assert!(
             pair.sharded.saturation > pair.ablation.saturation,
             "sharded must saturate higher: {} vs {}",
@@ -200,7 +209,7 @@ mod tests {
 
     #[test]
     fn lane_records_are_stable() {
-        assert_eq!(stat_records(), stat_records());
+        assert_eq!(stat_records(&[]), stat_records(&[]));
     }
 
     #[test]

@@ -526,6 +526,102 @@ mod tests {
         c.machine_mut(1).file_agent_mut().close(od).unwrap();
     }
 
+    /// A server dropped and mounted over the disks it left, while three
+    /// machines hold leases: the claim it never ended reattaches and its
+    /// buffered write lands, the claim it fenced before the drop stays
+    /// dead (the grave is in the server record), and a fresh grant is
+    /// ordered after both — though the mounted server has no recall
+    /// endpoint and remembers no grant.
+    #[test]
+    fn a_server_mounted_over_the_disks_it_left_judges_every_claim() {
+        use rhodos_agent::ObjectDescriptor;
+        use rhodos_disk_service::DiskService;
+        let mut c = Facility::builder().machines(3).build().unwrap();
+        let (a, b, fresh) = (name("name=a"), name("name=b"), name("name=c"));
+        for n in [&a, &b, &fresh] {
+            c.machine_mut(0).file_agent_mut().create(n).unwrap();
+        }
+        let mut open = |m: usize, n: &AttributedName| -> ObjectDescriptor {
+            c.machine_mut(m).file_agent_mut().open(n).unwrap()
+        };
+        let (a0, b1, b2, c2) = (open(0, &a), open(1, &b), open(2, &b), open(2, &fresh));
+        // Machine 0 buffers a write under its write lease on `a`; machine
+        // 1's delegated write to `b` is fenced when it ignores machine
+        // 2's recall.
+        c.machine_mut(0)
+            .file_agent_mut()
+            .pwrite(a0, 0, b"kept")
+            .unwrap();
+        c.machine_mut(1)
+            .file_agent_mut()
+            .pwrite(b1, 0, b"doomed")
+            .unwrap();
+        c.machine_mut(1).file_agent_mut().set_responsive(false);
+        assert_eq!(
+            c.machine_mut(2).file_agent_mut().pread(b2, 0, 6).unwrap(),
+            b""
+        );
+        c.machine_mut(1).file_agent_mut().set_responsive(true);
+        let server = c.server();
+        let claims = server.lock().file_service().lease_manager().grant_set();
+
+        {
+            let mut ts = server.lock();
+            let fs = ts.file_service_mut();
+            let config = *fs.config();
+            let disks: Vec<DiskService> = (0..fs.disk_count())
+                .map(|d| {
+                    let old = fs.disk_mut(d);
+                    let (geometry, model) = (old.geometry(), old.disk_mut().model());
+                    let spare = DiskService::new(geometry, model, old.clock(), Default::default());
+                    std::mem::replace(old, spare)
+                })
+                .collect();
+            *fs = FileService::mount(disks, config).unwrap();
+        }
+        let reattached: Vec<usize> = (0..3)
+            .map(|m| {
+                c.machine_mut(m)
+                    .file_agent_mut()
+                    .reattach_leases(0)
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(reattached, [1, 0, 1], "machine 1's claim was fenced");
+        c.machine_mut(0).file_agent_mut().flush(a0).unwrap();
+        c.machine_mut(2)
+            .file_agent_mut()
+            .pwrite(c2, 0, b"new")
+            .unwrap();
+
+        let ts = server.lock();
+        let leases = ts.file_service().lease_manager();
+        assert_eq!(leases.epoch(), 1);
+        let live = leases.grant_set();
+        let kept: Vec<u64> = claims.iter().filter(|g| g.1 != 1).map(|g| g.3).collect();
+        let taken: Vec<u64> = live
+            .iter()
+            .filter(|g| kept.contains(&g.3))
+            .map(|g| g.3)
+            .collect();
+        assert_eq!(taken, kept, "both unfenced claims, each under its old seq");
+        let newest = live.iter().map(|g| g.3).max().unwrap();
+        assert!(
+            kept.iter().all(|&s| s < newest),
+            "the fresh grant is ordered last"
+        );
+        drop(ts);
+        let ma = c.machine_mut(1).file_agent_mut().open(&a).unwrap();
+        assert_eq!(
+            c.machine_mut(1).file_agent_mut().pread(ma, 0, 4).unwrap(),
+            b"kept"
+        );
+        assert_eq!(
+            c.machine_mut(1).file_agent_mut().pread(b1, 0, 6).unwrap(),
+            b""
+        );
+    }
+
     #[test]
     fn transaction_agent_is_event_driven() {
         let mut c = Facility::builder().machines(1).build().unwrap();

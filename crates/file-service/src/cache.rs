@@ -305,14 +305,6 @@ impl Segment {
         self.settle_front();
         before - self.blocks.len()
     }
-
-    /// Drops everything; returns how many blocks there were.
-    fn clear(&mut self) -> usize {
-        let n = self.blocks.len();
-        self.blocks.clear();
-        self.lru.clear();
-        n
-    }
 }
 
 /// A bounded LRU pool of file blocks with dirty tracking.
@@ -461,11 +453,6 @@ impl BlockCache {
     /// data deliberately.
     pub fn invalidate_file(&mut self, fid: FileId) {
         self.seg.invalidate_file(fid);
-    }
-
-    /// Drops everything, discarding dirty data (crash simulation).
-    pub fn clear(&mut self) {
-        self.seg.clear();
     }
 }
 
@@ -708,12 +695,16 @@ impl ShardedBlockCache {
         }
     }
 
-    /// Drops everything, discarding dirty data (crash simulation).
+    /// Empties the pool as a restart finds it — no block, no count, the
+    /// clock at zero — discarding dirty data, in place, so every handle
+    /// to it stays valid.
     pub fn clear(&self) {
-        for i in 0..self.shards.len() {
-            let dropped = self.on_shard(i, |s| s.clear());
-            self.resident.fetch_sub(dropped, Relaxed);
+        for (shard, head) in self.shards.iter().zip(&self.heads) {
+            *shard.lock() = Segment::default();
+            head.store(u64::MAX, Relaxed);
         }
+        self.tick.store(0, Relaxed);
+        self.resident.store(0, Relaxed);
     }
 
     /// Merged statistics across all shards.

@@ -23,14 +23,17 @@
 //! * A grant's place in time is its sequence number `seq`: only the
 //!   server issues one, never twice, and a reattached grant keeps it. All
 //!   the grants a server judges are its own, so their order needs no
-//!   clock.
-//! * Lease state is *soft*: a server crash wipes the table and bumps the
-//!   **epoch**. Clients reconstruct the grant set by reattaching their
-//!   old grants, lapsed ones too, during a reattach window one term long;
-//!   conflicting write reattach claims are resolved by grant order (the
-//!   later `seq` wins). What a crash keeps is the epoch, the sequence
-//!   counter and the `seq` of each file's newest dead grant, so a claim
-//!   the server fenced before the crash is refused after it.
+//!   clock. A grant of epoch `e` is `e << 32 | n`, its `n` counting the
+//!   epoch's grants from one, so every grant of an epoch is ordered after
+//!   every grant of an earlier one.
+//! * Lease state is *soft*: a server crash wipes the table, and the
+//!   mount bumps the **epoch**. Clients reconstruct the grant set by
+//!   reattaching their old grants, lapsed ones too, during a reattach
+//!   window one term long; conflicting write reattach claims are resolved
+//!   by grant order (the later `seq` wins). What a crash keeps is the
+//!   [`LeaseRecord`] on the platter: the epoch and the `seq` of each
+//!   file's newest dead grant, so a claim the server fenced before the
+//!   crash is refused after it.
 //!
 //! [`LeaseManager`] owns every server-side rule: the grant table, the
 //! recall endpoints and the whole recall round ([`LeaseManager::acquire`]:
@@ -43,7 +46,7 @@
 use crate::attrs::FileId;
 use rhodos_buf::BlockBuf;
 use rhodos_simdisk::SimClock;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// What a lease delegates to the holder.
@@ -122,8 +125,6 @@ pub struct LeaseStats {
     /// before the crash, no longer held, or lost to a competing claim
     /// granted later).
     pub reattach_rejected: u64,
-    /// Current server epoch (bumped by every crash).
-    pub epoch: u64,
 }
 
 /// What a recalled holder hands back: its buffered delayed writes, as
@@ -149,10 +150,12 @@ pub trait RecallTarget: Send {
 }
 
 /// Registered recall endpoints, owned by the [`LeaseManager`] that runs
-/// the recall round. They are wiring, not lease state: a server crash
-/// leaves them (clients reattach over the same channels).
+/// the recall round. They are wiring, not lease state: a crashed file
+/// service hands them to the manager its mount builds (clients reattach
+/// over the same channels); a manager built by [`LeaseManager::new`] or
+/// [`LeaseManager::from_record`] starts with none.
 #[derive(Default)]
-struct RecallRegistry {
+pub(crate) struct RecallRegistry {
     targets: Vec<Box<dyn RecallTarget>>,
 }
 
@@ -200,9 +203,28 @@ pub struct PendingRecall {
     pub expiry_us: u64,
 }
 
+/// What of the lease state a server keeps on stable storage, and all a
+/// mount rebuilds the [`LeaseManager`] from.
+///
+/// A claim is judged by the record of the epoch before its server's:
+/// the graves dug in the claim's own epoch. An older grave refuses no
+/// claim — every grant of an epoch is ordered after every grave of an
+/// earlier one, and every claim it took back was granted after the
+/// graves it was judged by — so the record holds one epoch's graves.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LeaseRecord {
+    /// The newest epoch that has handed out a token, dug a grave or
+    /// been claimed.
+    pub epoch: u64,
+    /// The `seq` of each file's newest grant that died in that epoch:
+    /// fenced, or the loser of a reattach race.
+    pub dead: BTreeMap<FileId, u64>,
+}
+
 /// The server side of the lease protocol: the grant table and the whole
 /// recall round ([`Self::acquire`]). Owned by the file service, which
-/// only applies the delayed writes a recalled holder surrenders. The
+/// only applies the delayed writes a recalled holder surrenders, and
+/// writes [`Self::record`] before it answers whatever changed it. The
 /// table's methods take the current virtual time so expiry is
 /// deterministic; the round reads and advances the shared clock.
 #[derive(Debug)]
@@ -211,36 +233,68 @@ pub struct LeaseManager {
     /// The shared virtual clock the recall round waits on.
     clock: SimClock,
     epoch: u64,
-    next_seq: u64,
     grants: HashMap<FileId, Vec<GrantEntry>>,
     reattach_until: u64,
-    /// The `seq` of each file's newest grant that was fenced, or lost a
-    /// reattach race: a claim granted no later is dead. Kept across a
-    /// crash with the epoch and `next_seq` — a server writes it to stable
-    /// storage, and only a silent holder or a claim race costs that write.
-    dead: HashMap<FileId, u64>,
+    /// The record this manager was built from: its graves judge the
+    /// claims of the epoch before this one.
+    kept: LeaseRecord,
+    /// The graves dug in this epoch.
+    dead: BTreeMap<FileId, u64>,
+    /// Whether the epoch was claimed by another service ([`Self::claim_epoch`]).
+    claimed: bool,
     stats: LeaseStats,
     /// Recall endpoints, one per client station.
-    targets: RecallRegistry,
+    pub(crate) targets: RecallRegistry,
 }
 
 impl LeaseManager {
-    /// Creates an empty lease table.
+    /// Creates the empty lease table of a freshly formatted server, at
+    /// epoch 0.
     pub fn new(clock: SimClock, params: LeaseParams) -> Self {
+        let mut fresh = Self::from_record(clock, params, &LeaseRecord::default(), 0);
+        (fresh.epoch, fresh.reattach_until) = (0, 0);
+        fresh
+    }
+
+    /// The lease table a mount at `now` rebuilds from `record`: one epoch
+    /// after the record's, with no grant and no recall endpoint, and a
+    /// reattach window one term long from `now` for the claims of the
+    /// record's epoch.
+    pub fn from_record(
+        clock: SimClock,
+        params: LeaseParams,
+        record: &LeaseRecord,
+        now: u64,
+    ) -> Self {
+        let epoch = record.epoch + 1;
         Self {
             clock,
             params,
-            epoch: 0,
-            next_seq: 0,
+            epoch,
             grants: HashMap::new(),
-            reattach_until: 0,
-            dead: HashMap::new(),
-            stats: LeaseStats {
-                epoch: 0,
-                ..Default::default()
-            },
+            reattach_until: now + params.term_us,
+            kept: record.clone(),
+            dead: BTreeMap::new(),
+            claimed: false,
+            stats: LeaseStats::default(),
             targets: RecallRegistry::default(),
         }
+    }
+
+    /// What stable storage must hold before the answer to a call that
+    /// changed it leaves the server: the record this manager was built
+    /// from until the epoch hands out a token, digs a grave or is
+    /// claimed, then this epoch and its graves. A mount whose server hands
+    /// out nothing thus writes nothing — a resynchronised replica stays
+    /// byte-identical to its peers — and the next mount reuses the epoch
+    /// and judges the same claims.
+    pub fn record(&self) -> LeaseRecord {
+        let used = self.stats.granted + self.stats.reattaches > 0 || !self.dead.is_empty();
+        if !(used || self.claimed) {
+            return self.kept.clone();
+        }
+        let (epoch, dead) = (self.epoch, self.dead.clone());
+        LeaseRecord { epoch, dead }
     }
 
     /// The tunables in force.
@@ -251,6 +305,13 @@ impl LeaseManager {
     /// Current server epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// Makes the epoch the record's, as a token of it handed out does:
+    /// for a service whose own numbers carry it (the transaction
+    /// service's ids).
+    pub fn claim_epoch(&mut self) {
+        self.claimed = true;
     }
 
     /// Counter snapshot.
@@ -358,8 +419,9 @@ impl LeaseManager {
         // No cross-client conflict: grant (upgrading any same-client
         // entry in place — its old token keeps validating nothing).
         entries.retain(|g| g.client != client);
-        self.next_seq += 1;
-        let seq = self.next_seq;
+        // The epoch's grants so far count `n`.
+        let n = u32::try_from(self.stats.granted + 1).expect("an epoch issues under 2^32 grants");
+        let seq = self.epoch << 32 | u64::from(n);
         let expiry_us = now + self.params.term_us;
         entries.push(GrantEntry {
             client,
@@ -425,7 +487,7 @@ impl LeaseManager {
     /// The `seq` of `fid`'s newest dead grant — fenced, or the loser of
     /// a reattach race — if any: no claim granted no later is taken.
     pub fn dead_seq(&self, fid: FileId) -> Option<u64> {
-        self.dead.get(&fid).copied()
+        self.dead.get(&fid).max(self.kept.dead.get(&fid)).copied()
     }
 
     /// Extends a grant still in the table, lapsed or not, to one lease
@@ -462,18 +524,6 @@ impl LeaseManager {
         }
     }
 
-    /// A server crash: every grant is forgotten, the epoch is bumped and
-    /// a reattach window one term long opens at `now`. The epoch, the
-    /// sequence counter and each file's newest dead grant are kept, as a
-    /// server keeps them on stable storage: a grant issued after the crash
-    /// is ordered after every grant issued before it.
-    pub fn server_crashed(&mut self, now: u64) {
-        self.grants.clear();
-        self.epoch += 1;
-        self.stats.epoch = self.epoch;
-        self.reattach_until = now + self.params.term_us;
-    }
-
     /// End of the current reattach window (virtual us): a claim is taken
     /// only before it, a new grant only from it on.
     pub fn reattach_until(&self) -> u64 {
@@ -487,8 +537,8 @@ impl LeaseManager {
     /// A claim of the current epoch (the server did not crash) is
     /// confirmed as a renewal while the server still holds the grant.
     /// Otherwise it is accepted iff it is from exactly the previous
-    /// epoch, the window is still open, its `seq` is one the server has
-    /// issued, and it was granted later than the file's newest dead grant
+    /// epoch, the window is still open, its `seq` is of an earlier epoch
+    /// than this one, and it was granted later than the file's newest dead grant
     /// ([`Self::dead_seq`]): a grant the server fenced before the crash
     /// stays dead. Competing *write* claims on the
     /// same file (two clients both believe they held the write lease —
@@ -514,7 +564,7 @@ impl LeaseManager {
         }
         if token.epoch + 1 != self.epoch
             || now >= self.reattach_until
-            || token.seq > self.next_seq
+            || token.seq >> 32 >= self.epoch
             || self.dead_seq(token.fid) >= Some(token.seq)
         {
             self.stats.reattach_rejected += 1;
@@ -566,8 +616,8 @@ impl LeaseManager {
     }
 }
 
-/// Keeps `seq` as `fid`'s newest dead grant in `dead`, if it is newer.
-fn bury(dead: &mut HashMap<FileId, u64>, fid: FileId, seq: u64) {
+/// Keeps `seq` as `fid`'s newest grave in `dead`, if it is newer.
+fn bury(dead: &mut BTreeMap<FileId, u64>, fid: FileId, seq: u64) {
     let newest = dead.entry(fid).or_insert(seq);
     *newest = (*newest).max(seq);
 }
@@ -580,6 +630,11 @@ mod tests {
         let clock = SimClock::new();
         let m = LeaseManager::new(clock.clone(), LeaseParams::default());
         (clock, m)
+    }
+
+    /// A crash and a mount: the manager rebuilt from its record alone.
+    fn crash(m: &mut LeaseManager, clock: &SimClock) {
+        *m = LeaseManager::from_record(clock.clone(), m.params(), &m.record(), clock.now_us());
     }
 
     #[test]
@@ -655,7 +710,7 @@ mod tests {
         clock.advance_to(b.expiry_us + 1);
         let (rival, _) = m.acquire(2, fenced, LeaseMode::Write);
         m.release(&rival.token);
-        m.server_crashed(clock.now_us());
+        crash(&mut m, &clock);
         assert!(m.reattach(clock.now_us(), &a.token, a.mode).is_some());
         assert!(m.reattach(clock.now_us(), &b.token, b.mode).is_none());
         assert_eq!(m.grant_set().len(), 1);
@@ -673,9 +728,9 @@ mod tests {
         let f = FileId(4);
         let g = m.try_acquire(clock.now_us(), 1, f, LeaseMode::Write);
         let g = g.unwrap();
-        m.server_crashed(clock.now_us());
+        crash(&mut m, &clock);
         let forged = LeaseToken {
-            seq: g.token.seq + 1,
+            seq: m.epoch() << 32 | 1,
             ..g.token
         };
         assert!(m.reattach(clock.now_us(), &forged, g.mode).is_none());
@@ -690,7 +745,7 @@ mod tests {
         assert!(rival.token.seq > kept.token.seq);
         assert_eq!(m.dead_seq(f), Some(kept.token.seq));
         m.release(&rival.token);
-        m.server_crashed(clock.now_us());
+        crash(&mut m, &clock);
         assert!(m.reattach(clock.now_us(), &kept.token, kept.mode).is_none());
         assert!(m.grant_set().is_empty());
     }
@@ -734,7 +789,7 @@ mod tests {
             .try_acquire(clock.now_us(), 1, f, LeaseMode::Write)
             .unwrap();
         let before = m.grant_set();
-        m.server_crashed(clock.now_us());
+        crash(&mut m, &clock);
         assert!(m.grant_set().is_empty());
         assert!(!m.validate(&g.token, true));
         let g2 = m
@@ -761,15 +816,24 @@ mod tests {
         let g = m
             .try_acquire(clock.now_us(), 1, f, LeaseMode::Read)
             .unwrap();
-        m.server_crashed(clock.now_us());
-        m.server_crashed(clock.now_us()); // two crashes: token now two epochs old
-        assert!(m.reattach(clock.now_us(), &g.token, g.mode).is_none());
+        crash(&mut m, &clock);
+        // A mount that hands out nothing is not an epoch of its own: the
+        // claim survives a second crash.
+        crash(&mut m, &clock);
+        assert_eq!(m.epoch(), 1);
         let g2 = m
-            .try_acquire(clock.now_us(), 1, f, LeaseMode::Read)
-            .unwrap();
-        m.server_crashed(clock.now_us());
+            .reattach(clock.now_us(), &g.token, g.mode)
+            .expect("the same epoch's claim");
+        crash(&mut m, &clock);
+        assert!(
+            m.reattach(clock.now_us(), &g.token, g.mode).is_none(),
+            "two epochs old"
+        );
         clock.advance(m.params().term_us + 1);
-        assert!(m.reattach(clock.now_us(), &g2.token, g2.mode).is_none());
+        assert!(
+            m.reattach(clock.now_us(), &g2.token, g2.mode).is_none(),
+            "window closed"
+        );
         assert_eq!(m.stats().reattach_rejected, 2);
     }
 
@@ -788,7 +852,7 @@ mod tests {
             .try_acquire(clock.now_us(), 2, f, LeaseMode::Write)
             .unwrap();
         assert!(late.token.seq > early.token.seq);
-        m.server_crashed(clock.now_us());
+        crash(&mut m, &clock);
         // The stale claim lands first; the later claim still wins.
         m.reattach(clock.now_us(), &early.token, early.mode)
             .expect("provisionally accepted");
@@ -816,7 +880,7 @@ mod tests {
         let late = m
             .try_acquire(clock.now_us(), 2, f, LeaseMode::Write)
             .unwrap();
-        m.server_crashed(clock.now_us());
+        crash(&mut m, &clock);
         // Reversed arrival order: the later-granted claim lands first and
         // the stale claim is rejected outright.
         m.reattach(clock.now_us(), &late.token, late.mode)
@@ -851,7 +915,7 @@ mod tests {
             .try_acquire(clock.now_us(), 1, f, LeaseMode::Write)
             .unwrap();
         assert!(w.token.seq > r2.token.seq && w.token.seq > r3.token.seq);
-        m.server_crashed(clock.now_us());
+        crash(&mut m, &clock);
         // Stale read claims land first and are provisionally accepted.
         m.reattach(clock.now_us(), &r2.token, r2.mode)
             .expect("read reattach accepted");
@@ -891,7 +955,7 @@ mod tests {
             .try_acquire(clock.now_us(), 3, f, LeaseMode::Read)
             .unwrap();
         assert!(r2.token.seq > w.token.seq && r3.token.seq > w.token.seq);
-        m.server_crashed(clock.now_us());
+        crash(&mut m, &clock);
         m.reattach(clock.now_us(), &r2.token, r2.mode)
             .expect("read reattach accepted");
         m.reattach(clock.now_us(), &r3.token, r3.mode)

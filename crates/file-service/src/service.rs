@@ -75,17 +75,43 @@ pub struct FileService {
     clock: SimClock,
     config: FileServiceConfig,
     pub(crate) cache: Option<Arc<ShardedBlockCache>>,
-    /// Where the next budgeted scrub resumes on each disk (volatile;
-    /// restarting from zero after a crash merely re-verifies).
+    /// Where the next budgeted scrub resumes on each disk. Volatile: a
+    /// mount starts them at zero, which merely re-verifies.
     pub(crate) scrub_cursors: Vec<FragmentAddr>,
-    /// Cumulative scrub counters across every pass.
+    /// Cumulative scrub counters across every pass since the mount.
     pub(crate) scrub_stats: ScrubStats,
-    /// The lease protocol's server side: soft grant state (lost on crash)
-    /// and the recall endpoints (kept).
+    /// The lease protocol's server side: soft grant state, rebuilt by a
+    /// mount from the lease record, and the recall endpoints.
     lease: LeaseManager,
 }
 
 impl FileService {
+    /// The one way a server comes up: over `disks` and its configuration,
+    /// every other field at its initial value — no file known, no lease,
+    /// no count, an empty pool of its own. [`Self::format`] and
+    /// [`Self::mount`] fill it in from there; a crash
+    /// ([`Self::simulate_crash`]) leaves exactly this, with the wiring of
+    /// the server before it.
+    fn boot(disks: Vec<DiskService>, config: FileServiceConfig) -> Self {
+        let volume = Volume::new(disks, &config);
+        let clock = volume.disks()[0].clock();
+        Self {
+            scrub_cursors: vec![0; volume.disks().len()],
+            volume,
+            store: FitStore::default(),
+            cache: (config.cache_blocks > 0).then(|| {
+                Arc::new(ShardedBlockCache::new(
+                    config.cache_blocks,
+                    config.cache_shards,
+                ))
+            }),
+            scrub_stats: ScrubStats::default(),
+            lease: LeaseManager::new(clock.clone(), config.lease),
+            clock,
+            config,
+        }
+    }
+
     /// Creates a file service over freshly formatted `disks`.
     ///
     /// # Errors
@@ -101,24 +127,29 @@ impl FileService {
         disks: Vec<DiskService>,
         config: FileServiceConfig,
     ) -> Result<Self, FileServiceError> {
-        let mut volume = Volume::new(disks, &config);
-        let clock = volume.disk(0).clock();
-        let store = FitStore::format(&mut volume)?;
-        Ok(Self {
-            scrub_cursors: vec![0; volume.disks().len()],
-            volume,
-            store,
-            config,
-            cache: (config.cache_blocks > 0).then(|| {
-                Arc::new(ShardedBlockCache::new(
-                    config.cache_blocks,
-                    config.cache_shards,
-                ))
-            }),
-            scrub_stats: ScrubStats::default(),
-            lease: LeaseManager::new(clock.clone(), config.lease),
-            clock,
-        })
+        let mut fs = Self::boot(disks, config);
+        fs.store.format(&mut fs.volume)?;
+        Ok(fs)
+    }
+
+    /// Brings up a file service over `disks` a server formatted with
+    /// `config` left behind, from its platters alone: see
+    /// [`Self::recover`] for what it reads. It has no recall endpoint.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::recover`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::format`].
+    pub fn mount(
+        disks: Vec<DiskService>,
+        config: FileServiceConfig,
+    ) -> Result<Self, FileServiceError> {
+        let mut fs = Self::boot(disks, config);
+        fs.recover()?;
+        Ok(fs)
     }
 
     /// Convenience: a service over one disk (with stable storage) of the
@@ -165,9 +196,10 @@ impl FileService {
     }
 
     /// A handle to the sharded block pool, if caching is enabled. The
-    /// handle stays valid across crash simulation and recovery (the pool
-    /// is cleared in place, never replaced), so lock-free readers may
-    /// probe it without holding the service lock.
+    /// pool is wiring: a crash empties it in place and the recovered
+    /// server keeps it, so the handle stays valid and lock-free readers
+    /// may probe it without holding the service lock. A service built by
+    /// [`Self::mount`] has a pool of its own.
     pub fn cache_handle(&self) -> Option<Arc<ShardedBlockCache>> {
         self.cache.clone()
     }
@@ -794,6 +826,26 @@ impl FileService {
         self.fetch_window(fid, first, last.min(count - 1))
     }
 
+    /// [`Self::read`] as a server without a block pool makes it: the
+    /// pool is neither searched nor filled — the read twin of
+    /// [`Self::write_sectors`], for a file written that way, which the
+    /// pool never holds.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::read`].
+    pub fn read_through(
+        &mut self,
+        fid: FileId,
+        offset: u64,
+        len: usize,
+    ) -> Result<Vec<u8>, FileServiceError> {
+        let pool = self.cache.take();
+        let read = self.read(fid, offset, len);
+        self.cache = pool;
+        read
+    }
+
     /// Allocates a detached block (shadow page home) on the file's home
     /// disk and returns its location.
     ///
@@ -968,8 +1020,8 @@ impl FileService {
 
     /// The server-side lease table, mutably: agents attach their recall
     /// endpoints and release grants through it, and the transaction
-    /// service runs the recall round through it and applies what the
-    /// holders surrendered its own way.
+    /// service runs the recall round and claims the epoch through it,
+    /// then [`Self::record_leases`].
     pub fn lease_manager_mut(&mut self) -> &mut LeaseManager {
         &mut self.lease
     }
@@ -993,6 +1045,7 @@ impl FileService {
     ) -> Result<(LeaseGrant, u64), FileServiceError> {
         self.attrs(fid)?;
         let (grant, acks) = self.lease.acquire(client, fid, mode);
+        self.record_leases()?;
         for ack in acks {
             self.lease_apply_recalled(fid, ack)?;
         }
@@ -1037,16 +1090,17 @@ impl FileService {
     /// # Errors
     ///
     /// [`FileServiceError::LeaseRejected`] if the window has closed, the
-    /// claim's epoch is stale, or a competing claim was granted later.
+    /// claim's epoch is stale, or a competing claim was granted later;
+    /// disk errors writing the lease record.
     pub fn lease_reattach(
         &mut self,
         token: &LeaseToken,
         mode: LeaseMode,
     ) -> Result<LeaseGrant, FileServiceError> {
         let now = self.clock.now_us();
-        self.lease
-            .reattach(now, token, mode)
-            .ok_or(FileServiceError::LeaseRejected(token.fid))
+        let grant = self.lease.reattach(now, token, mode);
+        self.record_leases()?;
+        grant.ok_or(FileServiceError::LeaseRejected(token.fid))
     }
 
     // ---- crash and recovery ---------------------------------------------
@@ -1069,35 +1123,59 @@ impl FileService {
         Ok(())
     }
 
-    /// Simulates a file-server crash: all volatile state (block pool,
-    /// cached FITs, directory map) is lost; dirty cached data is gone.
+    /// Simulates a file-server crash: the server keeps its disks and its
+    /// wiring — clock, configuration, the block pool's handle, emptied,
+    /// and the recall endpoints — and nothing else. Until
+    /// [`Self::recover`] it knows no file.
     pub fn simulate_crash(&mut self) {
+        let mut booted = Self::boot(std::mem::take(&mut self.volume.disks), self.config);
         if let Some(cache) = &self.cache {
             cache.clear();
         }
-        self.store.crash();
-        self.volume.crash();
-        // Lease soft state dies with the server: epoch bump, reattach
-        // window opens. Recall endpoints (wiring) survive.
-        self.lease.server_crashed(self.clock.now_us());
+        booted.cache = self.cache.take();
+        booted.lease.targets = std::mem::take(&mut self.lease.targets);
+        *self = booted;
     }
 
-    /// Recovers after [`Self::simulate_crash`] (or injected disk faults):
-    /// repairs the disks and stable mirrors, reloads the directory (from
-    /// main storage, falling back to the stable copy), reloads every FIT
-    /// in `FileId` order, and rebuilds the allocation bitmaps from what
-    /// each of them owns — the fsck pass. It reads the platter and writes
-    /// only what the volume recomputes from it, so a recovery interrupted
-    /// by a second crash is simply run again.
+    /// Mounts the service in place, as [`Self::mount`] over its own disks
+    /// and wiring: crashes it ([`Self::simulate_crash`]), repairs the disks
+    /// and stable mirrors, reloads the directory (from main storage,
+    /// falling back to the stable copy) with the server record in its
+    /// header — the lease record, from which the lease manager is rebuilt
+    /// an epoch later, and the degraded disks — reloads every FIT in
+    /// `FileId` order, and rebuilds the allocation bitmaps from what each
+    /// of them owns — the fsck pass. It reads the platter and writes only
+    /// what the volume recomputes from it, so a recovery interrupted by a
+    /// second crash is simply run again.
     ///
     /// # Errors
     ///
     /// Fails if the directory is unrecoverable from both copies, or a
     /// file's index table from all of its.
     pub fn recover(&mut self) -> Result<(), FileServiceError> {
+        self.simulate_crash();
         self.volume.recover_disks()?;
-        let owned = self.store.recover(&mut self.volume)?;
+        let owned = self.store.mount(&mut self.volume)?;
+        let (record, now) = (&self.store.lease, self.clock.now_us());
+        let mounted = LeaseManager::from_record(self.clock.clone(), self.config.lease, record, now);
+        self.lease.targets = std::mem::replace(&mut self.lease, mounted).targets;
         self.volume.after_recover(&mut self.store, owned)
+    }
+
+    /// Writes [`LeaseManager::record`] into the directory header if a
+    /// call changed it since it was last written: every caller of the
+    /// manager's recall round, reattach or epoch claim does, before the
+    /// answer leaves the server.
+    ///
+    /// # Errors
+    ///
+    /// Disk errors writing the directory.
+    pub fn record_leases(&mut self) -> Result<(), FileServiceError> {
+        let old = std::mem::replace(&mut self.store.lease, self.lease.record());
+        if old != self.store.lease {
+            self.store.persist_directory(&mut self.volume)?;
+        }
+        Ok(())
     }
 
     // ---- repair hooks (replication peers, fsck) --------------------------

@@ -9,14 +9,16 @@
 use crate::attrs::{FileAttributes, FileId};
 use crate::error::FileServiceError;
 use crate::fit::{BlockDescriptor, FileIndexTable, IndirectLocs, MAX_INDIRECT_TABLES};
+use crate::lease::LeaseRecord;
 use crate::scrub::ScrubOwner;
 use crate::volume::Volume;
 use rhodos_disk_service::codec::{DecodeError, Decoder, Encoder};
 use rhodos_disk_service::{Extent, FragmentAddr, FRAGS_PER_BLOCK};
 use std::collections::BTreeMap;
 
-/// Fragments reserved for the file directory region on disk 0.
-const DIRECTORY_FRAGMENTS: u64 = 16;
+/// The file directory region: the first 16 fragments of disk 0, where
+/// a mount looks for it. Every directory write is the whole region.
+const DIRECTORY: Extent = Extent { start: 0, len: 16 };
 
 /// Capacity of the *fragment pool* — the cache of file index tables — in
 /// FITs ("the space for caching a fragment and block is acquired from a
@@ -74,7 +76,7 @@ impl FitEntry {
 }
 
 /// The directory and the fragment pool.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct FitStore {
     /// Where every file's FIT fragment lives. Ordered: recovery, scrub,
     /// fsck and rebuild visit files in `FileId` order, every run.
@@ -91,28 +93,20 @@ pub(crate) struct FitStore {
     open_counts: BTreeMap<FileId, u32>,
     /// Counts pool uses; an entry's `last_use` is its reading.
     tick: u64,
-    dir_extent: Extent,
     loads: u64,
     hits: u64,
+    /// The lease record as the directory header last carried it.
+    pub(crate) lease: LeaseRecord,
 }
 
 impl FitStore {
-    /// Reserves the directory region on disk 0 and writes an empty
-    /// directory into it.
-    pub(crate) fn format(vol: &mut Volume) -> Result<Self, FileServiceError> {
-        let mut store = Self {
-            directory: BTreeMap::new(),
-            system_fid: None,
-            next_fid: 1,
-            fits: BTreeMap::new(),
-            open_counts: BTreeMap::new(),
-            tick: 0,
-            dir_extent: vol.disk(0).allocate_contiguous(DIRECTORY_FRAGMENTS)?,
-            loads: 0,
-            hits: 0,
-        };
-        store.persist_directory(vol)?;
-        Ok(store)
+    /// Reserves the directory region on the blank disk 0 of `vol` and
+    /// writes an empty directory into it.
+    pub(crate) fn format(&mut self, vol: &mut Volume) -> Result<(), FileServiceError> {
+        // Where a mount looks for it.
+        assert_eq!(vol.disk(0).allocate_contiguous(DIRECTORY.len)?, DIRECTORY);
+        self.next_fid = 1;
+        self.persist_directory(vol)
     }
 
     /// `(FIT fragments loaded from disk, lookups served from the pool)`.
@@ -146,42 +140,63 @@ impl FitStore {
 
     // ---- directory persistence ----------------------------------------
 
+    /// Writes the whole directory region: a header — the next system
+    /// name, the system file, and the server record (the lease record and
+    /// the degraded disks of `vol`) — then every file's FIT address.
     pub(crate) fn persist_directory(&mut self, vol: &mut Volume) -> Result<(), FileServiceError> {
         let mut e = Encoder::new();
         e.u32(DIR_MAGIC)
             .u64(self.next_fid)
             .u64(self.system_fid.map(|f| f.0).unwrap_or(0))
-            .u32(self.directory.len() as u32);
+            .u64(self.lease.epoch)
+            .u32(self.lease.dead.len() as u32);
+        for (fid, seq) in &self.lease.dead {
+            e.u64(fid.0).u64(*seq);
+        }
+        let degraded = (0..).zip(vol.degraded()).filter(|(_, &lost)| lost);
+        let degraded: Vec<u16> = degraded.map(|(d, _)| d).collect();
+        e.u32(degraded.len() as u32);
+        for d in degraded {
+            e.u16(d);
+        }
+        e.u32(self.directory.len() as u32);
         for (fid, (disk, frag)) in &self.directory {
             e.u64(fid.0).u16(*disk).u64(*frag);
         }
         let mut buf = e.finish();
-        if buf.len() > self.dir_extent.len_bytes() {
+        if buf.len() > DIRECTORY.len_bytes() {
             return Err(FileServiceError::DirectoryFull);
         }
-        buf.resize(self.dir_extent.len_bytes(), 0);
-        vol.put_meta(0, self.dir_extent, &buf)
+        buf.resize(DIRECTORY.len_bytes(), 0);
+        vol.put_meta(0, DIRECTORY, &buf)
     }
 
+    /// Reads the directory region back into the store, and the degraded
+    /// disks it names into `vol`.
     fn load_directory(&mut self, vol: &mut Volume) -> Result<(), FileServiceError> {
-        let corrupt = |fid: FileId| move |e: DecodeError| FileServiceError::corrupt(fid, e);
-        let buf = vol.get_meta(0, self.dir_extent)?;
+        let buf = vol.get_meta(0, DIRECTORY)?;
         let mut d = Decoder::new(&buf);
-        if d.u32().map_err(corrupt(FileId(0)))? != DIR_MAGIC {
+        let header = |e: DecodeError| FileServiceError::corrupt(FileId(0), e);
+        if d.u32().map_err(header)? != DIR_MAGIC {
             return Err(FileServiceError::Corrupt(FileId(0)));
         }
-        let next_fid = d.u64().map_err(corrupt(FileId(0)))?;
-        let system_raw = d.u64().map_err(corrupt(FileId(0)))?;
-        let mut directory = BTreeMap::new();
-        for _ in 0..d.u32().map_err(corrupt(FileId(0)))? {
-            let fid = FileId(d.u64().map_err(corrupt(FileId(0)))?);
-            let disk_no = d.u16().map_err(corrupt(fid))?;
-            let frag = d.u64().map_err(corrupt(fid))?;
-            directory.insert(fid, (disk_no, frag));
-        }
-        self.next_fid = next_fid;
+        self.next_fid = d.u64().map_err(header)?;
+        let system_raw = d.u64().map_err(header)?;
         self.system_fid = (system_raw != 0).then_some(FileId(system_raw));
-        self.directory = directory;
+        self.lease.epoch = d.u64().map_err(header)?;
+        for _ in 0..d.u32().map_err(header)? {
+            let fid = FileId(d.u64().map_err(header)?);
+            self.lease.dead.insert(fid, d.u64().map_err(header)?);
+        }
+        for _ in 0..d.u32().map_err(header)? {
+            vol.mark_degraded(d.u16().map_err(header)?);
+        }
+        for _ in 0..d.u32().map_err(header)? {
+            let fid = FileId(d.u64().map_err(header)?);
+            let disk_no = d.u16().map_err(|e| FileServiceError::corrupt(fid, e))?;
+            let frag = d.u64().map_err(|e| FileServiceError::corrupt(fid, e))?;
+            self.directory.insert(fid, (disk_no, frag));
+        }
         Ok(())
     }
 
@@ -405,7 +420,7 @@ impl FitStore {
             Result<&mut FitEntry, FileServiceError>,
         ) -> Result<(), FileServiceError>,
     ) -> Result<Vec<Owned>, FileServiceError> {
-        let mut owned = vec![(0, self.dir_extent, ScrubOwner::Directory)];
+        let mut owned = vec![(0, DIRECTORY, ScrubOwner::Directory)];
         for (fid, (home, fit_frag)) in self.directory.clone() {
             match self.entry(vol, fid) {
                 Ok(entry) => {
@@ -421,22 +436,12 @@ impl FitStore {
         Ok(owned)
     }
 
-    /// Forgets all volatile state, as a server crash does.
-    pub(crate) fn crash(&mut self) {
-        self.fits.clear();
-        self.open_counts.clear();
-        self.directory.clear();
-        self.system_fid = None;
-        self.next_fid = 0;
-    }
-
-    /// Reloads the directory (main storage, then the stable copy) and
-    /// every FIT, and returns what they own. No file is open afterwards:
-    /// the open table is soft state, like the lease grants.
-    pub(crate) fn recover(&mut self, vol: &mut Volume) -> Result<Vec<Owned>, FileServiceError> {
+    /// Fills the empty store of a mount: the directory (main storage,
+    /// then the stable copy) and every FIT, and returns what they own. No
+    /// file is open afterwards: the open table is soft state, like the
+    /// lease grants.
+    pub(crate) fn mount(&mut self, vol: &mut Volume) -> Result<Vec<Owned>, FileServiceError> {
         self.load_directory(vol)?;
-        self.fits.clear();
-        self.open_counts.clear();
         self.walk(vol, |_, entry| entry.map(drop))
     }
 }

@@ -27,24 +27,27 @@ use std::collections::{BTreeMap, BTreeSet};
 /// The disks of one file service and the layout of files over them.
 #[derive(Debug)]
 pub(crate) struct Volume {
-    /// One disk server per spindle.
-    disks: Vec<DiskService>,
+    /// One disk server per spindle: what a crash hands the next boot.
+    pub(crate) disks: Vec<DiskService>,
     stripe: StripePolicy,
     redundancy: Redundancy,
     parallel_io: ParallelIo,
     fit_adjacent_first_block: bool,
     /// Per-disk degraded flags (parity tier): a failed disk whose spare
     /// has been swapped in but not fully rebuilt. Reads of units homed
-    /// there reconstruct from the parity group.
+    /// there reconstruct from the parity group. Kept in the directory
+    /// header: a mount that forgot one would recompute its parity from the
+    /// blank spare.
     degraded: Vec<bool>,
     /// Stripe rows whose parity units have been allocated but never
     /// written — the on-platter parity is garbage until the row's first
-    /// flush recomputes it. Volatile: recovery recomputes all parity.
+    /// flush recomputes it. Volatile: a mount recomputes all parity.
     uninit_rows: BTreeSet<(FileId, u64)>,
     /// Cumulative parity-tier counters.
     parity_stats: ParityStats,
     /// Per-disk rebuild resume points: `(fid, unit)` of the next stripe
-    /// unit to reconstruct onto the spare.
+    /// unit to reconstruct onto the spare. Volatile: a rebuild is
+    /// idempotent, so after a mount it starts over.
     rebuild_cursors: Vec<Option<(FileId, usize)>>,
 }
 
@@ -128,6 +131,11 @@ impl Volume {
     /// being rebuilt.
     pub(crate) fn degraded(&self) -> &[bool] {
         &self.degraded
+    }
+
+    /// Marks disk `d` degraded, as the mounted directory names it.
+    pub(crate) fn mark_degraded(&mut self, d: u16) {
+        self.degraded[d as usize] = true;
     }
 
     /// Whether the unit `d` names sits on a degraded disk, out of reach.
@@ -640,14 +648,7 @@ impl Volume {
         image.map_or(Ok(()), |image| self.write_row_parity(store, fid, image))
     }
 
-    // ---- crash, recovery, repair ------------------------------------------
-
-    /// Forgets the volume's volatile knowledge, as a server crash does.
-    /// Which rows still carry garbage parity is such knowledge; recovery
-    /// recomputes every row's parity instead.
-    pub(crate) fn crash(&mut self) {
-        self.uninit_rows.clear();
-    }
+    // ---- recovery, repair -------------------------------------------------
 
     /// Drops the disks' track caches only — no crash repair, no
     /// stable-storage scan.
@@ -665,12 +666,13 @@ impl Volume {
         Ok(())
     }
 
-    /// Rebuilds the allocation maps from `owned` — everything the
-    /// recovered metadata references — and brings every row's parity back
-    /// in line with the surviving platter data: the uninit-row set died
-    /// with the crash, and a crash between a row's data write-back and its
-    /// parity update leaves the two torn. Rows with units on a degraded
-    /// disk are skipped — their parity is the only copy of the lost units.
+    /// Rebuilds the allocation maps of a mounted volume from `owned` —
+    /// everything the loaded metadata references — and brings every row's
+    /// parity back in line with the surviving platter data: the uninit-row
+    /// set died with the crash, and a crash between a row's data
+    /// write-back and its parity update leaves the two torn. Rows with
+    /// units on a disk the directory names degraded are skipped — their
+    /// parity is the only copy of the lost units.
     pub(crate) fn after_recover(
         &mut self,
         store: &mut FitStore,
@@ -683,7 +685,6 @@ impl Volume {
         for (disk, extents) in self.disks.iter_mut().zip(per_disk) {
             disk.rebuild_allocation(extents);
         }
-        self.uninit_rows.clear();
         let Some((k, _)) = self.redundancy.params() else {
             return Ok(());
         };
@@ -1195,12 +1196,11 @@ impl Volume {
         for (_, extent, _) in owned.into_iter().filter(here) {
             self.disks[disk].repin_extent(extent);
         }
+        // The degraded set is on the platter before the spare takes a write.
+        store.persist_directory(self)?;
         for (fid, entry) in preserved {
             store.insert(fid, entry);
             store.persist(self, fid)?;
-        }
-        if disk == 0 {
-            store.persist_directory(self)?;
         }
         Ok(())
     }
@@ -1209,8 +1209,9 @@ impl Volume {
     /// each degraded disk onto its spare, at most `budget` units per
     /// call (`None` = run to completion), resuming where the last call
     /// left off while foreground traffic continues. A disk whose last
-    /// unit lands leaves degraded state; the report says how many
-    /// units were written and whether every disk is clean again.
+    /// unit lands leaves degraded state, in the directory header too; the
+    /// report says how many units were written and whether every disk is
+    /// clean again.
     ///
     /// # Errors
     ///
@@ -1250,7 +1251,10 @@ impl Volume {
                 }
             }
             self.rebuild_cursors[disk] = cursor;
-            self.degraded[disk] = cursor.is_some();
+            if cursor.is_none() {
+                self.degraded[disk] = false;
+                store.persist_directory(self)?;
+            }
         }
         Ok(RebuildReport {
             pages,

@@ -99,8 +99,12 @@ pub(crate) struct IntentionLog {
 }
 
 impl IntentionLog {
-    /// Creates, or re-attaches to, the log of `fs`.
-    pub(crate) fn open(fs: &mut FileService, stats: &mut TxnStats) -> Result<Self, TxnError> {
+    /// Creates, or re-attaches to, the log of `fs`, and returns it with
+    /// the records it holds (see [`Self::scan`]).
+    pub(crate) fn open(
+        fs: &mut FileService,
+        stats: &mut TxnStats,
+    ) -> Result<(Self, Vec<LogRecord>), TxnError> {
         if fs.system_file().is_none() {
             let fid = fs.create(ServiceType::Transaction)?;
             fs.set_system_file(fid)?;
@@ -118,10 +122,10 @@ impl IntentionLog {
             unflushed_prepares: 0,
             deferred_frees: Vec::new(),
         };
-        log.scan(fs, stats)?;
+        let records = log.scan(fs, stats)?;
         (log.appended_lsn, log.durable_lsn) = (log.tail, log.tail);
         log.reserve(fs, log.tail)?;
-        Ok(log)
+        Ok((log, records))
     }
 
     /// Whether the log has outgrown [`LOG_COMPACT_THRESHOLD`].
@@ -272,14 +276,6 @@ impl IntentionLog {
         Ok(())
     }
 
-    /// Stops counting the records appended since the last force: they
-    /// went with a crash or with the incarnation they were appended in.
-    fn forget_unforced(&mut self) {
-        self.unflushed_records = 0;
-        self.unflushed_prepares = 0;
-        self.durable_lsn = self.appended_lsn;
-    }
-
     /// Starts the log over as `incarnation`: an image of nothing but the
     /// header frame, not yet written.
     fn begin_incarnation(&mut self, incarnation: u64) {
@@ -291,12 +287,13 @@ impl IntentionLog {
         self.dirty = true;
     }
 
-    /// After `fs.recover()`: re-attaches to the log, finds its tail and
-    /// returns the records before it, in order — the frames that chain
-    /// from the header, read a window at a time. Whatever was appended
-    /// but unforced before the crash is gone, and so are the pre-crash
-    /// deferred frees (the allocation rebuild reclaims unreferenced
-    /// blocks itself).
+    /// Attaches a fresh log to the platter: finds its tail and returns
+    /// the records before it, in order — the frames that chain from the
+    /// header, read a window at a time past the block pool
+    /// ([`FileService::read_through`]), since nothing reads them again.
+    /// Whatever was appended but unforced before a crash is gone, and so
+    /// are its deferred frees (the mount's allocation rebuild reclaims
+    /// unreferenced blocks itself).
     ///
     /// The scan ends at the first frame that is not the next one of this
     /// incarnation, and appending resumes *there*, over whatever follows:
@@ -307,13 +304,11 @@ impl IntentionLog {
     /// ends the scan starts like a frame but is not a whole one of an
     /// earlier incarnation — it is torn, damaged, or out of sequence —
     /// `stats.log_frames_rejected` counts it.
-    pub(crate) fn scan(
+    fn scan(
         &mut self,
         fs: &mut FileService,
         stats: &mut TxnStats,
     ) -> Result<Vec<LogRecord>, TxnError> {
-        self.deferred_frees.clear();
-        self.forget_unforced();
         self.fid = fs
             .system_file()
             .ok_or(TxnError::File(FileServiceError::NotFound(FileId(0))))?;
@@ -321,7 +316,7 @@ impl IntentionLog {
         let capacity = fs.get_attribute(self.fid)?.size;
 
         // The log from its start, as far as it has been read.
-        let mut buf = fs.read(self.fid, 0, SCAN_WINDOW)?;
+        let mut buf = fs.read_through(self.fid, 0, SCAN_WINDOW)?;
         match LogRecord::unframe(&buf) {
             Unframed::Frame {
                 incarnation,
@@ -340,7 +335,7 @@ impl IntentionLog {
         let (mut pos, mut want) = (HEADER_LEN, FRAME_HEADER as u64);
         loop {
             while (buf.len() as u64) < (pos + want).min(capacity) {
-                let more = fs.read(self.fid, buf.len() as u64, SCAN_WINDOW)?;
+                let more = fs.read_through(self.fid, buf.len() as u64, SCAN_WINDOW)?;
                 buf.extend_from_slice(&more);
             }
             let ours = match LogRecord::unframe(&buf[pos as usize..]) {
@@ -393,13 +388,15 @@ impl IntentionLog {
         fs: &mut FileService,
         stats: &mut TxnStats,
     ) -> Result<(), TxnError> {
-        // Unforced `Completed` markers die with the old incarnation —
-        // harmless, since the whole log they referred to goes too, and
-        // with the `Commit` records gone no redo can chase freed blocks.
+        // Unforced `Completed` markers die with the old incarnation, and
+        // no force counts them — harmless, since the whole log they
+        // referred to goes too, and with the `Commit` records gone no
+        // redo can chase freed blocks.
         // Should the write fail, the header stays in the image, dirty,
         // and the next force retries it before anything is released.
         self.begin_incarnation(self.incarnation + 1);
-        self.forget_unforced();
+        (self.unflushed_records, self.unflushed_prepares) = (0, 0);
+        self.durable_lsn = self.appended_lsn;
         self.write_image(fs)?;
         self.release_deferred(fs)?;
         stats.log_compactions += 1;

@@ -1,5 +1,8 @@
 //! Crash recovery of the transaction service (§6.6–6.7): the file
-//! service first (directory, FITs, allocation), then the intention log.
+//! service is mounted first (directory, FITs, allocation), then every
+//! other part of the service is built afresh — lock tables, the
+//! intention log attached to the platter, the transaction counter from
+//! the log — and the log is redone.
 //!
 //! A commit is durable once its `Commit` record is, and a `Completed`
 //! marker says its intentions were applied: whole pages made permanent
@@ -26,7 +29,8 @@ use crate::commit::PreparedCommit;
 use crate::error::TxnError;
 use crate::intentions::{Intention, LogRecord};
 use crate::lock::LockMode;
-use crate::service::{table_index, TransactionService, TxnId};
+use crate::log::IntentionLog;
+use crate::service::{lock_tables, table_index, TransactionService, TxnId, TxnStats};
 use rhodos_disk_service::{Extent, BLOCK_SIZE, FRAGS_PER_BLOCK};
 use rhodos_file_service::FileId;
 use std::collections::HashMap;
@@ -44,38 +48,31 @@ struct Logged {
 }
 
 impl TransactionService {
-    /// Crash-recovers the whole stack: file service first (directory,
-    /// FITs, allocation), then the transaction log, as the module
-    /// documentation says — unfinished transactions simply never happened
-    /// (their tentative blocks are reclaimed by the allocation rebuild).
-    /// Returns the commits that had not completed, in log order; the
-    /// records of completed ones that no checkpoint took home are redone
-    /// too.
+    /// Crash-recovers the whole stack: the file service is mounted in
+    /// place, everything else but the configuration is rebuilt from the
+    /// platter, and the log is redone, as the module documentation says —
+    /// unfinished transactions simply never happened (their tentative
+    /// blocks are reclaimed by the allocation rebuild). Returns the
+    /// commits that had not completed, in log order; the records of
+    /// completed ones that no checkpoint took home are redone too.
     ///
     /// # Errors
     ///
     /// Fails if the log itself is unrecoverable.
     pub fn recover(&mut self) -> Result<Vec<TxnId>, TxnError> {
-        self.active.clear();
-        // In-doubt state is rebuilt from the durable `Prepared` records
-        // below; whatever was in memory is stale.
-        self.prepared.clear();
-        // Reset the lock tables *in place*: outstanding Arc handles
-        // (`lock_tables`, lent to E20's shard model) must keep seeing the
-        // live tables.
-        for table in &self.tables {
-            table.reset();
-        }
         self.fs.recover()?;
+        let mut stats = TxnStats::default();
+        let (log, records) = IntentionLog::open(&mut self.fs, &mut stats)?;
+        // Every field but the file service and the configuration starts
+        // over; transaction ids go on from the mount's epoch, past every
+        // one in the log.
+        let (tables, next) = (lock_tables(self.config()), self.fs.lease_manager().epoch());
+        (self.tables, self.next_txn, self.log, self.stats) = (tables, next << 32 | 1, log, stats);
+        (self.active, self.prepared) = Default::default();
         let mut logged: Vec<Logged> = Vec::new();
         let mut at: HashMap<TxnId, usize> = HashMap::new();
         let mut checkpoint = None;
-        for (pos, rec) in self
-            .log
-            .scan(&mut self.fs, &mut self.stats)?
-            .into_iter()
-            .enumerate()
-        {
+        for (pos, rec) in records.into_iter().enumerate() {
             let (gtid, txn, intentions, sizes) = match rec {
                 LogRecord::Commit {
                     txn,
@@ -167,7 +164,7 @@ impl TransactionService {
             }
         }
 
-        // The allocation rebuild in `fs.recover()` freed every block no
+        // The allocation rebuild of the mount freed every block no
         // FIT references — among them the tentative blocks of the commits
         // about to be redone and of the votes in doubt. Re-pin them all
         // before any redo allocates.
@@ -181,7 +178,7 @@ impl TransactionService {
                 redone.push(p.txn);
             }
         }
-        // The in-doubt votes' locks died with the tables: re-take them, so
+        // The in-doubt votes' locks died with the old tables: re-take them, so
         // the isolation the vote promised holds until the decision
         // arrives.
         for (gtid, p) in in_doubt {

@@ -119,6 +119,12 @@ impl TxnStats {
     }
 }
 
+/// Fresh lock tables, one per locking level, indexed by [`table_index`].
+pub(crate) fn lock_tables(c: TxnConfig) -> [Arc<StripedLockTable>; 3] {
+    let (lt, renewals, shards) = (c.lt_us, c.max_renewals, c.lock_shards);
+    [(); 3].map(|()| Arc::new(StripedLockTable::new(lt, renewals, shards)))
+}
+
 /// Index of the lock table for each granularity.
 pub(crate) fn table_index(level: LockLevel) -> usize {
     match level {
@@ -139,8 +145,7 @@ pub struct TransactionService {
     config: TxnConfig,
     /// One striped lock table per locking level (§6.5). Every lock is
     /// taken and released under the service lock; the `Arc` serves only
-    /// the handles [`Self::lock_tables`] lends E20's shard model, and
-    /// recovery resets the shards in place to keep those handles valid.
+    /// the handles [`Self::lock_tables`] lends E20's shard model.
     pub(crate) tables: [Arc<StripedLockTable>; 3],
     pub(crate) active: HashMap<TxnId, ActiveTxn>,
     /// In-doubt cross-shard participants by coordinator-assigned global
@@ -148,6 +153,8 @@ pub struct TransactionService {
     /// durable `Prepared` records) and leave only via
     /// [`Self::resolve_prepared`].
     pub(crate) prepared: HashMap<u64, PreparedCommit>,
+    /// The next transaction id: `epoch << 32 | n`, `n` counting the
+    /// server epoch's transactions from one ([`Self::tbegin_for`]).
     pub(crate) next_txn: u64,
     pub(crate) log: IntentionLog,
     pub(crate) stats: TxnStats,
@@ -162,21 +169,14 @@ impl TransactionService {
     /// Fails if the log file cannot be created or opened.
     pub fn new(mut fs: FileService, config: TxnConfig) -> Result<Self, TxnError> {
         let mut stats = TxnStats::default();
-        let log = IntentionLog::open(&mut fs, &mut stats)?;
-        let mk = || {
-            Arc::new(StripedLockTable::new(
-                config.lt_us,
-                config.max_renewals,
-                config.lock_shards,
-            ))
-        };
+        let (log, _) = IntentionLog::open(&mut fs, &mut stats)?;
         Ok(Self {
+            next_txn: fs.lease_manager().epoch() << 32 | 1,
             fs,
             config,
-            tables: [mk(), mk(), mk()],
+            tables: lock_tables(config),
             active: HashMap::new(),
             prepared: HashMap::new(),
-            next_txn: 1,
             log,
             stats,
         })
@@ -210,9 +210,9 @@ impl TransactionService {
 
     /// Handles to the three striped lock tables, indexed Record, Page,
     /// File, for E20's shard model (`rhodos_bench::loadgen` reads their
-    /// shard counts). They stay valid across recovery, which resets the
-    /// shards in place; the service itself locks through them only under
-    /// its own lock.
+    /// shard counts). Recovery builds fresh tables, so a handle taken
+    /// before it sees none of the recovered server's locks; the service
+    /// itself locks through them only under its own lock.
     pub fn lock_tables(&self) -> [Arc<StripedLockTable>; 3] {
         [
             Arc::clone(&self.tables[0]),
@@ -242,11 +242,26 @@ impl TransactionService {
 
     /// `tbegin` with an explicit process identifier.
     pub fn tbegin_for(&mut self, pid: u64) -> TxnId {
-        let id = TxnId(self.next_txn);
-        self.next_txn += 1;
+        let id = self.issue_id();
         self.active.insert(id, ActiveTxn::new(pid));
         self.stats.begun += 1;
         id
+    }
+
+    /// The next transaction id. The epoch's first claims the server
+    /// epoch ([`rhodos_file_service::LeaseManager::claim_epoch`]), so it
+    /// is on the platter before an id of it leaves the server and no id
+    /// is issued twice across a crash — a commit record lost to a torn
+    /// force could otherwise be appended again byte for byte, and chain
+    /// the frames the force left behind it. Should that write fail, a
+    /// later mount may reuse the epoch.
+    fn issue_id(&mut self) -> TxnId {
+        if self.next_txn & u64::from(u32::MAX) == 1 {
+            self.fs.lease_manager_mut().claim_epoch();
+            let _ = self.fs.record_leases();
+        }
+        self.next_txn += 1;
+        TxnId(self.next_txn - 1)
     }
 
     /// `tbegin` for a *nested* transaction: the child sees the parent's
@@ -264,8 +279,7 @@ impl TransactionService {
             v.extend(p.inherited_files.iter().copied());
             (p.pid, v)
         };
-        let id = TxnId(self.next_txn);
-        self.next_txn += 1;
+        let id = self.issue_id();
         let mut child = ActiveTxn::new(pid);
         child.parent = Some(parent);
         child.inherited_files = visible;
@@ -308,6 +322,7 @@ impl TransactionService {
     ) -> Result<(LeaseGrant, u64), TxnError> {
         let st = self.fs.get_attribute(fid)?.service_type;
         let (grant, acks) = self.fs.lease_manager_mut().acquire(client, fid, mode);
+        self.fs.record_leases()?;
         for ack in acks {
             if st == ServiceType::Transaction && !ack.runs.is_empty() {
                 match self.apply_recall_txn(fid, &ack) {

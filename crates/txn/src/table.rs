@@ -426,8 +426,6 @@ impl LockTable {
 #[derive(Debug)]
 pub struct StripedLockTable {
     shards: Vec<Mutex<LockTable>>,
-    lt_us: u64,
-    max_renewals: u32,
 }
 
 impl StripedLockTable {
@@ -445,8 +443,6 @@ impl StripedLockTable {
             shards: (0..shards)
                 .map(|_| Mutex::new(LockTable::new(lt_us, max_renewals)))
                 .collect(),
-            lt_us,
-            max_renewals,
         }
     }
 
@@ -549,14 +545,6 @@ impl StripedLockTable {
     /// Whether every shard is empty.
     pub fn is_empty(&self) -> bool {
         self.shards.iter().all(|s| s.lock().is_empty())
-    }
-
-    /// Empties every shard and zeroes its stats (recovery). In-place so
-    /// outstanding handles to the table stay valid across a crash.
-    pub fn reset(&self) {
-        for shard in &self.shards {
-            *shard.lock() = LockTable::new(self.lt_us, self.max_renewals);
-        }
     }
 }
 
@@ -857,17 +845,6 @@ mod tests {
             .granted_items(survivor)
             .iter()
             .any(|(i, m)| (*i == page(pa) || *i == page(pb)) && *m == LockMode::Iwrite));
-    }
-
-    #[test]
-    fn striped_reset_clears_in_place() {
-        let t = StripedLockTable::new(LT, 3, 4);
-        t.set_lock(1, 10, page(0), LockMode::Iwrite, 0);
-        t.set_lock(2, 20, page(0), LockMode::Iwrite, 0);
-        assert!(!t.is_empty());
-        t.reset();
-        assert!(t.is_empty());
-        assert_eq!(t.stats(), LockTableStats::default());
     }
 
     #[test]

@@ -180,7 +180,8 @@ fn a_redo_leaves_a_swing_that_landed() {
     fill(&mut model, &(BLOCK..3 * BLOCK), 0x99);
     assert_eq!(ts.stats().shadow_pages, swings + 2, "two shadow swings");
     assert_eq!(crash_and_recover(&mut ts), vec![t], "redone");
-    assert_eq!(ts.stats().shadow_pages, swings + 2, "and swung no more");
+    // The counters start over with the recovered server: they count the redo.
+    assert_eq!(ts.stats().shadow_pages, 0, "and swung no more");
     assert_eq!(contents(&mut ts, fid), model);
     assert!(fsck_is_clean(&mut ts));
     assert_eq!(free_after_sync(&mut ts), free_after_sync(&mut twin));

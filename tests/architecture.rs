@@ -520,3 +520,37 @@ fn every_facility_machine_caches_under_a_lease() {
     assert!(reader.held_leases() > 0, "the read is served under a lease");
     assert_eq!(facility.machine_mut(0).file_agent_mut().stats().recalls, 1);
 }
+
+/// A crash is a drop (DESIGN.md, "The crash model"):
+/// `FileService::simulate_crash` rebuilds the server from its disks and
+/// its wiring, and recovery mounts it, so no layer keeps a list of what a
+/// crash clears. Outside tests, no source under `crates/` defines a
+/// `crash` method but the simulated disk's fault injection and the
+/// coordinator's decision log, none names `server_crashed`, and the lock
+/// table has no `reset`.
+#[test]
+fn a_crash_is_a_drop() {
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let sources = non_test_sources(&crates);
+    assert!(
+        sources
+            .iter()
+            .any(|(path, code)| path.ends_with("service.rs") && code.contains("fn simulate_crash(")),
+        "found the crash"
+    );
+    for (path, code) in &sources {
+        let exempt = path.to_string_lossy().contains("crates/simdisk/")
+            || path.ends_with("cluster/src/commit.rs");
+        assert!(
+            exempt || !code.contains("fn crash("),
+            "{path:?} defines `crash`"
+        );
+        assert!(
+            !code.contains("server_crashed"),
+            "{path:?} names `server_crashed`"
+        );
+        if path.ends_with("txn/src/table.rs") {
+            assert!(!code.contains("fn reset("), "{path:?} defines `reset`");
+        }
+    }
+}

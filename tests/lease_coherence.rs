@@ -438,7 +438,7 @@ fn write_reattach_cannot_coexist_with_any_prior_regrant() {
         .try_acquire(clock.now_us(), 1, f, LeaseMode::Write)
         .unwrap();
     assert!(w.token.seq > r2.token.seq && w.token.seq > r3.token.seq);
-    m.server_crashed(clock.now_us());
+    m = LeaseManager::from_record(clock.clone(), m.params(), &m.record(), clock.now_us());
     // The stale read claims land first and are (provisionally) regranted
     // in the new epoch.
     let g2 = m

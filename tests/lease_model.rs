@@ -21,7 +21,9 @@
 //! duplicated, or has its request or its reply lost on every retry of
 //! `StationEndpoint`'s exchange; advancing the clock past half a term (the
 //! renewal point), a term (a lease's expiry, and the reattach window) or
-//! the recall timeout; a server crash; a client's reattach; a server
+//! the recall timeout; a server crash, after which the manager is the
+//! one `LeaseManager::from_record` rebuilds from its `record()` alone,
+//! the recall lanes attached again; a client's reattach; a server
 //! crash every client answers at once with its reattach, as
 //! `Facility::recover_server_at` has them do. The server's
 //! bytes are a durable store: the lease protocol, not the file service's
@@ -260,40 +262,53 @@ fn fid(f: usize) -> FileId {
 impl World {
     fn new(cfg: Config) -> Self {
         let clock = SimClock::new();
-        let mut mgr = LeaseManager::new(
-            clock.clone(),
-            LeaseParams {
-                term_us: cfg.term_us,
-            },
-        );
-        let fates = Arc::new(Mutex::new((VecDeque::new(), 0)));
+        let params = LeaseParams {
+            term_us: cfg.term_us,
+        };
         let mut stations = Vec::new();
         for c in 0..cfg.clients {
             let mut st = Station::new(c as u64, cfg.files * cfg.blocks as usize);
             for f in 0..cfg.files {
                 st.grow(fid(f), cfg.blocks * BLOCK_SIZE as u64);
             }
-            let st = Arc::new(Mutex::new(st));
-            mgr.attach(Box::new(ModelLane {
-                station: st.clone(),
-                clock: clock.clone(),
-                fates: fates.clone(),
-            }));
-            stations.push(st);
+            stations.push(Arc::new(Mutex::new(st)));
         }
-        Self {
+        let mut world = Self {
             cfg,
+            mgr: LeaseManager::new(clock.clone(), params),
             clock,
-            mgr,
             stations,
-            fates,
+            fates: Arc::new(Mutex::new((VecDeque::new(), 0))),
             store: vec![vec![0; cfg.blocks as usize]; cfg.files],
             pending: Vec::new(),
             lost: vec![0; cfg.clients],
             expiry: vec![vec![0; cfg.files]; cfg.clients],
             grant_expiry: HashMap::new(),
             next_value: 0,
+        };
+        world.attach_lanes();
+        world
+    }
+
+    /// Gives the lease manager every station's recall lane: the wiring a
+    /// server keeps across a crash.
+    fn attach_lanes(&mut self) {
+        for st in &self.stations {
+            self.mgr.attach(Box::new(ModelLane {
+                station: st.clone(),
+                clock: self.clock.clone(),
+                fates: self.fates.clone(),
+            }));
         }
+    }
+
+    /// A server crash and its mount: the lease manager is rebuilt from
+    /// the record it kept on the platter alone, and wired up again.
+    fn crash(&mut self) {
+        let (record, now) = (self.mgr.record(), self.now());
+        let params = self.mgr.params();
+        self.mgr = LeaseManager::from_record(self.clock.clone(), params, &record, now);
+        self.attach_lanes();
     }
 
     /// Replays `trace` on a fresh world, its prefix already checked, and
@@ -326,14 +341,10 @@ impl World {
             Op::Advance(us) => {
                 self.clock.advance(us);
             }
-            Op::Crash => {
-                let now = self.clock.now_us();
-                self.mgr.server_crashed(now);
-            }
+            Op::Crash => self.crash(),
             Op::Reattach { c } => self.reattach(c),
             Op::Recover => {
-                let now = self.clock.now_us();
-                self.mgr.server_crashed(now);
+                self.crash();
                 (0..self.cfg.clients).for_each(|c| self.reattach(c));
             }
         }
@@ -674,11 +685,17 @@ impl World {
         values.dedup();
         let seq = |x: u64| seqs.partition_point(|&s| s < x) as u64;
         let value = |v: u8| values.partition_point(|&w| w < v) as u64;
-        let mut head = vec![rel(self.mgr.reattach_until())];
-        head.extend((0..self.cfg.files).map(|f| {
-            let dead = self.mgr.dead_seq(fid(f));
-            dead.map_or(0, |d| seqs.partition_point(|&s| s <= d) as u64)
-        }));
+        // What a crash keeps: whether the epoch is on the record yet, and
+        // the graves the record holds, beside the graves judged now.
+        let record = self.mgr.record();
+        let grave =
+            |dead: Option<u64>| dead.map_or(0, |d| seqs.partition_point(|&s| s <= d) as u64);
+        let mut head = vec![
+            rel(self.mgr.reattach_until()),
+            u64::from(record.epoch == self.mgr.epoch()),
+        ];
+        head.extend((0..self.cfg.files).map(|f| grave(self.mgr.dead_seq(fid(f)))));
+        head.extend((0..self.cfg.files).map(|f| grave(record.dead.get(&fid(f)).copied())));
         head.extend(self.store.iter().flatten().map(|&v| value(v)));
         let records: Vec<Vec<u64>> = stations
             .iter()

@@ -4,9 +4,10 @@
 //! as the total space available on all the disks" (§7). Sweeps the disk
 //! count for a fixed large file and compares the pre-scheduler serial
 //! baseline against the per-spindle schedulers: demand disk references,
-//! requests merged by the elevator, the busiest spindle's busy time, the
-//! simulated completion time of the read (serial = sum of operation
-//! costs, scheduler = busiest-spindle makespan) and host wall-clock.
+//! requests merged by the elevator, the tracks the heads crossed, the
+//! busiest spindle's busy time, the simulated completion time of the
+//! read (serial = sum of operation costs, scheduler = busiest-spindle
+//! makespan) and host wall-clock.
 
 use crate::table::{speedup, Table};
 use rhodos_disk_service::SchedulerStats;
@@ -30,6 +31,8 @@ struct StripeOutcome {
     wall_us: u64,
     disks_used: usize,
     refs: u64,
+    /// Tracks crossed by every seek of the read, all spindles together.
+    seek_tracks: u64,
     sched: SchedulerStats,
 }
 
@@ -47,6 +50,7 @@ fn measure(ndisks: usize, mode: ParallelIo) -> StripeOutcome {
     let clock = fs.clock();
     let busy0: Vec<u64> = fs.stats().disks.iter().map(|d| d.disk.busy_us).collect();
     let refs0: u64 = fs.stats().disks.iter().map(|d| d.disk.read_ops).sum();
+    let tracks0: u64 = fs.stats().disks.iter().map(|d| d.disk.seek_tracks).sum();
     let t0 = clock.now_us();
     let w0 = Instant::now();
     let back = fs.read(fid, 0, data.len()).unwrap();
@@ -60,6 +64,7 @@ fn measure(ndisks: usize, mode: ParallelIo) -> StripeOutcome {
         .map(|(d, b0)| d.disk.busy_us - b0)
         .collect();
     let refs: u64 = stats.disks.iter().map(|d| d.disk.read_ops).sum::<u64>() - refs0;
+    let seek_tracks = stats.disks.iter().map(|d| d.disk.seek_tracks).sum::<u64>() - tracks0;
     let mut sched = SchedulerStats::default();
     for d in &stats.disks {
         sched.merge(&d.scheduler);
@@ -72,6 +77,7 @@ fn measure(ndisks: usize, mode: ParallelIo) -> StripeOutcome {
         wall_us,
         disks_used: used.len(),
         refs,
+        seek_tracks,
         sched,
     }
 }
@@ -84,6 +90,7 @@ pub fn run() -> String {
         "read refs",
         "merged",
         "qd hwm",
+        "tracks crossed",
         "busiest spindle (us)",
         "completion (us)",
         "completion vs serial",
@@ -107,6 +114,7 @@ pub fn run() -> String {
                 o.refs.to_string(),
                 o.sched.merged_requests.to_string(),
                 o.sched.queue_depth_hwm.to_string(),
+                o.seek_tracks.to_string(),
                 o.busiest_disk_us.to_string(),
                 o.completion_us.to_string(),
                 rel,

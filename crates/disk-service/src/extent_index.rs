@@ -120,8 +120,10 @@ impl FreeExtentArray {
         }
     }
 
-    /// Allocates `len` contiguous fragments, preferring an exact-size run,
-    /// then splitting the smallest adequate larger run; falls back to a
+    /// Allocates the head of the *lowest-addressed* indexed run of at
+    /// least `len` fragments — the placement rule for file data, so a file
+    /// grows next to its FIT and the low region stays dense while
+    /// transients take the top ([`Self::allocate_top`]). Falls back to a
     /// bitmap first-fit scan (and records the fallback) when the index has
     /// no usable reference.
     ///
@@ -130,12 +132,11 @@ impl FreeExtentArray {
     /// of `len` exists on the disk at all.
     pub fn allocate(&mut self, bitmap: &mut Bitmap, len: u64) -> Option<Extent> {
         assert!(len > 0, "cannot allocate zero fragments");
-        // Exact row first (only meaningful when len <= ROWS-1), then
-        // larger. One pass per row: stale entries are dropped in place.
-        let first_row = Self::row_for(len);
-        for row in first_row..ROWS {
+        // Every row that can fit `len`, one pass each: stale entries are
+        // dropped in place, the lowest usable start wins.
+        let mut best: Option<(usize, usize, FragmentAddr)> = None;
+        for row in Self::row_for(len)..ROWS {
             let mut i = 0;
-            let mut found = None;
             while i < self.rows[row].len() {
                 let (start, rlen) = self.rows[row][i];
                 if !bitmap.run_is_free(start, rlen) {
@@ -143,23 +144,21 @@ impl FreeExtentArray {
                     self.stats.stale_dropped += 1;
                     continue;
                 }
-                if rlen >= len {
-                    found = Some(i);
-                    break;
+                if rlen >= len && best.is_none_or(|(.., b)| start < b) {
+                    best = Some((row, i, start));
                 }
                 i += 1;
             }
-            if let Some(i) = found {
-                let (start, rlen) = self.rows[row].swap_remove(i);
-                let run = Extent::new(start, rlen);
-                let (head, rest) = run.split_at(len);
-                bitmap.mark_allocated(head.start, head.len);
-                if let Some(rest) = rest {
-                    self.insert_run(rest);
-                }
-                self.stats.index_hits += 1;
-                return Some(head);
+        }
+        if let Some((row, i, _)) = best {
+            let (start, rlen) = self.rows[row].swap_remove(i);
+            let (head, rest) = Extent::new(start, rlen).split_at(len);
+            bitmap.mark_allocated(head.start, head.len);
+            if let Some(rest) = rest {
+                self.insert_run(rest);
             }
+            self.stats.index_hits += 1;
+            return Some(head);
         }
         // Index miss: scan the bitmap and rebuild the index on the way.
         self.stats.bitmap_fallbacks += 1;
@@ -170,9 +169,10 @@ impl FreeExtentArray {
     }
 
     /// Allocates `len` contiguous fragments from the *highest-addressed*
-    /// usable run — the placement policy for shadow pages, intention-log
-    /// blocks and other metadata that must not fragment the low region
-    /// where file data grows contiguously.
+    /// usable run — the placement policy for shadow pages, indirect FIT
+    /// tables and other metadata that must not fragment the low region
+    /// where file data grows contiguously. (The intention log is a file:
+    /// it grows from the bottom like any other.)
     pub fn allocate_top(&mut self, bitmap: &mut Bitmap, len: u64) -> Option<Extent> {
         assert!(len > 0, "cannot allocate zero fragments");
         // Find the usable run with the highest end address across all rows.
@@ -342,6 +342,32 @@ mod top_allocation_tests {
         let mid_low = idx.allocate(&mut bm, 4).unwrap();
         let mid_high = idx.allocate_top(&mut bm, 4).unwrap();
         assert!(mid_low.end() <= mid_high.start);
+    }
+
+    #[test]
+    fn allocate_takes_the_lowest_fitting_run_over_a_higher_exact_hole() {
+        let mut bm = Bitmap::new_all_free(256);
+        let mut idx = FreeExtentArray::new();
+        idx.rebuild_from(&bm);
+        // A file's first run at the bottom; four shadow blocks at the top,
+        // and a fragment of metadata below them.
+        let file = idx.allocate(&mut bm, 5).unwrap();
+        let shadows: Vec<Extent> = (0..4)
+            .map(|_| idx.allocate_top(&mut bm, 4).unwrap())
+            .collect();
+        assert_eq!(idx.allocate_top(&mut bm, 1).unwrap().start, 239);
+        // Freed, the shadows leave an exact 16-fragment hole at the top.
+        for s in shadows {
+            idx.free(&mut bm, s);
+        }
+        assert_eq!(
+            bm.free_runs(),
+            vec![Extent::new(5, 234), Extent::new(240, 16)]
+        );
+        // The file grows next to itself, not into the exact-size hole.
+        let grown = idx.allocate(&mut bm, 16).unwrap();
+        assert_eq!(grown.start, file.end());
+        assert_eq!(idx.stats().bitmap_fallbacks, 0);
     }
 
     #[test]

@@ -730,6 +730,11 @@ impl ShardedBlockCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Blocks the pool can take before an insert evicts.
+    pub fn free_slots(&self) -> usize {
+        self.capacity.saturating_sub(self.len())
+    }
 }
 
 #[cfg(test)]

@@ -54,11 +54,6 @@ impl BlockDescriptor {
         Extent::new(self.addr, FRAGS_PER_BLOCK)
     }
 
-    /// The extent of the whole contiguous run this descriptor starts.
-    pub fn run_extent(&self) -> Extent {
-        Extent::new(self.addr, FRAGS_PER_BLOCK * self.contig as u64)
-    }
-
     fn encode(&self, e: &mut Encoder) {
         e.u16(self.disk).u64(self.addr).u16(self.contig);
     }

@@ -391,8 +391,11 @@ impl FileService {
 
     /// Loads logical block `idx` of `fid` into the cache (if enabled) and
     /// returns a shared handle to its bytes. Contiguous neighbours within
-    /// the same run are fetched in the same disk reference; every block of
-    /// the run (including the returned one) is a zero-copy view of the one
+    /// the same run are read ahead in the same disk reference, as many as
+    /// the pool has free slots for: read-ahead never evicts, so a miss in
+    /// a full pool transfers its own block only (the disk service's track
+    /// cache still holds the rest of the track). Every block fetched
+    /// (including the returned one) is a zero-copy view of the one
     /// transfer allocation. `began` is the pool clock when the read that
     /// fetches began — `None` inside a write (see [`Self::admit`]).
     fn fetch_block(
@@ -401,12 +404,14 @@ impl FileService {
         idx: u64,
         began: Option<u64>,
     ) -> Result<BlockBuf, FileServiceError> {
+        let mut room = u64::MAX;
         if let Some(cache) = &self.cache {
             if let Some(b) = cache.get(&(fid, idx)) {
                 return Ok(b);
             }
+            room = cache.free_slots() as u64;
         }
-        let data = self.volume.read_run(&mut self.store, fid, idx)?;
+        let data = self.volume.read_run(&mut self.store, fid, idx, room)?;
         let block = |j: usize| data.slice(j * BLOCK_SIZE..(j + 1) * BLOCK_SIZE);
         let blocks = (0..data.len() / BLOCK_SIZE).map(|j| (idx + j as u64, block(j)));
         self.admit(fid, blocks, began)?;
@@ -570,8 +575,9 @@ impl FileService {
         let began = self.read_began();
         if first == last || !self.volume.batches_windows() {
             // A single block goes through the run-fetching path, which
-            // also caches the rest of the block's contiguous run — as
-            // does every block of a window the volume does not batch.
+            // reads ahead as much of the block's contiguous run as the
+            // pool has free slots for — as does every block of a window
+            // the volume does not batch.
             return (first..=last)
                 .map(|idx| self.fetch_block(fid, idx, began))
                 .collect();
@@ -1868,6 +1874,46 @@ mod tests {
         assert_eq!(f.stats().total_disk_refs(), refs_before);
         assert_eq!(f.stats().cache.bytes_copied, after.cache.bytes_copied);
         assert!(BlockBuf::try_concat(&[b0, b1]).is_some());
+    }
+
+    /// Read-ahead never evicts: a miss admits as much of its block's run
+    /// as the pool has free slots for, and a miss in a full pool admits
+    /// its own block alone, evicting one.
+    #[test]
+    fn run_read_ahead_takes_free_slots_only() {
+        let mut f = FileService::single_disk(
+            DiskGeometry::medium(),
+            LatencyModel::default(),
+            SimClock::new(),
+            FileServiceConfig {
+                cache_blocks: 12,
+                cache_shards: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut file = |byte| {
+            let fid = create_open(&mut f);
+            f.write(fid, 0, vec![byte; 8 * BLOCK_SIZE]).unwrap();
+            assert_eq!(f.block_descriptors(fid).unwrap()[0].contig, 8);
+            fid
+        };
+        let (a, b) = (file(1), file(2));
+        f.flush_all().unwrap();
+        f.evict_caches().unwrap();
+        let pool = f.cache_handle().unwrap();
+        let resident = |fid| (0..8).filter(|&i| pool.contains(&(fid, i))).count();
+        // Room for the run: all eight blocks.
+        f.read_block(a, 0).unwrap();
+        assert_eq!(resident(a), 8);
+        // Room for four: the block and the three after it, no eviction.
+        f.read_block(b, 0).unwrap();
+        assert_eq!((resident(a), resident(b)), (8, 4));
+        // A full pool: the block alone, one eviction.
+        f.read_block(b, 6).unwrap();
+        assert_eq!((resident(a), resident(b)), (7, 5));
+        assert!(pool.contains(&(b, 6)) && !pool.contains(&(b, 7)));
+        assert!(f.read_block(b, 7).unwrap().iter().all(|&x| x == 2));
     }
 
     /// Fault injection on a sector whose allocation the caller, the block

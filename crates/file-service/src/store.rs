@@ -13,11 +13,12 @@ use crate::lease::LeaseRecord;
 use crate::scrub::ScrubOwner;
 use crate::volume::Volume;
 use rhodos_disk_service::codec::{DecodeError, Decoder, Encoder};
-use rhodos_disk_service::{Extent, FragmentAddr, FRAGS_PER_BLOCK};
+use rhodos_disk_service::{Extent, FragmentAddr, FRAGMENT_SIZE, FRAGS_PER_BLOCK};
 use std::collections::BTreeMap;
 
 /// The file directory region: the first 16 fragments of disk 0, where
-/// a mount looks for it. Every directory write is the whole region.
+/// a mount looks for it. A directory write covers the fragments that
+/// changed since the last image written or read.
 const DIRECTORY: Extent = Extent { start: 0, len: 16 };
 
 /// Capacity of the *fragment pool* — the cache of file index tables — in
@@ -97,6 +98,10 @@ pub(crate) struct FitStore {
     hits: u64,
     /// The lease record as the directory header last carried it.
     pub(crate) lease: LeaseRecord,
+    /// The directory as the platter has it, once known
+    /// ([`Self::encode_directory`]): what the next write is compared
+    /// against.
+    dir_image: Option<Vec<u8>>,
 }
 
 impl FitStore {
@@ -140,10 +145,11 @@ impl FitStore {
 
     // ---- directory persistence ----------------------------------------
 
-    /// Writes the whole directory region: a header — the next system
-    /// name, the system file, and the server record (the lease record and
-    /// the degraded disks of `vol`) — then every file's FIT address.
-    pub(crate) fn persist_directory(&mut self, vol: &mut Volume) -> Result<(), FileServiceError> {
+    /// The directory as it is laid out at the start of its region, the
+    /// rest of which is zeros: a header — the next system name, the
+    /// system file, and the server record (the lease record and the
+    /// degraded disks of `vol`) — then every file's FIT address.
+    fn encode_directory(&self, vol: &Volume) -> Vec<u8> {
         let mut e = Encoder::new();
         e.u32(DIR_MAGIC)
             .u64(self.next_fid)
@@ -163,12 +169,45 @@ impl FitStore {
         for (fid, (disk, frag)) in &self.directory {
             e.u64(fid.0).u16(*disk).u64(*frag);
         }
-        let mut buf = e.finish();
-        if buf.len() > DIRECTORY.len_bytes() {
+        e.finish()
+    }
+
+    /// Writes the directory ([`Self::encode_directory`]): the fragments
+    /// from the first that differs from the image last written or read to
+    /// the last, so a change of the server record is one fragment — the
+    /// whole region when the platter's copy is unknown.
+    pub(crate) fn persist_directory(&mut self, vol: &mut Volume) -> Result<(), FileServiceError> {
+        let image = self.encode_directory(vol);
+        if image.len() > DIRECTORY.len_bytes() {
             return Err(FileServiceError::DirectoryFull);
         }
-        buf.resize(DIRECTORY.len_bytes(), 0);
-        vol.put_meta(0, DIRECTORY, &buf)
+        // Fragment `f` of an image, as far as the image reaches: equal
+        // slices are equal fragments, the rest of each being zeros.
+        fn fragment(image: &[u8], f: usize) -> &[u8] {
+            let at = |f: usize| (f * FRAGMENT_SIZE).min(image.len());
+            &image[at(f)..at(f + 1)]
+        }
+        let old = self.dir_image.take();
+        let changed = |&f: &usize| {
+            old.as_deref()
+                .is_none_or(|old| fragment(old, f) != fragment(&image, f))
+        };
+        let frags = 0..DIRECTORY.len as usize;
+        if let (Some(first), Some(last)) = (frags.clone().find(changed), frags.rev().find(changed))
+        {
+            let mut buf = image.clone();
+            buf.resize((last + 1) * FRAGMENT_SIZE, 0);
+            let extent = Extent::new(DIRECTORY.start + first as u64, (last - first + 1) as u64);
+            vol.put_meta(0, extent, &buf[first * FRAGMENT_SIZE..])?;
+        }
+        self.dir_image = Some(image);
+        Ok(())
+    }
+
+    /// Forgets the directory image: the next write is the whole region
+    /// (disk 0 was replaced by a blank spare).
+    pub(crate) fn forget_directory_image(&mut self) {
+        self.dir_image = None;
     }
 
     /// Reads the directory region back into the store, and the degraded
@@ -197,6 +236,7 @@ impl FitStore {
             let frag = d.u64().map_err(|e| FileServiceError::corrupt(fid, e))?;
             self.directory.insert(fid, (disk_no, frag));
         }
+        self.dir_image = Some(self.encode_directory(vol));
         Ok(())
     }
 

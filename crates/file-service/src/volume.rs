@@ -411,14 +411,16 @@ impl Volume {
     }
 
     /// Reads logical block `idx` of the resident file `fid` together with
-    /// the rest of the contiguous run it starts — one disk reference, one
-    /// allocation, `contig` blocks. A block homed on a degraded disk comes
-    /// back alone, reconstructed from its parity group.
+    /// the rest of the contiguous run it starts, up to `max_blocks` in all
+    /// (the block itself always) — one disk reference, one allocation. A
+    /// block homed on a degraded disk comes back alone, reconstructed
+    /// from its parity group.
     pub(crate) fn read_run(
         &mut self,
         store: &mut FitStore,
         fid: FileId,
         idx: u64,
+        max_blocks: u64,
     ) -> Result<BlockBuf, FileServiceError> {
         let d = store
             .loaded(fid)
@@ -428,7 +430,10 @@ impl Volume {
         if self.lost(&d) {
             return Ok(self.read_degraded(store, fid, idx)?.into());
         }
-        Ok(self.disk(d.disk).get(d.run_extent())?)
+        let blocks = (d.contig as u64).min(max_blocks.max(1));
+        Ok(self
+            .disk(d.disk)
+            .get(Extent::new(d.addr, FRAGS_PER_BLOCK * blocks))?)
     }
 
     /// Reads logical blocks `idxs` of one file as one batch, returned
@@ -1193,6 +1198,9 @@ impl Volume {
         );
         self.degraded[disk] = true;
         self.rebuild_cursors[disk] = None;
+        if disk == 0 {
+            store.forget_directory_image();
+        }
         for (_, extent, _) in owned.into_iter().filter(here) {
             self.disks[disk].repin_extent(extent);
         }

@@ -79,6 +79,25 @@ fn a_degraded_volume_survives_a_crash_mid_rebuild() {
     }
 }
 
+/// Disk 0 lost: its blank spare gets the whole directory, not just the
+/// fragments whose bytes changed — even when the spare is lost in turn,
+/// before its rebuild, and nothing in the directory changes — so a
+/// directory that spills past its first fragment is whole after the
+/// crash that follows.
+#[test]
+fn a_spare_disk_0_gets_the_whole_directory() {
+    let (mut fs, _) = parity_volume();
+    for _ in 0..150 {
+        fs.create(ServiceType::Basic).unwrap();
+    }
+    let files = fs.file_ids();
+    fs.fail_disk(0).unwrap();
+    fs.fail_disk(0).unwrap();
+    fs.simulate_crash();
+    fs.recover().unwrap();
+    assert_eq!(fs.file_ids(), files);
+}
+
 /// A server with files, a lease held, and a holder fenced: its grave is
 /// on the platter before the rival's grant is handed out.
 fn leased_server() -> FileService {
@@ -151,4 +170,41 @@ fn a_mount_knows_what_a_recovery_knows() {
         .into_iter()
         .filter_map(|f| a.dead_seq(f));
     assert_eq!(graves.count(), 1, "the fenced grant's grave survived");
+}
+
+/// A change of the server record writes the directory fragment it is in,
+/// not the 16-fragment directory region: one sector on disk 0 and two on
+/// each of its two stable mirrors (a stable record is a sector with a
+/// header, so a fragment takes two), mount after mount — each claims its
+/// epoch — and the record is on the platter for the next mount.
+#[test]
+fn a_record_change_writes_one_directory_fragment() {
+    let mut fs = FileService::single_disk(
+        DiskGeometry::medium(),
+        LatencyModel::default(),
+        SimClock::new(),
+        FileServiceConfig::default(),
+    )
+    .unwrap();
+    for _ in 0..40 {
+        fs.create(ServiceType::Basic).unwrap();
+    }
+    let writes = |fs: &FileService| {
+        let disk = &fs.stats().disks[0];
+        (disk.disk.sector_writes, disk.stable.sector_writes)
+    };
+    for epoch in 1..=2 {
+        fs.simulate_crash();
+        fs.recover().unwrap();
+        assert_eq!(fs.lease_manager().record().epoch, epoch - 1);
+        let (disk, stable) = writes(&fs);
+        fs.lease_manager_mut().claim_epoch();
+        fs.record_leases().unwrap();
+        let (disk_after, stable_after) = writes(&fs);
+        assert_eq!(
+            (disk_after - disk, stable_after - stable),
+            (1, 4),
+            "epoch {epoch}"
+        );
+    }
 }

@@ -312,8 +312,13 @@ impl SimDisk {
         let cost = self
             .model
             .access_cost_us(&self.geometry, self.head, to, count);
-        if self.geometry.track_of(self.head) != self.geometry.track_of(to) {
+        let (from, to_track) = (
+            self.geometry.track_of(self.head),
+            self.geometry.track_of(to),
+        );
+        if from != to_track {
             self.stats.seeks += 1;
+            self.stats.seek_tracks += from.abs_diff(to_track);
         }
         self.stats.busy_us += cost;
         // The spindle starts this transfer when both the request has been
@@ -1011,5 +1016,17 @@ mod tests {
         }
         assert!(a.stats().busy_us < b.stats().busy_us);
         assert!(a.stats().seeks < b.stats().seeks);
+    }
+
+    #[test]
+    fn seek_tracks_sum_the_tracks_each_seek_crosses() {
+        let mut d = disk();
+        let spt = d.geometry().sectors_per_track();
+        d.read_sectors(0, 1).unwrap();
+        d.read_sectors(1, 1).unwrap(); // same track: no seek
+        d.read_sectors(5 * spt, 1).unwrap(); // out 5 tracks
+        d.read_sectors(2 * spt + 3, 1).unwrap(); // back 3
+        assert_eq!(d.stats().seeks, 2);
+        assert_eq!(d.stats().seek_tracks, 8);
     }
 }

@@ -23,6 +23,9 @@ pub struct DiskStats {
     pub sector_writes: u64,
     /// Head movements that crossed tracks.
     pub seeks: u64,
+    /// Tracks those head movements crossed, summed: `seek_tracks / seeks`
+    /// is the mean seek length, which placement governs.
+    pub seek_tracks: u64,
     /// Total virtual time spent in disk operations, microseconds.
     pub busy_us: u64,
     /// Reads that hit a bad (unreadable) sector.
@@ -69,6 +72,7 @@ impl DiskStats {
             sector_reads: self.sector_reads - earlier.sector_reads,
             sector_writes: self.sector_writes - earlier.sector_writes,
             seeks: self.seeks - earlier.seeks,
+            seek_tracks: self.seek_tracks - earlier.seek_tracks,
             busy_us: self.busy_us - earlier.busy_us,
             media_errors: self.media_errors - earlier.media_errors,
             checksum_mismatches: self.checksum_mismatches - earlier.checksum_mismatches,
@@ -86,6 +90,7 @@ impl DiskStats {
         self.sector_reads += other.sector_reads;
         self.sector_writes += other.sector_writes;
         self.seeks += other.seeks;
+        self.seek_tracks += other.seek_tracks;
         self.busy_us += other.busy_us;
         self.media_errors += other.media_errors;
         self.checksum_mismatches += other.checksum_mismatches;
@@ -126,6 +131,7 @@ mod tests {
             sector_reads: 8,
             busy_us: 90,
             seeks: 1,
+            seek_tracks: 7,
             ..Default::default()
         };
         b.merge(&extra);

@@ -187,6 +187,12 @@ impl TransactionService {
     ///
     /// File-service failures.
     pub fn flush_log(&mut self) -> Result<(), TxnError> {
+        if self.log.writes_mount_frame() {
+            // The mount's frame leaves only under an epoch no later mount
+            // reuses (see `log.rs`).
+            self.fs.lease_manager_mut().claim_epoch();
+            self.fs.record_leases()?;
+        }
         self.log.force(&mut self.fs, &mut self.stats)
     }
 

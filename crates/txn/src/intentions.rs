@@ -105,8 +105,8 @@ impl Intention {
 }
 
 /// A durable log record: a commit or prepare record carrying a
-/// transaction's full intentions list, the marker that resolves one, or a
-/// checkpoint.
+/// transaction's full intentions list, the marker that resolves one, a
+/// checkpoint, or the frame a mount opened the log with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogRecord {
     /// "This transaction commits with these intentions."
@@ -158,6 +158,13 @@ pub enum LogRecord {
     /// the platter": recovery redoes no record whose `Completed` marker
     /// precedes it.
     Checkpoint,
+    /// "A server of `epoch` mounted here": the first frame appended after
+    /// a scan found the log's end, so that what follows chains from a
+    /// frame no earlier force wrote. Recovery reads past it.
+    Mounted {
+        /// The mounting server's epoch.
+        epoch: u64,
+    },
 }
 
 /// A transaction's intentions and the final sizes of the files it touched.
@@ -243,6 +250,13 @@ impl LogRecord {
         body.finish()
     }
 
+    /// Serialises a `Mounted` frame.
+    pub fn encode_mounted(epoch: u64) -> Vec<u8> {
+        let mut body = Encoder::new();
+        body.u8(5).u64(epoch);
+        body.finish()
+    }
+
     fn encode_effects(body: &mut Encoder, intentions: &[Intention], sizes: &[(FileId, u64)]) {
         body.u32(intentions.len() as u32);
         for i in intentions {
@@ -296,6 +310,7 @@ impl LogRecord {
                 txn: TxnId(d.u64()?),
             },
             4 => LogRecord::Checkpoint,
+            5 => LogRecord::Mounted { epoch: d.u64()? },
             _ => return Err(DecodeError),
         })
     }
@@ -383,6 +398,7 @@ mod tests {
             } => LogRecord::encode_prepared(*gtid, *txn, intentions, sizes),
             LogRecord::Aborted { txn } => LogRecord::encode_aborted(*txn),
             LogRecord::Checkpoint => LogRecord::encode_checkpoint(),
+            LogRecord::Mounted { epoch } => LogRecord::encode_mounted(*epoch),
         }
     }
 
@@ -494,6 +510,8 @@ mod tests {
     fn checkpoint_round_trips() {
         let bytes = LogRecord::encode_checkpoint();
         assert_eq!(LogRecord::decode(&bytes).unwrap(), LogRecord::Checkpoint);
+        let mounted = LogRecord::Mounted { epoch: 3 };
+        assert_eq!(LogRecord::decode(&encode(&mounted)).unwrap(), mounted);
     }
 
     #[test]

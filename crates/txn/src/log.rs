@@ -21,6 +21,19 @@
 //! one atomic sector write — a header of the next incarnation, which
 //! disowns every frame behind it — and a crash at any point of it leaves
 //! either the old log, whole, or an empty one.
+//!
+//! Frames a torn force left *past* the end a scan found are disowned by
+//! the chain alone, so the first frame appended there must be one no
+//! earlier force wrote: were it a byte-for-byte repeat of the frame the
+//! tear lost — a redo's `Completed` marker, say — the frames behind the
+//! tear would chain from it, and the next scan would redo a commit that
+//! was never acknowledged. A mount therefore opens the log with a
+//! `Mounted` frame carrying its epoch ([`IntentionLog::open`]), written
+//! with the first force. That force is recovery's own, whose frames the
+//! log alone decides (a mount that tore the same force wrote the same
+//! ones), or comes after the epoch was made the mount's own on the
+//! platter ([`IntentionLog::writes_mount_frame`]), so no other mount's
+//! frame can equal it.
 
 use crate::error::TxnError;
 use crate::intentions::{Intention, LogRecord, Unframed, FRAME_HEADER};
@@ -82,6 +95,9 @@ pub(crate) struct IntentionLog {
     image: Vec<u8>,
     /// Whether `image` holds bytes the platter does not.
     dirty: bool,
+    /// Whether `image` holds the `Mounted` frame this mount opened the log
+    /// with, not yet written.
+    mount_unforced: bool,
     /// Total log bytes ever appended (monotonic across compactions — a
     /// log sequence number).
     appended_lsn: u64,
@@ -100,12 +116,15 @@ pub(crate) struct IntentionLog {
 
 impl IntentionLog {
     /// Creates, or re-attaches to, the log of `fs`, and returns it with
-    /// the records it holds (see [`Self::scan`]).
+    /// the records it holds (see [`Self::scan`]). A log re-attached to
+    /// goes on behind a `Mounted` frame of the server's epoch, unforced
+    /// (see the module documentation).
     pub(crate) fn open(
         fs: &mut FileService,
         stats: &mut TxnStats,
     ) -> Result<(Self, Vec<LogRecord>), TxnError> {
-        if fs.system_file().is_none() {
+        let created = fs.system_file().is_none();
+        if created {
             let fid = fs.create(ServiceType::Transaction)?;
             fs.set_system_file(fid)?;
         }
@@ -116,6 +135,7 @@ impl IntentionLog {
             tail: 0,
             image: Vec::new(),
             dirty: false,
+            mount_unforced: false,
             appended_lsn: 0,
             durable_lsn: 0,
             unflushed_records: 0,
@@ -124,6 +144,10 @@ impl IntentionLog {
         };
         let records = log.scan(fs, stats)?;
         (log.appended_lsn, log.durable_lsn) = (log.tail, log.tail);
+        if !created {
+            log.push_frame(&LogRecord::encode_mounted(fs.lease_manager().epoch()));
+            log.mount_unforced = true;
+        }
         log.reserve(fs, log.tail)?;
         Ok((log, records))
     }
@@ -143,14 +167,25 @@ impl IntentionLog {
         self.tail
     }
 
-    /// Appends one encoded record *without* forcing it: the frame joins
-    /// the image and touches no disk. Durability is [`Self::force`].
-    fn append(&mut self, body: &[u8], is_prepare: bool) {
+    /// Whether the next force writes the `Mounted` frame: outside
+    /// recovery, the server's epoch must be on the platter first.
+    pub(crate) fn writes_mount_frame(&self) -> bool {
+        self.mount_unforced && self.dirty
+    }
+
+    /// Frames `body` onto the image.
+    fn push_frame(&mut self, body: &[u8]) {
         let before = self.image.len();
         self.chain = LogRecord::frame_into(&mut self.image, body, self.incarnation, self.chain);
         let framed = (self.image.len() - before) as u64;
         self.tail += framed;
         self.appended_lsn += framed;
+    }
+
+    /// Appends one encoded record *without* forcing it: the frame joins
+    /// the image and touches no disk. Durability is [`Self::force`].
+    fn append(&mut self, body: &[u8], is_prepare: bool) {
+        self.push_frame(body);
         self.dirty = true;
         self.unflushed_records += 1;
         self.unflushed_prepares += u64::from(is_prepare);
@@ -243,7 +278,7 @@ impl IntentionLog {
         fs.write_sectors(self.fid, first, sectors)?;
         let whole_sectors = self.image.len() - (self.tail % SECTOR) as usize;
         self.image.drain(..whole_sectors);
-        self.dirty = false;
+        (self.dirty, self.mount_unforced) = (false, false);
         Ok(())
     }
 
@@ -284,7 +319,7 @@ impl IntentionLog {
         self.chain = LogRecord::frame_into(&mut self.image, &[], incarnation, 0);
         self.image.resize(HEADER_LEN as usize, 0);
         self.tail = HEADER_LEN;
-        self.dirty = true;
+        (self.dirty, self.mount_unforced) = (true, false);
     }
 
     /// Attaches a fresh log to the platter: finds its tail and returns

@@ -96,6 +96,7 @@ impl TransactionService {
                     checkpoint = Some(pos);
                     continue;
                 }
+                LogRecord::Mounted { .. } => continue,
             };
             self.next_txn = self.next_txn.max(txn.0 + 1);
             at.insert(txn, logged.len());

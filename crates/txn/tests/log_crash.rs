@@ -242,10 +242,11 @@ fn an_older_incarnation_s_frames_are_not_replayed() {
 /// left the disk head past the old tail's sector, so its rewrite waits
 /// for the sweep to wrap, and a crash after every other sector leaves
 /// the second record whole on the platter and the first without its
-/// head. Recovery drops both; when a record of the first one's
-/// length is then logged in its place, the orphan sits exactly where the
-/// next frame would, valid and of this incarnation — and must still not
-/// be replayed, because it does not follow the frame before it.
+/// head. Recovery drops both; when a record is then logged behind the
+/// mount's frame so that it ends where the first one did, the orphan sits
+/// exactly where the next frame would, valid and of this incarnation —
+/// and must still not be replayed, because it does not follow the frame
+/// before it.
 #[test]
 fn a_frame_that_does_not_follow_its_predecessor_is_rejected() {
     let build = || {
@@ -299,12 +300,90 @@ fn a_frame_that_does_not_follow_its_predecessor_is_rejected() {
     assert_eq!(crash_and_recover(&mut ts), vec![]);
     assert_eq!(ts.stats().log_frames_rejected, 0);
 
-    let before = ts.durable_lsn();
-    let (again, _) = logged(&mut ts, a, 0, fill);
+    // In its first incarnation the log's offsets are its LSNs.
+    let mounted = ts.log_len() - head;
+    let (again, _) = logged(&mut ts, a, 0, fill - mounted as usize);
     ts.flush_log().unwrap();
-    assert_eq!(ts.durable_lsn() - before, 2 * BLOCK - head, "same length");
+    assert_eq!(ts.durable_lsn(), 2 * BLOCK, "ends where the lost one did");
     assert_eq!(crash_and_recover(&mut ts), vec![again]);
     assert_eq!(ts.stats().log_frames_rejected, 1, "the orphan was met");
+}
+
+/// A redo must not chain a commit that was never acknowledged. A force of
+/// a `Completed` marker that ends on a sector boundary and of a commit
+/// behind it, torn so that only the commit's sector lands (the disk head
+/// parked on it, the elevator writes it first), fails: the commit is an
+/// orphan. Recovery redoes the first commit and appends its marker again
+/// where the lost one was — behind the mount's frame, so not byte for
+/// byte, and the orphan does not follow it: the second recovery redoes
+/// nothing, and the orphan's bytes never reach the file.
+#[test]
+fn a_redo_does_not_chain_an_orphan_commit() {
+    let build = || {
+        let mut ts = service();
+        let fid = ts.tcreate(LockLevel::Record).unwrap();
+        ts.file_service_mut().ensure_size(fid, 2 * BLOCK).unwrap();
+        (ts, fid)
+    };
+    // The record length whose `Commit` frame and marker end a sector.
+    let len = {
+        let (mut ts, fid) = build();
+        let (_, p) = logged(&mut ts, fid, 0, 100);
+        ts.flush_log().unwrap();
+        ts.complete_commit(p).unwrap();
+        ts.flush_log().unwrap();
+        100 + ((SECTOR - ts.durable_lsn() % SECTOR) % SECTOR) as usize
+    };
+    let (mut ts, fid) = build();
+    let (t, p) = logged(&mut ts, fid, 0, len);
+    ts.flush_log().unwrap();
+    ts.complete_commit(p).unwrap();
+    let (_, _u) = logged(&mut ts, fid, BLOCK + 100, 10);
+    // In its first incarnation the log's offsets are its LSNs.
+    let fs = ts.file_service_mut();
+    let log = fs.block_descriptors(fs.system_file().unwrap()).unwrap();
+    let next = (ts.durable_lsn() / SECTOR + 1) * SECTOR;
+    let orphan = log[(next / BLOCK) as usize].addr + next % BLOCK / SECTOR;
+    main_disk(&mut ts).read_sectors(orphan, 1).unwrap();
+    main_disk(&mut ts).faults_mut().crash_after_sector_writes(1);
+    ts.flush_log().unwrap_err();
+    let landed = main_disk(&mut ts).peek_sector(orphan).unwrap().to_vec();
+    assert!(landed.iter().any(|&b| b != 0), "the orphan's sector landed");
+
+    assert_eq!(crash_and_recover(&mut ts), vec![t]);
+    assert_eq!(crash_and_recover(&mut ts), vec![]);
+    let fs = ts.file_service_mut();
+    fs.open(fid).unwrap();
+    assert_eq!(fs.read(fid, BLOCK + 100, 10).unwrap(), vec![0; 10]);
+}
+
+/// Outside recovery, a force that writes the mount's frame first puts the
+/// mount's epoch on the platter, so no later mount opens the log with the
+/// same frame — here the checkpoint behind an in-doubt vote, which issues
+/// no transaction id. A mount that forces nothing leaves its epoch to the
+/// next one.
+#[test]
+fn the_mount_s_frame_leaves_under_a_claimed_epoch() {
+    let mut ts = service();
+    let fid = ts.tcreate(LockLevel::Record).unwrap();
+    ts.file_service_mut().ensure_size(fid, BLOCK).unwrap();
+    let t = ts.tbegin();
+    ts.topen(t, fid).unwrap();
+    ts.twrite(t, fid, 0, &[7; 10]).unwrap();
+    ts.prepare_participant(t, 7).unwrap();
+    ts.flush_log().unwrap();
+    let epoch = |ts: &mut TransactionService| ts.file_service_mut().lease_manager().epoch();
+    assert_eq!(crash_and_recover(&mut ts), vec![]);
+    let mounted = epoch(&mut ts);
+    assert_eq!(crash_and_recover(&mut ts), vec![]);
+    assert_eq!(
+        epoch(&mut ts),
+        mounted,
+        "nothing forced, the epoch is reused"
+    );
+    ts.sync().unwrap();
+    assert_eq!(crash_and_recover(&mut ts), vec![]);
+    assert_eq!(epoch(&mut ts), mounted + 1, "the frame's epoch was claimed");
 }
 
 // ---- what a force writes -------------------------------------------------

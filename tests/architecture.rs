@@ -554,3 +554,33 @@ fn a_crash_is_a_drop() {
         }
     }
 }
+
+/// Files grow from the bottom (DESIGN.md, "Storage units"): outside
+/// tests, the top of a disk is taken only by a transaction's shadow
+/// blocks (`allocate_shadow_block`), a FIT's indirect tables (`persist`)
+/// and the FIT-apart ablation of `place_file` — no path that grows a
+/// file takes the holes transients leave there.
+#[test]
+fn only_transients_and_metadata_come_from_the_top() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut callers = Vec::new();
+    for dir in ["crates", "src"] {
+        for (path, code) in non_test_sources(&root.join(dir)) {
+            for (at, _) in code.match_indices(".allocate_contiguous_top(") {
+                let name = code[..at].rsplit("fn ").next().unwrap();
+                let name = name.split(['(', '<']).next().unwrap();
+                let file = path.file_name().unwrap().to_string_lossy().into_owned();
+                callers.push(format!("{file}::{name}"));
+            }
+        }
+    }
+    callers.sort();
+    assert_eq!(
+        callers,
+        [
+            "service.rs::allocate_shadow_block",
+            "store.rs::persist",
+            "volume.rs::place_file"
+        ],
+    );
+}

@@ -23,6 +23,7 @@
 //! prepares, fingerprints), gated with a 10% latency/flush tolerance
 //! by `bench_json`.
 
+use crate::latency::percentile;
 use crate::table::Table;
 use rhodos_cluster::{Cluster, ClusterConfig, CommitChaos, CommitOutcome, CrossOp};
 
@@ -76,13 +77,6 @@ fn seeded_cluster(servers: usize) -> Cluster {
     }
     c.sync_all();
     c
-}
-
-fn percentile(sorted: &[u64], p: usize) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    sorted[(sorted.len() - 1) * p / 100]
 }
 
 /// Runs `txns` transactions: one at a time when `batch == 1`, else in
@@ -141,8 +135,8 @@ fn run_arm(servers: usize, txns: usize, batch: usize, chaos_at: Option<usize>) -
         records += ts.stats().prepare_records_flushed;
     }
     Arm {
-        p50_us: percentile(&lat, 50),
-        p99_us: percentile(&lat, 99),
+        p50_us: percentile(&lat, 50.0),
+        p99_us: percentile(&lat, 99.0),
         commits: s.cross_commits,
         aborts: s.cross_aborts,
         prepares,

@@ -16,8 +16,11 @@
 //! and a single commit ([`Cluster::commit_cross_shard`]) is a wave of
 //! one. A participant is a shard's whole replica set: its prepare is
 //! forced on every current member before its vote counts
-//! ([`Cluster::prepare`]). Two robustness properties are load-bearing
-//! here:
+//! ([`Cluster::prepare`]). Every shard gets its prepare, and later its
+//! decides, in a lane of its own on the shared clock
+//! ([`rhodos_simdisk::SimClock::lanes`]): a wave costs its slowest
+//! shard, not the sum of its shards. Two robustness properties are
+//! load-bearing here:
 //!
 //! * **Orphan resolution** — a prepared participant that loses its
 //!   coordinator holds locks but never blocks forever:
@@ -268,10 +271,11 @@ impl Cluster {
     /// server for the whole wave, and one decision-log force for every
     /// commit decision. This is E24's amortisation lever — flushes per
     /// commit fall with the wave size exactly as E18's group commit does
-    /// locally. A placement change during phase one aborts the attempt
-    /// and re-targets the whole wave under fresh gtids; the armed
-    /// [`CommitChaos`] fires along the way. One outcome per transaction,
-    /// in wave order.
+    /// locally. Each phase costs its slowest shard: the prepares, and
+    /// then the decides, run in one lane per shard. A placement change
+    /// during phase one aborts the attempt and re-targets the whole wave
+    /// under fresh gtids; the armed [`CommitChaos`] fires along the way.
+    /// One outcome per transaction, in wave order.
     ///
     /// # Errors
     ///
@@ -290,7 +294,7 @@ impl Cluster {
             // snapshot can go stale the moment it is taken — that is
             // what the epoch re-check below is for.
             let mut by_server: BTreeMap<usize, Vec<PrepareTxn<'_>>> = BTreeMap::new();
-            let mut participants: BTreeSet<(u64, usize)> = BTreeSet::new();
+            let mut participants: BTreeSet<(usize, u64)> = BTreeSet::new();
             for (gtid, ops) in gtids.clone().zip(txns) {
                 let mut per: BTreeMap<usize, Vec<_>> = BTreeMap::new();
                 for (gid, offset, data) in ops.as_ref() {
@@ -300,7 +304,7 @@ impl Cluster {
                         .push((p.local, *offset, data.as_slice()));
                 }
                 for (server, server_ops) in per {
-                    participants.insert((gtid, server));
+                    participants.insert((server, gtid));
                     by_server
                         .entry(server)
                         .or_default()
@@ -315,44 +319,49 @@ impl Cluster {
             }
 
             // Phase one: one prepare RPC per shard, fanned out to its
-            // members. `yes` holds the (gtid, shard) votes the
+            // members, each shard in a lane of its own — the wave costs
+            // its slowest shard. `yes` holds the (shard, gtid) votes the
             // coordinator learned of.
-            let mut yes: BTreeSet<(u64, usize)> = BTreeSet::new();
+            let mut yes: BTreeSet<(usize, u64)> = BTreeSet::new();
+            let mut lanes = self.clock.lanes();
             for (server, batch) in by_server {
-                if chaos
-                    .crash_participant_before_prepare
-                    .take_if(|s| *s == server)
-                    .is_some()
-                {
-                    self.crash_shard(server);
-                    continue;
-                }
-                self.stats.prepare_rpcs += 1;
-                let batch_gtids: Vec<u64> = batch.iter().map(|(gtid, _)| *gtid).collect();
-                let votes = self.prepare(server, &Request::TxnPrepare(batch));
-                let voted: Vec<(u64, usize)> = batch_gtids
-                    .into_iter()
-                    .zip(votes)
-                    .filter(|(_, vote)| *vote)
-                    .map(|(gtid, _)| (gtid, server))
-                    .collect();
-                if voted.is_empty() {
-                    continue;
-                }
-                if chaos.lose_prepare_ack.take_if(|s| *s == server).is_some() {
-                    // Durably prepared, reply lost: the coordinator must
-                    // presume abort and never contact this orphan again.
-                    continue;
-                }
-                yes.extend(voted);
-                if chaos
-                    .crash_participant_after_prepare
-                    .take_if(|s| *s == server)
-                    .is_some()
-                {
-                    self.crash_shard(server);
-                }
+                lanes.lane(server, || {
+                    if chaos
+                        .crash_participant_before_prepare
+                        .take_if(|s| *s == server)
+                        .is_some()
+                    {
+                        self.crash_shard(server);
+                        return;
+                    }
+                    self.stats.prepare_rpcs += 1;
+                    let batch_gtids: Vec<u64> = batch.iter().map(|(gtid, _)| *gtid).collect();
+                    let votes = self.prepare(server, &Request::TxnPrepare(batch));
+                    let voted: Vec<(usize, u64)> = batch_gtids
+                        .into_iter()
+                        .zip(votes)
+                        .filter(|(_, vote)| *vote)
+                        .map(|(gtid, _)| (server, gtid))
+                        .collect();
+                    if voted.is_empty() {
+                        return;
+                    }
+                    if chaos.lose_prepare_ack.take_if(|s| *s == server).is_some() {
+                        // Durably prepared, reply lost: the coordinator must
+                        // presume abort and never contact this orphan again.
+                        return;
+                    }
+                    yes.extend(voted);
+                    if chaos
+                        .crash_participant_after_prepare
+                        .take_if(|s| *s == server)
+                        .is_some()
+                    {
+                        self.crash_shard(server);
+                    }
+                });
             }
+            lanes.join();
 
             // The reconfiguration check (Bravo): deciding commit against
             // a placement that changed under us could apply half a
@@ -363,7 +372,7 @@ impl Cluster {
                 self.stats.retargets += 1;
                 continue;
             }
-            let missing: BTreeSet<u64> = participants.difference(&yes).map(|p| p.0).collect();
+            let missing: BTreeSet<u64> = participants.difference(&yes).map(|p| p.1).collect();
             let committing: BTreeSet<u64> =
                 gtids.clone().filter(|g| !missing.contains(g)).collect();
 
@@ -413,27 +422,36 @@ impl Cluster {
         Ok(vec![CommitOutcome::Aborted; txns.len()])
     }
 
-    /// Delivers each yes-vote its transaction's fate, transaction-major
-    /// (a no-voter already rolled back locally). Idempotent; a missed
-    /// participant is the orphan sweep's job.
+    /// Delivers each yes-vote its transaction's fate (a no-voter already
+    /// rolled back locally), each shard's decides in gtid order in a lane
+    /// of its own. Idempotent; a missed participant is the orphan sweep's
+    /// job.
     fn deliver(
         &mut self,
-        yes: &BTreeSet<(u64, usize)>,
+        yes: &BTreeSet<(usize, u64)>,
         committing: &BTreeSet<u64>,
         chaos: &mut CommitChaos,
     ) {
-        for &(gtid, server) in yes {
-            if chaos
-                .crash_participant_before_decide
-                .take_if(|s| *s == server)
-                .is_some()
-            {
-                self.crash_shard(server);
-                continue;
-            }
-            let commit = committing.contains(&gtid);
-            let _ = self.call_2pc(server, &Request::TxnDecide(gtid, commit));
+        let mut lanes = self.clock.lanes();
+        let mut next = yes.first().map(|&(server, _)| server);
+        while let Some(server) = next {
+            lanes.lane(server, || {
+                for &(_, gtid) in yes.range((server, 0)..=(server, u64::MAX)) {
+                    if chaos
+                        .crash_participant_before_decide
+                        .take_if(|s| *s == server)
+                        .is_some()
+                    {
+                        self.crash_shard(server);
+                        continue;
+                    }
+                    let commit = committing.contains(&gtid);
+                    let _ = self.call_2pc(server, &Request::TxnDecide(gtid, commit));
+                }
+            });
+            next = yes.range((server + 1, 0)..).next().map(|&(s, _)| s);
         }
+        lanes.join();
     }
 
     /// Coordinator recovery: replays the durable decision log, then
@@ -445,26 +463,29 @@ impl Cluster {
         self.stats.coordinator_recoveries += 1;
         self.decision_log.crash();
         let committed = self.decision_log.recover();
-        let mut commits = 0;
-        let mut aborts = 0;
+        let (mut commits, mut aborts) = (0, 0);
+        let mut lanes = self.clock.lanes();
         for server in self.live_shards() {
-            let Ok((_, payload)) = self.call_one(server, &Request::TxnPreparedList) else {
-                continue;
-            };
-            for gtid in decode_gtid_list(&payload).unwrap_or_default() {
-                let commit = committed.contains(&gtid);
-                if let Ok(replies) = self.call_2pc(server, &Request::TxnDecide(gtid, commit)) {
-                    if decode_resolved(&replies[0].1) == Ok(true) {
-                        self.stats.orphan_resolutions += 1;
-                        if commit {
-                            commits += 1;
-                        } else {
-                            aborts += 1;
+            lanes.lane(server, || {
+                let Ok((_, payload)) = self.call_one(server, &Request::TxnPreparedList) else {
+                    return;
+                };
+                for gtid in decode_gtid_list(&payload).unwrap_or_default() {
+                    let commit = committed.contains(&gtid);
+                    if let Ok(replies) = self.call_2pc(server, &Request::TxnDecide(gtid, commit)) {
+                        if decode_resolved(&replies[0].1) == Ok(true) {
+                            self.stats.orphan_resolutions += 1;
+                            if commit {
+                                commits += 1;
+                            } else {
+                                aborts += 1;
+                            }
                         }
                     }
                 }
-            }
+            });
         }
+        lanes.join();
         (commits, aborts)
     }
 
@@ -473,11 +494,15 @@ impl Cluster {
     /// liveness bound of the chaos tests).
     pub fn in_doubt_gtids(&mut self) -> Vec<u64> {
         let mut out: BTreeSet<u64> = BTreeSet::new();
+        let mut lanes = self.clock.lanes();
         for server in self.live_shards() {
-            if let Ok((_, payload)) = self.call_one(server, &Request::TxnPreparedList) {
-                out.extend(decode_gtid_list(&payload).unwrap_or_default());
-            }
+            lanes.lane(server, || {
+                if let Ok((_, payload)) = self.call_one(server, &Request::TxnPreparedList) {
+                    out.extend(decode_gtid_list(&payload).unwrap_or_default());
+                }
+            });
         }
+        lanes.join();
         out.into_iter().collect()
     }
 }
@@ -492,7 +517,11 @@ mod tests {
     /// on server `k` (least-loaded placement round-robins an empty
     /// cluster) and holds `blocks * 512` bytes of `k + 1`.
     fn cluster_with_files(n: usize, blocks: usize) -> (Cluster, Vec<u64>) {
-        let mut c = Cluster::new(n, ClusterConfig::default());
+        files_on(Cluster::new(n, ClusterConfig::default()), blocks)
+    }
+
+    fn files_on(mut c: Cluster, blocks: usize) -> (Cluster, Vec<u64>) {
+        let n = c.server_count();
         let gids: Vec<u64> = (0..n)
             .map(|k| {
                 let gid = c.create().unwrap();
@@ -533,6 +562,39 @@ mod tests {
         assert_eq!(s.prepare_rpcs, 2, "one prepare per participant");
         assert_eq!(s.decision_forces, 1);
         assert!(c.in_doubt_gtids().is_empty());
+    }
+
+    /// Each phase of a two-shard commit costs its slower shard, so the
+    /// commit costs what a one-shard commit does, give or take the
+    /// network's jitter (four transmissions) — not twice as much.
+    #[test]
+    fn a_two_shard_commit_costs_its_slower_lanes() {
+        use rhodos_net::NetConfig;
+        use rhodos_simdisk::LatencyModel;
+        let cost = |two_shards: bool| {
+            let cfg = ClusterConfig {
+                latency: LatencyModel::default(),
+                ..ClusterConfig::default()
+            };
+            let (mut c, gids) = files_on(Cluster::new(2, cfg), 2);
+            let second = if two_shards { gids[1] } else { gids[0] };
+            let ops = vec![
+                (gids[0], 3, b"alpha".to_vec()),
+                (second, 700, b"beta!".to_vec()),
+            ];
+            let t0 = c.clock().now_us();
+            assert_eq!(
+                c.commit_cross_shard(&ops).unwrap(),
+                CommitOutcome::Committed
+            );
+            c.clock().now_us() - t0
+        };
+        let (one, two) = (cost(false), cost(true));
+        let jitter = 4 * NetConfig::reliable().jitter_us;
+        assert!(
+            one.abs_diff(two) <= jitter,
+            "one shard {one} us, two {two} us"
+        );
     }
 
     #[test]

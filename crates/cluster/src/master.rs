@@ -220,6 +220,9 @@ pub(crate) struct DataNode {
     chan: Channel,
     /// Fault injection: when false, nothing crosses this link.
     link_up: bool,
+    /// False while the server cannot mount its platters: it answers
+    /// nothing until a restart mounts it.
+    pub(crate) mounted: bool,
     /// Master's liveness verdict.
     pub(crate) alive: bool,
     missed: u32,
@@ -235,6 +238,7 @@ impl fmt::Debug for DataNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DataNode")
             .field("link_up", &self.link_up)
+            .field("mounted", &self.mounted)
             .field("alive", &self.alive)
             .field("missed", &self.missed)
             .field("removed", &self.removed)
@@ -246,7 +250,7 @@ impl fmt::Debug for DataNode {
 /// The placement/metadata master.
 #[derive(Debug)]
 pub struct Cluster {
-    clock: SimClock,
+    pub(crate) clock: SimClock,
     pub(crate) cfg: ClusterConfig,
     /// Every data server; shard `s` is `nodes[s * r..(s + 1) * r]`.
     pub(crate) nodes: Vec<DataNode>,
@@ -330,6 +334,7 @@ impl Cluster {
             handle,
             chan: Channel::new(self.clock.clone(), self.cfg.data_net, i),
             link_up: true,
+            mounted: true,
             alive: true,
             missed: 0,
             removed: false,
@@ -497,9 +502,9 @@ impl Cluster {
         if node.removed {
             return Err(ClusterError::Removed(i));
         }
-        if !node.link_up {
-            // The client times out against a severed link; that timeout
-            // is heartbeat evidence too.
+        if !node.link_up || !node.mounted {
+            // The client times out against a severed link or a server
+            // that is down; that timeout is heartbeat evidence too.
             node.missed = node.missed.saturating_add(1);
             return Err(ClusterError::Unreachable(i));
         }
@@ -523,13 +528,12 @@ impl Cluster {
     /// durable log (rebuilding any in-doubt prepared participants). The
     /// server's replay cache dies with the machine. A set member whose
     /// peers still serve is masked, since they kept delayed writes it
-    /// lost: the next heartbeat it answers resyncs it from them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range or local recovery fails.
+    /// lost: the next heartbeat it answers resyncs it from them. A server
+    /// that cannot mount its platters stays down — calls to it fail as
+    /// unreachable and heartbeats miss it — until a later restart mounts
+    /// it.
     pub fn crash_server(&mut self, i: usize) {
-        self.restart(i);
+        let _ = self.restart(i);
         if !self.nodes[i].stale && self.has_serving_peer(i) {
             self.mask(i);
         }
@@ -539,25 +543,33 @@ impl Cluster {
     /// lose the same volatile state, so the set stays in step.
     pub(crate) fn crash_shard(&mut self, s: usize) {
         for i in self.members(s) {
-            self.restart(i);
+            let _ = self.restart(i);
         }
     }
 
     /// Crashes and recovers server `i` in place: what survives is its
     /// platters, and every open the master issued comes back (open
     /// counts are volatile server state).
-    pub(crate) fn restart(&mut self, i: usize) {
+    ///
+    /// # Errors
+    ///
+    /// The recovery's failure, when the platters do not mount; the
+    /// server is down until a restart mounts it.
+    pub(crate) fn restart(&mut self, i: usize) -> Result<(), ClusterError> {
         let handle = self.nodes[i].handle.clone();
         let mut guard = handle.lock();
         guard.file_service_mut().simulate_crash();
-        guard.recover().expect("data server recovers");
         self.nodes[i].chan.cache = rhodos_net::ReplayCache::new();
+        let recovered = guard.recover();
+        self.nodes[i].mounted = recovered.is_ok();
+        recovered.map_err(|e| ClusterError::File(crate::commit::file_failure(e)))?;
         let s = i / self.cfg.replicas;
         for p in self.map.values().filter(|p| p.shard == s) {
             for _ in 0..p.opens {
                 let _ = guard.file_service_mut().open(p.local);
             }
         }
+        Ok(())
     }
 
     /// Checkpoints every data server ([`TransactionService::sync`]): its
@@ -568,11 +580,16 @@ impl Cluster {
     /// and resolved votes stay resolved. Chaos tests and experiments call
     /// this after seeding baseline data, before any
     /// [`Self::crash_server`]. A commit is durable without it: its log
-    /// record is forced before the acknowledgement.
+    /// record is forced before the acknowledgement. The servers
+    /// checkpoint in parallel, one lane each.
     pub fn sync_all(&mut self) {
-        for n in &self.nodes {
-            let _ = n.handle.lock().sync();
+        let mut lanes = self.clock.lanes();
+        for (i, n) in self.nodes.iter().enumerate() {
+            lanes.lane(i, || {
+                let _ = n.handle.lock().sync();
+            });
         }
+        lanes.join();
     }
 
     /// Accounting for a committed cross-shard transaction's writes.
@@ -740,45 +757,54 @@ impl Cluster {
     }
 
     /// One heartbeat round: advances the clock by the heartbeat interval
-    /// and probes every data server. Misses accumulate toward the death
-    /// verdict; a probe answered by a dead server rejoins it and
-    /// garbage-collects any local files the placement map no longer
-    /// assigns to it. A member
+    /// and probes every data server, each shard in a lane of its own (a
+    /// member's resync and the shard's garbage collection reach its
+    /// peers). Misses accumulate toward the death verdict; a probe
+    /// answered by a dead server rejoins it and garbage-collects any
+    /// local files the placement map no longer assigns to it. A member
     /// that answers while out of step is resynced from its set first.
     pub fn heartbeat_pulse(&mut self) {
         self.clock.advance(HEARTBEAT_INTERVAL_US);
-        for i in 0..self.nodes.len() {
-            if self.nodes[i].removed {
-                continue;
-            }
-            self.stats.heartbeats += 1;
-            let answered = self.nodes[i].link_up && {
-                let net = &mut self.nodes[i].chan.net;
-                net.transmit() != Delivery::Lost && net.transmit_reply() != Delivery::Lost
-            };
-            if !answered {
-                self.stats.heartbeat_misses += 1;
-                let node = &mut self.nodes[i];
-                node.missed = node.missed.saturating_add(1);
-                if node.alive && node.missed >= HEARTBEAT_MISS_LIMIT {
-                    node.alive = false;
-                    self.stats.deaths += 1;
-                }
-                continue;
-            }
-            let was_dead = !self.nodes[i].alive;
-            self.nodes[i].alive = true;
-            self.nodes[i].missed = 0;
-            if was_dead {
-                self.stats.rejoins += 1;
-            }
-            if self.nodes[i].stale {
-                // No current peer to copy from: it stays masked.
-                let _ = self.resync(i);
-            }
-            // Orphan GC rides on the heartbeat exchange.
-            self.collect_garbage(i / self.cfg.replicas);
+        let mut lanes = self.clock.lanes();
+        for s in 0..self.shard_count() {
+            lanes.lane(s, || self.members(s).for_each(|i| self.probe(i)));
         }
+        lanes.join();
+    }
+
+    /// One heartbeat probe of data server `i` (see
+    /// [`Self::heartbeat_pulse`]).
+    fn probe(&mut self, i: usize) {
+        if self.nodes[i].removed {
+            return;
+        }
+        self.stats.heartbeats += 1;
+        let answered = self.nodes[i].link_up && self.nodes[i].mounted && {
+            let net = &mut self.nodes[i].chan.net;
+            net.transmit() != Delivery::Lost && net.transmit_reply() != Delivery::Lost
+        };
+        if !answered {
+            self.stats.heartbeat_misses += 1;
+            let node = &mut self.nodes[i];
+            node.missed = node.missed.saturating_add(1);
+            if node.alive && node.missed >= HEARTBEAT_MISS_LIMIT {
+                node.alive = false;
+                self.stats.deaths += 1;
+            }
+            return;
+        }
+        let was_dead = !self.nodes[i].alive;
+        self.nodes[i].alive = true;
+        self.nodes[i].missed = 0;
+        if was_dead {
+            self.stats.rejoins += 1;
+        }
+        if self.nodes[i].stale {
+            // No current peer to copy from: it stays masked.
+            let _ = self.resync(i);
+        }
+        // Orphan GC rides on the heartbeat exchange.
+        self.collect_garbage(i / self.cfg.replicas);
     }
 
     /// Deletes local copies on shard `s` that the placement map no
@@ -1173,6 +1199,83 @@ mod tests {
         assert!(c.is_alive(1));
         assert_eq!(c.stats().rejoins, 1);
         assert!(c.read(dead_gids[0], 0, 16).is_ok());
+    }
+
+    /// The probes of one heartbeat round travel in parallel: four servers
+    /// cost one probe's round trip.
+    #[test]
+    fn a_heartbeat_round_over_four_servers_costs_one_probe() {
+        let cfg = ClusterConfig {
+            latency: LatencyModel::default(),
+            ..ClusterConfig::default()
+        };
+        let mut c = Cluster::new(4, cfg);
+        let t0 = c.clock().now_us();
+        c.heartbeat_pulse();
+        let probe = c.clock().now_us() - t0 - HEARTBEAT_INTERVAL_US;
+        let net = NetConfig::reliable();
+        let round_trip = 2 * net.delay_us..=2 * (net.delay_us + net.jitter_us);
+        assert!(round_trip.contains(&probe), "{probe} us");
+        assert_eq!(c.stats().heartbeats, 4);
+    }
+
+    /// A server whose directory is unreadable on every copy cannot mount:
+    /// a crash leaves it down — calls to it fail, heartbeats miss it —
+    /// while the other shard keeps serving, and a restart that mounts
+    /// brings it back.
+    #[test]
+    fn a_server_that_cannot_mount_is_down_and_the_rest_serve() {
+        use rhodos_simdisk::SimDisk;
+        let mut c = cluster(2);
+        let gids = seed_files(&mut c, 4, 2);
+        c.sync_all();
+        // Every copy of server 1's directory region: disk 0 and both
+        // stable mirrors.
+        let directory = |c: &Cluster, bad: bool| {
+            let mark = |disk: &mut SimDisk| {
+                for sector in 0..16 {
+                    if bad {
+                        disk.faults_mut().mark_bad_sector(sector);
+                    } else {
+                        disk.faults_mut().clear_bad_sector(sector);
+                    }
+                }
+            };
+            c.with_server(1, |fs| {
+                let d = fs.disk_mut(0);
+                mark(d.disk_mut());
+                let stable = d.stable_mut().expect("a stable pair");
+                mark(stable.mirror_a_mut());
+                mark(stable.mirror_b_mut());
+            });
+        };
+        directory(&c, true);
+        c.crash_server(1);
+        let (down, up): (Vec<u64>, Vec<u64>) = gids
+            .iter()
+            .partition(|g| c.placement_of(**g).unwrap().0 == 1);
+        assert_eq!(c.read(down[0], 0, 16), Err(ClusterError::Unreachable(1)));
+        for &gid in &up {
+            c.write(gid, 0, b"still serving").unwrap();
+            assert_eq!(c.read(gid, 0, 13).unwrap(), b"still serving");
+        }
+        let fresh = c.create().unwrap();
+        assert_eq!(c.placement_of(fresh).unwrap().0, 0, "no placement on it");
+        for _ in 0..HEARTBEAT_MISS_LIMIT {
+            c.heartbeat_pulse();
+        }
+        assert!(!c.is_alive(1));
+        assert_eq!(
+            c.read(down[0], 0, 16),
+            Err(ClusterError::ServerUnavailable(1))
+        );
+        // The sectors read again: the next restart mounts, and the next
+        // heartbeat rejoins the server.
+        directory(&c, false);
+        c.crash_server(1);
+        c.heartbeat_pulse();
+        assert!(c.is_alive(1));
+        assert_eq!(c.read(down[0], 0, 4).unwrap(), vec![2; 4]);
     }
 
     #[test]

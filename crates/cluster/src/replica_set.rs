@@ -47,11 +47,11 @@ fn is_fault(e: &ClusterError) -> bool {
 }
 
 impl Cluster {
-    /// Whether member `i` may serve a request: current, live, and not
-    /// decommissioned.
+    /// Whether member `i` may serve a request: current, live, mounted
+    /// and not decommissioned.
     pub(crate) fn serves(&self, i: usize) -> bool {
         let n = &self.nodes[i];
-        !n.stale && n.alive && !n.removed
+        !n.stale && n.alive && n.mounted && !n.removed
     }
 
     /// Whether another member of `i`'s set could carry it if `i` were
@@ -96,7 +96,9 @@ impl Cluster {
     /// not — faulty, skipped, or answering an error where the peer
     /// succeeded, which only a diverged member does — is masked. A
     /// semantic error from the first member that answers is the set's
-    /// and returns at once, since lock-step members answer alike.
+    /// and returns at once, since lock-step members answer alike. Each
+    /// member of a larger set than one runs in a lane of its own: the
+    /// request costs its slowest member.
     ///
     /// # Errors
     ///
@@ -111,6 +113,7 @@ impl Cluster {
         let mut replies = Vec::with_capacity(1);
         let mut missed = Vec::new();
         let mut err = ClusterError::NoLiveServers;
+        let mut lanes = (self.cfg.replicas > 1).then(|| self.clock.lanes());
         for i in self.members(s) {
             let n = &self.nodes[i];
             if n.stale {
@@ -121,7 +124,11 @@ impl Cluster {
                 missed.push(i);
                 continue;
             }
-            match self.call_node(i, &frame) {
+            let reply = match lanes.as_mut() {
+                Some(lanes) => lanes.lane(i, || self.call_node(i, &frame)),
+                None => self.call_node(i, &frame),
+            };
+            match reply {
                 Ok(payload) => replies.push((i, payload)),
                 Err(e) if is_fault(&e) => {
                     err = e;
@@ -265,7 +272,7 @@ impl Cluster {
         }
         // Restart from the copied platters: volatile state, open counts
         // and the replay cache all come back as after a crash.
-        self.restart(i);
+        self.restart(i)?;
         self.nodes[i].stale = false;
         self.stats.resyncs += 1;
         self.stats.resync_sectors_copied += copied;
@@ -464,6 +471,33 @@ mod tests {
 
     fn reads(c: &Cluster) -> Vec<u64> {
         (0..c.server_count()).map(|i| c.server_reads(i)).collect()
+    }
+
+    /// A write reaches both members of a set of two in parallel lanes:
+    /// it costs one member's round trip (give or take the jitter of its
+    /// two transmissions), not two.
+    #[test]
+    fn a_write_to_a_set_of_two_costs_one_round_trip() {
+        use rhodos_simdisk::LatencyModel;
+        let cost = |r: usize| {
+            let cfg = ClusterConfig {
+                latency: LatencyModel::default(),
+                replicas: r,
+                ..ClusterConfig::default()
+            };
+            let mut c = Cluster::new(1, cfg);
+            let gid = c.create().unwrap();
+            c.open(gid).unwrap();
+            let t0 = c.clock().now_us();
+            c.write(gid, 0, &[7; 1024]).unwrap();
+            c.clock().now_us() - t0
+        };
+        let (one, two) = (cost(1), cost(2));
+        let jitter = 2 * NetConfig::reliable().jitter_us;
+        assert!(
+            one.abs_diff(two) <= jitter,
+            "r = 1: {one} us, r = 2: {two} us"
+        );
     }
 
     #[test]

@@ -56,7 +56,7 @@ mod stable;
 mod stats;
 
 pub use checksum::{crc32, fnv1a, FNV_OFFSET};
-pub use clock::SimClock;
+pub use clock::{Lanes, SimClock};
 pub use disk::{SectorFault, SectorFaultKind, SectorViews, SimDisk};
 pub use error::DiskError;
 pub use fault::{FaultInjector, WriteOutcome};

@@ -378,6 +378,15 @@ fn one_redundancy_front_end_reaches_the_data_servers() {
 
 /// Non-test source of every `.rs` file under `dir`, by path.
 fn non_test_sources(dir: &std::path::Path) -> Vec<(std::path::PathBuf, String)> {
+    let mut out = sources(dir);
+    for (_, text) in &mut out {
+        text.truncate(text.find("#[cfg(test)]").unwrap_or(text.len()));
+    }
+    out
+}
+
+/// The whole text of every `.rs` file under `dir`, tests included.
+fn sources(dir: &std::path::Path) -> Vec<(std::path::PathBuf, String)> {
     let mut dirs = vec![dir.to_path_buf()];
     let mut out = Vec::new();
     while let Some(dir) = dirs.pop() {
@@ -386,13 +395,37 @@ fn non_test_sources(dir: &std::path::Path) -> Vec<(std::path::PathBuf, String)> 
             if path.is_dir() {
                 dirs.push(path);
             } else if path.extension().is_some_and(|e| e == "rs") {
-                let text = std::fs::read_to_string(&path).unwrap();
-                let code = text.split("#[cfg(test)]").next().unwrap().to_string();
-                out.push((path, code));
+                out.push((path.clone(), std::fs::read_to_string(&path).unwrap()));
             }
         }
     }
     out
+}
+
+/// A fork-join (`SimClock::lanes`) moves the shared clock back to the
+/// fork instant between its branches. That is sound only where one
+/// thread drives every node on the clock, as the cluster master does; a
+/// threaded caller such as `SharedTransactionService` must never fork.
+/// So lanes appear only under `crates/cluster/src` and in the clock's
+/// own definition and tests.
+#[test]
+fn only_the_cluster_forks_the_clock() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let call = [".lanes", "("].concat();
+    let mut users: Vec<String> = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
+        for (path, text) in sources(&root.join(dir)) {
+            let path = path
+                .strip_prefix(root)
+                .unwrap()
+                .to_string_lossy()
+                .into_owned();
+            if text.contains(&call) && !path.starts_with("crates/cluster/src/") {
+                users.push(path);
+            }
+        }
+    }
+    assert_eq!(users, ["crates/simdisk/src/clock.rs"]);
 }
 
 /// No frame can panic a server: outside tests, the wire protocol

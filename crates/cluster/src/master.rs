@@ -531,7 +531,8 @@ impl Cluster {
     /// lost: the next heartbeat it answers resyncs it from them. A server
     /// that cannot mount its platters stays down — calls to it fail as
     /// unreachable and heartbeats miss it — until a later restart mounts
-    /// it.
+    /// it, or, for a masked set member, until a heartbeat resyncs it from
+    /// a current peer.
     pub fn crash_server(&mut self, i: usize) {
         let _ = self.restart(i);
         if !self.nodes[i].stale && self.has_serving_peer(i) {
@@ -762,7 +763,9 @@ impl Cluster {
     /// peers). Misses accumulate toward the death verdict; a probe
     /// answered by a dead server rejoins it and garbage-collects any
     /// local files the placement map no longer assigns to it. A member
-    /// that answers while out of step is resynced from its set first.
+    /// that answers while out of step is resynced from its set first, and
+    /// so is one that cannot answer because its platters do not mount,
+    /// when its link is up: the resync mounts it, and it rejoins.
     pub fn heartbeat_pulse(&mut self) {
         self.clock.advance(HEARTBEAT_INTERVAL_US);
         let mut lanes = self.clock.lanes();
@@ -783,7 +786,13 @@ impl Cluster {
             let net = &mut self.nodes[i].chan.net;
             net.transmit() != Delivery::Lost && net.transmit_reply() != Delivery::Lost
         };
-        if !answered {
+        // A stale member that is down because its platters do not mount
+        // never answers; with its link up, a resync from a current peer
+        // copies them whole and mounts it.
+        let node = &self.nodes[i];
+        let healed =
+            !answered && node.stale && !node.mounted && node.link_up && self.resync(i).is_ok();
+        if !answered && !healed {
             self.stats.heartbeat_misses += 1;
             let node = &mut self.nodes[i];
             node.missed = node.missed.saturating_add(1);

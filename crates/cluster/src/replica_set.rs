@@ -611,6 +611,41 @@ mod tests {
         assert!((0..2).all(|i| c.is_current(i)));
     }
 
+    /// A member whose platters do not mount is down, not only out of
+    /// step, so it never answers a probe: the heartbeat resyncs it from
+    /// its current peer — a physical copy, the bad directory sectors
+    /// included — which mounts it, and it serves again.
+    #[test]
+    fn a_member_that_cannot_mount_is_healed_by_the_heartbeat() {
+        use rhodos_simdisk::SimDisk;
+        let (mut c, gid, fid) = one_file(2, b"old");
+        c.write(gid, 0, b"new").unwrap();
+        c.sync_all();
+        // Every copy of member 1's directory region: disk 0 and both
+        // stable mirrors.
+        let bad = |disk: &mut SimDisk| (0..16).for_each(|s| disk.faults_mut().mark_bad_sector(s));
+        c.with_server(1, |fs| {
+            let d = fs.disk_mut(0);
+            bad(d.disk_mut());
+            let stable = d.stable_mut().expect("a stable pair");
+            bad(stable.mirror_a_mut());
+            bad(stable.mirror_b_mut());
+        });
+        c.crash_server(1);
+        assert!(!c.is_current(1));
+        for _ in 0..10 {
+            c.heartbeat_pulse();
+        }
+        assert_eq!(c.stats().resyncs, 1);
+        assert!(c.is_current(1) && c.is_alive(1));
+        assert_eq!(c.with_server(1, |fs| fs.read(fid, 0, 3).unwrap()), b"new");
+        let before = c.server_reads(1);
+        for _ in 0..2 {
+            assert_eq!(c.read(gid, 0, 3).unwrap(), b"new");
+        }
+        assert_eq!(c.server_reads(1), before + 1, "it takes its turn");
+    }
+
     /// The lease protocol crosses the wire to every member: a delegated
     /// write lands on the whole set, renew extends the term, and a
     /// released token is fenced.

@@ -59,6 +59,7 @@ mod fit;
 mod fsck;
 mod lease;
 pub mod parity;
+mod plan;
 mod scrub;
 mod service;
 mod store;

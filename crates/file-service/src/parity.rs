@@ -146,6 +146,25 @@ pub fn compute_parity(data: &[&[u8]], m: usize, len: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// The parity units of a row after a small write: each of `parity`
+/// with every changed data unit's delta `δ = old ⊕ new` folded in
+/// (`P' = P ⊕ δ`, `Q' = Q ⊕ g^slot·δ`). A `new` shorter than `old` is
+/// zero-padded, so the tail of its δ is the old bytes.
+pub fn fold_deltas<'a>(
+    parity: &[impl AsRef<[u8]>],
+    changes: impl IntoIterator<Item = (usize, &'a [u8], &'a [u8])>,
+) -> Vec<Vec<u8>> {
+    let mut parity: Vec<Vec<u8>> = parity.iter().map(|p| p.as_ref().to_vec()).collect();
+    for (slot, old, new) in changes {
+        let mut delta = old.to_vec();
+        xor_into(&mut delta[..new.len()], new);
+        for (j, p) in parity.iter_mut().enumerate() {
+            mul_acc(p, coef(j, slot), &delta);
+        }
+    }
+    parity
+}
+
 /// A row with more units lost than its parity count can recover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TooManyErasures {
@@ -473,14 +492,10 @@ mod tests {
         const LEN: usize = 96;
         let old: Vec<Vec<u8>> = (0..4).map(|_| rng.bytes(LEN)).collect();
         let refs: Vec<&[u8]> = old.iter().map(|d| d.as_slice()).collect();
-        let mut parity = compute_parity(&refs, 2, LEN);
+        let parity = compute_parity(&refs, 2, LEN);
         let slot = 2;
         let newdata = rng.bytes(LEN);
-        let mut delta = old[slot].clone();
-        xor_into(&mut delta, &newdata);
-        for (j, p) in parity.iter_mut().enumerate() {
-            mul_acc(p, coef(j, slot), &delta);
-        }
+        let parity = fold_deltas(&parity, [(slot, &old[slot][..], &newdata[..])]);
         let mut fresh = old.clone();
         fresh[slot] = newdata;
         let fresh_refs: Vec<&[u8]> = fresh.iter().map(|d| d.as_slice()).collect();

@@ -18,8 +18,9 @@
 
 use crate::attrs::FileId;
 use crate::error::FileServiceError;
+use crate::plan::{Mode, WritePlan};
 use crate::service::FileService;
-use rhodos_disk_service::{Extent, FragmentAddr, SectorFaultKind, StablePolicy};
+use rhodos_disk_service::{Extent, FragmentAddr, SectorFaultKind};
 use std::fmt;
 
 /// Cumulative counters for the background scrubber.
@@ -273,8 +274,10 @@ impl FileService {
             copy = self.cache.as_ref().and_then(|c| c.peek(&(fid, block)));
         }
         copy.is_some_and(|buf| {
-            let disk = self.volume.disk(disk);
-            disk.put(extent, &buf, StablePolicy::None).is_ok()
+            let unit = [(disk, extent, &buf[..])];
+            self.volume
+                .submit(WritePlan::Extents(Mode::OneAtATime, &unit))
+                .is_ok()
         })
     }
 }

@@ -21,13 +21,14 @@ use crate::error::FileServiceError;
 use crate::fit::{BlockDescriptor, FileIndexTable};
 use crate::lease::{LeaseGrant, LeaseManager, LeaseMode, LeaseToken, RecallAck};
 use crate::parity::{ParityStats, RebuildReport};
+use crate::plan::{Mode, WritePlan};
 use crate::scrub::ScrubStats;
 use crate::store::FitStore;
 use crate::volume::Volume;
 use rhodos_buf::BlockBuf;
 use rhodos_disk_service::{
-    DiskService, DiskServiceError, DiskServiceStats, Extent, FragmentAddr, StablePolicy,
-    BLOCK_SIZE, FRAGMENT_SIZE, FRAGS_PER_BLOCK,
+    DiskService, DiskServiceError, DiskServiceStats, Extent, FragmentAddr, BLOCK_SIZE,
+    FRAGMENT_SIZE, FRAGS_PER_BLOCK,
 };
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 use std::collections::BTreeMap;
@@ -496,9 +497,7 @@ impl FileService {
         }
         let keys: Vec<BlockKey> = behind.iter().map(|(k, _)| *k).collect();
         let last: BTreeMap<BlockKey, BlockBuf> = evicted.into_iter().chain(behind).collect();
-        let written = self
-            .volume
-            .write_back(&mut self.store, last.into_iter().collect());
+        let written = self.write_out(Mode::Batch, last);
         if let (Err(_), Some(cache)) = (&written, &self.cache) {
             keys.iter().for_each(|k| cache.mark_dirty(k));
         }
@@ -732,8 +731,7 @@ impl FileService {
                     evicted.extend(cache.insert((fid, idx), block.clone(), delayed));
                 }
                 if !delayed {
-                    self.volume
-                        .write_through(&mut self.store, (fid, idx), block)?;
+                    self.write_out(Mode::OneAtATime, [((fid, idx), block)])?;
                 }
             }
             written_to = written_to.max(end);
@@ -753,7 +751,7 @@ impl FileService {
             Some(c) => c.take_dirty_for(fid),
             None => return Ok(()),
         };
-        self.volume.write_back(&mut self.store, dirty)
+        self.write_out(Mode::Batch, dirty)
     }
 
     /// Flushes every dirty block in the pool.
@@ -766,7 +764,20 @@ impl FileService {
             Some(c) => c.take_dirty(),
             None => return Ok(()),
         };
-        self.volume.write_back(&mut self.store, dirty)
+        self.write_out(Mode::Batch, dirty)
+    }
+
+    /// Writes whole blocks of files to their homes: blocks of deleted or
+    /// truncated files are dropped.
+    fn write_out(
+        &mut self,
+        mode: Mode,
+        blocks: impl IntoIterator<Item = (BlockKey, BlockBuf)>,
+    ) -> Result<(), FileServiceError> {
+        let mut data =
+            (blocks.into_iter()).map(|((fid, idx), buf)| ((fid, idx * FRAGS_PER_BLOCK), buf));
+        self.volume
+            .submit(WritePlan::Data(mode, &mut self.store, &mut data))
     }
 
     // ---- hooks for the transaction service -----------------------------
@@ -902,11 +913,9 @@ impl FileService {
         addr: FragmentAddr,
         data: &[u8],
     ) -> Result<(), FileServiceError> {
-        let extent = Extent::new(addr, FRAGS_PER_BLOCK);
-        Ok(self
-            .volume
-            .disk(disk)
-            .put(extent, data, StablePolicy::None)?)
+        let block = [(disk, Extent::new(addr, FRAGS_PER_BLOCK), data)];
+        self.volume
+            .submit(WritePlan::Extents(Mode::OneAtATime, &block))
     }
 
     /// Reads many detached blocks in one scheduler pass: one elevator
@@ -940,20 +949,22 @@ impl FileService {
         if writes.is_empty() {
             return Ok(());
         }
-        // Sorted order lets the serial fallback merge consecutive blocks.
+        // Sorted order lets the pre-scheduler baseline join consecutive
+        // blocks.
         writes.sort_by_key(|&(fid, idx, _)| (fid, idx));
-        let mut batch: Vec<(BlockKey, BlockBuf)> = Vec::with_capacity(writes.len());
         let mut evicted = Vec::new();
-        for (fid, idx, data) in writes {
-            self.store.entry(&mut self.volume, fid)?;
+        for (fid, idx, data) in &writes {
+            self.store.entry(&mut self.volume, *fid)?;
             if let Some(cache) = &self.cache {
-                evicted.extend(cache.insert((fid, idx), data.clone(), false));
+                evicted.extend(cache.insert((*fid, *idx), data.clone(), false));
             }
-            batch.push(((fid, idx), data));
         }
         // Evictions first: an evicted key may be rewritten by the batch.
         self.write_back_evicted(evicted, None)?;
-        self.volume.write_back(&mut self.store, batch)
+        let blocks = writes
+            .into_iter()
+            .map(|(fid, idx, data)| ((fid, idx), data));
+        self.write_out(Mode::Batch, blocks)
     }
 
     /// Writes whole sectors of `fid` write-through, from the file's
@@ -980,15 +991,18 @@ impl FileService {
             let (expected, got) = (FRAGMENT_SIZE, bad.len());
             return Err(DiskServiceError::SizeMismatch { expected, got }.into());
         }
-        self.store.entry(&mut self.volume, fid)?;
-        if let Some(cache) = &self.cache {
-            let end = first + sectors.len() as u64;
-            for idx in first / FRAGS_PER_BLOCK..end.div_ceil(FRAGS_PER_BLOCK) {
-                cache.invalidate(&(fid, idx));
-            }
+        let end = first + sectors.len() as u64;
+        let blocks = first / FRAGS_PER_BLOCK..end.div_ceil(FRAGS_PER_BLOCK);
+        let count = self.store.entry(&mut self.volume, fid)?.fit.block_count();
+        if end > first && blocks.end > count {
+            return Err(FileServiceError::Corrupt(fid));
         }
+        if let Some(cache) = &self.cache {
+            blocks.for_each(|idx| cache.invalidate(&(fid, idx)));
+        }
+        let mut data = (first..).zip(sectors).map(|(s, buf)| ((fid, s), buf));
         self.volume
-            .write_sectors(&mut self.store, fid, first, sectors)
+            .submit(WritePlan::Data(Mode::Batch, &mut self.store, &mut data))
     }
 
     /// Swings the descriptor of logical block `idx` to a new location
@@ -1300,6 +1314,7 @@ mod tests {
     use super::*;
     use crate::store::FIT_POOL_ENTRIES;
     use crate::{ParallelIo, Redundancy, StripePolicy};
+    use rhodos_disk_service::StablePolicy;
     use rhodos_simdisk::DiskError;
 
     fn fs() -> FileService {
@@ -1702,6 +1717,52 @@ mod tests {
         }
         assert_eq!(f.stats().total_disk_refs(), refs_before);
         assert!(f.stats().cache.hits > 0);
+    }
+
+    /// The pre-scheduler write-back (`ParallelIo::Never`) joins dirty
+    /// blocks into one `put` only while they continue both a file and
+    /// the platter: the last block of one file and the first of the next,
+    /// and a file's blocks 0 and 2 with block 1 on another disk, touch on
+    /// the platter and still go out as one reference each.
+    #[test]
+    fn a_pre_scheduler_write_back_joins_within_a_file_only() {
+        let service = |ndisks, stripe| {
+            let config = FileServiceConfig {
+                parallel_io: ParallelIo::Never,
+                stripe,
+                ..FileServiceConfig::default()
+            };
+            let (geometry, model) = (DiskGeometry::medium(), LatencyModel::instant());
+            FileService::striped(ndisks, geometry, model, SimClock::new(), config).unwrap()
+        };
+        // Dirties two blocks that touch on one disk and counts the
+        // references their flush makes there.
+        let flush_refs = |f: &mut FileService, blocks: [(FileId, u64); 2]| {
+            let [x, y] = blocks.map(|(fid, idx)| f.block_descriptors(fid).unwrap()[idx as usize]);
+            assert_eq!((x.disk, x.addr + FRAGS_PER_BLOCK), (y.disk, y.addr));
+            for (fid, idx) in blocks {
+                f.write(fid, idx * BLOCK_SIZE as u64, vec![2; BLOCK_SIZE])
+                    .unwrap();
+            }
+            let writes = f.stats().disks[x.disk as usize].disk.write_ops;
+            f.flush_all().unwrap();
+            f.stats().disks[x.disk as usize].disk.write_ops - writes
+        };
+        // One disk: a's and b's second runs are laid down one after the
+        // other.
+        let mut f = service(1, StripePolicy::SingleDisk);
+        let (a, b) = (create_open(&mut f), create_open(&mut f));
+        for fid in [a, b] {
+            f.write(fid, 0, vec![1; 3 * BLOCK_SIZE]).unwrap();
+        }
+        f.flush_all().unwrap();
+        assert_eq!(flush_refs(&mut f, [(a, 2), (b, 1)]), 2, "across files");
+        // Two disks, a block each in turn: blocks 0 and 2 share disk 0.
+        let mut f = service(2, StripePolicy::RoundRobin { chunk_blocks: 1 });
+        let a = create_open(&mut f);
+        f.write(a, 0, vec![1; 3 * BLOCK_SIZE]).unwrap();
+        f.flush_all().unwrap();
+        assert_eq!(flush_refs(&mut f, [(a, 0), (a, 2)]), 2, "across a gap");
     }
 
     /// The write-back resolver's three outcomes, through `flush_all` on

@@ -10,6 +10,7 @@ use crate::attrs::{FileAttributes, FileId};
 use crate::error::FileServiceError;
 use crate::fit::{BlockDescriptor, FileIndexTable, IndirectLocs, MAX_INDIRECT_TABLES};
 use crate::lease::LeaseRecord;
+use crate::plan::{Mode, WritePlan};
 use crate::scrub::ScrubOwner;
 use crate::volume::Volume;
 use rhodos_disk_service::codec::{DecodeError, Decoder, Encoder};
@@ -198,7 +199,8 @@ impl FitStore {
             let mut buf = image.clone();
             buf.resize((last + 1) * FRAGMENT_SIZE, 0);
             let extent = Extent::new(DIRECTORY.start + first as u64, (last - first + 1) as u64);
-            vol.put_meta(0, extent, &buf[first * FRAGMENT_SIZE..])?;
+            let region = [(0, extent, &buf[first * FRAGMENT_SIZE..])];
+            vol.submit(WritePlan::Extents(Mode::Meta, &region))?;
         }
         self.dir_image = Some(image);
         Ok(())
@@ -366,10 +368,12 @@ impl FitStore {
         let chunks = entry.fit.encode_indirect_chunks();
         debug_assert_eq!(chunks.len(), entry.indirect_locs.len());
         for (chunk, &(d, a)) in chunks.iter().zip(&entry.indirect_locs) {
-            vol.put_meta(d, Extent::new(a, FRAGS_PER_BLOCK), chunk)?;
+            let table = [(d, Extent::new(a, FRAGS_PER_BLOCK), &chunk[..])];
+            vol.submit(WritePlan::Extents(Mode::Meta, &table))?;
         }
         let frag = entry.fit.encode_fit_fragment(&entry.indirect_locs);
-        vol.put_meta(entry.home, Extent::new(entry.fit_frag, 1), &frag)
+        let fit = [(entry.home, Extent::new(entry.fit_frag, 1), &frag[..])];
+        vol.submit(WritePlan::Extents(Mode::Meta, &fit))
     }
 
     /// Drops every pool entry (they reload on next use).

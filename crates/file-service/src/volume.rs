@@ -7,13 +7,17 @@
 //! per-spindle schedulers. The service core above it asks for blocks of a
 //! file by logical index; a new redundancy class is added here and nowhere
 //! else.
+//!
+//! Every platter write is a [`WritePlan`] handed to [`Volume::submit`],
+//! which alone routes file data through the parity tier's row engine,
+//! hands batches to the schedulers and applies [`ParallelIo::Never`].
 
 use crate::attrs::FileId;
-use crate::cache::BlockKey;
 use crate::config::{FileServiceConfig, ParallelIo};
 use crate::error::FileServiceError;
 use crate::fit::{BlockDescriptor, FileIndexTable};
 use crate::parity::{self, ParityStats, RebuildReport, Redundancy};
+use crate::plan::{continues, Mode, Write, WritePlan};
 use crate::scrub::ScrubOwner;
 use crate::store::{FitEntry, FitStore, Owned};
 use crate::stripe::StripePolicy;
@@ -157,22 +161,6 @@ impl Volume {
         }
     }
 
-    /// Writes a metadata extent, mirrored to stable storage when the
-    /// disks have it.
-    pub(crate) fn put_meta(
-        &mut self,
-        d: u16,
-        extent: Extent,
-        data: &[u8],
-    ) -> Result<(), FileServiceError> {
-        let policy = if self.disks[0].has_stable() {
-            StablePolicy::OriginalAndStable
-        } else {
-            StablePolicy::None
-        };
-        Ok(self.disk(d).put(extent, data, policy)?)
-    }
-
     /// Reads the whole block at a raw location.
     pub(crate) fn get_block(
         &mut self,
@@ -180,12 +168,6 @@ impl Volume {
         addr: FragmentAddr,
     ) -> Result<BlockBuf, FileServiceError> {
         Ok(self.disk(d).get(Extent::new(addr, FRAGS_PER_BLOCK))?)
-    }
-
-    fn put_unit(&mut self, desc: BlockDescriptor, data: &[u8]) -> Result<(), FileServiceError> {
-        Ok(self
-            .disk(desc.disk)
-            .put(desc.block_extent(), data, StablePolicy::None)?)
     }
 
     // ---- the one issue path to the spindles -------------------------------
@@ -261,30 +243,6 @@ impl Volume {
             }
         }
         Ok(out.into_iter().map(|b| b.expect("fetched")).collect())
-    }
-
-    /// The write twin of [`Self::read_batch`], to main storage: one
-    /// elevator batch per spindle (adjacent extents — across files —
-    /// merge into single references), all under makespan accounting.
-    /// [`ParallelIo::Never`] makes every write its own reference — the
-    /// naive read-modify-write ablation of experiment E21.
-    fn write_batch(
-        &mut self,
-        writes: Vec<(u16, Extent, BlockBuf)>,
-    ) -> Result<(), FileServiceError> {
-        if self.parallel_io == ParallelIo::Never {
-            for (d, extent, buf) in writes {
-                self.disk(d).put(extent, &buf, StablePolicy::None)?;
-            }
-            return Ok(());
-        }
-        let mut per_disk: Vec<Vec<(Extent, BlockBuf)>> = vec![Vec::new(); self.disks.len()];
-        for (d, extent, buf) in writes {
-            per_disk[d as usize].push((extent, buf));
-        }
-        let issue = |disk: &mut DiskService, writes: &[_]| disk.put_batch(writes);
-        let results = self.batched(&per_disk, issue, |_, _| ());
-        results.into_iter().try_for_each(|(_, r)| Ok(r?))
     }
 
     /// Hands every spindle with requests in `per_disk` its share as one
@@ -476,143 +434,74 @@ impl Volume {
 
     // ---- writes -----------------------------------------------------------
 
-    /// Writes one block through to its home, as one disk reference.
-    pub(crate) fn write_through(
-        &mut self,
-        store: &mut FitStore,
-        key: BlockKey,
-        data: BlockBuf,
-    ) -> Result<(), FileServiceError> {
-        if self.redundancy.is_parity() {
-            return self.write_back_parity(store, vec![(key, data)]);
-        }
-        if let Some(d) = store.home_of(self, key.0, key.1)? {
-            self.put_unit(d, &data)?;
-        }
-        Ok(())
-    }
-
-    /// Writes back a sorted list of dirty blocks; blocks of deleted or
-    /// truncated files are dropped.
+    /// The one write path to the spindles: every platter write of the file
+    /// service is a plan handed here.
     ///
-    /// Under the scheduler ([`ParallelIo::Auto`]) every block is resolved
-    /// to its on-disk home and the whole set goes out as one
-    /// [`Self::write_batch`]. Delayed-write semantics are unchanged: the
-    /// same bytes reach the same addresses, only the order and grouping
-    /// of the transfers differ. The parity tier owns its own batching:
-    /// stripe rows shared by several dirty blocks fold into one parity
-    /// update.
-    pub(crate) fn write_back(
-        &mut self,
-        store: &mut FitStore,
-        dirty: Vec<(BlockKey, BlockBuf)>,
-    ) -> Result<(), FileServiceError> {
-        if self.redundancy.is_parity() {
-            return self.write_back_parity(store, dirty);
+    /// File data goes through the parity tier's row engine when there is
+    /// one ([`Self::write_back_parity`]), else each span to its home. A
+    /// batch under [`ParallelIo::Never`] is one `put` per run that
+    /// continues both a file and the platter — the pre-scheduler write-back
+    /// of experiments E13/E15 — and one per unit on the parity tier, whose
+    /// units never join: the naive read-modify-write arm of E21.
+    pub(crate) fn submit(&mut self, plan: WritePlan<'_>) -> Result<(), FileServiceError> {
+        let (mode, store, data) = match plan {
+            WritePlan::Extents(mode, writes) => {
+                let policy = if mode == Mode::Meta && self.disks[0].has_stable() {
+                    StablePolicy::OriginalAndStable
+                } else {
+                    StablePolicy::None
+                };
+                for &(d, extent, bytes) in writes {
+                    self.disk(d).put(extent, bytes, policy)?;
+                }
+                return Ok(());
+            }
+            WritePlan::Data(mode, store, data) => (mode, store, data),
+        };
+        let writes = if self.redundancy.is_parity() {
+            self.write_back_parity(store, data)?
+        } else {
+            let batch = mode == Mode::Batch;
+            let mut writes: Vec<Write> =
+                Vec::with_capacity(if batch { data.size_hint().0 } else { 0 });
+            for ((fid, s), buf) in data {
+                let Some(d) = store.home_of(self, fid, s / FRAGS_PER_BLOCK)? else {
+                    continue;
+                };
+                let sectors = (buf.len() / FRAGMENT_SIZE) as u64;
+                let extent = Extent::new(d.addr + s % FRAGS_PER_BLOCK, sectors);
+                if batch {
+                    writes.push((Some((fid, s)), d.disk, extent, buf));
+                } else {
+                    self.disk(d.disk).put(extent, &buf, StablePolicy::None)?;
+                }
+            }
+            writes
+        };
+        if writes.is_empty() {
+            return Ok(());
         }
         if self.parallel_io == ParallelIo::Never {
-            return self.write_back_serial(store, dirty);
-        }
-        let mut writes = Vec::with_capacity(dirty.len());
-        for ((fid, idx), buf) in dirty {
-            if let Some(d) = store.home_of(self, fid, idx)? {
-                writes.push((d.disk, d.block_extent(), buf));
+            let mut rest = &writes[..];
+            while let Some(&(_, d, head, _)) = rest.first() {
+                let n = 1 + rest
+                    .windows(2)
+                    .take_while(|w| continues(&w[0], &w[1]))
+                    .count();
+                let (joined, _) = BlockBuf::join(rest[..n].iter().map(|w| w.3.clone()));
+                let extent = Extent::new(head.start, rest[..n].iter().map(|w| w.2.len).sum());
+                self.disk(d).put(extent, &joined, StablePolicy::None)?;
+                rest = &rest[n..];
             }
+            return Ok(());
         }
-        self.write_batch(writes)
-    }
-
-    /// The pre-scheduler write-back: walks the sorted dirty list in order,
-    /// merging only same-file, logically-consecutive, physically-contiguous
-    /// blocks into single `put` calls. Kept as the [`ParallelIo::Never`]
-    /// baseline (experiment E13/E15 comparisons).
-    fn write_back_serial(
-        &mut self,
-        store: &mut FitStore,
-        dirty: Vec<(BlockKey, BlockBuf)>,
-    ) -> Result<(), FileServiceError> {
-        let mut i = 0;
-        while i < dirty.len() {
-            let ((fid, idx), _) = dirty[i];
-            let Some(d0) = store.home_of(self, fid, idx)? else {
-                i += 1;
-                continue;
-            };
-            // Extend the group while blocks are logically consecutive,
-            // same file, and — by the descriptor's count of the run it
-            // starts — physically contiguous on the same disk.
-            let run = dirty[i..].iter().zip(idx..).take(d0.contig as usize);
-            let blocks = run
-                .take_while(|((key, _), next)| *key == (fid, *next))
-                .count();
-            let extent = Extent::new(d0.addr, blocks as u64 * FRAGS_PER_BLOCK);
-            let (joined, _) = BlockBuf::join(dirty[i..i + blocks].iter().map(|(_, b)| b.clone()));
-            self.disk(d0.disk)
-                .put(extent, &joined, StablePolicy::None)?;
-            i += blocks;
+        let mut per_disk: Vec<Vec<(Extent, BlockBuf)>> = vec![Vec::new(); self.disks.len()];
+        for (_, d, extent, buf) in writes {
+            per_disk[d as usize].push((extent, buf));
         }
-        Ok(())
-    }
-
-    /// Writes whole sectors of the resident file `fid`, from its sector
-    /// `first` on, through to their homes as one [`Self::write_batch`]:
-    /// adjacent sectors merge into one reference, and
-    /// [`ParallelIo::Never`] joins each physically contiguous run into
-    /// one `put`. The parity tier needs whole units, so it writes each
-    /// touched block whole, its other sectors read from the platter (or
-    /// reconstructed, on a degraded disk) first.
-    pub(crate) fn write_sectors(
-        &mut self,
-        store: &mut FitStore,
-        fid: FileId,
-        first: u64,
-        sectors: Vec<BlockBuf>,
-    ) -> Result<(), FileServiceError> {
-        let end = first + sectors.len() as u64;
-        if self.redundancy.is_parity() {
-            let mut sectors = sectors.into_iter();
-            let mut dirty = Vec::new();
-            for idx in first / FRAGS_PER_BLOCK..end.div_ceil(FRAGS_PER_BLOCK) {
-                let d = store.home_of(self, fid, idx)?;
-                let d = d.ok_or(FileServiceError::Corrupt(fid))?;
-                let (lo, hi) = (idx * FRAGS_PER_BLOCK, (idx + 1) * FRAGS_PER_BLOCK);
-                let mut block = if first <= lo && hi <= end {
-                    vec![0; BLOCK_SIZE]
-                } else if self.lost(&d) {
-                    self.read_degraded(store, fid, idx)?
-                } else {
-                    self.get_block(d.disk, d.addr)?.to_vec()
-                };
-                for s in lo.max(first)..hi.min(end) {
-                    let at = (s - lo) as usize * FRAGMENT_SIZE;
-                    let sector = sectors.next().expect("a buffer per sector");
-                    block[at..at + FRAGMENT_SIZE].copy_from_slice(&sector);
-                }
-                dirty.push(((fid, idx), BlockBuf::from(block)));
-            }
-            return self.write_back_parity(store, dirty);
-        }
-        let mut writes: Vec<(u16, Extent, BlockBuf)> = Vec::with_capacity(sectors.len());
-        for (s, buf) in (first..end).zip(sectors) {
-            let d = store.home_of(self, fid, s / FRAGS_PER_BLOCK)?;
-            let d = d.ok_or(FileServiceError::Corrupt(fid))?;
-            writes.push((d.disk, Extent::new(d.addr + s % FRAGS_PER_BLOCK, 1), buf));
-        }
-        if self.parallel_io != ParallelIo::Never {
-            return self.write_batch(writes);
-        }
-        let mut rest = &writes[..];
-        while let Some(&(d, head, _)) = rest.first() {
-            let run = rest.iter().zip(head.start..);
-            let n = run
-                .take_while(|((e_d, e, _), at)| (*e_d, e.start) == (d, *at))
-                .count();
-            let (joined, _) = BlockBuf::join(rest[..n].iter().map(|(_, _, b)| b.clone()));
-            let extent = Extent::new(head.start, n as u64);
-            self.disk(d).put(extent, &joined, StablePolicy::None)?;
-            rest = &rest[n..];
-        }
-        Ok(())
+        let issue = |disk: &mut DiskService, writes: &[_]| disk.put_batch(writes);
+        let results = self.batched(&per_disk, issue, |_, _| ());
+        results.into_iter().try_for_each(|(_, r)| Ok(r?))
     }
 
     /// Swings the descriptor of the resident file's logical block `idx`
@@ -649,7 +538,8 @@ impl Volume {
         let desc = store.entry(self, fid)?.fit.descriptor(block);
         let desc = desc.ok_or(FileServiceError::NotFound(fid))?;
         let image = self.row_replacing(store, fid, block, |_| Ok(data.to_vec()))?;
-        self.put_unit(desc, data)?;
+        let unit = [(desc.disk, desc.block_extent(), data)];
+        self.submit(WritePlan::Extents(Mode::OneAtATime, &unit))?;
         image.map_or(Ok(()), |image| self.write_row_parity(store, fid, image))
     }
 
@@ -863,11 +753,15 @@ impl Volume {
         Err(no_space())
     }
 
-    /// The parity tier's write-back engine (the routed destination of
-    /// every flush and eviction when [`Redundancy::Parity`] is on).
+    /// The parity tier's write-back engine: where [`Self::submit`] sends
+    /// file data when [`Redundancy::Parity`] is on. It returns the writes
+    /// of the new data and parity units, for `submit` to send.
     ///
-    /// Dirty blocks are grouped by stripe row and each row picks the
-    /// cheapest correct technique for this request:
+    /// A span shorter than a block is widened to its whole unit first,
+    /// the rest of the block read from the platter — or reconstructed, on
+    /// a degraded disk — unless the spans cover it. Dirty blocks are
+    /// grouped by stripe row and each row picks the cheapest correct
+    /// technique for this request:
     ///
     /// * **full-stripe write** — every live unit of the row is dirty:
     ///   parity is computed in memory and nothing is read;
@@ -879,16 +773,12 @@ impl Volume {
     ///   units and recompute parity whole.
     ///
     /// All old-unit reads across every row go out as one scheduler
-    /// pass, and all new data + parity units land as one coalesced
-    /// elevator batch per spindle. [`ParallelIo::Never`] issues every
-    /// read and write one at a time instead — the naive
-    /// read-modify-write ablation that experiment E21 compares
-    /// against.
+    /// pass ([`ParallelIo::Never`] reads them one at a time).
     fn write_back_parity(
         &mut self,
         store: &mut FitStore,
-        dirty: Vec<(BlockKey, BlockBuf)>,
-    ) -> Result<(), FileServiceError> {
+        data: &mut dyn Iterator<Item = ((FileId, u64), BlockBuf)>,
+    ) -> Result<Vec<Write>, FileServiceError> {
         #[derive(Clone, Copy, PartialEq)]
         enum Technique {
             Full,
@@ -913,11 +803,38 @@ impl Volume {
         // one parity update, so a group-committed flush folds into
         // shared stripe passes.
         let mut rows: BTreeMap<(FileId, u64), BTreeMap<usize, BlockBuf>> = BTreeMap::new();
-        for ((fid, idx), buf) in dirty {
-            if store.home_of(self, fid, idx)?.is_some() {
-                let (row, slot) = data_slot(k, idx);
-                rows.entry((fid, row)).or_default().insert(slot, buf);
-            }
+        let mut data = data.peekable();
+        while let Some(((fid, s), buf)) = data.next() {
+            let idx = s / FRAGS_PER_BLOCK;
+            let Some(d) = store.home_of(self, fid, idx)? else {
+                continue;
+            };
+            let buf = if buf.len() == BLOCK_SIZE {
+                buf
+            } else {
+                // The spans that fill one block from `lo` to `hi` go out
+                // as its whole unit, the rest as it is on the platter.
+                let lo = (s % FRAGS_PER_BLOCK) as usize * FRAGMENT_SIZE;
+                let (mut block, mut hi) = (vec![0; BLOCK_SIZE], lo + buf.len());
+                block[lo..hi].copy_from_slice(&buf);
+                let at = |hi: usize| (fid, idx * FRAGS_PER_BLOCK + (hi / FRAGMENT_SIZE) as u64);
+                while let Some((_, span)) = data.next_if(|w| hi < BLOCK_SIZE && w.0 == at(hi)) {
+                    block[hi..hi + span.len()].copy_from_slice(&span);
+                    hi += span.len();
+                }
+                if lo > 0 || hi < BLOCK_SIZE {
+                    let old = if self.lost(&d) {
+                        self.read_degraded(store, fid, idx)?
+                    } else {
+                        self.get_block(d.disk, d.addr)?.to_vec()
+                    };
+                    block[..lo].copy_from_slice(&old[..lo]);
+                    block[hi..].copy_from_slice(&old[hi..]);
+                }
+                BlockBuf::from(block)
+            };
+            let (row, slot) = data_slot(k, idx);
+            rows.entry((fid, row)).or_default().insert(slot, buf);
         }
         // Classify each row and gather the old units it must read.
         let mut plans: Vec<RowPlan> = Vec::with_capacity(rows.len());
@@ -977,26 +894,13 @@ impl Volume {
         };
         // Parity math per row, then one write batch for everything.
         let zero = vec![0u8; BLOCK_SIZE];
-        let mut writes: Vec<(u16, Extent, BlockBuf)> = Vec::new();
+        let mut writes: Vec<Write> = Vec::new();
         for plan in plans {
             let old_units = &old[plan.read_base..][..plan.old.len()];
             let new_parity: Vec<Vec<u8>> = if plan.technique == Technique::Delta {
-                let mut parity_units: Vec<Vec<u8>> = old_units[plan.dirty.len()..]
-                    .iter()
-                    .map(|b| b.to_vec())
-                    .collect();
-                for ((s, newbuf), oldbuf) in plan.dirty.iter().zip(old_units) {
-                    // δ = old ⊕ new (new is zero-padded past its
-                    // length, so the tail of δ is the old bytes).
-                    let mut delta = oldbuf.to_vec();
-                    for (d, n) in delta.iter_mut().zip(newbuf.iter()) {
-                        *d ^= *n;
-                    }
-                    for (j, p) in parity_units.iter_mut().enumerate() {
-                        parity::mul_acc(p, parity::coef(j, *s), &delta);
-                    }
-                }
-                parity_units
+                let (olds, parity) = old_units.split_at(plan.dirty.len());
+                let news = plan.dirty.iter().zip(olds);
+                parity::fold_deltas(parity, news.map(|((s, new), old)| (*s, &old[..], &new[..])))
             } else {
                 // The row's data as the parity code sees it: absent units
                 // zero, unchanged units as read or reconstructed, dirty
@@ -1020,14 +924,14 @@ impl Volume {
             };
             for (s, buf) in plan.dirty {
                 let d = plan.units[s].expect("dirty slot exists");
-                writes.push((d.disk, d.block_extent(), buf));
+                writes.push((None, d.disk, d.block_extent(), buf));
             }
             for (d, p) in plan.units[k..].iter().flatten().zip(new_parity) {
-                writes.push((d.disk, d.block_extent(), BlockBuf::from(p)));
+                writes.push((None, d.disk, d.block_extent(), BlockBuf::from(p)));
             }
             self.uninit_rows.remove(&(plan.fid, plan.row));
         }
-        self.write_batch(writes)
+        Ok(writes)
     }
 
     /// Loads every unit of `fid`'s stripe row `row` — `k` data then
@@ -1148,7 +1052,8 @@ impl Volume {
         let par = parity::compute_parity(&refs, m, BLOCK_SIZE);
         let descs = self.row_units(&store.loaded(fid).fit, row);
         for (d, p) in descs[k..].iter().flatten().zip(par) {
-            self.put_unit(*d, &p)?;
+            let unit = [(d.disk, d.block_extent(), &p[..])];
+            self.submit(WritePlan::Extents(Mode::OneAtATime, &unit))?;
         }
         self.uninit_rows.remove(&(fid, row));
         Ok(())
@@ -1251,7 +1156,8 @@ impl Volume {
                     }
                     if d as usize == disk {
                         let buf = self.reconstruct_unit(store, owner, false)?;
-                        self.disks[disk].put(extent, &buf, StablePolicy::None)?;
+                        let unit = [(d, extent, &buf[..])];
+                        self.submit(WritePlan::Extents(Mode::OneAtATime, &unit))?;
                         pages += 1;
                         self.parity_stats.rebuild_pages += 1;
                         remaining -= 1;

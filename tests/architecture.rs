@@ -343,6 +343,45 @@ fn only_the_volume_knows_the_layout() {
     assert!(layout[..layout.len() - 1].iter().all(named));
 }
 
+/// Every platter write of the file service is one plan handed to one
+/// write path. Outside tests a disk's `put` and `put_batch` are called
+/// only inside `Volume::submit` — the service and the scrubber, the store
+/// and the rebuild hand it plans — and the volume's write side decides
+/// the parity tier once, in `submit`.
+#[test]
+fn every_platter_write_goes_through_submit() {
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/file-service/src");
+    let mut submit_seen = false;
+    for (path, mut code) in non_test_sources(&src) {
+        let file = path.file_name().unwrap().to_string_lossy().into_owned();
+        if file == "volume.rs" {
+            let start = code.find("pub(crate) fn submit(").expect("Volume::submit");
+            let end = start + code[start..].find("\n    }\n").expect("its end");
+            code.replace_range(start..end, "");
+            submit_seen = true;
+        }
+        for call in [".put(", ".put_batch("] {
+            assert!(
+                !code.contains(call),
+                "{file} calls `{call}` outside `Volume::submit`"
+            );
+        }
+    }
+    assert!(submit_seen);
+    let volume = std::fs::read_to_string(src.join("volume.rs")).unwrap();
+    let writes = volume
+        .split("// ---- writes")
+        .nth(1)
+        .expect("the write side");
+    let writes = writes.split("// ----").next().unwrap();
+    assert!(writes.contains("pub(crate) fn submit("));
+    assert_eq!(
+        writes.matches("is_parity()").count(),
+        1,
+        "one tier decision"
+    );
+}
+
 /// Replication has one front-end: a cluster shard is a lock-step replica
 /// set. The standalone replicated-files manager and its RPC statistics
 /// are gone from every crate, and outside tests only the replica-set

@@ -25,7 +25,7 @@
 
 use crate::latency::percentile;
 use crate::table::Table;
-use rhodos_cluster::{Cluster, ClusterConfig, CommitChaos, CommitOutcome, CrossOp};
+use rhodos_cluster::{Cluster, ClusterConfig, CommitOutcome, CrossOp};
 
 const FILES: usize = 16;
 const FILE_BLOCKS: u64 = 4;
@@ -92,22 +92,18 @@ fn run_arm(servers: usize, txns: usize, batch: usize, chaos_at: Option<usize>) -
             let ops = txn_ops(k);
             let t0 = clock.now_us();
             let out = if chaos_at == Some(k) {
-                c.arm_chaos(CommitChaos {
-                    crash_coordinator_after_decision: true,
-                    ..CommitChaos::default()
-                });
-                let out = c.commit_cross_shard(&ops).expect("commit");
-                assert!(matches!(
-                    out,
-                    CommitOutcome::CoordinatorCrashed {
-                        decision_durable: true,
-                        ..
-                    }
-                ));
+                // The coordinator crashes once its decision is durable —
+                // it drops the wave before delivering it.
+                let wave = [ops];
+                let mut w = c.wave(&wave).expect("commit");
+                c.prepare_wave(&mut w);
+                assert!(c.decide_wave(&mut w));
+                let out = w.outcomes().next().expect("a wave of one");
+                drop(w);
                 // Coordinator recovery: the durable decision is
                 // re-delivered to both orphans.
                 c.recover_coordinator();
-                CommitOutcome::Committed
+                out
             } else {
                 c.commit_cross_shard(&ops).expect("commit")
             };
@@ -143,7 +139,7 @@ fn run_arm(servers: usize, txns: usize, batch: usize, chaos_at: Option<usize>) -
         prepare_flushes,
         decision_forces: s.decision_forces,
         records_per_prepare_flush_x100: records * 100 / prepare_flushes.max(1),
-        fingerprint: c.content_fingerprint(),
+        fingerprint: c.content_fingerprint().expect("every home serves"),
         in_doubt: c.in_doubt_gtids().len(),
     }
 }

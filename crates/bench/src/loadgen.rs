@@ -633,7 +633,7 @@ pub fn trace_cluster(cfg: &ClusterLoadConfig) -> ClusterTrace {
             pool_hit_rate: 0.0,
             parity: ParityStats::default(),
         },
-        fingerprint: c.content_fingerprint(),
+        fingerprint: c.content_fingerprint().expect("every home serves"),
         migrations,
     }
 }

@@ -14,10 +14,15 @@
 //! There is one coordinator, [`Cluster::commit_batch`]: a wave of
 //! transactions shares one prepare per shard and one decision force,
 //! and a single commit ([`Cluster::commit_cross_shard`]) is a wave of
-//! one. A participant is a shard's whole replica set: its prepare is
-//! forced on every current member before its vote counts
-//! ([`Cluster::prepare`]). Every shard gets its prepare, and later its
-//! decides, in a lane of its own on the shared clock
+//! one. It is four public steps over a [`Wave`] — [`Cluster::wave`]
+//! (homes, gtids, the epoch snapshot), [`Cluster::prepare_wave`],
+//! [`Cluster::decide_wave`] and [`Cluster::deliver_wave`] — and the
+//! coordinator consults no fault schedule: a test crashes a participant,
+//! cuts a link or migrates a file *between* two steps, and crashes the
+//! coordinator by dropping the wave. A participant is a shard's whole
+//! replica set: its prepare is forced on every current member before its
+//! vote counts ([`Cluster::prepare`]). Every shard gets its prepare, and
+//! later its decides, in a lane of its own on the shared clock
 //! ([`rhodos_simdisk::SimClock::lanes`]): a wave costs its slowest
 //! shard, not the sum of its shards. Two robustness properties are
 //! load-bearing here:
@@ -43,6 +48,7 @@ use rhodos_replication::wire::{
 };
 use rhodos_txn::{CommitReq, TransactionService, TxnError};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// One write of a cross-shard transaction: `(gid, offset, data)` in
 /// cluster ids (the coordinator resolves homes).
@@ -65,7 +71,7 @@ const DECISION_MAGIC: u8 = 0xD5;
 /// and a *torn* crash leaves a half-written record that recovery must
 /// read as absence (presumed abort).
 #[derive(Debug, Default)]
-pub struct DecisionLog {
+pub(crate) struct DecisionLog {
     buf: Vec<u8>,
     durable: usize,
 }
@@ -88,15 +94,6 @@ impl DecisionLog {
         self.buf.truncate(self.durable);
     }
 
-    /// Simulated crash *during* the force: a prefix of the record being
-    /// written reaches stable storage — recovery must treat the torn
-    /// record as no decision at all.
-    pub fn crash_torn(&mut self) {
-        let keep = (self.buf.len() - self.durable).min(4);
-        self.buf.truncate(self.durable + keep);
-        self.durable = self.buf.len();
-    }
-
     /// Replays the durable log: the set of global transaction ids with
     /// a complete commit record. A torn tail terminates the scan and is
     /// *discarded*, so post-recovery appends start on a record boundary
@@ -115,52 +112,6 @@ impl DecisionLog {
         self.durable = i;
         out
     }
-
-    /// Durably recorded bytes (tests distinguish torn from clean).
-    pub fn durable_len(&self) -> usize {
-        self.durable
-    }
-}
-
-// ---- deterministic crash points ----------------------------------------
-
-/// Deterministic fault schedule for the next commit, armed with
-/// [`Cluster::arm_chaos`] — every 2PC step has a crash point
-/// before/after its log force. The next [`Cluster::commit_batch`] (or
-/// [`Cluster::commit_cross_shard`]) consumes the whole schedule, fired
-/// or not. Each armed fault fires at most once, at its first chance in
-/// the wave (so a re-targeted retry runs clean and the protocol's own
-/// recovery is what gets tested). Participant faults name the shard,
-/// and a crash strikes every member of it.
-#[derive(Debug, Default, Clone)]
-pub struct CommitChaos {
-    /// This participant never receives its prepare (crashed before the
-    /// request — nothing of the transaction reaches its log).
-    pub crash_participant_before_prepare: Option<usize>,
-    /// This participant crashes right after its prepare force (vote
-    /// delivered); recovery must rebuild the in-doubt state before the
-    /// decision arrives.
-    pub crash_participant_after_prepare: Option<usize>,
-    /// This participant prepares durably but its reply — every vote of
-    /// the wave it carried — is lost; the coordinator presumes abort and
-    /// never contacts it again — only the orphan sweep can release it.
-    pub lose_prepare_ack: Option<usize>,
-    /// Migrate `(gid, target)` after the coordinator snapshots
-    /// placements but before the prepares go out: phase one runs
-    /// against stale placement and the attempt must re-target.
-    pub migrate_mid_prepare: Option<(u64, usize)>,
-    /// Coordinator crashes before any decision record is written:
-    /// presumed abort.
-    pub crash_coordinator_before_decision: bool,
-    /// Coordinator crashes mid-force, tearing the decision record:
-    /// still presumed abort.
-    pub torn_decision: bool,
-    /// Coordinator crashes after the decision is durable but before
-    /// delivering it: recovery must commit the orphans.
-    pub crash_coordinator_after_decision: bool,
-    /// This participant crashes before its first decide is delivered
-    /// (the others get theirs); the sweep finishes it.
-    pub crash_participant_before_decide: Option<usize>,
 }
 
 /// How one cross-shard commit attempt ended.
@@ -170,15 +121,6 @@ pub enum CommitOutcome {
     Committed,
     /// Voted or presumed abort: no participant kept any effect.
     Aborted,
-    /// The coordinator crashed mid-protocol. `decision_durable` tells
-    /// what its recovery must conclude: `true` re-delivers the commit,
-    /// `false` presumes abort.
-    CoordinatorCrashed {
-        /// The global transaction id left in limbo.
-        gtid: u64,
-        /// Whether the commit decision reached stable storage.
-        decision_durable: bool,
-    },
 }
 
 // ---- the server side ---------------------------------------------------
@@ -245,13 +187,42 @@ fn serve_prepare(ts: &mut TransactionService, batch: &[PrepareTxn<'_>]) -> Vec<u
 
 // ---- the coordinator ---------------------------------------------------
 
-impl Cluster {
-    /// Arms `chaos` for the next commit, which consumes it whether or
-    /// not each fault fired.
-    pub fn arm_chaos(&mut self, chaos: CommitChaos) {
-        self.chaos = chaos;
-    }
+/// One wave of cross-shard transactions between the coordinator's steps
+/// ([`Cluster::wave`], [`Cluster::prepare_wave`], [`Cluster::decide_wave`],
+/// [`Cluster::deliver_wave`]). Dropping it is the coordinator's crash:
+/// what the participants and the decision log hold is all that is left,
+/// and [`Cluster::recover_coordinator`] finishes it.
+#[derive(Debug)]
+pub struct Wave<'a, T> {
+    txns: &'a [T],
+    gtids: Range<u64>,
+    /// The placement epoch the homes were resolved in.
+    epoch: u64,
+    /// Each shard's prepare batch, until [`Cluster::prepare_wave`] sends it.
+    by_server: BTreeMap<usize, Vec<PrepareTxn<'a>>>,
+    /// The (shard, gtid) votes a commit needs.
+    participants: BTreeSet<(usize, u64)>,
+    /// The (shard, gtid) yes votes the coordinator learned of.
+    yes: BTreeSet<(usize, u64)>,
+    /// The gtids whose commit record [`Cluster::decide_wave`] forced.
+    committing: BTreeSet<u64>,
+}
 
+impl<T> Wave<'_, T> {
+    /// Each transaction's fate as decided so far, in wave order: a
+    /// commit once its record is forced, else the presumed abort.
+    pub fn outcomes(&self) -> impl Iterator<Item = CommitOutcome> + '_ {
+        self.gtids.clone().map(|gtid| {
+            if self.committing.contains(&gtid) {
+                CommitOutcome::Committed
+            } else {
+                CommitOutcome::Aborted
+            }
+        })
+    }
+}
+
+impl Cluster {
     /// Atomically commits a multi-file transaction whose files may live
     /// on different data servers: a [`Self::commit_batch`] wave of one —
     /// full two-phase commit, even when every file happens to share a
@@ -271,11 +242,9 @@ impl Cluster {
     /// server for the whole wave, and one decision-log force for every
     /// commit decision. This is E24's amortisation lever — flushes per
     /// commit fall with the wave size exactly as E18's group commit does
-    /// locally. Each phase costs its slowest shard: the prepares, and
-    /// then the decides, run in one lane per shard. A placement change
+    /// locally. It runs the four steps in order; a placement change
     /// during phase one aborts the attempt and re-targets the whole wave
-    /// under fresh gtids; the armed [`CommitChaos`] fires along the way.
-    /// One outcome per transaction, in wave order.
+    /// under fresh gtids. One outcome per transaction, in wave order.
     ///
     /// # Errors
     ///
@@ -284,172 +253,135 @@ impl Cluster {
         &mut self,
         txns: &[T],
     ) -> Result<Vec<CommitOutcome>, ClusterError> {
-        let mut chaos = std::mem::take(&mut self.chaos);
         for _ in 0..MAX_RETARGETS {
-            let epoch0 = self.epoch();
-            let gtids = self.next_gtid..self.next_gtid + txns.len() as u64;
-            self.next_gtid = gtids.end;
-
-            // Resolve every op against the *current* placement. The
-            // snapshot can go stale the moment it is taken — that is
-            // what the epoch re-check below is for.
-            let mut by_server: BTreeMap<usize, Vec<PrepareTxn<'_>>> = BTreeMap::new();
-            let mut participants: BTreeSet<(usize, u64)> = BTreeSet::new();
-            for (gtid, ops) in gtids.clone().zip(txns) {
-                let mut per: BTreeMap<usize, Vec<_>> = BTreeMap::new();
-                for (gid, offset, data) in ops.as_ref() {
-                    let p = self.resolve(*gid)?;
-                    per.entry(p.shard)
-                        .or_default()
-                        .push((p.local, *offset, data.as_slice()));
-                }
-                for (server, server_ops) in per {
-                    participants.insert((server, gtid));
-                    by_server
-                        .entry(server)
-                        .or_default()
-                        .push((gtid, server_ops));
-                }
+            let mut w = self.wave(txns)?;
+            self.prepare_wave(&mut w);
+            if self.decide_wave(&mut w) {
+                return Ok(self.deliver_wave(w));
             }
-
-            // Mid-prepare reconfiguration: the file moves *after* the
-            // snapshot, so phase one below runs against stale placement.
-            if let Some((gid, target)) = chaos.migrate_mid_prepare.take() {
-                let _ = self.migrate(gid, target);
-            }
-
-            // Phase one: one prepare RPC per shard, fanned out to its
-            // members, each shard in a lane of its own — the wave costs
-            // its slowest shard. `yes` holds the (shard, gtid) votes the
-            // coordinator learned of.
-            let mut yes: BTreeSet<(usize, u64)> = BTreeSet::new();
-            let mut lanes = self.clock.lanes();
-            for (server, batch) in by_server {
-                lanes.lane(server, || {
-                    if chaos
-                        .crash_participant_before_prepare
-                        .take_if(|s| *s == server)
-                        .is_some()
-                    {
-                        self.crash_shard(server);
-                        return;
-                    }
-                    self.stats.prepare_rpcs += 1;
-                    let batch_gtids: Vec<u64> = batch.iter().map(|(gtid, _)| *gtid).collect();
-                    let votes = self.prepare(server, &Request::TxnPrepare(batch));
-                    let voted: Vec<(usize, u64)> = batch_gtids
-                        .into_iter()
-                        .zip(votes)
-                        .filter(|(_, vote)| *vote)
-                        .map(|(gtid, _)| (server, gtid))
-                        .collect();
-                    if voted.is_empty() {
-                        return;
-                    }
-                    if chaos.lose_prepare_ack.take_if(|s| *s == server).is_some() {
-                        // Durably prepared, reply lost: the coordinator must
-                        // presume abort and never contact this orphan again.
-                        return;
-                    }
-                    yes.extend(voted);
-                    if chaos
-                        .crash_participant_after_prepare
-                        .take_if(|s| *s == server)
-                        .is_some()
-                    {
-                        self.crash_shard(server);
-                    }
-                });
-            }
-            lanes.join();
-
-            // The reconfiguration check (Bravo): deciding commit against
-            // a placement that changed under us could apply half a
-            // transaction to a moved file. Abort the prepared votes and
-            // re-target by the new epoch.
-            if self.epoch() != epoch0 {
-                self.deliver(&yes, &BTreeSet::new(), &mut chaos);
-                self.stats.retargets += 1;
-                continue;
-            }
-            let missing: BTreeSet<u64> = participants.difference(&yes).map(|p| p.1).collect();
-            let committing: BTreeSet<u64> =
-                gtids.clone().filter(|g| !missing.contains(g)).collect();
-
-            // Phase two: the decision. A commit exists iff its record is
-            // durable in the decision log; one force covers the wave.
-            if !committing.is_empty() {
-                let crashed = |durable: bool| -> Vec<CommitOutcome> {
-                    gtids
-                        .clone()
-                        .map(|gtid| CommitOutcome::CoordinatorCrashed {
-                            gtid,
-                            decision_durable: durable && committing.contains(&gtid),
-                        })
-                        .collect()
-                };
-                if chaos.crash_coordinator_before_decision {
-                    return Ok(crashed(false));
-                }
-                for &gtid in &committing {
-                    self.decision_log.append_commit(gtid);
-                }
-                if chaos.torn_decision {
-                    self.decision_log.crash_torn();
-                    return Ok(crashed(false));
-                }
-                self.decision_log.force();
-                self.stats.decision_forces += 1;
-                if chaos.crash_coordinator_after_decision {
-                    return Ok(crashed(true));
-                }
-            }
-
-            self.deliver(&yes, &committing, &mut chaos);
-            let outcomes = gtids.zip(txns).map(|(gtid, ops)| {
-                if committing.contains(&gtid) {
-                    self.stats.cross_commits += 1;
-                    self.note_cross_writes(ops.as_ref());
-                    CommitOutcome::Committed
-                } else {
-                    self.stats.cross_aborts += 1;
-                    CommitOutcome::Aborted
-                }
-            });
-            return Ok(outcomes.collect());
         }
         self.stats.cross_aborts += txns.len() as u64;
         Ok(vec![CommitOutcome::Aborted; txns.len()])
+    }
+
+    /// Step one: resolves every op against the *current* placement,
+    /// assigns the wave its gtids and snapshots the placement epoch. The
+    /// snapshot can go stale the moment it is taken — that is what
+    /// [`Self::decide_wave`]'s re-check is for.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::UnknownFile`] for an unmapped gid.
+    pub fn wave<'a, T: AsRef<[CrossOp]>>(
+        &mut self,
+        txns: &'a [T],
+    ) -> Result<Wave<'a, T>, ClusterError> {
+        let epoch = self.epoch();
+        let gtids = self.next_gtid..self.next_gtid + txns.len() as u64;
+        self.next_gtid = gtids.end;
+        let mut by_server: BTreeMap<usize, Vec<PrepareTxn<'a>>> = BTreeMap::new();
+        let mut participants: BTreeSet<(usize, u64)> = BTreeSet::new();
+        for (gtid, ops) in gtids.clone().zip(txns) {
+            let mut per: BTreeMap<usize, Vec<_>> = BTreeMap::new();
+            for (gid, offset, data) in ops.as_ref() {
+                let p = self.resolve(*gid)?;
+                per.entry(p.shard)
+                    .or_default()
+                    .push((p.local, *offset, data.as_slice()));
+            }
+            for (server, server_ops) in per {
+                participants.insert((server, gtid));
+                by_server
+                    .entry(server)
+                    .or_default()
+                    .push((gtid, server_ops));
+            }
+        }
+        Ok(Wave {
+            txns,
+            gtids,
+            epoch,
+            by_server,
+            participants,
+            yes: BTreeSet::new(),
+            committing: BTreeSet::new(),
+        })
+    }
+
+    /// Step two, phase one: one prepare RPC per shard, fanned out to its
+    /// members, each shard in a lane of its own — the wave costs its
+    /// slowest shard. Records the yes votes that arrive.
+    pub fn prepare_wave<T>(&mut self, w: &mut Wave<'_, T>) {
+        let mut lanes = self.clock.lanes();
+        for (server, batch) in std::mem::take(&mut w.by_server) {
+            lanes.lane(server, || {
+                self.stats.prepare_rpcs += 1;
+                let batch_gtids: Vec<u64> = batch.iter().map(|(gtid, _)| *gtid).collect();
+                let votes = self.prepare(server, &Request::TxnPrepare(batch));
+                let voted = batch_gtids.into_iter().zip(votes).filter(|(_, vote)| *vote);
+                w.yes.extend(voted.map(|(gtid, _)| (server, gtid)));
+            });
+        }
+        lanes.join();
+    }
+
+    /// Step three, the decision. First the reconfiguration check
+    /// (Bravo): deciding commit against a placement that changed under
+    /// the wave could apply half a transaction to a moved file, so a
+    /// changed epoch aborts the prepared votes and returns `false` — the
+    /// caller re-targets by the new placement. Otherwise every
+    /// transaction with all its votes is decided commit: a commit exists
+    /// iff its record is durable in the decision log, and one force
+    /// covers the wave.
+    pub fn decide_wave<T>(&mut self, w: &mut Wave<'_, T>) -> bool {
+        if self.epoch() != w.epoch {
+            self.deliver(w);
+            self.stats.retargets += 1;
+            return false;
+        }
+        let missing: BTreeSet<u64> = w.participants.difference(&w.yes).map(|p| p.1).collect();
+        w.committing = w.gtids.clone().filter(|g| !missing.contains(g)).collect();
+        if !w.committing.is_empty() {
+            for &gtid in &w.committing {
+                self.decision_log.append_commit(gtid);
+            }
+            self.decision_log.force();
+            self.stats.decision_forces += 1;
+        }
+        true
+    }
+
+    /// Step four, phase two: delivers the decision, then counts and
+    /// returns one outcome per transaction, in wave order.
+    pub fn deliver_wave<T: AsRef<[CrossOp]>>(&mut self, w: Wave<'_, T>) -> Vec<CommitOutcome> {
+        self.deliver(&w);
+        let outcomes: Vec<CommitOutcome> = w.outcomes().collect();
+        for (ops, outcome) in w.txns.iter().zip(&outcomes) {
+            if *outcome == CommitOutcome::Committed {
+                self.stats.cross_commits += 1;
+                self.note_cross_writes(ops.as_ref());
+            } else {
+                self.stats.cross_aborts += 1;
+            }
+        }
+        outcomes
     }
 
     /// Delivers each yes-vote its transaction's fate (a no-voter already
     /// rolled back locally), each shard's decides in gtid order in a lane
     /// of its own. Idempotent; a missed participant is the orphan sweep's
     /// job.
-    fn deliver(
-        &mut self,
-        yes: &BTreeSet<(usize, u64)>,
-        committing: &BTreeSet<u64>,
-        chaos: &mut CommitChaos,
-    ) {
+    fn deliver<T>(&mut self, w: &Wave<'_, T>) {
         let mut lanes = self.clock.lanes();
-        let mut next = yes.first().map(|&(server, _)| server);
+        let mut next = w.yes.first().map(|&(server, _)| server);
         while let Some(server) = next {
             lanes.lane(server, || {
-                for &(_, gtid) in yes.range((server, 0)..=(server, u64::MAX)) {
-                    if chaos
-                        .crash_participant_before_decide
-                        .take_if(|s| *s == server)
-                        .is_some()
-                    {
-                        self.crash_shard(server);
-                        continue;
-                    }
-                    let commit = committing.contains(&gtid);
+                for &(_, gtid) in w.yes.range((server, 0)..=(server, u64::MAX)) {
+                    let commit = w.committing.contains(&gtid);
                     let _ = self.call_2pc(server, &Request::TxnDecide(gtid, commit));
                 }
             });
-            next = yes.range((server + 1, 0)..).next().map(|&(s, _)| s);
+            next = w.yes.range((server + 1, 0)..).next().map(|&(s, _)| s);
         }
         lanes.join();
     }
@@ -510,12 +442,28 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::master::ClusterConfig;
+    use crate::master::{ClusterConfig, Link};
     use rhodos_file_service::FileId;
 
     /// A cluster with one seeded, synced file per server; file `k` lives
     /// on server `k` (least-loaded placement round-robins an empty
     /// cluster) and holds `blocks * 512` bytes of `k + 1`.
+    impl DecisionLog {
+        /// Simulated crash *during* the force: a prefix of the record
+        /// being written reaches stable storage — recovery must treat the
+        /// torn record as no decision at all.
+        fn crash_torn(&mut self) {
+            let keep = (self.buf.len() - self.durable).min(4);
+            self.buf.truncate(self.durable + keep);
+            self.durable = self.buf.len();
+        }
+
+        /// Durably recorded bytes.
+        fn durable_len(&self) -> usize {
+            self.durable
+        }
+    }
+
     fn cluster_with_files(n: usize, blocks: usize) -> (Cluster, Vec<u64>) {
         files_on(Cluster::new(n, ClusterConfig::default()), blocks)
     }
@@ -620,10 +568,10 @@ mod tests {
     fn unreachable_participant_aborts_everywhere() {
         let (mut c, gids) = cluster_with_files(2, 2);
         c.set_max_attempts(2);
-        c.set_link(1, false);
+        c.set_link(1, Link::Down);
         let out = c.commit_cross_shard(&two_shard_ops(&gids)).unwrap();
         assert_eq!(out, CommitOutcome::Aborted);
-        c.set_link(1, true);
+        c.set_link(1, Link::Up);
         assert_untouched(&mut c, &gids);
         assert_eq!(c.stats().cross_aborts, 1);
         assert_eq!(c.stats().cross_commits, 0);
@@ -636,19 +584,11 @@ mod tests {
     #[test]
     fn coordinator_crash_before_decision_presumes_abort() {
         let (mut c, gids) = cluster_with_files(2, 2);
-        let chaos = CommitChaos {
-            crash_coordinator_before_decision: true,
-            ..CommitChaos::default()
-        };
-        c.arm_chaos(chaos);
-        let out = c.commit_cross_shard(&two_shard_ops(&gids)).unwrap();
-        assert!(matches!(
-            out,
-            CommitOutcome::CoordinatorCrashed {
-                decision_durable: false,
-                ..
-            }
-        ));
+        let txns = [two_shard_ops(&gids)];
+        let mut w = c.wave(&txns).unwrap();
+        c.prepare_wave(&mut w);
+        // The coordinator crashes before it decides: nothing is logged.
+        drop(w);
         assert_eq!(c.in_doubt_gtids().len(), 1, "both homes hold one orphan");
         let (commits, aborts) = c.recover_coordinator();
         assert_eq!((commits, aborts), (0, 2), "presumed abort on both homes");
@@ -661,19 +601,13 @@ mod tests {
     #[test]
     fn coordinator_crash_after_decision_commits_orphans() {
         let (mut c, gids) = cluster_with_files(2, 2);
-        let chaos = CommitChaos {
-            crash_coordinator_after_decision: true,
-            ..CommitChaos::default()
-        };
-        c.arm_chaos(chaos);
-        let out = c.commit_cross_shard(&two_shard_ops(&gids)).unwrap();
-        assert!(matches!(
-            out,
-            CommitOutcome::CoordinatorCrashed {
-                decision_durable: true,
-                ..
-            }
-        ));
+        let txns = [two_shard_ops(&gids)];
+        let mut w = c.wave(&txns).unwrap();
+        c.prepare_wave(&mut w);
+        assert!(c.decide_wave(&mut w));
+        assert!(w.outcomes().eq([CommitOutcome::Committed]));
+        // The coordinator crashes before it delivers the durable decision.
+        drop(w);
         let (commits, aborts) = c.recover_coordinator();
         assert_eq!((commits, aborts), (2, 0), "durable decision re-delivered");
         assert_applied(&mut c, &gids);
@@ -681,38 +615,16 @@ mod tests {
     }
 
     #[test]
-    fn torn_decision_record_reads_as_abort() {
-        let (mut c, gids) = cluster_with_files(2, 2);
-        let chaos = CommitChaos {
-            torn_decision: true,
-            ..CommitChaos::default()
-        };
-        c.arm_chaos(chaos);
-        let out = c.commit_cross_shard(&two_shard_ops(&gids)).unwrap();
-        assert!(matches!(
-            out,
-            CommitOutcome::CoordinatorCrashed {
-                decision_durable: false,
-                ..
-            }
-        ));
-        let (commits, aborts) = c.recover_coordinator();
-        assert_eq!((commits, aborts), (0, 2), "half a record is no decision");
-        assert_untouched(&mut c, &gids);
-    }
-
-    #[test]
     fn participant_crash_after_prepare_recovers_in_doubt_and_commits() {
         let (mut c, gids) = cluster_with_files(2, 2);
-        let chaos = CommitChaos {
-            crash_participant_after_prepare: Some(1),
-            ..CommitChaos::default()
-        };
-        c.arm_chaos(chaos);
-        let out = c.commit_cross_shard(&two_shard_ops(&gids)).unwrap();
-        // Server 1 crashed after its prepare force; recovery rebuilt the
-        // in-doubt participant from the log and the decide landed on it.
-        assert_eq!(out, CommitOutcome::Committed);
+        let txns = [two_shard_ops(&gids)];
+        let mut w = c.wave(&txns).unwrap();
+        c.prepare_wave(&mut w);
+        // Server 1 crashes after its prepare force; recovery rebuilds the
+        // in-doubt participant from the log and the decide lands on it.
+        c.crash_server(1);
+        assert!(c.decide_wave(&mut w));
+        assert_eq!(c.deliver_wave(w), [CommitOutcome::Committed]);
         assert_applied(&mut c, &gids);
         assert!(c.in_doubt_gtids().is_empty());
     }
@@ -720,13 +632,15 @@ mod tests {
     #[test]
     fn participant_crash_before_decide_is_swept_to_commit() {
         let (mut c, gids) = cluster_with_files(2, 2);
-        let chaos = CommitChaos {
-            crash_participant_before_decide: Some(1),
-            ..CommitChaos::default()
-        };
-        c.arm_chaos(chaos);
-        let out = c.commit_cross_shard(&two_shard_ops(&gids)).unwrap();
-        assert_eq!(out, CommitOutcome::Committed);
+        let txns = [two_shard_ops(&gids)];
+        let mut w = c.wave(&txns).unwrap();
+        c.prepare_wave(&mut w);
+        assert!(c.decide_wave(&mut w));
+        // Server 1 crashes, and is cut off until its decide is lost.
+        c.crash_server(1);
+        c.set_link(1, Link::Down);
+        assert_eq!(c.deliver_wave(w), [CommitOutcome::Committed]);
+        c.set_link(1, Link::Up);
         // Server 0 applied; server 1 is an orphan until the sweep.
         assert_eq!(c.read(gids[0], 3, 5).unwrap(), b"alpha");
         assert_eq!(c.in_doubt_gtids().len(), 1);
@@ -738,13 +652,13 @@ mod tests {
     #[test]
     fn lost_prepare_ack_leaves_orphan_the_sweep_aborts() {
         let (mut c, gids) = cluster_with_files(2, 2);
-        let chaos = CommitChaos {
-            lose_prepare_ack: Some(1),
-            ..CommitChaos::default()
-        };
-        c.arm_chaos(chaos);
-        let out = c.commit_cross_shard(&two_shard_ops(&gids)).unwrap();
-        assert_eq!(out, CommitOutcome::Aborted);
+        let txns = [two_shard_ops(&gids)];
+        let mut w = c.wave(&txns).unwrap();
+        c.set_link(1, Link::RepliesLost);
+        c.prepare_wave(&mut w);
+        c.set_link(1, Link::Up);
+        assert!(c.decide_wave(&mut w));
+        assert_eq!(c.deliver_wave(w), [CommitOutcome::Aborted]);
         // Server 1 prepared durably but the coordinator never learned;
         // presumed abort resolves it without any decision record.
         assert_eq!(c.in_doubt_gtids().len(), 1);
@@ -757,18 +671,19 @@ mod tests {
     #[test]
     fn migration_mid_prepare_retargets_and_commits() {
         let (mut c, gids) = cluster_with_files(3, 2);
-        let chaos = CommitChaos {
-            migrate_mid_prepare: Some((gids[1], 2)),
-            ..CommitChaos::default()
-        };
-        c.arm_chaos(chaos);
-        let out = c.commit_cross_shard(&two_shard_ops(&gids)).unwrap();
-        // First attempt ran against stale placement (or a moved epoch)
-        // and re-targeted; the retry resolved server 2 as the new home.
-        assert_eq!(out, CommitOutcome::Committed);
+        let txns = [two_shard_ops(&gids)];
+        // The file moves after the wave resolved its homes, so phase one
+        // runs against stale placement and the decision refuses it.
+        let mut w = c.wave(&txns).unwrap();
+        c.migrate(gids[1], 2).unwrap();
+        c.prepare_wave(&mut w);
+        assert!(!c.decide_wave(&mut w), "the epoch moved");
+        assert!(c.in_doubt_gtids().is_empty(), "the stale votes aborted");
+        // The retry resolves server 2 as the new home.
+        assert_eq!(c.commit_batch(&txns).unwrap(), [CommitOutcome::Committed]);
         assert_eq!(c.placement_of(gids[1]).unwrap().0, 2);
         assert_applied(&mut c, &gids);
-        assert!(c.stats().retargets >= 1);
+        assert_eq!(c.stats().retargets, 1);
         assert!(c.in_doubt_gtids().is_empty());
         assert_eq!(c.stats().cross_commits, 1);
     }
@@ -786,10 +701,10 @@ mod tests {
                 (gids[3], 7, b"delta".to_vec()),
             ],
         ];
-        c.arm_chaos(CommitChaos {
-            migrate_mid_prepare: Some((gids[1], 2)),
-            ..CommitChaos::default()
-        });
+        let mut w = c.wave(&wave).unwrap();
+        c.migrate(gids[1], 2).unwrap();
+        c.prepare_wave(&mut w);
+        assert!(!c.decide_wave(&mut w));
         let outs = c.commit_batch(&wave).unwrap();
         assert_eq!(outs, vec![CommitOutcome::Committed; 2]);
         let s = c.stats();
@@ -954,19 +869,11 @@ mod tests {
         // from deleting the replica the pending commit will apply to.
         let (mut c, gids) = cluster_with_files(2, 2);
         let home = c.placement_of(gids[0]).unwrap().0;
-        let chaos = CommitChaos {
-            crash_coordinator_after_decision: true,
-            ..CommitChaos::default()
-        };
-        c.arm_chaos(chaos);
-        let out = c.commit_cross_shard(&two_shard_ops(&gids)).unwrap();
-        assert!(matches!(
-            out,
-            CommitOutcome::CoordinatorCrashed {
-                decision_durable: true,
-                ..
-            }
-        ));
+        let txns = [two_shard_ops(&gids)];
+        let mut w = c.wave(&txns).unwrap();
+        c.prepare_wave(&mut w);
+        assert!(c.decide_wave(&mut w));
+        drop(w);
         c.crash_server(home);
         let err = c.migrate(gids[0], (home + 1) % 2).unwrap_err();
         assert!(

@@ -33,8 +33,8 @@ mod commit;
 mod master;
 mod replica_set;
 
-pub use commit::{serve_txn, CommitChaos, CommitOutcome, CrossOp, DecisionLog};
+pub use commit::{serve_txn, CommitOutcome, CrossOp, Wave};
 pub use master::{
-    Cluster, ClusterConfig, ClusterError, ClusterStats, RebalanceReport, ServerHandle,
+    Cluster, ClusterConfig, ClusterError, ClusterStats, Link, RebalanceReport, ServerHandle,
 };
 pub use replica_set::ClusterScrubReport;

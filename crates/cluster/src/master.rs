@@ -214,12 +214,23 @@ pub(crate) struct Placement {
     opens: u32,
 }
 
+/// What crosses the link to a data server ([`Cluster::set_link`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Link {
+    /// Requests and replies.
+    Up,
+    /// Nothing.
+    Down,
+    /// Requests only: the server runs each request, and its reply is lost.
+    RepliesLost,
+}
+
 /// One data server as the master sees it.
 pub(crate) struct DataNode {
     pub(crate) handle: ServerHandle,
     chan: Channel,
-    /// Fault injection: when false, nothing crosses this link.
-    link_up: bool,
+    /// Fault injection: what crosses the link.
+    link: Link,
     /// False while the server cannot mount its platters: it answers
     /// nothing until a restart mounts it.
     pub(crate) mounted: bool,
@@ -237,7 +248,7 @@ pub(crate) struct DataNode {
 impl fmt::Debug for DataNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DataNode")
-            .field("link_up", &self.link_up)
+            .field("link", &self.link)
             .field("mounted", &self.mounted)
             .field("alive", &self.alive)
             .field("missed", &self.missed)
@@ -270,8 +281,6 @@ pub struct Cluster {
     pub(crate) decision_log: crate::commit::DecisionLog,
     /// Next global (cross-shard) transaction id.
     pub(crate) next_gtid: u64,
-    /// Faults armed for the next commit.
-    pub(crate) chaos: crate::commit::CommitChaos,
     pub(crate) stats: ClusterStats,
 }
 
@@ -299,7 +308,6 @@ impl Cluster {
             pending_gc: Vec::new(),
             decision_log: crate::commit::DecisionLog::default(),
             next_gtid: 1,
-            chaos: crate::commit::CommitChaos::default(),
             stats: ClusterStats::default(),
         };
         for _ in 0..n {
@@ -333,7 +341,7 @@ impl Cluster {
         self.nodes.push(DataNode {
             handle,
             chan: Channel::new(self.clock.clone(), self.cfg.data_net, i),
-            link_up: true,
+            link: Link::Up,
             mounted: true,
             alive: true,
             missed: 0,
@@ -445,13 +453,14 @@ impl Cluster {
         &self.nodes[i].chan
     }
 
-    /// Fault injection: sever or restore the link to server `i`.
+    /// Fault injection: what crosses the link to server `i` from now on
+    /// — everything, nothing, or the requests alone (a one-way partition).
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn set_link(&mut self, i: usize, up: bool) {
-        self.nodes[i].link_up = up;
+    pub fn set_link(&mut self, i: usize, link: Link) {
+        self.nodes[i].link = link;
     }
 
     /// Current home shard of a cluster file, with its local id.
@@ -502,7 +511,7 @@ impl Cluster {
         if node.removed {
             return Err(ClusterError::Removed(i));
         }
-        if !node.link_up || !node.mounted {
+        if node.link == Link::Down || !node.mounted {
             // The client times out against a severed link or a server
             // that is down; that timeout is heartbeat evidence too.
             node.missed = node.missed.saturating_add(1);
@@ -510,10 +519,14 @@ impl Cluster {
         }
         let handle = node.handle.clone();
         let mut guard = handle.lock();
-        match node
+        let mut served = node
             .chan
-            .call_serve(req, |r| crate::commit::serve_txn(&mut guard, r))
-        {
+            .call_serve(req, |r| crate::commit::serve_txn(&mut guard, r));
+        if node.link == Link::RepliesLost {
+            // The request ran; its reply never arrives.
+            served = Err(None);
+        }
+        match served {
             Ok(payload) => Ok(payload),
             Err(None) => {
                 node.missed = node.missed.saturating_add(1);
@@ -537,14 +550,6 @@ impl Cluster {
         let _ = self.restart(i);
         if !self.nodes[i].stale && self.has_serving_peer(i) {
             self.mask(i);
-        }
-    }
-
-    /// Fault injection: crash every member of shard `s` at once. They
-    /// lose the same volatile state, so the set stays in step.
-    pub(crate) fn crash_shard(&mut self, s: usize) {
-        for i in self.members(s) {
-            let _ = self.restart(i);
         }
     }
 
@@ -752,7 +757,7 @@ impl Cluster {
         (0..self.shard_count())
             .filter(|&s| {
                 self.members(s)
-                    .any(|i| self.serves(i) && self.nodes[i].link_up)
+                    .any(|i| self.serves(i) && self.nodes[i].link == Link::Up)
             })
             .collect()
     }
@@ -782,7 +787,7 @@ impl Cluster {
             return;
         }
         self.stats.heartbeats += 1;
-        let answered = self.nodes[i].link_up && self.nodes[i].mounted && {
+        let answered = self.nodes[i].link == Link::Up && self.nodes[i].mounted && {
             let net = &mut self.nodes[i].chan.net;
             net.transmit() != Delivery::Lost && net.transmit_reply() != Delivery::Lost
         };
@@ -790,8 +795,11 @@ impl Cluster {
         // never answers; with its link up, a resync from a current peer
         // copies them whole and mounts it.
         let node = &self.nodes[i];
-        let healed =
-            !answered && node.stale && !node.mounted && node.link_up && self.resync(i).is_ok();
+        let healed = !answered
+            && node.stale
+            && !node.mounted
+            && node.link == Link::Up
+            && self.resync(i).is_ok();
         if !answered && !healed {
             self.stats.heartbeat_misses += 1;
             let node = &mut self.nodes[i];
@@ -1104,35 +1112,48 @@ impl Cluster {
     /// of each home shard directly (out of band — no channel traffic, no
     /// heat), so two clusters that executed the same logical operations
     /// fingerprint identically regardless of server count or placement.
-    pub fn content_fingerprint(&self) -> u64 {
+    ///
+    /// # Errors
+    ///
+    /// The file service's failure when a home cannot serve its file (its
+    /// platters did not mount, a read fails).
+    pub fn content_fingerprint(&self) -> Result<u64, ClusterError> {
         let mut fp = FNV_OFFSET;
         for (gid, p) in &self.map {
             let home = self
                 .members(p.shard)
                 .find(|&i| !self.nodes[i].stale)
-                .expect("a current member");
+                .ok_or(ClusterError::NoLiveServers)?;
             let handle = self.nodes[home].handle.clone();
             let mut guard = handle.lock();
             let fs = guard.file_service_mut();
-            let size = fs.get_attribute(p.local).expect("mapped file exists").size;
+            let size = fs.get_attribute(p.local)?.size;
             fp = fnv1a(fp, &gid.to_le_bytes());
             fp = fnv1a(fp, &size.to_le_bytes());
             if size > 0 {
-                fs.open(p.local).expect("fingerprint open");
-                let data = fs
-                    .read(p.local, 0, size as usize)
-                    .expect("fingerprint read");
-                fs.close(p.local).expect("fingerprint close");
-                fp = fnv1a(fp, &data);
+                fs.open(p.local)?;
+                let data = fs.read(p.local, 0, size as usize);
+                fs.close(p.local)?;
+                fp = fnv1a(fp, &data?);
             }
         }
-        fp
+        Ok(fp)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Cluster {
+        /// Crashes every member of shard `s` at once. They lose the same
+        /// volatile state, so the set stays in step.
+        pub(crate) fn crash_shard(&mut self, s: usize) {
+            for i in self.members(s) {
+                let _ = self.restart(i);
+            }
+        }
+    }
 
     fn cluster(n: usize) -> Cluster {
         Cluster::new(n, ClusterConfig::default())
@@ -1184,7 +1205,7 @@ mod tests {
     fn heartbeat_death_and_rejoin() {
         let mut c = cluster(2);
         let gids = seed_files(&mut c, 4, 2);
-        c.set_link(1, false);
+        c.set_link(1, Link::Down);
         for _ in 0..HEARTBEAT_MISS_LIMIT {
             c.heartbeat_pulse();
         }
@@ -1203,7 +1224,7 @@ mod tests {
         let fresh = c.create().unwrap();
         assert_eq!(c.placement_of(fresh).unwrap().0, 0);
         // Rejoin: one good heartbeat brings it back.
-        c.set_link(1, true);
+        c.set_link(1, Link::Up);
         c.heartbeat_pulse();
         assert!(c.is_alive(1));
         assert_eq!(c.stats().rejoins, 1);
@@ -1228,36 +1249,36 @@ mod tests {
         assert_eq!(c.stats().heartbeats, 4);
     }
 
+    /// Marks bad (or clears) every copy of server 1's directory region:
+    /// disk 0 and both stable mirrors.
+    fn directory(c: &Cluster, bad: bool) {
+        let mark = |disk: &mut rhodos_simdisk::SimDisk| {
+            for sector in 0..16 {
+                if bad {
+                    disk.faults_mut().mark_bad_sector(sector);
+                } else {
+                    disk.faults_mut().clear_bad_sector(sector);
+                }
+            }
+        };
+        c.with_server(1, |fs| {
+            let d = fs.disk_mut(0);
+            mark(d.disk_mut());
+            let stable = d.stable_mut().expect("a stable pair");
+            mark(stable.mirror_a_mut());
+            mark(stable.mirror_b_mut());
+        });
+    }
+
     /// A server whose directory is unreadable on every copy cannot mount:
     /// a crash leaves it down — calls to it fail, heartbeats miss it —
     /// while the other shard keeps serving, and a restart that mounts
     /// brings it back.
     #[test]
     fn a_server_that_cannot_mount_is_down_and_the_rest_serve() {
-        use rhodos_simdisk::SimDisk;
         let mut c = cluster(2);
         let gids = seed_files(&mut c, 4, 2);
         c.sync_all();
-        // Every copy of server 1's directory region: disk 0 and both
-        // stable mirrors.
-        let directory = |c: &Cluster, bad: bool| {
-            let mark = |disk: &mut SimDisk| {
-                for sector in 0..16 {
-                    if bad {
-                        disk.faults_mut().mark_bad_sector(sector);
-                    } else {
-                        disk.faults_mut().clear_bad_sector(sector);
-                    }
-                }
-            };
-            c.with_server(1, |fs| {
-                let d = fs.disk_mut(0);
-                mark(d.disk_mut());
-                let stable = d.stable_mut().expect("a stable pair");
-                mark(stable.mirror_a_mut());
-                mark(stable.mirror_b_mut());
-            });
-        };
         directory(&c, true);
         c.crash_server(1);
         let (down, up): (Vec<u64>, Vec<u64>) = gids
@@ -1287,6 +1308,25 @@ mod tests {
         assert_eq!(c.read(down[0], 0, 4).unwrap(), vec![2; 4]);
     }
 
+    /// A home that cannot mount fails the fingerprint; it does not panic
+    /// the master. Once it mounts, the fingerprint is what it was.
+    #[test]
+    fn a_home_that_cannot_mount_fails_the_fingerprint() {
+        let mut c = cluster(2);
+        seed_files(&mut c, 4, 2);
+        c.sync_all();
+        let fp = c.content_fingerprint().unwrap();
+        directory(&c, true);
+        c.crash_server(1);
+        assert!(matches!(
+            c.content_fingerprint(),
+            Err(ClusterError::File(_))
+        ));
+        directory(&c, false);
+        c.crash_server(1);
+        assert_eq!(c.content_fingerprint(), Ok(fp));
+    }
+
     #[test]
     fn delete_while_dead_gcs_on_rejoin() {
         let mut c = cluster(2);
@@ -1298,7 +1338,7 @@ mod tests {
         for g in &gids {
             c.close(*g).unwrap();
         }
-        c.set_link(1, false);
+        c.set_link(1, Link::Down);
         for _ in 0..3 {
             c.heartbeat_pulse();
         }
@@ -1306,7 +1346,7 @@ mod tests {
         c.delete(victim).unwrap();
         assert_eq!(c.pending_gc(), 1);
         assert!(c.placement_of(victim).is_none());
-        c.set_link(1, true);
+        c.set_link(1, Link::Up);
         c.heartbeat_pulse();
         assert_eq!(c.pending_gc(), 0, "rejoin collects the orphan");
         assert_eq!(c.stats().orphans_collected, 1);
@@ -1331,11 +1371,15 @@ mod tests {
         // server 0 now holds nearly all the load.
         c.add_server();
         c.add_server();
-        let fp_before = c.content_fingerprint();
+        let fp_before = c.content_fingerprint().unwrap();
         let report = c.rebalance();
         assert!(report.migrated > 0, "hot server must shed load");
         assert_eq!(report.aborted, 0);
-        assert_eq!(c.content_fingerprint(), fp_before, "bytes survive moves");
+        assert_eq!(
+            c.content_fingerprint(),
+            Ok(fp_before),
+            "bytes survive moves"
+        );
         assert!(c.files_on(0) < hot.len(), "server 0 shed at least one file");
         // Reads still route correctly after the move.
         for (k, gid) in gids.iter().enumerate() {
@@ -1347,11 +1391,11 @@ mod tests {
     fn decommission_drains_and_removes() {
         let mut c = cluster(3);
         let gids = seed_files(&mut c, 6, 2);
-        let fp = c.content_fingerprint();
+        let fp = c.content_fingerprint().unwrap();
         c.decommission(2).unwrap();
         assert_eq!(c.files_on(2), 0);
         assert_eq!(c.live_servers(), 2);
-        assert_eq!(c.content_fingerprint(), fp);
+        assert_eq!(c.content_fingerprint(), Ok(fp));
         for gid in &gids {
             assert!(c.read(*gid, 0, 512).is_ok());
         }

@@ -438,7 +438,7 @@ fn disk_err(e: rhodos_simdisk::DiskError) -> ClusterError {
 mod tests {
     use super::*;
     use crate::commit::CommitOutcome;
-    use crate::master::ClusterConfig;
+    use crate::master::{ClusterConfig, Link};
     use rhodos_disk_service::codec::Decoder;
     use rhodos_file_service::{FileId, LeaseMode};
     use rhodos_net::NetConfig;
@@ -536,12 +536,12 @@ mod tests {
     #[test]
     fn the_rotation_stays_even_while_a_member_is_out() {
         let (mut c, gid, _) = one_file(3, b"spread");
-        c.set_link(1, false);
+        c.set_link(1, Link::Down);
         for _ in 0..12 {
             c.read(gid, 0, 6).unwrap();
         }
         assert_eq!(reads(&c), vec![6, 0, 6]);
-        c.set_link(1, true);
+        c.set_link(1, Link::Up);
         c.resync(1).unwrap();
         for _ in 0..12 {
             c.read(gid, 0, 6).unwrap();
@@ -554,10 +554,10 @@ mod tests {
     #[test]
     fn a_member_that_missed_writes_is_resynced_when_it_answers_again() {
         let (mut c, gid, fid) = one_file(2, b"v1");
-        c.set_link(1, false);
+        c.set_link(1, Link::Down);
         c.write(gid, 0, b"v2").unwrap();
         assert!(!c.is_current(1), "the write went on without it");
-        c.set_link(1, true);
+        c.set_link(1, Link::Up);
         c.heartbeat_pulse();
         assert!(c.is_current(1));
         assert_eq!(c.stats().resyncs, 1);
@@ -577,9 +577,9 @@ mod tests {
         for resynced in 0..2 {
             let (mut c, gid, fid) = one_file(2, b"counted");
             c.open(gid).unwrap();
-            c.set_link(resynced, false);
+            c.set_link(resynced, Link::Down);
             c.write(gid, 0, b"counted!").unwrap();
-            c.set_link(resynced, true);
+            c.set_link(resynced, Link::Up);
             c.resync(resynced).unwrap();
             c.close(gid).unwrap();
             c.close(gid).unwrap();
@@ -721,12 +721,12 @@ mod tests {
     #[test]
     fn the_last_current_member_answers_for_the_set() {
         let (mut c, gid, _) = one_file(2, b"x");
-        c.set_link(0, false);
-        c.set_link(1, false);
+        c.set_link(0, Link::Down);
+        c.set_link(1, Link::Down);
         assert_eq!(c.write(gid, 0, b"y"), Err(ClusterError::Unreachable(1)));
         assert!((0..2).all(|i| c.is_current(i)), "nothing applied it");
         assert_eq!(c.read(gid, 0, 1), Err(ClusterError::Unreachable(1)));
-        c.set_link(0, true);
+        c.set_link(0, Link::Up);
         c.write(gid, 0, b"y").unwrap();
         assert!(!c.is_current(1), "a peer applied it this time");
     }
@@ -780,7 +780,7 @@ mod tests {
         assert_eq!(c.stats().peer_repairs, 1);
         // Member 0's platter is healthy again and serves the bytes alone.
         assert!(c.with_server(0, |fs| fs.scrub(None).unwrap().is_clean()));
-        c.set_link(1, false);
+        c.set_link(1, Link::Down);
         assert_eq!(c.read(gid, 17_000, 4).unwrap(), vec![0x3C; 4]);
     }
 
@@ -838,7 +838,7 @@ mod tests {
             .collect();
         assert_eq!(c.placement_of(gids[1]).unwrap().0, 1);
         c.sync_all();
-        c.set_link(3, false);
+        c.set_link(3, Link::Down);
         let ops = vec![
             (gids[0], 3, b"alpha".to_vec()),
             (gids[1], 7, b"beta!".to_vec()),
@@ -850,7 +850,7 @@ mod tests {
         assert_eq!(c.stats().prepare_rpcs, 2, "one prepare per shard");
         assert!(!c.is_current(3) && c.is_current(2));
         assert!(c.in_doubt_gtids().is_empty());
-        c.set_link(3, true);
+        c.set_link(3, Link::Up);
         c.heartbeat_pulse();
         assert!(c.is_current(3));
         // A member whose own prepare force fails votes no while its peer

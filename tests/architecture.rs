@@ -506,7 +506,9 @@ fn only_the_wire_protocol_builds_frames() {
 /// no `unreachable!` or `panic!` — a decide or a checkpoint that fails
 /// is an error reply or a `ClusterError` — and neither `commit.rs` nor
 /// `replica_set.rs` names `.expect(`: a torn decision record ends the
-/// log scan, a sector out of range is a disk error.
+/// log scan, a sector out of range is a disk error. `master.rs` names it
+/// only in `push_node`, which formats fresh disks for `Cluster::new` and
+/// `add_server`; a home that cannot serve fails the fingerprint.
 #[test]
 fn the_cluster_has_no_unreachable_or_panic_site() {
     let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/cluster/src");
@@ -520,10 +522,56 @@ fn the_cluster_has_no_unreachable_or_panic_site() {
         for site in ["unreachable!", "panic!"] {
             assert!(!code.contains(site), "{path:?} names `{site}`");
         }
-        if path.ends_with("commit.rs") || path.ends_with("replica_set.rs") {
-            assert!(!code.contains(".expect("), "{path:?} names `.expect(`");
+        let mut code = code.clone();
+        if path.ends_with("master.rs") {
+            let start = code.find("    fn push_node(").expect("found `push_node`");
+            let end = start + code[start..].find("\n    }\n").expect("its end");
+            code.replace_range(start..end, "");
+        }
+        assert!(!code.contains(".expect("), "{path:?} names `.expect(`");
+    }
+}
+
+/// The 2PC coordinator is four public steps — `wave`, `prepare_wave`,
+/// `decide_wave`, `deliver_wave` — and a fault is something done to the
+/// cluster between two of them: outside tests, only
+/// `Cluster::commit_batch` calls the last three under the cluster, agent
+/// and core crates, and no source of the workspace names a fault
+/// schedule the coordinator consults.
+#[test]
+fn only_commit_batch_drives_the_coordinator_steps() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let steps = [".prepare_wave(", ".decide_wave(", ".deliver_wave("];
+    let mut drivers = 0;
+    for krate in ["cluster", "agent", "core"] {
+        for (path, mut code) in non_test_sources(&root.join("crates").join(krate).join("src")) {
+            if let Some(start) = code.find("    pub fn commit_batch<") {
+                let end = start + code[start..].find("\n    }\n").unwrap();
+                assert!(steps.iter().all(|s| code[start..end].contains(s)));
+                code.replace_range(start..end, "");
+                drivers += 1;
+            }
+            for step in steps {
+                assert!(!code.contains(step), "{path:?} calls `{step}`");
+            }
         }
     }
+    assert_eq!(drivers, 1, "one coordinator drives the steps");
+    let gone = [
+        ["Commit", "Chaos"].concat(),
+        ["arm", "_chaos"].concat(),
+        ["Coordinator", "Crashed"].concat(),
+    ];
+    let mut checked = 0;
+    for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
+        for (path, text) in sources(&root.join(dir)) {
+            for name in &gone {
+                assert!(!text.contains(name.as_str()), "{path:?} names `{name}`");
+            }
+            checked += 1;
+        }
+    }
+    assert!(checked > 50, "found the sources");
 }
 
 /// A lease's place in time is the grant `seq` its server issued: outside

@@ -18,7 +18,7 @@
 //! matrix) in the CI bench-smoke step.
 
 use proptest::prelude::*;
-use rhodos_cluster::{Cluster, ClusterConfig, ClusterError};
+use rhodos_cluster::{Cluster, ClusterConfig, ClusterError, Link};
 use rhodos_net::NetConfig;
 use std::collections::{HashMap, HashSet};
 
@@ -75,7 +75,7 @@ fn dead_then_rejoin_server_leaves_no_double_placement_and_no_orphan() {
         .expect("round-robin placement homes files on server 1");
 
     // Sever the link; enough missed heartbeats mark the server dead.
-    c.set_link(1, false);
+    c.set_link(1, Link::Down);
     for _ in 0..3 {
         c.heartbeat_pulse();
     }
@@ -98,7 +98,7 @@ fn dead_then_rejoin_server_leaves_no_double_placement_and_no_orphan() {
 
     // Heal the link: the next heartbeat rejoins the server and collects
     // the orphan.
-    c.set_link(1, true);
+    c.set_link(1, Link::Up);
     c.heartbeat_pulse();
     assert!(c.is_alive(1));
     assert_eq!(c.pending_gc(), 0, "orphan GC must drain on rejoin");
@@ -175,8 +175,8 @@ fn flap_case(script: &[(u8, u8, u16)], seed: u64) -> Result<(), TestCaseError> {
                     }
                 }
             }
-            4 => c.set_link(srv, false),
-            5 => c.set_link(srv, true),
+            4 => c.set_link(srv, Link::Down),
+            5 => c.set_link(srv, Link::Up),
             6 => c.heartbeat_pulse(),
             _ => {
                 if let Some(gid) = chosen(&model) {
@@ -192,7 +192,7 @@ fn flap_case(script: &[(u8, u8, u16)], seed: u64) -> Result<(), TestCaseError> {
 
     // Heal and converge.
     for i in 0..SERVERS {
-        c.set_link(i, true);
+        c.set_link(i, Link::Up);
     }
     for _ in 0..4 {
         c.heartbeat_pulse();

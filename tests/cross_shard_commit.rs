@@ -1,11 +1,12 @@
 //! Chaos sweep for the cross-shard atomic-commit tentpole: scripted
 //! two-file transactions through the cluster's 2PC coordinator, one at a
-//! time and in `commit_batch` waves of 2–3, interleaved with
-//! deterministic crashes at every protocol step —
-//! participant before/after its prepare force, lost prepare acks,
-//! coordinator before/torn-during/after its decision force, participant
-//! before its decide — plus file migration striking mid-prepare and
-//! spontaneous data-server crashes, with three invariants checked:
+//! time and in waves of 2–3, with a fault done to the cluster between
+//! two of the coordinator's steps (`wave` → `prepare_wave` →
+//! `decide_wave` → `deliver_wave`) — a participant crashed before or
+//! after its prepare, lost prepare replies, the coordinator crashed
+//! before or after its decision force, a participant crashed before its
+//! decides — plus file migration striking mid-prepare and spontaneous
+//! data-server crashes, with three invariants checked:
 //!
 //! 1. **atomicity** — after healing, every file's bytes match a model
 //!    that applied a transaction iff its commit decision became durable
@@ -19,12 +20,14 @@
 //!    orphan sweep resolves every in-doubt prepared transaction, and a
 //!    second sweep finds nothing.
 //!
-//! The fast subsets run in the normal test job; the full sweeps are
-//! `#[ignore]`d and driven with `--ignored` (pinned `PROPTEST_BASE_SEED`
-//! matrix) in the CI bench-smoke step.
+//! A deterministic sweep runs every fault against every shard of one
+//! wave, and a property pins `Cluster::commit_batch` to its steps driven
+//! by hand on a twin cluster. The fast subsets run in the normal test
+//! job; the full sweeps are `#[ignore]`d and driven with `--ignored`
+//! (pinned `PROPTEST_BASE_SEED` matrix) in CI.
 
 use proptest::prelude::*;
-use rhodos_cluster::{Cluster, ClusterConfig, CommitChaos, CommitOutcome, CrossOp};
+use rhodos_cluster::{Cluster, ClusterConfig, CommitOutcome, CrossOp, Link};
 use std::collections::HashMap;
 
 const SERVERS: usize = 3;
@@ -71,38 +74,104 @@ fn apply_to_model(model: &mut HashMap<u64, Vec<u8>>, ops: &[CrossOp]) {
     }
 }
 
-/// One armed fault, chosen by `pick`, for transaction `ops`; the
-/// server-indexed faults strike the home of its first file.
-fn one_fault(c: &Cluster, ops: &[CrossOp], b: u8, pick: u16) -> CommitChaos {
-    let victim = c.placement_of(ops[0].0).expect("placed").0;
-    let mut chaos = CommitChaos::default();
-    match pick % 8 {
-        0 => chaos.crash_participant_before_prepare = Some(victim),
-        1 => chaos.crash_participant_after_prepare = Some(victim),
-        2 => chaos.lose_prepare_ack = Some(victim),
-        3 => chaos.migrate_mid_prepare = Some((ops[0].0, usize::from(b) % SERVERS)),
-        4 => chaos.crash_coordinator_before_decision = true,
-        5 => chaos.torn_decision = true,
-        6 => chaos.crash_coordinator_after_decision = true,
-        _ => chaos.crash_participant_before_decide = Some(victim),
-    }
-    chaos
+/// A fault done to the cluster between two of the coordinator's steps.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    /// Shard `s` crashes before its prepare, and is cut off across it —
+    /// a crash is a drop and a mount, so the restarted shard would vote.
+    CrashBeforePrepare(usize),
+    /// Shard `s` crashes between its prepare force and the decision.
+    CrashAfterPrepare(usize),
+    /// Shard `s` prepares durably, but its replies are lost.
+    LosePrepareAck(usize),
+    /// File `gid` migrates to shard `t` after the wave resolved its homes.
+    MigrateMidPrepare(u64, usize),
+    /// The coordinator crashes before it decides.
+    CoordinatorBeforeDecision,
+    /// The coordinator crashes once its decision is durable.
+    CoordinatorAfterDecision,
+    /// Shard `s` crashes before its decides, and is cut off across them.
+    CrashBeforeDecide(usize),
 }
 
-/// Whether a transaction happened: its decision is durable —
-/// immediately (`Committed`) or at recovery (a crashed coordinator with
-/// a forced decision record). A crash leaves the coordinator down.
-fn decided(out: CommitOutcome, coordinator_down: &mut bool) -> bool {
-    match out {
-        CommitOutcome::Committed => true,
-        CommitOutcome::Aborted => false,
-        CommitOutcome::CoordinatorCrashed {
-            decision_durable, ..
-        } => {
-            *coordinator_down = true;
-            decision_durable
-        }
+impl Fault {
+    /// Every fault, with `s` the victim shard and `(gid, t)` the
+    /// migration.
+    fn all(s: usize, gid: u64, t: usize) -> [Self; 7] {
+        [
+            Self::CrashBeforePrepare(s),
+            Self::CrashAfterPrepare(s),
+            Self::LosePrepareAck(s),
+            Self::MigrateMidPrepare(gid, t),
+            Self::CoordinatorBeforeDecision,
+            Self::CoordinatorAfterDecision,
+            Self::CrashBeforeDecide(s),
+        ]
     }
+}
+
+/// Commits `txns` through the coordinator's steps with `fault` done
+/// between two of them; an attempt that re-targets is retried by
+/// `commit_batch`, clean. Returns whether each transaction's commit
+/// decision became durable, and whether the coordinator crashed (its
+/// recovery is then owed).
+fn commit_with<T: AsRef<[CrossOp]>>(
+    c: &mut Cluster,
+    txns: &[T],
+    fault: Fault,
+) -> (Vec<bool>, bool) {
+    let committed = |outcomes: &[CommitOutcome]| -> Vec<bool> {
+        outcomes
+            .iter()
+            .map(|o| *o == CommitOutcome::Committed)
+            .collect()
+    };
+    let mut w = c.wave(txns).expect("mapped gids");
+    match fault {
+        Fault::CrashBeforePrepare(s) => {
+            c.crash_server(s);
+            c.set_link(s, Link::Down);
+        }
+        Fault::LosePrepareAck(s) => c.set_link(s, Link::RepliesLost),
+        Fault::MigrateMidPrepare(gid, t) => {
+            let _ = c.migrate(gid, t);
+        }
+        _ => {}
+    }
+    c.prepare_wave(&mut w);
+    match fault {
+        Fault::CrashBeforePrepare(s) | Fault::LosePrepareAck(s) => c.set_link(s, Link::Up),
+        Fault::CrashAfterPrepare(s) => c.crash_server(s),
+        Fault::CoordinatorBeforeDecision => return (vec![false; txns.len()], true),
+        _ => {}
+    }
+    if !c.decide_wave(&mut w) {
+        let outcomes = c.commit_batch(txns).expect("mapped gids");
+        return (committed(&outcomes), false);
+    }
+    match fault {
+        Fault::CoordinatorAfterDecision => {
+            let outcomes: Vec<CommitOutcome> = w.outcomes().collect();
+            return (committed(&outcomes), true);
+        }
+        Fault::CrashBeforeDecide(s) => {
+            c.crash_server(s);
+            c.set_link(s, Link::Down);
+        }
+        _ => {}
+    }
+    let outcomes = c.deliver_wave(w);
+    if let Fault::CrashBeforeDecide(s) = fault {
+        c.set_link(s, Link::Up);
+    }
+    (committed(&outcomes), false)
+}
+
+/// One fault, chosen by `pick`, for transaction `ops`; the shard faults
+/// strike the home of its first file.
+fn one_fault(c: &Cluster, ops: &[CrossOp], b: u8, pick: u16) -> Fault {
+    let victim = c.placement_of(ops[0].0).expect("placed").0;
+    Fault::all(victim, ops[0].0, usize::from(b) % SERVERS)[usize::from(pick % 7)]
 }
 
 /// One scripted chaos case. Returns via `prop_assert!` failures.
@@ -128,25 +197,21 @@ fn chaos_case(script: &[(u8, u8, u8, u16)], seed: u64) -> Result<(), TestCaseErr
                 }
                 let ops = txn_ops(a, b, pick, generation);
                 let out = c.commit_cross_shard(&ops).expect("mapped gids");
-                prop_assert!(
-                    !matches!(out, CommitOutcome::CoordinatorCrashed { .. }),
-                    "no chaos was armed"
-                );
                 if out == CommitOutcome::Committed {
                     apply_to_model(&mut model, &ops);
                     committed.push(ops);
                 }
             }
-            // A transaction with one armed crash point.
+            // A transaction with one fault between the coordinator's steps.
             3 => {
                 if coordinator_down {
                     c.recover_coordinator();
-                    coordinator_down = false;
                 }
                 let ops = txn_ops(a, b, pick, generation);
-                c.arm_chaos(one_fault(&c, &ops, b, pick));
-                let out = c.commit_cross_shard(&ops).expect("mapped gids");
-                if decided(out, &mut coordinator_down) {
+                let fault = one_fault(&c, &ops, b, pick);
+                let (decided, down) = commit_with(&mut c, &[&ops[..]], fault);
+                coordinator_down = down;
+                if decided[0] {
                     apply_to_model(&mut model, &ops);
                     committed.push(ops);
                 }
@@ -177,7 +242,7 @@ fn chaos_case(script: &[(u8, u8, u8, u16)], seed: u64) -> Result<(), TestCaseErr
                 }
             }
             // A wave of 2–3 transactions through one `commit_batch`,
-            // every third one with an armed fault. Members whose writes
+            // every third one with a fault between its steps. Members whose writes
             // overlap cannot both prepare, so the decided members commute
             // and wave order is commit order.
             _ => {
@@ -197,12 +262,19 @@ fn chaos_case(script: &[(u8, u8, u8, u16)], seed: u64) -> Result<(), TestCaseErr
                         )
                     })
                     .collect();
-                if pick % 3 == 0 {
-                    c.arm_chaos(one_fault(&c, &wave[0], b, pick / 3));
-                }
-                let outs = c.commit_batch(&wave).expect("mapped gids");
-                for (ops, out) in wave.into_iter().zip(outs) {
-                    if decided(out, &mut coordinator_down) {
+                let decided = if pick % 3 == 0 {
+                    let fault = one_fault(&c, &wave[0], b, pick / 3);
+                    let (decided, down) = commit_with(&mut c, &wave, fault);
+                    coordinator_down = down;
+                    decided
+                } else {
+                    let outs = c.commit_batch(&wave).expect("mapped gids");
+                    outs.iter()
+                        .map(|o| *o == CommitOutcome::Committed)
+                        .collect()
+                };
+                for (ops, decided) in wave.into_iter().zip(decided) {
+                    if decided {
                         apply_to_model(&mut model, &ops);
                         committed.push(ops);
                     }
@@ -234,8 +306,8 @@ fn chaos_case(script: &[(u8, u8, u8, u16)], seed: u64) -> Result<(), TestCaseErr
         prop_assert_eq!(out, CommitOutcome::Committed, "ablation must not abort");
     }
     prop_assert_eq!(
-        c.content_fingerprint(),
-        ablation.content_fingerprint(),
+        c.content_fingerprint().expect("every home serves"),
+        ablation.content_fingerprint().expect("one home serves"),
         "sharded 2PC diverged from the single-shard ablation"
     );
     Ok(())
@@ -271,8 +343,7 @@ proptest! {
     }
 }
 
-/// The acceptance scenario spelled out in the issue: a participant's
-/// file migrates mid-prepare while the coordinator crashes after its
+/// A file migrates mid-prepare while the coordinator crashes after its
 /// decision on the next transaction — both transactions stay atomic,
 /// recovery is byte-identical to the ablation, and nobody blocks.
 #[test]
@@ -282,28 +353,17 @@ fn migration_mid_prepare_then_coordinator_crash_stays_atomic() {
 
     let ops1 = txn_ops(0, 3, 5, 1);
     let target = (c.placement_of(ops1[0].0).unwrap().0 + 1) % SERVERS;
-    c.arm_chaos(CommitChaos {
-        migrate_mid_prepare: Some((ops1[0].0, target)),
-        ..CommitChaos::default()
-    });
-    let out1 = c.commit_cross_shard(&ops1).unwrap();
-    assert_eq!(out1, CommitOutcome::Committed, "re-target must commit");
-    assert!(c.stats().retargets >= 1);
+    let fault = Fault::MigrateMidPrepare(ops1[0].0, target);
+    assert_eq!(
+        commit_with(&mut c, &[&ops1[..]], fault),
+        (vec![true], false)
+    );
+    assert_eq!(c.stats().retargets, 1, "re-target must commit");
     apply_to_model(&mut model, &ops1);
 
     let ops2 = txn_ops(1, 4, 9, 2);
-    c.arm_chaos(CommitChaos {
-        crash_coordinator_after_decision: true,
-        ..CommitChaos::default()
-    });
-    let out2 = c.commit_cross_shard(&ops2).unwrap();
-    assert!(matches!(
-        out2,
-        CommitOutcome::CoordinatorCrashed {
-            decision_durable: true,
-            ..
-        }
-    ));
+    let fault = Fault::CoordinatorAfterDecision;
+    assert_eq!(commit_with(&mut c, &[&ops2[..]], fault), (vec![true], true));
     apply_to_model(&mut model, &ops2);
 
     let (commits, _) = c.recover_coordinator();
@@ -317,4 +377,141 @@ fn migration_mid_prepare_then_coordinator_crash_stays_atomic() {
     ablation.commit_cross_shard(&ops1).unwrap();
     ablation.commit_cross_shard(&ops2).unwrap();
     assert_eq!(c.content_fingerprint(), ablation.content_fingerprint());
+}
+
+/// Every fault, against every shard, of one wave of two disjoint
+/// transactions over three shards — the first on shards 0 and 1, the
+/// second on 1 and 2. A transaction is decided commit unless its vote
+/// never reached the coordinator (a participant cut off across the
+/// prepare, lost replies) or the coordinator crashed before deciding; a
+/// migration re-targets. After one recovery the bytes are the decided
+/// commits', nothing is in doubt and a second sweep finds nothing.
+#[test]
+fn every_fault_between_the_steps_leaves_a_wave_atomic() {
+    let payload = |fill: u8| vec![fill; 40];
+    let wave = [
+        vec![(1, 0, payload(0xA1)), (2, 0, payload(0xA2))],
+        vec![(5, 64, payload(0xB5)), (3, 64, payload(0xB3))],
+    ];
+    let shards = [[0, 1], [1, 2]];
+    for victim in 0..SERVERS {
+        // File `victim + 1` is homed on shard `victim`, and in the wave.
+        let gid = victim as u64 + 1;
+        for fault in Fault::all(victim, gid, (victim + 1) % SERVERS) {
+            let mut c = seeded(SERVERS);
+            assert_eq!(c.placement_of(gid).unwrap().0, victim);
+            let (decided, _) = commit_with(&mut c, &wave, fault);
+            let expected: Vec<bool> = shards
+                .iter()
+                .map(|on| match fault {
+                    Fault::CrashBeforePrepare(s) | Fault::LosePrepareAck(s) => !on.contains(&s),
+                    Fault::CoordinatorBeforeDecision => false,
+                    _ => true,
+                })
+                .collect();
+            assert_eq!(decided, expected, "{fault:?}");
+            c.recover_coordinator();
+            assert!(c.in_doubt_gtids().is_empty(), "{fault:?}");
+            assert_eq!(c.recover_coordinator(), (0, 0), "{fault:?}");
+            let mut model = model_of();
+            for (ops, _) in wave.iter().zip(&decided).filter(|(_, d)| **d) {
+                apply_to_model(&mut model, ops);
+            }
+            for (gid, want) in &model {
+                let got = c.read(*gid, 0, want.len()).unwrap();
+                assert_eq!(&got, want, "{fault:?}: file {gid}");
+            }
+        }
+    }
+}
+
+/// One generated step of the equivalence property: a wave of
+/// `(a, b, pick)` transactions, or a placement or liveness change between
+/// waves, done alike to both twins.
+type Step = (u8, Vec<(u8, u8, u16)>);
+
+/// The steps of `commit_batch`, driven by hand.
+fn by_hand(c: &mut Cluster, txns: &[Vec<CrossOp>]) -> Vec<CommitOutcome> {
+    let mut w = c.wave(txns).expect("mapped gids");
+    c.prepare_wave(&mut w);
+    assert!(c.decide_wave(&mut w), "no placement changed");
+    c.deliver_wave(w)
+}
+
+/// Everything the two twins must agree on.
+fn observe(c: &Cluster) -> impl PartialEq + std::fmt::Debug {
+    let servers: Vec<_> = c
+        .server_handles()
+        .iter()
+        .map(|h| h.lock().stats())
+        .collect();
+    let fingerprint = c.content_fingerprint().expect("every home serves");
+    (c.stats(), c.clock().now_us(), servers, fingerprint)
+}
+
+/// `commit_batch` and its steps driven by hand give a twin cluster the
+/// same outcomes, cluster and per-server counters, clock and bytes.
+fn equivalence_case(script: &[Step]) -> Result<(), TestCaseError> {
+    let (mut batch, mut hand) = (seeded(4), seeded(4));
+    let mut generation = 0;
+    for (kind, txns) in script {
+        let victim = usize::from(*kind) % 4;
+        match kind % 8 {
+            0 => {
+                let gid = u64::from(*kind / 8) % FILES as u64 + 1;
+                let _ = batch.migrate(gid, victim);
+                let _ = hand.migrate(gid, victim);
+            }
+            1 => {
+                batch.crash_server(victim);
+                hand.crash_server(victim);
+            }
+            2 => {
+                let link = [Link::Up, Link::Down][usize::from(*kind / 8) % 2];
+                batch.set_link(victim, link);
+                hand.set_link(victim, link);
+            }
+            _ => {
+                let wave: Vec<Vec<CrossOp>> = txns
+                    .iter()
+                    .map(|&(a, b, pick)| {
+                        generation += 1;
+                        txn_ops(a, b, pick, generation)
+                    })
+                    .collect();
+                let want = batch.commit_batch(&wave).expect("mapped gids");
+                prop_assert_eq!(by_hand(&mut hand, &wave), want);
+            }
+        }
+        prop_assert_eq!(observe(&hand), observe(&batch));
+    }
+    Ok(())
+}
+
+fn equivalence_script(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Step>> {
+    let txn = (0u8..8, 0u8..8, 0u16..256);
+    let step = (any::<u8>(), proptest::collection::vec(txn, 1..4));
+    proptest::collection::vec(step, len)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Fast subset for the normal test job.
+    #[test]
+    fn commit_batch_is_its_steps(script in equivalence_script(4..16)) {
+        equivalence_case(&script)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Full sweep: longer scripts. Run with `--ignored` under a pinned
+    /// `PROPTEST_BASE_SEED` matrix in CI.
+    #[test]
+    #[ignore = "full commit-step equivalence sweep; CI runs it with --ignored"]
+    fn commit_batch_is_its_steps_full_sweep(script in equivalence_script(16..48)) {
+        equivalence_case(&script)?;
+    }
 }

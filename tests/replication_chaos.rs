@@ -14,7 +14,7 @@
 //! matrix) in the CI bench-smoke step.
 
 use proptest::prelude::*;
-use rhodos_cluster::{Cluster, ClusterConfig};
+use rhodos_cluster::{Cluster, ClusterConfig, Link};
 use rhodos_file_service::{FileId, FileService, FileServiceConfig, WritePolicy};
 use rhodos_net::NetConfig;
 
@@ -134,7 +134,7 @@ fn chaos_case(ops: &[(u8, u16, u8)], drop: f64, dup: f64, seed: u64) -> Result<(
 
     let repair = |c: &mut Cluster, victim: &mut Option<(usize, bool)>| {
         if let Some((v, crashed)) = victim.take() {
-            c.set_link(v, true);
+            c.set_link(v, Link::Up);
             if crashed || !c.is_current(v) {
                 c.resync(v).unwrap();
             } else {
@@ -187,7 +187,7 @@ fn chaos_case(ops: &[(u8, u16, u8)], drop: f64, dup: f64, seed: u64) -> Result<(
             8 => {
                 if victim.is_none() {
                     let v = byte as usize % 3;
-                    c.set_link(v, false);
+                    c.set_link(v, Link::Down);
                     c.with_server(v, |fs| {
                         let disk = fs.disk_mut(0).disk_mut();
                         let addr = (u64::from(byte) * 37) % disk.geometry().total_sectors();

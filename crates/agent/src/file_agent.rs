@@ -11,10 +11,9 @@ use crate::descriptor::{ObjectDescriptor, FILE_OD_BASE};
 use crate::lease_station::{LeaseConfig, Station, StationEndpoint};
 use parking_lot::Mutex;
 use rhodos_buf::BlockBuf;
-use rhodos_disk_service::{SchedulerStats, BLOCK_SIZE};
+use rhodos_disk_service::BLOCK_SIZE;
 use rhodos_file_service::{
-    BlockKey, CacheStats, FileAttributes, FileId, FileServiceError, LeaseMode, ParityStats,
-    ScrubStats, ServiceType,
+    BlockKey, CacheStats, FileAttributes, FileId, FileServiceError, LeaseMode, ServiceType,
 };
 use rhodos_naming::{AttributedName, NamingError, NamingService, SystemName};
 use rhodos_net::{NetConfig, NetStats, SimNetwork};
@@ -86,19 +85,6 @@ impl From<TxnError> for AgentError {
 pub struct AgentStats {
     /// Client block-cache behaviour.
     pub cache: CacheStats,
-    /// Per-spindle scheduler behaviour merged over every disk of every
-    /// reachable server — how the striped fan-out batched, ordered and
-    /// coalesced this agent's (and its co-clients') traffic.
-    pub scheduler: SchedulerStats,
-    /// Background-scrubber counters merged over every reachable server —
-    /// latent faults found, repaired and (loudly) unrecoverable.
-    pub scrub: ScrubStats,
-    /// Parity-tier technique counters merged over every reachable
-    /// server: which write path each stripe row took (full-stripe /
-    /// parity-delta / reconstruct), degraded reads served through
-    /// reconstruction, and rebuild progress. All zero on servers
-    /// running without `Redundancy::Parity`.
-    pub parity: ParityStats,
     /// RPCs issued to servers: one per request/reply *exchange*, however
     /// many blocks it carries — a `pread`'s misses, a `pwrite`'s
     /// evictions and a `flush`'s dirty set each ride one per file. Lease
@@ -282,8 +268,7 @@ impl FileAgent {
         self.machine
     }
 
-    /// Statistics so far (cache counters merged over all stations,
-    /// scheduler counters merged over all servers' spindles).
+    /// Statistics so far (cache counters merged over all stations).
     pub fn stats(&self) -> AgentStats {
         let mut cache = CacheStats::default();
         let mut recalls = 0;
@@ -292,51 +277,13 @@ impl FileAgent {
             cache.merge(&st.cache.stats());
             recalls += st.stats.recalls_served;
         }
-        let mut scheduler = SchedulerStats::default();
-        let mut scrub = ScrubStats::default();
-        let mut parity = ParityStats::default();
-        for srv in &self.servers {
-            let mut srv = srv.lock();
-            let stats = srv.file_service_mut().stats();
-            scrub.merge(&stats.scrub);
-            parity.merge(&stats.parity);
-            for d in stats.disks {
-                scheduler.merge(&d.scheduler);
-            }
-        }
         AgentStats {
             cache,
-            scheduler,
-            scrub,
-            parity,
             rpcs_sent: self.rpcs_sent,
             rpcs_avoided_by_lease: self.rpcs_avoided,
             recalls,
             lease_renewals: self.lease_renewals,
         }
-    }
-
-    /// Runs one scrub pass (or budget slice, see [`rhodos_file_service::
-    /// FileService::scrub`]) on every reachable server and returns the
-    /// merged counter deltas — the agent-side hook for driving the
-    /// background consistency activity during idle time. One round trip
-    /// per server; the scan itself is server-local.
-    ///
-    /// # Errors
-    ///
-    /// Propagates a server whose scrub failed outright (crashed disk).
-    pub fn scrub_servers(&mut self, budget: Option<u64>) -> Result<ScrubStats, AgentError> {
-        let mut total = ScrubStats::default();
-        for i in 0..self.servers.len() {
-            self.round_trip();
-            let report = self.servers[i]
-                .lock()
-                .file_service_mut()
-                .scrub(budget)
-                .map_err(AgentError::File)?;
-            total.merge(&report.stats);
-        }
-        Ok(total)
     }
 
     /// One request/reply exchange with the server (latency accounting).
@@ -1041,56 +988,6 @@ mod tests {
         assert_eq!(a.read(od, 2).unwrap(), b"67");
         assert_eq!(a.lseek(od, -2, 2).unwrap(), 8); // end
         assert_eq!(a.read(od, 10).unwrap(), b"89");
-    }
-
-    #[test]
-    fn agent_stats_surface_server_scheduler_counters() {
-        let mut a = agent();
-        a.create(&name("name=big")).unwrap();
-        let od = a.open(&name("name=big")).unwrap();
-        a.write(od, &vec![0x7Eu8; 64 * 1024]).unwrap();
-        // Close pushes the client's delayed writes to the server and
-        // flushes them there; the coalesced write-back goes through the
-        // per-spindle scheduler, and the agent's stats view must see it.
-        a.close(od).unwrap();
-        let s = a.stats().scheduler;
-        assert!(s.batches >= 1, "flush should submit at least one batch");
-        assert!(
-            s.merged_requests > 0,
-            "a 64 KiB contiguous file should merge into few references"
-        );
-    }
-
-    #[test]
-    fn agent_scrub_finds_and_repairs_server_faults() {
-        let mut a = agent();
-        a.create(&name("name=latent")).unwrap();
-        let od = a.open(&name("name=latent")).unwrap();
-        a.write(od, &vec![0x5Au8; 40 * 1024]).unwrap();
-        a.close(od).unwrap();
-        // Silently rot a FIT fragment on the server's platter; the stable
-        // mirror still holds the good copy.
-        let fid = a.fid_of(od);
-        let fid = fid.unwrap_or_else(|| {
-            // od is closed — resolve through the server directly.
-            a.servers[0].lock().file_service_mut().file_ids()[0]
-        });
-        {
-            let mut srv = a.servers[0].lock();
-            let fs = srv.file_service_mut();
-            let frag = fs.block_descriptors(fid).unwrap()[0].addr - 1;
-            fs.disk_mut(0)
-                .disk_mut()
-                .silently_corrupt_sector(frag)
-                .unwrap();
-        }
-        let delta = a.scrub_servers(None).unwrap();
-        assert_eq!(delta.faults_found, 1);
-        assert_eq!(delta.faults_repaired, 1);
-        let merged = a.stats().scrub;
-        assert_eq!(merged.faults_found, 1);
-        assert!(merged.sectors_scanned > 0);
-        assert_eq!(merged.unrecoverable, 0);
     }
 
     #[test]

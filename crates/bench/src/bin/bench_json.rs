@@ -1,7 +1,9 @@
 //! Emits the eight virtual-time lanes, one `BENCH_<lane>.json` each (the
-//! [`LANES`] table): deterministic counters and modelled percentiles of
-//! fixed cells, so a behaviour change shows up as a diff. What the rows
-//! of a lane mean is documented on its experiment's `stat_records`.
+//! [`LANES`] table): the rows of one experiment measured at its lane
+//! cell ([`Cell::Lane`]) — deterministic counters and modelled
+//! percentiles of fixed cells, so a behaviour change shows up as a diff.
+//! What the rows of a lane mean is documented on its experiment's
+//! `measure`.
 //!
 //! Every lane is *gated* against its own committed file, read before it
 //! is overwritten: the run fails if a row named in the `GATES` table
@@ -16,32 +18,33 @@
 //! `cargo run --release -p rhodos-bench --bin bench_json`
 
 use rhodos_bench::experiments::*;
+use rhodos_bench::{Cell, Report};
 
 /// One lane: the `<name>` of `BENCH_<name>.json` and the experiment
-/// `stat_records` that fill it.
-type Lane = (&'static str, fn() -> Vec<(String, u64)>);
+/// that fills it.
+type Lane = (&'static str, fn(Cell) -> Report);
 
 /// The lanes, in the order they run.
 const LANES: &[Lane] = &[
-    ("replication", e17_replication_failover::stat_records),
-    ("txn_commit", e18_group_commit::stat_records),
-    ("scrub", e19_self_healing::stat_records),
-    ("latency", || e20_contention::stat_records(&[])),
-    ("leases", e22_leases::stat_records),
-    ("cluster", e23_scaleout::stat_records),
-    ("raid", e21_raid::stat_records),
-    ("2pc", e24_cross_shard::stat_records),
+    ("replication", e17_replication_failover::measure),
+    ("txn_commit", e18_group_commit::measure),
+    ("scrub", e19_self_healing::measure),
+    ("latency", e20_contention::measure),
+    ("leases", e22_leases::measure),
+    ("cluster", e23_scaleout::measure),
+    ("raid", e21_raid::measure),
+    ("2pc", e24_cross_shard::measure),
 ];
 
 fn main() {
     let mut ok = true;
-    for (lane, stat_records) in LANES {
+    for (lane, measure) in LANES {
         let path = format!("BENCH_{lane}.json");
         let committed = std::fs::read_to_string(&path).ok();
-        let fresh = stat_records();
+        let fresh = measure(Cell::Lane(&[])).rows;
         write_stat_lane(&path, &fresh);
         let gated = match (*lane, &committed) {
-            ("latency", Some(text)) => e20_contention::stat_records(&parse_stat_rows(text)),
+            ("latency", Some(text)) => measure(Cell::Lane(&parse_stat_rows(text))).rows,
             _ => fresh,
         };
         ok &= gate(lane, committed.as_deref(), &gated);

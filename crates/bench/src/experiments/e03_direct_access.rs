@@ -4,10 +4,15 @@
 //! cold-start disk references for a whole-file read.
 
 use crate::table::Table;
+use crate::{Cell, Report};
 use rhodos_file_service::ServiceType;
 
+/// The claim, in a line.
+pub const TITLE: &str = "Files <= 512 KiB in at most two disk references";
+
 /// Runs the experiment.
-pub fn run() -> String {
+pub fn measure(_: Cell) -> Report {
+    let mut r = Report::default();
     let sizes_kib: [usize; 8] = [8, 64, 128, 256, 512, 640, 1024, 2048];
     let mut t = Table::new(&[
         "file size",
@@ -38,16 +43,21 @@ pub fn run() -> String {
                 (size_kib as u64 * 1024).div_ceil(8192),
             ) as u64
         };
-        t.row_owned(vec![
-            format!("{size_kib} KiB"),
-            format!("{}", (size_kib * 1024).div_ceil(8192)),
-            refs.to_string(),
-            format!("<= {bound}"),
-            if refs <= bound { "yes" } else { "NO" }.to_string(),
+        t.row(&[
+            &format!("{size_kib} KiB"),
+            &format!("{}", (size_kib * 1024).div_ceil(8192)),
+            &refs,
+            &format!("<= {bound}"),
+            &r.verdict(
+                format!(
+                    "a cold read of a {size_kib} KiB file takes at most {bound} disk references"
+                ),
+                refs <= bound,
+            ),
         ]);
     }
-    let mut out = t.render();
-    out.push_str(
+    r.text.push_str(&t.render());
+    r.text.push_str(
         "\npaper: two references suffice up to 512 KiB (64 direct descriptors x 8 KiB);\n\
          beyond that each indirect block costs one more reference.\n",
     );
@@ -58,22 +68,23 @@ pub fn run() -> String {
         "seeks (FIT -> first byte)",
         "sim time (us)",
     ]);
-    for adjacent in [true, false] {
-        let (seeks, us) = first_byte_cost(adjacent);
-        t.row_owned(vec![
-            if adjacent {
-                "adjacent to first data block (RHODOS)"
-            } else {
-                "separate metadata region (ablation)"
-            }
-            .to_string(),
-            seeks.to_string(),
-            us.to_string(),
-        ]);
+    let [adjacent, separate] = [true, false].map(first_byte_cost);
+    for (label, (seeks, us)) in [
+        ("adjacent to first data block (RHODOS)", adjacent),
+        ("separate metadata region (ablation)", separate),
+    ] {
+        t.row(&[&label, &seeks, &us]);
     }
-    out.push_str("\nAblation: FIT placement vs time-to-first-byte of a small file:\n");
-    out.push_str(&t.render());
-    out
+    r.text
+        .push_str("\nAblation: FIT placement vs time-to-first-byte of a small file:\n");
+    r.text.push_str(&t.render());
+    let ((adjacent_seeks, adjacent_us), (separate_seeks, separate_us)) = (adjacent, separate);
+    r.claim(
+        "a FIT adjacent to the first block reaches the first byte with no seek, and sooner \
+         than a FIT in a separate region, which seeks",
+        adjacent_seeks == 0 && separate_seeks > 0 && adjacent_us < separate_us,
+    );
+    r
 }
 
 /// Cold cost of reading the first byte of a fresh small file.
@@ -109,22 +120,4 @@ fn first_byte_cost(adjacent: bool) -> (u64, u64) {
     let _ = fs.read(fid, 0, 1).unwrap();
     let s1 = fs.stats().disks[0].disk;
     (s1.seeks - s0.seeks, clock.now_us() - t0)
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn claim_holds() {
-        let report = super::run();
-        assert!(!report.contains("NO"), "paper bound violated:\n{report}");
-    }
-
-    #[test]
-    fn fit_adjacency_eliminates_the_seek() {
-        let (adjacent_seeks, adjacent_us) = super::first_byte_cost(true);
-        let (separate_seeks, separate_us) = super::first_byte_cost(false);
-        assert_eq!(adjacent_seeks, 0, "RHODOS placement: no seek to the data");
-        assert!(separate_seeks > 0, "ablation must pay a seek");
-        assert!(adjacent_us < separate_us);
-    }
 }

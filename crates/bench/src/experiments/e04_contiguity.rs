@@ -5,7 +5,11 @@
 //! seeks and simulated time.
 
 use crate::table::{speedup, Table};
+use crate::{Cell, Report};
 use rhodos_file_service::{FileService, ServiceType};
+
+/// The claim, in a line.
+pub const TITLE: &str = "Contiguity counts collapse a run into one reference";
 
 const BLOCKS: u64 = 32;
 const BS: usize = 8192;
@@ -33,7 +37,8 @@ fn build(fragmented: bool) -> (FileService, rhodos_file_service::FileId) {
 }
 
 /// Runs the experiment.
-pub fn run() -> String {
+pub fn measure(_: Cell) -> Report {
+    let mut r = Report::default();
     let mut t = Table::new(&[
         "layout",
         "contiguity ratio",
@@ -43,6 +48,7 @@ pub fn run() -> String {
         "sim time (us)",
     ]);
     let mut times = Vec::new();
+    let mut refs = Vec::new();
     for fragmented in [false, true] {
         let (mut fs, fid) = build(fragmented);
         let fit = fs.fit_snapshot(fid).unwrap();
@@ -62,43 +68,35 @@ pub fn run() -> String {
         let s1 = fs.stats().disks[0].disk;
         let dt = clock.now_us() - t0;
         times.push(dt);
-        t.row_owned(vec![
-            if fragmented {
+        let read_refs = s1.read_ops - s0.read_ops;
+        refs.push(read_refs);
+        t.row(&[
+            &if fragmented {
                 "fragmented"
             } else {
                 "contiguous"
-            }
-            .to_string(),
-            format!("{ratio:.2}"),
-            max_count.to_string(),
-            (s1.read_ops - s0.read_ops).to_string(),
-            (s1.seeks - s0.seeks).to_string(),
-            dt.to_string(),
+            },
+            &format!("{ratio:.2}"),
+            &max_count,
+            &read_refs,
+            &(s1.seeks - s0.seeks),
+            &dt,
         ]);
     }
-    let mut out = t.render();
-    out.push_str(&format!(
+    r.claim(
+        format!("a contiguous {BLOCKS}-block file reads in at most two disk references"),
+        refs[0] <= 2,
+    );
+    r.claim(
+        "the contiguous layout reads faster than the fragmented one",
+        times[0] < times[1],
+    );
+    r.text.push_str(&t.render());
+    r.text.push_str(&format!(
         "\ncontiguous layout is {} faster than fragmented for a {}-block sequential read\n\
          (paper: one get-block per run instead of `count` invocations).\n",
         speedup(times[1] as f64, times[0] as f64),
         BLOCKS
     ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn contiguous_wins() {
-        let report = super::run();
-        // The contiguous read must collapse to very few references.
-        let line = report
-            .lines()
-            .find(|l| l.trim_start().starts_with("contiguous"))
-            .unwrap()
-            .to_string();
-        let cells: Vec<&str> = line.split_whitespace().collect();
-        let refs: u64 = cells[3].parse().unwrap();
-        assert!(refs <= 2, "contiguous read took {refs} refs: {report}");
-    }
+    r
 }

@@ -7,11 +7,15 @@
 //! transfers (I/O cost).
 
 use crate::table::Table;
+use crate::{Cell, Report};
 use rhodos_disk_service::{DiskServiceConfig, StablePolicy, BLOCK_SIZE, FRAGMENT_SIZE};
 
+/// The claim, in a line.
+pub const TITLE: &str = "Fragments for metadata: utilisation vs I/O";
+
 /// Runs the experiment.
-pub fn run() -> String {
-    let mut out = String::new();
+pub fn measure(_: Cell) -> Report {
+    let mut r = Report::default();
 
     // ---- metadata records: fragments vs blocks --------------------------
     const RECORDS: u64 = 256;
@@ -23,6 +27,7 @@ pub fn run() -> String {
         "utilisation",
         "write refs",
     ]);
+    let mut utilisation = Vec::new();
     for (label, unit) in [
         ("fragment (2 KiB)", FRAGMENT_SIZE),
         ("block (8 KiB)", BLOCK_SIZE),
@@ -40,16 +45,16 @@ pub fn run() -> String {
         let refs = svc.stats().disk.write_ops - before;
         let allocated = RECORDS * unit as u64;
         let payload = RECORDS * RECORD_BYTES;
-        t.row_owned(vec![
-            label.to_string(),
-            allocated.to_string(),
-            payload.to_string(),
-            format!("{:.1}%", payload as f64 / allocated as f64 * 100.0),
-            refs.to_string(),
-        ]);
+        let util = payload as f64 / allocated as f64 * 100.0;
+        utilisation.push(util);
+        t.row(&[&label, &allocated, &payload, &format!("{util:.1}%"), &refs]);
     }
-    out.push_str("Small structural records (500 B each):\n");
-    out.push_str(&t.render());
+    r.claim(
+        "fragments hold small structural records at over 3x the utilisation of blocks",
+        utilisation[0] > 3.0 * utilisation[1],
+    );
+    r.text.push_str("Small structural records (500 B each):\n");
+    r.text.push_str(&t.render());
 
     // ---- bulk file data: fragment-sized vs block-sized transfers --------
     const DATA_BYTES: usize = 2 * 1024 * 1024;
@@ -59,6 +64,7 @@ pub fn run() -> String {
         "sim time (us)",
         "time per MiB (us)",
     ]);
+    let mut costs = Vec::new();
     for (label, unit_frags) in [("fragment (2 KiB)", 1u64), ("block (8 KiB)", 4u64)] {
         let mut svc = crate::setups::disk_service(DiskServiceConfig {
             track_readahead: false,
@@ -77,46 +83,24 @@ pub fn run() -> String {
         }
         let refs = svc.stats().disk.write_ops - before;
         let dt = clock.now_us() - t0;
-        t.row_owned(vec![
-            label.to_string(),
-            refs.to_string(),
-            dt.to_string(),
-            format!("{}", dt / 2),
-        ]);
+        costs.push((refs, dt));
+        t.row(&[&label, &refs, &dt, &format!("{}", dt / 2)]);
     }
-    out.push_str("\nBulk file data (2 MiB written unit-at-a-time):\n");
-    out.push_str(&t.render());
-    out.push_str(
+    let ((frag_refs, frag_us), (block_refs, block_us)) = (costs[0], costs[1]);
+    r.claim(
+        "blocks write 2 MiB of file data in a quarter of the fragments' disk references",
+        block_refs * 4 <= frag_refs,
+    );
+    r.claim(
+        "blocks write 2 MiB of file data in less time than fragments",
+        block_us < frag_us,
+    );
+    r.text
+        .push_str("\nBulk file data (2 MiB written unit-at-a-time):\n");
+    r.text.push_str(&t.render());
+    r.text.push_str(
         "\npaper: fragments win for small structural data (4x less slack),\n\
          blocks win for file data (4x fewer disk references per byte).\n",
     );
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn fragments_win_metadata_blocks_win_data() {
-        let report = super::run();
-        // Utilisation of fragments for metadata must exceed blocks.
-        let frag_util = report
-            .lines()
-            .find(|l| l.trim_start().starts_with("fragment") && l.contains('%'))
-            .and_then(|l| {
-                l.split_whitespace()
-                    .find(|c| c.ends_with('%'))
-                    .and_then(|c| c.trim_end_matches('%').parse::<f64>().ok())
-            })
-            .unwrap();
-        let block_util = report
-            .lines()
-            .find(|l| l.trim_start().starts_with("block") && l.contains('%'))
-            .and_then(|l| {
-                l.split_whitespace()
-                    .find(|c| c.ends_with('%'))
-                    .and_then(|c| c.trim_end_matches('%').parse::<f64>().ok())
-            })
-            .unwrap();
-        assert!(frag_util > block_util * 3.0, "{report}");
-    }
+    r
 }

@@ -6,10 +6,14 @@
 //! workload with read-ahead on and off.
 
 use crate::table::{speedup, Table};
+use crate::{Cell, Report};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rhodos_disk_service::{DiskService, DiskServiceConfig, Extent, StablePolicy, FRAGMENT_SIZE};
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
+
+/// The claim, in a line.
+pub const TITLE: &str = "Track read-ahead cache";
 
 const TRACKS: u64 = 16;
 const READS: usize = 2_000;
@@ -49,7 +53,8 @@ fn workload(svc: &mut DiskService, seed: u64) -> (u64, u64, f64, u64, u64) {
 }
 
 /// Runs the experiment.
-pub fn run() -> String {
+pub fn measure(_: Cell) -> Report {
+    let mut r = Report::default();
     let mut t = Table::new(&[
         "configuration",
         "disk refs",
@@ -59,6 +64,7 @@ pub fn run() -> String {
         "KiB borrowed",
     ]);
     let mut times = Vec::new();
+    let mut refs_of = Vec::new();
     for (label, readahead, tracks) in [
         ("no cache (every read hits the disk)", false, 0usize),
         ("cache, no read-ahead", false, 32),
@@ -75,39 +81,34 @@ pub fn run() -> String {
         );
         let (refs, dt, rate, copied, borrowed) = workload(&mut svc, 5);
         times.push(dt);
-        t.row_owned(vec![
-            label.to_string(),
-            refs.to_string(),
-            dt.to_string(),
-            format!("{rate:.1}"),
-            (copied / 1024).to_string(),
-            (borrowed / 1024).to_string(),
+        refs_of.push(refs);
+        t.row(&[
+            &label,
+            &refs,
+            &dt,
+            &format!("{rate:.1}"),
+            &(copied / 1024),
+            &(borrowed / 1024),
         ]);
     }
-    let mut out = t.render();
-    out.push_str(&format!(
+    r.claim(
+        "track read-ahead at least halves the disk references of no cache",
+        refs_of[2] < refs_of[0] / 2,
+    );
+    r.claim(
+        "track read-ahead is faster than no cache",
+        times[2] < times[0],
+    );
+    r.claim(
+        "track read-ahead is faster than a demand-only cache",
+        times[2] < times[1],
+    );
+    r.text.push_str(&t.render());
+    r.text.push_str(&format!(
         "\ntrack read-ahead is {} faster than no cache and {} faster than a\n\
          demand-only cache on a track-local read pattern ({READS} reads, {TRACKS} tracks).\n",
         speedup(times[0] as f64, times[2] as f64),
         speedup(times[1] as f64, times[2] as f64),
     ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn readahead_reduces_references() {
-        let report = super::run();
-        let refs: Vec<u64> = report
-            .lines()
-            .filter(|l| l.contains("cache"))
-            .filter_map(|l| l.split_whitespace().find_map(|c| c.parse::<u64>().ok()))
-            .collect();
-        assert!(refs.len() >= 3);
-        assert!(
-            refs[2] < refs[0] / 2,
-            "read-ahead should at least halve references: {report}"
-        );
-    }
+    r
 }

@@ -10,14 +10,19 @@
 //! only (file-service block pool + disk track cache), and server + client.
 
 use crate::table::{speedup, Table};
+use crate::{Cell, Report};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rhodos_agent::FileAgent;
+use rhodos_file_service::{CacheStats, FileServiceStats};
 use rhodos_naming::{AttributedName, NamingService};
 use rhodos_net::{NetConfig, SimNetwork};
 use rhodos_txn::{TransactionService, TxnConfig};
 use std::sync::Arc;
+
+/// The claim, in a line.
+pub const TITLE: &str = "Caching at every level vs a cache-less server";
 
 const FILE_BLOCKS: usize = 32;
 const OPS: usize = 600;
@@ -85,7 +90,7 @@ fn workload(server_caches: bool, client_blocks: usize) -> Measured {
     // Copy traffic across the whole pipeline during the measured reads:
     // gather-copies by the platter plus any cache-level memcpys, vs bytes served as
     // shared handles by the client pool, server pool and track caches.
-    let disk_copied = |s: &rhodos_file_service::FileServiceStats| -> (u64, u64) {
+    let disk_copied = |s: &FileServiceStats| -> (u64, u64) {
         s.disks.iter().fold((0, 0), |(c, b), d| {
             (
                 c + d.disk.bytes_copied + d.cache.bytes_copied,
@@ -103,10 +108,12 @@ fn workload(server_caches: bool, client_blocks: usize) -> Measured {
         + (agent1.cache.bytes_borrowed - agent0.cache.bytes_borrowed);
     // Hit rates over the measured window, via the stats-delta trick:
     // a CacheStats of just the deltas reuses `hit_rate()` unchanged.
-    let rate = |hits1: u64, hits0: u64, misses1: u64, misses0: u64| {
-        rhodos_file_service::CacheStats {
-            hits: hits1 - hits0,
-            misses: misses1 - misses0,
+    let rate = |now: &CacheStats, then: &CacheStats| {
+        let hits = now.hits - then.hits;
+        let misses = now.misses - then.misses;
+        CacheStats {
+            hits,
+            misses,
             ..Default::default()
         }
         .hit_rate()
@@ -117,23 +124,14 @@ fn workload(server_caches: bool, client_blocks: usize) -> Measured {
         disk_refs: refs,
         copied,
         borrowed,
-        server_pool_hit: rate(
-            server1.cache.hits,
-            server0.cache.hits,
-            server1.cache.misses,
-            server0.cache.misses,
-        ),
-        client_pool_hit: rate(
-            agent1.cache.hits,
-            agent0.cache.hits,
-            agent1.cache.misses,
-            agent0.cache.misses,
-        ),
+        server_pool_hit: rate(&server1.cache, &server0.cache),
+        client_pool_hit: rate(&agent1.cache, &agent0.cache),
     }
 }
 
 /// Runs the experiment.
-pub fn run() -> String {
+pub fn measure(_: Cell) -> Report {
+    let mut r = Report::default();
     let mut t = Table::new(&[
         "caches enabled",
         "sim time (us)",
@@ -144,82 +142,59 @@ pub fn run() -> String {
         "server pool hit %",
         "client pool hit %",
     ]);
-    let mut times = Vec::new();
-    for (label, server, client) in [
+    let arms = [
         ("none (Bullet-style server)", false, 0usize),
         ("server only (file + disk level)", true, 0),
         ("server + client (all levels)", true, 128),
-    ] {
-        let m = workload(server, client);
-        times.push(m.sim_us);
-        t.row_owned(vec![
-            label.to_string(),
-            m.sim_us.to_string(),
-            m.round_trips.to_string(),
-            m.disk_refs.to_string(),
-            (m.copied / 1024).to_string(),
-            (m.borrowed / 1024).to_string(),
-            format!("{:.1}", m.server_pool_hit),
-            format!("{:.1}", m.client_pool_hit),
+    ]
+    .map(|(label, server, client)| (label, workload(server, client)));
+    for (label, m) in &arms {
+        t.row(&[
+            &label,
+            &m.sim_us,
+            &m.round_trips,
+            &m.disk_refs,
+            &(m.copied / 1024),
+            &(m.borrowed / 1024),
+            &format!("{:.1}", m.server_pool_hit),
+            &format!("{:.1}", m.client_pool_hit),
         ]);
     }
-    let mut out = t.render();
-    let verdict = if times[2] == 0 {
+    let [(_, none), (_, server), (_, all)] = &arms;
+    r.claim(
+        "server caches at least halve the disk references and leave the round trips",
+        server.disk_refs < none.disk_refs / 2 && none.round_trips == server.round_trips,
+    );
+    r.claim(
+        "the client cache at least halves the round trips",
+        all.round_trips < server.round_trips / 2,
+    );
+    r.claim(
+        "each cache level makes the workload faster",
+        all.sim_us < server.sim_us && server.sim_us <= none.sim_us,
+    );
+    r.claim(
+        "with every cache on, hot blocks are served as shared handles",
+        all.borrowed > 0,
+    );
+    r.claim(
+        "the server and the client pool each serve over half their reads; no pool reads 0%",
+        none.server_pool_hit == 0.0 && server.server_pool_hit > 50.0 && all.client_pool_hit > 50.0,
+    );
+    r.text.push_str(&t.render());
+    let verdict = if all.sim_us == 0 {
         "the full cache stack absorbs the workload's cost entirely (simulated time -> 0)"
             .to_string()
     } else {
         format!(
             "full caching is {} faster than the cache-less baseline",
-            speedup(times[0] as f64, times[2] as f64)
+            speedup(none.sim_us as f64, all.sim_us as f64)
         )
     };
-    out.push_str(&format!(
+    r.text.push_str(&format!(
         "\n{verdict} on a skewed re-read workload ({OPS} reads over a\n\
          {FILE_BLOCKS}-block file): server caches absorb disk references, the client\n\
          cache absorbs round trips.\n",
     ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn each_level_helps() {
-        let none = super::workload(false, 0);
-        let server = super::workload(true, 0);
-        let all = super::workload(true, 128);
-        // Server caches absorb disk references.
-        assert!(
-            server.disk_refs < none.disk_refs / 2,
-            "{} vs {}",
-            server.disk_refs,
-            none.disk_refs
-        );
-        // The client cache absorbs round trips.
-        assert!(
-            all.round_trips < server.round_trips / 2,
-            "{} vs {}",
-            all.round_trips,
-            server.round_trips
-        );
-        assert_eq!(
-            none.round_trips, server.round_trips,
-            "server caches don't change trips"
-        );
-        // And the full stack is fastest.
-        assert!(
-            all.sim_us < server.sim_us && server.sim_us <= none.sim_us,
-            "{} {} {}",
-            all.sim_us,
-            server.sim_us,
-            none.sim_us
-        );
-        // With every cache on, hot blocks are served as shared handles.
-        assert!(all.borrowed > 0, "cache hits should be zero-copy borrows");
-        // The hit-rate satellite: the server pool runs hot when enabled,
-        // reports 0% when absent; same for the client pool.
-        assert_eq!(none.server_pool_hit, 0.0);
-        assert!(server.server_pool_hit > 50.0, "{}", server.server_pool_hit);
-        assert!(all.client_pool_hit > 50.0, "{}", all.client_pool_hit);
-    }
+    r
 }

@@ -8,16 +8,22 @@
 //! and measures conflicts, lock-table records (overhead) and completed
 //! transactions.
 
+use crate::setups::transaction_file;
 use crate::table::Table;
+use crate::{Cell, Report};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rhodos_file_service::LockLevel;
 use rhodos_txn::{TxnConfig, TxnError, TxnId};
 
+/// The claim, in a line.
+pub const TITLE: &str = "Lock granularity: concurrency vs overhead";
+
 const CLIENTS: usize = 8;
 const TARGET_COMMITS: usize = 60;
 const FILE_BYTES: u64 = 16 * 8192;
 
+#[derive(Default)]
 struct Outcome {
     commits: u64,
     conflicts: u64,
@@ -27,30 +33,19 @@ struct Outcome {
 }
 
 fn drive(level: LockLevel, small_updates: bool, seed: u64) -> Outcome {
-    let mut ts = crate::setups::transaction_service(TxnConfig {
+    let cfg = TxnConfig {
         lt_us: 20_000,
         max_renewals: 1,
         ..Default::default()
-    });
-    let fid = ts.tcreate(level).unwrap();
-    let t0 = ts.tbegin();
-    ts.topen(t0, fid).unwrap();
-    ts.twrite(t0, fid, 0, &vec![0u8; FILE_BYTES as usize])
-        .unwrap();
-    ts.tend(t0).unwrap();
+    };
+    let (mut ts, fid) = transaction_file(cfg, level, FILE_BYTES);
     let clock = ts.file_service_mut().clock();
     let mut rng = StdRng::seed_from_u64(seed);
     // Each simulated client: begin, update a random region across TWO
     // scheduler steps (so locks are held while other clients run), then
     // commit on the third step.
     let mut sessions: Vec<Option<(TxnId, u64, u8)>> = vec![None; CLIENTS];
-    let mut out = Outcome {
-        commits: 0,
-        conflicts: 0,
-        timeout_aborts: 0,
-        locks_granted: 0,
-        steps: 0,
-    };
+    let mut out = Outcome::default();
     while out.commits < TARGET_COMMITS as u64 && out.steps < 40_000 {
         out.steps += 1;
         let c = rng.gen_range(0..CLIENTS);
@@ -90,11 +85,9 @@ fn drive(level: LockLevel, small_updates: bool, seed: u64) -> Outcome {
                         clock.advance(2_000);
                         let aborted = ts.tick();
                         out.timeout_aborts += aborted.len() as u64;
-                        for s in sessions.iter_mut() {
-                            if let Some((t, _, _)) = s {
-                                if aborted.contains(t) {
-                                    *s = None;
-                                }
+                        for s in &mut sessions {
+                            if s.is_some_and(|(t, ..)| aborted.contains(&t)) {
+                                *s = None;
                             }
                         }
                     }
@@ -115,13 +108,7 @@ fn drive(level: LockLevel, small_updates: bool, seed: u64) -> Outcome {
 /// records — the paper's structural "higher locking overhead, since more
 /// locks are requested" claim, free of retry noise.
 fn locks_for_isolated_txn(level: LockLevel) -> u64 {
-    let mut ts = crate::setups::transaction_service(TxnConfig::default());
-    let fid = ts.tcreate(level).unwrap();
-    let t0 = ts.tbegin();
-    ts.topen(t0, fid).unwrap();
-    ts.twrite(t0, fid, 0, &vec![0u8; FILE_BYTES as usize])
-        .unwrap();
-    ts.tend(t0).unwrap();
+    let (mut ts, fid) = transaction_file(TxnConfig::default(), level, FILE_BYTES);
     let before = ts.lock_table_stats(level).granted_immediately;
     let t = ts.tbegin();
     ts.topen(t, fid).unwrap();
@@ -133,8 +120,8 @@ fn locks_for_isolated_txn(level: LockLevel) -> u64 {
 }
 
 /// Runs the experiment.
-pub fn run() -> String {
-    let mut out = String::new();
+pub fn measure(_: Cell) -> Report {
+    let mut r = Report::default();
     for (workload, small) in [
         ("small updates (48 B)", true),
         ("huge updates (half the file)", false),
@@ -147,63 +134,46 @@ pub fn run() -> String {
             "locks granted",
             "scheduler steps",
         ]);
+        let mut conflicts = Vec::new();
         for level in [LockLevel::Record, LockLevel::Page, LockLevel::File] {
             let o = drive(level, small, 99);
-            t.row_owned(vec![
-                format!("{level:?}"),
-                o.commits.to_string(),
-                o.conflicts.to_string(),
-                o.timeout_aborts.to_string(),
-                o.locks_granted.to_string(),
-                o.steps.to_string(),
+            conflicts.push(o.conflicts);
+            t.row(&[
+                &format!("{level:?}"),
+                &o.commits,
+                &o.conflicts,
+                &o.timeout_aborts,
+                &o.locks_granted,
+                &o.steps,
             ]);
         }
-        out.push_str(&format!("\nWorkload: {workload}\n"));
-        out.push_str(&t.render());
+        if small {
+            r.claim(
+                "record locking conflicts less than file locking on small updates",
+                conflicts[0] < conflicts[2],
+            );
+        }
+        r.text.push_str(&format!("\nWorkload: {workload}\n"));
+        r.text.push_str(&t.render());
     }
     let mut t = Table::new(&["granularity", "locks per isolated 8-record txn"]);
-    for level in [LockLevel::Record, LockLevel::Page, LockLevel::File] {
-        t.row_owned(vec![
-            format!("{level:?}"),
-            locks_for_isolated_txn(level).to_string(),
-        ]);
+    let levels = [LockLevel::Record, LockLevel::Page, LockLevel::File];
+    let [record, page, file] = levels.map(locks_for_isolated_txn);
+    for (level, locks) in levels.iter().zip([record, page, file]) {
+        t.row(&[&format!("{level:?}"), &locks]);
     }
-    out.push_str("\nLocking overhead, isolated transaction updating 8 disjoint records:\n");
-    out.push_str(&t.render());
-    out.push_str(
+    r.claim(
+        "for 8 records record locking takes a lock each, page locking fewer or as many, \
+         file locking one",
+        record >= 8 && record >= page && page > file && file == 1,
+    );
+    r.text
+        .push_str("\nLocking overhead, isolated transaction updating 8 disjoint records:\n");
+    r.text.push_str(&t.render());
+    r.text.push_str(
         "\npaper: record locking maximises concurrency for small updates (fewest\n\
          conflicts) at the price of more locks to manage; file locking costs one\n\
          lock but serialises everything — fitting only huge updates.\n",
     );
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn record_beats_file_for_small_updates() {
-        let rec = drive(LockLevel::Record, true, 7);
-        let fil = drive(LockLevel::File, true, 7);
-        assert!(
-            rec.conflicts < fil.conflicts,
-            "record {} vs file {} conflicts",
-            rec.conflicts,
-            fil.conflicts
-        );
-    }
-
-    #[test]
-    fn finer_granularity_needs_more_locks() {
-        let rec = locks_for_isolated_txn(LockLevel::Record);
-        let page = locks_for_isolated_txn(LockLevel::Page);
-        let file = locks_for_isolated_txn(LockLevel::File);
-        assert_eq!(file, 1, "file locking: one lock");
-        assert!(rec >= 8, "record locking: one lock per record ({rec})");
-        assert!(
-            page > file && rec >= page,
-            "rec {rec} >= page {page} > file {file}"
-        );
-    }
+    r
 }

@@ -3,42 +3,45 @@
 //! the load on the RHODOS system increases. Secondly, transactions taking
 //! a long time will be penalized."
 
+use crate::setups::transaction_file;
 use crate::table::Table;
+use crate::{Cell, Report};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rhodos_file_service::LockLevel;
-use rhodos_txn::{TxnConfig, TxnError, TxnId};
+use rhodos_file_service::{FileId, LockLevel};
+use rhodos_txn::{TransactionService, TxnConfig, TxnError, TxnId};
+
+/// The claim, in a line.
+pub const TITLE: &str = "Timeout deadlock resolution under load";
 
 const PAGES: u64 = 8;
 const ROUNDS: usize = 2_000;
 
+#[derive(Default)]
 struct LoadOutcome {
     commits: u64,
     timeout_aborts: u64,
 }
 
-/// Clients repeatedly grab two random pages in random order — the classic
-/// deadlock-prone pattern — at the given concurrency.
-fn drive(clients: usize, seed: u64) -> LoadOutcome {
-    let mut ts = crate::setups::transaction_service(TxnConfig {
+/// A `PAGES`-page file under a short lock timeout (one renewal).
+fn rig() -> (TransactionService, FileId) {
+    let cfg = TxnConfig {
         lt_us: 10_000,
         max_renewals: 1,
         ..Default::default()
-    });
-    let fid = ts.tcreate(LockLevel::Page).unwrap();
-    let t0 = ts.tbegin();
-    ts.topen(t0, fid).unwrap();
-    ts.twrite(t0, fid, 0, &vec![0u8; (PAGES * 8192) as usize])
-        .unwrap();
-    ts.tend(t0).unwrap();
+    };
+    transaction_file(cfg, LockLevel::Page, PAGES * 8192)
+}
+
+/// Clients repeatedly grab two random pages in random order — the classic
+/// deadlock-prone pattern — at the given concurrency.
+fn drive(clients: usize, seed: u64) -> LoadOutcome {
+    let (mut ts, fid) = rig();
     let clock = ts.file_service_mut().clock();
     let mut rng = StdRng::seed_from_u64(seed);
     // Session: (txn, [page_a, page_b], next_step)
     let mut sessions: Vec<Option<(TxnId, [u64; 2], usize)>> = vec![None; clients];
-    let mut out = LoadOutcome {
-        commits: 0,
-        timeout_aborts: 0,
-    };
+    let mut out = LoadOutcome::default();
     for _ in 0..ROUNDS {
         let c = rng.gen_range(0..clients);
         match &mut sessions[c] {
@@ -69,11 +72,9 @@ fn drive(clients: usize, seed: u64) -> LoadOutcome {
                         clock.advance(1_500);
                         let aborted = ts.tick();
                         out.timeout_aborts += aborted.len() as u64;
-                        for s in sessions.iter_mut() {
-                            if let Some((st, _, _)) = s {
-                                if aborted.contains(st) {
-                                    *s = None;
-                                }
+                        for s in &mut sessions {
+                            if s.is_some_and(|(t, ..)| aborted.contains(&t)) {
+                                *s = None;
                             }
                         }
                     }
@@ -91,17 +92,7 @@ fn drive(clients: usize, seed: u64) -> LoadOutcome {
 /// Long vs short transactions: the long one holds locks across many
 /// scheduler steps and is penalised by the timeout policy.
 fn long_txn_penalty() -> (u64, u64) {
-    let mut ts = crate::setups::transaction_service(TxnConfig {
-        lt_us: 10_000,
-        max_renewals: 1,
-        ..Default::default()
-    });
-    let fid = ts.tcreate(LockLevel::Page).unwrap();
-    let t0 = ts.tbegin();
-    ts.topen(t0, fid).unwrap();
-    ts.twrite(t0, fid, 0, &vec![0u8; (PAGES * 8192) as usize])
-        .unwrap();
-    ts.tend(t0).unwrap();
+    let (mut ts, fid) = rig();
     let clock = ts.file_service_mut().clock();
     let mut long_aborts = 0u64;
     let mut short_aborts = 0u64;
@@ -150,7 +141,8 @@ fn long_txn_penalty() -> (u64, u64) {
 }
 
 /// Runs the experiment.
-pub fn run() -> String {
+pub fn measure(_: Cell) -> Report {
+    let mut r = Report::default();
     let mut t = Table::new(&[
         "concurrent clients",
         "commits",
@@ -158,50 +150,39 @@ pub fn run() -> String {
         "aborts per commit",
     ]);
     let mut rates = Vec::new();
+    let mut progress = true;
     for clients in [2usize, 4, 8, 16] {
         let o = drive(clients, 31);
+        progress &= o.commits > 0;
         let rate = o.timeout_aborts as f64 / o.commits.max(1) as f64;
         rates.push(rate);
-        t.row_owned(vec![
-            clients.to_string(),
-            o.commits.to_string(),
-            o.timeout_aborts.to_string(),
-            format!("{rate:.3}"),
+        t.row(&[
+            &clients,
+            &o.commits,
+            &o.timeout_aborts,
+            &format!("{rate:.3}"),
         ]);
     }
-    let mut out = t.render();
+    r.claim(
+        "every load level commits transactions (no livelock)",
+        progress,
+    );
+    r.claim(
+        "the timeout-abort rate does not shrink from 2 to 16 clients",
+        rates[3] >= rates[0],
+    );
+    r.text.push_str(&t.render());
     let (long, short) = long_txn_penalty();
-    out.push_str(&format!(
+    r.claim(
+        "the long transaction is the timeout victim in more than half of 40 rounds",
+        long > 20,
+    );
+    r.text.push_str(&format!(
         "\nlong-transaction penalty: a 3xLT \"computing\" transaction was timeout-aborted\n\
          {long}/40 times while competing short transactions were aborted {short} times\n\
          (paper: \"transactions taking a long time will be penalized\").\n\
          timeout-abort rate grows with load: {:.3} at 2 clients -> {:.3} at 16.\n",
         rates[0], rates[3],
     ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn aborts_grow_with_load_and_progress_is_made() {
-        let low = super::drive(2, 5);
-        let high = super::drive(16, 5);
-        assert!(low.commits > 0 && high.commits > 0, "no livelock");
-        let low_rate = low.timeout_aborts as f64 / low.commits.max(1) as f64;
-        let high_rate = high.timeout_aborts as f64 / high.commits.max(1) as f64;
-        assert!(
-            high_rate >= low_rate,
-            "abort rate should not shrink with load: {low_rate} -> {high_rate}"
-        );
-    }
-
-    #[test]
-    fn long_transactions_are_penalised() {
-        let (long, _short) = super::long_txn_penalty();
-        assert!(
-            long > 20,
-            "long transactions should usually be the victims ({long}/40)"
-        );
-    }
+    r
 }

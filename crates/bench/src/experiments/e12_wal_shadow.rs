@@ -5,13 +5,18 @@
 //! shadow paging "destroys the contiguity of data blocks" but "requires
 //! lesser I/O overhead ... in the commit phase".
 
+use crate::setups::over_disks;
 use crate::table::Table;
-use rhodos_file_service::{LockLevel, ServiceType};
+use crate::{Cell, Report};
+use rhodos_file_service::{FileId, LockLevel, ServiceType};
 use rhodos_txn::{TransactionService, TxnConfig};
+
+/// The claim, in a line.
+pub const TITLE: &str = "WAL vs shadow page: commit cost and contiguity";
 
 const BLOCKS: usize = 16;
 
-fn fresh(fragmented: bool) -> (TransactionService, rhodos_file_service::FileId) {
+fn fresh(fragmented: bool) -> (TransactionService, FileId) {
     let mut ts = crate::setups::transaction_service(TxnConfig::default());
     let fid = ts.tcreate(LockLevel::Page).unwrap();
     if fragmented {
@@ -36,6 +41,12 @@ fn fresh(fragmented: bool) -> (TransactionService, rhodos_file_service::FileId) 
     (ts, fid)
 }
 
+/// Fraction of `fid`'s adjacent block pairs that are contiguous on disk.
+fn contiguity(ts: &mut TransactionService, fid: FileId) -> f64 {
+    let fit = ts.file_service_mut().fit_snapshot(fid).unwrap();
+    fit.contiguity_ratio()
+}
+
 struct CommitCost {
     technique: &'static str,
     write_refs: u64,
@@ -43,20 +54,10 @@ struct CommitCost {
     contiguity_after: f64,
 }
 
-fn measure(fragmented: bool) -> CommitCost {
+fn commit_cost(fragmented: bool) -> CommitCost {
     let (mut ts, fid) = fresh(fragmented);
-    let before = ts
-        .file_service_mut()
-        .fit_snapshot(fid)
-        .unwrap()
-        .contiguity_ratio();
-    let w0: u64 = ts
-        .file_service_mut()
-        .stats()
-        .disks
-        .iter()
-        .map(|d| d.disk.write_ops)
-        .sum();
+    let before = contiguity(&mut ts, fid);
+    let w0 = over_disks(ts.file_service_mut(), |d| d.disk.write_ops);
     let wal0 = ts.stats().wal_pages;
     // One transaction updating four pages.
     let t = ts.tbegin();
@@ -66,18 +67,8 @@ fn measure(fragmented: bool) -> CommitCost {
             .unwrap();
     }
     ts.tend(t).unwrap();
-    let w1: u64 = ts
-        .file_service_mut()
-        .stats()
-        .disks
-        .iter()
-        .map(|d| d.disk.write_ops)
-        .sum();
-    let after = ts
-        .file_service_mut()
-        .fit_snapshot(fid)
-        .unwrap()
-        .contiguity_ratio();
+    let w1 = over_disks(ts.file_service_mut(), |d| d.disk.write_ops);
+    let after = contiguity(&mut ts, fid);
     CommitCost {
         technique: if ts.stats().wal_pages > wal0 {
             "WAL"
@@ -94,11 +85,7 @@ fn measure(fragmented: bool) -> CommitCost {
 /// to show what the paper's policy avoids.
 fn forced_shadow_on_contiguous() -> (f64, f64) {
     let (mut ts, fid) = fresh(false);
-    let before = ts
-        .file_service_mut()
-        .fit_snapshot(fid)
-        .unwrap()
-        .contiguity_ratio();
+    let before = contiguity(&mut ts, fid);
     let fs = ts.file_service_mut();
     for p in [1u64, 5, 9, 13] {
         let (d, a) = fs.allocate_shadow_block(fid).unwrap();
@@ -111,7 +98,8 @@ fn forced_shadow_on_contiguous() -> (f64, f64) {
 }
 
 /// Runs the experiment.
-pub fn run() -> String {
+pub fn measure(_: Cell) -> Report {
+    let mut r = Report::default();
     let mut t = Table::new(&[
         "file layout",
         "technique chosen",
@@ -119,45 +107,35 @@ pub fn run() -> String {
         "contiguity before",
         "contiguity after",
     ]);
-    for fragmented in [false, true] {
-        let c = measure(fragmented);
-        t.row_owned(vec![
-            if fragmented {
-                "fragmented"
-            } else {
-                "contiguous"
-            }
-            .to_string(),
-            c.technique.to_string(),
-            c.write_refs.to_string(),
-            format!("{:.2}", c.contiguity_before),
-            format!("{:.2}", c.contiguity_after),
+    for (layout, technique) in [("contiguous", "WAL"), ("fragmented", "shadow page")] {
+        let c = commit_cost(layout == "fragmented");
+        r.claim(
+            format!("a {layout} file commits by {technique}"),
+            c.technique == technique,
+        );
+        if technique == "WAL" {
+            r.claim(
+                "WAL keeps a contiguous file contiguous",
+                c.contiguity_after == 1.0,
+            );
+        }
+        t.row(&[
+            &layout,
+            &c.technique,
+            &c.write_refs,
+            &format!("{:.2}", c.contiguity_before),
+            &format!("{:.2}", c.contiguity_after),
         ]);
     }
-    let mut out = t.render();
+    r.text.push_str(&t.render());
     let (b, a) = forced_shadow_on_contiguous();
-    out.push_str(&format!(
+    r.claim(
+        "shadow paging forced on a contiguous file destroys its contiguity",
+        b == 1.0 && a < 1.0,
+    );
+    r.text.push_str(&format!(
         "\nablation — shadow paging forced on a contiguous file: contiguity {b:.2} -> {a:.2}\n\
          (the paper's per-file policy exists precisely to avoid this decay).\n",
     ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn policy_matches_paper() {
-        let contiguous = super::measure(false);
-        assert_eq!(contiguous.technique, "WAL");
-        assert_eq!(contiguous.contiguity_after, 1.0, "WAL preserves contiguity");
-        let fragmented = super::measure(true);
-        assert_eq!(fragmented.technique, "shadow page");
-    }
-
-    #[test]
-    fn forced_shadow_destroys_contiguity() {
-        let (before, after) = super::forced_shadow_on_contiguous();
-        assert_eq!(before, 1.0);
-        assert!(after < 1.0);
-    }
+    r
 }

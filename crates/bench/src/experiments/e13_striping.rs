@@ -9,10 +9,15 @@
 //! read (serial = sum of operation costs, scheduler = busiest-spindle
 //! makespan) and host wall-clock.
 
+use crate::setups::over_disks;
 use crate::table::{speedup, Table};
+use crate::{Cell, Report};
 use rhodos_disk_service::SchedulerStats;
-use rhodos_file_service::{ParallelIo, ServiceType};
+use rhodos_file_service::{FileService, ParallelIo, ServiceType};
 use std::time::Instant;
+
+/// The claim, in a line.
+pub const TITLE: &str = "Striping across disks";
 
 const FILE_MIB: usize = 8;
 
@@ -23,11 +28,9 @@ struct StripeOutcome {
     completion_us: u64,
     /// Busy-time delta of the busiest spindle (the makespan component).
     busiest_disk_us: u64,
-    /// Host wall-clock for the same read. Read only by the tests: the
-    /// printed table keeps it out so the output stays byte-deterministic
-    /// (the wall-clock measure of this path is `benchmark/`'s
-    /// `agent-stream`).
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Host wall-clock for the same read, checked but not printed, so
+    /// the table stays byte-deterministic (the wall-clock measure of
+    /// this path is `benchmark/`'s `agent-stream`).
     wall_us: u64,
     disks_used: usize,
     refs: u64,
@@ -36,7 +39,7 @@ struct StripeOutcome {
     sched: SchedulerStats,
 }
 
-fn measure(ndisks: usize, mode: ParallelIo) -> StripeOutcome {
+fn read_striped(ndisks: usize, mode: ParallelIo) -> StripeOutcome {
     let mut fs = crate::setups::striped_file_service_raw_mode(ndisks, 4, mode);
     let fid = fs.create(ServiceType::Basic).unwrap();
     fs.open(fid).unwrap();
@@ -49,8 +52,9 @@ fn measure(ndisks: usize, mode: ParallelIo) -> StripeOutcome {
     // Measure a full sequential read.
     let clock = fs.clock();
     let busy0: Vec<u64> = fs.stats().disks.iter().map(|d| d.disk.busy_us).collect();
-    let refs0: u64 = fs.stats().disks.iter().map(|d| d.disk.read_ops).sum();
-    let tracks0: u64 = fs.stats().disks.iter().map(|d| d.disk.seek_tracks).sum();
+    let reads = |fs: &FileService| over_disks(fs, |d| d.disk.read_ops);
+    let tracks = |fs: &FileService| over_disks(fs, |d| d.disk.seek_tracks);
+    let (refs0, tracks0) = (reads(&fs), tracks(&fs));
     let t0 = clock.now_us();
     let w0 = Instant::now();
     let back = fs.read(fid, 0, data.len()).unwrap();
@@ -63,8 +67,8 @@ fn measure(ndisks: usize, mode: ParallelIo) -> StripeOutcome {
         .zip(&busy0)
         .map(|(d, b0)| d.disk.busy_us - b0)
         .collect();
-    let refs: u64 = stats.disks.iter().map(|d| d.disk.read_ops).sum::<u64>() - refs0;
-    let seek_tracks = stats.disks.iter().map(|d| d.disk.seek_tracks).sum::<u64>() - tracks0;
+    let refs = reads(&fs) - refs0;
+    let seek_tracks = tracks(&fs) - tracks0;
     let mut sched = SchedulerStats::default();
     for d in &stats.disks {
         sched.merge(&d.scheduler);
@@ -83,7 +87,8 @@ fn measure(ndisks: usize, mode: ParallelIo) -> StripeOutcome {
 }
 
 /// Runs the experiment.
-pub fn run() -> String {
+pub fn measure(_: Cell) -> Report {
+    let mut r = Report::default();
     let mut t = Table::new(&[
         "disks",
         "issue mode",
@@ -95,11 +100,26 @@ pub fn run() -> String {
         "completion (us)",
         "completion vs serial",
     ]);
+    let mut timed = true;
+    let mut busiest = Vec::new();
     for ndisks in [1usize, 2, 4, 8] {
-        let serial = measure(ndisks, ParallelIo::Never);
-        let sched = measure(ndisks, ParallelIo::Auto);
-        assert_eq!(serial.disks_used, ndisks);
-        assert_eq!(sched.disks_used, ndisks);
+        let serial = read_striped(ndisks, ParallelIo::Never);
+        let sched = read_striped(ndisks, ParallelIo::Auto);
+        r.claim(
+            format!("the file spreads over all {ndisks} disks"),
+            serial.disks_used == ndisks && sched.disks_used == ndisks,
+        );
+        timed &= serial.wall_us > 0 && sched.wall_us > 0;
+        busiest.push(sched.busiest_disk_us);
+        if ndisks == 4 {
+            r.claim(
+                "over 4 disks the schedulers merge requests, cut the references and finish \
+                 in at most half the serial time",
+                sched.sched.merged_requests > 0
+                    && sched.refs < serial.refs
+                    && sched.completion_us * 2 <= serial.completion_us,
+            );
+        }
         for (label, o, rel) in [
             ("serial", &serial, "1.00x".to_string()),
             (
@@ -108,21 +128,26 @@ pub fn run() -> String {
                 speedup(serial.completion_us as f64, sched.completion_us as f64),
             ),
         ] {
-            t.row_owned(vec![
-                ndisks.to_string(),
-                label.to_string(),
-                o.refs.to_string(),
-                o.sched.merged_requests.to_string(),
-                o.sched.queue_depth_hwm.to_string(),
-                o.seek_tracks.to_string(),
-                o.busiest_disk_us.to_string(),
-                o.completion_us.to_string(),
-                rel,
+            t.row(&[
+                &ndisks,
+                &label,
+                &o.refs,
+                &o.sched.merged_requests,
+                &o.sched.queue_depth_hwm,
+                &o.seek_tracks,
+                &o.busiest_disk_us,
+                &o.completion_us,
+                &rel,
             ]);
         }
     }
-    let mut out = t.render();
-    out.push_str(&format!(
+    r.claim(
+        "over 4 disks the busiest spindle works under half as long as one disk",
+        busiest[2] * 2 < busiest[0],
+    );
+    r.claim("the harness times the host wall clock of every read", timed);
+    r.text.push_str(&t.render());
+    r.text.push_str(&format!(
         "\n{FILE_MIB} MiB sequential read. serial = pre-scheduler baseline (per-block demand\n\
          fetches, completion is the sum of operation costs); scheduler = per-spindle C-SCAN\n\
          batches (adjacent chunks merge into single references, completion is the busiest\n\
@@ -132,44 +157,5 @@ pub fn run() -> String {
          paper: file size is bounded only by total array space (demonstrated in\n\
          examples/striped_media_store.rs with a file larger than one disk).\n",
     ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn striping_spreads_load_and_scales() {
-        let one = measure(1, ParallelIo::Auto);
-        let four = measure(4, ParallelIo::Auto);
-        assert_eq!(one.disks_used, 1);
-        assert_eq!(four.disks_used, 4);
-        assert!(
-            four.busiest_disk_us * 2 < one.busiest_disk_us,
-            "4-disk busiest spindle {} should be well under half of {}",
-            four.busiest_disk_us,
-            one.busiest_disk_us
-        );
-    }
-
-    #[test]
-    fn scheduler_makespan_at_most_half_the_serial_completion() {
-        let serial = measure(4, ParallelIo::Never);
-        let sched = measure(4, ParallelIo::Auto);
-        assert!(serial.wall_us > 0, "harness must time the host wall-clock");
-        assert!(
-            sched.completion_us * 2 <= serial.completion_us,
-            "4-disk scheduler completion {} should be <= half the serial {}",
-            sched.completion_us,
-            serial.completion_us
-        );
-        assert!(
-            sched.refs < serial.refs,
-            "merging should cut demand references: {} vs {}",
-            sched.refs,
-            serial.refs
-        );
-        assert!(sched.sched.merged_requests > 0);
-    }
+    r
 }

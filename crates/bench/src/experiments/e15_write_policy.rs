@@ -8,10 +8,15 @@
 //! workload: disk writes, simulated time, and the crash-loss window
 //! (dirty blocks that a crash would lose).
 
+use crate::setups::over_disks;
 use crate::table::{speedup, Table};
+use crate::{Cell, Report};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rhodos_file_service::{FileServiceConfig, ParallelIo, ServiceType, WritePolicy};
+use rhodos_file_service::{FileService, FileServiceConfig, ParallelIo, ServiceType, WritePolicy};
+
+/// The claim, in a line.
+pub const TITLE: &str = "Delayed-write vs write-through";
 
 const OPS: usize = 800;
 const FILE_BLOCKS: usize = 8;
@@ -20,11 +25,11 @@ const SCATTER_FILES: usize = 16;
 struct PolicyOutcome {
     write_refs: u64,
     sim_us: u64,
-    max_dirty: usize,
+    /// Dirty blocks resident after the rewrites: what a crash would lose.
     lost_after_crash: usize,
 }
 
-fn measure(policy: WritePolicy) -> PolicyOutcome {
+fn rewrite(policy: WritePolicy) -> PolicyOutcome {
     let mut fs = crate::setups::file_service(FileServiceConfig {
         write_policy: policy,
         ..Default::default()
@@ -37,27 +42,20 @@ fn measure(policy: WritePolicy) -> PolicyOutcome {
     let mut rng = StdRng::seed_from_u64(17);
     let w0: u64 = fs.stats().disks[0].disk.write_ops;
     let t0 = clock.now_us();
-    let mut max_dirty = 0usize;
     for _ in 0..OPS {
         let b = rng.gen_range(0..FILE_BLOCKS);
         let off = (b * 8192 + rng.gen_range(0..8000)) as u64;
         fs.write(fid, off, &[0xC4; 64]).unwrap();
-        max_dirty = max_dirty.max(fs.stats().cache.writebacks as usize); // placeholder, replaced below
     }
-    // Count dirty blocks resident right now — the crash-loss window.
-    let dirty_now = {
-        // crash and see how many blocks changed vs model: simpler proxy —
-        // flush and count the writebacks it performs.
-        let before = fs.stats().cache.writebacks;
-        fs.flush_all().unwrap();
-        (fs.stats().cache.writebacks - before) as usize
-    };
+    // The crash-loss window: the dirty blocks a flush writes back now.
+    let before = fs.stats().cache.writebacks;
+    fs.flush_all().unwrap();
+    let lost_after_crash = (fs.stats().cache.writebacks - before) as usize;
     let w1: u64 = fs.stats().disks[0].disk.write_ops;
     PolicyOutcome {
         write_refs: w1 - w0,
         sim_us: clock.now_us() - t0,
-        max_dirty: dirty_now,
-        lost_after_crash: dirty_now,
+        lost_after_crash,
     }
 }
 
@@ -88,30 +86,21 @@ fn measure_scatter(mode: ParallelIo) -> ScatterOutcome {
         fs.write(*fid, 0, vec![0x32u8; FILE_BLOCKS * 8192]).unwrap();
     }
     let clock = fs.clock();
-    let w0: u64 = fs.stats().disks.iter().map(|d| d.disk.write_ops).sum();
-    let m0: u64 = fs
-        .stats()
-        .disks
-        .iter()
-        .map(|d| d.scheduler.merged_requests)
-        .sum();
+    let writes = |fs: &FileService| over_disks(fs, |d| d.disk.write_ops);
+    let merged = |fs: &FileService| over_disks(fs, |d| d.scheduler.merged_requests);
+    let (w0, m0) = (writes(&fs), merged(&fs));
     let t0 = clock.now_us();
     fs.flush_all().unwrap();
-    let stats = fs.stats();
     ScatterOutcome {
-        write_refs: stats.disks.iter().map(|d| d.disk.write_ops).sum::<u64>() - w0,
-        merged: stats
-            .disks
-            .iter()
-            .map(|d| d.scheduler.merged_requests)
-            .sum::<u64>()
-            - m0,
+        write_refs: writes(&fs) - w0,
+        merged: merged(&fs) - m0,
         completion_us: clock.now_us() - t0,
     }
 }
 
 /// Runs the experiment.
-pub fn run() -> String {
+pub fn measure(_: Cell) -> Report {
+    let mut r = Report::default();
     let mut t = Table::new(&[
         "policy",
         "disk write refs",
@@ -129,24 +118,28 @@ pub fn run() -> String {
             WritePolicy::WriteThrough,
         ),
     ] {
-        let o = measure(policy);
-        t.row_owned(vec![
-            label.to_string(),
-            o.write_refs.to_string(),
-            o.sim_us.to_string(),
-            o.lost_after_crash.to_string(),
-        ]);
+        let o = rewrite(policy);
+        t.row(&[&label, &o.write_refs, &o.sim_us, &o.lost_after_crash]);
         outcomes.push(o);
     }
-    let mut out = t.render();
-    out.push_str(&format!(
+    let (dw, wt) = (&outcomes[0], &outcomes[1]);
+    r.claim(
+        "delayed-write makes under a quarter of write-through's disk writes",
+        dw.write_refs * 4 < wt.write_refs,
+    );
+    r.claim(
+        "delayed-write leaves dirty blocks for a crash to lose, write-through none",
+        dw.lost_after_crash > 0 && wt.lost_after_crash == 0,
+    );
+    r.text.push_str(&t.render());
+    r.text.push_str(&format!(
         "\ndelayed-write needs {} fewer disk writes ({} vs {}) on {OPS} rewrites of a\n\
          {FILE_BLOCKS}-block file, at the price of a {}-block crash-loss window —\n\
          exactly why the file service pairs it with write-through for transactions.\n",
-        speedup(outcomes[1].write_refs as f64, outcomes[0].write_refs as f64),
-        outcomes[0].write_refs,
-        outcomes[1].write_refs,
-        outcomes[0].max_dirty,
+        speedup(wt.write_refs as f64, dw.write_refs as f64),
+        dw.write_refs,
+        wt.write_refs,
+        dw.lost_after_crash,
     ));
     let mut t2 = Table::new(&[
         "flush issue mode",
@@ -157,59 +150,22 @@ pub fn run() -> String {
     let serial = measure_scatter(ParallelIo::Never);
     let sched = measure_scatter(ParallelIo::Auto);
     for (label, o) in [("serial", &serial), ("scheduler", &sched)] {
-        t2.row_owned(vec![
-            label.to_string(),
-            o.write_refs.to_string(),
-            o.merged.to_string(),
-            o.completion_us.to_string(),
-        ]);
+        t2.row(&[&label, &o.write_refs, &o.merged, &o.completion_us]);
     }
-    out.push('\n');
-    out.push_str(&t2.render());
-    out.push_str(&format!(
+    r.claim(
+        "the schedulers merge a scattered flush across files into fewer, sooner writes",
+        sched.merged > 0
+            && sched.write_refs < serial.write_refs
+            && sched.completion_us < serial.completion_us,
+    );
+    r.text.push('\n');
+    r.text.push_str(&t2.render());
+    r.text.push_str(&format!(
         "\nflushing {SCATTER_FILES} dirty files ({FILE_BLOCKS} blocks each, striped over 4 disks)\n\
          in one call: the serial write-back groups only same-file consecutive blocks;\n\
          the per-spindle schedulers also merge across files and finish in the busiest\n\
          spindle's makespan. Crash-loss semantics are identical — both variants write\n\
          the same bytes to the same addresses, only the grouping differs.\n",
     ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn delayed_write_batches_and_write_through_is_safe() {
-        let dw = measure(WritePolicy::DelayedWrite);
-        let wt = measure(WritePolicy::WriteThrough);
-        assert!(
-            dw.write_refs * 4 < wt.write_refs,
-            "delayed-write should batch heavily: {} vs {}",
-            dw.write_refs,
-            wt.write_refs
-        );
-        assert_eq!(wt.lost_after_crash, 0, "write-through leaves nothing dirty");
-        assert!(dw.lost_after_crash > 0, "delayed-write has a loss window");
-    }
-
-    #[test]
-    fn scheduler_coalesces_scattered_flush_across_files() {
-        let serial = measure_scatter(ParallelIo::Never);
-        let sched = measure_scatter(ParallelIo::Auto);
-        assert!(
-            sched.write_refs < serial.write_refs,
-            "cross-file merging should cut write references: {} vs {}",
-            sched.write_refs,
-            serial.write_refs
-        );
-        assert!(sched.merged > 0, "the elevator should merge something");
-        assert!(
-            sched.completion_us < serial.completion_us,
-            "batched flush should finish sooner: {} vs {}",
-            sched.completion_us,
-            serial.completion_us
-        );
-    }
+    r
 }

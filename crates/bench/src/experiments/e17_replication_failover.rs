@@ -14,10 +14,14 @@
 
 use crate::setups::replica_set;
 use crate::table::Table;
+use crate::{Cell, Report};
 use rhodos_cluster::Cluster;
 use rhodos_file_service::FileService;
 use rhodos_net::NetConfig;
 use rhodos_replication::wire::Channel;
+
+/// The claim, in a line.
+pub const TITLE: &str = "Replica failover, resync, and lossy-RPC replication";
 
 const OLD: &[u8] = b"committed before fault";
 const NEW: &[u8] = b"committed during fault";
@@ -34,10 +38,10 @@ fn fingerprints(fs: &mut FileService) -> Vec<u64> {
     prints
 }
 
-/// The torn-write scenario on a set of `r`; returns a report row. The
+/// The torn-write scenario on a set of `r`, as a row of `t`. The
 /// in-process lane costs no virtual time, so platter timestamps agree
 /// across members and images compare byte for byte.
-fn torn_write_case(r: usize) -> Vec<String> {
+fn torn_write_case(r: usize, report: &mut Report, t: &mut Table) {
     let (mut c, gid) = replica_set(r, NetConfig::in_process());
     let fid = c.placement_of(gid).unwrap().1;
     c.write(gid, 0, OLD).unwrap();
@@ -79,25 +83,36 @@ fn torn_write_case(r: usize) -> Vec<String> {
         .collect();
     let identical = prints.iter().all(|p| *p == prints[0]);
     let clean = (0..r).all(|i| c.with_server(i, |fs| fs.fsck().unwrap().is_clean()));
-    let repaired = if identical && clean {
-        "byte-identical, fsck clean"
-    } else {
-        "STILL DIVERGED"
-    };
+    report.claim(
+        format!("a write torn on one member of {r} succeeds"),
+        outcome.is_ok(),
+    );
+    let consistent = report.claim(
+        format!("the current members of {r} agree after the torn write"),
+        !diverged,
+    );
+    let repaired = report.claim(
+        format!("resync returns the torn member of {r} byte-identical and fsck-clean"),
+        identical && clean,
+    );
 
-    vec![
-        r.to_string(),
-        "fail over, keep writing".to_string(),
-        match outcome {
+    t.row(&[
+        &r,
+        &"fail over, keep writing",
+        &match outcome {
             Ok(()) => "ok".to_string(),
             Err(e) => format!("error: {e}"),
         },
-        c.stats().failovers.to_string(),
-        current.len().to_string(),
-        format!("{live_new}/{}", current.len()),
-        if diverged { "DIVERGED" } else { "consistent" }.to_string(),
-        repaired.to_string(),
-    ]
+        &c.stats().failovers,
+        &current.len(),
+        &format!("{live_new}/{}", current.len()),
+        &if consistent { "consistent" } else { "DIVERGED" },
+        &if repaired {
+            "byte-identical, fsck clean"
+        } else {
+            "STILL DIVERGED"
+        },
+    ]);
 }
 
 /// The RPC story over every member's channel, as named rows: sums of
@@ -121,8 +136,8 @@ fn rpc_rows(c: &Cluster) -> Vec<(&'static str, u64)> {
     ]
 }
 
-/// One lossy-RPC run; returns a report row.
-fn lossy_case(drop_pm: u16, dup_pm: u16) -> Vec<String> {
+/// One lossy-RPC run, as a row of `t`.
+fn lossy_case(drop_pm: u16, dup_pm: u16, report: &mut Report, t: &mut Table) {
     let net = NetConfig::lossy(f64::from(drop_pm) / 1000.0, f64::from(dup_pm) / 1000.0, 17);
     let (mut c, gid) = replica_set(3, net);
     let mut intact = true;
@@ -138,32 +153,44 @@ fn lossy_case(drop_pm: u16, dup_pm: u16) -> Vec<String> {
     let rpc = |name: &str| rows.iter().find(|(n, _)| *n == name).map_or(0, |r| r.1);
     let (calls, retries) = (rpc("calls"), rpc("retries"));
     let live = (0..3).filter(|&i| c.is_current(i)).count();
-    vec![
-        format!(
-            "{:.1}% / {:.1}%",
-            f64::from(drop_pm) / 10.0,
-            f64::from(dup_pm) / 10.0
-        ),
-        calls.to_string(),
-        // Request/reply exchanges actually put on the wire: every call
-        // costs one round trip plus one per retry.
-        (calls + retries).to_string(),
-        retries.to_string(),
-        rpc("replayed").to_string(),
-        rpc("peak_replay_entries").to_string(),
-        rpc("backoff_us").to_string(),
-        live.to_string(),
-        if intact && live == 3 {
-            "intact"
-        } else {
-            "LOST"
-        }
-        .to_string(),
-    ]
+    let loss = format!(
+        "{:.1}% / {:.1}%",
+        f64::from(drop_pm) / 10.0,
+        f64::from(dup_pm) / 10.0
+    );
+    let peak = rpc("peak_replay_entries");
+    report.claim(
+        format!("at {loss} loss / dup no member holds more than one recorded reply"),
+        peak <= 1,
+    );
+    let intact = report.claim(
+        format!("at {loss} loss / dup every write lands once on all 3 members"),
+        intact && live == 3,
+    );
+    // Request/reply exchanges actually put on the wire: every call costs
+    // one round trip plus one per retry.
+    let round_trips = calls + retries;
+    t.row(&[
+        &loss,
+        &calls,
+        &round_trips,
+        &retries,
+        &rpc("replayed"),
+        &peak,
+        &rpc("backoff_us"),
+        &live,
+        &if intact { "intact" } else { "LOST" },
+    ]);
 }
 
-/// Runs the experiment.
-pub fn run() -> String {
+/// Runs the experiment. Its lane, `BENCH_replication.json`, is a
+/// scenario of its own: a one-shard set of 3 write-through members over
+/// lossy channels (10% loss, 10% duplication, seed 17), 200 mixed
+/// operations, one mid-run torn write on member 1 followed by a resync
+/// — a behaviour change in failover, backoff or replay pruning moves
+/// its rows.
+pub fn measure(_: Cell) -> Report {
+    let mut report = Report::default();
     let mut a = Table::new(&[
         "r",
         "write path",
@@ -175,7 +202,7 @@ pub fn run() -> String {
         "after repair",
     ]);
     for r in [2, 3] {
-        a.row_owned(torn_write_case(r));
+        torn_write_case(r, &mut report, &mut a);
     }
 
     let mut b = Table::new(&[
@@ -190,10 +217,11 @@ pub fn run() -> String {
         "data",
     ]);
     for (drop_pm, dup_pm) in [(0, 0), (50, 50), (150, 150), (300, 300)] {
-        b.row_owned(lossy_case(drop_pm, dup_pm));
+        lossy_case(drop_pm, dup_pm, &mut report, &mut b);
     }
 
-    let mut out = String::from("torn write on member 1 of a one-shard set (write-through):\n");
+    let out = &mut report.text;
+    out.push_str("torn write on member 1 of a one-shard set (write-through):\n");
     out.push_str(&a.render());
     out.push_str("\n120 replicated writes over lossy channels (r = 3, seed 17):\n");
     out.push_str(&b.render());
@@ -204,18 +232,12 @@ pub fn run() -> String {
          every write commits exactly once and no server ever holds more than\n\
          the in-flight window of recorded replies.\n",
     );
-    out
+    report.rows = lane_rows();
+    report
 }
 
-/// The replication and RPC-replay counters emitted as
-/// `BENCH_replication.json`, from a fixed deterministic scenario — a
-/// one-shard set of 3 write-through members over lossy channels (10%
-/// loss, 10% duplication, seed 17), 200 mixed operations, one mid-run
-/// torn write on member 1 followed by a resync. Deterministic by
-/// construction (simulated clock, seeded channels), so the emitted
-/// numbers are a diffable baseline: a behaviour change in failover,
-/// backoff, or replay pruning moves them.
-pub fn stat_records() -> Vec<(String, u64)> {
+/// The rows of `BENCH_replication.json` (see [`measure`]).
+fn lane_rows() -> Vec<(String, u64)> {
     let (mut c, gid) = replica_set(3, NetConfig::lossy(0.1, 0.1, 17));
     for i in 0..200u64 {
         if i == 100 {
@@ -252,52 +274,4 @@ pub fn stat_records() -> Vec<(String, u64)> {
         rows.push((format!("replication.reads_replica_{i}"), c.server_reads(i)));
     }
     rows
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn write_path_masks_faults_and_rpc_state_stays_bounded() {
-        let report = super::run();
-        let torn_row = report
-            .lines()
-            .find(|l| l.contains("fail over, keep writing"))
-            .expect("torn-write row present");
-        assert!(
-            torn_row.contains("ok"),
-            "the torn write must succeed:\n{report}"
-        );
-        assert!(
-            torn_row.contains("consistent") && torn_row.contains("byte-identical"),
-            "the write path must keep replicas consistent:\n{report}"
-        );
-        assert!(!report.contains("LOST"), "lossy sweep lost data:\n{report}");
-        assert!(
-            !report.contains("STILL DIVERGED"),
-            "resync failed to restore byte identity:\n{report}"
-        );
-        // The "nearly stateless" bound: one synchronous client per
-        // channel means at most one recorded reply per server.
-        // Whitespace tokens per row: "0.0% / 0.0%" splits into three, so
-        // rpcs=3, round trips=4, retries=5, replayed=6, peak=7.
-        for line in report.lines().filter(|l| l.contains('%')) {
-            let peak: u64 = line
-                .split_whitespace()
-                .nth(7)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(99);
-            assert!(peak <= 1, "unbounded replay state: {line}");
-            let rpcs: u64 = line
-                .split_whitespace()
-                .nth(3)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0);
-            let trips: u64 = line
-                .split_whitespace()
-                .nth(4)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0);
-            assert!(trips >= rpcs, "round trips can never undercut rpcs: {line}");
-        }
-    }
 }

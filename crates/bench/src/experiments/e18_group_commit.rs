@@ -8,7 +8,7 @@
 //! markers into the *next* force.
 //!
 //! This experiment sweeps the committer count: each wave of `committers`
-//! transactions is one [`TransactionService::commit_batch`], exactly as
+//! transactions is one [`rhodos_txn::TransactionService::commit_batch`], exactly as
 //! the lock holder forms it from the queue, and the one-committer wave —
 //! a force per commit — is the reference. Reported per cell: commits, log
 //! flushes, intention records per flush (avg/high-water), disk write
@@ -20,8 +20,12 @@
 
 use crate::latency::LatencySummary;
 use crate::table::{speedup, Table};
+use crate::{Cell, Report};
 use rhodos_file_service::LockLevel;
-use rhodos_txn::{CommitReq, TransactionService, TxnStats};
+use rhodos_txn::{CommitReq, TxnStats};
+
+/// The claim, in a line.
+pub const TITLE: &str = "Group commit: batched log flushes and coalesced apply";
 
 const NDISKS: usize = 4;
 const CHUNK_BLOCKS: u64 = 4;
@@ -39,15 +43,19 @@ struct Outcome {
     commit_lat: LatencySummary,
 }
 
-fn rig() -> TransactionService {
-    crate::setups::striped_transaction_service(NDISKS, CHUNK_BLOCKS)
-}
-
 /// Runs `TOTAL_COMMITS` two-page update transactions, `committers` at a
 /// time; each wave commits as one batch (prepare × n, force once,
 /// complete × n).
-fn measure(committers: usize) -> Outcome {
-    let mut ts = rig();
+///
+/// With `participants` every committer is a 2PC *participant* instead —
+/// `prepare_participant` puts its durable `Prepared` record on the
+/// wave's shared force exactly as local commit records ride it, and the
+/// coordinator's commit decision (`resolve_prepared`) applies afterwards.
+/// The flush columns then count prepare forces and `Prepared` records,
+/// so the table shows group commit amortising 2PC phase one the same way
+/// it amortises local `tend`.
+fn waves(committers: usize, participants: bool) -> Outcome {
+    let mut ts = crate::setups::striped_transaction_service(NDISKS, CHUNK_BLOCKS);
     let fids: Vec<_> = (0..committers)
         .map(|_| ts.tcreate(LockLevel::Page).unwrap())
         .collect();
@@ -74,6 +82,7 @@ fn measure(committers: usize) -> Outcome {
     let rounds = TOTAL_COMMITS / committers;
     for round in 0..rounds {
         let mut wave = Vec::with_capacity(committers);
+        let mut gtids = Vec::with_capacity(committers);
         let mut enqueued_at = Vec::with_capacity(committers);
         for (i, &fid) in fids.iter().enumerate() {
             let t = ts.tbegin();
@@ -85,15 +94,29 @@ fn measure(committers: usize) -> Outcome {
             ts.twrite(t, fid, base + 2 * 8192, &vec![i as u8; 8192])
                 .unwrap();
             enqueued_at.push(clock.now_us());
-            wave.push(CommitReq::Local(t));
+            if participants {
+                let gtid = (round * committers + i) as u64 + 1;
+                ts.prepare_participant(t, gtid).unwrap();
+                gtids.push(gtid);
+            } else {
+                wave.push(CommitReq::Local(t));
+            }
         }
-        // The lock holder: one force for the whole wave, then apply.
-        for result in ts.commit_batch(&wave) {
-            result.unwrap();
+        if participants {
+            // One force covers every participant's vote in the wave.
+            ts.flush_log().unwrap();
+        } else {
+            // The lock holder: one force for the whole wave, then apply.
+            for result in ts.commit_batch(&wave) {
+                result.unwrap();
+            }
         }
-        // Every commit in the wave becomes durable at the wave's end.
-        let wave_done = clock.now_us();
-        commit_samples.extend(enqueued_at.iter().map(|&at| wave_done - at));
+        // Every commit in the wave is durable at this point.
+        let durable = clock.now_us();
+        commit_samples.extend(enqueued_at.iter().map(|&at| durable - at));
+        for gtid in gtids {
+            assert!(ts.resolve_prepared(gtid, true).unwrap());
+        }
     }
     // Force the tail `Completed` markers so every cell accounts the same
     // durable end state.
@@ -114,102 +137,24 @@ fn measure(committers: usize) -> Outcome {
         .max()
         .unwrap();
     let sim_us = ts.file_service_mut().clock().now_us() - t0;
-    Outcome {
-        stats: TxnStats {
-            committed: s1.committed - s0.committed,
-            log_flushes: s1.log_flushes - s0.log_flushes,
-            records_flushed: s1.records_flushed - s0.records_flushed,
-            records_per_flush_hwm: s1.records_per_flush_hwm,
-            group_commits: s1.group_commits - s0.group_commits,
-            commit_batch_pages: s1.commit_batch_pages - s0.commit_batch_pages,
-            log_compactions: s1.log_compactions - s0.log_compactions,
-            ..s1
-        },
-        write_refs,
-        busiest_us,
-        sim_us,
-        commit_lat: LatencySummary::from_samples(&commit_samples),
-    }
-}
-
-/// The cross-shard row: the same wave pattern, but every committer is a
-/// 2PC *participant* — `prepare_participant` puts its durable `Prepared`
-/// record on the wave's shared force exactly as local commit records
-/// ride it, and the coordinator's commit decision (`resolve_prepared`)
-/// applies afterwards. The flush columns count prepare forces and
-/// `Prepared` records, so the table shows group commit amortising 2PC
-/// phase one the same way it amortises local `tend`.
-fn measure_cross(committers: usize) -> Outcome {
-    let mut ts = rig();
-    let fids: Vec<_> = (0..committers)
-        .map(|_| ts.tcreate(LockLevel::Page).unwrap())
-        .collect();
-    for &fid in &fids {
-        let t = ts.tbegin();
-        ts.topen(t, fid).unwrap();
-        ts.twrite(t, fid, 0, &vec![0u8; 4 * 8192]).unwrap();
-        ts.tend(t).unwrap();
-    }
-    ts.flush_log().unwrap();
-    let s0 = ts.stats();
-    let (w0, b0): (Vec<u64>, Vec<u64>) = {
-        let stats = ts.file_service_mut().stats();
+    let (committed, log_flushes, records_flushed) = if participants {
         (
-            stats.disks.iter().map(|d| d.disk.write_ops).collect(),
-            stats.disks.iter().map(|d| d.disk.busy_us).collect(),
+            s1.prepares - s0.prepares,
+            s1.prepare_flushes - s0.prepare_flushes,
+            s1.prepare_records_flushed - s0.prepare_records_flushed,
+        )
+    } else {
+        (
+            s1.committed - s0.committed,
+            s1.log_flushes - s0.log_flushes,
+            s1.records_flushed - s0.records_flushed,
         )
     };
-    let clock = ts.file_service_mut().clock();
-    let t0 = clock.now_us();
-    let mut commit_samples = Vec::with_capacity(TOTAL_COMMITS);
-    let rounds = TOTAL_COMMITS / committers;
-    for round in 0..rounds {
-        let mut gtids = Vec::with_capacity(committers);
-        let mut enqueued_at = Vec::with_capacity(committers);
-        for (i, &fid) in fids.iter().enumerate() {
-            let t = ts.tbegin();
-            ts.topen(t, fid).unwrap();
-            let base = (((round + i) % 2) * 8192) as u64;
-            ts.twrite(t, fid, base, &vec![round as u8; 8192]).unwrap();
-            ts.twrite(t, fid, base + 2 * 8192, &vec![i as u8; 8192])
-                .unwrap();
-            let gtid = (round * committers + i) as u64 + 1;
-            enqueued_at.push(clock.now_us());
-            ts.prepare_participant(t, gtid).unwrap();
-            gtids.push(gtid);
-        }
-        // One force covers every participant's vote in the wave.
-        ts.flush_log().unwrap();
-        let wave_durable = clock.now_us();
-        commit_samples.extend(enqueued_at.iter().map(|&at| wave_durable - at));
-        for gtid in gtids {
-            assert!(ts.resolve_prepared(gtid, true).unwrap());
-        }
-    }
-    ts.flush_log().unwrap();
-    let s1 = ts.stats();
-    let fs_stats = ts.file_service_mut().stats();
-    let write_refs: u64 = fs_stats
-        .disks
-        .iter()
-        .zip(&w0)
-        .map(|(d, w)| d.disk.write_ops - w)
-        .sum();
-    let busiest_us = fs_stats
-        .disks
-        .iter()
-        .zip(&b0)
-        .map(|(d, b)| d.disk.busy_us - b)
-        .max()
-        .unwrap();
-    let sim_us = ts.file_service_mut().clock().now_us() - t0;
     Outcome {
-        // The flush columns report the 2PC phase-one accounting: forces
-        // that carried `Prepared` records, and those records per force.
         stats: TxnStats {
-            committed: s1.prepares - s0.prepares,
-            log_flushes: s1.prepare_flushes - s0.prepare_flushes,
-            records_flushed: s1.prepare_records_flushed - s0.prepare_records_flushed,
+            committed,
+            log_flushes,
+            records_flushed,
             records_per_flush_hwm: s1.records_per_flush_hwm,
             group_commits: s1.group_commits - s0.group_commits,
             commit_batch_pages: s1.commit_batch_pages - s0.commit_batch_pages,
@@ -223,30 +168,11 @@ fn measure_cross(committers: usize) -> Outcome {
     }
 }
 
-/// The deterministic commit counters emitted as `BENCH_txn_commit.json`
-/// (8 committers) — a diffable baseline: any change to the pipeline's
-/// batching, the elevator apply, or the flush accounting moves these
-/// numbers.
-pub fn stat_records() -> Vec<(String, u64)> {
-    let o = measure(8);
-    let avg_x100 = (o.stats.records_flushed * 100)
-        .checked_div(o.stats.log_flushes)
-        .unwrap_or(0);
-    [
-        ("committed", o.stats.committed),
-        ("log_flushes", o.stats.log_flushes),
-        ("records_per_flush_x100", avg_x100),
-        ("group_commits", o.stats.group_commits),
-        ("commit_batch_pages", o.stats.commit_batch_pages),
-        ("write_refs", o.write_refs),
-        ("busiest_us", o.busiest_us),
-    ]
-    .map(|(name, v)| (format!("txn_commit.group.{name}"), v))
-    .into()
-}
-
-/// Runs the experiment.
-pub fn run() -> String {
+/// Runs the experiment. Its lane, `BENCH_txn_commit.json`, is the
+/// 8-committer group-commit cell: any change to the batching, the
+/// elevator apply or the flush accounting moves its rows.
+pub fn measure(_: Cell) -> Report {
+    let mut r = Report::default();
     let mut t = Table::new(&[
         "committers",
         "commit mode",
@@ -262,7 +188,7 @@ pub fn run() -> String {
         "commit p99 (us)",
         "flushes vs 1 committer",
     ]);
-    let cells = [1usize, 8, 32].map(|c| (c, measure(c), measure_cross(c)));
+    let cells = [1usize, 8, 32].map(|c| (c, waves(c, false), waves(c, true)));
     let single = &cells[0].1;
     let mut worst_flush_ratio = f64::MAX;
     let mut makespan_ok = true;
@@ -273,20 +199,20 @@ pub fn run() -> String {
             } else {
                 o.stats.records_flushed as f64 / o.stats.log_flushes as f64
             };
-            t.row_owned(vec![
-                committers.to_string(),
-                name.to_string(),
-                o.stats.committed.to_string(),
-                o.stats.log_flushes.to_string(),
-                format!("{avg:.1}"),
-                o.stats.records_per_flush_hwm.to_string(),
-                o.stats.commit_batch_pages.to_string(),
-                o.write_refs.to_string(),
-                o.busiest_us.to_string(),
-                o.sim_us.to_string(),
-                o.commit_lat.p50.to_string(),
-                o.commit_lat.p99.to_string(),
-                speedup(single.stats.log_flushes as f64, o.stats.log_flushes as f64),
+            t.row(&[
+                &committers,
+                &name,
+                &o.stats.committed,
+                &o.stats.log_flushes,
+                &format!("{avg:.1}"),
+                &o.stats.records_per_flush_hwm,
+                &o.stats.commit_batch_pages,
+                &o.write_refs,
+                &o.busiest_us,
+                &o.sim_us,
+                &o.commit_lat.p50,
+                &o.commit_lat.p99,
+                &speedup(single.stats.log_flushes as f64, o.stats.log_flushes as f64),
             ]);
         }
         if *committers > 1 {
@@ -294,9 +220,45 @@ pub fn run() -> String {
                 .min(single.stats.log_flushes as f64 / group.stats.log_flushes.max(1) as f64);
             makespan_ok &= group.busiest_us <= single.busiest_us;
         }
+        r.claim(
+            format!(
+                "{committers} committers commit all {TOTAL_COMMITS} transactions, each sampled"
+            ),
+            group.stats.committed == TOTAL_COMMITS as u64
+                && group.commit_lat.count == TOTAL_COMMITS
+                && group.commit_lat.p99 > 0,
+        );
     }
-    let mut out = t.render();
-    out.push_str(&format!(
+    let (_, big, _) = &cells[2];
+    r.claim(
+        "32 committers group their commits and batch the apply",
+        big.stats.group_commits > 0 && big.stats.commit_batch_pages > 0,
+    );
+    let flushes_cut = r.verdict(
+        "concurrent waves force the log at least 4x less often than one committer",
+        worst_flush_ratio >= 4.0,
+    );
+    let makespan = r.verdict(
+        "concurrent waves never make the busiest spindle busier than one committer",
+        makespan_ok,
+    );
+    let o = &cells[1].1;
+    let avg_x100 = (o.stats.records_flushed * 100)
+        .checked_div(o.stats.log_flushes)
+        .unwrap_or(0);
+    r.rows = [
+        ("committed", o.stats.committed),
+        ("log_flushes", o.stats.log_flushes),
+        ("records_per_flush_x100", avg_x100),
+        ("group_commits", o.stats.group_commits),
+        ("commit_batch_pages", o.stats.commit_batch_pages),
+        ("write_refs", o.write_refs),
+        ("busiest_us", o.busiest_us),
+    ]
+    .map(|(name, v)| (format!("txn_commit.group.{name}"), v))
+    .into();
+    r.text.push_str(&t.render());
+    r.text.push_str(&format!(
         "\nSame {TOTAL_COMMITS} two-page commits per cell over {NDISKS} striped spindles.\n\
          Group commit forces the log once per wave and folds `Completed`\n\
          markers into the next force; one committer forces once per commit.\n\
@@ -305,53 +267,7 @@ pub fn run() -> String {
          phase one amortises exactly like local commit.\n\
          Concurrent-wave flush reduction >= 4x: {} (worst {:.1}x); busiest-spindle\n\
          makespan never worse than one committer: {}.\n",
-        if worst_flush_ratio >= 4.0 {
-            "yes"
-        } else {
-            "NO"
-        },
-        worst_flush_ratio,
-        if makespan_ok { "yes" } else { "NO" },
+        flushes_cut, worst_flush_ratio, makespan,
     ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn group_commit_amortises_at_scale() {
-        let single = measure(1);
-        let group = measure(32);
-        assert_eq!(single.stats.committed, group.stats.committed);
-        assert!(
-            group.stats.log_flushes * 4 <= single.stats.log_flushes,
-            "expected >=4x fewer flushes: 32 committers {} vs one {}",
-            group.stats.log_flushes,
-            single.stats.log_flushes
-        );
-        assert!(
-            group.busiest_us <= single.busiest_us,
-            "busiest spindle must not regress: 32 committers {} vs one {}",
-            group.busiest_us,
-            single.busiest_us
-        );
-        assert!(group.stats.group_commits > 0);
-        assert!(group.stats.commit_batch_pages > 0, "batched apply unused");
-        assert_eq!(group.commit_lat.count, single.commit_lat.count);
-        assert!(group.commit_lat.p99 > 0, "commit latency must be sampled");
-    }
-
-    #[test]
-    fn stat_records_are_stable_across_runs() {
-        assert_eq!(stat_records(), stat_records());
-    }
-
-    #[test]
-    fn report_renders() {
-        let r = run();
-        assert!(r.contains("group commit"));
-        assert!(r.contains("yes"));
-    }
+    r
 }

@@ -20,10 +20,14 @@
 
 use crate::setups::replica_set;
 use crate::table::Table;
+use crate::{Cell, Report};
 use rhodos_cluster::Cluster;
 use rhodos_file_service::{FileId, FileService, FileServiceConfig, ServiceType};
 use rhodos_net::NetConfig;
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
+
+/// The claim, in a line.
+pub const TITLE: &str = "Self-healing: checksums, scrubbing, sector remap, fsck repair";
 
 const BLOCK: u64 = rhodos_disk_service::BLOCK_SIZE as u64;
 const NBLOCKS: u64 = 8;
@@ -88,7 +92,7 @@ fn read_all(f: &mut FileService, fid: FileId) -> (u64, Option<u64>) {
 /// With `scrub` the fault is repaired (and the sector remapped) before
 /// the redundant copy is lost; without it the restart evicts the only
 /// good copy and a client read finds the hole.
-fn latent_fault_case(scrub: bool) -> Vec<String> {
+fn latent_fault_case(scrub: bool, report: &mut Report, t: &mut Table) {
     let (mut f, fid) = populated();
     let addr = f.block_descriptors(fid).unwrap()[1].addr;
     f.disk_mut(0).disk_mut().corrupt_sector(addr).unwrap();
@@ -108,17 +112,25 @@ fn latent_fault_case(scrub: bool) -> Vec<String> {
     // Restart: caches gone — the platter is all that is left.
     f.evict_caches().unwrap();
     let (clean_after, hit) = read_all(&mut f, fid);
+    report.claim(
+        if scrub {
+            "with scrubbing a latent bad sector is repaired while the pool still holds its block"
+        } else {
+            "without scrubbing a restart finds a latent bad sector unreadable"
+        },
+        hit.is_none() == scrub,
+    );
     let detected_by = match (scrub, hit) {
         (true, None) => "background scrub pass".to_string(),
         (_, Some(_)) => "client read error after restart".to_string(),
         (false, None) => "never".to_string(),
     };
-    vec![
-        if scrub { "scrub on" } else { "scrub off" }.to_string(),
-        format!("{}", clean_before + clean_after),
-        detected_by,
-        format!("{found} found / {repaired} repaired"),
-        if hit.is_some() {
+    t.row(&[
+        &if scrub { "scrub on" } else { "scrub off" },
+        &format!("{}", clean_before + clean_after),
+        &detected_by,
+        &format!("{found} found / {repaired} repaired"),
+        &if hit.is_some() {
             "unreadable (no copy left)".to_string()
         } else {
             format!(
@@ -126,12 +138,15 @@ fn latent_fault_case(scrub: bool) -> Vec<String> {
                 f.stats().disks[0].disk.remapped_sectors
             )
         },
-    ]
+    ]);
 }
 
-/// Runs the experiment.
-pub fn run() -> String {
-    let mut out = String::new();
+/// Runs the experiment. Its lane, `BENCH_scrub.json`, adds one scenario
+/// of its own: a single service with a pool-repairable bad sector and,
+/// after the caches are gone, an unrecoverable silent fault.
+pub fn measure(_: Cell) -> Report {
+    let mut r = Report::default();
+    r.rows = single_service_rows(&mut r);
 
     // 1. Scrub-off vs scrub-on on the same latent fault.
     let mut sweep = Table::new(&[
@@ -141,241 +156,184 @@ pub fn run() -> String {
         "scrub found/repaired",
         "data after restart",
     ]);
-    sweep.row_owned(latent_fault_case(false));
-    sweep.row_owned(latent_fault_case(true));
+    latent_fault_case(false, &mut r, &mut sweep);
+    latent_fault_case(true, &mut r, &mut sweep);
+    let out = &mut r.text;
     out.push_str("latent bad sector under a cached block (restart evicts the cache):\n");
     out.push_str(&sweep.render());
 
     // 2. The repair-source ladder.
     let mut ladder = Table::new(&["latent fault", "repair source", "outcome"]);
 
-    // 2a. Silent FIT corruption: stable mirror.
-    {
+    // 2a. Silent FIT corruption heals from the stable mirror; 2b. a bad
+    // data sector under a resident block, from the block pool. The
+    // faulty sector is `back` before block `block` of the file.
+    for (fault, source, block, back, silent) in [
+        (
+            "checksum mismatch on a FIT fragment",
+            "stable-storage mirror",
+            0,
+            1,
+            true,
+        ),
+        (
+            "bad sector under a resident data block",
+            "block pool (sector remapped to a spare)",
+            2,
+            0,
+            false,
+        ),
+    ] {
         let (mut f, fid) = populated();
-        let fit_frag = f.block_descriptors(fid).unwrap()[0].addr - 1;
-        f.disk_mut(0)
-            .disk_mut()
-            .silently_corrupt_sector(fit_frag)
-            .unwrap();
-        let r = f.scrub(None).unwrap();
+        let sector = f.block_descriptors(fid).unwrap()[block].addr - back;
+        let disk = f.disk_mut(0).disk_mut();
+        let injected = if silent {
+            disk.silently_corrupt_sector(sector)
+        } else {
+            disk.corrupt_sector(sector)
+        };
+        injected.unwrap();
+        let scrub = f.scrub(None).unwrap();
         f.evict_caches().unwrap();
-        let ok = read_all(&mut f, fid).1.is_none();
-        ladder.row_owned(vec![
-            "checksum mismatch on a FIT fragment".into(),
-            "stable-storage mirror".into(),
-            format!(
-                "{} repaired, file {}",
-                r.stats.faults_repaired,
-                if ok { "intact" } else { "LOST" }
-            ),
-        ]);
-    }
-
-    // 2b. Bad data sector, pool copy resident: block-pool rewrite.
-    {
-        let (mut f, fid) = populated();
-        let addr = f.block_descriptors(fid).unwrap()[2].addr;
-        f.disk_mut(0).disk_mut().corrupt_sector(addr).unwrap();
-        let r = f.scrub(None).unwrap();
-        f.evict_caches().unwrap();
-        let ok = read_all(&mut f, fid).1.is_none();
-        ladder.row_owned(vec![
-            "bad sector under a resident data block".into(),
-            "block pool (sector remapped to a spare)".into(),
-            format!(
-                "{} repaired, file {}",
-                r.stats.faults_repaired,
-                if ok { "intact" } else { "LOST" }
-            ),
+        let healed = read_all(&mut f, fid).1.is_none();
+        let ok = r.claim(format!("a {fault} heals from the {source}"), healed);
+        let outcome = if ok { "intact" } else { "LOST" };
+        let repaired = scrub.stats.faults_repaired;
+        ladder.row(&[
+            &fault,
+            &source,
+            &format!("{repaired} repaired, file {outcome}"),
         ]);
     }
 
     // 2c. Uncached silent data corruption: only a peer replica helps.
-    {
+    let healed = {
         let (mut c, fid) = cluster();
         rot_uncached(&c, 0, fid);
-        let r = c.scrub(None).unwrap();
-        ladder.row_owned(vec![
-            "silent corruption, uncached, one replica of two".into(),
-            "peer replica (cluster scrub)".into(),
-            format!(
-                "{} peer repair(s), {} unrecoverable",
-                r.peer_repairs, r.still_unrecoverable
-            ),
-        ]);
-    }
+        c.scrub(None).unwrap()
+    };
+    r.claim(
+        "an uncached fault on one replica of two heals from its peer",
+        healed.peer_repairs == 1 && healed.still_unrecoverable == 0,
+    );
+    ladder.row(&[
+        &"silent corruption, uncached, one replica of two",
+        &"peer replica (cluster scrub)",
+        &format!(
+            "{} peer repair(s), {} unrecoverable",
+            healed.peer_repairs, healed.still_unrecoverable
+        ),
+    ]);
 
     // 2d. Both replicas corrupted: reported, never hidden.
-    {
+    let lost = {
         let (mut c, fid) = cluster();
         for i in 0..c.server_count() {
             rot_uncached(&c, i, fid);
         }
-        let r = c.scrub(None).unwrap();
-        ladder.row_owned(vec![
-            "silent corruption of the same block on BOTH replicas".into(),
-            "none survives".into(),
-            format!(
-                "{} unrecoverable finding(s) (one per copy) — reported, not masked",
-                r.still_unrecoverable
-            ),
-        ]);
-    }
-    out.push_str("\nrepair-source ladder (nearest redundant copy wins):\n");
-    out.push_str(&ladder.render());
+        c.scrub(None).unwrap()
+    };
+    r.claim(
+        "the same fault on both replicas is reported, one finding per copy",
+        lost.still_unrecoverable == 2,
+    );
+    ladder.row(&[
+        &"silent corruption of the same block on BOTH replicas",
+        &"none survives",
+        &format!(
+            "{} unrecoverable finding(s) (one per copy) — reported, not masked",
+            lost.still_unrecoverable
+        ),
+    ]);
+    r.text
+        .push_str("\nrepair-source ladder (nearest redundant copy wins):\n");
+    r.text.push_str(&ladder.render());
 
     // 3. fsck repair of allocation-metadata drift.
-    {
+    let repair = {
         let (mut f, fid) = populated();
         f.disk_mut(0).allocate_contiguous(4).unwrap(); // leak
         let extent = f.block_descriptors(fid).unwrap()[2].block_extent();
         f.disk_mut(0).free(extent).unwrap(); // double-allocation hazard
-        let repair = f.fsck_repair().unwrap();
-        out.push_str("\nfsck_repair on bitmap/extent-map disagreement:\n");
-        for a in &repair.actions {
-            out.push_str(&format!("  - {a}\n"));
-        }
-        out.push_str(&format!(
-            "  before: {} issue(s); after: {} issue(s)\n",
-            repair.before.issues.len(),
-            repair.after.issues.len()
-        ));
+        f.fsck_repair().unwrap()
+    };
+    r.claim(
+        "fsck_repair fixes a leaked and a double-allocated extent, leaving no issue",
+        repair.actions.len() == 2 && repair.after.issues.is_empty(),
+    );
+    let out = &mut r.text;
+    out.push_str("\nfsck_repair on bitmap/extent-map disagreement:\n");
+    for a in &repair.actions {
+        out.push_str(&format!("  - {a}\n"));
     }
+    out.push_str(&format!(
+        "  before: {} issue(s); after: {} issue(s)\n",
+        repair.before.issues.len(),
+        repair.after.issues.len()
+    ));
 
     out.push_str(
         "\npaper: stable storage and replication give RHODOS its redundancy;\n\
          scrubbing spends idle disk time turning latent faults into repairs\n\
          while a redundant copy still exists, instead of client-visible loss.\n",
     );
-    out
-}
-
-/// Deterministic counters for `BENCH_scrub.json`.
-pub fn stat_records() -> Vec<(String, u64)> {
-    let mut rows = Vec::new();
-
-    // Single service: one pool-repairable bad sector, then (after the
-    // caches are gone) one genuinely unrecoverable silent fault.
-    {
-        let (mut f, fid) = populated();
-        let descs = f.block_descriptors(fid).unwrap();
-        f.disk_mut(0)
-            .disk_mut()
-            .corrupt_sector(descs[1].addr)
-            .unwrap();
-        f.scrub(None).unwrap();
-        f.evict_caches().unwrap();
-        f.disk_mut(0)
-            .disk_mut()
-            .silently_corrupt_sector(descs[3].addr)
-            .unwrap();
-        f.scrub(None).unwrap();
-        let s = f.stats();
-        let disk = &s.disks[0].disk;
-        rows.extend([
-            (
-                "scrub.single.sectors_scanned".to_string(),
-                s.scrub.sectors_scanned,
-            ),
-            (
-                "scrub.single.faults_found".to_string(),
-                s.scrub.faults_found,
-            ),
-            (
-                "scrub.single.faults_repaired".to_string(),
-                s.scrub.faults_repaired,
-            ),
-            (
-                "scrub.single.unrecoverable".to_string(),
-                s.scrub.unrecoverable,
-            ),
-            (
-                "scrub.single.passes_completed".to_string(),
-                s.scrub.passes_completed,
-            ),
-            ("scrub.disk.media_errors".to_string(), disk.media_errors),
-            (
-                "scrub.disk.checksum_mismatches".to_string(),
-                disk.checksum_mismatches,
-            ),
-            (
-                "scrub.disk.remapped_sectors".to_string(),
-                disk.remapped_sectors,
-            ),
-        ]);
-    }
-
-    // Cluster: an uncached fault on one replica heals from its peer; the
-    // same fault on both replicas is reported as unrecoverable.
-    {
-        let (mut c, fid) = cluster();
-        rot_uncached(&c, 0, fid);
-        let healed = c.scrub(None).unwrap();
-        rows.push((
+    r.rows.extend([
+        (
             "scrub.cluster.peer_repairs".to_string(),
             healed.peer_repairs,
-        ));
-
-        let (mut c, fid) = cluster();
-        for i in 0..c.server_count() {
-            rot_uncached(&c, i, fid);
-        }
-        let lost = c.scrub(None).unwrap();
-        rows.push((
+        ),
+        (
             "scrub.cluster.still_unrecoverable".to_string(),
             lost.still_unrecoverable,
-        ));
-    }
-
-    // fsck: leaked + double-allocated extents both repaired.
-    {
-        let (mut f, fid) = populated();
-        f.disk_mut(0).allocate_contiguous(4).unwrap();
-        let extent = f.block_descriptors(fid).unwrap()[2].block_extent();
-        f.disk_mut(0).free(extent).unwrap();
-        let repair = f.fsck_repair().unwrap();
-        rows.push((
+        ),
+        (
             "fsck.repair_actions".to_string(),
             repair.actions.len() as u64,
-        ));
-        rows.push((
+        ),
+        (
             "fsck.issues_after".to_string(),
             repair.after.issues.len() as u64,
-        ));
-    }
-
-    rows
+        ),
+    ]);
+    r
 }
 
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn no_scenario_loses_recoverable_data() {
-        let report = super::run();
-        assert!(!report.contains("LOST"), "recoverable data lost:\n{report}");
-        assert!(
-            report.contains("1 peer repair(s), 0 unrecoverable"),
-            "peer repair failed:\n{report}"
-        );
-        assert!(
-            report.contains("2 unrecoverable finding(s) (one per copy) — reported"),
-            "true loss not reported:\n{report}"
-        );
-    }
-
-    #[test]
-    fn stat_records_are_sane() {
-        let rows = super::stat_records();
-        let get = |k: &str| rows.iter().find(|(n, _)| n == k).map(|(_, v)| *v).unwrap();
-        assert_eq!(get("scrub.single.faults_found"), 2);
-        assert_eq!(get("scrub.single.faults_repaired"), 1);
-        assert_eq!(get("scrub.single.unrecoverable"), 1);
-        assert_eq!(get("scrub.single.passes_completed"), 2);
-        assert!(get("scrub.disk.remapped_sectors") >= 1);
-        assert_eq!(get("scrub.cluster.peer_repairs"), 1);
-        // One unrecoverable finding per replica's copy of the block.
-        assert_eq!(get("scrub.cluster.still_unrecoverable"), 2);
-        assert_eq!(get("fsck.repair_actions"), 2);
-        assert_eq!(get("fsck.issues_after"), 0);
-    }
+/// The single-service rows of the lane: one pool-repairable bad sector,
+/// then (after the caches are gone) one unrecoverable silent fault.
+fn single_service_rows(r: &mut Report) -> Vec<(String, u64)> {
+    let (mut f, fid) = populated();
+    let descs = f.block_descriptors(fid).unwrap();
+    f.disk_mut(0)
+        .disk_mut()
+        .corrupt_sector(descs[1].addr)
+        .unwrap();
+    f.scrub(None).unwrap();
+    f.evict_caches().unwrap();
+    f.disk_mut(0)
+        .disk_mut()
+        .silently_corrupt_sector(descs[3].addr)
+        .unwrap();
+    f.scrub(None).unwrap();
+    let s = f.stats();
+    let disk = &s.disks[0].disk;
+    r.claim(
+        "two passes find both faults, repair the one the pool holds and report the other",
+        s.scrub.faults_found == 2
+            && s.scrub.faults_repaired == 1
+            && s.scrub.unrecoverable == 1
+            && s.scrub.passes_completed == 2
+            && disk.remapped_sectors >= 1,
+    );
+    [
+        ("single.sectors_scanned", s.scrub.sectors_scanned),
+        ("single.faults_found", s.scrub.faults_found),
+        ("single.faults_repaired", s.scrub.faults_repaired),
+        ("single.unrecoverable", s.scrub.unrecoverable),
+        ("single.passes_completed", s.scrub.passes_completed),
+        ("disk.media_errors", disk.media_errors),
+        ("disk.checksum_mismatches", disk.checksum_mismatches),
+        ("disk.remapped_sectors", disk.remapped_sectors),
+    ]
+    .map(|(name, v)| (format!("scrub.{name}"), v))
+    .into()
 }

@@ -16,87 +16,50 @@
 //! lower read p99, because cached reads bypass the global critical
 //! section entirely.
 //!
-//! `exp e20 --smoke` (`run(true)`) shrinks the cell for
-//! CI; [`stat_records`] uses its own fixed mid-size cell for the
-//! committed `BENCH_latency.json` lane.
+//! `exp e20 --smoke` shrinks the cell for CI; the committed
+//! `BENCH_latency.json` lane is its own fixed mid-size cell (see
+//! [`measure`]).
 
-use crate::loadgen::{self, LoadgenConfig, Replay, Trace};
+use crate::loadgen::{self, LoadgenConfig, Trace};
 use crate::table::Table;
+use crate::{Cell, Report};
 use rhodos_txn::FastPathStats;
+
+/// The claim, in a line.
+pub const TITLE: &str = "Open-loop latency under contention: sharded locks + block pool";
 
 const SKEWS: [f64; 3] = [0.0, 0.9, 1.2];
 
-fn cell_config(skew: f64, sharded: bool, ops: usize, agents: usize) -> LoadgenConfig {
-    LoadgenConfig {
-        skew,
-        sharded,
-        ops,
-        agents,
-        ..LoadgenConfig::default()
-    }
+/// The sharded and the global arm's traces at one skew, each with its
+/// saturation.
+fn arms(skew: f64, ops: usize, agents: usize) -> [(Trace, u64); 2] {
+    [true, false].map(|sharded| {
+        let trace = loadgen::trace(&LoadgenConfig {
+            skew,
+            sharded,
+            ops,
+            agents,
+            ..LoadgenConfig::default()
+        });
+        let saturation = trace.saturation_per_ks();
+        (trace, saturation)
+    })
 }
 
-/// One measured arm at one skew.
-struct Cell {
-    trace: Trace,
-    saturation: u64,
-}
-
-/// Both arms at one skew, replayed at a common offered rate.
-struct Pair {
-    sharded: Cell,
-    ablation: Cell,
-    offered: u64,
-    sharded_replay: Replay,
-    ablation_replay: Replay,
-}
-
-/// `at` is the offered rate, ops per kilosecond, or `None` for 90% of
-/// the global arm's saturation.
-fn measure(skew: f64, ops: usize, agents: usize, at: Option<u64>) -> Pair {
-    let sharded_trace = loadgen::trace(&cell_config(skew, true, ops, agents));
-    let ablation_trace = loadgen::trace(&cell_config(skew, false, ops, agents));
-    let sharded_sat = sharded_trace.saturation_per_ks();
-    let ablation_sat = ablation_trace.saturation_per_ks();
-    // Common offered rate: 90% of the ablation's saturation — the global
-    // mutex is near collapse there, while the sharded arm has headroom.
-    let offered = at.unwrap_or((ablation_sat * 9 / 10).max(1));
-    Pair {
-        sharded_replay: sharded_trace.replay(offered),
-        ablation_replay: ablation_trace.replay(offered),
-        sharded: Cell {
-            trace: sharded_trace,
-            saturation: sharded_sat,
-        },
-        ablation: Cell {
-            trace: ablation_trace,
-            saturation: ablation_sat,
-        },
-        offered,
-    }
-}
-
-fn row(t: &mut Table, skew: f64, arm: &str, cell: &Cell, replay: &Replay) {
-    let fast: FastPathStats = cell.trace.fast;
-    t.row_owned(vec![
-        format!("{skew:.1}"),
-        arm.to_string(),
-        format!("{:.2}", cell.saturation as f64 / 1000.0),
-        format!("{:.2}", replay.offered_per_ks as f64 / 1000.0),
-        replay.read.p50.to_string(),
-        replay.read.p99.to_string(),
-        replay.read.p999.to_string(),
-        replay.write.p99.to_string(),
-        replay.update.p99.to_string(),
-        fast.full_hits.to_string(),
-        fast.fallbacks.to_string(),
-        format!("{:.1}", cell.trace.pool_hit_rate),
-    ]);
-}
-
-/// Runs the experiment.
-pub fn run(smoke: bool) -> String {
-    let (ops, agents) = if smoke { (600, 128) } else { (4000, 2048) };
+/// Runs the experiment. Its lane, `BENCH_latency.json`, is a fixed
+/// mid-size cell with both arms at all three skews; `bench_json` gates
+/// it against the committed file with a 10% p99/saturation tolerance.
+/// At [`Cell::Lane`] each skew's load is offered at the `offered_ops_ks`
+/// the committed rows record for it, where they record one, else at 90%
+/// of the global arm's saturation: a p99 is compared only with one taken
+/// at the same offered rate.
+pub fn measure(cell: Cell) -> Report {
+    let mut r = Report::default();
+    let (ops, agents) = cell.pick((600, 128), (4000, 2048), (2000, 512));
+    let committed = match cell {
+        Cell::Lane(rows) => rows,
+        _ => &[],
+    };
     let mut t = Table::new(&[
         "skew",
         "arm",
@@ -113,109 +76,75 @@ pub fn run(smoke: bool) -> String {
     ]);
     let mut claim_sat = true;
     let mut claim_p99 = true;
-    for skew in SKEWS {
-        let pair = measure(skew, ops, agents, None);
-        row(
-            &mut t,
-            skew,
-            "sharded (8x8)",
-            &pair.sharded,
-            &pair.sharded_replay,
-        );
-        row(
-            &mut t,
-            skew,
-            "global (1x1)",
-            &pair.ablation,
-            &pair.ablation_replay,
-        );
-        if skew >= 0.9 {
-            claim_sat &= pair.sharded.saturation > pair.ablation.saturation;
-            claim_p99 &= pair.sharded_replay.read.p99 < pair.ablation_replay.read.p99;
-        }
-    }
-    let mut out = t.render();
-    out.push_str(&format!(
-        "\nOpen-loop mix (70/20/10 read/write/update, {ops} ops, {agents} agents),\n\
-         latencies in us at a common offered rate (90% of the global arm's\n\
-         saturation). At skew >= 0.9 the sharded arm saturates higher: {};\n\
-         and serves a lower read p99: {} — cached reads ride the striped\n\
-         lock shards and the sharded block pool instead of the one big mutex.\n",
-        if claim_sat { "yes" } else { "NO" },
-        if claim_p99 { "yes" } else { "NO" },
-    ));
-    out
-}
-
-/// The deterministic latency lane emitted as `BENCH_latency.json`: a
-/// fixed mid-size cell (independent of the smoke flag), both arms, all
-/// three skews. Values are integers (us and ops/s), byte-stable across
-/// runs; `bench_json` gates them against the committed
-/// `BENCH_latency.json` with a 10% p99/saturation tolerance.
-///
-/// Each skew's load is offered at the `offered_ops_ks` that `baseline`
-/// — the rows of a committed `BENCH_latency.json` — records for it, where
-/// it records one, else at 90% of the global arm's saturation: a p99 is
-/// compared only with one taken at the same offered rate.
-pub fn stat_records(baseline: &[(String, u64)]) -> Vec<(String, u64)> {
-    let mut rows = Vec::new();
+    let mut fast_path = true;
     for skew in SKEWS {
         let tag = format!("s{:02}", (skew * 10.0).round() as u64);
-        let offered = format!("latency.{tag}.sharded.offered_ops_ks");
-        let at = baseline.iter().find(|(stat, _)| *stat == offered);
-        let pair = measure(skew, 2000, 512, at.map(|&(_, rate)| rate));
-        for (arm, cell, replay) in [
-            ("sharded", &pair.sharded, &pair.sharded_replay),
-            ("global", &pair.ablation, &pair.ablation_replay),
-        ] {
-            let p = |s: &str| format!("latency.{tag}.{arm}.{s}");
-            rows.extend([
-                (p("saturation_ops_ks"), cell.saturation),
-                (p("offered_ops_ks"), pair.offered),
+        let key = format!("latency.{tag}.sharded.offered_ops_ks");
+        let at = committed.iter().find(|(stat, _)| *stat == key);
+        let arms = arms(skew, ops, agents);
+        // Both arms are offered the committed rate, or by default 90% of
+        // the global arm's saturation — the global mutex is near collapse
+        // there, while the sharded arm has headroom.
+        let offered = at.map_or((arms[1].1 * 9 / 10).max(1), |&(_, rate)| rate);
+        let replays = arms.each_ref().map(|(trace, _)| trace.replay(offered));
+        let [(sharded, sharded_sat), (global, global_sat)] = &arms;
+        if skew >= 0.9 {
+            claim_sat &= sharded_sat > global_sat;
+            claim_p99 &= replays[0].read.p99 < replays[1].read.p99;
+            fast_path &= sharded.fast.full_hits > 0;
+        }
+        fast_path &= global.fast == FastPathStats::default();
+        let labels = [("sharded (8x8)", "sharded"), ("global (1x1)", "global")];
+        for (((label, tag_arm), (trace, saturation)), replay) in
+            labels.iter().zip(&arms).zip(&replays)
+        {
+            let fast = trace.fast;
+            t.row(&[
+                &format!("{skew:.1}"),
+                label,
+                &format!("{:.2}", *saturation as f64 / 1000.0),
+                &format!("{:.2}", replay.offered_per_ks as f64 / 1000.0),
+                &replay.read.p50,
+                &replay.read.p99,
+                &replay.read.p999,
+                &replay.write.p99,
+                &replay.update.p99,
+                &fast.full_hits,
+                &fast.fallbacks,
+                &format!("{:.1}", trace.pool_hit_rate),
+            ]);
+            let p = |s: &str| format!("latency.{tag}.{tag_arm}.{s}");
+            r.rows.extend([
+                (p("saturation_ops_ks"), *saturation),
+                (p("offered_ops_ks"), offered),
                 (p("read.p50_us"), replay.read.p50),
                 (p("read.p99_us"), replay.read.p99),
                 (p("read.p999_us"), replay.read.p999),
                 (p("write.p99_us"), replay.write.p99),
                 (p("update.p99_us"), replay.update.p99),
-                (p("fast_full_hits"), cell.trace.fast.full_hits),
+                (p("fast_full_hits"), fast.full_hits),
             ]);
         }
     }
-    rows
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sharding_beats_the_global_mutex_at_high_skew() {
-        let pair = measure(0.9, 1200, 256, None);
-        assert!(
-            pair.sharded.saturation > pair.ablation.saturation,
-            "sharded must saturate higher: {} vs {}",
-            pair.sharded.saturation,
-            pair.ablation.saturation
-        );
-        assert!(
-            pair.sharded_replay.read.p99 < pair.ablation_replay.read.p99,
-            "sharded read p99 must be lower at the common offered rate: {} vs {}",
-            pair.sharded_replay.read.p99,
-            pair.ablation_replay.read.p99
-        );
-        assert!(pair.sharded.trace.fast.full_hits > 0);
-        assert_eq!(pair.ablation.trace.fast, FastPathStats::default());
-    }
-
-    #[test]
-    fn lane_records_are_stable() {
-        assert_eq!(stat_records(&[]), stat_records(&[]));
-    }
-
-    #[test]
-    fn smoke_report_renders() {
-        let r = run(true);
-        assert!(r.contains("sharded (8x8)"));
-        assert!(r.contains("global (1x1)"));
-    }
+    r.claim(
+        "at skew >= 0.9 the sharded arm's reads take the fast path; the global arm's never do",
+        fast_path,
+    );
+    let claim_sat = r.verdict(
+        "at skew >= 0.9 the sharded arm saturates higher than the global arm",
+        claim_sat,
+    );
+    let claim_p99 = r.verdict(
+        "at skew >= 0.9 the sharded arm serves a lower read p99 at the common offered rate",
+        claim_p99,
+    );
+    r.text.push_str(&t.render());
+    r.text.push_str(&format!(
+        "\nOpen-loop mix (70/20/10 read/write/update, {ops} ops, {agents} agents),\n\
+         latencies in us at a common offered rate (90% of the global arm's\n\
+         saturation). At skew >= 0.9 the sharded arm saturates higher: {claim_sat};\n\
+         and serves a lower read p99: {claim_p99} — cached reads ride the striped\n\
+         lock shards and the sharded block pool instead of the one big mutex.\n",
+    ));
+    r
 }

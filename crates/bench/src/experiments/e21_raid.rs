@@ -26,18 +26,21 @@
 //!    spare while foreground reads keep flowing, and a 4+2 group
 //!    survives a double loss the same way.
 //!
-//! `exp e21 --smoke` (`run(true)`) shrinks the cells for
-//! CI; [`stat_records`] uses its own fixed mid-size cell for the
-//! committed `BENCH_raid.json` lane.
+//! `exp e21 --smoke` shrinks the cells for CI; the committed
+//! `BENCH_raid.json` lane is its own fixed mid-size cell.
 
 use crate::latency::LatencySummary;
 use crate::loadgen::{self, LoadgenConfig, WriteSizeMix};
 use crate::setups;
 use crate::table::Table;
+use crate::{Cell, Report};
 use rhodos_cluster::{Cluster, ClusterConfig};
 use rhodos_file_service::{FileId, FileService, ParallelIo, Redundancy, ServiceType};
 use rhodos_net::NetConfig;
 use rhodos_simdisk::{DiskGeometry, LatencyModel};
+
+/// The claim, in a line.
+pub const TITLE: &str = "Erasure-coded striping: RAID-5/6 parity groups vs the mirror";
 
 const BLOCK: u64 = rhodos_disk_service::BLOCK_SIZE as u64;
 const K: usize = 4;
@@ -57,11 +60,7 @@ fn fingerprint(bytes: &[u8]) -> u64 {
 }
 
 fn used_fragments(f: &FileService) -> u64 {
-    f.stats()
-        .disks
-        .iter()
-        .map(|d| d.total_fragments - d.free_fragments)
-        .sum()
+    setups::over_disks(f, |d| d.total_fragments - d.free_fragments)
 }
 
 /// Creates one file, writes `bytes`, flushes, and returns the fragments
@@ -129,30 +128,22 @@ fn overhead_rows(rows: u64) -> (Table, [u64; 4]) {
     let (_, r6_frags) = write_cost(&mut r6, &bytes);
     let (_, _, mirror_frags) = mirror_with(&bytes);
 
-    let pct = |frags: u64| frags * 100 / raw_frags.max(1);
+    let frags = [raw_frags, r5_frags, r6_frags, mirror_frags];
+    let pct = frags.map(|f| f * 100 / raw_frags.max(1));
     let mut t = Table::new(&["redundancy tier", "fragments", "vs raw", "survives"]);
-    for (name, frags, survives) in [
-        ("striped, no redundancy", raw_frags, "nothing"),
-        ("RAID-5 (4+1)", r5_frags, "any 1 disk"),
-        ("RAID-6 (8+2)", r6_frags, "any 2 disks"),
-        ("2-way mirror (E17)", mirror_frags, "1 replica"),
-    ] {
-        t.row_owned(vec![
-            name.into(),
-            frags.to_string(),
-            format!("{:.2}x", pct(frags) as f64 / 100.0),
-            survives.into(),
-        ]);
+    for (i, (name, survives)) in [
+        ("striped, no redundancy", "nothing"),
+        ("RAID-5 (4+1)", "any 1 disk"),
+        ("RAID-6 (8+2)", "any 2 disks"),
+        ("2-way mirror (E17)", "1 replica"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let vs_raw = format!("{:.2}x", pct[i] as f64 / 100.0);
+        t.row(&[&name, &frags[i], &vs_raw, &survives]);
     }
-    (
-        t,
-        [
-            pct(raw_frags),
-            pct(r5_frags),
-            pct(r6_frags),
-            pct(mirror_frags),
-        ],
-    )
+    (t, pct)
 }
 
 /// Full-stripe write bandwidth of one arm: virtual-time KB/s for
@@ -262,14 +253,20 @@ fn degraded_arm(m: usize, lose: &[usize], rows: u64) -> DegradedArm {
 }
 
 /// Runs the experiment.
-pub fn run(smoke: bool) -> String {
-    let (rows, rewrites, degraded_rows) = if smoke { (16, 12, 6) } else { (64, 48, 24) };
-    let mut out = String::new();
+pub fn measure(cell: Cell) -> Report {
+    let (rows, rewrites, degraded_rows, mix_ops) =
+        cell.pick((16, 12, 6, 300), (64, 48, 24, 1200), (32, 32, 12, 300));
+    let mut r = Report::default();
 
     // 1. Storage overhead.
-    let (t, _) = overhead_rows(rows);
-    out.push_str("storage overhead (same payload, fragments actually allocated):\n");
-    out.push_str(&t.render());
+    let (t, overhead) = overhead_rows(rows);
+    r.claim(
+        "RAID-5 (4+1) and RAID-6 (8+2) cost at most 1.5x the raw fragments, the mirror 2x",
+        overhead[1] <= 150 && overhead[2] <= 150 && overhead[3] >= 200,
+    );
+    r.text
+        .push_str("storage overhead (same payload, fragments actually allocated):\n");
+    r.text.push_str(&t.render());
 
     // 2. Full-stripe fast path: parity computed in memory, zero reads.
     let mut striped = setups::striped_file_service_raw_mode(K, 1, ParallelIo::Auto);
@@ -278,43 +275,58 @@ pub fn run(smoke: bool) -> String {
     let p0 = r5.stats().parity;
     let r5_kb_s = full_stripe_kb_s(&mut r5, rows);
     let techniques = r5.stats().parity.delta_since(&p0);
+    r.claim(
+        "every row of a whole-row write takes the full-stripe path",
+        techniques.full_stripe_writes == 2 * rows
+            && techniques.parity_delta_writes == 0
+            && techniques.reconstruct_writes == 0,
+    );
+    r.claim(
+        "full-stripe RAID-5 writes reach 85% of striping's bandwidth",
+        r5_kb_s * 100 >= base_kb_s * 85,
+    );
     let mut t = Table::new(&["arm", "KB/s", "parity reads"]);
-    t.row_owned(vec![
-        format!("striped over {K} disks, no redundancy"),
-        base_kb_s.to_string(),
-        "-".into(),
+    t.row(&[
+        &format!("striped over {K} disks, no redundancy"),
+        &base_kb_s,
+        &"-",
     ]);
-    t.row_owned(vec![
-        "RAID-5 (4+1), full-stripe writes".into(),
-        r5_kb_s.to_string(),
-        format!(
+    t.row(&[
+        &"RAID-5 (4+1), full-stripe writes",
+        &r5_kb_s,
+        &format!(
             "0 ({} rows took the full-stripe path)",
             techniques.full_stripe_writes
         ),
     ]);
-    out.push_str("\nfull-stripe write bandwidth (whole rows, parity folded in memory):\n");
-    out.push_str(&t.render());
+    r.text
+        .push_str("\nfull-stripe write bandwidth (whole rows, parity folded in memory):\n");
+    r.text.push_str(&t.render());
 
     // 3. Small-write penalty: coalesced parity-delta vs naive RMW.
     let mut naive = setups::parity_file_service_raw_mode(K + 1, K, 1, ParallelIo::Never);
     let (naive_us, _) = small_write_us(&mut naive, rows, rewrites);
     let mut coalesced = setups::parity_file_service_raw_mode(K + 1, K, 1, ParallelIo::Auto);
     let (coalesced_us, deltas) = small_write_us(&mut coalesced, rows, rewrites);
+    r.claim(
+        "scattered rewrites take the parity-delta path, 1.5x faster than naive RMW",
+        deltas > 0 && naive_us * 10 >= coalesced_us * 15,
+    );
     let mut t = Table::new(&["arm", "makespan (us)", "speedup"]);
-    t.row_owned(vec![
-        "naive read-modify-write (serial per row)".into(),
-        naive_us.to_string(),
-        "1.00x".into(),
+    t.row(&[
+        &"naive read-modify-write (serial per row)",
+        &naive_us,
+        &"1.00x",
     ]);
-    t.row_owned(vec![
-        "parity-delta, shared elevator batch".into(),
-        coalesced_us.to_string(),
-        format!("{:.2}x", naive_us as f64 / coalesced_us.max(1) as f64),
+    t.row(&[
+        &"parity-delta, shared elevator batch",
+        &coalesced_us,
+        &format!("{:.2}x", naive_us as f64 / coalesced_us.max(1) as f64),
     ]);
-    out.push_str(&format!(
+    r.text.push_str(&format!(
         "\nsmall-write penalty ({rewrites} scattered 1-block rewrites, {deltas} parity-delta rows):\n"
     ));
-    out.push_str(&t.render());
+    r.text.push_str(&t.render());
 
     // 4. Degraded service + online rebuild, fingerprinted against the
     // surviving half of the 2-way mirror ablation.
@@ -335,35 +347,36 @@ pub fn run(smoke: bool) -> String {
         "fg reads",
     ]);
     for (name, arm) in [("RAID-5, 1 disk lost", &r5), ("RAID-6, 2 disks lost", &r6)] {
-        t.row_owned(vec![
-            name.into(),
-            if arm.degraded_fp == mirror_fp {
-                "yes"
-            } else {
-                "NO"
-            }
-            .into(),
-            if arm.rebuilt_fp == mirror_fp {
-                "yes"
-            } else {
-                "NO"
-            }
-            .into(),
-            arm.read_p99_us.to_string(),
-            arm.rebuild_pages.to_string(),
-            arm.rebuild_us.to_string(),
-            arm.foreground_reads.to_string(),
+        r.claim(
+            format!("{name}: the rebuild repopulates the spare"),
+            arm.rebuild_pages > 0,
+        );
+        t.row(&[
+            &name,
+            &r.verdict(
+                format!("{name}: degraded reads return the mirror's bytes"),
+                arm.degraded_fp == mirror_fp,
+            ),
+            &r.verdict(
+                format!("{name}: reads after the rebuild return the mirror's bytes"),
+                arm.rebuilt_fp == mirror_fp,
+            ),
+            &arm.read_p99_us,
+            &arm.rebuild_pages,
+            &arm.rebuild_us,
+            &arm.foreground_reads,
         ]);
     }
-    out.push_str("\ndegraded reads and online rebuild (vs the surviving mirror replica):\n");
-    out.push_str(&t.render());
+    r.text
+        .push_str("\ndegraded reads and online rebuild (vs the surviving mirror replica):\n");
+    r.text.push_str(&t.render());
 
     // 5. The open-loop mix over a parity-backed server: the write-size
     // mix steers which technique each committed write takes.
     let trace = loadgen::trace(&LoadgenConfig {
         agents: 64,
         files: 12,
-        ops: if smoke { 300 } else { 1200 },
+        ops: mix_ops,
         disks: K + 1,
         redundancy: Redundancy::Parity { k: K, m: 1 },
         write_sizes: WriteSizeMix {
@@ -372,7 +385,7 @@ pub fn run(smoke: bool) -> String {
         },
         ..LoadgenConfig::default()
     });
-    out.push_str(&format!(
+    r.text.push_str(&format!(
         "\nopen-loop mix on RAID-5 (40% small / 30% block / 30% full-file writes):\n\
          full-stripe={} parity-delta={} reconstruct={} degraded-reads={}\n",
         trace.parity.full_stripe_writes,
@@ -381,112 +394,28 @@ pub fn run(smoke: bool) -> String {
         trace.parity.degraded_reads,
     ));
 
-    out.push_str(
+    r.text.push_str(
         "\npaper: stable storage duplicates every item (2x); a k+m parity group\n\
          holds the same single-fault bar at (k+m)/k, keeps full-stripe writes on\n\
          the in-memory fast path, and pays the RMW tax only for small writes —\n\
          where the shared elevator batch claws most of it back.\n",
     );
-    out
-}
-
-/// Stat records for the committed `BENCH_raid.json` lane — a fixed
-/// mid-size cell, independent of the smoke flag.
-pub fn stat_records() -> Vec<(String, u64)> {
-    const ROWS: u64 = 32;
-    let (_, overhead) = overhead_rows(ROWS);
-
-    let mut striped = setups::striped_file_service_raw_mode(K, 1, ParallelIo::Auto);
-    let base_kb_s = full_stripe_kb_s(&mut striped, ROWS);
-    let mut r5 = setups::parity_file_service_raw_mode(K + 1, K, 1, ParallelIo::Auto);
-    let p0 = r5.stats().parity;
-    let r5_kb_s = full_stripe_kb_s(&mut r5, ROWS);
-    let full_writes = r5.stats().parity.delta_since(&p0).full_stripe_writes;
-
-    let mut naive = setups::parity_file_service_raw_mode(K + 1, K, 1, ParallelIo::Never);
-    let (naive_us, _) = small_write_us(&mut naive, ROWS, 32);
-    let mut coalesced = setups::parity_file_service_raw_mode(K + 1, K, 1, ParallelIo::Auto);
-    let (coalesced_us, delta_writes) = small_write_us(&mut coalesced, ROWS, 32);
-
-    let arm = degraded_arm(1, &[2], 12);
-
-    vec![
-        ("raid.overhead.striped_pct".into(), overhead[0]),
-        ("raid.overhead.raid5_pct".into(), overhead[1]),
-        ("raid.overhead.raid6_pct".into(), overhead[2]),
-        ("raid.overhead.mirror_pct".into(), overhead[3]),
-        ("raid.full_stripe.striped_kb_s".into(), base_kb_s),
-        ("raid.full_stripe.raid5_kb_s".into(), r5_kb_s),
-        ("raid.small_write.naive_us".into(), naive_us),
-        ("raid.small_write.coalesced_us".into(), coalesced_us),
-        ("raid.degraded.read_p99_us".into(), arm.read_p99_us),
-        ("raid.rebuild.pages".into(), arm.rebuild_pages),
-        ("raid.counters.full_stripe_writes".into(), full_writes),
-        ("raid.counters.parity_delta_writes".into(), delta_writes),
-        ("raid.counters.degraded_reads".into(), arm.degraded_reads),
+    r.rows = [
+        ("overhead.striped_pct", overhead[0]),
+        ("overhead.raid5_pct", overhead[1]),
+        ("overhead.raid6_pct", overhead[2]),
+        ("overhead.mirror_pct", overhead[3]),
+        ("full_stripe.striped_kb_s", base_kb_s),
+        ("full_stripe.raid5_kb_s", r5_kb_s),
+        ("small_write.naive_us", naive_us),
+        ("small_write.coalesced_us", coalesced_us),
+        ("degraded.read_p99_us", r5.read_p99_us),
+        ("rebuild.pages", r5.rebuild_pages),
+        ("counters.full_stripe_writes", techniques.full_stripe_writes),
+        ("counters.parity_delta_writes", deltas),
+        ("counters.degraded_reads", r5.degraded_reads),
     ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn overheads_and_fast_path_hold_the_acceptance_bars() {
-        let (_, overhead) = overhead_rows(16);
-        assert!(
-            overhead[1] <= 150 && overhead[2] <= 150,
-            "parity overhead above 1.5x raw: {overhead:?}"
-        );
-        assert!(
-            overhead[3] >= 200,
-            "mirror should cost at least 2x raw: {overhead:?}"
-        );
-
-        let mut striped = setups::striped_file_service_raw_mode(K, 1, ParallelIo::Auto);
-        let base = full_stripe_kb_s(&mut striped, 16);
-        let mut r5 = setups::parity_file_service_raw_mode(K + 1, K, 1, ParallelIo::Auto);
-        let raid5 = full_stripe_kb_s(&mut r5, 16);
-        assert!(
-            raid5 * 100 >= base * 85,
-            "full-stripe RAID-5 below 85% of striped: {raid5} vs {base} KB/s"
-        );
-    }
-
-    #[test]
-    fn coalesced_parity_delta_beats_naive_rmw() {
-        let mut naive = setups::parity_file_service_raw_mode(K + 1, K, 1, ParallelIo::Never);
-        let (naive_us, _) = small_write_us(&mut naive, 16, 12);
-        let mut coalesced = setups::parity_file_service_raw_mode(K + 1, K, 1, ParallelIo::Auto);
-        let (coalesced_us, deltas) = small_write_us(&mut coalesced, 16, 12);
-        assert!(deltas > 0, "no rewrite took the parity-delta path");
-        assert!(
-            naive_us * 10 >= coalesced_us * 15,
-            "coalesced parity-delta under 1.5x vs naive RMW: {naive_us} vs {coalesced_us}"
-        );
-    }
-
-    #[test]
-    fn degraded_arms_match_the_mirror_fingerprint() {
-        let rows = 6u64;
-        let bytes = patterned((rows * K as u64 * BLOCK) as usize);
-        let (c, mfid, _) = mirror_with(&bytes);
-        let mirror_fp = surviving_mirror_fp(&c, mfid, bytes.len());
-        for (m, lose) in [(1usize, vec![2usize]), (2, vec![1, 4])] {
-            let arm = degraded_arm(m, &lose, rows);
-            assert_eq!(arm.degraded_fp, mirror_fp, "degraded read diverged (m={m})");
-            assert_eq!(
-                arm.rebuilt_fp, mirror_fp,
-                "post-rebuild read diverged (m={m})"
-            );
-            assert!(arm.rebuild_pages > 0);
-        }
-    }
-
-    #[test]
-    fn report_has_no_failures_and_lane_is_stable() {
-        let report = run(true);
-        assert!(!report.contains(" NO"), "an arm failed:\n{report}");
-        assert_eq!(stat_records(), stat_records());
-    }
+    .map(|(name, v)| (format!("raid.{name}"), v))
+    .into();
+    r
 }

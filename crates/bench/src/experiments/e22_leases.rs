@@ -25,12 +25,13 @@
 //! and holds a lower cached-read p99; on the shared sweep the two arms'
 //! operation-stream fingerprints are identical (no stale bytes).
 //!
-//! `exp e22 --smoke` (`run(true)`) shrinks the cells;
-//! [`stat_records`] uses a fixed mid-size cell for the committed
-//! `BENCH_leases.json` lane.
+//! `exp e22 --smoke` shrinks the cells; the committed
+//! `BENCH_leases.json` lane is a fixed mid-size cell, and `bench_json`
+//! gates its `read.p99_us` and `round_trips` with a 10% tolerance.
 
 use crate::loadgen::{OpClass, Replay, SplitMix64, Trace, Zipf};
 use crate::table::Table;
+use crate::{Cell, Report};
 use parking_lot::Mutex;
 use rhodos_agent::{FileAgent, LeaseConfig, ServerHandle};
 use rhodos_disk_service::BLOCK_SIZE;
@@ -41,11 +42,14 @@ use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 use rhodos_txn::{TransactionService, TxnConfig};
 use std::sync::Arc;
 
+/// The claim, in a line.
+pub const TITLE: &str = "Lease-based client cache coherence: zero-RPC hot reads";
+
 const BS: u64 = BLOCK_SIZE as u64;
 
-/// One E22 cell.
+/// One E22 workload.
 #[derive(Debug, Clone, Copy)]
-struct Cell {
+struct Mix {
     agents: usize,
     /// Files per agent (private) or in total (shared).
     files: usize,
@@ -74,7 +78,7 @@ struct Arm {
     fingerprint: u64,
 }
 
-fn run_arm(cell: &Cell, sweep: Sweep, lease: LeaseConfig) -> Arm {
+fn run_arm(mix: &Mix, sweep: Sweep, lease: LeaseConfig) -> Arm {
     let clock = SimClock::new();
     let fs = FileService::single_disk(
         DiskGeometry::large(),
@@ -96,7 +100,7 @@ fn run_arm(cell: &Cell, sweep: Sweep, lease: LeaseConfig) -> Arm {
         TransactionService::new(fs, TxnConfig::default()).expect("e22 transaction service"),
     ));
     let naming = Arc::new(Mutex::new(NamingService::new()));
-    let mut agents: Vec<FileAgent> = (0..cell.agents)
+    let mut agents: Vec<FileAgent> = (0..mix.agents)
         .map(|m| {
             FileAgent::with_lease_config(
                 m as u32,
@@ -104,7 +108,7 @@ fn run_arm(cell: &Cell, sweep: Sweep, lease: LeaseConfig) -> Arm {
                 naming.clone(),
                 SimNetwork::new(clock.clone(), NetConfig::reliable()),
                 // Room for the whole working set a client touches.
-                (cell.files * cell.file_blocks as usize) + 8,
+                (mix.files * mix.file_blocks as usize) + 8,
                 lease,
                 NetConfig::reliable(),
             )
@@ -113,12 +117,12 @@ fn run_arm(cell: &Cell, sweep: Sweep, lease: LeaseConfig) -> Arm {
 
     // Working set. Private: `files` files per agent, touched only by
     // their owner. Shared: `files` files total, opened by every agent.
-    let file_bytes = (cell.file_blocks * BS) as usize;
-    let mut ods = vec![Vec::new(); cell.agents];
+    let file_bytes = (mix.file_blocks * BS) as usize;
+    let mut ods = vec![Vec::new(); mix.agents];
     match sweep {
         Sweep::Private => {
             for (a, agent) in agents.iter_mut().enumerate() {
-                for f in 0..cell.files {
+                for f in 0..mix.files {
                     let name = AttributedName::parse(&format!("name=e22-{a}-{f}")).expect("name");
                     let fid = agent.create(&name).expect("create");
                     let od = agent.open_fid(fid).expect("open");
@@ -132,7 +136,7 @@ fn run_arm(cell: &Cell, sweep: Sweep, lease: LeaseConfig) -> Arm {
         }
         Sweep::Shared => {
             let mut fids = Vec::new();
-            for f in 0..cell.files {
+            for f in 0..mix.files {
                 let name = AttributedName::parse(&format!("name=e22-shared-{f}")).expect("name");
                 let fid = agents[0].create(&name).expect("create");
                 let od = agents[0].open_fid(fid).expect("open");
@@ -143,7 +147,7 @@ fn run_arm(cell: &Cell, sweep: Sweep, lease: LeaseConfig) -> Arm {
                 ods[0].push(od);
                 fids.push(fid);
             }
-            for a in 1..cell.agents {
+            for a in 1..mix.agents {
                 for &fid in &fids {
                     ods[a].push(agents[a].open_fid(fid).expect("open shared"));
                 }
@@ -156,23 +160,23 @@ fn run_arm(cell: &Cell, sweep: Sweep, lease: LeaseConfig) -> Arm {
     let base_round_trips: u64 = agents.iter().map(|a| a.stats().rpcs_sent).sum();
 
     // The measured mix: open-loop sampled (agent, file, class, block).
-    let zipf = Zipf::new(cell.files, cell.skew);
-    let mut rng = SplitMix64::new(cell.seed);
-    let mut ops = Vec::with_capacity(cell.ops);
+    let zipf = Zipf::new(mix.files, mix.skew);
+    let mut rng = SplitMix64::new(mix.seed);
+    let mut ops = Vec::with_capacity(mix.ops);
     let mut fingerprint = rhodos_simdisk::FNV_OFFSET;
-    for i in 0..cell.ops {
-        let a = rng.below(cell.agents as u64) as usize;
+    for i in 0..mix.ops {
+        let a = rng.below(mix.agents as u64) as usize;
         let f = match sweep {
-            Sweep::Private => rng.below(cell.files as u64) as usize,
+            Sweep::Private => rng.below(mix.files as u64) as usize,
             Sweep::Shared => zipf.sample(&mut rng),
         };
         let od = ods[a][f];
-        let class = if rng.below(100) < cell.read_pct {
+        let class = if rng.below(100) < mix.read_pct {
             OpClass::Read
         } else {
             OpClass::Write
         };
-        let block = rng.below(cell.file_blocks);
+        let block = rng.below(mix.file_blocks);
         let offset = block * BS;
         let sent0 = trips_at(&agents);
         let t0 = clock.now_us();
@@ -205,7 +209,7 @@ fn run_arm(cell: &Cell, sweep: Sweep, lease: LeaseConfig) -> Arm {
 
     // Push every delegated write back and fold the final file images in:
     // coherent arms must agree on what the server ends up holding.
-    for a in 0..cell.agents {
+    for a in 0..mix.agents {
         for &od in &ods[a] {
             agents[a].flush(od).expect("final flush");
         }
@@ -236,7 +240,7 @@ fn run_arm(cell: &Cell, sweep: Sweep, lease: LeaseConfig) -> Arm {
         renewals += s.lease_renewals;
     }
     Arm {
-        trace: Trace::from_ops(ops, 1, cell.agents),
+        trace: Trace::from_ops(ops, 1, mix.agents),
         round_trips: round_trips - base_round_trips,
         rpcs_avoided,
         recalls,
@@ -245,48 +249,23 @@ fn run_arm(cell: &Cell, sweep: Sweep, lease: LeaseConfig) -> Arm {
     }
 }
 
-/// Both arms of one sweep, replayed at a common offered rate (90% of
-/// the ablation arm's saturation — the server round trip is its wall).
-struct SweepResult {
-    auto_arm: Arm,
-    never_arm: Arm,
-    auto_replay: Replay,
-    never_replay: Replay,
-    offered: u64,
+/// Both arms of one sweep — leases, then the leaseless ablation — each
+/// with its replay at a common offered rate, and that rate: 90% of the
+/// ablation arm's saturation, where the server round trip is its wall.
+fn run_sweep(mix: &Mix, sweep: Sweep) -> ([(Arm, Replay); 2], u64) {
+    let arms = [LeaseConfig::Auto, LeaseConfig::Never].map(|lease| run_arm(mix, sweep, lease));
+    let offered = (arms[1].trace.saturation_per_ks() * 9 / 10).max(1);
+    let replayed = arms.map(|arm| {
+        let replay = arm.trace.replay(offered);
+        (arm, replay)
+    });
+    (replayed, offered)
 }
 
-fn run_sweep(cell: &Cell, sweep: Sweep) -> SweepResult {
-    let auto_arm = run_arm(cell, sweep, LeaseConfig::Auto);
-    let never_arm = run_arm(cell, sweep, LeaseConfig::Never);
-    let offered = (never_arm.trace.saturation_per_ks() * 9 / 10).max(1);
-    SweepResult {
-        auto_replay: auto_arm.trace.replay(offered),
-        never_replay: never_arm.trace.replay(offered),
-        auto_arm,
-        never_arm,
-        offered,
-    }
-}
-
-fn row(t: &mut Table, sweep: &str, arm_name: &str, arm: &Arm, replay: &Replay, offered: u64) {
-    t.row_owned(vec![
-        sweep.to_string(),
-        arm_name.to_string(),
-        format!("{:.2}", offered as f64 / 1000.0),
-        arm.round_trips.to_string(),
-        arm.rpcs_avoided.to_string(),
-        arm.recalls.to_string(),
-        arm.renewals.to_string(),
-        replay.read.p50.to_string(),
-        replay.read.p99.to_string(),
-        replay.write.p99.to_string(),
-        format!("{:016x}", arm.fingerprint),
-    ]);
-}
-
-fn cells(smoke: bool) -> (Cell, Cell) {
-    let (agents, files, ops) = if smoke { (4, 3, 300) } else { (16, 6, 2500) };
-    let private = Cell {
+/// Runs the experiment.
+pub fn measure(cell: Cell) -> Report {
+    let (agents, files, ops) = cell.pick((4, 3, 300), (16, 6, 2500), (8, 4, 1200));
+    let private_mix = Mix {
         agents,
         files,
         file_blocks: 4,
@@ -295,16 +274,11 @@ fn cells(smoke: bool) -> (Cell, Cell) {
         skew: 0.0,
         seed: 22,
     };
-    let shared = Cell {
+    let shared_mix = Mix {
         skew: 0.9,
-        ..private
+        ..private_mix
     };
-    (private, shared)
-}
-
-/// Runs the experiment.
-pub fn run(smoke: bool) -> String {
-    let (private_cell, shared_cell) = cells(smoke);
+    let mut r = Report::default();
     let mut t = Table::new(&[
         "sweep",
         "arm",
@@ -318,78 +292,26 @@ pub fn run(smoke: bool) -> String {
         "write p99",
         "fingerprint",
     ]);
-    let private = run_sweep(&private_cell, Sweep::Private);
-    let shared = run_sweep(&shared_cell, Sweep::Shared);
-    for (name, s) in [("private", &private), ("shared", &shared)] {
-        row(
-            &mut t,
-            name,
-            "leases (Auto)",
-            &s.auto_arm,
-            &s.auto_replay,
-            s.offered,
-        );
-        row(
-            &mut t,
-            name,
-            "ablation (Never)",
-            &s.never_arm,
-            &s.never_replay,
-            s.offered,
-        );
-    }
-    let ratio = private.never_arm.round_trips as f64 / private.auto_arm.round_trips.max(1) as f64;
-    let claim_trips = private.never_arm.round_trips >= 5 * private.auto_arm.round_trips.max(1);
-    let claim_p99 = private.auto_replay.read.p50 < private.never_replay.read.p50
-        && private.auto_replay.read.p99 < private.never_replay.read.p99;
-    let claim_coherent = shared.auto_arm.fingerprint == shared.never_arm.fingerprint
-        && private.auto_arm.fingerprint == private.never_arm.fingerprint;
-    let mut out = t.render();
-    out.push_str(&format!(
-        "\nPrivate working sets: the lease-held client cache serves hot reads\n\
-         with no RPC at all — {:.1}x fewer round trips (>= 5x: {}), lower\n\
-         cached-read p50/p99 at the common offered rate: {}.\n\
-         Shared Zipfian sweep: every cross-agent hand-off goes through a\n\
-         recall, and the byte history matches the leaseless write-through\n\
-         ablation exactly (no stale bytes): {}.\n",
-        ratio,
-        if claim_trips { "yes" } else { "NO" },
-        if claim_p99 { "yes" } else { "NO" },
-        if claim_coherent { "yes" } else { "NO" },
-    ));
-    out
-}
-
-/// The deterministic lane emitted as `BENCH_leases.json`: a fixed
-/// mid-size cell (independent of the smoke flag), both sweeps, both
-/// arms. `bench_json` diffs `read.p99_us` and `round_trips` against the
-/// committed `BENCH_leases.json` with a 10% tolerance.
-pub fn stat_records() -> Vec<(String, u64)> {
-    let private_cell = Cell {
-        agents: 8,
-        files: 4,
-        file_blocks: 4,
-        ops: 1200,
-        read_pct: 80,
-        skew: 0.0,
-        seed: 22,
-    };
-    let shared_cell = Cell {
-        skew: 0.9,
-        ..private_cell
-    };
-    let mut rows = Vec::new();
-    for (tag, cell, sweep) in [
-        ("private", &private_cell, Sweep::Private),
-        ("shared", &shared_cell, Sweep::Shared),
-    ] {
-        let s = run_sweep(cell, sweep);
-        for (arm_tag, arm, replay) in [
-            ("auto", &s.auto_arm, &s.auto_replay),
-            ("never", &s.never_arm, &s.never_replay),
-        ] {
-            let p = |k: &str| format!("leases.{tag}.{arm_tag}.{k}");
-            rows.extend([
+    let private = run_sweep(&private_mix, Sweep::Private);
+    let shared = run_sweep(&shared_mix, Sweep::Shared);
+    for (name, (arms, offered)) in [("private", &private), ("shared", &shared)] {
+        let labels = [("leases (Auto)", "auto"), ("ablation (Never)", "never")];
+        for ((label, tag), (arm, replay)) in labels.iter().zip(arms) {
+            t.row(&[
+                &name,
+                label,
+                &format!("{:.2}", *offered as f64 / 1000.0),
+                &arm.round_trips,
+                &arm.rpcs_avoided,
+                &arm.recalls,
+                &arm.renewals,
+                &replay.read.p50,
+                &replay.read.p99,
+                &replay.write.p99,
+                &format!("{:016x}", arm.fingerprint),
+            ]);
+            let p = |k: &str| format!("leases.{name}.{tag}.{k}");
+            r.rows.extend([
                 (p("round_trips"), arm.round_trips),
                 (p("rpcs_avoided"), arm.rpcs_avoided),
                 (p("recalls"), arm.recalls),
@@ -401,68 +323,39 @@ pub fn stat_records() -> Vec<(String, u64)> {
             ]);
         }
     }
-    rows
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The E22 claim shape, on the smoke cell: strictly fewer RPCs and a
-    /// lower cached-read p99 than the ablation on private working sets;
-    /// byte-identical history on the shared sweep.
-    #[test]
-    fn leases_beat_the_ablation_and_stay_coherent() {
-        let cell = Cell {
-            agents: 4,
-            files: 3,
-            file_blocks: 3,
-            ops: 400,
-            read_pct: 80,
-            skew: 0.0,
-            seed: 22,
-        };
-        let private = run_sweep(&cell, Sweep::Private);
-        assert!(
-            private.never_arm.round_trips >= 5 * private.auto_arm.round_trips.max(1),
-            "leases must cut round trips >= 5x on private sets: {} vs {}",
-            private.auto_arm.round_trips,
-            private.never_arm.round_trips
-        );
-        assert!(
-            private.auto_arm.rpcs_avoided > 0,
-            "hot reads must be served lease-locally"
-        );
-        assert!(
-            private.auto_replay.read.p99 < private.never_replay.read.p99,
-            "cached-read p99 must beat the ablation: {} vs {}",
-            private.auto_replay.read.p99,
-            private.never_replay.read.p99
-        );
-        assert_eq!(
-            private.auto_arm.fingerprint, private.never_arm.fingerprint,
-            "private sweeps must agree byte-for-byte"
-        );
-        let shared = run_sweep(&Cell { skew: 0.9, ..cell }, Sweep::Shared);
-        assert_eq!(
-            shared.auto_arm.fingerprint, shared.never_arm.fingerprint,
-            "shared sweep must be byte-identical to the coherent ablation"
-        );
-        assert!(
-            shared.auto_arm.recalls > 0,
-            "shared sweep must exercise recalls"
-        );
-    }
-
-    #[test]
-    fn lane_records_are_stable() {
-        assert_eq!(stat_records(), stat_records());
-    }
-
-    #[test]
-    fn smoke_report_renders() {
-        let r = run(true);
-        assert!(r.contains("leases (Auto)"));
-        assert!(r.contains("ablation (Never)"));
-    }
+    let ([(auto, auto_replay), (never, never_replay)], _) = &private;
+    let ([(shared_auto, _), (shared_never, _)], _) = &shared;
+    r.claim(
+        "on private sets the lease-held cache serves reads with no RPC",
+        auto.rpcs_avoided > 0,
+    );
+    r.claim(
+        "on the shared sweep cross-agent hand-offs go through recalls",
+        shared_auto.recalls > 0,
+    );
+    let ratio = never.round_trips as f64 / auto.round_trips.max(1) as f64;
+    let claim_trips = r.verdict(
+        "on private sets leases cut round trips at least 5x",
+        never.round_trips >= 5 * auto.round_trips.max(1),
+    );
+    let claim_p99 = r.verdict(
+        "on private sets leases lower the read p50 and p99 at the common offered rate",
+        auto_replay.read.p50 < never_replay.read.p50
+            && auto_replay.read.p99 < never_replay.read.p99,
+    );
+    let claim_coherent = r.verdict(
+        "both sweeps read and leave the same bytes as the leaseless ablation",
+        shared_auto.fingerprint == shared_never.fingerprint
+            && auto.fingerprint == never.fingerprint,
+    );
+    r.text.push_str(&t.render());
+    r.text.push_str(&format!(
+        "\nPrivate working sets: the lease-held client cache serves hot reads\n\
+         with no RPC at all — {ratio:.1}x fewer round trips (>= 5x: {claim_trips}), lower\n\
+         cached-read p50/p99 at the common offered rate: {claim_p99}.\n\
+         Shared Zipfian sweep: every cross-agent hand-off goes through a\n\
+         recall, and the byte history matches the leaseless write-through\n\
+         ablation exactly (no stale bytes): {claim_coherent}.\n",
+    ));
+    r
 }

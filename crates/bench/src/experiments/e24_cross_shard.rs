@@ -17,15 +17,18 @@
 //! final content fingerprint must still equal the ablation's —
 //! atomicity and byte-identity survive the crash.
 //!
-//! `exp e24 --smoke` (`run(true)`) shrinks the sequence
-//! for CI; [`stat_records`] uses a fixed cell for the committed
-//! `BENCH_2pc.json` lane (commit p50/p99, flushes per commit,
-//! prepares, fingerprints), gated with a 10% latency/flush tolerance
-//! by `bench_json`.
+//! `exp e24 --smoke` shrinks the sequence for CI; the committed
+//! `BENCH_2pc.json` lane is the 64-transaction cell's three clean arms
+//! (commit p50/p99, flushes per commit, prepares, fingerprints), gated
+//! with a 10% latency/flush tolerance by `bench_json`.
 
-use crate::latency::percentile;
+use crate::latency::LatencySummary;
 use crate::table::Table;
+use crate::{Cell, Report};
 use rhodos_cluster::{Cluster, ClusterConfig, CommitOutcome, CrossOp};
+
+/// The claim, in a line.
+pub const TITLE: &str = "Cross-shard atomic commit: 2PC over group commit, crash-recovered";
 
 const FILES: usize = 16;
 const FILE_BLOCKS: u64 = 4;
@@ -53,6 +56,10 @@ struct Arm {
     p99_us: u64,
     commits: u64,
     aborts: u64,
+    /// Transactions whose outcome was `Committed` — the crashed arm's
+    /// recovered one too, which `commits` (the coordinator's count of
+    /// delivered commits) leaves out.
+    committed: u64,
     prepares: u64,
     prepare_flushes: u64,
     decision_forces: u64,
@@ -87,6 +94,7 @@ fn run_arm(servers: usize, txns: usize, batch: usize, chaos_at: Option<usize>) -
     let mut c = seeded_cluster(servers);
     let clock = c.clock();
     let mut lat: Vec<u64> = Vec::with_capacity(txns);
+    let mut committed = 0;
     if batch <= 1 {
         for k in 0..txns {
             let ops = txn_ops(k);
@@ -107,7 +115,7 @@ fn run_arm(servers: usize, txns: usize, batch: usize, chaos_at: Option<usize>) -
             } else {
                 c.commit_cross_shard(&ops).expect("commit")
             };
-            assert_eq!(out, CommitOutcome::Committed, "txn {k}");
+            committed += u64::from(out == CommitOutcome::Committed);
             lat.push(clock.now_us() - t0);
         }
     } else {
@@ -116,11 +124,14 @@ fn run_arm(servers: usize, txns: usize, batch: usize, chaos_at: Option<usize>) -
             let t0 = clock.now_us();
             let outs = c.commit_batch(&waves).expect("batch commit");
             let per_txn = (clock.now_us() - t0) / wave.len() as u64;
-            assert!(outs.iter().all(|o| *o == CommitOutcome::Committed));
+            committed += outs
+                .iter()
+                .filter(|o| **o == CommitOutcome::Committed)
+                .count() as u64;
             lat.extend(std::iter::repeat_n(per_txn, wave.len()));
         }
     }
-    lat.sort_unstable();
+    let lat = LatencySummary::from_samples(&lat);
     let s = c.stats();
     let (mut prepares, mut prepare_flushes, mut records) = (0u64, 0u64, 0u64);
     for i in 0..c.server_count() {
@@ -131,10 +142,11 @@ fn run_arm(servers: usize, txns: usize, batch: usize, chaos_at: Option<usize>) -
         records += ts.stats().prepare_records_flushed;
     }
     Arm {
-        p50_us: percentile(&lat, 50.0),
-        p99_us: percentile(&lat, 99.0),
+        p50_us: lat.p50,
+        p99_us: lat.p99,
         commits: s.cross_commits,
         aborts: s.cross_aborts,
+        committed,
         prepares,
         prepare_flushes,
         decision_forces: s.decision_forces,
@@ -145,21 +157,22 @@ fn run_arm(servers: usize, txns: usize, batch: usize, chaos_at: Option<usize>) -
 }
 
 fn row(t: &mut Table, name: &str, arm: &Arm) {
-    t.row_owned(vec![
-        name.to_string(),
-        arm.commits.to_string(),
-        arm.aborts.to_string(),
-        arm.p50_us.to_string(),
-        arm.p99_us.to_string(),
-        format!("{:.2}", arm.flushes_per_commit_x100() as f64 / 100.0),
-        format!("{:.2}", arm.records_per_prepare_flush_x100 as f64 / 100.0),
-        format!("{:016x}", arm.fingerprint),
+    t.row(&[
+        &name,
+        &arm.commits,
+        &arm.aborts,
+        &arm.p50_us,
+        &arm.p99_us,
+        &format!("{:.2}", arm.flushes_per_commit_x100() as f64 / 100.0),
+        &format!("{:.2}", arm.records_per_prepare_flush_x100 as f64 / 100.0),
+        &format!("{:016x}", arm.fingerprint),
     ]);
 }
 
 /// Runs the experiment.
-pub fn run(smoke: bool) -> String {
-    let txns = if smoke { 24 } else { 64 };
+pub fn measure(cell: Cell) -> Report {
+    let txns = cell.pick(24, 64, 64);
+    let mut r = Report::default();
     let mut t = Table::new(&[
         "arm",
         "commits",
@@ -174,52 +187,23 @@ pub fn run(smoke: bool) -> String {
     let four = run_arm(4, txns, 1, None);
     let batched = run_arm(4, txns, 8, None);
     let chaotic = run_arm(4, txns, 1, Some(txns / 2));
-    row(&mut t, "1 server (ablation)", &ablation);
-    row(&mut t, "4 servers", &four);
-    row(&mut t, "4 servers, batch=8", &batched);
-    row(&mut t, "4 servers + coord crash", &chaotic);
-
-    let claim_bytes = four.fingerprint == ablation.fingerprint
-        && batched.fingerprint == ablation.fingerprint
-        && chaotic.fingerprint == ablation.fingerprint;
-    let claim_amortise = batched.flushes_per_commit_x100() < four.flushes_per_commit_x100();
-    let claim_resolved = ablation.in_doubt == 0
-        && four.in_doubt == 0
-        && batched.in_doubt == 0
-        && chaotic.in_doubt == 0;
-
-    let mut out = t.render();
-    out.push_str(&format!(
-        "\n{txns} two-file transactions over {FILES} files through the 2PC\n\
-         coordinator. Every arm commits every transaction and the content\n\
-         fingerprint matches the single-server ablation byte for byte\n\
-         (sharding and batching change placement and timing, never bytes):\n\
-         {}; wave-of-8 batching amortises prepare and decision forces\n\
-         ({:.2} vs {:.2} flushes/commit): {}; a coordinator crash after the\n\
-         decision force recovers by log replay + orphan sweep with no\n\
-         participant left in doubt: {}.\n",
-        if claim_bytes { "yes" } else { "NO" },
-        batched.flushes_per_commit_x100() as f64 / 100.0,
-        four.flushes_per_commit_x100() as f64 / 100.0,
-        if claim_amortise { "yes" } else { "NO" },
-        if claim_resolved { "yes" } else { "NO" },
-    ));
-    out
-}
-
-/// The deterministic 2PC lane emitted as `BENCH_2pc.json`: a fixed
-/// 64-transaction cell (independent of the smoke flag) in the three
-/// clean arms. Latencies are virtual-time integers, byte-stable across
-/// runs; `bench_json` gates them against the committed
-/// `BENCH_2pc.json` with a 10% commit-latency and
-/// flushes-per-commit tolerance (fingerprints are identity rows, not
-/// gated).
-pub fn stat_records() -> Vec<(String, u64)> {
-    let mut rows = Vec::new();
-    for (name, servers, batch) in [("ablation", 1, 1), ("n4", 4, 1), ("n4_batch8", 4, 8)] {
-        let arm = run_arm(servers, 64, batch, None);
-        let p = |s: &str| format!("2pc.{name}.{s}");
-        rows.extend([
+    let arms = [
+        ("1 server (ablation)", "ablation", &ablation),
+        ("4 servers", "n4", &four),
+        ("4 servers, batch=8", "n4_batch8", &batched),
+        ("4 servers + coord crash", "", &chaotic),
+    ];
+    for (name, tag, arm) in arms {
+        row(&mut t, name, arm);
+        r.claim(
+            format!("{name}: all {txns} transactions commit"),
+            arm.committed == txns as u64,
+        );
+        if tag.is_empty() {
+            continue;
+        }
+        let p = |s: &str| format!("2pc.{tag}.{s}");
+        r.rows.extend([
             (p("commits"), arm.commits),
             (p("commit_p50_us"), arm.p50_us),
             (p("commit_p99_us"), arm.p99_us),
@@ -232,48 +216,36 @@ pub fn stat_records() -> Vec<(String, u64)> {
             (p("content_fingerprint"), arm.fingerprint),
         ]);
     }
-    rows
-}
+    r.claim(
+        "a wave of 8 puts more than one vote on each prepare force",
+        batched.records_per_prepare_flush_x100 > 100,
+    );
+    let claim_bytes = r.verdict(
+        "every arm's content fingerprint matches the single-server ablation",
+        arms.iter()
+            .all(|(_, _, a)| a.fingerprint == ablation.fingerprint),
+    );
+    let claim_amortise = r.verdict(
+        "waves of 8 amortise prepare and decision forces",
+        batched.flushes_per_commit_x100() < four.flushes_per_commit_x100(),
+    );
+    let claim_resolved = r.verdict(
+        "no participant is left in doubt, the coordinator crash included",
+        arms.iter().all(|(_, _, a)| a.in_doubt == 0),
+    );
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn arms_commit_identically_and_batching_amortises() {
-        let ablation = run_arm(1, 32, 1, None);
-        let four = run_arm(4, 32, 1, None);
-        let batched = run_arm(4, 32, 8, None);
-        assert_eq!(ablation.commits, 32);
-        assert_eq!(four.aborts, 0);
-        assert_eq!(ablation.fingerprint, four.fingerprint);
-        assert_eq!(ablation.fingerprint, batched.fingerprint);
-        assert!(
-            batched.flushes_per_commit_x100() < four.flushes_per_commit_x100(),
-            "batching must amortise forces: {} vs {}",
-            batched.flushes_per_commit_x100(),
-            four.flushes_per_commit_x100()
-        );
-        assert!(batched.records_per_prepare_flush_x100 > 100);
-    }
-
-    #[test]
-    fn coordinator_crash_mid_sequence_preserves_bytes() {
-        let clean = run_arm(4, 24, 1, None);
-        let chaotic = run_arm(4, 24, 1, Some(12));
-        assert_eq!(clean.fingerprint, chaotic.fingerprint);
-        assert_eq!(chaotic.in_doubt, 0);
-    }
-
-    #[test]
-    fn lane_records_are_stable() {
-        assert_eq!(stat_records(), stat_records());
-    }
-
-    #[test]
-    fn smoke_report_renders() {
-        let r = run(true);
-        assert!(r.contains("flushes/commit"));
-        assert!(r.contains("ablation"));
-    }
+    r.text.push_str(&t.render());
+    r.text.push_str(&format!(
+        "\n{txns} two-file transactions over {FILES} files through the 2PC\n\
+         coordinator. Every arm commits every transaction and the content\n\
+         fingerprint matches the single-server ablation byte for byte\n\
+         (sharding and batching change placement and timing, never bytes):\n\
+         {claim_bytes}; wave-of-8 batching amortises prepare and decision forces\n\
+         ({:.2} vs {:.2} flushes/commit): {claim_amortise}; a coordinator crash after the\n\
+         decision force recovers by log replay + orphan sweep with no\n\
+         participant left in doubt: {claim_resolved}.\n",
+        batched.flushes_per_commit_x100() as f64 / 100.0,
+        four.flushes_per_commit_x100() as f64 / 100.0,
+    ));
+    r
 }

@@ -1,4 +1,5 @@
-//! The paper-claim experiments E1–E19 (see `EXPERIMENTS.md`).
+//! The paper-claim experiments E01–E19 and the extension experiments
+//! E20–E24 (see `EXPERIMENTS.md`), each a `measure(Cell) -> Report`.
 //!
 //! E2 (Figure 1, the architecture) is validated by the integration test
 //! `tests/architecture.rs` rather than a measurement, so it has no module

@@ -26,14 +26,6 @@ pub fn percentile_pm(sorted: &[u64], pm: u64) -> u64 {
     sorted[(rank - 1) as usize]
 }
 
-/// Nearest-rank percentile (`p` in `0..=100`) over an **ascending
-/// sorted** slice. Convenience wrapper over [`percentile_pm`]; `p` is
-/// rounded to the nearest 0.1 so the rank math stays exact. Empty input
-/// yields 0.
-pub fn percentile(sorted: &[u64], p: f64) -> u64 {
-    percentile_pm(sorted, (p * 10.0).round() as u64)
-}
-
 /// p50/p99/p999 summary of one op class's latency samples.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencySummary {
@@ -79,13 +71,13 @@ mod tests {
     #[test]
     fn nearest_rank_percentiles() {
         let sorted: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&sorted, 50.0), 50);
-        assert_eq!(percentile(&sorted, 99.0), 99);
-        assert_eq!(percentile(&sorted, 99.9), 100);
-        assert_eq!(percentile(&sorted, 100.0), 100);
-        assert_eq!(percentile(&sorted, 0.0), 1);
-        assert_eq!(percentile(&[], 50.0), 0);
-        assert_eq!(percentile(&[7], 99.9), 7);
+        assert_eq!(percentile_pm(&sorted, 500), 50);
+        assert_eq!(percentile_pm(&sorted, 990), 99);
+        assert_eq!(percentile_pm(&sorted, 999), 100);
+        assert_eq!(percentile_pm(&sorted, 1000), 100);
+        assert_eq!(percentile_pm(&sorted, 0), 1);
+        assert_eq!(percentile_pm(&[], 500), 0);
+        assert_eq!(percentile_pm(&[7], 999), 7);
     }
 
     // Hand-computed nearest-rank fixtures. rank = ceil(pm * n / 1000),
@@ -104,7 +96,6 @@ mod tests {
         // path returned 1000 (the max) because 99.9/100.0 > 0.999 in f64.
         let n1000: Vec<u64> = (1..=1000).collect();
         assert_eq!(percentile_pm(&n1000, 999), 999);
-        assert_eq!(percentile(&n1000, 99.9), 999);
         assert_eq!(percentile_pm(&n1000, 990), 990);
         assert_eq!(percentile_pm(&n1000, 1000), 1000);
         // n = 1001: p999 → rank ceil(999.999) = 1000.

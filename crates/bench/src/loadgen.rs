@@ -107,15 +107,6 @@ pub enum OpClass {
 }
 
 impl OpClass {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            OpClass::Read => "read",
-            OpClass::Write => "write",
-            OpClass::Update => "update",
-        }
-    }
-
     fn index(self) -> usize {
         match self {
             OpClass::Read => 0,

@@ -1,13 +1,19 @@
 //! Standard service constructors shared by the experiments.
 
 use rhodos_cluster::{Cluster, ClusterConfig};
-use rhodos_disk_service::{DiskService, DiskServiceConfig};
+use rhodos_disk_service::{DiskService, DiskServiceConfig, DiskServiceStats};
 use rhodos_file_service::{
-    FileService, FileServiceConfig, LeaseParams, ParallelIo, Redundancy, StripePolicy, WritePolicy,
+    FileId, FileService, FileServiceConfig, LeaseParams, LockLevel, ParallelIo, Redundancy,
+    StripePolicy, WritePolicy,
 };
 use rhodos_net::NetConfig;
 use rhodos_simdisk::{DiskGeometry, LatencyModel, SimClock};
 use rhodos_txn::{TransactionService, TxnConfig};
+
+/// `stat` summed over every disk of `fs`.
+pub fn over_disks(fs: &FileService, stat: impl Fn(&DiskServiceStats) -> u64) -> u64 {
+    fs.stats().disks.iter().map(stat).sum()
+}
 
 /// A fresh disk server over a 1 GiB disk with stable storage.
 pub fn disk_service(config: DiskServiceConfig) -> DiskService {
@@ -135,6 +141,22 @@ pub fn replica_set(r: usize, net: NetConfig) -> (Cluster, u64) {
 pub fn transaction_service(cfg: TxnConfig) -> TransactionService {
     TransactionService::new(file_service(FileServiceConfig::default()), cfg)
         .expect("transaction service")
+}
+
+/// [`transaction_service`] holding one committed file of `bytes` zero
+/// bytes, locked at `level`.
+pub fn transaction_file(
+    cfg: TxnConfig,
+    level: LockLevel,
+    bytes: u64,
+) -> (TransactionService, FileId) {
+    let mut ts = transaction_service(cfg);
+    let fid = ts.tcreate(level).unwrap();
+    let t = ts.tbegin();
+    ts.topen(t, fid).unwrap();
+    ts.twrite(t, fid, 0, &vec![0u8; bytes as usize]).unwrap();
+    ts.tend(t).unwrap();
+    (ts, fid)
 }
 
 /// A transaction service over raw (cache-less) disks striped `ndisks`

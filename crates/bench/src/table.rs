@@ -1,5 +1,7 @@
 //! Minimal fixed-width table printer for experiment reports.
 
+use std::fmt::Display;
+
 /// Builds an aligned ASCII table from a header row and data rows.
 ///
 /// # Example
@@ -8,7 +10,7 @@
 /// use rhodos_bench::table::Table;
 ///
 /// let mut t = Table::new(&["size", "refs"]);
-/// t.row(&["8 KiB", "2"]);
+/// t.row(&[&"8 KiB", &2]);
 /// let s = t.render();
 /// assert!(s.contains("size"));
 /// assert!(s.contains("8 KiB"));
@@ -29,17 +31,10 @@ impl Table {
     }
 
     /// Appends one row (must match the header width).
-    pub fn row(&mut self, cells: &[&str]) -> &mut Self {
+    pub fn row(&mut self, cells: &[&dyn Display]) -> &mut Self {
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows
-            .push(cells.iter().map(|s| s.to_string()).collect());
-        self
-    }
-
-    /// Appends one row of owned strings.
-    pub fn row_owned(&mut self, cells: Vec<String>) -> &mut Self {
-        assert_eq!(cells.len(), self.header.len(), "row width mismatch");
-        self.rows.push(cells);
+            .push(cells.iter().map(|c| c.to_string()).collect());
         self
     }
 
@@ -91,7 +86,7 @@ mod tests {
     #[test]
     fn renders_aligned() {
         let mut t = Table::new(&["a", "bbbb"]);
-        t.row(&["wide-cell", "1"]);
+        t.row(&[&"wide-cell", &1]);
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -102,7 +97,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "row width mismatch")]
     fn width_mismatch_caught() {
-        Table::new(&["a"]).row(&["1", "2"]);
+        Table::new(&["a"]).row(&[&1, &2]);
     }
 
     #[test]

@@ -97,8 +97,8 @@ impl Cluster {
     /// succeeded, which only a diverged member does — is masked. A
     /// semantic error from the first member that answers is the set's
     /// and returns at once, since lock-step members answer alike. Each
-    /// member of a larger set than one runs in a lane of its own: the
-    /// request costs its slowest member.
+    /// member runs in a lane of its own: the request costs its slowest
+    /// member.
     ///
     /// # Errors
     ///
@@ -113,7 +113,7 @@ impl Cluster {
         let mut replies = Vec::with_capacity(1);
         let mut missed = Vec::new();
         let mut err = ClusterError::NoLiveServers;
-        let mut lanes = (self.cfg.replicas > 1).then(|| self.clock.lanes());
+        let mut lanes = self.clock.lanes();
         for i in self.members(s) {
             let n = &self.nodes[i];
             if n.stale {
@@ -124,11 +124,7 @@ impl Cluster {
                 missed.push(i);
                 continue;
             }
-            let reply = match lanes.as_mut() {
-                Some(lanes) => lanes.lane(i, || self.call_node(i, &frame)),
-                None => self.call_node(i, &frame),
-            };
-            match reply {
+            match lanes.lane(i, || self.call_node(i, &frame)) {
                 Ok(payload) => replies.push((i, payload)),
                 Err(e) if is_fault(&e) => {
                     err = e;

@@ -158,11 +158,10 @@ pub fn measure(_: Cell) -> Report {
         t.row(&[
             &"crash tearing the commit record",
             &if crashed { "yes" } else { "n/a" },
-            &if r.claim("a torn commit rolls back to the committed data", intact) {
-                "yes (rolled back)"
-            } else {
-                "NO"
-            },
+            &format!(
+                "{} (rolled back)",
+                r.verdict("a torn commit rolls back to the committed data", intact)
+            ),
             &redone.len(),
             &fault_counters(&mut ts),
             &parity_counters(&mut ts),
@@ -223,11 +222,11 @@ pub fn measure(_: Cell) -> Report {
         let rebuilt_ok = f.read(fid, 0, payload.len()).map(|d| d == payload) == Ok(true);
         t.row(&[
             &"whole-disk loss in a 4+1 parity group",
-            &if r.claim("a 4+1 parity group rebuilds a lost disk", rebuild.complete) {
-                format!("yes ({} pages rebuilt)", rebuild.pages)
-            } else {
-                "NO".into()
-            },
+            &format!(
+                "{} ({} pages rebuilt)",
+                r.verdict("a 4+1 parity group rebuilds a lost disk", rebuild.complete),
+                rebuild.pages
+            ),
             &r.verdict(
                 "a 4+1 parity group serves the data while degraded and after the rebuild",
                 degraded_ok && rebuilt_ok,
